@@ -1,4 +1,5 @@
-"""Ablation — consistency pruning in the abductive enumeration (DESIGN.md §4.1).
+"""Ablation — consistency pruning in the abductive enumeration (PERFORMANCE.md,
+"Paper-artifact benches").
 
 The mediator only emits UNION branches whose accumulated context assumptions
 are mutually consistent.  This ablation compares the number of branches (and

@@ -5,8 +5,9 @@ sources capabilities as well as the execution and communication costs."
 
 Reproduced rows: for the paper's mediated query and for larger synthetic
 federations, the estimated cost and the rows actually transferred with
-capability-aware push-down enabled versus disabled (the ablation DESIGN.md
-calls out), plus raw planning latency.
+capability-aware push-down enabled versus disabled (the ablation
+PERFORMANCE.md, "Paper-artifact benches", calls out), plus raw planning
+latency.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``bench_*.py`` file regenerates one artifact of the paper (see
-DESIGN.md §3 and EXPERIMENTS.md).  Benchmarks print the rows/series they
+PERFORMANCE.md, "Paper-artifact benches").  Benchmarks print the rows/series they
 reproduce (visible with ``pytest benchmarks/ --benchmark-only -s``) and attach
 the headline numbers to ``benchmark.extra_info`` so they also appear in the
 saved benchmark data.

@@ -284,21 +284,10 @@ class MultiDatabaseEngine:
         executions (the CQA executor does).  ``on_source_error="partial"``
         answers from the surviving branches when a source stays dead.
         """
-        if isinstance(statement, QueryPlan):
-            plan = statement
-        else:
-            plan = self.plan(statement)
-        if deadline is None:
-            deadline = self.controller.resilience.deadline(timeout_seconds)
-        # Drain through a stream with the fold attached to close, so a failed
-        # statement still books its retries, failed requests and breaker
-        # rejections — the streaming path already accounts this way.
-        stream = self.controller.execute_stream(plan, deadline=deadline,
-                                                on_source_error=on_source_error)
-        stream.on_close(self.statistics.record_execution)
+        stream = self._open(statement, timeout_seconds, on_source_error, deadline)
         try:
-            relation = stream.to_relation()
-            return EngineResult(relation=relation, plan=plan, report=stream.report)
+            return EngineResult(relation=stream.to_relation(), plan=stream.plan,
+                                report=stream.report)
         finally:
             stream.close()
 
@@ -315,15 +304,23 @@ class MultiDatabaseEngine:
         :meth:`execute`; the deadline also covers streaming finalization,
         so a stalled consumer-side pull fails rather than hangs.
         """
-        if isinstance(statement, QueryPlan):
-            plan = statement
-        else:
-            plan = self.plan(statement)
+        stream = self._open(statement, timeout_seconds, on_source_error, deadline)
+        self.statistics.record_stream_opened()
+        return stream
+
+    def _open(self, statement: TUnion[str, Statement, QueryPlan],
+              timeout_seconds: Optional[float], on_source_error: str,
+              deadline: Optional[Deadline]):
+        """Plan (if needed) and open the result stream both entry points use.
+
+        The statistics fold rides the stream's close, so a failed statement
+        still books its retries, failed requests and breaker rejections.
+        """
+        plan = statement if isinstance(statement, QueryPlan) else self.plan(statement)
         if deadline is None:
             deadline = self.controller.resilience.deadline(timeout_seconds)
         stream = self.controller.execute_stream(plan, deadline=deadline,
                                                 on_source_error=on_source_error)
-        self.statistics.record_stream_opened()
         stream.on_close(self.statistics.record_execution)
         return stream
 

@@ -33,9 +33,9 @@ Since the streaming rework, both phases are driven by a pull-based
 asynchronously, branches are staged and finalized lazily as the consumer
 pulls rows, and a shared :class:`~repro.relational.budget.MemoryBudget`
 bounds operator memory (spilling `Sort`/`Distinct`/`HashJoin` state to
-temporary files when exceeded).  :meth:`ExecutionController.execute` is a
-thin eager wrapper that drains the stream, so materialized callers see the
-historical behaviour unchanged.
+temporary files when exceeded).  Eager callers
+(:meth:`~repro.engine.engine.MultiDatabaseEngine.execute`) drain the same
+stream, so materialized answers see the historical behaviour unchanged.
 """
 
 from __future__ import annotations
@@ -49,12 +49,7 @@ from repro.errors import ExecutionError, RequestFailedError
 from repro.engine.catalog import Catalog
 from repro.engine.plan import JoinStep, QueryPlan, SourceRequest
 from repro.engine.request_cache import RequestKey, SourceResultCache, request_key
-from repro.engine.resilience import (
-    Deadline,
-    ResiliencePolicy,
-    ResilienceReport,
-    validate_on_source_error,
-)
+from repro.engine.resilience import Deadline, ResiliencePolicy, ResilienceReport
 from repro.relational.budget import MemoryBudget
 from repro.relational.operators import (
     Filter,
@@ -472,17 +467,6 @@ class ExecutionController:
 
     # -- public API -------------------------------------------------------------
 
-    def execute(self, plan: QueryPlan, deadline: Optional[Deadline] = None,
-                on_source_error: str = "fail") -> EngineResult:
-        """Plan interpretation, eagerly: drain the stream into a relation."""
-        stream = self.execute_stream(plan, deadline=deadline,
-                                     on_source_error=on_source_error)
-        try:
-            relation = stream.to_relation()
-            return EngineResult(relation=relation, plan=plan, report=stream.report)
-        finally:
-            stream.close()
-
     def execute_stream(self, plan: QueryPlan, deadline: Optional[Deadline] = None,
                        on_source_error: str = "fail"):
         """Open a pull-based cursor over the plan's result.
@@ -500,7 +484,7 @@ class ExecutionController:
         from repro.engine.stream import ResultStream
 
         return ResultStream(self, plan, deadline=deadline,
-                            on_source_error=validate_on_source_error(on_source_error))
+                            on_source_error=on_source_error)
 
     # -- request scheduling -------------------------------------------------------
 

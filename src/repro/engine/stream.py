@@ -19,7 +19,7 @@ fetching everything, joining everything and materializing the answer, it
   explicit :meth:`close`) cancels source fetches that were never consumed,
   drops the staged temporaries, and releases the fetch pool mid-query.
 
-``ExecutionController.execute`` drains a stream to re-create the historical
+``MultiDatabaseEngine.execute`` drains a stream to re-create the historical
 eager behaviour byte for byte: same rows, same order, same report fields —
 plus the new streaming and memory counters.
 """
@@ -930,7 +930,17 @@ class ResultStream:
         if self._closed:
             return
         self._closed = True
+        try:
+            self._release()
+        finally:
+            # Close callbacks carry what rides the statement's end — the
+            # statistics fold, spans, the gateway's stream permit — and must
+            # run even when releasing resources failed.
+            callbacks, self._close_callbacks = self._close_callbacks, []
+            for callback in callbacks:
+                callback(self.report)
 
+    def _release(self) -> None:
         cancelled = 0
         for key, future in self._futures.items():
             if key in self._finalized_keys:
@@ -1011,10 +1021,6 @@ class ResultStream:
         self._span.finish()
 
         self._release_staged()
-
-        callbacks, self._close_callbacks = self._close_callbacks, []
-        for callback in callbacks:
-            callback(self.report)
 
     def _release_staged(self) -> None:
         if self._staged_released:

@@ -152,7 +152,8 @@ class ExecutionError(EngineError):
 
 
 class DeadlineExceededError(ExecutionError):
-    """The statement's deadline (``timeout_seconds``) expired.
+    """The statement's deadline (:class:`~repro.options.StatementOptions`)
+    expired.
 
     Raised from fetch waits, retry backoff sleeps and streaming finalization
     alike.  A deadline expiry is never downgraded to a partial answer: the

@@ -26,26 +26,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union as TUnion
 
-from repro.errors import MediationError
 from repro.coin.system import CoinSystem
 from repro.consistency.constraints import Constraint
 from repro.consistency.cqa import (
     DEFAULT_MAX_REPAIRS,
     ConsistentQueryExecutor,
     MaterializedStream,
-    validate_mode,
 )
 from repro.consistency.violations import ViolationReport, ViolationScanner
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.planner import PlannerConfig
-from repro.engine.resilience import ResiliencePolicy, validate_on_source_error
+from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
 from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
-from repro.obs import Observability, statement_fingerprint
+from repro.obs import Observability
 from repro.obs.trace import current_span, current_tenant, deactivate_span
+from repro.options import StatementOptions
 from repro.pipeline import MediatedPlan, QueryPipeline
 from repro.relational.relation import Relation
 from repro.sql.ast import Select
@@ -83,12 +82,17 @@ class FederationCursor:
     temporaries and the statement's fetch-pool slots mid-query.  Annotations
     and the description are schema-level, so they are available before (and
     without) draining the result.
+
+    Every statement is answered through one of these — :meth:`answer` drains
+    it into the materialized :class:`FederationAnswer` eager callers get.
     """
 
-    def __init__(self, federation: "Federation", prepared: MediatedPlan, stream):
+    def __init__(self, federation: "Federation", prepared: MediatedPlan, stream,
+                 options: StatementOptions):
         self.federation = federation
         self.prepared = prepared
         self.stream = stream
+        self.options = options
         self._annotations: Optional[List[ColumnAnnotation]] = None
 
     # -- metadata ----------------------------------------------------------------
@@ -145,6 +149,18 @@ class FederationCursor:
     def __iter__(self):
         return iter(self.stream)
 
+    def answer(self) -> FederationAnswer:
+        """Drain the remaining rows into a materialized answer and close."""
+        with self:
+            relation = self.stream.to_relation()
+            return FederationAnswer(
+                relation=relation,
+                mediation=self.mediation,
+                execution=EngineResult(relation=relation, plan=self.prepared.plan,
+                                       report=self.report),
+                annotations=self.annotations,
+            )
+
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
@@ -170,13 +186,9 @@ class PreparedQuery:
 
     federation: "Federation"
     plan: MediatedPlan
-    #: Consistency mode the statement was prepared under ("raw", "certain"
-    #: or "possible"); every execution answers in this mode.
-    consistency: str = "raw"
-    #: Per-execution wall-clock bound (None = unbounded) and source-failure
-    #: policy ("fail" | "partial"), fixed at prepare time.
-    timeout_seconds: Optional[float] = None
-    on_source_error: str = "fail"
+    #: Consistency mode, deadline and source-failure policy fixed at prepare
+    #: time; every execution answers under them.
+    options: StatementOptions = StatementOptions()
 
     @property
     def sql(self) -> str:
@@ -197,37 +209,8 @@ class PreparedQuery:
     def execute(self, stream: bool = False):
         """Run the statement: a materialized answer, or (``stream=True``) a
         :class:`FederationCursor` pulling rows on demand."""
-        federation = self.federation
-        sql_text = self.sql
-        tenant = current_tenant()
-        root, token = federation._open_statement_root(
-            sql_text, consistency=self.consistency, stream=stream,
-            prepared=True,
-        )
-        started = time.perf_counter()
-        try:
-            self.plan = federation.pipeline.refresh(self.plan)
-            if self.consistency != "raw":
-                result = federation._run_consistent(
-                    self.plan, self.consistency, stream=stream,
-                    timeout_seconds=self.timeout_seconds,
-                )
-            elif stream:
-                result = federation._run_stream(
-                    self.plan, timeout_seconds=self.timeout_seconds,
-                    on_source_error=self.on_source_error,
-                )
-            else:
-                result = federation._run(
-                    self.plan, timeout_seconds=self.timeout_seconds,
-                    on_source_error=self.on_source_error,
-                )
-        except BaseException as exc:
-            federation._fail_statement(exc, sql_text, started, tenant,
-                                       root, token)
-            raise
-        return federation._conclude_statement(result, sql_text, started,
-                                              tenant, root, token)
+        cursor = self.federation.open(self, self.options, stream)
+        return cursor if stream else cursor.answer()
 
     def close(self) -> None:
         """Prepared queries hold no external resources; provided for symmetry
@@ -560,201 +543,135 @@ class Federation:
         the execution report's ``resilience`` block (see PERFORMANCE.md,
         "Fault tolerance and graceful degradation").
         """
-        validate_mode(consistency)
-        self._validate_execution_options(consistency, on_source_error)
-        sql_text = sql if isinstance(sql, str) else str(sql)
-        tenant = current_tenant()
-        root, token = self._open_statement_root(sql_text, consistency=consistency,
-                                                stream=stream)
-        started = time.perf_counter()
-        try:
-            prepared = self.pipeline.prepare(sql, receiver_context, mediate=mediate)
-            if consistency != "raw":
-                result = self._run_consistent(prepared, consistency, stream=stream,
-                                              timeout_seconds=timeout_seconds)
-            elif stream:
-                result = self._run_stream(prepared, timeout_seconds=timeout_seconds,
-                                          on_source_error=on_source_error)
-            else:
-                result = self._run(prepared, timeout_seconds=timeout_seconds,
-                                   on_source_error=on_source_error)
-        except BaseException as exc:
-            self._fail_statement(exc, sql_text, started, tenant, root, token)
-            raise
-        return self._conclude_statement(result, sql_text, started, tenant,
-                                        root, token)
-
-    def _open_statement_root(self, sql_text: str, **attributes):
-        """Open a root span when this call is the statement's edge.
-
-        Root-span ownership: an edge that already opened a statement span
-        (the mediation server, the in-process service) wins — its span is
-        the ambient one — and a bare local call opens its own root.
-        Returns ``(root, token)``, both None when tracing is off or an
-        ambient span exists.
-        """
-        if not self.observability.tracer.enabled or current_span().recording:
-            return None, None
-        root = self.observability.tracer.start_trace(
-            "statement", fingerprint=statement_fingerprint(sql_text),
-            **attributes)
-        if not root.recording:
-            return None, None
-        return root, root.activate()
-
-    def _fail_statement(self, exc: BaseException, sql_text: str, started: float,
-                        tenant: Optional[str], root, token) -> None:
-        trace_id = current_span().trace_id
-        if root is not None:
-            deactivate_span(token)
-            root.finish(error=exc)
-        self._account_statement(sql_text, started, tenant=tenant,
-                                trace_id=trace_id, error=exc)
-
-    def _conclude_statement(self, result, sql_text: str, started: float,
-                            tenant: Optional[str], root, token):
-        if isinstance(result, FederationCursor):
-            # The statement is not over until the cursor closes: the root
-            # span and the statement accounting ride the stream's close.
-            if root is not None:
-                deactivate_span(token)
-                result.stream.on_close(lambda report, _root=root: _root.finish())
-            result.stream.on_close(
-                lambda report, _sql=sql_text, _started=started, _tenant=tenant:
-                    self._account_statement(_sql, _started, tenant=_tenant,
-                                            report=report.snapshot,
-                                            trace_id=report.trace_id)
-            )
-        else:
-            report = result.execution.report
-            if root is not None:
-                deactivate_span(token)
-                root.finish()
-            self._account_statement(sql_text, started, tenant=tenant,
-                                    report=report.snapshot,
-                                    trace_id=report.trace_id)
-        return result
+        cursor = self.open(sql, StatementOptions(
+            receiver_context=receiver_context, mediate=mediate,
+            consistency=consistency, timeout_seconds=timeout_seconds,
+            on_source_error=on_source_error,
+        ), stream)
+        return cursor if stream else cursor.answer()
 
     def prepare(self, sql: TUnion[str, Select], receiver_context: Optional[str] = None,
                 mediate: bool = True, consistency: str = "raw",
                 timeout_seconds: Optional[float] = None,
                 on_source_error: str = "fail") -> PreparedQuery:
         """Compile a receiver statement once for repeated execution."""
-        validate_mode(consistency)
-        self._validate_execution_options(consistency, on_source_error)
-        plan = self.pipeline.prepare(sql, receiver_context, mediate=mediate)
-        return PreparedQuery(federation=self, plan=plan, consistency=consistency,
-                             timeout_seconds=timeout_seconds,
-                             on_source_error=on_source_error)
+        return self.compile(sql, StatementOptions(
+            receiver_context=receiver_context, mediate=mediate,
+            consistency=consistency, timeout_seconds=timeout_seconds,
+            on_source_error=on_source_error,
+        ))
 
-    @staticmethod
-    def _validate_execution_options(consistency: str, on_source_error: str) -> None:
-        validate_on_source_error(on_source_error)
-        if consistency != "raw" and on_source_error == "partial":
-            # Certain/possible answers quantify over *all* repairs of *all*
-            # constrained sources; silently dropping a source would turn a
-            # certainty claim into a guess.
-            raise MediationError(
-                "on_source_error='partial' cannot be combined with "
-                f"consistency={consistency!r}: partial answers void the "
-                "certainty quantification"
-            )
+    # -- the statement path ------------------------------------------------------------------
+    #
+    # Every front door (the keyword methods above, the in-process service, the
+    # wire server, QBE) hands a validated StatementOptions to these two.
 
-    def _run_stream(self, prepared: MediatedPlan,
-                    timeout_seconds: Optional[float] = None,
-                    on_source_error: str = "fail") -> FederationCursor:
-        # The execute span is activated around stream construction so the
-        # stream captures it as the parent of its fetch/stream spans; it
-        # stays open (rows are still being pulled) until the cursor closes.
-        span = current_span().child("execute", stream=True,
-                                    branches=len(prepared.plan.branches))
-        token = span.activate() if span.recording else None
-        try:
-            stream = self.engine.execute_stream(prepared.plan,
-                                                timeout_seconds=timeout_seconds,
-                                                on_source_error=on_source_error)
-        except BaseException as exc:
-            span.finish(error=exc)
-            raise
-        finally:
-            deactivate_span(token)
-        if span.recording:
-            stream.report.trace_id = span.trace_id
-            stream.on_close(lambda report, _span=span: _span.finish())
-        return FederationCursor(federation=self, prepared=prepared, stream=stream)
+    def compile(self, sql: TUnion[str, Select],
+                options: StatementOptions) -> PreparedQuery:
+        """Mediate and plan ``sql`` once; executions run under ``options``."""
+        plan = self.pipeline.prepare(sql, options.receiver_context,
+                                     mediate=options.mediate)
+        return PreparedQuery(federation=self, plan=plan, options=options)
 
-    def _run_consistent(self, prepared: MediatedPlan, consistency: str,
-                        stream: bool = False,
-                        timeout_seconds: Optional[float] = None):
-        """Answer in certain/possible mode via the CQA executor.
+    def open(self, statement: TUnion[str, Select, PreparedQuery],
+             options: StatementOptions, stream: bool = True) -> FederationCursor:
+        """Answer one statement as a cursor — the single execution path.
 
-        Consistent answers are group- or repair-quantified, so they
-        materialize before the first row can leave; ``stream=True`` still
-        returns a :class:`FederationCursor` (over the materialized rows) so
-        cursor-shaped consumers work identically in every mode.
+        ``statement`` is SQL (text or AST), compiled through the pipeline's
+        caches, or a :class:`PreparedQuery`, revalidated against the catalog
+        and knowledge generations.  This is the statement scope: it opens the
+        root span when no edge did (``Observability.statement_root``) and
+        books the statement into metrics and the slow-query log — both when
+        the cursor closes, because the statement is not over until then.
+        ``stream=False`` executes to completion before returning (the cursor
+        is over the materialized rows; :meth:`FederationCursor.answer` is its
+        drain).
         """
-        span = current_span().child("execute", consistency=consistency,
-                                    branches=len(prepared.plan.branches))
-        token = span.activate() if span.recording else None
+        prepared = statement if isinstance(statement, PreparedQuery) else None
+        if prepared is not None:
+            sql_text = prepared.sql
+        else:
+            sql_text = statement if isinstance(statement, str) else str(statement)
+        tenant = current_tenant()
+        root = self.observability.statement_root(
+            sql_text, consistency=options.consistency, stream=stream,
+            prepared=prepared is not None,
+        )
+        token = root.activate()
+        started = time.perf_counter()
         try:
-            execution = self.cqa.execute(prepared, consistency,
-                                         timeout_seconds=timeout_seconds)
+            if prepared is not None:
+                plan = prepared.plan = self.pipeline.refresh(prepared.plan)
+            else:
+                plan = self.pipeline.prepare(statement, options.receiver_context,
+                                             mediate=options.mediate)
+            cursor = self._execute(plan, options, stream)
         except BaseException as exc:
-            span.finish(error=exc)
-            raise
-        finally:
+            trace_id = current_span().trace_id
             deactivate_span(token)
-        if span.recording:
-            execution.report.trace_id = span.trace_id
-            span.annotate(rows=len(execution.relation))
-        span.finish()
-        if stream:
-            return FederationCursor(
-                federation=self, prepared=prepared,
-                stream=MaterializedStream(execution.relation, execution.report),
-            )
-        annotations = self.transformer.annotate(
-            execution.relation,
-            prepared.mediation.column_semantics,
-            prepared.mediation.receiver_context,
+            root.finish(error=exc)
+            self._account_statement(sql_text, started, tenant=tenant,
+                                    trace_id=trace_id, error=exc)
+            raise
+        deactivate_span(token)
+        if root.recording:
+            cursor.stream.on_close(lambda report: root.finish())
+        cursor.stream.on_close(
+            lambda report: self._account_statement(
+                sql_text, started, tenant=tenant, report=report.snapshot,
+                trace_id=report.trace_id)
         )
-        return FederationAnswer(
-            relation=execution.relation,
-            mediation=prepared.mediation,
-            execution=execution,
-            annotations=annotations,
-        )
+        return cursor
 
-    def _run(self, prepared: MediatedPlan,
-             timeout_seconds: Optional[float] = None,
-             on_source_error: str = "fail") -> FederationAnswer:
-        span = current_span().child("execute",
-                                    branches=len(prepared.plan.branches))
-        token = span.activate() if span.recording else None
+    def _execute(self, prepared: MediatedPlan, options: StatementOptions,
+                 stream: bool) -> FederationCursor:
+        """Run a compiled plan under ``options``; always yields a cursor.
+
+        A live stream when ``stream`` and the mode is raw; otherwise the
+        statement runs to completion inside this call and the cursor reads
+        the materialized rows — eager answers cross ``engine.execute`` as one
+        call (fetch + drain), and certain/possible answers are group- or
+        repair-quantified, so they materialize before the first row can leave.
+        """
+        consistent = options.consistency != "raw"
+        attributes = {"branches": len(prepared.plan.branches)}
+        if consistent:
+            attributes["consistency"] = options.consistency
+        elif stream:
+            attributes["stream"] = True
+        # Activated around the call so the engine captures the span as the
+        # parent of its stream/fetch spans.
+        span = current_span().child("execute", **attributes)
+        token = span.activate()
+        result = None
         try:
-            execution = self.engine.execute(prepared.plan,
-                                            timeout_seconds=timeout_seconds,
-                                            on_source_error=on_source_error)
+            if consistent:
+                result = self.cqa.execute(prepared, options.consistency,
+                                          timeout_seconds=options.timeout_seconds)
+            elif stream:
+                rows = self.engine.execute_stream(
+                    prepared.plan, timeout_seconds=options.timeout_seconds,
+                    on_source_error=options.on_source_error)
+            else:
+                result = self.engine.execute(
+                    prepared.plan, timeout_seconds=options.timeout_seconds,
+                    on_source_error=options.on_source_error)
         except BaseException as exc:
             span.finish(error=exc)
             raise
         finally:
             deactivate_span(token)
+        if result is not None:
+            rows = MaterializedStream(result.relation, result.report)
         if span.recording:
-            execution.report.trace_id = span.trace_id
-            span.annotate(rows=len(execution.relation))
-        span.finish()
-        annotations = self.transformer.annotate(
-            execution.relation,
-            prepared.mediation.column_semantics,
-            prepared.mediation.receiver_context,
-        )
-        return FederationAnswer(
-            relation=execution.relation,
-            mediation=prepared.mediation,
-            execution=execution,
-            annotations=annotations,
-        )
+            rows.report.trace_id = span.trace_id
+            if result is None:
+                # Rows are still being pulled: open until the cursor closes.
+                rows.on_close(lambda report: span.finish())
+            else:
+                span.annotate(rows=len(result.relation))
+                span.finish()
+        return FederationCursor(self, prepared, rows, options)
 
     def mediate_only(self, sql: TUnion[str, Select],
                      receiver_context: Optional[str] = None) -> MediationResult:

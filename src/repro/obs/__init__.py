@@ -84,6 +84,23 @@ class Observability:
             stream=log_stream, clock=clock,
         )
 
+    def statement_root(self, sql: Optional[str] = None,
+                       trace_id: Optional[str] = None, **attributes):
+        """The root ``statement`` span for a trace edge (not yet activated).
+
+        Root ownership: the outermost edge wins.  When a span is already
+        ambient (the wire server or the service opened one) or tracing is
+        off, this is :data:`NULL_SPAN` — so edges activate, annotate and
+        finish what they get unconditionally.  ``sql`` is recorded as its
+        fingerprint, never as text.
+        """
+        if not self.tracer.enabled or current_span().recording:
+            return NULL_SPAN
+        if sql is not None:
+            attributes["fingerprint"] = statement_fingerprint(sql)
+        return self.tracer.start_trace("statement", trace_id=trace_id,
+                                       **attributes)
+
     def snapshot(self) -> Dict[str, Any]:
         return {
             "tracing": self.tracer.snapshot(),

@@ -135,46 +135,13 @@ class QueryProcessor:
     # -- SELECT ---------------------------------------------------------------
 
     def _execute_select(self, select: Select) -> Relation:
-        source_relation, source_schema = self._build_from(select)
-
-        rows = source_relation
-
+        rows, source_schema = self._build_from(select)
         if select.where is not None:
             predicate = ExpressionCompiler(
                 source_schema, self._subquery_executor
             ).predicate(select.where)
             rows = [row for row in rows if predicate(row) is True]
-
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ) or (select.having is not None and any(is_aggregate_call(n) for n in walk(select.having)))
-
-        if select.group_by or has_aggregates:
-            output_rows, output_schema, order_context = self._execute_grouped(
-                select, rows, source_schema
-            )
-        else:
-            output_rows, output_schema, order_context = self._execute_flat(
-                select, rows, source_schema
-            )
-
-        # ORDER BY: keys may reference output aliases or source columns.
-        if select.order_by:
-            output_rows = self._order_rows(select, output_rows, output_schema, order_context)
-
-        if select.distinct:
-            output_rows = _distinct_rows(output_rows)
-
-        if select.limit is not None or select.offset is not None:
-            offset = select.offset or 0
-            end = None if select.limit is None else offset + select.limit
-            output_rows = output_rows[offset:end]
-
-        result = Relation(output_schema)
-        result.rows = [row for row, _context in output_rows]
-        return result
+        return self.finalize_select(select, rows, source_schema)
 
     # -- FROM clause -----------------------------------------------------------
 
@@ -428,8 +395,10 @@ class QueryProcessor:
                 position = alias_positions.get(order_expr.name.lower())
                 if position is not None:
                     return lambda pair: value_sort_key(pair[0][position])
-            # A literal integer is a 1-based output position, per SQL convention.
-            if isinstance(order_expr, Literal) and isinstance(order_expr.value, int):
+            # A literal integer is a 1-based output position, per SQL
+            # convention — but TRUE/FALSE are constants, not positions.
+            if (isinstance(order_expr, Literal) and isinstance(order_expr.value, int)
+                    and not isinstance(order_expr.value, bool)):
                 literal_position = order_expr.value - 1
 
                 def positional(pair):

@@ -14,7 +14,9 @@ Form field conventions (what a browser would POST):
 * ``cond__<binding>__<column>`` — a condition fragment such as ``> 1000000``
   or ``= 'IBM'`` applied to the column;
 * ``join__<n>`` — an explicit join condition such as ``r1.cname = r2.cname``;
-* ``context`` — the receiver context to pose the query in.
+* ``context`` — the receiver context to pose the query in;
+* every other plain field (``consistency``, a deadline, the source-failure
+  policy, ``tenant``) is a statement option, spelled as on the wire.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import html
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.consistency.cqa import CONSISTENCY_MODES
-from repro.engine.resilience import ON_SOURCE_ERROR_MODES
-from repro.errors import ClientError
-from repro.engine.executor import EngineResult
+from repro.errors import ClientError, ConsistencyError, ExecutionError
 from repro.federation import Federation, FederationAnswer, FederationCursor
+from repro.options import StatementOptions
+from repro.server.service import FederatedQueryService
 from repro.sql.parser import parse_expression
 from repro.sql.printer import to_sql
 
@@ -40,16 +41,18 @@ class QBEForm:
     projections: List[Tuple[str, str]]
     conditions: List[str]
     joins: List[str]
-    context: Optional[str] = None
     distinct: bool = False
-    #: Consistency mode requested by the form ("raw"/"certain"/"possible").
-    consistency: str = "raw"
-    #: Statement deadline requested by the form (blank = unbounded).
-    timeout_seconds: Optional[float] = None
-    #: Source-failure policy ("fail" or "partial" graceful degradation).
-    on_source_error: str = "fail"
-    #: Tenant identity the admission gateway accounts the query against.
-    tenant: Optional[str] = None
+    #: Receiver context, consistency mode, deadline, source-failure policy
+    #: and tenant the form asked for.
+    options: StatementOptions = StatementOptions()
+
+    @property
+    def context(self) -> Optional[str]:
+        return self.options.receiver_context
+
+    @property
+    def consistency(self) -> str:
+        return self.options.consistency
 
     def to_sql(self) -> str:
         """Assemble the SQL query the form describes."""
@@ -69,15 +72,16 @@ class QBEForm:
 class QBEInterface:
     """Generates QBE forms and turns submissions into mediated answers.
 
-    When constructed with an admission ``gateway`` (the one the mediation
-    server uses), submissions pass the same overload discipline as every
-    other entry point: per-tenant quotas, bounded queueing and streaming
-    permits — a flood of form posts sheds cleanly instead of piling up.
+    Submissions open through the serving core's single admitted open, so
+    they pass the same overload discipline as every other entry point:
+    per-tenant quotas, bounded queueing and streaming permits — a flood of
+    form posts sheds cleanly instead of piling up.  Pass the ``gateway`` the
+    mediation server uses to share its budget (default: a private one).
     """
 
     def __init__(self, federation: Federation, gateway=None):
         self.federation = federation
-        self.gateway = gateway
+        self.service = FederatedQueryService(federation, gateway)
 
     # -- form generation -------------------------------------------------------------
 
@@ -147,45 +151,27 @@ class QBEInterface:
                         if "." in part:
                             note_relation(part.split(".", 1)[0])
 
-        context = fields.get("context") or None
-        distinct = str(fields.get("distinct", "")).lower() in ("on", "true", "1")
-        consistency = str(fields.get("consistency", "") or "raw").lower()
-        if consistency not in CONSISTENCY_MODES:
+        # Form posts are strings: a blank option is absent, and everything
+        # but the identifiers is case-blind.
+        options: Dict[str, str] = {}
+        for field_name, value in fields.items():
+            text = str(value or "").strip()
+            if text and "__" not in field_name:
+                options[field_name] = (
+                    text if field_name in ("context", "tenant") else text.lower())
+        try:
+            parsed = StatementOptions.from_parameters(options, ClientError)
+        except (ConsistencyError, ExecutionError) as exc:
             # Malformed form input is the client's fault, like every other
             # field here — keep the QBE error contract (ClientError).
-            raise ClientError(
-                f"the QBE form names an unknown consistency mode "
-                f"{consistency!r}; expected one of {', '.join(CONSISTENCY_MODES)}"
-            )
-        raw_timeout = str(fields.get("timeout_seconds", "") or "").strip()
-        timeout_seconds: Optional[float] = None
-        if raw_timeout:
-            try:
-                timeout_seconds = float(raw_timeout)
-            except ValueError as exc:
-                raise ClientError(
-                    f"the QBE form names an invalid timeout {raw_timeout!r}"
-                ) from exc
-        on_source_error = str(
-            fields.get("on_source_error", "") or "fail"
-        ).lower()
-        if on_source_error not in ON_SOURCE_ERROR_MODES:
-            raise ClientError(
-                f"the QBE form names an unknown source-failure policy "
-                f"{on_source_error!r}; expected one of "
-                f"{', '.join(ON_SOURCE_ERROR_MODES)}"
-            )
+            raise ClientError(f"invalid QBE form: {exc}") from exc
         return QBEForm(
             relations=relations,
             projections=projections,
             conditions=conditions,
             joins=joins,
-            context=context,
-            distinct=distinct,
-            consistency=consistency,
-            timeout_seconds=timeout_seconds,
-            on_source_error=on_source_error,
-            tenant=str(fields.get("tenant", "") or "").strip() or None,
+            distinct=options.get("distinct") in ("on", "true", "1"),
+            options=parsed,
         )
 
     def _condition_sql(self, relation: str, column: str, fragment: str) -> str:
@@ -206,74 +192,31 @@ class QBEInterface:
 
     # -- end-to-end ---------------------------------------------------------------------------
 
-    #: Rows pulled per batch when draining or chunk-rendering a cursor.
+    #: Rows pulled per batch when chunk-rendering a cursor.
     STREAM_BATCH = 256
 
     def submit(self, fields: Dict[str, str]) -> Tuple[QBEForm, FederationAnswer]:
         """Parse a submission, run the mediated query, return form + answer.
 
-        Since the streaming rework this drives the same ``stream=True``
-        cursor path as the SQL entry points (the engine stages branches
-        lazily and pulls in batches) and only *assembles* the materialized
-        :class:`FederationAnswer` the historical interface promises.
+        This drives the same cursor path as the SQL entry points (the engine
+        stages branches lazily and pulls in batches); the materialized
+        :class:`FederationAnswer` the historical interface promises is the
+        cursor's drain.
         """
         form, cursor = self.submit_stream(fields)
-        with cursor:
-            relation = cursor.stream.to_relation()
-            annotations = cursor.annotations
-        execution = EngineResult(
-            relation=relation, plan=cursor.prepared.plan, report=cursor.report
-        )
-        answer = FederationAnswer(
-            relation=relation,
-            mediation=cursor.mediation,
-            execution=execution,
-            annotations=annotations,
-        )
-        return form, answer
+        return form, cursor.answer()
 
     def submit_stream(self, fields: Dict[str, str]) -> Tuple[QBEForm, FederationCursor]:
         """Parse a submission and open a streaming cursor over its answer.
 
         The cursor's first rows are available while slower sources are still
         fetching; closing it early cancels outstanding round trips — parity
-        with ``Federation.query(..., stream=True)``.
+        with ``Federation.query(..., stream=True)`` — and releases the
+        streaming permit it holds for its whole life.
         """
         form = self.parse_submission(fields)
-
-        def open_cursor(remaining: Optional[float]) -> FederationCursor:
-            timeout = form.timeout_seconds if remaining is None else remaining
-            return self.federation.query(
-                form.to_sql(), form.context, stream=True,
-                consistency=form.consistency,
-                timeout_seconds=timeout,
-                on_source_error=form.on_source_error,
-            )
-
-        if self.gateway is None:
-            return form, open_cursor(None)
-
-        # Same discipline as the server's cursor path: a streaming permit
-        # held for the cursor's life, a worker slot only while opening.
-        release_stream = self.gateway.acquire_stream(form.tenant)
-        try:
-            cursor = self.gateway.run(
-                open_cursor, tenant=form.tenant,
-                timeout_seconds=form.timeout_seconds,
-            )
-        except BaseException:
-            release_stream()
-            raise
-        original_close = cursor.close
-
-        def close() -> None:
-            try:
-                original_close()
-            finally:
-                release_stream()
-
-        cursor.close = close
-        return form, cursor
+        handle = self.service.open(form.to_sql(), form.options, service="qbe")
+        return form, handle.cursor
 
     def render_answer(self, answer: FederationAnswer, show_mediation: bool = True) -> str:
         """Render an answer as an HTML table (plus the mediated SQL, optionally)."""

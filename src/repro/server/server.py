@@ -9,16 +9,18 @@ driver and the HTML QBE front end — never touch the federation directly.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import OverloadError, ProtocolError, ReproError
 from repro.federation import Federation, FederationCursor, PreparedQuery
 from repro.mediation.explain import conflict_summary
-from repro.obs.trace import current_span, deactivate_span
+from repro.obs.trace import NULL_SPAN, deactivate_span
+from repro.options import StatementOptions, parse_batch_size
 from repro.server.gateway import AdmissionGateway, GatewayConfig
 from repro.server.http import HttpChannel, HttpRequest, HttpResponse
 from repro.server.protocol import (
@@ -28,6 +30,7 @@ from repro.server.protocol import (
     rows_to_payload,
     schema_to_payload,
 )
+from repro.server.service import FederatedQueryService
 
 
 @dataclass
@@ -85,21 +88,19 @@ class _OpenCursor:
     ``fetch_lock`` serializes fetches on one handle: the underlying stream
     is a generator, and two clients (or one client's retry) driving it
     concurrently would race with 'generator already executing'.
+
+    The cursor holds one gateway streaming permit for its whole life — the
+    backpressure bounding concurrently open streams — released when it
+    closes (see ``FederatedQueryService.open``).
     """
 
     cursor: FederationCursor
     catalog_generation: int
     knowledge_generation: int
     fetch_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Idempotent release of the gateway streaming permit this cursor holds
-    #: for its whole life — the backpressure bounding concurrently open
-    #: streams (None when the server runs without a gateway).
-    release_stream: Optional[Callable[[], None]] = None
 
     def discard(self) -> None:
         self.cursor.close()
-        if self.release_stream is not None:
-            self.release_stream()
 
 
 class MediationServer:
@@ -118,10 +119,6 @@ class MediationServer:
     #: Bound on concurrently open cursors; eviction closes the underlying
     #: stream, cancelling its outstanding source fetches.
     MAX_OPEN_CURSORS = 64
-    #: Default/maximum rows per cursor fetch.
-    DEFAULT_CURSOR_BATCH = 256
-    MAX_CURSOR_BATCH = 10_000
-
     #: Operations that execute or compile statements: these pass through the
     #: admission gateway (quotas, bounded queue, deadline-aware shedding).
     #: Dictionary lookups and cursor fetch/close stay un-gated — they are
@@ -130,10 +127,9 @@ class MediationServer:
         "query", "mediate", "explain", "prepare", "execute_prepared",
         "open_cursor",
     })
-    #: Admitted operations that execute *now* under the request's own
-    #: ``timeout_seconds``: their admission wait is bounded by that deadline
-    #: and the budget left after queueing is what execution runs under.
-    DEADLINE_OPERATIONS = frozenset({"query", "open_cursor"})
+    #: Admitted operations carrying statement options (consistency, deadline,
+    #: source-failure policy): parsed and validated once, before admission.
+    STATEMENT_OPERATIONS = frozenset({"query", "prepare", "open_cursor"})
     #: HTTP request header naming the tenant (protocol ``tenant`` parameter
     #: wins when both are present).
     TENANT_HEADER = "X-Coin-Tenant"
@@ -145,12 +141,11 @@ class MediationServer:
     def __init__(self, federation: Federation,
                  gateway: Optional[Union[AdmissionGateway, GatewayConfig]] = None):
         self.federation = federation
-        if gateway is None:
-            gateway = AdmissionGateway()
-        elif isinstance(gateway, GatewayConfig):
-            gateway = AdmissionGateway(gateway)
+        #: The serving core: streaming statements open through its single
+        #: admitted open; this server is the wire codec and handle registry.
+        self.service = FederatedQueryService(federation, gateway)
         #: The admission gateway every statement-executing request passes.
-        self.gateway = gateway
+        self.gateway = self.service.gateway
         self.statistics = ServerStatistics()
         #: LRU of open prepared statements: executing one refreshes it, so
         #: eviction under pressure removes genuinely idle handles first.
@@ -171,8 +166,7 @@ class MediationServer:
         the lock-guarded statistics), so request dispatch pays nothing.
         """
         registry = self.federation.observability.metrics
-        if self.gateway is not None:
-            self.gateway.bind_metrics(registry)
+        self.gateway.bind_metrics(registry)
 
         def server_counter(name: str, help_text: str, attribute: str) -> None:
             registry.counter(
@@ -301,151 +295,50 @@ class MediationServer:
             sql = parameters.get("sql")
             if not sql:
                 raise ProtocolError("'query' requires a 'sql' parameter")
-            batch_size = self._batch_size(parameters.get("batch_size"))
-            options = self._execution_options(parameters)
-        except ReproError as exc:
-            self.statistics.record(errors=1)
-            return HttpResponse(status=400, reason="Bad Request",
-                                body=Response.failure(str(exc), "protocol").to_json())
-
-        self.statistics.record(requests=1)
-        tenant = parameters.get("tenant") or self._header_tenant(request)
-        # The chunked endpoint is its own trace edge: the whole exchange —
-        # open, every batch, finalization — happens on this thread, so one
-        # root covers it and finishes after the cursor closes.
-        root = None
-        token = None
-        tracer = self.federation.observability.tracer
-        if tracer.enabled and not current_span().recording:
-            root = tracer.start_trace(
-                "statement",
+            self.statistics.record(requests=1)
+            options = StatementOptions.from_parameters(
+                parameters, ProtocolError, tenant=self._header_tenant(request))
+            # A worker slot covers only *opening* the stream (mediation,
+            # planning, first-batch dispatch); producing the chunks happens
+            # on this — the consumer's — thread under a bounded streaming
+            # permit, so a slow consumer never pins a worker.  The root span
+            # covers the whole exchange: it finishes when the cursor closes.
+            handle = self.service.open(
+                sql, options, operation="stream",
                 trace_id=(protocol_request.trace_id
                           or self._header_value(request, self.TRACE_HEADER)),
-                operation="stream", tenant=tenant,
             )
-            if root.recording:
-                token = root.activate()
-            else:
-                root = None
-        try:
-            return self._stream_response(request, parameters, tenant, root)
-        finally:
-            if root is not None:
-                deactivate_span(token)
-                root.finish()
+            with handle:
+                chunks = [json.dumps(self._cursor_header(handle.cursor))]
+                chunks.extend(json.dumps({"rows": rows_to_payload(rows)})
+                              for rows in handle.batches())
+                chunks.append(json.dumps({
+                    "done": True,
+                    "row_count": handle.rows_streamed,
+                    "execution": handle.cursor.report.snapshot(),
+                }))
+        except ReproError as exc:
+            return self._stream_failure(exc)
+        self.statistics.record(queries=1, rows_streamed=handle.rows_streamed)
+        headers = ({self.TRACE_HEADER: handle.trace_id}
+                   if handle.trace_id else {})
+        return HttpResponse(status=200, reason="OK", headers=headers,
+                            chunks=chunks)
 
-    def _stream_response(self, request: HttpRequest, parameters: Dict[str, Any],
-                         tenant: Optional[str], root) -> HttpResponse:
-        import json
-
-        sql = parameters.get("sql")
-        batch_size = self._batch_size(parameters.get("batch_size"))
-        options = self._execution_options(parameters)
-
-        def open_cursor(remaining: Optional[float]) -> FederationCursor:
-            execution_options = dict(options)
-            if remaining is not None:
-                execution_options["timeout_seconds"] = remaining
-            return self.federation.query(
-                sql, parameters.get("context"),
-                mediate=bool(parameters.get("mediate", True)), stream=True,
-                consistency=parameters.get("consistency", "raw"),
-                **execution_options,
-            )
-
-        # A worker slot covers only *opening* the stream (mediation,
-        # planning, first-batch dispatch); producing the chunks happens on
-        # this — the consumer's — thread under a bounded streaming permit,
-        # so a slow consumer never pins a worker.
-        release_stream: Callable[[], None] = lambda: None
-        try:
-            if self.gateway is not None:
-                release_stream = self.gateway.acquire_stream(tenant)
-                cursor = self.gateway.run(
-                    open_cursor, tenant=tenant,
-                    timeout_seconds=options.get("timeout_seconds"),
-                )
-            else:
-                cursor = open_cursor(None)
-        except OverloadError as exc:
-            release_stream()
+    def _stream_failure(self, exc: ReproError) -> HttpResponse:
+        """The chunked endpoint's error mapping: sheds answer 503, malformed
+        requests 400, statements that fail 422 with their error kind."""
+        if isinstance(exc, OverloadError):
             self.statistics.record(errors=1, requests_shed=1)
             return self._overload_http_response(
                 Response.failure(str(exc), "OverloadError",
                                  retry_after_seconds=exc.retry_after_seconds))
-        except ReproError as exc:
-            release_stream()
-            self.statistics.record(errors=1)
-            return HttpResponse(status=422, reason="Unprocessable Entity",
-                                body=Response.failure(str(exc), type(exc).__name__).to_json())
-
-        chunks: List[str] = []
-        try:
-            header = schema_to_payload(cursor.schema)
-            header.update(
-                mediated_sql=cursor.mediated_sql,
-                branch_count=cursor.mediation.branch_count,
-                conflicts=conflict_summary(cursor.mediation),
-                column_labels=[annotation.label() for annotation in cursor.annotations],
-            )
-            chunks.append(json.dumps(header))
-            row_count = 0
-            while True:
-                rows = cursor.fetchmany(batch_size)
-                if not rows:
-                    break
-                row_count += len(rows)
-                chunks.append(json.dumps({"rows": rows_to_payload(rows)}))
-            chunks.append(json.dumps({
-                "done": True,
-                "row_count": row_count,
-                "execution": cursor.report.snapshot(),
-            }))
-            self.statistics.record(queries=1, rows_streamed=row_count)
-        except ReproError as exc:
-            self.statistics.record(errors=1)
-            return HttpResponse(status=422, reason="Unprocessable Entity",
-                                body=Response.failure(str(exc), type(exc).__name__).to_json())
-        finally:
-            cursor.close()
-            release_stream()
-        headers = {} if root is None else {self.TRACE_HEADER: root.trace_id}
-        return HttpResponse(status=200, reason="OK", headers=headers,
-                            chunks=chunks)
-
-    @staticmethod
-    def _execution_options(parameters: Dict[str, Any]) -> Dict[str, Any]:
-        """Resilience options a client may attach to query-shaped requests.
-
-        ``timeout_seconds`` bounds the statement's wall clock server-side;
-        ``on_source_error`` selects fail-fast or partial-answer degradation.
-        Both are validated here (transport) or downstream (semantics).
-        """
-        options: Dict[str, Any] = {}
-        timeout = parameters.get("timeout_seconds")
-        if timeout is not None:
-            try:
-                options["timeout_seconds"] = float(timeout)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"invalid timeout_seconds {timeout!r}"
-                ) from exc
-        on_source_error = parameters.get("on_source_error")
-        if on_source_error is not None:
-            options["on_source_error"] = on_source_error
-        return options
-
-    @classmethod
-    def _batch_size(cls, raw) -> int:
-        if raw is None:
-            return cls.DEFAULT_CURSOR_BATCH
-        try:
-            size = int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid batch size {raw!r}") from exc
-        if size <= 0:
-            raise ProtocolError(f"batch size must be positive, got {size}")
-        return min(size, cls.MAX_CURSOR_BATCH)
+        self.statistics.record(errors=1)
+        if isinstance(exc, ProtocolError):
+            return HttpResponse(status=400, reason="Bad Request",
+                                body=Response.failure(str(exc), "protocol").to_json())
+        return HttpResponse(status=422, reason="Unprocessable Entity",
+                            body=Response.failure(str(exc), type(exc).__name__).to_json())
 
     # -- protocol-level dispatch ---------------------------------------------------------
 
@@ -467,25 +360,67 @@ class MediationServer:
         self.statistics.record(requests=1)
         tenant = request.parameters.get("tenant") or tenant
         trace_id = request.trace_id or trace_id
-        root, token = self._open_request_root(request, tenant, trace_id)
+        # ``open_cursor``'s root outlives this request — the service's
+        # admitted open owns it and finishes it when the cursor closes.
+        root = NULL_SPAN
+        if (request.operation in self.ADMITTED_OPERATIONS
+                and request.operation != "open_cursor"):
+            root = self.federation.observability.statement_root(
+                trace_id=trace_id, operation=request.operation, tenant=tenant)
+        token = root.activate()
         try:
-            response = self._respond(request, tenant)
+            response = self._respond(request, tenant, trace_id)
         finally:
-            if root is not None:
-                deactivate_span(token)
-        return self._finish_request_root(request, response, root)
+            deactivate_span(token)
+        if not root.recording:
+            return response
+        if response.ok:
+            response.payload.setdefault("trace_id", root.trace_id)
+            root.finish()
+            trace = self.federation.observability.tracer.buffer.get(root.trace_id)
+            if trace is not None:
+                response.payload.setdefault("trace", trace)
+        else:
+            # Failed requests force-keep their trace; the error detail lives
+            # in the response, the span records its kind for the tree.
+            root.annotate(error_kind=response.error_kind)
+            root.flag("error")
+            root.finish()
+        return response
 
-    def _respond(self, request: Request, tenant: Optional[str]) -> Response:
-        """Dispatch under the gateway; map errors to protocol failures."""
+    def _respond(self, request: Request, tenant: Optional[str],
+                 trace_id: Optional[str]) -> Response:
+        """Dispatch under the gateway; map errors to protocol failures.
+
+        Statement options are parsed and validated here, once, before
+        admission.  ``query`` executes *now* under its own deadline: the
+        admission wait is bounded by it and the handler runs under the
+        budget left after queueing (time spent queueing must not count
+        against sources that never saw the request); ``prepare`` carries a
+        deadline as a statement property for later executions, not a bound
+        on compiling it.  ``open_cursor`` is admitted by the service's
+        single admitted open instead — after claiming its stream permit.
+        """
+        operation = request.operation
         try:
-            if self.gateway is not None and request.operation in self.ADMITTED_OPERATIONS:
-                response = self.gateway.run(
-                    lambda remaining: self._dispatch(request, remaining),
-                    tenant=tenant,
-                    timeout_seconds=self._admission_timeout(request),
-                )
+            if operation not in self.ADMITTED_OPERATIONS:
+                response = self._dispatch(request)
             else:
-                response = self._dispatch(request, None)
+                options = None
+                if operation in self.STATEMENT_OPERATIONS:
+                    options = StatementOptions.from_parameters(
+                        request.parameters, ProtocolError, tenant=tenant)
+                if operation == "open_cursor":
+                    response = self._handle_open_cursor(
+                        request.parameters, options, trace_id)
+                else:
+                    response = self.gateway.run(
+                        lambda remaining: self._dispatch(
+                            request, options and options.with_timeout(remaining)),
+                        tenant=tenant,
+                        timeout_seconds=(options.timeout_seconds
+                                         if operation == "query" else None),
+                    )
             if not response.ok:
                 self.statistics.record(errors=1)
             return response
@@ -500,85 +435,13 @@ class MediationServer:
             self.statistics.record(errors=1)
             return Response.failure(f"internal error: {exc}", "internal")
 
-    # -- tracing at the edge ---------------------------------------------------------
-
-    def _open_request_root(self, request: Request, tenant: Optional[str],
-                           trace_id: Optional[str]):
-        """Open the root ``statement`` span for statement-shaped requests.
-
-        Returns ``(root, activation_token)`` or ``(None, None)`` when the
-        tracer is off, the operation is not statement-shaped, or an outer
-        span already owns the trace (nested dispatch).
-        """
-        tracer = self.federation.observability.tracer
-        if (not tracer.enabled
-                or request.operation not in self.ADMITTED_OPERATIONS
-                or current_span().recording):
-            return None, None
-        root = tracer.start_trace(
-            "statement", trace_id=trace_id,
-            operation=request.operation, tenant=tenant,
-        )
-        if not root.recording:
-            return None, None
-        return root, root.activate()
-
-    def _finish_request_root(self, request: Request, response: Response,
-                             root) -> Response:
-        if root is None:
-            return response
-        if response.ok:
-            response.payload.setdefault("trace_id", root.trace_id)
-            if request.operation == "open_cursor":
-                # The root outlives this request: it finishes when the
-                # cursor closes (registered in _handle_open_cursor), so the
-                # buffered tree includes the streaming spans.
-                return response
-            root.finish()
-            trace = self.federation.observability.tracer.buffer.get(root.trace_id)
-            if trace is not None:
-                response.payload.setdefault("trace", trace)
-            return response
-        # Failed requests force-keep their trace; the error detail lives in
-        # the response, the span records kind and message for the tree.
-        root.annotate(error_kind=response.error_kind)
-        root.flag("error")
-        root.finish()
-        return response
-
-    def _dispatch(self, request: Request, remaining: Optional[float]) -> Response:
-        """Run the operation's handler, under the post-queue time budget.
-
-        ``remaining`` is the request's ``timeout_seconds`` minus its
-        admission queue wait: execution must not count time spent queueing
-        against sources that never saw the request.
-        """
-        parameters = request.parameters
-        if remaining is not None and request.operation in self.DEADLINE_OPERATIONS:
-            parameters = dict(parameters)
-            parameters["timeout_seconds"] = remaining
+    def _dispatch(self, request: Request,
+                  options: Optional[StatementOptions] = None) -> Response:
+        """Run the operation's handler (statement handlers take options)."""
         handler = getattr(self, f"_handle_{request.operation}")
-        return handler(parameters)
-
-    def _admission_timeout(self, request: Request) -> Optional[float]:
-        """The deadline bounding this request's admission wait, if any.
-
-        Only execute-now operations use their ``timeout_seconds`` at
-        admission; ``prepare`` carries one as a *statement property* for
-        later executions, not a bound on compiling it.  Malformed values are
-        ignored here so the handler can reject them with the proper
-        protocol error instead of an overload shed.
-        """
-        if request.operation not in self.DEADLINE_OPERATIONS:
-            return None
-        timeout = request.parameters.get("timeout_seconds")
-        if timeout is None:
-            return None
-        try:
-            value = float(timeout)
-        except (TypeError, ValueError):
-            return None
-        return value if value > 0 else None
+        if options is None:
+            return handler(request.parameters)
+        return handler(request.parameters, options)
 
     # -- operations ------------------------------------------------------------------------
 
@@ -601,38 +464,43 @@ class MediationServer:
     def _handle_contexts(self, parameters: Dict[str, Any]) -> Response:
         return Response.success(contexts=self.federation.receiver_contexts)
 
-    def _handle_query(self, parameters: Dict[str, Any]) -> Response:
+    @staticmethod
+    def _mediation_payload(result) -> Dict[str, Any]:
+        """What mediation did, for an answer or a cursor alike."""
+        return {
+            "mediated_sql": result.mediated_sql,
+            "branch_count": result.mediation.branch_count,
+            "conflicts": conflict_summary(result.mediation),
+            "column_labels": [annotation.label()
+                              for annotation in result.annotations],
+        }
+
+    def _answer_payload(self, answer) -> Dict[str, Any]:
+        """A materialized answer (``query`` / ``execute_prepared``)."""
+        return dict(self._mediation_payload(answer),
+                    relation=relation_to_payload(answer.relation),
+                    execution=answer.execution.report.snapshot())
+
+    def _cursor_header(self, cursor: FederationCursor) -> Dict[str, Any]:
+        """A streamed answer's description (``open_cursor`` / first chunk)."""
+        return dict(schema_to_payload(cursor.schema),
+                    **self._mediation_payload(cursor))
+
+    def _handle_query(self, parameters: Dict[str, Any],
+                      options: StatementOptions) -> Response:
         sql = parameters.get("sql")
         if not sql:
             return Response.failure("'query' requires a 'sql' parameter", "protocol")
-        context = parameters.get("context")
-        mediate = bool(parameters.get("mediate", True))
-        answer = self.federation.query(
-            sql, context, mediate=mediate,
-            consistency=parameters.get("consistency", "raw"),
-            **self._execution_options(parameters),
-        )
+        answer = self.federation.open(sql, options, stream=False).answer()
         self.statistics.record(queries=1)
-        return Response.success(
-            relation=relation_to_payload(answer.relation),
-            mediated_sql=answer.mediated_sql,
-            branch_count=answer.mediation.branch_count,
-            conflicts=conflict_summary(answer.mediation),
-            column_labels=[annotation.label() for annotation in answer.annotations],
-            execution=answer.execution.report.snapshot(),
-        )
+        return Response.success(**self._answer_payload(answer))
 
-    def _handle_prepare(self, parameters: Dict[str, Any]) -> Response:
+    def _handle_prepare(self, parameters: Dict[str, Any],
+                        options: StatementOptions) -> Response:
         sql = parameters.get("sql")
         if not sql:
             return Response.failure("'prepare' requires a 'sql' parameter", "protocol")
-        context = parameters.get("context")
-        mediate = bool(parameters.get("mediate", True))
-        prepared = self.federation.prepare(
-            sql, context, mediate=mediate,
-            consistency=parameters.get("consistency", "raw"),
-            **self._execution_options(parameters),
-        )
+        prepared = self.federation.compile(sql, options)
         statement_id = f"stmt-{next(self._statement_ids)}"
         with self._prepared_lock:
             self._prepared[statement_id] = prepared
@@ -646,8 +514,21 @@ class MediationServer:
             branch_count=prepared.plan.mediation.branch_count,
             conflicts=conflict_summary(prepared.plan.mediation),
             receiver_context=prepared.receiver_context,
-            consistency=prepared.consistency,
+            consistency=options.consistency,
         )
+
+    def _prepared_statement(self, statement_id: str) -> Optional[PreparedQuery]:
+        """Look up an open prepared statement, refreshing its LRU position."""
+        with self._prepared_lock:
+            prepared = self._prepared.get(statement_id)
+            if prepared is not None:
+                self._prepared.move_to_end(statement_id)
+        return prepared
+
+    @staticmethod
+    def _unknown_statement(statement_id: str) -> Response:
+        return Response.failure(
+            f"unknown or closed prepared statement {statement_id!r}", "protocol")
 
     def _handle_execute_prepared(self, parameters: Dict[str, Any]) -> Response:
         statement_id = parameters.get("statement_id")
@@ -655,25 +536,13 @@ class MediationServer:
             return Response.failure(
                 "'execute_prepared' requires a 'statement_id' parameter", "protocol"
             )
-        with self._prepared_lock:
-            prepared = self._prepared.get(statement_id)
-            if prepared is not None:
-                self._prepared.move_to_end(statement_id)
+        prepared = self._prepared_statement(statement_id)
         if prepared is None:
-            return Response.failure(
-                f"unknown or closed prepared statement {statement_id!r}", "protocol"
-            )
+            return self._unknown_statement(statement_id)
         answer = prepared.execute()
         self.statistics.record(queries=1, prepared_executions=1)
-        return Response.success(
-            statement_id=statement_id,
-            relation=relation_to_payload(answer.relation),
-            mediated_sql=answer.mediated_sql,
-            branch_count=answer.mediation.branch_count,
-            conflicts=conflict_summary(answer.mediation),
-            column_labels=[annotation.label() for annotation in answer.annotations],
-            execution=answer.execution.report.snapshot(),
-        )
+        return Response.success(statement_id=statement_id,
+                                **self._answer_payload(answer))
 
     def _handle_close_prepared(self, parameters: Dict[str, Any]) -> Response:
         statement_id = parameters.get("statement_id")
@@ -689,62 +558,35 @@ class MediationServer:
 
     # -- cursors -----------------------------------------------------------------------------
 
-    def _handle_open_cursor(self, parameters: Dict[str, Any]) -> Response:
+    def _handle_open_cursor(self, parameters: Dict[str, Any],
+                            options: StatementOptions,
+                            trace_id: Optional[str]) -> Response:
         statement_id = parameters.get("statement_id")
-        sql = parameters.get("sql")
-        if bool(statement_id) == bool(sql):
+        statement = parameters.get("sql")
+        if bool(statement_id) == bool(statement):
             return Response.failure(
                 "'open_cursor' requires exactly one of 'sql' or 'statement_id'",
                 "protocol",
             )
-        # The streaming permit is claimed before any work: an over-streamed
-        # server sheds the open instead of building a cursor it cannot host.
-        release_stream: Optional[Callable[[], None]] = None
-        if self.gateway is not None:
-            release_stream = self.gateway.acquire_stream(parameters.get("tenant"))
+        if statement_id:
+            statement = self._prepared_statement(statement_id)
+            if statement is None:
+                return self._unknown_statement(statement_id)
+        # Permit first, then admission: an over-streamed server sheds the
+        # open instead of building a cursor it cannot host.
+        handle = self.service.open(statement, options, trace_id=trace_id,
+                                   operation="open_cursor")
+        cursor = handle.cursor
         try:
-            if statement_id:
-                with self._prepared_lock:
-                    prepared = self._prepared.get(statement_id)
-                    if prepared is not None:
-                        self._prepared.move_to_end(statement_id)
-                if prepared is None:
-                    release_stream and release_stream()
-                    return Response.failure(
-                        f"unknown or closed prepared statement {statement_id!r}",
-                        "protocol",
-                    )
-                cursor = prepared.execute(stream=True)
-            else:
-                cursor = self.federation.query(
-                    sql, parameters.get("context"),
-                    mediate=bool(parameters.get("mediate", True)), stream=True,
-                    consistency=parameters.get("consistency", "raw"),
-                    **self._execution_options(parameters),
-                )
-        except ReproError:
-            release_stream and release_stream()
-            raise
-
-        try:
-            description = schema_to_payload(cursor.schema)
-            labels = [annotation.label() for annotation in cursor.annotations]
+            payload = self._cursor_header(cursor)
         except ReproError:
             cursor.close()
-            release_stream and release_stream()
             raise
-        # The edge root (activated in handle()) must not finish until the
-        # cursor closes — only then are the stream/fetch spans complete and
-        # the buffered tree connected.
-        ambient = current_span()
-        if ambient.recording and ambient.parent_id is None:
-            cursor.stream.on_close(lambda report, _root=ambient: _root.finish())
         cursor_id = f"cur-{next(self._cursor_ids)}"
         entry = _OpenCursor(
             cursor=cursor,
             catalog_generation=self.federation.pipeline.catalog_generation,
             knowledge_generation=self.federation.pipeline.knowledge_generation,
-            release_stream=release_stream,
         )
         evicted: List[_OpenCursor] = []
         with self._cursor_lock:
@@ -755,15 +597,12 @@ class MediationServer:
         for doomed in evicted:
             doomed.discard()
         self.statistics.record(cursors_opened=1)
-        payload = dict(description)
         payload.update(
             cursor_id=cursor_id,
-            mediated_sql=cursor.mediated_sql,
-            branch_count=cursor.mediation.branch_count,
-            conflicts=conflict_summary(cursor.mediation),
-            column_labels=labels,
             receiver_context=cursor.mediation.receiver_context,
         )
+        if handle.trace_id:
+            payload["trace_id"] = handle.trace_id
         return Response.success(**payload)
 
     def _handle_fetch_cursor(self, parameters: Dict[str, Any]) -> Response:
@@ -772,7 +611,7 @@ class MediationServer:
             return Response.failure(
                 "'fetch_cursor' requires a 'cursor_id' parameter", "protocol"
             )
-        count = self._batch_size(parameters.get("count"))
+        count = parse_batch_size(parameters.get("count"), ProtocolError)
         with self._cursor_lock:
             entry = self._cursors.get(cursor_id)
             if entry is not None:
@@ -875,9 +714,7 @@ class MediationServer:
         """Server statistics with the ``server_load`` admission block and
         per-source health folded in — what operators watch under overload."""
         snapshot: Dict[str, Any] = dict(self.statistics.snapshot())
-        snapshot["server_load"] = (
-            self.gateway.snapshot() if self.gateway is not None else None
-        )
+        snapshot["server_load"] = self.gateway.snapshot()
         snapshot["source_health"] = self.federation.engine.source_health()
         snapshot["observability"] = self.federation.observability.snapshot()
         with self._prepared_lock:
@@ -889,8 +726,7 @@ class MediationServer:
     def shutdown(self, timeout_seconds: Optional[float] = None) -> bool:
         """Gracefully drain: shed new arrivals, let admitted work finish,
         then release every registered handle.  Returns True once idle."""
-        if self.gateway is not None:
-            self.gateway.begin_drain()
+        self.gateway.begin_drain()
         with self._prepared_lock:
             prepared = list(self._prepared.values())
             self._prepared.clear()
@@ -903,6 +739,4 @@ class MediationServer:
             self._cursors.clear()
         for entry in cursors:
             entry.discard()
-        if self.gateway is not None:
-            return self.gateway.await_drain(timeout_seconds)
-        return True
+        return self.gateway.await_drain(timeout_seconds)

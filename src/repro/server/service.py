@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ClientError
-from repro.federation import Federation, FederationCursor
+from repro.federation import Federation, FederationCursor, PreparedQuery
 from repro.mediation.explain import conflict_summary
-from repro.obs import statement_fingerprint
-from repro.obs.trace import current_span, deactivate_span
+from repro.obs.trace import deactivate_span
+from repro.options import StatementOptions
 from repro.server.gateway import AdmissionGateway, GatewayConfig
 
 __all__ = ["ExecutionSummary", "ResultHandle", "FederatedQueryService"]
@@ -69,48 +69,51 @@ class ResultHandle:
     Wraps a :class:`~repro.federation.FederationCursor`; rows are pulled in
     bounded batches (``batches()`` / ``fetchmany`` / iteration), so consumer
     memory holds one batch, and the producer runs under the engine's own
-    flow control.  The stream permit — the gateway's backpressure token — is
-    released exactly once, on :meth:`close` or when the result is drained.
+    flow control.  The stream permit — the gateway's backpressure token —
+    rides the cursor's close: it is released exactly once, on :meth:`close`
+    or when the result is drained.
     """
 
-    def __init__(self, cursor: FederationCursor, release: Callable[[], None],
-                 tenant: Optional[str], batch_size: int = 256,
-                 trace_root=None):
-        if batch_size < 1:
-            raise ClientError(f"batch_size must be positive, got {batch_size}")
-        self._cursor = cursor
-        self._release = release
-        self._batch_size = batch_size
+    def __init__(self, cursor: FederationCursor, trace_root, started: float):
+        #: The underlying cursor (what the wire server and QBE hold on to).
+        self.cursor = cursor
         self._trace_root = trace_root
-        self.tenant = tenant
+        self._started = started
+        self._elapsed: Optional[float] = None
         self.rows_streamed = 0
         self.closed = False
-        self._started = time.perf_counter()
-        self._elapsed: Optional[float] = None
 
     # -- metadata ---------------------------------------------------------------------
 
     @property
+    def tenant(self) -> Optional[str]:
+        return self.cursor.options.tenant
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self._trace_root.trace_id
+
+    @property
     def description(self) -> List[Tuple]:
-        return self._cursor.description
+        return self.cursor.description
 
     @property
     def columns(self) -> List[str]:
-        return [attribute.name for attribute in self._cursor.schema]
+        return [attribute.name for attribute in self.cursor.schema]
 
     @property
     def mediated_sql(self) -> str:
-        return self._cursor.mediated_sql
+        return self.cursor.mediated_sql
 
     # -- consuming --------------------------------------------------------------------
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
         if self.closed:
             return []
-        rows = self._cursor.fetchmany(size or self._batch_size)
+        rows = self.cursor.fetchmany(size or self.cursor.options.batch_size)
         self.rows_streamed += len(rows)
-        if not rows or self._cursor.exhausted:
-            self._finish()
+        if not rows or self.cursor.exhausted:
+            self.close()
         return rows
 
     def batches(self) -> Iterator[List[Tuple[Any, ...]]]:
@@ -136,17 +139,11 @@ class ResultHandle:
 
     def close(self) -> None:
         """Cancel outstanding fetches and release the permit (idempotent)."""
-        self._finish()
-
-    def _finish(self) -> None:
         if self.closed:
             return
         self.closed = True
         self._elapsed = time.perf_counter() - self._started
-        try:
-            self._cursor.close()
-        finally:
-            self._release()
+        self.cursor.close()
 
     def __enter__(self) -> "ResultHandle":
         return self
@@ -157,7 +154,7 @@ class ResultHandle:
     def summary(self) -> ExecutionSummary:
         """The statement's summary; the execution report reflects work done
         so far (complete once the handle is drained or closed)."""
-        mediation = self._cursor.mediation
+        cursor, root = self.cursor, self._trace_root
         elapsed = (self._elapsed if self._elapsed is not None
                    else time.perf_counter() - self._started)
         return ExecutionSummary(
@@ -165,18 +162,16 @@ class ResultHandle:
             row_count=self.rows_streamed,
             columns=self.columns,
             column_labels=[annotation.label()
-                           for annotation in self._cursor.annotations],
-            mediated_sql=mediation.sql,
-            branch_count=mediation.branch_count,
-            conflicts=conflict_summary(mediation),
-            consistency=getattr(self._cursor.prepared, "consistency", "raw"),
+                           for annotation in cursor.annotations],
+            mediated_sql=cursor.mediated_sql,
+            branch_count=cursor.mediation.branch_count,
+            conflicts=conflict_summary(cursor.mediation),
+            consistency=cursor.options.consistency,
             tenant=self.tenant,
             elapsed_seconds=elapsed,
-            execution=self._cursor.report.snapshot(),
-            trace_id=(self._trace_root.trace_id
-                      if self._trace_root is not None else None),
-            trace_summary=(self._trace_root.summary()
-                           if self._trace_root is not None else None),
+            execution=cursor.report.snapshot(),
+            trace_id=root.trace_id,
+            trace_summary=root.summary() if root.recording else None,
         )
 
 
@@ -196,22 +191,6 @@ class FederatedQueryService:
         else:
             self.gateway = AdmissionGateway(gateway)
 
-    # -- tracing at the edge ----------------------------------------------------------
-
-    def _open_root(self, sql: str, tenant: Optional[str], **attributes):
-        """The service is a trace edge, like the wire server: the root opens
-        *before* admission so queue waits and sheds are part of the tree."""
-        tracer = self.federation.observability.tracer
-        if not tracer.enabled or current_span().recording:
-            return None, None
-        root = tracer.start_trace(
-            "statement", fingerprint=statement_fingerprint(sql),
-            tenant=tenant, **attributes,
-        )
-        if not root.recording:
-            return None, None
-        return root, root.activate()
-
     # -- statements -------------------------------------------------------------------
 
     def execute(self, sql: str, context: Optional[str] = None,
@@ -220,44 +199,15 @@ class FederatedQueryService:
                 timeout_seconds: Optional[float] = None,
                 on_source_error: Optional[str] = None) -> ExecutionSummary:
         """Run ``sql`` to completion under admission control."""
-        started = time.perf_counter()
-
-        def work(remaining: Optional[float]):
-            return self.federation.query(
-                sql, context, mediate=mediate, consistency=consistency,
-                timeout_seconds=remaining,
-                on_source_error=on_source_error or "fail",
-            )
-
-        root, token = self._open_root(sql, tenant, service="execute")
-        try:
-            answer = self.gateway.run(work, tenant=tenant,
-                                      timeout_seconds=timeout_seconds)
-        except BaseException as exc:
-            if root is not None:
-                deactivate_span(token)
-                root.finish(error=exc)
-            raise
-        if root is not None:
-            deactivate_span(token)
-            root.finish()
-        rows = [tuple(row) for row in answer.relation.rows]
-        return ExecutionSummary(
-            rows=rows,
-            row_count=len(rows),
-            columns=[attribute.name for attribute in answer.relation.schema],
-            column_labels=[annotation.label()
-                           for annotation in answer.annotations],
-            mediated_sql=answer.mediated_sql,
-            branch_count=answer.mediation.branch_count,
-            conflicts=conflict_summary(answer.mediation),
-            consistency=consistency,
-            tenant=tenant,
-            elapsed_seconds=time.perf_counter() - started,
-            execution=answer.execution.report.snapshot(),
-            trace_id=root.trace_id if root is not None else None,
-            trace_summary=root.summary() if root is not None else None,
-        )
+        handle = self.open(sql, self._options(
+            context=context, tenant=tenant, mediate=mediate,
+            consistency=consistency, timeout_seconds=timeout_seconds,
+            on_source_error=on_source_error,
+        ), stream=False, service="execute")
+        rows = handle.fetchall()
+        summary = handle.summary()
+        summary.rows = rows
+        return summary
 
     def submit(self, sql: str, context: Optional[str] = None,
                tenant: Optional[str] = None, mediate: bool = True,
@@ -272,47 +222,77 @@ class FederatedQueryService:
         over-streamed service sheds the submit, retriable), and held until
         the handle closes.
         """
-        release = self.gateway.acquire_stream(tenant)
-        root, token = self._open_root(sql, tenant, service="submit", stream=True)
+        return self.open(sql, self._options(
+            context=context, tenant=tenant, mediate=mediate,
+            consistency=consistency, timeout_seconds=timeout_seconds,
+            on_source_error=on_source_error, batch_size=batch_size,
+        ), service="submit")
+
+    @staticmethod
+    def _options(**keywords: Any) -> StatementOptions:
+        """This edge's codec: keywords spelled as on the wire (None = the
+        default), a malformed value is the caller's ``ClientError``."""
+        return StatementOptions.from_parameters(keywords, ClientError)
+
+    def open(self, statement: Union[str, PreparedQuery],
+             options: StatementOptions, stream: bool = True,
+             trace_id: Optional[str] = None, **attributes) -> ResultHandle:
+        """The one admitted open every serving front goes through.
+
+        In order: the edge's root span (so waits and sheds are part of the
+        tree; ``trace_id`` adopts a client-minted id, ``attributes`` name the
+        edge), then — for a streaming answer — the stream permit, claimed
+        *before* admission so an over-streamed server sheds the open without
+        spending a tenant token or a worker slot; then admission, whose
+        worker slot covers only opening (an eager statement: executing) the
+        cursor under the budget left after queueing.  Permit and root ride
+        the cursor's close; a failed open releases both.  A
+        :class:`~repro.federation.PreparedQuery` executes under its own
+        options — ``options`` then only carries the request's tenant and
+        admission deadline.
+        """
+        started = time.perf_counter()
+        prepared = isinstance(statement, PreparedQuery)
+        root = self.federation.observability.statement_root(
+            statement.sql if prepared else statement, trace_id,
+            tenant=options.tenant, **attributes)
+        token = root.activate()
+        release = None
         try:
+            if stream:
+                release = self.gateway.acquire_stream(options.tenant)
             cursor = self.gateway.run(
-                lambda remaining: self.federation.query(
-                    sql, context, mediate=mediate, stream=True,
-                    consistency=consistency, timeout_seconds=remaining,
-                    on_source_error=on_source_error or "fail",
-                ),
-                tenant=tenant, timeout_seconds=timeout_seconds,
+                lambda remaining: self.federation.open(
+                    statement,
+                    statement.options if prepared
+                    else options.with_timeout(remaining),
+                    stream),
+                tenant=options.tenant, timeout_seconds=options.timeout_seconds,
             )
         except BaseException as exc:
-            if root is not None:
-                deactivate_span(token)
-                root.finish(error=exc)
-            release()
-            raise
-        if root is not None:
+            if release is not None:
+                release()
             deactivate_span(token)
-            # The root closes with the handle: only then are the stream and
+            root.finish(error=exc)
+            raise
+        deactivate_span(token)
+        if release is not None:
+            cursor.stream.on_close(lambda report: release())
+        if root.recording:
+            # The root closes with the cursor: only then are the stream and
             # fetch spans complete.
-            cursor.stream.on_close(lambda report, _root=root: _root.finish())
-        return ResultHandle(cursor, release, tenant, batch_size=batch_size,
-                            trace_root=root)
+            cursor.stream.on_close(lambda report: root.finish())
+        return ResultHandle(cursor, root, started)
 
     def explain(self, sql: str, context: Optional[str] = None) -> str:
         """The server's plan rendering; when tracing is on, the explain runs
         under its own trace and the rendering ends with a ``-- trace`` line
         (trace id + one-line span summary) naming the buffered tree."""
-        root, token = self._open_root(sql, tenant=None, service="explain")
-        try:
+        root = self.federation.observability.statement_root(sql, service="explain")
+        with root:
             plan = self.federation.explain_plan(sql, context)
-        except BaseException as exc:
-            if root is not None:
-                deactivate_span(token)
-                root.finish(error=exc)
-            raise
-        if root is None:
+        if not root.recording:
             return plan
-        deactivate_span(token)
-        root.finish()
         return f"{plan}\n-- trace {root.trace_id}: {root.summary()}"
 
     # -- operations -------------------------------------------------------------------

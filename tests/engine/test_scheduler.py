@@ -88,7 +88,7 @@ class TestZeroBranchGuard:
         engine = MultiDatabaseEngine()
         plan = QueryPlan(statement=parse("SELECT t.a FROM t"), branches=[])
         with pytest.raises(ExecutionError, match="no branches"):
-            engine.controller.execute(plan)
+            engine.execute(plan)
 
 
 class TestDeduplication:

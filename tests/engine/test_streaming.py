@@ -93,6 +93,22 @@ class TestStreamedEquivalence:
         assert stream.schema.names == eager.relation.schema.names
         assert stream.exhausted
 
+    @pytest.mark.parametrize("capabilities", [SourceCapabilities.full_sql(),
+                                              SourceCapabilities.scan_only()])
+    def test_order_by_boolean_literal_is_not_a_position(self, capabilities):
+        def engine():
+            built = MultiDatabaseEngine()
+            source = _source("db", "CREATE TABLE t (a integer, b integer)",
+                             "INSERT INTO t VALUES (3, 1), (1, 2), (2, 3)",
+                             capabilities=capabilities)
+            built.register_wrapper(RelationalWrapper(source), estimate_rows=False)
+            return built
+
+        query = "SELECT t.a, t.b FROM t ORDER BY TRUE"
+        expected = [(3, 1), (1, 2), (2, 3)]  # a constant key keeps input order
+        assert list(engine().execute(query).relation.rows) == expected
+        assert engine().execute_stream(query).fetchall() == expected
+
     def test_fetchmany_batches_and_counters(self):
         stream = _basic_engine().execute_stream("SELECT t.a FROM t ORDER BY t.a LIMIT 10")
         first = stream.fetchmany(4)

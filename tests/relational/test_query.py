@@ -79,6 +79,18 @@ class TestSelection:
         result = db.execute("SELECT r1.cname FROM r1 ORDER BY 1")
         assert result.column("cname") == sorted(result.column("cname"))
 
+    def test_order_by_boolean_literal_is_a_constant_not_a_position(self):
+        database = Database("bools")
+        database.execute("CREATE TABLE t (a integer, b integer)")
+        database.execute("INSERT INTO t VALUES (3, 1), (1, 2), (2, 3)")
+        # TRUE is an int to Python (position 1 = column a); to SQL it is a
+        # constant key, so the stable sort leaves the rows in input order.
+        for key in ("TRUE", "FALSE", "TRUE DESC"):
+            result = database.execute(f"SELECT t.a, t.b FROM t ORDER BY {key}")
+            assert result.rows == [(3, 1), (1, 2), (2, 3)]
+        assert database.execute(
+            "SELECT t.a, t.b FROM t ORDER BY 1").rows == [(1, 2), (2, 3), (3, 1)]
+
     def test_limit_offset(self, db):
         result = db.execute("SELECT r1.cname FROM r1 ORDER BY r1.cname LIMIT 2 OFFSET 1")
         assert result.column("cname") == ["Globex", "IBM"]
