@@ -141,12 +141,11 @@ class MaterializedStream:
             return None
 
     def fetchmany(self, size: int = 1) -> List[Row]:
-        rows = []
-        for _ in range(max(0, size)):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
+        size = max(0, size)
+        rows = self._rows[self._position:self._position + size]
+        self._position += len(rows)
+        if len(rows) < size:
+            self.close()  # read past the end, like fetchone at exhaustion
         return rows
 
     def fetchall(self) -> List[Row]:

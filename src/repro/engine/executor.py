@@ -100,13 +100,23 @@ class OperatorStats:
 
     ``elapsed_seconds`` is cumulative in the EXPLAIN ANALYZE sense: it covers
     the operator *and* everything beneath it in the pipeline, because it is
-    measured around the operator's row production."""
+    measured around the operator's batch production.  Both counters advance
+    once per batch, so beneath a LIMIT or an abandoned cursor ``rows_out``
+    may include up to one batch of rows the consumer never read.
+
+    ``detail`` is the operator's EXPLAIN text (predicates, keys — ``to_sql``
+    renderings); it is rendered from ``source`` when read, which only
+    :meth:`snapshot` does, so an execution nobody snapshots never pays for it."""
 
     branch: int
     operator: str
-    detail: str
+    source: PhysicalOperator = field(repr=False, compare=False)
     rows_out: int = 0
     elapsed_seconds: float = 0.0
+
+    @property
+    def detail(self) -> str:
+        return self.source._explain_details()
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -119,7 +129,8 @@ class OperatorStats:
 
 
 class _InstrumentedOperator(PhysicalOperator):
-    """Transparent wrapper counting rows and production time of its child."""
+    """Transparent wrapper counting rows and production time of its child,
+    once per batch (two clock reads and one addition each)."""
 
     def __init__(self, child: PhysicalOperator, stats: OperatorStats):
         self.child = child
@@ -144,19 +155,21 @@ class _InstrumentedOperator(PhysicalOperator):
     def explain(self, indent: int = 0) -> str:
         return self.child.explain(indent)
 
-    def __iter__(self):
+    def batches(self):
         stats = self.stats
-        iterator = iter(self.child)
-        while True:
-            started = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.elapsed_seconds += time.perf_counter() - started
-                return
-            stats.elapsed_seconds += time.perf_counter() - started
-            stats.rows_out += 1
-            yield row
+        clock = time.perf_counter
+        child_batches = self.child.batches()
+        try:
+            while True:
+                started = clock()
+                batch = next(child_batches, None)
+                stats.elapsed_seconds += clock() - started
+                if batch is None:
+                    return
+                stats.rows_out += len(batch)
+                yield batch
+        finally:
+            child_batches.close()
 
 
 @dataclass

@@ -19,6 +19,14 @@ fetching everything, joining everything and materializing the answer, it
   explicit :meth:`close`) cancels source fetches that were never consumed,
   drops the staged temporaries, and releases the fetch pool mid-query.
 
+Rows move in **batches** (plain lists of row tuples, see
+:mod:`repro.relational.operators`): the operator pipelines hand batches up,
+and the deadline test, the report lock, ``rows_streamed`` and the UNION
+``seen`` set are paid once per batch handed to the consumer.  A fetch that
+wants fewer rows than a batch holds leaves the rest in a carried remainder,
+which later fetches drain first — ``rows_streamed`` counts rows handed over,
+never rows waiting there.
+
 ``MultiDatabaseEngine.execute`` drains a stream to re-create the historical
 eager behaviour byte for byte: same rows, same order, same report fields —
 plus the new streaming and memory counters.
@@ -52,6 +60,7 @@ from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
 from repro.relational.operators import (
+    Batch,
     Distinct,
     Filter,
     Limit,
@@ -161,8 +170,12 @@ class ResultStream:
         self._closed = False
         self._exhausted = False
         self._first_row_seen = False
+        #: The carried remainder: rows of the last batch pulled that no fetch
+        #: has handed to the consumer yet, from ``_pending_at`` on.
+        self._pending: List[Row] = []
+        self._pending_at = 0
         self._schema: Optional[Schema] = None
-        self._first_branch: Optional[Tuple[Iterator[Row], Schema]] = None
+        self._first_branch: Optional[Tuple[Iterator[Batch], Schema]] = None
         self._first_branch_index = 0
         self._staged_handles: List[str] = []
         self._staged_released = False
@@ -247,7 +260,7 @@ class ResultStream:
         # else: remaining fetches happen lazily, serially, on first staging —
         # branches a satisfied LIMIT never reaches cost no round trip at all.
 
-        self._rows = self._generate()
+        self._batches = self._generate()
 
     # -- fetching ------------------------------------------------------------------
 
@@ -614,7 +627,7 @@ class ResultStream:
 
     # -- branch pipelines ----------------------------------------------------------
 
-    def _build_branch(self, branch_index: int) -> Optional[Tuple[Iterator[Row], Schema]]:
+    def _build_branch(self, branch_index: int) -> Optional[Tuple[Iterator[Batch], Schema]]:
         """Stage one branch's inputs and build its (streaming) pipeline.
 
         Returns None when the branch was degraded: one of its sources failed
@@ -677,7 +690,7 @@ class ResultStream:
             stats = OperatorStats(
                 branch=branch_index,
                 operator=operator.operator_name,
-                detail=operator._explain_details(),
+                source=operator,
             )
             with report.lock:
                 report.operator_stats.append(stats)
@@ -705,15 +718,15 @@ class ResultStream:
             return streaming
         # Grouped/aggregated (or alias-opaque ORDER BY) branches: finalize
         # with the materializing processor — semantics identical to the eager
-        # path, streamed to the consumer as one branch-sized chunk.
+        # path; the consumer reads the finished branch like any scan.
         relation = self._processor.finalize_select(
             branch.select, list(pipeline), pipeline.schema
         )
-        return iter(relation.rows), relation.schema
+        return TableScan(relation).batches(), relation.schema
 
     def _streaming_finalizer(self, branch: BranchPlan, pipeline: PhysicalOperator,
                              instrument: Callable[[PhysicalOperator], PhysicalOperator],
-                             ) -> Optional[Tuple[Iterator[Row], Schema]]:
+                             ) -> Optional[Tuple[Iterator[Batch], Schema]]:
         """Build the operator form of SELECT finalization, when it streams.
 
         Mirrors ``QueryProcessor.finalize_select`` exactly for the eligible
@@ -795,7 +808,7 @@ class ResultStream:
         if select.limit is not None or select.offset is not None:
             operator = instrument(Limit(operator, select.limit, select.offset or 0))
 
-        return iter(operator), output_schema
+        return operator.batches(), output_schema
 
     def _ensure_first_branch(self) -> None:
         """Build the first *surviving* branch (partial mode skips dead ones)."""
@@ -816,9 +829,9 @@ class ResultStream:
 
     # -- row production --------------------------------------------------------------
 
-    def _generate(self) -> Iterator[Row]:
+    def _generate(self) -> Iterator[Batch]:
         self._ensure_first_branch()
-        rows_iter, _schema = self._first_branch
+        batches, _schema = self._first_branch
         base_arity = len(self._schema)
         union_distinct = len(self.plan.branches) > 1 and not self.plan.union_all
         seen = set() if union_distinct else None
@@ -829,18 +842,28 @@ class ResultStream:
                 built = self._build_branch(branch_index)
                 if built is None:
                     continue  # degraded mid-stream: the answer flows on
-                rows_iter, branch_schema = built
+                batches, branch_schema = built
                 if len(branch_schema) != base_arity:
                     raise SchemaError("UNION requires relations of the same arity")
             branch_count = 0
-            for row in rows_iter:
-                branch_count += 1
-                if seen is not None:
-                    key = tuple(row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield row
+            try:
+                for batch in batches:
+                    branch_count += len(batch)
+                    if seen is not None:
+                        fresh = []
+                        for row in batch:
+                            key = tuple(row)
+                            if key not in seen:
+                                seen.add(key)
+                                fresh.append(row)
+                        if not fresh:
+                            continue
+                        batch = fresh
+                    yield batch
+            finally:
+                # Closing this generator closes the branch pipeline beneath
+                # it, operator by operator (see ``_release``).
+                batches.close()
             with report.lock:
                 report.branch_rows.append(branch_count)
 
@@ -863,49 +886,85 @@ class ResultStream:
     def __iter__(self) -> "ResultStream":
         return self
 
-    def __next__(self) -> Row:
-        if self._exhausted:
-            raise StopIteration
-        if self._closed:
-            raise ExecutionError("cannot fetch from a closed result stream")
+    def _pull(self) -> Optional[Batch]:
+        """The next batch of the answer, or None once it is exhausted."""
         try:
             if self._deadline.bounded:
                 self._deadline.check("streaming rows to the consumer")
-            row = next(self._rows)
+            return next(self._batches)
         except StopIteration:
             self._exhausted = True
             self.close()
-            raise
+            return None
         except BaseException:
             # Mid-stream failure: release resources and cancel outstanding
             # fetches so a broken statement never pins the scheduler.
             self.close()
             raise
+
+    def _take(self, limit: Optional[int]) -> List[Row]:
+        """Hand the consumer the next ``limit`` rows (None = all that remain).
+
+        Serves the carried remainder first and pulls further batches only
+        while rows are still wanted; the report is updated once per batch
+        (or batch part) handed over.
+        """
+        taken: List[Row] = []
         report = self.report
-        with report.lock:
-            if not self._first_row_seen:
-                self._first_row_seen = True
-                report.first_row_seconds = time.perf_counter() - self._started
-            report.rows_streamed += 1
+        while limit is None or len(taken) < limit:
+            if self._pending_at >= len(self._pending):
+                if self._exhausted:
+                    break
+                if self._closed:
+                    raise ExecutionError("cannot fetch from a closed result stream")
+                batch = self._pull()
+                if batch is None:
+                    break
+                self._pending, self._pending_at = batch, 0
+            pending, start = self._pending, self._pending_at
+            stop = len(pending)
+            if limit is not None:
+                stop = min(stop, start + limit - len(taken))
+            if stop == len(pending):
+                part = pending[start:] if start else pending
+                self._pending, self._pending_at = [], 0
+            else:
+                part = pending[start:stop]
+                self._pending_at = stop
+            with report.lock:
+                if not self._first_row_seen:
+                    self._first_row_seen = True
+                    report.first_row_seconds = time.perf_counter() - self._started
+                report.rows_streamed += len(part)
+            if taken:
+                taken.extend(part)
+            else:
+                taken = part
+        return taken
+
+    def __next__(self) -> Row:
+        row = self.fetchone()
+        if row is None:
+            raise StopIteration
         return row
 
     def fetchone(self) -> Optional[Row]:
-        try:
-            return next(self)
-        except StopIteration:
-            return None
+        at = self._pending_at
+        if at < len(self._pending):
+            # Straight from the carried remainder (``close`` empties it, and
+            # the first row was stamped when its batch was pulled).
+            self._pending_at = at + 1
+            with self.report.lock:
+                self.report.rows_streamed += 1
+            return self._pending[at]
+        rows = self._take(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int = 1) -> List[Row]:
-        rows: List[Row] = []
-        for _ in range(max(0, size)):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
-        return rows
+        return self._take(max(0, size))
 
     def fetchall(self) -> List[Row]:
-        return list(self)
+        return self._take(None)
 
     def to_relation(self, name: Optional[str] = None) -> Relation:
         """Drain the remaining rows into a materialized relation."""
@@ -930,6 +989,8 @@ class ResultStream:
         if self._closed:
             return
         self._closed = True
+        # Rows still waiting in the carried remainder die with the cursor.
+        self._pending, self._pending_at = [], 0
         try:
             self._release()
         finally:
@@ -959,28 +1020,27 @@ class ResultStream:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
 
-        # Close the row generator (and the first branch's operator pipeline,
-        # which it references) *explicitly*: suspended Sort/Distinct/HashJoin
+        # Close the batch generator *explicitly*: it closes the current
+        # branch's ``batches()`` generator, which closes its child's, and so
+        # on down the operator tree.  Suspended Sort/Distinct/HashJoin
         # generators release their memory-budget reservations in ``finally``
         # blocks, and leaving that to garbage collection makes the budget
         # accounting below — and the "drained after close" invariant the
-        # server's registries rely on — nondeterministic.
-        rows = getattr(self, "_rows", None)
-        if rows is not None:
+        # server's registries rely on — nondeterministic.  The first branch is
+        # closed by hand as well: it may have been built (by ``schema``)
+        # without the generator that owns it ever starting.
+        generators = [getattr(self, "_batches", None)]
+        if getattr(self, "_first_branch", None) is not None:
+            generators.append(self._first_branch[0])
+        for generator in generators:
+            if generator is None:
+                continue
             try:
-                rows.close()
+                generator.close()
             except ValueError:
                 # Closed concurrently with a pull (e.g. a registry eviction
                 # racing a fetch): the consumer's own exit path releases.
                 pass
-        first_branch = getattr(self, "_first_branch", None)
-        if first_branch is not None:
-            branch_close = getattr(first_branch[0], "close", None)
-            if branch_close is not None:
-                try:
-                    branch_close()
-                except ValueError:
-                    pass
 
         # A fully drained stream pulled every join to completion, so the
         # instrumented row counts are true intermediate cardinalities; an

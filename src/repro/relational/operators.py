@@ -1,4 +1,4 @@
-"""Physical operators: iterator-style building blocks for query execution.
+"""Physical operators: batch-at-a-time building blocks for query execution.
 
 The multi-database access engine composes these operators into execution
 plans for the *local* part of a mediated query — the part that cannot be
@@ -10,15 +10,32 @@ mediator-side execution share one code path.
 Every operator exposes:
 
 * ``schema`` — the output schema;
-* ``__iter__`` — yields output rows (tuples);
+* ``batches()`` — a generator of **row batches**: non-empty plain lists of
+  row tuples, the unit operators exchange.  A batch belongs to whoever
+  receives it (producers never reuse one), its size is whatever the producer
+  found convenient, and answers never depend on it: rows and row order equal
+  those of one-row batches.  ``__iter__`` is derived — defined once, on
+  :class:`PhysicalOperator`, as the flattening of ``batches()`` — so
+  ``list(operator)`` keeps working;
 * ``explain(indent)`` — a human-readable plan rendering;
 * ``estimated_rows`` — a cheap cardinality guess used by the cost model.
+
+Operators that start a batch sequence (scans, sorted output, spill readers)
+size it by :data:`BATCH_RAMP`; everything else maps input batches to output
+batches.  Budgeted operators reserve once per batch and replay a refused
+reservation row by row, so the row at which they start spilling is the one a
+row-at-a-time engine would have picked (PERFORMANCE.md, "Batch-at-a-time
+execution").  Every ``batches()`` generator closes its children's generators
+when it finishes *or is closed*, so closing the root releases every budget
+reservation and spill file in the tree deterministically.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import closing
 from decimal import Decimal
+from itertools import chain, islice, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -28,6 +45,40 @@ from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType, sort_key
 from repro.sql.ast import Node
+
+#: Row counts of the first batches a batch sequence produces; the last entry
+#: repeats.  The ramp keeps a ``LIMIT k`` or a cursor's first ``fetchmany``
+#: from paying for much more than it reads, while long scans settle on
+#: batches big enough that per-batch bookkeeping vanishes.
+BATCH_RAMP = (64, 256, 1024)
+
+#: Most left x right pairs one cross-product / nested-loop batch covers, so a
+#: wide probe batch against a big inner side never materializes (or grinds
+#: through) millions of combinations between two yields.
+CROSS_PAIRS_PER_BATCH = 64 * 1024
+
+Batch = List[Row]
+
+
+def _ramp_batches(rows: Iterable[Row]) -> Iterator[Batch]:
+    """Cut a row sequence (a list, a spill reader, a merge) into fresh
+    batches sized by :data:`BATCH_RAMP`, its last entry repeating."""
+    iterator = iter(rows)
+    for size in chain(BATCH_RAMP[:-1], repeat(BATCH_RAMP[-1])):
+        batch = list(islice(iterator, size))
+        if not batch:
+            return
+        yield batch
+
+
+def _pair_chunks(batch: Batch, inner_rows: int) -> Iterator[Batch]:
+    """Slices of a probe batch covering at most CROSS_PAIRS_PER_BATCH pairs."""
+    step = max(1, CROSS_PAIRS_PER_BATCH // max(inner_rows, 1))
+    if step >= len(batch):
+        yield batch
+        return
+    for start in range(0, len(batch), step):
+        yield batch[start:start + step]
 
 
 class PhysicalOperator:
@@ -40,8 +91,12 @@ class PhysicalOperator:
     def schema(self) -> Schema:
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        """Yield the output as non-empty row batches (see the module docstring)."""
         raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Row]:
+        return chain.from_iterable(self.batches())
 
     @property
     def children(self) -> Sequence["PhysicalOperator"]:
@@ -87,8 +142,8 @@ class TableScan(PhysicalOperator):
     def schema(self) -> Schema:
         return self._schema
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.relation.rows)
+    def batches(self) -> Iterator[Batch]:
+        return _ramp_batches(self.relation.rows)
 
     @property
     def estimated_rows(self) -> int:
@@ -119,11 +174,13 @@ class Filter(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         predicate = self._predicate
-        for row in self.child:
-            if predicate(row) is True:
-                yield row
+        with closing(self.child.batches()) as child_batches:
+            for batch in child_batches:
+                kept = [row for row in batch if predicate(row) is True]
+                if kept:
+                    yield kept
 
     @property
     def estimated_rows(self) -> int:
@@ -167,10 +224,11 @@ class Project(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         project = self._project
-        for row in self.child:
-            yield project(row)
+        with closing(self.child.batches()) as child_batches:
+            for batch in child_batches:
+                yield list(map(project, batch))
 
     @property
     def estimated_rows(self) -> int:
@@ -198,11 +256,15 @@ class CrossProduct(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.left, self.right)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         right_rows = list(self.right)
-        for left_row in self.left:
-            for right_row in right_rows:
-                yield left_row + right_row
+        with closing(self.left.batches()) as left_batches:
+            for batch in left_batches:
+                for chunk in _pair_chunks(batch, len(right_rows)):
+                    product = [left_row + right_row
+                               for left_row in chunk for right_row in right_rows]
+                    if product:
+                        yield product
 
 
 class NestedLoopJoin(PhysicalOperator):
@@ -229,19 +291,21 @@ class NestedLoopJoin(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.left, self.right)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         right_rows = list(self.right)
         predicate = self._predicate
-        if predicate is None:
-            for left_row in self.left:
-                for right_row in right_rows:
-                    yield left_row + right_row
-            return
-        for left_row in self.left:
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if predicate(combined) is True:
-                    yield combined
+        with closing(self.left.batches()) as left_batches:
+            for batch in left_batches:
+                for chunk in _pair_chunks(batch, len(right_rows)):
+                    if predicate is None:
+                        joined = [left_row + right_row
+                                  for left_row in chunk for right_row in right_rows]
+                    else:
+                        joined = [combined
+                                  for left_row in chunk for right_row in right_rows
+                                  if predicate(combined := left_row + right_row) is True]
+                    if joined:
+                        yield joined
 
     @property
     def estimated_rows(self) -> int:
@@ -312,42 +376,38 @@ class HashJoin(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.left, self.right)
 
-    @staticmethod
-    def _composite_key(fns, row) -> Optional[Tuple]:
-        """The normalized bucket key of one row, or None when any part is NULL
-        (SQL equality with NULL can never be true, so the row cannot match)."""
-        parts = []
-        for fn in fns:
-            value = fn(row)
-            if value is None:
-                return None
-            parts.append(_hash_key(value))
-        return tuple(parts)
-
-    def __iter__(self) -> Iterator[Row]:
-        buckets: Dict[Any, List[Row]] = {}
-        right_fns = self._right_key_fns
+    def batches(self) -> Iterator[Batch]:
         budget = self.budget
+        fanout = self.SPILL_PARTITIONS
+        right_key = _bucket_key(self._right_key_fns)
+        buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
         build_rows = 0
         build_spill: Optional[List[SpillFile]] = None
         try:
-            for right_row in self.right:
-                key = self._composite_key(right_fns, right_row)
-                if key is None:
-                    continue
-                if build_spill is None and budget is not None:
-                    nbytes = estimate_row_bytes(right_row)
-                    if budget.try_reserve(nbytes):
-                        build_bytes += nbytes
-                    else:
-                        # The build side outgrew the budget: switch to Grace
-                        # partitioning — flush the buckets built so far to
-                        # per-partition spill files and keep partitioning.
-                        build_spill = [SpillFile("hashjoin-build-")
-                                       for _ in range(self.SPILL_PARTITIONS)]
+            with closing(self.right.batches()) as right_batches:
+                for batch in right_batches:
+                    keyed = [(key, row) for row in batch
+                             if (key := right_key(row)) is not None]
+                    if build_spill is None:
+                        fitted = len(keyed)
+                        if budget is not None:
+                            fitted, reserved = _reserve_prefix(
+                                budget, [estimate_row_bytes(row) for _key, row in keyed]
+                            )
+                            build_bytes += reserved
+                        for key, row in keyed if fitted == len(keyed) else keyed[:fitted]:
+                            buckets.setdefault(key, []).append(row)
+                        build_rows += fitted
+                        if fitted == len(keyed):
+                            continue
+                        # The build side outgrew the budget at row ``fitted``:
+                        # switch to Grace partitioning — flush the buckets
+                        # built so far to per-partition spill files and keep
+                        # partitioning.
+                        build_spill = [SpillFile("hashjoin-build-") for _ in range(fanout)]
                         for built_key, built_rows in buckets.items():
-                            partition = build_spill[hash(built_key) % self.SPILL_PARTITIONS]
+                            partition = build_spill[hash(built_key) % fanout]
                             for built_row in built_rows:
                                 partition.append((built_key, built_row))
                         budget.record_spill(build_rows, build_bytes)
@@ -355,47 +415,55 @@ class HashJoin(PhysicalOperator):
                         build_bytes = 0
                         buckets = {}
                         self.spilled = True
-                if build_spill is not None:
-                    build_spill[hash(key) % self.SPILL_PARTITIONS].append((key, right_row))
-                else:
-                    buckets.setdefault(key, []).append(right_row)
-                    build_rows += 1
+                        keyed = keyed[fitted:]
+                    for key, row in keyed:
+                        build_spill[hash(key) % fanout].append((key, row))
 
-            residual_predicate = self._residual_predicate
-            left_fns = self._left_key_fns
+            residual = self._residual_predicate
+            left_key = _bucket_key(self._left_key_fns)
             if build_spill is None:
-                empty: List[Row] = []
-                for left_row in self.left:
-                    key = self._composite_key(left_fns, left_row)
-                    if key is None:
-                        continue
-                    for right_row in buckets.get(key, empty):
-                        combined = left_row + right_row
-                        if residual_predicate is None or residual_predicate(combined) is True:
-                            yield combined
+                # A NULL probe key is ``None``, which is never a bucket key.
+                matches = buckets.get
+                with closing(self.left.batches()) as left_batches:
+                    for batch in left_batches:
+                        if residual is None:
+                            joined = [left_row + right_row
+                                      for left_row in batch
+                                      for right_row in matches(left_key(left_row), ())]
+                        else:
+                            joined = [combined
+                                      for left_row in batch
+                                      for right_row in matches(left_key(left_row), ())
+                                      if residual(combined := left_row + right_row) is True]
+                        if joined:
+                            yield joined
                 return
 
             # Grace fallback: partition the (streamed-once) probe side by the
             # same hash, then join partition by partition.  Output order is
             # deterministic — partitions in index order, probe order within
             # each — but differs from the in-memory build's probe order.
-            probe_spill = [SpillFile("hashjoin-probe-")
-                           for _ in range(self.SPILL_PARTITIONS)]
+            probe_spill = [SpillFile("hashjoin-probe-") for _ in range(fanout)]
             try:
-                for left_row in self.left:
-                    key = self._composite_key(left_fns, left_row)
-                    if key is None:
-                        continue
-                    probe_spill[hash(key) % self.SPILL_PARTITIONS].append((key, left_row))
-                for index in range(self.SPILL_PARTITIONS):
-                    partition_buckets: Dict[Any, List[Row]] = {}
-                    for key, right_row in build_spill[index].read():
-                        partition_buckets.setdefault(key, []).append(right_row)
-                    for key, left_row in probe_spill[index].read():
-                        for right_row in partition_buckets.get(key, ()):
-                            combined = left_row + right_row
-                            if residual_predicate is None or residual_predicate(combined) is True:
-                                yield combined
+                with closing(self.left.batches()) as left_batches:
+                    for batch in left_batches:
+                        for left_row in batch:
+                            key = left_key(left_row)
+                            if key is not None:
+                                probe_spill[hash(key) % fanout].append((key, left_row))
+
+                def partition_joins() -> Iterator[Row]:
+                    for index in range(fanout):
+                        partition_buckets: Dict[Any, List[Row]] = {}
+                        for key, right_row in build_spill[index].read():
+                            partition_buckets.setdefault(key, []).append(right_row)
+                        for key, left_row in probe_spill[index].read():
+                            for right_row in partition_buckets.get(key, ()):
+                                combined = left_row + right_row
+                                if residual is None or residual(combined) is True:
+                                    yield combined
+
+                yield from _ramp_batches(partition_joins())
             finally:
                 for spill in probe_spill:
                     spill.close()
@@ -421,6 +489,50 @@ class HashJoin(PhysicalOperator):
         if self.residual is not None:
             detail += f", residual {to_sql(self.residual)}"
         return detail + ")"
+
+
+def _bucket_key(fns: Sequence[Callable[[Row], Any]]) -> Callable[[Row], Optional[Tuple]]:
+    """One ``row -> normalized bucket key`` function over the key extractors.
+
+    The key is None when any part is NULL (SQL equality with NULL can never
+    be true, so the row cannot match)."""
+    if len(fns) == 1:
+        fn = fns[0]
+
+        def single(row: Row) -> Optional[Tuple]:
+            value = fn(row)
+            return None if value is None else (_hash_key(value),)
+
+        return single
+
+    def composite(row: Row) -> Optional[Tuple]:
+        parts = []
+        for fn in fns:
+            value = fn(row)
+            if value is None:
+                return None
+            parts.append(_hash_key(value))
+        return tuple(parts)
+
+    return composite
+
+
+def _reserve_prefix(budget: MemoryBudget, sizes: Sequence[int]) -> Tuple[int, int]:
+    """Reserve one batch of row sizes; returns (rows, bytes) actually reserved.
+
+    The whole batch is one reservation.  When the budget refuses it, nothing
+    was reserved and the rows are replayed one by one, stopping at the first
+    refusal — so the refused row, the bytes held at that moment and the
+    budget's peak are exactly those of a row-at-a-time run."""
+    total = sum(sizes)
+    if budget.try_reserve(total):
+        return len(sizes), total
+    reserved = 0
+    for count, nbytes in enumerate(sizes):
+        if not budget.try_reserve(nbytes):
+            return count, reserved
+        reserved += nbytes
+    return len(sizes), reserved
 
 
 def _hash_key(value: Any) -> Any:
@@ -473,38 +585,67 @@ class Distinct(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         key_fn = self._key
         budget = self.budget
         seen = set()
         seen_bytes = 0
-        iterator = enumerate(iter(self.child))
+        consumed = 0  # input rows of the batches before the current one
+        child_batches = self.child.batches()
         try:
-            for sequence, row in iterator:
-                key = key_fn(row)
-                if key in seen:
+            for batch in child_batches:
+                fresh: Batch = []
+                keys = []
+                positions = []
+                for position, row in enumerate(batch):
+                    key = key_fn(row)
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(row)
+                        keys.append(key)
+                        positions.append(position)
+                consumed += len(batch)
+                if not fresh:
                     continue
-                nbytes = estimate_row_bytes(row)
-                if budget is not None and not budget.try_reserve(nbytes):
-                    # The spill path releases (and re-accounts) the seen-set
-                    # itself; zero the local so the finally does not double-release.
-                    spill_bytes, seen_bytes = seen_bytes, 0
-                    yield from self._spill_remainder(
-                        iterator, seen, spill_bytes, sequence, row, key
-                    )
-                    return
-                seen.add(key)
-                seen_bytes += nbytes
-                yield row
+                if budget is None:
+                    yield fresh
+                    continue
+                fitted, reserved = _reserve_prefix(
+                    budget, [estimate_row_bytes(row) for row in fresh]
+                )
+                seen_bytes += reserved
+                if fitted == len(fresh):
+                    yield fresh
+                    continue
+                # Row ``fitted`` of the fresh ones was refused: the rows before
+                # it leave as usual, it and everything after it (the rest of
+                # this batch included) dedup externally.
+                seen.difference_update(keys[fitted:])
+                if fitted:
+                    yield fresh[:fitted]
+                at = positions[fitted]
+                sequence = consumed - len(batch) + at
+                remainder = enumerate(
+                    chain(batch[at + 1:], chain.from_iterable(child_batches)),
+                    sequence + 1,
+                )
+                # The spill path releases (and re-accounts) the seen-set
+                # itself; zero the local so the finally does not double-release.
+                spill_bytes, seen_bytes = seen_bytes, 0
+                yield from self._spill_remainder(
+                    remainder, seen, spill_bytes, sequence, fresh[fitted], keys[fitted]
+                )
+                return
         finally:
             # Runs on exhaustion *and* on early termination (a downstream
             # LIMIT closing this generator): the reservation never outlives
-            # the operator.
+            # the operator, and the child is closed with it.
+            child_batches.close()
             if budget is not None and seen_bytes:
                 budget.release(seen_bytes)
 
     def _spill_remainder(self, iterator, seen, seen_bytes: int,
-                         sequence: int, row: Row, key) -> Iterator[Row]:
+                         sequence: int, row: Row, key) -> Iterator[Batch]:
         """External dedup of everything not yet emitted.
 
         Keys already emitted become suppression markers in their partitions
@@ -552,8 +693,7 @@ class Distinct(PhysicalOperator):
                 *[survivor.read() for survivor in survivors],
                 key=lambda pair: pair[0],
             )
-            for _sequence, survivor_row in merged:
-                yield survivor_row
+            yield from _ramp_batches(survivor_row for _sequence, survivor_row in merged)
         finally:
             for spill in partitions:
                 spill.close()
@@ -657,62 +797,72 @@ class Sort(PhysicalOperator):
 
         return composite
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         key = self._composite_key()
         budget = self.budget
-
-        if self.limit is not None:
-            # Top-k: nsmallest is stable (documented equivalent to
-            # sorted(...)[:n]) and holds at most ``limit`` rows.
-            rows = heapq.nsmallest(self.limit, self.child, key=key)
-            held = sum(estimate_row_bytes(row) for row in rows)
-            if budget is not None:
-                budget.reserve(held)
-            try:
-                yield from rows
-            finally:
-                if budget is not None:
-                    budget.release(held)
-            return
-
         buffer: List[Row] = []
         buffer_bytes = 0
         runs: List[SpillFile] = []
         self.spill_runs = 0
-        min_run_bytes = self.MIN_SPILL_RUN_BYTES
-        if budget is not None and budget.limit_bytes is not None:
-            min_run_bytes = min(min_run_bytes, max(1, budget.limit_bytes // 2))
+        child_batches = self.child.batches()
         try:
-            for row in self.child:
-                nbytes = estimate_row_bytes(row)
-                if budget is not None and not budget.try_reserve(nbytes):
-                    if buffer_bytes >= min_run_bytes:
-                        buffer.sort(key=key)
-                        run = SpillFile("sort-run-")
-                        run.extend(buffer)
-                        runs.append(run)
-                        self.spill_runs += 1
-                        budget.record_spill(len(buffer), buffer_bytes)
-                        budget.release(buffer_bytes)
-                        buffer = []
-                        buffer_bytes = 0
-                    # The row must be held somewhere even when other operators
-                    # occupy the whole budget (or the buffer is still below a
-                    # useful run size).
-                    budget.reserve(nbytes)
-                buffer.append(row)
-                buffer_bytes += nbytes
+            if self.limit is not None:
+                # Top-k: nsmallest is stable (documented equivalent to
+                # sorted(...)[:n]) and holds at most ``limit`` rows.
+                buffer = heapq.nsmallest(
+                    self.limit, chain.from_iterable(child_batches), key=key
+                )
+                if budget is not None:
+                    buffer_bytes = sum(map(estimate_row_bytes, buffer))
+                    budget.reserve(buffer_bytes)
+                yield from _ramp_batches(buffer)
+                return
+
+            min_run_bytes = self.MIN_SPILL_RUN_BYTES
+            if budget is not None and budget.limit_bytes is not None:
+                min_run_bytes = min(min_run_bytes, max(1, budget.limit_bytes // 2))
+            for batch in child_batches:
+                if budget is None:
+                    buffer.extend(batch)
+                    continue
+                sizes = list(map(estimate_row_bytes, batch))
+                total = sum(sizes)
+                if budget.try_reserve(total):
+                    buffer.extend(batch)
+                    buffer_bytes += total
+                    continue
+                # The batch does not fit as a whole: replay it row by row, so
+                # runs are cut at the rows a row-at-a-time sort would cut at.
+                for row, nbytes in zip(batch, sizes):
+                    if not budget.try_reserve(nbytes):
+                        if buffer_bytes >= min_run_bytes:
+                            buffer.sort(key=key)
+                            run = SpillFile("sort-run-")
+                            run.extend(buffer)
+                            runs.append(run)
+                            self.spill_runs += 1
+                            budget.record_spill(len(buffer), buffer_bytes)
+                            budget.release(buffer_bytes)
+                            buffer = []
+                            buffer_bytes = 0
+                        # The row must be held somewhere even when other
+                        # operators occupy the whole budget (or the buffer is
+                        # still below a useful run size).
+                        budget.reserve(nbytes)
+                    buffer.append(row)
+                    buffer_bytes += nbytes
 
             buffer.sort(key=key)
             if not runs:
-                yield from buffer
+                yield from _ramp_batches(buffer)
                 return
             # Stable k-way merge: runs in spill order, the in-memory tail
             # last, mirrors one stable sort of the whole input.
             streams = [run.read() for run in runs]
             streams.append(iter(buffer))
-            yield from heapq.merge(*streams, key=key)
+            yield from _ramp_batches(heapq.merge(*streams, key=key))
         finally:
+            child_batches.close()
             for run in runs:
                 run.close()
             if budget is not None and buffer_bytes:
@@ -751,17 +901,26 @@ class Limit(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def __iter__(self) -> Iterator[Row]:
-        produced = 0
-        skipped = 0
-        for row in self.child:
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.count is not None and produced >= self.count:
-                return
-            produced += 1
-            yield row
+    def batches(self) -> Iterator[Batch]:
+        remaining = self.count  # None = unbounded
+        if remaining is not None and remaining <= 0:
+            return  # LIMIT 0 never asks its child for anything
+        to_skip = self.offset
+        with closing(self.child.batches()) as child_batches:
+            for batch in child_batches:
+                if to_skip:
+                    if to_skip >= len(batch):
+                        to_skip -= len(batch)
+                        continue
+                    batch = batch[to_skip:]
+                    to_skip = 0
+                if remaining is not None:
+                    if len(batch) >= remaining:
+                        # The count is reached: no further batch is requested.
+                        yield batch[:remaining]
+                        return
+                    remaining -= len(batch)
+                yield batch
 
     @property
     def estimated_rows(self) -> int:
@@ -796,9 +955,10 @@ class UnionAll(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return tuple(self.inputs)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         for child in self.inputs:
-            yield from child
+            with closing(child.batches()) as child_batches:
+                yield from child_batches
 
     @property
     def estimated_rows(self) -> int:
@@ -826,10 +986,10 @@ class Materialize(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         if self._buffer is None:
             self._buffer = list(self.child)
-        return iter(self._buffer)
+        return _ramp_batches(self._buffer)
 
     @property
     def estimated_rows(self) -> int:

@@ -1,0 +1,252 @@
+"""Batch-at-a-time execution seen from the cursor.
+
+Operators hand row batches up to the :class:`ResultStream`, which slices them
+for the consumer.  Contract under test:
+
+* any interleaving of ``fetchone`` / ``fetchmany(k)`` / iteration /
+  ``fetchall`` returns every row exactly once, in order, across batch
+  boundaries, and ``rows_streamed`` counts rows *handed over* at every step
+  (never rows waiting in the carried remainder);
+* closing a budgeted, spilling stream after one ``fetchmany`` leaves no
+  budget byte, staged temporary, spill file or open span behind — without
+  any help from the garbage collector;
+* ``LIMIT 0`` asks the pipeline beneath it for nothing;
+* operator EXPLAIN details are rendered when a report is snapshotted, not
+  while the statement runs.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from repro.consistency.cqa import MaterializedStream
+from repro.demo.datasets import PAPER_QUERY
+from repro.demo.scenarios import build_paper_federation
+from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.executor import ExecutionReport
+from repro.obs.trace import Tracer, deactivate_span
+from repro.relational import operators
+from repro.relational.budget import SpillFile
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.server.server import MediationServer
+from repro.sources.memory import MemorySQLSource
+from repro.sql import printer
+from repro.wrappers.wrapper import RelationalWrapper
+
+ROWS = 700  # crosses the 64- and 256-row ramp steps
+
+
+def _engine(**kwargs):
+    engine = MultiDatabaseEngine(**kwargs)
+    for name in ("t", "u"):
+        values = ", ".join(
+            f"({index}, {float((index * 37) % 100)}, '{'xyz'[index % 3]}')"
+            for index in range(ROWS)
+        )
+        source = MemorySQLSource(f"db_{name}")
+        source.load_sql(f"CREATE TABLE {name} (a integer, v float, b varchar)",
+                        f"INSERT INTO {name} VALUES {values}")
+        engine.register_wrapper(RelationalWrapper(source), estimate_rows=False)
+    return engine
+
+
+QUERIES = (
+    "SELECT t.a, t.v FROM t",
+    "SELECT t.a, u.v FROM t, u WHERE t.a = u.a AND t.v <= u.v",
+    "SELECT t.a, t.v FROM t ORDER BY t.v DESC, t.a",
+    "SELECT t.b, COUNT(*) AS n FROM t GROUP BY t.b ORDER BY t.b",
+    "SELECT t.a FROM t WHERE t.b = 'x' UNION SELECT u.a FROM u WHERE u.a < 400",
+)
+
+#: One engine (and the eager answers) for every generated interleaving.
+ENGINE = _engine()
+EXPECTED = {query: list(ENGINE.execute(query).relation.rows) for query in QUERIES}
+
+FETCHES = st.lists(
+    st.one_of(
+        st.just(("one",)),
+        st.tuples(st.just("many"), st.integers(0, 400)),
+        st.tuples(st.just("iterate"), st.integers(1, 5)),
+        st.just(("all",)),
+    ),
+    max_size=12,
+)
+
+
+def _drive(stream, fetches, after_each):
+    """Apply ``fetches`` (then drain); returns every row handed over."""
+    returned = []
+    for fetch in list(fetches) + [("all",)]:
+        if fetch[0] == "one":
+            row = stream.fetchone()
+            rows = [] if row is None else [row]
+        elif fetch[0] == "many":
+            rows = stream.fetchmany(fetch[1])
+            assert len(rows) <= fetch[1]
+        elif fetch[0] == "iterate":
+            rows = [row for _count, row in zip(range(fetch[1]), stream)]
+        else:
+            rows = stream.fetchall()
+        returned.extend(rows)
+        after_each(returned)
+    return returned
+
+
+class TestFetchSurface:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(QUERIES), FETCHES)
+    def test_result_stream_hands_every_row_over_once_and_counts_it(self, query, fetches):
+        stream = ENGINE.execute_stream(query)
+
+        def counted(returned):
+            assert stream.report.rows_streamed == len(returned)
+
+        assert _drive(stream, fetches, counted) == EXPECTED[query]
+        assert stream.exhausted and stream.closed
+        assert stream.report.result_rows == len(EXPECTED[query])
+        assert stream.fetchmany(5) == [] and stream.fetchone() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), FETCHES)
+    def test_materialized_stream_hands_every_row_over_once(self, count, fetches):
+        relation = Relation(Schema.of("a:integer"), rows=[(index,) for index in range(count)])
+        closed = []
+        # Its report is the finished eager execution's: rows_streamed was
+        # settled when that drained, so only rows and lifecycle are checked.
+        stream = MaterializedStream(relation, ExecutionReport())
+        stream.on_close(closed.append)
+        assert _drive(stream, fetches, lambda returned: None) == relation.rows
+        assert stream.exhausted and stream.closed and len(closed) == 1
+
+    def test_materialized_fetchmany_is_a_slice_that_closes_past_the_end(self):
+        relation = Relation(Schema.of("a:integer"), rows=[(index,) for index in range(5)])
+        stream = MaterializedStream(relation, ExecutionReport())
+        assert stream.fetchmany(0) == []
+        assert stream.fetchmany(3) == [(0,), (1,), (2,)]
+        assert stream.fetchmany(2) == [(3,), (4,)]
+        assert stream.exhausted and not stream.closed  # nothing read past the end yet
+        assert stream.fetchmany(2) == []
+        assert stream.closed
+
+    def test_first_row_is_stamped_with_the_first_batch_handed_over(self):
+        stream = ENGINE.execute_stream(QUERIES[0])
+        assert stream.report.first_row_seconds == 0.0
+        stream.fetchmany(3)
+        stamped = stream.report.first_row_seconds
+        assert stamped > 0.0
+        stream.fetchall()
+        assert stream.report.first_row_seconds == stamped
+
+
+class TestNothingLeaksOnEarlyClose:
+    QUERY = ("SELECT DISTINCT t.a, u.v FROM t, u WHERE t.a = u.a "
+             "ORDER BY u.v DESC, t.a")
+
+    def _open_traced(self, engine):
+        root = Tracer().start_trace("statement")
+        token = root.activate()
+        try:
+            return root, engine.execute_stream(self.QUERY)
+        finally:
+            deactivate_span(token)
+
+    def test_budgeted_spilling_stream_closed_after_one_fetchmany(self, monkeypatch):
+        spills = []
+
+        class TrackedSpillFile(SpillFile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spills.append(self)
+
+        monkeypatch.setattr(operators, "SpillFile", TrackedSpillFile)
+        engine = _engine(memory_budget_bytes=8_000)
+        root, stream = self._open_traced(engine)
+        assert stream.fetchmany(1) == EXPECTED_DISTINCT[:1]
+        assert stream.report.rows_streamed == 1
+        # Suspended mid-pipeline: reservations, temporaries and spill files live.
+        assert stream.budget.used_bytes > 0
+        assert engine.controller.temp_store.handles
+        assert spills and not all(spill._closed for spill in spills)
+
+        stream.close()  # and no gc.collect()
+        assert stream.budget.used_bytes == 0
+        assert engine.controller.temp_store.handles == []
+        assert all(spill._closed for spill in spills)
+        assert stream.report.spill_count > 0
+        assert stream.report.result_rows == 1
+        assert root.open_spans() == [root]
+        assert [span.name for span in root.walk()][:2] == ["statement", "stream"]
+
+    def test_in_memory_reservations_are_released_on_close_too(self):
+        engine = _engine(memory_budget_bytes=10_000_000)
+        _root, stream = self._open_traced(engine)
+        stream.fetchmany(1)
+        assert stream.budget.used_bytes > 0
+        stream.close()
+        assert stream.budget.used_bytes == 0
+        assert stream.report.spill_count == 0
+
+    def test_spilled_answer_matches_the_in_memory_answer(self):
+        assert _engine(memory_budget_bytes=8_000).execute_stream(
+            self.QUERY).fetchall() == EXPECTED_DISTINCT
+
+
+EXPECTED_DISTINCT = list(ENGINE.execute(TestNothingLeaksOnEarlyClose.QUERY).relation.rows)
+
+
+class TestLimitZero:
+    def test_limit_zero_produces_no_join_row(self):
+        # Regression: Limit pulled one row past its count, so LIMIT 0 ran the
+        # hash build and a probe (HashJoin rows_out=1, Project rows_out=1).
+        result = ENGINE.execute("SELECT t.a, u.v FROM t, u WHERE t.a = u.a LIMIT 0")
+        assert list(result.relation.rows) == []
+        produced = {entry["operator"]: entry["rows_out"]
+                    for entry in result.report.snapshot()["operators"]}
+        assert {"Scan", "HashJoin", "Project", "Limit"} <= set(produced)
+        assert set(produced.values()) == {0}
+
+
+class _CountingRender:
+    """Counts every SQL rendering (``to_sql`` is ``_Printer().render``)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = printer._Printer.render
+
+        def render(printer_self, node):
+            self.calls += 1
+            return original(printer_self, node)
+
+        monkeypatch.setattr(printer._Printer, "render", render)
+
+
+class TestLazyOperatorDetail:
+    def test_warm_statement_renders_no_sql_until_the_report_is_snapshotted(
+            self, monkeypatch):
+        federation = build_paper_federation().federation
+        federation.query(PAPER_QUERY)
+        federation.query(PAPER_QUERY)
+        renders = _CountingRender(monkeypatch)
+        answer = federation.query(PAPER_QUERY)
+        assert renders.calls == 0
+        operators_ = answer.execution.report.snapshot()["operators"]
+        assert renders.calls > 0
+        joins = [entry["detail"] for entry in operators_ if entry["operator"] == "HashJoin"]
+        assert joins[0] == "(r1.cname = r2.cname, residual r1.revenue > r2.expenses)"
+
+    def test_served_payload_operator_details_are_unchanged(self):
+        channel = MediationServer(build_paper_federation().federation).channel()
+        response = channel.post("/coin/api", json.dumps(
+            {"operation": "query", "parameters": {"sql": PAPER_QUERY}}))
+        served = json.loads(response.body)["payload"]["execution"]["operators"]
+        first_branch = [(entry["operator"], entry["detail"])
+                        for entry in served if entry["branch"] == 0]
+        assert first_branch[1:] == [
+            ("HashJoin", "(r1.cname = r2.cname, residual r1.revenue > r2.expenses)"),
+            ("Project", "(cname, revenue)"),
+        ]
+        assert first_branch[0][0] == "Scan"
+        assert first_branch[0][1].startswith("(r1_stage") and first_branch[0][1].endswith(
+            ", 1 rows)")
+        assert all(isinstance(entry["detail"], str) for entry in served)

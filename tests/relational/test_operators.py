@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError
+from repro.relational import operators
 from repro.relational.operators import (
     CrossProduct,
     Distinct,
@@ -11,6 +12,7 @@ from repro.relational.operators import (
     Limit,
     Materialize,
     NestedLoopJoin,
+    PhysicalOperator,
     Project,
     Sort,
     TableScan,
@@ -38,6 +40,25 @@ def r2():
         [("IBM", 1_500_000), ("NTT", 5_000_000)],
         qualifier=None,
     )
+
+
+class _CountingChild(PhysicalOperator):
+    """A scan handing out one-row batches and counting the requests."""
+
+    def __init__(self, relation):
+        self.relation = relation
+        self.rows_requested = 0
+        self.started = False
+
+    @property
+    def schema(self):
+        return self.relation.schema
+
+    def batches(self):
+        self.started = True
+        for row in self.relation.rows:
+            self.rows_requested += 1
+            yield [row]
 
 
 class TestScanAndFilter:
@@ -141,6 +162,31 @@ class TestOrderingAndSetOperators:
     def test_limit_none_passes_everything(self, r1):
         assert len(list(Limit(TableScan(r1, "r1"), count=None))) == 3
 
+    def test_limit_stops_requesting_input_once_the_count_is_produced(self):
+        # Regression: Limit used to pull one row past its count, so LIMIT 0
+        # drove its whole child and LIMIT 5 OFFSET 3 pulled 9 rows.
+        relation = relation_from_rows(
+            "t", ["a:integer"], [(index,) for index in range(100)], qualifier=None
+        )
+        child = _CountingChild(relation)
+        assert list(Limit(child, count=5, offset=3)) == [(index,) for index in range(3, 8)]
+        assert child.rows_requested == 8
+
+        child = _CountingChild(relation)
+        assert list(Limit(child, count=0, offset=3)) == []
+        assert child.rows_requested == 0
+        assert not child.started
+
+    def test_limit_cuts_inside_and_across_batches(self, monkeypatch):
+        relation = relation_from_rows(
+            "t", ["a:integer"], [(index,) for index in range(40)], qualifier=None
+        )
+        monkeypatch.setattr(operators, "BATCH_RAMP", (7,))
+        for count, offset in [(1, 0), (7, 0), (8, 6), (14, 7), (None, 38), (50, 35), (3, 40)]:
+            rows = list(Limit(TableScan(relation), count, offset))
+            stop = None if count is None else offset + count
+            assert rows == relation.rows[offset:stop], (count, offset)
+
     def test_distinct(self):
         relation = relation_from_rows("t", ["a:integer"], [(1,), (1,), (2,)], qualifier=None)
         assert len(list(Distinct(TableScan(relation, "t")))) == 2
@@ -157,6 +203,26 @@ class TestOrderingAndSetOperators:
     def test_union_all_requires_input(self):
         with pytest.raises(ExecutionError):
             UnionAll([])
+
+
+class TestOnePath:
+    def test_iteration_is_defined_once_as_the_flattening_of_batches(self, r1):
+        from repro.engine.executor import _InstrumentedOperator  # registers the subclass
+
+        def subclasses(cls):
+            for subclass in cls.__subclasses__():
+                yield subclass
+                yield from subclasses(subclass)
+
+        concrete = list(subclasses(PhysicalOperator))
+        assert _InstrumentedOperator in concrete
+        for subclass in concrete:
+            if subclass.__module__.startswith("repro."):
+                assert "__iter__" not in vars(subclass), subclass
+                assert "batches" in vars(subclass), subclass
+        scan = TableScan(r1, "r1")
+        assert list(scan) == [row for batch in scan.batches() for row in batch]
+        assert all(isinstance(batch, list) and batch for batch in scan.batches())
 
 
 class TestMaterialize:

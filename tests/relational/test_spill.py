@@ -149,11 +149,10 @@ class TestDistinctSpill:
         # must release the seen-set bytes (no reservation outlives the scan).
         relation = _relation(_bulk_rows(500))
         budget = MemoryBudget(1_000_000)
-        iterator = iter(Distinct(TableScan(relation), budget=budget))
-        for _ in range(5):
-            next(iterator)
+        batches = Distinct(TableScan(relation), budget=budget).batches()
+        next(batches)
         assert budget.used_bytes > 0
-        iterator.close()
+        batches.close()
         assert budget.used_bytes == 0
 
 
