@@ -36,20 +36,36 @@ ROW_OVERHEAD_BYTES = 56
 SPILL_BATCH_ITEMS = 512
 
 
+def _estimate_value_bytes(value: Any) -> int:
+    """The per-value rule; :func:`estimate_row_bytes` short-cuts exact types."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, Decimal):
+        return 16
+    if isinstance(value, str):
+        return len(value)
+    return len(str(value))
+
+
+#: Exact classes whose estimate does not depend on the value.
+_FLAT_VALUE_BYTES = {type(None): 1, bool: 1, int: 8, float: 8, Decimal: 16}
+
+
 def estimate_row_bytes(row: Sequence[Any]) -> int:
     """A cheap, deterministic byte estimate of one row (tuple of SQL values)."""
     total = ROW_OVERHEAD_BYTES
+    flat = _FLAT_VALUE_BYTES.get
     for value in row:
-        if value is None or isinstance(value, bool):
-            total += 1
-        elif isinstance(value, (int, float)):
-            total += 8
-        elif isinstance(value, Decimal):
-            total += 16
-        elif isinstance(value, str):
+        cls = value.__class__
+        nbytes = flat(cls)
+        if nbytes is not None:
+            total += nbytes
+        elif cls is str:
             total += len(value)
         else:
-            total += len(str(value))
+            total += _estimate_value_bytes(value)
     return total
 
 

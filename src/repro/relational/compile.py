@@ -1,98 +1,92 @@
-"""Compilation of SQL AST expressions into Python closures.
+"""Compilation of SQL AST expressions into generated Python kernels.
 
 The interpreted :class:`~repro.relational.eval.ExpressionEvaluator` re-walks
-the AST for every row: each node costs an ``isinstance`` dispatch chain, an
-``op.upper()`` call and a dict lookup before any real work happens.  On the
-hot paths (filter predicates, projections, join keys, sort keys) that
-per-row interpretation dominates execution time.
+the AST for every row.  :class:`ExpressionCompiler` lowers an expression
+**once** to the source of one straight-line Python function: ``compile``
+gives ``row -> value``, ``predicate`` ``row -> True/False/None``,
+``projection`` one ``row -> tuple`` for a whole select list, ``sort_key`` a
+total-order key and ``bucket_key`` the normalized (composite) hash-join key.
+However deep the expression, a row costs one Python call.
 
-:class:`ExpressionCompiler` walks the AST **once** and produces a closure
-``row -> value`` for each node:
-
-* column references resolve to a position at compile time and become a plain
-  ``row[i]`` access;
-* ``AND``/``OR`` compile to short-circuiting closures with SQL three-valued
-  semantics;
-* subtrees containing no column references are *folded*: evaluated at most
-  once (lazily, on first use, so error and empty-input behaviour match the
-  interpreter) and replaced by a constant closure;
-* literal LIKE patterns are compiled to a regex once;
-* projections consisting solely of column references compile to a single
-  ``operator.itemgetter`` call (tuple construction in C).
-
-Semantics are identical to the interpreter by construction — every closure
-mirrors one branch of :meth:`ExpressionEvaluator._eval` — and
-``tests/relational/test_compile.py`` holds the two implementations to the
-same answers (and the same errors) over mixed-type rows.  Uncorrelated
-subqueries are executed at most once per compiled expression instead of once
-per row; their results cannot differ because the dialect has no correlation.
-
-Compiled closures are additionally **memoized** across operator instances: a
-bounded LRU keyed by (entry point, expression AST, schema attributes) lets a
-cached plan executed many times — the prepared-query warm path — reuse the
-closures compiled on the first execution instead of re-walking the same
-frozen AST per statement.  Expressions containing subqueries are never
-memoized: their folded results are pinned to one evaluation context.
+* **Emitter.**  Every node becomes a few statements over SSA temporaries
+  (``t1 = row[3]``, ``c2 = t1.__class__``).  ``AND``/``OR`` chains and
+  ``CASE`` are real blocks with early exit, so what SQL would not evaluate is
+  not evaluated; an unknown column or function becomes a ``raise`` where the
+  interpreter would raise — compiling itself never fails.
+* **Fast path and helpers.**  Arithmetic, comparisons, negation and the key
+  normalizations test the *exact* class of their operands inline (``c2 is
+  float or c2 is int``, ``is str``) and apply the plain Python operator,
+  float-coerced as ``sql_compare``/``sql_equal`` coerce.  Everything else —
+  ``bool``, ``Decimal``, subclasses, mixed types — calls a shared helper
+  (``_arith_slow``, ``_order_slow``, ``sql_equal``, ``_in_list``, ...), the
+  one place the full rule and its error messages live.  The interpreter is
+  the specification ``tests/relational/test_compile*.py`` hold kernels to.
+* **No statement text in generated source.**  Literals, LIKE matchers,
+  IN-list tuples, function objects, deferred errors, folded constants and
+  sub-kernels are arguments of a generated factory (``def make(k0, k1): def
+  kernel(row): ...``); columns appear only as integer positions, operators
+  only from fixed tables.  The source is a function of expression *shape* and
+  schema positions alone: ``exec`` never sees a byte the receiver typed, and
+  statements differing in constants share one source.
+* **Caches.**  Factories are cached by source in a bounded, locked LRU
+  (:data:`_CODE`): the builtin ``compile()`` is paid per shape; a new constant
+  or relation pair costs string assembly and one factory call.  Each source
+  is registered with :mod:`linecache` as ``<repro-kernel:HASH>`` (evicted with
+  its factory): tracebacks print the generated line, and
+  ``linecache.getlines(kernel.__code__.co_filename)`` dumps a kernel.
+  Kernels are memoized per (entry point, AST identity, schema) in
+  :data:`_MEMO` and re-entrant — pool and gateway threads share them; with a
+  subquery they fold its result for their own lifetime and are not memoized.
+* **Folding and splitting.**  A row-independent subtree is its own kernel
+  behind a lazy cell (:func:`_fold`).  A subtree past :data:`MAX_KERNEL_DEPTH`
+  or :data:`MAX_KERNEL_NODES` is its own kernel called from its parent —
+  found bottom-up without recursion, so CPython's limits on nested blocks,
+  indentation and recursion are never reached.
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import operator
 import threading
 from collections import OrderedDict
-from operator import itemgetter
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
+from decimal import Decimal
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.relational.eval import _SCALAR_FUNCTIONS, like_to_regex
 from repro.relational.schema import Schema
-from repro.relational.types import sql_compare, sql_equal, sort_key
+from repro.relational.types import sort_key, sql_compare, sql_equal
 from repro.sql.ast import (
-    Between,
-    BinaryOp,
-    Case,
-    ColumnRef,
-    Exists,
-    FunctionCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Node,
-    Star,
-    Subquery,
-    UnaryOp,
-    walk,
+    Between, BinaryOp, Case, ColumnRef, Exists, FunctionCall, InList, IsNull, Like, Literal,
+    Node, Star, Subquery, UnaryOp,
 )
 
 Row = Sequence[Any]
 CompiledExpr = Callable[[Row], Any]
+#: Runs an (uncorrelated) subquery's Select; returns its Relation.
+SubqueryExecutor = Optional[Callable[[Node], Any]]
 
-import operator as _operator
+#: Tallest subtree one kernel holds.  Every AND/OR/CASE level opens one
+#: ``while`` block and CPython refuses more than 20 statically nested blocks.
+MAX_KERNEL_DEPTH = 16
+#: Most non-literal nodes one kernel holds.
+MAX_KERNEL_NODES = 400
 
-_DIRECT_COMPARISONS: dict = {
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "%": operator.mod,
 }
-_ARITHMETIC_OPS: dict = {
-    "+": _operator.add,
-    "-": _operator.sub,
-    "*": _operator.mul,
-    "/": _operator.truediv,
-    "%": _operator.mod,
+_ORDERING: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
-
-
-def _is_constant(node: Node) -> bool:
-    """True when no descendant depends on the row (safe to fold)."""
-    return not any(
-        isinstance(n, (ColumnRef, Star, Subquery, Exists)) for n in walk(node)
-    )
+_EQUALITY = {"=": "==", "<>": "!="}
 
 
 class _CompiledMemo:
-    """Bounded, thread-safe LRU of compiled closures shared across operators.
+    """Bounded, thread-safe LRU of finished kernels shared across operators.
 
     Keys use the **identity** of the expression nodes — cached plans are
     immutable, so re-executing one presents the same AST objects every time,
@@ -100,10 +94,8 @@ class _CompiledMemo:
     entry stores a strong reference to its nodes: while an entry lives, its
     ids cannot be recycled, and a lookup additionally verifies the stored
     nodes *are* the probe nodes, so an id reused after eviction can only
-    miss.  Closures are pure functions of (expression, schema) — except when
-    the expression contains a subquery, in which case the entry records
-    "never memoize" (the closure folds the subquery's result for its own
-    lifetime).
+    miss.  Kernels are pure functions of (expression, schema) — except with
+    a subquery, where the entry records "never memoize".
     """
 
     def __init__(self, capacity: int = 4096):
@@ -119,24 +111,27 @@ class _CompiledMemo:
                 return False, None
             stored_nodes, fn = entry
             if len(stored_nodes) != len(nodes) or any(
-                stored is not probe for stored, probe in zip(stored_nodes, nodes)
-            ):
+                    map(operator.is_not, stored_nodes, nodes)):
                 # id recycled after eviction of the original nodes.
                 del self._entries[key]
                 return False, None
             self._entries.move_to_end(key)
             return True, fn
 
-    def put(self, key: Hashable, nodes: tuple, fn: Any) -> None:
+    def put(self, key: Hashable, nodes: tuple, fn: Any) -> List[Any]:
+        """Store an entry; returns the values evicted to make room."""
         with self._lock:
             self._entries[key] = (nodes, fn)
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            return [self._entries.popitem(last=False)[1][1]
+                    for _ in range(len(self._entries) - self.capacity)]
 
-    def clear(self) -> None:
+    def clear(self) -> List[Any]:
+        """Drop every entry; returns the values dropped."""
         with self._lock:
+            dropped = [fn for _nodes, fn in self._entries.values()]
             self._entries.clear()
+            return dropped
 
     def __len__(self) -> int:
         with self._lock:
@@ -144,602 +139,607 @@ class _CompiledMemo:
 
 
 _MEMO = _CompiledMemo()
+#: Kernel factories by generated source text (entries carry no nodes): the
+#: builtin ``compile()`` is paid once per expression shape.
+_CODE = _CompiledMemo(capacity=1024)
+
+
+def _factory(source: str) -> Callable[..., CompiledExpr]:
+    """The ``make`` function of ``source``, compiled on first sight."""
+    found, make = _CODE.get(source, ())
+    if not found:
+        filename = f"<repro-kernel:{hashlib.sha1(source.encode()).hexdigest()[:16]}>"
+        scope: Dict[str, Any] = {}
+        exec(compile(source, filename, "exec"), _KERNEL_GLOBALS, scope)
+        make = scope["make"]
+        # mtime None: linecache.checkcache() leaves the entry alone.
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        _forget_sources(_CODE.put(source, (), make))
+    return make
+
+
+def _forget_sources(factories: Sequence[Callable[..., CompiledExpr]]) -> None:
+    for make in factories:
+        linecache.cache.pop(make.__code__.co_filename, None)
 
 
 def clear_compiled_memo() -> None:
-    """Drop every memoized closure (test isolation hook)."""
+    """Drop every memoized kernel and cached factory (test isolation hook)."""
     _MEMO.clear()
+    _forget_sources(_CODE.clear())
 
 
-def _fold(fn: CompiledExpr) -> CompiledExpr:
-    """Memoize a row-independent closure; evaluation stays lazy so that
-    errors surface on first *use*, exactly when the interpreter would raise."""
-    cache: List[Any] = []
-
-    def folded(row: Row) -> Any:
-        if not cache:
-            cache.append(fn(row))
-        return cache[0]
-
-    return folded
+# -- shared helpers: what a kernel calls when its inline fast path does not apply
 
 
-def _raising(error: Exception) -> CompiledExpr:
-    """A closure deferring a compile-time failure to evaluation time (the
-    interpreter only raises when an offending node is actually evaluated)."""
-
-    def raise_(row: Row) -> Any:
-        raise error
-
-    return raise_
+def _fold(fn: CompiledExpr) -> Callable[[], Any]:
+    """A lazy cell over a row-independent kernel: evaluated on first use (an
+    error surfaces when the interpreter would raise, and again on every use),
+    then remembered.  Racing threads may both evaluate it: it is idempotent."""
+    return lru_cache(maxsize=1)(partial(fn, ()))
 
 
-def _as_bool(value: Any) -> Optional[bool]:
+def _arith_slow(op: str, left: Any, right: Any) -> Any:
+    if left is None or right is None:
+        return None
+    for value in (left, right):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise EvaluationError(f"arithmetic on non-numeric value {value!r}")
+    try:
+        return _ARITHMETIC[op](left, right)
+    except ZeroDivisionError:
+        return None
+
+
+def _negate_slow(value: Any) -> Any:
     if value is None:
         return None
-    return bool(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise EvaluationError(f"cannot negate {value!r}")
+    return -value
 
 
-#: Node types whose compiled closures already return True/False/None, making
-#: the predicate()'s bool-conversion wrapper a no-op worth skipping.
-_BOOLEAN_BINARY_OPS = frozenset({"AND", "OR", "=", "<>", "<", "<=", ">", ">="})
+def _order_slow(op: str, left: Any, right: Any) -> Optional[bool]:
+    comparison = sql_compare(left, right)
+    return None if comparison is None else _ORDERING[op](comparison, 0)
+
+
+def _not_equal(left: Any, right: Any) -> Optional[bool]:
+    equal = sql_equal(left, right)
+    return None if equal is None else not equal
+
+
+def _in_list(value: Any, members: Sequence[Any], negated: bool) -> Optional[bool]:
+    if value is None:
+        return None
+    saw_null = False
+    for member in members:
+        equal = sql_equal(value, member)
+        if equal is True:
+            return not negated
+        if equal is None:
+            saw_null = True
+    return None if saw_null else negated
+
+
+def _between(value: Any, low: Any, high: Any, negated: bool) -> Optional[bool]:
+    # As interpreted: the second comparison's type error beats the first's NULL.
+    low_cmp, high_cmp = sql_compare(value, low), sql_compare(value, high)
+    if low_cmp is None or high_cmp is None:
+        return None
+    inside = low_cmp >= 0 and high_cmp <= 0
+    return not inside if negated else inside
+
+
+#: LIKE pattern -> compiled regex, shared by every kernel.
+_like_regex = lru_cache(maxsize=512)(like_to_regex)
+
+
+def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
+    if value is None or pattern is None:
+        return None
+    matched = _like_regex(str(pattern)).match(str(value)) is not None
+    return not matched if negated else matched
+
+
+def _call(name: str, fn: Callable[..., Any], *args: Any) -> Any:
+    try:
+        return fn(*args)
+    except EvaluationError:
+        raise
+    except Exception as exc:  # pragma: no cover - defensive
+        raise EvaluationError(f"error evaluating {name}: {exc}") from exc
+
+
+def _hash_key(value: Any) -> Any:
+    """Normalize join keys so 1, 1.0 and Decimal("1") hash to the same bucket."""
+    if isinstance(value, bool):
+        return ("b", value)
+    if isinstance(value, (int, float, Decimal)):
+        return ("n", float(value))
+    return ("s", value)
+
+
+def _subquery(executor: SubqueryExecutor, query: Node, how: str, row: Row) -> Any:
+    """An uncorrelated subquery's answer, read ``how`` its expression reads it."""
+    if executor is None:
+        raise EvaluationError("subqueries are not supported in this evaluation context")
+    relation = executor(query)
+    if how == "members":
+        return [member[0] for member in relation.rows]
+    if how != "scalar":
+        return (len(relation.rows) > 0) != (how == "not exists")
+    if len(relation.rows) == 0:
+        return None
+    if len(relation.rows) > 1 or len(relation.schema) != 1:
+        raise EvaluationError("scalar subquery must return a single value")
+    return relation.rows[0][0]
+
+
+#: The globals of every generated kernel: the helpers and builtins it names.
+_KERNEL_GLOBALS: Dict[str, Any] = {fn.__name__: fn for fn in (
+    float, str, bool, sql_equal, sort_key, _arith_slow, _negate_slow, _order_slow,
+    _not_equal, _in_list, _between, _like, _call, _hash_key,
+)}
+
+
+# -- the emitter
+
+#: Children in evaluation order, per node class; every other class is a leaf.
+_CHILDREN: Dict[type, Callable[[Any], Sequence[Node]]] = {
+    BinaryOp: lambda node: (node.left, node.right),
+    UnaryOp: lambda node: (node.operand,),
+    FunctionCall: lambda node: node.args,
+    InList: lambda node: (node.expr, *node.items),
+    Between: lambda node: (node.expr, node.low, node.high),
+    Like: lambda node: (node.expr, node.pattern),
+    IsNull: lambda node: (node.expr,),
+    Case: lambda node: tuple(node.children()),
+}
+
+#: Nodes whose kernels already yield True/False/None, making ``predicate``'s
+#: boolean conversion a no-op worth skipping.
+_BOOLEAN_OPS = frozenset({"AND", "OR", "=", "<>", "<", "<=", ">", ">=", "NOT"})
 
 
 def _returns_bool(node: Node) -> bool:
-    if isinstance(node, BinaryOp):
-        return node.op.upper() in _BOOLEAN_BINARY_OPS
-    if isinstance(node, UnaryOp):
-        return node.op.upper() == "NOT"
+    if isinstance(node, (BinaryOp, UnaryOp)):
+        return node.op.upper() in _BOOLEAN_OPS
     return isinstance(node, (InList, Between, Like, IsNull, Exists))
 
 
-class ExpressionCompiler:
-    """Compiles expressions of a fixed schema into ``row -> value`` closures.
+def _chain_of(node: Node) -> Optional[str]:
+    """"AND"/"OR" when ``node`` is a link of such a chain."""
+    op = node.op.upper() if node.__class__ is BinaryOp else None
+    return op if op == "AND" or op == "OR" else None
 
-    Mirrors the public surface of :class:`ExpressionEvaluator`: ``compile``
-    replaces ``evaluate`` (returning a closure instead of a value) and
-    ``predicate`` wraps a compiled boolean expression in the three-valued
-    True/False/None convention used by Filter and the join operators.
-    """
 
-    def __init__(self, schema: Schema,
-                 subquery_executor: Optional[Callable[[Node], "object"]] = None):
+def _chain_operands(nodes: Sequence[Node], inlined: Callable[[Node], bool]) -> List[Node]:
+    """The operands of a flat AND/OR chain over ``nodes``, in evaluation order:
+    ``inlined`` links are replaced by their own operands (no recursion)."""
+    operands: List[Node] = []
+    pending = list(reversed(nodes))
+    while pending:
+        node = pending.pop()
+        if inlined(node):
+            pending += (node.right, node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
+class _Build:
+    """One top-level build: the analysis its kernels share.
+
+    :meth:`analyse` visits the trees once, bottom-up and without recursion,
+    and records which subtrees are row-independent (``constant``: they fold),
+    which were too tall or too big and are already compiled as kernels of
+    their own (``split``), and whether a subquery occurs (``private``)."""
+
+    def __init__(self, schema: Schema, executor: SubqueryExecutor):
         self.schema = schema
-        self._subquery_executor = subquery_executor
+        self.executor = executor
+        self.constant: set = set()
+        self.split: Dict[int, CompiledExpr] = {}
+        self.private = False
 
-    # -- memoization ---------------------------------------------------------
+    def inlined(self, chain: Optional[str], child: Node) -> bool:
+        """True when ``child`` continues its parent's AND/OR chain in place."""
+        return (chain is not None and _chain_of(child) == chain
+                and id(child) not in self.split and id(child) not in self.constant)
 
-    def _memoized(self, kind: str, nodes: tuple, build: Callable[[], Any]) -> Any:
-        """Build-or-recall a closure for ``nodes`` against this schema.
+    def analyse(self, roots: Sequence[Node]) -> None:
+        facts: Dict[int, Tuple[bool, int, int]] = {}  # id -> constant, height, size
+        stack = [(root, False) for root in roots]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in facts:
+                continue
+            cls = node.__class__
+            children_of = _CHILDREN.get(cls)
+            if children_of is None:
+                self.private = self.private or cls is Subquery or cls is Exists
+                facts[id(node)] = (cls is Literal, 0, 0 if cls is Literal else 1)
+                continue
+            children = children_of(node)
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((child, False) for child in children)
+                continue
+            constant, height, size, chain = True, 0, 1, _chain_of(node)
+            for child in children:
+                child_constant, child_height, child_size = facts[id(child)]
+                constant = constant and child_constant
+                height = max(height, child_height + (not self.inlined(chain, child)))
+                size += child_size
+            if constant:
+                self.constant.add(id(node))
+            if height >= MAX_KERNEL_DEPTH or size >= MAX_KERNEL_NODES:
+                self.split[id(node)] = self.kernel("expr", (node,))
+                height, size = 0, 1
+            facts[id(node)] = (constant, height, size)
 
-        Subquery-bearing expressions fold their subquery's result into the
-        closure, so they are bound to this compiler's executor and lifetime
-        — the memo records them as never-memoize and rebuilds each time.
-        """
-        key = (kind, tuple(map(id, nodes)), self.schema.memo_token)
-        found, fn = _MEMO.get(key, nodes)
-        if found:
-            return fn if fn is not None else build()
-        private = any(
-            isinstance(n, (Subquery, Exists)) for root in nodes for n in walk(root)
-        )
-        fn = build()
-        _MEMO.put(key, nodes, None if private else fn)
-        return fn
+    def kernel(self, kind: str, nodes: Sequence[Node], folding: bool = False) -> CompiledExpr:
+        emitter = _Emitter(self, folding)
+        getattr(emitter, "kernel_" + kind)(nodes)
+        params = ", ".join(f"k{index}" for index in range(len(emitter.consts)))
+        source = (f"def make({params}):\n    def kernel(row):\n"
+                  f"{''.join(emitter.lines)}    return kernel\n")
+        return _factory(source)(*emitter.consts)
 
-    # -- public API ----------------------------------------------------------
 
-    def compile(self, node: Node) -> CompiledExpr:
-        return self._memoized("expr", (node,), lambda: self._compile_root(node))
+_MISSING = object()
 
-    def _compile_root(self, node: Node) -> CompiledExpr:
-        fn = self._compile(node)
-        if _is_constant(node):
-            fn = _fold(fn)
-        return fn
 
-    def predicate(self, node: Node) -> Callable[[Row], Optional[bool]]:
-        return self._memoized("pred", (node,), lambda: self._predicate(node))
+class _Emitter:
+    """Lowers the trees of one kernel to statements over SSA temporaries.
 
-    def _predicate(self, node: Node) -> Callable[[Row], Optional[bool]]:
-        fn = self.compile(node)
-        if _returns_bool(node):
-            # The compiled closure already yields True/False/None.
-            return fn
+    Node methods append statements and return an *atom*: the temporary,
+    factory argument or side-effect-free expression holding the value."""
 
-        def check(row: Row) -> Optional[bool]:
-            value = fn(row)
-            if value is None:
-                return None
-            return bool(value)
+    def __init__(self, build: _Build, folding: bool):
+        self.build = build
+        self.folding = folding  # inside a folded constant: nothing folds again
+        self.lines: List[str] = []
+        self.consts: List[Any] = []
+        self.literals: Dict[str, Any] = {}  # atom -> value of a Literal node
+        self.pad = " " * 8
+        self.names = 0
 
-        return check
+    def line(self, text: str) -> None:
+        self.lines.append(f"{self.pad}{text}\n")
 
-    def projection(self, expressions: Sequence[Node]) -> Callable[[Row], tuple]:
-        """Compile a list of output expressions into one ``row -> tuple``.
+    def indent(self, levels: int) -> None:
+        self.pad = " " * (len(self.pad) + 4 * levels)
 
-        All-column projections use :func:`operator.itemgetter`, which builds
-        the output tuple without re-entering Python per column.
-        """
-        expressions = tuple(expressions)
-        return self._memoized("proj", expressions,
-                              lambda: self._projection(expressions))
+    def temp(self, prefix: str = "t") -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
 
-    def _projection(self, expressions: Sequence[Node]) -> Callable[[Row], tuple]:
-        if expressions and all(isinstance(expr, ColumnRef) for expr in expressions):
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def assign(self, expression: str, prefix: str = "t") -> str:
+        out = self.temp(prefix)
+        self.line(f"{out} = {expression}")
+        return out
+
+    def name(self, atom: str) -> str:
+        """``atom`` as a plain name, for operands that are tested and used."""
+        return atom if atom.isidentifier() else self.assign(atom)
+
+    def classof(self, atom: str) -> str:
+        return self.assign(f"{atom}.__class__", "c")
+
+    def fold(self, fn: CompiledExpr) -> str:
+        return self.assign(f"{self.const(_fold(fn))}()")
+
+    def fail(self, error: Exception) -> str:
+        """Raise ``error`` where the interpreter would; never at compile time."""
+        self.line(f"raise {self.const(error)}.with_traceback(None)")
+        return "None"
+
+    def number(self, atom: str, coerce: bool) -> Tuple[Optional[str], str]:
+        """(guard, operand) of ``atom`` in a numeric fast path: the guard tests
+        the exact class (None for a numeric literal); with ``coerce`` the
+        operand is float-coerced as ``sql_compare``/``sql_equal`` coerce."""
+        value = self.literals.get(atom, _MISSING)
+        if value.__class__ is float or value.__class__ is int:
             try:
-                positions = [
-                    self.schema.index_of(expr.name, expr.table) for expr in expressions
-                ]
-            except Exception:
-                positions = None
-            if positions is not None:
-                if len(positions) == 1:
-                    index = positions[0]
-                    return lambda row: (row[index],)
-                return itemgetter(*positions)
-        compiled = [self.compile(expr) for expr in expressions]
-        # Small arities get dedicated closures; the generic fallback pays for
-        # generator machinery on every row.
-        if len(compiled) == 1:
-            only = compiled[0]
-            return lambda row: (only(row),)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda row: (first(row), second(row))
-        if len(compiled) == 3:
-            first, second, third = compiled
-            return lambda row: (first(row), second(row), third(row))
-        if len(compiled) == 4:
-            first, second, third, fourth = compiled
-            return lambda row: (first(row), second(row), third(row), fourth(row))
-        return lambda row: tuple(fn(row) for fn in compiled)
+                return None, self.const(float(value)) if coerce else atom
+            except OverflowError:  # raised at evaluation, by the generic path
+                pass
+        cls = self.classof(atom)
+        operand = f"({atom} if {cls} is float else float({atom}))" if coerce else atom
+        return f"({cls} is float or {cls} is int)", operand
 
-    def sort_key(self, node: Node) -> Callable[[Row], tuple]:
-        """Compile an ORDER BY expression to a total-order key function."""
-        fn = self.compile(node)
-        return lambda row: sort_key(fn(row))
+    def branches(self, out: str, cases: Sequence[Tuple[str, str]], otherwise: str) -> str:
+        keyword = "if"
+        for guard, expression in cases:
+            self.line(f"{keyword} {guard or 'True'}: {out} = {expression}")
+            keyword = "elif"
+        self.line(f"else: {out} = {otherwise}" if cases else f"{out} = {otherwise}")
+        return out
 
-    # -- dispatch -------------------------------------------------------------
+    def value(self, node: Node) -> str:
+        build = self.build
+        split = build.split.get(id(node))
+        if split is not None:
+            return self.assign(f"{self.const(split)}(row)")
+        if id(node) in build.constant and not self.folding:
+            return self.fold(build.kernel("expr", (node,), folding=True))
+        emit = getattr(self, "emit_" + node.__class__.__name__, None)
+        if emit is not None:
+            return emit(node)
+        return self.fail(EvaluationError(
+            "'*' is only valid inside COUNT(*) or a select list" if node.__class__ is Star
+            else f"cannot evaluate expression {node!r}"))
 
-    def _compile(self, node: Node) -> CompiledExpr:
-        if isinstance(node, Literal):
-            value = node.value
-            return lambda row: value
-        if isinstance(node, ColumnRef):
-            try:
-                index = self.schema.index_of(node.name, node.table)
-            except Exception as exc:
-                return _raising(exc)
-            return lambda row: row[index]
-        if isinstance(node, BinaryOp):
-            return self._binary(node)
-        if isinstance(node, UnaryOp):
-            return self._unary(node)
-        if isinstance(node, FunctionCall):
-            return self._function(node)
-        if isinstance(node, InList):
-            return self._in_list(node)
-        if isinstance(node, Between):
-            return self._between(node)
-        if isinstance(node, Like):
-            return self._like(node)
-        if isinstance(node, IsNull):
-            operand = self.compile(node.expr)
-            if node.negated:
-                return lambda row: operand(row) is not None
-            return lambda row: operand(row) is None
-        if isinstance(node, Case):
-            return self._case(node)
-        if isinstance(node, Subquery):
-            return self._scalar_subquery(node)
-        if isinstance(node, Exists):
-            return self._exists(node)
-        if isinstance(node, Star):
-            return _raising(
-                EvaluationError("'*' is only valid inside COUNT(*) or a select list")
-            )
-        return _raising(EvaluationError(f"cannot evaluate expression {node!r}"))
+    def emit_Literal(self, node: Literal) -> str:
+        atom = self.const(node.value)
+        self.literals[atom] = node.value
+        return atom
 
-    # -- operators -------------------------------------------------------------
+    def emit_ColumnRef(self, node: ColumnRef) -> str:
+        try:
+            return f"row[{self.build.schema.index_of(node.name, node.table):d}]"
+        except Exception as exc:
+            return self.fail(exc)
 
-    def _binary(self, node: BinaryOp) -> CompiledExpr:
+    def emit_BinaryOp(self, node: BinaryOp) -> str:
         op = node.op.upper()
-
-        if op == "AND":
-            left, right = self.compile(node.left), self.compile(node.right)
-
-            def and_(row: Row) -> Optional[bool]:
-                lhs = left(row)
-                if lhs is not None and not lhs:
-                    return False
-                rhs = right(row)
-                if rhs is not None and not rhs:
-                    return False
-                if lhs is None or rhs is None:
-                    return None
-                return True
-
-            return and_
-        if op == "OR":
-            left, right = self.compile(node.left), self.compile(node.right)
-
-            def or_(row: Row) -> Optional[bool]:
-                lhs = left(row)
-                if lhs is not None and lhs:
-                    return True
-                rhs = right(row)
-                if rhs is not None and rhs:
-                    return True
-                if lhs is None or rhs is None:
-                    return None
-                return False
-
-            return or_
-
-        left, right = self.compile(node.left), self.compile(node.right)
-
-        if op == "=":
-            if isinstance(node.right, Literal):
-                return self._equal_const(left, node.right.value, negated=False)
-            return lambda row: sql_equal(left(row), right(row))
-        if op == "<>":
-            if isinstance(node.right, Literal):
-                return self._equal_const(left, node.right.value, negated=True)
-
-            def not_equal(row: Row) -> Optional[bool]:
-                equal = sql_equal(left(row), right(row))
-                return None if equal is None else not equal
-
-            return not_equal
-        if op in ("<", "<=", ">", ">="):
-            if (
-                isinstance(node.right, Literal)
-                and not isinstance(node.right.value, bool)
-                and isinstance(node.right.value, (int, float))
-            ):
-                return self._compare_numeric_const(op, left, node.right.value)
-            return self._comparison(op, left, right)
-        if op in ("+", "-", "*", "/", "%"):
-            if (
-                isinstance(node.right, Literal)
-                and not isinstance(node.right.value, bool)
-                and isinstance(node.right.value, (int, float))
-            ):
-                return self._arithmetic_const(op, left, node.right.value)
-            return self._arithmetic(op, left, right)
+        if op == "AND" or op == "OR":
+            return self.chain(op, _chain_operands(
+                (node.left, node.right), lambda child: self.build.inlined(op, child)))
+        left, right = self.name(self.value(node.left)), self.name(self.value(node.right))
+        nulls = " or ".join(f"{x} is None" for x in (left, right) if self.literals.get(x) is None)
+        null_case = [(nulls, "None")] if nulls else []
+        if op in _ARITHMETIC:
+            (left_guard, _), (right_guard, _) = self.number(left, False), self.number(right, False)
+            fast = f"{left} {op} {right}" + (f" if {right} else None" if op in "/%" else "")
+            guard = " and ".join(filter(None, (left_guard, right_guard)))
+            return self.branches(self.temp(), [(guard, fast)] + null_case,
+                                 f"_arith_slow({op!r}, {left}, {right})")
+        if op in _EQUALITY or op in _ORDERING:
+            return self.comparison(op, left, right, null_case)
         if op == "||":
+            return self.branches(self.temp(), null_case, f'f"{{{left}}}{{{right}}}"')
+        # As interpreted: NULL for a NULL operand, else the operator is rejected.
+        error = self.const(EvaluationError(f"unsupported operator {node.op!r}"))
+        self.line(f"if {left} is not None and {right} is not None: "
+                  f"raise {error}.with_traceback(None)")
+        return "None"
 
-            def concat(row: Row) -> Any:
-                lhs, rhs = left(row), right(row)
-                if lhs is None or rhs is None:
-                    return None
-                return f"{lhs}{rhs}"
+    def comparison(self, op: str, left: str, right: str,
+                   null_case: List[Tuple[str, str]]) -> str:
+        python_op = _EQUALITY.get(op, op)
+        kinds = [self.literals.get(x, _MISSING).__class__ for x in (left, right)]
+        cases = []
+        if str not in kinds:
+            (left_guard, left_float), (right_guard, right_float) = (
+                self.number(left, True), self.number(right, True))
+            cases.append((" and ".join(filter(None, (left_guard, right_guard))),
+                          f"{left_float} {python_op} {right_float}"))
+        if int not in kinds and float not in kinds:
+            # Exact strings compare as sql_compare/sql_equal compare them.
+            guard = " and ".join(f"{x}.__class__ is str"
+                                 for x, kind in zip((left, right), kinds) if kind is not str)
+            cases.append((guard, f"{left} {python_op} {right}"))
+        if op in _ORDERING:
+            slow = f"_order_slow({op!r}, {left}, {right})"
+        else:
+            slow = f"{'sql_equal' if op == '=' else '_not_equal'}({left}, {right})"
+        return self.branches(self.temp(), cases + null_case, slow)
 
-            return concat
-        return _raising(EvaluationError(f"unsupported operator {node.op!r}"))
+    def chain(self, op: str, operands: Sequence[Node]) -> str:
+        """A flat AND/OR chain: one block, leaving at the first decisive operand."""
+        out = self.temp()
+        self.line(f"{out} = {op == 'AND'}")
+        self.line("while True:")
+        self.indent(1)
+        for operand in operands:
+            x = self.name(self.value(operand))
+            if op == "AND":
+                self.line(f"if not {x}:")
+                self.line(f"    if {x} is None: {out} = None")
+                self.line(f"    else: {out} = False; break")
+            else:
+                self.line(f"if {x}: {out} = True; break")
+                self.line(f"elif {x} is None: {out} = None")
+        self.line("break")
+        self.indent(-1)
+        return out
 
-    @staticmethod
-    def _comparison(op: str, left: CompiledExpr, right: CompiledExpr) -> CompiledExpr:
-        direct = _DIRECT_COMPARISONS[op]
-
-        def compare(row: Row) -> Optional[bool]:
-            lhs, rhs = left(row), right(row)
-            if lhs is None or rhs is None:
-                return None
-            # Plain numerics take the fast path, float-coerced exactly as
-            # sql_compare would; everything else goes through the three-valued
-            # comparator (strings, bools, type errors).
-            if (type(lhs) is int or type(lhs) is float) and (
-                type(rhs) is int or type(rhs) is float
-            ):
-                return direct(float(lhs), float(rhs))
-            comparison = sql_compare(lhs, rhs)
-            return None if comparison is None else direct(comparison, 0)
-
-        return compare
-
-    @staticmethod
-    def _compare_numeric_const(op: str, left: CompiledExpr, constant) -> CompiledExpr:
-        """``expr <op> numeric-literal``: the common filter shape."""
-        direct = _DIRECT_COMPARISONS[op]
-        coerced = float(constant)
-
-        def compare(row: Row) -> Optional[bool]:
-            value = left(row)
-            if value is None:
-                return None
-            # Float coercion mirrors sql_compare (matters for ints >= 2**53).
-            if type(value) is int or type(value) is float:
-                return direct(float(value), coerced)
-            comparison = sql_compare(value, constant)
-            return None if comparison is None else direct(comparison, 0)
-
-        return compare
-
-    @staticmethod
-    def _equal_const(left: CompiledExpr, constant, negated: bool) -> CompiledExpr:
-        """``expr = literal`` / ``expr <> literal`` with a type-matched fast path."""
-        if constant is None:
-            # Still evaluate the operand: resolution/evaluation errors must
-            # surface exactly as they would interpreted.
-            def equal_null(row: Row) -> None:
-                left(row)
-                return None
-
-            return equal_null
-        if isinstance(constant, str):
-
-            def equal_string(row: Row) -> Optional[bool]:
-                value = left(row)
-                if type(value) is str:
-                    return (value != constant) if negated else (value == constant)
-                if value is None:
-                    return None
-                equal = sql_equal(value, constant)
-                return None if equal is None else (not equal if negated else equal)
-
-            return equal_string
-        if isinstance(constant, (int, float)) and not isinstance(constant, bool):
-            coerced = float(constant)
-
-            def equal_number(row: Row) -> Optional[bool]:
-                value = left(row)
-                # Float coercion mirrors sql_equal (matters for ints >= 2**53).
-                if type(value) is int or type(value) is float:
-                    return (float(value) != coerced) if negated else (float(value) == coerced)
-                if value is None:
-                    return None
-                equal = sql_equal(value, constant)
-                return None if equal is None else (not equal if negated else equal)
-
-            return equal_number
-
-        def equal(row: Row) -> Optional[bool]:
-            result = sql_equal(left(row), constant)
-            return None if result is None else (not result if negated else result)
-
-        return equal
-
-    @staticmethod
-    def _arithmetic_const(op: str, left: CompiledExpr, constant) -> CompiledExpr:
-        """``expr <op> numeric-literal`` (projection arithmetic, conversions)."""
-        apply = _ARITHMETIC_OPS[op]
-        divides = op in ("/", "%")
-
-        def arith_const(row: Row) -> Any:
-            value = left(row)
-            if value is None:
-                return None
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                if divides:
-                    try:
-                        return apply(value, constant)
-                    except ZeroDivisionError:
-                        return None
-                return apply(value, constant)
-            raise EvaluationError(f"arithmetic on non-numeric value {value!r}")
-
-        return arith_const
-
-    @staticmethod
-    def _arithmetic(op: str, left: CompiledExpr, right: CompiledExpr) -> CompiledExpr:
-        apply = _ARITHMETIC_OPS[op]
-        divides = op in ("/", "%")
-
-        def arith(row: Row) -> Any:
-            lhs, rhs = left(row), right(row)
-            if lhs is None or rhs is None:
-                return None
-            if not isinstance(lhs, (int, float)) or isinstance(lhs, bool):
-                raise EvaluationError(f"arithmetic on non-numeric value {lhs!r}")
-            if not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
-                raise EvaluationError(f"arithmetic on non-numeric value {rhs!r}")
-            if divides:
-                try:
-                    return apply(lhs, rhs)
-                except ZeroDivisionError:
-                    return None
-            return apply(lhs, rhs)
-
-        return arith
-
-    def _unary(self, node: UnaryOp) -> CompiledExpr:
-        operand = self.compile(node.operand)
+    def emit_UnaryOp(self, node: UnaryOp) -> str:
+        x = self.name(self.value(node.operand))
         if node.op.upper() == "NOT":
-
-            def negate_bool(row: Row) -> Optional[bool]:
-                value = _as_bool(operand(row))
-                return None if value is None else not value
-
-            return negate_bool
+            return f"(None if {x} is None else not {x})"
         if node.op == "-":
+            guard, _ = self.number(x, False)
+            return self.branches(self.temp(), [(guard, f"-{x}"), (f"{x} is None", "None")],
+                                 f"_negate_slow({x})")
+        return self.fail(EvaluationError(f"unsupported unary operator {node.op!r}"))
 
-            def negate(row: Row) -> Any:
-                value = operand(row)
-                if value is None:
-                    return None
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise EvaluationError(f"cannot negate {value!r}")
-                return -value
-
-            return negate
-        return _raising(EvaluationError(f"unsupported unary operator {node.op!r}"))
-
-    # -- functions and predicates ----------------------------------------------
-
-    def _function(self, node: FunctionCall) -> CompiledExpr:
+    def emit_FunctionCall(self, node: FunctionCall) -> str:
         name = node.name.upper()
         fn = _SCALAR_FUNCTIONS.get(name)
         if fn is None:
-            return _raising(EvaluationError(
+            return self.fail(EvaluationError(
                 f"unknown function {name!r} (aggregates are only valid with GROUP BY handling)"
             ))
-        args = [self.compile(arg) for arg in node.args]
+        arguments = "".join(f", {self.value(arg)}" for arg in node.args)
+        return self.assign(f"_call({self.const(name)}, {self.const(fn)}{arguments})")
 
-        def call(row: Row) -> Any:
-            try:
-                return fn(*[arg(row) for arg in args])
-            except EvaluationError:
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                raise EvaluationError(f"error evaluating {name}: {exc}") from exc
-
-        return call
-
-    def _in_list(self, node: InList) -> CompiledExpr:
-        value_fn = self.compile(node.expr)
-        negated = node.negated
-
-        if len(node.items) == 1 and isinstance(node.items[0], Subquery):
-            subquery = node.items[0]
-
-            def members_of(row: Row) -> List[Any]:
-                relation = self._run_subquery(subquery)
-                return [r[0] for r in relation.rows]
-
-            members_fn: Callable[[Row], List[Any]] = _fold(members_of)
+    def emit_InList(self, node: InList) -> str:
+        value = self.value(node.expr)
+        items = node.items
+        if len(items) == 1 and isinstance(items[0], Subquery):
+            members = self.subquery(items[0].query, "members")
+        elif all(item.__class__ is Literal for item in items):
+            members = self.const(tuple(item.value for item in items))
         else:
-            item_fns = [self.compile(item) for item in node.items]
-            members_fn = lambda row: [fn(row) for fn in item_fns]
-            if all(_is_constant(item) for item in node.items):
-                members_fn = _fold(members_fn)
+            members = f"({''.join(self.value(item) + ', ' for item in items)})"
+        return self.assign(f"_in_list({value}, {members}, {bool(node.negated)})")
 
-        def in_list(row: Row) -> Optional[bool]:
-            value = value_fn(row)
-            members = members_fn(row)
-            if value is None:
-                return None
-            saw_null = False
-            for member in members:
-                equal = sql_equal(value, member)
-                if equal is True:
-                    return False if negated else True
-                if equal is None:
-                    saw_null = True
-            if saw_null:
-                return None
-            return True if negated else False
+    def emit_Between(self, node: Between) -> str:
+        value, low, high = self.value(node.expr), self.value(node.low), self.value(node.high)
+        return self.assign(f"_between({value}, {low}, {high}, {bool(node.negated)})")
 
-        return in_list
+    def emit_Like(self, node: Like) -> str:
+        x = self.name(self.value(node.expr))
+        if node.pattern.__class__ is Literal and node.pattern.value is not None:
+            # A literal pattern's regex is bound, not looked up per row.
+            matcher = self.const(_like_regex(str(node.pattern.value)).match)
+            test = "is" if node.negated else "is not"
+            return self.assign(f"None if {x} is None else {matcher}(str({x})) {test} None")
+        return self.assign(f"_like({x}, {self.value(node.pattern)}, {bool(node.negated)})")
 
-    def _between(self, node: Between) -> CompiledExpr:
-        value_fn = self.compile(node.expr)
-        low_fn = self.compile(node.low)
-        high_fn = self.compile(node.high)
-        negated = node.negated
+    def emit_IsNull(self, node: IsNull) -> str:
+        return f"({self.value(node.expr)} is {'not ' if node.negated else ''}None)"
 
-        def between(row: Row) -> Optional[bool]:
-            value, low, high = value_fn(row), low_fn(row), high_fn(row)
-            low_cmp = sql_compare(value, low) if value is not None and low is not None else None
-            high_cmp = sql_compare(value, high) if value is not None and high is not None else None
-            if low_cmp is None or high_cmp is None:
-                return None
-            inside = low_cmp >= 0 and high_cmp <= 0
-            return not inside if negated else inside
+    def emit_Case(self, node: Case) -> str:
+        """Only the taken arm is evaluated; WHENs stay flat (``break`` leaves)."""
+        out = self.temp()
+        self.line("while True:")
+        self.indent(1)
+        for condition, result in node.whens:
+            self.line(f"if {self.value(condition)}:")
+            self.indent(1)
+            self.line(f"{out} = {self.value(result)}")
+            self.line("break")
+            self.indent(-1)
+        self.line(f"{out} = {self.value(node.default) if node.default is not None else None}")
+        self.line("break")
+        self.indent(-1)
+        return out
 
-        return between
+    def subquery(self, query: Node, how: str) -> str:
+        """Uncorrelated (the dialect has no correlation): run at most once."""
+        return self.fold(partial(_subquery, self.build.executor, query, how))
 
-    def _like(self, node: Like) -> CompiledExpr:
-        value_fn = self.compile(node.expr)
-        negated = node.negated
+    def emit_Subquery(self, node: Subquery) -> str:
+        return self.subquery(node.query, "scalar")
 
-        if isinstance(node.pattern, Literal):
-            pattern = node.pattern.value
-            regex = like_to_regex(str(pattern)) if pattern is not None else None
+    def emit_Exists(self, node: Exists) -> str:
+        return self.subquery(node.subquery.query, "not exists" if node.negated else "exists")
 
-            def like_constant(row: Row) -> Optional[bool]:
-                value = value_fn(row)
-                if value is None or regex is None:
-                    return None
-                matched = bool(regex.match(str(value)))
-                return not matched if negated else matched
+    def kernel_expr(self, nodes: Sequence[Node]) -> None:
+        self.line(f"return {self.value(nodes[0])}")
 
-            return like_constant
+    def kernel_pred(self, nodes: Sequence[Node]) -> None:
+        """``nodes`` are the conjuncts of the predicate (see ``predicate``)."""
+        x = self.chain("AND", nodes) if len(nodes) > 1 else self.value(nodes[0])
+        if len(nodes) == 1 and not _returns_bool(nodes[0]):
+            x = self.name(x)
+            x = f"None if {x} is None else bool({x})"
+        self.line(f"return {x}")
 
-        pattern_fn = self.compile(node.pattern)
-        cache: dict = {}
+    def kernel_proj(self, nodes: Sequence[Node]) -> None:
+        self.line(f"return ({''.join(self.value(node) + ', ' for node in nodes)})")
 
-        def like(row: Row) -> Optional[bool]:
-            value, pattern = value_fn(row), pattern_fn(row)
-            if value is None or pattern is None:
-                return None
-            regex = cache.get(pattern)
-            if regex is None:
-                regex = like_to_regex(str(pattern))
-                cache[pattern] = regex
-            matched = bool(regex.match(str(value)))
-            return not matched if negated else matched
+    def kernel_sort(self, nodes: Sequence[Node]) -> None:
+        """``types.sort_key`` of the value, exact numbers and strings inline."""
+        x = self.name(self.value(nodes[0]))
+        cls = self.classof(x)
+        self.line(f"if {cls} is float or {cls} is int: return (1, float({x}), '')")
+        self.line(f"if {cls} is str: return (2, 0, {x})")
+        self.line(f"return sort_key({x})")
 
-        return like
-
-    def _case(self, node: Case) -> CompiledExpr:
-        branches = [
-            (self.compile(condition), self.compile(value))
-            for condition, value in node.whens
-        ]
-        default = self.compile(node.default) if node.default is not None else None
-
-        def case(row: Row) -> Any:
-            for condition, value in branches:
-                if _as_bool(condition(row)) is True:
-                    return value(row)
-            if default is not None:
-                return default(row)
-            return None
-
-        return case
-
-    # -- subqueries ------------------------------------------------------------
-
-    def _run_subquery(self, node: Subquery):
-        if self._subquery_executor is None:
-            raise EvaluationError("subqueries are not supported in this evaluation context")
-        return self._subquery_executor(node.query)
-
-    def _scalar_subquery(self, node: Subquery) -> CompiledExpr:
-        def scalar(row: Row) -> Any:
-            relation = self._run_subquery(node)
-            if len(relation.rows) == 0:
-                return None
-            if len(relation.rows) > 1 or len(relation.schema) != 1:
-                raise EvaluationError("scalar subquery must return a single value")
-            return relation.rows[0][0]
-
-        return _fold(scalar)
-
-    def _exists(self, node: Exists) -> CompiledExpr:
-        negated = node.negated
-
-        def exists(row: Row) -> bool:
-            relation = self._run_subquery(node.subquery)
-            result = len(relation.rows) > 0
-            return not result if negated else result
-
-        return _fold(exists)
+    def kernel_key(self, nodes: Sequence[Node]) -> None:
+        """``(_hash_key(v), ...)`` over the key parts, None at the first NULL."""
+        parts = []
+        for node in nodes:
+            x = self.name(self.value(node))
+            cls, part = self.classof(x), self.temp("h")
+            self.line(f"if {cls} is float or {cls} is int: {part} = ('n', float({x}))")
+            self.line(f"elif {cls} is str: {part} = ('s', {x})")
+            self.line(f"elif {x} is None: return None")
+            self.line(f"else: {part} = _hash_key({x})")
+            parts.append(part)
+        self.line(f"return ({''.join(part + ', ' for part in parts)})")
 
 
-# ---------------------------------------------------------------------------
-# Convenience wrappers
-# ---------------------------------------------------------------------------
+class ExpressionCompiler:
+    """Compiles expressions of a fixed schema into ``row -> value`` kernels.
+
+    Mirrors the public surface of :class:`ExpressionEvaluator`: ``compile``
+    replaces ``evaluate`` (returning a function instead of a value) and
+    ``predicate`` yields the three-valued True/False/None convention used by
+    Filter and the join operators.
+    """
+
+    def __init__(self, schema: Schema, subquery_executor: SubqueryExecutor = None):
+        self.schema = schema
+        self._subquery_executor = subquery_executor
+
+    def _kernel(self, kind: str, nodes: Tuple[Node, ...]) -> Any:
+        """Build-or-recall the kernel of ``nodes`` against this schema.  A
+        subquery's result is folded into its kernel, binding it to this
+        compiler's executor and lifetime: never memoized, rebuilt each time."""
+        key = (kind, tuple(map(id, nodes)), self.schema.memo_token)
+        found, fn = _MEMO.get(key, nodes)
+        if fn is not None:
+            return fn
+        if (kind == "proj" and len(nodes) > 1
+                and all(node.__class__ is ColumnRef for node in nodes)):
+            # Plain columns: itemgetter builds the tuple without entering
+            # Python at all.  An unknown column raises per row, from a kernel.
+            try:
+                fn = operator.itemgetter(*[
+                    self.schema.index_of(node.name, node.table) for node in nodes
+                ])
+            except Exception:
+                pass
+        private = False
+        if fn is None:
+            build = _Build(self.schema, self._subquery_executor)
+            build.analyse(nodes)
+            fn, private = build.kernel(kind, nodes), build.private
+        if not found:
+            _MEMO.put(key, nodes, None if private else fn)
+        return fn
+
+    def compile(self, node: Node) -> CompiledExpr:
+        return self._kernel("expr", (node,))
+
+    def predicate(self, node: Node) -> Callable[[Row], Optional[bool]]:
+        # Keyed by its conjuncts: executors conjoin the same cached conditions
+        # into a fresh AND node per execution, which must still hit the memo.
+        return self._kernel("pred", tuple(_chain_operands(
+            (node,), lambda child: _chain_of(child) == "AND")))
+
+    def projection(self, expressions: Sequence[Node]) -> Callable[[Row], tuple]:
+        """Compile a list of output expressions into one ``row -> tuple``."""
+        return self._kernel("proj", tuple(expressions))
+
+    def sort_key(self, node: Node) -> Callable[[Row], tuple]:
+        """Compile an ORDER BY expression to a total-order key function."""
+        return self._kernel("sort", (node,))
+
+    def bucket_key(self, expressions: Sequence[Node]) -> Callable[[Row], Optional[tuple]]:
+        """Compile (composite) join key expressions to one ``row -> key``: the
+        tuple of the parts normalized as :func:`_hash_key` normalizes them, or
+        None when a part is NULL (SQL equality with NULL is never true)."""
+        return self._kernel("key", tuple(expressions))
+
+
+# -- convenience wrappers
 
 
 def compile_expression(node: Node, schema: Schema,
-                       subquery_executor: Optional[Callable[[Node], "object"]] = None,
-                       ) -> CompiledExpr:
+                       subquery_executor: SubqueryExecutor = None) -> CompiledExpr:
     """Compile one expression against a schema."""
     return ExpressionCompiler(schema, subquery_executor).compile(node)
 
 
-def compile_predicate(node: Node, schema: Schema,
-                      subquery_executor: Optional[Callable[[Node], "object"]] = None,
+def compile_predicate(node: Node, schema: Schema, subquery_executor: SubqueryExecutor = None,
                       ) -> Callable[[Row], Optional[bool]]:
     """Compile a row predicate returning True/False/None (SQL 3VL)."""
     return ExpressionCompiler(schema, subquery_executor).predicate(node)
 
 
 def compile_projection(expressions: Sequence[Node], schema: Schema,
-                       subquery_executor: Optional[Callable[[Node], "object"]] = None,
-                       ) -> Callable[[Row], tuple]:
-    """Compile a select list into a single ``row -> tuple`` closure."""
+                       subquery_executor: SubqueryExecutor = None) -> Callable[[Row], tuple]:
+    """Compile a select list into a single ``row -> tuple`` function."""
     return ExpressionCompiler(schema, subquery_executor).projection(expressions)

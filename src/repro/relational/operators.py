@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import heapq
 from contextlib import closing
-from decimal import Decimal
 from itertools import chain, islice, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
-from repro.relational.compile import ExpressionCompiler
+from repro.relational.compile import ExpressionCompiler, _hash_key
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType, sort_key
@@ -350,10 +349,12 @@ class HashJoin(PhysicalOperator):
             raise ExecutionError("hash join requires aligned, non-empty key lists")
         self.residual = residual
         self._schema = left.schema.concat(right.schema)
-        left_compiler = ExpressionCompiler(left.schema, subquery_executor)
-        right_compiler = ExpressionCompiler(right.schema, subquery_executor)
-        self._left_key_fns = [left_compiler.compile(key) for key in self.left_keys]
-        self._right_key_fns = [right_compiler.compile(key) for key in self.right_keys]
+        # Each side's bucket key: the normalized key tuple of a row, None when
+        # a part is NULL (such a row can match nothing).
+        self._left_key = ExpressionCompiler(left.schema, subquery_executor).bucket_key(
+            self.left_keys)
+        self._right_key = ExpressionCompiler(right.schema, subquery_executor).bucket_key(
+            self.right_keys)
         self._residual_predicate = (
             ExpressionCompiler(self._schema, subquery_executor).predicate(residual)
             if residual is not None else None
@@ -379,7 +380,7 @@ class HashJoin(PhysicalOperator):
     def batches(self) -> Iterator[Batch]:
         budget = self.budget
         fanout = self.SPILL_PARTITIONS
-        right_key = _bucket_key(self._right_key_fns)
+        right_key = self._right_key
         buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
         build_rows = 0
@@ -420,7 +421,7 @@ class HashJoin(PhysicalOperator):
                         build_spill[hash(key) % fanout].append((key, row))
 
             residual = self._residual_predicate
-            left_key = _bucket_key(self._left_key_fns)
+            left_key = self._left_key
             if build_spill is None:
                 # A NULL probe key is ``None``, which is never a bucket key.
                 matches = buckets.get
@@ -491,32 +492,6 @@ class HashJoin(PhysicalOperator):
         return detail + ")"
 
 
-def _bucket_key(fns: Sequence[Callable[[Row], Any]]) -> Callable[[Row], Optional[Tuple]]:
-    """One ``row -> normalized bucket key`` function over the key extractors.
-
-    The key is None when any part is NULL (SQL equality with NULL can never
-    be true, so the row cannot match)."""
-    if len(fns) == 1:
-        fn = fns[0]
-
-        def single(row: Row) -> Optional[Tuple]:
-            value = fn(row)
-            return None if value is None else (_hash_key(value),)
-
-        return single
-
-    def composite(row: Row) -> Optional[Tuple]:
-        parts = []
-        for fn in fns:
-            value = fn(row)
-            if value is None:
-                return None
-            parts.append(_hash_key(value))
-        return tuple(parts)
-
-    return composite
-
-
 def _reserve_prefix(budget: MemoryBudget, sizes: Sequence[int]) -> Tuple[int, int]:
     """Reserve one batch of row sizes; returns (rows, bytes) actually reserved.
 
@@ -533,17 +508,6 @@ def _reserve_prefix(budget: MemoryBudget, sizes: Sequence[int]) -> Tuple[int, in
             return count, reserved
         reserved += nbytes
     return len(sizes), reserved
-
-
-def _hash_key(value: Any) -> Any:
-    """Normalize join keys so 1, 1.0 and Decimal("1") hash to the same bucket."""
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float)):
-        return ("n", float(value))
-    if isinstance(value, Decimal):
-        return ("n", float(value))
-    return ("s", value)
 
 
 def _default_distinct_key(row: Row) -> Tuple:

@@ -151,23 +151,34 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
     return left == right
 
 
+#: What :func:`sql_compare` answers for a NaN operand.
+_UNORDERED = float("nan")
+
+
 def sql_compare(left: Any, right: Any) -> Optional[int]:
     """Three-way comparison: -1/0/+1, or None when either operand is NULL.
 
     Mixed numeric comparisons are allowed; comparing a number with a string
     raises :class:`TypeMismatchError` (the engine treats that as a query
     error rather than silently ordering heterogeneous values).
+
+    A NaN operand is *unordered* (IEEE 754): the result is then NaN itself,
+    so each of ``result < 0``, ``<= 0``, ``> 0`` and ``>= 0`` — the way every
+    caller reads a three-way result — is false, exactly like the direct float
+    comparison the compiled fast path performs.  This is the one place that
+    rule lives.
     """
     if left is None or right is None:
         return None
     if isinstance(left, bool) and isinstance(right, bool):
         left, right = int(left), int(right)
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        if float(left) < float(right):
+        left, right = float(left), float(right)
+        if left < right:
             return -1
-        if float(left) > float(right):
+        if left > right:
             return 1
-        return 0
+        return 0 if left == right else _UNORDERED
     if isinstance(left, str) and isinstance(right, str):
         if left < right:
             return -1

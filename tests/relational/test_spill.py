@@ -8,14 +8,35 @@ same multiset of joined rows.  These tests pin that contract with budgets
 small enough to force heavy spilling.
 """
 
-import pytest
+from decimal import Decimal
 
-from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.relational.budget import (
+    ROW_OVERHEAD_BYTES,
+    MemoryBudget,
+    SpillFile,
+    _estimate_value_bytes,
+    estimate_row_bytes,
+)
 from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sql.ast import ColumnRef
 from repro.sql.parser import parse_expression
+
+
+class _Cents(int):
+    """Subclasses are sized by the per-value rule, not the exact-class table."""
+
+
+class _Label(str):
+    pass
+
+
+class _Ratio(float):
+    pass
 
 
 def _relation(rows):
@@ -57,6 +78,18 @@ class TestMemoryBudget:
         small = estimate_row_bytes((1, None))
         large = estimate_row_bytes((1, "x" * 1000))
         assert large > small
+
+    @given(row=st.lists(st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=20),
+        st.decimals(allow_nan=False), st.binary(max_size=8), st.tuples(st.integers()),
+        st.sampled_from([_Cents(7), _Label("abc"), _Ratio(0.5), float("nan"), 10 ** 400]),
+    ), max_size=8))
+    def test_row_estimate_is_the_per_value_rule_for_every_value(self, row):
+        # The exact-class table is a shortcut, never a different answer.
+        assert estimate_row_bytes(tuple(row)) == ROW_OVERHEAD_BYTES + sum(
+            _estimate_value_bytes(value) for value in row)
+        assert estimate_row_bytes((None, True, 7, 7.5, Decimal("7.5"), "seven", _Cents(7),
+                                   _Label("abc"), b"xy")) == 56 + 1 + 1 + 8 + 8 + 16 + 5 + 8 + 3 + 5
 
 
 class TestSpillFile:

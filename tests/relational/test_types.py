@@ -95,6 +95,15 @@ class TestThreeValuedComparison:
     def test_compare_with_null_is_unknown(self):
         assert sql_compare(None, 1) is None
 
+    def test_compare_with_nan_is_unordered(self):
+        # IEEE: no ordering test of the three-way result holds (see sql_compare).
+        nan = float("nan")
+        for left, right in [(nan, 1), (2.5, nan), (nan, nan), (True, nan), (nan, 2 ** 60)]:
+            result = sql_compare(left, right)
+            assert not (result < 0 or result <= 0 or result > 0 or result >= 0)
+        assert sql_compare(float("-inf"), float("inf")) == -1
+        assert sql_compare(float("inf"), float("inf")) == 0
+
     def test_compare_mixed_types_raises(self):
         with pytest.raises(TypeMismatchError):
             sql_compare(1, "one")
