@@ -23,10 +23,12 @@ order.
 2. joins the staged intermediates in the planned order with hash or
    nested-loop physical operators;
 3. applies residual cross-source conditions;
-4. finishes the SELECT (projection, aggregation, ordering, limit) with the
-   local SQL processor;
+4. finishes the SELECT (projection, aggregation, ordering, limit);
 
-and finally the branch results combine with UNION (ALL) semantics.
+and finally the branch results combine with UNION (ALL) semantics.  Steps 2-4
+are one operator tree, lowered once per cached plan from the branch's algebra
+tree (:mod:`repro.relational.algebra`) and bound per execution to the staged
+relations.
 
 Since the streaming rework, both phases are driven by a pull-based
 :class:`~repro.engine.stream.ResultStream`: fetches are dispatched
@@ -43,24 +45,17 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ExecutionError, RequestFailedError
 from repro.engine.catalog import Catalog
-from repro.engine.plan import JoinStep, QueryPlan, SourceRequest
+from repro.engine.plan import QueryPlan, SourceRequest
 from repro.engine.request_cache import RequestKey, SourceResultCache, request_key
 from repro.engine.resilience import Deadline, ResiliencePolicy, ResilienceReport
-from repro.relational.budget import MemoryBudget
-from repro.relational.operators import (
-    Filter,
-    HashJoin,
-    NestedLoopJoin,
-    PhysicalOperator,
-    TableScan,
-)
+from repro.relational.operators import PhysicalOperator
+from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
 from repro.relational.storage import TemporaryStore
-from repro.sql.ast import BinaryOp, ColumnRef, Node, conjoin
 
 #: Default bound on concurrently in-flight source requests per statement.
 DEFAULT_MAX_CONCURRENT_REQUESTS = 8
@@ -132,6 +127,8 @@ class _InstrumentedOperator(PhysicalOperator):
     """Transparent wrapper counting rows and production time of its child,
     once per batch (two clock reads and one addition each)."""
 
+    _inputs = ("child",)
+
     def __init__(self, child: PhysicalOperator, stats: OperatorStats):
         self.child = child
         self.stats = stats
@@ -139,10 +136,6 @@ class _InstrumentedOperator(PhysicalOperator):
     @property
     def operator_name(self) -> str:  # type: ignore[override]
         return self.child.operator_name
-
-    @property
-    def schema(self):
-        return self.child.schema
 
     @property
     def children(self):
@@ -477,6 +470,8 @@ class ExecutionController:
         #: shared across this controller's statements so breaker state and
         #: health statistics persist between them.
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
+        #: Runs the (table-less) subqueries of mediator-side expressions.
+        self.subquery_executor = QueryProcessor(self._reject_unknown_table)._subquery_executor
 
     # -- public API -------------------------------------------------------------
 
@@ -511,120 +506,6 @@ class ExecutionController:
             relation=request.relation.lower(),
             text=f"{request.request_text} #branch{branch_index}.{request_index}",
         )
-
-    # -- source requests ---------------------------------------------------------------
-
-    def _stage_request(self, request: SourceRequest, report: ExecutionReport,
-                       branch_index: int, outcome: _FetchOutcome,
-                       first_use: bool) -> Tuple[Relation, str]:
-        """Phase 2: qualify, locally filter, and stage one shared fetch result.
-
-        Returns the staged relation and its temporary-store handle (the
-        stream drops the handle when it closes).  Staging copies rows at most
-        once: a filtered result is materialized by the filter itself, an
-        unfiltered fetch is copied once (wrappers may return live views of
-        their tables), and a frozen cache copy is staged purely by reference.
-        """
-        started = time.perf_counter()
-        fetched = outcome.relation
-        rows_returned = len(fetched)
-
-        qualified = fetched.with_qualifier(request.binding)
-        if request.local_filters:
-            filtered = Filter(TableScan(qualified), conjoin(list(request.local_filters)))
-            staged_relation = filtered.to_relation(name=f"{request.binding}_staged")
-        else:
-            staged_relation = Relation(qualified.schema, name=f"{request.binding}_staged")
-            staged_relation.rows = qualified.rows if outcome.frozen else list(qualified.rows)
-
-        handle = self.temp_store.materialize(
-            staged_relation, label=f"{request.binding}_stage", copy=False
-        )
-        staged = self.temp_store.read(handle)
-
-        staging_elapsed = time.perf_counter() - started
-        report.record_request(RequestExecution(
-            binding=request.binding,
-            wrapper_name=request.wrapper_name,
-            request=outcome.request_text,
-            rows_returned=rows_returned,
-            rows_after_local_filters=len(staged),
-            elapsed_seconds=staging_elapsed + (outcome.fetch_seconds if first_use else 0.0),
-            branch=branch_index,
-            dedup_hit=not first_use,
-            cache_hit=outcome.cache_hit and first_use,
-            wait_seconds=outcome.wait_seconds if first_use else 0.0,
-            # Only the first-use entry carries the shared round trip's time,
-            # so summing fetch_seconds over a report never double-counts it.
-            fetch_seconds=outcome.fetch_seconds if first_use else 0.0,
-        ))
-        return staged, handle
-
-    # -- joins ----------------------------------------------------------------------------
-
-    def _join(self, left: PhysicalOperator, right_relation: Relation, step: JoinStep,
-              budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
-        right = TableScan(right_relation)
-        if step.hash_join and step.equi_keys:
-            # The planner already oriented the keys (intermediate side, staged
-            # side) and split off the residual conjuncts; use all of them as a
-            # composite hash key.
-            left_keys = [pair[0] for pair in step.equi_keys]
-            right_keys = [pair[1] for pair in step.equi_keys]
-            if all(self._resolvable(key, left) for key in left_keys) and all(
-                self._resolvable(key, right) for key in right_keys
-            ):
-                return HashJoin(
-                    left, right, left_keys, right_keys,
-                    residual=conjoin(list(step.residual_conditions)),
-                    budget=budget,
-                )
-        conditions = list(step.conditions)
-        if step.hash_join:
-            # Plans without key annotations (hand-built steps): derive one key.
-            equi, residual = self._split_equi(conditions, left, right)
-            if equi is not None:
-                left_key, right_key = equi
-                return HashJoin(left, right, left_key, right_key,
-                                residual=conjoin(residual), budget=budget)
-        return NestedLoopJoin(left, right, conjoin(conditions))
-
-    def _split_equi(self, conditions: List[Node], left: PhysicalOperator,
-                    right: PhysicalOperator):
-        """Find one equi-join condition usable as the hash key; the rest is residual."""
-        for index, condition in enumerate(conditions):
-            if not (isinstance(condition, BinaryOp) and condition.op == "="):
-                continue
-            if not (isinstance(condition.left, ColumnRef) and isinstance(condition.right, ColumnRef)):
-                continue
-            left_ref, right_ref = condition.left, condition.right
-            if self._hash_safe(left_ref, left) and self._hash_safe(right_ref, right):
-                residual = conditions[:index] + conditions[index + 1 :]
-                return (left_ref, right_ref), residual
-            if self._hash_safe(right_ref, left) and self._hash_safe(left_ref, right):
-                residual = conditions[:index] + conditions[index + 1 :]
-                return (right_ref, left_ref), residual
-        return None, conditions
-
-    @staticmethod
-    def _resolvable(ref: ColumnRef, operator: PhysicalOperator) -> bool:
-        try:
-            operator.schema.index_of(ref.name, ref.table)
-            return True
-        except Exception:
-            return False
-
-    @staticmethod
-    def _hash_safe(ref: ColumnRef, operator: PhysicalOperator) -> bool:
-        """Resolvable, and of a type where bucket equality equals SQL equality
-        (mirrors the planner's key-type guard for unannotated plans)."""
-        from repro.relational.types import DataType
-
-        try:
-            attribute = operator.schema.attribute(ref.name, ref.table)
-        except Exception:
-            return False
-        return attribute.type in (DataType.INTEGER, DataType.FLOAT, DataType.STRING)
 
     @staticmethod
     def _reject_unknown_table(name: str, source: Optional[str]) -> Relation:

@@ -15,6 +15,11 @@ A :class:`QueryPlan` describes, for each UNION branch of a (mediated) query:
 Plans are pure descriptions: building one never touches a source.  The
 executor (:mod:`repro.engine.executor`) interprets them; ``explain()`` renders
 them for humans and for the planner benchmarks.
+
+What executing a plan derives from it and nothing else — request keys, the
+optimizer report's preamble, each branch's algebra tree and the operators it
+lowers to — is kept in the plan's :class:`PlanTemplate`, so it is derived
+once per cached plan and dies with it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostEstimate
+from repro.engine.request_cache import RequestKey, request_key
+from repro.relational import algebra
+from repro.relational.algebra import Stage
+from repro.relational.compile import KernelMemo, KernelScope, SubqueryExecutor
+from repro.relational.operators import PhysicalOperator
+from repro.relational.schema import Schema
 from repro.sql.ast import ColumnRef, Node, Select, Statement
 from repro.sql.printer import to_sql
 
@@ -186,6 +197,24 @@ class BranchPlan:
     estimated_rows: int = 0
     cost: CostEstimate = field(default_factory=CostEstimate)
 
+    def transfer(self, index: int) -> algebra.Transfer:
+        """Request ``index`` crossing from its source to the mediator."""
+        request = self.requests[index]
+        return algebra.Transfer(algebra.Leaf(index), request.binding,
+                                tuple(request.local_filters))
+
+    def relation(self) -> algebra.RelationNode:
+        """This branch in the plan algebra: transfers joined left-deep in
+        step order, the unattached conditions, then the SELECT's finish."""
+        node: algebra.RelationNode = self.transfer(self.initial_request)
+        for step in self.join_steps:
+            node = algebra.Join(node, self.transfer(step.request_index),
+                                tuple(step.conditions), step.hash_join,
+                                tuple(step.equi_keys), tuple(step.residual_conditions))
+        if self.post_join_conditions:
+            node = algebra.Selection(node, tuple(self.post_join_conditions))
+        return algebra.Finish(node, self.select, self.fetch_limit)
+
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
         lines = [f"{pad}branch: {to_sql(self.select)}"]
@@ -224,6 +253,11 @@ class QueryPlan:
     #: it, so a materially-wrong estimate retires the cached plan).
     feedback_epoch: int = 0
 
+    @cached_property
+    def template(self) -> "PlanTemplate":
+        """What every execution of this plan shares (lives and dies with it)."""
+        return PlanTemplate(self)
+
     @property
     def request_count(self) -> int:
         return sum(len(branch.requests) for branch in self.branches)
@@ -256,3 +290,104 @@ class QueryPlan:
             lines.append(f"[branch {index}]")
             lines.append(branch.explain(indent=1))
         return "\n".join(lines)
+
+
+class BranchTemplate:
+    """The lowered form of one branch, filled in by its first execution.
+
+    Lowering needs the schemas the sources actually ship, so it happens where
+    they first arrive: :meth:`stage` when a request's result is staged,
+    :meth:`operators` once every input of the branch is.  Both are guarded —
+    a stage by the shipped schema (identity, else equality), the operator
+    tree by the identity of the stages it was lowered over — and re-lower on
+    a mismatch, so a kernel never reads a position another schema assigned.
+    A lowering that folded a subquery into a kernel is handed out but not
+    kept: such kernels are good for one execution.  Executions share what is
+    kept read-only; racing first executions both lower and one result stays.
+    """
+
+    def __init__(self, branch: BranchPlan, kernels: KernelMemo):
+        requests = branch.requests
+        self._branch = branch
+        self._kernels = kernels
+        self._stages: Dict[int, Stage] = {}
+        self._operators: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
+
+        def bind_depth(index: int) -> int:
+            depth, current = 0, requests[index].bind
+            while current is not None and depth <= len(requests):
+                depth += 1
+                current = requests[current.driver_index].bind
+            return depth
+
+        #: Request indexes in staging order: a bound request derives its
+        #: IN-lists from its driver's staged rows, so drivers come first.
+        self.staging_order = sorted(range(len(requests)), key=bind_depth)
+        #: (position among the branch's instrumented operators, step) of the
+        #: joins whose drained row count is cardinality feedback.
+        unlimited = branch.select.limit is None and branch.fetch_limit is None
+        self.watched = [(position, step)
+                        for position, step in enumerate(branch.join_steps, start=1)
+                        if step.feedback_key and unlimited]
+
+    def stage(self, index: int, shipped: Schema,
+              subquery_executor: SubqueryExecutor) -> Stage:
+        stage = self._stages.get(index)
+        if stage is None or (shipped is not stage.source and shipped != stage.source):
+            scope = KernelScope(subquery_executor, self._kernels)
+            stage = Stage(self._branch.transfer(index), shipped, scope)
+            if not scope.private:
+                self._stages[index] = stage
+        return stage
+
+    def operators(self, stages: Sequence[Stage],
+                  subquery_executor: SubqueryExecutor) -> PhysicalOperator:
+        """The branch's operator template over ``stages`` (one per request)."""
+        stages = tuple(stages)
+        kept = self._operators
+        if kept is not None and kept[0] == stages:
+            return kept[1]
+        scope = KernelScope(subquery_executor, self._kernels)
+        # The algebra tree is scaffolding: built, lowered, dropped.
+        operators = algebra.lower(self._branch.relation(), stages, scope)
+        if not scope.private:
+            self._operators = (stages, operators)
+        return operators
+
+
+class PlanTemplate:
+    """What executions of one :class:`QueryPlan` share.
+
+    Hanging off the plan object, it retires exactly when the plan does: the
+    plan cache keys on catalog and knowledge generation and feedback epoch,
+    so a bump of any yields a new plan and, with it, a new template.
+    """
+
+    def __init__(self, plan: QueryPlan):
+        #: Kernels are shared across the plan's branches (common requests
+        #: carry the same condition nodes) and never enter the global memo.
+        kernels = KernelMemo()
+        self.branches = [BranchTemplate(branch, kernels) for branch in plan.branches]
+        #: The optimizer report's preamble: per branch the binding join
+        #: order, and how many estimates came from feedback vs defaults.
+        self.join_orders = [
+            [branch.requests[index].binding for index in
+             (branch.initial_request, *(step.request_index for step in branch.join_steps))]
+            for branch in plan.branches
+        ]
+        sources = [estimated.estimate_source for branch in plan.branches
+                   for estimated in (*branch.requests, *branch.join_steps)]
+        self.estimates_from_feedback = sources.count("feedback")
+        self.estimates_from_defaults = len(sources) - self.estimates_from_feedback
+        #: Per branch and request, the dedup key of an unbound request (a
+        #: bound one has no final SQL until its driver is staged: None), and
+        #: the distinct fetches they collapse into, in plan order.
+        self.keys = [[request_key(request) if request.bind is None else None
+                      for request in branch.requests] for branch in plan.branches]
+        self.distinct: Dict[RequestKey, SourceRequest] = {}
+        self.units = 0
+        for branch, keys in zip(plan.branches, self.keys):
+            for request, key in zip(branch.requests, keys):
+                if key is not None:
+                    self.units += 1
+                    self.distinct.setdefault(key, request)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.relational.relation import Relation
 
@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan imports cost)
     from repro.engine.plan import SourceRequest
 
 
-@dataclass(frozen=True)
-class RequestKey:
-    """The canonical identity of one source round trip."""
+class RequestKey(NamedTuple):
+    """The canonical identity of one source round trip (a tuple: schedulers
+    hash and compare a key a dozen times per request, at C speed)."""
 
     wrapper: str
     relation: str

@@ -1,23 +1,31 @@
 """The streaming execution core: a pull-based cursor over a query plan.
 
-A :class:`ResultStream` turns plan interpretation inside-out.  Instead of
-fetching everything, joining everything and materializing the answer, it
+A :class:`ResultStream` is the one staging, binding, fetching core: nothing
+else executes a plan, and executing one builds nothing that the plan's
+:class:`~repro.engine.plan.PlanTemplate` already holds.  It
 
 * dispatches the plan's (deduplicated) source fetches **asynchronously** on
   the bounded pool — or lazily, one at a time, when the pool is bounded to a
   single request — and awaits each result only when a branch actually needs
   it staged;
-* stages and finalizes branches **lazily**, in plan order, through the same
-  physical operators and the same finalization semantics as the eager path —
-  the common non-aggregated shape streams through ``Project`` → ``Sort`` →
-  ``Distinct`` → ``Limit`` operator by operator, while grouped/aggregated
-  branches fall back to the materializing finalizer per branch;
+* stages and binds branches **lazily**, in plan order: a branch's shipped
+  relations are brought across by its template's stages (qualified, locally
+  filtered), and its operator template — lowered once per cached plan from
+  the branch's algebra tree, see :mod:`repro.relational.algebra` — is copied
+  over them, one cheap copy per operator.  The common non-aggregated shape
+  streams through ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``;
+  grouped/aggregated branches end in one materializing ``Finalize``;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
   every memory-hungry operator, so the statement's operator memory is bounded
   and spills are observable in the execution report;
 * **terminates early**: a consumer that stops pulling (a satisfied LIMIT, an
   explicit :meth:`close`) cancels source fetches that were never consumed,
   drops the staged temporaries, and releases the fetch pool mid-query.
+
+Per-execution state — the budget, operator statistics, spill flags, join
+watchers, a bind join's IN-lists, degraded branches — lives only in the
+stream and its bound operator copies; templates are shared read-only by
+concurrent executions.
 
 Rows move in **batches** (plain lists of row tuples, see
 :mod:`repro.relational.operators`): the operator pipelines hand batches up,
@@ -49,51 +57,24 @@ from repro.errors import (
 from repro.engine.executor import (
     ExecutionReport,
     OperatorStats,
+    RequestExecution,
     _FetchOutcome,
     _InFlightGauge,
     _InstrumentedOperator,
     request_failed_error,
 )
-from repro.engine.plan import BranchPlan, QueryPlan, SourceRequest
+from repro.engine.plan import QueryPlan, SourceRequest
 from repro.engine.request_cache import RequestKey
 from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
+from repro.relational.algebra import Stage
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
-from repro.relational.operators import (
-    Batch,
-    Distinct,
-    Filter,
-    Limit,
-    PhysicalOperator,
-    Project,
-    Sort,
-    TableScan,
-)
-from repro.relational.query import (
-    QueryProcessor,
-    expand_star_items,
-    finalize_distinct_key,
-    output_names,
-)
+from repro.relational.operators import Batch, PhysicalOperator, TableScan
+from repro.relational.query import Finalize
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key as value_sort_key
-from repro.sql.ast import (
-    ColumnRef,
-    InList,
-    Literal,
-    Select,
-    conjoin,
-    is_aggregate_call,
-    walk,
-)
-
-
-def _relation_bytes(relation: Relation) -> int:
-    """Sample-based byte estimate of a staged relation (accounting only)."""
-    if not relation.rows:
-        return 0
-    return estimate_row_bytes(relation.rows[0]) * len(relation.rows)
+from repro.sql.ast import ColumnRef, InList, Literal, conjoin
 
 
 def adaptive_timeout_error(wrapper_name: str, request_text: str,
@@ -185,62 +166,44 @@ class ResultStream:
         self._finalized_keys: set = set()
         self._gauge = _InFlightGauge()
         self._close_callbacks: List[Callable[[ExecutionReport], None]] = []
-        self._processor = QueryProcessor(controller._reject_unknown_table)
         #: (JoinStep, OperatorStats) pairs whose observed cardinality feeds
         #: the adaptive optimizer when the stream drains to exhaustion.
         self._join_watchers: List[Tuple[object, OperatorStats]] = []
 
+        template = plan.template
         optimizer = self.report.optimizer
         optimizer.feedback_epoch = getattr(plan, "feedback_epoch", 0)
-        for branch in plan.branches:
-            if not branch.requests:
-                continue
-            optimizer.join_orders.append(
-                [branch.requests[branch.initial_request].binding]
-                + [branch.requests[step.request_index].binding
-                   for step in branch.join_steps]
-            )
-            for request in branch.requests:
-                if request.estimate_source == "feedback":
-                    optimizer.estimates_from_feedback += 1
-                else:
-                    optimizer.estimates_from_defaults += 1
-            for step in branch.join_steps:
-                if step.estimate_source == "feedback":
-                    optimizer.estimates_from_feedback += 1
-                else:
-                    optimizer.estimates_from_defaults += 1
+        optimizer.join_orders = template.join_orders  # shared; snapshots copy
+        optimizer.estimates_from_feedback = template.estimates_from_feedback
+        optimizer.estimates_from_defaults = template.estimates_from_defaults
 
         # -- phase 1: dedup, cache-resolve, dispatch ---------------------------
-        self._distinct: Dict[RequestKey, SourceRequest] = {}
-        total_units = 0
-        for branch_index, branch in enumerate(plan.branches):
-            for request_index, request in enumerate(branch.requests):
-                if request.bind is not None:
-                    # A bound request has no final SQL until its driver's key
-                    # set is known; the branch builder derives and schedules
-                    # its per-batch requests when the driver is staged.
-                    continue
-                total_units += 1
-                key = controller._plan_key(request, branch_index, request_index)
-                if key not in self._distinct:
-                    self._distinct[key] = request
+        # A bound request has no final SQL until its driver's key set is
+        # known (its key is None); the branch builder derives and schedules
+        # its per-batch requests when the driver is staged.
+        self._distinct: Dict[RequestKey, SourceRequest]
+        if controller.deduplicate:
+            self._keys, self._distinct = template.keys, dict(template.distinct)
+        else:
+            # Baseline mode: every plan request is its own round trip.
+            self._keys = [
+                [None if request.bind is not None
+                 else controller._plan_key(request, branch_index, request_index)
+                 for request_index, request in enumerate(branch.requests)]
+                for branch_index, branch in enumerate(plan.branches)
+            ]
+            self._distinct = {
+                key: request
+                for keys, branch in zip(self._keys, plan.branches)
+                for key, request in zip(keys, branch.requests) if key is not None
+            }
         self.report.distinct_requests = len(self._distinct)
-        self.report.dedup_hits = total_units - len(self._distinct)
+        self.report.dedup_hits = template.units - len(self._distinct)
 
         self._cache = controller.request_cache if controller.deduplicate else None
         self._outcomes: Dict[RequestKey, _FetchOutcome] = {}
-        pending: List[RequestKey] = []
-        for key, request in self._distinct.items():
-            cached = self._cache.get(key) if self._cache is not None else None
-            if cached is not None:
-                self._outcomes[key] = _FetchOutcome(
-                    relation=cached, request_text=request.request_text,
-                    cache_hit=True, frozen=True,
-                )
-                self.report.cache_hits += 1
-            else:
-                pending.append(key)
+        pending = [key for key, request in self._distinct.items()
+                   if not self._from_cache(key, request)]
 
         self._pool: Optional[ThreadPoolExecutor] = None
         self._futures: Dict[RequestKey, "Future[_FetchOutcome]"] = {}
@@ -263,6 +226,18 @@ class ResultStream:
         self._batches = self._generate()
 
     # -- fetching ------------------------------------------------------------------
+
+    def _from_cache(self, key: RequestKey, request: SourceRequest) -> bool:
+        """Resolve ``key`` from the source-result cache, if it holds it."""
+        cached = self._cache.get(key) if self._cache is not None else None
+        if cached is None:
+            return False
+        self._outcomes[key] = _FetchOutcome(
+            relation=cached, request_text=request.request_text, cache_hit=True, frozen=True,
+        )
+        with self.report.lock:
+            self.report.cache_hits += 1
+        return True
 
     def _dispatch_order(self, pending: List[RequestKey]) -> List[RequestKey]:
         """Order pool submissions so the expected-slowest fetch starts first.
@@ -465,27 +440,17 @@ class ResultStream:
 
     # -- bind joins ----------------------------------------------------------------
 
-    @staticmethod
-    def _bind_depth(branch: BranchPlan, index: int) -> int:
-        """Length of the bind chain above request ``index`` (drivers first)."""
-        depth, current = 0, branch.requests[index].bind
-        while current is not None and depth <= len(branch.requests):
-            depth += 1
-            current = branch.requests[current.driver_index].bind
-        return depth
-
     def _empty_bound_relation(self, request: SourceRequest) -> Relation:
         """The empty result of a bound fetch whose driver produced no keys."""
-        base = self.controller.catalog.schema_of(request.relation)
+        schema = self.controller.catalog.schema_of(request.relation)
         if request.projected_columns:
-            attributes = [base.attribute(name) for name in request.projected_columns]
-        else:
-            attributes = list(base.attributes)
-        return Relation(Schema(attributes), name=f"{request.binding}_bound")
+            schema = Schema(schema.attribute(name) for name in request.projected_columns)
+        return Relation(schema, name=f"{request.binding}_bound")
 
-    def _stage_bound(self, branch_index: int, index: int, request: SourceRequest,
-                     staged: Dict[int, Relation]) -> Tuple[Relation, str]:
-        """Fetch and stage one bound request: ship the driver's key set.
+    def _fetch_bound(self, branch_index: int, index: int, request: SourceRequest,
+                     staged: Dict[int, Relation]) -> Tuple[_FetchOutcome, bool]:
+        """Fetch one bound request — ship the driver's key set — and return
+        its combined outcome and whether any batch was used for the first time.
 
         The driver's staged rows yield the distinct non-NULL values of each
         key column; the first column's values are chunked into ``batch_size``
@@ -521,14 +486,11 @@ class ResultStream:
             with report.lock:
                 optimizer.bind_empty_key_skips += 1
                 optimizer.bind_rows_avoided += spec.estimated_unbound_rows
-            outcome = _FetchOutcome(
+            return _FetchOutcome(
                 relation=self._empty_bound_relation(request),
                 request_text=f"{request.request_text} /* bind: empty key set */",
                 frozen=True,
-            )
-            return controller._stage_request(
-                request, report, branch_index, outcome, first_use=True
-            )
+            ), True
 
         qualifier_table = request.sql.tables[0]
         qualifier = qualifier_table.alias or qualifier_table.name
@@ -566,15 +528,7 @@ class ResultStream:
                 self._distinct[key] = batch_request
                 with report.lock:
                     report.distinct_requests += 1
-                cached = self._cache.get(key) if self._cache is not None else None
-                if cached is not None:
-                    self._outcomes[key] = _FetchOutcome(
-                        relation=cached, request_text=batch_request.request_text,
-                        cache_hit=True, frozen=True,
-                    )
-                    with report.lock:
-                        report.cache_hits += 1
-                elif self._pool is not None:
+                if not self._from_cache(key, batch_request) and self._pool is not None:
                     self._futures[key] = self._pool.submit(
                         self._fetch, key, time.perf_counter()
                     )
@@ -612,7 +566,7 @@ class ResultStream:
         combined = Relation(schema, name=f"{request.binding}_bound")
         combined.rows = combined_rows
         total_keys = sum(len(values) for values in column_values)
-        outcome = _FetchOutcome(
+        return _FetchOutcome(
             relation=combined,
             request_text=(f"{request.request_text} /* bind {len(batch_keys)} "
                           f"batch(es), {total_keys} key(s) */"),
@@ -620,46 +574,36 @@ class ResultStream:
             frozen=True,
             fetch_seconds=fetch_seconds,
             wait_seconds=wait_seconds,
-        )
-        return controller._stage_request(
-            request, report, branch_index, outcome, first_use=any_first
-        )
+        ), any_first
 
     # -- branch pipelines ----------------------------------------------------------
 
     def _build_branch(self, branch_index: int) -> Optional[Tuple[Iterator[Batch], Schema]]:
-        """Stage one branch's inputs and build its (streaming) pipeline.
+        """Stage one branch's inputs and bind its operator template to them.
 
         Returns None when the branch was degraded: one of its sources failed
         for good and the stream runs under ``on_source_error="partial"`` —
         the drop is recorded in the report's resilience block.  In ``"fail"``
         mode the same failure raises the context-rich terminal error.
         """
-        controller = self.controller
-        branch: BranchPlan = self.plan.branches[branch_index]
+        executor = self.controller.subquery_executor
+        branch = self.plan.branches[branch_index]
+        template = self.plan.template.branches[branch_index]
+        keys = self._keys[branch_index]
         report = self.report
 
         staged: Dict[int, Relation] = {}
-        # Bound requests derive their batched IN-list SQL from their driver's
-        # staged rows, so they stage after every unbound request, ordered by
-        # bind-chain depth (a driver may itself be bound).
-        unbound = [(index, request) for index, request in enumerate(branch.requests)
-                   if request.bind is None]
-        bound = [(index, request) for index, request in enumerate(branch.requests)
-                 if request.bind is not None]
-        bound.sort(key=lambda pair: self._bind_depth(branch, pair[0]))
-        for index, request in unbound + bound:
+        stages: List[Optional[Stage]] = [None] * len(branch.requests)
+        for index in template.staging_order:
+            request = branch.requests[index]
             try:
                 if request.bind is None:
-                    key = controller._plan_key(request, branch_index, index)
+                    key = keys[index]
                     outcome = self._outcome(key)
-                    relation, handle = controller._stage_request(
-                        request, report, branch_index, outcome,
-                        first_use=key not in self._consumed_keys,
-                    )
+                    first_use = key not in self._consumed_keys
                     self._consumed_keys.add(key)
                 else:
-                    relation, handle = self._stage_bound(
+                    outcome, first_use = self._fetch_bound(
                         branch_index, index, request, staged
                     )
             except _SourceFailure as failure:
@@ -681,134 +625,81 @@ class ResultStream:
                 raise request_failed_error(
                     failed_request, failure.outcome.error
                 ) from failure.outcome.error
-            self._staged_handles.append(handle)
-            with report.lock:
-                report.staged_bytes += _relation_bytes(relation)
-            staged[index] = relation
+            stage = stages[index] = template.stage(index, outcome.relation.schema, executor)
+            staged[index] = self._stage(stage, request, branch_index, outcome, first_use)
 
-        def instrument(operator: PhysicalOperator) -> PhysicalOperator:
-            stats = OperatorStats(
-                branch=branch_index,
-                operator=operator.operator_name,
-                source=operator,
-            )
-            with report.lock:
-                report.operator_stats.append(stats)
-            return _InstrumentedOperator(operator, stats)
+        instrumented: List[OperatorStats] = []
+        pipeline = self._bind(template.operators(stages, executor), staged,
+                              branch_index, instrumented)
+        with report.lock:
+            report.operator_stats.extend(instrumented)
+        # An unlimited branch drains its joins completely, so the
+        # instrumented row count is the true intermediate cardinality —
+        # recorded into the feedback store when the stream exhausts.
+        for position, step in template.watched:
+            self._join_watchers.append((step, instrumented[position]))
+        return pipeline.batches(), pipeline.schema
 
-        pipeline: PhysicalOperator = instrument(TableScan(staged[branch.initial_request]))
-        unlimited = branch.select.limit is None and branch.fetch_limit is None
-        for step in branch.join_steps:
-            operator = instrument(
-                controller._join(pipeline, staged[step.request_index], step, self.budget)
-            )
-            # An unlimited branch drains its joins completely, so the
-            # instrumented row count is the true intermediate cardinality —
-            # recorded into the feedback store when the stream exhausts.
-            if step.feedback_key and unlimited:
-                self._join_watchers.append((step, operator.stats))
-            pipeline = operator
-        if branch.post_join_conditions:
-            pipeline = instrument(
-                Filter(pipeline, conjoin(list(branch.post_join_conditions)))
-            )
+    def _bind(self, operator: PhysicalOperator, staged: Dict[int, Relation],
+              branch_index: int, instrumented: List[OperatorStats],
+              listed: bool = True) -> PhysicalOperator:
+        """A copy of template ``operator`` and its inputs over this execution's
+        staged relations and budget, instrumented where the report lists it.
 
-        streaming = self._streaming_finalizer(branch, pipeline, instrument)
-        if streaming is not None:
-            return streaming
-        # Grouped/aggregated (or alias-opaque ORDER BY) branches: finalize
-        # with the materializing processor — semantics identical to the eager
-        # path; the consumer reads the finished branch like any scan.
-        relation = self._processor.finalize_select(
-            branch.select, list(pipeline), pipeline.schema
-        )
-        return TableScan(relation).batches(), relation.schema
-
-    def _streaming_finalizer(self, branch: BranchPlan, pipeline: PhysicalOperator,
-                             instrument: Callable[[PhysicalOperator], PhysicalOperator],
-                             ) -> Optional[Tuple[Iterator[Batch], Schema]]:
-        """Build the operator form of SELECT finalization, when it streams.
-
-        Mirrors ``QueryProcessor.finalize_select`` exactly for the eligible
-        shape: no GROUP BY, no aggregates, no HAVING, and every ORDER BY key
-        resolvable against the *output* row (alias or 1-based position).
-        Anything else returns None and finalizes materialized.
+        A join's first input is the running pipeline; its other input is a
+        bare scan of a staged relation, which the report has never listed, and
+        neither does it list a materializing ``Finalize`` — its consumer reads
+        the finished branch like a scan.  (A method, not a closure: a
+        recursive closure is a reference cycle that would keep every bound
+        operator and staged row alive until the cycle collector runs.)
         """
-        select: Select = branch.select
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
+        if operator.__class__ is TableScan:
+            bound = operator.over(staged[operator.leaf])
+        else:
+            bound = operator.rebind(
+                [self._bind(child, staged, branch_index, instrumented, listed=not position)
+                 for position, child in enumerate(operator.children)],
+                self.budget,
+            )
+        if not listed or bound.__class__ is Finalize:
+            return bound
+        stats = OperatorStats(branch_index, bound.operator_name, bound)
+        instrumented.append(stats)
+        return _InstrumentedOperator(bound, stats)
+
+    def _stage(self, stage: Stage, request: SourceRequest, branch_index: int,
+               outcome: _FetchOutcome, first_use: bool) -> Relation:
+        """Phase 2: qualify, locally filter and stage one shared fetch result
+        in temporary storage (dropped when the stream closes)."""
+        started = time.perf_counter()
+        temp_store = self.controller.temp_store
+        handle = temp_store.materialize(
+            stage.relation(outcome.relation.rows, outcome.frozen),
+            label=stage.label, copy=False,
         )
-        if select.group_by or has_aggregates or select.having is not None:
-            return None
-
-        items = expand_star_items(list(select.items), pipeline.schema)
-        names = output_names(items)
-        subquery_executor = self._processor._subquery_executor
-        project = Project(pipeline, [item.expr for item in items], names,
-                          subquery_executor)
-        output_schema = project.schema
-        operator: PhysicalOperator = instrument(project)
-
-        if select.order_by:
-            alias_positions = {
-                name.lower(): index
-                for index, name in enumerate(output_schema.names)
-            }
-            # An ORDER BY key structurally identical to a projected expression
-            # yields exactly the value sitting at that output position, so it
-            # can be ordered post-projection without the source context row.
-            expression_positions: Dict[object, int] = {}
-            for index, item in enumerate(items):
-                expression_positions.setdefault(item.expr, index)
-            key_functions: List[Tuple[Callable[[Row], object], bool]] = []
-            for item in select.order_by:
-                expr = item.expr
-                position: Optional[int] = None
-                if (isinstance(expr, ColumnRef) and expr.table is None
-                        and expr.name.lower() in alias_positions):
-                    position = alias_positions[expr.name.lower()]
-                elif (isinstance(expr, Literal) and isinstance(expr.value, int)
-                        and not isinstance(expr.value, bool)):
-                    literal_position = expr.value - 1
-
-                    def positional(row: Row, position=literal_position,
-                                   literal=expr.value):
-                        if 0 <= position < len(row):
-                            return value_sort_key(row[position])
-                        return value_sort_key(literal)
-
-                    key_functions.append((positional, item.ascending))
-                    continue
-                elif expr in expression_positions:
-                    position = expression_positions[expr]
-                if position is None:
-                    # The key needs the pre-projection context row; only the
-                    # materializing finalizer carries that context.
-                    return None
-                key_functions.append((
-                    lambda row, position=position: value_sort_key(row[position]),
-                    item.ascending,
-                ))
-            top_k = branch.fetch_limit if not select.distinct else None
-            operator = instrument(Sort(
-                operator,
-                [(item.expr, item.ascending) for item in select.order_by],
-                key_functions=key_functions,
-                budget=self.budget,
-                limit=top_k,
-            ))
-
-        if select.distinct:
-            operator = instrument(Distinct(
-                operator, budget=self.budget, key=finalize_distinct_key
-            ))
-
-        if select.limit is not None or select.offset is not None:
-            operator = instrument(Limit(operator, select.limit, select.offset or 0))
-
-        return operator.batches(), output_schema
+        self._staged_handles.append(handle)
+        staged = temp_store.read(handle)
+        entry = RequestExecution(
+            binding=request.binding,
+            wrapper_name=request.wrapper_name,
+            request=outcome.request_text,
+            rows_returned=len(outcome.relation),
+            rows_after_local_filters=len(staged),
+            elapsed_seconds=(time.perf_counter() - started
+                             + (outcome.fetch_seconds if first_use else 0.0)),
+            branch=branch_index,
+            dedup_hit=not first_use,
+            cache_hit=outcome.cache_hit and first_use,
+            wait_seconds=outcome.wait_seconds if first_use else 0.0,
+            # Only the first-use entry carries the shared round trip's time,
+            # so summing fetch_seconds over a report never double-counts it.
+            fetch_seconds=outcome.fetch_seconds if first_use else 0.0,
+        )
+        with self.report.lock:
+            self.report.requests.append(entry)
+            if staged.rows:  # a sample-based estimate: accounting only
+                self.report.staged_bytes += estimate_row_bytes(staged.rows[0]) * len(staged.rows)
+        return staged
 
     def _ensure_first_branch(self) -> None:
         """Build the first *surviving* branch (partial mode skips dead ones)."""

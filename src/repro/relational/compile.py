@@ -16,7 +16,9 @@ However deep the expression, a row costs one Python call.
 * **Fast path and helpers.**  Arithmetic, comparisons, negation and the key
   normalizations test the *exact* class of their operands inline (``c2 is
   float or c2 is int``, ``is str``) and apply the plain Python operator,
-  float-coerced as ``sql_compare``/``sql_equal`` coerce.  Everything else —
+  float-coerced as ``sql_compare``/``sql_equal`` coerce; an ``IN`` list of
+  literals of one exact class (``int`` or ``str``) is a ``frozenset`` probe
+  for a value of that class.  Everything else —
   ``bool``, ``Decimal``, subclasses, mixed types — calls a shared helper
   (``_arith_slow``, ``_order_slow``, ``sql_equal``, ``_in_list``, ...), the
   one place the full rule and its error messages live.  The interpreter is
@@ -34,9 +36,11 @@ However deep the expression, a row costs one Python call.
   is registered with :mod:`linecache` as ``<repro-kernel:HASH>`` (evicted with
   its factory): tracebacks print the generated line, and
   ``linecache.getlines(kernel.__code__.co_filename)`` dumps a kernel.
-  Kernels are memoized per (entry point, AST identity, schema) in
-  :data:`_MEMO` and re-entrant — pool and gateway threads share them; with a
-  subquery they fold its result for their own lifetime and are not memoized.
+  Kernels are memoized per (entry point, AST identity, schema) and
+  re-entrant — pool and gateway threads share them; with a subquery they
+  fold its result for their own lifetime and are not memoized.  The memo is
+  the :class:`KernelScope`'s: process-wide :data:`_MEMO` for a source's local
+  processor, a plan's own for the mediator's operator templates.
 * **Folding and splitting.**  A row-independent subtree is its own kernel
   behind a lazy cell (:func:`_fold`).  A subtree past :data:`MAX_KERNEL_DEPTH`
   or :data:`MAX_KERNEL_NODES` is its own kernel called from its parent —
@@ -85,7 +89,7 @@ _ORDERING: Dict[str, Callable[[Any, Any], bool]] = {
 _EQUALITY = {"=": "==", "<>": "!="}
 
 
-class _CompiledMemo:
+class KernelMemo:
     """Bounded, thread-safe LRU of finished kernels shared across operators.
 
     Keys use the **identity** of the expression nodes — cached plans are
@@ -138,10 +142,13 @@ class _CompiledMemo:
             return len(self._entries)
 
 
-_MEMO = _CompiledMemo()
+#: The process-wide memo.  Since plans keep their own kernels it holds only
+#: what sources' local processors compile — one root per operator of a pushed
+#: request — so it is sized for a warm set of those, not for every plan.
+_MEMO = KernelMemo(capacity=1024)
 #: Kernel factories by generated source text (entries carry no nodes): the
 #: builtin ``compile()`` is paid once per expression shape.
-_CODE = _CompiledMemo(capacity=1024)
+_CODE = KernelMemo(capacity=1024)
 
 
 def _factory(source: str) -> Callable[..., CompiledExpr]:
@@ -577,7 +584,25 @@ class _Emitter:
         if len(items) == 1 and isinstance(items[0], Subquery):
             members = self.subquery(items[0].query, "members")
         elif all(item.__class__ is Literal for item in items):
-            members = self.const(tuple(item.value for item in items))
+            values = tuple(item.value for item in items)
+            members = self.const(values)
+            kind = values[0].__class__
+            if (kind is int or kind is str) and all(v.__class__ is kind for v in values):
+                # One exact class on both sides: ``sql_equal`` is float equality
+                # of ints, plain equality of strings, and a set probe decides
+                # it.  Every other probe class takes the loop.
+                try:
+                    probe = self.const(frozenset(map(float, values) if kind is int else values))
+                except OverflowError:  # raised per row, by the loop
+                    probe = None
+                if probe is not None:
+                    value = self.name(value)
+                    key = f"float({value})" if kind is int else value
+                    return self.branches(
+                        self.temp(),
+                        [(f"{value}.__class__ is {kind.__name__}",
+                          f"{key} {'not in' if node.negated else 'in'} {probe}")],
+                        f"_in_list({value}, {members}, {bool(node.negated)})")
         else:
             members = f"({''.join(self.value(item) + ', ' for item in items)})"
         return self.assign(f"_in_list({value}, {members}, {bool(node.negated)})")
@@ -669,16 +694,19 @@ class ExpressionCompiler:
     Filter and the join operators.
     """
 
-    def __init__(self, schema: Schema, subquery_executor: SubqueryExecutor = None):
+    def __init__(self, schema: Schema, subquery_executor: SubqueryExecutor = None,
+                 scope: Optional["KernelScope"] = None):
         self.schema = schema
-        self._subquery_executor = subquery_executor
+        self._scope = scope or KernelScope(subquery_executor)
 
     def _kernel(self, kind: str, nodes: Tuple[Node, ...]) -> Any:
         """Build-or-recall the kernel of ``nodes`` against this schema.  A
         subquery's result is folded into its kernel, binding it to this
-        compiler's executor and lifetime: never memoized, rebuilt each time."""
+        scope's executor and lifetime: never memoized, rebuilt each time, and
+        the scope is told it holds ``private`` kernels."""
         key = (kind, tuple(map(id, nodes)), self.schema.memo_token)
-        found, fn = _MEMO.get(key, nodes)
+        memo = self._scope.memo
+        found, fn = memo.get(key, nodes)
         if fn is not None:
             return fn
         if (kind == "proj" and len(nodes) > 1
@@ -693,11 +721,13 @@ class ExpressionCompiler:
                 pass
         private = False
         if fn is None:
-            build = _Build(self.schema, self._subquery_executor)
+            build = _Build(self.schema, self._scope.subquery_executor)
             build.analyse(nodes)
             fn, private = build.kernel(kind, nodes), build.private
+        if private:
+            self._scope.private = True
         if not found:
-            _MEMO.put(key, nodes, None if private else fn)
+            memo.put(key, nodes, None if private else fn)
         return fn
 
     def compile(self, node: Node) -> CompiledExpr:
@@ -722,6 +752,24 @@ class ExpressionCompiler:
         tuple of the parts normalized as :func:`_hash_key` normalizes them, or
         None when a part is NULL (SQL equality with NULL is never true)."""
         return self._kernel("key", tuple(expressions))
+
+
+class KernelScope:
+    """Where a group of operators gets its kernels from.
+
+    The default scope memoizes in the process-wide :data:`_MEMO`: a source's
+    local processor compiles the same request ASTs on every ``wrapper.query``.
+    A plan's template brings a :class:`KernelMemo` of its own, so kernels are
+    shared within the plan, live exactly as long as the template and never pin
+    a cold plan's ASTs process-wide.  ``private`` turns true once a kernel
+    folded a subquery: operators holding one must not outlive their execution.
+    """
+
+    def __init__(self, subquery_executor: SubqueryExecutor = None,
+                 memo: Optional[KernelMemo] = None):
+        self.subquery_executor = subquery_executor
+        self.memo = _MEMO if memo is None else memo
+        self.private = False
 
 
 # -- convenience wrappers

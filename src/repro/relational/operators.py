@@ -18,7 +18,11 @@ Every operator exposes:
   :class:`PhysicalOperator`, as the flattening of ``batches()`` — so
   ``list(operator)`` keeps working;
 * ``explain(indent)`` — a human-readable plan rendering;
-* ``estimated_rows`` — a cheap cardinality guess used by the cost model.
+* ``estimated_rows`` — a cheap cardinality guess used by the cost model;
+* ``rebind(children, budget)`` — a copy over other inputs that shares what
+  the constructor derived from the AST (schemas, kernels).  A constructor is
+  the *lowering* of its node, ``rebind`` the per-execution *binding*: a tree
+  built once is the template every execution of a cached plan copies.
 
 Operators that start a batch sequence (scans, sorted output, spill readers)
 size it by :data:`BATCH_RAMP`; everything else maps input batches to output
@@ -39,7 +43,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.errors import ExecutionError
 from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
-from repro.relational.compile import ExpressionCompiler, _hash_key
+from repro.relational.compile import ExpressionCompiler, KernelScope, _hash_key
+from repro.relational.eval import expression_type
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType, sort_key
@@ -85,10 +90,13 @@ class PhysicalOperator:
 
     #: Short name used in EXPLAIN output.
     operator_name = "operator"
+    #: Names of the attributes holding the input operators, in order.
+    _inputs: Tuple[str, ...] = ()
 
     @property
     def schema(self) -> Schema:
-        raise NotImplementedError
+        """The output schema; unless overridden, the first input's."""
+        return getattr(self, self._inputs[0]).schema
 
     def batches(self) -> Iterator[Batch]:
         """Yield the output as non-empty row batches (see the module docstring)."""
@@ -99,7 +107,25 @@ class PhysicalOperator:
 
     @property
     def children(self) -> Sequence["PhysicalOperator"]:
-        return ()
+        return tuple(getattr(self, name) for name in self._inputs)
+
+    def rebind(self, children: Sequence["PhysicalOperator"],
+               budget: Optional[MemoryBudget] = None) -> "PhysicalOperator":
+        """A copy of this operator over other inputs, drawing on ``budget``.
+
+        What the constructor derived from the AST — schemas, kernels, the
+        nodes EXPLAIN renders — is shared with the copy, so an operator tree
+        built once serves as the template of any number of (concurrent)
+        executions: each binds its own copies and only those ever run.  The
+        new inputs must have the schemas the template was built over.
+        """
+        clone = object.__new__(self.__class__)
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state.update(zip(self._inputs, children))
+        if "budget" in state:
+            state["budget"] = budget
+        return clone
 
     @property
     def estimated_rows(self) -> int:
@@ -132,10 +158,19 @@ class TableScan(PhysicalOperator):
 
     operator_name = "Scan"
 
-    def __init__(self, relation: Relation, binding: Optional[str] = None):
+    def __init__(self, relation: Relation, binding: Optional[str] = None,
+                 leaf: Optional[int] = None):
         self.relation = relation
         self.binding = binding
+        #: Which input of its plan a template's scan stands for (see ``over``).
+        self.leaf = leaf
         self._schema = relation.schema.with_qualifier(binding) if binding else relation.schema
+
+    def over(self, relation: Relation) -> "TableScan":
+        """A copy of this scan reading ``relation`` (which has its schema)."""
+        clone = self.rebind(())
+        clone.relation = relation
+        return clone
 
     @property
     def schema(self) -> Schema:
@@ -158,20 +193,13 @@ class Filter(PhysicalOperator):
     """Keep rows satisfying a SQL predicate (three-valued: NULL drops the row)."""
 
     operator_name = "Filter"
+    _inputs = ("child",)
 
     def __init__(self, child: PhysicalOperator, condition: Node,
-                 subquery_executor: Optional[Callable[[Node], Relation]] = None):
+                 scope: Optional[KernelScope] = None):
         self.child = child
         self.condition = condition
-        self._predicate = ExpressionCompiler(child.schema, subquery_executor).predicate(condition)
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
+        self._predicate = ExpressionCompiler(child.schema, scope=scope).predicate(condition)
 
     def batches(self) -> Iterator[Batch]:
         predicate = self._predicate
@@ -196,20 +224,16 @@ class Project(PhysicalOperator):
     """Compute output expressions for every input row."""
 
     operator_name = "Project"
+    _inputs = ("child",)
 
     def __init__(self, child: PhysicalOperator, expressions: Sequence[Node],
-                 names: Sequence[str],
-                 subquery_executor: Optional[Callable[[Node], Relation]] = None):
+                 names: Sequence[str], scope: Optional[KernelScope] = None):
         if len(expressions) != len(names):
             raise ExecutionError("projection expressions and names must align")
         self.child = child
         self.expressions = list(expressions)
         self.names = list(names)
-        self._project = ExpressionCompiler(child.schema, subquery_executor).projection(
-            self.expressions
-        )
-        from repro.relational.eval import expression_type
-
+        self._project = ExpressionCompiler(child.schema, scope=scope).projection(self.expressions)
         self._schema = Schema(
             Attribute(name=name, type=expression_type(expr, child.schema))
             for name, expr in zip(self.names, self.expressions)
@@ -218,10 +242,6 @@ class Project(PhysicalOperator):
     @property
     def schema(self) -> Schema:
         return self._schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
 
     def batches(self) -> Iterator[Batch]:
         project = self._project
@@ -241,6 +261,7 @@ class CrossProduct(PhysicalOperator):
     """Cartesian product; the right input is materialized once."""
 
     operator_name = "CrossProduct"
+    _inputs = ("left", "right")
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         self.left = left
@@ -250,10 +271,6 @@ class CrossProduct(PhysicalOperator):
     @property
     def schema(self) -> Schema:
         return self._schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.left, self.right)
 
     def batches(self) -> Iterator[Batch]:
         right_rows = list(self.right)
@@ -270,25 +287,22 @@ class NestedLoopJoin(PhysicalOperator):
     """Theta join evaluated as a filtered cross product."""
 
     operator_name = "NestedLoopJoin"
+    _inputs = ("left", "right")
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator, condition: Optional[Node],
-                 subquery_executor: Optional[Callable[[Node], Relation]] = None):
+                 scope: Optional[KernelScope] = None):
         self.left = left
         self.right = right
         self.condition = condition
         self._schema = left.schema.concat(right.schema)
         self._predicate = (
-            ExpressionCompiler(self._schema, subquery_executor).predicate(condition)
+            ExpressionCompiler(self._schema, scope=scope).predicate(condition)
             if condition is not None else None
         )
 
     @property
     def schema(self) -> Schema:
         return self._schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.left, self.right)
 
     def batches(self) -> Iterator[Batch]:
         right_rows = list(self.right)
@@ -330,18 +344,19 @@ class HashJoin(PhysicalOperator):
     evaluation."""
 
     operator_name = "HashJoin"
+    _inputs = ("left", "right")
 
     #: Build-side partitions used by the spilled (Grace) fallback.
     SPILL_PARTITIONS = 32
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_key, right_key, residual: Optional[Node] = None,
-                 subquery_executor: Optional[Callable[[Node], Relation]] = None,
+                 scope: Optional[KernelScope] = None,
                  budget: Optional[MemoryBudget] = None):
         self.left = left
         self.right = right
         self.budget = budget
-        #: True once an iteration had to fall back to partitioned spilling.
+        #: Whether the last iteration fell back to partitioned spilling.
         self.spilled = False
         self.left_keys: List[Node] = list(left_key) if not isinstance(left_key, Node) else [left_key]
         self.right_keys: List[Node] = list(right_key) if not isinstance(right_key, Node) else [right_key]
@@ -351,36 +366,23 @@ class HashJoin(PhysicalOperator):
         self._schema = left.schema.concat(right.schema)
         # Each side's bucket key: the normalized key tuple of a row, None when
         # a part is NULL (such a row can match nothing).
-        self._left_key = ExpressionCompiler(left.schema, subquery_executor).bucket_key(
-            self.left_keys)
-        self._right_key = ExpressionCompiler(right.schema, subquery_executor).bucket_key(
+        self._left_key = ExpressionCompiler(left.schema, scope=scope).bucket_key(self.left_keys)
+        self._right_key = ExpressionCompiler(right.schema, scope=scope).bucket_key(
             self.right_keys)
         self._residual_predicate = (
-            ExpressionCompiler(self._schema, subquery_executor).predicate(residual)
+            ExpressionCompiler(self._schema, scope=scope).predicate(residual)
             if residual is not None else None
         )
-
-    # Backwards-compatible single-key views (used by explain and older callers).
-    @property
-    def left_key(self) -> Node:
-        return self.left_keys[0]
-
-    @property
-    def right_key(self) -> Node:
-        return self.right_keys[0]
 
     @property
     def schema(self) -> Schema:
         return self._schema
 
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.left, self.right)
-
     def batches(self) -> Iterator[Batch]:
         budget = self.budget
         fanout = self.SPILL_PARTITIONS
         right_key = self._right_key
+        self.spilled = False
         buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
         build_rows = 0
@@ -528,6 +530,7 @@ class Distinct(PhysicalOperator):
     """
 
     operator_name = "Distinct"
+    _inputs = ("child",)
 
     #: Partition fan-out of the spilled dedup.
     SPILL_PARTITIONS = 32
@@ -538,20 +541,13 @@ class Distinct(PhysicalOperator):
         self.child = child
         self.budget = budget
         self._key = key or _default_distinct_key
-        #: True once an iteration had to fall back to partitioned spilling.
+        #: Whether the last iteration fell back to partitioned spilling.
         self.spilled = False
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
 
     def batches(self) -> Iterator[Batch]:
         key_fn = self._key
         budget = self.budget
+        self.spilled = False
         seen = set()
         seen_bytes = 0
         consumed = 0  # input rows of the batches before the current one
@@ -708,11 +704,12 @@ class Sort(PhysicalOperator):
       that never spills.
 
     ``key_functions`` overrides the compiled per-key functions — an aligned
-    list of ``(row -> orderable, ascending)`` pairs — used by the streaming
-    finalizer to order by output positions instead of expressions.
+    list of ``(row -> orderable, ascending)`` pairs — used by a SELECT's
+    lowering to order by output positions instead of expressions.
     """
 
     operator_name = "Sort"
+    _inputs = ("child",)
 
     #: Smallest buffer worth spilling as a run.  Without a floor, a budget
     #: pinned by *another* operator would degenerate into one run (one open
@@ -721,7 +718,7 @@ class Sort(PhysicalOperator):
     MIN_SPILL_RUN_BYTES = 32 * 1024
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[Tuple[Node, bool]],
-                 subquery_executor: Optional[Callable[[Node], Relation]] = None,
+                 scope: Optional[KernelScope] = None,
                  budget: Optional[MemoryBudget] = None,
                  limit: Optional[int] = None,
                  key_functions: Optional[Sequence[Tuple[Callable[[Row], Any], bool]]] = None):
@@ -732,20 +729,12 @@ class Sort(PhysicalOperator):
         if key_functions is not None:
             self._key_fns = list(key_functions)
         else:
-            compiler = ExpressionCompiler(child.schema, subquery_executor)
+            compiler = ExpressionCompiler(child.schema, scope=scope)
             self._key_fns = [
                 (compiler.sort_key(expr), ascending) for expr, ascending in self.keys
             ]
         #: How many sorted runs the last iteration spilled (0 = in memory).
         self.spill_runs = 0
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
 
     def _composite_key(self) -> Callable[[Row], Any]:
         """One total-order key equivalent to the per-key stable sort cascade."""
@@ -851,19 +840,12 @@ class Limit(PhysicalOperator):
     """LIMIT/OFFSET."""
 
     operator_name = "Limit"
+    _inputs = ("child",)
 
     def __init__(self, child: PhysicalOperator, count: Optional[int], offset: int = 0):
         self.child = child
         self.count = count
         self.offset = offset or 0
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
 
     def batches(self) -> Iterator[Batch]:
         remaining = self.count  # None = unbounded
@@ -919,6 +901,11 @@ class UnionAll(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return tuple(self.inputs)
 
+    def rebind(self, children, budget=None) -> "UnionAll":
+        clone = super().rebind((), budget)
+        clone.inputs = list(children)
+        return clone
+
     def batches(self) -> Iterator[Batch]:
         for child in self.inputs:
             with closing(child.batches()) as child_batches:
@@ -937,18 +924,11 @@ class Materialize(PhysicalOperator):
     """
 
     operator_name = "Materialize"
+    _inputs = ("child",)
 
     def __init__(self, child: PhysicalOperator):
         self.child = child
         self._buffer: Optional[List[Row]] = None
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
 
     def batches(self) -> Iterator[Batch]:
         if self._buffer is None:

@@ -22,11 +22,21 @@ from decimal import Decimal
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
-from repro.relational.compile import ExpressionCompiler
+from repro.relational.compile import ExpressionCompiler, KernelScope
 from repro.relational.eval import ExpressionEvaluator, expression_type
+from repro.relational.operators import (
+    Distinct,
+    HashJoin,
+    Limit,
+    PhysicalOperator,
+    Project,
+    Sort,
+    TableScan,
+    _ramp_batches,
+)
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType
+from repro.relational.types import DataType, sort_key as value_sort_key
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -42,6 +52,7 @@ from repro.sql.ast import (
     Statement,
     TableRef,
     Union,
+    conjuncts,
     is_aggregate_call,
     walk,
 )
@@ -59,6 +70,13 @@ class QueryProcessor:
 
     def __init__(self, resolver: Callable[[str, Optional[str]], Relation]):
         self._resolve_table = resolver
+
+    @property
+    def _scope(self) -> KernelScope:
+        # Per use, not kept: a scope holds this processor's bound method, and
+        # sources build a processor per query — each would be a reference
+        # cycle only the cycle collector frees.
+        return KernelScope(self._subquery_executor)
 
     # -- constructors -------------------------------------------------------
 
@@ -94,31 +112,12 @@ class QueryProcessor:
         "local operations"); it then hands the joined rows plus their combined
         schema to this method, which applies the remaining phases — grouping
         and aggregates, HAVING, the select list, DISTINCT, ORDER BY and
-        LIMIT — with semantics identical to :meth:`execute`.
+        LIMIT — with semantics identical to :meth:`execute`: it lowers the
+        SELECT over a scan of ``rows`` (:func:`lower_select`) and drains it.
         """
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ) or (select.having is not None and any(is_aggregate_call(n) for n in walk(select.having)))
-
-        if select.group_by or has_aggregates:
-            output_rows, output_schema, _context = self._execute_grouped(select, rows, schema)
-        else:
-            output_rows, output_schema, _context = self._execute_flat(select, rows, schema)
-
-        if select.order_by:
-            output_rows = self._order_rows(select, output_rows, output_schema, schema)
-        if select.distinct:
-            output_rows = _distinct_rows(output_rows)
-        if select.limit is not None or select.offset is not None:
-            offset = select.offset or 0
-            end = None if select.limit is None else offset + select.limit
-            output_rows = output_rows[offset:end]
-
-        result = Relation(output_schema)
-        result.rows = [row for row, _context_row in output_rows]
-        return result
+        relation = Relation(schema)
+        relation.rows = rows
+        return lower_select(select, TableScan(relation), self._scope).to_relation()
 
     # -- UNION ---------------------------------------------------------------
 
@@ -137,9 +136,7 @@ class QueryProcessor:
     def _execute_select(self, select: Select) -> Relation:
         rows, source_schema = self._build_from(select)
         if select.where is not None:
-            predicate = ExpressionCompiler(
-                source_schema, self._subquery_executor
-            ).predicate(select.where)
+            predicate = ExpressionCompiler(source_schema, scope=self._scope).predicate(select.where)
             rows = [row for row in rows if predicate(row) is True]
         return self.finalize_select(select, rows, source_schema)
 
@@ -189,7 +186,7 @@ class QueryProcessor:
                 return hashed, schema
 
         predicate = (
-            ExpressionCompiler(schema, self._subquery_executor).predicate(node.condition)
+            ExpressionCompiler(schema, scope=self._scope).predicate(node.condition)
             if node.condition is not None else None
         )
 
@@ -243,9 +240,6 @@ class QueryProcessor:
         the nested loop's.  Boolean key values force the nested-loop fallback:
         SQL equality coerces booleans against *any* number (``True = 2`` is
         true), which no bucket normalization can reproduce."""
-        from repro.relational.operators import HashJoin, TableScan
-        from repro.sql.ast import conjuncts
-
         combined_schema = left_schema.concat(right_schema)
 
         def side_of(ref: ColumnRef) -> Optional[str]:
@@ -296,129 +290,9 @@ class QueryProcessor:
         right_relation.rows = list(right_rows)
         join = HashJoin(
             TableScan(left_relation), TableScan(right_relation),
-            left_keys, right_keys, residual=condition,
-            subquery_executor=self._subquery_executor,
+            left_keys, right_keys, residual=condition, scope=self._scope,
         )
         return list(join)
-
-    # -- flat (non-grouped) SELECT ----------------------------------------------
-
-    def _execute_flat(self, select: Select, rows: List[Row], schema: Schema):
-        items = self._expand_stars(select.items, schema)
-        project = ExpressionCompiler(schema, self._subquery_executor).projection(
-            [item.expr for item in items]
-        )
-        names = _output_names(items)
-        output_schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, schema))
-            for name, item in zip(names, items)
-        )
-        return [(project(row), row) for row in rows], output_schema, schema
-
-    # -- grouped SELECT -----------------------------------------------------------
-
-    def _execute_grouped(self, select: Select, rows: List[Row], schema: Schema):
-        items = self._expand_stars(select.items, schema)
-        compiler = ExpressionCompiler(schema, self._subquery_executor)
-        key_fns = [compiler.compile(expr) for expr in select.group_by]
-
-        # Group rows by the GROUP BY key (a single global group when absent).
-        groups: Dict[Tuple, List[Row]] = {}
-        group_order: List[Tuple] = []
-        for row in rows:
-            key = tuple(_group_key(fn(row)) for fn in key_fns)
-            if key not in groups:
-                groups[key] = []
-                group_order.append(key)
-            groups[key].append(row)
-        if not select.group_by and not groups:
-            # Aggregates over an empty input still produce one row (COUNT = 0).
-            groups[()] = []
-            group_order.append(())
-
-        # Collect every aggregate call appearing in the outputs and HAVING.
-        aggregate_calls: List[FunctionCall] = []
-        for item in items:
-            aggregate_calls.extend(n for n in walk(item.expr) if is_aggregate_call(n))
-        if select.having is not None:
-            aggregate_calls.extend(n for n in walk(select.having) if is_aggregate_call(n))
-
-        names = _output_names(items)
-        output_schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, schema))
-            for name, item in zip(names, items)
-        )
-
-        # Compile each distinct aggregate's argument once, not once per group.
-        compiled_calls = []
-        for call in aggregate_calls:
-            signature = _call_signature(call)
-            arg_fn = (
-                compiler.compile(call.args[0])
-                if call.args and not isinstance(call.args[0], Star) else None
-            )
-            compiled_calls.append((signature, call, arg_fn))
-
-        output: List[Tuple[Row, Row]] = []
-        for key in group_order:
-            group_rows = groups[key]
-            aggregates = {
-                signature: _compute_aggregate(call, group_rows, arg_fn)
-                for signature, call, arg_fn in compiled_calls
-            }
-            group_evaluator = _GroupEvaluator(schema, aggregates, group_rows, self._subquery_executor)
-
-            if select.having is not None:
-                keep = group_evaluator.predicate(select.having)(_representative(group_rows, schema))
-                if keep is not True:
-                    continue
-
-            representative = _representative(group_rows, schema)
-            values = tuple(
-                group_evaluator.evaluate(item.expr, representative) for item in items
-            )
-            output.append((values, representative))
-        return output, output_schema, schema
-
-    # -- ORDER BY -------------------------------------------------------------------
-
-    def _order_rows(self, select: Select, output_rows, output_schema: Schema, schema: Schema):
-        from repro.relational.types import sort_key as value_sort_key
-
-        alias_positions = {name.lower(): index for index, name in enumerate(output_schema.names)}
-        compiler = ExpressionCompiler(schema, self._subquery_executor)
-
-        def key_fn_for(order_expr: Node) -> Callable[[Tuple[Row, Row]], Any]:
-            """Resolve one ORDER BY key to a (output_row, context_row) -> key."""
-            # An unqualified column name matching an output alias refers to it.
-            if isinstance(order_expr, ColumnRef) and order_expr.table is None:
-                position = alias_positions.get(order_expr.name.lower())
-                if position is not None:
-                    return lambda pair: value_sort_key(pair[0][position])
-            # A literal integer is a 1-based output position, per SQL
-            # convention — but TRUE/FALSE are constants, not positions.
-            if (isinstance(order_expr, Literal) and isinstance(order_expr.value, int)
-                    and not isinstance(order_expr.value, bool)):
-                literal_position = order_expr.value - 1
-
-                def positional(pair):
-                    if 0 <= literal_position < len(pair[0]):
-                        return value_sort_key(pair[0][literal_position])
-                    return value_sort_key(order_expr.value)
-
-                return positional
-            compiled = compiler.compile(order_expr)
-            return lambda pair: value_sort_key(compiled(pair[1]))
-
-        rows = list(output_rows)
-        for order_item in reversed(select.order_by):
-            rows.sort(key=key_fn_for(order_item.expr), reverse=not order_item.ascending)
-        return rows
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _expand_stars(self, items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
-        return expand_star_items(items, schema)
 
     def _subquery_executor(self, select: Select) -> Relation:
         """Execute an uncorrelated subquery (correlation is not supported)."""
@@ -426,8 +300,180 @@ class QueryProcessor:
 
 
 # ---------------------------------------------------------------------------
-# Finalization helpers shared with the streaming executor
+# Lowering a SELECT's finish: the one implementation of projection, ORDER BY,
+# DISTINCT and LIMIT, for the local processor and the mediator's plans alike
 # ---------------------------------------------------------------------------
+
+
+def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
+                 fetch_limit: Optional[int] = None) -> PhysicalOperator:
+    """The operators finishing ``select`` over ``child``, its joined input.
+
+    This is where "streams or materializes" is decided, once.  A flat SELECT
+    whose ORDER BY keys all sit in the output row (an alias, a 1-based
+    position, or an expression identical to a select item) streams through
+    ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``; ``fetch_limit`` (a row
+    bound that commutes with finalization) turns the sort into a top-k.
+    GROUP BY, an aggregate or a HAVING — which groups even without either:
+    one implicit group — and ORDER BY keys that read the row beneath the
+    select list take the materializing :class:`Finalize`.
+    """
+    items = expand_star_items(select.items, child.schema)
+    names = output_names(items)
+    grouped = bool(select.group_by) or select.having is not None or any(
+        is_aggregate_call(node) for item in items for node in walk(item.expr)
+    )
+    order = _order_keys(select, items, names, structural=not grouped)
+    if grouped or any(position is None for position, _expr, _ascending in order):
+        return Finalize(child, select, items, names, order, grouped, scope)
+    operator: PhysicalOperator = Project(child, [item.expr for item in items], names, scope)
+    if select.order_by:
+        operator = Sort(
+            operator, [(item.expr, item.ascending) for item in select.order_by],
+            limit=fetch_limit if not select.distinct else None,
+            key_functions=[
+                (lambda row, position=position: value_sort_key(row[position]), ascending)
+                for position, _expr, ascending in order
+            ],
+        )
+    if select.distinct:
+        operator = Distinct(operator, key=finalize_distinct_key)
+    if select.limit is not None or select.offset is not None:
+        operator = Limit(operator, select.limit, select.offset or 0)
+    return operator
+
+
+def _order_keys(select: Select, items: Sequence[SelectItem], names: Sequence[str],
+                structural: bool) -> List[Tuple[Optional[int], Node, bool]]:
+    """Resolve ORDER BY to ``(output position, expression, ascending)`` keys.
+
+    An unqualified name matching an output alias is that output column; an
+    integer literal is a 1-based output position, per SQL convention (but
+    TRUE/FALSE are constants, and so is a position outside the select list —
+    a constant key orders nothing and is dropped); with ``structural``, a key
+    identical to a select item is that item's column.  Any other key must be
+    evaluated against the row beneath the select list: position None.
+    """
+    aliases = {name.lower(): index for index, name in enumerate(names)}
+    expressions: Dict[Node, int] = {}
+    if structural:
+        for index, item in enumerate(items):
+            expressions.setdefault(item.expr, index)
+    keys: List[Tuple[Optional[int], Node, bool]] = []
+    for item in select.order_by:
+        expr = item.expr
+        if isinstance(expr, ColumnRef) and expr.table is None and expr.name.lower() in aliases:
+            position: Optional[int] = aliases[expr.name.lower()]
+        elif isinstance(expr, Literal) and type(expr.value) is int:
+            position = expr.value - 1
+            if not 0 <= position < len(items):
+                continue
+        else:
+            position = expressions.get(expr)
+        keys.append((position, expr, item.ascending))
+    return keys
+
+
+class Finalize(PhysicalOperator):
+    """The materializing finish of a SELECT (see :func:`lower_select`).
+
+    The constructor binds everything the AST decides — group-key and
+    aggregate-argument kernels, the select-list kernel, the ORDER BY keys —
+    and ``batches`` drains the child, evaluates the groups with the
+    interpreted :class:`_GroupEvaluator` (or projects row by row), orders
+    (output row, context row) pairs, and applies DISTINCT and LIMIT.
+    """
+
+    operator_name = "Finalize"
+    _inputs = ("child",)
+
+    def __init__(self, child: PhysicalOperator, select: Select, items: Sequence[SelectItem],
+                 names: Sequence[str], order: Sequence[Tuple[Optional[int], Node, bool]],
+                 grouped: bool, scope: KernelScope):
+        schema = child.schema
+        compiler = ExpressionCompiler(schema, scope=scope)
+        self.child = child
+        self.select = select
+        self._items = list(items)
+        self._subquery_executor = scope.subquery_executor
+        self._schema = Schema(
+            Attribute(name=name, type=expression_type(item.expr, schema))
+            for name, item in zip(names, items)
+        )
+        self._project = self._group_keys = self._calls = None
+        if grouped:
+            self._group_keys = [compiler.compile(expr) for expr in select.group_by]
+            # Every aggregate call of the outputs and HAVING, its argument
+            # compiled once, not once per group.
+            calls = [node for item in items for node in walk(item.expr)
+                     if is_aggregate_call(node)]
+            if select.having is not None:
+                calls.extend(node for node in walk(select.having) if is_aggregate_call(node))
+            self._calls = [
+                (_call_signature(call), call,
+                 compiler.compile(call.args[0])
+                 if call.args and not isinstance(call.args[0], Star) else None)
+                for call in calls
+            ]
+        else:
+            self._project = compiler.projection([item.expr for item in items])
+        self._order = [
+            ((lambda pair, position=position: value_sort_key(pair[0][position]))
+             if position is not None
+             else (lambda pair, key=compiler.sort_key(expr): key(pair[1])), ascending)
+            for position, expr, ascending in order
+        ]
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    def batches(self):
+        select = self.select
+        rows = list(self.child)
+        if self._project is not None:
+            project = self._project
+            pairs = [(project(row), row) for row in rows]
+        else:
+            pairs = self._grouped(rows)
+        for key, ascending in reversed(self._order):
+            pairs.sort(key=key, reverse=not ascending)
+        if select.distinct:
+            pairs = _distinct_rows(pairs)
+        if select.limit is not None or select.offset is not None:
+            offset = select.offset or 0
+            pairs = pairs[offset:None if select.limit is None else offset + select.limit]
+        return _ramp_batches([row for row, _context_row in pairs])
+
+    def _grouped(self, rows: List[Row]) -> List[Tuple[Row, Row]]:
+        select, schema = self.select, self.child.schema
+        # Group rows by the GROUP BY key (a single global group when absent).
+        groups: Dict[Tuple, List[Row]] = {}
+        for row in rows:
+            key = tuple(_group_key(fn(row)) for fn in self._group_keys)
+            groups.setdefault(key, []).append(row)
+        if not select.group_by and not groups:
+            # Aggregates over an empty input still produce one row (COUNT = 0).
+            groups[()] = []
+
+        output: List[Tuple[Row, Row]] = []
+        for group_rows in groups.values():
+            aggregates = {
+                signature: _compute_aggregate(call, group_rows, arg_fn)
+                for signature, call, arg_fn in self._calls
+            }
+            group_evaluator = _GroupEvaluator(
+                schema, aggregates, group_rows, self._subquery_executor)
+            representative = _representative(group_rows, schema)
+            if select.having is not None:
+                if group_evaluator.predicate(select.having)(representative) is not True:
+                    continue
+            values = tuple(
+                group_evaluator.evaluate(item.expr, representative) for item in self._items
+            )
+            output.append((values, representative))
+        return output
+
 
 
 def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
@@ -446,11 +492,6 @@ def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[Selec
         else:
             expanded.append(item)
     return expanded
-
-
-def output_names(items: Sequence[SelectItem]) -> List[str]:
-    """Public name of :func:`_output_names` (select-list output columns)."""
-    return _output_names(items)
 
 
 def finalize_distinct_key(row: Sequence[Any]) -> Tuple:
@@ -540,7 +581,8 @@ def _group_key(value: Any) -> Any:
     return ("s", str(value))
 
 
-def _output_names(items: Sequence[SelectItem]) -> List[str]:
+def output_names(items: Sequence[SelectItem]) -> List[str]:
+    """The output column names of a (star-expanded) select list."""
     names: List[str] = []
     for index, item in enumerate(items):
         if item.alias:
@@ -556,7 +598,7 @@ def _distinct_rows(output_rows):
     seen = set()
     result = []
     for values, context in output_rows:
-        key = tuple(_group_key(value) for value in values)
+        key = finalize_distinct_key(values)
         if key not in seen:
             seen.add(key)
             result.append((values, context))

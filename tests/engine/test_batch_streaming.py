@@ -250,3 +250,114 @@ class TestLazyOperatorDetail:
         assert first_branch[0][1].startswith("(r1_stage") and first_branch[0][1].endswith(
             ", 1 rows)")
         assert all(isinstance(entry["detail"], str) for entry in served)
+
+
+class _CountingCalls:
+    """Counts calls of the mediator's build-time functions, wherever bound.
+
+    A ``from module import name`` binds the function in the importing module,
+    so every ``repro`` module attribute (and the classes' methods) that *is*
+    the original is replaced by the counting wrapper.  Calls made beneath
+    ``wrapper.query``/``fetch`` — a source's own local processor at work —
+    are counted apart: ``calls`` is the mediator's side alone."""
+
+    def __init__(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.engine.request_cache import request_key
+        from repro.relational.compile import ExpressionCompiler
+        from repro.relational.eval import expression_type
+        from repro.sql.ast import conjoin, walk
+
+        self.calls, self.source_calls = {}, {}
+        self._in_source = threading.local()
+        modules = [module for name, module in list(sys.modules.items())
+                   if name.startswith("repro.") and module is not None]
+        for function in (expression_type, walk, conjoin, request_key):
+            counting = self._counting(function.__name__, function)
+            for module in modules:
+                if getattr(module, function.__name__, None) is function:
+                    monkeypatch.setattr(module, function.__name__, counting)
+        for owner, name in ((ExpressionCompiler, "_kernel"), (Schema, "__init__")):
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, self._counting(label, getattr(owner, name)))
+        for name in ("query", "fetch"):
+            monkeypatch.setattr(RelationalWrapper, name,
+                                self._source_side(getattr(RelationalWrapper, name)))
+
+    def _counting(self, label, function):
+        self.calls[label] = self.source_calls[label] = 0
+
+        def counting(*args, **kwargs):
+            side = self.source_calls if getattr(self._in_source, "depth", 0) else self.calls
+            side[label] += 1
+            return function(*args, **kwargs)
+
+        return counting
+
+    def _source_side(self, method):
+        def inside(*args, **kwargs):
+            self._in_source.depth = getattr(self._in_source, "depth", 0) + 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                self._in_source.depth -= 1
+
+        return inside
+
+    def take(self):
+        """The mediator-side counts since the last take."""
+        taken, self.calls = self.calls, dict.fromkeys(self.calls, 0)
+        return taken
+
+
+class TestWarmStatementBuildsNothing:
+    """The second execution of a cached plan binds and iterates: it compiles,
+    types, walks, conjoins and keys nothing, and derives no schema."""
+
+    NOTHING = {"ExpressionCompiler._kernel": 0, "Schema.__init__": 0, "conjoin": 0,
+               "expression_type": 0, "request_key": 0, "walk": 0}
+
+    def test_paper_query_through_the_federation(self, monkeypatch):
+        federation = build_paper_federation().federation
+        expected = federation.query(PAPER_QUERY).relation.rows  # miss: lowers
+        counted = _CountingCalls(monkeypatch)
+        answer = federation.query(PAPER_QUERY)
+        assert counted.take() == self.NOTHING
+        assert answer.relation.rows == expected
+
+    def test_every_query_shape_with_the_sources_re_running_their_sql(self, monkeypatch):
+        engine = _engine()  # no request cache: every execution fetches
+        counted = _CountingCalls(monkeypatch)
+        for query in QUERIES:
+            plan = engine.plan(query)
+            counted.take()
+            first = list(engine.execute(plan).relation.rows)
+            lowering = counted.take()
+            # The miss is one build: each operator's kernels, once.
+            assert lowering["ExpressionCompiler._kernel"] > 0, query
+            assert lowering["request_key"] == plan.template.units, query
+            second = list(engine.execute(plan).relation.rows)
+            assert counted.take() == self.NOTHING, query
+            assert second == first
+        assert counted.source_calls["ExpressionCompiler._kernel"] > 0
+
+    def test_a_warm_statement_leaves_nothing_to_the_cycle_collector(self):
+        # Bound operators, staged rows and the report die with the statement,
+        # by reference count: a cycle through them (a recursive closure in the
+        # binder did that once) pins every warm statement's rows until the
+        # collector runs, and doubles its work.
+        import gc
+
+        federation = build_paper_federation().federation
+        for _ in range(2):
+            federation.query(PAPER_QUERY)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                federation.query(PAPER_QUERY)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,0 +1,344 @@
+"""Physical plan templates: lifetime, guards and sharing.
+
+A plan's template (``QueryPlan.template``) holds what its executions share —
+request keys, the optimizer preamble, per branch the lowered stages and the
+operator tree.  Pinned here:
+
+* **lifetime** — the template hangs off the cached plan object, so whatever
+  retires the plan (catalog generation, knowledge generation, feedback
+  epoch) yields a fresh template, and a warm statement reuses the one it has;
+* **the schema guard** — a wrapper that starts shipping another schema gets
+  its stage and the operator tree re-lowered, never a stale position read;
+* **the subquery rule** — a branch whose kernels fold a subquery keeps no
+  template: each execution folds for itself;
+* **sharing** — concurrent executions of one cached plan, spilling under a
+  64 KiB budget, agree with the serial answer and leave nothing behind;
+* bind-join plans and partial answers over a dead source execute from a
+  template exactly as they did the first time.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.demo.datasets import PAPER_QUERY
+from repro.demo.scenarios import build_paper_federation
+from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.planner import PlannerConfig
+from repro.engine.request_cache import SourceResultCache
+from repro.engine.resilience import ResiliencePolicy, RetryPolicy
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.sources.base import SourceCapabilities
+from repro.sources.faults import FaultInjectingSource, FaultSchedule
+from repro.sources.memory import MemorySQLSource
+from repro.wrappers.wrapper import RelationalWrapper
+
+
+def _source(name, table, columns, values):
+    source = MemorySQLSource(name)
+    source.load_sql(f"CREATE TABLE {table} ({columns})",
+                    f"INSERT INTO {table} VALUES {values}")
+    return source
+
+
+def _two_source_engine(rows=40, **kwargs):
+    engine = MultiDatabaseEngine(**kwargs)
+    for name in ("t", "u"):
+        values = ", ".join(f"({index}, {float((index * 37) % 100)}, '{'xyz'[index % 3]}')"
+                           for index in range(rows))
+        engine.register_wrapper(
+            RelationalWrapper(_source(f"db_{name}", name, "a integer, v float, b varchar", values)),
+            estimate_rows=False)
+    return engine
+
+
+JOIN = "SELECT t.a, u.v FROM t, u WHERE t.a = u.a AND t.v <= u.v ORDER BY 2, 1"
+
+
+def _kept(plan, branch=0):
+    """The operator template the branch keeps (None before its first run)."""
+    kept = plan.template.branches[branch]._operators
+    return None if kept is None else kept[1]
+
+
+class TestLifetime:
+    def test_a_warm_statement_reuses_its_plans_template(self):
+        federation = build_paper_federation().federation
+        first = federation.query(PAPER_QUERY).execution.plan
+        lowered = [_kept(first, index) for index in range(len(first.branches))]
+        assert all(operators is not None for operators in lowered)
+        second = federation.query(PAPER_QUERY).execution.plan
+        assert second is first
+        assert [_kept(second, index) for index in range(len(second.branches))] == lowered
+
+    @pytest.mark.parametrize("retire", ["catalog", "knowledge", "feedback"])
+    def test_what_retires_the_plan_retires_the_template(self, retire):
+        federation = build_paper_federation().federation
+        before = federation.query(PAPER_QUERY)
+        if retire == "catalog":
+            federation.invalidate_source_cache(relation="r1")
+        elif retire == "knowledge":
+            federation.system.contexts.get("c_receiver").declare_constant(
+                "companyFinancials", "scaleFactor", 1)
+        else:
+            federation.engine.catalog.feedback.record_request(
+                "r1", "", 10_000, planned_rows=10)
+        after = federation.query(PAPER_QUERY)
+        assert after.execution.plan is not before.execution.plan
+        assert after.execution.plan.template is not before.execution.plan.template
+        assert _kept(after.execution.plan) is not _kept(before.execution.plan)
+        assert after.relation.rows == before.relation.rows
+
+    def test_mediator_side_kernels_stay_out_of_the_global_memo(self):
+        from repro.relational import compile as compile_module
+
+        engine = _two_source_engine(request_cache=SourceResultCache(capacity=8))
+        engine.execute(JOIN)  # sources compile their pushed SQL into _MEMO
+        plan = engine.plan(JOIN)
+        engine.execute(plan)  # all fetches cached: only the mediator lowers
+        before = len(compile_module._MEMO)
+        fresh = engine.plan(JOIN)
+        engine.execute(fresh)
+        assert _kept(fresh) is not None and _kept(fresh) is not _kept(plan)
+        assert len(compile_module._MEMO) == before
+
+
+class _ShiftingWrapper(RelationalWrapper):
+    """Ships relation ``t`` with whatever column order ``self.order`` says."""
+
+    order = ("a", "v", "b")
+
+    def _reshape(self, relation):
+        positions = [relation.schema.index_of(name) for name in self.order
+                     if relation.schema.has(name)]
+        reshaped = Relation(relation.schema.project(positions), name=relation.name)
+        reshaped.rows = [tuple(row[position] for position in positions)
+                         for row in relation.rows]
+        return reshaped
+
+    def fetch(self, relation):
+        return self._reshape(super().fetch(relation))
+
+    def query(self, statement):
+        return self._reshape(super().query(statement))
+
+
+class TestSchemaGuard:
+    def _engine(self):
+        engine = MultiDatabaseEngine()
+        values = ", ".join(f"({index}, {float(index % 7)}, '{'xyz'[index % 3]}')"
+                           for index in range(30))
+        t = MemorySQLSource("db_t", capabilities=SourceCapabilities.scan_only())
+        t.load_sql("CREATE TABLE t (a integer, v float, b varchar)",
+                   f"INSERT INTO t VALUES {values}")
+        wrapper = _ShiftingWrapper(t)
+        engine.register_wrapper(wrapper, estimate_rows=False)
+        engine.register_wrapper(RelationalWrapper(
+            _source("db_u", "u", "a integer, v float, b varchar", values)),
+            estimate_rows=False)
+        return engine, wrapper
+
+    def test_a_wrapper_shipping_another_schema_re_lowers(self):
+        engine, wrapper = self._engine()
+        query = ("SELECT t.b, t.a, u.v FROM t, u WHERE t.a = u.a AND t.b <> 'x' "
+                 "ORDER BY t.a")
+        plan = engine.plan(query)
+        expected = list(engine.execute(plan).relation.rows)
+        assert expected and all(row[0] in "yz" for row in expected)
+        first = _kept(plan)
+
+        wrapper.order = ("b", "v", "a")  # same columns, other positions
+        assert list(engine.execute(plan).relation.rows) == expected
+        second = _kept(plan)
+        assert second is not first  # re-lowered: no stale position was read
+
+        assert list(engine.execute(plan).relation.rows) == expected
+        assert _kept(plan) is second  # and the new template is kept
+
+    def test_equal_schemas_from_fresh_objects_keep_the_template(self):
+        engine, _wrapper = self._engine()  # reshapes: a new Schema per fetch
+        plan = engine.plan("SELECT t.a FROM t WHERE t.v > 3")
+        first_rows = list(engine.execute(plan).relation.rows)
+        first = _kept(plan)
+        assert list(engine.execute(plan).relation.rows) == first_rows
+        assert _kept(plan) is first
+
+
+class TestSubqueryRule:
+    def test_a_subquery_bearing_branch_never_reuses_a_folded_result(self):
+        engine = _two_source_engine(request_cache=SourceResultCache(capacity=8))
+        plan = engine.plan("SELECT t.a, (SELECT 7) AS seven FROM t, u "
+                           "WHERE t.a = u.a AND t.a < 3")
+        runs = []
+        original = engine.controller.subquery_executor
+
+        def counting(select):
+            runs.append(select)
+            return original(select)
+
+        engine.controller.subquery_executor = counting
+        for execution in (1, 2, 3):
+            rows = sorted(engine.execute(plan).relation.rows)
+            assert rows == [(0, 7), (1, 7), (2, 7)]
+            assert len(runs) == execution  # folded anew by every execution
+            assert _kept(plan) is None  # handed out, never kept
+        # The subquery-free stages beneath it are templates like any other.
+        assert len(plan.template.branches[0]._stages) == 2
+
+
+class TestSharing:
+    THREADS = 8
+
+    def test_concurrent_executions_of_one_cached_plan(self):
+        engine = _two_source_engine(
+            rows=1500, memory_budget_bytes=64 * 1024,
+            request_cache=SourceResultCache(capacity=8))
+        plan = engine.plan("SELECT DISTINCT t.b, u.v FROM t, u WHERE t.a = u.a "
+                           "ORDER BY 2 DESC, 1")
+        serial = engine.execute(plan)
+        expected = list(serial.relation.rows)
+        assert serial.report.spill_count > 0 and len(expected) > 100
+
+        outcomes, barrier = [], threading.Barrier(self.THREADS)
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    stream = engine.execute_stream(plan)
+                    rows = stream.fetchall()
+                    stream.close()
+                    outcomes.append((rows == expected, stream.budget.used_bytes,
+                                     stream.report.spill_count))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcomes.append(repr(exc))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [(True, 0, serial.report.spill_count)] * (3 * self.THREADS)
+        assert engine.controller.temp_store.handles == []
+
+    def test_racing_first_executions_through_the_federation(self):
+        federation = build_paper_federation().federation
+        expected = federation.query(PAPER_QUERY).relation.rows
+        federation.invalidate_source_cache()  # next execution is a plan miss
+        answers, barrier = [], threading.Barrier(self.THREADS)
+
+        def worker():
+            barrier.wait(timeout=30)
+            with federation.query(PAPER_QUERY, stream=True) as cursor:
+                answers.append(cursor.fetchall())
+
+        threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * self.THREADS
+        assert federation.engine.controller.temp_store.handles == []
+        statistics = federation.engine.statistics.snapshot()
+        assert statistics["streams_opened"] == self.THREADS
+
+
+class TestStreamsOrMaterializesIsDecidedOnce:
+    """``lower_select`` decides; the local processor (``test_query.py``), the
+    eager drain and the cursor all execute what it lowered."""
+
+    HAVING = "SELECT r1.cname FROM r1 HAVING r1.revenue > 1"
+
+    def test_having_without_group_by_is_one_group_eager_and_streamed(self):
+        # Regression: the eager finalizer ignored HAVING and kept every row,
+        # while the streaming one already treated it as "not streamable".
+        federation = build_paper_federation().federation
+        eager = federation.query(self.HAVING, mediate=False)
+        assert eager.relation.rows == [("IBM",)]
+        with federation.query(self.HAVING, mediate=False, stream=True) as cursor:
+            assert cursor.fetchall() == [("IBM",)]
+        assert _kept(eager.execution.plan).operator_name == "Finalize"
+        listed = [entry["operator"]
+                  for entry in eager.execution.report.snapshot()["operators"]]
+        assert listed == ["Scan"]  # the materializing finish is not listed
+
+    def test_order_by_beneath_the_select_list_materializes(self):
+        engine = _two_source_engine()
+        plan = engine.plan("SELECT t.b FROM t, u WHERE t.a = u.a AND t.a < 6 "
+                           "ORDER BY u.v DESC, t.a")
+        rows = [row[0] for row in engine.execute(plan).relation.rows]
+        assert _kept(plan).operator_name == "Finalize"
+        expected = sorted(range(6), key=lambda a: (-float((a * 37) % 100), a))
+        assert rows == ["xyz"[a % 3] for a in expected]
+        assert [row[0] for row in engine.execute(plan).relation.rows] == rows
+
+
+def _shape(report):
+    """What two executions of one plan must agree on (timings aside)."""
+    snapshot = report.snapshot()
+    return (
+        [(entry["operator"], entry["rows_out"]) for entry in snapshot["operators"]],
+        snapshot["branch_rows"], snapshot["result_rows"],
+        {key: value for key, value in snapshot["optimizer"].items()},
+        snapshot["resilience"]["degraded_branches"],
+    )
+
+
+class TestExecutedTwice:
+    def test_a_bind_join_plan(self):
+        engine = MultiDatabaseEngine(planner_config=PlannerConfig(bind_join_batch_size=2))
+        hot = ", ".join(f"({key}, 'hot')" for key in (1, 2, 3))
+        cold = ", ".join(f"({key}, 'cold')" for key in range(21, 28))
+        engine.register_wrapper(RelationalWrapper(
+            _source("drv", "d", "k integer, tag varchar", f"{hot}, {cold}")))
+        orders = ", ".join(f"({key}, {key * 100 + i})"
+                           for key in range(1, 31) for i in range(10))
+        engine.register_wrapper(RelationalWrapper(
+            _source("ord", "o", "k integer, v integer", orders)))
+        query = "SELECT o.v FROM d, o WHERE d.k = o.k AND d.tag = 'hot'"
+        unbound = engine.execute(query)  # cold: feedback enables binding
+        plan = engine.plan(query)
+        assert any(request.bind is not None for request in plan.branches[0].requests)
+        first, second = engine.execute(plan), engine.execute(plan)
+        assert sorted(first.relation.rows) == sorted(unbound.relation.rows)
+        assert list(second.relation.rows) == list(first.relation.rows)
+        assert _shape(second.report) == _shape(first.report)
+        assert second.report.optimizer.bind_batches == 2
+
+    def test_a_partial_answer_over_a_dead_source(self):
+        engine = MultiDatabaseEngine(resilience=ResiliencePolicy(
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_seconds=0.001,
+                                     max_delay_seconds=0.002, seed=1)))
+        for index in (1, 2, 3):
+            values = ", ".join(f"({key}, {float(key * index)})" for key in range(20))
+            wrapper = RelationalWrapper(_source(
+                f"src{index}", f"s{index}", f"k integer, v{index} float", values))
+            if index == 2:
+                wrapper = FaultInjectingSource(wrapper, FaultSchedule(failure_rate=1.0))
+            engine.register_wrapper(wrapper, estimate_rows=False)
+        plan = engine.plan(
+            "SELECT s1.k, s1.v1 AS v FROM s1 WHERE s1.k < 5"
+            " UNION SELECT s2.k, s2.v2 AS v FROM s2 WHERE s2.k < 5"
+            " UNION SELECT s3.k, s3.v3 AS v FROM s3 WHERE s3.k < 5")
+        first = engine.execute(plan, on_source_error="partial")
+        second = engine.execute(plan, on_source_error="partial")
+        assert list(first.relation.rows) and list(second.relation.rows) == list(
+            first.relation.rows)
+        degraded = [entry["branch"] for entry in
+                    second.report.resilience.snapshot()["degraded_branches"]]
+        assert degraded == [1]
+        assert _shape(second.report)[:3] == _shape(first.report)[:3]
+        # The dead branch never staged anything, so it has no template yet;
+        # the live ones execute from theirs.
+        assert _kept(plan, 1) is None and _kept(plan, 0) is not None
+        with pytest.raises(Exception):
+            engine.execute(plan)  # "fail" mode still fails on the same plan

@@ -4,7 +4,9 @@ the same error kinds — and nothing left open afterwards.
 The mediator is reachable through thirteen front doors (``Federation.query``
 eager/stream, prepared eager/stream, the in-process service, the wire
 protocol's ``query``/``execute_prepared``/``open_cursor``, the chunked HTTP
-endpoint, the QBE form and the ODBC driver over the event-loop transport).
+endpoint, the QBE form and the ODBC driver over the event-loop transport),
+and a statement is either the first execution of its plan (which lowers the
+plan's physical template) or a later one (which binds it).
 They are codecs and drains of one statement path, so this matrix pins what
 that means from the outside:
 
@@ -258,11 +260,36 @@ def odbc_aio_stream(stack, mode):
     return _odbc(stack, mode, stream=True, batch_size=3)
 
 
+def _templates(answer):
+    """The operator template each branch of the executed plan keeps."""
+    return [branch._operators for branch in answer.execution.plan.template.branches]
+
+
+def template_miss(stack, mode):
+    """A plan's first execution lowers its template: that *is* its build."""
+    answer = stack.federation.query(SQL, CONTEXT, consistency=mode)
+    if mode == "raw":  # a certain answer runs plans of its own (rewrite, repairs)
+        assert all(kept is not None for kept in _templates(answer))
+    return answer.relation.rows, answer.execution.report.snapshot()
+
+
+def template_hit(stack, mode):
+    """Later executions of the cached plan bind the template the first left."""
+    first = stack.federation.query(SQL, CONTEXT, consistency=mode)
+    lowered = _templates(first)
+    answer = stack.federation.query(SQL, CONTEXT, consistency=mode)
+    assert answer.execution.plan is first.execution.plan
+    assert _templates(answer) == lowered  # the very same objects (raw: not None)
+    assert answer.relation.rows == first.relation.rows
+    return answer.relation.rows, answer.execution.report.snapshot()
+
+
 ENTRY_POINTS = (
     federation_eager, federation_stream, prepared_eager, prepared_stream,
     service_execute, service_submit, wire_query, wire_execute_prepared,
     wire_open_cursor, wire_open_prepared_cursor, chunked_http, qbe_submit,
     qbe_submit_stream, odbc_aio_eager, odbc_aio_stream,
+    template_miss, template_hit,
 )
 
 #: Top-level keys of ``ExecutionReport.snapshot()`` on a traced statement.

@@ -13,6 +13,11 @@ The contract pinned here: batch size is never observable.
   ``spill_count``, ``spilled_rows`` and ``spilled_bytes`` do not move, so
   the Grace join order (which depends on *whether* the build spilled) does
   not either.
+* An operator tree is a *template*: executions bind copies of it
+  (``rebind``/``over``) to their own inputs and budget.  A template hit —
+  the second and third execution of one shared tree — is indistinguishable
+  from a miss (a tree built for the occasion): rows, order, ``rows_out`` per
+  operator and the budget's accounting, at every batch size.
 """
 
 from contextlib import contextmanager
@@ -21,6 +26,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.executor import OperatorStats, _InstrumentedOperator
 from repro.relational import operators
 from repro.relational.budget import MemoryBudget
 from repro.relational.eval import ExpressionEvaluator
@@ -360,3 +366,77 @@ class TestExactSpillPoint:
             outcomes.append((rows, budget.snapshot()))
         assert outcomes[0][1]["spill_count"] >= 1
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+# -- templates: a hit is a miss ------------------------------------------------------
+
+def execute(template, relations, budget):
+    """Bind ``template`` the way the engine does — one copy per operator over
+    fresh input relations, every copy instrumented — and drain it."""
+    stats = []
+
+    def bind(operator):
+        if isinstance(operator, TableScan):
+            name = operator.relation.name
+            bound = operator.over(_relation(name, relations[name]))
+        else:
+            bound = operator.rebind([bind(child) for child in operator.children], budget)
+        stats.append(OperatorStats(0, bound.operator_name, bound))
+        return _InstrumentedOperator(bound, stats[-1])
+
+    rows = _reprs(bind(template))
+    if budget is not None:
+        assert budget.used_bytes == 0
+    return (rows, [(entry.operator, entry.rows_out) for entry in stats],
+            [_spill_flags(entry.source) for entry in stats],
+            budget.snapshot() if budget is not None else None)
+
+
+def _spill_flags(operator):
+    return getattr(operator, "spilled", None), getattr(operator, "spill_runs", None)
+
+
+def _tree(operator):
+    yield operator
+    for child in operator.children:
+        yield from _tree(child)
+
+
+def _budget(limit_bytes):
+    return MemoryBudget(limit_bytes) if limit_bytes is not None else None
+
+
+def assert_hit_equals_miss(spec, relations, limit_bytes):
+    for ramp in RAMPS:
+        with batch_ramp(ramp):
+            shared = build(spec, relations)
+            hits = [execute(shared, relations, _budget(limit_bytes)) for _ in range(2)]
+            miss = execute(build(spec, relations), relations, _budget(limit_bytes))
+        assert hits[0] == hits[1] == miss, ramp
+        # The template itself never ran: what its copies did left no trace.
+        assert all(flag in (None, False, 0)
+                   for operator in _tree(shared) for flag in _spill_flags(operator))
+    return miss
+
+
+class TestTemplateHitEqualsMiss:
+    @settings(max_examples=100, deadline=None)
+    @given(cases(engine_shaped=True), st.one_of(st.none(), st.integers(100, 1200)))
+    def test_generated_trees(self, case, limit_bytes):
+        relations, spec = case
+        assert_hit_equals_miss(spec, relations, limit_bytes)
+
+    @pytest.mark.parametrize("limit_bytes", [None, 64 * 1024])
+    @pytest.mark.parametrize("name", sorted(TestExactSpillPoint.SPECS))
+    def test_spilling_trees(self, name, limit_bytes):
+        _rows, _produced, spilled, accounting = assert_hit_equals_miss(
+            TestExactSpillPoint.SPECS[name], TestExactSpillPoint.RELATIONS, limit_bytes)
+        if limit_bytes:
+            assert accounting["spill_count"] >= 1
+            assert any(flag for flags in spilled for flag in flags)
+
+    def test_a_template_serves_other_data_than_it_was_built_over(self):
+        spec = TestExactSpillPoint.SPECS["join_sort_distinct"]
+        template = build(spec, {"a": [], "b": [], "c": []})
+        relations = TestExactSpillPoint.RELATIONS
+        assert execute(template, relations, None)[0] == _reprs(build(spec, relations))

@@ -245,9 +245,28 @@ _FUNCTIONS = ["ABS", "ROUND", "FLOOR", "CEIL", "UPPER", "lower", "TRIM", "LENGTH
               "COALESCE", "NULLIF", "CONCAT", "NOSUCHFN", "COUNT"]
 
 
+def _literal_lists(values):
+    return st.lists(values.map(Literal), min_size=1, max_size=4).map(tuple)
+
+
+#: All-literal IN lists.  One exact class (int, or str) compiles to a set
+#: probe, which must agree with the interpreter's ``sql_equal`` loop for every
+#: probe value — ints past 2**53 (equal as floats) and 10**400 (no float at
+#: all) included; a NULL, float, bool or mixed-class member keeps the loop.
+_IN_LISTS = st.one_of(
+    _literal_lists(st.one_of(st.integers(-3, 3),
+                             st.sampled_from([2 ** 53, 2 ** 53 + 1, 10 ** 400]))),
+    _literal_lists(st.sampled_from(["", "abc", "2", "a%", "_bc"])),
+    _literal_lists(st.one_of(st.none(), st.integers(-3, 3))),
+    _literal_lists(st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0, allow_nan=False),
+                             st.sampled_from([NAN, True, Decimal("1"), "2"]))),
+)
+
+
 def _compound(children):
     few = st.lists(children, min_size=0, max_size=3).map(tuple)
     return st.one_of(
+        st.builds(InList, children, _IN_LISTS, st.booleans()),
         st.builds(BinaryOp, st.sampled_from(_BINARY_OPS), children, children),
         st.builds(UnaryOp, st.sampled_from(["NOT", "not", "-", "+"]), children),
         st.builds(FunctionCall, st.sampled_from(_FUNCTIONS), few),

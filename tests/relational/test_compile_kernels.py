@@ -9,6 +9,7 @@ paid per shape, and any expression compiles.
 
 import builtins
 import linecache
+from decimal import Decimal
 import sys
 import threading
 import traceback
@@ -204,6 +205,57 @@ class TestOversizedExpressions:
             BinaryOp("+", ColumnRef("b"), Literal(index)) for index in range(1000)), negated=True)
         self.assert_agrees(literal_items)
         self.assert_agrees(computed_items, rows=[(1, 2.0, "abc"), (3, 1, "x"), (None, 1, "")])
+
+
+class TestInListProbe:
+    """An all-literal IN list of one exact class is a ``frozenset`` probe for
+    a value of that class; everything else stays on the ``_in_list`` loop."""
+
+    NAN = float("nan")
+    PROBES = [None, 0, 1, 2, 3, 1.0, 2.5, True, False, Decimal("1"), "1", "abc", "",
+              2 ** 53, 2 ** 53 + 1, 10 ** 400, NAN]
+    LISTS = {
+        # name: (members, probed)
+        "ints": ((1, 2, 3), True),
+        "one_int": ((2,), True),
+        "past_2_53": ((2 ** 53, 7), True),         # 2**53 + 1 equals it, as floats
+        "strs": (("abc", "", "1"), True),
+        "unfloatable": ((1, 10 ** 400), False),    # float() of a member overflows
+        "null_member": ((1, None), False),
+        "only_null": ((None,), False),
+        "int_and_float": ((1, 2.5), False),
+        "floats": ((1.0, NAN), False),
+        "bool_and_int": ((True, 2), False),
+        "decimals": ((Decimal("1"), Decimal("2.5")), False),
+        "int_and_str": ((1, "1"), False),
+    }
+
+    @pytest.mark.parametrize("negated", [False, True], ids=["in", "not_in"])
+    @pytest.mark.parametrize("name", sorted(LISTS))
+    def test_agrees_with_the_interpreter_for_every_probe_class(self, name, negated):
+        members, probed = self.LISTS[name]
+        node = InList(ColumnRef("a"), tuple(Literal(member) for member in members), negated)
+        kernel = ExpressionCompiler(SCHEMA).compile(node)
+        assert ((" not in k" if negated else " in k") in source_of(kernel)) == probed
+        evaluator = ExpressionEvaluator(SCHEMA)
+
+        def outcome(thunk):
+            try:
+                return repr(thunk())
+            except Exception as exc:  # noqa: BLE001 - compared, not handled
+                return type(exc).__name__, str(exc)
+
+        for probe in self.PROBES:
+            row = (probe, None, None)
+            assert outcome(lambda: kernel(row)) == outcome(
+                lambda: evaluator.evaluate(node, row)), (name, negated, probe)
+
+    def test_a_bind_joins_key_list_is_probed_not_walked(self, monkeypatch):
+        keys = tuple(Literal(key) for key in range(0, 102, 2))  # 51 keys
+        kernel = ExpressionCompiler(SCHEMA).predicate(InList(ColumnRef("a"), keys))
+        monkeypatch.setattr(compile_module, "sql_equal", None)  # the loop would crash
+        rows = [(value, None, None) for value in range(200)]
+        assert [row[0] for row in rows if kernel(row) is True] == list(range(0, 102, 2))
 
 
 class TestThreads:

@@ -168,6 +168,20 @@ class TestAggregation:
         )
         assert result.records() == [{"currency": "USD", "n": 2}]
 
+    def test_having_without_group_by_is_one_implicit_group(self, db):
+        # Regression: the flat path never looked at HAVING and kept every row.
+        assert db.execute(
+            "SELECT r1.cname FROM r1 HAVING r1.revenue > 500000").rows == [("IBM",)]
+        assert db.execute(
+            "SELECT r1.cname FROM r1 HAVING r1.revenue > 5000000").rows == []
+        assert db.execute(
+            "SELECT r1.cname FROM r1 WHERE r1.currency = 'EUR' HAVING COUNT(*) = 1"
+        ).rows == [("Acme",)]
+        # Over no rows the one group is still there, its columns NULL.
+        assert db.execute(
+            "SELECT r1.cname FROM r1 WHERE r1.revenue < 0 HAVING r1.cname IS NULL"
+        ).rows == [(None,)]
+
     def test_group_by_expression_in_output(self, db):
         result = db.execute(
             "SELECT r1.currency, SUM(r1.revenue) / 1000 AS k FROM r1 GROUP BY r1.currency ORDER BY r1.currency"
