@@ -5,18 +5,23 @@ script proves the telemetry about that behaviour is *exportable and well
 formed*.  It drives a burst of concurrent traffic — healthy statements from
 several tenants, a streaming cursor, failing statements, and an overload
 phase that forces sheds — against a paper federation traced at
-``sample_rate=1.0`` with a zero slow-query threshold, then writes three
+``sample_rate=1.0`` with a zero slow-query threshold, then writes four
 artifacts:
 
 * ``traces.json``        — the full trace-buffer export (every statement's
                            finished span tree);
 * ``metrics.prom``       — the ``GET /coin/metrics`` Prometheus scrape;
-* ``slow_queries.jsonl`` — the slow-query log, one JSON object per line.
+* ``slow_queries.jsonl`` — the slow-query log, one JSON object per line;
+* ``status.json``        — the ``status`` payload plus
+                           ``Federation.statistics()``, taken in the same
+                           quiesced state as the scrape.
 
 Before exiting it validates what it wrote: every slow-query line must parse
 as JSON and carry the diagnosis fields, every buffered trace must be fully
-closed (no half-open spans), and the scrape must contain the series the
-load provably produced.  Any violation exits non-zero, failing the CI step::
+closed (no half-open spans), the scrape must contain the series the load
+provably produced, and every exported counter in the scrape must equal the
+matching key of ``status.json`` exactly.  Any violation exits non-zero,
+failing the CI step::
 
     PYTHONPATH=src python benchmarks/soak_telemetry.py --out telemetry-artifacts
 """
@@ -37,10 +42,17 @@ for path in (_HERE, _SRC):
 
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
-from repro.server.gateway import AdmissionGateway, GatewayConfig
+from repro.engine.engine import ENGINE_COUNTERS
+from repro.pipeline import PIPELINE_COUNTERS
+from repro.server.gateway import (
+    GATEWAY_COUNTERS,
+    SHED_REASONS,
+    AdmissionGateway,
+    GatewayConfig,
+)
 from repro.server.http import HttpRequest
 from repro.server.protocol import Request
-from repro.server.server import MediationServer
+from repro.server.server import SERVER_COUNTERS, MediationServer
 
 #: Healthy statements per tenant in the warm phase.
 WARM_STATEMENTS = 12
@@ -118,9 +130,20 @@ def run_soak() -> MediationServer:
 
 
 def export(server: MediationServer, out_dir: str) -> dict:
-    """Write the three artifacts; returns a summary of what was written."""
+    """Write the four artifacts; returns a summary of what was written."""
     os.makedirs(out_dir, exist_ok=True)
     observability = server.federation.observability
+
+    # The server is quiesced (every phase joined its threads), so the views
+    # and the scrape below describe the same state.  ``status`` goes first:
+    # it counts itself as a request, the GET does not.
+    status = server.handle(Request(operation="status"))
+    assert status.ok, status.error
+    with open(os.path.join(out_dir, "status.json"), "w",
+              encoding="utf-8") as handle:
+        json.dump({"status": status.payload,
+                   "statistics": server.federation.statistics()},
+                  handle, indent=2, default=str)
 
     traces_path = os.path.join(out_dir, "traces.json")
     with open(traces_path, "w", encoding="utf-8") as handle:
@@ -209,7 +232,40 @@ def validate(out_dir: str, summary: dict) -> list:
                         "coin_gateway_sheds_total series")
     if "shed" not in flags:
         failures.append("no shed-flagged trace despite shed statements")
+    failures.extend(reconcile(out_dir, scrape))
     return failures
+
+
+def reconcile(out_dir: str, scrape: str) -> list:
+    """Every exported counter must equal its ``status.json`` key, exactly.
+
+    The pairing is not a second list to keep in step: each layer's
+    declaration table names both the snapshot key and the exported series.
+    """
+    with open(os.path.join(out_dir, "status.json"), encoding="utf-8") as handle:
+        views = json.load(handle)
+    samples = {}
+    for line in scrape.splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            samples[name] = float(value)
+    status, statistics = views["status"], views["statistics"]
+    expected = {}
+    for declarations, view in ((SERVER_COUNTERS, status),
+                               (GATEWAY_COUNTERS, status["server_load"]),
+                               (ENGINE_COUNTERS, statistics["engine"]),
+                               (PIPELINE_COUNTERS, statistics["pipeline"])):
+        for field, _kind, series, _help in declarations:
+            if series is not None:
+                expected[f"coin_{series}"] = view[field]
+    for reason in SHED_REASONS:
+        count = status["server_load"]["shed"][reason]
+        if count:
+            expected[f'coin_gateway_sheds_total{{reason="{reason}"}}'] = count
+    return [f"{series} scraped as {samples.get(series)} but the status "
+            f"payload says {value}"
+            for series, value in sorted(expected.items())
+            if samples.get(series) != value]
 
 
 def main() -> int:

@@ -17,7 +17,7 @@ from repro.engine.executor import (
     ExecutionReport,
     RequestExecution,
 )
-from repro.engine.engine import EngineStatistics, MultiDatabaseEngine
+from repro.engine.engine import ENGINE_COUNTERS, MultiDatabaseEngine
 
 __all__ = [
     "Catalog",
@@ -34,6 +34,6 @@ __all__ = [
     "ExecutionController",
     "ExecutionReport",
     "RequestExecution",
-    "EngineStatistics",
+    "ENGINE_COUNTERS",
     "MultiDatabaseEngine",
 ]

@@ -11,9 +11,7 @@ go in, relational answers and execution reports come out.
 
 from __future__ import annotations
 
-import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union as TUnion
 
 from repro.errors import EngineError
@@ -28,6 +26,7 @@ from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.planner import PlannerConfig, QueryPlanner
+from repro.obs.metrics import CounterSet
 from repro.relational.relation import Relation
 from repro.relational.storage import TemporaryStore
 from repro.sql.ast import Select, Statement, Union
@@ -35,140 +34,52 @@ from repro.sql.parser import parse
 from repro.wrappers.wrapper import Wrapper
 
 
-@dataclass
-class EngineStatistics:
-    """Aggregate counters over the life of an engine instance.
-
-    Increments go through the ``record_*`` methods, which hold a lock:
-    concurrent server sessions execute statements on the same engine, and
-    unguarded ``+=`` on these façade counters loses updates.
-    """
-
-    statements_executed: int = 0
-    plans_built: int = 0
-    source_requests: int = 0
-    #: Round trips actually issued to sources (after dedup and cache hits).
-    source_round_trips: int = 0
-    dedup_hits: int = 0
-    cache_hits: int = 0
-    rows_transferred: int = 0
-    rows_returned: int = 0
-    #: Statements served through an explicit cursor, the rows they streamed,
-    #: and fetches early-terminated streams cancelled before dispatch.
-    streams_opened: int = 0
-    rows_streamed: int = 0
-    cancelled_fetches: int = 0
-    #: Resilience counters folded from per-statement reports: retried
-    #: fetches, fetches that failed for good, breaker activity, and branches
-    #: dropped by partial-answer degradation.
-    source_retries: int = 0
-    failed_requests: int = 0
-    breaker_trips: int = 0
-    breaker_rejections: int = 0
-    degraded_branches: int = 0
-    #: Adaptive-optimizer counters folded from per-statement reports:
-    #: bound requests executed, IN-list batches shipped, key values shipped,
-    #: rows actually fetched by bound requests, and rows a whole-relation
-    #: fetch would have transferred that the bind join avoided.
-    bind_joins: int = 0
-    bind_batches: int = 0
-    bind_keys_shipped: int = 0
-    bind_rows_fetched: int = 0
-    bind_rows_avoided: int = 0
-    #: Memory accounting folded from per-statement reports: operator spills
-    #: to temporary storage, bytes spilled, and the largest per-statement
-    #: operator-memory peak observed.
-    spill_count: int = 0
-    spilled_bytes: int = 0
-    peak_memory_bytes: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def record_plan(self) -> None:
-        with self._lock:
-            self.plans_built += 1
-
-    def record_stream_opened(self) -> None:
-        with self._lock:
-            self.streams_opened += 1
-
-    def record_execution(self, report) -> None:
-        """Fold one execution report's totals into the aggregate counters.
-
-        The report's own lock is taken first (and released before ours, so
-        the order stays flat): a late fetch worker or a concurrent monitor
-        snapshot may still touch the report while the fold reads it.
-        """
-        with report.lock:
-            source_requests = len(report.requests)
-            rows_transferred = sum(
-                request.rows_returned for request in report.requests
-                if not request.dedup_hit and not request.cache_hit
-            )
-            source_round_trips = report.distinct_requests - report.cache_hits
-            dedup_hits = report.dedup_hits
-            cache_hits = report.cache_hits
-            rows_returned = report.result_rows
-            rows_streamed = report.rows_streamed
-            cancelled_fetches = report.cancelled_fetches
-            spill_count = report.spill_count
-            spilled_bytes = report.spilled_bytes
-            peak_memory_bytes = report.peak_memory_bytes
-        resilience = report.resilience.snapshot()
-        optimizer = report.optimizer
-        with self._lock:
-            self.statements_executed += 1
-            self.source_requests += source_requests
-            self.source_round_trips += source_round_trips
-            self.dedup_hits += dedup_hits
-            self.cache_hits += cache_hits
-            self.rows_transferred += rows_transferred
-            self.rows_returned += rows_returned
-            self.rows_streamed += rows_streamed
-            self.cancelled_fetches += cancelled_fetches
-            self.source_retries += resilience["retries"]
-            self.failed_requests += resilience["failed_requests"]
-            self.breaker_trips += resilience["breaker_trips"]
-            self.breaker_rejections += resilience["breaker_rejections"]
-            self.degraded_branches += len(resilience["degraded_branches"])
-            self.bind_joins += optimizer.bind_joins
-            self.bind_batches += optimizer.bind_batches
-            self.bind_keys_shipped += optimizer.bind_keys_shipped
-            self.bind_rows_fetched += optimizer.bind_rows_fetched
-            self.bind_rows_avoided += optimizer.bind_rows_avoided
-            self.spill_count += spill_count
-            self.spilled_bytes += spilled_bytes
-            if peak_memory_bytes > self.peak_memory_bytes:
-                self.peak_memory_bytes = peak_memory_bytes
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "statements_executed": self.statements_executed,
-                "plans_built": self.plans_built,
-                "source_requests": self.source_requests,
-                "source_round_trips": self.source_round_trips,
-                "dedup_hits": self.dedup_hits,
-                "cache_hits": self.cache_hits,
-                "rows_transferred": self.rows_transferred,
-                "rows_returned": self.rows_returned,
-                "streams_opened": self.streams_opened,
-                "rows_streamed": self.rows_streamed,
-                "cancelled_fetches": self.cancelled_fetches,
-                "source_retries": self.source_retries,
-                "failed_requests": self.failed_requests,
-                "breaker_trips": self.breaker_trips,
-                "breaker_rejections": self.breaker_rejections,
-                "degraded_branches": self.degraded_branches,
-                "bind_joins": self.bind_joins,
-                "bind_batches": self.bind_batches,
-                "bind_keys_shipped": self.bind_keys_shipped,
-                "bind_rows_fetched": self.bind_rows_fetched,
-                "bind_rows_avoided": self.bind_rows_avoided,
-                "spill_count": self.spill_count,
-                "spilled_bytes": self.spilled_bytes,
-                "peak_memory_bytes": self.peak_memory_bytes,
-            }
+#: The engine's aggregate counters: (field, kind, exported series, help).
+#: Everything but ``plans_built`` and ``streams_opened`` is folded from the
+#: per-statement execution report when its stream closes.
+ENGINE_COUNTERS = (
+    ("statements_executed", "sum", "engine_statements_total",
+     "Statements executed by the engine."),
+    ("plans_built", "sum", None, ""),
+    ("source_requests", "sum", None, ""),
+    ("source_round_trips", "sum", "engine_source_round_trips_total",
+     "Source round trips actually issued (after dedup/cache)."),
+    ("dedup_hits", "sum", "engine_dedup_hits_total",
+     "Plan requests coalesced into an already-scheduled fetch."),
+    ("cache_hits", "sum", "engine_cache_hits_total",
+     "Source requests answered from the source-result cache."),
+    ("rows_transferred", "sum", "engine_rows_transferred_total",
+     "Rows shipped from sources over the wire."),
+    ("rows_returned", "sum", None, ""),
+    ("streams_opened", "sum", None, ""),
+    ("rows_streamed", "sum", "engine_rows_streamed_total",
+     "Rows pulled through streaming cursors."),
+    ("cancelled_fetches", "sum", "engine_cancelled_fetches_total",
+     "Fetches cancelled by early stream termination."),
+    ("source_retries", "sum", "engine_source_retries_total",
+     "Transient source failures that were retried."),
+    ("failed_requests", "sum", "engine_failed_requests_total",
+     "Source requests that failed for good."),
+    ("breaker_trips", "sum", "engine_breaker_trips_total",
+     "Circuit-breaker trips across all wrappers."),
+    ("breaker_rejections", "sum", "engine_breaker_rejections_total",
+     "Fetches rejected fast by an open breaker."),
+    ("degraded_branches", "sum", "engine_degraded_branches_total",
+     "Branches dropped by partial-answer degradation."),
+    ("bind_joins", "sum", "engine_bind_joins_total",
+     "Bound requests executed as batched IN-list fetches."),
+    ("bind_batches", "sum", None, ""),
+    ("bind_keys_shipped", "sum", None, ""),
+    ("bind_rows_fetched", "sum", None, ""),
+    ("bind_rows_avoided", "sum", "engine_bind_rows_avoided_total",
+     "Rows a whole-relation fetch would have shipped that bind joins avoided."),
+    ("spill_count", "sum", "memory_spills_total",
+     "Operator spills to temporary storage."),
+    ("spilled_bytes", "sum", "memory_spilled_bytes_total",
+     "Bytes spilled to temporary storage."),
+    ("peak_memory_bytes", "peak", "memory_peak_bytes",
+     "Largest per-statement operator-memory peak observed."),
+)
 
 
 class MultiDatabaseEngine:
@@ -194,7 +105,7 @@ class MultiDatabaseEngine:
             memory_budget_bytes=memory_budget_bytes,
             resilience=resilience,
         )
-        self.statistics = EngineStatistics()
+        self.statistics = CounterSet(ENGINE_COUNTERS)
 
     @property
     def request_cache(self) -> Optional[SourceResultCache]:
@@ -256,7 +167,7 @@ class MultiDatabaseEngine:
         """Plan a statement without executing it."""
         parsed = self._parse(statement)
         plan = self.planner.plan(parsed)
-        self.statistics.record_plan()
+        self.statistics.add(plans_built=1)
         return plan
 
     def plan_branches(self, selects: Sequence[Select], union_all: bool = False,
@@ -269,7 +180,7 @@ class MultiDatabaseEngine:
         """
         plan = self.planner.plan_branches(selects, union_all=union_all,
                                           statement=statement)
-        self.statistics.record_plan()
+        self.statistics.add(plans_built=1)
         return plan
 
     def execute(self, statement: TUnion[str, Statement, QueryPlan],
@@ -305,7 +216,7 @@ class MultiDatabaseEngine:
         so a stalled consumer-side pull fails rather than hangs.
         """
         stream = self._open(statement, timeout_seconds, on_source_error, deadline)
-        self.statistics.record_stream_opened()
+        self.statistics.add(streams_opened=1)
         return stream
 
     def _open(self, statement: TUnion[str, Statement, QueryPlan],
@@ -321,8 +232,46 @@ class MultiDatabaseEngine:
             deadline = self.controller.resilience.deadline(timeout_seconds)
         stream = self.controller.execute_stream(plan, deadline=deadline,
                                                 on_source_error=on_source_error)
-        stream.on_close(self.statistics.record_execution)
+        stream.on_close(self._fold)
         return stream
+
+    def _fold(self, report) -> None:
+        """Fold one finished statement's report into the aggregate counters.
+
+        Each report's own lock is held only while its fields are read (a late
+        fetch worker or a monitor snapshot may still touch the report) and is
+        released before the counter set's, so the lock order stays flat.
+        """
+        with report.lock:
+            totals = dict(
+                source_requests=len(report.requests),
+                source_round_trips=report.source_round_trips,
+                dedup_hits=report.dedup_hits,
+                cache_hits=report.cache_hits,
+                rows_transferred=report.rows_transferred,
+                rows_returned=report.result_rows,
+                rows_streamed=report.rows_streamed,
+                cancelled_fetches=report.cancelled_fetches,
+                spill_count=report.spill_count,
+                spilled_bytes=report.spilled_bytes,
+                peak_memory_bytes=report.peak_memory_bytes,
+            )
+        retries, failed, trips, rejections, degraded = report.resilience.totals()
+        optimizer = report.optimizer
+        self.statistics.add(
+            statements_executed=1,
+            source_retries=retries,
+            failed_requests=failed,
+            breaker_trips=trips,
+            breaker_rejections=rejections,
+            degraded_branches=degraded,
+            bind_joins=optimizer.bind_joins,
+            bind_batches=optimizer.bind_batches,
+            bind_keys_shipped=optimizer.bind_keys_shipped,
+            bind_rows_fetched=optimizer.bind_rows_fetched,
+            bind_rows_avoided=optimizer.bind_rows_avoided,
+            **totals,
+        )
 
     def source_health(self) -> Dict[str, object]:
         """Breaker states and rolling per-wrapper health statistics."""

@@ -39,6 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.obs.metrics import CounterSet
+
 __all__ = ["CardinalityFeedback", "SourceProfile"]
 
 #: Smoothing factor for the per-source latency EWMAs.
@@ -73,6 +75,15 @@ class _Observation:
     samples: int = 1
 
 
+#: Running totals of one registry: (field, kind, exported series, help).
+FEEDBACK_COUNTERS = (
+    ("observations", "sum", "feedback_observations_total",
+     "Runtime cardinality observations folded into the feedback store."),
+    ("epoch_bumps", "sum", "feedback_epoch_bumps_total",
+     "Material estimation errors that invalidated cached plans."),
+)
+
+
 class CardinalityFeedback:
     """Bounded, thread-safe registry of runtime optimizer observations."""
 
@@ -88,8 +99,8 @@ class CardinalityFeedback:
         self._joins: "OrderedDict[str, _Observation]" = OrderedDict()
         self._sources: Dict[str, SourceProfile] = {}
         self.epoch = 0
-        self.observations = 0
-        self.epoch_bumps = 0
+        #: Incremented under ``_lock``, so :meth:`snapshot` is point-in-time.
+        self.counters = CounterSet(FEEDBACK_COUNTERS)
 
     # ------------------------------------------------------------------
     # Recording
@@ -108,7 +119,7 @@ class CardinalityFeedback:
                 self._requests.move_to_end(key)
             while len(self._requests) > self.capacity:
                 self._requests.popitem(last=False)
-            self.observations += 1
+            self.counters.add(observations=1)
             self._maybe_bump(observed_rows, planned_rows)
 
     def record_join(self, fingerprint: str, observed_rows: int,
@@ -126,7 +137,7 @@ class CardinalityFeedback:
                 self._joins.move_to_end(fingerprint)
             while len(self._joins) > self.capacity:
                 self._joins.popitem(last=False)
-            self.observations += 1
+            self.counters.add(observations=1)
             self._maybe_bump(observed_rows, planned_rows)
 
     def record_source(self, wrapper_name: str, fetch_seconds: float, rows: int) -> None:
@@ -156,7 +167,7 @@ class CardinalityFeedback:
         if high / low < self.replan_ratio:
             return
         self.epoch += 1
-        self.epoch_bumps += 1
+        self.counters.add(epoch_bumps=1)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -196,30 +207,17 @@ class CardinalityFeedback:
         with self._lock:
             return {
                 "epoch": self.epoch,
-                "epoch_bumps": self.epoch_bumps,
-                "observations": self.observations,
+                "epoch_bumps": self.counters.epoch_bumps,
+                "observations": self.counters.observations,
                 "request_entries": len(self._requests),
                 "join_entries": len(self._joins),
                 "source_profiles": len(self._sources),
             }
 
     def bind_metrics(self, registry) -> None:
-        """Expose this registry's counters through a metrics registry.
-
-        The series are *function-backed*: evaluated against the (already
-        lock-guarded) fields at scrape time, so the recording hot path pays
-        nothing for being observable.
-        """
-        registry.counter(
-            "feedback_observations_total",
-            "Runtime cardinality observations folded into the feedback store.",
-            function=lambda: self.observations,
-        )
-        registry.counter(
-            "feedback_epoch_bumps_total",
-            "Material estimation errors that invalidated cached plans.",
-            function=lambda: self.epoch_bumps,
-        )
+        """Attach the counters to a metrics registry; the epoch is state, so
+        it is a gauge read at scrape time."""
+        registry.attach(self.counters)
         registry.gauge(
             "feedback_epoch",
             "Current cardinality-feedback epoch (plan-cache key component).",

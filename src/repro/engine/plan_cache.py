@@ -36,6 +36,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
+from repro.obs.metrics import CounterSet
+
 
 @dataclass(frozen=True)
 class PlanCacheKey:
@@ -54,24 +56,15 @@ class PlanCacheKey:
     feedback_epoch: int = 0
 
 
-@dataclass
-class PlanCacheStatistics:
-    """Counters describing one cache instance's traffic."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+#: Traffic counters of one bounded cache — this one and the source-result
+#: cache share the declaration: (field, kind, exported series, help).
+CACHE_COUNTERS = (
+    ("hits", "sum", None, ""),
+    ("misses", "sum", None, ""),
+    ("puts", "sum", None, ""),
+    ("evictions", "sum", None, ""),
+    ("invalidations", "sum", None, ""),
+)
 
 
 class PlanCache:
@@ -89,7 +82,7 @@ class PlanCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.statistics = PlanCacheStatistics()
+        self.statistics = CounterSet(CACHE_COUNTERS)
 
     # -- access -----------------------------------------------------------------
 
@@ -97,20 +90,20 @@ class PlanCache:
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                self.statistics.misses += 1
+                self.statistics.add(misses=1)
                 return None
             self._entries.move_to_end(key)
-            self.statistics.hits += 1
+            self.statistics.add(hits=1)
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self.statistics.puts += 1
-            while len(self._entries) > self.capacity:
+            evicted = max(0, len(self._entries) - self.capacity)
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self.statistics.evictions += 1
+            self.statistics.add(puts=1, evictions=evicted)
 
     # -- invalidation --------------------------------------------------------------
 
@@ -137,7 +130,7 @@ class PlanCache:
             ]
             for key in doomed:
                 del self._entries[key]
-            self.statistics.invalidations += len(doomed)
+            self.statistics.add(invalidations=len(doomed))
             return len(doomed)
 
     def clear(self) -> int:
@@ -145,7 +138,7 @@ class PlanCache:
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
-            self.statistics.invalidations += count
+            self.statistics.add(invalidations=count)
             return count
 
     # -- introspection ---------------------------------------------------------------
@@ -159,7 +152,9 @@ class PlanCache:
             return key in self._entries
 
     def snapshot(self) -> Dict[str, int]:
-        data = self.statistics.snapshot()
-        data["entries"] = len(self)
+        # Under the lock every counter moves under: one point-in-time copy.
+        with self._lock:
+            data = self.statistics.snapshot()
+            data["entries"] = len(self._entries)
         data["capacity"] = self.capacity
         return data

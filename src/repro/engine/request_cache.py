@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, TYPE_CHECKING
 
+from repro.engine.plan_cache import CACHE_COUNTERS
+from repro.obs.metrics import CounterSet
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan imports cost)
@@ -65,26 +66,6 @@ def request_key(request: "SourceRequest") -> RequestKey:
     )
 
 
-@dataclass
-class CacheStatistics:
-    """Counters describing one cache instance's traffic."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
 class SourceResultCache:
     """Bounded LRU cache of source results, keyed by canonical request.
 
@@ -99,7 +80,7 @@ class SourceResultCache:
         self.capacity = capacity
         self._entries: "OrderedDict[RequestKey, Relation]" = OrderedDict()
         self._lock = threading.Lock()
-        self.statistics = CacheStatistics()
+        self.statistics = CounterSet(CACHE_COUNTERS)
 
     # -- access -----------------------------------------------------------------
 
@@ -107,10 +88,10 @@ class SourceResultCache:
         with self._lock:
             relation = self._entries.get(key)
             if relation is None:
-                self.statistics.misses += 1
+                self.statistics.add(misses=1)
                 return None
             self._entries.move_to_end(key)
-            self.statistics.hits += 1
+            self.statistics.add(hits=1)
             # Hand out a copy: a consumer mutating the returned relation must
             # not corrupt the stored entry (the frozen-copy contract holds on
             # the way out as well as on the way in).
@@ -121,10 +102,10 @@ class SourceResultCache:
         with self._lock:
             self._entries[key] = frozen
             self._entries.move_to_end(key)
-            self.statistics.puts += 1
-            while len(self._entries) > self.capacity:
+            evicted = max(0, len(self._entries) - self.capacity)
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self.statistics.evictions += 1
+            self.statistics.add(puts=1, evictions=evicted)
 
     @staticmethod
     def _copy(relation: Relation) -> Relation:
@@ -152,7 +133,7 @@ class SourceResultCache:
             ]
             for key in doomed:
                 del self._entries[key]
-            self.statistics.invalidations += len(doomed)
+            self.statistics.add(invalidations=len(doomed))
             return len(doomed)
 
     def clear(self) -> int:
@@ -169,7 +150,9 @@ class SourceResultCache:
             return key in self._entries
 
     def snapshot(self) -> Dict[str, int]:
-        data = self.statistics.snapshot()
-        data["entries"] = len(self)
+        # Under the lock every counter moves under: one point-in-time copy.
+        with self._lock:
+            data = self.statistics.snapshot()
+            data["entries"] = len(self._entries)
         data["capacity"] = self.capacity
         return data

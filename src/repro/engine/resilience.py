@@ -499,6 +499,14 @@ class ResilienceReport:
                 "error": f"{type(error).__name__}: {error}",
             })
 
+    def totals(self) -> Tuple[int, int, int, int, int]:
+        """(retries, failed requests, breaker trips, breaker rejections,
+        degraded branches) — the integers the engine's aggregate fold reads,
+        without rendering the block."""
+        with self._lock:
+            return (self.retries, self.failed_requests, self.breaker_trips,
+                    self.breaker_rejections, len(self.degraded_branches))
+
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {
@@ -627,7 +635,7 @@ class ResiliencePolicy:
                     attempt_span.finish(error=error)
                 health.record_failure(latency, error)
                 if source_statistics is not None:
-                    source_statistics.record_failure()
+                    source_statistics.add(failures=1)
                 if not policy.is_transient(error) or attempt >= policy.max_attempts:
                     stats.record_failed_request()
                     raise
@@ -643,7 +651,7 @@ class ResiliencePolicy:
                 stats.record_retry()
                 health.record_retry()
                 if source_statistics is not None:
-                    source_statistics.record_retry()
+                    source_statistics.add(retries=1)
                 self.clock.sleep(delay)
                 continue
             if attempt_span is not None:

@@ -292,10 +292,10 @@ class Federation:
     def _bind_metrics(self) -> None:
         """Register this federation's metric series.
 
-        Cumulative series are *function-backed*: rendered from the existing
-        lock-guarded statistics objects at scrape time, so the query hot path
-        pays nothing for them.  Only the per-statement event metrics below
-        (count/errors/latency) are recorded inline.
+        The layers' aggregate counters are attached, not copied: the registry
+        renders the exported fields of the same counter sets the
+        ``statistics()`` views snapshot.  Only the per-statement event metrics
+        (count/errors/latency) are recorded here, inline.
         """
         registry = self.observability.metrics
         self._statements_metric = registry.counter(
@@ -304,103 +304,15 @@ class Federation:
             "statement_errors_total", "Receiver statements that raised.")
         self._statement_seconds_metric = registry.histogram(
             "statement_seconds", "Receiver statement wall clock, in seconds.")
-
-        engine = self.engine.statistics
-
-        def engine_counter(name: str, help_text: str, attribute: str) -> None:
-            registry.counter(name, help_text,
-                             function=lambda: getattr(engine, attribute))
-
-        engine_counter("engine_statements_total",
-                       "Statements executed by the engine.",
-                       "statements_executed")
-        engine_counter("engine_source_round_trips_total",
-                       "Source round trips actually issued (after dedup/cache).",
-                       "source_round_trips")
-        engine_counter("engine_dedup_hits_total",
-                       "Plan requests coalesced into an already-scheduled fetch.",
-                       "dedup_hits")
-        engine_counter("engine_cache_hits_total",
-                       "Source requests answered from the source-result cache.",
-                       "cache_hits")
-        engine_counter("engine_rows_transferred_total",
-                       "Rows shipped from sources over the wire.",
-                       "rows_transferred")
-        engine_counter("engine_rows_streamed_total",
-                       "Rows pulled through streaming cursors.",
-                       "rows_streamed")
-        engine_counter("engine_cancelled_fetches_total",
-                       "Fetches cancelled by early stream termination.",
-                       "cancelled_fetches")
-        engine_counter("engine_source_retries_total",
-                       "Transient source failures that were retried.",
-                       "source_retries")
-        engine_counter("engine_failed_requests_total",
-                       "Source requests that failed for good.",
-                       "failed_requests")
-        engine_counter("engine_breaker_trips_total",
-                       "Circuit-breaker trips across all wrappers.",
-                       "breaker_trips")
-        engine_counter("engine_breaker_rejections_total",
-                       "Fetches rejected fast by an open breaker.",
-                       "breaker_rejections")
-        engine_counter("engine_degraded_branches_total",
-                       "Branches dropped by partial-answer degradation.",
-                       "degraded_branches")
-        engine_counter("engine_bind_joins_total",
-                       "Bound requests executed as batched IN-list fetches.",
-                       "bind_joins")
-        engine_counter("engine_bind_rows_avoided_total",
-                       "Rows a whole-relation fetch would have shipped that "
-                       "bind joins avoided.",
-                       "bind_rows_avoided")
-        engine_counter("memory_spills_total",
-                       "Operator spills to temporary storage.",
-                       "spill_count")
-        engine_counter("memory_spilled_bytes_total",
-                       "Bytes spilled to temporary storage.",
-                       "spilled_bytes")
-        registry.gauge(
-            "memory_peak_bytes",
-            "Largest per-statement operator-memory peak observed.",
-            function=lambda: engine.peak_memory_bytes,
-        )
-
-        pipeline_stats = self.pipeline.statistics
-
-        def pipeline_counter(name: str, help_text: str, attribute: str) -> None:
-            registry.counter(name, help_text,
-                             function=lambda: getattr(pipeline_stats, attribute))
-
-        pipeline_counter("pipeline_prepares_total",
-                         "Statements taken through the compilation pipeline.",
-                         "prepares")
-        pipeline_counter("pipeline_plan_hits_total",
-                         "Plan-cache hits (zero mediation + planning work).",
-                         "plan_hits")
-        pipeline_counter("pipeline_plan_misses_total",
-                         "Plan-cache misses (full mediate + plan).",
-                         "plan_misses")
-        pipeline_counter("pipeline_mediation_hits_total",
-                         "Mediation-cache hits.", "mediation_hits")
-        pipeline_counter("pipeline_mediation_misses_total",
-                         "Mediation-cache misses.", "mediation_misses")
-        pipeline_counter("pipeline_feedback_replans_total",
-                         "Recompilations forced by a cardinality-feedback "
-                         "epoch bump.",
-                         "feedback_replans")
-
-        feedback = getattr(self.engine.catalog, "feedback", None)
-        if feedback is not None:
-            feedback.bind_metrics(registry)
+        registry.attach(self.engine.statistics)
+        registry.attach(self.pipeline.statistics)
+        self.engine.catalog.feedback.bind_metrics(registry)
         if self.request_cache is not None:
-            cache = self.request_cache
             registry.gauge(
                 "request_cache_entries",
                 "Entries currently held by the source-result cache.",
-                function=lambda: cache.snapshot().get("entries", 0),
+                function=self.request_cache.__len__,
             )
-
         registry.gauge(
             "memory_budget_bytes",
             "Configured per-statement operator memory budget (0 = unbounded).",

@@ -31,7 +31,7 @@ from repro.mediation.answers import (
     environment_from_rates,
     environment_from_relation,
 )
-from repro.mediation.mediator import ContextMediator, MediatorStatistics
+from repro.mediation.mediator import MEDIATOR_COUNTERS, ContextMediator
 
 __all__ = [
     "ConstraintStore",
@@ -57,5 +57,5 @@ __all__ = [
     "environment_from_rates",
     "environment_from_relation",
     "ContextMediator",
-    "MediatorStatistics",
+    "MEDIATOR_COUNTERS",
 ]

@@ -14,50 +14,23 @@ that the benchmarks read.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union as TUnion
+from typing import Optional, Union as TUnion
 
 from repro.errors import MediationError, SQLUnsupportedError
 from repro.coin.system import CoinSystem
 from repro.mediation.rewriter import MediationResult, QueryRewriter
+from repro.obs.metrics import CounterSet
 from repro.sql.ast import Select, Statement, Union
 from repro.sql.parser import parse
 
 
-@dataclass
-class MediatorStatistics:
-    """Aggregate counters over the life of a mediator instance.
-
-    Increments go through :meth:`record`, which holds a lock: concurrent
-    server sessions mediate on the same instance, and unguarded ``+=`` on
-    these façade counters loses updates.
-    """
-
-    queries_mediated: int = 0
-    branches_produced: int = 0
-    conflicts_detected: int = 0
-    queries_unchanged: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def record(self, result: MediationResult) -> None:
-        """Fold one rewriting's facts into the aggregate counters."""
-        with self._lock:
-            self.queries_mediated += 1
-            self.branches_produced += result.branch_count
-            self.conflicts_detected += result.conflict_count
-            if not result.is_rewritten:
-                self.queries_unchanged += 1
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "queries_mediated": self.queries_mediated,
-                "branches_produced": self.branches_produced,
-                "conflicts_detected": self.conflicts_detected,
-                "queries_unchanged": self.queries_unchanged,
-            }
+#: A mediator's lifetime counters: (field, kind, exported series, help).
+MEDIATOR_COUNTERS = (
+    ("queries_mediated", "sum", None, ""),
+    ("branches_produced", "sum", None, ""),
+    ("conflicts_detected", "sum", None, ""),
+    ("queries_unchanged", "sum", None, ""),
+)
 
 
 class ContextMediator:
@@ -68,7 +41,7 @@ class ContextMediator:
         self.system = system
         self.default_receiver_context = default_receiver_context
         self.rewriter = QueryRewriter(system, max_branches=max_branches)
-        self.statistics = MediatorStatistics()
+        self.statistics = CounterSet(MEDIATOR_COUNTERS)
 
     # -- public API -------------------------------------------------------------
 
@@ -82,7 +55,12 @@ class ContextMediator:
         context_name = self.resolve_context(receiver_context)
         select = self._as_select(query)
         result = self.rewriter.rewrite(select, context_name)
-        self.statistics.record(result)
+        self.statistics.add(
+            queries_mediated=1,
+            branches_produced=result.branch_count,
+            conflicts_detected=result.conflict_count,
+            queries_unchanged=int(not result.is_rewritten),
+        )
         return result
 
     def resolve_context(self, receiver_context: Optional[str] = None) -> str:

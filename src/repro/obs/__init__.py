@@ -24,6 +24,7 @@ from typing import Any, Dict, Optional
 from repro.obs.log import EventLog, statement_fingerprint
 from repro.obs.metrics import (
     Counter,
+    CounterSet,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -48,6 +49,7 @@ __all__ = [
     "current_span",
     "MetricsRegistry",
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",

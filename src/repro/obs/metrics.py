@@ -2,12 +2,18 @@
 
 Three metric kinds, all lock-guarded and label-aware:
 
-* :class:`Counter` — monotonically increasing totals (``coin_sheds_total``).
+* :class:`Counter` — monotonically increasing, labelled event totals
+  recorded inline (``coin_gateway_sheds_total{reason=…}``).
 * :class:`Gauge` — point-in-time values, settable directly or backed by a
   callable evaluated at scrape time (open connections, queue depth).
 * :class:`Histogram` — **fixed-bucket** distributions: one counter per
   bucket plus a running sum; p50/p95/p99 are estimated from the bucket
   counts by linear interpolation, so no per-sample storage ever grows.
+
+A layer's unlabelled aggregate counters are not metrics it registers one by
+one: it declares them once in a :class:`CounterSet` — the object its
+``snapshot()``/``statistics()`` views read — and attaches the set to the
+registry, which renders the exported fields from the same integers.
 
 The registry renders the standard text format (``# HELP``/``# TYPE`` +
 ``name{label="v"} value`` lines, histogram ``_bucket``/``_sum``/``_count``
@@ -24,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -68,6 +75,16 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _snapshot_values(values: Dict[_LabelKey, float]) -> Any:
+    """A metric's stored values as the plain snapshot shape."""
+    if not values:
+        return 0
+    if len(values) == 1 and () in values:
+        return values[()]
+    return {"|".join(f"{k}={v}" for k, v in key) or "_": value
+            for key, value in sorted(values.items())}
+
+
 class _Metric:
     """Shared shell: name, help text, per-label-set children."""
 
@@ -80,17 +97,13 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotone total — incremented inline, or backed by a callable that
-    returns an already-cumulative count (scrape-time read of an existing
-    lock-guarded statistics object, so the hot path pays nothing)."""
+    """A monotone total per label set, incremented inline."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str = "",
-                 function: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, name: str, help_text: str = "") -> None:
         super().__init__(name, help_text)
         self._values: Dict[_LabelKey, float] = {}
-        self._function = function
 
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
@@ -99,54 +112,23 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
-    def set_function(self, function: Callable[[], float]) -> "Counter":
-        with self._lock:
-            self._function = function
-        return self
-
-    def _evaluate(self) -> float:
-        try:
-            return float(self._function())
-        except Exception:
-            return 0.0
-
     def value(self, **labels) -> float:
-        with self._lock:
-            function = self._function
-        if function is not None:
-            return self._evaluate()
         with self._lock:
             return self._values.get(_label_key(labels), 0)
 
     def total(self) -> float:
         with self._lock:
-            function = self._function
-            stored = sum(self._values.values())
-        if function is not None:
-            return self._evaluate()
-        return stored
+            return sum(self._values.values())
 
     def collect(self) -> List[str]:
         with self._lock:
-            function = self._function
             items = sorted(self._values.items())
-        if function is not None:
-            return [f"{self.name} {_format_value(self._evaluate())}"]
         return [f"{self.name}{_render_labels(key)} {_format_value(value)}"
                 for key, value in items] or [f"{self.name} 0"]
 
     def snapshot(self) -> Any:
         with self._lock:
-            function = self._function
-        if function is not None:
-            return self._evaluate()
-        with self._lock:
-            if not self._values:
-                return 0
-            if len(self._values) == 1 and () in self._values:
-                return self._values[()]
-            return {"|".join(f"{k}={v}" for k, v in key) or "_": value
-                    for key, value in sorted(self._values.items())}
+            return _snapshot_values(self._values)
 
 
 class Gauge(_Metric):
@@ -176,45 +158,34 @@ class Gauge(_Metric):
             self._function = function
         return self
 
-    def value(self, **labels) -> float:
+    def _read(self) -> Tuple[Optional[float], Dict[_LabelKey, float]]:
+        """(function value, {}) when function-backed, else (None, a copy of
+        the stored values)."""
         with self._lock:
             function = self._function
-        if function is not None:
-            try:
-                return float(function())
-            except Exception:
-                return 0.0
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            if function is None:
+                return None, dict(self._values)
+        try:
+            return float(function()), {}
+        except Exception:
+            return 0.0, {}
+
+    def value(self, **labels) -> float:
+        computed, values = self._read()
+        if computed is not None:
+            return computed
+        return values.get(_label_key(labels), 0.0)
 
     def collect(self) -> List[str]:
-        with self._lock:
-            function = self._function
-            items = sorted(self._values.items())
-        if function is not None:
-            try:
-                value = float(function())
-            except Exception:
-                value = 0.0
-            return [f"{self.name} {_format_value(value)}"]
+        computed, values = self._read()
+        if computed is not None:
+            return [f"{self.name} {_format_value(computed)}"]
         return [f"{self.name}{_render_labels(key)} {_format_value(value)}"
-                for key, value in items] or [f"{self.name} 0"]
+                for key, value in sorted(values.items())] or [f"{self.name} 0"]
 
     def snapshot(self) -> Any:
-        with self._lock:
-            function = self._function
-        if function is not None:
-            try:
-                return float(function())
-            except Exception:
-                return 0.0
-        with self._lock:
-            if not self._values:
-                return 0
-            if len(self._values) == 1 and () in self._values:
-                return self._values[()]
-            return {"|".join(f"{k}={v}" for k, v in key) or "_": value
-                    for key, value in sorted(self._values.items())}
+        computed, values = self._read()
+        return computed if computed is not None else _snapshot_values(values)
 
 
 class _HistogramChild:
@@ -326,6 +297,70 @@ class Histogram(_Metric):
         }
 
 
+#: One row of a counter declaration table: (field, kind, series, help).
+Declaration = Tuple[str, str, Optional[str], str]
+
+
+class CounterSet:
+    """One layer's aggregate counters, declared once.
+
+    ``declarations`` is a table of ``(field, kind, series, help)`` rows:
+    ``kind`` is ``"sum"`` (:meth:`add` accumulates the delta) or ``"peak"``
+    (:meth:`add` keeps the largest value offered); ``series`` is the exported
+    metric name, or None for a field only snapshots show.  :meth:`add` is the
+    only mutation — one lock acquisition however many fields move — so every
+    :meth:`snapshot` is a point-in-time copy in declared order, and the series
+    a registry renders after :meth:`MetricsRegistry.attach` are these same
+    integers: a scrape and a snapshot cannot disagree.
+    """
+
+    def __init__(self, declarations: Sequence[Declaration]) -> None:
+        self.declarations = tuple(declarations)
+        self._lock = threading.Lock()
+        self._values: Dict[str, int] = {row[0]: 0 for row in self.declarations}
+        self._peaks = frozenset(row[0] for row in self.declarations
+                                if row[1] == "peak")
+
+    def add(self, **deltas: int) -> None:
+        values, peaks = self._values, self._peaks
+        with self._lock:
+            for field, delta in deltas.items():
+                if field not in peaks:
+                    values[field] += delta
+                elif delta > values[field]:
+                    values[field] = delta
+
+    def __getattr__(self, field: str) -> int:
+        try:
+            return self.__dict__["_values"][field]
+        except KeyError:
+            raise AttributeError(field) from None
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._values)
+
+
+class _CounterSetSeries:
+    """One exported field of an attached :class:`CounterSet`, as a metric."""
+
+    def __init__(self, name: str, help_text: str, kind: str,
+                 counters: CounterSet, field: str) -> None:
+        self.name = name
+        self.help = help_text
+        self.kind = "gauge" if kind == "peak" else "counter"
+        self._counters = counters
+        self._field = field
+
+    def value(self) -> int:
+        return getattr(self._counters, self._field)
+
+    total = snapshot = value
+
+    def collect(self) -> List[str]:
+        return [f"{self.name} {_format_value(self.value())}"]
+
+
 class MetricsRegistry:
     """Name → metric, with get-or-create accessors and text exposition.
 
@@ -357,13 +392,9 @@ class MetricsRegistry:
                 )
             return metric
 
-    def counter(self, name: str, help_text: str = "",
-                function: Optional[Callable[[], float]] = None) -> Counter:
-        counter = self._get_or_create(
+    def counter(self, name: str, help_text: str = "") -> Counter:
+        return self._get_or_create(
             name, lambda n: Counter(n, help_text), "counter")
-        if function is not None:
-            counter.set_function(function)
-        return counter
 
     def gauge(self, name: str, help_text: str = "",
               function: Optional[Callable[[], float]] = None) -> Gauge:
@@ -377,6 +408,17 @@ class MetricsRegistry:
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
         return self._get_or_create(
             name, lambda n: Histogram(n, help_text, buckets), "histogram")
+
+    def attach(self, counters: CounterSet) -> CounterSet:
+        """Render ``counters``' exported fields as series of this registry
+        (re-attaching a layer's set replaces the previous instance's)."""
+        for field, kind, series, help_text in counters.declarations:
+            if series is not None:
+                name = self._qualify(series)
+                with self._lock:
+                    self._metrics[name] = _CounterSetSeries(
+                        name, help_text, kind, counters, field)
+        return counters
 
     # -- exposition --------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union as TUnion
 
 from repro.engine.engine import MultiDatabaseEngine
@@ -44,6 +44,7 @@ from repro.engine.plan import QueryPlan
 from repro.engine.plan_cache import PlanCache, PlanCacheKey
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
+from repro.obs.metrics import CounterSet
 from repro.obs.trace import current_span
 from repro.sql.ast import Select, Union
 from repro.sql.normalize import statement_fingerprint
@@ -100,44 +101,26 @@ class MediatedPlan:
         return [branch.select for branch in self.plan.branches]
 
 
-@dataclass
-class PipelineStatistics:
-    """Counters over one pipeline's lifetime (lock-guarded; servers share it)."""
-
-    prepares: int = 0
-    statement_cache_hits: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
-    mediation_hits: int = 0
-    mediation_misses: int = 0
-    #: Re-plans of a statement shape caused purely by a feedback-epoch
-    #: advance (generations unchanged) — the adaptive optimizer at work.
-    feedback_replans: int = 0
-    #: Re-plans (any cause) whose join order / bind decisions actually
-    #: differ from the previous plan of the same statement shape.
-    plan_changes: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def record(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                if name.startswith("_") or not hasattr(self, name):
-                    raise AttributeError(f"unknown counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "prepares": self.prepares,
-                "statement_cache_hits": self.statement_cache_hits,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "mediation_hits": self.mediation_hits,
-                "mediation_misses": self.mediation_misses,
-                "feedback_replans": self.feedback_replans,
-                "plan_changes": self.plan_changes,
-            }
+#: One pipeline's lifetime counters: (field, kind, exported series, help).
+#: ``feedback_replans`` counts re-plans of a statement shape caused purely by
+#: a feedback-epoch advance (generations unchanged); ``plan_changes`` re-plans
+#: (any cause) whose join order / bind decisions actually differ.
+PIPELINE_COUNTERS = (
+    ("prepares", "sum", "pipeline_prepares_total",
+     "Statements taken through the compilation pipeline."),
+    ("statement_cache_hits", "sum", None, ""),
+    ("plan_hits", "sum", "pipeline_plan_hits_total",
+     "Plan-cache hits (zero mediation + planning work)."),
+    ("plan_misses", "sum", "pipeline_plan_misses_total",
+     "Plan-cache misses (full mediate + plan)."),
+    ("mediation_hits", "sum", "pipeline_mediation_hits_total",
+     "Mediation-cache hits."),
+    ("mediation_misses", "sum", "pipeline_mediation_misses_total",
+     "Mediation-cache misses."),
+    ("feedback_replans", "sum", "pipeline_feedback_replans_total",
+     "Recompilations forced by a cardinality-feedback epoch bump."),
+    ("plan_changes", "sum", None, ""),
+)
 
 
 class QueryPipeline:
@@ -163,7 +146,7 @@ class QueryPipeline:
         # Last plan shape per statement shape, for plan-change detection.
         self._plan_shapes: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._shape_lock = threading.Lock()
-        self.statistics = PipelineStatistics()
+        self.statistics = CounterSet(PIPELINE_COUNTERS)
 
     # -- generations -------------------------------------------------------------
 
@@ -210,16 +193,15 @@ class QueryPipeline:
             knowledge_generation=self.knowledge_generation,
             feedback_epoch=self.feedback_epoch,
         )
-        self.statistics.record(prepares=1)
         if self.plan_cache is not None:
             cached = self.plan_cache.get(key)
             if cached is not None:
-                self.statistics.record(plan_hits=1)
+                self.statistics.add(prepares=1, plan_hits=1)
                 if recording:
                     statement_span.annotate(pipeline="cached",
                                             plan_cache="hit")
                 return cached
-        self.statistics.record(plan_misses=1)
+        self.statistics.add(prepares=1, plan_misses=1)
         if recording:
             parse_span = statement_span.child("parse")
             parse_span.started_at = parse_started
@@ -272,7 +254,7 @@ class QueryPipeline:
         if prev_signature != signature:
             deltas["plan_changes"] = 1
         if deltas:
-            self.statistics.record(**deltas)
+            self.statistics.add(**deltas)
 
     def refresh(self, plan: MediatedPlan) -> MediatedPlan:
         """Revalidate a (possibly stale) plan against the live generations.
@@ -309,7 +291,7 @@ class QueryPipeline:
             if hit is not None:
                 self._statements.move_to_end(query)
         if hit is not None:
-            self.statistics.record(statement_cache_hits=1)
+            self.statistics.add(statement_cache_hits=1)
             return hit
         select = self.mediator._as_select(query)
         entry = (select, statement_fingerprint(select))
@@ -341,9 +323,9 @@ class QueryPipeline:
         if self.mediation_cache is not None:
             cached = self.mediation_cache.get(key)
             if cached is not None:
-                self.statistics.record(mediation_hits=1)
+                self.statistics.add(mediation_hits=1)
                 return cached
-        self.statistics.record(mediation_misses=1)
+        self.statistics.add(mediation_misses=1)
         mediation = self.mediator.mediate(select, key.receiver_context)
         mediation.fingerprint = key.fingerprint
         if self.mediation_cache is not None:
@@ -389,7 +371,7 @@ class QueryPipeline:
         return dropped
 
     def snapshot(self) -> Dict[str, object]:
-        data: Dict[str, object] = dict(self.statistics.snapshot())
+        data: Dict[str, object] = self.statistics.snapshot()
         if self.plan_cache is not None:
             data["plan_cache"] = self.plan_cache.snapshot()
         if self.mediation_cache is not None:

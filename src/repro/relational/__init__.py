@@ -38,7 +38,7 @@ from repro.relational.operators import (
     UnionAll,
 )
 from repro.relational.query import Database, QueryProcessor
-from repro.relational.storage import DictionaryStore, StorageStatistics, TemporaryStore
+from repro.relational.storage import STORAGE_COUNTERS, DictionaryStore, TemporaryStore
 from repro.relational.csvio import relation_from_csv, relation_to_csv
 
 __all__ = [
@@ -75,7 +75,7 @@ __all__ = [
     "Database",
     "QueryProcessor",
     "DictionaryStore",
-    "StorageStatistics",
+    "STORAGE_COUNTERS",
     "TemporaryStore",
     "relation_from_csv",
     "relation_to_csv",

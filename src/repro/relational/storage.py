@@ -16,35 +16,24 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import StorageError
+from repro.obs.metrics import CounterSet
 from repro.relational.query import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
-@dataclass
-class StorageStatistics:
-    """Counters describing use of a storage area."""
-
-    tables_created: int = 0
-    tables_dropped: int = 0
-    rows_written: int = 0
-    rows_read: int = 0
-    bytes_written: int = 0
-    peak_tables: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "tables_created": self.tables_created,
-            "tables_dropped": self.tables_dropped,
-            "rows_written": self.rows_written,
-            "rows_read": self.rows_read,
-            "bytes_written": self.bytes_written,
-            "peak_tables": self.peak_tables,
-        }
+#: Use of one storage area: (field, kind, exported series, help).
+STORAGE_COUNTERS = (
+    ("tables_created", "sum", None, ""),
+    ("tables_dropped", "sum", None, ""),
+    ("rows_written", "sum", None, ""),
+    ("rows_read", "sum", None, ""),
+    ("bytes_written", "sum", None, ""),
+    ("peak_tables", "peak", None, ""),
+)
 
 
 def _estimate_row_bytes(relation: Relation) -> int:
@@ -79,7 +68,7 @@ class TemporaryStore:
         self.name = name
         self._database = Database(name)
         self._counter = itertools.count(1)
-        self.statistics = StorageStatistics()
+        self.statistics = CounterSet(STORAGE_COUNTERS)
         # Concurrent statements (server sessions) stage into one shared
         # store.  Handle assignment must be atomic: an unguarded
         # has_table/register pair lets two threads claim the same label and
@@ -106,11 +95,11 @@ class TemporaryStore:
                 handle = f"{handle}_{next(self._counter)}"
             stored.name = handle
             self._database.register(stored, handle)
-            self.statistics.tables_created += 1
-            self.statistics.rows_written += len(stored)
-            self.statistics.bytes_written += _estimate_row_bytes(stored) * len(stored)
-            self.statistics.peak_tables = max(
-                self.statistics.peak_tables, len(self._database.tables)
+            self.statistics.add(
+                tables_created=1,
+                rows_written=len(stored),
+                bytes_written=_estimate_row_bytes(stored) * len(stored),
+                peak_tables=len(self._database.tables),
             )
         return handle
 
@@ -123,7 +112,7 @@ class TemporaryStore:
                 relation = self._database.table(handle)
             except Exception as exc:
                 raise StorageError(f"unknown temporary relation {handle!r}") from exc
-            self.statistics.rows_read += len(relation)
+            self.statistics.add(rows_read=len(relation))
         return relation
 
     def has(self, handle: str) -> bool:
@@ -139,7 +128,7 @@ class TemporaryStore:
         with self._lock:
             if self._database.has_table(handle):
                 self._database.drop_table(handle)
-                self.statistics.tables_dropped += 1
+                self.statistics.add(tables_dropped=1)
 
     def clear(self) -> None:
         for handle in list(self._database.tables):
@@ -173,33 +162,33 @@ class DictionaryStore:
         self.database.create_table("dict_sources", Schema.of(*self.SOURCES_SCHEMA))
         self.database.create_table("dict_relations", Schema.of(*self.RELATIONS_SCHEMA))
         self.database.create_table("dict_capabilities", Schema.of(*self.CAPABILITIES_SCHEMA))
-        self.statistics = StorageStatistics()
+        self.statistics = CounterSet(STORAGE_COUNTERS)
 
     # -- registration ------------------------------------------------------------
 
     def register_source(self, source: str, kind: str, description: str = "") -> None:
         self.database.table("dict_sources").append((source, kind, description))
-        self.statistics.rows_written += 1
+        self.statistics.add(rows_written=1)
 
     def register_relation(self, source: str, relation: str, schema: Schema) -> None:
         table = self.database.table("dict_relations")
         for position, attribute in enumerate(schema):
             table.append((source, relation, attribute.name, position, attribute.type.value))
-            self.statistics.rows_written += 1
+            self.statistics.add(rows_written=1)
 
     def register_capability(self, source: str, capability: str, supported: bool) -> None:
         self.database.table("dict_capabilities").append((source, capability, supported))
-        self.statistics.rows_written += 1
+        self.statistics.add(rows_written=1)
 
     # -- lookups -------------------------------------------------------------------
 
     def sources(self) -> List[str]:
-        self.statistics.rows_read += len(self.database.table("dict_sources"))
+        self.statistics.add(rows_read=len(self.database.table("dict_sources")))
         return [row[0] for row in self.database.table("dict_sources")]
 
     def relations_of(self, source: str) -> List[str]:
         table = self.database.table("dict_relations")
-        self.statistics.rows_read += len(table)
+        self.statistics.add(rows_read=len(table))
         names: List[str] = []
         for row in table:
             if row[0] == source and row[1] not in names:
@@ -208,7 +197,7 @@ class DictionaryStore:
 
     def attributes_of(self, source: str, relation: str) -> List[Dict[str, object]]:
         table = self.database.table("dict_relations")
-        self.statistics.rows_read += len(table)
+        self.statistics.add(rows_read=len(table))
         rows = [
             {"attribute": row[2], "position": row[3], "type": row[4]}
             for row in table

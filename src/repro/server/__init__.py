@@ -16,8 +16,8 @@ from repro.server.protocol import (
     relation_from_payload,
     relation_to_payload,
 )
-from repro.server.http import ChannelStatistics, HttpChannel, HttpRequest, HttpResponse
-from repro.server.server import MediationServer, ServerStatistics
+from repro.server.http import CHANNEL_COUNTERS, HttpChannel, HttpRequest, HttpResponse
+from repro.server.server import SERVER_COUNTERS, MediationServer
 from repro.server.aio import AsyncMediationServer, AsyncServerConfig
 from repro.server.odbc import (
     Connection,
@@ -38,12 +38,12 @@ __all__ = [
     "Response",
     "relation_from_payload",
     "relation_to_payload",
-    "ChannelStatistics",
+    "CHANNEL_COUNTERS",
     "HttpChannel",
     "HttpRequest",
     "HttpResponse",
     "MediationServer",
-    "ServerStatistics",
+    "SERVER_COUNTERS",
     "AsyncMediationServer",
     "AsyncServerConfig",
     "Connection",

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.errors import ClientError, OverloadError, ProtocolError, ReproError
 from repro.federation import Federation
+from repro.obs.metrics import CounterSet
 from repro.server.http import HttpRequest, HttpResponse, HttpWireParser
 from repro.server.protocol import PROTOCOL_VERSION, Request, Response
 from repro.server.server import MediationServer
@@ -166,6 +167,31 @@ class Session:
         return cursor_id in self.cursors
 
 
+#: (field, kind, exported series, help) — the session registry's totals, in
+#: the order its snapshot lists them after ``open``.
+SESSION_COUNTERS = (
+    ("opened", "sum", "aio_sessions_opened_total",
+     "Native-protocol sessions opened over the transport's lifetime."),
+    ("closed", "sum", None, ""),
+    ("reaped_idle", "sum", "aio_sessions_reaped_total",
+     "Idle sessions closed by the reaper."),
+)
+
+#: The transport's own totals and peaks.
+AIO_COUNTERS = (
+    ("connections_peak", "peak", None, ""),
+    ("connections_opened", "sum", "aio_connections_opened_total",
+     "Sockets the event-loop transport accepted."),
+    ("connections_refused", "sum", "aio_connections_refused_total",
+     "Sockets refused at the connection cap."),
+    ("requests_total", "sum", "aio_requests_total",
+     "Requests the event-loop transport dispatched."),
+    ("loop_sheds", "sum", "aio_loop_sheds_total",
+     "Requests shed loop-side at admission capacity."),
+    ("admitted_inflight_peak", "peak", None, ""),
+)
+
+
 class SessionRegistry:
     """Tracks open sessions and releases their handles on close.
 
@@ -178,16 +204,15 @@ class SessionRegistry:
         self._lock = threading.Lock()
         self._sessions: Dict[str, Session] = {}
         self._next_id = 0
-        self.opened = 0
-        self.closed = 0
-        self.reaped_idle = 0
+        #: Moved under ``_lock``, so :meth:`snapshot` is point-in-time.
+        self.counters = CounterSet(SESSION_COUNTERS)
 
     def open(self, tenant: Optional[str]) -> Session:
         with self._lock:
             self._next_id += 1
             session = Session(f"sess-{self._next_id}", tenant, time.monotonic())
             self._sessions[session.session_id] = session
-            self.opened += 1
+            self.counters.add(opened=1)
         return session
 
     def close(self, session: Session, reaped: bool = False) -> None:
@@ -206,9 +231,7 @@ class SessionRegistry:
             statements = sorted(session.statements)
             session.cursors.clear()
             session.statements.clear()
-            self.closed += 1
-            if reaped:
-                self.reaped_idle += 1
+            self.counters.add(closed=1, reaped_idle=int(reaped))
         for cursor_id in cursors:
             self._server.handle(
                 Request(operation="close_cursor",
@@ -234,12 +257,7 @@ class SessionRegistry:
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "open": len(self._sessions),
-                "opened": self.opened,
-                "closed": self.closed,
-                "reaped_idle": self.reaped_idle,
-            }
+            return {"open": len(self._sessions), **self.counters.snapshot()}
 
 
 class AsyncMediationServer:
@@ -282,47 +300,21 @@ class AsyncMediationServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
 
-        # Counters. The loop thread owns the in-flight gauges; totals are
-        # read cross-thread via snapshot() (int reads are atomic enough for
-        # reporting).
-        self._connections_opened = 0
-        self._connections_refused = 0
+        # The loop thread owns the in-flight gauges and is the only writer
+        # of the totals; snapshot() reads both cross-thread.
         self._connections_current = 0
-        self._connections_peak = 0
-        self._requests_total = 0
-        self._loop_sheds = 0
         self._inflight_total = 0
         self._admitted_inflight = 0
-        self._admitted_inflight_peak = 0
+        self._totals = CounterSet(AIO_COUNTERS)
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
-        """Register transport series in the federation's metrics registry.
-
-        All function-backed — scrape-time reads of the loop's counters and
-        the session registry — so the event loop never touches a metric.
-        """
+        """Attach the transport's and session registry's totals to the
+        federation's registry; the in-flight gauges are read at scrape time,
+        so the event loop never touches a metric."""
         registry = self.server.federation.observability.metrics
-        registry.counter(
-            "aio_connections_opened_total",
-            "Sockets the event-loop transport accepted.",
-            function=lambda: self._connections_opened,
-        )
-        registry.counter(
-            "aio_connections_refused_total",
-            "Sockets refused at the connection cap.",
-            function=lambda: self._connections_refused,
-        )
-        registry.counter(
-            "aio_requests_total",
-            "Requests the event-loop transport dispatched.",
-            function=lambda: self._requests_total,
-        )
-        registry.counter(
-            "aio_loop_sheds_total",
-            "Requests shed loop-side at admission capacity.",
-            function=lambda: self._loop_sheds,
-        )
+        registry.attach(self._totals)
+        registry.attach(self.sessions.counters)
         registry.gauge(
             "aio_connections",
             "Sockets currently connected to the event loop.",
@@ -332,16 +324,6 @@ class AsyncMediationServer:
             "aio_sessions",
             "Native-protocol sessions currently open.",
             function=lambda: len(self.sessions),
-        )
-        registry.counter(
-            "aio_sessions_opened_total",
-            "Native-protocol sessions opened over the transport's lifetime.",
-            function=lambda: self.sessions.opened,
-        )
-        registry.counter(
-            "aio_sessions_reaped_total",
-            "Idle sessions closed by the reaper.",
-            function=lambda: self.sessions.reaped_idle,
         )
         registry.gauge(
             "aio_admitted_inflight",
@@ -465,7 +447,7 @@ class AsyncMediationServer:
     async def _accept(self, sock: socket.socket) -> bool:
         if self._draining or (
                 self._connections_current >= self.config.max_connections):
-            self._connections_refused += 1
+            self._totals.add(connections_refused=1)
             sock.close()
             return False
         task = self._loop.create_task(self._serve_connection(sock))
@@ -481,10 +463,9 @@ class AsyncMediationServer:
         except Exception:
             sock.close()
             return
-        self._connections_opened += 1
         self._connections_current += 1
-        self._connections_peak = max(self._connections_peak,
-                                     self._connections_current)
+        self._totals.add(connections_opened=1,
+                         connections_peak=self._connections_current)
         self._writers.add(writer)
         # The session is registered in a holder the moment it opens, so the
         # cleanup below finds it even when the serving loop dies mid-frame
@@ -652,7 +633,7 @@ class AsyncMediationServer:
         try:
             protocol_request = Request.from_json(request.body)
         except ReproError as exc:
-            self.server.statistics.record(errors=1)
+            self.server.statistics.add(errors=1)
             wrapped = HttpResponse(status=400, reason="Bad Request",
                                    body=Response.failure(str(exc), "protocol").to_json())
             return self._finish_http(request, wrapped)
@@ -685,7 +666,7 @@ class AsyncMediationServer:
         """Session-scope a protocol request, then run it in the worker pool."""
         session.touch(time.monotonic())
         session.requests += 1
-        self._requests_total += 1
+        self._totals.add(requests_total=1)
 
         parameter_tenant = request.parameters.get("tenant")
         if (session.tenant is not None and parameter_tenant is not None
@@ -726,9 +707,8 @@ class AsyncMediationServer:
         gateway = self.server.gateway
         if admitted and gateway is not None and (
                 self._admitted_inflight >= gateway.admission_capacity):
-            self._loop_sheds += 1
-            self.server.statistics.record(requests=1, errors=1,
-                                          requests_shed=1)
+            self._totals.add(loop_sheds=1)
+            self.server.statistics.add(requests=1, errors=1, requests_shed=1)
             gateway.shed_at_transport(
                 tenant or session.tenant,
                 reason="draining" if gateway.draining else "queue_full",
@@ -737,9 +717,7 @@ class AsyncMediationServer:
         self._inflight_total += 1
         if admitted:
             self._admitted_inflight += 1
-            self._admitted_inflight_peak = max(
-                self._admitted_inflight_peak, self._admitted_inflight
-            )
+            self._totals.add(admitted_inflight_peak=self._admitted_inflight)
         try:
             return await self._loop.run_in_executor(self._executor, work)
         finally:
@@ -805,22 +783,23 @@ class AsyncMediationServer:
     # -- reporting ----------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
+        totals = self._totals.snapshot()
         return {
             "transport": "asyncio",
             "running": self._running,
             "draining": self._draining,
             "connections": {
                 "current": self._connections_current,
-                "peak": self._connections_peak,
-                "opened": self._connections_opened,
-                "refused": self._connections_refused,
+                "peak": totals["connections_peak"],
+                "opened": totals["connections_opened"],
+                "refused": totals["connections_refused"],
                 "max": self.config.max_connections,
             },
             "sessions": self.sessions.snapshot(),
             "requests": {
-                "total": self._requests_total,
-                "loop_sheds": self._loop_sheds,
-                "admitted_inflight_peak": self._admitted_inflight_peak,
+                "total": totals["requests_total"],
+                "loop_sheds": totals["loop_sheds"],
+                "admitted_inflight_peak": totals["admitted_inflight_peak"],
             },
             "workers": {
                 "loop_threads": 1,

@@ -53,9 +53,27 @@ from typing import Callable, Dict, Optional, TypeVar
 
 from repro.engine.resilience import SYSTEM_CLOCK, Clock
 from repro.errors import OverloadError
+from repro.obs.metrics import CounterSet
 from repro.obs.trace import bind_tenant, current_span, unbind_tenant
 
 T = TypeVar("T")
+
+#: Peaks and running totals, in ``server_load`` order (the three gauges they
+#: are peaks of — active, queued, active streams — are state and stay plain
+#: fields): (field, kind, exported series, help).
+GATEWAY_COUNTERS = (
+    ("peak_active", "peak", None, ""),
+    ("peak_queued", "peak", None, ""),
+    ("peak_active_streams", "peak", None, ""),
+    ("arrived", "sum", "gateway_arrived_total",
+     "Requests that reached the admission gateway."),
+    ("admitted", "sum", "gateway_admitted_total",
+     "Requests admitted to a worker slot."),
+    ("completed", "sum", "gateway_completed_total",
+     "Admitted requests that finished executing."),
+    ("streams_opened", "sum", "gateway_streams_opened_total",
+     "Streaming permits handed out over the gateway's lifetime."),
+)
 
 #: Shed reasons, in the order the admission pipeline checks them.
 SHED_REASONS = ("draining", "quota", "deadline", "queue_full", "streams")
@@ -187,23 +205,17 @@ class AdmissionGateway:
         self._draining = False
         self._buckets: Dict[str, TokenBucket] = {}
         self._tenants: Dict[str, _TenantCounters] = {}
-        # -- load counters (all guarded by self._lock) -------------------------
+        # -- load accounting (all moved under self._lock, so snapshot() is
+        # point-in-time) ---------------------------------------------------
         self._waiting = 0
         self._active = 0
         self._active_streams = 0
-        self._peak_queued = 0
-        self._peak_active = 0
-        self._peak_active_streams = 0
-        self._arrived = 0
-        self._admitted = 0
-        self._completed = 0
-        self._streams_opened = 0
+        self._totals = CounterSet(GATEWAY_COUNTERS)
         self._shed: Dict[str, int] = {reason: 0 for reason in SHED_REASONS}
         self._queue_wait_seconds = 0.0
         self._max_queue_wait_seconds = 0.0
         self._ewma_service_seconds: Optional[float] = None
-        # -- metrics (None until bind_metrics; shed/queue-wait are event
-        # metrics, everything else is function-backed at scrape time) --------
+        # -- event metrics (None until bind_metrics) ----------------------------
         self._shed_metric = None
         self._queue_wait_metric = None
 
@@ -212,32 +224,13 @@ class AdmissionGateway:
     def bind_metrics(self, registry) -> None:
         """Expose admission accounting through a metrics registry.
 
-        Cumulative totals and load gauges are *function-backed* — read off the
-        already-guarded counters at scrape time, free on the admission path.
+        The running totals are attached (the registry renders the counters
+        :meth:`snapshot` reads); the load gauges are read at scrape time.
         Sheds (labelled by reason) and the queue-wait histogram are event
         metrics recorded inline: sheds are an error path and queue waits only
         occur when a request actually queued.
         """
-        registry.counter(
-            "gateway_arrived_total",
-            "Requests that reached the admission gateway.",
-            function=lambda: self._arrived,
-        )
-        registry.counter(
-            "gateway_admitted_total",
-            "Requests admitted to a worker slot.",
-            function=lambda: self._admitted,
-        )
-        registry.counter(
-            "gateway_completed_total",
-            "Admitted requests that finished executing.",
-            function=lambda: self._completed,
-        )
-        registry.counter(
-            "gateway_streams_opened_total",
-            "Streaming permits handed out over the gateway's lifetime.",
-            function=lambda: self._streams_opened,
-        )
+        registry.attach(self._totals)
         registry.gauge(
             "gateway_active",
             "Requests executing right now.",
@@ -352,7 +345,7 @@ class AdmissionGateway:
             elapsed = self._clock.now() - started
             with self._lock:
                 self._active -= 1
-                self._completed += 1
+                self._totals.add(completed=1)
                 alpha = self.config.ewma_alpha
                 if self._ewma_service_seconds is None:
                     self._ewma_service_seconds = elapsed
@@ -367,7 +360,7 @@ class AdmissionGateway:
                timeout_seconds: Optional[float]) -> tuple:
         """Walk the shed pipeline; returns ``(remaining_budget, queue_wait)``."""
         with self._lock:
-            self._arrived += 1
+            self._totals.add(arrived=1)
             self._counters(tenant_name).arrived += 1
             draining = self._draining
         if draining:
@@ -412,7 +405,7 @@ class AdmissionGateway:
                 else:
                     queue_full = False
                     self._waiting += 1
-                    self._peak_queued = max(self._peak_queued, self._waiting)
+                    self._totals.add(peak_queued=self._waiting)
             if queue_full:
                 self._shed_request(
                     tenant_name, "queue_full",
@@ -456,9 +449,8 @@ class AdmissionGateway:
                 )
 
         with self._lock:
-            self._admitted += 1
             self._active += 1
-            self._peak_active = max(self._peak_active, self._active)
+            self._totals.add(admitted=1, peak_active=self._active)
             self._queue_wait_seconds += queue_wait
             self._max_queue_wait_seconds = max(
                 self._max_queue_wait_seconds, queue_wait
@@ -497,7 +489,7 @@ class AdmissionGateway:
         """
         tenant_name = self._tenant(tenant)
         with self._lock:
-            self._arrived += 1
+            self._totals.add(arrived=1)
             self._counters(tenant_name).arrived += 1
             retry_after = self._ewma_service_seconds
         self._shed_request(
@@ -530,10 +522,8 @@ class AdmissionGateway:
             else:
                 shed_reason = None
                 self._active_streams += 1
-                self._streams_opened += 1
-                self._peak_active_streams = max(
-                    self._peak_active_streams, self._active_streams
-                )
+                self._totals.add(streams_opened=1,
+                                 peak_active_streams=self._active_streams)
                 self._counters(tenant_name).active_streams += 1
         if shed_reason == "draining":
             self._shed_request(
@@ -613,13 +603,7 @@ class AdmissionGateway:
                 "active": self._active,
                 "queued": self._waiting,
                 "active_streams": self._active_streams,
-                "peak_active": self._peak_active,
-                "peak_queued": self._peak_queued,
-                "peak_active_streams": self._peak_active_streams,
-                "arrived": self._arrived,
-                "admitted": self._admitted,
-                "completed": self._completed,
-                "streams_opened": self._streams_opened,
+                **self._totals.snapshot(),
                 "shed": {"total": sum(shed.values()), **shed},
                 "queue_wait_seconds": round(self._queue_wait_seconds, 6),
                 "max_queue_wait_seconds": round(self._max_queue_wait_seconds, 6),

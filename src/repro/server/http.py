@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
+from repro.obs.metrics import CounterSet
 
 
 @dataclass
@@ -277,26 +278,16 @@ def _parse_headers(lines: List[str]) -> Dict[str, str]:
     return headers
 
 
-@dataclass
-class ChannelStatistics:
-    """Traffic counters of one channel."""
-
-    round_trips: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    #: Connection churn: setups paid vs requests that rode an existing
-    #: keep-alive connection.
-    connections_opened: int = 0
-    requests_reusing_connection: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "round_trips": self.round_trips,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "connections_opened": self.connections_opened,
-            "requests_reusing_connection": self.requests_reusing_connection,
-        }
+#: One client channel's traffic counters (field, kind, series, help); the
+#: last two are connection churn: setups paid vs requests that rode an
+#: existing keep-alive connection.
+CHANNEL_COUNTERS = (
+    ("round_trips", "sum", None, ""),
+    ("bytes_sent", "sum", None, ""),
+    ("bytes_received", "sum", None, ""),
+    ("connections_opened", "sum", None, ""),
+    ("requests_reusing_connection", "sum", None, ""),
+)
 
 
 class HttpChannel:
@@ -309,23 +300,22 @@ class HttpChannel:
 
     def __init__(self, handler: Callable[[HttpRequest], HttpResponse]):
         self._handler = handler
-        self.statistics = ChannelStatistics()
+        self.statistics = CounterSet(CHANNEL_COUNTERS)
         self._connected = False
 
     def round_trip(self, request: HttpRequest) -> HttpResponse:
-        if self._connected:
-            self.statistics.requests_reusing_connection += 1
-        else:
-            self.statistics.connections_opened += 1
         wire_request = request.serialize()
-        self.statistics.bytes_sent += len(wire_request.encode("utf-8"))
+        reused = int(self._connected)
+        self.statistics.add(bytes_sent=len(wire_request.encode("utf-8")),
+                            connections_opened=1 - reused,
+                            requests_reusing_connection=reused)
 
         parsed_request = HttpRequest.parse(wire_request)
         response = self._handler(parsed_request)
 
         wire_response = response.serialize()
-        self.statistics.bytes_received += len(wire_response.encode("utf-8"))
-        self.statistics.round_trips += 1
+        self.statistics.add(bytes_received=len(wire_response.encode("utf-8")),
+                            round_trips=1)
         parsed = HttpResponse.parse(wire_response)
         # An exchange persists the (simulated) connection only when both
         # sides agreed to keep-alive — mirroring what the socket transport

@@ -45,9 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ClientError
 from repro.federation import Federation
+from repro.obs.metrics import CounterSet
 from repro.server.aio import MAGIC, FrameParser, encode_frame
 from repro.server.http import (
-    ChannelStatistics,
+    CHANNEL_COUNTERS,
     HttpChannel,
     HttpRequest,
     HttpResponse,
@@ -608,7 +609,7 @@ class _PooledSocketChannel:
         self._connector = connector
         self._timeout = timeout
         self._sock: Optional[Any] = None
-        self.statistics = ChannelStatistics()
+        self.statistics = CounterSet(CHANNEL_COUNTERS)
 
     # -- subclass hooks --------------------------------------------------------------
 
@@ -642,9 +643,8 @@ class _PooledSocketChannel:
                 error.error_kind = "ConnectionError"
                 error.retriable = False
                 raise error from exc
-            if reused:
-                self.statistics.requests_reusing_connection += 1
-            self.statistics.round_trips += 1
+            self.statistics.add(round_trips=1,
+                                requests_reusing_connection=int(reused))
             return response
         raise ClientError("unreachable: reconnect loop exhausted")  # pragma: no cover
 
@@ -661,7 +661,7 @@ class _PooledSocketChannel:
         sock = self._connector()
         sock.settimeout(self._timeout)
         self._sock = sock
-        self.statistics.connections_opened += 1
+        self.statistics.add(connections_opened=1)
         try:
             self._handshake()
         except BaseException:
@@ -670,13 +670,13 @@ class _PooledSocketChannel:
 
     def _send(self, data: bytes) -> None:
         self._sock.sendall(data)
-        self.statistics.bytes_sent += len(data)
+        self.statistics.add(bytes_sent=len(data))
 
     def _recv(self) -> bytes:
         data = self._sock.recv(65536)
         if not data:
             raise EOFError("server closed the connection")
-        self.statistics.bytes_received += len(data)
+        self.statistics.add(bytes_received=len(data))
         return data
 
 

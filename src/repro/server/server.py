@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import OverloadError, ProtocolError, ReproError
 from repro.federation import Federation, FederationCursor, PreparedQuery
 from repro.mediation.explain import conflict_summary
+from repro.obs.metrics import CounterSet
 from repro.obs.trace import NULL_SPAN, deactivate_span
 from repro.options import StatementOptions, parse_batch_size
 from repro.server.gateway import AdmissionGateway, GatewayConfig
@@ -33,47 +34,24 @@ from repro.server.protocol import (
 from repro.server.service import FederatedQueryService
 
 
-@dataclass
-class ServerStatistics:
-    """Request counters kept by the server.
-
-    Increments go through :meth:`record`, which holds a lock: concurrent
-    client sessions dispatch against one server instance, and unguarded
-    ``+=`` on shared counters loses updates.
-    """
-
-    requests: int = 0
-    queries: int = 0
-    errors: int = 0
-    requests_shed: int = 0
-    prepared_statements: int = 0
-    prepared_executions: int = 0
-    cursors_opened: int = 0
-    cursor_fetches: int = 0
-    rows_streamed: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def record(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                if name.startswith("_") or not hasattr(self, name):
-                    raise AttributeError(f"unknown counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "queries": self.queries,
-                "errors": self.errors,
-                "requests_shed": self.requests_shed,
-                "prepared_statements": self.prepared_statements,
-                "prepared_executions": self.prepared_executions,
-                "cursors_opened": self.cursors_opened,
-                "cursor_fetches": self.cursor_fetches,
-                "rows_streamed": self.rows_streamed,
-            }
+#: The server's request counters: (field, kind, exported series, help).
+SERVER_COUNTERS = (
+    ("requests", "sum", "server_requests_total",
+     "Protocol requests the server dispatched."),
+    ("queries", "sum", "server_queries_total",
+     "Statements the server executed."),
+    ("errors", "sum", "server_errors_total",
+     "Requests answered with an error."),
+    ("requests_shed", "sum", "server_requests_shed_total",
+     "Requests shed by admission control."),
+    ("prepared_statements", "sum", None, ""),
+    ("prepared_executions", "sum", None, ""),
+    ("cursors_opened", "sum", None, ""),
+    ("cursor_fetches", "sum", "server_cursor_fetches_total",
+     "Cursor fetch round trips served."),
+    ("rows_streamed", "sum", "server_rows_streamed_total",
+     "Rows shipped through cursors and chunked responses."),
+)
 
 
 @dataclass
@@ -146,7 +124,7 @@ class MediationServer:
         self.service = FederatedQueryService(federation, gateway)
         #: The admission gateway every statement-executing request passes.
         self.gateway = self.service.gateway
-        self.statistics = ServerStatistics()
+        self.statistics = CounterSet(SERVER_COUNTERS)
         #: LRU of open prepared statements: executing one refreshes it, so
         #: eviction under pressure removes genuinely idle handles first.
         self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
@@ -160,33 +138,11 @@ class MediationServer:
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
-        """Register server/gateway series in the federation's registry.
-
-        Everything here is function-backed (evaluated at scrape time against
-        the lock-guarded statistics), so request dispatch pays nothing.
-        """
+        """Attach the server's and gateway's counters to the federation's
+        registry; the open-handle gauges are read at scrape time."""
         registry = self.federation.observability.metrics
         self.gateway.bind_metrics(registry)
-
-        def server_counter(name: str, help_text: str, attribute: str) -> None:
-            registry.counter(
-                name, help_text,
-                function=lambda: getattr(self.statistics, attribute),
-            )
-
-        server_counter("server_requests_total",
-                       "Protocol requests the server dispatched.", "requests")
-        server_counter("server_queries_total",
-                       "Statements the server executed.", "queries")
-        server_counter("server_errors_total",
-                       "Requests answered with an error.", "errors")
-        server_counter("server_requests_shed_total",
-                       "Requests shed by admission control.", "requests_shed")
-        server_counter("server_cursor_fetches_total",
-                       "Cursor fetch round trips served.", "cursor_fetches")
-        server_counter("server_rows_streamed_total",
-                       "Rows shipped through cursors and chunked responses.",
-                       "rows_streamed")
+        registry.attach(self.statistics)
         registry.gauge(
             "server_open_prepared_statements",
             "Prepared statements currently registered.",
@@ -239,7 +195,7 @@ class MediationServer:
         try:
             protocol_request = Request.from_json(request.body)
         except ReproError as exc:
-            self.statistics.record(errors=1)
+            self.statistics.add(errors=1)
             return HttpResponse(status=400, reason="Bad Request",
                                 body=Response.failure(str(exc), "protocol").to_json())
         response = self.handle(protocol_request,
@@ -295,7 +251,7 @@ class MediationServer:
             sql = parameters.get("sql")
             if not sql:
                 raise ProtocolError("'query' requires a 'sql' parameter")
-            self.statistics.record(requests=1)
+            self.statistics.add(requests=1)
             options = StatementOptions.from_parameters(
                 parameters, ProtocolError, tenant=self._header_tenant(request))
             # A worker slot covers only *opening* the stream (mediation,
@@ -319,7 +275,7 @@ class MediationServer:
                 }))
         except ReproError as exc:
             return self._stream_failure(exc)
-        self.statistics.record(queries=1, rows_streamed=handle.rows_streamed)
+        self.statistics.add(queries=1, rows_streamed=handle.rows_streamed)
         headers = ({self.TRACE_HEADER: handle.trace_id}
                    if handle.trace_id else {})
         return HttpResponse(status=200, reason="OK", headers=headers,
@@ -329,11 +285,11 @@ class MediationServer:
         """The chunked endpoint's error mapping: sheds answer 503, malformed
         requests 400, statements that fail 422 with their error kind."""
         if isinstance(exc, OverloadError):
-            self.statistics.record(errors=1, requests_shed=1)
+            self.statistics.add(errors=1, requests_shed=1)
             return self._overload_http_response(
                 Response.failure(str(exc), "OverloadError",
                                  retry_after_seconds=exc.retry_after_seconds))
-        self.statistics.record(errors=1)
+        self.statistics.add(errors=1)
         if isinstance(exc, ProtocolError):
             return HttpResponse(status=400, reason="Bad Request",
                                 body=Response.failure(str(exc), "protocol").to_json())
@@ -357,7 +313,7 @@ class MediationServer:
         Successful traced responses echo ``trace_id`` — and, once the trace
         is finished and sampled, the span tree itself — in the payload.
         """
-        self.statistics.record(requests=1)
+        self.statistics.add(requests=1)
         tenant = request.parameters.get("tenant") or tenant
         trace_id = request.trace_id or trace_id
         # ``open_cursor``'s root outlives this request — the service's
@@ -422,17 +378,17 @@ class MediationServer:
                                          if operation == "query" else None),
                     )
             if not response.ok:
-                self.statistics.record(errors=1)
+                self.statistics.add(errors=1)
             return response
         except OverloadError as exc:
-            self.statistics.record(errors=1, requests_shed=1)
+            self.statistics.add(errors=1, requests_shed=1)
             return Response.failure(str(exc), "OverloadError",
                                     retry_after_seconds=exc.retry_after_seconds)
         except ReproError as exc:
-            self.statistics.record(errors=1)
+            self.statistics.add(errors=1)
             return Response.failure(str(exc), type(exc).__name__)
         except Exception as exc:  # pragma: no cover - defensive catch-all
-            self.statistics.record(errors=1)
+            self.statistics.add(errors=1)
             return Response.failure(f"internal error: {exc}", "internal")
 
     def _dispatch(self, request: Request,
@@ -492,7 +448,7 @@ class MediationServer:
         if not sql:
             return Response.failure("'query' requires a 'sql' parameter", "protocol")
         answer = self.federation.open(sql, options, stream=False).answer()
-        self.statistics.record(queries=1)
+        self.statistics.add(queries=1)
         return Response.success(**self._answer_payload(answer))
 
     def _handle_prepare(self, parameters: Dict[str, Any],
@@ -506,7 +462,7 @@ class MediationServer:
             self._prepared[statement_id] = prepared
             while len(self._prepared) > self.MAX_PREPARED_STATEMENTS:
                 self._prepared.popitem(last=False)
-        self.statistics.record(prepared_statements=1)
+        self.statistics.add(prepared_statements=1)
         return Response.success(
             statement_id=statement_id,
             original_sql=prepared.sql,
@@ -540,7 +496,7 @@ class MediationServer:
         if prepared is None:
             return self._unknown_statement(statement_id)
         answer = prepared.execute()
-        self.statistics.record(queries=1, prepared_executions=1)
+        self.statistics.add(queries=1, prepared_executions=1)
         return Response.success(statement_id=statement_id,
                                 **self._answer_payload(answer))
 
@@ -596,7 +552,7 @@ class MediationServer:
                 evicted.append(doomed)
         for doomed in evicted:
             doomed.discard()
-        self.statistics.record(cursors_opened=1)
+        self.statistics.add(cursors_opened=1)
         payload.update(
             cursor_id=cursor_id,
             receiver_context=cursor.mediation.receiver_context,
@@ -639,7 +595,7 @@ class MediationServer:
             # and let the error surface to the client.
             self._discard_cursor(cursor_id)
             raise
-        self.statistics.record(cursor_fetches=1, rows_streamed=len(rows))
+        self.statistics.add(cursor_fetches=1, rows_streamed=len(rows))
         payload: Dict[str, Any] = {
             "cursor_id": cursor_id,
             "rows": rows_to_payload(rows),
@@ -713,7 +669,7 @@ class MediationServer:
     def snapshot(self) -> Dict[str, Any]:
         """Server statistics with the ``server_load`` admission block and
         per-source health folded in — what operators watch under overload."""
-        snapshot: Dict[str, Any] = dict(self.statistics.snapshot())
+        snapshot: Dict[str, Any] = self.statistics.snapshot()
         snapshot["server_load"] = self.gateway.snapshot()
         snapshot["source_health"] = self.federation.engine.source_health()
         snapshot["observability"] = self.federation.observability.snapshot()

@@ -10,7 +10,7 @@ Two families are provided, matching the paper's demonstration setting:
   (:func:`~repro.sources.exchange.build_exchange_rate_site`).
 """
 
-from repro.sources.base import Source, SourceCapabilities, SourceStatistics
+from repro.sources.base import SOURCE_COUNTERS, Source, SourceCapabilities
 from repro.sources.memory import MemorySQLSource, PartitionedCompanySource
 from repro.sources.web import (
     SimulatedWebSite,
@@ -32,7 +32,7 @@ from repro.sources.registry import SourceRegistry
 __all__ = [
     "Source",
     "SourceCapabilities",
-    "SourceStatistics",
+    "SOURCE_COUNTERS",
     "MemorySQLSource",
     "PartitionedCompanySource",
     "SimulatedWebSite",

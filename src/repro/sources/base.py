@@ -16,11 +16,11 @@ queries/pages each experiment issued.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import SourceError, SourceUnavailableError
+from repro.obs.metrics import CounterSet
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -86,53 +86,17 @@ class SourceCapabilities:
         )
 
 
-@dataclass
-class SourceStatistics:
-    """Access counters maintained by every source.
-
-    The engine's scheduler issues fetches from a thread pool, so the mutating
-    paths take a lock — plain ``+=`` on these counters would drop updates
-    under concurrent access.  Prefer the ``record_*`` methods over direct
-    attribute writes.
-    """
-
-    queries: int = 0
-    rows_returned: int = 0
-    pages_fetched: int = 0
-    #: Accesses that raised (availability, extraction, capability...), and
-    #: how many of those the engine's resilience layer retried.
-    failures: int = 0
-    retries: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def record_query(self, rows: int) -> None:
-        with self._lock:
-            self.queries += 1
-            self.rows_returned += rows
-
-    def record_pages(self, pages: int = 1) -> None:
-        with self._lock:
-            self.pages_fetched += pages
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "queries": self.queries,
-                "rows_returned": self.rows_returned,
-                "pages_fetched": self.pages_fetched,
-                "failures": self.failures,
-                "retries": self.retries,
-            }
+#: Access counters every source maintains: (field, kind, series, help).
+#: ``failures`` are accesses that raised (availability, extraction,
+#: capability...), ``retries`` how many of those the engine's resilience
+#: layer retried.
+SOURCE_COUNTERS = (
+    ("queries", "sum", None, ""),
+    ("rows_returned", "sum", None, ""),
+    ("pages_fetched", "sum", None, ""),
+    ("failures", "sum", None, ""),
+    ("retries", "sum", None, ""),
+)
 
 
 class Source:
@@ -146,7 +110,7 @@ class Source:
         self.name = name
         self.capabilities = capabilities or SourceCapabilities.full_sql()
         self.description = description
-        self.statistics = SourceStatistics()
+        self.statistics = CounterSet(SOURCE_COUNTERS)
         self.available = True
 
     # -- metadata -------------------------------------------------------------

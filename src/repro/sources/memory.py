@@ -61,7 +61,7 @@ class MemorySQLSource(Source):
     def fetch(self, relation: str) -> Relation:
         self.check_available()
         result = self.database.table(relation)
-        self.statistics.record_query(len(result))
+        self.statistics.add(queries=1, rows_returned=len(result))
         return result
 
     def execute_sql(self, statement) -> Relation:
@@ -73,7 +73,7 @@ class MemorySQLSource(Source):
             raise
         except Exception as exc:
             raise SourceError(f"source {self.name!r} failed to execute query: {exc}") from exc
-        self.statistics.record_query(len(result))
+        self.statistics.add(queries=1, rows_returned=len(result))
         return result
 
 

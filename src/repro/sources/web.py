@@ -99,7 +99,7 @@ class SimulatedWebSite(Source):
         page = self._pages.get(normalized)
         if page is None:
             raise SourceError(f"{self.name}: no such page {url!r}")
-        self.statistics.record_pages()
+        self.statistics.add(pages_fetched=1)
         with self._latency_lock:
             self.simulated_latency += self.latency_per_fetch
         return page

@@ -50,26 +50,29 @@ def transform(node: Node, fn: Callable[[Node], Node]) -> Node:
     must return a node (possibly the same one).  Lists/tuples of nodes inside
     fields are transformed element-wise.
     """
-
-    def rebuild(value: Any) -> Any:
-        if isinstance(value, Node):
-            return transform(value, fn)
-        if isinstance(value, list):
-            return [rebuild(item) for item in value]
-        if isinstance(value, tuple):
-            return tuple(rebuild(item) for item in value)
-        return value
-
     if is_dataclass(node):
         changes = {}
         for f in fields(node):
             old = getattr(node, f.name)
-            new = rebuild(old)
+            new = _rebuild(old, fn)
             if new is not old:
                 changes[f.name] = new
         if changes:
             node = replace(node, **changes)
     return fn(node)
+
+
+def _rebuild(value: Any, fn: Callable[[Node], Node]) -> Any:
+    """One field value of :func:`transform`.  A module-level function, not a
+    closure naming itself: a self-referential closure is a reference cycle,
+    and every transformed node would leave one for the cycle collector."""
+    if isinstance(value, Node):
+        return transform(value, fn)
+    if isinstance(value, list):
+        return [_rebuild(item, fn) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_rebuild(item, fn) for item in value)
+    return value
 
 
 # ---------------------------------------------------------------------------

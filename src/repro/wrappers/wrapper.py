@@ -76,7 +76,7 @@ class Wrapper:
 
     @property
     def source_statistics(self):
-        """The backing source's :class:`~repro.sources.base.SourceStatistics`.
+        """The backing source's counters (``SOURCE_COUNTERS``).
 
         ``None`` when the wrapper has no single backing source; the engine's
         resilience layer uses this to book failures and retries against the

@@ -82,7 +82,7 @@ class TestCardinalityFeedback:
         # Material on both axes: the epoch advances.
         feedback.record_request("t", "", 40, planned_rows=4_250)
         assert feedback.epoch == 1
-        assert feedback.epoch_bumps == 1
+        assert feedback.counters.epoch_bumps == 1
 
     def test_unplanned_observations_never_bump(self):
         feedback = CardinalityFeedback()

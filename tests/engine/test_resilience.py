@@ -351,12 +351,13 @@ class TestRunFetch:
         assert snapshot["sources"]["db"]["rejections"] == 1
 
     def test_source_statistics_book_failures_and_retries(self):
-        from repro.sources.base import SourceStatistics
+        from repro.obs.metrics import CounterSet
+        from repro.sources.base import SOURCE_COUNTERS
 
         manual = ManualClock()
         policy = _policy(manual)
         stats = ResilienceReport()
-        source_statistics = SourceStatistics()
+        source_statistics = CounterSet(SOURCE_COUNTERS)
         calls = []
 
         def fetch():

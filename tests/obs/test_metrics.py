@@ -43,19 +43,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_function_backed_counter_reads_at_scrape_time(self):
-        state = {"total": 5}
-        counter = Counter("coin_admitted_total",
-                          function=lambda: state["total"])
-        assert counter.value() == 5
-        state["total"] = 9
-        assert counter.value() == 9
-        assert counter.collect() == ["coin_admitted_total 9"]
-
-    def test_function_errors_scrape_as_zero(self):
-        counter = Counter("c", function=lambda: 1 / 0)
-        assert counter.value() == 0.0
-
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -70,7 +57,14 @@ class TestGauge:
         gauge = Gauge("coin_queue_depth", function=lambda: len(items))
         assert gauge.value() == 3
         items.pop()
+        assert gauge.value() == 2
         assert gauge.collect() == ["coin_queue_depth 2"]
+        assert gauge.snapshot() == 2.0
+
+    def test_function_errors_scrape_as_zero(self):
+        gauge = Gauge("g", function=lambda: 1 / 0)
+        assert gauge.value() == 0.0
+        assert gauge.collect() == ["g 0"]
 
 
 class TestHistogram:

@@ -8,7 +8,8 @@ crawl its site exactly once.
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.sources.base import SourceStatistics
+from repro.obs.metrics import CounterSet
+from repro.sources.base import SOURCE_COUNTERS
 from repro.sources.web import WebPage, SimulatedWebSite
 
 THREADS = 8
@@ -23,19 +24,20 @@ def _hammer(task) -> None:
 
 class TestSourceStatistics:
     def test_record_query_loses_no_updates(self):
-        statistics = SourceStatistics()
+        statistics = CounterSet(SOURCE_COUNTERS)
 
         def task():
             for _ in range(ROUNDS):
-                statistics.record_query(3)
+                statistics.add(queries=1, rows_returned=3)
 
         _hammer(task)
         assert statistics.queries == THREADS * ROUNDS
         assert statistics.rows_returned == 3 * THREADS * ROUNDS
 
     def test_record_pages_loses_no_updates(self):
-        statistics = SourceStatistics()
-        _hammer(lambda: [statistics.record_pages() for _ in range(ROUNDS)])
+        statistics = CounterSet(SOURCE_COUNTERS)
+        _hammer(lambda: [statistics.add(pages_fetched=1)
+                         for _ in range(ROUNDS)])
         assert statistics.snapshot()["pages_fetched"] == THREADS * ROUNDS
 
 

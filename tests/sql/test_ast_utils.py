@@ -1,5 +1,7 @@
 """Unit tests for AST structural helpers (walk, transform, conjuncts...)."""
 
+import gc
+
 import pytest
 
 from repro.sql.ast import (
@@ -62,6 +64,27 @@ class TestTransform:
             return node
 
         assert to_sql(transform(expr, double)) == "2 + 4"
+
+    def test_transform_leaves_no_cyclic_garbage(self):
+        """The rewriter's intermediate objects die by reference count: with
+        the cycle collector off, a transform leaves it nothing to find."""
+        statement = parse(
+            "SELECT t.a, (SELECT MAX(u.b) FROM u WHERE u.k = t.k) FROM t "
+            "WHERE t.a IN (1, 2) AND EXISTS (SELECT v.c FROM v WHERE v.c > 3)")
+
+        def bump(node):
+            if isinstance(node, Literal) and isinstance(node.value, int):
+                return Literal(node.value + 1)
+            return node
+
+        gc.collect()
+        gc.disable()
+        try:
+            rewritten = transform(statement, bump)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert "IN (2, 3)" in to_sql(rewritten)
 
 
 class TestConjuncts:

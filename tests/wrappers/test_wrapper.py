@@ -119,8 +119,7 @@ class TestWebWrapper:
     def test_source_statistics_points_at_the_site(self):
         wrapper, site = web_wrapper()
         assert wrapper.source_statistics is site.statistics
-        site.statistics.record_failure()
-        site.statistics.record_retry()
+        site.statistics.add(failures=1, retries=1)
         snapshot = site.statistics.snapshot()
         assert snapshot["failures"] == 1
         assert snapshot["retries"] == 1
