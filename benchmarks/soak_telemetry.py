@@ -10,7 +10,9 @@ artifacts:
 
 * ``traces.json``        — the full trace-buffer export (every statement's
                            finished span tree);
-* ``metrics.prom``       — the ``GET /coin/metrics`` Prometheus scrape;
+* ``metrics.prom``       — the ``GET /coin/metrics`` Prometheus scrape, taken
+                           the way a scraper would: over a socket of the
+                           event-loop server fronting the soaked server;
 * ``slow_queries.jsonl`` — the slow-query log, one JSON object per line;
 * ``status.json``        — the ``status`` payload plus
                            ``Federation.statistics()``, taken in the same
@@ -44,13 +46,14 @@ from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import ENGINE_COUNTERS
 from repro.pipeline import PIPELINE_COUNTERS
+from repro.server.aio import AsyncMediationServer
 from repro.server.gateway import (
     GATEWAY_COUNTERS,
     SHED_REASONS,
     AdmissionGateway,
     GatewayConfig,
 )
-from repro.server.http import HttpRequest
+from repro.server.http import HttpRequest, HttpWireParser
 from repro.server.protocol import Request
 from repro.server.server import SERVER_COUNTERS, MediationServer
 
@@ -129,9 +132,32 @@ def run_soak() -> MediationServer:
     return server
 
 
-def export(server: MediationServer, out_dir: str) -> dict:
+def scrape_metrics(aio: AsyncMediationServer):
+    """``GET /coin/metrics`` over a socket of the running event-loop server.
+    The GET is not a protocol request: it moves none of the counters
+    ``status`` reported."""
+    sock = aio.connect_socket()
+    try:
+        sock.settimeout(10.0)
+        sock.sendall(HttpRequest(
+            "GET", MediationServer.METRICS_ENDPOINT).serialize().encode())
+        parser = HttpWireParser()
+        while True:
+            response = parser.next_response()
+            if response is not None:
+                return response
+            data = sock.recv(65536)
+            if not data:
+                raise ConnectionError("scrape connection closed early")
+            parser.feed(data)
+    finally:
+        sock.close()
+
+
+def export(aio: AsyncMediationServer, out_dir: str) -> dict:
     """Write the four artifacts; returns a summary of what was written."""
     os.makedirs(out_dir, exist_ok=True)
+    server = aio.server
     observability = server.federation.observability
 
     # The server is quiesced (every phase joined its threads), so the views
@@ -149,8 +175,7 @@ def export(server: MediationServer, out_dir: str) -> dict:
     with open(traces_path, "w", encoding="utf-8") as handle:
         handle.write(observability.tracer.buffer.export_json(indent=2))
 
-    scrape = server.handle_http(
-        HttpRequest("GET", MediationServer.METRICS_ENDPOINT))
+    scrape = scrape_metrics(aio)
     assert scrape.status == 200, scrape.body
     metrics_path = os.path.join(out_dir, "metrics.prom")
     with open(metrics_path, "w", encoding="utf-8") as handle:
@@ -274,8 +299,11 @@ def main() -> int:
                         help="artifact directory (default: telemetry-artifacts)")
     arguments = parser.parse_args()
 
-    server = run_soak()
-    summary = export(server, arguments.out)
+    aio = AsyncMediationServer(run_soak()).start()
+    try:
+        summary = export(aio, arguments.out)
+    finally:
+        aio.shutdown(5.0)
     failures = validate(arguments.out, summary)
 
     tracing = summary["tracing"]

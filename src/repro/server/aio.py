@@ -24,12 +24,16 @@ loop:
   :meth:`~repro.server.gateway.AdmissionGateway.shed_at_transport`, so the
   PR 7 overload contract (retriable sheds, Retry-After, bounded queue wait)
   reads the same from either front end.
-* Every connection owns a :class:`Session` carrying tenant, prepared
-  statements and open cursors.  Handles die with their session: a client
-  disconnect, an idle timeout (reaping) or a drain closes the session's
-  cursors — releasing their streaming permits and temp-store handles — and
-  its prepared statements.  One session can never execute or fetch another
-  session's handles.
+* Every connection is a :class:`Session`: the tenant pinned at its handshake
+  and the owner key the server files the connection's prepared statements
+  and cursors under.  Handles die with their session: a client disconnect,
+  an idle timeout (reaping) or a drain releases them — cursors with their
+  streaming permits and temp-store handles.  One session can never execute
+  or fetch another session's handles.
+* The loop owns bytes, not HTTP: an HTTP request goes through the server's
+  one codec (``MediationServer.handle_http``), so no status, header or
+  keep-alive rule can differ from the in-process tunnel, and a native frame
+  is one JSON document each way.
 """
 
 from __future__ import annotations
@@ -38,15 +42,14 @@ import asyncio
 import json
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Set, Union
 
 from repro.errors import ClientError, OverloadError, ProtocolError, ReproError
 from repro.federation import Federation
 from repro.obs.metrics import CounterSet
-from repro.server.http import HttpRequest, HttpResponse, HttpWireParser
+from repro.server.http import HttpWireParser, header
 from repro.server.protocol import PROTOCOL_VERSION, Request, Response
 from repro.server.server import MediationServer
 
@@ -136,35 +139,20 @@ class AsyncServerConfig:
     drain_timeout_seconds: float = 30.0
 
 
+@dataclass(eq=False)
 class Session:
-    """Per-connection server-side state: tenant + owned handles.
+    """Per-connection server-side state: the pinned tenant, and the owner
+    key of the connection's handles.
 
     The tenant is pinned at the handshake (native hello or first HTTP
-    request): later requests carrying a *different* tenant are rejected, so
-    pooled client connections can never observe — or bill against — each
-    other's identity.  ``statements`` and ``cursors`` are the server handles
-    this session created; the registry releases them when the session dies.
+    request): the server rejects later requests carrying a *different*
+    tenant, so pooled client connections can never observe — or bill
+    against — each other's identity.  The server files the handles a
+    session creates under the session itself.
     """
 
-    def __init__(self, session_id: str, tenant: Optional[str],
-                 opened_at: float) -> None:
-        self.session_id = session_id
-        self.tenant = tenant
-        self.opened_at = opened_at
-        self.last_used = opened_at
-        self.statements: Set[str] = set()
-        self.cursors: Set[str] = set()
-        self.closed = False
-        self.requests = 0
-
-    def touch(self, now: float) -> None:
-        self.last_used = now
-
-    def owns_statement(self, statement_id: Optional[str]) -> bool:
-        return statement_id in self.statements
-
-    def owns_cursor(self, cursor_id: Optional[str]) -> bool:
-        return cursor_id in self.cursors
+    session_id: str
+    tenant: Optional[str] = None
 
 
 #: (field, kind, exported series, help) — the session registry's totals, in
@@ -207,43 +195,23 @@ class SessionRegistry:
         #: Moved under ``_lock``, so :meth:`snapshot` is point-in-time.
         self.counters = CounterSet(SESSION_COUNTERS)
 
-    def open(self, tenant: Optional[str]) -> Session:
+    def open(self) -> Session:
         with self._lock:
             self._next_id += 1
-            session = Session(f"sess-{self._next_id}", tenant, time.monotonic())
+            session = Session(f"sess-{self._next_id}")
             self._sessions[session.session_id] = session
             self.counters.add(opened=1)
         return session
 
     def close(self, session: Session, reaped: bool = False) -> None:
-        """Close ``session`` and release every handle it still owns.
-
-        Releasing goes through the server's own close operations, so cursors
-        give back their streaming permits and temp-store handles exactly as
-        a well-behaved client close would.  Idempotent.
-        """
+        """Close ``session`` and release every handle it still owns, so its
+        cursors give back their streaming permits and temp-store handles
+        exactly as a well-behaved client close would.  Idempotent."""
         with self._lock:
-            if session.closed:
+            if self._sessions.pop(session.session_id, None) is None:
                 return
-            session.closed = True
-            self._sessions.pop(session.session_id, None)
-            cursors = sorted(session.cursors)
-            statements = sorted(session.statements)
-            session.cursors.clear()
-            session.statements.clear()
             self.counters.add(closed=1, reaped_idle=int(reaped))
-        for cursor_id in cursors:
-            self._server.handle(
-                Request(operation="close_cursor",
-                        parameters={"cursor_id": cursor_id}),
-                tenant=session.tenant,
-            )
-        for statement_id in statements:
-            self._server.handle(
-                Request(operation="close_prepared",
-                        parameters={"statement_id": statement_id}),
-                tenant=session.tenant,
-            )
+        self._server.release(session)
 
     def close_all(self) -> None:
         with self._lock:
@@ -290,7 +258,6 @@ class AsyncMediationServer:
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._worker_threads = 0
         self._running = False
@@ -340,26 +307,22 @@ class AsyncMediationServer:
     def start(self) -> "AsyncMediationServer":
         if self._running:
             return self
-        gateway = self.server.gateway
-        capacity = gateway.admission_capacity if gateway is not None else 64
-        self._worker_threads = capacity + max(1, self.config.executor_slack)
+        self._worker_threads = (self.gateway.admission_capacity
+                                + max(1, self.config.executor_slack))
         self._executor = ThreadPoolExecutor(
             max_workers=self._worker_threads, thread_name_prefix="aio-worker"
         )
         self._loop = asyncio.new_event_loop()
-        self._started.clear()
         self._thread = threading.Thread(
             target=self._run_loop, name="aio-loop", daemon=True
         )
         self._thread.start()
-        self._started.wait(timeout=10.0)
         self._running = True
         self._draining = False
         return self
 
     def _run_loop(self) -> None:
         asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(self._started.set)
         try:
             self._loop.run_forever()
         finally:
@@ -431,29 +394,23 @@ class AsyncMediationServer:
             self._accept(server_end), self._loop
         )
         try:
-            accepted = future.result(timeout=10.0)
+            future.result(timeout=10.0)
         except Exception:
             client_end.close()
             server_end.close()
             raise
-        if not accepted:
-            client_end.close()
-            raise ClientError(
-                f"connection refused: {self.config.max_connections} "
-                "connections already open (or server draining)"
-            )
         return client_end
 
-    async def _accept(self, sock: socket.socket) -> bool:
+    async def _accept(self, sock: socket.socket) -> None:
         if self._draining or (
                 self._connections_current >= self.config.max_connections):
             self._totals.add(connections_refused=1)
-            sock.close()
-            return False
+            raise ClientError(
+                f"connection refused: {self.config.max_connections} "
+                "connections already open (or server draining)")
         task = self._loop.create_task(self._serve_connection(sock))
         self._conn_tasks.add(task)
         task.add_done_callback(self._conn_tasks.discard)
-        return True
 
     # -- serving ------------------------------------------------------------------
 
@@ -467,28 +424,26 @@ class AsyncMediationServer:
         self._totals.add(connections_opened=1,
                          connections_peak=self._connections_current)
         self._writers.add(writer)
-        # The session is registered in a holder the moment it opens, so the
-        # cleanup below finds it even when the serving loop dies mid-frame
-        # (e.g. the peer closed before the final ack could be written).
-        holder: List[Optional[Session]] = [None]
+        # The session opens with the connection (its handshake pins the
+        # tenant), so the cleanup below finds it even when the serving loop
+        # dies mid-frame (e.g. the peer closed before the final ack).
+        session = self.sessions.open()
         reaped = False
         try:
             preamble = await asyncio.wait_for(
                 reader.readexactly(len(MAGIC)),
                 timeout=self.config.handshake_timeout_seconds,
             )
-            if preamble == MAGIC:
-                reaped = await self._serve_native(reader, writer, holder)
-            else:
-                reaped = await self._serve_http(preamble, reader, writer, holder)
+            serve = self._serve_native if preamble == MAGIC else self._serve_http
+            reaped = await serve(preamble, reader, writer, session)
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                 ConnectionError, OSError, ProtocolError, ValueError):
             # Transport-level failures close the connection; the session
             # cleanup below releases whatever the client left open.
             pass
         finally:
-            if holder[0] is not None:
-                await self._close_session(holder[0], reaped)
+            await self._loop.run_in_executor(
+                self._executor, self.sessions.close, session, reaped)
             self._writers.discard(writer)
             try:
                 writer.close()
@@ -497,222 +452,127 @@ class AsyncMediationServer:
                 pass
             self._connections_current -= 1
 
-    async def _close_session(self, session: Session, reaped: bool) -> None:
-        await self._loop.run_in_executor(
-            self._executor, lambda: self.sessions.close(session, reaped=reaped)
-        )
+    async def _next_message(self, reader: asyncio.StreamReader, parser,
+                            pop: Callable[[], Any], timeout: float) -> Any:
+        """The next complete message ``pop`` finds in ``parser``'s buffer,
+        reading more as needed; None at EOF."""
+        while True:
+            message = pop()
+            if message is not None:
+                return message
+            data = await asyncio.wait_for(reader.read(65536), timeout=timeout)
+            if not data:
+                return None
+            parser.feed(data)
 
-    async def _read_more(self, reader: asyncio.StreamReader,
-                         timeout: float) -> bytes:
-        return await asyncio.wait_for(reader.read(65536), timeout=timeout)
+    # Both serving loops return whether the idle reaper ended them.
 
-    # -- the native-protocol path --------------------------------------------------
-
-    async def _serve_native(self, reader, writer,
-                            holder: List[Optional[Session]]) -> bool:
+    async def _serve_native(self, preamble: bytes, reader, writer,
+                            session: Session) -> bool:
         parser = FrameParser()
-        frame = await self._next_frame(
-            reader, parser, self.config.handshake_timeout_seconds
-        )
+        frame = await self._next_message(
+            reader, parser, parser.next_frame,
+            self.config.handshake_timeout_seconds)
         if frame is None:
             return False
         hello = json.loads(frame)
         if "hello" not in hello:
             raise ProtocolError("native connection must start with a hello frame")
-        tenant = hello["hello"].get("tenant")
-        session = self.sessions.open(tenant)
-        holder[0] = session
+        session.tenant = hello["hello"].get("tenant")
         await self._write_frame(writer, {
             "ok": True,
             "session_id": session.session_id,
             "protocol": PROTOCOL_VERSION,
             "idle_timeout_seconds": self.config.idle_timeout_seconds,
         })
-        reaped = False
         while True:
             try:
-                frame = await self._next_frame(
-                    reader, parser, self.config.idle_timeout_seconds
-                )
+                frame = await self._next_message(
+                    reader, parser, parser.next_frame,
+                    self.config.idle_timeout_seconds)
             except asyncio.TimeoutError:
-                reaped = True
-                break
+                return True
             if frame is None:
-                break
+                return False
             envelope = json.loads(frame)
             if envelope.get("close"):
                 await self._write_frame(writer, {"ok": True, "closed": True})
-                break
-            response = await self._dispatch_envelope(session, envelope)
+                return False
+            try:
+                request = Request.from_dict(envelope.get("request"))
+                response = await self._dispatch(
+                    session, request,
+                    lambda: self.server.handle(request, session=session))
+            except OverloadError as exc:
+                response = self.server.failure(exc)
+            except ReproError as exc:
+                response = Response.failure(str(exc), "protocol")
             await self._write_frame(writer, {
                 "id": envelope.get("id"),
-                "response": json.loads(response.to_json()),
+                "response": response.to_dict(),
             })
-        return reaped
 
-    async def _next_frame(self, reader, parser: FrameParser,
-                          timeout: float) -> Optional[bytes]:
-        while True:
-            frame = parser.next_frame()
-            if frame is not None:
-                return frame
-            data = await self._read_more(reader, timeout)
-            if not data:
-                return None
-            parser.feed(data)
+    async def _serve_http(self, preamble: bytes, reader, writer,
+                          session: Session) -> bool:
+        parser = HttpWireParser()
+        parser.feed(preamble)
+        greeted = False
+        keep_alive = True
+        while keep_alive:
+            try:
+                request = await self._next_message(
+                    reader, parser, parser.next_request,
+                    self.config.idle_timeout_seconds if greeted
+                    else self.config.handshake_timeout_seconds)
+            except asyncio.TimeoutError:
+                return greeted
+            if request is None:
+                return False
+            if not greeted:
+                greeted = True
+                session.tenant = header(
+                    request.headers, MediationServer.TENANT_HEADER)
+            # Decoded here (the loop sheds by operation), answered by the
+            # server's codec on a worker: the body is parsed once.
+            decoded = self.server.decode_http(request)
+            try:
+                response = await self._dispatch(
+                    session, decoded,
+                    lambda: self.server.handle_http(request, session, decoded))
+            except OverloadError as exc:
+                response = self.server.encode_http(
+                    request, self.server.failure(exc))
+            keep_alive = request.wants_keep_alive() and response.wants_keep_alive()
+            writer.write(response.serialize().encode("utf-8"))
+            await writer.drain()
+        return False
 
     async def _write_frame(self, writer, document: Dict[str, Any]) -> None:
         writer.write(encode_frame(json.dumps(document).encode("utf-8")))
         await writer.drain()
 
-    async def _dispatch_envelope(self, session: Session,
-                                 envelope: Dict[str, Any]) -> Response:
-        body = envelope.get("request")
-        if not isinstance(body, dict):
-            return Response.failure(
-                "envelope must carry a 'request' object", "protocol"
-            )
-        try:
-            request = Request.from_json(json.dumps(body))
-        except ReproError as exc:
-            return Response.failure(str(exc), "protocol")
-        return await self._dispatch(session, request)
-
-    # -- the HTTP path -------------------------------------------------------------
-
-    async def _serve_http(self, preamble: bytes, reader, writer,
-                          holder: List[Optional[Session]]) -> bool:
-        parser = HttpWireParser()
-        parser.feed(preamble)
-        session: Optional[Session] = None
-        reaped = False
-        timeout = self.config.handshake_timeout_seconds
-        keep_alive = True
-        while keep_alive:
-            request = parser.next_request()
-            if request is None:
-                try:
-                    data = await self._read_more(reader, timeout)
-                except asyncio.TimeoutError:
-                    reaped = session is not None
-                    break
-                if not data:
-                    break
-                parser.feed(data)
-                continue
-            if session is None:
-                session = self.sessions.open(
-                    MediationServer._header_tenant(request)
-                )
-                holder[0] = session
-            timeout = self.config.idle_timeout_seconds
-            response = await self._handle_http_request(session, request)
-            keep_alive = request.wants_keep_alive() and response.wants_keep_alive()
-            writer.write(response.serialize().encode("utf-8"))
-            await writer.drain()
-        return reaped
-
-    async def _handle_http_request(self, session: Session,
-                                   request: HttpRequest) -> HttpResponse:
-        if request.method == "POST" and request.path == MediationServer.STREAM_ENDPOINT:
-            # Chunked streaming: the whole exchange (admission, stream
-            # permit, chunk production) runs in the worker pool; the
-            # response closes the connection (framing-safe abandon).
-            try:
-                return await self._run_in_worker(
-                    session, admitted=True,
-                    work=lambda: self.server.handle_http(request),
-                    tenant=session.tenant or MediationServer._header_tenant(request),
-                )
-            except OverloadError as exc:
-                return MediationServer._overload_http_response(
-                    self._shed_response(exc))
-        if request.method != "POST" or request.path != MediationServer.ENDPOINT:
-            return self._wrap_http(request, Response.failure(
-                "unknown endpoint", "protocol"))
-        try:
-            protocol_request = Request.from_json(request.body)
-        except ReproError as exc:
-            self.server.statistics.add(errors=1)
-            wrapped = HttpResponse(status=400, reason="Bad Request",
-                                   body=Response.failure(str(exc), "protocol").to_json())
-            return self._finish_http(request, wrapped)
-        response = await self._dispatch(session, protocol_request)
-        return self._wrap_http(request, response)
-
-    def _wrap_http(self, request: HttpRequest, response: Response) -> HttpResponse:
-        if not response.ok and response.error_kind == "OverloadError":
-            wrapped = MediationServer._overload_http_response(response)
-        else:
-            status, reason = ((200, "OK") if response.ok
-                              else (422, "Unprocessable Entity"))
-            wrapped = HttpResponse(status=status, reason=reason,
-                                   body=response.to_json())
-        return self._finish_http(request, wrapped)
-
-    @staticmethod
-    def _finish_http(request: HttpRequest, response: HttpResponse) -> HttpResponse:
-        if request.version.upper() == "HTTP/1.1":
-            response.version = "HTTP/1.1"
-        if response.chunks is None and request.wants_keep_alive():
-            response.headers.setdefault("Connection", "keep-alive")
-        else:
-            response.headers.setdefault("Connection", "close")
-        return response
-
     # -- shared dispatch -----------------------------------------------------------
 
-    async def _dispatch(self, session: Session, request: Request) -> Response:
-        """Session-scope a protocol request, then run it in the worker pool."""
-        session.touch(time.monotonic())
-        session.requests += 1
-        self._totals.add(requests_total=1)
-
-        parameter_tenant = request.parameters.get("tenant")
-        if (session.tenant is not None and parameter_tenant is not None
-                and parameter_tenant != session.tenant):
-            return Response.failure(
-                f"request tenant {parameter_tenant!r} does not match the "
-                f"session tenant {session.tenant!r}", "protocol",
-            )
-        tenant = session.tenant or parameter_tenant
-
-        guard = self._session_guard(session, request)
-        if guard is not None:
-            return guard
-
-        admitted = request.operation in MediationServer.ADMITTED_OPERATIONS
-        try:
-            response = await self._run_in_worker(
-                session, admitted=admitted,
-                work=lambda: self.server.handle(request, tenant),
-                tenant=tenant,
-            )
-        except OverloadError as exc:
-            return self._shed_response(exc)
-        self._session_account(session, request, response)
-        session.touch(time.monotonic())
-        return response
-
-    async def _run_in_worker(self, session: Session, admitted: bool, work,
-                             tenant: Optional[str] = None):
-        """Hand ``work`` to the bounded pool; shed what it cannot hold.
+    async def _dispatch(self, session: Session, request: Any,
+                        work: Callable[[], Any]) -> Any:
+        """Run one exchange's ``work`` (``request``: what it carries — only a
+        protocol request can be shed) on the bounded pool.
 
         The gateway's own queue accounting assumes one *caller thread* per
         queued statement; on the loop there are no caller threads, so the
         loop enforces the same ``workers + queue_depth`` bound up front and
-        books the shed through the gateway (retriable, with a Retry-After
-        hint) before any worker is consumed.
+        books the shed through the gateway (its retriable ``OverloadError``,
+        with a Retry-After hint) before any worker is consumed.
         """
-        gateway = self.server.gateway
-        if admitted and gateway is not None and (
-                self._admitted_inflight >= gateway.admission_capacity):
+        self._totals.add(requests_total=1)
+        gateway = self.gateway
+        admitted = (isinstance(request, Request) and
+                    request.operation in MediationServer.ADMITTED_OPERATIONS)
+        if admitted and self._admitted_inflight >= gateway.admission_capacity:
             self._totals.add(loop_sheds=1)
-            self.server.statistics.add(requests=1, errors=1, requests_shed=1)
+            self.server.statistics.add(requests=1)
             gateway.shed_at_transport(
-                tenant or session.tenant,
-                reason="draining" if gateway.draining else "queue_full",
-            )
+                session.tenant or request.parameters.get("tenant"))
 
         self._inflight_total += 1
         if admitted:
@@ -724,61 +584,6 @@ class AsyncMediationServer:
             self._inflight_total -= 1
             if admitted:
                 self._admitted_inflight -= 1
-
-    @staticmethod
-    def _shed_response(exc: OverloadError) -> Response:
-        return Response.failure(
-            str(exc), "OverloadError",
-            retry_after_seconds=exc.retry_after_seconds,
-        )
-
-    def _session_guard(self, session: Session,
-                       request: Request) -> Optional[Response]:
-        """Reject handle references another session owns (or nobody does)."""
-        parameters = request.parameters
-        operation = request.operation
-        if operation in ("execute_prepared", "close_prepared") or (
-                operation == "open_cursor" and parameters.get("statement_id")):
-            statement_id = parameters.get("statement_id")
-            if statement_id and not session.owns_statement(statement_id):
-                return Response.failure(
-                    f"unknown or closed prepared statement {statement_id!r} "
-                    "in this session", "protocol",
-                )
-        if operation in ("fetch_cursor", "close_cursor"):
-            cursor_id = parameters.get("cursor_id")
-            if cursor_id and not session.owns_cursor(cursor_id):
-                return Response.failure(
-                    f"unknown or closed cursor {cursor_id!r}", "cursor",
-                )
-        return None
-
-    @staticmethod
-    def _session_account(session: Session, request: Request,
-                         response: Response) -> None:
-        """Fold a completed operation into the session's handle ownership."""
-        operation = request.operation
-        parameters = request.parameters
-        if not response.ok:
-            # A failed fetch may have poisoned/invalidated the server-side
-            # cursor (which discards it); mirror that so the session does
-            # not keep claiming a dead handle.  Pure protocol mistakes
-            # (e.g. a bad batch size) leave the cursor alive.
-            if (operation == "fetch_cursor"
-                    and response.error_kind not in ("protocol", "ProtocolError")):
-                session.cursors.discard(parameters.get("cursor_id"))
-            return
-        payload = response.payload
-        if operation == "prepare":
-            session.statements.add(payload["statement_id"])
-        elif operation == "close_prepared":
-            session.statements.discard(parameters.get("statement_id"))
-        elif operation == "open_cursor":
-            session.cursors.add(payload["cursor_id"])
-        elif operation == "close_cursor":
-            session.cursors.discard(parameters.get("cursor_id"))
-        elif operation == "fetch_cursor" and payload.get("done"):
-            session.cursors.discard(payload.get("cursor_id"))
 
     # -- reporting ----------------------------------------------------------------
 

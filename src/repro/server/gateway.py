@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional, TypeVar
 
 from repro.engine.resilience import SYSTEM_CLOCK, Clock
@@ -159,27 +160,19 @@ class GatewayConfig:
         return max(1.0, 2.0 * float(self.tenant_rate_per_second))
 
 
+@dataclass
 class _TenantCounters:
     """Per-tenant admission accounting (guarded by the gateway lock)."""
 
-    __slots__ = ("arrived", "admitted", "shed", "queue_wait_seconds",
-                 "active_streams")
-
-    def __init__(self) -> None:
-        self.arrived = 0
-        self.admitted = 0
-        self.shed = 0
-        self.queue_wait_seconds = 0.0
-        self.active_streams = 0
+    arrived: int = 0
+    admitted: int = 0
+    shed: int = 0
+    queue_wait_seconds: float = 0.0
+    active_streams: int = 0
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "arrived": self.arrived,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "queue_wait_seconds": round(self.queue_wait_seconds, 6),
-            "active_streams": self.active_streams,
-        }
+        return dict(asdict(self),
+                    queue_wait_seconds=round(self.queue_wait_seconds, 6))
 
 
 class AdmissionGateway:
@@ -204,7 +197,7 @@ class AdmissionGateway:
         self._idle = threading.Condition(self._lock)
         self._draining = False
         self._buckets: Dict[str, TokenBucket] = {}
-        self._tenants: Dict[str, _TenantCounters] = {}
+        self._tenants: Dict[str, _TenantCounters] = defaultdict(_TenantCounters)
         # -- load accounting (all moved under self._lock, so snapshot() is
         # point-in-time) ---------------------------------------------------
         self._waiting = 0
@@ -258,15 +251,11 @@ class AdmissionGateway:
     # -- tenants -----------------------------------------------------------------
 
     def _tenant(self, tenant: Optional[str]) -> str:
-        name = (tenant or "").strip() or self.config.default_tenant
-        return name
+        return (tenant or "").strip() or self.config.default_tenant
 
     def _counters(self, tenant: str) -> _TenantCounters:
         """Caller holds the lock."""
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = _TenantCounters()
-        return counters
+        return self._tenants[tenant]
 
     def _bucket(self, tenant: str) -> Optional[TokenBucket]:
         rate = self.config.tenant_rate_per_second
@@ -356,14 +345,17 @@ class AdmissionGateway:
                 self._idle.notify_all()
             self._semaphore.release()
 
-    def _admit(self, tenant_name: str,
-               timeout_seconds: Optional[float]) -> tuple:
-        """Walk the shed pipeline; returns ``(remaining_budget, queue_wait)``."""
+    def _arrive(self, tenant_name: str) -> bool:
+        """Book one arrival; returns whether the gateway is draining."""
         with self._lock:
             self._totals.add(arrived=1)
             self._counters(tenant_name).arrived += 1
-            draining = self._draining
-        if draining:
+            return self._draining
+
+    def _admit(self, tenant_name: str,
+               timeout_seconds: Optional[float]) -> tuple:
+        """Walk the shed pipeline; returns ``(remaining_budget, queue_wait)``."""
+        if self._arrive(tenant_name):
             self._shed_request(
                 tenant_name, "draining",
                 "the server is draining for shutdown; retry against another "
@@ -400,10 +392,8 @@ class AdmissionGateway:
         queue_wait = 0.0
         if not acquired:
             with self._lock:
-                if self._waiting >= self.config.max_queue_depth:
-                    queue_full = True
-                else:
-                    queue_full = False
+                queue_full = self._waiting >= self.config.max_queue_depth
+                if not queue_full:
                     self._waiting += 1
                     self._totals.add(peak_queued=self._waiting)
             if queue_full:
@@ -477,9 +467,7 @@ class AdmissionGateway:
         """
         return self.config.max_workers + self.config.max_queue_depth
 
-    def shed_at_transport(self, tenant: Optional[str] = None,
-                          reason: str = "queue_full",
-                          message: Optional[str] = None) -> None:
+    def shed_at_transport(self, tenant: Optional[str] = None) -> None:
         """Record a transport-level shed and raise the retriable error.
 
         Keeps loop-side sheds inside the gateway's books (``arrived``/``shed``
@@ -488,18 +476,12 @@ class AdmissionGateway:
         :class:`~repro.errors.OverloadError`.
         """
         tenant_name = self._tenant(tenant)
-        with self._lock:
-            self._totals.add(arrived=1)
-            self._counters(tenant_name).arrived += 1
-            retry_after = self._ewma_service_seconds
         self._shed_request(
-            tenant_name, reason,
-            message or (
-                f"transport at admission capacity "
-                f"({self.config.max_workers} workers + "
-                f"{self.config.max_queue_depth} queued); retry shortly"
-            ),
-            retry_after_seconds=retry_after,
+            tenant_name,
+            "draining" if self._arrive(tenant_name) else "queue_full",
+            f"transport at admission capacity ({self.config.max_workers} "
+            f"workers + {self.config.max_queue_depth} queued); retry shortly",
+            retry_after_seconds=self._ewma_service_seconds,
         )
 
     # -- the streaming path ----------------------------------------------------------
@@ -525,17 +507,13 @@ class AdmissionGateway:
                 self._totals.add(streams_opened=1,
                                  peak_active_streams=self._active_streams)
                 self._counters(tenant_name).active_streams += 1
-        if shed_reason == "draining":
-            self._shed_request(
-                tenant_name, "draining",
-                "the server is draining for shutdown; no new streams",
-            )
-        if shed_reason == "streams":
-            self._shed_request(
-                tenant_name, "streams",
-                f"all {self.config.max_active_streams} streaming permits are "
-                "held by open cursors/responses; close one or retry shortly",
-            )
+        if shed_reason is not None:
+            self._shed_request(tenant_name, shed_reason, {
+                "draining": "the server is draining for shutdown; no new streams",
+                "streams": f"all {self.config.max_active_streams} streaming "
+                           "permits are held by open cursors/responses; close "
+                           "one or retry shortly",
+            }[shed_reason])
 
         released = [False]
 
@@ -551,11 +529,6 @@ class AdmissionGateway:
         return release
 
     # -- drain ------------------------------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
 
     def begin_drain(self) -> None:
         """Shed new arrivals from now on; admitted work keeps running."""

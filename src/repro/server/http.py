@@ -44,14 +44,16 @@ class HttpRequest:
 
     @classmethod
     def parse(cls, text: str) -> "HttpRequest":
-        head, _, body = text.partition("\r\n\r\n")
-        lines = head.split("\r\n")
-        if not lines or len(lines[0].split(" ")) != 3:
+        return _parse_whole(text, HttpWireParser.next_request)
+
+    @classmethod
+    def from_wire(cls, start_line: str, headers: Dict[str, str], body: str,
+                  chunks: Optional[List[str]]) -> "HttpRequest":
+        parts = start_line.split(" ")
+        if len(parts) != 3:
             raise ProtocolError("malformed HTTP request line")
-        method, path, version = lines[0].split(" ")
-        headers = _parse_headers(lines[1:])
-        return cls(method=method, path=path, headers=headers, body=body,
-                   version=version)
+        return cls(method=parts[0], path=parts[1], headers=headers, body=body,
+                   version=parts[2])
 
 
 @dataclass
@@ -101,21 +103,16 @@ class HttpResponse:
 
     @classmethod
     def parse(cls, text: str) -> "HttpResponse":
-        head, _, body = text.partition("\r\n\r\n")
-        lines = head.split("\r\n")
-        parts = lines[0].split(" ", 2) if lines else []
+        return _parse_whole(text, HttpWireParser.next_response)
+
+    @classmethod
+    def from_wire(cls, start_line: str, headers: Dict[str, str], body: str,
+                  chunks: Optional[List[str]]) -> "HttpResponse":
+        parts = start_line.split(" ", 2)
         if len(parts) < 2:
             raise ProtocolError("malformed HTTP status line")
-        version = parts[0]
-        status = int(parts[1])
-        reason = parts[2] if len(parts) > 2 else ""
-        headers = _parse_headers(lines[1:])
-        chunks: Optional[List[str]] = None
-        if headers.get("Transfer-Encoding", "").lower() == "chunked":
-            chunks = _parse_chunked(body)
-            body = "".join(chunks)
-        return cls(status=status, reason=reason, headers=headers, body=body,
-                   chunks=chunks, version=version)
+        return cls(status=int(parts[1]), reason=parts[2] if len(parts) > 2 else "",
+                   headers=headers, body=body, chunks=chunks, version=parts[0])
 
 
 def headers_default(body: str) -> Dict[str, str]:
@@ -126,14 +123,19 @@ def headers_default(body: str) -> Dict[str, str]:
     }
 
 
+def header(headers: Dict[str, str], name: str) -> Optional[str]:
+    """Header names are case-insensitive: the value sent under ``name``."""
+    wanted = name.lower()
+    for key, value in headers.items():
+        if key.lower() == wanted:
+            return value
+    return None
+
+
 def wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:
     """The standard persistence rule: explicit ``Connection`` header wins,
     otherwise HTTP/1.1 persists and HTTP/1.0 closes."""
-    connection = ""
-    for name, value in headers.items():
-        if name.lower() == "connection":
-            connection = value.strip().lower()
-            break
+    connection = (header(headers, "Connection") or "").strip().lower()
     if connection == "close":
         return False
     if connection == "keep-alive":
@@ -171,59 +173,52 @@ class HttpWireParser:
         return len(self._buffer)
 
     def next_request(self) -> Optional[HttpRequest]:
-        parsed = self._next_message(is_response=False)
-        return parsed  # type: ignore[return-value]
+        return self._next_message(HttpRequest.from_wire)
 
     def next_response(self) -> Optional[HttpResponse]:
-        parsed = self._next_message(is_response=True)
-        return parsed  # type: ignore[return-value]
+        return self._next_message(HttpResponse.from_wire)
 
-    def _next_message(self, is_response: bool):
+    def _next_message(self, build):
         head_end = self._buffer.find(b"\r\n\r\n")
         if head_end < 0:
             return None
-        head = self._buffer[:head_end].decode("utf-8", errors="replace")
-        lines = head.split("\r\n")
+        lines = self._buffer[:head_end].decode(
+            "utf-8", errors="replace").split("\r\n")
         headers = _parse_headers(lines[1:])
-        body_start = head_end + 4
+        start = head_end + 4
 
-        chunked = any(
-            name.lower() == "transfer-encoding" and "chunked" in value.lower()
-            for name, value in headers.items()
-        )
-        if chunked:
-            body_end = self._chunked_end(body_start)
-            if body_end < 0:
+        chunks: Optional[List[str]] = None
+        if "chunked" in (header(headers, "Transfer-Encoding") or "").lower():
+            chunks, end = self._chunks(start)
+            if chunks is None:
                 return None
+            body = "".join(chunks)
         else:
-            length = 0
-            for name, value in headers.items():
-                if name.lower() == "content-length":
-                    try:
-                        length = int(value)
-                    except ValueError as exc:
-                        raise ProtocolError(
-                            f"malformed Content-Length {value!r}") from exc
-                    break
-            body_end = body_start + length
-            if len(self._buffer) < body_end:
+            length = header(headers, "Content-Length") or 0
+            try:
+                end = start + int(length)
+            except ValueError as exc:
+                raise ProtocolError(
+                    f"malformed Content-Length {length!r}") from exc
+            if len(self._buffer) < end:
                 return None
+            body = self._buffer[start:end].decode("utf-8")
 
-        text = self._buffer[:body_end].decode("utf-8")
+        message = build(lines[0], headers, body, chunks)
         # Compact in place: the allocation persists across requests.
-        del self._buffer[:body_end]
+        del self._buffer[:end]
         self.messages_parsed += 1
-        if is_response:
-            return HttpResponse.parse(text)
-        return HttpRequest.parse(text)
+        return message
 
-    def _chunked_end(self, position: int) -> int:
-        """Index one past the chunked terminator, or -1 if incomplete."""
+    def _chunks(self, position: int) -> Tuple[Optional[List[str]], int]:
+        """The chunked payload starting at ``position`` and the index one
+        past its terminator; ``(None, -1)`` while it is incomplete."""
         buffer = self._buffer
+        chunks: List[str] = []
         while True:
             newline = buffer.find(b"\r\n", position)
             if newline < 0:
-                return -1
+                return None, -1
             size_text = bytes(buffer[position:newline]).strip()
             try:
                 size = int(size_text, 16)
@@ -232,38 +227,23 @@ class HttpWireParser:
                     f"malformed chunked payload: bad chunk size {size_text!r}"
                 ) from exc
             position = newline + 2
-            if size == 0:
-                # The terminator is "0\r\n\r\n" (no trailers in this tunnel).
-                return position + 2 if len(buffer) >= position + 2 else -1
+            # The terminator is "0\r\n\r\n" (no trailers in this tunnel).
             if len(buffer) < position + size + 2:
-                return -1
+                return None, -1
+            if size == 0:
+                return chunks, position + 2
+            chunks.append(buffer[position:position + size].decode("utf-8"))
             position += size + 2
 
 
-def _parse_chunked(body: str) -> List[str]:
-    """Decode a ``Transfer-Encoding: chunked`` payload into its chunks."""
-    data = body.encode("utf-8")
-    chunks: List[str] = []
-    position = 0
-    while True:
-        newline = data.find(b"\r\n", position)
-        if newline < 0:
-            raise ProtocolError("malformed chunked payload: missing size line")
-        size_text = data[position:newline].strip()
-        try:
-            size = int(size_text, 16)
-        except ValueError as exc:
-            raise ProtocolError(
-                f"malformed chunked payload: bad chunk size {size_text!r}"
-            ) from exc
-        position = newline + 2
-        if size == 0:
-            return chunks
-        chunk = data[position:position + size]
-        if len(chunk) != size:
-            raise ProtocolError("malformed chunked payload: truncated chunk")
-        chunks.append(chunk.decode("utf-8"))
-        position += size + 2
+def _parse_whole(text: str, pop):
+    """Parse one complete serialized message (the in-process tunnel)."""
+    parser = HttpWireParser()
+    parser.feed(text.encode("utf-8"))
+    message = pop(parser)
+    if message is None:
+        raise ProtocolError("truncated HTTP message")
+    return message
 
 
 def _parse_headers(lines: List[str]) -> Dict[str, str]:

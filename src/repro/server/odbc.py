@@ -49,7 +49,6 @@ from repro.obs.metrics import CounterSet
 from repro.server.aio import MAGIC, FrameParser, encode_frame
 from repro.server.http import (
     CHANNEL_COUNTERS,
-    HttpChannel,
     HttpRequest,
     HttpResponse,
     HttpWireParser,
@@ -144,25 +143,20 @@ def connect(federation: Optional[Federation] = None, server: Optional[MediationS
     protocol on that socket — ``"native"`` (length-prefixed COIN/1 frames
     with a session handshake) or ``"http"`` (HTTP/1.1 keep-alive).
     """
+    channel = None
     if async_server is not None:
-        if transport == "native":
-            channel: Any = NativeProtocolChannel(
-                async_server.connect_socket, tenant=tenant)
-        elif transport == "http":
-            channel = PooledHttpChannel(
-                async_server.connect_socket, tenant=tenant)
-        else:
+        channels = {"native": NativeProtocolChannel, "http": PooledHttpChannel}
+        if transport not in channels:
             raise ClientError(
                 f"unknown transport {transport!r}; use 'native' or 'http'")
-        return Connection(async_server.server, context, tenant=tenant,
-                          retry_policy=_retry_policy(auto_retry),
-                          channel=channel)
-    if server is None:
+        server = async_server.server
+        channel = channels[transport](async_server.connect_socket, tenant=tenant)
+    elif server is None:
         if federation is None:
             raise ClientError("connect() needs a federation or a server")
         server = MediationServer(federation)
     return Connection(server, context, tenant=tenant,
-                      retry_policy=_retry_policy(auto_retry))
+                      retry_policy=_retry_policy(auto_retry), channel=channel)
 
 
 class Connection:
@@ -172,19 +166,16 @@ class Connection:
     #: trace id for each, carried on the protocol envelope and the
     #: ``X-Coin-Trace`` header, so the server's span tree is named by the
     #: edge that issued the statement.
-    TRACED_OPERATIONS = frozenset({
-        "query", "open_cursor", "execute_prepared", "prepare",
-        "mediate", "explain",
-    })
+    TRACED_OPERATIONS = MediationServer.ADMITTED_OPERATIONS
 
     def __init__(self, server: MediationServer, context: Optional[str] = None,
                  tenant: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  channel: Optional[Any] = None):
         self._server = server
-        # Any object with HttpChannel's ``post`` shape works: the default
-        # per-request tunnel, or a persistent socket channel bound to an
-        # event-loop server.
+        # The default per-request tunnel, or a persistent socket channel
+        # bound to an event-loop server: HTTP channels share ``post``, the
+        # native channel carries protocol messages as they are (``call``).
         self._channel = channel if channel is not None else server.channel()
         self.context = context
         self.tenant = tenant
@@ -267,21 +258,15 @@ class Connection:
 
     def _call(self, operation: str, **parameters: Any) -> Dict[str, Any]:
         policy = self.retry_policy
-        attempts = policy.max_attempts if policy is not None else 1
-        for attempt in range(1, attempts + 1):
+        for attempt in itertools.count(1):
             try:
                 return self._call_once(operation, parameters)
             except ClientError as error:
-                if (policy is None or attempt >= attempts
+                if (policy is None or attempt >= policy.max_attempts
                         or not getattr(error, "retriable", False)):
                     raise
                 self.auto_retries += 1
                 policy.sleep(policy.delay(attempt, error.retry_after_seconds))
-        raise ClientError("unreachable: retry loop exhausted")  # pragma: no cover
-
-    def _mint_trace_id(self) -> str:
-        return (f"odbc{next(self._trace_counter):04x}"
-                f"{random.getrandbits(40):010x}")
 
     def _call_once(self, operation: str, parameters: Dict[str, Any]) -> Dict[str, Any]:
         self._ensure_open()
@@ -291,12 +276,16 @@ class Connection:
         request = Request(operation=operation, parameters=cleaned)
         headers: Optional[Dict[str, str]] = None
         if operation in self.TRACED_OPERATIONS:
-            request.trace_id = self._mint_trace_id()
-            self.last_trace_id = request.trace_id
+            request.trace_id = self.last_trace_id = (
+                f"odbc{next(self._trace_counter):04x}"
+                f"{random.getrandbits(40):010x}")
             headers = {MediationServer.TRACE_HEADER: request.trace_id}
-        http_response = self._channel.post(MediationServer.ENDPOINT,
-                                           request.to_json(), headers=headers)
-        response = Response.from_json(http_response.body)
+        if isinstance(self._channel, NativeProtocolChannel):
+            response = self._channel.call(request)
+        else:
+            response = Response.from_json(self._channel.post(
+                MediationServer.ENDPOINT, request.to_json(),
+                headers=headers).body)
         if not response.ok:
             error = ClientError(f"{response.error_kind}: {response.error}")
             # Structured error metadata so callers can build retry loops
@@ -363,9 +352,9 @@ class Cursor:
         #: dict; streaming mode delivers it with the final batch).
         self.trace_id: Optional[str] = None
         self.trace: Optional[Dict[str, Any]] = None
-        #: Streaming state: the open server cursor (None in materialized mode).
+        #: Streaming state: the open server cursor (None in materialized mode
+        #: and once the stream is drained).
         self._cursor_id: Optional[str] = None
-        self._stream_done = True
         self._batch_size = self.DEFAULT_STREAM_BATCH
         #: Rows already consumed and trimmed from the buffer (streaming mode).
         self._stream_consumed = 0
@@ -392,19 +381,8 @@ class Cursor:
         """
         if parameters:
             sql = sql % {name: _quote(value) for name, value in parameters.items()}
-        if stream:
-            payload = self.connection._call(
-                "open_cursor",
-                sql=sql,
-                context=context or self.connection.context,
-                mediate=mediate,
-                consistency=consistency,
-                timeout_seconds=timeout_seconds,
-                on_source_error=on_source_error,
-            )
-            return self._open_stream(payload, batch_size)
-        payload = self.connection._call(
-            "query",
+        return self._run(
+            "query", stream, batch_size,
             sql=sql,
             context=context or self.connection.context,
             mediate=mediate,
@@ -412,48 +390,38 @@ class Cursor:
             timeout_seconds=timeout_seconds,
             on_source_error=on_source_error,
         )
-        return self._load(payload)
 
-    def _load(self, payload: Dict[str, Any]) -> "Cursor":
-        """Populate the cursor from a query/execute_prepared response payload."""
+    def _run(self, operation: str, stream: bool, batch_size: Optional[int],
+             **parameters: Any) -> "Cursor":
+        """Issue a statement — materialized under ``operation``, or as a
+        server-side cursor over the same parameters — and bind its answer:
+        the whole relation, or only the description (execution report and
+        finished trace then arrive with the final ``fetch_cursor`` batch)."""
+        payload = self.connection._call(
+            "open_cursor" if stream else operation, **parameters)
         self._release_stream()
-        relation = relation_from_payload(payload["relation"])
-        self._rows = [tuple(row) for row in relation.rows]
+        self._cursor_id = payload.get("cursor_id")
+        self._stream_consumed = 0
+        self._batch_size = batch_size or self.DEFAULT_STREAM_BATCH
         self._position = 0
-        self.rowcount = len(self._rows)
-        self.description = [
-            (attribute.name, attribute.type.value, None, None, None, None, None)
-            for attribute in relation.schema
-        ]
+        if self._cursor_id is None:
+            relation = relation_from_payload(payload["relation"])
+            self._rows = [tuple(row) for row in relation.rows]
+            self.rowcount = len(self._rows)
+            columns = [(attribute.name, attribute.type.value)
+                       for attribute in relation.schema]
+        else:
+            self._rows = []
+            self.rowcount = -1
+            columns = list(zip(payload["columns"], payload["types"]))
+        self.description = [(name, type_name, None, None, None, None, None)
+                            for name, type_name in columns]
         self.mediated_sql = payload.get("mediated_sql")
         self.conflicts = payload.get("conflicts", [])
         self.column_labels = payload.get("column_labels", [])
         self.execution = payload.get("execution")
         self.trace_id = payload.get("trace_id")
         self.trace = payload.get("trace")
-        return self
-
-    def _open_stream(self, payload: Dict[str, Any],
-                     batch_size: Optional[int]) -> "Cursor":
-        """Bind this cursor to a freshly opened server-side cursor."""
-        self._release_stream()
-        self._rows = []
-        self._position = 0
-        self.rowcount = -1
-        self._cursor_id = payload["cursor_id"]
-        self._stream_done = False
-        self._stream_consumed = 0
-        self._batch_size = batch_size or self.DEFAULT_STREAM_BATCH
-        self.description = [
-            (column, type_name, None, None, None, None, None)
-            for column, type_name in zip(payload["columns"], payload["types"])
-        ]
-        self.mediated_sql = payload.get("mediated_sql")
-        self.conflicts = payload.get("conflicts", [])
-        self.column_labels = payload.get("column_labels", [])
-        self.execution = None  # arrives with the final batch
-        self.trace_id = payload.get("trace_id")
-        self.trace = None  # the finished tree arrives with the final batch
         return self
 
     def executemany(self, sql: str, seq_of_parameters: Sequence[Dict[str, Any]]) -> "Cursor":
@@ -474,7 +442,8 @@ class Cursor:
         batch), not the full result — the point of streaming in the first
         place.
         """
-        while not self._stream_done and (needed is None or self._buffered() < needed):
+        while self._cursor_id is not None and (
+                needed is None or self._buffered() < needed):
             if self._position:
                 self._stream_consumed += self._position
                 del self._rows[: self._position]
@@ -488,7 +457,6 @@ class Cursor:
             self._rows.extend(tuple(row) for row in payload.get("rows", []))
             if payload.get("done"):
                 # The server discards exhausted cursors itself.
-                self._stream_done = True
                 self._cursor_id = None
                 self.rowcount = self._stream_consumed + len(self._rows)
                 self.execution = payload.get("execution")
@@ -496,12 +464,8 @@ class Cursor:
                 self.trace = payload.get("trace")
 
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._fill(1)
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
         count = size if size is not None else self.arraysize
@@ -526,7 +490,6 @@ class Cursor:
         if self._cursor_id is None:
             return
         cursor_id, self._cursor_id = self._cursor_id, None
-        self._stream_done = True
         try:
             self.connection._call("close_cursor", cursor_id=cursor_id)
         except ClientError:
@@ -535,11 +498,7 @@ class Cursor:
             pass
 
     def __iter__(self):
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
+        return iter(self.fetchone, None)
 
 
 class PreparedStatement:
@@ -569,15 +528,9 @@ class PreparedStatement:
         """
         if self.statement_id is None:
             raise ClientError("prepared statement is closed")
-        if stream:
-            payload = self.connection._call(
-                "open_cursor", statement_id=self.statement_id
-            )
-            return Cursor(self.connection)._open_stream(payload, batch_size)
-        payload = self.connection._call(
-            "execute_prepared", statement_id=self.statement_id
-        )
-        return Cursor(self.connection)._load(payload)
+        return Cursor(self.connection)._run(
+            "execute_prepared", stream, batch_size,
+            statement_id=self.statement_id)
 
     def close(self) -> None:
         """Release the server-side handle (idempotent)."""
@@ -605,10 +558,16 @@ class _PooledSocketChannel:
     real error and propagates.
     """
 
-    def __init__(self, connector: Callable[[], Any], timeout: float = 30.0):
+    #: The protocol's incremental wire parser (one instance per socket).
+    PARSER: Callable[[], Any]
+
+    def __init__(self, connector: Callable[[], Any],
+                 tenant: Optional[str] = None, timeout: float = 30.0):
         self._connector = connector
+        self._tenant = tenant
         self._timeout = timeout
         self._sock: Optional[Any] = None
+        self._parser = self.PARSER()
         self.statistics = CounterSet(CHANNEL_COUNTERS)
 
     # -- subclass hooks --------------------------------------------------------------
@@ -616,28 +575,26 @@ class _PooledSocketChannel:
     def _handshake(self) -> None:
         """Wire-protocol setup after the socket opens."""
 
-    def _exchange(self, path: str, body: str,
-                  headers: Optional[Dict[str, str]]) -> HttpResponse:
+    def _exchange(self, *message: Any) -> Any:
+        """Send one message, receive its response."""
         raise NotImplementedError
-
-    def _reset(self) -> None:
-        """Discard per-connection parse state."""
 
     # -- channel surface -------------------------------------------------------------
 
-    def post(self, path: str, body: str,
-             headers: Optional[Dict[str, str]] = None) -> HttpResponse:
-        for attempt in (1, 2):
+    def call(self, *message: Any) -> Any:
+        """One message out, its response back (reconnecting as above)."""
+        while True:
             reused = self._sock is not None
             if not reused:
                 self._open()
             try:
-                response = self._exchange(path, body, headers)
+                response = self._exchange(*message)
             except (OSError, EOFError) as exc:
                 self.close()
-                if reused and attempt == 1:
+                if reused:
                     # The server reaped the idle connection between
-                    # statements; reconnect once and replay.
+                    # statements; reconnect once (a fresh socket is never
+                    # ``reused``) and replay.
                     continue
                 error = ClientError(f"connection lost: {exc}")
                 error.error_kind = "ConnectionError"
@@ -646,7 +603,6 @@ class _PooledSocketChannel:
             self.statistics.add(round_trips=1,
                                 requests_reusing_connection=int(reused))
             return response
-        raise ClientError("unreachable: reconnect loop exhausted")  # pragma: no cover
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -655,12 +611,11 @@ class _PooledSocketChannel:
                 sock.close()
             except OSError:
                 pass
-        self._reset()
+        self._parser = self.PARSER()
 
     def _open(self) -> None:
-        sock = self._connector()
-        sock.settimeout(self._timeout)
-        self._sock = sock
+        self._sock = self._connector()
+        self._sock.settimeout(self._timeout)
         self.statistics.add(connections_opened=1)
         try:
             self._handshake()
@@ -672,12 +627,17 @@ class _PooledSocketChannel:
         self._sock.sendall(data)
         self.statistics.add(bytes_sent=len(data))
 
-    def _recv(self) -> bytes:
-        data = self._sock.recv(65536)
-        if not data:
-            raise EOFError("server closed the connection")
-        self.statistics.add(bytes_received=len(data))
-        return data
+    def _receive(self, pop: Callable[[], Any]) -> Any:
+        """The next complete message ``pop`` finds in the parser's buffer."""
+        while True:
+            message = pop()
+            if message is not None:
+                return message
+            data = self._sock.recv(65536)
+            if not data:
+                raise EOFError("server closed the connection")
+            self.statistics.add(bytes_received=len(data))
+            self._parser.feed(data)
 
 
 class NativeProtocolChannel(_PooledSocketChannel):
@@ -686,21 +646,15 @@ class NativeProtocolChannel(_PooledSocketChannel):
     On connect it sends the magic preamble plus a hello frame carrying the
     tenant, and the server replies with a session — prepared statements and
     cursors opened on this channel live exactly as long as the session does.
-    Each request is then one length-prefixed JSON frame; responses are
-    re-shaped into :class:`HttpResponse` so :class:`Connection` is oblivious
-    to which transport carried them.
+    Each request is then one length-prefixed JSON frame embedding the
+    protocol request as it is, and each response frame embeds the protocol
+    response: a message is serialized once and parsed once per direction.
     """
 
-    def __init__(self, connector: Callable[[], Any],
-                 tenant: Optional[str] = None, timeout: float = 30.0):
-        super().__init__(connector, timeout)
-        self._tenant = tenant
-        self._parser = FrameParser()
-        self._next_request_id = 0
-        self.session_id: Optional[str] = None
+    PARSER = FrameParser
+    _next_request_id = 0
 
     def _handshake(self) -> None:
-        self._parser = FrameParser()
         self._send(MAGIC)
         self._send_frame(json.dumps({
             "hello": {"tenant": self._tenant, "protocol": PROTOCOL_VERSION},
@@ -708,29 +662,14 @@ class NativeProtocolChannel(_PooledSocketChannel):
         reply = json.loads(self._recv_frame())
         if not reply.get("ok"):
             raise ClientError(f"native handshake refused: {reply!r}")
-        self.session_id = reply.get("session_id")
 
-    def _exchange(self, path: str, body: str,
-                  headers: Optional[Dict[str, str]]) -> HttpResponse:
+    def _exchange(self, request: Request) -> Response:
         self._next_request_id += 1
         self._send_frame(json.dumps({
             "id": self._next_request_id,
-            "request": json.loads(body),
+            "request": request.to_dict(),
         }))
-        envelope = json.loads(self._recv_frame())
-        response = envelope.get("response") or {}
-        if response.get("ok"):
-            status, reason = 200, "OK"
-        elif response.get("error_kind") == "OverloadError":
-            status, reason = 503, "Service Unavailable"
-        else:
-            status, reason = 422, "Unprocessable Entity"
-        return HttpResponse(status=status, reason=reason,
-                            body=json.dumps(response))
-
-    def _reset(self) -> None:
-        self._parser = FrameParser()
-        self.session_id = None
+        return Response.from_dict(json.loads(self._recv_frame()).get("response"))
 
     def close(self) -> None:
         if self._sock is not None:
@@ -746,11 +685,7 @@ class NativeProtocolChannel(_PooledSocketChannel):
         self._send(encode_frame(text.encode("utf-8")))
 
     def _recv_frame(self) -> bytes:
-        while True:
-            frame = self._parser.next_frame()
-            if frame is not None:
-                return frame
-            self._parser.feed(self._recv())
+        return self._receive(self._parser.next_frame)
 
 
 class PooledHttpChannel(_PooledSocketChannel):
@@ -762,17 +697,11 @@ class PooledHttpChannel(_PooledSocketChannel):
     dropped and the next request reconnects.
     """
 
-    def __init__(self, connector: Callable[[], Any],
-                 tenant: Optional[str] = None, timeout: float = 30.0):
-        super().__init__(connector, timeout)
-        self._tenant = tenant
-        self._parser = HttpWireParser()
+    PARSER = HttpWireParser
 
-    def _handshake(self) -> None:
-        self._parser = HttpWireParser()
-
-    def _reset(self) -> None:
-        self._parser = HttpWireParser()
+    def post(self, path: str, body: str,
+             headers: Optional[Dict[str, str]] = None) -> HttpResponse:
+        return self.call(path, body, headers)
 
     def _exchange(self, path: str, body: str,
                   headers: Optional[Dict[str, str]]) -> HttpResponse:
@@ -782,17 +711,10 @@ class PooledHttpChannel(_PooledSocketChannel):
         request = HttpRequest(method="POST", path=path, headers=send_headers,
                               body=body, version="HTTP/1.1")
         self._send(request.serialize().encode("utf-8"))
-        response = self._recv_response()
+        response = self._receive(self._parser.next_response)
         if not (request.wants_keep_alive() and response.wants_keep_alive()):
             self.close()
         return response
-
-    def _recv_response(self) -> HttpResponse:
-        while True:
-            response = self._parser.next_response()
-            if response is not None:
-                return response
-            self._parser.feed(self._recv())
 
 
 class ConnectionPool:
@@ -856,15 +778,12 @@ class ConnectionPool:
         return connection
 
     def release(self, connection: Connection) -> None:
-        close_now = False
         with self._condition:
-            if self._closed:
-                close_now = True
-            else:
+            if not self._closed:
                 self._idle.append(connection)
                 self._condition.notify()
-        if close_now:
-            connection.close()
+                return
+        connection.close()
 
     @contextmanager
     def connection(self):

@@ -115,7 +115,8 @@ class Request:
         if self.version != PROTOCOL_VERSION:
             raise ProtocolError(f"unsupported protocol version {self.version!r}")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON document of this request (what a native frame embeds)."""
         body: Dict[str, Any] = {
             "version": self.version,
             "operation": self.operation,
@@ -123,14 +124,21 @@ class Request:
         }
         if self.trace_id is not None:
             body["trace_id"] = self.trace_id
-        return json.dumps(body)
+        return body
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Request":
         try:
-            payload = json.loads(text)
+            return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"malformed request: {exc}") from exc
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> "Request":
+        """Validate a parsed JSON document into a request."""
         if not isinstance(payload, dict) or "operation" not in payload:
             raise ProtocolError("request must be a JSON object with an 'operation' field")
         request = cls(
@@ -165,7 +173,8 @@ class Response:
         return cls(ok=False, error=error, error_kind=error_kind,
                    retry_after_seconds=retry_after_seconds)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON document of this response (what a native frame embeds)."""
         body: Dict[str, Any] = {"version": self.version, "ok": self.ok}
         if self.ok:
             body["payload"] = self.payload
@@ -174,14 +183,21 @@ class Response:
             body["error_kind"] = self.error_kind
             if self.retry_after_seconds is not None:
                 body["retry_after_seconds"] = self.retry_after_seconds
-        return json.dumps(body)
+        return body
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Response":
         try:
-            payload = json.loads(text)
+            return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"malformed response: {exc}") from exc
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> "Response":
+        """Validate a parsed JSON document into a response."""
         if not isinstance(payload, dict) or "ok" not in payload:
             raise ProtocolError("response must be a JSON object with an 'ok' field")
         if payload["ok"]:
@@ -200,11 +216,8 @@ class Response:
 
 def relation_to_payload(relation: Relation) -> Dict[str, Any]:
     """Serialize a relation into the protocol's tabular payload form."""
-    return {
-        "columns": relation.schema.names,
-        "types": [attribute.type.value for attribute in relation.schema],
-        "rows": rows_to_payload(relation.rows),
-    }
+    return dict(schema_to_payload(relation.schema),
+                rows=rows_to_payload(relation.rows))
 
 
 def schema_to_payload(schema: Schema) -> Dict[str, Any]:

@@ -220,18 +220,10 @@ class QBEInterface:
 
     def render_answer(self, answer: FederationAnswer, show_mediation: bool = True) -> str:
         """Render an answer as an HTML table (plus the mediated SQL, optionally)."""
-        header = "".join(
-            f"<th>{html.escape(annotation.label())}</th>" for annotation in answer.annotations
-        ) or "".join(f"<th>{html.escape(name)}</th>" for name in answer.relation.schema.names)
-        body_rows = []
-        for row in answer.relation.rows:
-            cells = "".join(f"<td>{html.escape(_format(value))}</td>" for value in row)
-            body_rows.append(f"<tr>{cells}</tr>")
-        table = f"<table>\n<tr>{header}</tr>\n" + "\n".join(body_rows) + "\n</table>"
-        if not show_mediation:
-            return table
-        mediated = html.escape(answer.mediated_sql)
-        return f"{table}\n<p>Mediated query:</p>\n<pre>{mediated}</pre>"
+        return "".join(self._render(
+            answer.annotations, answer.relation.schema.names,
+            [answer.relation.rows],
+            answer.mediated_sql if show_mediation else None))
 
     def render_answer_stream(self, cursor: FederationCursor,
                              show_mediation: bool = True,
@@ -246,29 +238,32 @@ class QBEInterface:
         """
         size = batch_size or self.STREAM_BATCH
         try:
-            header = "".join(
-                f"<th>{html.escape(annotation.label())}</th>"
-                for annotation in cursor.annotations
-            ) or "".join(
-                f"<th>{html.escape(name)}</th>" for name in cursor.schema.names
-            )
-            yield f"<table>\n<tr>{header}</tr>\n"
-            while True:
-                rows = cursor.fetchmany(size)
-                if not rows:
-                    break
-                yield "\n".join(
-                    "<tr>" + "".join(
-                        f"<td>{html.escape(_format(value))}</td>" for value in row
-                    ) + "</tr>"
-                    for row in rows
-                ) + "\n"
-            yield "</table>"
-            if show_mediation:
-                mediated = html.escape(cursor.mediated_sql)
-                yield f"\n<p>Mediated query:</p>\n<pre>{mediated}</pre>"
+            yield from self._render(
+                cursor.annotations, cursor.schema.names,
+                iter(lambda: cursor.fetchmany(size), []),
+                cursor.mediated_sql if show_mediation else None)
         finally:
             cursor.close()
+
+    @staticmethod
+    def _render(annotations, names, batches, mediated_sql) -> Iterator[str]:
+        """The answer table's chunks: header, one per row batch, closing
+        tags, and the mediated SQL unless it is None."""
+        header = "".join(
+            f"<th>{html.escape(annotation.label())}</th>"
+            for annotation in annotations
+        ) or "".join(f"<th>{html.escape(name)}</th>" for name in names)
+        yield f"<table>\n<tr>{header}</tr>\n"
+        for rows in batches:
+            yield "\n".join(
+                "<tr>" + "".join(
+                    f"<td>{html.escape(_format(value))}</td>" for value in row
+                ) + "</tr>"
+                for row in rows
+            ) + "\n"
+        yield "</table>"
+        if mediated_sql is not None:
+            yield f"\n<p>Mediated query:</p>\n<pre>{html.escape(mediated_sql)}</pre>"
 
 
 def _looks_numeric(text: str) -> bool:

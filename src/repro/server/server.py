@@ -14,24 +14,22 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import OverloadError, ProtocolError, ReproError
-from repro.federation import Federation, FederationCursor, PreparedQuery
+from repro.federation import Federation, FederationCursor
 from repro.mediation.explain import conflict_summary
 from repro.obs.metrics import CounterSet
-from repro.obs.trace import NULL_SPAN, deactivate_span
 from repro.options import StatementOptions, parse_batch_size
 from repro.server.gateway import AdmissionGateway, GatewayConfig
-from repro.server.http import HttpChannel, HttpRequest, HttpResponse
+from repro.server.http import HttpChannel, HttpRequest, HttpResponse, header
 from repro.server.protocol import (
     Request,
     Response,
-    relation_to_payload,
     rows_to_payload,
     schema_to_payload,
 )
-from repro.server.service import FederatedQueryService
+from repro.server.service import FederatedQueryService, ResultHandle
 
 
 #: The server's request counters: (field, kind, exported series, help).
@@ -54,6 +52,76 @@ SERVER_COUNTERS = (
 )
 
 
+class _Refused(ProtocolError):
+    """A request the codec turns away, under a protocol error kind."""
+
+    def __init__(self, message: str, kind: str = "protocol"):
+        super().__init__(message)
+        self.kind = kind
+
+
+class HandleRegistry:
+    """A bounded LRU of server-side handles, each filed under its owner.
+
+    Prepared statements and cursors each live in one.  A handle is visible
+    only to the owner that registered it (a transport session; None for the
+    sessionless in-process doors) — another owner's id reads as unknown.
+    Registering past ``limit()`` evicts the least recently used handles and
+    *closes* them, so clients that never close cannot pin the server.
+    """
+
+    def __init__(self, prefix: str, limit: Callable[[], int]):
+        self._prefix = prefix
+        self._limit = limit
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+        self._ids = itertools.count(1)
+
+    def register(self, handle: Any, owner: Any = None) -> str:
+        handle_id = f"{self._prefix}-{next(self._ids)}"
+        evicted = []
+        with self._lock:
+            self._entries[handle_id] = (owner, handle)
+            while len(self._entries) > self._limit():
+                evicted.append(self._entries.popitem(last=False)[1][1])
+        for doomed in evicted:
+            doomed.close()
+        return handle_id
+
+    def get(self, handle_id: str, owner: Any = None, pop: bool = False) -> Any:
+        """``owner``'s handle under ``handle_id`` (None: it holds none such),
+        moved to the fresh end of the LRU — or, with ``pop``, out of it."""
+        with self._lock:
+            held_by, handle = self._entries.get(handle_id, (None, None))
+            if handle is None or held_by is not owner:
+                return None
+            if pop:
+                del self._entries[handle_id]
+            else:
+                self._entries.move_to_end(handle_id)
+            return handle
+
+    def discard(self, handle_id: str, owner: Any = None) -> bool:
+        """Close and forget one handle; False when ``owner`` holds none such."""
+        handle = self.get(handle_id, owner, pop=True)
+        if handle is not None:
+            handle.close()
+        return handle is not None
+
+    def release(self, *owners: Any) -> None:
+        """Close and forget every handle of ``owners`` (none named: of anyone)."""
+        with self._lock:
+            doomed = [handle_id
+                      for handle_id, (held_by, _handle) in self._entries.items()
+                      if not owners or held_by in owners]
+            handles = [self._entries.pop(handle_id)[1] for handle_id in doomed]
+        for handle in handles:
+            handle.close()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class _OpenCursor:
     """One server-side streaming cursor plus its validity generations.
@@ -67,18 +135,45 @@ class _OpenCursor:
     is a generator, and two clients (or one client's retry) driving it
     concurrently would race with 'generator already executing'.
 
-    The cursor holds one gateway streaming permit for its whole life — the
+    The handle holds one gateway streaming permit for its whole life — the
     backpressure bounding concurrently open streams — released when it
     closes (see ``FederatedQueryService.open``).
     """
 
-    cursor: FederationCursor
-    catalog_generation: int
-    knowledge_generation: int
+    handle: ResultHandle
+    #: (catalog, knowledge) generations the cursor opened under.
+    generations: Tuple[int, int]
     fetch_lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def discard(self) -> None:
-        self.cursor.close()
+    def close(self) -> None:
+        self.handle.close()
+
+
+class _Call(NamedTuple):
+    """One checked protocol request, as its operation's handler sees it."""
+
+    operation: str
+    parameters: Dict[str, Any]
+    #: Parsed statement options; of an operation without, only the tenant.
+    options: StatementOptions
+    trace_id: Optional[str]
+    #: The transport session (None: a sessionless door), its handles' owner.
+    session: Any
+
+
+class _Operation(NamedTuple):
+    """One row of :attr:`MediationServer.OPERATIONS`."""
+
+    #: Translates parameters in and the payload out, nothing more.
+    handler: Callable[["MediationServer", _Call], Dict[str, Any]]
+    #: Parameters that must be present and non-empty.
+    required: Tuple[str, ...] = ()
+    #: Executes or compiles a statement: passes the admission gateway.
+    #: Dictionary lookups and cursor fetch/close stay un-gated — they are
+    #: cheap, and gating fetches would deadlock draining consumers.
+    admitted: bool = False
+    #: Carries statement options: parsed and validated before admission.
+    options: bool = False
 
 
 class MediationServer:
@@ -97,17 +192,6 @@ class MediationServer:
     #: Bound on concurrently open cursors; eviction closes the underlying
     #: stream, cancelling its outstanding source fetches.
     MAX_OPEN_CURSORS = 64
-    #: Operations that execute or compile statements: these pass through the
-    #: admission gateway (quotas, bounded queue, deadline-aware shedding).
-    #: Dictionary lookups and cursor fetch/close stay un-gated — they are
-    #: cheap, and gating fetches would deadlock draining consumers.
-    ADMITTED_OPERATIONS = frozenset({
-        "query", "mediate", "explain", "prepare", "execute_prepared",
-        "open_cursor",
-    })
-    #: Admitted operations carrying statement options (consistency, deadline,
-    #: source-failure policy): parsed and validated once, before admission.
-    STATEMENT_OPERATIONS = frozenset({"query", "prepare", "open_cursor"})
     #: HTTP request header naming the tenant (protocol ``tenant`` parameter
     #: wins when both are present).
     TENANT_HEADER = "X-Coin-Tenant"
@@ -119,22 +203,16 @@ class MediationServer:
     def __init__(self, federation: Federation,
                  gateway: Optional[Union[AdmissionGateway, GatewayConfig]] = None):
         self.federation = federation
-        #: The serving core: streaming statements open through its single
-        #: admitted open; this server is the wire codec and handle registry.
+        #: The serving core every statement operation runs through; this
+        #: server is its wire codec plus the handle registries.
         self.service = FederatedQueryService(federation, gateway)
         #: The admission gateway every statement-executing request passes.
         self.gateway = self.service.gateway
         self.statistics = CounterSet(SERVER_COUNTERS)
-        #: LRU of open prepared statements: executing one refreshes it, so
-        #: eviction under pressure removes genuinely idle handles first.
-        self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
-        self._prepared_lock = threading.Lock()
-        self._statement_ids = itertools.count(1)
-        #: LRU of open cursors, mirror of the prepared-statement registry:
-        #: lock-guarded, bounded, fetched handles refresh their position.
-        self._cursors: "OrderedDict[str, _OpenCursor]" = OrderedDict()
-        self._cursor_lock = threading.Lock()
-        self._cursor_ids = itertools.count(1)
+        # The bounds are read at each registration: tunable on a live server.
+        self._statements = HandleRegistry(
+            "stmt", lambda: self.MAX_PREPARED_STATEMENTS)
+        self._cursors = HandleRegistry("cur", lambda: self.MAX_OPEN_CURSORS)
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
@@ -146,279 +224,193 @@ class MediationServer:
         registry.gauge(
             "server_open_prepared_statements",
             "Prepared statements currently registered.",
-            function=lambda: len(self._prepared),
+            function=self._statements.__len__,
         )
         registry.gauge(
             "server_open_cursors",
             "Server-side cursors currently open.",
-            function=lambda: len(self._cursors),
+            function=self._cursors.__len__,
         )
 
-    # -- transport-level entry points ---------------------------------------------
+    # -- the HTTP codec ------------------------------------------------------------------
 
     def channel(self) -> HttpChannel:
         """A fresh HTTP channel bound to this server (one per client connection)."""
         return HttpChannel(self.handle_http)
 
-    def handle_http(self, request: HttpRequest) -> HttpResponse:
-        """Handle one HTTP-tunnelled protocol request.
+    def handle_http(self, request: HttpRequest, session: Any = None,
+                    decoded: Union[Request, HttpResponse, None] = None) -> HttpResponse:
+        """Answer one HTTP-tunnelled request: the one HTTP codec, whichever
+        transport carried the bytes.  ``decoded`` is :meth:`decode_http`'s
+        result when the caller already has it: the event loop decodes on its
+        own thread (it sheds admitted operations before a worker is spent)
+        and calls this from its worker pool, so a body is parsed once either
+        way.  ``session``: see :meth:`handle`."""
+        response = self.decode_http(request) if decoded is None else decoded
+        if isinstance(response, Request):
+            tenant = header(request.headers, self.TENANT_HEADER)
+            trace_id = header(request.headers, self.TRACE_HEADER)
+            if request.path == self.STREAM_ENDPOINT:
+                response = self._http_stream(response, tenant, trace_id, session)
+            else:
+                response = self._http_response(
+                    self.handle(response, tenant, trace_id, session))
+        return self._persist(request, response)
 
-        Persistence is honoured on the plain endpoints: a keep-alive request
-        gets a keep-alive response (HTTP/1.1 clients persist by default), so
-        pooled clients reuse one connection across statements.  Chunked
-        streaming responses always close — their consumer may abandon the
-        stream mid-body, and a closed connection is the only framing-safe
-        way out.
-        """
-        response = self._handle_http(request)
-        if request.version.upper() == "HTTP/1.1":
-            response.version = "HTTP/1.1"
-        if response.chunks is None and request.wants_keep_alive():
-            response.headers.setdefault("Connection", "keep-alive")
-        else:
-            response.headers.setdefault("Connection", "close")
-        return response
-
-    def _handle_http(self, request: HttpRequest) -> HttpResponse:
+    def decode_http(self, request: HttpRequest) -> Union[Request, HttpResponse]:
+        """The protocol request to dispatch, or the response that already
+        answers ``request`` (the metrics exposition, 404, 400)."""
         if request.method == "GET" and request.path == self.METRICS_ENDPOINT:
             return HttpResponse(
-                status=200, reason="OK",
                 headers={"Content-Type":
                          "text/plain; version=0.0.4; charset=utf-8"},
                 body=self.federation.observability.metrics.render(),
             )
-        if request.method == "POST" and request.path == self.STREAM_ENDPOINT:
-            return self.handle_http_stream(request)
-        if request.path != self.ENDPOINT or request.method != "POST":
+        if request.method != "POST" or request.path not in (
+                self.ENDPOINT, self.STREAM_ENDPOINT):
             return HttpResponse(status=404, reason="Not Found",
                                 body=Response.failure("unknown endpoint").to_json())
         try:
-            protocol_request = Request.from_json(request.body)
+            return Request.from_json(request.body)
         except ReproError as exc:
-            self.statistics.add(errors=1)
-            return HttpResponse(status=400, reason="Bad Request",
-                                body=Response.failure(str(exc), "protocol").to_json())
-        response = self.handle(protocol_request,
-                               tenant=self._header_tenant(request),
-                               trace_id=self._header_value(request, self.TRACE_HEADER))
-        if not response.ok and response.error_kind == "OverloadError":
-            return self._overload_http_response(response)
-        status, reason = (200, "OK") if response.ok else (422, "Unprocessable Entity")
-        http_response = HttpResponse(status=status, reason=reason,
-                                     body=response.to_json())
-        if response.ok and response.payload.get("trace_id"):
-            http_response.headers[self.TRACE_HEADER] = response.payload["trace_id"]
-        return http_response
+            return self._bad_request(exc)
 
-    @classmethod
-    def _header_value(cls, request: HttpRequest, header: str) -> Optional[str]:
-        wanted = header.lower()
-        for name, value in request.headers.items():
-            if name.lower() == wanted:
-                return value
-        return None
+    def encode_http(self, request: HttpRequest, response: Response) -> HttpResponse:
+        """``response`` as the HTTP answer to ``request`` — for a transport
+        answering a request it shed before dispatching it."""
+        return self._persist(request, self._http_response(response))
 
-    @classmethod
-    def _header_tenant(cls, request: HttpRequest) -> Optional[str]:
-        return cls._header_value(request, cls.TENANT_HEADER)
+    def _http_response(self, response: Response) -> HttpResponse:
+        """Status mapping: 200 (echoing a traced statement's trace id), 422
+        for a failed request, 503 + Retry-After for a shed one — overload is
+        the server's state, not the request's fault: the client backs off."""
+        if response.ok:
+            trace_id = response.payload.get("trace_id")
+            return HttpResponse(
+                headers={self.TRACE_HEADER: trace_id} if trace_id else {},
+                body=response.to_json())
+        if response.error_kind != "OverloadError":
+            return HttpResponse(status=422, reason="Unprocessable Entity",
+                                body=response.to_json())
+        seconds = response.retry_after_seconds
+        return HttpResponse(
+            status=503, reason="Service Unavailable", body=response.to_json(),
+            headers={"Retry-After": "1" if seconds is None
+                     else str(max(1, math.ceil(seconds)))})
+
+    def _bad_request(self, exc: ReproError) -> HttpResponse:
+        self.statistics.add(errors=1)
+        return HttpResponse(status=400, reason="Bad Request",
+                            body=Response.failure(str(exc), "protocol").to_json())
 
     @staticmethod
-    def _overload_http_response(response: Response) -> HttpResponse:
-        """Shed requests answer 503 + Retry-After: overload is the server's
-        state, not the request's fault, and the client should back off."""
-        retry_after = response.retry_after_seconds
-        header = "1" if retry_after is None else str(max(1, math.ceil(retry_after)))
-        return HttpResponse(status=503, reason="Service Unavailable",
-                            headers={"Retry-After": header},
-                            body=response.to_json())
+    def _persist(request: HttpRequest, response: HttpResponse) -> HttpResponse:
+        """Persistence is honoured on the plain endpoints: a keep-alive
+        request gets a keep-alive response (HTTP/1.1 clients persist by
+        default), so pooled clients reuse one connection across statements.
+        Chunked streaming responses always close — their consumer may abandon
+        the stream mid-body, and a closed connection is the only
+        framing-safe way out."""
+        if request.version.upper() == "HTTP/1.1":
+            response.version = "HTTP/1.1"
+        persists = response.chunks is None and request.wants_keep_alive()
+        response.headers.setdefault(
+            "Connection", "keep-alive" if persists else "close")
+        return response
 
-    def handle_http_stream(self, request: HttpRequest) -> HttpResponse:
-        """Answer one query request with chunked result batches.
-
-        The first chunk is the result description (columns, types, mediation
-        metadata), each following chunk one batch of rows, and the final
-        chunk a summary with the execution report — every chunk its own JSON
-        document, framed with genuine ``Transfer-Encoding: chunked`` byte
-        framing on the wire.
-        """
+    def _http_stream(self, request: Request, tenant: Optional[str],
+                     trace_id: Optional[str], session: Any) -> HttpResponse:
+        """The chunked endpoint (see :meth:`_stream`): sheds answer 503,
+        malformed requests 400, failed statements 422 with their error kind."""
         try:
-            protocol_request = Request.from_json(request.body)
-            if protocol_request.operation != "query":
-                raise ProtocolError(
-                    "the streaming endpoint accepts only 'query' requests"
-                )
-            parameters = protocol_request.parameters
-            sql = parameters.get("sql")
-            if not sql:
-                raise ProtocolError("'query' requires a 'sql' parameter")
-            self.statistics.add(requests=1)
-            options = StatementOptions.from_parameters(
-                parameters, ProtocolError, tenant=self._header_tenant(request))
-            # A worker slot covers only *opening* the stream (mediation,
-            # planning, first-batch dispatch); producing the chunks happens
-            # on this — the consumer's — thread under a bounded streaming
-            # permit, so a slow consumer never pins a worker.  The root span
-            # covers the whole exchange: it finishes when the cursor closes.
-            handle = self.service.open(
-                sql, options, operation="stream",
-                trace_id=(protocol_request.trace_id
-                          or self._header_value(request, self.TRACE_HEADER)),
-            )
-            with handle:
-                chunks = [json.dumps(self._cursor_header(handle.cursor))]
-                chunks.extend(json.dumps({"rows": rows_to_payload(rows)})
-                              for rows in handle.batches())
-                chunks.append(json.dumps({
-                    "done": True,
-                    "row_count": handle.rows_streamed,
-                    "execution": handle.cursor.report.snapshot(),
-                }))
-        except ReproError as exc:
-            return self._stream_failure(exc)
-        self.statistics.add(queries=1, rows_streamed=handle.rows_streamed)
-        headers = ({self.TRACE_HEADER: handle.trace_id}
-                   if handle.trace_id else {})
-        return HttpResponse(status=200, reason="OK", headers=headers,
-                            chunks=chunks)
-
-    def _stream_failure(self, exc: ReproError) -> HttpResponse:
-        """The chunked endpoint's error mapping: sheds answer 503, malformed
-        requests 400, statements that fail 422 with their error kind."""
-        if isinstance(exc, OverloadError):
-            self.statistics.add(errors=1, requests_shed=1)
-            return self._overload_http_response(
-                Response.failure(str(exc), "OverloadError",
-                                 retry_after_seconds=exc.retry_after_seconds))
-        self.statistics.add(errors=1)
-        if isinstance(exc, ProtocolError):
-            return HttpResponse(status=400, reason="Bad Request",
-                                body=Response.failure(str(exc), "protocol").to_json())
-        return HttpResponse(status=422, reason="Unprocessable Entity",
-                            body=Response.failure(str(exc), type(exc).__name__).to_json())
+            return HttpResponse(**self._perform(
+                self.STREAM_OPERATIONS, request, tenant, trace_id, session))
+        except ProtocolError as exc:
+            return self._bad_request(exc)
+        except Exception as exc:
+            return self._http_response(self.failure(exc))
 
     # -- protocol-level dispatch ---------------------------------------------------------
 
     def handle(self, request: Request, tenant: Optional[str] = None,
-               trace_id: Optional[str] = None) -> Response:
+               trace_id: Optional[str] = None, session: Any = None) -> Response:
         """Handle one protocol request object (transport already stripped).
 
-        Statement-executing operations pass the admission gateway first: a
-        shed request fails with ``error_kind="OverloadError"`` (and a
-        ``retry_after_seconds`` hint) without touching the federation.
+        Its :attr:`OPERATIONS` row names what is checked before the handler
+        runs.  Statement operations pass admission inside the serving core,
+        which is also the trace edge: it opens the root ``statement`` span
+        (adopting the client-minted ``trace_id`` of the envelope or the
+        ``X-Coin-Trace`` header), so admission, pipeline and execution spans
+        connect into one tree.  A shed request fails with
+        ``error_kind="OverloadError"`` (and a ``retry_after_seconds`` hint)
+        without touching the federation.  Successful traced responses echo
+        ``trace_id`` — and, once the trace is finished and sampled, the span
+        tree itself — in the payload.
 
-        The server is the trace edge: statement-shaped operations open the
-        root ``statement`` span here (adopting the client-minted ``trace_id``
-        from the envelope or the ``X-Coin-Trace`` header when one arrived),
-        so admission, pipeline and execution spans connect into one tree.
-        Successful traced responses echo ``trace_id`` — and, once the trace
-        is finished and sampled, the span tree itself — in the payload.
+        ``tenant`` is the transport's fallback identity (a header);
+        ``session`` the transport session the request arrived on — any object
+        with a ``tenant`` attribute (the identity its handshake pinned, or
+        None): the request's handles are filed under it, and it sees no
+        other owner's.
         """
+        try:
+            return Response.success(**self._perform(
+                self.OPERATIONS, request, tenant, trace_id, session))
+        except Exception as exc:
+            return self.failure(exc)
+
+    def _perform(self, table: Dict[str, _Operation], request: Request,
+                 tenant: Optional[str], trace_id: Optional[str],
+                 session: Any) -> Dict[str, Any]:
+        """Check ``request`` against its row of ``table``; run the handler."""
         self.statistics.add(requests=1)
-        tenant = request.parameters.get("tenant") or tenant
-        trace_id = request.trace_id or trace_id
-        # ``open_cursor``'s root outlives this request — the service's
-        # admitted open owns it and finishes it when the cursor closes.
-        root = NULL_SPAN
-        if (request.operation in self.ADMITTED_OPERATIONS
-                and request.operation != "open_cursor"):
-            root = self.federation.observability.statement_root(
-                trace_id=trace_id, operation=request.operation, tenant=tenant)
-        token = root.activate()
-        try:
-            response = self._respond(request, tenant, trace_id)
-        finally:
-            deactivate_span(token)
-        if not root.recording:
-            return response
-        if response.ok:
-            response.payload.setdefault("trace_id", root.trace_id)
-            root.finish()
-            trace = self.federation.observability.tracer.buffer.get(root.trace_id)
-            if trace is not None:
-                response.payload.setdefault("trace", trace)
-        else:
-            # Failed requests force-keep their trace; the error detail lives
-            # in the response, the span records its kind for the tree.
-            root.annotate(error_kind=response.error_kind)
-            root.flag("error")
-            root.finish()
-        return response
+        parameters = request.parameters
+        operation = table.get(request.operation)
+        if operation is None:
+            raise _Refused(f"this endpoint has no {request.operation!r} "
+                           f"operation; it accepts {', '.join(table)}")
+        tenant = self._tenant(parameters, tenant, session)
+        for name in operation.required:
+            if not parameters.get(name):
+                raise _Refused(f"{request.operation!r} requires a "
+                               f"{name!r} parameter")
+        options = (
+            StatementOptions.from_parameters(parameters, ProtocolError,
+                                             tenant=tenant)
+            if operation.options else StatementOptions(tenant=tenant))
+        return operation.handler(self, _Call(
+            request.operation, parameters, options,
+            request.trace_id or trace_id, session))
 
-    def _respond(self, request: Request, tenant: Optional[str],
-                 trace_id: Optional[str]) -> Response:
-        """Dispatch under the gateway; map errors to protocol failures.
+    @staticmethod
+    def _tenant(parameters: Dict[str, Any], fallback: Optional[str],
+                session: Any) -> Optional[str]:
+        """Whose request this is: a session's pinned tenant admits no other
+        (pooled connections never observe or bill against each other's
+        identity); else the ``tenant`` parameter wins over the fallback."""
+        named = parameters.get("tenant")
+        pinned = session.tenant if session is not None else None
+        if pinned is None:
+            return named or fallback
+        if named is not None and named != pinned:
+            raise _Refused(f"request tenant {named!r} does not match the "
+                           f"session tenant {pinned!r}")
+        return pinned
 
-        Statement options are parsed and validated here, once, before
-        admission.  ``query`` executes *now* under its own deadline: the
-        admission wait is bounded by it and the handler runs under the
-        budget left after queueing (time spent queueing must not count
-        against sources that never saw the request); ``prepare`` carries a
-        deadline as a statement property for later executions, not a bound
-        on compiling it.  ``open_cursor`` is admitted by the service's
-        single admitted open instead — after claiming its stream permit.
-        """
-        operation = request.operation
-        try:
-            if operation not in self.ADMITTED_OPERATIONS:
-                response = self._dispatch(request)
-            else:
-                options = None
-                if operation in self.STATEMENT_OPERATIONS:
-                    options = StatementOptions.from_parameters(
-                        request.parameters, ProtocolError, tenant=tenant)
-                if operation == "open_cursor":
-                    response = self._handle_open_cursor(
-                        request.parameters, options, trace_id)
-                else:
-                    response = self.gateway.run(
-                        lambda remaining: self._dispatch(
-                            request, options and options.with_timeout(remaining)),
-                        tenant=tenant,
-                        timeout_seconds=(options.timeout_seconds
-                                         if operation == "query" else None),
-                    )
-            if not response.ok:
-                self.statistics.add(errors=1)
-            return response
-        except OverloadError as exc:
+    def failure(self, exc: BaseException) -> Response:
+        """Count ``exc`` and map it to the failure the client sees: a shed
+        keeps its back-off hint, a library error its class name."""
+        if isinstance(exc, OverloadError):
             self.statistics.add(errors=1, requests_shed=1)
             return Response.failure(str(exc), "OverloadError",
                                     retry_after_seconds=exc.retry_after_seconds)
-        except ReproError as exc:
-            self.statistics.add(errors=1)
-            return Response.failure(str(exc), type(exc).__name__)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self.statistics.add(errors=1)
-            return Response.failure(f"internal error: {exc}", "internal")
-
-    def _dispatch(self, request: Request,
-                  options: Optional[StatementOptions] = None) -> Response:
-        """Run the operation's handler (statement handlers take options)."""
-        handler = getattr(self, f"_handle_{request.operation}")
-        if options is None:
-            return handler(request.parameters)
-        return handler(request.parameters, options)
+        self.statistics.add(errors=1)
+        if isinstance(exc, ReproError):
+            return Response.failure(
+                str(exc), getattr(exc, "kind", type(exc).__name__))
+        return Response.failure(f"internal error: {exc}", "internal")
 
     # -- operations ------------------------------------------------------------------------
-
-    def _handle_list_sources(self, parameters: Dict[str, Any]) -> Response:
-        return Response.success(sources=self.federation.list_sources())
-
-    def _handle_list_relations(self, parameters: Dict[str, Any]) -> Response:
-        source = parameters.get("source")
-        return Response.success(relations=self.federation.list_relations(source))
-
-    def _handle_describe(self, parameters: Dict[str, Any]) -> Response:
-        relation = parameters.get("relation")
-        if not relation:
-            return Response.failure("'describe' requires a 'relation' parameter", "protocol")
-        return Response.success(
-            relation=relation,
-            attributes=self.federation.describe_relation(relation),
-        )
-
-    def _handle_contexts(self, parameters: Dict[str, Any]) -> Response:
-        return Response.success(contexts=self.federation.receiver_contexts)
 
     @staticmethod
     def _mediation_payload(result) -> Dict[str, Any]:
@@ -431,169 +423,184 @@ class MediationServer:
                               for annotation in result.annotations],
         }
 
-    def _answer_payload(self, answer) -> Dict[str, Any]:
-        """A materialized answer (``query`` / ``execute_prepared``)."""
-        return dict(self._mediation_payload(answer),
-                    relation=relation_to_payload(answer.relation),
-                    execution=answer.execution.report.snapshot())
-
     def _cursor_header(self, cursor: FederationCursor) -> Dict[str, Any]:
         """A streamed answer's description (``open_cursor`` / first chunk)."""
         return dict(schema_to_payload(cursor.schema),
                     **self._mediation_payload(cursor))
 
-    def _handle_query(self, parameters: Dict[str, Any],
-                      options: StatementOptions) -> Response:
-        sql = parameters.get("sql")
-        if not sql:
-            return Response.failure("'query' requires a 'sql' parameter", "protocol")
-        answer = self.federation.open(sql, options, stream=False).answer()
-        self.statistics.add(queries=1)
-        return Response.success(**self._answer_payload(answer))
+    def _traced(self, payload: Dict[str, Any],
+                trace_id: Optional[str]) -> Dict[str, Any]:
+        """Echo a finished statement's trace id and (if sampled) its tree."""
+        if trace_id:
+            payload["trace_id"] = trace_id
+            trace = self.federation.observability.tracer.buffer.get(trace_id)
+            if trace is not None:
+                payload["trace"] = trace
+        return payload
 
-    def _handle_prepare(self, parameters: Dict[str, Any],
-                        options: StatementOptions) -> Response:
-        sql = parameters.get("sql")
-        if not sql:
-            return Response.failure("'prepare' requires a 'sql' parameter", "protocol")
-        prepared = self.federation.compile(sql, options)
-        statement_id = f"stmt-{next(self._statement_ids)}"
-        with self._prepared_lock:
-            self._prepared[statement_id] = prepared
-            while len(self._prepared) > self.MAX_PREPARED_STATEMENTS:
-                self._prepared.popitem(last=False)
+    def _answer(self, handle: ResultHandle, **payload: Any) -> Dict[str, Any]:
+        """Drain an eager statement's handle — its last batch closes it,
+        finishing the trace — into the materialized answer."""
+        rows = handle.fetchall()
+        cursor = handle.cursor
+        payload.update(
+            self._mediation_payload(cursor),
+            relation=dict(schema_to_payload(cursor.schema),
+                          rows=rows_to_payload(rows)),
+            execution=cursor.report.snapshot())
+        self.statistics.add(queries=1)
+        return self._traced(payload, handle.trace_id)
+
+    def _query(self, call: _Call) -> Dict[str, Any]:
+        # ``query`` executes *now* under its own deadline: the admission wait
+        # is bounded by it and the statement runs under the budget left after
+        # queueing (time spent queueing must not count against sources that
+        # never saw the request).
+        return self._answer(self.service.open(
+            call.parameters["sql"], call.options, stream=False,
+            trace_id=call.trace_id, operation=call.operation))
+
+    def _stream(self, call: _Call) -> Dict[str, Any]:
+        """The chunked endpoint's ``query``: the first chunk is the result
+        description (columns, types, mediation metadata), each following
+        chunk one batch of rows, and the final chunk a summary with the
+        execution report — every chunk its own JSON document, framed with
+        genuine ``Transfer-Encoding: chunked`` byte framing on the wire."""
+        # A worker slot covers only *opening* the stream (mediation,
+        # planning, first-batch dispatch); producing the chunks happens on
+        # this — the consumer's — thread under a bounded streaming permit,
+        # so a slow consumer never pins a worker.  The root span covers the
+        # whole exchange: it finishes when the cursor closes.
+        handle = self.service.open(
+            call.parameters["sql"], call.options, operation="stream",
+            trace_id=call.trace_id)
+        with handle:
+            chunks = [json.dumps(self._cursor_header(handle.cursor))]
+            chunks.extend(json.dumps({"rows": rows_to_payload(rows)})
+                          for rows in handle.batches())
+            chunks.append(json.dumps({
+                "done": True,
+                "row_count": handle.rows_streamed,
+                "execution": handle.cursor.report.snapshot(),
+            }))
+        self.statistics.add(queries=1, rows_streamed=handle.rows_streamed)
+        return {"chunks": chunks,
+                "headers": ({self.TRACE_HEADER: handle.trace_id}
+                            if handle.trace_id else {})}
+
+    def _compile(self, call: _Call, work: Callable[..., Any], *arguments: Any):
+        """``prepare`` / ``mediate`` / ``explain``: ``work(sql, *arguments)``
+        admitted and traced (nothing executes); returns (result, trace id)."""
+        sql = call.parameters["sql"]
+        result, root, _release = self.service.admit(
+            lambda remaining: work(sql, *arguments), sql,
+            call.options.tenant, call.trace_id, operation=call.operation)
+        root.finish()
+        return result, root.trace_id
+
+    def _prepare(self, call: _Call) -> Dict[str, Any]:
+        # A deadline here is a property of the statement's later executions,
+        # not a bound on compiling it.
+        prepared, trace_id = self._compile(
+            call, self.federation.compile, call.options)
         self.statistics.add(prepared_statements=1)
-        return Response.success(
-            statement_id=statement_id,
+        return self._traced(dict(
+            statement_id=self._statements.register(prepared, call.session),
             original_sql=prepared.sql,
             mediated_sql=prepared.mediated_sql,
             branch_count=prepared.plan.mediation.branch_count,
             conflicts=conflict_summary(prepared.plan.mediation),
             receiver_context=prepared.receiver_context,
-            consistency=options.consistency,
-        )
+            consistency=call.options.consistency,
+        ), trace_id)
 
-    def _prepared_statement(self, statement_id: str) -> Optional[PreparedQuery]:
-        """Look up an open prepared statement, refreshing its LRU position."""
-        with self._prepared_lock:
-            prepared = self._prepared.get(statement_id)
-            if prepared is not None:
-                self._prepared.move_to_end(statement_id)
+    def _statement(self, call: _Call):
+        """The session's open prepared statement the request names."""
+        statement_id = call.parameters["statement_id"]
+        prepared = self._statements.get(statement_id, call.session)
+        if prepared is None:
+            raise _Refused(
+                f"unknown or closed prepared statement {statement_id!r}")
         return prepared
 
-    @staticmethod
-    def _unknown_statement(statement_id: str) -> Response:
-        return Response.failure(
-            f"unknown or closed prepared statement {statement_id!r}", "protocol")
+    def _execute_prepared(self, call: _Call) -> Dict[str, Any]:
+        handle = self.service.open(
+            self._statement(call), call.options, stream=False,
+            trace_id=call.trace_id, operation=call.operation)
+        self.statistics.add(prepared_executions=1)
+        return self._answer(handle,
+                            statement_id=call.parameters["statement_id"])
 
-    def _handle_execute_prepared(self, parameters: Dict[str, Any]) -> Response:
-        statement_id = parameters.get("statement_id")
-        if not statement_id:
-            return Response.failure(
-                "'execute_prepared' requires a 'statement_id' parameter", "protocol"
-            )
-        prepared = self._prepared_statement(statement_id)
-        if prepared is None:
-            return self._unknown_statement(statement_id)
-        answer = prepared.execute()
-        self.statistics.add(queries=1, prepared_executions=1)
-        return Response.success(statement_id=statement_id,
-                                **self._answer_payload(answer))
+    def _mediate(self, call: _Call) -> Dict[str, Any]:
+        result, trace_id = self._compile(
+            call, self.federation.mediate_only, call.parameters.get("context"))
+        return self._traced(dict(
+            original_sql=result.original_sql,
+            mediated_sql=result.sql,
+            branch_count=result.branch_count,
+            conflicts=conflict_summary(result),
+            explanation=result.explain(),
+        ), trace_id)
 
-    def _handle_close_prepared(self, parameters: Dict[str, Any]) -> Response:
-        statement_id = parameters.get("statement_id")
-        if not statement_id:
-            return Response.failure(
-                "'close_prepared' requires a 'statement_id' parameter", "protocol"
-            )
-        with self._prepared_lock:
-            prepared = self._prepared.pop(statement_id, None)
-        if prepared is not None:
-            prepared.close()
-        return Response.success(statement_id=statement_id, closed=prepared is not None)
+    def _explain(self, call: _Call) -> Dict[str, Any]:
+        plan, trace_id = self._compile(
+            call, self.federation.explain_plan, call.parameters.get("context"))
+        return self._traced({"plan": plan}, trace_id)
 
     # -- cursors -----------------------------------------------------------------------------
 
-    def _handle_open_cursor(self, parameters: Dict[str, Any],
-                            options: StatementOptions,
-                            trace_id: Optional[str]) -> Response:
-        statement_id = parameters.get("statement_id")
-        statement = parameters.get("sql")
-        if bool(statement_id) == bool(statement):
-            return Response.failure(
-                "'open_cursor' requires exactly one of 'sql' or 'statement_id'",
-                "protocol",
-            )
-        if statement_id:
-            statement = self._prepared_statement(statement_id)
-            if statement is None:
-                return self._unknown_statement(statement_id)
+    def _open_cursor(self, call: _Call) -> Dict[str, Any]:
+        statement = call.parameters.get("sql")
+        if bool(call.parameters.get("statement_id")) == bool(statement):
+            raise _Refused(
+                "'open_cursor' requires exactly one of 'sql' or 'statement_id'")
         # Permit first, then admission: an over-streamed server sheds the
-        # open instead of building a cursor it cannot host.
-        handle = self.service.open(statement, options, trace_id=trace_id,
-                                   operation="open_cursor")
+        # open instead of building a cursor it cannot host.  The root span
+        # outlives this request: it finishes when the cursor closes.
+        handle = self.service.open(
+            statement or self._statement(call), call.options,
+            trace_id=call.trace_id, operation=call.operation)
         cursor = handle.cursor
         try:
             payload = self._cursor_header(cursor)
         except ReproError:
-            cursor.close()
+            handle.close()
             raise
-        cursor_id = f"cur-{next(self._cursor_ids)}"
-        entry = _OpenCursor(
-            cursor=cursor,
-            catalog_generation=self.federation.pipeline.catalog_generation,
-            knowledge_generation=self.federation.pipeline.knowledge_generation,
-        )
-        evicted: List[_OpenCursor] = []
-        with self._cursor_lock:
-            self._cursors[cursor_id] = entry
-            while len(self._cursors) > self.MAX_OPEN_CURSORS:
-                _key, doomed = self._cursors.popitem(last=False)
-                evicted.append(doomed)
-        for doomed in evicted:
-            doomed.discard()
-        self.statistics.add(cursors_opened=1)
         payload.update(
-            cursor_id=cursor_id,
+            cursor_id=self._cursors.register(
+                _OpenCursor(handle, self._generations()), call.session),
             receiver_context=cursor.mediation.receiver_context,
         )
+        self.statistics.add(cursors_opened=1)
         if handle.trace_id:
             payload["trace_id"] = handle.trace_id
-        return Response.success(**payload)
+        return payload
 
-    def _handle_fetch_cursor(self, parameters: Dict[str, Any]) -> Response:
-        cursor_id = parameters.get("cursor_id")
-        if not cursor_id:
-            return Response.failure(
-                "'fetch_cursor' requires a 'cursor_id' parameter", "protocol"
-            )
-        count = parse_batch_size(parameters.get("count"), ProtocolError)
-        with self._cursor_lock:
-            entry = self._cursors.get(cursor_id)
-            if entry is not None:
-                self._cursors.move_to_end(cursor_id)
+    def _generations(self) -> Tuple[int, int]:
+        pipeline = self.federation.pipeline
+        return pipeline.catalog_generation, pipeline.knowledge_generation
+
+    def _fetch_cursor(self, call: _Call) -> Dict[str, Any]:
+        cursor_id = call.parameters["cursor_id"]
+        count = parse_batch_size(call.parameters.get("count"), ProtocolError)
+        entry = self._cursors.get(cursor_id, call.session)
         if entry is None:
-            return Response.failure(
-                f"unknown or closed cursor {cursor_id!r}", "cursor"
-            )
-        # Generation check, mirroring prepared statements: a catalog or
-        # knowledge change mid-stream would splice pre- and post-change rows
-        # into one answer, so the cursor dies instead.
-        if (entry.catalog_generation != self.federation.pipeline.catalog_generation
-                or entry.knowledge_generation != self.federation.pipeline.knowledge_generation):
-            self._discard_cursor(cursor_id)
-            return Response.failure(
-                f"cursor {cursor_id!r} invalidated by a catalog or knowledge "
-                "change; re-issue the query", "cursor"
-            )
+            raise _Refused(f"unknown or closed cursor {cursor_id!r}", "cursor")
         try:
+            # Generation check, mirroring prepared statements: a catalog or
+            # knowledge change mid-stream would splice pre- and post-change
+            # rows into one answer, so the cursor dies instead.
+            if entry.generations != self._generations():
+                raise _Refused(
+                    f"cursor {cursor_id!r} invalidated by a catalog or "
+                    "knowledge change; re-issue the query", "cursor")
             with entry.fetch_lock:
-                rows = entry.cursor.fetchmany(count)
-                done = entry.cursor.exhausted
+                rows = entry.handle.fetchmany(count)
+                done = entry.handle.closed
         except ReproError:
-            # A mid-stream failure poisons the cursor: release its resources
-            # and let the error surface to the client.
-            self._discard_cursor(cursor_id)
+            # Invalidation or a mid-stream failure poisons the cursor: release
+            # its resources and let the error surface to the client.
+            self._cursors.discard(cursor_id, call.session)
             raise
         self.statistics.add(cursor_fetches=1, rows_streamed=len(rows))
         payload: Dict[str, Any] = {
@@ -602,97 +609,85 @@ class MediationServer:
             "done": done,
         }
         if done:
-            self._discard_cursor(cursor_id)
-            execution = entry.cursor.report.snapshot()
+            # The handle closed on its last batch, which finished the trace:
+            # ship report and (when sampling kept it) tree with that batch.
+            self._cursors.discard(cursor_id, call.session)
+            execution = entry.handle.cursor.report.snapshot()
             payload["execution"] = execution
-            trace_id = execution.get("trace_id")
-            if trace_id:
-                # The cursor's close just finished the trace; ship it with
-                # the final batch when sampling kept it.
-                payload["trace_id"] = trace_id
-                trace = self.federation.observability.tracer.buffer.get(trace_id)
-                if trace is not None:
-                    payload["trace"] = trace
-        return Response.success(**payload)
+            self._traced(payload, execution.get("trace_id"))
+        return payload
 
-    def _handle_close_cursor(self, parameters: Dict[str, Any]) -> Response:
-        cursor_id = parameters.get("cursor_id")
-        if not cursor_id:
-            return Response.failure(
-                "'close_cursor' requires a 'cursor_id' parameter", "protocol"
-            )
-        closed = self._discard_cursor(cursor_id)
-        # Idempotent: closing an unknown/already-closed cursor succeeds.
-        return Response.success(cursor_id=cursor_id, closed=closed)
+    @staticmethod
+    def _discard(registry: HandleRegistry, call: _Call, key: str) -> Dict[str, Any]:
+        # Idempotent: closing an unknown/already-closed handle succeeds.
+        handle_id = call.parameters[key]
+        return {key: handle_id,
+                "closed": registry.discard(handle_id, call.session)}
 
-    def _discard_cursor(self, cursor_id: str) -> bool:
-        with self._cursor_lock:
-            entry = self._cursors.pop(cursor_id, None)
-        if entry is None:
-            return False
-        entry.discard()
-        return True
+    def _metrics(self, call: _Call) -> Dict[str, Any]:
+        registry = self.federation.observability.metrics
+        return {"metrics": registry.snapshot(), "exposition": registry.render()}
 
-    def _handle_mediate(self, parameters: Dict[str, Any]) -> Response:
-        sql = parameters.get("sql")
-        if not sql:
-            return Response.failure("'mediate' requires a 'sql' parameter", "protocol")
-        context = parameters.get("context")
-        result = self.federation.mediate_only(sql, context)
-        return Response.success(
-            original_sql=result.original_sql,
-            mediated_sql=result.sql,
-            branch_count=result.branch_count,
-            conflicts=conflict_summary(result),
-            explanation=result.explain(),
-        )
-
-    def _handle_explain(self, parameters: Dict[str, Any]) -> Response:
-        sql = parameters.get("sql")
-        if not sql:
-            return Response.failure("'explain' requires a 'sql' parameter", "protocol")
-        context = parameters.get("context")
-        return Response.success(plan=self.federation.explain_plan(sql, context))
+    #: The protocol, one row per operation: what :meth:`handle` checks, and
+    #: what the event loop counts against the gateway's admission capacity.
+    OPERATIONS: Dict[str, _Operation] = {
+        "list_sources": _Operation(lambda self, call: {
+            "sources": self.federation.list_sources()}),
+        "list_relations": _Operation(lambda self, call: {
+            "relations": self.federation.list_relations(
+                call.parameters.get("source"))}),
+        "describe": _Operation(lambda self, call: {
+            "relation": call.parameters["relation"],
+            "attributes": self.federation.describe_relation(
+                call.parameters["relation"])}, ("relation",)),
+        "contexts": _Operation(lambda self, call: {
+            "contexts": self.federation.receiver_contexts}),
+        "query": _Operation(_query, ("sql",), admitted=True, options=True),
+        "mediate": _Operation(_mediate, ("sql",), admitted=True),
+        "explain": _Operation(_explain, ("sql",), admitted=True),
+        "prepare": _Operation(_prepare, ("sql",), admitted=True, options=True),
+        "execute_prepared": _Operation(_execute_prepared, ("statement_id",),
+                                       admitted=True),
+        "close_prepared": _Operation(lambda self, call: self._discard(
+            self._statements, call, "statement_id"), ("statement_id",)),
+        "open_cursor": _Operation(_open_cursor, admitted=True, options=True),
+        "fetch_cursor": _Operation(_fetch_cursor, ("cursor_id",)),
+        "close_cursor": _Operation(lambda self, call: self._discard(
+            self._cursors, call, "cursor_id"), ("cursor_id",)),
+        "status": _Operation(lambda self, call: self.snapshot()),
+        "metrics": _Operation(_metrics),
+    }
+    ADMITTED_OPERATIONS = frozenset(
+        name for name, row in OPERATIONS.items() if row.admitted)
+    #: What ``STREAM_ENDPOINT`` accepts.
+    STREAM_OPERATIONS = {
+        "query": _Operation(_stream, ("sql",), admitted=True, options=True)}
 
     # -- status and shutdown --------------------------------------------------------------
-
-    def _handle_status(self, parameters: Dict[str, Any]) -> Response:
-        return Response.success(**self.snapshot())
-
-    def _handle_metrics(self, parameters: Dict[str, Any]) -> Response:
-        registry = self.federation.observability.metrics
-        return Response.success(
-            metrics=registry.snapshot(),
-            exposition=registry.render(),
-        )
 
     def snapshot(self) -> Dict[str, Any]:
         """Server statistics with the ``server_load`` admission block and
         per-source health folded in — what operators watch under overload."""
-        snapshot: Dict[str, Any] = self.statistics.snapshot()
-        snapshot["server_load"] = self.gateway.snapshot()
-        snapshot["source_health"] = self.federation.engine.source_health()
-        snapshot["observability"] = self.federation.observability.snapshot()
-        with self._prepared_lock:
-            snapshot["open_prepared_statements"] = len(self._prepared)
-        with self._cursor_lock:
-            snapshot["open_cursors"] = len(self._cursors)
-        return snapshot
+        return dict(
+            self.statistics.snapshot(),
+            server_load=self.gateway.snapshot(),
+            source_health=self.federation.engine.source_health(),
+            observability=self.federation.observability.snapshot(),
+            open_prepared_statements=len(self._statements),
+            open_cursors=len(self._cursors))
+
+    def release(self, *sessions: Any) -> None:
+        """Close every cursor and prepared statement ``sessions`` still own
+        (none named: anyone's): the cursors give back their stream permits
+        and temp-store handles as a client close would."""
+        self._cursors.release(*sessions)
+        self._statements.release(*sessions)
 
     def shutdown(self, timeout_seconds: Optional[float] = None) -> bool:
         """Gracefully drain: shed new arrivals, let admitted work finish,
         then release every registered handle.  Returns True once idle."""
         self.gateway.begin_drain()
-        with self._prepared_lock:
-            prepared = list(self._prepared.values())
-            self._prepared.clear()
-        for statement in prepared:
-            statement.close()
         # Registered cursors are discarded *before* awaiting the drain: they
         # hold streaming permits the gateway counts as in-flight work.
-        with self._cursor_lock:
-            cursors = list(self._cursors.values())
-            self._cursors.clear()
-        for entry in cursors:
-            entry.discard()
+        self.release()
         return self.gateway.await_drain(timeout_seconds)

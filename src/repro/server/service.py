@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union,
+)
 
 from repro.errors import ClientError
 from repro.federation import Federation, FederationCursor, PreparedQuery
@@ -36,6 +38,8 @@ from repro.options import StatementOptions
 from repro.server.gateway import AdmissionGateway, GatewayConfig
 
 __all__ = ["ExecutionSummary", "ResultHandle", "FederatedQueryService"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -119,17 +123,10 @@ class ResultHandle:
     def batches(self) -> Iterator[List[Tuple[Any, ...]]]:
         """Yield result batches until exhaustion; releases the permit after
         the last one."""
-        while True:
-            rows = self.fetchmany()
-            if not rows:
-                return
-            yield rows
+        return iter(self.fetchmany, [])
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
-        rows: List[Tuple[Any, ...]] = []
-        for batch in self.batches():
-            rows.extend(batch)
-        return rows
+        return [row for batch in self.batches() for row in batch]
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         for batch in self.batches():
@@ -186,10 +183,8 @@ class FederatedQueryService:
     def __init__(self, federation: Federation,
                  gateway: Union[AdmissionGateway, GatewayConfig, None] = None):
         self.federation = federation
-        if isinstance(gateway, AdmissionGateway):
-            self.gateway = gateway
-        else:
-            self.gateway = AdmissionGateway(gateway)
+        self.gateway = (gateway if isinstance(gateway, AdmissionGateway)
+                        else AdmissionGateway(gateway))
 
     # -- statements -------------------------------------------------------------------
 
@@ -253,29 +248,14 @@ class FederatedQueryService:
         """
         started = time.perf_counter()
         prepared = isinstance(statement, PreparedQuery)
-        root = self.federation.observability.statement_root(
-            statement.sql if prepared else statement, trace_id,
-            tenant=options.tenant, **attributes)
-        token = root.activate()
-        release = None
-        try:
-            if stream:
-                release = self.gateway.acquire_stream(options.tenant)
-            cursor = self.gateway.run(
-                lambda remaining: self.federation.open(
-                    statement,
-                    statement.options if prepared
-                    else options.with_timeout(remaining),
-                    stream),
-                tenant=options.tenant, timeout_seconds=options.timeout_seconds,
-            )
-        except BaseException as exc:
-            if release is not None:
-                release()
-            deactivate_span(token)
-            root.finish(error=exc)
-            raise
-        deactivate_span(token)
+        cursor, root, release = self.admit(
+            lambda remaining: self.federation.open(
+                statement,
+                statement.options if prepared
+                else options.with_timeout(remaining),
+                stream),
+            statement.sql if prepared else statement, options.tenant,
+            trace_id, options.timeout_seconds, stream, **attributes)
         if release is not None:
             cursor.stream.on_close(lambda report: release())
         if root.recording:
@@ -284,13 +264,43 @@ class FederatedQueryService:
             cursor.stream.on_close(lambda report: root.finish())
         return ResultHandle(cursor, root, started)
 
+    def admit(self, work: Callable[[Optional[float]], T],
+              sql: Optional[str] = None, tenant: Optional[str] = None,
+              trace_id: Optional[str] = None,
+              timeout_seconds: Optional[float] = None, stream: bool = False,
+              **attributes) -> Tuple[T, Any, Optional[Callable[[], None]]]:
+        """Root span, stream permit, admission, ``work(remaining budget)`` —
+        the only place the serving stack opens a root or enters the gateway.
+        Returns ``(result, root, release)``: the root still open (prepare,
+        mediate and explain finish it right away), ``release`` giving back
+        the stream permit (None without ``stream``); a failure releases both
+        before it propagates."""
+        root = self.federation.observability.statement_root(
+            sql, trace_id, tenant=tenant, **attributes)
+        token = root.activate()
+        release = None
+        try:
+            if stream:
+                release = self.gateway.acquire_stream(tenant)
+            result = self.gateway.run(work, tenant=tenant,
+                                      timeout_seconds=timeout_seconds)
+        except BaseException as exc:
+            if release is not None:
+                release()
+            deactivate_span(token)
+            root.finish(error=exc)
+            raise
+        deactivate_span(token)
+        return result, root, release
+
     def explain(self, sql: str, context: Optional[str] = None) -> str:
         """The server's plan rendering; when tracing is on, the explain runs
         under its own trace and the rendering ends with a ``-- trace`` line
         (trace id + one-line span summary) naming the buffered tree."""
-        root = self.federation.observability.statement_root(sql, service="explain")
-        with root:
-            plan = self.federation.explain_plan(sql, context)
+        plan, root, _release = self.admit(
+            lambda remaining: self.federation.explain_plan(sql, context), sql,
+            service="explain")
+        root.finish()
         if not root.recording:
             return plan
         return f"{plan}\n-- trace {root.trace_id}: {root.summary()}"
@@ -299,8 +309,7 @@ class FederatedQueryService:
 
     def drain(self, timeout_seconds: Optional[float] = None) -> bool:
         """Stop admitting, wait for in-flight statements and open handles."""
-        self.gateway.begin_drain()
-        return self.gateway.await_drain(timeout_seconds)
+        return self.gateway.drain(timeout_seconds)
 
     def resume(self) -> None:
         self.gateway.resume()

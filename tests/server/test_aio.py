@@ -1,5 +1,6 @@
 """Tests for the event-loop transport: sessions, pooling, shedding, drain."""
 
+import json
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.server.aio import (
 )
 from repro.server.gateway import AdmissionGateway, GatewayConfig
 from repro.server.odbc import ConnectionPool
+from repro.server.protocol import Request
 from repro.server.server import MediationServer
 
 PAPER_QUERY = (
@@ -151,9 +153,11 @@ class TestSessionLifecycle:
         try:
             connection = odbc.connect(async_server=aio, transport="native",
                                       context="c_receiver")
+            connection.prepare(PAPER_QUERY)
             cursor = connection.cursor()
             cursor.execute("SELECT r1.cname FROM r1", stream=True, batch_size=1)
             assert aio.server.gateway.snapshot()["active_streams"] == 1
+            assert aio.server.snapshot()["open_prepared_statements"] == 1
 
             deadline = time.time() + 5.0
             while time.time() < deadline:
@@ -169,6 +173,8 @@ class TestSessionLifecycle:
                 time.sleep(0.02)
             assert aio.server.gateway.snapshot()["active_streams"] == 0
             assert aio.server.snapshot()["open_cursors"] == 0
+            assert aio.server.snapshot()["open_prepared_statements"] == 0
+            connection.close()
         finally:
             aio.shutdown(5.0)
 
@@ -202,6 +208,8 @@ class TestSessionLifecycle:
         with pytest.raises(ClientError) as excinfo:
             thief._call("fetch_cursor", cursor_id=cursor_id, count=1)
         assert excinfo.value.error_kind == "cursor"
+        # Closing is idempotent for everyone, and closes only one's own.
+        assert thief._call("close_cursor", cursor_id=cursor_id)["closed"] is False
         # The owner's cursor is untouched.
         assert cursor.fetchall() == [("IBM",), ("NTT",)]
         thief.close()
@@ -214,11 +222,97 @@ class TestSessionLifecycle:
 
         thief = odbc.connect(async_server=aio, transport="native",
                              context="c_receiver")
-        with pytest.raises(ClientError):
-            thief._call("execute_prepared", statement_id=statement.statement_id)
+        for operation in ("execute_prepared", "open_cursor"):
+            with pytest.raises(ClientError) as excinfo:
+                thief._call(operation, statement_id=statement.statement_id)
+            assert excinfo.value.error_kind == "protocol"
+        assert thief._call(
+            "close_prepared",
+            statement_id=statement.statement_id)["closed"] is False
         assert statement.execute().fetchall() == PAPER_ANSWER
+        # Sessionless doors (in-process callers) do not see session handles
+        # either, nor sessions theirs.
+        direct = aio.server.handle(Request(
+            "execute_prepared", {"statement_id": statement.statement_id}))
+        assert (direct.ok, direct.error_kind) == (False, "protocol")
+        unowned = aio.server.handle(Request(
+            "prepare", {"sql": PAPER_QUERY})).payload["statement_id"]
+        with pytest.raises(ClientError) as excinfo:
+            thief._call("execute_prepared", statement_id=unowned)
+        assert excinfo.value.error_kind == "protocol"
         thief.close()
         owner.close()
+
+    def test_eof_releases_the_sessions_handles(self, aio):
+        """A client that just vanishes (no close frame, no close requests)
+        leaves nothing behind: EOF releases its cursor's stream permit and
+        its prepared statement."""
+        sock = aio.connect_socket()
+        sock.settimeout(10.0)
+        parser = FrameParser()
+
+        def exchange(document):
+            sock.sendall(encode_frame(json.dumps(document).encode("utf-8")))
+            while True:
+                frame = parser.next_frame()
+                if frame is not None:
+                    return json.loads(frame)
+                parser.feed(sock.recv(65536))
+
+        sock.sendall(MAGIC)
+        assert exchange({"hello": {"tenant": None}})["ok"]
+        for number, (operation, parameters) in enumerate([
+                ("prepare", {"sql": PAPER_QUERY}),
+                ("open_cursor", {"sql": "SELECT r1.cname FROM r1"})]):
+            reply = exchange({"id": number, "request": {
+                "operation": operation, "parameters": parameters}})
+            assert reply["id"] == number and reply["response"]["ok"]
+        snapshot = aio.server.snapshot()
+        assert (snapshot["open_cursors"],
+                snapshot["open_prepared_statements"]) == (1, 1)
+        assert aio.gateway.snapshot()["active_streams"] == 1
+
+        sock.close()
+        deadline = time.time() + 5.0
+        while time.time() < deadline and aio.sessions.snapshot()["open"]:
+            time.sleep(0.02)
+        snapshot = aio.server.snapshot()
+        assert (snapshot["open_cursors"],
+                snapshot["open_prepared_statements"]) == (0, 0)
+        assert aio.gateway.snapshot()["active_streams"] == 0
+
+    def test_concurrent_sessions_leave_nothing_open(self, aio):
+        """8 sessions preparing, opening, fetching and closing at once."""
+        errors = []
+
+        def client():
+            try:
+                connection = odbc.connect(async_server=aio, transport="native",
+                                          context="c_receiver")
+                for _ in range(3):
+                    with connection.prepare(PAPER_QUERY) as statement:
+                        assert statement.execute().fetchall() == PAPER_ANSWER
+                        streamed = statement.execute(stream=True, batch_size=1)
+                        assert streamed.fetchall() == PAPER_ANSWER
+                    cursor = connection.cursor()
+                    cursor.execute("SELECT r1.cname FROM r1 ORDER BY r1.cname",
+                                   stream=True, batch_size=1)
+                    assert cursor.fetchone() == ("IBM",)
+                    cursor.close()  # abandoned part-way
+                connection.close()
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        snapshot = aio.server.snapshot()
+        assert snapshot["open_cursors"] == 0
+        assert snapshot["open_prepared_statements"] == 0
+        assert aio.gateway.snapshot()["active_streams"] == 0
 
     def test_session_pins_tenant(self, aio):
         connection = odbc.connect(async_server=aio, transport="native",
@@ -269,6 +363,7 @@ class TestSheddingAndDrain:
                                   context="c_receiver")
         connection.cursor().execute(PAPER_QUERY)
         assert aio.shutdown(5.0) is True
+        connection.close()
         with pytest.raises(ClientError):
             odbc.connect(async_server=aio, transport="native").sources()
         gateway_load = aio.server.gateway.snapshot()

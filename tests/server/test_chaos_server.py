@@ -86,8 +86,7 @@ class TestProtocolCursorCleanup:
             parameters={"cursor_id": opened.payload["cursor_id"]},
         ))
         assert "unknown or closed cursor" in again.error
-        with server._cursor_lock:
-            assert len(server._cursors) == 0
+        assert server.snapshot()["open_cursors"] == 0
         # ...and its staged temporaries were released with it.
         assert federation.engine.controller.temp_store.handles == []
 
@@ -160,8 +159,7 @@ class TestOdbcCleanup:
             cursor.fetchall()
         cursor.close()
         cursor.close()  # idempotent even after the stream died
-        with server._cursor_lock:
-            assert len(server._cursors) == 0
+        assert server.snapshot()["open_cursors"] == 0
         assert federation.engine.controller.temp_store.handles == []
 
     def test_partial_mode_answers_through_the_driver(self):

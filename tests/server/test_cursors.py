@@ -97,10 +97,13 @@ class TestCursorProtocol:
     def test_registry_is_bounded_and_evicts_oldest(self, server, monkeypatch):
         monkeypatch.setattr(MediationServer, "MAX_OPEN_CURSORS", 3)
         handles = [_open(server)["cursor_id"] for _ in range(4)]
-        # The oldest handle was evicted (and its stream closed).
+        # The oldest handle was evicted, and its stream closed: the evicted
+        # cursor gave its permit back.
         evicted = server.handle(Request(operation="fetch_cursor",
                                         parameters={"cursor_id": handles[0]}))
-        assert not evicted.ok
+        assert (evicted.ok, evicted.error_kind) == (False, "cursor")
+        assert server.snapshot()["open_cursors"] == 3
+        assert server.gateway.snapshot()["active_streams"] == 3
         survivor = server.handle(Request(operation="fetch_cursor",
                                          parameters={"cursor_id": handles[-1],
                                                      "count": 1}))
@@ -216,8 +219,7 @@ class TestOdbcStreaming:
         cursor = connection.cursor().execute(PAPER_QUERY, stream=True)
         cursor.close()
         cursor.close()  # idempotent client-side
-        with server._cursor_lock:
-            assert len(server._cursors) == 0
+        assert server.snapshot()["open_cursors"] == 0
 
     def test_client_buffer_is_trimmed_as_rows_are_consumed(self, server):
         connection = odbc.connect(server=server)

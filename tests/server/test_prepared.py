@@ -78,7 +78,8 @@ class TestPreparedProtocol:
             for _ in range(3)
         ]
         oldest = server.handle(Request("execute_prepared", {"statement_id": ids[0]}))
-        assert not oldest.ok  # evicted
+        assert (oldest.ok, oldest.error_kind) == (False, "protocol")  # evicted
+        assert server.snapshot()["open_prepared_statements"] == 2
         newest = server.handle(Request("execute_prepared", {"statement_id": ids[2]}))
         assert newest.ok
 
