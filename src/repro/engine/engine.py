@@ -79,6 +79,8 @@ ENGINE_COUNTERS = (
      "Bytes spilled to temporary storage."),
     ("peak_memory_bytes", "peak", "memory_peak_bytes",
      "Largest per-statement operator-memory peak observed."),
+    ("join_builds_shared", "sum", "engine_join_builds_shared_total",
+     "Hash-join builds answered from the build kept with the cached plan."),
 )
 
 
@@ -255,6 +257,7 @@ class MultiDatabaseEngine:
                 spill_count=report.spill_count,
                 spilled_bytes=report.spilled_bytes,
                 peak_memory_bytes=report.peak_memory_bytes,
+                join_builds_shared=report.join_builds_shared,
             )
         retries, failed, trips, rejections, degraded = report.resilience.totals()
         optimizer = report.optimizer

@@ -258,6 +258,9 @@ class ExecutionReport:
     spill_count: int = 0
     spilled_rows: int = 0
     spilled_bytes: int = 0
+    #: Hash joins that probed the build their plan template kept from an
+    #: earlier execution instead of building (aggregate counter only).
+    join_builds_shared: int = 0
     #: Consistent-query-answering outcome, populated only for statements run
     #: under ``consistency="certain"``/``"possible"``: mode, strategy
     #: (rewrite / fallback / clean), conflict clusters touched, repairs

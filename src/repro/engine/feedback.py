@@ -20,24 +20,30 @@ Two invariants keep feedback safe for the warm-path contracts:
 * **Correctness is generation-scoped.**  ``Catalog.bump_generation`` (source
   registration, constraint changes, cache invalidation) clears all recorded
   observations — estimates must never outlive the data they were measured
-  on.  The *epoch* is monotonic and survives the clear, so plan-cache keys
-  never collide across invalidations.
-* **Re-planning is bounded.**  The epoch — the component of every plan-cache
-  key that retires plans priced on stale estimates — only advances on a
-  *material* estimation error: the observation must differ from the planned
-  estimate by at least ``replan_min_rows`` rows *and* by a factor of
-  ``replan_ratio``.  Tiny demo relations never trip it, so cached plans for
-  small workloads stay warm (``warm_plans == 0`` in the benches), while a
-  federated join that was mispriced by thousands of rows re-plans on the
-  next statement.
+  on.  The *epoch* is monotonic and survives the clear, so the epoch a
+  cached plan was priced under never comes round again.
+* **Re-planning is bounded.**  The epoch only advances on a *material*
+  estimation error: the observation must differ from the planned estimate by
+  at least ``replan_min_rows`` rows *and* by a factor of ``replan_ratio``.
+  Tiny demo relations never trip it, so cached plans for small workloads stay
+  warm (``warm_plans == 0`` in the benches), while a federated join that was
+  mispriced by thousands of rows re-plans on the next statement.
+* **Retirement is per key.**  An advance notes which key — a request's
+  ``(relation, fingerprint)`` pair or a join prefix's fingerprint string —
+  was mis-estimated, and at which epoch.  A plan carries the keys its planner
+  looked up, found or not (:meth:`CardinalityFeedback.consulting`), and is
+  stale only when one of them was retired after it was priced
+  (:meth:`retired_since`): a novel statement's first observation re-prices
+  that statement, not every cached plan.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Collection, Dict, Hashable, Iterator, Optional, Set
 
 from repro.obs.metrics import CounterSet
 
@@ -99,6 +105,12 @@ class CardinalityFeedback:
         self._joins: "OrderedDict[str, _Observation]" = OrderedDict()
         self._sources: Dict[str, SourceProfile] = {}
         self.epoch = 0
+        #: key -> the epoch its material error advanced to, oldest first and
+        #: bounded by ``capacity``; plans priced before ``_retired_floor``
+        #: predate a retirement no longer listed and count as retired.
+        self._retired: Dict[Hashable, int] = {}
+        self._retired_floor = 0
+        self._consulting = threading.local()
         #: Incremented under ``_lock``, so :meth:`snapshot` is point-in-time.
         self.counters = CounterSet(FEEDBACK_COUNTERS)
 
@@ -120,7 +132,7 @@ class CardinalityFeedback:
             while len(self._requests) > self.capacity:
                 self._requests.popitem(last=False)
             self.counters.add(observations=1)
-            self._maybe_bump(observed_rows, planned_rows)
+            self._maybe_bump(key, observed_rows, planned_rows)
 
     def record_join(self, fingerprint: str, observed_rows: int,
                     planned_rows: Optional[int] = None) -> None:
@@ -138,7 +150,7 @@ class CardinalityFeedback:
             while len(self._joins) > self.capacity:
                 self._joins.popitem(last=False)
             self.counters.add(observations=1)
-            self._maybe_bump(observed_rows, planned_rows)
+            self._maybe_bump(fingerprint, observed_rows, planned_rows)
 
     def record_source(self, wrapper_name: str, fetch_seconds: float, rows: int) -> None:
         """Fold one round trip into the wrapper's latency profile."""
@@ -151,8 +163,8 @@ class CardinalityFeedback:
                 profile = self._sources[name] = SourceProfile()
             profile.observe(fetch_seconds, rows)
 
-    def _maybe_bump(self, observed: int, planned: Optional[int]) -> None:
-        """Advance the epoch only on a material estimation error.
+    def _maybe_bump(self, key: Hashable, observed: int, planned: Optional[int]) -> None:
+        """Advance the epoch, retiring ``key``, only on a material estimation error.
 
         Caller must hold the lock.  Both an absolute floor and a ratio must
         be exceeded: the floor keeps tiny (demo/bench) workloads from ever
@@ -167,20 +179,48 @@ class CardinalityFeedback:
         if high / low < self.replan_ratio:
             return
         self.epoch += 1
+        self._retired.pop(key, None)
+        self._retired[key] = self.epoch
+        if len(self._retired) > self.capacity:
+            self._retired_floor = self._retired.pop(next(iter(self._retired)))
         self.counters.add(epoch_bumps=1)
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
     def request_rows(self, relation: str, fingerprint: str = "") -> Optional[int]:
+        key = (relation.lower(), fingerprint)
+        consulted = getattr(self._consulting, "keys", None)
+        if consulted is not None:
+            consulted.add(key)
         with self._lock:
-            entry = self._requests.get((relation.lower(), fingerprint))
+            entry = self._requests.get(key)
             return entry.rows if entry is not None else None
 
     def join_rows(self, fingerprint: str) -> Optional[int]:
+        consulted = getattr(self._consulting, "keys", None)
+        if consulted is not None:
+            consulted.add(fingerprint)
         with self._lock:
             entry = self._joins.get(fingerprint)
             return entry.rows if entry is not None else None
+
+    @contextmanager
+    def consulting(self) -> Iterator[Set[Hashable]]:
+        """Collect the keys this thread looks up — found or not — while the
+        block plans one statement."""
+        keys = self._consulting.keys = set()
+        try:
+            yield keys
+        finally:
+            self._consulting.keys = None
+
+    def retired_since(self, keys: Collection[Hashable], epoch: int) -> bool:
+        """Whether a material error retired any of ``keys`` after ``epoch``."""
+        with self._lock:
+            retired = self._retired
+            return epoch < self._retired_floor or any(
+                retired.get(key, 0) > epoch for key in keys)
 
     def source_profile(self, wrapper_name: str) -> Optional[SourceProfile]:
         with self._lock:
@@ -195,8 +235,9 @@ class CardinalityFeedback:
     def clear(self) -> None:
         """Drop all observations (catalog generation bumped).
 
-        The epoch is *not* reset: it participates in plan-cache keys and
-        must stay monotonic for the lifetime of the catalog.
+        Neither the epoch nor the retirements are reset: plans are checked
+        against them and the epoch must stay monotonic for the lifetime of
+        the catalog.
         """
         with self._lock:
             self._requests.clear()
@@ -220,6 +261,6 @@ class CardinalityFeedback:
         registry.attach(self.counters)
         registry.gauge(
             "feedback_epoch",
-            "Current cardinality-feedback epoch (plan-cache key component).",
+            "Current cardinality-feedback epoch (material estimation errors so far).",
             function=lambda: self.epoch,
         )

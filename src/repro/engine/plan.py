@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostEstimate
 from repro.engine.request_cache import RequestKey, request_key
@@ -249,9 +249,11 @@ class QueryPlan:
     #: request of an earlier branch (common subplans of the mediated UNION)
     #: and share one :class:`SourceRequest` object with it.
     shared_requests: int = 0
-    #: The feedback epoch the plan was priced under (plan-cache keys include
-    #: it, so a materially-wrong estimate retires the cached plan).
+    #: The feedback epoch the plan was priced under, and the feedback keys
+    #: its planner looked up, found or not: a material error on one of them
+    #: after that epoch retires the cached plan (``QueryPipeline.is_current``).
     feedback_epoch: int = 0
+    feedback_keys: FrozenSet[Hashable] = frozenset()
 
     @cached_property
     def template(self) -> "PlanTemplate":
@@ -358,9 +360,10 @@ class BranchTemplate:
 class PlanTemplate:
     """What executions of one :class:`QueryPlan` share.
 
-    Hanging off the plan object, it retires exactly when the plan does: the
-    plan cache keys on catalog and knowledge generation and feedback epoch,
-    so a bump of any yields a new plan and, with it, a new template.
+    Hanging off the plan object, it retires exactly when the plan does: a
+    bump of the catalog or knowledge generation, or a material error on a
+    feedback key the plan consulted, yields a new plan and, with it, a new
+    template.
     """
 
     def __init__(self, plan: QueryPlan):

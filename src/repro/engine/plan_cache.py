@@ -48,12 +48,6 @@ class PlanCacheKey:
     mediate: bool
     catalog_generation: int
     knowledge_generation: int
-    #: Cardinality-feedback epoch the artifact was priced under.  Advances
-    #: only on *material* estimation errors (see
-    #: :mod:`repro.engine.feedback`), so refined estimates reach cached and
-    #: prepared statements without churning warm plans for small workloads.
-    #: Mediation products don't price anything and keep the default.
-    feedback_epoch: int = 0
 
 
 #: Traffic counters of one bounded cache — this one and the source-result
@@ -108,8 +102,7 @@ class PlanCache:
     # -- invalidation --------------------------------------------------------------
 
     def prune(self, catalog_generation: Optional[int] = None,
-              knowledge_generation: Optional[int] = None,
-              feedback_epoch: Optional[int] = None) -> int:
+              knowledge_generation: Optional[int] = None) -> int:
         """Drop entries whose generations no longer match the live counters.
 
         Stale entries are already unreachable (the generations are part of
@@ -124,8 +117,6 @@ class PlanCache:
                      and key.catalog_generation != catalog_generation)
                     or (knowledge_generation is not None
                         and key.knowledge_generation != knowledge_generation)
-                    or (feedback_epoch is not None
-                        and key.feedback_epoch != feedback_epoch)
                 )
             ]
             for key in doomed:

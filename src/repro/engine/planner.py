@@ -136,9 +136,14 @@ class QueryPlanner:
             raise PlanningError("cannot plan a statement with no SELECT branches")
         request_pool: Dict[tuple, SourceRequest] = {}
         shared = [0]
-        branches = [
-            self._plan_branch(select, request_pool, shared) for select in selects
-        ]
+        # The epoch is read before the first lookup, so an estimate retired
+        # while this plan is being priced retires the plan too.
+        feedback = self.catalog.feedback
+        epoch = feedback.epoch
+        with feedback.consulting() as consulted:
+            branches = [
+                self._plan_branch(select, request_pool, shared) for select in selects
+            ]
         if statement is None:
             if len(selects) == 1:
                 statement = selects[0]
@@ -147,10 +152,9 @@ class QueryPlanner:
         total = CostEstimate()
         for branch in branches:
             total = total.add(branch.cost)
-        feedback = getattr(self.catalog, "feedback", None)
         return QueryPlan(statement=statement, branches=branches, union_all=union_all,
                          cost=total, shared_requests=shared[0],
-                         feedback_epoch=feedback.epoch if feedback is not None else 0)
+                         feedback_epoch=epoch, feedback_keys=frozenset(consulted))
 
     # -- branch planning ------------------------------------------------------------
 

@@ -94,8 +94,12 @@ class SourceResultCache:
             self.statistics.add(hits=1)
             # Hand out a copy: a consumer mutating the returned relation must
             # not corrupt the stored entry (the frozen-copy contract holds on
-            # the way out as well as on the way in).
-            return self._copy(relation)
+            # the way out as well as on the way in).  The copy names the
+            # entry it was taken from, which lives exactly as long as the
+            # cache answers ``key`` with these rows.
+            duplicate = self._copy(relation)
+            duplicate.origin = relation
+            return duplicate
 
     def put(self, key: RequestKey, relation: Relation) -> None:
         frozen = self._copy(relation)

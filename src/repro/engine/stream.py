@@ -679,6 +679,9 @@ class ResultStream:
         )
         self._staged_handles.append(handle)
         staged = temp_store.read(handle)
+        # A request-cache hit staged by this template is the same rows every
+        # time: a hash join above it may keep its build (``HashJoin``).
+        staged.origin = outcome.relation.origin
         entry = RequestExecution(
             binding=request.binding,
             wrapper_name=request.wrapper_name,
@@ -962,6 +965,9 @@ class ResultStream:
             report.spill_count = memory["spill_count"]
             report.spilled_rows = memory["spilled_rows"]
             report.spilled_bytes = memory["spilled_bytes"]
+            report.join_builds_shared = sum(
+                stats.source.build_shared for stats in report.operator_stats
+                if stats.operator == "HashJoin")
 
         self._span.annotate(
             rows_streamed=report.rows_streamed,

@@ -66,6 +66,9 @@ class MediatedPlan:
     key: PlanCacheKey
     mediation: MediationResult
     plan: QueryPlan
+    #: The newest feedback epoch the plan is known to have survived: priced
+    #: under it, or found untouched by every retirement up to it.
+    feedback_epoch: int = 0
 
     @property
     def fingerprint(self) -> str:
@@ -102,8 +105,8 @@ class MediatedPlan:
 
 
 #: One pipeline's lifetime counters: (field, kind, exported series, help).
-#: ``feedback_replans`` counts re-plans of a statement shape caused purely by
-#: a feedback-epoch advance (generations unchanged); ``plan_changes`` re-plans
+#: ``feedback_replans`` counts re-plans of a cached statement caused purely by
+#: a material error on a feedback key it consulted; ``plan_changes`` re-plans
 #: (any cause) whose join order / bind decisions actually differ.
 PIPELINE_COUNTERS = (
     ("prepares", "sum", "pipeline_prepares_total",
@@ -158,16 +161,26 @@ class QueryPipeline:
     def knowledge_generation(self) -> int:
         return self.mediator.system.generation
 
-    @property
-    def feedback_epoch(self) -> int:
-        feedback = getattr(self.engine.catalog, "feedback", None)
-        return feedback.epoch if feedback is not None else 0
-
     def is_current(self, plan: MediatedPlan) -> bool:
-        """True while the plan's generations match the live counters."""
+        """True while the plan's generations match the live counters and no
+        feedback key it consulted was retired since it was priced."""
         return (plan.key.catalog_generation == self.catalog_generation
                 and plan.key.knowledge_generation == self.knowledge_generation
-                and plan.key.feedback_epoch == self.feedback_epoch)
+                and not self._retired_by_feedback(plan))
+
+    def _retired_by_feedback(self, plan: MediatedPlan) -> bool:
+        """Whether a material estimation error hit a key ``plan`` was priced
+        from.  The steady state — no error since the last look — is one
+        integer comparison; otherwise the plan's keys are checked once and it
+        is marked as having survived up to the epoch read beforehand."""
+        feedback = self.engine.catalog.feedback
+        epoch = feedback.epoch
+        if plan.feedback_epoch == epoch:
+            return False
+        if feedback.retired_since(plan.plan.feedback_keys, plan.feedback_epoch):
+            return True
+        plan.feedback_epoch = epoch
+        return False
 
     # -- the staged pipeline -----------------------------------------------------
 
@@ -191,17 +204,16 @@ class QueryPipeline:
             mediate=mediate,
             catalog_generation=self.catalog_generation,
             knowledge_generation=self.knowledge_generation,
-            feedback_epoch=self.feedback_epoch,
         )
-        if self.plan_cache is not None:
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                self.statistics.add(prepares=1, plan_hits=1)
-                if recording:
-                    statement_span.annotate(pipeline="cached",
-                                            plan_cache="hit")
-                return cached
-        self.statistics.add(prepares=1, plan_misses=1)
+        cached = self.plan_cache.get(key) if self.plan_cache is not None else None
+        if cached is not None and not self._retired_by_feedback(cached):
+            self.statistics.add(prepares=1, plan_hits=1)
+            if recording:
+                statement_span.annotate(pipeline="cached", plan_cache="hit")
+            return cached
+        # A cached plan that is not served was retired by feedback alone.
+        self.statistics.add(prepares=1, plan_misses=1,
+                            feedback_replans=int(cached is not None))
         if recording:
             parse_span = statement_span.child("parse")
             parse_span.started_at = parse_started
@@ -215,46 +227,34 @@ class QueryPipeline:
             raise
         mediate_span.annotate(branches=len(mediation.branches))
         mediate_span.finish()
-        plan_span = statement_span.child("plan", cache="miss",
-                                         feedback_epoch=key.feedback_epoch)
+        plan_span = statement_span.child("plan", cache="miss")
         try:
             plan = self._plan_stage(mediation)
         except BaseException as exc:
             plan_span.finish(error=exc)
             raise
-        plan_span.annotate(branches=len(plan.branches),
-                           signature=str(plan.signature()))
+        plan_span.annotate(branches=len(plan.branches), signature=str(plan.signature()),
+                           feedback_epoch=plan.feedback_epoch)
         plan_span.finish()
-        product = MediatedPlan(key=key, mediation=mediation, plan=plan)
+        product = MediatedPlan(key=key, mediation=mediation, plan=plan,
+                               feedback_epoch=plan.feedback_epoch)
         self._note_plan_shape(key, plan)
         if self.plan_cache is not None:
             self.plan_cache.put(key, product)
         return product
 
     def _note_plan_shape(self, key: PlanCacheKey, plan: QueryPlan) -> None:
-        """Track plan shape per statement shape; count adaptive re-plans."""
+        """Track plan shape per statement shape; count re-plans that changed it."""
         base = (key.fingerprint, key.receiver_context, key.mediate)
         signature = plan.signature()
-        current = (key.feedback_epoch, key.catalog_generation,
-                   key.knowledge_generation, signature)
         with self._shape_lock:
             previous = self._plan_shapes.get(base)
-            self._plan_shapes[base] = current
+            self._plan_shapes[base] = signature
             self._plan_shapes.move_to_end(base)
             while len(self._plan_shapes) > 256:
                 self._plan_shapes.popitem(last=False)
-        if previous is None:
-            return
-        prev_epoch, prev_catalog, prev_knowledge, prev_signature = previous
-        deltas = {}
-        if (prev_epoch != key.feedback_epoch
-                and prev_catalog == key.catalog_generation
-                and prev_knowledge == key.knowledge_generation):
-            deltas["feedback_replans"] = 1
-        if prev_signature != signature:
-            deltas["plan_changes"] = 1
-        if deltas:
-            self.statistics.add(**deltas)
+        if previous is not None and previous != signature:
+            self.statistics.add(plan_changes=1)
 
     def refresh(self, plan: MediatedPlan) -> MediatedPlan:
         """Revalidate a (possibly stale) plan against the live generations.
@@ -362,7 +362,6 @@ class QueryPipeline:
             dropped += self.plan_cache.prune(
                 catalog_generation=self.catalog_generation,
                 knowledge_generation=self.knowledge_generation,
-                feedback_epoch=self.feedback_epoch,
             )
         if self.mediation_cache is not None:
             dropped += self.mediation_cache.prune(

@@ -37,6 +37,7 @@ reservation and spill file in the tree deterministically.
 from __future__ import annotations
 
 import heapq
+import weakref
 from contextlib import closing
 from itertools import chain, islice, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -333,6 +334,30 @@ class NestedLoopJoin(PhysicalOperator):
         return f"({to_sql(self.condition)})"
 
 
+class _KeptBuild:
+    """The one slot a :class:`HashJoin` and its ``rebind`` copies share: the
+    last in-memory build over a build input that names its origin, as
+    ``(origin ref, buckets, rows, bytes)``.  Buckets are read-only once kept.
+    The slot empties when the origin dies — when the request cache drops or
+    replaces that entry — and dies itself with the cached plan."""
+
+    __slots__ = ("build", "__weakref__")
+
+    def __init__(self) -> None:
+        self.build: Optional[Tuple[Any, Dict[Any, List[Row]], int, int]] = None
+
+    def keep(self, origin: Relation, buckets: Dict[Any, List[Row]],
+             rows: int, nbytes: int) -> None:
+        slot = weakref.ref(self)  # weak: the callback must not pin the buckets
+
+        def forget(dead: "weakref.ref") -> None:
+            kept = slot()
+            if kept is not None and kept.build is not None and kept.build[0] is dead:
+                kept.build = None
+
+        self.build = (weakref.ref(origin, forget), buckets, rows, nbytes)
+
+
 class HashJoin(PhysicalOperator):
     """Equi-join on one or more key expressions per side, with an optional
     residual filter.
@@ -341,7 +366,13 @@ class HashJoin(PhysicalOperator):
     signature) or an aligned sequence of expressions forming a composite key;
     the planner emits composite keys when a join step carries several
     equi-join conjuncts, so none of them degrade into per-pair residual
-    evaluation."""
+    evaluation.
+
+    When the build input is a bare scan of a relation that names its
+    ``origin`` (a staged request-cache hit) and the build stayed in memory,
+    it is kept with the template; the next execution over the same origin
+    reserves its bytes in one piece and probes it.  Anything else — another
+    or no origin, a refused reservation, a spilled build — builds as ever."""
 
     operator_name = "HashJoin"
     _inputs = ("left", "right")
@@ -358,6 +389,9 @@ class HashJoin(PhysicalOperator):
         self.budget = budget
         #: Whether the last iteration fell back to partitioned spilling.
         self.spilled = False
+        #: Whether the last iteration probed the kept build.
+        self.build_shared = False
+        self._kept = _KeptBuild()
         self.left_keys: List[Node] = list(left_key) if not isinstance(left_key, Node) else [left_key]
         self.right_keys: List[Node] = list(right_key) if not isinstance(right_key, Node) else [right_key]
         if len(self.left_keys) != len(self.right_keys) or not self.left_keys:
@@ -382,14 +416,22 @@ class HashJoin(PhysicalOperator):
         budget = self.budget
         fanout = self.SPILL_PARTITIONS
         right_key = self._right_key
-        self.spilled = False
+        self.spilled = self.build_shared = False
         buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
         build_rows = 0
         build_spill: Optional[List[SpillFile]] = None
+        right = self.right
+        origin = right.relation.origin if right.__class__ is TableScan else None
+        kept = self._kept.build if origin is not None else None
         try:
-            with closing(self.right.batches()) as right_batches:
-                for batch in right_batches:
+            if (kept is not None and kept[0]() is origin
+                    and (budget is None or budget.try_reserve(kept[3]))):
+                buckets, build_rows, build_bytes = kept[1:]
+                self.build_shared = True
+            with closing(right.batches()) as right_batches:
+                # A shared build reads nothing: the scan is closed unstarted.
+                for batch in () if self.build_shared else right_batches:
                     keyed = [(key, row) for row in batch
                              if (key := right_key(row)) is not None]
                     if build_spill is None:
@@ -425,6 +467,8 @@ class HashJoin(PhysicalOperator):
             residual = self._residual_predicate
             left_key = self._left_key
             if build_spill is None:
+                if origin is not None and budget is not None and not self.build_shared:
+                    self._kept.keep(origin, buckets, build_rows, build_bytes)
                 # A NULL probe key is ``None``, which is never a bucket key.
                 matches = buckets.get
                 with closing(self.left.batches()) as left_batches:

@@ -26,6 +26,11 @@ Row = Tuple[Any, ...]
 class Relation:
     """A schema plus a list of rows."""
 
+    #: The stored, never-mutated relation these rows were copied or staged
+    #: from (a source-result cache entry), when there is one: what one plan
+    #: template stages from the same origin is row for row the same.
+    origin: Optional["Relation"] = None
+
     def __init__(self, schema: Schema, rows: Optional[Iterable[Sequence[Any]]] = None,
                  name: Optional[str] = None, validate: bool = True):
         self.schema = schema

@@ -43,6 +43,11 @@ class Attribute:
         return f"{self.qualified_name}:{self.type.value}"
 
 
+#: The class a value of each declared type has once validated.
+_EXACT_CLASS = {DataType.INTEGER: int, DataType.FLOAT: float,
+                DataType.STRING: str, DataType.BOOLEAN: bool}
+
+
 class Schema:
     """An ordered list of attributes with index/lookup helpers."""
 
@@ -58,6 +63,7 @@ class Schema:
         # entry per distinct alias/join partner, which clients control.
         self._token: Optional[tuple] = None
         self._derived: Dict[object, object] = {}
+        self._validators: Optional[Tuple[tuple, ...]] = None
 
     #: Bound on per-schema derivation memo entries (oldest evicted first).
     DERIVED_CACHE_SIZE = 128
@@ -221,11 +227,24 @@ class Schema:
         )
 
     def validate_row(self, row: Sequence) -> Tuple:
-        """Type-check and coerce a row against this schema."""
-        if len(row) != len(self.attributes):
+        """Type-check and coerce a row against this schema.
+
+        NULLs, ``ANY`` columns and values whose exact class is already the
+        declared type's pass through; everything else — subclasses (``bool``
+        for an integer), strings to parse — takes :meth:`DataType.validate`."""
+        validators = self._validators
+        if validators is None:
+            validators = self._validators = tuple(
+                (_EXACT_CLASS.get(attribute.type),
+                 None if attribute.type is DataType.ANY else attribute.type.validate)
+                for attribute in self.attributes
+            )
+        if len(row) != len(validators):
             raise SchemaError(
                 f"row arity {len(row)} does not match schema arity {len(self.attributes)}"
             )
-        return tuple(
-            attribute.type.validate(value) for attribute, value in zip(self.attributes, row)
-        )
+        return tuple([
+            value if value is None or value.__class__ is exact or validate is None
+            else validate(value)
+            for value, (exact, validate) in zip(row, validators)
+        ])

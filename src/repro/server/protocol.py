@@ -246,6 +246,5 @@ def relation_from_payload(payload: Dict[str, Any], name: Optional[str] = None) -
         for column, type_name in zip(columns, types)
     )
     relation = Relation(schema, name=name)
-    for row in rows:
-        relation.append(row)
+    relation.rows = list(map(schema.validate_row, rows))
     return relation

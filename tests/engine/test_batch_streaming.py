@@ -327,6 +327,46 @@ class TestWarmStatementBuildsNothing:
         assert counted.take() == self.NOTHING
         assert answer.relation.rows == expected
 
+    def test_the_second_warm_execution_builds_no_hash_table(self, monkeypatch):
+        # Cache-resident build inputs: the first warm execution keys, sizes
+        # and keeps each build; from then on a join reserves the kept bytes
+        # and probes — no build-side key kernel call, no row sized.
+        from repro.relational import operators
+
+        federation = build_paper_federation().federation
+        plan = federation.query(PAPER_QUERY).execution.plan  # miss: plain fetches
+        calls = {"right_key": 0, "estimate_row_bytes": 0}
+
+        def counting(label, function):
+            def counted(row):
+                calls[label] += 1
+                return function(row)
+            return counted
+
+        joins = []
+        for branch in plan.template.branches:
+            pending = [branch._operators[1]]
+            while pending:
+                operator = pending.pop()
+                pending.extend(operator.children)
+                if operator.operator_name == "HashJoin":
+                    joins.append(operator)
+                    operator._right_key = counting("right_key", operator._right_key)
+        monkeypatch.setattr(operators, "estimate_row_bytes",
+                            counting("estimate_row_bytes", operators.estimate_row_bytes))
+        assert len(joins) == 5
+
+        first = federation.query(PAPER_QUERY)
+        built = dict(calls)
+        assert built["right_key"] == built["estimate_row_bytes"] > 0
+        second = federation.query(PAPER_QUERY)
+        assert calls == built  # not one more call
+        reports = [answer.execution.report for answer in (first, second)]
+        assert [report.join_builds_shared for report in reports] == [0, 5]
+        assert reports[0].cache_hits == reports[0].distinct_requests
+        assert reports[1].peak_memory_bytes == reports[0].peak_memory_bytes > 0
+        assert second.relation.rows == first.relation.rows
+
     def test_every_query_shape_with_the_sources_re_running_their_sql(self, monkeypatch):
         engine = _engine()  # no request cache: every execution fetches
         counted = _CountingCalls(monkeypatch)

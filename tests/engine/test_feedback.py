@@ -238,7 +238,7 @@ class TestFeedbackEpochPlanRetirement:
         assert pipeline.statistics.plan_misses == misses_warm  # warm hit
 
         federation.engine.catalog.feedback.record_request(
-            "r1", "", 10_000, planned_rows=10
+            "r2", "", 10_000, planned_rows=10
         )
         assert federation.engine.catalog.feedback.epoch == 1
         federation.query(PAPER_QUERY)
@@ -250,9 +250,64 @@ class TestFeedbackEpochPlanRetirement:
         prepared = federation.pipeline.prepare(PAPER_QUERY)
         assert federation.pipeline.is_current(prepared)
         federation.engine.catalog.feedback.record_request(
-            "r1", "", 10_000, planned_rows=10
+            "r2", "", 10_000, planned_rows=10
         )
         assert not federation.pipeline.is_current(prepared)
+
+    def test_an_error_on_a_key_the_plan_never_consulted_retires_nothing(self):
+        federation = build_paper_federation().federation
+        pipeline, feedback = federation.pipeline, federation.engine.catalog.feedback
+        prepared = pipeline.prepare(PAPER_QUERY)
+        assert ("r2", "") in prepared.plan.feedback_keys  # a miss is a lookup
+        assert ("r1", "") not in prepared.plan.feedback_keys  # r1 is filtered
+        misses = pipeline.statistics.plan_misses
+        feedback.record_request("r1", "", 10_000, planned_rows=10)
+        feedback.record_join("no-such-join-prefix", 10_000, planned_rows=10)
+        assert feedback.epoch == 2
+        assert pipeline.is_current(prepared)
+        assert pipeline.prepare(PAPER_QUERY) is prepared
+        assert prepared.feedback_epoch == 2  # checked once, then one int compare
+        assert pipeline.statistics.plan_misses == misses
+        assert pipeline.statistics.feedback_replans == 0
+
+    def test_a_novel_statements_own_plan_is_re_priced_on_its_second_run(self):
+        engine = MultiDatabaseEngine()
+        for name, rows in (("t", 600), ("u", 600), ("w", 5)):
+            source = MemorySQLSource(f"db_{name}")
+            values = ", ".join(f"({index}, {index % 7})" for index in range(rows))
+            source.load_sql(f"CREATE TABLE {name} (a integer, b integer)",
+                            f"INSERT INTO {name} VALUES {values}")
+            engine.register_wrapper(RelationalWrapper(source))
+        feedback = engine.catalog.feedback
+        bystander = engine.plan("SELECT w.a FROM w, t WHERE w.a = t.a")
+        engine.execute(bystander)
+        quiet = feedback.epoch
+        novel = engine.plan("SELECT t.a FROM t, u WHERE t.a = u.a")
+        step = novel.branches[0].join_steps[0]
+        assert step.feedback_key in novel.feedback_keys  # looked up, not found
+        assert step.estimated_rows > 10 * 600
+        engine.execute(novel)  # the join's first observation: 600 rows
+        assert feedback.epoch == quiet + 1
+        assert feedback.retired_since(novel.feedback_keys, novel.feedback_epoch)
+        assert not feedback.retired_since(bystander.feedback_keys, quiet)
+        again = engine.plan("SELECT t.a FROM t, u WHERE t.a = u.a")
+        assert again.branches[0].join_steps[0].estimate_source == "feedback"
+        engine.execute(again)  # priced from the observation: nothing to retire
+        assert feedback.epoch == quiet + 1
+        assert not feedback.retired_since(again.feedback_keys, again.feedback_epoch)
+
+    def test_retirements_beyond_capacity_retire_every_older_plan(self):
+        from repro.engine.feedback import CardinalityFeedback
+
+        feedback = CardinalityFeedback(capacity=2)
+        for index in range(3):
+            feedback.record_request(f"t{index}", "", 10_000, planned_rows=10)
+        assert feedback.retired_since([("t2", "")], 2)
+        assert not feedback.retired_since([("t2", "")], 3)
+        # t0's retirement (epoch 1) fell off the list: plans priced before it
+        # cannot be told apart any more and count as retired.
+        assert feedback.retired_since([], 0)
+        assert not feedback.retired_since([("t0", "")], 1)
 
     def test_small_workloads_never_bump_the_epoch(self):
         federation = build_paper_federation().federation

@@ -5,14 +5,19 @@ request keys, the optimizer preamble, per branch the lowered stages and the
 operator tree.  Pinned here:
 
 * **lifetime** — the template hangs off the cached plan object, so whatever
-  retires the plan (catalog generation, knowledge generation, feedback
-  epoch) yields a fresh template, and a warm statement reuses the one it has;
+  retires the plan (catalog generation, knowledge generation, a material
+  error on a feedback key it consulted) yields a fresh template, and a warm
+  statement reuses the one it has;
 * **the schema guard** — a wrapper that starts shipping another schema gets
   its stage and the operator tree re-lowered, never a stale position read;
 * **the subquery rule** — a branch whose kernels fold a subquery keeps no
   template: each execution folds for itself;
 * **sharing** — concurrent executions of one cached plan, spilling under a
   64 KiB budget, agree with the serial answer and leave nothing behind;
+* **kept builds** — a hash join over a staged request-cache hit keeps its
+  in-memory build with the template and later executions probe it; whatever
+  makes the cache drop or replace the entry frees it, and bound requests,
+  uncached fetches and subquery-bearing branches keep nothing;
 * bind-join plans and partial answers over a dead source execute from a
   template exactly as they did the first time.
 """
@@ -63,6 +68,17 @@ def _kept(plan, branch=0):
     return None if kept is None else kept[1]
 
 
+def _joins(plan, branch=0):
+    """The hash joins of the branch's kept operator template, root first."""
+    found, pending = [], [_kept(plan, branch)]
+    while pending:
+        operator = pending.pop()
+        if operator.operator_name == "HashJoin":
+            found.append(operator)
+        pending.extend(operator.children)
+    return found
+
+
 class TestLifetime:
     def test_a_warm_statement_reuses_its_plans_template(self):
         federation = build_paper_federation().federation
@@ -84,7 +100,7 @@ class TestLifetime:
                 "companyFinancials", "scaleFactor", 1)
         else:
             federation.engine.catalog.feedback.record_request(
-                "r1", "", 10_000, planned_rows=10)
+                "r2", "", 10_000, planned_rows=10)
         after = federation.query(PAPER_QUERY)
         assert after.execution.plan is not before.execution.plan
         assert after.execution.plan.template is not before.execution.plan.template
@@ -191,17 +207,23 @@ class TestSubqueryRule:
 class TestSharing:
     THREADS = 8
 
-    def test_concurrent_executions_of_one_cached_plan(self):
+    # 64 KiB: the join's build (1500 rows, ~110 KB) spills in every execution
+    # and nothing is kept.  192 KiB: it fits, is kept and shared while the
+    # sort above it spills — each thread reserving the kept bytes on its own.
+    @pytest.mark.parametrize("budget", [64 * 1024, 192 * 1024])
+    def test_concurrent_executions_of_one_cached_plan(self, budget):
         engine = _two_source_engine(
-            rows=1500, memory_budget_bytes=64 * 1024,
+            rows=1500, memory_budget_bytes=budget,
             request_cache=SourceResultCache(capacity=8))
         plan = engine.plan("SELECT DISTINCT t.b, u.v FROM t, u WHERE t.a = u.a "
                            "ORDER BY 2 DESC, 1")
         serial = engine.execute(plan)
         expected = list(serial.relation.rows)
         assert serial.report.spill_count > 0 and len(expected) > 100
+        keeps = budget > 64 * 1024
+        assert _joins(plan)[0].spilled is False  # the template itself never runs
 
-        outcomes, barrier = [], threading.Barrier(self.THREADS)
+        outcomes, shared, barrier = [], [], threading.Barrier(self.THREADS)
 
         def worker():
             try:
@@ -211,7 +233,9 @@ class TestSharing:
                     rows = stream.fetchall()
                     stream.close()
                     outcomes.append((rows == expected, stream.budget.used_bytes,
-                                     stream.report.spill_count))
+                                     stream.report.spill_count,
+                                     stream.report.peak_memory_bytes))
+                    shared.append(stream.report.join_builds_shared)
             except Exception as exc:  # noqa: BLE001 - reported below
                 outcomes.append(repr(exc))
 
@@ -226,8 +250,15 @@ class TestSharing:
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
-        assert outcomes == [(True, 0, serial.report.spill_count)] * (3 * self.THREADS)
+        assert outcomes == [(True, 0, serial.report.spill_count,
+                             serial.report.peak_memory_bytes)] * (3 * self.THREADS)
         assert engine.controller.temp_store.handles == []
+        # Racing first executions may each build (one result stays); every
+        # later one probes.  Buckets are read-only, so nobody saw another's.
+        assert set(shared) <= {0, 1} and (keeps or not any(shared))
+        assert not keeps or sum(shared) >= 2 * self.THREADS
+        assert engine.execute(plan).report.join_builds_shared == int(keeps)
+        assert (_joins(plan)[0]._kept.build is not None) == keeps
 
     def test_racing_first_executions_through_the_federation(self):
         federation = build_paper_federation().federation
@@ -250,6 +281,117 @@ class TestSharing:
         assert federation.engine.controller.temp_store.handles == []
         statistics = federation.engine.statistics.snapshot()
         assert statistics["streams_opened"] == self.THREADS
+
+
+class TestKeptBuilds:
+    """The slot lives on the template's ``HashJoin`` (``_kept``), names its
+    origin weakly, and is only ever filled from a staged request-cache hit."""
+
+    def _warm(self, **kwargs):
+        engine = _two_source_engine(
+            rows=300, request_cache=SourceResultCache(capacity=4), **kwargs)
+        plan = engine.plan(JOIN)
+        reports = [engine.execute(plan).report for _ in range(3)]
+        # Miss (plain fetches: no origin), first hit (builds, keeps), probe.
+        assert [report.join_builds_shared for report in reports] == [0, 0, 1]
+        assert len({report.peak_memory_bytes for report in reports}) == 1
+        (join,) = _joins(plan)
+        return engine, plan, join
+
+    def test_a_warm_statement_probes_the_kept_build(self):
+        engine, plan, join = self._warm()
+        origin, buckets, rows, nbytes = join._kept.build
+        assert rows == 300 and sum(map(len, buckets.values())) == 300
+        first = engine.execute(plan)
+        assert join._kept.build[1] is buckets  # probed, not rebuilt
+        assert first.report.peak_memory_bytes >= nbytes > 0
+        assert engine.statistics.snapshot()["join_builds_shared"] == 2
+        # The rows are the cache entry's own tuples: keeping the buckets
+        # retains containers, never a second copy of the data.
+        assert {id(row) for bucket in buckets.values() for row in bucket} == {
+            id(row) for row in origin().rows}
+
+    @pytest.mark.parametrize("drop", ["invalidate", "put", "evict"])
+    def test_what_drops_the_cache_entry_frees_the_slot_and_forces_a_rebuild(self, drop):
+        import gc
+
+        engine, plan, join = self._warm()
+        expected = list(engine.execute(plan).relation.rows)
+        origin = join._kept.build[0]
+        cache = engine.request_cache
+        key = plan.template.keys[0][plan.branches[0].join_steps[0].request_index]
+        assert origin() is cache._entries[key]
+        gc.disable()  # the slot must empty by reference count alone
+        try:
+            if drop == "invalidate":
+                engine.invalidate_source_cache()
+            elif drop == "put":
+                cache.put(key, origin())  # the same rows, another entry
+            else:
+                for index in range(cache.capacity):
+                    cache.put(key._replace(text=f"filler {index}"), origin())
+            assert origin() is None and join._kept.build is None
+        finally:
+            gc.enable()
+        reports = [engine.execute(plan) for _ in range(3)]
+        # A replaced entry is hit at once (build, probe, probe); a dropped one
+        # is fetched anew first, and a plain fetch names no origin.
+        assert [result.report.join_builds_shared for result in reports] == (
+            [0, 1, 1] if drop == "put" else [0, 0, 1])
+        assert all(list(result.relation.rows) == expected for result in reports)
+        del reports  # a report pins its bound operators, and so the origin
+        assert join._kept.build[0]() is cache._entries[key]
+
+    def test_a_cache_entry_that_changed_is_never_answered_from_old_buckets(self):
+        engine, plan, join = self._warm()
+        key = plan.template.keys[0][plan.branches[0].join_steps[0].request_index]
+        entry = engine.request_cache._entries[key]
+        halved = Relation(entry.schema, name=entry.name)
+        halved.rows = entry.rows[::2]
+        del entry
+        engine.request_cache.put(key, halved)
+        answers = [engine.execute(plan) for _ in range(2)]
+        assert [len(answer.relation.rows) for answer in answers] == [150, 150]
+        assert [answer.report.join_builds_shared for answer in answers] == [0, 1]
+
+    def test_uncached_and_undeduplicated_fetches_keep_nothing(self):
+        for kwargs in ({}, {"request_cache": SourceResultCache(capacity=4),
+                            "deduplicate_requests": False}):
+            engine = _two_source_engine(rows=60, **kwargs)
+            plan = engine.plan(JOIN)
+            reports = [engine.execute(plan).report for _ in range(3)]
+            assert [report.join_builds_shared for report in reports] == [0, 0, 0]
+            assert _joins(plan)[0]._kept.build is None
+
+    def test_bound_requests_keep_nothing(self):
+        engine = MultiDatabaseEngine(
+            planner_config=PlannerConfig(bind_join_batch_size=2),
+            request_cache=SourceResultCache(capacity=16))
+        hot = ", ".join(f"({key}, 'hot')" for key in (1, 2, 3))
+        engine.register_wrapper(RelationalWrapper(
+            _source("drv", "d", "k integer, tag varchar", f"{hot}, (21, 'cold')")))
+        orders = ", ".join(f"({key}, {key * 100 + i})"
+                           for key in range(1, 31) for i in range(10))
+        engine.register_wrapper(RelationalWrapper(
+            _source("ord", "o", "k integer, v integer", orders)))
+        query = "SELECT o.v FROM d, o WHERE d.k = o.k AND d.tag = 'hot'"
+        engine.execute(query)  # cold: feedback enables binding
+        plan = engine.plan(query)
+        assert plan.branches[0].requests[1].bind is not None
+        reports = [engine.execute(plan).report for _ in range(3)]
+        # Every batch is a cache hit by now, but what is staged is their
+        # concatenation under this execution's key set: it names no origin.
+        assert reports[-1].cache_hits == reports[-1].distinct_requests == 3
+        assert [report.join_builds_shared for report in reports] == [0, 0, 0]
+        assert _joins(plan)[0]._kept.build is None
+
+    def test_a_subquery_bearing_branch_keeps_nothing(self):
+        engine = _two_source_engine(request_cache=SourceResultCache(capacity=8))
+        plan = engine.plan("SELECT t.a, (SELECT 7) AS seven FROM t, u "
+                           "WHERE t.a = u.a AND t.a < 3")
+        reports = [engine.execute(plan).report for _ in range(3)]
+        assert _kept(plan) is None  # lowered per execution: no slot survives one
+        assert [report.join_builds_shared for report in reports] == [0, 0, 0]
 
 
 class TestStreamsOrMaterializesIsDecidedOnce:

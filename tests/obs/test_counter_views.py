@@ -183,6 +183,7 @@ SERIES = {
     "coin_memory_spills_total": ("engine", "spill_count"),
     "coin_memory_spilled_bytes_total": ("engine", "spilled_bytes"),
     "coin_memory_peak_bytes": ("engine", "peak_memory_bytes"),
+    "coin_engine_join_builds_shared_total": ("engine", "join_builds_shared"),
     "coin_pipeline_prepares_total": ("pipeline", "prepares"),
     "coin_pipeline_plan_hits_total": ("pipeline", "plan_hits"),
     "coin_pipeline_plan_misses_total": ("pipeline", "plan_misses"),

@@ -440,3 +440,125 @@ class TestTemplateHitEqualsMiss:
         template = build(spec, {"a": [], "b": [], "c": []})
         relations = TestExactSpillPoint.RELATIONS
         assert execute(template, relations, None)[0] == _reprs(build(spec, relations))
+
+
+# -- kept builds: probing the last build is rebuilding it -----------------------------
+
+def _bind_staged(operator, relations, budget, origins, stats, listed=True):
+    # Not a closure inside ``execute_staged``: a recursive closure is a cycle
+    # that would keep the bound operators (and so the origins) alive.
+    if isinstance(operator, TableScan):
+        name = operator.relation.name
+        staged = _relation(name, relations[name])
+        staged.origin = origins.get(name)
+        bound = operator.over(staged)
+    else:
+        bound = operator.rebind(
+            [_bind_staged(child, relations, budget, origins, stats, listed=not position)
+             for position, child in enumerate(operator.children)], budget)
+    if not listed:
+        return bound
+    stats.append(OperatorStats(0, bound.operator_name, bound))
+    return _InstrumentedOperator(bound, stats[-1])
+
+
+def execute_staged(template, relations, budget, origins):
+    """Bind ``template`` the way ``ResultStream._bind`` does — a join's first
+    input is the listed pipeline, its build input an unlisted bare scan — over
+    relations staged from ``origins`` (name -> the stored relation the rows
+    came from, absent for a plain fetch), and drain it."""
+    stats = []
+    rows = _reprs(_bind_staged(template, relations, budget, origins, stats))
+    assert budget.used_bytes == 0
+    joins = [entry.source for entry in stats if entry.operator == "HashJoin"]
+    return ((rows, [(entry.operator, entry.rows_out) for entry in stats],
+             [_spill_flags(entry.source) for entry in stats], budget.snapshot()),
+            [join.build_shared for join in joins],
+            [join.right.__class__ is TableScan and not join.spilled for join in joins])
+
+
+def _origins(relations):
+    return {name: _relation(name, rows) for name, rows in relations.items()}
+
+
+def assert_kept_build_equals_rebuild(spec, relations, limit_bytes):
+    for ramp in RAMPS:
+        with batch_ramp(ramp):
+            shared, origins = build(spec, relations), _origins(relations)
+            (first, probed_0, keepable), (second, probed_1, _), (third, probed_2, _) = [
+                execute_staged(shared, relations, MemoryBudget(limit_bytes), origins)
+                for _ in range(3)]
+            rebuilt, probed, _ = execute_staged(
+                build(spec, relations), relations, MemoryBudget(limit_bytes), origins)
+        # Rows, order, rows_out, spill flags and the whole budget snapshot
+        # (peak_bytes, spill_count, spilled_rows, spilled_bytes).
+        assert first == second == third == rebuilt, ramp
+        assert not any(probed_0) and not any(probed)
+        # Every in-memory build over a bare scan was kept — and only those.
+        assert probed_1 == probed_2 == keepable, ramp
+    return rebuilt, keepable
+
+
+class TestKeptBuildEqualsRebuild:
+    @settings(max_examples=100, deadline=None)
+    @given(cases(engine_shaped=True), st.one_of(st.none(), st.integers(100, 1200)))
+    def test_generated_trees(self, case, limit_bytes):
+        relations, spec = case
+        assert_kept_build_equals_rebuild(spec, relations, limit_bytes)
+
+    @pytest.mark.parametrize("limit_bytes", [None, 64 * 1024, 1024 * 1024])
+    @pytest.mark.parametrize("name", ["hash_join", "join_sort_distinct"])
+    def test_multi_batch_builds(self, name, limit_bytes):
+        (_rows, _produced, _spilled, accounting), keepable = assert_kept_build_equals_rebuild(
+            TestExactSpillPoint.SPECS[name], TestExactSpillPoint.RELATIONS, limit_bytes)
+        # 1100 build rows are ~80 KB: kept unless the budget is 64 KiB, where
+        # the build spills on every execution and nothing is ever kept.
+        assert keepable == [limit_bytes != 64 * 1024]
+        assert (accounting["spill_count"] >= 1) == (limit_bytes == 64 * 1024)
+
+    def test_a_budget_that_refuses_the_kept_bytes_spills_like_a_first_build(self):
+        spec, relations = TestExactSpillPoint.SPECS["hash_join"], TestExactSpillPoint.RELATIONS
+        shared, origins = build(spec, relations), _origins(relations)
+        kept, _, keepable = execute_staged(shared, relations, MemoryBudget(None), origins)
+        assert keepable == [True] and shared._kept.build[3] > 16 * 1024
+        for ramp in RAMPS:
+            with batch_ramp(ramp):
+                tight, probed, _ = execute_staged(
+                    shared, relations, MemoryBudget(16 * 1024), origins)
+                fresh, _, _ = execute_staged(
+                    build(spec, relations), relations, MemoryBudget(16 * 1024), origins)
+            # The refusal reserved nothing: same refused row, same Grace order.
+            assert tight == fresh and probed == [False], ramp
+            assert tight[3]["spill_count"] == 1 and tight[3]["spilled_bytes"] > 0
+            assert tight[3]["peak_bytes"] <= 16 * 1024
+        # The spilled execution left the kept build alone.
+        again, probed, _ = execute_staged(shared, relations, MemoryBudget(None), origins)
+        assert again == kept and probed == [True]
+
+    def test_another_origin_rebuilds_and_a_dead_origin_frees_the_slot(self):
+        spec = ("hash", ("scan", "a"), ("scan", "b"), [("a.k", "b.k")], None)
+        old = {"a": [(1, 1, "x"), (2, 2, "y")], "b": [(1, 10, "p"), (1, 11, "q")], "c": []}
+        new = {"a": old["a"], "b": [(2, 20, "r")], "c": []}
+        shared, origins = build(spec, old), _origins(old)
+        execute_staged(shared, old, MemoryBudget(None), origins)
+        origin = shared._kept.build[0]
+        assert origin() is origins["b"]
+
+        # No origin (a plain fetch), then another one (the entry was re-put):
+        # both build, and only a build that names its origin is kept.
+        plain = execute_staged(shared, new, MemoryBudget(None), {})
+        assert plain[1] == [False] and shared._kept.build[0] is origin
+        replaced = _origins(new)
+        first = execute_staged(shared, new, MemoryBudget(None), replaced)
+        second = execute_staged(shared, new, MemoryBudget(None), replaced)
+        assert (first[1], second[1]) == ([False], [True])
+        assert plain[0] == first[0] == second[0]
+        assert first[0][0] == [repr((2, 2, "y", 2, 20, "r"))]
+
+        # The slot holds its origin weakly and empties the moment it dies —
+        # by reference count, no collector involved.
+        assert shared._kept.build[0]() is replaced["b"]
+        del replaced["b"]
+        assert shared._kept.build is None
+        del origins["b"]  # the first origin's callback finds nothing of its own
+        assert origin() is None and shared._kept.build is None

@@ -101,3 +101,62 @@ class TestRowValidation:
     def test_validate_row_allows_nulls(self):
         row = sample_schema().validate_row((None, None, None))
         assert row == (None, None, None)
+
+    def test_the_resolved_validators_agree_with_datatype_validate(self):
+        """``validate_row``'s per-schema fast path (NULL, ``ANY``, exact class)
+        against the per-value rule it short-cuts: same value and class, or the
+        same error with the same message."""
+        from decimal import Decimal
+
+        from hypothesis import given, settings, strategies as st
+
+        from repro.errors import TypeMismatchError
+
+        class Whole(int):
+            pass
+
+        class Text(str):
+            pass
+
+        values = st.one_of(
+            st.none(), st.booleans(), st.integers(-10**20, 10**20),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-1000, 1000).map(float),  # integral floats
+            st.text(max_size=6),
+            st.sampled_from(["1,000", " 12 ", "3.5", "-7", "1e3", "true", "FALSE", "",
+                             "nan", Decimal("2.50"), Whole(3), Text("4"), b"5", (1,)]),
+        )
+        columns = st.lists(st.tuples(st.sampled_from(list(DataType)), values),
+                           min_size=1, max_size=6)
+
+        def outcome(function):
+            try:
+                value = function()
+            except TypeMismatchError as error:
+                return ("error", str(error))
+            return (value.__class__, repr(value))
+
+        @settings(max_examples=300, deadline=None)
+        @given(columns)
+        def check(columns):
+            schema = Schema(Attribute(f"c{position}", declared)
+                            for position, (declared, _value) in enumerate(columns))
+            row = [value for _declared, value in columns]
+            expected = [outcome(lambda: declared.validate(value))
+                        for declared, value in columns]
+            errors = [entry for entry in expected if entry[0] == "error"]
+            for _ in range(2):  # resolving the validators, then reusing them
+                whole = outcome(lambda: schema.validate_row(row))
+                if errors:
+                    assert whole == errors[0]  # the first bad column's message
+                else:
+                    validated = schema.validate_row(row)
+                    assert [(value.__class__, repr(value)) for value in validated] == expected
+
+        check()
+
+    def test_arity_is_checked_against_the_resolved_validators_too(self):
+        schema = sample_schema()
+        schema.validate_row(("IBM", 1.0, "USD"))
+        with pytest.raises(SchemaError, match="row arity 4 does not match schema arity 3"):
+            schema.validate_row(("IBM", 1.0, "USD", None))

@@ -142,7 +142,7 @@ class TestConnectionExplain:
         cursor = connection.cursor()
         cursor.execute(PAPER_QUERY)
         federation.engine.catalog.feedback.record_request(
-            "r1", "", 10_000, planned_rows=10
+            "r2", "", 10_000, planned_rows=10
         )  # material error: retire cached plans so explain re-prices
         replanned = connection.explain(PAPER_QUERY)
         assert "est=feedback" in replanned
