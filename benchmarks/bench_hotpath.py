@@ -69,10 +69,14 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+#: The interpreted baselines run the executable specification kept beside
+#: the relational tests.
+_REFERENCE = os.path.join(_ROOT, "tests", "relational")
+if _REFERENCE not in sys.path:
+    sys.path.append(_REFERENCE)
 
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.request_cache import SourceResultCache
-from repro.relational.eval import ExpressionEvaluator
 from repro.relational.operators import Filter, HashJoin, Project, TableScan
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -81,6 +85,7 @@ from repro.sources.memory import MemorySQLSource
 from repro.sql.ast import ColumnRef
 from repro.sql.parser import parse
 from repro.wrappers.wrapper import RelationalWrapper
+from reference_eval import ExpressionEvaluator
 
 #: Default problem sizes; ``--smoke`` shrinks them to run in well under a second.
 FULL_SCAN_ROWS = 120_000

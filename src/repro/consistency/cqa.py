@@ -45,10 +45,10 @@ from repro.errors import ConsistencyError, PlanningError, RepairEnumerationError
 from repro.consistency.constraints import PrimaryKey
 from repro.engine.executor import EngineResult, ExecutionReport
 from repro.relational.compile import ExpressionCompiler
-from repro.relational.eval import expression_type
-from repro.relational.query import QueryProcessor, _group_key as value_key, expand_star_items, output_names
+from repro.relational.operators import _group_key as value_key
+from repro.relational.query import QueryProcessor, expand_star_items, output_names
 from repro.relational.relation import Relation, Row
-from repro.relational.schema import Attribute, Schema
+from repro.relational.schema import Attribute, Schema, expression_type
 from repro.sql.ast import (
     ColumnRef,
     Exists,

@@ -43,7 +43,7 @@ from repro.consistency.constraints import (
 from repro.datalog.clause import KnowledgeBase, Rule, atom
 from repro.datalog.engine import Resolver, ResolutionConfig
 from repro.engine.executor import ExecutionController
-from repro.relational.query import _group_key as value_key
+from repro.relational.operators import _group_key as value_key
 from repro.relational.relation import Row
 from repro.sql.ast import ColumnRef, OrderItem, Select, SelectItem, TableRef
 

@@ -12,9 +12,9 @@ else executes a plan, and executing one builds nothing that the plan's
   relations are brought across by its template's stages (qualified, locally
   filtered), and its operator template — lowered once per cached plan from
   the branch's algebra tree, see :mod:`repro.relational.algebra` — is copied
-  over them, one cheap copy per operator.  The common non-aggregated shape
-  streams through ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``;
-  grouped/aggregated branches end in one materializing ``Finalize``;
+  over them, one cheap copy per operator.  Every branch finishes through
+  ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``; a grouped one has an
+  ``Aggregate`` (which buffers its input) and HAVING's ``Filter`` beneath;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
   every memory-hungry operator, so the statement's operator memory is bounded
   and spills are observable in the execution report;
@@ -70,7 +70,6 @@ from repro.obs.trace import current_span
 from repro.relational.algebra import Stage
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
 from repro.relational.operators import Batch, PhysicalOperator, TableScan
-from repro.relational.query import Finalize
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key as value_sort_key
@@ -647,11 +646,10 @@ class ResultStream:
         staged relations and budget, instrumented where the report lists it.
 
         A join's first input is the running pipeline; its other input is a
-        bare scan of a staged relation, which the report has never listed, and
-        neither does it list a materializing ``Finalize`` — its consumer reads
-        the finished branch like a scan.  (A method, not a closure: a
-        recursive closure is a reference cycle that would keep every bound
-        operator and staged row alive until the cycle collector runs.)
+        bare scan of a staged relation, which the report has never listed.
+        (A method, not a closure: a recursive closure is a reference cycle
+        that would keep every bound operator and staged row alive until the
+        cycle collector runs.)
         """
         if operator.__class__ is TableScan:
             bound = operator.over(staged[operator.leaf])
@@ -661,7 +659,7 @@ class ResultStream:
                  for position, child in enumerate(operator.children)],
                 self.budget,
             )
-        if not listed or bound.__class__ is Finalize:
+        if not listed:
             return bound
         stats = OperatorStats(branch_index, bound.operator_name, bound)
         instrumented.append(stats)

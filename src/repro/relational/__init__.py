@@ -9,21 +9,18 @@ simulates the engine's two local secondary storages.
 """
 
 from repro.relational.types import DataType, is_null, sort_key, sql_compare, sql_equal
-from repro.relational.schema import Attribute, Schema
+from repro.relational.schema import Attribute, Schema, expression_type
 from repro.relational.relation import Relation, Row, relation_from_rows
-from repro.relational.eval import (
-    ExpressionEvaluator,
-    evaluate_literal_expression,
-    expression_type,
-    like_to_regex,
-)
 from repro.relational.compile import (
     ExpressionCompiler,
     compile_expression,
     compile_predicate,
     compile_projection,
+    evaluate_literal_expression,
+    like_to_regex,
 )
 from repro.relational.operators import (
+    Aggregate,
     CrossProduct,
     Distinct,
     Filter,
@@ -52,7 +49,6 @@ __all__ = [
     "Relation",
     "Row",
     "relation_from_rows",
-    "ExpressionEvaluator",
     "ExpressionCompiler",
     "compile_expression",
     "compile_predicate",
@@ -60,6 +56,7 @@ __all__ = [
     "evaluate_literal_expression",
     "expression_type",
     "like_to_regex",
+    "Aggregate",
     "CrossProduct",
     "Distinct",
     "Filter",

@@ -8,7 +8,7 @@ from a branch plan alone (``BranchPlan.relation``), with :class:`Transfer`
 marking the boundary between a source and the mediator.
 
 :func:`lower` turns a tree into physical operators — resolved schemas, bound
-kernels, the hash-or-loop and streams-or-materializes decisions — over scans
+kernels, the hash-or-loop decision, where a sort goes — over scans
 that stand for its leaves.  The result is a *template*: nothing in it is
 per-execution state, so one lowering serves every execution of a cached plan,
 each binding its own copies (``PhysicalOperator.rebind``, ``TableScan.over``)

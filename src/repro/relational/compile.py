@@ -1,12 +1,13 @@
 """Compilation of SQL AST expressions into generated Python kernels.
 
-The interpreted :class:`~repro.relational.eval.ExpressionEvaluator` re-walks
-the AST for every row.  :class:`ExpressionCompiler` lowers an expression
-**once** to the source of one straight-line Python function: ``compile``
-gives ``row -> value``, ``predicate`` ``row -> True/False/None``,
-``projection`` one ``row -> tuple`` for a whole select list, ``sort_key`` a
-total-order key and ``bucket_key`` the normalized (composite) hash-join key.
-However deep the expression, a row costs one Python call.
+An interpreter re-walks the AST for every row; the one kept beside the tests
+does, as the executable specification of these kernels.
+:class:`ExpressionCompiler` lowers an expression **once** to the source of
+one straight-line Python function: ``compile`` gives ``row -> value``,
+``predicate`` ``row -> True/False/None``, ``projection`` one ``row -> tuple``
+for a whole select list, ``sort_key`` a total-order key and ``bucket_key`` the
+normalized (composite) hash-join key.  However deep the expression, a row
+costs one Python call.
 
 * **Emitter.**  Every node becomes a few statements over SSA temporaries
   (``t1 = row[3]``, ``c2 = t1.__class__``).  ``AND``/``OR`` chains and
@@ -52,7 +53,9 @@ from __future__ import annotations
 
 import hashlib
 import linecache
+import math
 import operator
+import re
 import threading
 from collections import OrderedDict
 from decimal import Decimal
@@ -60,7 +63,6 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.relational.eval import _SCALAR_FUNCTIONS, like_to_regex
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key, sql_compare, sql_equal
 from repro.sql.ast import (
@@ -238,6 +240,19 @@ def _between(value: Any, low: Any, high: Any, negated: bool) -> Optional[bool]:
     return not inside if negated else inside
 
 
+def like_to_regex(pattern: str) -> "re.Pattern[str]":
+    """Compile a SQL LIKE pattern (``%`` and ``_`` wildcards) to a regex."""
+    out = []
+    for char in pattern:
+        if char == "%":
+            out.append(".*")
+        elif char == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(char))
+    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+
+
 #: LIKE pattern -> compiled regex, shared by every kernel.
 _like_regex = lru_cache(maxsize=512)(like_to_regex)
 
@@ -247,6 +262,33 @@ def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
         return None
     matched = _like_regex(str(pattern)).match(str(value)) is not None
     return not matched if negated else matched
+
+
+def _substr(value: Any, start: Any, length: Any) -> Any:
+    if value is None or start is None:
+        return None
+    text = str(value)
+    begin = max(int(start) - 1, 0)
+    if length is None:
+        return text[begin:]
+    return text[begin : begin + int(length)]
+
+
+#: Scalar functions available to queries (beyond the aggregates).
+_SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {
+    "ABS": lambda x: None if x is None else abs(x),
+    "ROUND": lambda x, digits=0: None if x is None else round(x, int(digits)),
+    "FLOOR": lambda x: None if x is None else math.floor(x),
+    "CEIL": lambda x: None if x is None else math.ceil(x),
+    "UPPER": lambda s: None if s is None else str(s).upper(),
+    "LOWER": lambda s: None if s is None else str(s).lower(),
+    "TRIM": lambda s: None if s is None else str(s).strip(),
+    "LENGTH": lambda s: None if s is None else len(str(s)),
+    "SUBSTR": lambda s, start, length=None: _substr(s, start, length),
+    "COALESCE": lambda *args: next((a for a in args if a is not None), None),
+    "NULLIF": lambda a, b: None if sql_equal(a, b) is True else a,
+    "CONCAT": lambda *args: None if any(a is None for a in args) else "".join(str(a) for a in args),
+}
 
 
 def _call(name: str, fn: Callable[..., Any], *args: Any) -> Any:
@@ -688,7 +730,7 @@ class _Emitter:
 class ExpressionCompiler:
     """Compiles expressions of a fixed schema into ``row -> value`` kernels.
 
-    Mirrors the public surface of :class:`ExpressionEvaluator`: ``compile``
+    Mirrors the public surface of the reference interpreter: ``compile``
     replaces ``evaluate`` (returning a function instead of a value) and
     ``predicate`` yields the three-valued True/False/None convention used by
     Filter and the join operators.
@@ -791,3 +833,15 @@ def compile_projection(expressions: Sequence[Node], schema: Schema,
                        subquery_executor: SubqueryExecutor = None) -> Callable[[Row], tuple]:
     """Compile a select list into a single ``row -> tuple`` function."""
     return ExpressionCompiler(schema, subquery_executor).projection(expressions)
+
+
+#: Compiles over no columns and remembers nothing: an INSERT's values are
+#: evaluated once, their kernels not worth keeping.
+_LITERALS = ExpressionCompiler(Schema(()), scope=KernelScope(memo=KernelMemo(capacity=0)))
+
+
+def evaluate_literal_expression(node: Node) -> Any:
+    """Evaluate an expression containing no column references (e.g. INSERT values)."""
+    if node.__class__ is Literal:
+        return node.value
+    return _LITERALS.compile(node)(())

@@ -39,17 +39,17 @@ from __future__ import annotations
 import heapq
 import weakref
 from contextlib import closing
+from decimal import Decimal
 from itertools import chain, islice, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import EvaluationError, ExecutionError
 from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
-from repro.relational.compile import ExpressionCompiler, KernelScope, _hash_key
-from repro.relational.eval import expression_type
+from repro.relational.compile import CompiledExpr, ExpressionCompiler, KernelScope, _hash_key
 from repro.relational.relation import Relation, Row
-from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType, sort_key
-from repro.sql.ast import Node
+from repro.relational.schema import Attribute, Schema, expression_type
+from repro.relational.types import sort_key
+from repro.sql.ast import ColumnRef, FunctionCall, Node, Star
 
 #: Row counts of the first batches a batch sequence produces; the last entry
 #: repeats.  The ramp keeps a ``LIMIT k`` or a cursor's first ``fetchmany``
@@ -256,6 +256,135 @@ class Project(PhysicalOperator):
 
     def _explain_details(self) -> str:
         return f"({', '.join(self.names)})"
+
+
+def _group_key(value: Any) -> Any:
+    """What GROUP BY and SELECT DISTINCT compare: 1, 1.0 and Decimal(1) are
+    one value, and so are all NULLs."""
+    if isinstance(value, bool):
+        return ("b", value)
+    if isinstance(value, (int, float, Decimal)):
+        return ("n", float(value))
+    if value is None:
+        return ("null",)
+    return ("s", str(value))
+
+
+def _group_keys(values: Sequence[Any]) -> Tuple:
+    """:func:`_group_key`, value by value: the key of a GROUP BY group and
+    of a SELECT DISTINCT row."""
+    return tuple(map(_group_key, values))
+
+
+def _compute_aggregate(call: FunctionCall, rows: List[Row],
+                       arg_fn: Optional[CompiledExpr]) -> Any:
+    """Compute one aggregate over a group; ``arg_fn`` is the compiled argument
+    expression (None for COUNT(*) / argument-less calls)."""
+    name = call.name.upper()
+    if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
+        return len(rows)
+
+    if not call.args:
+        raise EvaluationError(f"aggregate {name} requires an argument")
+    if arg_fn is None:
+        raise EvaluationError("'*' is only valid inside COUNT(*) or a select list")
+    values = [value for value in (arg_fn(row) for row in rows) if value is not None]
+    if call.distinct:
+        values = list(dict.fromkeys(values))  # first occurrences, in order
+
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(values)
+    if name == "AVG":
+        return sum(values) / len(values)
+    if name == "MIN":
+        return min(values)
+    if name == "MAX":
+        return max(values)
+    raise EvaluationError(f"unknown aggregate {name}")
+
+
+class Aggregate(PhysicalOperator):
+    """Group the input on ``group_by`` and compute the aggregate ``calls``.
+
+    One row leaves per group, in first-seen order: the group's first input
+    row — the representative the expressions above read plain columns from —
+    followed by one value per call.  The schema is the child's plus one
+    column per call (:meth:`ref` names column ``position``), which is how a
+    HAVING or a select list over aggregates is an ordinary ``Filter`` or
+    ``Project`` above this operator.  Without ``group_by`` the input is one
+    group, an empty input included: an all-NULL representative, ``COUNT`` 0.
+    The input is buffered, outside any budget; a group's aggregates are
+    computed when its row is pulled.
+    """
+
+    operator_name = "Aggregate"
+    _inputs = ("child",)
+
+    #: Qualifier of the appended columns.
+    QUALIFIER = "#aggregate"
+
+    @classmethod
+    def ref(cls, position: int) -> ColumnRef:
+        """A reference to the value of call ``position``, for use above.  No
+        statement can spell its name (a double quote ends a quoted
+        identifier), so no unqualified reference of a statement meets it."""
+        return ColumnRef(name=f'"{position + 1}', table=cls.QUALIFIER)
+
+    def __init__(self, child: PhysicalOperator, group_by: Sequence[Node],
+                 calls: Sequence[FunctionCall], scope: Optional[KernelScope] = None):
+        schema = child.schema
+        compiler = ExpressionCompiler(schema, scope=scope)
+        self.child = child
+        self.group_by = list(group_by)
+        self.calls = list(calls)
+        self._group_values = compiler.projection(self.group_by) if self.group_by else None
+        # A call's argument is compiled once, not once per group.
+        self._arguments = [
+            compiler.compile(call.args[0])
+            if call.args and not isinstance(call.args[0], Star) else None
+            for call in self.calls
+        ]
+        self._schema = schema.extended(tuple(
+            Attribute(name=self.ref(position).name, type=expression_type(call, schema),
+                      qualifier=self.QUALIFIER)
+            for position, call in enumerate(self.calls)
+        ))
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    def batches(self) -> Iterator[Batch]:
+        group_values = self._group_values
+        if group_values is None:
+            groups = [list(self.child)]
+        else:
+            keyed: Dict[Tuple, List[Row]] = {}
+            with closing(self.child.batches()) as child_batches:
+                for batch in child_batches:
+                    for row in batch:
+                        keyed.setdefault(_group_keys(group_values(row)), []).append(row)
+            groups = list(keyed.values())
+        nulls = (None,) * len(self.child.schema)
+        aggregates = list(zip(self.calls, self._arguments))
+        return _ramp_batches(
+            (rows[0] if rows else nulls)
+            + tuple([_compute_aggregate(call, rows, argument)
+                     for call, argument in aggregates])
+            for rows in groups
+        )
+
+    def _explain_details(self) -> str:
+        from repro.sql.printer import to_sql
+
+        calls = ", ".join(f"{self.ref(position).name} = {to_sql(call)}"
+                          for position, call in enumerate(self.calls))
+        keys = ", ".join(to_sql(expr) for expr in self.group_by)
+        return f"({'; '.join(part for part in (keys, calls) if part)})"
 
 
 class CrossProduct(PhysicalOperator):

@@ -18,21 +18,25 @@ the CREATE TABLE / INSERT statements used to load demo data.
 
 from __future__ import annotations
 
-from decimal import Decimal
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
-from repro.relational.compile import ExpressionCompiler, KernelScope
-from repro.relational.eval import ExpressionEvaluator, expression_type
+from repro.relational.compile import (
+    ExpressionCompiler,
+    KernelScope,
+    evaluate_literal_expression,
+)
 from repro.relational.operators import (
+    Aggregate,
     Distinct,
+    Filter,
     HashJoin,
     Limit,
     PhysicalOperator,
     Project,
     Sort,
     TableScan,
-    _ramp_batches,
+    _group_keys,
 )
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
@@ -49,11 +53,12 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     Star,
-    Statement,
+    Subquery,
     TableRef,
     Union,
     conjuncts,
     is_aggregate_call,
+    transform,
     walk,
 )
 from repro.sql.parser import DerivedTable, parse
@@ -300,180 +305,137 @@ class QueryProcessor:
 
 
 # ---------------------------------------------------------------------------
-# Lowering a SELECT's finish: the one implementation of projection, ORDER BY,
-# DISTINCT and LIMIT, for the local processor and the mediator's plans alike
+# Lowering a SELECT's finish: the one implementation of grouping, projection,
+# ORDER BY, DISTINCT and LIMIT, for the local processor and the mediator's
+# plans alike
 # ---------------------------------------------------------------------------
 
 
 def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
                  fetch_limit: Optional[int] = None) -> PhysicalOperator:
-    """The operators finishing ``select`` over ``child``, its joined input.
+    """The operators finishing ``select`` over ``child``, its joined input:
+    [``Aggregate`` → ``Filter``] → ``Project`` → ``Sort`` → ``Distinct`` →
+    ``Limit``, each only where the statement asks for it.
 
-    This is where "streams or materializes" is decided, once.  A flat SELECT
-    whose ORDER BY keys all sit in the output row (an alias, a 1-based
-    position, or an expression identical to a select item) streams through
-    ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``; ``fetch_limit`` (a row
-    bound that commutes with finalization) turns the sort into a top-k.
-    GROUP BY, an aggregate or a HAVING — which groups even without either:
-    one implicit group — and ORDER BY keys that read the row beneath the
-    select list take the materializing :class:`Finalize`.
+    GROUP BY, an aggregate call or a HAVING — which groups even without
+    either: one implicit group — put an :class:`Aggregate` beneath the
+    finish; the calls in the select list, HAVING and ORDER BY then read its
+    columns (:class:`_Finish`), so HAVING is a ``Filter`` and the select list
+    a ``Project`` like any other.  ORDER BY keys that all sit in the output
+    row (an alias, a 1-based position, or an expression identical to a select
+    item) sort above ``Project``, by position; a key that reads the row
+    beneath the select list moves the ``Sort`` below it, every key an
+    expression over that row.  ``fetch_limit`` (a row bound that commutes
+    with the finish) turns the sort into a top-k.
     """
-    items = expand_star_items(select.items, child.schema)
-    names = output_names(items)
-    grouped = bool(select.group_by) or select.having is not None or any(
-        is_aggregate_call(node) for item in items for node in walk(item.expr)
-    )
-    order = _order_keys(select, items, names, structural=not grouped)
-    if grouped or any(position is None for position, _expr, _ascending in order):
-        return Finalize(child, select, items, names, order, grouped, scope)
-    operator: PhysicalOperator = Project(child, [item.expr for item in items], names, scope)
-    if select.order_by:
+    key = ("finish", id(select), child.schema.memo_token)
+    _found, finish = scope.memo.get(key, (select,))
+    if finish is None:
+        finish = _Finish.of(select, child.schema)
+        scope.memo.put(key, (select,), finish)
+
+    operator = child
+    if finish.calls or select.group_by or finish.having is not None:
+        operator = Aggregate(operator, select.group_by, finish.calls, scope)
+        if finish.having is not None:
+            operator = Filter(operator, finish.having, scope)
+    top = fetch_limit if not select.distinct else None
+    if finish.sort_beneath:
+        operator = Sort(operator, finish.sort_beneath, scope, limit=top)
+    operator = Project(operator, finish.expressions, finish.names, scope)
+    if finish.sort_output:
         operator = Sort(
-            operator, [(item.expr, item.ascending) for item in select.order_by],
-            limit=fetch_limit if not select.distinct else None,
+            operator, [(item.expr, item.ascending) for item in select.order_by], limit=top,
             key_functions=[
                 (lambda row, position=position: value_sort_key(row[position]), ascending)
-                for position, _expr, ascending in order
+                for position, ascending in finish.sort_output
             ],
         )
     if select.distinct:
-        operator = Distinct(operator, key=finalize_distinct_key)
+        operator = Distinct(operator, key=_group_keys)
     if select.limit is not None or select.offset is not None:
         operator = Limit(operator, select.limit, select.offset or 0)
     return operator
 
 
-def _order_keys(select: Select, items: Sequence[SelectItem], names: Sequence[str],
-                structural: bool) -> List[Tuple[Optional[int], Node, bool]]:
+class _Finish(NamedTuple):
+    """What :func:`lower_select` derives from the statement alone.  It is
+    kept with the scope's kernels, so every lowering of one ``select`` hands
+    the operators the same nodes (and a source re-running a request hits the
+    kernel memo)."""
+
+    #: The select list, stars expanded, and its output names.
+    expressions: Tuple[Node, ...]
+    names: List[str]
+    #: The distinct aggregate calls of the select list, HAVING and ORDER BY —
+    #: a subquery's are its own — which ``expressions``, ``having`` and the
+    #: sort keys read as the columns of an :class:`Aggregate` over ``calls``.
+    calls: List[FunctionCall]
+    having: Optional[Node]
+    #: ORDER BY as ``(output position, ascending)`` keys or, when a key reads
+    #: the row beneath the select list, all as expressions over that row.
+    sort_output: List[Tuple[int, bool]]
+    sort_beneath: List[Tuple[Node, bool]]
+
+    @classmethod
+    def of(cls, select: Select, schema: Schema) -> "_Finish":
+        items = expand_star_items(select.items, schema)
+        calls: Dict[str, FunctionCall] = {}  # by text, as written: SUM(1) is not SUM(1.0)
+
+        def column_of(node: Node) -> Node:
+            if not is_aggregate_call(node):
+                return node
+            if any(isinstance(inner, ColumnRef) and inner.table == Aggregate.QUALIFIER
+                   for argument in node.args for inner in walk(argument)):
+                raise EvaluationError("aggregate calls cannot be nested")
+            text = to_sql(node)
+            calls.setdefault(text, node)
+            return Aggregate.ref(list(calls).index(text))
+
+        def rewritten(node: Node) -> Node:
+            return transform(node, column_of, leave=(Subquery,))
+
+        expressions = tuple(rewritten(item.expr) for item in items)
+        names = output_names(items)
+        having = rewritten(select.having) if select.having is not None else None
+        order = _order_keys(
+            [(rewritten(item.expr), item.ascending) for item in select.order_by],
+            expressions, names)
+        if any(position is None for position, _expr, _ascending in order):
+            beneath = [(expr if position is None else expressions[position], ascending)
+                       for position, expr, ascending in order]
+            return cls(expressions, names, list(calls.values()), having, [], beneath)
+        return cls(expressions, names, list(calls.values()), having,
+                   [(position, ascending) for position, _expr, ascending in order], [])
+
+
+def _order_keys(order_by: Sequence[Tuple[Node, bool]], expressions: Sequence[Node],
+                names: Sequence[str]) -> List[Tuple[Optional[int], Node, bool]]:
     """Resolve ORDER BY to ``(output position, expression, ascending)`` keys.
 
     An unqualified name matching an output alias is that output column; an
     integer literal is a 1-based output position, per SQL convention (but
     TRUE/FALSE are constants, and so is a position outside the select list —
-    a constant key orders nothing and is dropped); with ``structural``, a key
-    identical to a select item is that item's column.  Any other key must be
-    evaluated against the row beneath the select list: position None.
+    a constant key orders nothing and is dropped); a key identical to a
+    select item is that item's column.  Any other key must be evaluated
+    against the row beneath the select list: position None.
     """
     aliases = {name.lower(): index for index, name in enumerate(names)}
-    expressions: Dict[Node, int] = {}
-    if structural:
-        for index, item in enumerate(items):
-            expressions.setdefault(item.expr, index)
+    positions: Dict[Node, int] = {}
+    for index, expression in enumerate(expressions):
+        positions.setdefault(expression, index)
     keys: List[Tuple[Optional[int], Node, bool]] = []
-    for item in select.order_by:
-        expr = item.expr
+    for expr, ascending in order_by:
         if isinstance(expr, ColumnRef) and expr.table is None and expr.name.lower() in aliases:
             position: Optional[int] = aliases[expr.name.lower()]
         elif isinstance(expr, Literal) and type(expr.value) is int:
             position = expr.value - 1
-            if not 0 <= position < len(items):
+            if not 0 <= position < len(expressions):
                 continue
         else:
-            position = expressions.get(expr)
-        keys.append((position, expr, item.ascending))
+            position = positions.get(expr)
+        keys.append((position, expr, ascending))
     return keys
-
-
-class Finalize(PhysicalOperator):
-    """The materializing finish of a SELECT (see :func:`lower_select`).
-
-    The constructor binds everything the AST decides — group-key and
-    aggregate-argument kernels, the select-list kernel, the ORDER BY keys —
-    and ``batches`` drains the child, evaluates the groups with the
-    interpreted :class:`_GroupEvaluator` (or projects row by row), orders
-    (output row, context row) pairs, and applies DISTINCT and LIMIT.
-    """
-
-    operator_name = "Finalize"
-    _inputs = ("child",)
-
-    def __init__(self, child: PhysicalOperator, select: Select, items: Sequence[SelectItem],
-                 names: Sequence[str], order: Sequence[Tuple[Optional[int], Node, bool]],
-                 grouped: bool, scope: KernelScope):
-        schema = child.schema
-        compiler = ExpressionCompiler(schema, scope=scope)
-        self.child = child
-        self.select = select
-        self._items = list(items)
-        self._subquery_executor = scope.subquery_executor
-        self._schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, schema))
-            for name, item in zip(names, items)
-        )
-        self._project = self._group_keys = self._calls = None
-        if grouped:
-            self._group_keys = [compiler.compile(expr) for expr in select.group_by]
-            # Every aggregate call of the outputs and HAVING, its argument
-            # compiled once, not once per group.
-            calls = [node for item in items for node in walk(item.expr)
-                     if is_aggregate_call(node)]
-            if select.having is not None:
-                calls.extend(node for node in walk(select.having) if is_aggregate_call(node))
-            self._calls = [
-                (_call_signature(call), call,
-                 compiler.compile(call.args[0])
-                 if call.args and not isinstance(call.args[0], Star) else None)
-                for call in calls
-            ]
-        else:
-            self._project = compiler.projection([item.expr for item in items])
-        self._order = [
-            ((lambda pair, position=position: value_sort_key(pair[0][position]))
-             if position is not None
-             else (lambda pair, key=compiler.sort_key(expr): key(pair[1])), ascending)
-            for position, expr, ascending in order
-        ]
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    def batches(self):
-        select = self.select
-        rows = list(self.child)
-        if self._project is not None:
-            project = self._project
-            pairs = [(project(row), row) for row in rows]
-        else:
-            pairs = self._grouped(rows)
-        for key, ascending in reversed(self._order):
-            pairs.sort(key=key, reverse=not ascending)
-        if select.distinct:
-            pairs = _distinct_rows(pairs)
-        if select.limit is not None or select.offset is not None:
-            offset = select.offset or 0
-            pairs = pairs[offset:None if select.limit is None else offset + select.limit]
-        return _ramp_batches([row for row, _context_row in pairs])
-
-    def _grouped(self, rows: List[Row]) -> List[Tuple[Row, Row]]:
-        select, schema = self.select, self.child.schema
-        # Group rows by the GROUP BY key (a single global group when absent).
-        groups: Dict[Tuple, List[Row]] = {}
-        for row in rows:
-            key = tuple(_group_key(fn(row)) for fn in self._group_keys)
-            groups.setdefault(key, []).append(row)
-        if not select.group_by and not groups:
-            # Aggregates over an empty input still produce one row (COUNT = 0).
-            groups[()] = []
-
-        output: List[Tuple[Row, Row]] = []
-        for group_rows in groups.values():
-            aggregates = {
-                signature: _compute_aggregate(call, group_rows, arg_fn)
-                for signature, call, arg_fn in self._calls
-            }
-            group_evaluator = _GroupEvaluator(
-                schema, aggregates, group_rows, self._subquery_executor)
-            representative = _representative(group_rows, schema)
-            if select.having is not None:
-                if group_evaluator.predicate(select.having)(representative) is not True:
-                    continue
-            values = tuple(
-                group_evaluator.evaluate(item.expr, representative) for item in self._items
-            )
-            output.append((values, representative))
-        return output
-
 
 
 def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
@@ -494,93 +456,6 @@ def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[Selec
     return expanded
 
 
-def finalize_distinct_key(row: Sequence[Any]) -> Tuple:
-    """The duplicate-detection key SELECT DISTINCT finalization uses.
-
-    The streaming executor's Distinct operator must use exactly this key so
-    streamed answers are byte-identical to the materialized finalizer's.
-    """
-    return tuple(_group_key(value) for value in row)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation helpers
-# ---------------------------------------------------------------------------
-
-
-def _call_signature(call: FunctionCall) -> str:
-    """A structural key identifying an aggregate call (COUNT(*) vs COUNT(x)...)."""
-    return to_sql(call)
-
-
-def _compute_aggregate(call: FunctionCall, rows: List[Row], arg_fn) -> Any:
-    """Compute one aggregate over a group; ``arg_fn`` is the compiled argument
-    expression (None for COUNT(*) / argument-less calls)."""
-    name = call.name.upper()
-    if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
-        return len(rows)
-
-    if not call.args:
-        raise EvaluationError(f"aggregate {name} requires an argument")
-    if arg_fn is None:
-        raise EvaluationError("'*' is only valid inside COUNT(*) or a select list")
-    values = [value for value in (arg_fn(row) for row in rows) if value is not None]
-    if call.distinct:
-        seen = []
-        for value in values:
-            if value not in seen:
-                seen.append(value)
-        values = seen
-
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise EvaluationError(f"unknown aggregate {name}")
-
-
-class _GroupEvaluator(ExpressionEvaluator):
-    """An evaluator that substitutes pre-computed values for aggregate calls."""
-
-    def __init__(self, schema: Schema, aggregates: Dict[str, Any], group_rows: List[Row],
-                 subquery_executor=None):
-        super().__init__(schema, subquery_executor)
-        self._aggregates = aggregates
-        self._group_rows = group_rows
-
-    def _eval(self, node: Node, row: Row) -> Any:
-        if is_aggregate_call(node):
-            signature = _call_signature(node)  # type: ignore[arg-type]
-            if signature in self._aggregates:
-                return self._aggregates[signature]
-        return super()._eval(node, row)
-
-
-def _representative(group_rows: List[Row], schema: Schema) -> Row:
-    """A row standing in for the group when evaluating non-aggregate expressions."""
-    if group_rows:
-        return group_rows[0]
-    return tuple([None] * len(schema))
-
-
-def _group_key(value: Any) -> Any:
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float, Decimal)):
-        return ("n", float(value))
-    if value is None:
-        return ("null",)
-    return ("s", str(value))
-
-
 def output_names(items: Sequence[SelectItem]) -> List[str]:
     """The output column names of a (star-expanded) select list."""
     names: List[str] = []
@@ -592,17 +467,6 @@ def output_names(items: Sequence[SelectItem]) -> List[str]:
         else:
             names.append(f"col_{index + 1}")
     return names
-
-
-def _distinct_rows(output_rows):
-    seen = set()
-    result = []
-    for values, context in output_rows:
-        key = finalize_distinct_key(values)
-        if key not in seen:
-            seen.add(key)
-            result.append((values, context))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +540,6 @@ class Database:
         return self.create_table(statement.name, schema)
 
     def _execute_insert(self, statement: Insert) -> Relation:
-        from repro.relational.eval import evaluate_literal_expression
-
         relation = self.table(statement.table)
         if statement.columns:
             # Guard the column list up front: a typo'd or extra column would

@@ -13,6 +13,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
+from repro.sql.ast import (
+    Between, BinaryOp, Case, ColumnRef, Exists, FunctionCall, InList, IsNull, Like, Literal,
+    Node, UnaryOp,
+)
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,16 @@ class Schema:
         self._remember_derived(key, (other, derived))
         return derived
 
+    def extended(self, attributes: Tuple[Attribute, ...]) -> "Schema":
+        """This schema followed by ``attributes`` (the columns an operator
+        appends to its input's).  Memoized per attribute tuple, by value."""
+        key = ("extend", attributes)
+        derived = self._derived.get(key)
+        if derived is None:
+            derived = Schema(self.attributes + attributes)
+            self._remember_derived(key, derived)
+        return derived
+
     def project(self, positions: Sequence[int]) -> "Schema":
         """Schema of a projection given attribute positions."""
         try:
@@ -248,3 +262,49 @@ class Schema:
             else validate(value)
             for value, (exact, validate) in zip(row, validators)
         ])
+
+
+def expression_type(node: Node, schema: Schema) -> DataType:
+    """Best-effort static type of an expression (used to build result schemas)."""
+    if isinstance(node, Literal):
+        return DataType.infer(node.value)
+    if isinstance(node, ColumnRef):
+        try:
+            return schema.attribute(node.name, node.table).type
+        except Exception:
+            return DataType.ANY
+    if isinstance(node, BinaryOp):
+        op = node.op.upper()
+        if op in ("AND", "OR", "=", "<>", "<", "<=", ">", ">="):
+            return DataType.BOOLEAN
+        if op == "||":
+            return DataType.STRING
+        left = expression_type(node.left, schema)
+        right = expression_type(node.right, schema)
+        if op == "/":
+            return DataType.FLOAT
+        return left.unify(right)
+    if isinstance(node, UnaryOp):
+        if node.op.upper() == "NOT":
+            return DataType.BOOLEAN
+        return expression_type(node.operand, schema)
+    if isinstance(node, FunctionCall):
+        name = node.name.upper()
+        if name in ("COUNT", "LENGTH"):
+            return DataType.INTEGER
+        if name in ("SUM", "AVG", "ROUND", "ABS", "FLOOR", "CEIL"):
+            return DataType.FLOAT
+        if name in ("UPPER", "LOWER", "TRIM", "SUBSTR", "CONCAT"):
+            return DataType.STRING
+        return DataType.ANY
+    if isinstance(node, (InList, Between, Like, IsNull, Exists)):
+        return DataType.BOOLEAN
+    if isinstance(node, Case):
+        types = [expression_type(value, schema) for _, value in node.whens]
+        if node.default is not None:
+            types.append(expression_type(node.default, schema))
+        result = types[0]
+        for candidate in types[1:]:
+            result = result.unify(candidate)
+        return result
+    return DataType.ANY

@@ -43,18 +43,22 @@ def walk(node: Node) -> Iterator[Node]:
         yield from walk(child)
 
 
-def transform(node: Node, fn: Callable[[Node], Node]) -> Node:
+def transform(node: Node, fn: Callable[[Node], Node],
+              leave: Tuple[type, ...] = ()) -> Node:
     """Rebuild ``node`` bottom-up, applying ``fn`` to every node.
 
     ``fn`` receives a node whose children have already been transformed and
     must return a node (possibly the same one).  Lists/tuples of nodes inside
-    fields are transformed element-wise.
+    fields are transformed element-wise.  A node of a ``leave`` class is kept
+    as it is: neither entered nor handed to ``fn``.
     """
+    if leave and isinstance(node, leave):
+        return node
     if is_dataclass(node):
         changes = {}
         for f in fields(node):
             old = getattr(node, f.name)
-            new = _rebuild(old, fn)
+            new = _rebuild(old, fn, leave)
             if new is not old:
                 changes[f.name] = new
         if changes:
@@ -62,16 +66,16 @@ def transform(node: Node, fn: Callable[[Node], Node]) -> Node:
     return fn(node)
 
 
-def _rebuild(value: Any, fn: Callable[[Node], Node]) -> Any:
+def _rebuild(value: Any, fn: Callable[[Node], Node], leave: Tuple[type, ...]) -> Any:
     """One field value of :func:`transform`.  A module-level function, not a
     closure naming itself: a self-referential closure is a reference cycle,
     and every transformed node would leave one for the cycle collector."""
     if isinstance(value, Node):
-        return transform(value, fn)
+        return transform(value, fn, leave)
     if isinstance(value, list):
-        return [_rebuild(item, fn) for item in value]
+        return [_rebuild(item, fn, leave) for item in value]
     if isinstance(value, tuple):
-        return tuple(_rebuild(item, fn) for item in value)
+        return tuple(_rebuild(item, fn, leave) for item in value)
     return value
 
 

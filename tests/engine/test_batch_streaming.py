@@ -267,7 +267,7 @@ class _CountingCalls:
 
         from repro.engine.request_cache import request_key
         from repro.relational.compile import ExpressionCompiler
-        from repro.relational.eval import expression_type
+        from repro.relational.schema import expression_type
         from repro.sql.ast import conjoin, walk
 
         self.calls, self.source_calls = {}, {}

@@ -33,6 +33,7 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.resilience import ResiliencePolicy, RetryPolicy
+from repro.errors import EvaluationError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sources.base import SourceCapabilities
@@ -394,9 +395,20 @@ class TestKeptBuilds:
         assert [report.join_builds_shared for report in reports] == [0, 0, 0]
 
 
-class TestStreamsOrMaterializesIsDecidedOnce:
-    """``lower_select`` decides; the local processor (``test_query.py``), the
-    eager drain and the cursor all execute what it lowered."""
+def _chain(operator):
+    """Operator names of a unary pipeline, leaf first."""
+    names = []
+    while True:
+        names.append(operator.operator_name)
+        if not operator.children:
+            return names[::-1]
+        operator = operator.children[0]
+
+
+class TestOneFinish:
+    """``lower_select`` builds the one finish; the local processor
+    (``test_query.py``), the eager drain and the cursor all execute it, and
+    the report lists its operators, a grouped branch's included."""
 
     HAVING = "SELECT r1.cname FROM r1 HAVING r1.revenue > 1"
 
@@ -408,17 +420,59 @@ class TestStreamsOrMaterializesIsDecidedOnce:
         assert eager.relation.rows == [("IBM",)]
         with federation.query(self.HAVING, mediate=False, stream=True) as cursor:
             assert cursor.fetchall() == [("IBM",)]
-        assert _kept(eager.execution.plan).operator_name == "Finalize"
-        listed = [entry["operator"]
+        chain = ["Scan", "Aggregate", "Filter", "Project"]
+        assert _chain(_kept(eager.execution.plan)) == chain
+        listed = [(entry["operator"], entry["rows_out"])
                   for entry in eager.execution.report.snapshot()["operators"]]
-        assert listed == ["Scan"]  # the materializing finish is not listed
+        # One implicit group, which HAVING keeps.
+        assert listed == [("Scan", 2), ("Aggregate", 1), ("Filter", 1), ("Project", 1)]
 
-    def test_order_by_beneath_the_select_list_materializes(self):
+    def test_a_grouped_branch_lists_its_operators_with_rows_out_per_group(self):
+        engine = _two_source_engine()
+        plan = engine.plan("SELECT t.b, COUNT(*) AS n, SUM(u.v) FROM t, u WHERE t.a = u.a "
+                           "GROUP BY t.b HAVING COUNT(*) > 13 ORDER BY SUM(u.v) DESC")
+        result = engine.execute(plan)
+        by_b = {b: [float((a * 37) % 100) for a in range(40) if "xyz"[a % 3] == b]
+                for b in "xyz"}
+        assert result.relation.rows == [("x", 14, sum(by_b["x"]))]
+        assert _chain(_kept(plan)) == [
+            "Scan", "HashJoin", "Aggregate", "Filter", "Project", "Sort"]
+        listed = [(entry["operator"], entry["rows_out"])
+                  for entry in result.report.snapshot()["operators"]]
+        assert listed == [("Scan", 40), ("HashJoin", 40), ("Aggregate", 3),
+                          ("Filter", 1), ("Project", 1), ("Sort", 1)]
+        assert engine.execute(plan).relation.rows == result.relation.rows
+
+    def test_order_by_an_aggregate_through_the_federation(self):
+        # Regression: ORDER BY keys were compiled against the ungrouped row,
+        # where COUNT is an unknown function.
+        federation = build_paper_federation().federation
+        counted = ("SELECT r3.fromCur, COUNT(*) FROM r3 GROUP BY r3.fromCur "
+                   "ORDER BY COUNT(*) DESC, r3.fromCur")
+        aliased = ("SELECT r3.fromCur, COUNT(*) AS n FROM r3 GROUP BY r3.fromCur "
+                   "ORDER BY n DESC, r3.fromCur")
+        rows = federation.query(counted, mediate=False).relation.rows
+        assert rows[:3] == [("USD", 6), ("EUR", 3), ("JPY", 3)]
+        assert rows == federation.query(aliased, mediate=False).relation.rows
+        summed = "SELECT r3.fromCur FROM r3 GROUP BY r3.fromCur ORDER BY SUM(r3.rate) DESC"
+        with federation.query(summed, mediate=False, stream=True) as cursor:
+            assert cursor.fetchmany(2) == [("USD",), ("EUR",)]
+
+    def test_a_nested_aggregate_is_refused_through_the_federation(self):
+        federation = build_paper_federation().federation
+        nested = "SELECT MAX(SUM(r3.rate)) FROM r3 GROUP BY r3.fromCur"
+        with pytest.raises(EvaluationError, match="aggregate calls cannot be nested"):
+            federation.query(nested, mediate=False)
+        with pytest.raises(EvaluationError, match="aggregate calls cannot be nested"):
+            with federation.query(nested, mediate=False, stream=True) as cursor:
+                cursor.fetchall()
+
+    def test_order_by_beneath_the_select_list_sorts_beneath_the_projection(self):
         engine = _two_source_engine()
         plan = engine.plan("SELECT t.b FROM t, u WHERE t.a = u.a AND t.a < 6 "
                            "ORDER BY u.v DESC, t.a")
         rows = [row[0] for row in engine.execute(plan).relation.rows]
-        assert _kept(plan).operator_name == "Finalize"
+        assert _chain(_kept(plan)) == ["Scan", "HashJoin", "Sort", "Project"]
         expected = sorted(range(6), key=lambda a: (-float((a * 37) % 100), a))
         assert rows == ["xyz"[a % 3] for a in expected]
         assert [row[0] for row in engine.execute(plan).relation.rows] == rows

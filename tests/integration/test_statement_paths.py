@@ -62,13 +62,14 @@ MODES = tuple(EXPECTED)
 class Stack:
     """A keyed dirty federation behind every serving front, on one gateway."""
 
-    def __init__(self, **gateway_overrides):
+    def __init__(self, memory_budget_bytes=None, **gateway_overrides):
         contexts = ContextRegistry()
         contexts.register(Context(CONTEXT, "receiver without conventions"))
         system = CoinSystem(build_financial_domain_model(), contexts,
                             name="statement-paths")
         self.federation = Federation(
             system, default_receiver_context=CONTEXT,
+            memory_budget_bytes=memory_budget_bytes,
             observability=Observability(tracing=True, sample_rate=1.0))
         ledger = MemorySQLSource("ledger")
         ledger.load_sql(
@@ -312,6 +313,54 @@ class TestSameAnswerThroughEveryDoor:
         assert set(execution) == expected_keys
         if mode != "raw":
             assert execution["consistency"]["mode"] == mode
+        stack.assert_nothing_left_open()
+
+
+#: Statements whose finish is more than a projection: a grouped one (with a
+#: HAVING and an aggregate ORDER BY key that is not in the select list) and one
+#: ordered by a column beneath the select list.  Row order is part of the answer.
+FINISHES = {
+    "grouped": (
+        "SELECT accounts.owner, COUNT(*) AS n, SUM(accounts.balance) FROM accounts "
+        "GROUP BY accounts.owner HAVING SUM(accounts.balance) > 15 "
+        "ORDER BY MAX(accounts.balance) DESC",
+        [("eve", 1, 30.0), ("bob", 2, 45.0)],
+    ),
+    "beneath": (
+        "SELECT accounts.owner FROM accounts ORDER BY accounts.balance DESC",
+        [("eve",), ("bob",), ("bob",), ("ann",)],
+    ),
+}
+
+
+class TestOneFinishEagerStreamedAndSpilled:
+    @pytest.mark.parametrize("path", ["eager", "streamed", "spilled"])
+    @pytest.mark.parametrize("finish", sorted(FINISHES))
+    def test_same_rows_in_the_same_order(self, finish, path):
+        sql, expected = FINISHES[finish]
+        # 200 bytes hold less than the four account rows a sort buffers.
+        stack = Stack(memory_budget_bytes=200 if path == "spilled" else None)
+        try:
+            for _execution in ("lowers the template", "binds it"):
+                if path == "eager":
+                    answer = stack.federation.query(sql, CONTEXT)
+                    rows, report = answer.relation.rows, answer.execution.report
+                else:
+                    with stack.federation.query(sql, CONTEXT, stream=True) as cursor:
+                        rows = cursor.fetchall()
+                    report = cursor.report
+                assert rows == expected
+                execution = report.snapshot()
+                assert set(execution) == EXECUTION_KEYS
+                listed = [entry["operator"] for entry in execution["operators"]]
+                assert listed == {
+                    "grouped": ["Scan", "Aggregate", "Filter", "Sort", "Project"],
+                    "beneath": ["Scan", "Sort", "Project"],
+                }[finish]
+                if path == "spilled" and finish == "beneath":
+                    assert execution["memory"]["spill_count"] >= 1
+        finally:
+            stack.close()
         stack.assert_nothing_left_open()
 
 

@@ -1,24 +1,31 @@
-"""Evaluation of SQL AST expressions over relation rows.
+"""The interpreted reference: evaluation of SQL AST expressions over rows.
 
-The evaluator binds column references against a :class:`Schema` (whose
-attribute qualifiers are the table bindings of the enclosing query) and
-evaluates arithmetic, comparisons, boolean connectives, predicates (IN,
-BETWEEN, LIKE, IS NULL, CASE) and scalar functions with SQL three-valued
-logic: NULL propagates through arithmetic and comparisons, and ``AND``/``OR``
-follow Kleene semantics.
+This is the executable specification the generated kernels of
+:mod:`repro.relational.compile` are held to (``test_compile*.py``,
+``test_batch_equivalence.py``, the interpreted baselines of
+``benchmarks/bench_hotpath.py``); nothing under ``src/`` runs it.
 
-Aggregate function calls are *not* evaluated here — the grouping operator in
-:mod:`repro.relational.operators` computes them and replaces the calls with
-pre-computed columns before final projection.
+:class:`ExpressionEvaluator` binds column references against a
+:class:`Schema` (whose attribute qualifiers are the table bindings of the
+enclosing query) and evaluates arithmetic, comparisons, boolean connectives,
+predicates (IN, BETWEEN, LIKE, IS NULL, CASE) and scalar functions with SQL
+three-valued logic: NULL propagates through arithmetic and comparisons, and
+``AND``/``OR`` follow Kleene semantics.  It re-walks the AST for every row.
+
+Aggregate calls are not evaluated by it; :class:`GroupEvaluator` substitutes
+values computed per group, and :func:`reference_select` finishes a SELECT the
+materializing way over it: the specification of the ``Aggregate`` operator and
+of what ``lower_select`` builds.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from decimal import Decimal
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
+from repro.relational.compile import _SCALAR_FUNCTIONS, like_to_regex
 from repro.relational.schema import Schema
 from repro.relational.types import sql_compare, sql_equal
 from repro.sql.ast import (
@@ -36,49 +43,12 @@ from repro.sql.ast import (
     Star,
     Subquery,
     UnaryOp,
+    is_aggregate_call,
+    walk,
 )
+from repro.sql.printer import to_sql
 
 Row = Sequence[Any]
-
-
-def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Compile a SQL LIKE pattern (``%`` and ``_`` wildcards) to a regex."""
-    out = []
-    for char in pattern:
-        if char == "%":
-            out.append(".*")
-        elif char == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(char))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-#: Scalar functions available to queries (beyond the aggregates).
-_SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {
-    "ABS": lambda x: None if x is None else abs(x),
-    "ROUND": lambda x, digits=0: None if x is None else round(x, int(digits)),
-    "FLOOR": lambda x: None if x is None else math.floor(x),
-    "CEIL": lambda x: None if x is None else math.ceil(x),
-    "UPPER": lambda s: None if s is None else str(s).upper(),
-    "LOWER": lambda s: None if s is None else str(s).lower(),
-    "TRIM": lambda s: None if s is None else str(s).strip(),
-    "LENGTH": lambda s: None if s is None else len(str(s)),
-    "SUBSTR": lambda s, start, length=None: _substr(s, start, length),
-    "COALESCE": lambda *args: next((a for a in args if a is not None), None),
-    "NULLIF": lambda a, b: None if sql_equal(a, b) is True else a,
-    "CONCAT": lambda *args: None if any(a is None for a in args) else "".join(str(a) for a in args),
-}
-
-
-def _substr(value: Any, start: Any, length: Any) -> Any:
-    if value is None or start is None:
-        return None
-    text = str(value)
-    begin = max(int(start) - 1, 0)
-    if length is None:
-        return text[begin:]
-    return text[begin : begin + int(length)]
 
 
 class ExpressionEvaluator:
@@ -339,55 +309,148 @@ class ExpressionEvaluator:
         return not result if node.negated else result
 
 
-def evaluate_literal_expression(node: Node) -> Any:
-    """Evaluate an expression containing no column references (e.g. INSERT values)."""
-    evaluator = ExpressionEvaluator(Schema([]))
-    return evaluator.evaluate(node, ())
+# ---------------------------------------------------------------------------
+# Grouping and the finish of a SELECT, in plain Python over the interpreter
+# ---------------------------------------------------------------------------
 
 
-def expression_type(node: Node, schema: Schema):
-    """Best-effort static type of an expression (used to build result schemas)."""
-    from repro.relational.types import DataType
+class GroupEvaluator(ExpressionEvaluator):
+    """An evaluator that substitutes pre-computed values for aggregate calls."""
 
-    if isinstance(node, Literal):
-        return DataType.infer(node.value)
-    if isinstance(node, ColumnRef):
-        try:
-            return schema.attribute(node.name, node.table).type
-        except Exception:
-            return DataType.ANY
-    if isinstance(node, BinaryOp):
-        op = node.op.upper()
-        if op in ("AND", "OR", "=", "<>", "<", "<=", ">", ">="):
-            return DataType.BOOLEAN
-        if op == "||":
-            return DataType.STRING
-        left = expression_type(node.left, schema)
-        right = expression_type(node.right, schema)
-        if op == "/":
-            return DataType.FLOAT
-        return left.unify(right)
-    if isinstance(node, UnaryOp):
-        if node.op.upper() == "NOT":
-            return DataType.BOOLEAN
-        return expression_type(node.operand, schema)
-    if isinstance(node, FunctionCall):
-        name = node.name.upper()
-        if name in ("COUNT", "LENGTH"):
-            return DataType.INTEGER
-        if name in ("SUM", "AVG", "ROUND", "ABS", "FLOOR", "CEIL"):
-            return DataType.FLOAT
-        if name in ("UPPER", "LOWER", "TRIM", "SUBSTR", "CONCAT"):
-            return DataType.STRING
-        return DataType.ANY
-    if isinstance(node, (InList, Between, Like, IsNull, Exists)):
-        return DataType.BOOLEAN
-    if isinstance(node, Case):
-        types = [expression_type(value, schema) for _, value in node.whens]
-        if node.default is not None:
-            types.append(expression_type(node.default, schema))
-        result = types[0]
-        for candidate in types[1:]:
-            result = result.unify(candidate)
-        return result
-    return DataType.ANY
+    def __init__(self, schema: Schema, aggregates: Dict[str, Any], subquery_executor=None):
+        super().__init__(schema, subquery_executor)
+        self._aggregates = aggregates
+
+    def _eval(self, node: Node, row: Row) -> Any:
+        if is_aggregate_call(node):
+            for argument in node.args:  # type: ignore[attr-defined]
+                if any(is_aggregate_call(inner) for inner in walk(argument)):
+                    raise EvaluationError("aggregate calls cannot be nested")
+            return self._aggregates[to_sql(node)]
+        return super()._eval(node, row)
+
+
+def group_key(value: Any) -> Any:
+    """GROUP BY / DISTINCT equivalence: numbers by value, NULLs together."""
+    if isinstance(value, bool):
+        return ("b", value)
+    if isinstance(value, (int, float, Decimal)):
+        return ("n", float(value))
+    if value is None:
+        return ("null",)
+    return ("s", str(value))
+
+
+def reference_aggregate(call: FunctionCall, rows: Sequence[Row],
+                        evaluator: ExpressionEvaluator) -> Any:
+    """One aggregate over one group, the slow and obvious way."""
+    name = call.name.upper()
+    if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
+        return len(rows)
+    if not call.args:
+        raise EvaluationError(f"aggregate {name} requires an argument")
+    values = [value for value in (evaluator.evaluate(call.args[0], row) for row in rows)
+              if value is not None]
+    if call.distinct:
+        seen: List[Any] = []
+        for value in values:
+            if value not in seen:
+                seen.append(value)
+        values = seen
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name in ("SUM", "AVG"):
+        total = 0
+        for value in values:
+            total = total + value
+        return total if name == "SUM" else total / len(values)
+    return min(values) if name == "MIN" else max(values)
+
+
+def reference_groups(rows: Sequence[Row], schema: Schema,
+                     group_by: Sequence[Node]) -> List[List[Row]]:
+    """The groups of ``rows`` in first-seen order; without GROUP BY one
+    group, an empty input included."""
+    if not group_by:
+        return [list(rows)]
+    evaluator = ExpressionEvaluator(schema)
+    groups: Dict[Tuple, List[Row]] = {}
+    for row in rows:
+        key = tuple(group_key(evaluator.evaluate(expr, row)) for expr in group_by)
+        groups.setdefault(key, []).append(row)
+    return list(groups.values())
+
+
+def reference_select(select, rows: Sequence[Row], schema: Schema,
+                     subquery_executor=None) -> List[Row]:
+    """The finish of ``select`` over its joined, filtered input ``rows``:
+    grouping, HAVING, the select list, ORDER BY (output columns by alias or
+    position, anything else over the row beneath), DISTINCT, LIMIT — the
+    materializing way, every expression interpreted."""
+    from repro.relational.query import expand_star_items, output_names
+    from repro.relational.types import sort_key
+
+    items = expand_star_items(select.items, schema)
+    names = [name.lower() for name in output_names(items)]
+    clauses = [item.expr for item in items] + [item.expr for item in select.order_by]
+    if select.having is not None:
+        clauses.append(select.having)
+    calls = {to_sql(node): node for clause in clauses for node in _own_nodes(clause)
+             if is_aggregate_call(node)}
+
+    # (output row, evaluator of the row beneath it, that row)
+    finished: List[Tuple[Row, ExpressionEvaluator, Row]] = []
+    if calls or select.group_by or select.having is not None:
+        plain = ExpressionEvaluator(schema, subquery_executor)
+        for group in reference_groups(rows, schema, select.group_by):
+            evaluator = GroupEvaluator(
+                schema,
+                {text: reference_aggregate(call, group, plain) for text, call in calls.items()},
+                subquery_executor)
+            representative = group[0] if group else (None,) * len(schema)
+            if select.having is not None:
+                if evaluator.predicate(select.having)(representative) is not True:
+                    continue
+            finished.append((
+                tuple(evaluator.evaluate(item.expr, representative) for item in items),
+                evaluator, representative))
+    else:
+        evaluator = ExpressionEvaluator(schema, subquery_executor)
+        finished = [(tuple(evaluator.evaluate(item.expr, row) for item in items),
+                     evaluator, row) for row in rows]
+
+    for order in reversed(select.order_by):
+        expr = order.expr
+        if isinstance(expr, ColumnRef) and expr.table is None and expr.name.lower() in names:
+            position = names.index(expr.name.lower())
+        elif isinstance(expr, Literal) and type(expr.value) is int:
+            position = expr.value - 1
+            if not 0 <= position < len(items):
+                continue
+        else:
+            position = None
+        finished.sort(
+            key=lambda entry: sort_key(
+                entry[0][position] if position is not None
+                else entry[1].evaluate(expr, entry[2])),
+            reverse=not order.ascending)
+
+    output = [entry[0] for entry in finished]
+    if select.distinct:
+        seen = set()
+        output = [row for row in output
+                  if (key := tuple(map(group_key, row))) not in seen and not seen.add(key)]
+    if select.limit is not None or select.offset is not None:
+        offset = select.offset or 0
+        output = output[offset:None if select.limit is None else offset + select.limit]
+    return output
+
+
+def _own_nodes(node: Node):
+    """``walk`` that stays out of subqueries: their aggregates are their own."""
+    yield node
+    if not isinstance(node, Subquery):
+        for child in node.children():
+            yield from _own_nodes(child)

@@ -29,8 +29,9 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.executor import OperatorStats, _InstrumentedOperator
 from repro.relational import operators
 from repro.relational.budget import MemoryBudget
-from repro.relational.eval import ExpressionEvaluator
+from reference_eval import ExpressionEvaluator, reference_aggregate, reference_groups
 from repro.relational.operators import (
+    Aggregate,
     Distinct,
     Filter,
     HashJoin,
@@ -87,6 +88,17 @@ PREDICATES = {
 }
 
 
+#: Aggregate call texts per column kind.  Keys mix strings and numbers, which
+#: only COUNT can take; ``COUNT(DISTINCT key)`` must count 1, 1.0 and
+#: Decimal("1") once.
+AGGREGATES = {
+    "key": ["COUNT({c})", "COUNT(DISTINCT {c})"],
+    "num": ["COUNT({c})", "SUM({c})", "SUM(DISTINCT {c})", "AVG({c})", "MIN({c})",
+            "MAX({c} + 1)"],
+    "str": ["COUNT(DISTINCT {c})", "MIN({c})", "MAX({c})"],
+}
+
+
 def _scan_columns(name):
     return [(f"{name}.k", "key"), (f"{name}.v", "num"), (f"{name}.s", "str")]
 
@@ -139,7 +151,7 @@ def _pipeline(draw, engine_shaped, counter):
         columns = columns + right_columns
 
     stages = draw(st.lists(
-        st.sampled_from(["filter", "project", "sort", "distinct", "limit"]),
+        st.sampled_from(["filter", "project", "sort", "distinct", "limit", "aggregate"]),
         max_size=4,
     ))
     if engine_shaped and "distinct" in stages:
@@ -174,6 +186,16 @@ def _pipeline(draw, engine_shaped, counter):
             spec = ("sort", spec, keys, top_k)
         elif stage == "distinct":
             spec = ("distinct", spec)
+        elif stage == "aggregate":
+            # The appended columns have no spelling: later stages see them in
+            # the rows (a Distinct compares them) but name only ``columns``.
+            group_by = [column for column, _kind in draw(
+                st.lists(st.sampled_from(columns), max_size=2))]
+            calls = ["COUNT(*)"] + [
+                draw(st.sampled_from(AGGREGATES[kind])).format(c=column)
+                for column, kind in draw(st.lists(st.sampled_from(columns), max_size=3))
+            ]
+            spec = ("aggregate", spec, group_by, calls)
         else:
             spec = ("limit", spec, draw(st.one_of(st.none(), st.integers(0, 6))),
                     draw(st.integers(0, 4)))
@@ -233,6 +255,10 @@ def build(spec, relations, budget=None):
                     budget=budget, limit=top_k)
     if kind == "distinct":
         return Distinct(build(spec[1], relations, budget), budget=budget)
+    if kind == "aggregate":
+        return Aggregate(build(spec[1], relations, budget),
+                         [parse_expression(text) for text in spec[2]],
+                         [parse_expression(text) for text in spec[3]])
     if kind == "limit":
         return Limit(build(spec[1], relations, budget), spec[2], spec[3])
     assert kind == "union"
@@ -291,6 +317,14 @@ def reference(operator):
             if not any(all(_same(a, b) for a, b in zip(row, other)) for other in kept):
                 kept.append(row)
         return kept
+    if isinstance(operator, Aggregate):
+        schema = operator.child.schema
+        evaluator = ExpressionEvaluator(schema)
+        return [
+            (group[0] if group else (None,) * len(schema))
+            + tuple(reference_aggregate(call, group, evaluator) for call in operator.calls)
+            for group in reference_groups(reference(operator.child), schema, operator.group_by)
+        ]
     if isinstance(operator, Limit):
         rows = reference(operator.child)[operator.offset:]
         return rows if operator.count is None else rows[:operator.count]
@@ -470,11 +504,15 @@ def execute_staged(template, relations, budget, origins):
     stats = []
     rows = _reprs(_bind_staged(template, relations, budget, origins, stats))
     assert budget.used_bytes == 0
-    joins = [entry.source for entry in stats if entry.operator == "HashJoin"]
+    # A join beneath a LIMIT 0 or a top-0 sort is never asked for a batch: it
+    # builds nothing, so there is nothing to keep (its clock never advanced).
+    joins = [(entry.source, entry.elapsed_seconds > 0)
+             for entry in stats if entry.operator == "HashJoin"]
     return ((rows, [(entry.operator, entry.rows_out) for entry in stats],
              [_spill_flags(entry.source) for entry in stats], budget.snapshot()),
-            [join.build_shared for join in joins],
-            [join.right.__class__ is TableScan and not join.spilled for join in joins])
+            [join.build_shared for join, _ran in joins],
+            [ran and join.right.__class__ is TableScan and not join.spilled
+             for join, ran in joins])
 
 
 def _origins(relations):

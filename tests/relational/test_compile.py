@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.compile import ExpressionCompiler, _hash_key, compile_projection
-from repro.relational.eval import ExpressionEvaluator
+from reference_eval import ExpressionEvaluator
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import EvaluationError
 from repro.relational import compile as compile_module
 from repro.relational.compile import ExpressionCompiler, clear_compiled_memo
-from repro.relational.eval import ExpressionEvaluator
+from reference_eval import ExpressionEvaluator
 from repro.relational.schema import Schema
 from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, conjoin
 from repro.sql.parser import parse, parse_expression

@@ -1,5 +1,7 @@
 """The compiled-closure memo: identity across executions, isolation rules."""
 
+import pytest
+
 from repro.relational.compile import ExpressionCompiler, clear_compiled_memo
 from repro.relational.schema import Schema
 from repro.sql.parser import parse
@@ -70,3 +72,28 @@ class TestCompiledMemo:
         second = ExpressionCompiler(schema).projection(expressions)
         assert first is second
         assert first((1, 2.5)) == (2.5, 1)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT t.a, COUNT(*) AS n, SUM(t.b) + 1 FROM t WHERE t.b > 0 GROUP BY t.a "
+        "HAVING COUNT(*) > 1 AND MAX(t.b) < 100 ORDER BY SUM(t.b) DESC, t.a",
+        "SELECT * FROM t ORDER BY t.b DESC",
+        "SELECT DISTINCT t.a FROM t ORDER BY t.b",
+    ])
+    def test_a_source_re_running_one_statement_adds_nothing(self, sql):
+        # The rewritten select list, HAVING and ORDER BY (and the aggregate
+        # columns' schema) are derived once per statement: every later
+        # lowering presents the same nodes and hits.
+        from repro.relational import compile as kernels
+        from repro.sources.memory import MemorySQLSource
+
+        source = MemorySQLSource("db")
+        source.load_sql("CREATE TABLE t (a integer, b float)",
+                        "INSERT INTO t VALUES (1, 2.0), (1, 3.0), (2, 4.0), (3, 5.0), (3, 6.0)")
+        statement = parse(sql)
+        first = source.execute_sql(statement)
+        assert source.execute_sql(statement).rows == first.rows
+        scanned = source.database.table("t").schema.with_qualifier("t")
+        warm = len(kernels._MEMO), len(scanned._derived)
+        for _ in range(98):
+            assert source.execute_sql(statement).rows == first.rows
+        assert (len(kernels._MEMO), len(scanned._derived)) == warm

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import EvaluationError
-from repro.relational.eval import ExpressionEvaluator, evaluate_literal_expression, expression_type, like_to_regex
+from reference_eval import ExpressionEvaluator
+from repro.relational import evaluate_literal_expression, expression_type, like_to_regex
 from repro.relational.relation import relation_from_rows
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
