@@ -6,8 +6,9 @@ half of that contract for the *pipelined* operators.  A :class:`MemoryBudget`
 is one shared pool of bytes that every memory-hungry operator of a statement
 (`Sort` buffers, `Distinct` seen-sets, `HashJoin` build sides) draws from.
 When an operator's reservation would push the pool past its limit the
-operator spills to a :class:`SpillFile` and keeps streaming — execution never
-fails on the budget, it degrades to secondary storage deterministically.
+operator spills — a sorted run to a :class:`SpillFile`, a set of hash
+partitions to one :class:`SpillPartitions` — and keeps streaming: execution
+never fails on the budget, it degrades to secondary storage deterministically.
 
 Budgets are deliberately approximate: :func:`estimate_row_bytes` charges a
 flat per-value estimate (the same scale the temporary store's accounting
@@ -23,16 +24,19 @@ from __future__ import annotations
 import pickle
 import tempfile
 import threading
+from bisect import bisect_right
 from decimal import Decimal
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Flat per-row container overhead charged on top of the per-value estimate
 #: (tuple header + references), so zero-width rows still cost something.
 ROW_OVERHEAD_BYTES = 56
 
-#: How many items one pickled spill batch holds.  Batching keeps the pickle
-#: overhead per row small while bounding reader memory to one batch per
-#: concurrently open spill file.
+#: How many items one pickled spill frame holds.  Batching keeps the pickle
+#: overhead per row small while bounding reader memory to one frame per
+#: concurrently open reader — and writer memory, which no budget is charged
+#: for, to one frame's worth of items per spill file or partition.
 SPILL_BATCH_ITEMS = 512
 
 
@@ -110,6 +114,34 @@ class MemoryBudget:
                 self.peak_bytes = self._used
             return True
 
+    def reserve_prefix(self, sizes: Sequence[int], start: int = 0) -> Tuple[int, int]:
+        """Reserve ``sizes[start:]`` one after the other until one is refused;
+        returns ``(count, bytes)`` reserved.
+
+        One lock round trip stands for ``count`` successful ``try_reserve``
+        calls and the refused one: the cut, the bytes in use at it and the
+        peak are those of a row-at-a-time run, which is what keeps the row an
+        operator starts spilling at independent of its batch size."""
+        with self._lock:
+            count = len(sizes) - start
+            if count <= 0:
+                return 0, 0
+            if self.limit_bytes is None:
+                nbytes = sum(islice(sizes, start, None))
+            else:
+                room = self.limit_bytes - self._used
+                if sizes[start] > room:
+                    # Refused at once — every row of a batch met while another
+                    # operator pins the budget — without summing the batch.
+                    return 0, 0
+                prefix = list(accumulate(islice(sizes, start, None)))
+                count = bisect_right(prefix, room)
+                nbytes = prefix[count - 1]
+            self._used += nbytes
+            if self._used > self.peak_bytes:
+                self.peak_bytes = self._used
+            return count, nbytes
+
     def reserve(self, nbytes: int) -> None:
         """Reserve unconditionally (data that must be held regardless)."""
         with self._lock:
@@ -142,7 +174,29 @@ class MemoryBudget:
             }
 
 
-class SpillFile:
+class _TempFile:
+    """An anonymous temp file and its lifetime: closed by its owner, once."""
+
+    def __init__(self, prefix: str):
+        self._file = tempfile.TemporaryFile(prefix=prefix)
+        self._closed = False
+
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            try:
+                self._file.close()
+            except OSError:  # pragma: no cover - temp file teardown best-effort
+                pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class SpillFile(_TempFile):
     """An anonymous temp file holding a sequence of picklable items.
 
     Writes are batched (:data:`SPILL_BATCH_ITEMS` per pickle frame) so per-item
@@ -152,9 +206,8 @@ class SpillFile:
     """
 
     def __init__(self, prefix: str = "repro-spill-"):
-        self._file = tempfile.TemporaryFile(prefix=prefix)
+        super().__init__(prefix)
         self._batch: List[Any] = []
-        self._closed = False
         self.items = 0
 
     def append(self, item: Any) -> None:
@@ -163,9 +216,17 @@ class SpillFile:
         if len(self._batch) >= SPILL_BATCH_ITEMS:
             self._flush()
 
-    def extend(self, items) -> None:
-        for item in items:
-            self.append(item)
+    def extend(self, items: Sequence[Any]) -> None:
+        """:meth:`append` every item of a list, a slice at a time: frames end
+        at the items they would end at appended one by one."""
+        self.items += len(items)
+        start = 0
+        while start < len(items):
+            room = SPILL_BATCH_ITEMS - len(self._batch)
+            self._batch.extend(items[start:start + room])
+            start += room
+            if len(self._batch) >= SPILL_BATCH_ITEMS:
+                self._flush()
 
     def _flush(self) -> None:
         if self._batch:
@@ -181,20 +242,48 @@ class SpillFile:
                 batch = pickle.load(self._file)
             except EOFError:
                 return
-            for item in batch:
-                yield item
+            yield from batch
 
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._batch = []
-            try:
-                self._file.close()
-            except OSError:  # pragma: no cover - temp file teardown best-effort
-                pass
 
-    def __enter__(self) -> "SpillFile":
-        return self
+class SpillPartitions(_TempFile):
+    """``fanout`` item sequences — the hash partitions of one spilled
+    operator state — in **one** anonymous temp file.
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    Each partition buffers up to :data:`SPILL_BATCH_ITEMS` items and writes
+    them as one pickle frame at the end of the file, remembering the frame's
+    offset; :meth:`read` seeks from frame to frame, so any number of readers
+    interleave.  However wide the fan-out, a partition set costs one file
+    descriptor.  Write everything, then read.
+    """
+
+    def __init__(self, fanout: int, prefix: str = "repro-spill-"):
+        super().__init__(prefix)
+        self._buffers: List[List[Any]] = [[] for _ in range(fanout)]
+        self._offsets: List[List[int]] = [[] for _ in range(fanout)]
+        self._end = 0
+
+    def scatter(self, pairs: Iterable[Tuple[int, Any]]) -> None:
+        """Append each ``(partition, item)`` pair's item to its partition."""
+        buffers = self._buffers
+        for index, item in pairs:
+            buffer = buffers[index]
+            buffer.append(item)
+            if len(buffer) >= SPILL_BATCH_ITEMS:
+                self._flush(index)
+
+    def _flush(self, index: int) -> None:
+        buffer = self._buffers[index]
+        if buffer:
+            self._file.seek(self._end)  # a reader may have moved the position
+            pickle.dump(buffer, self._file, protocol=pickle.HIGHEST_PROTOCOL)
+            self._offsets[index].append(self._end)
+            self._end = self._file.tell()
+            self._buffers[index] = []
+
+    def read(self, index: int) -> Iterator[List[Any]]:
+        """Yield partition ``index`` in write order, a frame (a non-empty
+        list of items) at a time."""
+        self._flush(index)
+        for offset in self._offsets[index]:
+            self._file.seek(offset)
+            yield pickle.load(self._file)

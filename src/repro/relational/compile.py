@@ -5,9 +5,9 @@ does, as the executable specification of these kernels.
 :class:`ExpressionCompiler` lowers an expression **once** to the source of
 one straight-line Python function: ``compile`` gives ``row -> value``,
 ``predicate`` ``row -> True/False/None``, ``projection`` one ``row -> tuple``
-for a whole select list, ``sort_key`` a total-order key and ``bucket_key`` the
-normalized (composite) hash-join key.  However deep the expression, a row
-costs one Python call.
+for a whole select list, ``order_key`` one flat total-order key for a whole
+ORDER BY and ``bucket_key`` the normalized (composite) hash-join key.  However
+deep the expression, a row costs one Python call.
 
 * **Emitter.**  Every node becomes a few statements over SSA temporaries
   (``t1 = row[3]``, ``c2 = t1.__class__``).  ``AND``/``OR`` chains and
@@ -60,7 +60,7 @@ import threading
 from collections import OrderedDict
 from decimal import Decimal
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EvaluationError
 from repro.relational.schema import Schema
@@ -309,6 +309,23 @@ def _hash_key(value: Any) -> Any:
     return ("s", value)
 
 
+class _Descending:
+    """The text of a descending *string* order key: ``<`` inverted, so an
+    ascending comparison of keys orders the strings descending.  Numbers and
+    ranks descend by negation and never meet this class (``order_key``)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.value < self.value
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is _Descending and self.value == other.value
+
+
 def _subquery(executor: SubqueryExecutor, query: Node, how: str, row: Row) -> Any:
     """An uncorrelated subquery's answer, read ``how`` its expression reads it."""
     if executor is None:
@@ -328,7 +345,7 @@ def _subquery(executor: SubqueryExecutor, query: Node, how: str, row: Row) -> An
 #: The globals of every generated kernel: the helpers and builtins it names.
 _KERNEL_GLOBALS: Dict[str, Any] = {fn.__name__: fn for fn in (
     float, str, bool, sql_equal, sort_key, _arith_slow, _negate_slow, _order_slow,
-    _not_equal, _in_list, _between, _like, _call, _hash_key,
+    _not_equal, _in_list, _between, _like, _call, _hash_key, _Descending,
 )}
 
 
@@ -428,9 +445,10 @@ class _Build:
                 height, size = 0, 1
             facts[id(node)] = (constant, height, size)
 
-    def kernel(self, kind: str, nodes: Sequence[Node], folding: bool = False) -> CompiledExpr:
+    def kernel(self, kind: str, nodes: Sequence[Node], *detail: Hashable,
+               folding: bool = False) -> CompiledExpr:
         emitter = _Emitter(self, folding)
-        getattr(emitter, "kernel_" + kind)(nodes)
+        getattr(emitter, "kernel_" + kind)(nodes, *detail)
         params = ", ".join(f"k{index}" for index in range(len(emitter.consts)))
         source = (f"def make({params}):\n    def kernel(row):\n"
                   f"{''.join(emitter.lines)}    return kernel\n")
@@ -705,13 +723,40 @@ class _Emitter:
     def kernel_proj(self, nodes: Sequence[Node]) -> None:
         self.line(f"return ({''.join(self.value(node) + ', ' for node in nodes)})")
 
-    def kernel_sort(self, nodes: Sequence[Node]) -> None:
-        """``types.sort_key`` of the value, exact numbers and strings inline."""
-        x = self.name(self.value(nodes[0]))
-        cls = self.classof(x)
-        self.line(f"if {cls} is float or {cls} is int: return (1, float({x}), '')")
-        self.line(f"if {cls} is str: return (2, 0, {x})")
-        self.line(f"return sort_key({x})")
+    def kernel_order(self, nodes: Sequence[Node],
+                     keys: Sequence[Tuple[Optional[int], bool]]) -> None:
+        """One flat tuple ordering rows as the whole ORDER BY does: per key
+        ``types.sort_key``'s ``(rank, number, text)`` of its value — a row
+        position, or the next of ``nodes`` — exact floats, ints and strings
+        inline.  A descending key is ``(-rank, -number, '')``; only a
+        descending *string* needs a wrapper, and gets one."""
+        sources = iter(nodes)
+        parts = []
+        for position, ascending in keys:
+            x = self.name(self.value(next(sources)) if position is None
+                          else f"row[{position:d}]")
+            cls = self.classof(x)
+            rank, number, text = self.temp("r"), self.temp("n"), self.temp("s")
+            sign = "" if ascending else "-"
+            slow = f"{rank}, {number}, {text} = sort_key({x})" + (
+                "" if ascending else f"; {rank} = -{rank}; {number} = -{number}")
+            self.line(f"if {cls} is float:")
+            self.line(f"    if {x} == {x}: {rank} = {sign}1; {number} = {sign}{x}")
+            self.line(f"    else: {rank} = {sign}2; {number} = 0")
+            self.line(f"    {text} = ''")
+            self.line(f"elif {cls} is int:")
+            self.line(f"    try: {rank} = {sign}1; {number} = {sign}float({x}); {text} = ''")
+            self.line(f"    except OverflowError: {slow}")
+            if ascending:
+                self.line(f"elif {cls} is str: {rank} = 3; {number} = 0; {text} = {x}")
+                self.line(f"else: {slow}")
+            else:
+                self.line("else:")
+                self.line(f"    if {cls} is str: {rank} = -3; {number} = 0; {text} = {x}")
+                self.line(f"    else: {slow}")
+                self.line(f"    if {rank} == -3: {text} = _Descending({text})")
+            parts += (rank, number, text)
+        self.line(f"return ({''.join(part + ', ' for part in parts)})")
 
     def kernel_key(self, nodes: Sequence[Node]) -> None:
         """``(_hash_key(v), ...)`` over the key parts, None at the first NULL."""
@@ -741,12 +786,13 @@ class ExpressionCompiler:
         self.schema = schema
         self._scope = scope or KernelScope(subquery_executor)
 
-    def _kernel(self, kind: str, nodes: Tuple[Node, ...]) -> Any:
-        """Build-or-recall the kernel of ``nodes`` against this schema.  A
+    def _kernel(self, kind: str, nodes: Tuple[Node, ...], *detail: Hashable) -> Any:
+        """Build-or-recall the kernel of ``nodes`` (and whatever else of
+        ``detail`` its entry point lowers) against this schema.  A
         subquery's result is folded into its kernel, binding it to this
         scope's executor and lifetime: never memoized, rebuilt each time, and
         the scope is told it holds ``private`` kernels."""
-        key = (kind, tuple(map(id, nodes)), self.schema.memo_token)
+        key = (kind, detail, tuple(map(id, nodes)), self.schema.memo_token)
         memo = self._scope.memo
         found, fn = memo.get(key, nodes)
         if fn is not None:
@@ -765,7 +811,7 @@ class ExpressionCompiler:
         if fn is None:
             build = _Build(self.schema, self._scope.subquery_executor)
             build.analyse(nodes)
-            fn, private = build.kernel(kind, nodes), build.private
+            fn, private = build.kernel(kind, nodes, *detail), build.private
         if private:
             self._scope.private = True
         if not found:
@@ -785,9 +831,19 @@ class ExpressionCompiler:
         """Compile a list of output expressions into one ``row -> tuple``."""
         return self._kernel("proj", tuple(expressions))
 
-    def sort_key(self, node: Node) -> Callable[[Row], tuple]:
-        """Compile an ORDER BY expression to a total-order key function."""
-        return self._kernel("sort", (node,))
+    def order_key(self, keys: Sequence[Tuple[Union[Node, int], bool]],
+                  ) -> Callable[[Row], tuple]:
+        """Compile a whole ORDER BY — ``(source, ascending)`` keys, a source
+        an expression or an ``int`` position of the row — to one ``row ->
+        flat tuple``: ``list.sort``, ``heapq.merge`` and ``heapq.nsmallest``
+        by it order rows as the stable per-key cascade over
+        :func:`types.sort_key` does (last key first, ``reverse`` for a
+        descending one)."""
+        return self._kernel(
+            "order",
+            tuple(source for source, _ascending in keys if source.__class__ is not int),
+            tuple((source if source.__class__ is int else None, bool(ascending))
+                  for source, ascending in keys))
 
     def bucket_key(self, expressions: Sequence[Node]) -> Callable[[Row], Optional[tuple]]:
         """Compile (composite) join key expressions to one ``row -> key``: the

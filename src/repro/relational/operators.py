@@ -26,10 +26,10 @@ Every operator exposes:
 
 Operators that start a batch sequence (scans, sorted output, spill readers)
 size it by :data:`BATCH_RAMP`; everything else maps input batches to output
-batches.  Budgeted operators reserve once per batch and replay a refused
-reservation row by row, so the row at which they start spilling is the one a
-row-at-a-time engine would have picked (PERFORMANCE.md, "Batch-at-a-time
-execution").  Every ``batches()`` generator closes its children's generators
+batches.  Budgeted operators reserve a batch's rows in one step that stops at
+the row a row-at-a-time engine would have been refused at
+(``MemoryBudget.reserve_prefix``), so that is the row they start spilling at
+(PERFORMANCE.md, "Batch-at-a-time execution").  Every ``batches()`` generator closes its children's generators
 when it finishes *or is closed*, so closing the root releases every budget
 reservation and spill file in the tree deterministically.
 """
@@ -41,14 +41,18 @@ import weakref
 from contextlib import closing
 from decimal import Decimal
 from itertools import chain, islice, repeat
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import EvaluationError, ExecutionError
-from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
+from repro.relational.budget import (
+    MemoryBudget, SpillFile, SpillPartitions, estimate_row_bytes,
+)
 from repro.relational.compile import CompiledExpr, ExpressionCompiler, KernelScope, _hash_key
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema, expression_type
-from repro.relational.types import sort_key
 from repro.sql.ast import ColumnRef, FunctionCall, Node, Star
 
 #: Row counts of the first batches a batch sequence produces; the last entry
@@ -549,7 +553,8 @@ class HashJoin(PhysicalOperator):
         buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
         build_rows = 0
-        build_spill: Optional[List[SpillFile]] = None
+        build_spill: Optional[SpillPartitions] = None
+        probe_spill: Optional[SpillPartitions] = None
         right = self.right
         origin = right.relation.origin if right.__class__ is TableScan else None
         kept = self._kept.build if origin is not None else None
@@ -566,9 +571,8 @@ class HashJoin(PhysicalOperator):
                     if build_spill is None:
                         fitted = len(keyed)
                         if budget is not None:
-                            fitted, reserved = _reserve_prefix(
-                                budget, [estimate_row_bytes(row) for _key, row in keyed]
-                            )
+                            fitted, reserved = budget.reserve_prefix(
+                                [estimate_row_bytes(row) for _key, row in keyed])
                             build_bytes += reserved
                         for key, row in keyed if fitted == len(keyed) else keyed[:fitted]:
                             buckets.setdefault(key, []).append(row)
@@ -577,21 +581,20 @@ class HashJoin(PhysicalOperator):
                             continue
                         # The build side outgrew the budget at row ``fitted``:
                         # switch to Grace partitioning — flush the buckets
-                        # built so far to per-partition spill files and keep
+                        # built so far to the build partitions and keep
                         # partitioning.
-                        build_spill = [SpillFile("hashjoin-build-") for _ in range(fanout)]
-                        for built_key, built_rows in buckets.items():
-                            partition = build_spill[hash(built_key) % fanout]
-                            for built_row in built_rows:
-                                partition.append((built_key, built_row))
+                        build_spill = SpillPartitions(fanout, "hashjoin-build-")
+                        build_spill.scatter(
+                            (hash(built_key) % fanout, (built_key, built_row))
+                            for built_key, built_rows in buckets.items()
+                            for built_row in built_rows)
                         budget.record_spill(build_rows, build_bytes)
                         budget.release(build_bytes)
                         build_bytes = 0
                         buckets = {}
                         self.spilled = True
                         keyed = keyed[fitted:]
-                    for key, row in keyed:
-                        build_spill[hash(key) % fanout].append((key, row))
+                    build_spill.scatter((hash(pair[0]) % fanout, pair) for pair in keyed)
 
             residual = self._residual_predicate
             left_key = self._left_key
@@ -619,33 +622,35 @@ class HashJoin(PhysicalOperator):
             # same hash, then join partition by partition.  Output order is
             # deterministic — partitions in index order, probe order within
             # each — but differs from the in-memory build's probe order.
-            probe_spill = [SpillFile("hashjoin-probe-") for _ in range(fanout)]
-            try:
-                with closing(self.left.batches()) as left_batches:
-                    for batch in left_batches:
-                        for left_row in batch:
-                            key = left_key(left_row)
-                            if key is not None:
-                                probe_spill[hash(key) % fanout].append((key, left_row))
+            probe_spill = SpillPartitions(fanout, "hashjoin-probe-")
+            with closing(self.left.batches()) as left_batches:
+                for batch in left_batches:
+                    probe_spill.scatter(
+                        (hash(key) % fanout, (key, left_row)) for left_row in batch
+                        if (key := left_key(left_row)) is not None)
 
-                def partition_joins() -> Iterator[Row]:
-                    for index in range(fanout):
-                        partition_buckets: Dict[Any, List[Row]] = {}
-                        for key, right_row in build_spill[index].read():
+            def partition_joins() -> Iterator[Batch]:
+                for index in range(fanout):
+                    partition_buckets: Dict[Any, List[Row]] = {}
+                    for frame in build_spill.read(index):
+                        for key, right_row in frame:
                             partition_buckets.setdefault(key, []).append(right_row)
-                        for key, left_row in probe_spill[index].read():
-                            for right_row in partition_buckets.get(key, ()):
-                                combined = left_row + right_row
-                                if residual is None or residual(combined) is True:
-                                    yield combined
+                    matches = partition_buckets.get
+                    for frame in probe_spill.read(index) if partition_buckets else ():
+                        if residual is None:
+                            yield [left_row + right_row
+                                   for key, left_row in frame
+                                   for right_row in matches(key, ())]
+                        else:
+                            yield [combined
+                                   for key, left_row in frame
+                                   for right_row in matches(key, ())
+                                   if residual(combined := left_row + right_row) is True]
 
-                yield from _ramp_batches(partition_joins())
-            finally:
-                for spill in probe_spill:
-                    spill.close()
+            yield from _ramp_batches(chain.from_iterable(partition_joins()))
         finally:
-            if build_spill is not None:
-                for spill in build_spill:
+            for spill in (build_spill, probe_spill):
+                if spill is not None:
                     spill.close()
             if budget is not None and build_bytes:
                 budget.release(build_bytes)
@@ -667,24 +672,6 @@ class HashJoin(PhysicalOperator):
         return detail + ")"
 
 
-def _reserve_prefix(budget: MemoryBudget, sizes: Sequence[int]) -> Tuple[int, int]:
-    """Reserve one batch of row sizes; returns (rows, bytes) actually reserved.
-
-    The whole batch is one reservation.  When the budget refuses it, nothing
-    was reserved and the rows are replayed one by one, stopping at the first
-    refusal — so the refused row, the bytes held at that moment and the
-    budget's peak are exactly those of a row-at-a-time run."""
-    total = sum(sizes)
-    if budget.try_reserve(total):
-        return len(sizes), total
-    reserved = 0
-    for count, nbytes in enumerate(sizes):
-        if not budget.try_reserve(nbytes):
-            return count, reserved
-        reserved += nbytes
-    return len(sizes), reserved
-
-
 def _default_distinct_key(row: Row) -> Tuple:
     return tuple(_hash_key(value) if value is not None else None for value in row)
 
@@ -696,7 +683,7 @@ class Distinct(PhysicalOperator):
     hashable, picklable key); the default normalizes numerics the same way the
     hash join does.  With a :class:`MemoryBudget`, a seen-set that outgrows
     the budget triggers an external two-phase dedup: seen keys and the
-    remaining input are hash-partitioned to spill files, each partition is
+    remaining input are hash-partitioned into one spill file, each partition is
     deduplicated independently, and survivors merge back **in original input
     order** — the spilled path yields exactly the rows, in exactly the order,
     of the in-memory path.
@@ -743,9 +730,7 @@ class Distinct(PhysicalOperator):
                 if budget is None:
                     yield fresh
                     continue
-                fitted, reserved = _reserve_prefix(
-                    budget, [estimate_row_bytes(row) for row in fresh]
-                )
+                fitted, reserved = budget.reserve_prefix(list(map(estimate_row_bytes, fresh)))
                 seen_bytes += reserved
                 if fitted == len(fresh):
                     yield fresh
@@ -787,84 +772,64 @@ class Distinct(PhysicalOperator):
         merged back into global input order.
         """
         budget = self.budget
+        key_fn = self._key
+        fanout = self.SPILL_PARTITIONS
         self.spilled = True
-        partitions = [SpillFile("distinct-") for _ in range(self.SPILL_PARTITIONS)]
-        survivors = [SpillFile("distinct-out-") for _ in range(self.SPILL_PARTITIONS)]
+        partitions = SpillPartitions(fanout, "distinct-")
+        survivors = SpillPartitions(fanout, "distinct-out-")
         try:
-            for emitted_key in seen:
-                partitions[hash(emitted_key) % self.SPILL_PARTITIONS].append(
-                    (None, emitted_key)
-                )
+            partitions.scatter(
+                (hash(emitted_key) % fanout, (None, emitted_key)) for emitted_key in seen)
             budget.record_spill(len(seen), seen_bytes)
             budget.release(seen_bytes)
             seen.clear()
 
-            partitions[hash(key) % self.SPILL_PARTITIONS].append((sequence, row, key))
-            for later_sequence, later_row in iterator:
-                later_key = self._key(later_row)
-                partitions[hash(later_key) % self.SPILL_PARTITIONS].append(
-                    (later_sequence, later_row, later_key)
-                )
+            partitions.scatter(chain(
+                [(hash(key) % fanout, (sequence, row, key))],
+                ((hash(later_key := key_fn(later_row)) % fanout,
+                  (later_sequence, later_row, later_key))
+                 for later_sequence, later_row in iterator),
+            ))
 
             # Phase 2: per-partition dedup (markers first, then rows in input
             # order); survivors stream out per partition, already
-            # sequence-sorted because partition files preserve write order.
-            for index in range(self.SPILL_PARTITIONS):
+            # sequence-sorted because partitions preserve write order.
+            for index in range(fanout):
                 local_seen = set()
-                for item in partitions[index].read():
-                    if item[0] is None:
-                        local_seen.add(item[1])
-                        continue
-                    item_sequence, item_row, item_key = item
-                    if item_key in local_seen:
-                        continue
-                    local_seen.add(item_key)
-                    survivors[index].append((item_sequence, item_row))
-                partitions[index].close()
+                for frame in partitions.read(index):
+                    kept = []
+                    for item in frame:
+                        if item[0] is None:
+                            local_seen.add(item[1])
+                        elif item[2] not in local_seen:
+                            local_seen.add(item[2])
+                            kept.append((index, item[:2]))
+                    survivors.scatter(kept)
+            partitions.close()
 
             merged = heapq.merge(
-                *[survivor.read() for survivor in survivors],
-                key=lambda pair: pair[0],
+                *[chain.from_iterable(survivors.read(index)) for index in range(fanout)],
+                key=itemgetter(0),
             )
-            yield from _ramp_batches(survivor_row for _sequence, survivor_row in merged)
+            yield from _ramp_batches(map(itemgetter(1), merged))
         finally:
-            for spill in partitions:
-                spill.close()
-            for spill in survivors:
-                spill.close()
+            partitions.close()
+            survivors.close()
 
     @property
     def estimated_rows(self) -> int:
         return self.child.estimated_rows
 
 
-class _Descending:
-    """Wraps a sort key so ascending comparisons produce descending order.
-
-    ``sort_key`` values are totally ordered tuples, so inverting ``<`` is
-    enough for ``list.sort``, ``heapq.merge`` and ``heapq.nsmallest``.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.value < self.value
-
-    def __le__(self, other: "_Descending") -> bool:
-        return not self.value < other.value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Descending) and self.value == other.value
-
-
 class Sort(PhysicalOperator):
-    """Sort on a list of (expression, ascending) keys.
+    """Sort on a list of ``(source, ascending)`` keys, a source an expression
+    over the input row or an ``int`` position of it (how a SELECT's lowering
+    orders by output columns).
 
-    By default the input is buffered and sorted in memory (the historical
-    behaviour).  Two extensions serve the streaming execution core:
+    The whole ORDER BY is one generated key (``ExpressionCompiler.order_key``):
+    the in-memory sort, the sort of a run, the external merge and the top-k
+    heap all compare its flat tuples.  By default the input is buffered and
+    sorted in memory.  Two extensions serve the streaming execution core:
 
     * ``budget`` — a shared :class:`MemoryBudget`; when buffering the input
       would exceed it, the buffered prefix is sorted and spilled as a run,
@@ -875,10 +840,6 @@ class Sort(PhysicalOperator):
     * ``limit`` — a top-k bound (LIMIT + OFFSET already combined by the
       caller): only the ``limit`` smallest rows are kept, in a bounded heap
       that never spills.
-
-    ``key_functions`` overrides the compiled per-key functions — an aligned
-    list of ``(row -> orderable, ascending)`` pairs — used by a SELECT's
-    lowering to order by output positions instead of expressions.
     """
 
     operator_name = "Sort"
@@ -890,41 +851,21 @@ class Sort(PhysicalOperator):
     #: ``min(this, limit/2)`` bytes, bounding open files to input/run size.
     MIN_SPILL_RUN_BYTES = 32 * 1024
 
-    def __init__(self, child: PhysicalOperator, keys: Sequence[Tuple[Node, bool]],
+    def __init__(self, child: PhysicalOperator,
+                 keys: Sequence[Tuple[Union[Node, int], bool]],
                  scope: Optional[KernelScope] = None,
                  budget: Optional[MemoryBudget] = None,
-                 limit: Optional[int] = None,
-                 key_functions: Optional[Sequence[Tuple[Callable[[Row], Any], bool]]] = None):
+                 limit: Optional[int] = None):
         self.child = child
         self.keys = list(keys)
         self.budget = budget
         self.limit = limit
-        if key_functions is not None:
-            self._key_fns = list(key_functions)
-        else:
-            compiler = ExpressionCompiler(child.schema, scope=scope)
-            self._key_fns = [
-                (compiler.sort_key(expr), ascending) for expr, ascending in self.keys
-            ]
+        self._key = ExpressionCompiler(child.schema, scope=scope).order_key(self.keys)
         #: How many sorted runs the last iteration spilled (0 = in memory).
         self.spill_runs = 0
 
-    def _composite_key(self) -> Callable[[Row], Any]:
-        """One total-order key equivalent to the per-key stable sort cascade."""
-        key_fns = self._key_fns
-        if len(key_fns) == 1 and key_fns[0][1]:
-            return key_fns[0][0]
-
-        def composite(row: Row) -> Tuple:
-            return tuple(
-                fn(row) if ascending else _Descending(fn(row))
-                for fn, ascending in key_fns
-            )
-
-        return composite
-
     def batches(self) -> Iterator[Batch]:
-        key = self._composite_key()
+        key = self._key
         budget = self.budget
         buffer: List[Row] = []
         buffer_bytes = 0
@@ -952,31 +893,33 @@ class Sort(PhysicalOperator):
                     buffer.extend(batch)
                     continue
                 sizes = list(map(estimate_row_bytes, batch))
-                total = sum(sizes)
-                if budget.try_reserve(total):
-                    buffer.extend(batch)
-                    buffer_bytes += total
-                    continue
-                # The batch does not fit as a whole: replay it row by row, so
-                # runs are cut at the rows a row-at-a-time sort would cut at.
-                for row, nbytes in zip(batch, sizes):
-                    if not budget.try_reserve(nbytes):
-                        if buffer_bytes >= min_run_bytes:
-                            buffer.sort(key=key)
-                            run = SpillFile("sort-run-")
-                            run.extend(buffer)
-                            runs.append(run)
-                            self.spill_runs += 1
-                            budget.record_spill(len(buffer), buffer_bytes)
-                            budget.release(buffer_bytes)
-                            buffer = []
-                            buffer_bytes = 0
-                        # The row must be held somewhere even when other
-                        # operators occupy the whole budget (or the buffer is
-                        # still below a useful run size).
-                        budget.reserve(nbytes)
-                    buffer.append(row)
-                    buffer_bytes += nbytes
+                start = 0
+                while start < len(batch):
+                    # As many rows as fit; a refused row cuts a run where a
+                    # row-at-a-time sort would cut it.
+                    fitted, reserved = budget.reserve_prefix(sizes, start)
+                    buffer += batch[start:start + fitted]
+                    buffer_bytes += reserved
+                    start += fitted
+                    if start == len(batch):
+                        break
+                    if buffer_bytes >= min_run_bytes:
+                        buffer.sort(key=key)
+                        run = SpillFile("sort-run-")
+                        runs.append(run)
+                        run.extend(buffer)
+                        self.spill_runs += 1
+                        budget.record_spill(len(buffer), buffer_bytes)
+                        budget.release(buffer_bytes)
+                        buffer = []
+                        buffer_bytes = 0
+                    # The row must be held somewhere even when other
+                    # operators occupy the whole budget (or the buffer is
+                    # still below a useful run size).
+                    budget.reserve(sizes[start])
+                    buffer.append(batch[start])
+                    buffer_bytes += sizes[start]
+                    start += 1
 
             buffer.sort(key=key)
             if not runs:
@@ -1003,7 +946,9 @@ class Sort(PhysicalOperator):
     def _explain_details(self) -> str:
         from repro.sql.printer import to_sql
 
-        parts = [f"{to_sql(expr)}{'' if asc else ' DESC'}" for expr, asc in self.keys]
+        parts = [(self.child.schema[source].name if source.__class__ is int
+                  else to_sql(source)) + ("" if ascending else " DESC")
+                 for source, ascending in self.keys]
         if self.limit is not None:
             parts.append(f"top {self.limit}")
         return f"({', '.join(parts)})"

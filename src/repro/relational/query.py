@@ -40,7 +40,7 @@ from repro.relational.operators import (
 )
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType, sort_key as value_sort_key
+from repro.relational.types import DataType
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -344,13 +344,7 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
         operator = Sort(operator, finish.sort_beneath, scope, limit=top)
     operator = Project(operator, finish.expressions, finish.names, scope)
     if finish.sort_output:
-        operator = Sort(
-            operator, [(item.expr, item.ascending) for item in select.order_by], limit=top,
-            key_functions=[
-                (lambda row, position=position: value_sort_key(row[position]), ascending)
-                for position, ascending in finish.sort_output
-            ],
-        )
+        operator = Sort(operator, finish.sort_output, scope, limit=top)
     if select.distinct:
         operator = Distinct(operator, key=_group_keys)
     if select.limit is not None or select.offset is not None:

@@ -153,6 +153,7 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
 
 #: What :func:`sql_compare` answers for a NaN operand.
 _UNORDERED = float("nan")
+_INFINITY = float("inf")
 
 
 def sql_compare(left: Any, right: Any) -> Optional[int]:
@@ -189,13 +190,24 @@ def sql_compare(left: Any, right: Any) -> Optional[int]:
 
 
 def sort_key(value: Any) -> tuple:
-    """A total-order key for ORDER BY: NULLs first, then numbers, then strings."""
+    """A total-order key for ORDER BY, as ``(rank, number, text)``: NULLs
+    first, then every number, then NaN, then strings.
+
+    This is the one definition of the order; the generated order key
+    (``ExpressionCompiler.order_key``) inlines the same rule for exact
+    classes.  NaN compares false with everything, so it cannot share the
+    numbers' rank without unsorting the rows around it: it has a rank of its
+    own, after every number (``inf`` included), all NaNs equal.  An ``int``
+    past the floats orders as the infinity of its sign.
+    """
     if value is None:
         return (0, 0, "")
     if isinstance(value, bool):
         return (1, int(value), "")
-    if isinstance(value, (int, float)):
-        return (1, float(value), "")
-    if isinstance(value, _Decimal):
-        return (1, float(value), "")
-    return (2, 0, str(value))
+    if isinstance(value, (int, float, _Decimal)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = _INFINITY if value > 0 else -_INFINITY
+        return (1, number, "") if number == number else (2, 0, "")
+    return (3, 0, str(value))

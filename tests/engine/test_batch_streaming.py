@@ -26,7 +26,7 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.executor import ExecutionReport
 from repro.obs.trace import Tracer, deactivate_span
 from repro.relational import operators
-from repro.relational.budget import SpillFile
+from repro.relational.budget import SpillFile, SpillPartitions
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.server.server import MediationServer
@@ -154,12 +154,18 @@ class TestNothingLeaksOnEarlyClose:
     def test_budgeted_spilling_stream_closed_after_one_fetchmany(self, monkeypatch):
         spills = []
 
-        class TrackedSpillFile(SpillFile):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                spills.append(self)
+        def tracked(spill_class):
+            class Tracked(spill_class):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    spills.append(self)
 
-        monkeypatch.setattr(operators, "SpillFile", TrackedSpillFile)
+            monkeypatch.setattr(operators, spill_class.__name__, Tracked)
+
+        # A sort's runs and the partition sets of a Grace join or an external
+        # Distinct: everything the operators open on secondary storage.
+        tracked(SpillFile)
+        tracked(SpillPartitions)
         engine = _engine(memory_budget_bytes=8_000)
         root, stream = self._open_traced(engine)
         assert stream.fetchmany(1) == EXPECTED_DISTINCT[:1]
@@ -172,7 +178,8 @@ class TestNothingLeaksOnEarlyClose:
         stream.close()  # and no gc.collect()
         assert stream.budget.used_bytes == 0
         assert engine.controller.temp_store.handles == []
-        assert all(spill._closed for spill in spills)
+        assert all(spill._closed and spill._file.closed for spill in spills)
+        assert {type(spill).__base__ for spill in spills} == {SpillFile, SpillPartitions}
         assert stream.report.spill_count > 0
         assert stream.report.result_rows == 1
         assert root.open_spans() == [root]

@@ -316,7 +316,7 @@ class TestGeneratedExpressions:
         compiled = compiler.compile(node)
         predicate = compiler.predicate(node)
         projection = compiler.projection(nodes)
-        order_key = compiler.sort_key(node)
+        order_key = compiler.order_key([(node, True)])
         bucket_key = compiler.bucket_key(nodes)
         for row in rows:
             # A fresh interpreter per row: it caches nothing across rows that

@@ -1,5 +1,7 @@
 """Unit tests for the value type system and SQL comparison semantics."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import TypeMismatchError
@@ -125,3 +127,18 @@ class TestSortKey:
     def test_mixed_int_float_ordering(self):
         values = [2.5, 1, 3]
         assert sorted(values, key=sort_key) == [1, 2.5, 3]
+
+    def test_nan_sorts_after_every_number_and_before_every_string(self):
+        nan = float("nan")
+        values = ["a", nan, float("inf"), 2, nan, None, ""]
+        ordered = sorted(values, key=sort_key)
+        assert ordered[:3] == [None, 2, float("inf")]
+        assert ordered[3] is nan and ordered[4] is nan
+        assert ordered[5:] == ["", "a"]
+        assert sort_key(nan) == sort_key(float("-nan")) == sort_key(Decimal("NaN"))
+
+    def test_an_int_past_the_floats_orders_as_its_infinity(self):
+        assert sort_key(10 ** 400) == sort_key(float("inf"))
+        assert sort_key(-(10 ** 400)) == sort_key(float("-inf"))
+        assert sorted([10 ** 400, 1.5, -(10 ** 400)], key=sort_key) == [
+            -(10 ** 400), 1.5, 10 ** 400]
