@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
 from repro.engine.catalog import Catalog, CatalogEntry
@@ -40,25 +40,27 @@ from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.plan import BindJoinSpec, BranchPlan, JoinStep, QueryPlan, SourceRequest
 from repro.sql.printer import to_sql
 from repro.sql.ast import (
-    BinaryOp,
     ColumnRef,
-    FunctionCall,
     Join,
     Node,
     Select,
     SelectItem,
-    Star,
     Statement,
-    Subquery,
     TableRef,
     Union,
-    column_refs,
     conjoin,
-    conjuncts,
-    is_aggregate_call,
-    walk,
 )
+from repro.sql.facts import ConjunctFacts, SelectFacts, analyse_select
 from repro.sql.parser import DerivedTable
+
+#: An oriented-to-be equi-join key: ``(left ref, left request, right ref,
+#: right request)`` of a hash-safe ``a.x = b.y`` conjunct.
+_EquiKey = Tuple[ColumnRef, int, ColumnRef, int]
+#: A cross-request condition: the requests it needs (a bit mask over request
+#: positions), the conjunct, and its equi key when it can be one.
+_JoinCondition = Tuple[int, Node, Optional[_EquiKey]]
+_JoinStepParts = Tuple[Tuple[Node, ...], Tuple[Tuple[ColumnRef, ColumnRef], ...],
+                       Tuple[Node, ...]]
 
 
 @dataclass
@@ -88,6 +90,76 @@ class PlannerConfig:
     bind_join_min_rows: int = 200
     #: Required estimated transfer reduction (unbound rows / bound rows).
     bind_join_min_reduction: float = 5.0
+
+
+class _JoinGraph:
+    """One branch's cross-request conditions, and what joining asks of them.
+
+    Every join-order strategy asks the same questions over and over: joining
+    request ``candidate`` onto the set ``mask``, which conditions become
+    evaluable, which of them are hash keys and how are they oriented
+    (:meth:`step`); and what is the feedback key of a joined set
+    (:meth:`fingerprint`).  The answers depend on the set, never on the order
+    it was reached in, so each is worked out once per branch — for the
+    greedy pass, every transition of the dynamic program and the steps
+    finally emitted alike.
+    """
+
+    def __init__(self, requests: Sequence[SourceRequest],
+                 conditions: Sequence[_JoinCondition]):
+        self.conditions = conditions
+        self._items = [f"{request.relation.lower()}|{request.predicate_fingerprint}"
+                       for request in requests]
+        self._steps: Dict[Tuple[int, int], _JoinStepParts] = {}
+        self._fingerprints: Dict[int, str] = {}
+
+    def step(self, mask: int, candidate: int) -> _JoinStepParts:
+        """``(conditions, equi keys, residual)`` of joining ``candidate`` onto
+        ``mask``: the conditions that need the candidate and nothing outside
+        the joined set, in WHERE order, split into equi-join key pairs
+        oriented (intermediate side, staged side) and the rest.
+
+        Every qualifying ``a.x = b.y`` conjunct becomes part of the composite
+        hash key instead of degrading into a per-pair residual check.
+        """
+        parts = self._steps.get((mask, candidate))
+        if parts is None:
+            bit = 1 << candidate
+            outside = ~(mask | bit)
+            conditions: List[Node] = []
+            equi_keys: List[Tuple[ColumnRef, ColumnRef]] = []
+            residual: List[Node] = []
+            for needs, condition, equi in self.conditions:
+                if not needs & bit or needs & outside:
+                    continue
+                conditions.append(condition)
+                if equi is not None:
+                    left_ref, left, right_ref, right = equi
+                    if right == candidate and mask >> left & 1:
+                        equi_keys.append((left_ref, right_ref))
+                        continue
+                    if left == candidate and mask >> right & 1:
+                        equi_keys.append((right_ref, left_ref))
+                        continue
+                residual.append(condition)
+            parts = self._steps[mask, candidate] = (
+                tuple(conditions), tuple(equi_keys), tuple(residual))
+        return parts
+
+    def fingerprint(self, mask: int) -> str:
+        """Order-insensitive digest of a joined (relation, predicate) set.
+
+        The output cardinality of joining a set of filtered relations does
+        not depend on the join order, so the fingerprint sorts the items —
+        feedback recorded under one order prices every order of the same set.
+        """
+        fingerprint = self._fingerprints.get(mask)
+        if fingerprint is None:
+            items = sorted(item for index, item in enumerate(self._items)
+                           if mask >> index & 1)
+            digest = hashlib.sha256("&&".join(items).encode("utf-8"))
+            fingerprint = self._fingerprints[mask] = digest.hexdigest()[:16]
+        return fingerprint
 
 
 class QueryPlanner:
@@ -170,23 +242,24 @@ class QueryPlanner:
                 f"{self.config.max_branch_tables}"
             )
 
-        join_conditions, per_binding_conditions, constant_conditions = self._classify_conditions(
-            select, bindings
-        )
-        needed_columns = self._needed_columns(select, bindings)
-
+        # One walk of the branch answers every question asked of its tree below.
+        facts = analyse_select(select)
         ordered_bindings = sorted(bindings)
+        request_index = {binding: index for index, binding in enumerate(ordered_bindings)}
+        join_conditions, per_binding_conditions, constant_conditions = self._classify_conditions(
+            facts, bindings, request_index
+        )
+        needed_columns = self._needed_columns(select, facts, bindings)
+
         requests: List[SourceRequest] = []
-        request_index: Dict[str, int] = {}
         for binding in ordered_bindings:
             request = self._build_request(
                 binding, bindings[binding],
-                per_binding_conditions.get(binding, []),
-                needed_columns.get(binding, []),
+                per_binding_conditions.get(binding, ()),
+                needed_columns[binding],
             )
             if request_pool is not None:
                 request = self._pool_request(request, request_pool, shared_counter)
-            request_index[binding] = len(requests)
             requests.append(request)
 
         syntax_order: List[str] = []
@@ -196,13 +269,13 @@ class QueryPlanner:
                 syntax_order.append(table_binding)
 
         initial_index, join_steps, post_join = self._order_joins(
-            requests, request_index, join_conditions, bindings, syntax_order
+            requests, request_index, _JoinGraph(requests, join_conditions), syntax_order
         )
-        post_join = tuple(list(post_join) + constant_conditions)
+        post_join = post_join + tuple(constant_conditions)
         if join_steps:
             self._apply_bind_joins(requests, request_index, join_steps, bindings)
 
-        fetch_limit = self._branch_fetch_limit(select)
+        fetch_limit = self._branch_fetch_limit(select, facts)
         if (fetch_limit is not None and len(requests) == 1 and not post_join
                 and not requests[0].local_filters and requests[0].sql is not None):
             limited = self._push_fetch_limit(select, requests[0], fetch_limit, bindings)
@@ -237,7 +310,7 @@ class QueryPlanner:
 
     # -- fetch-limit push-down -------------------------------------------------------
 
-    def _branch_fetch_limit(self, select: Select) -> Optional[int]:
+    def _branch_fetch_limit(self, select: Select, facts: SelectFacts) -> Optional[int]:
         """The branch's safe row bound, or None when LIMIT does not commute.
 
         A LIMIT commutes with finalization only when no phase after it can
@@ -247,13 +320,8 @@ class QueryPlanner:
         """
         if not self.config.push_fetch_limits or select.limit is None:
             return None
-        if select.distinct or select.group_by or select.having is not None:
-            return None
-        if any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ):
+        if (select.distinct or select.group_by or select.having is not None
+                or facts.items.has_aggregate):
             return None
         return select.limit + (select.offset or 0)
 
@@ -354,32 +422,38 @@ class QueryPlanner:
 
     # -- condition classification --------------------------------------------------------
 
-    def _classify_conditions(self, select: Select, bindings: Dict[str, str]):
-        join_conditions: List[Tuple[Node, Set[str]]] = []
-        per_binding: Dict[str, List[Node]] = {}
+    def _classify_conditions(self, facts: SelectFacts, bindings: Dict[str, str],
+                             request_index: Dict[str, int]):
+        """Sort the WHERE conjuncts by the requests they need: cross-request
+        (join) conditions, per-binding conditions, and constant ones."""
+        join_conditions: List[_JoinCondition] = []
+        per_binding: Dict[str, List[ConjunctFacts]] = {}
         constant_conditions: List[Node] = []
+        everything = (1 << len(bindings)) - 1
 
-        for condition in conjuncts(select.where):
-            referenced = self._referenced_bindings(condition, bindings)
-            if any(isinstance(node, Subquery) for node in walk(condition)):
+        for conjunct in facts.conjuncts:
+            resolved = [self._resolve_binding(ref, bindings) for ref in conjunct.refs]
+            if conjunct.has_subquery:
                 # Subquery conditions are evaluated after all joins.
-                join_conditions.append((condition, set(bindings)))
+                join_conditions.append((everything, conjunct.condition, None))
                 continue
+            referenced = set(resolved)
             if len(referenced) == 0:
-                constant_conditions.append(condition)
+                constant_conditions.append(conjunct.condition)
             elif len(referenced) == 1:
-                per_binding.setdefault(next(iter(referenced)), []).append(condition)
+                per_binding.setdefault(resolved[0], []).append(conjunct)
             else:
-                join_conditions.append((condition, referenced))
+                needs = 0
+                for binding in referenced:
+                    needs |= 1 << request_index[binding]
+                equi: Optional[_EquiKey] = None
+                if conjunct.equi_pair is not None:
+                    (left_ref, right_ref), (left, right) = conjunct.equi_pair, resolved
+                    if (self._hash_safe_key(left_ref, left, bindings)
+                            and self._hash_safe_key(right_ref, right, bindings)):
+                        equi = (left_ref, request_index[left], right_ref, request_index[right])
+                join_conditions.append((needs, conjunct.condition, equi))
         return join_conditions, per_binding, constant_conditions
-
-    def _referenced_bindings(self, condition: Node, bindings: Dict[str, str]) -> Set[str]:
-        referenced: Set[str] = set()
-        for ref in column_refs(condition):
-            binding = self._resolve_binding(ref, bindings)
-            if binding is not None:
-                referenced.add(binding)
-        return referenced
 
     def _resolve_binding(self, ref: ColumnRef, bindings: Dict[str, str]) -> Optional[str]:
         if ref.table is not None:
@@ -400,50 +474,51 @@ class QueryPlanner:
 
     # -- projection analysis ----------------------------------------------------------------
 
-    def _needed_columns(self, select: Select, bindings: Dict[str, str]) -> Dict[str, List[str]]:
+    def _needed_columns(self, select: Select, facts: SelectFacts,
+                        bindings: Dict[str, str]) -> Dict[str, List[str]]:
+        """Per binding, the columns the branch reads, by first occurrence in
+        the statement (the order decides the pushed SELECT list's text)."""
         needed: Dict[str, List[str]] = {binding: [] for binding in bindings}
-        has_star = any(isinstance(node, Star) for item in select.items for node in walk(item.expr))
-        output_aliases = {item.alias.lower() for item in select.items if item.alias}
-
-        def note(ref: ColumnRef) -> None:
+        seen = set()
+        output_aliases = None
+        for ref in facts.refs:
             try:
                 binding = self._resolve_binding(ref, bindings)
             except PlanningError:
                 # References to output aliases (ORDER BY listings, HAVING total...)
                 # are resolved during finalization, not against source columns.
+                if output_aliases is None:
+                    output_aliases = {item.alias.lower() for item in select.items if item.alias}
                 if ref.table is None and ref.name.lower() in output_aliases:
-                    return
+                    continue
                 raise
-            if binding is None:
-                return
-            columns = needed[binding]
-            if ref.name.lower() not in (column.lower() for column in columns):
-                columns.append(ref.name)
-
-        for node in walk(select):
-            if isinstance(node, ColumnRef):
-                note(node)
+            column = (binding, ref.name.lower())
+            if column not in seen:
+                seen.add(column)
+                needed[binding].append(ref.name)
 
         for binding, relation in bindings.items():
-            schema = self.catalog.schema_of(relation)
-            if has_star or not needed[binding]:
-                needed[binding] = list(schema.names)
+            if facts.items.has_star or not needed[binding]:
+                needed[binding] = list(self.catalog.schema_of(relation).names)
         return needed
 
     # -- source requests -------------------------------------------------------------------------
 
-    def _build_request(self, binding: str, relation: str, conditions: Sequence[Node],
+    def _build_request(self, binding: str, relation: str,
+                       conditions: Sequence[ConjunctFacts],
                        columns: Sequence[str]) -> SourceRequest:
         entry = self.catalog.entry(relation)
         capabilities = entry.capabilities
 
         pushable: List[Node] = []
         local: List[Node] = []
-        for condition in conditions:
-            if self.config.push_selections and capabilities.selection and self._condition_pushable(condition, capabilities):
-                pushable.append(condition)
+        push = self.config.push_selections and capabilities.selection
+        for conjunct in conditions:
+            # A computed condition goes only to a source that computes.
+            if push and (capabilities.arithmetic or not conjunct.has_computation):
+                pushable.append(conjunct.condition)
             else:
-                local.append(condition)
+                local.append(conjunct.condition)
 
         project = (
             self.config.push_projections
@@ -487,16 +562,6 @@ class QueryPlanner:
             observed_rows=estimated_result if estimate_source == "feedback" else None,
         )
 
-    def _condition_pushable(self, condition: Node, capabilities) -> bool:
-        needs_arithmetic = any(
-            (isinstance(node, BinaryOp) and node.op in ("+", "-", "*", "/", "%", "||"))
-            or isinstance(node, FunctionCall)
-            for node in walk(condition)
-        )
-        if needs_arithmetic and not capabilities.arithmetic:
-            return False
-        return True
-
     def _request_sql(self, binding: str, relation: str, pushed: Sequence[Node],
                      columns: Sequence[str]) -> Select:
         alias = binding if binding.lower() != relation.lower() else None
@@ -513,47 +578,43 @@ class QueryPlanner:
     # -- join ordering ----------------------------------------------------------------------------
 
     def _order_joins(self, requests: List[SourceRequest], request_index: Dict[str, int],
-                     join_conditions: List[Tuple[Node, Set[str]]],
-                     bindings: Dict[str, str],
-                     syntax_order: Optional[Sequence[str]] = None):
-        pending = [(condition, set(referenced)) for condition, referenced in join_conditions]
+                     graph: _JoinGraph, syntax_order: Sequence[str] = ()):
         mode = self.config.join_order
         if mode == "auto":
             mode = "dp" if len(requests) <= self.config.dp_join_threshold else "greedy"
         if len(requests) == 1 or mode == "greedy":
-            order = self._greedy_order(requests, pending)
+            order = self._greedy_order(requests, graph)
         elif mode == "syntax":
-            order = [request_index[binding] for binding in (syntax_order or [])
+            order = [request_index[binding] for binding in syntax_order
                      if binding in request_index]
             if len(order) != len(requests):
-                order = self._greedy_order(requests, pending)
+                order = self._greedy_order(requests, graph)
         elif mode in ("dp", "worst"):
-            order = self._dp_order(requests, pending, bindings, worst=(mode == "worst"))
+            order = self._dp_order(requests, graph, worst=(mode == "worst"))
         else:
             raise PlanningError(f"unknown join_order mode {self.config.join_order!r}")
-        return self._emit_steps(order, requests, pending, bindings)
+        return self._emit_steps(order, requests, graph)
 
-    def _greedy_order(self, requests: List[SourceRequest],
-                      pending: List[Tuple[Node, Set[str]]]) -> List[int]:
+    @staticmethod
+    def _greedy_order(requests: List[SourceRequest], graph: _JoinGraph) -> List[int]:
         """Smallest-intermediate-first order, preferring connected candidates."""
+        def size(index: int):
+            return requests[index].estimated_result_rows, requests[index].binding
+
         remaining = set(range(len(requests)))
-        initial = min(remaining, key=lambda index: (requests[index].estimated_result_rows,
-                                                    requests[index].binding))
-        remaining.remove(initial)
-        joined_bindings = {requests[initial].binding.lower()}
-        live = [(condition, set(referenced)) for condition, referenced in pending]
-        order = [initial]
+        order = [min(remaining, key=size)]
+        remaining.remove(order[0])
+        joined = 1 << order[0]
         while remaining:
-            candidate = self._pick_next(requests, remaining, joined_bindings, live)
+            connected = [index for index in remaining if graph.step(joined, index)[0]]
+            candidate = min(connected or remaining, key=size)
             remaining.remove(candidate)
-            joined_bindings = joined_bindings | {requests[candidate].binding.lower()}
-            live = [entry for entry in live if not entry[1] <= joined_bindings]
+            joined |= 1 << candidate
             order.append(candidate)
         return order
 
-    def _dp_order(self, requests: List[SourceRequest],
-                  pending: List[Tuple[Node, Set[str]]],
-                  bindings: Dict[str, str], worst: bool = False) -> List[int]:
+    def _dp_order(self, requests: List[SourceRequest], graph: _JoinGraph,
+                  worst: bool = False) -> List[int]:
         """Left-deep dynamic program over the branch's join graph.
 
         Enumerates subsets (the branch size is bounded by
@@ -567,59 +628,22 @@ class QueryPlanner:
         adversarial baseline of the equivalence tests).
         """
         n = len(requests)
-        greedy = self._greedy_order(requests, pending)
+        greedy = self._greedy_order(requests, graph)
         if n <= 1:
             return greedy
-        binding_bit = {requests[i].binding.lower(): i for i in range(n)}
-        conds: List[Tuple[int, Optional[Tuple[int, int]]]] = []
-        for condition, referenced in pending:
-            mask = 0
-            for referenced_binding in referenced:
-                bit = binding_bit.get(referenced_binding)
-                if bit is None:
-                    mask = -1
-                    break
-                mask |= 1 << bit
-            if mask < 0:
-                continue
-            equi: Optional[Tuple[int, int]] = None
-            parts = self._equi_join_parts(condition)
-            if parts is not None:
-                left_ref, right_ref = parts
-                try:
-                    left_binding = self._resolve_binding(left_ref, bindings)
-                    right_binding = self._resolve_binding(right_ref, bindings)
-                except PlanningError:
-                    left_binding = right_binding = None
-                if (left_binding in binding_bit and right_binding in binding_bit
-                        and self._hash_safe_key(left_ref, left_binding, bindings)
-                        and self._hash_safe_key(right_ref, right_binding, bindings)):
-                    equi = (binding_bit[left_binding], binding_bit[right_binding])
-            conds.append((mask, equi))
-        items = [self._feedback_item(request) for request in requests]
 
         def transition(mask: int, rows: int, candidate: int):
+            conditions, equi_keys, _residual = graph.step(mask, candidate)
             new_mask = mask | (1 << candidate)
-            applicable = [entry for entry in conds
-                          if entry[0] & (1 << candidate) and entry[0] & ~new_mask == 0]
-            equi_count = sum(
-                1 for _mask, equi in applicable
-                if equi is not None and (
-                    (equi[0] == candidate and (mask >> equi[1]) & 1)
-                    or (equi[1] == candidate and (mask >> equi[0]) & 1))
-            )
-            hash_join = self.config.prefer_hash_joins and equi_count > 0
+            hash_join = self.config.prefer_hash_joins and bool(equi_keys)
             step_cost = self.cost_model.local_join_cost(
                 rows, requests[candidate].estimated_result_rows, hash_join
             ).total
-            key = self._join_fingerprint(
-                [items[i] for i in range(n) if (new_mask >> i) & 1]
-            )
             new_rows, _source = self.cost_model.join_rows_estimate(
-                key, rows, requests[candidate].estimated_result_rows,
-                equi_count, bool(applicable),
+                graph.fingerprint(new_mask), rows, requests[candidate].estimated_result_rows,
+                len(equi_keys), bool(conditions),
             )
-            return new_mask, new_rows, step_cost, bool(applicable)
+            return new_mask, new_rows, step_cost, bool(conditions)
 
         # mask -> (accumulated cost, estimated rows, left-deep order)
         best: Dict[int, Tuple[float, int, Tuple[int, ...]]] = {}
@@ -659,35 +683,20 @@ class QueryPlanner:
         return list(dp_order) if dp_cost < greedy_cost - 1e-9 else greedy
 
     def _emit_steps(self, order: Sequence[int], requests: List[SourceRequest],
-                    pending: List[Tuple[Node, Set[str]]], bindings: Dict[str, str]):
+                    graph: _JoinGraph):
         """Materialize the join steps of a fixed left-deep order."""
         initial = order[0]
-        pending = [(condition, set(referenced)) for condition, referenced in pending]
-        joined_bindings = {requests[initial].binding.lower()}
+        joined = 1 << initial
         current_rows = requests[initial].estimated_result_rows
-        prefix_items = [self._feedback_item(requests[initial])]
 
         steps: List[JoinStep] = []
         for candidate in order[1:]:
-            candidate_binding = requests[candidate].binding.lower()
-            new_bindings = joined_bindings | {candidate_binding}
-
-            applicable = [
-                (condition, referenced)
-                for condition, referenced in pending
-                if referenced <= new_bindings
-            ]
-            pending = [entry for entry in pending if entry not in applicable]
-            conditions = tuple(condition for condition, _referenced in applicable)
-
-            equi_keys, residual = self._split_equi_conditions(
-                conditions, joined_bindings, candidate_binding, bindings
-            )
+            conditions, equi_keys, residual = graph.step(joined, candidate)
             hash_join = self.config.prefer_hash_joins and bool(equi_keys)
             if not hash_join:
                 equi_keys, residual = (), conditions
-            prefix_items.append(self._feedback_item(requests[candidate]))
-            feedback_key = self._join_fingerprint(prefix_items)
+            joined |= 1 << candidate
+            feedback_key = graph.fingerprint(joined)
             estimated, estimate_source = self.cost_model.join_rows_estimate(
                 feedback_key, current_rows, requests[candidate].estimated_result_rows,
                 len(equi_keys), bool(conditions),
@@ -706,26 +715,12 @@ class QueryPlanner:
                 feedback_key=feedback_key,
                 estimate_source=estimate_source,
             ))
-            joined_bindings = new_bindings
             current_rows = estimated
 
-        post_join = tuple(condition for condition, _referenced in pending)
+        # What no step made evaluable: the conditions of a one-request branch.
+        post_join = tuple(condition for needs, condition, _equi in graph.conditions
+                          if not needs & ~(1 << initial))
         return initial, steps, post_join
-
-    @staticmethod
-    def _feedback_item(request: SourceRequest) -> str:
-        return f"{request.relation.lower()}|{request.predicate_fingerprint}"
-
-    @staticmethod
-    def _join_fingerprint(items: Sequence[str]) -> str:
-        """Order-insensitive digest of a joined (relation, predicate) set.
-
-        The output cardinality of joining a set of filtered relations does
-        not depend on the join order, so the fingerprint sorts the items —
-        feedback recorded under one order prices every order of the same set.
-        """
-        digest = hashlib.sha256("&&".join(sorted(items)).encode("utf-8"))
-        return digest.hexdigest()[:16]
 
     # -- bind joins --------------------------------------------------------------------------------
 
@@ -807,42 +802,6 @@ class QueryPlanner:
             applied += 1
         return applied
 
-    def _split_equi_conditions(self, conditions: Sequence[Node], joined_bindings: Set[str],
-                               candidate_binding: str, bindings: Dict[str, str],
-                               ) -> Tuple[Tuple[Tuple[ColumnRef, ColumnRef], ...], Tuple[Node, ...]]:
-        """Partition a join step's conditions into oriented equi-join key pairs
-        (intermediate side, staged side) and residual conditions.
-
-        Every qualifying ``a.x = b.y`` conjunct becomes part of the composite
-        hash key instead of degrading into a per-pair residual check.
-        """
-        equi_keys: List[Tuple[ColumnRef, ColumnRef]] = []
-        residual: List[Node] = []
-        for condition in conditions:
-            parts = self._equi_join_parts(condition)
-            oriented: Optional[Tuple[ColumnRef, ColumnRef]] = None
-            if parts is not None:
-                left_ref, right_ref = parts
-                try:
-                    left_binding = self._resolve_binding(left_ref, bindings)
-                    right_binding = self._resolve_binding(right_ref, bindings)
-                except PlanningError:  # pragma: no cover - classified earlier
-                    left_binding = right_binding = None
-                if not (
-                    self._hash_safe_key(left_ref, left_binding, bindings)
-                    and self._hash_safe_key(right_ref, right_binding, bindings)
-                ):
-                    left_binding = right_binding = None
-                if left_binding in joined_bindings and right_binding == candidate_binding:
-                    oriented = (left_ref, right_ref)
-                elif right_binding in joined_bindings and left_binding == candidate_binding:
-                    oriented = (right_ref, left_ref)
-            if oriented is not None:
-                equi_keys.append(oriented)
-            else:
-                residual.append(condition)
-        return tuple(equi_keys), tuple(residual)
-
     def _hash_safe_key(self, ref: ColumnRef, binding: Optional[str],
                        bindings: Dict[str, str]) -> bool:
         """True when the column's declared type makes hash-bucket equality
@@ -863,32 +822,3 @@ class QueryPlanner:
         except Exception:
             return False
         return attribute_type in (DataType.INTEGER, DataType.FLOAT, DataType.STRING)
-
-    def _pick_next(self, requests: List[SourceRequest], remaining: Set[int],
-                   joined_bindings: Set[str],
-                   pending: List[Tuple[Node, Set[str]]]) -> int:
-        def connects(index: int) -> bool:
-            binding = requests[index].binding.lower()
-            return any(
-                binding in referenced and referenced <= (joined_bindings | {binding})
-                for _condition, referenced in pending
-            )
-
-        connected = [index for index in remaining if connects(index)]
-        candidates = connected or sorted(remaining)
-        return min(candidates, key=lambda index: (requests[index].estimated_result_rows,
-                                                  requests[index].binding))
-
-    # -- helpers shared with the executor ----------------------------------------------------------
-
-    @staticmethod
-    def _equi_join_parts(condition: Node) -> Optional[Tuple[ColumnRef, ColumnRef]]:
-        """Return (left, right) column refs when the condition is ``a.x = b.y``."""
-        if (
-            isinstance(condition, BinaryOp)
-            and condition.op == "="
-            and isinstance(condition.left, ColumnRef)
-            and isinstance(condition.right, ColumnRef)
-        ):
-            return condition.left, condition.right
-        return None

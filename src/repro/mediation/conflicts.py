@@ -27,6 +27,7 @@ from repro.coin.context import AttributeValue, ConstantValue, Guard, ModifierCas
 from repro.coin.conversion import Operand
 from repro.coin.system import CoinSystem
 from repro.sql.ast import ColumnRef, Node, Select, Star, TableRef, walk
+from repro.sql.facts import analyse_select
 from repro.sql.parser import DerivedTable
 
 
@@ -111,6 +112,9 @@ def binding_map(select: Select) -> Dict[str, str]:
     """Map every table binding (alias or name) in FROM to its relation name."""
     bindings: Dict[str, str] = {}
     for table in select.tables:
+        if table.__class__ is TableRef:
+            bindings[table.binding.lower()] = table.name
+            continue
         for node in walk(table):
             if isinstance(node, TableRef):
                 bindings[node.binding.lower()] = node.name
@@ -121,14 +125,22 @@ def binding_map(select: Select) -> Dict[str, str]:
     return bindings
 
 
-def find_semantic_values(select: Select, system: CoinSystem) -> Dict[Tuple[str, str], SemanticValueRef]:
+def find_semantic_values(select: Select, system: CoinSystem,
+                         refs: Optional[Sequence[ColumnRef]] = None,
+                         bindings: Optional[Dict[str, str]] = None,
+                         ) -> Dict[Tuple[str, str], SemanticValueRef]:
     """Locate every semantic value referenced anywhere in the query.
 
     Only columns whose semantic type carries at least one modifier are
     returned: other columns cannot exhibit context conflicts and are left
-    untouched by the rewriting.
+    untouched by the rewriting.  ``refs`` (the statement's distinct column
+    references, :attr:`SelectFacts.refs`) and ``bindings``
+    (:func:`binding_map`) are worked out here unless the caller already has.
     """
-    bindings = binding_map(select)
+    if bindings is None:
+        bindings = binding_map(select)
+    if refs is None:
+        refs = analyse_select(select).refs
     values: Dict[Tuple[str, str], SemanticValueRef] = {}
 
     # '*' in the select list cannot be mediated (the mediator would not know
@@ -139,9 +151,7 @@ def find_semantic_values(select: Select, system: CoinSystem) -> Dict[Tuple[str, 
                 "queries submitted for mediation must list columns explicitly (no '*')"
             )
 
-    for node in walk(select):
-        if not isinstance(node, ColumnRef):
-            continue
+    for node in refs:
         relation = _relation_for(node, bindings)
         if relation is None:
             continue
@@ -245,11 +255,13 @@ def analyze_modifier(value: SemanticValueRef, modifier: str, system: CoinSystem,
     )
 
 
-def analyze_query(select: Select, system: CoinSystem,
-                  receiver_context: str) -> List[ConflictAnalysis]:
-    """Locate semantic values and analyze all their modifiers."""
+def analyze_query(select: Select, system: CoinSystem, receiver_context: str,
+                  refs: Optional[Sequence[ColumnRef]] = None,
+                  bindings: Optional[Dict[str, str]] = None) -> List[ConflictAnalysis]:
+    """Locate semantic values and analyze all their modifiers (``refs`` and
+    ``bindings`` as :func:`find_semantic_values` takes them)."""
     analyses: List[ConflictAnalysis] = []
-    for value in find_semantic_values(select, system).values():
+    for value in find_semantic_values(select, system, refs, bindings).values():
         analyses.extend(analyze_value(value, system, receiver_context))
     # Deterministic order: by value key then modifier name.
     analyses.sort(key=lambda analysis: (analysis.value.key, analysis.modifier))

@@ -44,9 +44,9 @@ from repro.sql.ast import (
     Statement,
     Union,
     conjoin,
-    conjuncts,
     transform,
 )
+from repro.sql.facts import SelectFacts, analyse_select
 from repro.sql.printer import to_sql
 
 
@@ -99,12 +99,12 @@ class MediationResult:
     #: detection and abduction entirely.
     mediated_by_rewriter: bool = True
 
-    @property
+    @cached_property
     def sql(self) -> str:
         """The mediated query as SQL text (what Section 3 of the paper shows)."""
         return to_sql(self.mediated)
 
-    @property
+    @cached_property
     def original_sql(self) -> str:
         return to_sql(self.original)
 
@@ -119,7 +119,13 @@ class MediationResult:
 
     @property
     def is_rewritten(self) -> bool:
-        """False when the query needed no mediation at all."""
+        """False when the query needed no mediation at all.
+
+        A second branch, an assumption or a conversion always changes the
+        text; only without any of them are the two texts compared."""
+        if len(self.branches) > 1 or any(
+                branch.guards or branch.conversions for branch in self.branches):
+            return True
         return self.sql != self.original_sql
 
     def explain(self) -> str:
@@ -142,10 +148,13 @@ class QueryRewriter:
         if not self.system.contexts.has(receiver_context):
             raise MediationError(f"unknown receiver context {receiver_context!r}")
 
-        analyses = analyze_query(select, self.system, receiver_context)
+        bindings = binding_map(select)
+        facts = analyse_select(select)
+        analyses = analyze_query(select, self.system, receiver_context, facts.refs, bindings)
         branches = order_branches(enumerate_branches(analyses, self.max_branches))
         branch_queries = [
-            BranchQuery(select=self._build_branch(select, branch), branch=branch)
+            BranchQuery(select=self._build_branch(select, branch, facts, bindings),
+                        branch=branch)
             for branch in branches
         ]
 
@@ -163,7 +172,7 @@ class QueryRewriter:
             analyses=analyses,
             branches=branch_queries,
             mediated=mediated,
-            column_semantics=self._column_semantics(select),
+            column_semantics=self._column_semantics(select, bindings),
         )
 
     def unmediated(self, select: Select, receiver_context: str) -> MediationResult:
@@ -182,19 +191,25 @@ class QueryRewriter:
             analyses=[],
             branches=[],
             mediated=select,
-            column_semantics=self._column_semantics(select),
+            column_semantics=self._column_semantics(select, binding_map(select)),
             mediated_by_rewriter=False,
         )
 
     # -- branch construction --------------------------------------------------------
 
-    def _build_branch(self, select: Select, branch: MediationBranch) -> Select:
-        bindings = binding_map(select)
+    def _build_branch(self, select: Select, branch: MediationBranch,
+                      facts: SelectFacts, bindings: Dict[str, str]) -> Select:
         builder = ConversionBuilder(used_aliases=list(bindings))
         replacements = self._conversion_expressions(branch, builder)
 
+        def replace_ref(node: Node) -> Node:
+            if node.__class__ is ColumnRef and node.table is not None:
+                return replacements.get((node.table.lower(), node.name.lower()), node)
+            return node
+
         def substitute(node: Node) -> Node:
-            return transform(node, lambda inner: self._replace_ref(inner, replacements))
+            # A branch that converts nothing rewrites nothing.
+            return transform(node, replace_ref) if replacements else node
 
         items = []
         for item in select.items:
@@ -206,7 +221,13 @@ class QueryRewriter:
                 alias = item.expr.name
             items.append(SelectItem(new_expr, alias))
         items = tuple(items)
-        original_conditions = [substitute(condition) for condition in conjuncts(select.where)]
+        # Only a conjunct naming a converted value is rebuilt.
+        original_conditions = [
+            substitute(conjunct.condition)
+            if any(replace_ref(ref) is not ref for ref in conjunct.refs)
+            else conjunct.condition
+            for conjunct in facts.conjuncts
+        ]
         guard_conditions = [self._guard_condition(guard) for guard in branch.guards]
         where = conjoin(guard_conditions + original_conditions + builder.extra_conditions)
 
@@ -269,12 +290,6 @@ class QueryRewriter:
         return sorted(resolutions, key=lambda resolution: position.get(resolution.modifier, len(position)))
 
     @staticmethod
-    def _replace_ref(node: Node, replacements: Dict[Tuple[str, str], Node]) -> Node:
-        if isinstance(node, ColumnRef) and node.table is not None:
-            return replacements.get((node.table.lower(), node.name.lower()), node)
-        return node
-
-    @staticmethod
     def _guard_condition(guard: Guard) -> Node:
         binding, _, column = guard.column.rpartition(".")
         reference = ColumnRef(name=column, table=binding or None)
@@ -282,8 +297,8 @@ class QueryRewriter:
 
     # -- metadata ------------------------------------------------------------------------
 
-    def _column_semantics(self, select: Select) -> List[Optional[str]]:
-        bindings = binding_map(select)
+    def _column_semantics(self, select: Select,
+                          bindings: Dict[str, str]) -> List[Optional[str]]:
         semantics: List[Optional[str]] = []
         for item in select.items:
             semantic_type: Optional[str] = None

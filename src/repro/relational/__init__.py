@@ -36,7 +36,6 @@ from repro.relational.operators import (
 )
 from repro.relational.query import Database, QueryProcessor
 from repro.relational.storage import STORAGE_COUNTERS, DictionaryStore, TemporaryStore
-from repro.relational.csvio import relation_from_csv, relation_to_csv
 
 __all__ = [
     "DataType",
@@ -74,6 +73,4 @@ __all__ = [
     "DictionaryStore",
     "STORAGE_COUNTERS",
     "TemporaryStore",
-    "relation_from_csv",
-    "relation_to_csv",
 ]

@@ -37,11 +37,16 @@ deep the expression, a row costs one Python call.
   is registered with :mod:`linecache` as ``<repro-kernel:HASH>`` (evicted with
   its factory): tracebacks print the generated line, and
   ``linecache.getlines(kernel.__code__.co_filename)`` dumps a kernel.
-  Kernels are memoized per (entry point, AST identity, schema) and
-  re-entrant — pool and gateway threads share them; with a subquery they
-  fold its result for their own lifetime and are not memoized.  The memo is
-  the :class:`KernelScope`'s: process-wide :data:`_MEMO` for a source's local
-  processor, a plan's own for the mediator's operator templates.
+  Kernels are re-entrant — pool and gateway threads share them — and
+  shared **by structure**: the process-wide :data:`_MEMO` keys a kernel by
+  its entry point, the canonical form of its expressions
+  (:func:`repro.sql.normalize.expression_form`) and the schema, so a
+  statement never seen before recalls every kernel an earlier one already
+  built and generates only those naming its own constants.  A plan's
+  template puts an identity-keyed :class:`KernelMemo` in front
+  (:class:`KernelScope`), so re-lowering the same plan serializes nothing.
+  With a subquery a kernel folds its result for its own lifetime and is
+  kept nowhere.
 * **Folding and splitting.**  A row-independent subtree is its own kernel
   behind a lazy cell (:func:`_fold`).  A subtree past :data:`MAX_KERNEL_DEPTH`
   or :data:`MAX_KERNEL_NODES` is its own kernel called from its parent —
@@ -69,6 +74,7 @@ from repro.sql.ast import (
     Between, BinaryOp, Case, ColumnRef, Exists, FunctionCall, InList, IsNull, Like, Literal,
     Node, Star, Subquery, UnaryOp,
 )
+from repro.sql.normalize import expression_form
 
 Row = Sequence[Any]
 CompiledExpr = Callable[[Row], Any]
@@ -94,14 +100,14 @@ _EQUALITY = {"=": "==", "<>": "!="}
 class KernelMemo:
     """Bounded, thread-safe LRU of finished kernels shared across operators.
 
-    Keys use the **identity** of the expression nodes — cached plans are
-    immutable, so re-executing one presents the same AST objects every time,
-    and identity lookups skip re-hashing the whole tree per operator.  Each
-    entry stores a strong reference to its nodes: while an entry lives, its
-    ids cannot be recycled, and a lookup additionally verifies the stored
+    An entry may carry the expression nodes its key was made from.  A key
+    made of node **identities** does — cached plans are immutable, so
+    re-executing one presents the same AST objects every time, and identity
+    lookups skip serializing the trees per operator: while an entry lives,
+    its ids cannot be recycled, and a lookup additionally verifies the stored
     nodes *are* the probe nodes, so an id reused after eviction can only
-    miss.  Kernels are pure functions of (expression, schema) — except with
-    a subquery, where the entry records "never memoize".
+    miss.  A key made of text (a canonical form, a kernel's source) carries
+    no nodes and pins no tree.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -109,33 +115,42 @@ class KernelMemo:
         self._entries: "OrderedDict[Hashable, Tuple[tuple, Any]]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable, nodes: tuple) -> Tuple[bool, Any]:
-        """Return (found, fn); ``fn`` None means "compile privately"."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False, None
-            stored_nodes, fn = entry
-            if len(stored_nodes) != len(nodes) or any(
-                    map(operator.is_not, stored_nodes, nodes)):
-                # id recycled after eviction of the original nodes.
-                del self._entries[key]
-                return False, None
-            self._entries.move_to_end(key)
-            return True, fn
+    def _live(self, key: Hashable, nodes: tuple) -> Optional[Tuple[tuple, Any]]:
+        """The entry under ``key`` if it was stored for ``nodes`` (lock held)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        stored_nodes = entry[0]
+        if len(stored_nodes) != len(nodes) or any(
+                map(operator.is_not, stored_nodes, nodes)):
+            # id recycled after eviction of the original nodes.
+            del self._entries[key]
+            return None
+        self._entries.move_to_end(key)
+        return entry
 
-    def put(self, key: Hashable, nodes: tuple, fn: Any) -> List[Any]:
-        """Store an entry; returns the values evicted to make room."""
+    def get(self, key: Hashable, nodes: tuple = ()) -> Any:
+        """The value stored under ``key`` for ``nodes``, or None."""
         with self._lock:
-            self._entries[key] = (nodes, fn)
-            self._entries.move_to_end(key)
-            return [self._entries.popitem(last=False)[1][1]
-                    for _ in range(len(self._entries) - self.capacity)]
+            entry = self._live(key, nodes)
+            return None if entry is None else entry[1]
+
+    def put(self, key: Hashable, nodes: tuple, value: Any) -> Tuple[Any, List[Any]]:
+        """Store ``value`` unless a racing caller already stored one: returns
+        the entry's value — every caller of one key leaves with the same
+        object — and the values evicted to make room."""
+        with self._lock:
+            entry = self._live(key, nodes)
+            if entry is not None:
+                return entry[1], []
+            self._entries[key] = (nodes, value)
+            return value, [self._entries.popitem(last=False)[1][1]
+                           for _ in range(len(self._entries) - self.capacity)]
 
     def clear(self) -> List[Any]:
         """Drop every entry; returns the values dropped."""
         with self._lock:
-            dropped = [fn for _nodes, fn in self._entries.values()]
+            dropped = [value for _nodes, value in self._entries.values()]
             self._entries.clear()
             return dropped
 
@@ -144,26 +159,28 @@ class KernelMemo:
             return len(self._entries)
 
 
-#: The process-wide memo.  Since plans keep their own kernels it holds only
-#: what sources' local processors compile — one root per operator of a pushed
-#: request — so it is sized for a warm set of those, not for every plan.
+#: The process-wide kernel table, by **structure**: ``(entry point, detail,
+#: canonical form of each expression, schema token)`` — no nodes, so it pins
+#: no plan's AST, and a statement never seen before recalls from it every
+#: kernel whose expressions an earlier one already spelled.
 _MEMO = KernelMemo(capacity=1024)
-#: Kernel factories by generated source text (entries carry no nodes): the
-#: builtin ``compile()`` is paid once per expression shape.
+#: Kernel factories by generated source text: the builtin ``compile()`` is
+#: paid once per expression shape.
 _CODE = KernelMemo(capacity=1024)
 
 
 def _factory(source: str) -> Callable[..., CompiledExpr]:
     """The ``make`` function of ``source``, compiled on first sight."""
-    found, make = _CODE.get(source, ())
-    if not found:
+    make = _CODE.get(source)
+    if make is None:
         filename = f"<repro-kernel:{hashlib.sha1(source.encode()).hexdigest()[:16]}>"
         scope: Dict[str, Any] = {}
         exec(compile(source, filename, "exec"), _KERNEL_GLOBALS, scope)
         make = scope["make"]
         # mtime None: linecache.checkcache() leaves the entry alone.
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        _forget_sources(_CODE.put(source, (), make))
+        make, evicted = _CODE.put(source, (), make)
+        _forget_sources(evicted)
     return make
 
 
@@ -351,18 +368,6 @@ _KERNEL_GLOBALS: Dict[str, Any] = {fn.__name__: fn for fn in (
 
 # -- the emitter
 
-#: Children in evaluation order, per node class; every other class is a leaf.
-_CHILDREN: Dict[type, Callable[[Any], Sequence[Node]]] = {
-    BinaryOp: lambda node: (node.left, node.right),
-    UnaryOp: lambda node: (node.operand,),
-    FunctionCall: lambda node: node.args,
-    InList: lambda node: (node.expr, *node.items),
-    Between: lambda node: (node.expr, node.low, node.high),
-    Like: lambda node: (node.expr, node.pattern),
-    IsNull: lambda node: (node.expr,),
-    Case: lambda node: tuple(node.children()),
-}
-
 #: Nodes whose kernels already yield True/False/None, making ``predicate``'s
 #: boolean conversion a no-op worth skipping.
 _BOOLEAN_OPS = frozenset({"AND", "OR", "=", "<>", "<", "<=", ">", ">=", "NOT"})
@@ -422,12 +427,14 @@ class _Build:
             if id(node) in facts:
                 continue
             cls = node.__class__
-            children_of = _CHILDREN.get(cls)
-            if children_of is None:
+            if cls is Subquery or cls is Exists or not cls.CHILD_FIELDS:
+                # A leaf: nothing beneath it is lowered here (a subquery runs
+                # through the scope's executor, not in this kernel).
                 self.private = self.private or cls is Subquery or cls is Exists
                 facts[id(node)] = (cls is Literal, 0, 0 if cls is Literal else 1)
                 continue
-            children = children_of(node)
+            # Children in syntactic order, which is evaluation order.
+            children = tuple(node.children())
             if not expanded:
                 stack.append((node, True))
                 stack.extend((child, False) for child in children)
@@ -787,36 +794,51 @@ class ExpressionCompiler:
         self._scope = scope or KernelScope(subquery_executor)
 
     def _kernel(self, kind: str, nodes: Tuple[Node, ...], *detail: Hashable) -> Any:
-        """Build-or-recall the kernel of ``nodes`` (and whatever else of
-        ``detail`` its entry point lowers) against this schema.  A
-        subquery's result is folded into its kernel, binding it to this
-        scope's executor and lifetime: never memoized, rebuilt each time, and
-        the scope is told it holds ``private`` kernels."""
-        key = (kind, detail, tuple(map(id, nodes)), self.schema.memo_token)
-        memo = self._scope.memo
-        found, fn = memo.get(key, nodes)
-        if fn is not None:
-            return fn
+        """Recall-or-build the kernel of ``nodes`` (and whatever else of
+        ``detail`` its entry point lowers) against this schema.
+
+        Two lookups: the scope's own memo by node identity (a plan lowering
+        its own trees again), then the process-wide table by structure —
+        whoever compiled the same expressions over the same schema, in
+        whatever statement, left the kernel there.  A subquery's result is
+        folded into its kernel, binding it to this scope's executor and
+        lifetime: such a kernel is kept nowhere, rebuilt each time, and the
+        scope is told it holds ``private`` kernels."""
+        token = self.schema.memo_token
+        front = self._scope.memo
+        if front is not None:
+            identity = (kind, detail, tuple(map(id, nodes)), token)
+            fn = front.get(identity, nodes)
+            if fn is not None:
+                return fn
+        structure = (kind, detail, tuple(map(expression_form, nodes)), token)
+        fn = _MEMO.get(structure)
+        if fn is None:
+            fn, private = self._generate(kind, nodes, detail)
+            if private:
+                self._scope.private = True
+                return fn
+            fn = _MEMO.put(structure, (), fn)[0]
+        if front is not None:
+            front.put(identity, nodes, fn)
+        return fn
+
+    def _generate(self, kind: str, nodes: Tuple[Node, ...],
+                  detail: Tuple[Hashable, ...]) -> Tuple[Any, bool]:
+        """A new kernel, and whether it folded a subquery (is private)."""
         if (kind == "proj" and len(nodes) > 1
                 and all(node.__class__ is ColumnRef for node in nodes)):
             # Plain columns: itemgetter builds the tuple without entering
             # Python at all.  An unknown column raises per row, from a kernel.
             try:
-                fn = operator.itemgetter(*[
+                return operator.itemgetter(*[
                     self.schema.index_of(node.name, node.table) for node in nodes
-                ])
+                ]), False
             except Exception:
                 pass
-        private = False
-        if fn is None:
-            build = _Build(self.schema, self._scope.subquery_executor)
-            build.analyse(nodes)
-            fn, private = build.kernel(kind, nodes, *detail), build.private
-        if private:
-            self._scope.private = True
-        if not found:
-            memo.put(key, nodes, None if private else fn)
-        return fn
+        build = _Build(self.schema, self._scope.subquery_executor)
+        build.analyse(nodes)
+        return build.kernel(kind, nodes, *detail), build.private
 
     def compile(self, node: Node) -> CompiledExpr:
         return self._kernel("expr", (node,))
@@ -855,18 +877,19 @@ class ExpressionCompiler:
 class KernelScope:
     """Where a group of operators gets its kernels from.
 
-    The default scope memoizes in the process-wide :data:`_MEMO`: a source's
-    local processor compiles the same request ASTs on every ``wrapper.query``.
-    A plan's template brings a :class:`KernelMemo` of its own, so kernels are
-    shared within the plan, live exactly as long as the template and never pin
-    a cold plan's ASTs process-wide.  ``private`` turns true once a kernel
-    folded a subquery: operators holding one must not outlive their execution.
+    Every scope recalls from and contributes to the process-wide structural
+    table :data:`_MEMO`.  A plan's template brings a :class:`KernelMemo` of
+    its own in front of it, keyed by node identity: kernels found once are
+    found again without serializing a tree, for exactly as long as the
+    template lives.  The default scope — a source's local processor — has no
+    front.  ``private`` turns true once a kernel folded a subquery: operators
+    holding one must not outlive their execution.
     """
 
     def __init__(self, subquery_executor: SubqueryExecutor = None,
                  memo: Optional[KernelMemo] = None):
         self.subquery_executor = subquery_executor
-        self.memo = _MEMO if memo is None else memo
+        self.memo = memo
         self.private = False
 
 
@@ -891,13 +914,15 @@ def compile_projection(expressions: Sequence[Node], schema: Schema,
     return ExpressionCompiler(schema, subquery_executor).projection(expressions)
 
 
-#: Compiles over no columns and remembers nothing: an INSERT's values are
-#: evaluated once, their kernels not worth keeping.
-_LITERALS = ExpressionCompiler(Schema(()), scope=KernelScope(memo=KernelMemo(capacity=0)))
+#: An INSERT's values are evaluated over no columns, once: their kernels are
+#: built past every memo, not worth keeping.
+_NO_COLUMNS = Schema(())
 
 
 def evaluate_literal_expression(node: Node) -> Any:
     """Evaluate an expression containing no column references (e.g. INSERT values)."""
     if node.__class__ is Literal:
         return node.value
-    return _LITERALS.compile(node)(())
+    build = _Build(_NO_COLUMNS, None)
+    build.analyse((node,))
+    return build.kernel("expr", (node,))(())

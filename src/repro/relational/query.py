@@ -328,11 +328,14 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
     expression over that row.  ``fetch_limit`` (a row bound that commutes
     with the finish) turns the sort into a top-k.
     """
-    key = ("finish", id(select), child.schema.memo_token)
-    _found, finish = scope.memo.get(key, (select,))
+    memo, finish = scope.memo, None
+    if memo is not None:
+        key = ("finish", id(select), child.schema.memo_token)
+        finish = memo.get(key, (select,))
     if finish is None:
         finish = _Finish.of(select, child.schema)
-        scope.memo.put(key, (select,), finish)
+        if memo is not None:
+            finish = memo.put(key, (select,), finish)[0]
 
     operator = child
     if finish.calls or select.group_by or finish.having is not None:
@@ -353,10 +356,10 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
 
 
 class _Finish(NamedTuple):
-    """What :func:`lower_select` derives from the statement alone.  It is
-    kept with the scope's kernels, so every lowering of one ``select`` hands
-    the operators the same nodes (and a source re-running a request hits the
-    kernel memo)."""
+    """What :func:`lower_select` derives from the statement alone.  A scope
+    with a memo of its own (a plan's) keeps it there, so every lowering of
+    one ``select`` hands the operators the same nodes and finds their kernels
+    by identity."""
 
     #: The select list, stars expanded, and its output names.
     expressions: Tuple[Node, ...]

@@ -199,17 +199,14 @@ class Schema:
     def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (the schema of a join result).
 
-        Memoized per right-hand schema identity (with the operand kept alive
-        by the entry, so its id cannot be recycled while cached).
-        """
-        key = ("concat", id(other))
-        entry = self._derived.get(key)
-        if entry is not None:
-            operand, derived = entry  # type: ignore[misc]
-            if operand is other:
-                return derived
-        derived = Schema(self.attributes + other.attributes)
-        self._remember_derived(key, (other, derived))
+        Memoized per right-hand schema **by value** (its :attr:`memo_token`;
+        the result depends on nothing else): an entry pins no operand, and
+        the equal schemas successive plans stage share one."""
+        key = ("concat", other.memo_token)
+        derived = self._derived.get(key)
+        if derived is None:
+            derived = Schema(self.attributes + other.attributes)
+            self._remember_derived(key, derived)
         return derived
 
     def extended(self, attributes: Tuple[Attribute, ...]) -> "Schema":

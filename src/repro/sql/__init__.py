@@ -1,4 +1,4 @@
-"""SQL substrate: lexer, parser, AST, printer and builder.
+"""SQL substrate: lexer, parser, AST and printer.
 
 The COIN prototype exposes a SQL interface at every layer: receivers pose SQL
 queries, the mediator rewrites them into SQL (a union of sub-queries), the
@@ -58,7 +58,6 @@ from repro.sql.ast import (
 from repro.sql.lexer import Lexer, Token, TokenType, tokenize
 from repro.sql.parser import DerivedTable, Parser, parse, parse_expression
 from repro.sql.printer import format_literal, to_sql
-from repro.sql.builder import Expr, QueryBuilder, col, func, lit, star
 
 __all__ = [
     "Between",
@@ -69,7 +68,6 @@ __all__ = [
     "CreateTable",
     "DerivedTable",
     "Exists",
-    "Expr",
     "FunctionCall",
     "InList",
     "Insert",
@@ -103,9 +101,4 @@ __all__ = [
     "parse_expression",
     "format_literal",
     "to_sql",
-    "QueryBuilder",
-    "col",
-    "lit",
-    "func",
-    "star",
 ]

@@ -1,46 +1,85 @@
 """Abstract syntax tree for the prototype's SQL dialect.
 
-Nodes are small frozen-ish dataclasses (mutable where rewriting needs it) with
-no behaviour beyond structural helpers: :func:`walk` yields every node of a
-tree, :func:`transform` rebuilds a tree bottom-up through a mapping function —
-both are used heavily by the mediation engine when splicing conversion
-expressions into queries, and by the multi-database engine when decomposing a
-mediated query into per-source sub-queries.
+Nodes are small frozen dataclasses with no behaviour beyond structural
+helpers: :func:`walk` yields every node of a tree, :func:`transform` rebuilds
+a tree bottom-up through a mapping function — both are used heavily by the
+mediation engine when splicing conversion expressions into queries, and by the
+multi-database engine when decomposing a mediated query into per-source
+sub-queries.
+
+Every traversal reads one table, fixed per class when the class is created
+(:func:`node_class`): ``FIELDS``, the field names in declaration order, and
+``CHILD_FIELDS``, those of them that can hold nodes.  No tree walk reflects on
+a dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+import operator
+import re
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union as TUnion
 
 
 class Node:
     """Base class for every AST node (expressions and statements)."""
 
+    #: Field names in declaration order, and those of them that can hold
+    #: nodes (a node, an optional node, or tuples of them to any depth); the
+    #: rest are scalars.  Set by :func:`node_class`.
+    FIELDS: Tuple[str, ...] = ()
+    CHILD_FIELDS: Tuple[str, ...] = ()
+
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (in syntactic order)."""
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
-            yield from _iter_nodes(value)
+        for name in self.CHILD_FIELDS:
+            yield from _iter_nodes(getattr(self, name))
 
     def copy(self, **changes: Any) -> "Node":
         """Return a shallow copy with the given field replacements."""
-        return replace(self, **changes)  # type: ignore[type-var]
+        values = {name: getattr(self, name) for name in self.FIELDS}
+        values.update(changes)
+        return self.__class__(**values)
+
+
+#: The names a scalar field's annotation is spelled with; any other name in
+#: an annotation is (or, for a forward reference, may be) a node class.
+_SCALAR_NAMES = frozenset({"Any", "Optional", "Tuple", "str", "bool", "int", "float"})
+
+
+def node_class(cls: type) -> type:
+    """Class decorator of every node: a frozen dataclass, plus its row of the
+    child table read off the field annotations — once, here."""
+    cls = dataclass(frozen=True)(cls)
+    declared = fields(cls)
+    cls.FIELDS = tuple(f.name for f in declared)
+    cls.CHILD_FIELDS = tuple(
+        f.name for f in declared
+        if not _SCALAR_NAMES.issuperset(re.findall(r"\w+", f.type)))
+    return cls
 
 
 def _iter_nodes(value: Any) -> Iterator[Node]:
     if isinstance(value, Node):
         yield value
-    elif isinstance(value, (list, tuple)):
+    elif value.__class__ is tuple:
         for item in value:
             yield from _iter_nodes(item)
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and every descendant, pre-order."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield ``node`` and every descendant, pre-order.  A tuple of nodes (a
+    clause; ``None`` for an absent member) is walked member by member."""
+    stack: List[Any] = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node.__class__ is tuple:
+            stack.extend(node[::-1])
+        elif node is not None:
+            yield node
+            for name in node.CHILD_FIELDS[::-1]:
+                push(getattr(node, name))
 
 
 def transform(node: Node, fn: Callable[[Node], Node],
@@ -48,21 +87,23 @@ def transform(node: Node, fn: Callable[[Node], Node],
     """Rebuild ``node`` bottom-up, applying ``fn`` to every node.
 
     ``fn`` receives a node whose children have already been transformed and
-    must return a node (possibly the same one).  Lists/tuples of nodes inside
-    fields are transformed element-wise.  A node of a ``leave`` class is kept
-    as it is: neither entered nor handed to ``fn``.
+    must return a node (possibly the same one).  Tuples of nodes inside
+    fields are transformed element-wise; a subtree in which ``fn`` changed
+    nothing is handed to it as the same object.  A node of a ``leave`` class
+    is kept as it is: neither entered nor handed to ``fn``.
     """
     if leave and isinstance(node, leave):
         return node
-    if is_dataclass(node):
-        changes = {}
-        for f in fields(node):
-            old = getattr(node, f.name)
-            new = _rebuild(old, fn, leave)
-            if new is not old:
-                changes[f.name] = new
-        if changes:
-            node = replace(node, **changes)
+    values = None
+    for name in node.CHILD_FIELDS:
+        old = getattr(node, name)
+        new = _rebuild(old, fn, leave)
+        if new is not old:
+            if values is None:
+                values = {field: getattr(node, field) for field in node.FIELDS}
+            values[name] = new
+    if values is not None:
+        node = node.__class__(**values)
     return fn(node)
 
 
@@ -70,13 +111,12 @@ def _rebuild(value: Any, fn: Callable[[Node], Node], leave: Tuple[type, ...]) ->
     """One field value of :func:`transform`.  A module-level function, not a
     closure naming itself: a self-referential closure is a reference cycle,
     and every transformed node would leave one for the cycle collector."""
-    if isinstance(value, Node):
-        return transform(value, fn, leave)
-    if isinstance(value, list):
-        return [_rebuild(item, fn, leave) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_rebuild(item, fn, leave) for item in value)
-    return value
+    if value.__class__ is tuple:
+        rebuilt = tuple([_rebuild(item, fn, leave) for item in value])
+        return rebuilt if any(map(operator.is_not, rebuilt, value)) else value
+    if value is None:
+        return None
+    return transform(value, fn, leave)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +124,7 @@ def _rebuild(value: Any, fn: Callable[[Node], Node], leave: Tuple[type, ...]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class Literal(Node):
     """A constant: number, string, boolean or NULL (``value is None``)."""
 
@@ -94,7 +134,7 @@ class Literal(Node):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@node_class
 class ColumnRef(Node):
     """A (possibly qualified) column reference such as ``r1.revenue``."""
 
@@ -110,14 +150,14 @@ class ColumnRef(Node):
         return self.qualified
 
 
-@dataclass(frozen=True)
+@node_class
 class Star(Node):
     """``*`` or ``t.*`` in a select list."""
 
     table: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@node_class
 class BinaryOp(Node):
     """A binary operation: arithmetic, comparison, AND/OR or concatenation."""
 
@@ -126,7 +166,7 @@ class BinaryOp(Node):
     right: Node
 
 
-@dataclass(frozen=True)
+@node_class
 class UnaryOp(Node):
     """A unary operation: ``NOT x`` or ``-x``."""
 
@@ -134,7 +174,7 @@ class UnaryOp(Node):
     operand: Node
 
 
-@dataclass(frozen=True)
+@node_class
 class FunctionCall(Node):
     """A scalar or aggregate function call, e.g. ``SUM(r1.revenue)``."""
 
@@ -147,7 +187,7 @@ class FunctionCall(Node):
         return self.name.upper() in {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
-@dataclass(frozen=True)
+@node_class
 class InList(Node):
     """``expr [NOT] IN (v1, v2, ...)`` with literal/expression members."""
 
@@ -156,7 +196,7 @@ class InList(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@node_class
 class Between(Node):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -166,7 +206,7 @@ class Between(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@node_class
 class Like(Node):
     """``expr [NOT] LIKE pattern`` with ``%`` and ``_`` wildcards."""
 
@@ -175,7 +215,7 @@ class Like(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@node_class
 class IsNull(Node):
     """``expr IS [NOT] NULL``."""
 
@@ -183,14 +223,14 @@ class IsNull(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@node_class
 class Subquery(Node):
     """A parenthesized query usable as a table or scalar/EXISTS operand."""
 
     query: "Select"
 
 
-@dataclass(frozen=True)
+@node_class
 class Exists(Node):
     """``[NOT] EXISTS (subquery)``."""
 
@@ -198,19 +238,12 @@ class Exists(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@node_class
 class Case(Node):
     """``CASE WHEN cond THEN value ... [ELSE value] END``."""
 
     whens: Tuple[Tuple[Node, Node], ...]
     default: Optional[Node] = None
-
-    def children(self) -> Iterator[Node]:
-        for cond, value in self.whens:
-            yield cond
-            yield value
-        if self.default is not None:
-            yield self.default
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +251,7 @@ class Case(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class TableRef(Node):
     """A base-table reference with an optional alias, e.g. ``r1`` or ``R1 x``.
 
@@ -236,7 +269,7 @@ class TableRef(Node):
         return self.alias or self.name
 
 
-@dataclass(frozen=True)
+@node_class
 class Join(Node):
     """An explicit join between two table expressions."""
 
@@ -251,7 +284,7 @@ class Join(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node_class
 class SelectItem(Node):
     """One entry of a select list: an expression with an optional alias."""
 
@@ -259,7 +292,7 @@ class SelectItem(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@node_class
 class OrderItem(Node):
     """One entry of an ORDER BY clause."""
 
@@ -267,7 +300,7 @@ class OrderItem(Node):
     ascending: bool = True
 
 
-@dataclass(frozen=True)
+@node_class
 class Select(Node):
     """A single SELECT statement (one UNION branch)."""
 
@@ -295,7 +328,7 @@ class Select(Node):
         return names
 
 
-@dataclass(frozen=True)
+@node_class
 class Union(Node):
     """A UNION (or UNION ALL) of two or more SELECT statements."""
 
@@ -307,7 +340,7 @@ class Union(Node):
         return self.selects[0].output_names if self.selects else []
 
 
-@dataclass(frozen=True)
+@node_class
 class ColumnDef(Node):
     """A column definition in CREATE TABLE."""
 
@@ -315,7 +348,7 @@ class ColumnDef(Node):
     type_name: str = "string"
 
 
-@dataclass(frozen=True)
+@node_class
 class CreateTable(Node):
     """``CREATE TABLE name (col type, ...)`` used to load demo sources."""
 
@@ -323,7 +356,7 @@ class CreateTable(Node):
     columns: Tuple[ColumnDef, ...]
 
 
-@dataclass(frozen=True)
+@node_class
 class Insert(Node):
     """``INSERT INTO name [(cols)] VALUES (...), (...)``."""
 

@@ -16,6 +16,9 @@ comment noise.  This module turns an AST into:
   the two orderings would make errors depend on cache warmth.
 * :func:`statement_fingerprint` — the SHA-256 digest of the canonical form,
   the fixed-size key the mediation and plan caches store.
+* :func:`expression_form` — the same serialization of one expression: the
+  structural identity generated kernels are shared under
+  (:mod:`repro.relational.compile`).  One notion of "the same tree", not two.
 
 Only SELECT/UNION statements are fingerprinted (they are all the pipeline
 caches); other statements raise.
@@ -24,13 +27,13 @@ caches); other statements raise.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields, is_dataclass
 from typing import Any, List
 
 from repro.errors import SQLUnsupportedError
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
+    Literal,
     Node,
     Select,
     Star,
@@ -45,50 +48,47 @@ def _fold(identifier: Any) -> Any:
 
 def _serialize(value: Any, parts: List[str]) -> None:
     """Append a canonical token stream for ``value`` to ``parts``."""
-    if isinstance(value, Select):
+    cls = value.__class__
+    if cls is ColumnRef:
+        # The qualifier is a table binding (case-insensitive); the name decides
+        # the output column label and keeps its case.
+        parts.append(f"ColumnRef({value.name},{_fold(value.table)})")
+    elif cls is BinaryOp:
+        parts.append(f"BinaryOp({value.op.upper()}")
+        _serialize(value.left, parts)
+        _serialize(value.right, parts)
+        parts.append(")")
+    elif cls is Literal:
+        # repr keeps 1, 1.0, '1' and True distinct, which SQL semantics
+        # require (and -0.0 from 0.0, Decimal('1.0') from Decimal('1.00')).
+        parts.append(f"Literal({value.value!r})")
+    elif cls is Select:
         _serialize_select(value, parts)
-        return
-    if isinstance(value, Union):
+    elif cls is Union:
         parts.append("Union(")
         parts.append("all" if value.all else "distinct")
         for select in value.selects:
             _serialize_select(select, parts)
         parts.append(")")
-        return
-    if isinstance(value, TableRef):
+    elif cls is TableRef:
         parts.append(
             f"TableRef({_fold(value.name)},{_fold(value.alias)},{_fold(value.source)})"
         )
-        return
-    if isinstance(value, ColumnRef):
-        # The qualifier is a table binding (case-insensitive); the name decides
-        # the output column label and keeps its case.
-        parts.append(f"ColumnRef({value.name},{_fold(value.table)})")
-        return
-    if isinstance(value, Star):
+    elif cls is Star:
         parts.append(f"Star({_fold(value.table)})")
-        return
-    if isinstance(value, BinaryOp):
-        parts.append(f"BinaryOp({value.op.upper()}")
-        _serialize(value.left, parts)
-        _serialize(value.right, parts)
+    elif isinstance(value, Node):
+        parts.append(f"{cls.__name__}(")
+        for name in value.FIELDS:
+            _serialize(getattr(value, name), parts)
         parts.append(")")
-        return
-    if isinstance(value, Node) and is_dataclass(value):
-        parts.append(f"{type(value).__name__}(")
-        for field_ in fields(value):
-            _serialize(getattr(value, field_.name), parts)
-        parts.append(")")
-        return
-    if isinstance(value, (list, tuple)):
+    elif cls is tuple or cls is list:
         parts.append("[")
         for item in value:
             _serialize(item, parts)
         parts.append("]")
-        return
-    # Literal values and plain dataclass fields: repr keeps 1, 1.0, '1' and
-    # True distinct, which SQL semantics require.
-    parts.append(repr(value))
+    else:
+        # Scalar fields, by repr for the reason literals are.
+        parts.append(repr(value))
 
 
 def _serialize_select(select: Select, parts: List[str]) -> None:
@@ -112,6 +112,13 @@ def canonical_form(statement: Node) -> str:
         )
     parts: List[str] = []
     _serialize(statement, parts)
+    return "".join(parts)
+
+
+def expression_form(expression: Node) -> str:
+    """The canonical serialization of one expression (any node)."""
+    parts: List[str] = []
+    _serialize(expression, parts)
     return "".join(parts)
 
 

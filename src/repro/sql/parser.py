@@ -44,6 +44,7 @@ from repro.sql.ast import (
     TableRef,
     UnaryOp,
     Union,
+    node_class,
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 
@@ -552,6 +553,7 @@ class Parser:
 # ---------------------------------------------------------------------------
 
 
+@node_class
 class _DerivedTable(Node):
     """A ``(SELECT ...) alias`` table expression.
 
@@ -560,25 +562,8 @@ class _DerivedTable(Node):
     :class:`TableRef` and :class:`Join`.
     """
 
-    def __init__(self, query: Select, alias: str):
-        self.query = query
-        self.alias = alias
-
-    def children(self):  # pragma: no cover - structural helper
-        yield self.query
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _DerivedTable)
-            and other.query == self.query
-            and other.alias == self.alias
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.query, self.alias))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DerivedTable(alias={self.alias!r})"
+    query: Select
+    alias: str
 
 
 DerivedTable = _DerivedTable

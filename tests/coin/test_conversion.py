@@ -15,12 +15,13 @@ from repro.coin.conversion import (
     build_financial_conversions,
 )
 from repro.coin.domain import build_financial_domain_model
-from repro.sql.builder import col
+from repro.sql.ast import ColumnRef
 from repro.sql.printer import to_sql
 
 
 def expr(name="r1.revenue"):
-    return col(name).node
+    table, _, column = name.partition(".")
+    return ColumnRef(name=column, table=table)
 
 
 class TestOperand:

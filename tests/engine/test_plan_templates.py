@@ -108,7 +108,7 @@ class TestLifetime:
         assert _kept(after.execution.plan) is not _kept(before.execution.plan)
         assert after.relation.rows == before.relation.rows
 
-    def test_mediator_side_kernels_stay_out_of_the_global_memo(self):
+    def test_a_replanned_statement_recalls_its_kernels_from_the_shared_table(self):
         from repro.relational import compile as compile_module
 
         engine = _two_source_engine(request_cache=SourceResultCache(capacity=8))
@@ -119,7 +119,11 @@ class TestLifetime:
         fresh = engine.plan(JOIN)
         engine.execute(fresh)
         assert _kept(fresh) is not None and _kept(fresh) is not _kept(plan)
+        # New plan, new trees, new template memo — the same structures.
         assert len(compile_module._MEMO) == before
+        first, second = (plan.template.branches[0]._operators[1],
+                         fresh.template.branches[0]._operators[1])
+        assert first is not second and first.explain() == second.explain()
 
 
 class _ShiftingWrapper(RelationalWrapper):
