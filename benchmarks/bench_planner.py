@@ -16,6 +16,7 @@ from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation, build_scalability_federation
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
+from repro.relational.algebra import left_deep
 
 
 def _engine_without_pushdown(reference_engine):
@@ -92,6 +93,6 @@ def test_e7_join_order_prefers_small_relations():
     )
     plan = federation.engine.plan(sql)
     branch = plan.branches[0]
-    initial_binding = branch.requests[branch.initial_request].binding
+    initial_binding = left_deep(branch.tree)[0][0].binding
     # The pipeline starts from the (estimated) smaller input: the filtered one.
     assert initial_binding == small

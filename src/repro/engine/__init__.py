@@ -9,7 +9,7 @@ cross-source joins locally with temporary storage.
 
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel
-from repro.engine.plan import BranchPlan, JoinStep, QueryPlan, SourceRequest
+from repro.engine.plan import BranchPlan, QueryPlan, SourceRequest
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.executor import (
     EngineResult,
@@ -25,7 +25,6 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "BranchPlan",
-    "JoinStep",
     "QueryPlan",
     "SourceRequest",
     "PlannerConfig",

@@ -1,25 +1,33 @@
 """Plan representation for the multi-database access engine.
 
-A :class:`QueryPlan` describes, for each UNION branch of a (mediated) query:
+A :class:`QueryPlan` is one tree of the plan algebra
+(:mod:`repro.relational.algebra`) — ``QueryPlan.root``: a branch's
+:class:`~repro.relational.algebra.Finish`, or the
+:class:`~repro.relational.algebra.Union` of several — plus, per branch, what
+the tree's leaves stand for:
 
 * one :class:`SourceRequest` per table binding — the sub-query pushed down to
   the wrapper serving that binding's relation (or a plain fetch when the
   source cannot evaluate SQL), together with any residual per-binding filters
-  the engine must apply locally;
-* the order in which the staged intermediates are joined locally and the join
-  conditions applied at each step (the engine performs all cross-source joins
-  itself, as the paper describes);
-* the final SELECT evaluation (projection, aggregation, ordering) which the
-  executor delegates to the local SQL processor.
+  the engine must apply locally.  ``Leaf(i)`` of a branch's tree is
+  ``branch.requests[i]``;
+* the branch's tree itself: the transfers joined left-deep in the order the
+  planner chose, each :class:`~repro.relational.algebra.Join` carrying its
+  conditions, hash keys and the planner's estimates (the engine performs all
+  cross-source joins itself, as the paper describes), then the conditions no
+  join could take and the SELECT's finish (projection, aggregation,
+  ordering).  There is no second description of the join order: ``EXPLAIN``,
+  ``signature()``, the optimizer report and cardinality feedback all read the
+  tree (``algebra.left_deep``).
 
-Plans are pure descriptions: building one never touches a source.  The
-executor (:mod:`repro.engine.executor`) interprets them; ``explain()`` renders
+Plans are pure descriptions: building one never touches a source.  A
+:class:`~repro.engine.stream.ResultStream` runs one; ``explain()`` renders
 them for humans and for the planner benchmarks.
 
 What executing a plan derives from it and nothing else — request keys, the
-optimizer report's preamble, each branch's algebra tree and the operators it
-lowers to — is kept in the plan's :class:`PlanTemplate`, so it is derived
-once per cached plan and dies with it.
+optimizer report's preamble and the operators each branch's tree lowers to —
+is kept in the plan's :class:`PlanTemplate`, so it is derived once per cached
+plan and dies with it.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.relational.algebra import Stage
 from repro.relational.compile import KernelMemo, KernelScope, SubqueryExecutor
 from repro.relational.operators import PhysicalOperator
 from repro.relational.schema import Schema
-from repro.sql.ast import ColumnRef, Node, Select, Statement
+from repro.sql.ast import Node, Select, Statement
 from repro.sql.printer import to_sql
 
 
@@ -135,99 +143,63 @@ class SourceRequest:
         return " ".join(parts)
 
 
-@dataclass
-class JoinStep:
-    """Joining the next staged intermediate into the running result."""
-
-    request_index: int
-    conditions: Tuple[Node, ...] = ()
-    #: True when at least one condition is a simple equi-join usable by a hash join.
-    hash_join: bool = False
-    #: Equi-join conjuncts extracted at plan time, oriented as (key over the
-    #: already-joined intermediate, key over this step's staged relation).
-    #: Together they form the composite hash key; ``residual_conditions`` are
-    #: the remaining conjuncts, evaluated on each key-matched pair.
-    equi_keys: Tuple[Tuple[ColumnRef, ColumnRef], ...] = ()
-    residual_conditions: Tuple[Node, ...] = ()
-    estimated_rows: int = 0
-    cost: CostEstimate = field(default_factory=CostEstimate)
-    #: Order-insensitive fingerprint of the joined (relation, predicate) set
-    #: up to and including this step — the runtime-feedback key under which
-    #: the executor records the observed intermediate cardinality.
-    feedback_key: str = ""
-    #: Where ``estimated_rows`` came from: "feedback" or "default".
-    estimate_source: str = "default"
-
-    def describe(self, requests: Sequence[SourceRequest]) -> str:
-        binding = requests[self.request_index].binding
-        method = "hash join" if self.hash_join else "nested-loop join"
-        estimate = f"(~{self.estimated_rows} rows, est={self.estimate_source})"
-        if self.hash_join and self.equi_keys:
-            keys = " AND ".join(
-                f"{to_sql(left)} = {to_sql(right)}" for left, right in self.equi_keys
-            )
-            text = f"{method} {binding} ON {keys}"
-            if self.residual_conditions:
-                residual = " AND ".join(to_sql(node) for node in self.residual_conditions)
-                text += f" residual {residual}"
-            return f"{text} {estimate}"
-        if self.conditions:
-            condition_text = " AND ".join(to_sql(node) for node in self.conditions)
-            return f"{method} {binding} ON {condition_text} {estimate}"
-        return f"cartesian product with {binding} {estimate}"
+def describe_join(join: algebra.Join) -> str:
+    """One EXPLAIN line for a join step of a branch."""
+    binding = join.right.binding
+    method = "hash join" if join.hash_join else "nested-loop join"
+    estimate = f"(~{join.estimated_rows} rows, est={join.estimate_source})"
+    if join.hash_join and join.equi_keys:
+        keys = " AND ".join(
+            f"{to_sql(left)} = {to_sql(right)}" for left, right in join.equi_keys
+        )
+        text = f"{method} {binding} ON {keys}"
+        if join.residual:
+            residual = " AND ".join(to_sql(node) for node in join.residual)
+            text += f" residual {residual}"
+        return f"{text} {estimate}"
+    if join.conditions:
+        condition_text = " AND ".join(to_sql(node) for node in join.conditions)
+        return f"{method} {binding} ON {condition_text} {estimate}"
+    return f"cartesian product with {binding} {estimate}"
 
 
 @dataclass
 class BranchPlan:
     """The plan of one SELECT branch."""
 
-    select: Select
+    #: What the tree's leaves stand for: ``Leaf(i)`` is ``requests[i]``.
     requests: List[SourceRequest]
-    #: Index of the request the local pipeline starts from.
-    initial_request: int
-    join_steps: List[JoinStep]
-    #: Conditions that could not be attached to any join step (evaluated last).
-    post_join_conditions: Tuple[Node, ...] = ()
-    #: Safe upper bound on rows this branch can contribute (LIMIT + OFFSET of
-    #: a branch whose limit provably commutes with finalization).  The
-    #: streaming executor turns it into a bounded top-k Sort, and when the
-    #: branch is a single pushable request the planner also pushes it into
-    #: the request SQL so the source ships only the needed prefix.
-    fetch_limit: Optional[int] = None
+    #: Transfers joined left-deep in plan order, the conditions no join step
+    #: could take (a ``Selection``), the SELECT and its safe row bound — LIMIT
+    #: + OFFSET of a branch whose limit provably commutes with finalization,
+    #: which lowering turns into a bounded top-k Sort and which the planner
+    #: also pushes into the request SQL of a single-request branch.
+    tree: algebra.Finish
     estimated_rows: int = 0
     cost: CostEstimate = field(default_factory=CostEstimate)
 
-    def transfer(self, index: int) -> algebra.Transfer:
-        """Request ``index`` crossing from its source to the mediator."""
-        request = self.requests[index]
-        return algebra.Transfer(algebra.Leaf(index), request.binding,
-                                tuple(request.local_filters))
+    @property
+    def select(self) -> Select:
+        return self.tree.select
 
-    def relation(self) -> algebra.RelationNode:
-        """This branch in the plan algebra: transfers joined left-deep in
-        step order, the unattached conditions, then the SELECT's finish."""
-        node: algebra.RelationNode = self.transfer(self.initial_request)
-        for step in self.join_steps:
-            node = algebra.Join(node, self.transfer(step.request_index),
-                                tuple(step.conditions), step.hash_join,
-                                tuple(step.equi_keys), tuple(step.residual_conditions))
-        if self.post_join_conditions:
-            node = algebra.Selection(node, tuple(self.post_join_conditions))
-        return algebra.Finish(node, self.select, self.fetch_limit)
+    @property
+    def fetch_limit(self) -> Optional[int]:
+        return self.tree.fetch_limit
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
+        transfers, joins = algebra.left_deep(self.tree)
         lines = [f"{pad}branch: {to_sql(self.select)}"]
         lines.append(f"{pad}  source requests:")
         for index, request in enumerate(self.requests):
-            marker = "*" if index == self.initial_request else "-"
+            marker = "*" if index == transfers[0].target.index else "-"
             lines.append(f"{pad}    {marker} {request.describe()}")
-        if self.join_steps:
+        if joins:
             lines.append(f"{pad}  local joins:")
-            for step in self.join_steps:
-                lines.append(f"{pad}    - {step.describe(self.requests)}")
-        if self.post_join_conditions:
-            residual = " AND ".join(to_sql(node) for node in self.post_join_conditions)
+            for join in joins:
+                lines.append(f"{pad}    - {describe_join(join)}")
+        if isinstance(self.tree.target, algebra.Selection):
+            residual = " AND ".join(to_sql(node) for node in self.tree.target.conditions)
             lines.append(f"{pad}  residual filter: {residual}")
         if self.fetch_limit is not None:
             lines.append(f"{pad}  fetch limit: {self.fetch_limit}")
@@ -256,6 +228,12 @@ class QueryPlan:
     feedback_keys: FrozenSet[Hashable] = frozenset()
 
     @cached_property
+    def root(self) -> algebra.RelationNode:
+        """The statement's tree: its lone branch, or the UNION of several."""
+        trees = tuple(branch.tree for branch in self.branches)
+        return trees[0] if len(trees) == 1 else algebra.Union(trees, self.union_all)
+
+    @cached_property
     def template(self) -> "PlanTemplate":
         """What every execution of this plan shares (lives and dies with it)."""
         return PlanTemplate(self)
@@ -272,11 +250,8 @@ class QueryPlan:
         """Plan shape for change detection: join orders and bind decisions."""
         branches = []
         for branch in self.branches:
-            order = tuple(
-                [branch.requests[branch.initial_request].binding.lower()]
-                + [branch.requests[step.request_index].binding.lower()
-                   for step in branch.join_steps]
-            )
+            order = tuple(transfer.binding.lower()
+                          for transfer in algebra.left_deep(branch.tree)[0])
             bound = tuple(sorted(
                 request.binding.lower()
                 for request in branch.requests if request.bind is not None
@@ -314,6 +289,10 @@ class BranchTemplate:
         self._kernels = kernels
         self._stages: Dict[int, Stage] = {}
         self._operators: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
+        #: The tree in join order: its transfers and its joins.
+        self.transfers, self.joins = algebra.left_deep(branch.tree)
+        self._transfer_of = {transfer.target.index: transfer
+                             for transfer in self.transfers}
 
         def bind_depth(index: int) -> int:
             depth, current = 0, requests[index].bind
@@ -325,19 +304,19 @@ class BranchTemplate:
         #: Request indexes in staging order: a bound request derives its
         #: IN-lists from its driver's staged rows, so drivers come first.
         self.staging_order = sorted(range(len(requests)), key=bind_depth)
-        #: (position among the branch's instrumented operators, step) of the
-        #: joins whose drained row count is cardinality feedback.
+        #: (position among the branch's instrumented operators, join node)
+        #: of the joins whose drained row count is cardinality feedback.
         unlimited = branch.select.limit is None and branch.fetch_limit is None
-        self.watched = [(position, step)
-                        for position, step in enumerate(branch.join_steps, start=1)
-                        if step.feedback_key and unlimited]
+        self.watched = [(position, join)
+                        for position, join in enumerate(self.joins, start=1)
+                        if join.feedback_key and unlimited]
 
     def stage(self, index: int, shipped: Schema,
               subquery_executor: SubqueryExecutor) -> Stage:
         stage = self._stages.get(index)
         if stage is None or (shipped is not stage.source and shipped != stage.source):
             scope = KernelScope(subquery_executor, self._kernels)
-            stage = Stage(self._branch.transfer(index), shipped, scope)
+            stage = Stage(self._transfer_of[index], shipped, scope)
             if not scope.private:
                 self._stages[index] = stage
         return stage
@@ -350,8 +329,7 @@ class BranchTemplate:
         if kept is not None and kept[0] == stages:
             return kept[1]
         scope = KernelScope(subquery_executor, self._kernels)
-        # The algebra tree is scaffolding: built, lowered, dropped.
-        operators = algebra.lower(self._branch.relation(), stages, scope)
+        operators = algebra.lower(self._branch.tree, stages, scope)
         if not scope.private:
             self._operators = (stages, operators)
         return operators
@@ -373,13 +351,11 @@ class PlanTemplate:
         self.branches = [BranchTemplate(branch, kernels) for branch in plan.branches]
         #: The optimizer report's preamble: per branch the binding join
         #: order, and how many estimates came from feedback vs defaults.
-        self.join_orders = [
-            [branch.requests[index].binding for index in
-             (branch.initial_request, *(step.request_index for step in branch.join_steps))]
-            for branch in plan.branches
-        ]
-        sources = [estimated.estimate_source for branch in plan.branches
-                   for estimated in (*branch.requests, *branch.join_steps)]
+        self.join_orders = [[transfer.binding for transfer in branch.transfers]
+                            for branch in self.branches]
+        sources = [estimated.estimate_source
+                   for branch, template in zip(plan.branches, self.branches)
+                   for estimated in (*branch.requests, *template.joins)]
         self.estimates_from_feedback = sources.count("feedback")
         self.estimates_from_defaults = len(sources) - self.estimates_from_feedback
         #: Per branch and request, the dedup key of an unbound request (a

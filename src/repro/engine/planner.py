@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import PlanningError
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel
-from repro.engine.plan import BindJoinSpec, BranchPlan, JoinStep, QueryPlan, SourceRequest
+from repro.engine.plan import BindJoinSpec, BranchPlan, QueryPlan, SourceRequest
+from repro.relational import algebra
 from repro.sql.printer import to_sql
 from repro.sql.ast import (
     ColumnRef,
@@ -59,8 +60,8 @@ _EquiKey = Tuple[ColumnRef, int, ColumnRef, int]
 #: A cross-request condition: the requests it needs (a bit mask over request
 #: positions), the conjunct, and its equi key when it can be one.
 _JoinCondition = Tuple[int, Node, Optional[_EquiKey]]
-_JoinStepParts = Tuple[Tuple[Node, ...], Tuple[Tuple[ColumnRef, ColumnRef], ...],
-                       Tuple[Node, ...]]
+_StepParts = Tuple[Tuple[Node, ...], Tuple[Tuple[ColumnRef, ColumnRef], ...],
+                   Tuple[Node, ...]]
 
 
 @dataclass
@@ -110,10 +111,10 @@ class _JoinGraph:
         self.conditions = conditions
         self._items = [f"{request.relation.lower()}|{request.predicate_fingerprint}"
                        for request in requests]
-        self._steps: Dict[Tuple[int, int], _JoinStepParts] = {}
+        self._steps: Dict[Tuple[int, int], _StepParts] = {}
         self._fingerprints: Dict[int, str] = {}
 
-    def step(self, mask: int, candidate: int) -> _JoinStepParts:
+    def step(self, mask: int, candidate: int) -> _StepParts:
         """``(conditions, equi keys, residual)`` of joining ``candidate`` onto
         ``mask``: the conditions that need the candidate and nothing outside
         the joined set, in WHERE order, split into equi-join key pairs
@@ -268,12 +269,13 @@ class QueryPlanner:
             if table_binding not in syntax_order:
                 syntax_order.append(table_binding)
 
-        initial_index, join_steps, post_join = self._order_joins(
+        joined, post_join = self._order_joins(
             requests, request_index, _JoinGraph(requests, join_conditions), syntax_order
         )
         post_join = post_join + tuple(constant_conditions)
-        if join_steps:
-            self._apply_bind_joins(requests, request_index, join_steps, bindings)
+        transfers, joins = algebra.left_deep(joined)
+        if joins:
+            self._apply_bind_joins(requests, request_index, joins, bindings)
 
         fetch_limit = self._branch_fetch_limit(select, facts)
         if (fetch_limit is not None and len(requests) == 1 and not post_join
@@ -287,23 +289,21 @@ class QueryPlanner:
                     limited = self._pool_request(limited, request_pool, None)
                 requests[0] = limited
 
-        estimated_rows = requests[initial_index].estimated_result_rows
+        estimated_rows = requests[transfers[0].target.index].estimated_result_rows
         cost = CostEstimate()
         for request in requests:
             cost = cost.add(request.cost)
             cost = cost.add(self.cost_model.staging_cost(request.estimated_result_rows))
-        for step in join_steps:
-            cost = cost.add(step.cost)
-            estimated_rows = step.estimated_rows
+        for join in joins:
+            cost = cost.add(join.cost)
+            estimated_rows = join.estimated_rows
         cost = cost.add(self.cost_model.local_scan_cost(estimated_rows))
 
+        if post_join:
+            joined = algebra.Selection(joined, post_join)
         return BranchPlan(
-            select=select,
             requests=requests,
-            initial_request=initial_index,
-            join_steps=join_steps,
-            post_join_conditions=post_join,
-            fetch_limit=fetch_limit,
+            tree=algebra.Finish(joined, select, fetch_limit),
             estimated_rows=estimated_rows,
             cost=cost,
         )
@@ -683,13 +683,19 @@ class QueryPlanner:
         return list(dp_order) if dp_cost < greedy_cost - 1e-9 else greedy
 
     def _emit_steps(self, order: Sequence[int], requests: List[SourceRequest],
-                    graph: _JoinGraph):
-        """Materialize the join steps of a fixed left-deep order."""
+                    graph: _JoinGraph) -> Tuple[algebra.RelationNode, Tuple[Node, ...]]:
+        """The join tree of a fixed left-deep order, and the conditions no
+        step of it made evaluable."""
+        def transfer(index: int) -> algebra.Transfer:
+            request = requests[index]
+            return algebra.Transfer(algebra.Leaf(index), request.binding,
+                                    request.local_filters)
+
         initial = order[0]
         joined = 1 << initial
         current_rows = requests[initial].estimated_result_rows
 
-        steps: List[JoinStep] = []
+        node: algebra.RelationNode = transfer(initial)
         for candidate in order[1:]:
             conditions, equi_keys, residual = graph.step(joined, candidate)
             hash_join = self.config.prefer_hash_joins and bool(equi_keys)
@@ -704,29 +710,25 @@ class QueryPlanner:
             cost = self.cost_model.local_join_cost(
                 current_rows, requests[candidate].estimated_result_rows, hash_join
             )
-            steps.append(JoinStep(
-                request_index=candidate,
-                conditions=conditions,
-                hash_join=hash_join,
-                equi_keys=equi_keys,
-                residual_conditions=residual,
+            node = algebra.Join(
+                node, transfer(candidate), conditions, hash_join, equi_keys, residual,
                 estimated_rows=estimated,
                 cost=cost,
                 feedback_key=feedback_key,
                 estimate_source=estimate_source,
-            ))
+            )
             current_rows = estimated
 
         # What no step made evaluable: the conditions of a one-request branch.
         post_join = tuple(condition for needs, condition, _equi in graph.conditions
                           if not needs & ~(1 << initial))
-        return initial, steps, post_join
+        return node, post_join
 
     # -- bind joins --------------------------------------------------------------------------------
 
     def _apply_bind_joins(self, requests: List[SourceRequest],
                           request_index: Dict[str, int],
-                          join_steps: List[JoinStep],
+                          joins: Sequence[algebra.Join],
                           bindings: Dict[str, str]) -> int:
         """Convert profitable requests into bind joins, in join order.
 
@@ -743,8 +745,9 @@ class QueryPlanner:
         if not (config.bind_joins and config.push_selections):
             return 0
         applied = 0
-        for step in join_steps:
-            request = requests[step.request_index]
+        for step in joins:
+            index = step.right.target.index
+            request = requests[index]
             if (request.bind is not None or request.sql is None
                     or request.sql.limit is not None
                     or not step.hash_join or not step.equi_keys):
@@ -796,7 +799,7 @@ class QueryPlanner:
                 + entry.capabilities.query_overhead * max(batches - 1, 0),
                 communication=base_cost.communication,
             )
-            requests[step.request_index] = replace(
+            requests[index] = replace(
                 request, bind=spec, estimated_result_rows=bound_rows, cost=cost,
             )
             applied += 1

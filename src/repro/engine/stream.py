@@ -1,23 +1,30 @@
-"""The streaming execution core: a pull-based cursor over a query plan.
+"""The streaming execution core: a plan's fetch stage, and a pull-based
+cursor over its root operator.
 
-A :class:`ResultStream` is the one staging, binding, fetching core: nothing
-else executes a plan, and executing one builds nothing that the plan's
-:class:`~repro.engine.plan.PlanTemplate` already holds.  It
+A plan is one tree (:mod:`repro.relational.algebra`); running it is lowering
+the tree and pulling ``root.batches()``.  A :class:`ResultStream` does that —
+nothing else executes a plan — and owns what the tree does not say: it
 
-* dispatches the plan's (deduplicated) source fetches **asynchronously** on
-  the bounded pool — or lazily, one at a time, when the pool is bounded to a
-  single request — and awaits each result only when a branch actually needs
-  it staged;
-* stages and binds branches **lazily**, in plan order: a branch's shipped
-  relations are brought across by its template's stages (qualified, locally
-  filtered), and its operator template — lowered once per cached plan from
-  the branch's algebra tree, see :mod:`repro.relational.algebra` — is copied
-  over them, one cheap copy per operator.  Every branch finishes through
-  ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``; a grouped one has an
-  ``Aggregate`` (which buffers its input) and HAVING's ``Filter`` beneath;
+* deduplicates the plan's source fetches, answers what it can from the
+  request cache and dispatches the rest **asynchronously** on the bounded
+  pool, expected-slowest first — or lazily, one at a time, when the pool is
+  bounded to a single request — under the statement's retries, breakers and
+  deadline, and awaits each result only when a branch actually needs it
+  staged (a bind join's IN-list batches are derived when its driver is);
+* stages and binds branches **lazily**, in plan order: a branch is an input
+  of the root operator (:class:`_Branch`) which, on first use, brings its
+  shipped relations across through its template's stages (qualified, locally
+  filtered) and copies its operator template — lowered once per cached plan
+  from the branch's tree — over them, one cheap copy per operator.  Every
+  branch finishes through ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``;
+  a grouped one has an ``Aggregate`` (which buffers its input) and HAVING's
+  ``Filter`` beneath.  A UNION's root is ``UnionAll`` over the branches and,
+  unless it is UNION ALL, a ``Distinct`` on exact row equality; a lone
+  branch is its own root;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
-  every memory-hungry operator, so the statement's operator memory is bounded
-  and spills are observable in the execution report;
+  every memory-hungry operator of a branch, so the statement's operator
+  memory is bounded and spills are observable in the execution report (the
+  UNION's own two operators draw on no budget and are not listed there);
 * **terminates early**: a consumer that stops pulling (a satisfied LIMIT, an
   explicit :meth:`close`) cancels source fetches that were never consumed,
   drops the staged temporaries, and releases the fetch pool mid-query.
@@ -29,11 +36,11 @@ concurrent executions.
 
 Rows move in **batches** (plain lists of row tuples, see
 :mod:`repro.relational.operators`): the operator pipelines hand batches up,
-and the deadline test, the report lock, ``rows_streamed`` and the UNION
-``seen`` set are paid once per batch handed to the consumer.  A fetch that
-wants fewer rows than a batch holds leaves the rest in a carried remainder,
-which later fetches drain first — ``rows_streamed`` counts rows handed over,
-never rows waiting there.
+and the deadline test, the report lock and ``rows_streamed`` are paid once
+per batch handed to the consumer.  A fetch that wants fewer rows than a
+batch holds leaves the rest in a carried remainder, which later fetches
+drain first — ``rows_streamed`` counts rows handed over, never rows waiting
+there.
 
 ``MultiDatabaseEngine.execute`` drains a stream to re-create the historical
 eager behaviour byte for byte: same rows, same order, same report fields —
@@ -43,15 +50,15 @@ plus the new streaming and memory counters.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
-    SchemaError,
     SourceUnavailableError,
 )
 from repro.engine.executor import (
@@ -67,6 +74,7 @@ from repro.engine.plan import QueryPlan, SourceRequest
 from repro.engine.request_cache import RequestKey
 from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
+from repro.relational import algebra
 from repro.relational.algebra import Stage
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
 from repro.relational.operators import Batch, PhysicalOperator, TableScan
@@ -102,6 +110,46 @@ class _SourceFailure(Exception):
         super().__init__(str(outcome.error))
         self.key = key
         self.outcome = outcome
+
+
+_UNBUILT = object()
+
+
+class _Branch(PhysicalOperator):
+    """One branch of the plan as an input of the root operator: staged and
+    bound on first use (a pull, or a question about its schema), so a branch
+    the consumer never reaches costs no round trip.  One degraded under
+    ``on_source_error="partial"`` stands in as an empty relation of the
+    answer's schema."""
+
+    def __init__(self, stream: "ResultStream", index: int):
+        self._stream = stream
+        self._index = index
+        self._pipeline = _UNBUILT
+
+    def pipeline(self) -> Optional[PhysicalOperator]:
+        """The branch's bound operators, or None when it was degraded."""
+        if self._pipeline is _UNBUILT:
+            self._pipeline = self._stream._build_branch(self._index)
+        return self._pipeline
+
+    @property
+    def schema(self) -> Schema:
+        pipeline = self.pipeline()
+        return pipeline.schema if pipeline is not None else self._stream.schema
+
+    def batches(self) -> Iterator[Batch]:
+        pipeline = self.pipeline()
+        if pipeline is None:
+            return  # degraded: the answer flows on without it
+        rows = 0
+        with closing(pipeline.batches()) as batches:
+            for batch in batches:
+                rows += len(batch)
+                yield batch
+        report = self._stream.report
+        with report.lock:
+            report.branch_rows.append(rows)
 
 
 class ResultStream:
@@ -155,8 +203,6 @@ class ResultStream:
         self._pending: List[Row] = []
         self._pending_at = 0
         self._schema: Optional[Schema] = None
-        self._first_branch: Optional[Tuple[Iterator[Batch], Schema]] = None
-        self._first_branch_index = 0
         self._staged_handles: List[str] = []
         self._staged_released = False
         #: Keys already staged at least once (drives dedup_hit bookkeeping).
@@ -165,7 +211,7 @@ class ResultStream:
         self._finalized_keys: set = set()
         self._gauge = _InFlightGauge()
         self._close_callbacks: List[Callable[[ExecutionReport], None]] = []
-        #: (JoinStep, OperatorStats) pairs whose observed cardinality feeds
+        #: (algebra.Join, OperatorStats) pairs whose observed cardinality feeds
         #: the adaptive optimizer when the stream drains to exhaustion.
         self._join_watchers: List[Tuple[object, OperatorStats]] = []
 
@@ -222,7 +268,12 @@ class ResultStream:
         # else: remaining fetches happen lazily, serially, on first staging —
         # branches a satisfied LIMIT never reaches cost no round trip at all.
 
-        self._batches = self._generate()
+        # -- phase 2: the root operator, over branches staged on first use -------
+        self._branches: Sequence[_Branch] = [
+            _Branch(self, index) for index in range(len(plan.branches))]
+        root = (self._branches[0] if len(self._branches) == 1
+                else algebra.lower(plan.root, self._branches))
+        self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------
 
@@ -577,13 +628,14 @@ class ResultStream:
 
     # -- branch pipelines ----------------------------------------------------------
 
-    def _build_branch(self, branch_index: int) -> Optional[Tuple[Iterator[Batch], Schema]]:
+    def _build_branch(self, branch_index: int) -> Optional[PhysicalOperator]:
         """Stage one branch's inputs and bind its operator template to them.
 
         Returns None when the branch was degraded: one of its sources failed
         for good and the stream runs under ``on_source_error="partial"`` —
-        the drop is recorded in the report's resilience block.  In ``"fail"``
-        mode the same failure raises the context-rich terminal error.
+        the drop is recorded in the report's resilience block, and the last
+        branch to go takes the statement with it.  In ``"fail"`` mode the
+        same failure raises the context-rich terminal error.
         """
         executor = self.controller.subquery_executor
         branch = self.plan.branches[branch_index]
@@ -620,6 +672,13 @@ class ResultStream:
                         "branch_degraded", branch=branch_index,
                         wrapper=failed_request.wrapper_name,
                     )
+                    if len(report.resilience.degraded_branches) == len(self.plan.branches):
+                        raise ExecutionError(
+                            f"all {len(self.plan.branches)} branches were degraded by "
+                            "source failures; no surviving branch can answer the "
+                            "statement (on_source_error='partial' requires at least "
+                            "one live source)"
+                        ) from None
                     return None
                 raise request_failed_error(
                     failed_request, failure.outcome.error
@@ -635,9 +694,15 @@ class ResultStream:
         # An unlimited branch drains its joins completely, so the
         # instrumented row count is the true intermediate cardinality —
         # recorded into the feedback store when the stream exhausts.
-        for position, step in template.watched:
-            self._join_watchers.append((step, instrumented[position]))
-        return pipeline.batches(), pipeline.schema
+        for position, join in template.watched:
+            self._join_watchers.append((join, instrumented[position]))
+        if self._schema is None:
+            # The first branch to survive types the answer; the first one
+            # planned names it, dead or not, where its select list says how.
+            names = self.plan.root.names if branch_index else None
+            self._schema = (pipeline.schema if names is None
+                            else pipeline.schema.rename(names))
+        return pipeline
 
     def _bind(self, operator: PhysicalOperator, staged: Dict[int, Relation],
               branch_index: int, instrumented: List[OperatorStats],
@@ -702,69 +767,18 @@ class ResultStream:
                 self.report.staged_bytes += estimate_row_bytes(staged.rows[0]) * len(staged.rows)
         return staged
 
-    def _ensure_first_branch(self) -> None:
-        """Build the first *surviving* branch (partial mode skips dead ones)."""
-        if self._first_branch is not None:
-            return
-        for branch_index in range(len(self.plan.branches)):
-            built = self._build_branch(branch_index)
-            if built is not None:
-                self._first_branch = built
-                self._first_branch_index = branch_index
-                self._schema = built[1]
-                return
-        raise ExecutionError(
-            f"all {len(self.plan.branches)} branches were degraded by source "
-            "failures; no surviving branch can answer the statement "
-            "(on_source_error='partial' requires at least one live source)"
-        )
-
-    # -- row production --------------------------------------------------------------
-
-    def _generate(self) -> Iterator[Batch]:
-        self._ensure_first_branch()
-        batches, _schema = self._first_branch
-        base_arity = len(self._schema)
-        union_distinct = len(self.plan.branches) > 1 and not self.plan.union_all
-        seen = set() if union_distinct else None
-        report = self.report
-
-        for branch_index in range(self._first_branch_index, len(self.plan.branches)):
-            if branch_index > self._first_branch_index:
-                built = self._build_branch(branch_index)
-                if built is None:
-                    continue  # degraded mid-stream: the answer flows on
-                batches, branch_schema = built
-                if len(branch_schema) != base_arity:
-                    raise SchemaError("UNION requires relations of the same arity")
-            branch_count = 0
-            try:
-                for batch in batches:
-                    branch_count += len(batch)
-                    if seen is not None:
-                        fresh = []
-                        for row in batch:
-                            key = tuple(row)
-                            if key not in seen:
-                                seen.add(key)
-                                fresh.append(row)
-                        if not fresh:
-                            continue
-                        batch = fresh
-                    yield batch
-            finally:
-                # Closing this generator closes the branch pipeline beneath
-                # it, operator by operator (see ``_release``).
-                batches.close()
-            with report.lock:
-                report.branch_rows.append(branch_count)
-
     # -- consumer API ------------------------------------------------------------------
 
     @property
     def schema(self) -> Schema:
-        """The result schema (stages the first branch's inputs if needed)."""
-        self._ensure_first_branch()
+        """The result schema (stages the first surviving branch's inputs if
+        needed)."""
+        for branch in self._branches:
+            if self._schema is None:
+                branch.pipeline()
+        if self._schema is None:
+            raise ExecutionError("a result stream closed before it staged a branch "
+                                 "has no schema")
         return self._schema
 
     @property
@@ -912,23 +926,18 @@ class ResultStream:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
 
-        # Close the batch generator *explicitly*: it closes the current
-        # branch's ``batches()`` generator, which closes its child's, and so
-        # on down the operator tree.  Suspended Sort/Distinct/HashJoin
+        # Close the root's batch generator *explicitly*: it closes the
+        # current branch's ``batches()`` generator, which closes its child's,
+        # and so on down the operator tree.  Suspended Sort/Distinct/HashJoin
         # generators release their memory-budget reservations in ``finally``
         # blocks, and leaving that to garbage collection makes the budget
         # accounting below — and the "drained after close" invariant the
-        # server's registries rely on — nondeterministic.  The first branch is
-        # closed by hand as well: it may have been built (by ``schema``)
-        # without the generator that owns it ever starting.
-        generators = [getattr(self, "_batches", None)]
-        if getattr(self, "_first_branch", None) is not None:
-            generators.append(self._first_branch[0])
-        for generator in generators:
-            if generator is None:
-                continue
+        # server's registries rely on — nondeterministic.  The branches point
+        # back here: dropping them leaves no cycle for the collector.
+        self._branches = ()
+        if hasattr(self, "_batches"):
             try:
-                generator.close()
+                self._batches.close()
             except ValueError:
                 # Closed concurrently with a pull (e.g. a registry eviction
                 # racing a fetch): the consumer's own exit path releases.
@@ -940,11 +949,11 @@ class ResultStream:
         if self._exhausted and self._join_watchers:
             feedback = getattr(self.controller.catalog, "feedback", None)
             if feedback is not None:
-                for step, stats in self._join_watchers:
-                    planned = (step.estimated_rows
-                               if step.estimated_rows > 0 else None)
+                for join, stats in self._join_watchers:
+                    planned = (join.estimated_rows
+                               if join.estimated_rows > 0 else None)
                     feedback.record_join(
-                        step.feedback_key, stats.rows_out, planned_rows=planned
+                        join.feedback_key, stats.rows_out, planned_rows=planned
                     )
 
         self.report.resilience.deadline_remaining_seconds = self._deadline.remaining()

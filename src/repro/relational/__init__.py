@@ -21,12 +21,10 @@ from repro.relational.compile import (
 )
 from repro.relational.operators import (
     Aggregate,
-    CrossProduct,
     Distinct,
     Filter,
     HashJoin,
     Limit,
-    Materialize,
     NestedLoopJoin,
     PhysicalOperator,
     Project,
@@ -56,12 +54,10 @@ __all__ = [
     "expression_type",
     "like_to_regex",
     "Aggregate",
-    "CrossProduct",
     "Distinct",
     "Filter",
     "HashJoin",
     "Limit",
-    "Materialize",
     "NestedLoopJoin",
     "PhysicalOperator",
     "Project",

@@ -1,15 +1,20 @@
-"""The plan algebra: an immutable relation tree, lowered once to operators.
+"""The plan algebra: the immutable tree the planner emits, lowered once to
+operators.
 
-A mediated branch is *what* to compute — relations shipped by sources,
-brought across to the mediator, joined, filtered and finished by a SELECT.
-The nodes below say exactly that and nothing about *how*: they are frozen,
-hashable trees of unary and binary operations over leaf relations, built
-from a branch plan alone (``BranchPlan.relation``), with :class:`Transfer`
-marking the boundary between a source and the mediator.
+A mediated statement is *what* to compute — relations shipped by sources,
+brought across to the mediator, joined, filtered, finished by a SELECT and,
+for a mediated UNION, united.  The nodes below say exactly that and nothing
+about *how*: they are frozen, hashable trees of operations over leaf
+relations, with :class:`Transfer` marking the boundary between a source and
+the mediator.  The tree **is** the plan: ``QueryPlanner._emit_steps`` builds
+a branch's joins as :class:`Join` nodes, left-deep in the order it chose,
+and whatever reads that order back — ``EXPLAIN``, the plan signature,
+cardinality feedback, bind-join selection — reads it through
+:func:`left_deep`.
 
 :func:`lower` turns a tree into physical operators — resolved schemas, bound
-kernels, the hash-or-loop decision, where a sort goes — over scans
-that stand for its leaves.  The result is a *template*: nothing in it is
+kernels, the hash-or-loop decision, where a sort goes — over what stands for
+its leaves.  A branch's result is a *template*: nothing in it is
 per-execution state, so one lowering serves every execution of a cached plan,
 each binding its own copies (``PhysicalOperator.rebind``, ``TableScan.over``)
 to the relations it staged.  The AST-taking operator constructors are the
@@ -19,26 +24,29 @@ a :class:`Finish` over a scan, drained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+import typing
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from repro.relational.compile import ExpressionCompiler, KernelScope
 from repro.relational.operators import (
+    Distinct,
     Filter,
     HashJoin,
     NestedLoopJoin,
     PhysicalOperator,
     TableScan,
+    UnionAll,
 )
 from repro.relational.query import lower_select
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
-from repro.sql.ast import ColumnRef, Node, Select, conjoin
+from repro.sql.ast import ColumnRef, Node, Select, Star, conjoin
 
 
 @dataclass(frozen=True)
 class Leaf:
-    """Input ``index`` of the plan, as its source ships it."""
+    """Input ``index`` of its branch, as its source ships it."""
 
     index: int
 
@@ -65,7 +73,11 @@ class Selection:
 class Join:
     """``left`` ⋈ ``right`` on ``conditions``.  With ``hash_join`` the planner
     split them into ``equi_keys`` — (key over left, key over right) pairs of
-    types whose bucket equality is SQL equality — and the ``residual``."""
+    types whose bucket equality is SQL equality — and the ``residual``.
+
+    The fields after ``residual`` are the planner's expectations of the step,
+    not part of what it computes: joins differing only there are equal.
+    """
 
     left: "RelationNode"
     right: "RelationNode"
@@ -73,6 +85,14 @@ class Join:
     hash_join: bool = False
     equi_keys: Tuple[Tuple[ColumnRef, ColumnRef], ...] = ()
     residual: Tuple[Node, ...] = ()
+    estimated_rows: int = field(default=0, compare=False)
+    #: The cost model's price of the step (an ``engine.cost.CostEstimate``).
+    cost: Optional[object] = field(default=None, compare=False)
+    #: Order-insensitive fingerprint of the (relation, predicate) set joined
+    #: so far: the key runtime feedback records the observed cardinality under.
+    feedback_key: str = field(default="", compare=False)
+    #: Where ``estimated_rows`` came from: "feedback" or "default".
+    estimate_source: str = field(default="default", compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,7 +106,39 @@ class Finish:
     fetch_limit: Optional[int] = None
 
 
-RelationNode = Union[Transfer, Selection, Join, Finish]
+@dataclass(frozen=True)
+class Union:
+    """The rows of ``branches`` in branch order; unless ``all``, a row equal
+    to an earlier one is dropped.  Each branch numbers its own leaves."""
+
+    branches: Tuple[Finish, ...]
+    all: bool = False
+
+    @property
+    def names(self) -> Optional[List[str]]:
+        """The answer's column names, when the first branch's select list
+        states them: a ``*`` is named by what its sources ship."""
+        first = self.branches[0].select
+        if any(isinstance(item.expr, Star) for item in first.items):
+            return None
+        return first.output_names
+
+
+RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union]
+
+
+def left_deep(node: RelationNode) -> Tuple[List[Transfer], List[Join]]:
+    """A branch read in join order: its transfers — the one the pipeline
+    starts from, then the ``right`` of each join — and its joins, innermost
+    first."""
+    while isinstance(node, (Finish, Selection)):
+        node = node.target
+    joins: List[Join] = []
+    while isinstance(node, Join):
+        joins.append(node)
+        node = node.left
+    joins.reverse()
+    return [node, *(join.right for join in joins)], joins
 
 
 class Stage:
@@ -121,21 +173,27 @@ class Stage:
         return staged
 
 
-def lower(node: RelationNode, stages: Sequence[Stage],
-          scope: KernelScope) -> PhysicalOperator:
-    """The operator tree computing ``node`` over the scans of ``stages`` (one
-    per plan input, by index).
+def lower(node: RelationNode, inputs: Sequence,
+          scope: Optional[KernelScope] = None) -> PhysicalOperator:
+    """The operator tree computing ``node`` over what stands for its inputs:
+    for a branch, its :class:`Stage` s (one per request, by leaf index); for
+    a :class:`Union`, one operator per branch — a branch can be lowered only
+    once its sources have shipped, so whoever runs the root supplies them.
     It draws on no memory budget: an execution's copies do (``rebind``)."""
+    if isinstance(node, Union):
+        # Exact row equality and no budget: what a mediated UNION always cost.
+        union = UnionAll(inputs)
+        return union if node.all else Distinct(union, key=tuple)
     if isinstance(node, Transfer):
-        return stages[node.target.index].scan
+        return inputs[node.target.index].scan
     if isinstance(node, Selection):
-        return Filter(lower(node.target, stages, scope),
+        return Filter(lower(node.target, inputs, scope),
                       conjoin(list(node.conditions)), scope)
     if isinstance(node, Finish):
-        return lower_select(node.select, lower(node.target, stages, scope),
+        return lower_select(node.select, lower(node.target, inputs, scope),
                             scope, node.fetch_limit)
-    left = lower(node.left, stages, scope)
-    right = lower(node.right, stages, scope)
+    left = lower(node.left, inputs, scope)
+    right = lower(node.right, inputs, scope)
     if node.hash_join and node.equi_keys:
         # Oriented and type-checked by the planner: all pairs form one
         # composite key.  A step without them keeps every condition in a

@@ -46,7 +46,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.errors import EvaluationError, ExecutionError
+from repro.errors import EvaluationError, ExecutionError, SchemaError
 from repro.relational.budget import (
     MemoryBudget, SpillFile, SpillPartitions, estimate_row_bytes,
 )
@@ -61,7 +61,7 @@ from repro.sql.ast import ColumnRef, FunctionCall, Node, Star
 #: batches big enough that per-batch bookkeeping vanishes.
 BATCH_RAMP = (64, 256, 1024)
 
-#: Most left x right pairs one cross-product / nested-loop batch covers, so a
+#: Most left x right pairs one nested-loop batch covers, so a
 #: wide probe batch against a big inner side never materializes (or grinds
 #: through) millions of combinations between two yields.
 CROSS_PAIRS_PER_BATCH = 64 * 1024
@@ -389,32 +389,6 @@ class Aggregate(PhysicalOperator):
                           for position, call in enumerate(self.calls))
         keys = ", ".join(to_sql(expr) for expr in self.group_by)
         return f"({'; '.join(part for part in (keys, calls) if part)})"
-
-
-class CrossProduct(PhysicalOperator):
-    """Cartesian product; the right input is materialized once."""
-
-    operator_name = "CrossProduct"
-    _inputs = ("left", "right")
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
-        self.left = left
-        self.right = right
-        self._schema = left.schema.concat(right.schema)
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    def batches(self) -> Iterator[Batch]:
-        right_rows = list(self.right)
-        with closing(self.left.batches()) as left_batches:
-            for batch in left_batches:
-                for chunk in _pair_chunks(batch, len(right_rows)):
-                    product = [left_row + right_row
-                               for left_row in chunk for right_row in right_rows]
-                    if product:
-                        yield product
 
 
 class NestedLoopJoin(PhysicalOperator):
@@ -999,16 +973,18 @@ class Limit(PhysicalOperator):
 
 
 class UnionAll(PhysicalOperator):
-    """Concatenate the outputs of several children (schemas must align in arity)."""
+    """Concatenate the outputs of several children, in order.
+
+    An input is asked for its schema when its turn comes and no earlier, so
+    an input may be lazy: the engine's are UNION branches that fetch from
+    their sources on first use.
+    """
 
     operator_name = "UnionAll"
 
     def __init__(self, inputs: Sequence[PhysicalOperator]):
         if not inputs:
             raise ExecutionError("UnionAll requires at least one input")
-        arities = {len(child.schema) for child in inputs}
-        if len(arities) != 1:
-            raise ExecutionError("UNION inputs must have the same arity")
         self.inputs = list(inputs)
 
     @property
@@ -1025,36 +1001,13 @@ class UnionAll(PhysicalOperator):
         return clone
 
     def batches(self) -> Iterator[Batch]:
+        arity = len(self.schema)
         for child in self.inputs:
+            if len(child.schema) != arity:
+                raise SchemaError("UNION requires relations of the same arity")
             with closing(child.batches()) as child_batches:
                 yield from child_batches
 
     @property
     def estimated_rows(self) -> int:
         return sum(child.estimated_rows for child in self.inputs)
-
-
-class Materialize(PhysicalOperator):
-    """Materialize a child once; later iterations replay the buffered rows.
-
-    Used by the execution controller when an intermediate result feeds several
-    consumers (and to model spooling into the engine's temporary storage).
-    """
-
-    operator_name = "Materialize"
-    _inputs = ("child",)
-
-    def __init__(self, child: PhysicalOperator):
-        self.child = child
-        self._buffer: Optional[List[Row]] = None
-
-    def batches(self) -> Iterator[Batch]:
-        if self._buffer is None:
-            self._buffer = list(self.child)
-        return _ramp_batches(self._buffer)
-
-    @property
-    def estimated_rows(self) -> int:
-        if self._buffer is not None:
-            return len(self._buffer)
-        return self.child.estimated_rows

@@ -181,6 +181,49 @@ class TestPartialAnswers:
         [degraded] = stream.report.resilience.snapshot()["degraded_branches"]
         assert degraded["wrapper"] == "src2"
 
+    @pytest.mark.parametrize("streamed", (False, True), ids=("eager", "streamed"))
+    @pytest.mark.parametrize("dead", (1, 2, 3))
+    def test_a_partial_answer_is_named_by_the_first_planned_branch(self, dead, streamed):
+        # The first branch's select list names the answer, whichever
+        # branches live to type it: a consumer reading columns by name must
+        # not see them change with the weather.
+        branches = {
+            1: "SELECT s1.k AS key1, s1.v1 AS first FROM s1 WHERE s1.k < 30",
+            2: "SELECT s2.k, s2.v2 FROM s2 WHERE s2.k < 20",
+            3: "SELECT s3.k, s3.v3 FROM s3 WHERE s3.k < 10",
+        }
+        clean_engine, _ = _engine()
+        healthy = clean_engine.execute(" UNION ".join(branches.values()))
+        assert healthy.relation.schema.names == ["key1", "first"]
+        alive = [index for index in branches if index != dead]
+        survivors = clean_engine.execute(
+            " UNION ".join(branches[index] for index in alive))
+
+        engine, _ = _engine(schedules={dead: FaultSchedule(permanent_outage_after=1)})
+        query = " UNION ".join(branches.values())
+        if streamed:
+            stream = engine.execute_stream(query, on_source_error="partial")
+            schema = stream.schema  # asked before the first row, as a cursor header is
+            rows, report = stream.fetchall(), stream.report
+        else:
+            result = engine.execute(query, on_source_error="partial")
+            schema, rows, report = (result.relation.schema,
+                                    list(result.relation.rows), result.report)
+        assert schema == healthy.relation.schema
+        assert rows == list(survivors.relation.rows)
+        assert report.branch_rows == survivors.report.branch_rows
+        [degraded] = report.resilience.snapshot()["degraded_branches"]
+        assert (degraded["branch"], degraded["wrapper"]) == (dead - 1, f"src{dead}")
+        assert "permanently out" in degraded["error"]
+        assert sorted({entry.branch for entry in report.requests}) == [
+            index - 1 for index in alive]
+
+    def test_one_branch_statement_with_its_source_dead_is_an_error(self):
+        engine, _ = _engine(schedules={1: FaultSchedule(permanent_outage_after=1)})
+        with pytest.raises(ExecutionError, match="no surviving branch"):
+            engine.execute("SELECT s1.k FROM s1", on_source_error="partial")
+        assert engine.controller.temp_store.handles == []
+
     def test_all_branches_dead_is_an_error_not_an_empty_answer(self):
         engine, _ = _engine(schedules={
             1: FaultSchedule(permanent_outage_after=1),

@@ -6,6 +6,7 @@ from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.errors import EngineError
+from repro.relational.algebra import left_deep
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
 
@@ -119,7 +120,7 @@ class TestReports:
         plan = engine.plan(
             "SELECT flags.name, nums.tag FROM flags, nums WHERE flags.active = nums.num"
         )
-        assert plan.branches[0].join_steps[0].equi_keys == ()
+        assert left_deep(plan.branches[0].tree)[1][0].equi_keys == ()
 
         result = engine.execute(
             "SELECT flags.name, nums.tag FROM flags, nums WHERE flags.active = nums.num"

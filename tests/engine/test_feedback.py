@@ -18,6 +18,7 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.feedback import MIN_LATENCY_SAMPLES, CardinalityFeedback
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
+from repro.relational.algebra import left_deep
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
 
@@ -203,7 +204,7 @@ class TestExecutorFeedbackIngestion:
     def test_drained_join_records_observed_cardinality(self):
         engine = _bind_engine()
         plan = engine.plan(BIND_QUERY)
-        step = plan.branches[0].join_steps[0]
+        step = left_deep(plan.branches[0].tree)[1][0]
         assert step.feedback_key
         assert step.estimate_source == "default"
         result = engine.execute(plan)
@@ -213,7 +214,7 @@ class TestExecutorFeedbackIngestion:
     def test_closed_early_stream_records_no_join_feedback(self):
         engine = _bind_engine()
         plan = engine.plan(BIND_QUERY)
-        step = plan.branches[0].join_steps[0]
+        step = left_deep(plan.branches[0].tree)[1][0]
         stream = engine.execute_stream(plan)
         stream.fetchone()
         stream.close()  # abandoned mid-join: partial counts must not leak
@@ -283,7 +284,7 @@ class TestFeedbackEpochPlanRetirement:
         engine.execute(bystander)
         quiet = feedback.epoch
         novel = engine.plan("SELECT t.a FROM t, u WHERE t.a = u.a")
-        step = novel.branches[0].join_steps[0]
+        step = left_deep(novel.branches[0].tree)[1][0]
         assert step.feedback_key in novel.feedback_keys  # looked up, not found
         assert step.estimated_rows > 10 * 600
         engine.execute(novel)  # the join's first observation: 600 rows
@@ -291,7 +292,7 @@ class TestFeedbackEpochPlanRetirement:
         assert feedback.retired_since(novel.feedback_keys, novel.feedback_epoch)
         assert not feedback.retired_since(bystander.feedback_keys, quiet)
         again = engine.plan("SELECT t.a FROM t, u WHERE t.a = u.a")
-        assert again.branches[0].join_steps[0].estimate_source == "feedback"
+        assert left_deep(again.branches[0].tree)[1][0].estimate_source == "feedback"
         engine.execute(again)  # priced from the observation: nothing to retire
         assert feedback.epoch == quiet + 1
         assert not feedback.retired_since(again.feedback_keys, again.feedback_epoch)

@@ -34,6 +34,7 @@ from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.resilience import ResiliencePolicy, RetryPolicy
 from repro.errors import EvaluationError
+from repro.relational.algebra import left_deep
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sources.base import SourceCapabilities
@@ -324,7 +325,7 @@ class TestKeptBuilds:
         expected = list(engine.execute(plan).relation.rows)
         origin = join._kept.build[0]
         cache = engine.request_cache
-        key = plan.template.keys[0][plan.branches[0].join_steps[0].request_index]
+        key = plan.template.keys[0][left_deep(plan.branches[0].tree)[0][1].target.index]
         assert origin() is cache._entries[key]
         gc.disable()  # the slot must empty by reference count alone
         try:
@@ -349,7 +350,7 @@ class TestKeptBuilds:
 
     def test_a_cache_entry_that_changed_is_never_answered_from_old_buckets(self):
         engine, plan, join = self._warm()
-        key = plan.template.keys[0][plan.branches[0].join_steps[0].request_index]
+        key = plan.template.keys[0][left_deep(plan.branches[0].tree)[0][1].target.index]
         entry = engine.request_cache._entries[key]
         halved = Relation(entry.schema, name=entry.name)
         halved.rows = entry.rows[::2]

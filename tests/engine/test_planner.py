@@ -5,6 +5,7 @@ import pytest
 from repro.errors import PlanningError
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.planner import PlannerConfig, QueryPlanner
+from repro.relational.algebra import left_deep
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 
@@ -29,7 +30,7 @@ class TestDecomposition:
         query_plan = plan(catalog, "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname")
         branch = query_plan.branches[0]
         assert {request.binding for request in branch.requests} == {"r1", "r2"}
-        assert len(branch.join_steps) == 1
+        assert len(left_deep(branch.tree)[1]) == 1
 
     def test_selection_pushed_to_sql_source(self, catalog):
         query_plan = plan(catalog, "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'")
@@ -55,7 +56,7 @@ class TestDecomposition:
             catalog,
             "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname AND r1.revenue > r2.expenses",
         )
-        step = query_plan.branches[0].join_steps[0]
+        step = left_deep(query_plan.branches[0].tree)[1][0]
         assert len(step.conditions) == 2
         assert step.hash_join is True
 
@@ -64,13 +65,13 @@ class TestDecomposition:
             catalog,
             "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname AND r1.revenue > r2.expenses",
         )
-        step = query_plan.branches[0].join_steps[0]
+        step = left_deep(query_plan.branches[0].tree)[1][0]
         assert len(step.equi_keys) == 1
         left_ref, right_ref = step.equi_keys[0]
         # Keys are oriented (already-joined intermediate, newly staged side).
         assert {left_ref.table, right_ref.table} == {"r1", "r2"}
-        assert len(step.residual_conditions) == 1
-        assert step.residual_conditions[0].op == ">"
+        assert len(step.residual) == 1
+        assert step.residual[0].op == ">"
 
     def test_multiple_equi_conjuncts_form_composite_key(self, catalog):
         query_plan = plan(
@@ -78,9 +79,9 @@ class TestDecomposition:
             "SELECT r1.cname FROM r1, r2 "
             "WHERE r1.cname = r2.cname AND r1.currency = r2.cname",
         )
-        step = query_plan.branches[0].join_steps[0]
+        step = left_deep(query_plan.branches[0].tree)[1][0]
         assert len(step.equi_keys) == 2
-        assert step.residual_conditions == ()
+        assert step.residual == ()
 
     def test_hash_joins_disabled_leaves_keys_empty(self, catalog):
         from repro.engine.planner import PlannerConfig, QueryPlanner
@@ -90,10 +91,10 @@ class TestDecomposition:
         query_plan = planner.plan(parse(
             "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname"
         ))
-        step = query_plan.branches[0].join_steps[0]
+        step = left_deep(query_plan.branches[0].tree)[1][0]
         assert step.hash_join is False
         assert step.equi_keys == ()
-        assert step.residual_conditions == step.conditions
+        assert step.residual == step.conditions
 
     def test_union_planned_branch_by_branch(self, catalog, federation):
         mediated = federation.mediate_only(

@@ -22,6 +22,7 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
 from repro.errors import SourceError
+from repro.obs.trace import Tracer, deactivate_span
 from repro.sources.base import SourceCapabilities
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
@@ -206,6 +207,52 @@ class TestEarlyTermination:
         assert stream.fetchmany(2) == [(1,), (2,)]
         stream.close()
         assert slow_wrapper.round_trips == 0
+
+    @pytest.mark.parametrize("union", ("UNION", "UNION ALL"))
+    def test_a_branch_fetches_when_the_root_operator_reaches_it(self, union):
+        # A branch is an input of the root UnionAll, staged on its first
+        # pull: with serial dispatch its source hears nothing until the
+        # branch before it is drained.
+        engine, slow_wrapper = self._two_branch_engine(latency=0.0)
+        engine.controller.max_concurrent_requests = 1
+        engine.controller.memory_budget_bytes = 1_000_000
+        root = Tracer().start_trace("statement")
+        token = root.activate()
+        try:
+            stream = engine.execute_stream(f"SELECT f.a FROM f {union} SELECT s.a FROM s")
+        finally:
+            deactivate_span(token)
+        assert stream.fetchmany(4) == [(1,), (2,), (3,), (4,)]
+        assert slow_wrapper.round_trips == 0
+        assert stream.report.branch_rows == []
+        assert stream.fetchmany(1) == [(9,)]
+        assert slow_wrapper.round_trips == 1
+        assert stream.report.branch_rows == [4]
+        stream.close()
+        assert engine.controller.temp_store.handles == []
+        assert stream.budget.used_bytes == 0
+        assert root.open_spans() == [root]
+
+    def test_closing_after_the_first_batch_leaves_nothing_behind(self):
+        engine, slow_wrapper = self._two_branch_engine()
+        engine.controller.max_concurrent_requests = 1
+        engine.controller.memory_budget_bytes = 1_000_000
+        root = Tracer().start_trace("statement")
+        token = root.activate()
+        try:
+            stream = engine.execute_stream(
+                "SELECT DISTINCT f.a FROM f ORDER BY f.a UNION SELECT s.a FROM s")
+        finally:
+            deactivate_span(token)
+        assert stream.schema.names == ["a"]
+        assert stream.fetchmany(1) == [(1,)]
+        assert stream.budget.used_bytes > 0 and engine.controller.temp_store.handles
+        stream.close()
+        assert slow_wrapper.round_trips == 0
+        assert engine.controller.temp_store.handles == []
+        assert stream.budget.used_bytes == 0
+        assert root.open_spans() == [root]
+        assert [request.binding for request in stream.report.requests] == ["f"]
 
     def test_staged_temporaries_are_released_on_close(self):
         engine = _basic_engine()

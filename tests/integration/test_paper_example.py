@@ -105,3 +105,39 @@ class TestAlternativeReceiver:
         # (as in the paper's figure); the quotes are not perfectly reciprocal,
         # so post-hoc conversion and re-querying agree only to ~0.2%.
         assert converted.rows[0][1] == pytest.approx(requeried.relation.rows[0][1], rel=5e-3)
+
+
+class TestStatementLevelClausesOverTheMediatedUnion:
+    """ORDER BY, LIMIT/OFFSET and aggregates belong to the *statement*; the
+    mediator copies them into each conflict-free branch, so today each branch
+    sorts, cuts and sums on its own.  These pin the right answers — the fix is
+    a finish above the plan's root ``Union`` (ROADMAP direction 3) and flips
+    them, strictly."""
+
+    REASON = "statement-level clauses are applied per mediated branch"
+
+    @staticmethod
+    def rows(scenario, sql):
+        return scenario.federation.query(sql).relation.rows
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_order_by_desc_orders_the_whole_answer(self, scenario):
+        assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
+                                   "ORDER BY r1.revenue DESC") == [
+            ("NTT", 9_600_000.0), ("IBM", 1_000_000.0)]
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_limit_bounds_the_whole_answer(self, scenario):
+        assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
+                                   "ORDER BY r1.revenue DESC LIMIT 1") == [
+            ("NTT", 9_600_000.0)]
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_offset_skips_rows_of_the_whole_answer(self, scenario):
+        assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
+                                   "ORDER BY r1.revenue LIMIT 1 OFFSET 1") == [
+            ("NTT", 9_600_000.0)]
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_an_aggregate_ranges_over_the_whole_answer(self, scenario):
+        assert self.rows(scenario, "SELECT SUM(r1.revenue) FROM r1") == [(10_600_000.0,)]

@@ -273,10 +273,13 @@ class ExpressionEvaluator:
         pattern = self._eval(node.pattern, row)
         if value is None or pattern is None:
             return None
-        regex = self._like_cache.get(pattern)
+        # Keyed by the pattern's text: 0 and False hash alike, '0' and 'False'
+        # do not match alike.
+        text = str(pattern)
+        regex = self._like_cache.get(text)
         if regex is None:
-            regex = like_to_regex(str(pattern))
-            self._like_cache[pattern] = regex
+            regex = like_to_regex(text)
+            self._like_cache[text] = regex
         matched = bool(regex.match(str(value)))
         return not matched if node.negated else matched
 

@@ -14,7 +14,7 @@ import itertools
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.relational.compile import ExpressionCompiler, _hash_key, compile_projection
 from reference_eval import ExpressionEvaluator
@@ -310,6 +310,9 @@ def _with_hash(key):
 class TestGeneratedExpressions:
     @settings(max_examples=400, deadline=None)
     @given(nodes=st.lists(EXPRESSION_TREES, min_size=1, max_size=3), rows=GENERATED_ROWS)
+    @example(nodes=[Like(Literal(False), Literal(0), False),
+                    Like(Literal(False), Literal(False), False)],
+             rows=[(None, None, None)])
     def test_every_entry_point_agrees_with_the_interpreter(self, nodes, rows):
         node = nodes[0]
         compiler = ExpressionCompiler(SCHEMA, _subquery_executor)
