@@ -20,11 +20,15 @@ Layered architecture (bottom up):
   branch enumeration, query rewriting, answer transformation);
 * :mod:`repro.engine` — the multi-database access engine (catalog, cost-based
   planning, cross-source execution);
+* :mod:`repro.consistency` — integrity constraints, violation scanning, and
+  certain/possible answers over key-violating sources as a query rewrite;
+* :mod:`repro.pipeline` — parse → mediate → plan, compiled once per statement;
+* :mod:`repro.obs` — the telemetry spine (span tree, metrics registry, logs);
 * :mod:`repro.server` — the access layer (HTTP-tunnelled protocol, ODBC-style
   driver, HTML QBE);
 * :mod:`repro.federation` — the façade tying everything together;
-* :mod:`repro.demo`, :mod:`repro.baselines` — ready-made scenarios (including
-  the paper's worked example) and the tight/loose-coupling baselines.
+* :mod:`repro.demo` — ready-made scenarios (including the paper's worked
+  example).
 
 Quickstart::
 

@@ -11,8 +11,8 @@ keys, dependencies and referential rules the federation expects:
 * :mod:`repro.consistency.violations` — the budgeted violation scanner and
   its memoized :class:`~repro.consistency.violations.ViolationReport`;
 * :mod:`repro.consistency.cqa` — certain/possible answers under key
-  constraints: a first-order rewrite on the ordinary pipeline when the query
-  shape allows it, bounded repair enumeration when it does not.
+  constraints: a first-order query rewrite the ordinary planner plans when
+  the query shape allows it, bounded repair enumeration when it does not.
 
 ``Federation.query(..., consistency="certain" | "possible" | "raw")`` is the
 front door; see the "Consistency and repairs" section of PERFORMANCE.md.
@@ -29,7 +29,6 @@ from repro.consistency.constraints import (
 from repro.consistency.cqa import (
     CONSISTENCY_MODES,
     ConsistentQueryExecutor,
-    MaterializedStream,
     validate_mode,
 )
 from repro.consistency.violations import (
@@ -47,7 +46,6 @@ __all__ = [
     "DenialConstraint",
     "FunctionalDependency",
     "InclusionDependency",
-    "MaterializedStream",
     "PrimaryKey",
     "ViolationReport",
     "ViolationScanner",

@@ -12,21 +12,26 @@ Two strategies implement the semantics exactly:
 
 * **rewrite** — for self-join-free SELECT branches touching at most one
   key-constrained relation, joined to clean relations only through its key
-  columns: the classical rewrite quantifies over each conflict cluster
-  ("*every* tuple of some cluster satisfies the condition and projects to
-  this row").  It executes as a *companion plan* on the ordinary pipeline
-  (the original branch with the conjuncts over the dirty relation's non-key
-  columns lifted out) followed by a streaming group-quantified filter — the
-  ``NOT EXISTS`` of the textbook rewrite, evaluated as a grouped anti-join
-  because the dialect pushes no correlated subqueries to sources.  Cost: one
-  ordinary execution per branch, no repair enumeration.
+  columns, consistency is a *compile step*: :meth:`ConsistentQueryExecutor.plan`
+  hands the ordinary planner a rewritten SELECT and the ordinary statement
+  path runs it.  The possible rows of such a branch are its distinct raw
+  rows.  Its certain rows quantify over each conflict cluster ("*every*
+  tuple of the cluster satisfies the condition and projects to this row"):
+  ``GROUP BY`` the key (and the clean columns read), the conjuncts over the
+  dirty relation's non-key columns moved from WHERE into
+  ``HAVING SUM(CASE WHEN … THEN 1 ELSE 0 END) = COUNT(*)`` — so no source
+  filters cluster members away — and one NULL-safe unanimity test per select
+  item reading such a column.  A statement over no key-constrained relation
+  (**clean**) is its possible rows in either mode.
 * **fallback** — when the rewriting condition fails (self-joins, several
   dirty relations in one branch, a dirty relation shared by several UNION
-  branches, aggregates, LIMIT, subqueries): bounded enumeration over the
-  conflict clusters.  Every repair is evaluated with the local SQL processor
-  over the fetched extents; certain = intersection, possible = union.  The
-  enumeration refuses to exceed ``max_repairs`` (the definition is
-  exponential; the bound keeps the fallback an explicit, observable cost).
+  branches, aggregates, LIMIT/OFFSET, subqueries): bounded enumeration over
+  the conflict clusters.  Every repair is evaluated with the local SQL
+  processor over the fetched extents; certain = intersection, possible =
+  union.  The enumeration refuses to exceed ``max_repairs`` (the definition
+  is exponential; the bound keeps the fallback an explicit, observable
+  cost).  It is the brute-force definition the rewrite is tested against and
+  shares no execution code with it.
 
 Only :class:`~repro.consistency.constraints.PrimaryKey` constraints induce
 repairs; functional-dependency, inclusion and denial constraints are scanned
@@ -39,31 +44,31 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConsistencyError, PlanningError, RepairEnumerationError
 from repro.consistency.constraints import PrimaryKey
 from repro.engine.executor import EngineResult, ExecutionReport
-from repro.relational.compile import ExpressionCompiler
+from repro.engine.plan import QueryPlan
 from repro.relational.operators import _group_key as value_key
-from repro.relational.query import QueryProcessor, expand_star_items, output_names
+from repro.relational.query import QueryProcessor, _order_keys, output_names
 from repro.relational.relation import Relation, Row
-from repro.relational.schema import Attribute, Schema, expression_type
+from repro.relational.schema import Attribute, Schema
 from repro.sql.ast import (
+    BinaryOp,
+    Case,
     ColumnRef,
-    Exists,
+    FunctionCall,
     Literal,
+    Node,
     Select,
     SelectItem,
     Star,
-    Subquery,
     TableRef,
     conjoin,
-    conjuncts,
-    is_aggregate_call,
-    transform,
     walk,
 )
+from repro.sql.facts import SelectFacts, analyse_expression, analyse_select
 
 #: Consistency modes accepted by ``Federation.query``/``prepare``.
 CONSISTENCY_MODES = ("raw", "certain", "possible")
@@ -85,9 +90,8 @@ def validate_mode(consistency: str) -> str:
 class _BranchAnalysis:
     """Static structure of one branch, seen through the key constraints."""
 
+    #: The branch, ``*`` expanded from the catalog.
     select: Select
-    #: binding (lower-cased) -> relation name.
-    bindings: Dict[str, str]
     #: Distinct key-constrained relations the branch reads (subqueries included).
     keyed_relations: Tuple[str, ...] = ()
     #: The single key-constrained FROM binding, or None when the branch is clean.
@@ -95,85 +99,14 @@ class _BranchAnalysis:
     key: Optional[PrimaryKey] = None
     #: Why the branch cannot take the rewrite strategy (None = it can).
     ineligible: Optional[str] = None
-
-
-class MaterializedStream:
-    """A stream-shaped view over already-computed rows.
-
-    Consistent answers are group- or repair-quantified, so they cannot leave
-    before the quantification completes; this adapter lets ``stream=True``
-    consumers (cursors, the chunked HTTP endpoint, the ODBC driver) drive
-    them through the exact same fetch surface as a live
-    :class:`~repro.engine.stream.ResultStream`.
-    """
-
-    def __init__(self, relation: Relation, report: ExecutionReport):
-        self.schema = relation.schema
-        self.report = report
-        self._rows = list(relation.rows)
-        self._position = 0
-        self._closed = False
-        self._callbacks: List[Callable[[ExecutionReport], None]] = []
-
-    @property
-    def exhausted(self) -> bool:
-        return self._position >= len(self._rows)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __iter__(self) -> "MaterializedStream":
-        return self
-
-    def __next__(self) -> Row:
-        if self.exhausted:
-            self.close()
-            raise StopIteration
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchone(self) -> Optional[Row]:
-        try:
-            return next(self)
-        except StopIteration:
-            return None
-
-    def fetchmany(self, size: int = 1) -> List[Row]:
-        size = max(0, size)
-        rows = self._rows[self._position:self._position + size]
-        self._position += len(rows)
-        if len(rows) < size:
-            self.close()  # read past the end, like fetchone at exhaustion
-        return rows
-
-    def fetchall(self) -> List[Row]:
-        rows = self._rows[self._position:]
-        self._position = len(self._rows)
-        self.close()
-        return rows
-
-    def to_relation(self, name: Optional[str] = None) -> Relation:
-        relation = Relation(self.schema, name=name)
-        relation.rows = self.fetchall()
-        return relation
-
-    def on_close(self, callback: Callable[[ExecutionReport], None]) -> None:
-        self._callbacks.append(callback)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self.report)
+    #: Of an eligible keyed branch: the SELECT whose rows are its certain rows.
+    certain: Optional[Select] = None
 
 
 class ConsistentQueryExecutor:
-    """Executes a compiled :class:`~repro.pipeline.MediatedPlan` under a
-    consistency mode, choosing rewrite or fallback per statement."""
+    """Answers a compiled :class:`~repro.pipeline.MediatedPlan` under a
+    consistency mode: a plan for the ordinary statement path where the
+    statement can be rewritten, repair enumeration where it cannot."""
 
     def __init__(self, engine, max_repairs: int = DEFAULT_MAX_REPAIRS):
         self.engine = engine
@@ -181,52 +114,69 @@ class ConsistentQueryExecutor:
 
     # -- public API --------------------------------------------------------------
 
+    def plan(self, prepared, mode: str,
+             ) -> Tuple[Optional[QueryPlan], Optional[Dict[str, object]]]:
+        """The plan whose rows are ``prepared``'s certain/possible answer and
+        the ``consistency`` block of its report — ``(None, None)`` when only
+        :meth:`enumerate_repairs` can answer.
+
+        Compiled once per :class:`~repro.pipeline.MediatedPlan` and mode and
+        kept on it, so it retires with it; the plan keeps its physical
+        template like any other.
+        """
+        compiled = prepared.consistent.get(mode)
+        if compiled is None:
+            analyses = [self._analyse(branch.select) for branch in prepared.plan.branches]
+            strategy = self._statement_strategy(analyses)
+            compiled = (None, None)
+            if strategy != "fallback":
+                plan = self.engine.plan_branches([
+                    analysis.certain if mode == "certain" and analysis.certain is not None
+                    else analysis.select.copy(distinct=True)
+                    for analysis in analyses
+                ])
+                compiled = (plan, {
+                    "mode": mode, "strategy": strategy,
+                    "constrained_relations": sum(
+                        analysis.keyed_binding is not None for analysis in analyses),
+                    "repairs_enumerated": 0,
+                })
+            compiled = prepared.consistent.setdefault(mode, compiled)
+        return compiled
+
     def execute(self, prepared, mode: str,
                 force_strategy: Optional[str] = None,
                 timeout_seconds: Optional[float] = None) -> EngineResult:
-        """Answer ``prepared`` (a MediatedPlan) with certain/possible rows.
+        """Answer ``prepared`` (a MediatedPlan) with certain/possible rows, eagerly.
 
         ``force_strategy="fallback"`` bypasses strategy selection and always
         enumerates repairs — the brute-force evaluation of the definition,
         used by tests and benchmarks to verify the rewrite's exactness.
-        ``timeout_seconds`` bounds the *whole* consistent answer: every
-        sub-execution (companion plans, extent fetches) runs under one
-        shared deadline.
         """
         validate_mode(mode)
-        deadline = self.engine.controller.resilience.deadline(timeout_seconds)
-        if mode == "raw":  # pragma: no cover - callers route raw elsewhere
-            return self.engine.execute(prepared.plan, deadline=deadline)
+        plan, block = (None, None) if force_strategy == "fallback" else self.plan(prepared, mode)
+        if plan is None:
+            return self.enumerate_repairs(prepared, mode, timeout_seconds)
+        result = self.engine.execute(plan, timeout_seconds=timeout_seconds)
+        result.report.consistency = dict(block)
+        return result
 
+    def enumerate_repairs(self, prepared, mode: str,
+                          timeout_seconds: Optional[float] = None) -> EngineResult:
+        """Answer ``prepared`` by repair enumeration.  ``timeout_seconds``
+        bounds the *whole* answer: every extent fetch runs under one shared
+        deadline."""
+        deadline = self.engine.controller.resilience.deadline(timeout_seconds)
         started = time.perf_counter()
         report = ExecutionReport()
         # CQA refuses partial answers (certainty cannot be quantified over a
         # degraded branch set), so the statement-level block is always "fail";
-        # counters from every sub-execution fold in via _merge_subreport.
+        # counters from every extent fetch fold in via _merge_subreport.
         report.resilience.mode = "fail"
         report.resilience.timeout_seconds = deadline.timeout_seconds
-        branches = [branch.select for branch in prepared.plan.branches]
-        analyses = [self._analyse(select) for select in branches]
-
-        strategy = force_strategy or self._statement_strategy(analyses)
-        if strategy == "clean":
-            result = self.engine.execute(prepared.plan, deadline=deadline)
-            self._merge_subreport(report, result.report)
-            relation = self._dedup(result.relation)
-            consistency: Dict[str, object] = {
-                "mode": mode, "strategy": "clean",
-                "constrained_relations": 0, "clusters": 0,
-                "repairs_enumerated": 0, "rows_raw": len(relation),
-                "tuples_dropped": 0,
-            }
-        elif strategy == "rewrite":
-            relation, consistency = self._execute_rewrite(analyses, report, mode,
-                                                          deadline)
-        else:
-            relation, consistency = self._execute_fallback(
-                prepared.plan.statement, analyses, report, mode, deadline
-            )
-
+        relation, consistency = self._execute_fallback(
+            prepared.plan.statement, report, mode, deadline
+        )
         consistency["mode"] = mode
         report.consistency = consistency
         report.result_rows = len(relation)
@@ -237,15 +187,23 @@ class ConsistentQueryExecutor:
     # -- analysis ----------------------------------------------------------------
 
     def _analyse(self, select: Select) -> _BranchAnalysis:
-        planner = self.engine.planner
         catalog = self.engine.catalog
-        bindings = planner._bindings(select)
-        analysis = _BranchAnalysis(select=select, bindings=bindings)
+        bindings = self.engine.planner._bindings(select)
+        if any(isinstance(item.expr, Star) for item in select.items):
+            select = select.copy(items=self._expand_stars(select.items, bindings))
+        analysis = _BranchAnalysis(select=select)
+        facts = analyse_select(select)
+        clauses = (facts.items, analyse_expression(select.order_by), *facts.conjuncts)
+        aggregated = (bool(select.group_by) or select.having is not None
+                      or any(clause.has_aggregate for clause in clauses))
+        nested = any(clause.has_subquery for clause in clauses)
 
         # Key-constrained relations anywhere in the branch — subqueries
-        # included, since repairs would change their results too.
+        # included, since repairs would change their results too.  Below FROM
+        # only a subquery names a table, and only the clauses asked above (or
+        # a grouped statement's) can hold one.
         keyed_relations: List[str] = []
-        for node in walk(select):
+        for node in (walk(select) if nested or aggregated else select.tables):
             if isinstance(node, TableRef) and catalog.has_relation(node.name):
                 if (catalog.key_of(node.name) is not None
                         and node.name.lower() not in keyed_relations):
@@ -265,74 +223,106 @@ class ConsistentQueryExecutor:
             analysis.ineligible = "self-join over a catalogued relation"
         elif len(keyed_relations) > 1:
             analysis.ineligible = "several key-constrained relations in one branch"
-        elif select.group_by or select.having is not None or any(
-            is_aggregate_call(node) for node in walk(select)
-        ):
+        elif aggregated:
             analysis.ineligible = "aggregation"
-        elif select.limit is not None or select.offset is not None:
-            analysis.ineligible = "LIMIT/OFFSET"
-        elif any(isinstance(node, (Subquery, Exists)) for node in walk(select)):
+        elif nested:
             analysis.ineligible = "subquery"
         elif keyed:
-            binding, key = next(iter(keyed.items()))
-            key_columns = {column.lower() for column in key.columns}
-            for condition in conjuncts(select.where):
-                referenced = self._refs_by_binding(condition, analysis)
-                if referenced is None:
-                    analysis.ineligible = "unresolvable column reference"
-                    break
-                if len(referenced) > 1 and any(
-                    column not in key_columns
-                    for column in referenced.get(binding, set())
-                ):
-                    analysis.ineligible = (
-                        "join through a non-key column of the dirty relation"
-                    )
-                    break
-            # Select items face the same separability requirement: an item
-            # mixing the dirty relation's non-key columns with another
-            # binding's columns makes a projected value depend on (cluster
-            # member × clean row) jointly, and per-group unanimity can no
-            # longer see cross-group coincidences (a value certain through
-            # *different* clean partners in different repairs).  Items over
-            # the dirty key columns are cluster-constant and stay eligible.
-            if analysis.ineligible is None:
-                for item in select.items:
-                    referenced = self._refs_by_binding(item.expr, analysis)
-                    if referenced is None:
-                        analysis.ineligible = "unresolvable column reference"
-                        break
-                    if len(referenced) > 1 and any(
-                        column not in key_columns
-                        for column in referenced.get(binding, set())
-                    ):
-                        analysis.ineligible = (
-                            "select item mixes the dirty relation's non-key "
-                            "columns with another relation"
-                        )
-                        break
-            if analysis.ineligible is None and select.order_by:
-                if self._order_keys(select) is None:
-                    analysis.ineligible = "ORDER BY key outside the select list"
+            self._separate(analysis, facts, bindings)
         return analysis
 
-    def _refs_by_binding(self, condition, analysis: _BranchAnalysis,
-                         ) -> Optional[Dict[str, Set[str]]]:
-        """binding -> referenced column names (lower-cased) in ``condition``."""
-        planner = self.engine.planner
-        referenced: Dict[str, Set[str]] = {}
-        for node in walk(condition):
-            if isinstance(node, ColumnRef):
-                try:
-                    binding = planner._resolve_binding(node, analysis.bindings)
-                except PlanningError:
-                    return None
-                if binding is not None:
-                    referenced.setdefault(binding, set()).add(node.name.lower())
-        return referenced
+    def _expand_stars(self, items: Sequence[SelectItem],
+                      bindings: Dict[str, str]) -> Tuple[SelectItem, ...]:
+        """``*`` / ``t.*`` as the catalog's columns, bindings in FROM order —
+        what the finish expands them to over the joined row.  A ``t`` the
+        FROM clause does not bind is left for the finish to refuse."""
+        expanded: List[SelectItem] = []
+        for item in items:
+            starred: List[str] = []
+            if isinstance(item.expr, Star):
+                table = item.expr.table
+                starred = [binding for binding in bindings
+                           if table is None or binding == table.lower()]
+            if not starred:
+                expanded.append(item)
+            for binding in starred:
+                expanded.extend(
+                    SelectItem(ColumnRef(name=column, table=binding))
+                    for column in self.engine.catalog.schema_of(bindings[binding]).names
+                )
+        return tuple(expanded)
+
+    def _separate(self, analysis: _BranchAnalysis, facts: SelectFacts,
+                  bindings: Dict[str, str]) -> None:
+        """Rewrite a keyed branch: split it into what is quantified per
+        cluster and what is left alone, or say why it cannot be split."""
+        select, dirty = analysis.select, analysis.keyed_binding
+        resolve = self.engine.planner._resolve_binding
+        key_columns = {column.lower() for column in analysis.key.columns}
+
+        def reads_non_key(refs: Sequence[ColumnRef]) -> Optional[bool]:
+            """Whether ``refs`` read the dirty relation's non-key columns;
+            None when they do so beside another relation's columns."""
+            read: Dict[str, Set[str]] = {}
+            for ref in refs:
+                read.setdefault(resolve(ref, bindings), set()).add(ref.name.lower())
+            if key_columns.issuperset(read.get(dirty, ())):
+                return False
+            return True if len(read) == 1 else None
+
+        lifted: List[Node] = []
+        kept: List[Node] = []
+        for conjunct in facts.conjuncts:
+            reads = reads_non_key(conjunct.refs)
+            if reads is None:
+                analysis.ineligible = "join through a non-key column of the dirty relation"
+                return
+            (lifted if reads else kept).append(conjunct.condition)
+        # Select items face the same separability requirement: an item mixing
+        # the dirty relation's non-key columns with another binding's columns
+        # makes a projected value depend on (cluster member × clean row)
+        # jointly, and per-group unanimity can no longer see cross-group
+        # coincidences (a value certain through *different* clean partners in
+        # different repairs).  Items over the dirty key columns are
+        # cluster-constant and stay eligible.
+        expressions = [item.expr for item in select.items]
+        quantified: List[Node] = []
+        for expression in dict.fromkeys(expressions):
+            reads = reads_non_key(analyse_expression(expression).refs)
+            if reads is None:
+                analysis.ineligible = ("select item mixes the dirty relation's "
+                                       "non-key columns with another relation")
+                return
+            if reads:
+                quantified.append(expression)
+        order = _order_keys([(item.expr, item.ascending) for item in select.order_by],
+                            expressions, output_names(select.items))
+        if any(position is None for position, _expr, _ascending in order):
+            # The key would be read off the group's first member.
+            analysis.ineligible = "ORDER BY key outside the select list"
+            return
+
+        group_by = {(dirty, column.lower()): ColumnRef(name=column, table=dirty)
+                    for column in analysis.key.columns}
+        for ref in facts.refs:
+            try:
+                binding = resolve(ref, bindings)
+            except PlanningError:
+                continue  # an output-alias reference (ORDER BY)
+            if binding != dirty:
+                group_by.setdefault((binding, ref.name.lower()),
+                                    ColumnRef(name=ref.name, table=binding))
+        analysis.certain = self._certain(select, kept, lifted, quantified,
+                                         tuple(group_by.values()))
 
     @staticmethod
     def _statement_strategy(analyses: Sequence[_BranchAnalysis]) -> str:
+        if any(analysis.select.limit is not None or analysis.select.offset is not None
+               for analysis in analyses):
+            # Set semantics and a row bound do not commute: DISTINCT … LIMIT
+            # is not the bounded answer deduplicated, which is what
+            # enumeration computes — keyed or not.
+            return "fallback"
         if all(not analysis.keyed_relations for analysis in analyses):
             # No involved relation carries a key constraint: repairs cannot
             # change the answer, so certain = possible = raw (as a set).
@@ -352,268 +342,35 @@ class ConsistentQueryExecutor:
 
     # -- the first-order rewrite ---------------------------------------------------
 
-    def _execute_rewrite(self, analyses: Sequence[_BranchAnalysis],
-                         report: ExecutionReport, mode: str,
-                         deadline=None) -> Tuple[Relation, Dict[str, object]]:
-        certain_rows: List[Row] = []
-        possible_rows: List[Row] = []
-        seen_certain: Set[Tuple] = set()
-        seen_possible: Set[Tuple] = set()
-        schema: Optional[Schema] = None
-        clusters = 0
-        constrained = 0
+    @staticmethod
+    def _certain(select: Select, kept: Sequence[Node], lifted: Sequence[Node],
+                 quantified: Sequence[Node], group_by: Tuple[ColumnRef, ...]) -> Select:
+        """The SELECT whose rows are the certain rows of keyed branch ``select``.
 
-        for analysis in analyses:
-            if analysis.keyed_binding is None:
-                branch_schema, rows = self._execute_clean_branch(analysis, report,
-                                                                 deadline)
-                branch_certain = branch_possible = rows
-                branch_clusters = 0
-            else:
-                constrained += 1
-                branch_schema, branch_certain, branch_possible, branch_clusters = (
-                    self._rewrite_branch(analysis, report, deadline)
-                )
-            if schema is None:
-                schema = branch_schema
-            clusters += branch_clusters
-            for row in branch_certain:
-                key = tuple(value_key(value) for value in row)
-                if key not in seen_certain:
-                    seen_certain.add(key)
-                    certain_rows.append(row)
-            for row in branch_possible:
-                key = tuple(value_key(value) for value in row)
-                if key not in seen_possible:
-                    seen_possible.add(key)
-                    possible_rows.append(row)
-
-        rows = certain_rows if mode == "certain" else possible_rows
-        if len(analyses) == 1 and analyses[0].select.order_by:
-            rows = self._apply_order(analyses[0].select, rows)
-        relation = Relation(schema if schema is not None else Schema([]))
-        relation.rows = rows
-        consistency = {
-            "strategy": "rewrite",
-            "constrained_relations": constrained,
-            "clusters": clusters,
-            "repairs_enumerated": 0,
-            "rows_raw": len(possible_rows),
-            "tuples_dropped": len(possible_rows) - len(certain_rows),
-        }
-        return relation, consistency
-
-    def _execute_clean_branch(self, analysis: _BranchAnalysis,
-                              report: ExecutionReport,
-                              deadline=None) -> Tuple[Schema, List[Row]]:
-        result = self.engine.execute(
-            self.engine.planner.plan_branches([analysis.select]),
-            deadline=deadline,
-        )
-        self._merge_subreport(report, result.report)
-        return result.relation.schema, list(result.relation.rows)
-
-    def _rewrite_branch(self, analysis: _BranchAnalysis, report: ExecutionReport,
-                        deadline=None) -> Tuple[Schema, List[Row], List[Row], int]:
-        """One keyed branch: companion plan + group-quantified certain filter.
-
-        Returns (output schema, certain rows, raw/possible rows, conflict
-        clusters touched by the query).
+        One group per conflict cluster and clean combination joined to it
+        (``group_by``: the dirty key and every clean column read); a group
+        answers iff *every* member satisfies the ``lifted`` conjuncts — those
+        reading the dirty relation's non-key columns, taken out of WHERE so
+        that ``kept`` alone filters at the sources — and all members agree on
+        each ``quantified`` select item, the ones that can differ between
+        them: one distinct non-NULL value on every member, or NULL on every
+        member.  The item is then read off the group's first member.
         """
-        select = analysis.select
-        planner = self.engine.planner
-        bindings = analysis.bindings
-        keyed_binding = analysis.keyed_binding
-        key_columns = [column.lower() for column in analysis.key.columns]
+        members = FunctionCall("COUNT", (Star(),))
+        having: List[Node] = []
+        if lifted:
+            satisfied = Case(((conjoin(lifted), Literal(1)),), Literal(0))
+            having.append(BinaryOp("=", FunctionCall("SUM", (satisfied,)), members))
+        for expression in quantified:
+            valued = FunctionCall("COUNT", (expression,))
+            having.append(BinaryOp(
+                "<=", FunctionCall("COUNT", (expression,), distinct=True), Literal(1)))
+            having.append(BinaryOp("OR", BinaryOp("=", valued, Literal(0)),
+                                   BinaryOp("=", valued, members)))
+        return select.copy(where=conjoin(kept), group_by=group_by,
+                           having=conjoin(having), distinct=True)
 
-        qualified = self._qualify(select, analysis)
-
-        # Partition WHERE: conjuncts reading the dirty relation's non-key
-        # columns are lifted (each cluster member must be checked against
-        # them); everything else stays in the companion and is evaluated by
-        # sources/joins exactly as in the raw plan.
-        kept: List = []
-        lifted: List = []
-        for condition in conjuncts(qualified.where):
-            referenced = self._refs_by_binding(condition, analysis) or {}
-            if any(column not in key_columns
-                   for column in referenced.get(keyed_binding, set())):
-                lifted.append(condition)
-            else:
-                kept.append(condition)
-
-        # Every column the branch reads, plus the dirty relation's key.
-        needed: Dict[str, Set[str]] = {binding: set() for binding in bindings}
-
-        def note(binding: str, column: str) -> None:
-            needed[binding].add(column.lower())
-
-        for column in analysis.key.columns:
-            note(keyed_binding, column)
-        for node in walk(qualified):
-            if isinstance(node, ColumnRef) and node.table is not None:
-                note(node.table.lower(), node.name)
-            elif isinstance(node, Star):
-                stars = (
-                    [node.table.lower()] if node.table is not None
-                    else list(bindings)
-                )
-                for binding in stars:
-                    for name in self.engine.catalog.schema_of(bindings[binding]).names:
-                        note(binding, name)
-
-        # Companion columns in FROM order, each binding's in schema order, so
-        # star expansion over the local schema matches the raw finalizer's.
-        ordered: List[Tuple[str, str]] = [
-            (binding, column)
-            for binding in bindings
-            for column in self.engine.catalog.schema_of(bindings[binding]).names
-            if column.lower() in needed[binding]
-        ]
-        companion = Select(
-            items=tuple(
-                SelectItem(ColumnRef(name=column, table=binding))
-                for binding, column in ordered
-            ),
-            tables=select.tables,
-            where=conjoin(kept),
-        )
-        result = self.engine.execute(planner.plan_branches([companion]),
-                                     deadline=deadline)
-        self._merge_subreport(report, result.report)
-
-        local_schema = Schema(
-            Attribute(
-                name=column,
-                type=self.engine.catalog.schema_of(bindings[binding])
-                .attribute(column).type,
-                qualifier=binding,
-            )
-            for binding, column in ordered
-        )
-        compiler = ExpressionCompiler(local_schema)
-        predicate = (
-            compiler.predicate(conjoin(lifted)) if lifted else (lambda row: True)
-        )
-        items = expand_star_items(list(qualified.items), local_schema)
-        project = compiler.projection([item.expr for item in items])
-        output_schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, local_schema))
-            for name, item in zip(output_names(items), items)
-        )
-
-        # Group companion rows by (clean-side values, dirty key): each group
-        # holds every cluster member joined against one clean combination.
-        group_positions = [
-            index for index, (binding, column) in enumerate(ordered)
-            if binding != keyed_binding or column.lower() in key_columns
-        ]
-        groups: Dict[Tuple, List[Row]] = {}
-        group_order: List[Tuple] = []
-        dirty_positions = [
-            index for index, (binding, _column) in enumerate(ordered)
-            if binding == keyed_binding
-        ]
-        for row in result.relation.rows:
-            group = tuple(value_key(row[position]) for position in group_positions)
-            if group not in groups:
-                groups[group] = []
-                group_order.append(group)
-            groups[group].append(row)
-
-        certain: List[Row] = []
-        possible: List[Row] = []
-        seen_certain: Set[Tuple] = set()
-        seen_possible: Set[Tuple] = set()
-        clusters = 0
-        for group in group_order:
-            members = groups[group]
-            variants = {
-                tuple(value_key(row[position]) for position in dirty_positions)
-                for row in members
-            }
-            if len(variants) > 1:
-                clusters += 1
-            survivors = [row for row in members if predicate(row) is True]
-            for row in survivors:
-                projected = project(row)
-                key = tuple(value_key(value) for value in projected)
-                if key not in seen_possible:
-                    seen_possible.add(key)
-                    possible.append(projected)
-            if len(survivors) < len(members) or not members:
-                continue
-            projections = {
-                tuple(value_key(value) for value in project(row))
-                for row in members
-            }
-            if len(projections) == 1:
-                projected = project(members[0])
-                key = next(iter(projections))
-                if key not in seen_certain:
-                    seen_certain.add(key)
-                    certain.append(projected)
-        return output_schema, certain, possible, clusters
-
-    # -- helpers shared by both strategies -------------------------------------------
-
-    def _qualify(self, select: Select, analysis: _BranchAnalysis) -> Select:
-        """Fully qualify column references against the branch's bindings, so
-        local re-evaluation cannot hit cross-binding name ambiguity."""
-        planner = self.engine.planner
-
-        def fix(node):
-            if isinstance(node, ColumnRef) and node.table is None:
-                try:
-                    binding = planner._resolve_binding(node, analysis.bindings)
-                except PlanningError:
-                    return node  # an output-alias reference (ORDER BY)
-                if binding is not None:
-                    return ColumnRef(name=node.name, table=binding)
-            return node
-
-        return transform(select, fix)
-
-    def _order_keys(self, select: Select) -> Optional[List[Tuple[int, bool]]]:
-        """ORDER BY keys as output positions, or None when any key needs the
-        pre-projection context row (the rewrite then falls back)."""
-        items = list(select.items)
-        alias_positions: Dict[str, int] = {}
-        for index, item in enumerate(items):
-            if item.alias:
-                alias_positions.setdefault(item.alias.lower(), index)
-            elif isinstance(item.expr, ColumnRef):
-                alias_positions.setdefault(item.expr.name.lower(), index)
-        keys: List[Tuple[int, bool]] = []
-        for order_item in select.order_by:
-            expr = order_item.expr
-            position: Optional[int] = None
-            if isinstance(expr, ColumnRef) and expr.table is None:
-                position = alias_positions.get(expr.name.lower())
-            elif (isinstance(expr, Literal) and isinstance(expr.value, int)
-                  and not isinstance(expr.value, bool)):
-                if 1 <= expr.value <= len(items):
-                    position = expr.value - 1
-            elif expr in {item.expr: None for item in items}:
-                for index, item in enumerate(items):
-                    if item.expr == expr:
-                        position = index
-                        break
-            if position is None:
-                return None
-            keys.append((position, order_item.ascending))
-        return keys
-
-    def _apply_order(self, select: Select, rows: List[Row]) -> List[Row]:
-        from repro.relational.types import sort_key
-
-        keys = self._order_keys(select)
-        if keys is None:  # pragma: no cover - eligibility already checked
-            return rows
-        ordered = list(rows)
-        for position, ascending in reversed(keys):
-            ordered.sort(key=lambda row: sort_key(row[position]), reverse=not ascending)
-        return ordered
+    # -- repair enumeration --------------------------------------------------------
 
     @staticmethod
     def _dedup(relation: Relation) -> Relation:
@@ -628,7 +385,7 @@ class ConsistentQueryExecutor:
 
     @staticmethod
     def _merge_subreport(report: ExecutionReport, sub: ExecutionReport) -> None:
-        """Fold a companion execution's trace into the statement report."""
+        """Fold an extent fetch's trace into the statement report."""
         report.requests.extend(sub.requests)
         report.distinct_requests += sub.distinct_requests
         report.dedup_hits += sub.dedup_hits
@@ -647,10 +404,7 @@ class ConsistentQueryExecutor:
         report.resilience.breaker_rejections += sub.resilience.breaker_rejections
         report.resilience.degraded_branches.extend(sub.resilience.degraded_branches)
 
-    # -- the repair-intersection fallback ----------------------------------------------
-
-    def _execute_fallback(self, statement, analyses: Sequence[_BranchAnalysis],
-                          report: ExecutionReport, mode: str,
+    def _execute_fallback(self, statement, report: ExecutionReport, mode: str,
                           deadline=None) -> Tuple[Relation, Dict[str, object]]:
         catalog = self.engine.catalog
         relations: List[str] = []

@@ -263,8 +263,9 @@ class ExecutionReport:
     join_builds_shared: int = 0
     #: Consistent-query-answering outcome, populated only for statements run
     #: under ``consistency="certain"``/``"possible"``: mode, strategy
-    #: (rewrite / fallback / clean), conflict clusters touched, repairs
-    #: enumerated, raw row count, and how many raw rows certainty dropped.
+    #: (rewrite / fallback / clean), keyed relations, repairs enumerated and,
+    #: under enumeration, conflict clusters touched, raw row count, and how
+    #: many raw rows certainty dropped.
     consistency: Optional[Dict[str, object]] = None
     #: Fault-tolerance outcome: fetch attempts, retries, breaker activity,
     #: degraded branches and deadline headroom (see

@@ -28,17 +28,14 @@ from typing import Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.coin.system import CoinSystem
 from repro.consistency.constraints import Constraint
-from repro.consistency.cqa import (
-    DEFAULT_MAX_REPAIRS,
-    ConsistentQueryExecutor,
-    MaterializedStream,
-)
+from repro.consistency.cqa import DEFAULT_MAX_REPAIRS, ConsistentQueryExecutor
 from repro.consistency.violations import ViolationReport, ViolationScanner
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.planner import PlannerConfig
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
+from repro.engine.stream import MaterializedStream
 from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
@@ -156,7 +153,7 @@ class FederationCursor:
             return FederationAnswer(
                 relation=relation,
                 mediation=self.mediation,
-                execution=EngineResult(relation=relation, plan=self.prepared.plan,
+                execution=EngineResult(relation=relation, plan=self.stream.plan,
                                        report=self.report),
                 annotations=self.annotations,
             )
@@ -539,17 +536,19 @@ class Federation:
                  stream: bool) -> FederationCursor:
         """Run a compiled plan under ``options``; always yields a cursor.
 
-        A live stream when ``stream`` and the mode is raw; otherwise the
-        statement runs to completion inside this call and the cursor reads
-        the materialized rows — eager answers cross ``engine.execute`` as one
-        call (fetch + drain), and certain/possible answers are group- or
-        repair-quantified, so they materialize before the first row can leave.
+        The plan is the statement's own or, under a consistency mode, the one
+        ``cqa.plan`` compiled for it — either runs as a live stream when
+        ``stream``, and otherwise to completion inside this call as one
+        ``engine.execute`` (fetch + drain), the cursor reading the
+        materialized rows.  A statement whose certain/possible answer only
+        repair enumeration gives has no plan: it materializes before its
+        first row can leave, whatever ``stream`` says.
         """
         consistent = options.consistency != "raw"
         attributes = {"branches": len(prepared.plan.branches)}
         if consistent:
             attributes["consistency"] = options.consistency
-        elif stream:
+        if stream:
             attributes["stream"] = True
         # Activated around the call so the engine captures the span as the
         # parent of its stream/fetch spans.
@@ -557,16 +556,19 @@ class Federation:
         token = span.activate()
         result = None
         try:
+            plan, block = prepared.plan, None
             if consistent:
-                result = self.cqa.execute(prepared, options.consistency,
-                                          timeout_seconds=options.timeout_seconds)
+                plan, block = self.cqa.plan(prepared, options.consistency)
+            if plan is None:
+                result = self.cqa.enumerate_repairs(
+                    prepared, options.consistency, options.timeout_seconds)
             elif stream:
                 rows = self.engine.execute_stream(
-                    prepared.plan, timeout_seconds=options.timeout_seconds,
+                    plan, timeout_seconds=options.timeout_seconds,
                     on_source_error=options.on_source_error)
             else:
                 result = self.engine.execute(
-                    prepared.plan, timeout_seconds=options.timeout_seconds,
+                    plan, timeout_seconds=options.timeout_seconds,
                     on_source_error=options.on_source_error)
         except BaseException as exc:
             span.finish(error=exc)
@@ -574,7 +576,9 @@ class Federation:
         finally:
             deactivate_span(token)
         if result is not None:
-            rows = MaterializedStream(result.relation, result.report)
+            rows = MaterializedStream(result.relation, result.report, result.plan)
+        if block is not None:
+            rows.report.consistency = dict(block)
         if span.recording:
             rows.report.trace_id = span.trace_id
             if result is None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union as TUnion
 
 from repro.engine.engine import MultiDatabaseEngine
@@ -69,6 +69,10 @@ class MediatedPlan:
     #: The newest feedback epoch the plan is known to have survived: priced
     #: under it, or found untouched by every retirement up to it.
     feedback_epoch: int = 0
+    #: Per consistency mode, what ``ConsistentQueryExecutor.plan`` compiled for
+    #: this statement — kept here so it retires when this plan does.
+    consistent: Dict[str, Tuple[Optional[QueryPlan], Optional[Dict[str, object]]]] = field(
+        default_factory=dict)
 
     @property
     def fingerprint(self) -> str:
@@ -92,16 +96,6 @@ class MediatedPlan:
         """Per-column semantic types (consumed by answer annotation, both for
         materialized answers and for streaming cursors)."""
         return self.mediation.column_semantics
-
-    @property
-    def branch_selects(self):
-        """The planned branch SELECTs, in execution order.
-
-        This is the surface the consistent-query-answering executor works
-        from: for mediated statements these are the mediator's branch
-        queries, for passthrough statements the original select.
-        """
-        return [branch.select for branch in self.plan.branches]
 
 
 #: One pipeline's lifetime counters: (field, kind, exported series, help).

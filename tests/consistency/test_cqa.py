@@ -66,9 +66,12 @@ class TestModes:
         }
         block = certain.execution.report.consistency
         assert block["strategy"] == "rewrite"
-        assert block["clusters"] == 1  # only id 2 disagrees on read columns
-        assert block["tuples_dropped"] == 2
         assert block["repairs_enumerated"] == 0
+        # The quantifier's work is operator work: six key groups examined,
+        # four kept (bob's disagrees on balance, joe's fails the filter).
+        rows_out = {entry["operator"]: entry["rows_out"]
+                    for entry in certain.execution.report.snapshot()["operators"]}
+        assert (rows_out["Aggregate"], rows_out["Filter"]) == (6, 4)
 
     def test_possible_equals_raw_as_set(self, federation):
         _register_keys(federation)
@@ -164,6 +167,23 @@ class TestStrategySelection:
         assert block["strategy"] == "fallback"
         assert block["clusters"] == 0 and block["repairs_enumerated"] == 1
         assert _rows(answer) == {(6,)}  # kim's duplicate counts once
+
+    def test_row_bound_over_clean_relations_is_enumerated(self):
+        """Set semantics and a row bound do not commute: the bounded answer is
+        deduplicated, not the distinct answer bounded — enumeration's reading,
+        which a statement with LIMIT/OFFSET gets keyed or not."""
+        federation = build_consistency_federation()
+        federation.register_constraint(
+            PrimaryKey("accounts_pk", relation="accounts", columns=("id",))
+        )
+        query = "SELECT ratings.id FROM ratings ORDER BY ratings.id LIMIT 3"
+        prepared = federation.pipeline.prepare(query, None, mediate=False)
+        for mode in ("certain", "possible"):
+            answer = federation.query(query, mediate=False, consistency=mode)
+            brute = federation.cqa.execute(prepared, mode, force_strategy="fallback")
+            assert answer.execution.report.consistency["strategy"] == "fallback"
+            # ids 1, 1, 2 are the bounded rows; DISTINCT … LIMIT 3 would add 3.
+            assert list(answer.relation.rows) == list(brute.relation.rows) == [(1,), (2,)]
 
     def test_non_key_join_falls_back(self, federation):
         _register_keys(federation)
@@ -395,6 +415,33 @@ class TestThreading:
         }
         assert cursor.report.consistency["strategy"] == "rewrite"
         cursor.close()
+
+    def test_streamed_cursor_counts_the_rows_it_hands_over(self, federation):
+        """A consistent cursor is a live stream of the rewritten plan, so the
+        streaming block and the engine's counters see it."""
+        _register_keys(federation)
+        before = federation.statistics()["engine"]["rows_streamed"]
+        cursor = federation.query(
+            "SELECT accounts.owner FROM accounts WHERE accounts.balance > 5",
+            mediate=False, consistency="possible", stream=True,
+        )
+        rows = cursor.fetchall()
+        cursor.close()
+        report = cursor.report
+        assert report.rows_streamed == report.result_rows == len(rows) == 5
+        assert report.first_row_seconds > 0.0
+        assert federation.statistics()["engine"]["rows_streamed"] == before + 5
+
+    def test_second_execution_is_one_statement_and_compiles_nothing(self, federation):
+        _register_keys(federation)
+        first = federation.query(LEDGER_QUERY, mediate=False, consistency="certain")
+        before = federation.statistics()["engine"]
+        second = federation.query(LEDGER_QUERY, mediate=False, consistency="certain")
+        after = federation.statistics()["engine"]
+        assert _rows(second) == _rows(first)
+        assert {name: after[name] - before[name] for name in (
+            "statements_executed", "plans_built", "source_round_trips",
+        )} == {"statements_executed": 1, "plans_built": 0, "source_round_trips": 0}
 
     def test_prepared_consistency_mode_sticks(self, federation):
         _register_keys(federation)

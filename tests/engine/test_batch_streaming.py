@@ -19,7 +19,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.consistency.cqa import MaterializedStream
+from repro.engine.stream import MaterializedStream
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine

@@ -269,8 +269,7 @@ def _templates(answer):
 def template_miss(stack, mode):
     """A plan's first execution lowers its template: that *is* its build."""
     answer = stack.federation.query(SQL, CONTEXT, consistency=mode)
-    if mode == "raw":  # a certain answer runs plans of its own (rewrite, repairs)
-        assert all(kept is not None for kept in _templates(answer))
+    assert all(kept is not None for kept in _templates(answer))
     return answer.relation.rows, answer.execution.report.snapshot()
 
 
@@ -280,7 +279,8 @@ def template_hit(stack, mode):
     lowered = _templates(first)
     answer = stack.federation.query(SQL, CONTEXT, consistency=mode)
     assert answer.execution.plan is first.execution.plan
-    assert _templates(answer) == lowered  # the very same objects (raw: not None)
+    assert all(kept is not None for kept in lowered)
+    assert all(kept is held for kept, held in zip(_templates(answer), lowered))
     assert answer.relation.rows == first.relation.rows
     return answer.relation.rows, answer.execution.report.snapshot()
 
@@ -314,6 +314,47 @@ class TestSameAnswerThroughEveryDoor:
         if mode != "raw":
             assert execution["consistency"]["mode"] == mode
         stack.assert_nothing_left_open()
+
+
+class TestCertainAnswerRunsOnTheOnePath:
+    """A certain answer is a plan like any other: compiled once per statement,
+    listed operator by operator, and as easy to walk away from."""
+
+    def test_plan_is_compiled_once_and_lists_its_quantifier(self, stack):
+        answers = [stack.federation.query(SQL, CONTEXT, consistency="certain")
+                   for _execution in range(3)]
+        assert len({id(answer.execution.plan) for answer in answers}) == 1
+        assert answers[0].execution.plan is not stack.federation.query(
+            SQL, CONTEXT).execution.plan
+        listed = [entry["operator"]
+                  for entry in answers[-1].execution.report.snapshot()["operators"]]
+        assert listed == ["Scan", "Aggregate", "Filter", "Project", "Distinct"]
+
+    def test_cursor_closed_after_its_first_row_leaves_nothing(self):
+        stack = Stack(memory_budget_bytes=1_000_000)
+        controller = stack.federation.engine.controller
+        try:
+            for door in ("federation", "wire"):
+                if door == "federation":
+                    cursor = stack.federation.query(SQL, CONTEXT, stream=True,
+                                                    consistency="certain")
+                    assert cursor.fetchone() in EXPECTED["certain"]
+                    budget = cursor.stream.budget
+                    assert controller.temp_store.handles and budget.used_bytes > 0
+                    cursor.close()
+                    assert budget.used_bytes == 0
+                else:
+                    opened = stack.wire("open_cursor", sql=SQL, context=CONTEXT,
+                                        consistency="certain").payload
+                    first = stack.wire("fetch_cursor", count=1,
+                                       cursor_id=opened["cursor_id"]).payload
+                    assert len(first["rows"]) == 1 and not first["done"]
+                    assert stack.wire("close_cursor",
+                                      cursor_id=opened["cursor_id"]).payload["closed"]
+                assert controller.temp_store.handles == []
+                stack.assert_nothing_left_open()
+        finally:
+            stack.close()
 
 
 #: Statements whose finish is more than a projection: a grouped one (with a
