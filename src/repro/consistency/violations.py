@@ -156,6 +156,8 @@ class ViolationScanner:
             # wrappers, so retries, breaker state and health statistics must
             # be one account, not a parallel book.
             resilience=engine.controller.resilience,
+            # An engine holds one set of fetch workers, scans included.
+            fetch_pool=engine.controller.fetch_pool,
         )
         self._cache_size = max(0, int(report_cache_size))
         self._cache: "OrderedDict[tuple, ViolationReport]" = OrderedDict()

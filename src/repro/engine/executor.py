@@ -11,7 +11,8 @@ pushed SQL / FETCH target, see :mod:`repro.engine.request_cache`), and
 deduplicated: N branches asking one wrapper for byte-identical requests cost
 one round trip.  The distinct set is then resolved against the (optional)
 source-result cache, and the remaining fetches are dispatched concurrently on
-a bounded thread pool — wall clock approaches the slowest source instead of
+the controller's fetch pool, at most ``max_concurrent_requests`` of the
+statement's at a time — wall clock approaches the slowest source instead of
 the sum of all round trips.  Results are handed back to branches in plan
 order, so answers and reports are deterministic regardless of completion
 order.
@@ -42,8 +43,10 @@ stream, so materialized answers see the historical behaviour unchanged.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -234,7 +237,7 @@ class ExecutionReport:
     distinct_requests: int = 0
     dedup_hits: int = 0
     cache_hits: int = 0
-    #: Peak number of fetches simultaneously in flight on the pool.
+    #: Peak number of this statement's fetches simultaneously in flight.
     max_in_flight: int = 0
     #: Pool submission order (one binding per pending fetch).  When the
     #: catalog's per-wrapper EWMA latency profiles are mature the scheduler
@@ -449,9 +452,10 @@ def request_failed_error(request: SourceRequest,
 class ExecutionController:
     """Interprets :class:`QueryPlan` objects against the catalog's wrappers.
 
-    ``max_concurrent_requests`` bounds the fetch thread pool (1 = serial
-    dispatch).  ``deduplicate=False`` disables request coalescing *and* the
-    cache — every plan request costs its own round trip, re-enacting the
+    ``max_concurrent_requests`` caps one statement's in-flight fetches
+    (1 = lazy serial dispatch); it does not size ``fetch_pool``, which every
+    statement shares.  ``deduplicate=False`` disables request coalescing *and*
+    the cache — every plan request costs its own round trip, re-enacting the
     pre-scheduler behaviour for baselines and ablations.
     """
 
@@ -460,11 +464,23 @@ class ExecutionController:
                  max_concurrent_requests: int = DEFAULT_MAX_CONCURRENT_REQUESTS,
                  deduplicate: bool = True,
                  memory_budget_bytes: Optional[int] = None,
-                 resilience: Optional[ResiliencePolicy] = None):
+                 resilience: Optional[ResiliencePolicy] = None,
+                 fetch_pool: Optional[ThreadPoolExecutor] = None):
         self.catalog = catalog
         self.temp_store = temp_store or TemporaryStore("engine-temp")
         self.request_cache = request_cache
         self.max_concurrent_requests = max(1, int(max_concurrent_requests))
+        #: The worker threads every statement's fetches run on (a violation
+        #: scanner's controller shares its engine's).  Its size is no
+        #: setting: a task reuses an idle worker and starts a thread only when
+        #: none is idle, so a worker stuck in a hung wrapper never makes
+        #: another statement's fetch wait.  The first dispatch starts the
+        #: first thread, and idle workers exit once the pool is collected
+        #: with the engine.
+        self.fetch_pool = (
+            fetch_pool if fetch_pool is not None
+            else ThreadPoolExecutor(max_workers=sys.maxsize,
+                                    thread_name_prefix="source-fetch"))
         self.deduplicate = deduplicate
         #: Per-statement operator memory budget (None = unbounded).  Sorts,
         #: distincts and hash-join build sides spill to temporary files
@@ -484,7 +500,7 @@ class ExecutionController:
         """Open a pull-based cursor over the plan's result.
 
         Source fetches are dispatched concurrently up front (or lazily, when
-        the pool is bounded to one request), but branches are staged,
+        a statement is capped at one request), but branches are staged,
         joined and finalized only as the consumer pulls rows — closing the
         stream early cancels fetches that were never consumed and releases
         staged temporaries.  Every distinct fetch runs under the controller's

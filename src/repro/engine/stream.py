@@ -6,11 +6,13 @@ the tree and pulling ``root.batches()``.  A :class:`ResultStream` does that —
 nothing else executes a plan — and owns what the tree does not say: it
 
 * deduplicates the plan's source fetches, answers what it can from the
-  request cache and dispatches the rest **asynchronously** on the bounded
-  pool, expected-slowest first — or lazily, one at a time, when the pool is
-  bounded to a single request — under the statement's retries, breakers and
-  deadline, and awaits each result only when a branch actually needs it
-  staged (a bind join's IN-list batches are derived when its driver is);
+  request cache and dispatches the rest **asynchronously**, expected-slowest
+  first, to its own queue, which at most ``max_concurrent_requests`` lanes
+  drain on the controller's shared fetch pool — or fetches lazily, one at a
+  time, when the statement is capped at a single request — under the
+  statement's retries, breakers and deadline, and awaits each result only
+  when a branch actually needs it staged (a bind join's IN-list batches are
+  derived, and queued, when its driver is);
 * stages and binds branches **lazily**, in plan order: a branch is an input
   of the root operator (:class:`_Branch`) which, on first use, brings its
   shipped relations across through its template's stages (qualified, locally
@@ -26,8 +28,9 @@ nothing else executes a plan — and owns what the tree does not say: it
   memory is bounded and spills are observable in the execution report (the
   UNION's own two operators draw on no budget and are not listed there);
 * **terminates early**: a consumer that stops pulling (a satisfied LIMIT, an
-  explicit :meth:`close`) cancels source fetches that were never consumed,
-  drops the staged temporaries, and releases the fetch pool mid-query.
+  explicit :meth:`close`) cancels queued source fetches, so they never reach
+  their wrapper, and drops the staged temporaries mid-query; the lanes
+  return their workers to the shared pool once the queue is empty.
 
 Per-execution state — the budget, operator statistics, spill flags, join
 watchers, a bind join's IN-lists, degraded branches — lives only in the
@@ -49,12 +52,14 @@ plus the new streaming and memory counters.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import deque
 from contextlib import closing
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
@@ -250,21 +255,20 @@ class ResultStream:
         pending = [key for key, request in self._distinct.items()
                    if not self._from_cache(key, request)]
 
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._futures: Dict[RequestKey, "Future[_FetchOutcome]"] = {}
+        #: Dispatched fetches no lane has taken yet, in dispatch order, and
+        #: the number of lanes draining them (both guarded by the lock).
+        self._queue: Deque[Tuple[RequestKey, "Future[_FetchOutcome]", float]] = deque()
+        self._lanes = 0
+        self._lanes_lock = threading.Lock()
         # A bounded statement must never block uninterruptibly inside a
         # wrapper call on the consumer's thread, so a deadline forces pool
         # dispatch even for a single pending fetch: the wait happens in
         # ``future.result(timeout=...)`` where the deadline can fire.
         dispatch = len(pending) > 1 or (bool(pending) and self._deadline.bounded)
-        if controller.max_concurrent_requests > 1 and dispatch:
-            pending = self._dispatch_order(pending)
-            workers = min(controller.max_concurrent_requests, len(pending))
-            self._pool = ThreadPoolExecutor(max_workers=workers,
-                                            thread_name_prefix="source-fetch")
-            queued_at = time.perf_counter()
-            for key in pending:
-                self._futures[key] = self._pool.submit(self._fetch, key, queued_at)
+        self._dispatching = controller.max_concurrent_requests > 1 and dispatch
+        if self._dispatching:
+            self._dispatch(self._dispatch_order(pending))
         # else: remaining fetches happen lazily, serially, on first staging —
         # branches a satisfied LIMIT never reaches cost no round trip at all.
 
@@ -323,6 +327,39 @@ class ResultStream:
             self._distinct[key].binding for key in pending
         ]
         return pending
+
+    def _dispatch(self, keys: List[RequestKey]) -> None:
+        """Queue ``keys`` for fetching, in order, and start the lanes that
+        drain the queue on the controller's fetch pool: never more than
+        ``max_concurrent_requests`` at once, whatever else the pool runs."""
+        queued_at = time.perf_counter()
+        with self._lanes_lock:
+            for key in keys:
+                future = self._futures[key] = Future()
+                self._queue.append((key, future, queued_at))
+            lanes = min(len(self._queue),
+                        self.controller.max_concurrent_requests - self._lanes)
+            self._lanes += lanes
+        for _ in range(lanes):
+            self.controller.fetch_pool.submit(self._lane)
+
+    def _lane(self) -> None:
+        """Fetch the statement's queued requests one after another until the
+        queue is empty; a fetch :meth:`close` cancelled is skipped unstarted."""
+        while True:
+            with self._lanes_lock:
+                if not self._queue:
+                    self._lanes -= 1
+                    return
+                key, future, queued_at = self._queue.popleft()
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                outcome = self._fetch(key, queued_at)
+            except Exception as error:  # defensive: _fetch returns error outcomes
+                future.set_exception(error)
+            else:
+                future.set_result(outcome)
 
     def _fetch(self, key: RequestKey, queued_at: float) -> _FetchOutcome:
         """One guarded round trip: retries, breaker and deadline applied.
@@ -550,6 +587,7 @@ class ResultStream:
                   for start in range(0, len(first_values), batch_size)]
 
         batch_keys: List[RequestKey] = []
+        queued: List[RequestKey] = []
         keys_shipped = 0
         for batch_number, chunk in enumerate(chunks):
             conjuncts: List[object] = []
@@ -578,11 +616,11 @@ class ResultStream:
                 self._distinct[key] = batch_request
                 with report.lock:
                     report.distinct_requests += 1
-                if not self._from_cache(key, batch_request) and self._pool is not None:
-                    self._futures[key] = self._pool.submit(
-                        self._fetch, key, time.perf_counter()
-                    )
+                if not self._from_cache(key, batch_request) and self._dispatching:
+                    queued.append(key)
             batch_keys.append(key)
+        if queued:
+            self._dispatch(queued)
 
         combined_rows: List[Row] = []
         schema: Optional[Schema] = None
@@ -923,8 +961,6 @@ class ResultStream:
                 # Banking checks the fetch outcome: a completed-but-failed
                 # fetch is finalized without touching cache or estimates.
                 self._consume_outcome(key, outcome)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
 
         # Close the root's batch generator *explicitly*: it closes the
         # current branch's ``batches()`` generator, which closes its child's,

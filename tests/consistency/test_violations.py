@@ -187,6 +187,18 @@ class TestBudgets:
         assert (budgeted.for_constraint("accounts_pk").violations
                 == unbounded.for_constraint("accounts_pk").violations == 3)
 
+    def test_scans_dispatch_on_the_engine_fetch_pool(self, federation):
+        # The scanner's private controller keeps its own memory budget but
+        # runs its fetches on the engine's workers: one pool per engine.
+        scanner = ViolationScanner(federation.engine, memory_budget_bytes=16 * 1024)
+        assert scanner.controller.fetch_pool is federation.engine.controller.fetch_pool
+        federation.register_constraint(
+            PrimaryKey("accounts_pk", relation="accounts", columns=("id",))
+        )
+        # A deadline forces pooled dispatch even for a lone fetch.
+        report = scanner.scan(timeout_seconds=30.0)
+        assert report.for_constraint("accounts_pk").violations == 2
+
     def test_witness_cap(self, federation):
         scanner = ViolationScanner(federation.engine, max_witnesses=1)
         federation.register_constraint(

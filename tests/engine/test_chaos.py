@@ -8,7 +8,8 @@ The acceptance contract of the resilience layer, end to end:
   ``partial`` mode degrades it: the surviving branches answer, and every
   dropped branch is recorded in the report's ``resilience`` block;
 * ``timeout_seconds`` fires within tolerance on a hung source, in the eager
-  *and* the streaming path;
+  *and* the streaming path, and the fetches it abandons never slow another
+  statement on the same engine;
 * failed or partially-transferred fetches are never banked into the
   source-result cache (no poisoned answers after recovery);
 * repeated failures trip the per-wrapper breaker, and the tripped breaker
@@ -17,11 +18,13 @@ The acceptance contract of the resilience layer, end to end:
 Every schedule is seeded: reruns replay identical fault patterns.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.resilience import ResiliencePolicy, RetryPolicy
 from repro.errors import (
@@ -80,18 +83,20 @@ def _engine(schedules=None, cache=False, **policy_kwargs):
 
 
 class _HangingWrapper(RelationalWrapper):
-    """A wrapper whose round trips hang for a fixed (real) duration."""
+    """A wrapper whose round trips hang for a fixed (real) duration, or
+    until ``release`` is set."""
 
     def __init__(self, source, hang_seconds):
         super().__init__(source)
         self.hang_seconds = hang_seconds
+        self.release = threading.Event()
 
     def fetch(self, relation):
-        time.sleep(self.hang_seconds)
+        self.release.wait(self.hang_seconds)
         return super().fetch(relation)
 
     def query(self, statement):
-        time.sleep(self.hang_seconds)
+        self.release.wait(self.hang_seconds)
         return super().query(statement)
 
 
@@ -305,6 +310,42 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceededError):
             engine.execute("SELECT t.a FROM t", timeout_seconds=self.TIMEOUT,
                            on_source_error="partial")
+
+
+class TestHungSourceIsolation:
+    """An engine's statements share its fetch workers: one stuck in a hung
+    wrapper must never make another statement's fetch wait."""
+
+    HANG = 60.0  # released when the test ends
+    TIMEOUT = 0.05
+    #: Abandoned fetches, each leaving a worker stuck in the hung wrapper:
+    #: more than any fixed worker count sized from the cap would absorb.
+    HUNG_STATEMENTS = 3 * DEFAULT_MAX_CONCURRENT_REQUESTS
+
+    def test_a_hung_source_does_not_slow_another_statement(self):
+        engine, _ = _engine()
+        source = MemorySQLSource("slow", capabilities=SourceCapabilities.scan_only())
+        source.load_sql("CREATE TABLE t (a integer)", "INSERT INTO t VALUES (1)")
+        hanging = _HangingWrapper(source, self.HANG)
+        engine.register_wrapper(hanging, estimate_rows=False)
+        expected = list(engine.execute(UNION_QUERY).relation.rows)
+        started = time.perf_counter()
+        engine.execute(UNION_QUERY)
+        normal = time.perf_counter() - started
+        try:
+            for _ in range(self.HUNG_STATEMENTS):
+                with pytest.raises(DeadlineExceededError):
+                    engine.execute("SELECT t.a FROM t", timeout_seconds=self.TIMEOUT)
+            started = time.perf_counter()
+            result = engine.execute(UNION_QUERY, timeout_seconds=10.0)
+            elapsed = time.perf_counter() - started
+        finally:
+            hanging.release.set()
+        assert list(result.relation.rows) == expected
+        assert elapsed < normal + 0.5, (
+            f"{elapsed:.3f}s behind {self.HUNG_STATEMENTS} hung fetches "
+            f"(normal {normal:.3f}s)"
+        )
 
 
 class TestCacheNeverPoisoned:
