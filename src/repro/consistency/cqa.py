@@ -30,8 +30,10 @@ Two strategies implement the semantics exactly:
   processor over the fetched extents; certain = intersection, possible =
   union.  The enumeration refuses to exceed ``max_repairs`` (the definition
   is exponential; the bound keeps the fallback an explicit, observable
-  cost).  It is the brute-force definition the rewrite is tested against and
-  shares no execution code with it.
+  cost).  It is the brute-force definition the rewrite is tested against.
+  The processor runs each repair on the engine's join and filter operators,
+  so that check rests on the processor's own: generated statements against
+  the interpreter (``tests/relational/test_processor_generated.py``).
 
 Only :class:`~repro.consistency.constraints.PrimaryKey` constraints induce
 repairs; functional-dependency, inclusion and denial constraints are scanned

@@ -39,6 +39,7 @@ from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.plan import BindJoinSpec, BranchPlan, QueryPlan, SourceRequest
 from repro.relational import algebra
+from repro.relational.types import may_hash
 from repro.sql.printer import to_sql
 from repro.sql.ast import (
     ColumnRef,
@@ -807,21 +808,9 @@ class QueryPlanner:
 
     def _hash_safe_key(self, ref: ColumnRef, binding: Optional[str],
                        bindings: Dict[str, str]) -> bool:
-        """True when the column's declared type makes hash-bucket equality
-        coincide exactly with SQL equality.
-
-        INTEGER/FLOAT/STRING qualify (numeric float-coercion matches the
-        bucket normalization, strings compare exactly).  BOOLEAN does not —
-        SQL equality coerces booleans against any number (``TRUE = 2`` is
-        true), which buckets cannot reproduce — and ANY may hold such values,
-        so both stay in the residual where they are evaluated per pair.
-        """
-        if binding is None:
-            return False
-        from repro.relational.types import DataType
-
+        """Whether the column's declared type may hash (``types.may_hash``);
+        not when its binding (None: unresolved) or column is unknown."""
         try:
-            attribute_type = self.catalog.schema_of(bindings[binding]).attribute(ref.name).type
+            return may_hash(self.catalog.schema_of(bindings[binding]).attribute(ref.name).type)
         except Exception:
             return False
-        return attribute_type in (DataType.INTEGER, DataType.FLOAT, DataType.STRING)

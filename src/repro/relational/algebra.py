@@ -18,8 +18,10 @@ its leaves.  A branch's result is a *template*: nothing in it is
 per-execution state, so one lowering serves every execution of a cached plan,
 each binding its own copies (``PhysicalOperator.rebind``, ``TableScan.over``)
 to the relations it staged.  The AST-taking operator constructors are the
-lowering of their node, and ``QueryProcessor.finalize_select`` is ``lower`` of
-a :class:`Finish` over a scan, drained.
+lowering of their node.  The local processor (``QueryProcessor.lower``)
+builds its trees from the same constructors by the same rules, and shares
+:func:`~repro.relational.query.lower_select` and
+:func:`~repro.relational.query.lower_union` with :func:`lower`.
 """
 
 from __future__ import annotations
@@ -30,15 +32,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.relational.compile import ExpressionCompiler, KernelScope
 from repro.relational.operators import (
-    Distinct,
     Filter,
     HashJoin,
     NestedLoopJoin,
     PhysicalOperator,
     TableScan,
-    UnionAll,
 )
-from repro.relational.query import lower_select
+from repro.relational.query import lower_select, lower_union
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.sql.ast import ColumnRef, Node, Select, Star, conjoin
@@ -181,9 +181,7 @@ def lower(node: RelationNode, inputs: Sequence,
     once its sources have shipped, so whoever runs the root supplies them.
     It draws on no memory budget: an execution's copies do (``rebind``)."""
     if isinstance(node, Union):
-        # Exact row equality and no budget: what a mediated UNION always cost.
-        union = UnionAll(inputs)
-        return union if node.all else Distinct(union, key=tuple)
+        return lower_union(inputs, node.all)
     if isinstance(node, Transfer):
         return inputs[node.target.index].scan
     if isinstance(node, Selection):

@@ -392,16 +392,22 @@ class Aggregate(PhysicalOperator):
 
 
 class NestedLoopJoin(PhysicalOperator):
-    """Theta join evaluated as a filtered cross product."""
+    """Theta join evaluated as a filtered cross product.
+
+    With ``outer`` "LEFT" ("RIGHT") that side drives the loop, and a row of
+    it that matches nothing leaves once, NULLs standing for the other side.
+    Rows leave in driving-side order, each one's matches in the order of the
+    other side."""
 
     operator_name = "NestedLoopJoin"
     _inputs = ("left", "right")
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator, condition: Optional[Node],
-                 scope: Optional[KernelScope] = None):
+                 scope: Optional[KernelScope] = None, outer: Optional[str] = None):
         self.left = left
         self.right = right
         self.condition = condition
+        self.outer = outer
         self._schema = left.schema.concat(right.schema)
         self._predicate = (
             ExpressionCompiler(self._schema, scope=scope).predicate(condition)
@@ -413,20 +419,34 @@ class NestedLoopJoin(PhysicalOperator):
         return self._schema
 
     def batches(self) -> Iterator[Batch]:
-        right_rows = list(self.right)
-        predicate = self._predicate
-        with closing(self.left.batches()) as left_batches:
-            for batch in left_batches:
-                for chunk in _pair_chunks(batch, len(right_rows)):
-                    if predicate is None:
+        outer, predicate = self.outer, self._predicate
+        driving, inner = (self.right, self.left) if outer == "RIGHT" else (self.left, self.right)
+        inner_rows = list(inner)
+        nulls = (None,) * len(inner.schema)
+        with closing(driving.batches()) as driving_batches:
+            for batch in driving_batches:
+                for chunk in _pair_chunks(batch, len(inner_rows)):
+                    if outer is not None:
+                        joined = [joined_row for row in chunk
+                                  for joined_row in self._outer_rows(row, inner_rows, nulls)]
+                    elif predicate is None:
                         joined = [left_row + right_row
-                                  for left_row in chunk for right_row in right_rows]
+                                  for left_row in chunk for right_row in inner_rows]
                     else:
                         joined = [combined
-                                  for left_row in chunk for right_row in right_rows
+                                  for left_row in chunk for right_row in inner_rows
                                   if predicate(combined := left_row + right_row) is True]
                     if joined:
                         yield joined
+
+    def _outer_rows(self, row: Row, inner_rows: List[Row], nulls: Row) -> List[Row]:
+        """Driving-side ``row`` joined to its matches, or padded once."""
+        predicate = self._predicate or (lambda _row: True)
+        if self.outer == "RIGHT":
+            return ([combined for other in inner_rows if predicate(combined := other + row) is True]
+                    or [nulls + row])
+        return ([combined for other in inner_rows if predicate(combined := row + other) is True]
+                or [row + nulls])
 
     @property
     def estimated_rows(self) -> int:
@@ -438,7 +458,8 @@ class NestedLoopJoin(PhysicalOperator):
             return ""
         from repro.sql.printer import to_sql
 
-        return f"({to_sql(self.condition)})"
+        kind = f"{self.outer} " if self.outer is not None else ""
+        return f"({kind}{to_sql(self.condition)})"
 
 
 class _KeptBuild:

@@ -1,16 +1,21 @@
 """A local SQL query processor over in-memory relations.
 
-This module implements the SQL semantics used in two places:
+It stands in for the SQL engine of every source the engine wraps: the
+paper's Oracle databases (:class:`repro.sources.memory.MemorySQLSource`), the
+pushed SQL of :class:`~repro.wrappers.wrapper.RelationalWrapper` and
+``WebWrapper``, the tight-coupling baseline, and each repair of consistent
+query answering's enumeration.  It is not the engine's executor: the
+engine's "local operations (e.g. joins across sources)" are its plan's
+algebra tree, lowered by :func:`repro.relational.algebra.lower`.
 
-* inside :class:`repro.sources.memory.MemorySQLSource`, the stand-in for the
-  paper's Oracle databases — each source runs its own local processor over its
-  own tables;
-* inside the multi-database access engine, which uses the same processor for
-  the "local operations (e.g. joins across sources)" the paper describes,
-  executing them over wrapper results staged in temporary storage.
+Both run on the same operators.  :meth:`QueryProcessor.lower` builds one
+operator tree per statement by the rules plans lower by — FROM items are
+scans joined left-deep in FROM order, hash joins where the key types may
+hash, WHERE conjuncts filter the leaf they name — finished by
+:func:`lower_select`, and UNION is :func:`lower_union`.
 
 Supported: SELECT (DISTINCT) with expressions and aliases, FROM with
-comma-joins, explicit INNER/LEFT/CROSS joins and derived tables, WHERE,
+comma-joins, explicit INNER/LEFT/RIGHT/CROSS joins and derived tables, WHERE,
 GROUP BY + aggregates (COUNT/SUM/AVG/MIN/MAX) with HAVING, ORDER BY,
 LIMIT/OFFSET, UNION/UNION ALL, uncorrelated IN/EXISTS/scalar subqueries, and
 the CREATE TABLE / INSERT statements used to load demo data.
@@ -18,31 +23,29 @@ the CREATE TABLE / INSERT statements used to load demo data.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
-from repro.relational.compile import (
-    ExpressionCompiler,
-    KernelScope,
-    evaluate_literal_expression,
-)
+from repro.relational.compile import KernelScope, evaluate_literal_expression
 from repro.relational.operators import (
     Aggregate,
     Distinct,
     Filter,
     HashJoin,
     Limit,
+    NestedLoopJoin,
     PhysicalOperator,
     Project,
     Sort,
     TableScan,
+    UnionAll,
     _group_keys,
 )
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType
+from repro.relational.types import DataType, may_hash
 from repro.sql.ast import (
-    BinaryOp,
     ColumnRef,
     CreateTable,
     FunctionCall,
@@ -56,11 +59,12 @@ from repro.sql.ast import (
     Subquery,
     TableRef,
     Union,
-    conjuncts,
+    conjoin,
     is_aggregate_call,
     transform,
     walk,
 )
+from repro.sql.facts import ConjunctFacts, analyse_conjuncts
 from repro.sql.parser import DerivedTable, parse
 from repro.sql.printer import to_sql
 
@@ -75,13 +79,6 @@ class QueryProcessor:
 
     def __init__(self, resolver: Callable[[str, Optional[str]], Relation]):
         self._resolve_table = resolver
-
-    @property
-    def _scope(self) -> KernelScope:
-        # Per use, not kept: a scope holds this processor's bound method, and
-        # sources build a processor per query — each would be a reference
-        # cycle only the cycle collector frees.
-        return KernelScope(self._subquery_executor)
 
     # -- constructors -------------------------------------------------------
 
@@ -101,207 +98,126 @@ class QueryProcessor:
     # -- public API ---------------------------------------------------------
 
     def execute(self, statement) -> Relation:
-        """Execute a Select or Union statement (or SQL text) and return a Relation."""
+        """Execute a Select or Union statement (or SQL text) and return a
+        Relation: its operator tree (:meth:`lower`), drained."""
+        return self.lower(statement).to_relation()
+
+    def lower(self, statement) -> PhysicalOperator:
+        """The operator tree computing a Select or Union statement (or SQL
+        text).  Derived tables and the subqueries folded into its kernels run
+        while it is built; its joins, filters and finish run when drained."""
         if isinstance(statement, str):
             statement = parse(statement)
-        if isinstance(statement, Select):
-            return self._execute_select(statement)
+        if not isinstance(statement, (Select, Union)):
+            raise SQLUnsupportedError(
+                f"cannot execute statement of type {type(statement).__name__}")
+        # Per statement, not kept: a scope holds this processor's bound
+        # method, and sources build a processor per query — each would be a
+        # reference cycle only the cycle collector frees.
+        scope = KernelScope(self._subquery_executor)
         if isinstance(statement, Union):
-            return self._execute_union(statement)
-        raise SQLUnsupportedError(f"cannot execute statement of type {type(statement).__name__}")
-
-    def finalize_select(self, select: Select, rows: List[Row], schema: Schema) -> Relation:
-        """Finish a SELECT whose FROM/WHERE phases were evaluated elsewhere.
-
-        The multi-database engine stages and joins source results itself (its
-        "local operations"); it then hands the joined rows plus their combined
-        schema to this method, which applies the remaining phases — grouping
-        and aggregates, HAVING, the select list, DISTINCT, ORDER BY and
-        LIMIT — with semantics identical to :meth:`execute`: it lowers the
-        SELECT over a scan of ``rows`` (:func:`lower_select`) and drains it.
-        """
-        relation = Relation(schema)
-        relation.rows = rows
-        return lower_select(select, TableScan(relation), self._scope).to_relation()
-
-    # -- UNION ---------------------------------------------------------------
-
-    def _execute_union(self, statement: Union) -> Relation:
-        results = [self._execute_select(select) for select in statement.selects]
-        combined = results[0]
-        for result in results[1:]:
-            combined = combined.union(result, all=True)
-        if not statement.all:
-            combined = combined.distinct()
-        # Column names come from the first branch, per SQL convention.
-        return combined.rename(results[0].schema.names)
+            return lower_union([self._lower_select(select, scope)
+                                for select in statement.selects], statement.all)
+        return self._lower_select(statement, scope)
 
     # -- SELECT ---------------------------------------------------------------
 
-    def _execute_select(self, select: Select) -> Relation:
-        rows, source_schema = self._build_from(select)
-        if select.where is not None:
-            predicate = ExpressionCompiler(source_schema, scope=self._scope).predicate(select.where)
-            rows = [row for row in rows if predicate(row) is True]
-        return self.finalize_select(select, rows, source_schema)
+    def _lower_select(self, select: Select, scope: KernelScope) -> PhysicalOperator:
+        """FROM and WHERE as scans, filters and joins, then the finish.
 
-    # -- FROM clause -----------------------------------------------------------
+        Each FROM item is one leaf.  A WHERE conjunct naming one leaf filters
+        it; one naming several joins at the step its last leaf joins in; the
+        others — a subquery, no column, a column no leaf resolves — filter
+        the joined row, where a bad column raises as it always did."""
+        leaves = [self._leaf(table, scope) for table in select.tables]
+        if len(leaves) <= 1:
+            # SELECT without FROM: one empty row lets literal expressions evaluate.
+            operator = leaves[0] if leaves else TableScan(Relation(Schema(()), [()]))
+            if select.where is not None:
+                operator = Filter(operator, select.where, scope)
+            return lower_select(select, operator, scope)
 
-    def _build_from(self, select: Select) -> Tuple[List[Row], Schema]:
-        """Evaluate the FROM clause into (rows, schema) of the joined input."""
-        if not select.tables:
-            # SELECT without FROM: a single empty row lets literal expressions evaluate.
-            return [()], Schema([])
-
-        rows: Optional[List[Row]] = None
-        schema: Optional[Schema] = None
-        for table in select.tables:
-            table_rows, table_schema = self._table_rows(table)
-            if rows is None:
-                rows, schema = table_rows, table_schema
+        combined = leaves[0].schema
+        ends = [len(combined)]
+        for leaf in leaves[1:]:
+            combined = combined.concat(leaf.schema)
+            ends.append(len(combined))
+        filters: List[List[Node]] = [[] for _ in leaves]
+        steps: List[List[ConjunctFacts]] = [[] for _ in leaves]
+        top: List[Node] = []
+        for facts in analyse_conjuncts(select.where):
+            named = set()
+            for ref in () if facts.has_subquery else facts.refs:
+                try:
+                    named.add(bisect_right(ends, combined.index_of(ref.name, ref.table)))
+                except SchemaError:
+                    named = set()
+                    break
+            if not named:
+                top.append(facts.condition)
+            elif len(named) == 1:
+                filters[named.pop()].append(facts.condition)
             else:
-                rows = [left + right for left in rows for right in table_rows]
-                schema = schema.concat(table_schema)
-        assert rows is not None and schema is not None
-        return rows, schema
+                steps[max(named)].append(facts)
 
-    def _table_rows(self, node: Node) -> Tuple[List[Row], Schema]:
+        operator = None
+        for leaf, conditions, step in zip(leaves, filters, steps):
+            if conditions:
+                leaf = Filter(leaf, conjoin(conditions), scope)
+            operator = leaf if operator is None else _join(operator, leaf, step, scope)
+        if top:
+            operator = Filter(operator, conjoin(top), scope)
+        return lower_select(select, operator, scope)
+
+    def _leaf(self, node: Node, scope: KernelScope) -> PhysicalOperator:
+        """The operator of one FROM item."""
         if isinstance(node, TableRef):
-            relation = self._resolve_table(node.name, node.source)
-            schema = relation.schema.with_qualifier(node.binding)
-            return list(relation.rows), schema
+            return TableScan(self._resolve_table(node.name, node.source), node.binding)
         if isinstance(node, DerivedTable):
-            relation = self._execute_select(node.query)
-            schema = relation.schema.with_qualifier(node.alias)
-            return list(relation.rows), schema
+            return TableScan(self.execute(node.query), node.alias)
         if isinstance(node, Join):
-            return self._join_rows(node)
+            left, right = self._leaf(node.left, scope), self._leaf(node.right, scope)
+            if node.kind == "INNER":
+                return _join(left, right, analyse_conjuncts(node.condition), scope)
+            if node.kind in ("LEFT", "RIGHT", "CROSS"):
+                return NestedLoopJoin(left, right, node.condition, scope,
+                                      outer=None if node.kind == "CROSS" else node.kind)
+            raise SQLUnsupportedError(f"unsupported join kind {node.kind!r}")
         raise SQLUnsupportedError(f"unsupported FROM item {node!r}")
-
-    def _join_rows(self, node: Join) -> Tuple[List[Row], Schema]:
-        left_rows, left_schema = self._table_rows(node.left)
-        right_rows, right_schema = self._table_rows(node.right)
-        schema = left_schema.concat(right_schema)
-
-        if node.kind == "INNER" and node.condition is not None:
-            hashed = self._hash_join_rows(
-                node.condition, left_rows, left_schema, right_rows, right_schema
-            )
-            if hashed is not None:
-                return hashed, schema
-
-        predicate = (
-            ExpressionCompiler(schema, scope=self._scope).predicate(node.condition)
-            if node.condition is not None else None
-        )
-
-        if node.kind in ("INNER", "CROSS"):
-            combined = []
-            for left in left_rows:
-                for right in right_rows:
-                    row = left + right
-                    if predicate is None or predicate(row) is True:
-                        combined.append(row)
-            return combined, schema
-
-        if node.kind == "LEFT":
-            combined = []
-            null_right = tuple([None] * len(right_schema))
-            for left in left_rows:
-                matched = False
-                for right in right_rows:
-                    row = left + right
-                    if predicate is None or predicate(row) is True:
-                        combined.append(row)
-                        matched = True
-                if not matched:
-                    combined.append(left + null_right)
-            return combined, schema
-
-        if node.kind == "RIGHT":
-            combined = []
-            null_left = tuple([None] * len(left_schema))
-            for right in right_rows:
-                matched = False
-                for left in left_rows:
-                    row = left + right
-                    if predicate is None or predicate(row) is True:
-                        combined.append(row)
-                        matched = True
-                if not matched:
-                    combined.append(null_left + right)
-            return combined, schema
-
-        raise SQLUnsupportedError(f"unsupported join kind {node.kind!r}")
-
-    def _hash_join_rows(self, condition: Node, left_rows: List[Row], left_schema: Schema,
-                        right_rows: List[Row], right_schema: Schema) -> Optional[List[Row]]:
-        """Evaluate an INNER join through a hash join when the condition has
-        equi-join conjuncts; returns None when no conjunct qualifies (the
-        caller falls back to the nested loop).
-
-        The full ON condition is re-evaluated on every bucket match, so the
-        hash buckets are purely a prefilter and the accepted rows are exactly
-        the nested loop's.  Boolean key values force the nested-loop fallback:
-        SQL equality coerces booleans against *any* number (``True = 2`` is
-        true), which no bucket normalization can reproduce."""
-        combined_schema = left_schema.concat(right_schema)
-
-        def side_of(ref: ColumnRef) -> Optional[str]:
-            # The ref must resolve on exactly one side, and unambiguously in
-            # the combined schema (otherwise evaluation would raise anyway).
-            if not combined_schema.has(ref.name, ref.table):
-                return None
-            in_left = left_schema.has(ref.name, ref.table)
-            in_right = right_schema.has(ref.name, ref.table)
-            if in_left and not in_right:
-                return "left"
-            if in_right and not in_left:
-                return "right"
-            return None
-
-        left_keys: List[ColumnRef] = []
-        right_keys: List[ColumnRef] = []
-        for conjunct in conjuncts(condition):
-            if (
-                isinstance(conjunct, BinaryOp)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-            ):
-                first, second = side_of(conjunct.left), side_of(conjunct.right)
-                if first == "left" and second == "right":
-                    left_keys.append(conjunct.left)
-                    right_keys.append(conjunct.right)
-                elif first == "right" and second == "left":
-                    left_keys.append(conjunct.right)
-                    right_keys.append(conjunct.left)
-        if not left_keys:
-            return None
-
-        left_positions = [left_schema.index_of(ref.name, ref.table) for ref in left_keys]
-        right_positions = [right_schema.index_of(ref.name, ref.table) for ref in right_keys]
-        if any(
-            type(row[position]) is bool
-            for rows, positions in ((left_rows, left_positions), (right_rows, right_positions))
-            for row in rows
-            for position in positions
-        ):
-            return None
-
-        left_relation = Relation(left_schema, name="join_left", validate=False)
-        left_relation.rows = list(left_rows)
-        right_relation = Relation(right_schema, name="join_right", validate=False)
-        right_relation.rows = list(right_rows)
-        join = HashJoin(
-            TableScan(left_relation), TableScan(right_relation),
-            left_keys, right_keys, residual=condition, scope=self._scope,
-        )
-        return list(join)
 
     def _subquery_executor(self, select: Select) -> Relation:
         """Execute an uncorrelated subquery (correlation is not supported)."""
-        return self._execute_select(select)
+        return self.execute(select)
+
+
+def _join(left: PhysicalOperator, right: PhysicalOperator,
+          condition: Sequence[ConjunctFacts], scope: KernelScope) -> PhysicalOperator:
+    """``left`` ⋈ ``right`` on the conjuncts ``condition``: a hash join on
+    its ``a.x = b.y`` conjuncts between the sides whose key types may hash
+    (``types.may_hash``), else a nested loop.  The whole condition is the
+    hash join's residual, so its buckets only prefilter: the rows, and their
+    order, are the nested loop's."""
+    schema = left.schema.concat(right.schema)
+    split = len(left.schema)
+    whole = conjoin([facts.condition for facts in condition])
+    keys: List[Tuple[ColumnRef, ColumnRef]] = []
+    for facts in condition:
+        if facts.equi_pair is None:
+            continue
+        first, second = facts.equi_pair
+        try:
+            at = schema.index_of(first.name, first.table)
+            to = schema.index_of(second.name, second.table)
+        except SchemaError:
+            continue
+        if at > to:
+            first, second, at, to = second, first, to, at
+        if at < split <= to and may_hash(schema[at].type) and may_hash(schema[to].type):
+            keys.append((first, second))
+    if keys:
+        left_keys, right_keys = zip(*keys)
+        return HashJoin(left, right, left_keys, right_keys, residual=whole, scope=scope)
+    return NestedLoopJoin(left, right, whole, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +271,14 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
     return operator
 
 
+def lower_union(inputs: Sequence[PhysicalOperator], all: bool) -> PhysicalOperator:
+    """UNION [ALL] of ``inputs``, one per branch: their rows in branch order
+    and, unless ``all``, without a row equal to an earlier one — exact row
+    equality, outside any budget.  The first input names the columns."""
+    union = UnionAll(inputs)
+    return union if all else Distinct(union, key=tuple)
+
+
 class _Finish(NamedTuple):
     """What :func:`lower_select` derives from the statement alone.  A scope
     with a memo of its own (a plan's) keeps it there, so every lowering of
@@ -376,7 +300,7 @@ class _Finish(NamedTuple):
 
     @classmethod
     def of(cls, select: Select, schema: Schema) -> "_Finish":
-        items = expand_star_items(select.items, schema)
+        items = expand_star_items(select.items, schema, select.tables)
         calls: Dict[str, FunctionCall] = {}  # by text, as written: SUM(1) is not SUM(1.0)
 
         def column_of(node: Node) -> Node:
@@ -435,13 +359,16 @@ def _order_keys(order_by: Sequence[Tuple[Node, bool]], expressions: Sequence[Nod
     return keys
 
 
-def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
-    """Expand ``*`` / ``t.*`` select items against the input schema."""
+def expand_star_items(items: Sequence[SelectItem], schema: Schema,
+                      tables: Sequence[Node] = ()) -> List[SelectItem]:
+    """Expand ``*`` / ``t.*`` select items against the input schema.  An
+    unqualified ``*`` lists the columns of the FROM items ``tables`` in FROM
+    order, whatever order the input joined them in."""
     expanded: List[SelectItem] = []
     for item in items:
         if isinstance(item.expr, Star):
             table = item.expr.table
-            for attribute in schema:
+            for attribute in schema if table is not None else _in_from_order(schema, tables):
                 if table is None or (attribute.qualifier or "").lower() == table.lower():
                     expanded.append(
                         SelectItem(ColumnRef(name=attribute.name, table=attribute.qualifier))
@@ -451,6 +378,18 @@ def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[Selec
         else:
             expanded.append(item)
     return expanded
+
+
+def _in_from_order(schema: Schema, tables: Sequence[Node]) -> Sequence[Attribute]:
+    """``schema``'s attributes stably sorted by the FROM position of their
+    table.  An input over explicit joins or derived tables is the local
+    processor's, joined in FROM order already."""
+    position = {table.binding.lower(): index for index, table in enumerate(tables)
+                if isinstance(table, TableRef)}
+    try:
+        return sorted(schema, key=lambda attribute: position[(attribute.qualifier or "").lower()])
+    except KeyError:
+        return schema.attributes
 
 
 def output_names(items: Sequence[SelectItem]) -> List[str]:

@@ -6,19 +6,20 @@ wrappers return relations, the multi-database engine joins them, the mediator
 post-processes them into the receiver's context, and the server serializes
 them back to clients.
 
-The methods on Relation implement the classic relational algebra directly on
-materialized data.  They are deliberately simple — the capability-aware,
-cost-based processing lives in :mod:`repro.engine`; Relation's own operators
-exist so that small/local operations (and tests) do not need a full plan.
+A Relation computes nothing itself: selections, joins, unions and limits
+are physical operators (:mod:`repro.relational.operators`), which the engine's
+plans and the local SQL processor both lower to.  What is left here are
+views of the stored rows — records, a column, a projection by name — and
+``order_by``, the plain stable sort examples and tests compare the ORDER BY
+kernels with.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import SchemaError
-from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType, sort_key
+from repro.relational.schema import Schema
+from repro.relational.types import sort_key
 
 Row = Tuple[Any, ...]
 
@@ -103,14 +104,6 @@ class Relation:
         position = self.schema.index_of(name, qualifier)
         return [row[position] for row in self.rows]
 
-    # -- relational algebra ---------------------------------------------------
-
-    def select(self, predicate: Callable[[Row], Optional[bool]]) -> "Relation":
-        """Keep rows for which the predicate is definitely true (SQL semantics)."""
-        result = Relation(self.schema, name=self.name)
-        result.rows = [row for row in self.rows if predicate(row) is True]
-        return result
-
     def project(self, names: Sequence[str]) -> "Relation":
         """Project onto the given attribute names (possibly qualified)."""
         positions = []
@@ -122,73 +115,6 @@ class Relation:
         result.rows = [tuple(row[position] for position in positions) for row in self.rows]
         return result
 
-    def rename(self, names: Sequence[str]) -> "Relation":
-        """Rename attributes positionally."""
-        result = Relation(self.schema.rename(names), name=self.name)
-        result.rows = list(self.rows)
-        return result
-
-    def with_qualifier(self, qualifier: Optional[str]) -> "Relation":
-        """Re-qualify the schema (rows are shared, not copied)."""
-        result = Relation(self.schema.with_qualifier(qualifier), name=self.name)
-        result.rows = self.rows
-        return result
-
-    def distinct(self) -> "Relation":
-        result = Relation(self.schema, name=self.name)
-        seen = set()
-        for row in self.rows:
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                result.rows.append(row)
-        return result
-
-    def union(self, other: "Relation", all: bool = False) -> "Relation":
-        """Union by position; schemas must have the same arity."""
-        if len(self.schema) != len(other.schema):
-            raise SchemaError("UNION requires relations of the same arity")
-        result = Relation(self.schema, name=self.name)
-        result.rows = list(self.rows) + list(other.rows)
-        return result if all else result.distinct()
-
-    def cross_join(self, other: "Relation") -> "Relation":
-        schema = self.schema.concat(other.schema)
-        result = Relation(schema)
-        result.rows = [left + right for left in self.rows for right in other.rows]
-        return result
-
-    def join(self, other: "Relation",
-             predicate: Callable[[Row], Optional[bool]]) -> "Relation":
-        """Nested-loop theta join; the predicate sees concatenated rows."""
-        schema = self.schema.concat(other.schema)
-        result = Relation(schema)
-        for left in self.rows:
-            for right in other.rows:
-                combined = left + right
-                if predicate(combined) is True:
-                    result.rows.append(combined)
-        return result
-
-    def equi_join(self, other: "Relation", left_on: str, right_on: str) -> "Relation":
-        """Hash equi-join on one attribute from each side."""
-        left_position = self._resolve(left_on)
-        right_position = other._resolve(right_on)
-        buckets: Dict[Any, List[Row]] = {}
-        for row in other.rows:
-            key = row[right_position]
-            if key is not None:
-                buckets.setdefault(key, []).append(row)
-        schema = self.schema.concat(other.schema)
-        result = Relation(schema)
-        for left in self.rows:
-            key = left[left_position]
-            if key is None:
-                continue
-            for right in buckets.get(key, []):
-                result.rows.append(left + right)
-        return result
-
     def order_by(self, names: Sequence[str], ascending: Optional[Sequence[bool]] = None) -> "Relation":
         positions = [self._resolve(name) for name in names]
         directions = list(ascending) if ascending is not None else [True] * len(positions)
@@ -197,12 +123,6 @@ class Relation:
         # Stable sort from the least-significant key to the most significant.
         for position, asc in reversed(list(zip(positions, directions))):
             result.rows.sort(key=lambda row: sort_key(row[position]), reverse=not asc)
-        return result
-
-    def limit(self, count: Optional[int], offset: int = 0) -> "Relation":
-        result = Relation(self.schema, name=self.name)
-        end = None if count is None else offset + count
-        result.rows = self.rows[offset:end]
         return result
 
     # -- helpers -------------------------------------------------------------

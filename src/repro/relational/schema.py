@@ -297,9 +297,13 @@ def expression_type(node: Node, schema: Schema) -> DataType:
     if isinstance(node, (InList, Between, Like, IsNull, Exists)):
         return DataType.BOOLEAN
     if isinstance(node, Case):
-        types = [expression_type(value, schema) for _, value in node.whens]
-        if node.default is not None:
-            types.append(expression_type(node.default, schema))
+        # A NULL branch takes any type; a branch of unknown type may hold any
+        # value, so the CASE may too (a join on it must not hash).
+        values = [value for _, value in node.whens] + [node.default]
+        types = [expression_type(value, schema) for value in values
+                 if value is not None and not (isinstance(value, Literal) and value.value is None)]
+        if not types or DataType.ANY in types:
+            return DataType.ANY
         result = types[0]
         for candidate in types[1:]:
             result = result.unify(candidate)

@@ -151,6 +151,19 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
     return left == right
 
 
+def may_hash(data_type: DataType) -> bool:
+    """Whether an equi-join key of declared type ``data_type`` may be hashed.
+
+    A hash join puts SQL-equal keys in one bucket only if bucket equality
+    covers :func:`sql_equal`.  INTEGER, FLOAT and STRING values bucket by
+    number or exact text, as they compare.  BOOLEAN keys do not: a boolean
+    equals *any* number of its truth value (``TRUE = 2``), which no bucket
+    can hold.  ANY keys may hold booleans.  Such keys stay in a nested loop.
+    This is the only place the choice is made: the planner and the local
+    processor both ask it."""
+    return data_type in (DataType.INTEGER, DataType.FLOAT, DataType.STRING)
+
+
 #: What :func:`sql_compare` answers for a NaN operand.
 _UNORDERED = float("nan")
 _INFINITY = float("inf")

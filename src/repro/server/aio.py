@@ -442,8 +442,15 @@ class AsyncMediationServer:
             # cleanup below releases whatever the client left open.
             pass
         finally:
-            await self._loop.run_in_executor(
-                self._executor, self.sessions.close, session, reaped)
+            try:
+                closing = self._loop.run_in_executor(
+                    self._executor, self.sessions.close, session, reaped)
+            except RuntimeError:
+                # The pool takes no more work (interpreter exit shut it down
+                # without a shutdown() here): close on the loop instead.
+                self.sessions.close(session, reaped)
+            else:
+                await closing
             self._writers.discard(writer)
             try:
                 writer.close()

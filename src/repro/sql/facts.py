@@ -95,21 +95,27 @@ def analyse_expression(root: Any) -> ExpressionFacts:
     return ExpressionFacts(tuple(refs), subquery, computation, aggregate, star)
 
 
-def analyse_select(select: Select) -> SelectFacts:
-    """Walk ``select`` once; see :class:`SelectFacts`."""
-    items = analyse_expression(select.items)
+def analyse_conjuncts(where: Optional[Node]) -> Tuple[ConjunctFacts, ...]:
+    """The facts of each top-level conjunct of ``where``."""
     found = []
-    for condition in conjuncts(select.where):
+    for condition in conjuncts(where):
         equi_pair = None
         if (condition.__class__ is BinaryOp and condition.op == "="
                 and condition.left.__class__ is ColumnRef
                 and condition.right.__class__ is ColumnRef):
             equi_pair = (condition.left, condition.right)
         found.append(ConjunctFacts(condition, *analyse_expression(condition), equi_pair))
+    return tuple(found)
+
+
+def analyse_select(select: Select) -> SelectFacts:
+    """Walk ``select`` once; see :class:`SelectFacts`."""
+    items = analyse_expression(select.items)
+    found = analyse_conjuncts(select.where)
     distinct: Dict[Tuple[Optional[str], str], ColumnRef] = {}
     for refs in (items.refs, analyse_expression(select.tables).refs,
                  *(conjunct.refs for conjunct in found),
                  analyse_expression((select.group_by, select.having, select.order_by)).refs):
         for ref in refs:
             distinct.setdefault((ref.table, ref.name), ref)
-    return SelectFacts(tuple(found), items, tuple(distinct.values()))
+    return SelectFacts(found, items, tuple(distinct.values()))

@@ -59,10 +59,10 @@ CASES = [
           "WHERE accounts.id = ratings.id AND ratings.score > 1 "
           "ORDER BY accounts.id", "rewrite", order=[(1, True)]),
     _case("SELECT a.*, r.score FROM ratings r, accounts a WHERE a.id = r.id", "rewrite"),
-    # A raw ``*`` over a join lists the columns in join order, not FROM order
-    # (ROADMAP): the consistent answers agree with each other, not with it.
+    # A ``*`` over a join lists the columns in FROM order, whatever order the
+    # planner joins in: raw, certain and possible rows line up column by column.
     _case("SELECT * FROM ratings r, accounts a WHERE a.id = r.id AND a.region = 'eu'",
-          "rewrite", raw=False),
+          "rewrite"),
     # -- ineligible: enumeration ----------------------------------------------
     _case("SELECT a.owner FROM accounts a, accounts b "
           "WHERE a.id = b.id AND a.balance > 0", "fallback"),

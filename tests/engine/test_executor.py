@@ -7,6 +7,7 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.errors import EngineError
 from repro.relational.algebra import left_deep
+from repro.relational.query import QueryProcessor
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
 
@@ -59,6 +60,17 @@ class TestExecution:
     def test_column_names_follow_aliases(self, engine):
         relation = engine.query("SELECT r2.cname AS company FROM r2")
         assert relation.schema.names == ["company"]
+
+    def test_star_over_a_reordered_join_lists_columns_in_from_order(self, engine):
+        sql = "SELECT * FROM r2, r1 WHERE r1.cname = r2.cname"
+        plan = engine.plan(sql)
+        transfers, _joins = left_deep(plan.branches[0].tree)
+        assert [transfer.binding for transfer in transfers] == ["r1", "r2"]  # reordered
+        relation = engine.execute(plan).relation
+        assert relation.schema.names == ["cname", "expenses", "cname", "revenue", "currency"]
+        assert relation.rows == engine.query(
+            "SELECT r2.*, r1.* FROM r2, r1 WHERE r1.cname = r2.cname").rows
+        assert relation.rows[0] == ("IBM", 1_500_000.0, "IBM", 1_000_000.0, "USD")
 
 
 class TestReports:
@@ -127,6 +139,33 @@ class TestReports:
         )
         # True = 2 (truthy) and False = 0 (falsy) both hold under sql_equal.
         assert sorted(result.relation.rows) == [("off", "zero"), ("on2", "two")]
+
+    @pytest.mark.parametrize("key_type, join, method", [
+        ("integer", "HashJoin", "hash join"),
+        ("any", "NestedLoopJoin", "nested-loop join"),
+        ("boolean", "NestedLoopJoin", "nested-loop join"),
+    ])
+    def test_one_rule_decides_whether_a_key_hashes(self, key_type, join, method):
+        # ``types.may_hash`` decides for a plan and for the local processor
+        # (a source's SQL engine) alike.
+        source = MemorySQLSource("keys")
+        source.load_sql(
+            f"CREATE TABLE l (k {key_type}, a varchar)",
+            f"CREATE TABLE r (k {key_type}, b varchar)",
+            "INSERT INTO l VALUES (1, 'x'), (0, 'y')",
+            "INSERT INTO r VALUES (1, 'p')",
+        )
+        engine = MultiDatabaseEngine()
+        engine.register_wrapper(RelationalWrapper(source), estimate_rows=False)
+        sql = "SELECT l.a, r.b FROM l, r WHERE l.k = r.k"
+        assert f"- {method} r ON l.k = r.k" in engine.explain(sql)
+        result = engine.execute(sql)
+        assert join in [entry.operator for entry in result.report.operator_stats]
+        assert result.relation.rows == [("x", "p")]
+
+        tree = QueryProcessor.over_tables(source.database.tables).lower(sql).explain()
+        assert [line.strip().split("(")[0] for line in tree.splitlines()] == [
+            "Project", join, "Scan", "Scan"]
 
     def test_statistics_accumulate(self):
         engine = build_paper_federation().federation.engine

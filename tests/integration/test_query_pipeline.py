@@ -16,6 +16,7 @@ import pytest
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
+from repro.relational.relation import Relation
 from repro.sources.base import SourceCapabilities
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
@@ -276,7 +277,7 @@ class TestRateEnvironmentStaleness:
 
         def doubled_fetch(relation):
             rates = original_fetch(relation)
-            doubled = rates.rename(rates.schema.names)
+            doubled = Relation(rates.schema, name=rates.name)
             doubled.rows = [
                 tuple(value * 2 if isinstance(value, (int, float)) else value
                       for value in row)

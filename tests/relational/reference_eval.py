@@ -15,7 +15,9 @@ three-valued logic: NULL propagates through arithmetic and comparisons, and
 Aggregate calls are not evaluated by it; :class:`GroupEvaluator` substitutes
 values computed per group, and :func:`reference_select` finishes a SELECT the
 materializing way over it: the specification of the ``Aggregate`` operator and
-of what ``lower_select`` builds.
+of what ``lower_select`` builds.  :func:`reference_from` evaluates a whole
+statement over named tables — FROM as a cartesian product, WHERE over every
+combined row — the specification of what ``QueryProcessor`` builds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.relational.compile import _SCALAR_FUNCTIONS, like_to_regex
-from repro.relational.schema import Schema
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
 from repro.relational.types import sql_compare, sql_equal
 from repro.sql.ast import (
     Between,
@@ -37,15 +40,19 @@ from repro.sql.ast import (
     FunctionCall,
     InList,
     IsNull,
+    Join,
     Like,
     Literal,
     Node,
     Star,
     Subquery,
+    TableRef,
     UnaryOp,
+    Union,
     is_aggregate_call,
     walk,
 )
+from repro.sql.parser import DerivedTable
 from repro.sql.printer import to_sql
 
 Row = Sequence[Any]
@@ -457,3 +464,86 @@ def _own_nodes(node: Node):
     if not isinstance(node, Subquery):
         for child in node.children():
             yield from _own_nodes(child)
+
+
+# ---------------------------------------------------------------------------
+# A whole statement, FROM first, the brute-force way
+# ---------------------------------------------------------------------------
+
+
+def reference_from(statement, tables: Dict[str, Relation]) -> List[Row]:
+    """The rows of ``statement`` — a Select or a Union — over ``tables``
+    (name → relation), in order.
+
+    FROM is the cartesian product of its items in FROM order, an explicit
+    join a nested loop over its sides (LEFT/RIGHT padding an unmatched row of
+    that side with NULLs, in that side's order), and a derived table its
+    query's rows.  WHERE is interpreted over every combined row, subqueries
+    evaluated the same way, and :func:`reference_select` finishes.  A UNION
+    concatenates its branches and, unless ALL, drops a row equal to an
+    earlier one."""
+    named = {name.lower(): relation for name, relation in tables.items()}
+    return _reference_query(statement, named).rows
+
+
+def _reference_query(statement, tables: Dict[str, Relation]) -> Relation:
+    from repro.relational.query import expand_star_items, output_names
+
+    if isinstance(statement, Union):
+        branches = [_reference_query(select, tables) for select in statement.selects]
+        rows = [row for branch in branches for row in branch.rows]
+        if not statement.all:
+            seen = set()
+            rows = [row for row in rows if row not in seen and not seen.add(row)]
+        return _relation(branches[0].schema, rows)
+
+    def run(query):
+        return _reference_query(query, tables)
+
+    rows: List[Row] = [()]
+    schema = Schema(())
+    for item in statement.tables:
+        item_rows, item_schema = _reference_item(item, tables, run)
+        rows = [left + right for left in rows for right in item_rows]
+        schema = schema.concat(item_schema)
+    if statement.where is not None:
+        keep = ExpressionEvaluator(schema, run).predicate(statement.where)
+        rows = [row for row in rows if keep(row) is True]
+    names = output_names(expand_star_items(statement.items, schema))
+    return _relation(Schema(Attribute(name) for name in names),
+                     reference_select(statement, rows, schema, run))
+
+
+def _reference_item(node: Node, tables: Dict[str, Relation],
+                    run) -> Tuple[List[Row], Schema]:
+    """One FROM item's rows and its schema, qualified by its binding."""
+    if isinstance(node, TableRef):
+        relation = tables[node.name.lower()]
+        return list(relation.rows), relation.schema.with_qualifier(node.binding)
+    if isinstance(node, DerivedTable):
+        relation = run(node.query)
+        return relation.rows, relation.schema.with_qualifier(node.alias)
+    assert isinstance(node, Join)
+    left_rows, left_schema = _reference_item(node.left, tables, run)
+    right_rows, right_schema = _reference_item(node.right, tables, run)
+    schema = left_schema.concat(right_schema)
+    keep = (ExpressionEvaluator(schema, run).predicate(node.condition)
+            if node.condition is not None else lambda row: True)
+    rows: List[Row] = []
+    if node.kind == "RIGHT":
+        for right in right_rows:
+            matched = [left + right for left in left_rows if keep(left + right) is True]
+            rows.extend(matched or [(None,) * len(left_schema) + right])
+    else:
+        for left in left_rows:
+            matched = [left + right for right in right_rows if keep(left + right) is True]
+            if not matched and node.kind == "LEFT":
+                matched = [left + (None,) * len(right_schema)]
+            rows.extend(matched)
+    return rows, schema
+
+
+def _relation(schema: Schema, rows: List[Row]) -> Relation:
+    relation = Relation(schema)
+    relation.rows = list(rows)
+    return relation

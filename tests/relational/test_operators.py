@@ -111,6 +111,19 @@ class TestJoins:
         join = NestedLoopJoin(TableScan(r1, "r1"), TableScan(r2, "r2"), None)
         assert len(list(join)) == 6
 
+    @pytest.mark.parametrize("outer, expected", [
+        ("LEFT", [("IBM", "IBM"), ("NTT", None), ("Acme", None)]),
+        ("RIGHT", [("IBM", "IBM"), (None, "NTT")]),
+    ])
+    def test_outer_nested_loop_join_pads_the_unmatched_in_driving_order(
+            self, r1, r2, outer, expected):
+        join = NestedLoopJoin(
+            TableScan(r1, "r1"), TableScan(r2, "r2"),
+            parse_expression("r1.cname = r2.cname AND r2.expenses < 2000000"), outer=outer,
+        )
+        assert [(row[0], row[3]) for row in join] == expected
+        assert join.explain().startswith(f"NestedLoopJoin({outer} r1.cname = r2.cname")
+
     def test_hash_join(self, r1, r2):
         join = HashJoin(
             TableScan(r1, "r1"), TableScan(r2, "r2"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError, SQLUnsupportedError
+from repro.errors import ExecutionError, SchemaError, SQLUnsupportedError
 from repro.relational.query import Database, QueryProcessor
 from repro.relational.relation import relation_from_rows
 from repro.relational.schema import Schema
@@ -141,6 +141,19 @@ class TestJoins:
         )
         assert result.column("cname") == ["Globex"]
 
+    def test_join_on_a_case_that_may_hold_booleans_keeps_sql_equality(self):
+        # The derived column reads an ANY column in one branch, so it is ANY
+        # and the join does not hash: TRUE = 1 and TRUE = 2 both hold.
+        database = Database("case")
+        database.execute("CREATE TABLE t (k integer, v any, x integer)")
+        database.tables["t"].rows = [(1, True, 0), (5, False, 1)]
+        database.execute("CREATE TABLE u (n integer, tag varchar)")
+        database.execute("INSERT INTO u VALUES (1, 'one'), (2, 'two')")
+        result = database.execute(
+            "SELECT d.key, u.tag FROM (SELECT CASE WHEN t.x > 0 THEN t.k ELSE t.v END AS key "
+            "FROM t) d, u WHERE d.key = u.n")
+        assert result.rows == [(True, "one"), (True, "two")]
+
     def test_self_join_with_aliases(self, db):
         result = db.execute(
             "SELECT a.cname FROM r1 a, r1 b WHERE a.cname = b.cname AND a.currency = 'JPY'"
@@ -234,6 +247,52 @@ class TestSubqueriesAndUnion:
         assert result.schema.names == ["company"]
 
 
+class TestOperatorTree:
+    """A statement runs as one operator tree, built as plans lower."""
+
+    @staticmethod
+    def _operators(db, sql):
+        tree = QueryProcessor.over_tables(dict(db.tables)).lower(sql).explain()
+        return [line.strip() for line in tree.splitlines()]
+
+    def test_conjuncts_filter_their_item_join_at_their_step_or_filter_on_top(self, db):
+        assert self._operators(db, (
+            "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname AND r1.currency = 'USD' "
+            "AND 1 = 1 AND r2.cname IN (SELECT r2.cname FROM r2)"
+        )) == [
+            "Project(cname)",
+            "Filter(1 = 1 AND r2.cname IN ((SELECT r2.cname FROM r2)))",
+            "HashJoin(r1.cname = r2.cname, residual r1.cname = r2.cname)",
+            "Filter(r1.currency = 'USD')",
+            "Scan(r1, 4 rows)",
+            "Scan(r2, 3 rows)",
+        ]
+
+    def test_explicit_joins_are_leaves_and_union_is_a_deduplicated_union_all(self, db):
+        assert self._operators(db, (
+            "SELECT r1.cname FROM r1 LEFT JOIN r2 ON r1.cname = r2.cname "
+            "WHERE r2.expenses IS NULL UNION SELECT r2.cname FROM r2"
+        )) == [
+            "Distinct",
+            "UnionAll",
+            "Project(cname)",
+            "Filter(r2.expenses IS NULL)",
+            "NestedLoopJoin(LEFT r1.cname = r2.cname)",
+            "Scan(r1, 4 rows)",
+            "Scan(r2, 3 rows)",
+            "Project(cname)",
+            "Scan(r2, 3 rows)",
+        ]
+
+    @pytest.mark.parametrize("where, message", [
+        ("r1.nope = r2.cname", "unknown attribute r1.nope"),
+        ("cname = 'IBM'", "ambiguous attribute reference 'cname'"),
+    ])
+    def test_a_column_no_item_resolves_raises_over_the_joined_row(self, db, where, message):
+        with pytest.raises(SchemaError, match=message):
+            db.execute(f"SELECT r1.cname FROM r1, r2 WHERE {where}")
+
+
 class TestProcessorMisc:
     def test_over_tables_unknown_table(self):
         processor = QueryProcessor.over_tables({})
@@ -245,8 +304,12 @@ class TestProcessorMisc:
         with pytest.raises(SQLUnsupportedError):
             processor.execute("CREATE TABLE z (a integer)")
 
-    def test_finalize_select_matches_execute(self, db):
-        """finalize_select over pre-joined rows equals a normal execution."""
+    def test_lower_select_over_a_scan_matches_execute(self, db):
+        """The finish lowered over a scan of the FROM rows equals a normal
+        execution: the processor adds nothing to it."""
+        from repro.relational.compile import KernelScope
+        from repro.relational.operators import TableScan
+        from repro.relational.query import lower_select
         from repro.sql.parser import parse
 
         select = parse(
@@ -255,7 +318,6 @@ class TestProcessorMisc:
         processor = QueryProcessor.over_tables(dict(db.tables))
         expected = processor.execute(select)
 
-        rows = list(db.table("r1").rows)
-        schema = db.table("r1").schema.with_qualifier("r1")
-        finalized = processor.finalize_select(select, rows, schema)
+        scan = TableScan(db.table("r1"), "r1")
+        finalized = lower_select(select, scan, KernelScope()).to_relation()
         assert finalized.rows == expected.rows

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaError, TypeMismatchError
+from repro.errors import TypeMismatchError
 from repro.relational.relation import Relation, relation_from_rows
 from repro.relational.schema import Schema
 
@@ -79,62 +79,14 @@ class TestEquality:
 
 
 class TestAlgebra:
-    def test_select(self):
-        jpy = companies().select(lambda row: row[2] == "JPY")
-        assert [row[0] for row in jpy] == ["NTT"]
-
-    def test_select_drops_unknown(self):
-        result = companies().select(lambda row: None)
-        assert len(result) == 0
-
     def test_project_by_name_and_qualified_name(self):
         projected = companies().project(["revenue", "r1.cname"])
         assert projected.schema.names == ["revenue", "cname"]
         assert projected[0] == (1_000_000.0, "IBM")
 
-    def test_rename(self):
-        renamed = companies().rename(["company", "rev", "cur"])
-        assert renamed.schema.names == ["company", "rev", "cur"]
-
-    def test_distinct(self):
-        relation = relation_from_rows("t", ["a:integer"], [(1,), (1,), (2,)])
-        assert len(relation.distinct()) == 2
-
-    def test_union_and_union_all(self):
-        left = relation_from_rows("t", ["a:integer"], [(1,), (2,)])
-        right = relation_from_rows("t", ["a:integer"], [(2,), (3,)])
-        assert len(left.union(right)) == 3
-        assert len(left.union(right, all=True)) == 4
-
-    def test_union_arity_mismatch(self):
-        with pytest.raises(SchemaError):
-            companies().union(expenses())
-
-    def test_cross_join(self):
-        product = companies().cross_join(expenses())
-        assert len(product) == 6
-        assert len(product.schema) == 5
-
-    def test_theta_join(self):
-        joined = companies().join(expenses(), lambda row: row[0] == row[3])
-        assert len(joined) == 2
-
-    def test_equi_join(self):
-        joined = companies().equi_join(expenses(), "cname", "cname")
-        assert sorted(row[0] for row in joined) == ["IBM", "NTT"]
-
     def test_order_by_multiple_keys(self):
         ordered = companies().order_by(["revenue", "cname"], ascending=[False, True])
         assert [row[0] for row in ordered] == ["IBM", "NTT", "Acme"]
-
-    def test_limit_and_offset(self):
-        limited = companies().limit(1, offset=1)
-        assert [row[0] for row in limited] == ["NTT"]
-
-    def test_with_qualifier_shares_rows(self):
-        requalified = companies().with_qualifier("x")
-        assert requalified.schema.qualified_names[0] == "x.cname"
-        assert requalified.rows is companies().rows or requalified.rows == companies().rows
 
 
 class TestPresentation:

@@ -1,6 +1,8 @@
 """Tests for the event-loop transport: sessions, pooling, shedding, drain."""
 
+import gc
 import json
+import logging
 import threading
 import time
 
@@ -194,6 +196,26 @@ class TestSessionLifecycle:
             connection.close()
         finally:
             aio.shutdown(5.0)
+
+    def test_session_closes_inline_after_the_worker_pool_shut_down(self, aio, caplog):
+        """A process that exits without ``shutdown()`` shuts the worker pool
+        down under live connections: a connection ending then still closes
+        its session, and no task dies with an unretrieved exception."""
+        connection = odbc.connect(async_server=aio, transport="native",
+                                  context="c_receiver")
+        assert connection.cursor().execute(PAPER_QUERY).fetchall() == PAPER_ANSWER
+        assert len(aio.sessions) == 1
+        aio._executor.shutdown(wait=True)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            connection.close()
+            deadline = time.time() + 5.0
+            while (len(aio.sessions) or aio._conn_tasks) and time.time() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.05)
+            gc.collect()
+        assert len(aio.sessions) == 0
+        assert aio.sessions.snapshot()["closed"] == 1
+        assert [record.getMessage() for record in caplog.records] == []
 
     def test_cursor_isolated_between_sessions(self, aio):
         owner = odbc.connect(async_server=aio, transport="native",
