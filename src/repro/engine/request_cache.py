@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.engine.plan_cache import CACHE_COUNTERS
 from repro.obs.metrics import CounterSet
@@ -85,21 +85,34 @@ class SourceResultCache:
     # -- access -----------------------------------------------------------------
 
     def get(self, key: RequestKey) -> Optional[Relation]:
+        return self.get_many((key,)).get(key)
+
+    def get_many(self, keys: Iterable[RequestKey]) -> Dict[RequestKey, Relation]:
+        """The cached relation of each of ``keys`` the cache holds, in
+        ``keys`` order, under one lock acquisition and one counter update.
+
+        Each is a copy: a consumer mutating it must not corrupt the stored
+        entry (the frozen-copy contract holds on the way out as well as on
+        the way in).  Entries are never mutated, so the copies are made
+        outside the lock.  A copy names the entry it was taken from, which
+        lives exactly as long as the cache answers its key with these rows.
+        """
         with self._lock:
-            relation = self._entries.get(key)
-            if relation is None:
-                self.statistics.add(misses=1)
-                return None
-            self._entries.move_to_end(key)
-            self.statistics.add(hits=1)
-            # Hand out a copy: a consumer mutating the returned relation must
-            # not corrupt the stored entry (the frozen-copy contract holds on
-            # the way out as well as on the way in).  The copy names the
-            # entry it was taken from, which lives exactly as long as the
-            # cache answers ``key`` with these rows.
-            duplicate = self._copy(relation)
+            found = []
+            misses = 0
+            for key in keys:
+                relation = self._entries.get(key)
+                if relation is None:
+                    misses += 1
+                else:
+                    self._entries.move_to_end(key)
+                    found.append((key, relation))
+            self.statistics.add(hits=len(found), misses=misses)
+        hits = {}
+        for key, relation in found:
+            duplicate = hits[key] = self._copy(relation)
             duplicate.origin = relation
-            return duplicate
+        return hits
 
     def put(self, key: RequestKey, relation: Relation) -> None:
         frozen = self._copy(relation)

@@ -117,6 +117,12 @@ class _SourceFailure(Exception):
         self.outcome = outcome
 
 
+def _cache_hit(relation: Relation, request: SourceRequest) -> _FetchOutcome:
+    """The outcome of a fetch the request cache answered (a private copy)."""
+    return _FetchOutcome(relation=relation, request_text=request.request_text,
+                         cache_hit=True, frozen=True)
+
+
 _UNBUILT = object()
 
 
@@ -209,7 +215,6 @@ class ResultStream:
         self._pending_at = 0
         self._schema: Optional[Schema] = None
         self._staged_handles: List[str] = []
-        self._staged_released = False
         #: Keys already staged at least once (drives dedup_hit bookkeeping).
         self._consumed_keys: set = set()
         #: Keys whose fetch result was consumed (cache put + estimate done).
@@ -252,8 +257,13 @@ class ResultStream:
 
         self._cache = controller.request_cache if controller.deduplicate else None
         self._outcomes: Dict[RequestKey, _FetchOutcome] = {}
-        pending = [key for key, request in self._distinct.items()
-                   if not self._from_cache(key, request)]
+        if self._cache is not None and self._distinct:
+            # Every distinct key in one cache call (a bind join's batches,
+            # derived later, ask one at a time: ``_from_cache``).
+            for key, cached in self._cache.get_many(self._distinct).items():
+                self._outcomes[key] = _cache_hit(cached, self._distinct[key])
+        self.report.cache_hits = len(self._outcomes)
+        pending = [key for key in self._distinct if key not in self._outcomes]
 
         self._futures: Dict[RequestKey, "Future[_FetchOutcome]"] = {}
         #: Dispatched fetches no lane has taken yet, in dispatch order, and
@@ -286,9 +296,7 @@ class ResultStream:
         cached = self._cache.get(key) if self._cache is not None else None
         if cached is None:
             return False
-        self._outcomes[key] = _FetchOutcome(
-            relation=cached, request_text=request.request_text, cache_hit=True, frozen=True,
-        )
+        self._outcomes[key] = _cache_hit(cached, request)
         with self.report.lock:
             self.report.cache_hits += 1
         return True
@@ -771,15 +779,11 @@ class ResultStream:
     def _stage(self, stage: Stage, request: SourceRequest, branch_index: int,
                outcome: _FetchOutcome, first_use: bool) -> Relation:
         """Phase 2: qualify, locally filter and stage one shared fetch result
-        in temporary storage (dropped when the stream closes)."""
+        in temporary storage (released when the stream closes)."""
         started = time.perf_counter()
-        temp_store = self.controller.temp_store
-        handle = temp_store.materialize(
-            stage.relation(outcome.relation.rows, outcome.frozen),
-            label=stage.label, copy=False,
-        )
+        handle, staged = self.controller.temp_store.stage(
+            stage.relation(outcome.relation.rows, outcome.frozen), stage.label)
         self._staged_handles.append(handle)
-        staged = temp_store.read(handle)
         # A request-cache hit staged by this template is the same rows every
         # time: a hash join above it may keep its build (``HashJoin``).
         staged.origin = outcome.relation.origin
@@ -1020,15 +1024,9 @@ class ResultStream:
         )
         self._span.finish()
 
-        self._release_staged()
-
-    def _release_staged(self) -> None:
-        if self._staged_released:
-            return
-        self._staged_released = True
-        for handle in self._staged_handles:
-            self.controller.temp_store.drop(handle)
-        self._staged_handles = []
+        handles, self._staged_handles = self._staged_handles, []
+        if handles:
+            self.controller.temp_store.release(handles)
 
     def __enter__(self) -> "ResultStream":
         return self

@@ -67,10 +67,6 @@ class EvaluationError(RelationalError):
     """An expression could not be evaluated over a row."""
 
 
-class StorageError(RelationalError):
-    """The storage manager could not satisfy a request (unknown table, ...)."""
-
-
 # ---------------------------------------------------------------------------
 # Datalog engine
 # ---------------------------------------------------------------------------

@@ -116,12 +116,19 @@ class FederationCursor:
 
     @property
     def annotations(self) -> List[ColumnAnnotation]:
+        """The answer's column annotations: the plan's, in a list of its own."""
         if self._annotations is None:
-            self._annotations = self.federation.transformer.annotate(
-                Relation(self.stream.schema),
-                self.prepared.column_semantics,
-                self.prepared.mediation.receiver_context,
-            )
+            schema = self.stream.schema
+            names = tuple(schema.names)
+            shared = self.prepared.annotations.get(names)
+            if shared is None:
+                shared = self.prepared.annotations[names] = tuple(
+                    self.federation.transformer.annotate(
+                        Relation(schema),
+                        self.prepared.column_semantics,
+                        self.prepared.mediation.receiver_context,
+                    ))
+            self._annotations = list(shared)
         return self._annotations
 
     @property

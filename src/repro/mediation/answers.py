@@ -18,8 +18,9 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ContextError, MediationError
 from repro.coin.conversion import ConversionEnvironment
@@ -27,19 +28,31 @@ from repro.coin.system import CoinSystem
 from repro.relational.relation import Relation
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnAnnotation:
-    """Receiver-context metadata for one result column."""
+    """Receiver-context metadata for one result column.
+
+    Immutable — the modifier values are a read-only mapping and the label is
+    rendered once — so one cached plan's annotations are shared by every
+    answer it gives."""
 
     name: str
     semantic_type: Optional[str]
-    modifier_values: Dict[str, Any]
+    modifier_values: Mapping[str, Any]
+    _label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        values = MappingProxyType(dict(self.modifier_values))
+        label = self.name
+        if values:
+            details = ", ".join(f"{modifier}={value}"
+                                for modifier, value in sorted(values.items()))
+            label = f"{self.name} [{details}]"
+        object.__setattr__(self, "modifier_values", values)
+        object.__setattr__(self, "_label", label)
 
     def label(self) -> str:
-        if not self.modifier_values:
-            return self.name
-        details = ", ".join(f"{modifier}={value}" for modifier, value in sorted(self.modifier_values.items()))
-        return f"{self.name} [{details}]"
+        return self._label
 
 
 class AnswerTransformer:

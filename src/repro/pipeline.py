@@ -42,6 +42,7 @@ from typing import Dict, Optional, Tuple, Union as TUnion
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.plan import QueryPlan
 from repro.engine.plan_cache import PlanCache, PlanCacheKey
+from repro.mediation.answers import ColumnAnnotation
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
 from repro.obs.metrics import CounterSet
@@ -72,6 +73,11 @@ class MediatedPlan:
     #: Per consistency mode, what ``ConsistentQueryExecutor.plan`` compiled for
     #: this statement — kept here so it retires when this plan does.
     consistent: Dict[str, Tuple[Optional[QueryPlan], Optional[Dict[str, object]]]] = field(
+        default_factory=dict)
+    #: Receiver-context column annotations, per result column names (a
+    #: consistency mode's plan may name them differently), made once and
+    #: retired with this plan.  ``FederationCursor.annotations`` fills it.
+    annotations: Dict[Tuple[str, ...], Tuple[ColumnAnnotation, ...]] = field(
         default_factory=dict)
 
     @property

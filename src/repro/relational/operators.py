@@ -463,19 +463,25 @@ class NestedLoopJoin(PhysicalOperator):
 
 
 class _KeptBuild:
-    """The one slot a :class:`HashJoin` and its ``rebind`` copies share: the
-    last in-memory build over a build input that names its origin, as
-    ``(origin ref, buckets, rows, bytes)``.  Buckets are read-only once kept.
+    """The one slot a :class:`HashJoin` and its ``rebind`` copies share, for
+    in-memory builds over a build input that names its origin, as
+    ``(origin ref, buckets, rows, bytes)``.  The first such build only names
+    its origin (buckets None): a plan that runs once keeps nothing.  A later
+    build over that same origin keeps its buckets, read-only from then on.
     The slot empties when the origin dies — when the request cache drops or
     replaces that entry — and dies itself with the cached plan."""
 
     __slots__ = ("build", "__weakref__")
 
     def __init__(self) -> None:
-        self.build: Optional[Tuple[Any, Dict[Any, List[Row]], int, int]] = None
+        self.build: Optional[Tuple[Any, Optional[Dict[Any, List[Row]]], int, int]] = None
 
-    def keep(self, origin: Relation, buckets: Dict[Any, List[Row]],
-             rows: int, nbytes: int) -> None:
+    def offer(self, origin: Relation, buckets: Dict[Any, List[Row]],
+              rows: int, nbytes: int) -> None:
+        """Note a finished in-memory build over ``origin``."""
+        held = self.build
+        if held is None or held[0]() is not origin:
+            buckets, rows, nbytes = None, 0, 0
         slot = weakref.ref(self)  # weak: the callback must not pin the buckets
 
         def forget(dead: "weakref.ref") -> None:
@@ -498,9 +504,10 @@ class HashJoin(PhysicalOperator):
 
     When the build input is a bare scan of a relation that names its
     ``origin`` (a staged request-cache hit) and the build stayed in memory,
-    it is kept with the template; the next execution over the same origin
-    reserves its bytes in one piece and probes it.  Anything else — another
-    or no origin, a refused reservation, a spilled build — builds as ever."""
+    the template notes the origin; the second such build over the same
+    origin is kept, and every execution over it after that reserves its
+    bytes in one piece and probes it.  Anything else — another or no origin,
+    a refused reservation, a spilled build — builds as ever."""
 
     operator_name = "HashJoin"
     _inputs = ("left", "right")
@@ -554,7 +561,7 @@ class HashJoin(PhysicalOperator):
         origin = right.relation.origin if right.__class__ is TableScan else None
         kept = self._kept.build if origin is not None else None
         try:
-            if (kept is not None and kept[0]() is origin
+            if (kept is not None and kept[1] is not None and kept[0]() is origin
                     and (budget is None or budget.try_reserve(kept[3]))):
                 buckets, build_rows, build_bytes = kept[1:]
                 self.build_shared = True
@@ -595,7 +602,7 @@ class HashJoin(PhysicalOperator):
             left_key = self._left_key
             if build_spill is None:
                 if origin is not None and budget is not None and not self.build_shared:
-                    self._kept.keep(origin, buckets, build_rows, build_bytes)
+                    self._kept.offer(origin, buckets, build_rows, build_bytes)
                 # A NULL probe key is ``None``, which is never a bucket key.
                 matches = buckets.get
                 with closing(self.left.batches()) as left_batches:

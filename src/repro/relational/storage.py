@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import StorageError
 from repro.obs.metrics import CounterSet
 from repro.relational.query import Database
 from repro.relational.relation import Relation
@@ -59,9 +58,11 @@ def _estimate_row_bytes(relation: Relation) -> int:
 class TemporaryStore:
     """Named temporary relations with usage accounting.
 
-    The store behaves like a small heap of spill files: callers materialize a
-    relation into it, get back a handle name, and later read or drop it.  The
-    execution controller uses it to stage wrapper results before local joins.
+    The store behaves like a small heap of spill files: a caller stages a
+    relation it owns under a handle name and releases its handles when done.
+    The execution stream uses it to stage wrapper results before local
+    joins: one :meth:`stage` per staged input, one :meth:`release` per
+    statement.
     """
 
     def __init__(self, name: str = "temp"):
@@ -75,45 +76,44 @@ class TemporaryStore:
         # silently read each other's staged rows.
         self._lock = threading.Lock()
 
-    # -- write -----------------------------------------------------------------
+    def stage(self, relation: Relation,
+              label: Optional[str] = None) -> Tuple[str, Relation]:
+        """Register ``relation`` itself under a fresh handle: ``(handle,
+        relation)``, renamed to the handle.
 
-    def materialize(self, relation: Relation, label: Optional[str] = None,
-                    copy: bool = True) -> str:
-        """Store ``relation`` and return its handle name.
-
-        ``copy=False`` registers the caller's row list by reference instead of
-        duplicating it — callers use it when the rows are already a private
-        materialization (an operator output, a frozen cache copy) that nothing
-        else will mutate, eliminating a full row copy per staged relation.
-        The accounting is identical either way.
+        The caller hands over a relation it owns — its rows are a private
+        materialization nothing else mutates — so nothing is copied and
+        nothing is read back; the write and the read the caller is about to
+        make are booked together.
         """
-        stored = Relation(relation.schema)
-        stored.rows = relation.rows if not copy else list(relation.rows)
+        rows = len(relation)
+        nbytes = _estimate_row_bytes(relation) * rows
         with self._lock:
             handle = label or f"tmp_{next(self._counter)}"
             if self._database.has_table(handle):
                 handle = f"{handle}_{next(self._counter)}"
-            stored.name = handle
-            self._database.register(stored, handle)
+            relation.name = handle
+            self._database.register(relation, handle)
             self.statistics.add(
                 tables_created=1,
-                rows_written=len(stored),
-                bytes_written=_estimate_row_bytes(stored) * len(stored),
+                rows_written=rows,
+                bytes_written=nbytes,
                 peak_tables=len(self._database.tables),
+                rows_read=rows,
             )
-        return handle
+        return handle, relation
 
-    # -- read ------------------------------------------------------------------
-
-    def read(self, handle: str) -> Relation:
-        """Fetch a stored relation by handle."""
+    def release(self, handles: Sequence[str]) -> None:
+        """Drop the relations staged under ``handles`` (unknown ones are
+        skipped)."""
+        database = self._database
         with self._lock:
-            try:
-                relation = self._database.table(handle)
-            except Exception as exc:
-                raise StorageError(f"unknown temporary relation {handle!r}") from exc
-            self.statistics.add(rows_read=len(relation))
-        return relation
+            dropped = 0
+            for handle in handles:
+                if database.has_table(handle):
+                    database.drop_table(handle)
+                    dropped += 1
+            self.statistics.add(tables_dropped=dropped)
 
     def has(self, handle: str) -> bool:
         return self._database.has_table(handle)
@@ -122,17 +122,8 @@ class TemporaryStore:
     def handles(self) -> List[str]:
         return self._database.table_names
 
-    # -- drop ------------------------------------------------------------------
-
-    def drop(self, handle: str) -> None:
-        with self._lock:
-            if self._database.has_table(handle):
-                self._database.drop_table(handle)
-                self.statistics.add(tables_dropped=1)
-
     def clear(self) -> None:
-        for handle in list(self._database.tables):
-            self.drop(handle)
+        self.release(list(self._database.tables))
 
 
 class DictionaryStore:

@@ -1,5 +1,5 @@
-"""coinbench's ``cold_compile`` workload, for the tests that pin the cold path
-on the benchmark's own statements and federation."""
+"""coinbench's workloads, for the tests that pin the cold and the warm path on
+the benchmark's own statements and federation."""
 
 import sys
 from pathlib import Path
@@ -7,13 +7,24 @@ from pathlib import Path
 _E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 
-def cold_compile_workload():
-    """``(build_federation, cold_compile_set)`` of ``benchmarks/e2e/coinbench``
-    — the workload builds ``build_federation(16, 20)``."""
+def _coinbench(statement_set):
+    """``(build_federation, statement_set)`` of ``benchmarks/e2e/coinbench``."""
     sys.path[:0] = [str(_E2E)]
     try:
+        from coinbench import statements
         from coinbench.federations import build_federation
-        from coinbench.statements import cold_compile_set
     finally:
         del sys.path[0]
-    return build_federation, cold_compile_set
+    return build_federation, getattr(statements, statement_set)
+
+
+def cold_compile_workload():
+    """``(build_federation, cold_compile_set)`` — the workload builds
+    ``build_federation(16, 20)``."""
+    return _coinbench("cold_compile_set")
+
+
+def warm_repeat_workload():
+    """``(build_federation, warm_repeat_set)`` — the workload builds
+    ``build_federation(8, 200)``."""
+    return _coinbench("warm_repeat_set")

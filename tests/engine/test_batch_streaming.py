@@ -273,6 +273,7 @@ class _CountingCalls:
         import threading
 
         from repro.engine.request_cache import request_key
+        from repro.mediation.answers import AnswerTransformer
         from repro.relational.compile import ExpressionCompiler
         from repro.relational.schema import expression_type
         from repro.sql.ast import conjoin, walk
@@ -286,7 +287,8 @@ class _CountingCalls:
             for module in modules:
                 if getattr(module, function.__name__, None) is function:
                     monkeypatch.setattr(module, function.__name__, counting)
-        for owner, name in ((ExpressionCompiler, "_kernel"), (Schema, "__init__")):
+        for owner, name in ((AnswerTransformer, "annotate"),
+                            (ExpressionCompiler, "_kernel"), (Schema, "__init__")):
             label = f"{owner.__name__}.{name}"
             monkeypatch.setattr(owner, name, self._counting(label, getattr(owner, name)))
         for name in ("query", "fetch"):
@@ -321,10 +323,12 @@ class _CountingCalls:
 
 class TestWarmStatementBuildsNothing:
     """The second execution of a cached plan binds and iterates: it compiles,
-    types, walks, conjoins and keys nothing, and derives no schema."""
+    types, walks, conjoins, keys and annotates nothing, and derives no
+    schema."""
 
-    NOTHING = {"ExpressionCompiler._kernel": 0, "Schema.__init__": 0, "conjoin": 0,
-               "expression_type": 0, "request_key": 0, "walk": 0}
+    NOTHING = {"AnswerTransformer.annotate": 0, "ExpressionCompiler._kernel": 0,
+               "Schema.__init__": 0, "conjoin": 0, "expression_type": 0,
+               "request_key": 0, "walk": 0}
 
     def test_paper_query_through_the_federation(self, monkeypatch):
         federation = build_paper_federation().federation
@@ -334,10 +338,11 @@ class TestWarmStatementBuildsNothing:
         assert counted.take() == self.NOTHING
         assert answer.relation.rows == expected
 
-    def test_the_second_warm_execution_builds_no_hash_table(self, monkeypatch):
-        # Cache-resident build inputs: the first warm execution keys, sizes
-        # and keeps each build; from then on a join reserves the kept bytes
-        # and probes — no build-side key kernel call, no row sized.
+    def test_the_third_warm_execution_builds_no_hash_table(self, monkeypatch):
+        # Cache-resident build inputs: the first warm execution keys and
+        # sizes each build and names its input, the second builds again and
+        # keeps it; from then on a join reserves the kept bytes and probes —
+        # no build-side key kernel call, no row sized.
         from repro.relational import operators
 
         federation = build_paper_federation().federation
@@ -364,15 +369,20 @@ class TestWarmStatementBuildsNothing:
         assert len(joins) == 5
 
         first = federation.query(PAPER_QUERY)
-        built = dict(calls)
-        assert built["right_key"] == built["estimate_row_bytes"] > 0
+        once = dict(calls)
+        assert once["right_key"] == once["estimate_row_bytes"] > 0
         second = federation.query(PAPER_QUERY)
+        built = dict(calls)
+        assert built == {label: 2 * count for label, count in once.items()}
+        third = federation.query(PAPER_QUERY)
         assert calls == built  # not one more call
-        reports = [answer.execution.report for answer in (first, second)]
-        assert [report.join_builds_shared for report in reports] == [0, 5]
+        answers = (first, second, third)
+        reports = [answer.execution.report for answer in answers]
+        assert [report.join_builds_shared for report in reports] == [0, 0, 5]
         assert reports[0].cache_hits == reports[0].distinct_requests
-        assert reports[1].peak_memory_bytes == reports[0].peak_memory_bytes > 0
-        assert second.relation.rows == first.relation.rows
+        assert len({report.peak_memory_bytes for report in reports}) == 1
+        assert reports[0].peak_memory_bytes > 0
+        assert all(answer.relation.rows == first.relation.rows for answer in answers)
 
     def test_every_query_shape_with_the_sources_re_running_their_sql(self, monkeypatch):
         engine = _engine()  # no request cache: every execution fetches

@@ -15,7 +15,8 @@ operator tree.  Pinned here:
 * **sharing** — concurrent executions of one cached plan, spilling under a
   64 KiB budget, agree with the serial answer and leave nothing behind;
 * **kept builds** — a hash join over a staged request-cache hit keeps its
-  in-memory build with the template and later executions probe it; whatever
+  second in-memory build over that hit with the template (the first only
+  names the hit) and later executions probe it; whatever
   makes the cache drop or replace the entry frees it, and bound requests,
   uncached fetches and subquery-bearing branches keep nothing;
 * bind-join plans and partial answers over a dead source execute from a
@@ -259,10 +260,11 @@ class TestSharing:
         assert outcomes == [(True, 0, serial.report.spill_count,
                              serial.report.peak_memory_bytes)] * (3 * self.THREADS)
         assert engine.controller.temp_store.handles == []
-        # Racing first executions may each build (one result stays); every
-        # later one probes.  Buckets are read-only, so nobody saw another's.
+        # Racing first executions only name the origin; racing second ones may
+        # each build and keep (one result stays); every third one probes.
+        # Buckets are read-only, so nobody saw another's.
         assert set(shared) <= {0, 1} and (keeps or not any(shared))
-        assert not keeps or sum(shared) >= 2 * self.THREADS
+        assert not keeps or sum(shared) >= self.THREADS
         assert engine.execute(plan).report.join_builds_shared == int(keeps)
         assert (_joins(plan)[0]._kept.build is not None) == keeps
 
@@ -291,18 +293,36 @@ class TestSharing:
 
 class TestKeptBuilds:
     """The slot lives on the template's ``HashJoin`` (``_kept``), names its
-    origin weakly, and is only ever filled from a staged request-cache hit."""
+    origin weakly, and is only ever filled from a staged request-cache hit —
+    and only by the second build over that hit, so a plan that runs once
+    keeps nothing."""
 
     def _warm(self, **kwargs):
         engine = _two_source_engine(
             rows=300, request_cache=SourceResultCache(capacity=4), **kwargs)
         plan = engine.plan(JOIN)
-        reports = [engine.execute(plan).report for _ in range(3)]
-        # Miss (plain fetches: no origin), first hit (builds, keeps), probe.
-        assert [report.join_builds_shared for report in reports] == [0, 0, 1]
+        reports, slots = [], []
+        for _ in range(4):
+            reports.append(engine.execute(plan).report)
+            (join,) = _joins(plan)
+            build = join._kept.build
+            slots.append("empty" if build is None
+                         else "origin" if build[1] is None else "buckets")
+        # Miss (plain fetches: no origin), first hit (builds, names the
+        # origin), second hit (builds, keeps), probe.
+        assert [report.join_builds_shared for report in reports] == [0, 0, 0, 1]
+        assert slots == ["empty", "origin", "buckets", "buckets"]
         assert len({report.peak_memory_bytes for report in reports}) == 1
-        (join,) = _joins(plan)
         return engine, plan, join
+
+    def test_a_plan_run_once_over_a_cache_hit_keeps_no_buckets(self):
+        engine = _two_source_engine(
+            rows=300, request_cache=SourceResultCache(capacity=4))
+        engine.execute(JOIN)  # fills the request cache
+        plan = engine.plan(JOIN)
+        assert engine.execute(plan).report.cache_hits == 2
+        origin, buckets, rows, nbytes = _joins(plan)[0]._kept.build
+        assert origin() is not None and (buckets, rows, nbytes) == (None, 0, 0)
 
     def test_a_warm_statement_probes_the_kept_build(self):
         engine, plan, join = self._warm()
@@ -340,10 +360,10 @@ class TestKeptBuilds:
         finally:
             gc.enable()
         reports = [engine.execute(plan) for _ in range(3)]
-        # A replaced entry is hit at once (build, probe, probe); a dropped one
-        # is fetched anew first, and a plain fetch names no origin.
+        # A replaced entry is hit at once (name it, keep, probe); a dropped
+        # one is fetched anew first, and a plain fetch names no origin.
         assert [result.report.join_builds_shared for result in reports] == (
-            [0, 1, 1] if drop == "put" else [0, 0, 1])
+            [0, 0, 1] if drop == "put" else [0, 0, 0])
         assert all(list(result.relation.rows) == expected for result in reports)
         del reports  # a report pins its bound operators, and so the origin
         assert join._kept.build[0]() is cache._entries[key]
@@ -356,9 +376,9 @@ class TestKeptBuilds:
         halved.rows = entry.rows[::2]
         del entry
         engine.request_cache.put(key, halved)
-        answers = [engine.execute(plan) for _ in range(2)]
-        assert [len(answer.relation.rows) for answer in answers] == [150, 150]
-        assert [answer.report.join_builds_shared for answer in answers] == [0, 1]
+        answers = [engine.execute(plan) for _ in range(3)]
+        assert [len(answer.relation.rows) for answer in answers] == [150] * 3
+        assert [answer.report.join_builds_shared for answer in answers] == [0, 0, 1]
 
     def test_uncached_and_undeduplicated_fetches_keep_nothing(self):
         for kwargs in ({}, {"request_cache": SourceResultCache(capacity=4),

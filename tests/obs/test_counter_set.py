@@ -260,13 +260,11 @@ class TestCacheSnapshotsMidFlight:
 class TestTemporaryStoreSnapshot:
     def test_concurrent_staging_keeps_exact_accounting(self):
         store = TemporaryStore("t")
-        relation = _relation(rows=5)
 
         def work(index):
             for _ in range(ROUNDS // 3):
-                handle = store.materialize(relation)
-                store.read(handle)
-                store.drop(handle)
+                handle, _ = store.stage(_relation(rows=5))
+                store.release([handle])
 
         _hammer(work)
         staged = THREADS * (ROUNDS // 3)

@@ -523,17 +523,18 @@ def assert_kept_build_equals_rebuild(spec, relations, limit_bytes):
     for ramp in RAMPS:
         with batch_ramp(ramp):
             shared, origins = build(spec, relations), _origins(relations)
-            (first, probed_0, keepable), (second, probed_1, _), (third, probed_2, _) = [
-                execute_staged(shared, relations, MemoryBudget(limit_bytes), origins)
-                for _ in range(3)]
+            runs = [execute_staged(shared, relations, MemoryBudget(limit_bytes), origins)
+                    for _ in range(4)]
             rebuilt, probed, _ = execute_staged(
                 build(spec, relations), relations, MemoryBudget(limit_bytes), origins)
+        (_, probed_0, keepable), (_, probed_1, _), (_, probed_2, _), (_, probed_3, _) = runs
         # Rows, order, rows_out, spill flags and the whole budget snapshot
         # (peak_bytes, spill_count, spilled_rows, spilled_bytes).
-        assert first == second == third == rebuilt, ramp
-        assert not any(probed_0) and not any(probed)
+        assert all(run[0] == rebuilt for run in runs), ramp
+        # The first build over an origin names it, the second keeps it.
+        assert not any(probed_0) and not any(probed_1) and not any(probed)
         # Every in-memory build over a bare scan was kept — and only those.
-        assert probed_1 == probed_2 == keepable, ramp
+        assert probed_2 == probed_3 == keepable, ramp
     return rebuilt, keepable
 
 
@@ -557,7 +558,8 @@ class TestKeptBuildEqualsRebuild:
     def test_a_budget_that_refuses_the_kept_bytes_spills_like_a_first_build(self):
         spec, relations = TestExactSpillPoint.SPECS["hash_join"], TestExactSpillPoint.RELATIONS
         shared, origins = build(spec, relations), _origins(relations)
-        kept, _, keepable = execute_staged(shared, relations, MemoryBudget(None), origins)
+        kept, _, keepable = [execute_staged(shared, relations, MemoryBudget(None), origins)
+                             for _ in range(2)][-1]
         assert keepable == [True] and shared._kept.build[3] > 16 * 1024
         for ramp in RAMPS:
             with batch_ramp(ramp):
@@ -583,14 +585,15 @@ class TestKeptBuildEqualsRebuild:
         assert origin() is origins["b"]
 
         # No origin (a plain fetch), then another one (the entry was re-put):
-        # both build, and only a build that names its origin is kept.
+        # all build; only builds that name their origin count, and only the
+        # second over the same origin is kept.
         plain = execute_staged(shared, new, MemoryBudget(None), {})
         assert plain[1] == [False] and shared._kept.build[0] is origin
         replaced = _origins(new)
-        first = execute_staged(shared, new, MemoryBudget(None), replaced)
-        second = execute_staged(shared, new, MemoryBudget(None), replaced)
-        assert (first[1], second[1]) == ([False], [True])
-        assert plain[0] == first[0] == second[0]
+        first, second, third = [execute_staged(shared, new, MemoryBudget(None), replaced)
+                                for _ in range(3)]
+        assert (first[1], second[1], third[1]) == ([False], [False], [True])
+        assert plain[0] == first[0] == second[0] == third[0]
         assert first[0][0] == [repr((2, 2, "y", 2, 20, "r"))]
 
         # The slot holds its origin weakly and empties the moment it dies —

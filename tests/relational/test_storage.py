@@ -1,8 +1,5 @@
 """Unit tests for the temporary and dictionary stores."""
 
-import pytest
-
-from repro.errors import StorageError
 from repro.relational.relation import relation_from_rows
 from repro.relational.schema import Schema
 from repro.relational.storage import DictionaryStore, TemporaryStore
@@ -16,50 +13,42 @@ def sample_relation(rows=3):
 
 
 class TestTemporaryStore:
-    def test_materialize_and_read(self):
-        store = TemporaryStore()
-        handle = store.materialize(sample_relation())
-        assert store.has(handle)
-        assert len(store.read(handle)) == 3
-
-    def test_materialize_copies_rows(self):
+    def test_stage_registers_the_relation_itself(self):
         store = TemporaryStore()
         relation = sample_relation()
-        handle = store.materialize(relation)
-        relation.append((99, "late"))
-        assert len(store.read(handle)) == 3
+        handle, staged = store.stage(relation)
+        assert staged is relation and relation.name == handle
+        assert store.has(handle) and store.handles == [handle]
 
     def test_labels_are_deduplicated(self):
         store = TemporaryStore()
-        first = store.materialize(sample_relation(), label="stage")
-        second = store.materialize(sample_relation(), label="stage")
-        assert first != second
+        first, _ = store.stage(sample_relation(), label="stage")
+        second, _ = store.stage(sample_relation(), label="stage")
+        assert first == "stage" and first != second
         assert store.has(first) and store.has(second)
 
-    def test_read_unknown_handle(self):
+    def test_release_and_clear(self):
         store = TemporaryStore()
-        with pytest.raises(StorageError):
-            store.read("nope")
-
-    def test_drop_and_clear(self):
-        store = TemporaryStore()
-        handle = store.materialize(sample_relation())
-        store.drop(handle)
-        assert not store.has(handle)
-        store.materialize(sample_relation())
+        first, _ = store.stage(sample_relation())
+        second, _ = store.stage(sample_relation())
+        store.release([first, "nope"])  # an unknown handle is skipped
+        assert not store.has(first) and store.has(second)
+        assert store.statistics.snapshot()["tables_dropped"] == 1
         store.clear()
         assert store.handles == []
+        assert store.statistics.snapshot()["tables_dropped"] == 2
 
     def test_statistics_accounting(self):
         store = TemporaryStore()
-        handle = store.materialize(sample_relation(rows=5))
-        store.read(handle)
+        handle, _ = store.stage(sample_relation(rows=5))
         stats = store.statistics.snapshot()
         assert stats["tables_created"] == 1
         assert stats["rows_written"] == 5
         assert stats["rows_read"] == 5
         assert stats["bytes_written"] > 0
         assert stats["peak_tables"] == 1
+        store.release([handle])
+        assert store.statistics.snapshot()["tables_dropped"] == 1
 
 
 class TestDictionaryStore:
