@@ -24,9 +24,10 @@ nothing else executes a plan — and owns what the tree does not say: it
   unless it is UNION ALL, a ``Distinct`` on exact row equality; a lone
   branch is its own root;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
-  every memory-hungry operator of a branch, so the statement's operator
-  memory is bounded and spills are observable in the execution report (the
-  UNION's own two operators draw on no budget and are not listed there);
+  every memory-hungry operator of a branch and the UNION's ``Distinct``, so
+  the statement's operator memory is bounded and spills are observable in
+  the execution report (the UNION's own two operators are not listed among
+  its operators, but their reservations and spills are in its memory block);
 * **terminates early**: a consumer that stops pulling (a satisfied LIMIT, an
   explicit :meth:`close`) cancels queued source fetches, so they never reach
   their wrapper, and drops the staged temporaries mid-query; the lanes
@@ -286,7 +287,7 @@ class ResultStream:
         self._branches: Sequence[_Branch] = [
             _Branch(self, index) for index in range(len(plan.branches))]
         root = (self._branches[0] if len(self._branches) == 1
-                else algebra.lower(plan.root, self._branches))
+                else algebra.lower(plan.root, self._branches, budget=self.budget))
         self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------

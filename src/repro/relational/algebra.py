@@ -30,6 +30,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.relational.budget import MemoryBudget
 from repro.relational.compile import ExpressionCompiler, KernelScope
 from repro.relational.operators import (
     Filter,
@@ -174,14 +175,16 @@ class Stage:
 
 
 def lower(node: RelationNode, inputs: Sequence,
-          scope: Optional[KernelScope] = None) -> PhysicalOperator:
+          scope: Optional[KernelScope] = None,
+          budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
     """The operator tree computing ``node`` over what stands for its inputs:
     for a branch, its :class:`Stage` s (one per request, by leaf index); for
     a :class:`Union`, one operator per branch — a branch can be lowered only
     once its sources have shipped, so whoever runs the root supplies them.
-    It draws on no memory budget: an execution's copies do (``rebind``)."""
+    A branch's template draws on no memory budget, its execution's copies do
+    (``rebind``); a Union, lowered per execution, dedups on ``budget``."""
     if isinstance(node, Union):
-        return lower_union(inputs, node.all)
+        return lower_union(inputs, node.all, budget)
     if isinstance(node, Transfer):
         return inputs[node.target.index].scan
     if isinstance(node, Selection):

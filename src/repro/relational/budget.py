@@ -25,6 +25,7 @@ import pickle
 import tempfile
 import threading
 from bisect import bisect_right
+from collections import deque
 from decimal import Decimal
 from itertools import accumulate, islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -36,7 +37,9 @@ ROW_OVERHEAD_BYTES = 56
 #: How many items one pickled spill frame holds.  Batching keeps the pickle
 #: overhead per row small while bounding reader memory to one frame per
 #: concurrently open reader — and writer memory, which no budget is charged
-#: for, to one frame's worth of items per spill file or partition.
+#: for, to under one frame's worth of items per spill file or partition once
+#: a write returns.  That buffered tail is never written: a read serves it
+#: from memory.
 SPILL_BATCH_ITEMS = 512
 
 
@@ -175,19 +178,31 @@ class MemoryBudget:
 
 
 class _TempFile:
-    """An anonymous temp file and its lifetime: closed by its owner, once."""
+    """An anonymous temp file and its lifetime: opened by the first frame
+    that leaves memory, closed by its owner, once.  A spill whose buffers
+    never fill a frame opens no file at all."""
 
     def __init__(self, prefix: str):
-        self._file = tempfile.TemporaryFile(prefix=prefix)
+        self._prefix = prefix
+        self._file = None
         self._closed = False
+
+    def _opened(self):
+        """The file, opened on first use."""
+        if self._file is None:
+            if self._closed:
+                raise ValueError("write to a closed spill file")
+            self._file = tempfile.TemporaryFile(prefix=self._prefix)
+        return self._file
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            try:
-                self._file.close()
-            except OSError:  # pragma: no cover - temp file teardown best-effort
-                pass
+            if self._file is not None:
+                try:
+                    self._file.close()
+                except OSError:  # pragma: no cover - temp file teardown best-effort
+                    pass
 
     def __enter__(self):
         return self
@@ -200,14 +215,16 @@ class SpillFile(_TempFile):
     """An anonymous temp file holding a sequence of picklable items.
 
     Writes are batched (:data:`SPILL_BATCH_ITEMS` per pickle frame) so per-item
-    overhead stays small; :meth:`read` streams the items back in write order
-    holding at most one batch in memory.  A spill file is single-pass per
-    read: call :meth:`read` again to re-stream from the start.
+    overhead stays small; only a full frame is written.  :meth:`read` streams
+    the written frames back in write order, holding at most one in memory,
+    then the buffered tail straight from memory.  A spill file is single-pass
+    per read: call :meth:`read` again to re-stream from the start.
     """
 
     def __init__(self, prefix: str = "repro-spill-"):
         super().__init__(prefix)
         self._batch: List[Any] = []
+        self._frames = 0
         self.items = 0
 
     def append(self, item: Any) -> None:
@@ -229,31 +246,30 @@ class SpillFile(_TempFile):
                 self._flush()
 
     def _flush(self) -> None:
-        if self._batch:
-            pickle.dump(self._batch, self._file, protocol=pickle.HIGHEST_PROTOCOL)
-            self._batch = []
+        pickle.dump(self._batch, self._opened(), protocol=pickle.HIGHEST_PROTOCOL)
+        self._frames += 1
+        self._batch = []
 
     def read(self) -> Iterator[Any]:
         """Yield every item in write order (streams batch by batch)."""
-        self._flush()
-        self._file.seek(0)
-        while True:
-            try:
-                batch = pickle.load(self._file)
-            except EOFError:
-                return
-            yield from batch
+        if self._frames:
+            self._file.seek(0)
+            for _ in range(self._frames):
+                yield from pickle.load(self._file)
+        yield from self._batch
 
 
 class SpillPartitions(_TempFile):
     """``fanout`` item sequences — the hash partitions of one spilled
     operator state — in **one** anonymous temp file.
 
-    Each partition buffers up to :data:`SPILL_BATCH_ITEMS` items and writes
-    them as one pickle frame at the end of the file, remembering the frame's
-    offset; :meth:`read` seeks from frame to frame, so any number of readers
-    interleave.  However wide the fan-out, a partition set costs one file
-    descriptor.  Write everything, then read.
+    Each partition buffers its items; every :data:`SPILL_BATCH_ITEMS` of them
+    are written as one pickle frame at the end of the file, its offset
+    remembered.  :meth:`read` seeks from frame to frame, so any number of
+    readers interleave, then hands over what is still buffered from memory.
+    However wide the fan-out, a partition set costs at most one file
+    descriptor, and none while no partition has filled a frame.  Write
+    everything, then read.
     """
 
     def __init__(self, fanout: int, prefix: str = "repro-spill-"):
@@ -262,28 +278,35 @@ class SpillPartitions(_TempFile):
         self._offsets: List[List[int]] = [[] for _ in range(fanout)]
         self._end = 0
 
-    def scatter(self, pairs: Iterable[Tuple[int, Any]]) -> None:
-        """Append each ``(partition, item)`` pair's item to its partition."""
+    def scatter(self, indices: Iterable[int], items: Iterable[Any]) -> None:
+        """Append each item to the partition its index (paired as by ``zip``)
+        names.  Items are routed in one C-level pass; full frames are then
+        cut where appending the items one by one would have cut them."""
         buffers = self._buffers
-        for index, item in pairs:
-            buffer = buffers[index]
-            buffer.append(item)
+        deque(map(list.append, map(buffers.__getitem__, indices), items), maxlen=0)
+        for index, buffer in enumerate(buffers):
             if len(buffer) >= SPILL_BATCH_ITEMS:
                 self._flush(index)
 
     def _flush(self, index: int) -> None:
+        """Write partition ``index``'s full frames; the rest stays buffered."""
         buffer = self._buffers[index]
-        if buffer:
-            self._file.seek(self._end)  # a reader may have moved the position
-            pickle.dump(buffer, self._file, protocol=pickle.HIGHEST_PROTOCOL)
-            self._offsets[index].append(self._end)
-            self._end = self._file.tell()
-            self._buffers[index] = []
+        full = len(buffer) - len(buffer) % SPILL_BATCH_ITEMS
+        file = self._opened()
+        file.seek(self._end)  # a reader may have moved the position
+        offsets = self._offsets[index]
+        for start in range(0, full, SPILL_BATCH_ITEMS):
+            pickle.dump(buffer[start:start + SPILL_BATCH_ITEMS], file,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+            offsets.append(self._end)
+            self._end = file.tell()
+        self._buffers[index] = buffer[full:]
 
     def read(self, index: int) -> Iterator[List[Any]]:
         """Yield partition ``index`` in write order, a frame (a non-empty
-        list of items) at a time."""
-        self._flush(index)
+        list of items) at a time: the written frames, then the buffered tail."""
         for offset in self._offsets[index]:
             self._file.seek(offset)
             yield pickle.load(self._file)
+        if self._buffers[index]:
+            yield self._buffers[index]

@@ -90,6 +90,16 @@ def _pair_chunks(batch: Batch, inner_rows: int) -> Iterator[Batch]:
         yield batch[start:start + step]
 
 
+#: The key of a spilled ``(key, row)`` pair.
+_first = itemgetter(0)
+
+
+def _partitions(keys: Iterable[Any], fanout: int) -> Iterator[int]:
+    """The hash partition of each key (``hash(key) % fanout``), mapped in C:
+    the indices a spilled operator hands ``SpillPartitions.scatter``."""
+    return map(fanout.__rmod__, map(hash, keys))
+
+
 class PhysicalOperator:
     """Base class of all physical operators."""
 
@@ -586,17 +596,17 @@ class HashJoin(PhysicalOperator):
                         # built so far to the build partitions and keep
                         # partitioning.
                         build_spill = SpillPartitions(fanout, "hashjoin-build-")
-                        build_spill.scatter(
-                            (hash(built_key) % fanout, (built_key, built_row))
-                            for built_key, built_rows in buckets.items()
-                            for built_row in built_rows)
+                        built = [(built_key, built_row)
+                                 for built_key, built_rows in buckets.items()
+                                 for built_row in built_rows]
+                        build_spill.scatter(_partitions(map(_first, built), fanout), built)
                         budget.record_spill(build_rows, build_bytes)
                         budget.release(build_bytes)
                         build_bytes = 0
                         buckets = {}
                         self.spilled = True
                         keyed = keyed[fitted:]
-                    build_spill.scatter((hash(pair[0]) % fanout, pair) for pair in keyed)
+                    build_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
 
             residual = self._residual_predicate
             left_key = self._left_key
@@ -627,9 +637,9 @@ class HashJoin(PhysicalOperator):
             probe_spill = SpillPartitions(fanout, "hashjoin-probe-")
             with closing(self.left.batches()) as left_batches:
                 for batch in left_batches:
-                    probe_spill.scatter(
-                        (hash(key) % fanout, (key, left_row)) for left_row in batch
-                        if (key := left_key(left_row)) is not None)
+                    keyed = [(key, left_row) for left_row in batch
+                             if (key := left_key(left_row)) is not None]
+                    probe_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
 
             def partition_joins() -> Iterator[Batch]:
                 for index in range(fanout):
@@ -744,17 +754,12 @@ class Distinct(PhysicalOperator):
                 if fitted:
                     yield fresh[:fitted]
                 at = positions[fitted]
-                sequence = consumed - len(batch) + at
-                remainder = enumerate(
-                    chain(batch[at + 1:], chain.from_iterable(child_batches)),
-                    sequence + 1,
-                )
                 # The spill path releases (and re-accounts) the seen-set
                 # itself; zero the local so the finally does not double-release.
                 spill_bytes, seen_bytes = seen_bytes, 0
                 yield from self._spill_remainder(
-                    remainder, seen, spill_bytes, sequence, fresh[fitted], keys[fitted]
-                )
+                    chain([batch[at:]], child_batches), consumed - len(batch) + at,
+                    seen, spill_bytes)
                 return
         finally:
             # Runs on exhaustion *and* on early termination (a downstream
@@ -764,9 +769,10 @@ class Distinct(PhysicalOperator):
             if budget is not None and seen_bytes:
                 budget.release(seen_bytes)
 
-    def _spill_remainder(self, iterator, seen, seen_bytes: int,
-                         sequence: int, row: Row, key) -> Iterator[Batch]:
-        """External dedup of everything not yet emitted.
+    def _spill_remainder(self, remainder: Iterator[Batch], sequence: int,
+                         seen, seen_bytes: int) -> Iterator[Batch]:
+        """External dedup of everything not yet emitted: the ``remainder``
+        batches, whose first row is input row ``sequence``.
 
         Keys already emitted become suppression markers in their partitions
         (they sort before any row, being written first); remaining rows carry
@@ -780,18 +786,18 @@ class Distinct(PhysicalOperator):
         partitions = SpillPartitions(fanout, "distinct-")
         survivors = SpillPartitions(fanout, "distinct-out-")
         try:
-            partitions.scatter(
-                (hash(emitted_key) % fanout, (None, emitted_key)) for emitted_key in seen)
+            emitted = list(seen)
+            partitions.scatter(_partitions(emitted, fanout), zip(repeat(None), emitted))
             budget.record_spill(len(seen), seen_bytes)
             budget.release(seen_bytes)
             seen.clear()
 
-            partitions.scatter(chain(
-                [(hash(key) % fanout, (sequence, row, key))],
-                ((hash(later_key := key_fn(later_row)) % fanout,
-                  (later_sequence, later_row, later_key))
-                 for later_sequence, later_row in iterator),
-            ))
+            for batch in remainder:
+                keys = list(map(key_fn, batch))
+                partitions.scatter(
+                    _partitions(keys, fanout),
+                    zip(range(sequence, sequence + len(batch)), batch, keys))
+                sequence += len(batch)
 
             # Phase 2: per-partition dedup (markers first, then rows in input
             # order); survivors stream out per partition, already
@@ -805,8 +811,8 @@ class Distinct(PhysicalOperator):
                             local_seen.add(item[1])
                         elif item[2] not in local_seen:
                             local_seen.add(item[2])
-                            kept.append((index, item[:2]))
-                    survivors.scatter(kept)
+                            kept.append(item[:2])
+                    survivors.scatter(repeat(index), kept)
             partitions.close()
 
             merged = heapq.merge(

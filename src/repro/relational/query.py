@@ -27,6 +27,7 @@ from bisect import bisect_right
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
+from repro.relational.budget import MemoryBudget
 from repro.relational.compile import KernelScope, evaluate_literal_expression
 from repro.relational.operators import (
     Aggregate,
@@ -271,12 +272,14 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
     return operator
 
 
-def lower_union(inputs: Sequence[PhysicalOperator], all: bool) -> PhysicalOperator:
+def lower_union(inputs: Sequence[PhysicalOperator], all: bool,
+                budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
     """UNION [ALL] of ``inputs``, one per branch: their rows in branch order
     and, unless ``all``, without a row equal to an earlier one — exact row
-    equality, outside any budget.  The first input names the columns."""
+    equality, its seen-set drawing on ``budget`` like any ``Distinct``.  The
+    first input names the columns."""
     union = UnionAll(inputs)
-    return union if all else Distinct(union, key=tuple)
+    return union if all else Distinct(union, budget=budget, key=tuple)
 
 
 class _Finish(NamedTuple):

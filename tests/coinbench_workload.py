@@ -1,5 +1,5 @@
-"""coinbench's workloads, for the tests that pin the cold and the warm path on
-the benchmark's own statements and federation."""
+"""coinbench's workloads, for the tests that pin the cold, the warm and the
+spill path on the benchmark's own statements and federation."""
 
 import sys
 from pathlib import Path
@@ -28,3 +28,10 @@ def warm_repeat_workload():
     """``(build_federation, warm_repeat_set)`` — the workload builds
     ``build_federation(8, 200)``."""
     return _coinbench("warm_repeat_set")
+
+
+def scan_stream_workload():
+    """``(build_federation, scan_stream_set)`` — the workload builds
+    ``build_federation(4, 2000, request_cache_size=0,
+    memory_budget_bytes=64 * 1024)``."""
+    return _coinbench("scan_stream_set")

@@ -178,7 +178,9 @@ class TestNothingLeaksOnEarlyClose:
         stream.close()  # and no gc.collect()
         assert stream.budget.used_bytes == 0
         assert engine.controller.temp_store.handles == []
-        assert all(spill._closed and spill._file.closed for spill in spills)
+        # A file is opened only by the first frame that leaves memory.
+        assert all(spill._closed and (spill._file is None or spill._file.closed)
+                   for spill in spills)
         assert {type(spill).__base__ for spill in spills} == {SpillFile, SpillPartitions}
         assert stream.report.spill_count > 0
         assert stream.report.result_rows == 1
@@ -200,6 +202,27 @@ class TestNothingLeaksOnEarlyClose:
 
 
 EXPECTED_DISTINCT = list(ENGINE.execute(TestNothingLeaksOnEarlyClose.QUERY).relation.rows)
+
+
+class TestUnionDedupDrawsOnTheStatementBudget:
+    # Branch one brings rows 0-499, branch two 0-699: 200 new rows and 500
+    # duplicates of rows the dedup saw before it outgrew the budget.
+    QUERY = ("SELECT t.a, t.v FROM t WHERE t.a < 500 "
+             "UNION SELECT u.a, u.v FROM u")
+
+    def test_a_union_past_the_budget_spills_and_answers_as_unbudgeted(self):
+        unbudgeted = ENGINE.execute(self.QUERY)
+        expected = list(unbudgeted.relation.rows)
+        assert len(expected) == ROWS and unbudgeted.report.spill_count == 0
+        engine = _engine(memory_budget_bytes=4_000)
+        assert len(engine.plan(self.QUERY).branches) == 2
+        eager = engine.execute(self.QUERY)
+        assert list(eager.relation.rows) == expected
+        assert eager.report.spill_count > 0
+        assert 0 < eager.report.peak_memory_bytes <= 4_000
+        stream = engine.execute_stream(self.QUERY)
+        assert stream.fetchall() == expected
+        assert stream.report.spill_count > 0 and stream.budget.used_bytes == 0
 
 
 class TestLimitZero:
@@ -342,7 +365,9 @@ class TestWarmStatementBuildsNothing:
         # Cache-resident build inputs: the first warm execution keys and
         # sizes each build and names its input, the second builds again and
         # keeps it; from then on a join reserves the kept bytes and probes —
-        # no build-side key kernel call, no row sized.
+        # no build-side key kernel call, no build row sized.  The one row
+        # every execution still sizes is the answer's: the UNION's Distinct
+        # accounts its seen-set on the statement's budget.
         from repro.relational import operators
 
         federation = build_paper_federation().federation
@@ -369,13 +394,17 @@ class TestWarmStatementBuildsNothing:
         assert len(joins) == 5
 
         first = federation.query(PAPER_QUERY)
+        answer_rows = len(first.relation.rows)
+        assert answer_rows == 1
         once = dict(calls)
-        assert once["right_key"] == once["estimate_row_bytes"] > 0
+        assert once["right_key"] == once["estimate_row_bytes"] - answer_rows > 0
         second = federation.query(PAPER_QUERY)
         built = dict(calls)
         assert built == {label: 2 * count for label, count in once.items()}
         third = federation.query(PAPER_QUERY)
-        assert calls == built  # not one more call
+        # Not one more build call: only the UNION's Distinct sizes its row.
+        assert calls == {**built, "estimate_row_bytes": built["estimate_row_bytes"]
+                         + answer_rows}
         answers = (first, second, third)
         reports = [answer.execution.report for answer in answers]
         assert [report.join_builds_shared for report in reports] == [0, 0, 5]
