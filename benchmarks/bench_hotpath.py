@@ -1264,7 +1264,7 @@ def bench_sustained_load(smoke: bool = False,
         drained = server.shutdown(timeout_seconds=30.0)
     status = server.snapshot()
     load = status["server_load"]
-    temp_handles = len(federation.engine.controller.temp_store.handles)
+    temp_handles = len(federation.engine.temp_store.handles)
 
     # Satellite regression probe: a sort-heavy stream abandoned after one
     # row must return its budget reservations and staging to zero.
@@ -1282,7 +1282,7 @@ def bench_sustained_load(smoke: bool = False,
     probe_budget = probe_stream.budget
     probe_stream.close()
     probe_budget_zero = probe_budget.used_bytes == 0
-    probe_temp_empty = probe_engine.controller.temp_store.handles == []
+    probe_temp_empty = probe_engine.temp_store.handles == []
 
     ordered = sorted(latencies)
 

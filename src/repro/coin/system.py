@@ -30,9 +30,9 @@ from repro.coin.context import (
     ContextRegistry,
     ModifierDeclaration,
 )
-from repro.coin.conversion import ConversionFunction, ConversionRegistry
+from repro.coin.conversion import ConversionRegistry
 from repro.coin.domain import DomainModel
-from repro.coin.elevation import ElevationAxiom, ElevationRegistry
+from repro.coin.elevation import ElevationRegistry
 from repro.datalog.clause import KnowledgeBase, fact
 
 
@@ -88,13 +88,6 @@ class CoinSystem:
 
     def add_context(self, context: Context) -> Context:
         return self.contexts.register(context)
-
-    def add_elevation(self, axiom: ElevationAxiom) -> ElevationAxiom:
-        return self.elevations.register(axiom)
-
-    def register_conversion(self, semantic_type: str, modifier: str,
-                            function: ConversionFunction) -> ConversionFunction:
-        return self.conversions.register(semantic_type, modifier, function)
 
     # -- resolved lookups ------------------------------------------------------------
 

@@ -168,7 +168,7 @@ class ConsistentQueryExecutor:
         """Answer ``prepared`` by repair enumeration.  ``timeout_seconds``
         bounds the *whole* answer: every extent fetch runs under one shared
         deadline."""
-        deadline = self.engine.controller.resilience.deadline(timeout_seconds)
+        deadline = self.engine.resilience.deadline(timeout_seconds)
         started = time.perf_counter()
         report = ExecutionReport()
         # CQA refuses partial answers (certainty cannot be quantified over a

@@ -2,8 +2,8 @@
 
 The :class:`ViolationScanner` compiles every declared constraint into
 ordinary relational plans (built by the engine's planner, so capability-aware
-push-down applies) and runs them through a dedicated
-:class:`~repro.engine.executor.ExecutionController` **stream** under a
+push-down applies) and runs each as a :class:`~repro.engine.stream.ResultStream`
+on the engine under the scanner's own
 :class:`~repro.relational.budget.MemoryBudget` — a scan over a large dirty
 source sorts/spills instead of materializing the extent:
 
@@ -42,7 +42,7 @@ from repro.consistency.constraints import (
 )
 from repro.datalog.clause import KnowledgeBase, Rule, atom
 from repro.datalog.engine import Resolver, ResolutionConfig
-from repro.engine.executor import ExecutionController
+from repro.engine.stream import ResultStream
 from repro.relational.operators import _group_key as value_key
 from repro.relational.relation import Row
 from repro.sql.ast import ColumnRef, OrderItem, Select, SelectItem, TableRef
@@ -142,23 +142,12 @@ class ViolationScanner:
                  max_denial_solutions: int = DEFAULT_MAX_DENIAL_SOLUTIONS,
                  report_cache_size: int = DEFAULT_REPORT_CACHE_SIZE):
         self.engine = engine
+        #: Scans run on the engine — its request cache, fetch pool, temporary
+        #: storage and resilience policy — but under this budget, so scanning
+        #: never competes with statements for RAM.
+        self.memory_budget_bytes = memory_budget_bytes
         self.max_witnesses = max(0, int(max_witnesses))
         self.max_denial_solutions = max(1, int(max_denial_solutions))
-        # A private controller sharing the engine's catalog and request cache
-        # (scans reuse memoized fetches and bank their own), but with its own
-        # memory budget so scanning never competes with statements for RAM.
-        self.controller = ExecutionController(
-            engine.catalog,
-            request_cache=engine.controller.request_cache,
-            max_concurrent_requests=engine.controller.max_concurrent_requests,
-            memory_budget_bytes=memory_budget_bytes,
-            # Share the engine's resilience policy: scans hit the same
-            # wrappers, so retries, breaker state and health statistics must
-            # be one account, not a parallel book.
-            resilience=engine.controller.resilience,
-            # An engine holds one set of fetch workers, scans included.
-            fetch_pool=engine.controller.fetch_pool,
-        )
         self._cache_size = max(0, int(report_cache_size))
         self._cache: "OrderedDict[tuple, ViolationReport]" = OrderedDict()
         self._cache_lock = threading.Lock()
@@ -177,7 +166,7 @@ class ViolationScanner:
         source fetches and streamed evaluation run under one shared
         deadline (a cache hit returns immediately regardless)."""
         catalog = self.engine.catalog
-        deadline = self.controller.resilience.deadline(timeout_seconds)
+        deadline = self.engine.resilience.deadline(timeout_seconds)
         constraints = self._select_constraints(relations)
         key = (
             catalog.generation,
@@ -244,10 +233,11 @@ class ViolationScanner:
         )
 
     def _stream(self, select: Select, report: ViolationReport,
-                deadline=None) -> Iterator[Row]:
-        """Plan and stream one scan select under the scanner's budget."""
+                deadline) -> Iterator[Row]:
+        """Plan and stream one scan select under the scanner's budget; a scan
+        is no statement, so the engine's counters never see it."""
         plan = self.engine.planner.plan_branches([select])
-        stream = self.controller.execute_stream(plan, deadline=deadline)
+        stream = ResultStream(self.engine, plan, self.memory_budget_bytes, deadline)
         try:
             for row in stream:
                 report.rows_scanned += 1
@@ -263,7 +253,7 @@ class ViolationScanner:
 
     def _scan_constraint(self, constraint: Constraint,
                          report: ViolationReport,
-                         deadline=None) -> ConstraintFinding:
+                         deadline) -> ConstraintFinding:
         if isinstance(constraint, PrimaryKey):
             return self._scan_dependency(
                 constraint, report,
@@ -299,7 +289,7 @@ class ViolationScanner:
     def _scan_dependency(self, constraint, report: ViolationReport,
                          determinants: Sequence[str],
                          dependents: Optional[Sequence[str]],
-                         deadline=None) -> ConstraintFinding:
+                         deadline) -> ConstraintFinding:
         """Ordered-scan detection for keys (dependents=None: any second tuple
         per key is a violation) and FDs (a second *distinct* dependent combo
         per determinant group is)."""
@@ -345,7 +335,7 @@ class ViolationScanner:
 
     def _scan_inclusion(self, constraint: InclusionDependency,
                         report: ViolationReport,
-                        deadline=None) -> ConstraintFinding:
+                        deadline) -> ConstraintFinding:
         finding = self._finding(constraint, constraint.relation)
         referenced = self._scan_select(
             constraint.referenced_relation, constraint.referenced_columns,
@@ -365,7 +355,7 @@ class ViolationScanner:
 
     def _scan_denial(self, constraint: DenialConstraint,
                      report: ViolationReport,
-                     deadline=None) -> ConstraintFinding:
+                     deadline) -> ConstraintFinding:
         primary = constraint.relations[0]
         finding = self._finding(constraint, primary)
         kb = KnowledgeBase(name=f"denial:{constraint.name}")

@@ -81,10 +81,6 @@ class Resolver:
             return True
         return False
 
-    def solve_atoms(self, atoms: Sequence[Atom], **kwargs) -> Iterator[Solution]:
-        """Convenience: solve a list of positive atoms."""
-        return self.solve([Literal(a, True) for a in atoms], **kwargs)
-
     # -- core ------------------------------------------------------------------
 
     def _solve(self, goals: List[Literal], substitution: Substitution,

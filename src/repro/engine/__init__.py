@@ -13,7 +13,6 @@ from repro.engine.plan import BranchPlan, QueryPlan, SourceRequest
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.executor import (
     EngineResult,
-    ExecutionController,
     ExecutionReport,
     RequestExecution,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "PlannerConfig",
     "QueryPlanner",
     "EngineResult",
-    "ExecutionController",
     "ExecutionReport",
     "RequestExecution",
     "ENGINE_COUNTERS",

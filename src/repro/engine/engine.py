@@ -3,30 +3,33 @@
 "The multi-database access engine constitutes a front-end of dictionary and
 query services to the multiple wrapped sources."
 
-:class:`MultiDatabaseEngine` bundles the catalog (dictionary services), the
-planner (query services: planning and optimization) and the execution
-controller, and is the component the mediation server drives: mediated queries
-go in, relational answers and execution reports come out.
+:class:`MultiDatabaseEngine` bundles the catalog (dictionary services) and
+the planner (query services: planning and optimization), and controls the
+execution of the plans it builds: it holds what runs them — temporary
+storage, the request cache, the fetch pool, the resilience policy — and opens
+each statement's :class:`~repro.engine.stream.ResultStream` over them.  It is
+the component the mediation server drives: mediated queries go in, relational
+answers and execution reports come out.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Union as TUnion
 
-from repro.errors import EngineError
+from repro.errors import EngineError, ExecutionError
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
-from repro.engine.executor import (
-    DEFAULT_MAX_CONCURRENT_REQUESTS,
-    EngineResult,
-    ExecutionController,
-)
+from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.planner import PlannerConfig, QueryPlanner
+from repro.engine.stream import ResultStream
 from repro.obs.metrics import CounterSet
+from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
 from repro.relational.storage import TemporaryStore
 from repro.sql.ast import Select, Statement, Union
@@ -85,7 +88,15 @@ ENGINE_COUNTERS = (
 
 
 class MultiDatabaseEngine:
-    """Dictionary + query services over a set of wrapped sources."""
+    """Dictionary + query services over a set of wrapped sources.
+
+    ``max_concurrent_requests`` caps one statement's in-flight fetches
+    (1 = lazy serial dispatch); it does not size ``fetch_pool``, which every
+    statement shares.  ``deduplicate_requests=False`` disables request
+    coalescing *and* the cache — every plan request costs its own round
+    trip, re-enacting the pre-scheduler behaviour for baselines and
+    ablations.
+    """
 
     def __init__(self, catalog: Optional[Catalog] = None,
                  cost_model: Optional[CostModel] = None,
@@ -99,19 +110,29 @@ class MultiDatabaseEngine:
         self.catalog = catalog if catalog is not None else Catalog()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.planner = QueryPlanner(self.catalog, self.cost_model, planner_config)
-        self.controller = ExecutionController(
-            self.catalog, temp_store,
-            request_cache=request_cache,
-            max_concurrent_requests=max_concurrent_requests,
-            deduplicate=deduplicate_requests,
-            memory_budget_bytes=memory_budget_bytes,
-            resilience=resilience,
-        )
+        self.temp_store = temp_store or TemporaryStore("engine-temp")
+        self.request_cache = request_cache
+        self.max_concurrent_requests = max(1, int(max_concurrent_requests))
+        #: The worker threads every statement's fetches run on, violation
+        #: scans included.  Its size is no setting: a task reuses an idle
+        #: worker and starts a thread only when none is idle, so a worker
+        #: stuck in a hung wrapper never makes another statement's fetch
+        #: wait.  The first dispatch starts the first thread, and idle
+        #: workers exit once the pool is collected with the engine.
+        self.fetch_pool = ThreadPoolExecutor(max_workers=sys.maxsize,
+                                             thread_name_prefix="source-fetch")
+        self.deduplicate = deduplicate_requests
+        #: Per-statement operator memory budget (None = unbounded).  Sorts,
+        #: distincts and hash-join build sides spill to temporary files
+        #: rather than exceed it.
+        self.memory_budget_bytes = memory_budget_bytes
+        #: Retry policy, per-wrapper circuit breakers and source health —
+        #: shared across statements and scans so breaker state and health
+        #: statistics persist between them.
+        self.resilience = resilience if resilience is not None else ResiliencePolicy()
+        #: Runs the (table-less) subqueries of mediator-side expressions.
+        self.subquery_executor = QueryProcessor(_reject_unknown_table)._subquery_executor
         self.statistics = CounterSet(ENGINE_COUNTERS)
-
-    @property
-    def request_cache(self) -> Optional[SourceResultCache]:
-        return self.controller.request_cache
 
     # -- registration ------------------------------------------------------------
 
@@ -148,9 +169,9 @@ class MultiDatabaseEngine:
         estimates and artifacts from before the change.
         """
         self.catalog.bump_generation()
-        if self.controller.request_cache is None:
+        if self.request_cache is None:
             return 0
-        return self.controller.request_cache.invalidate(wrapper=wrapper, relation=relation)
+        return self.request_cache.invalidate(wrapper=wrapper, relation=relation)
 
     # -- dictionary services ----------------------------------------------------------
 
@@ -231,9 +252,9 @@ class MultiDatabaseEngine:
         """
         plan = statement if isinstance(statement, QueryPlan) else self.plan(statement)
         if deadline is None:
-            deadline = self.controller.resilience.deadline(timeout_seconds)
-        stream = self.controller.execute_stream(plan, deadline=deadline,
-                                                on_source_error=on_source_error)
+            deadline = self.resilience.deadline(timeout_seconds)
+        stream = ResultStream(self, plan, self.memory_budget_bytes, deadline,
+                              on_source_error)
         stream.on_close(self._fold)
         return stream
 
@@ -278,7 +299,7 @@ class MultiDatabaseEngine:
 
     def source_health(self) -> Dict[str, object]:
         """Breaker states and rolling per-wrapper health statistics."""
-        return self.controller.resilience.snapshot()
+        return self.resilience.snapshot()
 
     def build_health_prober(self, interval_seconds: float = 1.0) -> HealthProber:
         """A prober rediscovering recovered sources without sacrificing queries.
@@ -290,7 +311,7 @@ class MultiDatabaseEngine:
         request against it.  Call :meth:`HealthProber.run_once` from a
         control loop or :meth:`HealthProber.start` for a daemon thread.
         """
-        prober = HealthProber(self.controller.resilience,
+        prober = HealthProber(self.resilience,
                               interval_seconds=interval_seconds)
         for wrapper in self.catalog.wrappers:
             relations = wrapper.relation_names()
@@ -321,3 +342,10 @@ class MultiDatabaseEngine:
                 f"the engine executes SELECT/UNION statements, not {type(statement).__name__}"
             )
         return statement
+
+
+def _reject_unknown_table(name: str, source: Optional[str]) -> Relation:
+    raise ExecutionError(
+        f"subqueries over catalog relations (found {name!r}) are not supported "
+        "inside the finalization phase"
+    )

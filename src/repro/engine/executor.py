@@ -1,64 +1,28 @@
-"""Execution controller: runs query plans across wrappers and local operators.
+"""What one plan execution reports: per-request facts, operator statistics,
+scheduler, streaming, memory, resilience and optimizer totals.
 
 "Controlling the execution of the resulting query execution plan and executing
 the necessary local operations (e.g. joins across sources)."
 
-The controller executes a plan in two phases.
-
-**Phase 1 — federated request scheduling.**  The source requests of *all*
-branches are collected up front, canonicalized into request keys (wrapper +
-pushed SQL / FETCH target, see :mod:`repro.engine.request_cache`), and
-deduplicated: N branches asking one wrapper for byte-identical requests cost
-one round trip.  The distinct set is then resolved against the (optional)
-source-result cache, and the remaining fetches are dispatched concurrently on
-the controller's fetch pool, at most ``max_concurrent_requests`` of the
-statement's at a time — wall clock approaches the slowest source instead of
-the sum of all round trips.  Results are handed back to branches in plan
-order, so answers and reports are deterministic regardless of completion
-order.
-
-**Phase 2 — local processing, per branch.**  Each branch
-
-1. stages its (shared) fetched relations in temporary storage, applying any
-   residual per-binding filters locally;
-2. joins the staged intermediates in the planned order with hash or
-   nested-loop physical operators;
-3. applies residual cross-source conditions;
-4. finishes the SELECT (projection, aggregation, ordering, limit);
-
-and finally the branch results combine with UNION (ALL) semantics.  Steps 2-4
-are one operator tree, lowered once per cached plan from the branch's algebra
-tree (:mod:`repro.relational.algebra`) and bound per execution to the staged
-relations.
-
-Since the streaming rework, both phases are driven by a pull-based
-:class:`~repro.engine.stream.ResultStream`: fetches are dispatched
-asynchronously, branches are staged and finalized lazily as the consumer
-pulls rows, and a shared :class:`~repro.relational.budget.MemoryBudget`
-bounds operator memory (spilling `Sort`/`Distinct`/`HashJoin` state to
-temporary files when exceeded).  Eager callers
-(:meth:`~repro.engine.engine.MultiDatabaseEngine.execute`) drain the same
-stream, so materialized answers see the historical behaviour unchanged.
+The engine (:class:`~repro.engine.engine.MultiDatabaseEngine`) controls that
+execution: each plan runs as a :class:`~repro.engine.stream.ResultStream`
+(its module describes how), which fills an :class:`ExecutionReport` as it
+goes.  This module holds the report types and the fetch bookkeeping the
+stream records into them.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ExecutionError, RequestFailedError
-from repro.engine.catalog import Catalog
+from repro.errors import RequestFailedError
 from repro.engine.plan import QueryPlan, SourceRequest
-from repro.engine.request_cache import RequestKey, SourceResultCache, request_key
-from repro.engine.resilience import Deadline, ResiliencePolicy, ResilienceReport
+from repro.engine.resilience import ResilienceReport
 from repro.relational.operators import PhysicalOperator
-from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
-from repro.relational.storage import TemporaryStore
 
 #: Default bound on concurrently in-flight source requests per statement.
 DEFAULT_MAX_CONCURRENT_REQUESTS = 8
@@ -221,9 +185,9 @@ class ExecutionReport:
     Mutations arrive from several threads — fetch workers append request
     entries while the consumer thread folds streaming/memory totals and a
     server thread may snapshot mid-flight — so the list/dict fields are
-    guarded by ``lock``: mutation sites hold it (``record_request`` or a
-    ``with report.lock`` block) and :meth:`snapshot` takes it too, making
-    every snapshot a consistent point-in-time copy.
+    guarded by ``lock``: mutation sites hold it (a ``with report.lock``
+    block) and :meth:`snapshot` takes it too, making every snapshot a
+    consistent point-in-time copy.
     """
 
     requests: List[RequestExecution] = field(default_factory=list)
@@ -283,10 +247,6 @@ class ExecutionReport:
     #: snapshots (see the class docstring).
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                  compare=False)
-
-    def record_request(self, entry: RequestExecution) -> None:
-        with self.lock:
-            self.requests.append(entry)
 
     @property
     def rows_transferred(self) -> int:
@@ -447,89 +407,3 @@ def request_failed_error(request: SourceRequest,
             combined = RequestFailedError
         _REQUEST_ERROR_TYPES[base] = combined
     return combined(message)
-
-
-class ExecutionController:
-    """Interprets :class:`QueryPlan` objects against the catalog's wrappers.
-
-    ``max_concurrent_requests`` caps one statement's in-flight fetches
-    (1 = lazy serial dispatch); it does not size ``fetch_pool``, which every
-    statement shares.  ``deduplicate=False`` disables request coalescing *and*
-    the cache — every plan request costs its own round trip, re-enacting the
-    pre-scheduler behaviour for baselines and ablations.
-    """
-
-    def __init__(self, catalog: Catalog, temp_store: Optional[TemporaryStore] = None,
-                 request_cache: Optional[SourceResultCache] = None,
-                 max_concurrent_requests: int = DEFAULT_MAX_CONCURRENT_REQUESTS,
-                 deduplicate: bool = True,
-                 memory_budget_bytes: Optional[int] = None,
-                 resilience: Optional[ResiliencePolicy] = None,
-                 fetch_pool: Optional[ThreadPoolExecutor] = None):
-        self.catalog = catalog
-        self.temp_store = temp_store or TemporaryStore("engine-temp")
-        self.request_cache = request_cache
-        self.max_concurrent_requests = max(1, int(max_concurrent_requests))
-        #: The worker threads every statement's fetches run on (a violation
-        #: scanner's controller shares its engine's).  Its size is no
-        #: setting: a task reuses an idle worker and starts a thread only when
-        #: none is idle, so a worker stuck in a hung wrapper never makes
-        #: another statement's fetch wait.  The first dispatch starts the
-        #: first thread, and idle workers exit once the pool is collected
-        #: with the engine.
-        self.fetch_pool = (
-            fetch_pool if fetch_pool is not None
-            else ThreadPoolExecutor(max_workers=sys.maxsize,
-                                    thread_name_prefix="source-fetch"))
-        self.deduplicate = deduplicate
-        #: Per-statement operator memory budget (None = unbounded).  Sorts,
-        #: distincts and hash-join build sides spill to temporary files
-        #: rather than exceed it.
-        self.memory_budget_bytes = memory_budget_bytes
-        #: Retry policy, per-wrapper circuit breakers and source health —
-        #: shared across this controller's statements so breaker state and
-        #: health statistics persist between them.
-        self.resilience = resilience if resilience is not None else ResiliencePolicy()
-        #: Runs the (table-less) subqueries of mediator-side expressions.
-        self.subquery_executor = QueryProcessor(self._reject_unknown_table)._subquery_executor
-
-    # -- public API -------------------------------------------------------------
-
-    def execute_stream(self, plan: QueryPlan, deadline: Optional[Deadline] = None,
-                       on_source_error: str = "fail"):
-        """Open a pull-based cursor over the plan's result.
-
-        Source fetches are dispatched concurrently up front (or lazily, when
-        a statement is capped at one request), but branches are staged,
-        joined and finalized only as the consumer pulls rows — closing the
-        stream early cancels fetches that were never consumed and releases
-        staged temporaries.  Every distinct fetch runs under the controller's
-        resilience policy (retries, breakers) and the optional statement
-        ``deadline``; ``on_source_error="partial"`` drops branches whose
-        sources stay dead instead of failing the statement.  Returns a
-        :class:`~repro.engine.stream.ResultStream`.
-        """
-        from repro.engine.stream import ResultStream
-
-        return ResultStream(self, plan, deadline=deadline,
-                            on_source_error=on_source_error)
-
-    # -- request scheduling -------------------------------------------------------
-
-    def _plan_key(self, request: SourceRequest, branch_index: int,
-                  request_index: int) -> RequestKey:
-        if self.deduplicate:
-            return request_key(request)
-        # Baseline mode: make every plan request its own round trip.
-        return RequestKey(
-            wrapper=request.wrapper_name.lower(),
-            relation=request.relation.lower(),
-            text=f"{request.request_text} #branch{branch_index}.{request_index}",
-        )
-
-    @staticmethod
-    def _reject_unknown_table(name: str, source: Optional[str]) -> Relation:
-        raise ExecutionError(
-            f"subqueries over catalog relations (found {name!r}) are not supported "
-            "inside the finalization phase"
-        )

@@ -64,6 +64,14 @@ _JoinCondition = Tuple[int, Node, Optional[_EquiKey]]
 _StepParts = Tuple[Tuple[Node, ...], Tuple[Tuple[ColumnRef, ColumnRef], ...],
                    Tuple[Node, ...]]
 
+#: Never bind when the driver's estimated key set exceeds this.
+BIND_JOIN_MAX_KEYS = 1000
+#: Never bind a relation estimated below this — tiny fetches aren't worth the
+#: extra round-trip bookkeeping (and demo workloads stay put).
+BIND_JOIN_MIN_ROWS = 200
+#: Required estimated transfer reduction (unbound rows / bound rows).
+BIND_JOIN_MIN_REDUCTION = 5.0
+
 
 @dataclass
 class PlannerConfig:
@@ -83,15 +91,8 @@ class PlannerConfig:
     dp_join_threshold: int = 8
     #: Allow converting requests into bind joins (batched IN-list key sets).
     bind_joins: bool = True
-    #: Never bind when the driver's estimated key set exceeds this.
-    bind_join_max_keys: int = 1000
     #: Keys per shipped IN list (the first key column is chunked).
     bind_join_batch_size: int = 200
-    #: Never bind a relation estimated below this — tiny fetches aren't
-    #: worth the extra round-trip bookkeeping (and demo workloads stay put).
-    bind_join_min_rows: int = 200
-    #: Required estimated transfer reduction (unbound rows / bound rows).
-    bind_join_min_reduction: float = 5.0
 
 
 class _JoinGraph:
@@ -737,7 +738,7 @@ class QueryPlanner:
         selections, every equi key's intermediate side resolves to one
         already-staged *driver* binding, the driver's estimated key set is
         small, and skipping the unbound fetch saves at least
-        ``bind_join_min_reduction`` in estimated transferred rows.  Drivers
+        ``BIND_JOIN_MIN_REDUCTION`` in estimated transferred rows.  Drivers
         may themselves be bound (the chain follows join order, so it is
         acyclic).  The local HashJoin stays in place: the bound fetch is a
         superset of the rows the join keeps.
@@ -773,13 +774,13 @@ class QueryPlanner:
             driver_binding = next(iter(driver_bindings))
             driver_request = requests[request_index[driver_binding]]
             estimated_keys = driver_request.estimated_result_rows
-            if estimated_keys <= 0 or estimated_keys > config.bind_join_max_keys:
+            if estimated_keys <= 0 or estimated_keys > BIND_JOIN_MAX_KEYS:
                 continue
             unbound_rows = request.estimated_result_rows
-            if unbound_rows < config.bind_join_min_rows:
+            if unbound_rows < BIND_JOIN_MIN_ROWS:
                 continue
             bound_rows = max(1, min(step.estimated_rows, unbound_rows))
-            if unbound_rows < config.bind_join_min_reduction * bound_rows:
+            if unbound_rows < BIND_JOIN_MIN_REDUCTION * bound_rows:
                 continue
             spec = BindJoinSpec(
                 driver_index=request_index[driver_binding],

@@ -526,15 +526,15 @@ class ResilienceReport:
 
 
 # ---------------------------------------------------------------------------
-# The policy bundle the controller owns
+# The policy bundle the engine owns
 # ---------------------------------------------------------------------------
 
 
 class ResiliencePolicy:
     """Retry policy + per-wrapper breakers + health registry, as one unit.
 
-    Owned by an :class:`~repro.engine.executor.ExecutionController` and
-    shared across its statements, so breaker state and health statistics
+    Owned by a :class:`~repro.engine.engine.MultiDatabaseEngine` and shared
+    across its statements and scans, so breaker state and health statistics
     persist where they are useful: a wrapper that killed the last five
     statements is rejected fast by the sixth.
     """

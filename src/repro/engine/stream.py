@@ -8,7 +8,7 @@ nothing else executes a plan — and owns what the tree does not say: it
 * deduplicates the plan's source fetches, answers what it can from the
   request cache and dispatches the rest **asynchronously**, expected-slowest
   first, to its own queue, which at most ``max_concurrent_requests`` lanes
-  drain on the controller's shared fetch pool — or fetches lazily, one at a
+  drain on the engine's shared fetch pool — or fetches lazily, one at a
   time, when the statement is capped at a single request — under the
   statement's retries, breakers and deadline, and awaits each result only
   when a branch actually needs it staged (a bind join's IN-list batches are
@@ -77,7 +77,7 @@ from repro.engine.executor import (
     request_failed_error,
 )
 from repro.engine.plan import QueryPlan, SourceRequest
-from repro.engine.request_cache import RequestKey
+from repro.engine.request_cache import RequestKey, request_key
 from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
 from repro.relational import algebra
@@ -173,25 +173,27 @@ class ResultStream:
     abandoning it early so outstanding fetches are cancelled and staged
     temporaries released.  ``report`` is filled progressively and finalized
     (elapsed, peaks, temp-storage snapshot) when the stream finishes.
+
+    It runs on ``engine``'s catalog, request cache, fetch pool, temporary
+    storage and resilience policy; ``memory_budget_bytes`` bounds its
+    operator memory (None = unbounded) — a statement's budget is the
+    engine's, a violation scan's the scanner's.
     """
 
-    def __init__(self, controller, plan: QueryPlan,
-                 deadline: Optional[Deadline] = None,
+    def __init__(self, engine, plan: QueryPlan,
+                 memory_budget_bytes: Optional[int], deadline: Deadline,
                  on_source_error: str = "fail"):
         if not plan.branches:
             raise ExecutionError(
                 "cannot execute a plan with no branches: the planner produced "
                 "an empty UNION (no SELECT branch to evaluate)"
             )
-        self.controller = controller
+        self.engine = engine
         self.plan = plan
         self.report = ExecutionReport()
-        self.budget = MemoryBudget(controller.memory_budget_bytes)
-        self.report.memory_limit_bytes = controller.memory_budget_bytes or 0
-        self._deadline = (
-            deadline if deadline is not None
-            else Deadline.unbounded(controller.resilience.clock)
-        )
+        self.budget = MemoryBudget(memory_budget_bytes)
+        self.report.memory_limit_bytes = memory_budget_bytes or 0
+        self._deadline = deadline
         self._partial = on_source_error == "partial"
         self.report.resilience.mode = on_source_error
         self.report.resilience.timeout_seconds = self._deadline.timeout_seconds
@@ -238,13 +240,13 @@ class ResultStream:
         # known (its key is None); the branch builder derives and schedules
         # its per-batch requests when the driver is staged.
         self._distinct: Dict[RequestKey, SourceRequest]
-        if controller.deduplicate:
+        if engine.deduplicate:
             self._keys, self._distinct = template.keys, dict(template.distinct)
         else:
             # Baseline mode: every plan request is its own round trip.
             self._keys = [
                 [None if request.bind is not None
-                 else controller._plan_key(request, branch_index, request_index)
+                 else self._plan_key(request, branch_index, request_index)
                  for request_index, request in enumerate(branch.requests)]
                 for branch_index, branch in enumerate(plan.branches)
             ]
@@ -256,7 +258,7 @@ class ResultStream:
         self.report.distinct_requests = len(self._distinct)
         self.report.dedup_hits = template.units - len(self._distinct)
 
-        self._cache = controller.request_cache if controller.deduplicate else None
+        self._cache = engine.request_cache if engine.deduplicate else None
         self._outcomes: Dict[RequestKey, _FetchOutcome] = {}
         if self._cache is not None and self._distinct:
             # Every distinct key in one cache call (a bind join's batches,
@@ -277,7 +279,7 @@ class ResultStream:
         # dispatch even for a single pending fetch: the wait happens in
         # ``future.result(timeout=...)`` where the deadline can fire.
         dispatch = len(pending) > 1 or (bool(pending) and self._deadline.bounded)
-        self._dispatching = controller.max_concurrent_requests > 1 and dispatch
+        self._dispatching = engine.max_concurrent_requests > 1 and dispatch
         if self._dispatching:
             self._dispatch(self._dispatch_order(pending))
         # else: remaining fetches happen lazily, serially, on first staging —
@@ -291,6 +293,17 @@ class ResultStream:
         self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------
+
+    def _plan_key(self, request: SourceRequest, branch_index: int,
+                  request_index) -> RequestKey:
+        if self.engine.deduplicate:
+            return request_key(request)
+        # Baseline mode: make every plan request its own round trip.
+        return RequestKey(
+            wrapper=request.wrapper_name.lower(),
+            relation=request.relation.lower(),
+            text=f"{request.request_text} #branch{branch_index}.{request_index}",
+        )
 
     def _from_cache(self, key: RequestKey, request: SourceRequest) -> bool:
         """Resolve ``key`` from the source-result cache, if it holds it."""
@@ -314,7 +327,7 @@ class ResultStream:
         the pool.  Wrappers without a mature profile cost 0.0 and keep plan
         order behind the profiled ones.
         """
-        feedback = getattr(self.controller.catalog, "feedback", None)
+        feedback = getattr(self.engine.catalog, "feedback", None)
         expected: Dict[RequestKey, float] = {}
         profiled = False
         for key in pending:
@@ -339,7 +352,7 @@ class ResultStream:
 
     def _dispatch(self, keys: List[RequestKey]) -> None:
         """Queue ``keys`` for fetching, in order, and start the lanes that
-        drain the queue on the controller's fetch pool: never more than
+        drain the queue on the engine's fetch pool: never more than
         ``max_concurrent_requests`` at once, whatever else the pool runs."""
         queued_at = time.perf_counter()
         with self._lanes_lock:
@@ -347,10 +360,10 @@ class ResultStream:
                 future = self._futures[key] = Future()
                 self._queue.append((key, future, queued_at))
             lanes = min(len(self._queue),
-                        self.controller.max_concurrent_requests - self._lanes)
+                        self.engine.max_concurrent_requests - self._lanes)
             self._lanes += lanes
         for _ in range(lanes):
-            self.controller.fetch_pool.submit(self._lane)
+            self.engine.fetch_pool.submit(self._lane)
 
     def _lane(self) -> None:
         """Fetch the statement's queued requests one after another until the
@@ -378,7 +391,7 @@ class ResultStream:
         resolve and ``close()``-time banking can check the fetch outcome.
         """
         request = self._distinct[key]
-        wrapper = self.controller.catalog.wrappers.get(request.wrapper_name)
+        wrapper = self.engine.catalog.wrappers.get(request.wrapper_name)
 
         def attempt():
             if request.sql is not None:
@@ -395,7 +408,7 @@ class ResultStream:
         with self._gauge:
             fetch_started = time.perf_counter()
             try:
-                fetched, attempts = self.controller.resilience.run_fetch(
+                fetched, attempts = self.engine.resilience.run_fetch(
                     wrapper_name=request.wrapper_name,
                     request_text=request.request_text,
                     fetch=attempt,
@@ -444,7 +457,7 @@ class ResultStream:
                 # deadline instead of consuming all of it.
                 adaptive = None
                 if self._deadline.bounded:
-                    adaptive = self.controller.resilience.adaptive_fetch_timeout(
+                    adaptive = self.engine.resilience.adaptive_fetch_timeout(
                         request.wrapper_name
                     )
                     if adaptive is not None:
@@ -507,7 +520,7 @@ class ResultStream:
         request = self._distinct[key]
         if self._cache is not None and not outcome.cache_hit:
             self._cache.put(key, outcome.relation)
-        feedback = getattr(self.controller.catalog, "feedback", None)
+        feedback = getattr(self.engine.catalog, "feedback", None)
         if feedback is not None and not outcome.cache_hit:
             feedback.record_source(
                 request.wrapper_name, outcome.fetch_seconds, len(outcome.relation)
@@ -523,7 +536,7 @@ class ResultStream:
         # cardinality; filtered counts go to the feedback store instead,
         # keyed by their predicate fingerprint.
         if not request.pushed_conjuncts:
-            self.controller.catalog.update_estimate(
+            self.engine.catalog.update_estimate(
                 request.relation, max(observed, 1)
             )
         if feedback is not None:
@@ -538,7 +551,7 @@ class ResultStream:
 
     def _empty_bound_relation(self, request: SourceRequest) -> Relation:
         """The empty result of a bound fetch whose driver produced no keys."""
-        schema = self.controller.catalog.schema_of(request.relation)
+        schema = self.engine.catalog.schema_of(request.relation)
         if request.projected_columns:
             schema = Schema(schema.attribute(name) for name in request.projected_columns)
         return Relation(schema, name=f"{request.binding}_bound")
@@ -556,7 +569,6 @@ class ResultStream:
         a repeated statement with an unchanged key set is answered from the
         source-result cache without any round trip.
         """
-        controller = self.controller
         report = self.report
         optimizer = report.optimizer
         spec = request.bind
@@ -615,7 +627,7 @@ class ResultStream:
                 keys_shipped += len(values)
             batch_sql = replace(request.sql, where=conjoin(conjuncts))
             batch_request = replace(request, sql=batch_sql, bind=None, bind_batch=True)
-            key = controller._plan_key(
+            key = self._plan_key(
                 batch_request, branch_index, f"{index}.{batch_number}"
             )
             if key in self._distinct:
@@ -684,7 +696,7 @@ class ResultStream:
         branch to go takes the statement with it.  In ``"fail"`` mode the
         same failure raises the context-rich terminal error.
         """
-        executor = self.controller.subquery_executor
+        executor = self.engine.subquery_executor
         branch = self.plan.branches[branch_index]
         template = self.plan.template.branches[branch_index]
         keys = self._keys[branch_index]
@@ -782,7 +794,7 @@ class ResultStream:
         """Phase 2: qualify, locally filter and stage one shared fetch result
         in temporary storage (released when the stream closes)."""
         started = time.perf_counter()
-        handle, staged = self.controller.temp_store.stage(
+        handle, staged = self.engine.temp_store.stage(
             stage.relation(outcome.relation.rows, outcome.frozen), stage.label)
         self._staged_handles.append(handle)
         # A request-cache hit staged by this template is the same rows every
@@ -988,7 +1000,7 @@ class ResultStream:
         # instrumented row counts are true intermediate cardinalities; an
         # abandoned stream's partial counts must never reach the optimizer.
         if self._exhausted and self._join_watchers:
-            feedback = getattr(self.controller.catalog, "feedback", None)
+            feedback = getattr(self.engine.catalog, "feedback", None)
             if feedback is not None:
                 for join, stats in self._join_watchers:
                     planned = (join.estimated_rows
@@ -1000,7 +1012,7 @@ class ResultStream:
         self.report.resilience.deadline_remaining_seconds = self._deadline.remaining()
         # Snapshot the helpers before taking the report lock so it never
         # nests inside (or around) theirs.
-        temp_storage = self.controller.temp_store.statistics.snapshot()
+        temp_storage = self.engine.temp_store.statistics.snapshot()
         memory = self.budget.snapshot()
         report = self.report
         with report.lock:
@@ -1027,7 +1039,7 @@ class ResultStream:
 
         handles, self._staged_handles = self._staged_handles, []
         if handles:
-            self.controller.temp_store.release(handles)
+            self.engine.temp_store.release(handles)
 
     def __enter__(self) -> "ResultStream":
         return self

@@ -320,7 +320,7 @@ class Federation:
         registry.gauge(
             "memory_budget_bytes",
             "Configured per-statement operator memory budget (0 = unbounded).",
-        ).set(float(self.engine.controller.memory_budget_bytes or 0))
+        ).set(float(self.engine.memory_budget_bytes or 0))
 
     def _account_statement(self, sql_text: str, started: float,
                            tenant: Optional[str] = None,

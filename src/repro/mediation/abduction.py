@@ -51,10 +51,6 @@ class MediationBranch:
     def conversions(self) -> List[ModifierResolution]:
         return [resolution for resolution in self.resolutions if resolution.needs_conversion]
 
-    @property
-    def assumption_count(self) -> int:
-        return len(self.guards)
-
     def describe(self) -> str:
         guard_text = (
             " and ".join(guard.describe() for guard in self.guards)

@@ -482,9 +482,6 @@ class Tracer:
 
     # -- ids ---------------------------------------------------------------------
 
-    def _next_span_id(self) -> int:
-        return next(self._span_counter)
-
     def mint_trace_id(self) -> str:
         with self._lock:
             self._trace_index += 1

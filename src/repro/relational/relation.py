@@ -53,10 +53,6 @@ class Relation:
             relation.append(row)
         return relation
 
-    @classmethod
-    def empty_like(cls, other: "Relation") -> "Relation":
-        return cls(other.schema, name=other.name)
-
     # -- container behaviour --------------------------------------------------
 
     def append(self, row: Sequence[Any], validate: bool = True) -> None:

@@ -11,7 +11,7 @@ accepts SQL over its exported schema and returns relational answers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CapabilityError, SourceError
 from repro.relational.query import Database
@@ -35,11 +35,6 @@ class MemorySQLSource(Source):
     def add_relation(self, relation: Relation, name: Optional[str] = None) -> "MemorySQLSource":
         """Register a relation under its name (chainable)."""
         self.database.register(relation, name or relation.name)
-        return self
-
-    def add_relations(self, relations: Iterable[Relation]) -> "MemorySQLSource":
-        for relation in relations:
-            self.add_relation(relation)
         return self
 
     def load_sql(self, *statements: str) -> "MemorySQLSource":

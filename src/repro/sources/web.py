@@ -77,18 +77,9 @@ class SimulatedWebSite(Source):
         self._pages[self._normalize(page.url)] = page
         return self
 
-    def add_pages(self, pages: Iterable[WebPage]) -> "SimulatedWebSite":
-        for page in pages:
-            self.add_page(page)
-        return self
-
     @property
     def page_count(self) -> int:
         return len(self._pages)
-
-    @property
-    def urls(self) -> List[str]:
-        return sorted(self._pages)
 
     # -- fetching ------------------------------------------------------------------
 

@@ -182,10 +182,6 @@ class FunctionCall(Node):
     args: Tuple[Node, ...] = ()
     distinct: bool = False
 
-    @property
-    def is_aggregate(self) -> bool:
-        return self.name.upper() in {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-
 
 @node_class
 class InList(Node):
@@ -385,21 +381,6 @@ def contains_aggregate(node: Node) -> bool:
 def column_refs(node: Node) -> List[ColumnRef]:
     """Collect every column reference appearing under ``node``, in order."""
     return [n for n in walk(node) if isinstance(n, ColumnRef)]
-
-
-def referenced_tables(select: Select) -> List[str]:
-    """Return the binding names of all tables referenced in FROM (joins included)."""
-    names: List[str] = []
-    for table in select.tables:
-        for node in walk(table):
-            if isinstance(node, TableRef):
-                names.append(node.binding)
-            elif isinstance(node, Subquery):
-                # Derived tables contribute their alias through the enclosing
-                # TableRef-less syntax; the parser wraps them in SelectItem-like
-                # aliases which callers handle separately.
-                pass
-    return names
 
 
 def conjuncts(condition: Optional[Node]) -> List[Node]:

@@ -1,5 +1,7 @@
 """Violation scanner: detection, attribution, caching, memory budgets."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.consistency import (
@@ -11,6 +13,8 @@ from repro.consistency import (
 )
 from repro.datalog.clause import atom, pos
 from repro.datalog.terms import Variable
+from repro.engine.resilience import ResiliencePolicy
+from repro.relational.storage import TemporaryStore
 
 from fedbuild import build_consistency_federation
 
@@ -187,17 +191,40 @@ class TestBudgets:
         assert (budgeted.for_constraint("accounts_pk").violations
                 == unbounded.for_constraint("accounts_pk").violations == 3)
 
-    def test_scans_dispatch_on_the_engine_fetch_pool(self, federation):
-        # The scanner's private controller keeps its own memory budget but
-        # runs its fetches on the engine's workers: one pool per engine.
-        scanner = ViolationScanner(federation.engine, memory_budget_bytes=16 * 1024)
-        assert scanner.controller.fetch_pool is federation.engine.controller.fetch_pool
+    def test_scans_run_on_the_engine_under_their_own_budget(self):
+        # The engine owns execution state: a scan fetches on its pool under
+        # its policy and stages into its temp store, with only the memory
+        # budget its own — and a scan is no statement.
+        federation = build_consistency_federation(memory_budget_bytes=1_000_000)
+        engine = federation.engine
+        source = engine.catalog.wrappers.get("ledger").source
+        rows = source.database.table("accounts").rows
+        for index in range(2000):
+            rows.append((1000 + index, f"o{index}", float(index), "eu"))
+        federation.invalidate_source_cache(wrapper="ledger")
         federation.register_constraint(
             PrimaryKey("accounts_pk", relation="accounts", columns=("id",))
         )
+        scanner = ViolationScanner(engine, memory_budget_bytes=16 * 1024)
+        # Nothing the scanner holds, nor anything inside that, but the engine.
+        held = [value for value in vars(scanner).values() if value is not engine]
+        held += [inner for value in held
+                 for inner in getattr(value, "__dict__", {}).values()]
+        assert not [value for value in held if isinstance(
+            value, (ThreadPoolExecutor, TemporaryStore, ResiliencePolicy))]
+
+        tables_created = engine.temp_store.statistics.tables_created
         # A deadline forces pooled dispatch even for a lone fetch.
         report = scanner.scan(timeout_seconds=30.0)
+        assert report.spill_count > 0
         assert report.for_constraint("accounts_pk").violations == 2
+        assert engine.temp_store.statistics.tables_created > tables_created
+        assert engine.temp_store.handles == []
+        assert engine.statistics.statements_executed == 0
+
+        answer = federation.query("SELECT accounts.id FROM accounts", mediate=False)
+        assert answer.execution.report.snapshot()["memory"]["limit_bytes"] == 1_000_000
+        assert engine.statistics.statements_executed == 1
 
     def test_witness_cap(self, federation):
         scanner = ViolationScanner(federation.engine, max_witnesses=1)

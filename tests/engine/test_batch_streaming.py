@@ -172,12 +172,12 @@ class TestNothingLeaksOnEarlyClose:
         assert stream.report.rows_streamed == 1
         # Suspended mid-pipeline: reservations, temporaries and spill files live.
         assert stream.budget.used_bytes > 0
-        assert engine.controller.temp_store.handles
+        assert engine.temp_store.handles
         assert spills and not all(spill._closed for spill in spills)
 
         stream.close()  # and no gc.collect()
         assert stream.budget.used_bytes == 0
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
         # A file is opened only by the first frame that leaves memory.
         assert all(spill._closed and (spill._file is None or spill._file.closed)
                    for spill in spills)

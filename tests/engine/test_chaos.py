@@ -227,7 +227,7 @@ class TestPartialAnswers:
         engine, _ = _engine(schedules={1: FaultSchedule(permanent_outage_after=1)})
         with pytest.raises(ExecutionError, match="no surviving branch"):
             engine.execute("SELECT s1.k FROM s1", on_source_error="partial")
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
 
     def test_all_branches_dead_is_an_error_not_an_empty_answer(self):
         engine, _ = _engine(schedules={
@@ -283,7 +283,7 @@ class TestDeadlines:
         elapsed = time.perf_counter() - started
         assert elapsed < self.TOLERANCE
         stream.close()
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
 
     def test_deadline_is_statement_wide_not_per_fetch(self):
         # Two hung fetches in one statement share one budget: the statement

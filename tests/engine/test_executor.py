@@ -1,4 +1,4 @@
-"""Unit tests for the execution controller and the engine façade."""
+"""Unit tests for plan execution and the engine façade."""
 
 import pytest
 

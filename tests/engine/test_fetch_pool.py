@@ -1,6 +1,6 @@
 """One fetch pool per engine.
 
-Every statement's source fetches run on its controller's shared worker
+Every statement's source fetches run on its engine's shared worker
 threads: a statement queues its pending fetches and at most
 ``max_concurrent_requests`` lanes drain that queue on the pool.  These tests
 pin what that must keep and what it must buy:
@@ -87,7 +87,7 @@ class TestThreadStarts:
             assert result.report.source_round_trips == 3
             assert len(result.relation) == 120
         # A pool per statement started about 3 threads each (600 here).
-        assert 0 < len(started) <= engine.controller.max_concurrent_requests
+        assert 0 < len(started) <= engine.max_concurrent_requests
 
 
 class _Rendezvous:

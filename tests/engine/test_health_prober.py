@@ -186,7 +186,7 @@ class TestEngineProberIntegration:
         engine.register_wrapper(wrapper, estimate_rows=False)
 
         prober = engine.build_health_prober(interval_seconds=0.5)
-        policy = engine.controller.resilience
+        policy = engine.resilience
         breaker = policy.breaker("flaky")
         breaker.record_failure()
         breaker.record_failure()

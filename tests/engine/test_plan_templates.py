@@ -195,13 +195,13 @@ class TestSubqueryRule:
         plan = engine.plan("SELECT t.a, (SELECT 7) AS seven FROM t, u "
                            "WHERE t.a = u.a AND t.a < 3")
         runs = []
-        original = engine.controller.subquery_executor
+        original = engine.subquery_executor
 
         def counting(select):
             runs.append(select)
             return original(select)
 
-        engine.controller.subquery_executor = counting
+        engine.subquery_executor = counting
         for execution in (1, 2, 3):
             rows = sorted(engine.execute(plan).relation.rows)
             assert rows == [(0, 7), (1, 7), (2, 7)]
@@ -259,7 +259,7 @@ class TestSharing:
         assert not any(thread.is_alive() for thread in threads)
         assert outcomes == [(True, 0, serial.report.spill_count,
                              serial.report.peak_memory_bytes)] * (3 * self.THREADS)
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
         # Racing first executions only name the origin; racing second ones may
         # each build and keep (one result stays); every third one probes.
         # Buckets are read-only, so nobody saw another's.
@@ -286,7 +286,7 @@ class TestSharing:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert answers == [expected] * self.THREADS
-        assert federation.engine.controller.temp_store.handles == []
+        assert federation.engine.temp_store.handles == []
         statistics = federation.engine.statistics.snapshot()
         assert statistics["streams_opened"] == self.THREADS
 

@@ -200,7 +200,7 @@ class TestEarlyTermination:
         # Serial dispatch defers fetches until a branch needs them: a stream
         # abandoned after branch 1 never pays branch 2's round trip.
         engine, slow_wrapper = self._two_branch_engine()
-        engine.controller.max_concurrent_requests = 1
+        engine.max_concurrent_requests = 1
         stream = engine.execute_stream(
             "SELECT f.a FROM f UNION ALL SELECT s.a FROM s"
         )
@@ -214,8 +214,8 @@ class TestEarlyTermination:
         # pull: with serial dispatch its source hears nothing until the
         # branch before it is drained.
         engine, slow_wrapper = self._two_branch_engine(latency=0.0)
-        engine.controller.max_concurrent_requests = 1
-        engine.controller.memory_budget_bytes = 1_000_000
+        engine.max_concurrent_requests = 1
+        engine.memory_budget_bytes = 1_000_000
         root = Tracer().start_trace("statement")
         token = root.activate()
         try:
@@ -229,14 +229,14 @@ class TestEarlyTermination:
         assert slow_wrapper.round_trips == 1
         assert stream.report.branch_rows == [4]
         stream.close()
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
         assert stream.budget.used_bytes == 0
         assert root.open_spans() == [root]
 
     def test_closing_after_the_first_batch_leaves_nothing_behind(self):
         engine, slow_wrapper = self._two_branch_engine()
-        engine.controller.max_concurrent_requests = 1
-        engine.controller.memory_budget_bytes = 1_000_000
+        engine.max_concurrent_requests = 1
+        engine.memory_budget_bytes = 1_000_000
         root = Tracer().start_trace("statement")
         token = root.activate()
         try:
@@ -246,10 +246,10 @@ class TestEarlyTermination:
             deactivate_span(token)
         assert stream.schema.names == ["a"]
         assert stream.fetchmany(1) == [(1,)]
-        assert stream.budget.used_bytes > 0 and engine.controller.temp_store.handles
+        assert stream.budget.used_bytes > 0 and engine.temp_store.handles
         stream.close()
         assert slow_wrapper.round_trips == 0
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
         assert stream.budget.used_bytes == 0
         assert root.open_spans() == [root]
         assert [request.binding for request in stream.report.requests] == ["f"]
@@ -258,9 +258,9 @@ class TestEarlyTermination:
         engine = _basic_engine()
         stream = engine.execute_stream("SELECT t.a FROM t")
         stream.fetchmany(1)
-        assert engine.controller.temp_store.handles
+        assert engine.temp_store.handles
         stream.close()
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
 
     def test_fetch_after_close_raises(self):
         from repro.errors import ExecutionError
@@ -317,7 +317,7 @@ class TestMidStreamErrors:
 
     def test_error_surfaces_through_fetchmany_after_first_rows(self):
         engine = self._engine_with_failing_branch()
-        engine.controller.max_concurrent_requests = 1  # defer the bad fetch
+        engine.max_concurrent_requests = 1  # defer the bad fetch
         stream = engine.execute_stream(
             "SELECT g.a FROM g UNION ALL SELECT b.a FROM b"
         )
@@ -328,7 +328,7 @@ class TestMidStreamErrors:
 
     def test_failure_does_not_corrupt_cache_or_scheduler(self):
         engine = self._engine_with_failing_branch()
-        engine.controller.max_concurrent_requests = 1
+        engine.max_concurrent_requests = 1
         stream = engine.execute_stream(
             "SELECT g.a FROM g UNION ALL SELECT b.a FROM b"
         )
@@ -336,7 +336,7 @@ class TestMidStreamErrors:
         with pytest.raises(SourceError):
             stream.fetchmany(1)
         # The failing request was never cached; temporaries were released.
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
         # The engine keeps serving: the healthy branch alone still answers,
         # now from the (uncorrupted) source-result cache.
         result = engine.execute("SELECT g.a FROM g")
@@ -347,7 +347,7 @@ class TestMidStreamErrors:
         engine = self._engine_with_failing_branch()
         with pytest.raises(SourceError):
             engine.execute("SELECT g.a FROM g UNION ALL SELECT b.a FROM b")
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
 
 
 class TestFederationStreaming:

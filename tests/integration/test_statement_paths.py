@@ -332,7 +332,7 @@ class TestCertainAnswerRunsOnTheOnePath:
 
     def test_cursor_closed_after_its_first_row_leaves_nothing(self):
         stack = Stack(memory_budget_bytes=1_000_000)
-        controller = stack.federation.engine.controller
+        engine = stack.federation.engine
         try:
             for door in ("federation", "wire"):
                 if door == "federation":
@@ -340,7 +340,7 @@ class TestCertainAnswerRunsOnTheOnePath:
                                                     consistency="certain")
                     assert cursor.fetchone() in EXPECTED["certain"]
                     budget = cursor.stream.budget
-                    assert controller.temp_store.handles and budget.used_bytes > 0
+                    assert engine.temp_store.handles and budget.used_bytes > 0
                     cursor.close()
                     assert budget.used_bytes == 0
                 else:
@@ -351,7 +351,7 @@ class TestCertainAnswerRunsOnTheOnePath:
                     assert len(first["rows"]) == 1 and not first["done"]
                     assert stack.wire("close_cursor",
                                       cursor_id=opened["cursor_id"]).payload["closed"]
-                assert controller.temp_store.handles == []
+                assert engine.temp_store.handles == []
                 stack.assert_nothing_left_open()
         finally:
             stack.close()

@@ -57,7 +57,7 @@ def _key_paths(value, prefix=""):
 
 def _run(federation, statement):
     """One execution's answer facts and its staging deltas."""
-    counters = federation.engine.controller.temp_store.statistics
+    counters = federation.engine.temp_store.statistics
     before = counters.snapshot()
     answer = federation.query(statement.sql, statement.context)
     after = counters.snapshot()

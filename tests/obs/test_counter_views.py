@@ -112,7 +112,7 @@ class Stack:
             "aio.requests": transport["requests"],
             "source": self.ledger.statistics.snapshot(),
             "storage":
-                self.federation.engine.controller.temp_store.statistics.snapshot(),
+                self.federation.engine.temp_store.statistics.snapshot(),
             "channel": self.channel.statistics.snapshot(),
         }
 

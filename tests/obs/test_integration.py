@@ -217,10 +217,12 @@ class TestSnapshotConsistency:
         def mutate():
             index = 0
             while not stop.is_set():
-                report.record_request(RequestExecution(
+                entry = RequestExecution(
                     binding="b", wrapper_name="w", request=f"r{index}",
                     rows_returned=1, rows_after_local_filters=1,
-                    elapsed_seconds=0.001))
+                    elapsed_seconds=0.001)
+                with report.lock:
+                    report.requests.append(entry)
                 with report.lock:
                     report.rows_streamed += 1
                     report.branch_rows.append(index)

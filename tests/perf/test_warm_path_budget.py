@@ -78,7 +78,7 @@ def warm_profile():
         counts["annotate"] += 1
         return annotate(self, *args, **kwargs)
 
-    store = federation.engine.controller.temp_store
+    store = federation.engine.temp_store
     lock = store._lock = _CountingLock(store._lock)
     CounterSet.add, AnswerTransformer.annotate = counting_add, counting_annotate
     reports = []

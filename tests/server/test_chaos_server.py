@@ -88,7 +88,7 @@ class TestProtocolCursorCleanup:
         assert "unknown or closed cursor" in again.error
         assert server.snapshot()["open_cursors"] == 0
         # ...and its staged temporaries were released with it.
-        assert federation.engine.controller.temp_store.handles == []
+        assert federation.engine.temp_store.handles == []
 
     def test_partial_mode_streams_surviving_branch_with_label(self):
         federation, server = _dead_pair()
@@ -134,7 +134,7 @@ class TestChunkedHttpCleanup:
         body = json.loads(response.body)
         assert not body["ok"]
         assert "permanently out" in body["error"]
-        assert federation.engine.controller.temp_store.handles == []
+        assert federation.engine.temp_store.handles == []
 
     def test_partial_mode_streams_to_a_labelled_summary(self):
         _, server = _dead_pair()
@@ -160,7 +160,7 @@ class TestOdbcCleanup:
         cursor.close()
         cursor.close()  # idempotent even after the stream died
         assert server.snapshot()["open_cursors"] == 0
-        assert federation.engine.controller.temp_store.handles == []
+        assert federation.engine.temp_store.handles == []
 
     def test_partial_mode_answers_through_the_driver(self):
         _, server = _dead_pair()

@@ -120,4 +120,4 @@ class TestStreamReleaseRegression:
         assert budget.used_bytes > 0  # the sort staged the whole relation
         stream.close()
         assert budget.used_bytes == 0
-        assert engine.controller.temp_store.handles == []
+        assert engine.temp_store.handles == []
