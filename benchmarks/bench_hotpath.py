@@ -995,7 +995,7 @@ def bench_resilience() -> Dict[str, Any]:
     })
     retry_result, retry_elapsed = _timed(lambda: retry_engine.execute(_RESILIENCE_QUERY))
     retry_rows = list(retry_result.relation.rows)
-    retry_report = retry_result.report.resilience
+    retry_report = retry_result.report
     injected_transient = sum(
         injector.snapshot()["injected_failures"] for injector in retry_injectors)
 
@@ -1007,11 +1007,11 @@ def bench_resilience() -> Dict[str, Any]:
     partial_result, partial_elapsed = _timed(
         lambda: partial_engine.execute(_RESILIENCE_QUERY, on_source_error="partial"))
     partial_rows = sorted(partial_result.relation.rows)
-    degraded = partial_result.report.resilience.snapshot()["degraded_branches"]
+    degraded = partial_result.report.snapshot()["resilience"]["degraded_branches"]
     accesses_after_trip = partial_injectors[2].snapshot()["accesses"]
     repeat_result, repeat_elapsed = _timed(
         lambda: partial_engine.execute(_RESILIENCE_QUERY, on_source_error="partial"))
-    repeat_degraded = repeat_result.report.resilience.snapshot()["degraded_branches"]
+    repeat_degraded = repeat_result.report.snapshot()["resilience"]["degraded_branches"]
     health = partial_engine.source_health()
 
     return {
@@ -1027,7 +1027,7 @@ def bench_resilience() -> Dict[str, Any]:
         "partial_identical_to_survivors": partial_rows == surviving_rows,
         "degraded_branches": len(degraded),
         "dropped_wrappers": sorted({entry["wrapper"] for entry in degraded}),
-        "breaker_trips": partial_result.report.resilience.breaker_trips,
+        "breaker_trips": partial_result.report.breaker_trips,
         "breaker_state": health["breakers"].get("res3", {}).get("state"),
         "repeat_degraded_via_breaker": bool(repeat_degraded) and all(
             "circuit" in entry["error"] for entry in repeat_degraded),
@@ -1473,7 +1473,7 @@ def bench_adaptive_cbo(smoke: bool = False) -> Dict[str, Any]:
     bind_answer, bind_elapsed = _timed(
         lambda: adaptive_fed.query(_CBO_QUERY, mediate=False))
     bind_shipped = shipped() - cold_shipped
-    optimizer = bind_answer.execution.report.optimizer
+    bind_report = bind_answer.execution.report
 
     warm_answer, warm_elapsed = _timed(
         lambda: adaptive_fed.query(_CBO_QUERY, mediate=False))
@@ -1502,14 +1502,14 @@ def bench_adaptive_cbo(smoke: bool = False) -> Dict[str, Any]:
         # The third run must reuse the re-planned product: accurate feedback
         # estimates bump no epoch, so the plan cache stays warm.
         "warm_plan_cache_hit": statistics.plan_misses == 2,
-        "cold_join_order": cold_answer.execution.report.optimizer.join_orders,
-        "bind_join_order": optimizer.join_orders,
-        "bind_joins": optimizer.bind_joins,
-        "bind_batches": optimizer.bind_batches,
-        "bind_keys_shipped": optimizer.bind_keys_shipped,
-        "bind_rows_fetched": optimizer.bind_rows_fetched,
-        "bind_rows_avoided": optimizer.bind_rows_avoided,
-        "estimates_from_feedback": optimizer.estimates_from_feedback,
+        "cold_join_order": cold_answer.execution.report.join_orders,
+        "bind_join_order": bind_report.join_orders,
+        "bind_joins": bind_report.bind_joins,
+        "bind_batches": bind_report.bind_batches,
+        "bind_keys_shipped": bind_report.bind_keys_shipped,
+        "bind_rows_fetched": bind_report.bind_rows_fetched,
+        "bind_rows_avoided": bind_report.bind_rows_avoided,
+        "estimates_from_feedback": bind_report.estimates_from_feedback,
         "baseline_elapsed_seconds": round(baseline_elapsed, 6),
         "cold_elapsed_seconds": round(cold_elapsed, 6),
         "bind_elapsed_seconds": round(bind_elapsed, 6),

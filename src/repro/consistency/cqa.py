@@ -170,12 +170,10 @@ class ConsistentQueryExecutor:
         deadline."""
         deadline = self.engine.resilience.deadline(timeout_seconds)
         started = time.perf_counter()
-        report = ExecutionReport()
         # CQA refuses partial answers (certainty cannot be quantified over a
-        # degraded branch set), so the statement-level block is always "fail";
+        # degraded branch set), so the report keeps its default "fail" mode;
         # counters from every extent fetch fold in via _merge_subreport.
-        report.resilience.mode = "fail"
-        report.resilience.timeout_seconds = deadline.timeout_seconds
+        report = ExecutionReport(timeout_seconds=deadline.timeout_seconds)
         relation, consistency = self._execute_fallback(
             prepared.plan.statement, report, mode, deadline
         )
@@ -183,7 +181,7 @@ class ConsistentQueryExecutor:
         report.consistency = consistency
         report.result_rows = len(relation)
         report.elapsed_seconds = time.perf_counter() - started
-        report.resilience.deadline_remaining_seconds = deadline.remaining()
+        report.deadline_remaining_seconds = deadline.remaining()
         return EngineResult(relation=relation, plan=prepared.plan, report=report)
 
     # -- analysis ----------------------------------------------------------------
@@ -399,12 +397,12 @@ class ConsistentQueryExecutor:
         report.spilled_rows += sub.spilled_rows
         report.spilled_bytes += sub.spilled_bytes
         report.staged_bytes += sub.staged_bytes
-        report.resilience.attempts += sub.resilience.attempts
-        report.resilience.retries += sub.resilience.retries
-        report.resilience.failed_requests += sub.resilience.failed_requests
-        report.resilience.breaker_trips += sub.resilience.breaker_trips
-        report.resilience.breaker_rejections += sub.resilience.breaker_rejections
-        report.resilience.degraded_branches.extend(sub.resilience.degraded_branches)
+        report.attempts += sub.attempts
+        report.retries += sub.retries
+        report.failed_requests += sub.failed_requests
+        report.breaker_trips += sub.breaker_trips
+        report.breaker_rejections += sub.breaker_rejections
+        report.degraded_branches.extend(sub.degraded_branches)
 
     def _execute_fallback(self, statement, report: ExecutionReport, mode: str,
                           deadline=None) -> Tuple[Relation, Dict[str, object]]:

@@ -51,8 +51,8 @@ from repro.sql.ast import ColumnRef, OrderItem, Select, SelectItem, TableRef
 DEFAULT_MAX_WITNESSES = 5
 #: Default cap on violations counted per denial constraint (resolution bound).
 DEFAULT_MAX_DENIAL_SOLUTIONS = 10_000
-#: Default bound on memoized reports.
-DEFAULT_REPORT_CACHE_SIZE = 16
+#: Bound on memoized reports.
+REPORT_CACHE_SIZE = 16
 
 
 @dataclass
@@ -134,13 +134,13 @@ class ViolationScanner:
     ``memory_budget_bytes`` bounds the operator memory of every scan plan
     (the ordered scans spill instead of exceeding it); ``max_witnesses``
     caps the sample witnesses kept per constraint.  Reports are memoized in
-    a bounded LRU keyed by (catalog generation, scanned relations).
+    an LRU of ``REPORT_CACHE_SIZE`` entries keyed by (catalog generation,
+    scanned relations).
     """
 
     def __init__(self, engine, memory_budget_bytes: Optional[int] = None,
                  max_witnesses: int = DEFAULT_MAX_WITNESSES,
-                 max_denial_solutions: int = DEFAULT_MAX_DENIAL_SOLUTIONS,
-                 report_cache_size: int = DEFAULT_REPORT_CACHE_SIZE):
+                 max_denial_solutions: int = DEFAULT_MAX_DENIAL_SOLUTIONS):
         self.engine = engine
         #: Scans run on the engine — its request cache, fetch pool, temporary
         #: storage and resilience policy — but under this budget, so scanning
@@ -148,7 +148,6 @@ class ViolationScanner:
         self.memory_budget_bytes = memory_budget_bytes
         self.max_witnesses = max(0, int(max_witnesses))
         self.max_denial_solutions = max(1, int(max_denial_solutions))
-        self._cache_size = max(0, int(report_cache_size))
         self._cache: "OrderedDict[tuple, ViolationReport]" = OrderedDict()
         self._cache_lock = threading.Lock()
         self.cache_hits = 0
@@ -189,11 +188,11 @@ class ViolationScanner:
                                                          deadline))
         report.elapsed_seconds = time.perf_counter() - started
 
-        if use_cache and self._cache_size > 0:
+        if use_cache:
             with self._cache_lock:
                 self._cache[key] = report
                 self._cache.move_to_end(key)
-                while len(self._cache) > self._cache_size:
+                while len(self._cache) > REPORT_CACHE_SIZE:
                     self._cache.popitem(last=False)
         return report
 

@@ -261,12 +261,13 @@ class MultiDatabaseEngine:
     def _fold(self, report) -> None:
         """Fold one finished statement's report into the aggregate counters.
 
-        Each report's own lock is held only while its fields are read (a late
+        The report's lock is held only while its fields are read (a late
         fetch worker or a monitor snapshot may still touch the report) and is
         released before the counter set's, so the lock order stays flat.
         """
         with report.lock:
-            totals = dict(
+            add = dict(
+                statements_executed=1,
                 source_requests=len(report.requests),
                 source_round_trips=report.source_round_trips,
                 dedup_hits=report.dedup_hits,
@@ -275,27 +276,22 @@ class MultiDatabaseEngine:
                 rows_returned=report.result_rows,
                 rows_streamed=report.rows_streamed,
                 cancelled_fetches=report.cancelled_fetches,
+                source_retries=report.retries,
+                failed_requests=report.failed_requests,
+                breaker_trips=report.breaker_trips,
+                breaker_rejections=report.breaker_rejections,
+                degraded_branches=len(report.degraded_branches),
+                bind_joins=report.bind_joins,
+                bind_batches=report.bind_batches,
+                bind_keys_shipped=report.bind_keys_shipped,
+                bind_rows_fetched=report.bind_rows_fetched,
+                bind_rows_avoided=report.bind_rows_avoided,
                 spill_count=report.spill_count,
                 spilled_bytes=report.spilled_bytes,
                 peak_memory_bytes=report.peak_memory_bytes,
                 join_builds_shared=report.join_builds_shared,
             )
-        retries, failed, trips, rejections, degraded = report.resilience.totals()
-        optimizer = report.optimizer
-        self.statistics.add(
-            statements_executed=1,
-            source_retries=retries,
-            failed_requests=failed,
-            breaker_trips=trips,
-            breaker_rejections=rejections,
-            degraded_branches=degraded,
-            bind_joins=optimizer.bind_joins,
-            bind_batches=optimizer.bind_batches,
-            bind_keys_shipped=optimizer.bind_keys_shipped,
-            bind_rows_fetched=optimizer.bind_rows_fetched,
-            bind_rows_avoided=optimizer.bind_rows_avoided,
-            **totals,
-        )
+        self.statistics.add(**add)
 
     def source_health(self) -> Dict[str, object]:
         """Breaker states and rolling per-wrapper health statistics."""

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 from repro.errors import RequestFailedError
 from repro.engine.plan import QueryPlan, SourceRequest
-from repro.engine.resilience import ResilienceReport
 from repro.relational.operators import PhysicalOperator
 from repro.relational.relation import Relation
 
@@ -56,53 +55,35 @@ class RequestExecution:
     fetch_seconds: float = 0.0
 
 
-@dataclass
-class OperatorStats:
-    """Row/time counters of one local physical operator.
+class _InstrumentedOperator(PhysicalOperator):
+    """One local physical operator as the execution report lists it.
 
-    ``elapsed_seconds`` is cumulative in the EXPLAIN ANALYZE sense: it covers
-    the operator *and* everything beneath it in the pipeline, because it is
-    measured around the operator's batch production.  Both counters advance
-    once per batch, so beneath a LIMIT or an abandoned cursor ``rows_out``
-    may include up to one batch of rows the consumer never read.
+    Wraps ``child``, a bound operator of branch ``branch``, counting the rows
+    and production time of its batches (two clock reads and one addition
+    each).  ``elapsed_seconds`` is cumulative in the EXPLAIN ANALYZE sense:
+    it covers the operator *and* everything beneath it in the pipeline,
+    because it is measured around the operator's batch production.  Both
+    counters advance once per batch, so beneath a LIMIT or an abandoned
+    cursor ``rows_out`` may include up to one batch of rows the consumer
+    never read.
 
     ``detail`` is the operator's EXPLAIN text (predicates, keys — ``to_sql``
-    renderings); it is rendered from ``source`` when read, which only
-    :meth:`snapshot` does, so an execution nobody snapshots never pays for it."""
-
-    branch: int
-    operator: str
-    source: PhysicalOperator = field(repr=False, compare=False)
-    rows_out: int = 0
-    elapsed_seconds: float = 0.0
-
-    @property
-    def detail(self) -> str:
-        return self.source._explain_details()
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "branch": self.branch,
-            "operator": self.operator,
-            "detail": self.detail,
-            "rows_out": self.rows_out,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-        }
-
-
-class _InstrumentedOperator(PhysicalOperator):
-    """Transparent wrapper counting rows and production time of its child,
-    once per batch (two clock reads and one addition each)."""
+    renderings); it is rendered from ``child`` when read, which only
+    :meth:`snapshot` does, so an execution nobody snapshots never pays for it.
+    """
 
     _inputs = ("child",)
 
-    def __init__(self, child: PhysicalOperator, stats: OperatorStats):
+    def __init__(self, child: PhysicalOperator, branch: int):
         self.child = child
-        self.stats = stats
+        self.branch = branch
+        self.operator = child.operator_name
+        self.rows_out = 0
+        self.elapsed_seconds = 0.0
 
     @property
     def operator_name(self) -> str:  # type: ignore[override]
-        return self.child.operator_name
+        return self.operator
 
     @property
     def children(self):
@@ -115,67 +96,33 @@ class _InstrumentedOperator(PhysicalOperator):
     def explain(self, indent: int = 0) -> str:
         return self.child.explain(indent)
 
+    @property
+    def detail(self) -> str:
+        return self.child._explain_details()
+
+    def snapshot(self) -> Dict[str, object]:
+        return {
+            "branch": self.branch,
+            "operator": self.operator,
+            "detail": self.detail,
+            "rows_out": self.rows_out,
+            "elapsed_seconds": round(self.elapsed_seconds, 6),
+        }
+
     def batches(self):
-        stats = self.stats
         clock = time.perf_counter
         child_batches = self.child.batches()
         try:
             while True:
                 started = clock()
                 batch = next(child_batches, None)
-                stats.elapsed_seconds += clock() - started
+                self.elapsed_seconds += clock() - started
                 if batch is None:
                     return
-                stats.rows_out += len(batch)
+                self.rows_out += len(batch)
                 yield batch
         finally:
             child_batches.close()
-
-
-@dataclass
-class OptimizerReport:
-    """Adaptive-optimizer outcome of one statement.
-
-    Join orders and estimate provenance come from the plan; the bind-join
-    counters are filled in by the stream as bound requests actually ship
-    their batched ``IN``-list key sets.
-    """
-
-    #: Feedback epoch the executed plan was priced under.
-    feedback_epoch: int = 0
-    #: Per branch, the binding join order (initial first).
-    join_orders: List[List[str]] = field(default_factory=list)
-    #: How many plan estimates came from runtime feedback vs defaults
-    #: (source requests and join steps combined).
-    estimates_from_feedback: int = 0
-    estimates_from_defaults: int = 0
-    #: Bind-join accounting: bound requests executed, IN-list batches
-    #: shipped, key values shipped, rows actually fetched by bound requests,
-    #: rows the planner expected an unbound fetch to transfer minus those
-    #: fetched (clamped at zero), estimated bytes that saved, and bound
-    #: requests skipped entirely because the driver produced no keys.
-    bind_joins: int = 0
-    bind_batches: int = 0
-    bind_keys_shipped: int = 0
-    bind_rows_fetched: int = 0
-    bind_rows_avoided: int = 0
-    bind_bytes_saved: int = 0
-    bind_empty_key_skips: int = 0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "feedback_epoch": self.feedback_epoch,
-            "join_orders": [list(order) for order in self.join_orders],
-            "estimates_from_feedback": self.estimates_from_feedback,
-            "estimates_from_defaults": self.estimates_from_defaults,
-            "bind_joins": self.bind_joins,
-            "bind_batches": self.bind_batches,
-            "bind_keys_shipped": self.bind_keys_shipped,
-            "bind_rows_fetched": self.bind_rows_fetched,
-            "bind_rows_avoided": self.bind_rows_avoided,
-            "bind_bytes_saved": self.bind_bytes_saved,
-            "bind_empty_key_skips": self.bind_empty_key_skips,
-        }
 
 
 @dataclass
@@ -183,11 +130,11 @@ class ExecutionReport:
     """Execution trace of one statement: per-request facts plus totals.
 
     Mutations arrive from several threads — fetch workers append request
-    entries while the consumer thread folds streaming/memory totals and a
-    server thread may snapshot mid-flight — so the list/dict fields are
-    guarded by ``lock``: mutation sites hold it (a ``with report.lock``
-    block) and :meth:`snapshot` takes it too, making every snapshot a
-    consistent point-in-time copy.
+    entries and count attempts while the consumer thread folds
+    streaming/memory totals and a server thread may snapshot mid-flight — so
+    the fields are guarded by ``lock``: mutation sites hold it (a ``with
+    report.lock`` block) and :meth:`snapshot` renders every block under it,
+    making every snapshot a consistent point-in-time copy.
     """
 
     requests: List[RequestExecution] = field(default_factory=list)
@@ -195,13 +142,15 @@ class ExecutionReport:
     result_rows: int = 0
     elapsed_seconds: float = 0.0
     temp_storage: Dict[str, int] = field(default_factory=dict)
-    operator_stats: List[OperatorStats] = field(default_factory=list)
+    #: The instrumented operators, one entry per listed local operator.
+    operator_stats: List[_InstrumentedOperator] = field(default_factory=list)
     #: Scheduler outcome: how many distinct round trips the plan's requests
     #: collapsed into, and how they were served.
     distinct_requests: int = 0
     dedup_hits: int = 0
     cache_hits: int = 0
-    #: Peak number of this statement's fetches simultaneously in flight.
+    #: This statement's fetches in flight right now, and their peak.
+    in_flight: int = 0
     max_in_flight: int = 0
     #: Pool submission order (one binding per pending fetch).  When the
     #: catalog's per-wrapper EWMA latency profiles are mature the scheduler
@@ -234,17 +183,36 @@ class ExecutionReport:
     #: under enumeration, conflict clusters touched, raw row count, and how
     #: many raw rows certainty dropped.
     consistency: Optional[Dict[str, object]] = None
-    #: Fault-tolerance outcome: fetch attempts, retries, breaker activity,
-    #: degraded branches and deadline headroom (see
-    #: :class:`~repro.engine.resilience.ResilienceReport`).
-    resilience: ResilienceReport = field(default_factory=ResilienceReport)
-    #: Adaptive-optimizer outcome: join orders, estimate provenance and
-    #: bind-join transfer accounting.
-    optimizer: OptimizerReport = field(default_factory=OptimizerReport)
+    #: The ``resilience`` block: deadline headroom, fetch attempts, retries,
+    #: breaker activity and, under ``on_source_error="partial"``, every branch
+    #: dropped with the request and error that killed it (never silently).
+    on_source_error: str = "fail"
+    timeout_seconds: Optional[float] = None
+    deadline_remaining_seconds: Optional[float] = None
+    attempts: int = 0
+    retries: int = 0
+    failed_requests: int = 0
+    breaker_trips: int = 0
+    breaker_rejections: int = 0
+    degraded_branches: List[Dict[str, object]] = field(default_factory=list)
+    #: The ``optimizer`` block: the plan's feedback epoch, join orders per
+    #: branch and estimate provenance, then what bound requests did as they
+    #: shipped their ``IN``-list key sets (rows avoided are the planner's
+    #: unbound estimate minus rows fetched, clamped at zero).
+    feedback_epoch: int = 0
+    join_orders: List[List[str]] = field(default_factory=list)
+    estimates_from_feedback: int = 0
+    estimates_from_defaults: int = 0
+    bind_joins: int = 0
+    bind_batches: int = 0
+    bind_keys_shipped: int = 0
+    bind_rows_fetched: int = 0
+    bind_rows_avoided: int = 0
+    bind_bytes_saved: int = 0
+    bind_empty_key_skips: int = 0
     #: Trace id of the statement's span tree, when tracing sampled it.
     trace_id: Optional[str] = None
-    #: Guards the mutable collections/counters above against concurrent
-    #: snapshots (see the class docstring).
+    #: Guards every field above (see the class docstring).
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                  compare=False)
 
@@ -265,7 +233,7 @@ class ExecutionReport:
 
     def snapshot(self) -> Dict[str, object]:
         with self.lock:
-            requests = list(self.requests)
+            requests = self.requests
             snapshot: Dict[str, object] = {
                 "requests": len(requests),
                 "rows_transferred": sum(
@@ -276,7 +244,7 @@ class ExecutionReport:
                 "result_rows": self.result_rows,
                 "elapsed_seconds": round(self.elapsed_seconds, 6),
                 "temp_storage": dict(self.temp_storage),
-                "operators": [stats.snapshot() for stats in self.operator_stats],
+                "operators": [entry.snapshot() for entry in self.operator_stats],
                 "scheduler": {
                     "distinct_requests": self.distinct_requests,
                     "source_round_trips": self.distinct_requests - self.cache_hits,
@@ -308,14 +276,34 @@ class ExecutionReport:
             }
             if self.trace_id is not None:
                 snapshot["trace_id"] = self.trace_id
-            consistency = (dict(self.consistency)
-                           if self.consistency is not None else None)
-        # The sub-reports carry their own locks; taking them outside ours
-        # keeps the lock order flat (never nested the other way around).
-        snapshot["resilience"] = self.resilience.snapshot()
-        snapshot["optimizer"] = self.optimizer.snapshot()
-        if consistency is not None:
-            snapshot["consistency"] = consistency
+            snapshot["resilience"] = {
+                "mode": self.on_source_error,
+                "timeout_seconds": self.timeout_seconds,
+                "deadline_remaining_seconds": (
+                    None if self.deadline_remaining_seconds is None
+                    else round(self.deadline_remaining_seconds, 6)),
+                "attempts": self.attempts,
+                "retries": self.retries,
+                "failed_requests": self.failed_requests,
+                "breaker_trips": self.breaker_trips,
+                "breaker_rejections": self.breaker_rejections,
+                "degraded_branches": [dict(entry) for entry in self.degraded_branches],
+            }
+            snapshot["optimizer"] = {
+                "feedback_epoch": self.feedback_epoch,
+                "join_orders": [list(order) for order in self.join_orders],
+                "estimates_from_feedback": self.estimates_from_feedback,
+                "estimates_from_defaults": self.estimates_from_defaults,
+                "bind_joins": self.bind_joins,
+                "bind_batches": self.bind_batches,
+                "bind_keys_shipped": self.bind_keys_shipped,
+                "bind_rows_fetched": self.bind_rows_fetched,
+                "bind_rows_avoided": self.bind_rows_avoided,
+                "bind_bytes_saved": self.bind_bytes_saved,
+                "bind_empty_key_skips": self.bind_empty_key_skips,
+            }
+            if self.consistency is not None:
+                snapshot["consistency"] = dict(self.consistency)
         return snapshot
 
 
@@ -326,26 +314,6 @@ class EngineResult:
     relation: Relation
     plan: QueryPlan
     report: ExecutionReport
-
-
-class _InFlightGauge:
-    """Thread-safe high-water mark of concurrently running fetches."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._current = 0
-        self.peak = 0
-
-    def __enter__(self) -> "_InFlightGauge":
-        with self._lock:
-            self._current += 1
-            if self._current > self.peak:
-                self.peak = self._current
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._current -= 1
 
 
 @dataclass

@@ -38,8 +38,8 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
     CapabilityError,
@@ -49,6 +49,9 @@ from repro.errors import (
     SourceError,
     WrapperError,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.executor import ExecutionReport
 
 #: Valid values of the ``on_source_error`` execution option.
 ON_SOURCE_ERROR_MODES = ("fail", "partial")
@@ -396,14 +399,15 @@ class SourceHealth:
         return recent[index]
 
     def snapshot(self) -> Dict[str, object]:
+        # One critical section: the failure rate is computed from the very
+        # counts the snapshot reports.
         with self._lock:
             attempts = self.successes + self.failures
             recent = list(self._recent_latencies)
-        p95 = None
-        if recent:
-            ordered = sorted(recent)
-            p95 = ordered[min(len(ordered) - 1, int(round(0.95 * (len(ordered) - 1))))]
-        with self._lock:
+            p95 = None
+            if recent:
+                ordered = sorted(recent)
+                p95 = ordered[min(len(ordered) - 1, int(round(0.95 * (len(ordered) - 1))))]
             return {
                 "successes": self.successes,
                 "failures": self.failures,
@@ -439,90 +443,6 @@ class HealthRegistry:
         with self._lock:
             entries = dict(self._entries)
         return {name: entry.snapshot() for name, entry in sorted(entries.items())}
-
-
-# ---------------------------------------------------------------------------
-# Per-statement resilience accounting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ResilienceReport:
-    """The ``resilience`` block of one statement's execution report.
-
-    Counters are recorded from concurrent fetch threads, hence the lock.
-    ``degraded_branches`` lists — under ``on_source_error="partial"`` — every
-    branch the statement dropped, with the request and error that killed it:
-    degradation is never silent.
-    """
-
-    mode: str = "fail"
-    timeout_seconds: Optional[float] = None
-    deadline_remaining_seconds: Optional[float] = None
-    attempts: int = 0
-    retries: int = 0
-    failed_requests: int = 0
-    breaker_trips: int = 0
-    breaker_rejections: int = 0
-    degraded_branches: List[Dict[str, object]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def record_attempt(self) -> None:
-        with self._lock:
-            self.attempts += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def record_failed_request(self) -> None:
-        with self._lock:
-            self.failed_requests += 1
-
-    def record_trip(self) -> None:
-        with self._lock:
-            self.breaker_trips += 1
-
-    def record_rejection(self) -> None:
-        with self._lock:
-            self.breaker_rejections += 1
-
-    def record_degraded(self, branch: int, wrapper_name: str, request_text: str,
-                        error: BaseException) -> None:
-        with self._lock:
-            self.degraded_branches.append({
-                "branch": branch,
-                "wrapper": wrapper_name,
-                "request": request_text,
-                "error": f"{type(error).__name__}: {error}",
-            })
-
-    def totals(self) -> Tuple[int, int, int, int, int]:
-        """(retries, failed requests, breaker trips, breaker rejections,
-        degraded branches) — the integers the engine's aggregate fold reads,
-        without rendering the block."""
-        with self._lock:
-            return (self.retries, self.failed_requests, self.breaker_trips,
-                    self.breaker_rejections, len(self.degraded_branches))
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "mode": self.mode,
-                "timeout_seconds": self.timeout_seconds,
-                "deadline_remaining_seconds": (
-                    round(self.deadline_remaining_seconds, 6)
-                    if self.deadline_remaining_seconds is not None else None
-                ),
-                "attempts": self.attempts,
-                "retries": self.retries,
-                "failed_requests": self.failed_requests,
-                "breaker_trips": self.breaker_trips,
-                "breaker_rejections": self.breaker_rejections,
-                "degraded_branches": [dict(entry) for entry in self.degraded_branches],
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +504,17 @@ class ResiliencePolicy:
 
     def run_fetch(self, wrapper_name: str, request_text: str,
                   fetch: Callable[[], object], deadline: Deadline,
-                  stats: ResilienceReport,
+                  report: ExecutionReport,
                   source_statistics=None, span=None) -> Tuple[object, int]:
         """One guarded source round trip: breaker + retries + deadline.
 
         Returns ``(result, attempts)``.  Raises the final classified error
         (or :class:`DeadlineExceededError` / :class:`CircuitOpenError`);
-        health, breaker and per-statement counters are updated either way.
-        When a (recording) fetch ``span`` is passed, every attempt becomes
-        one child span annotated with the breaker state it observed, so a
-        trace's attempt spans reconcile exactly with the report's
-        ``resilience.attempts`` counter.
+        health, breaker and the statement ``report``'s counters (under its
+        lock) are updated either way.  When a (recording) fetch ``span`` is
+        passed, every attempt becomes one child span annotated with the
+        breaker state it observed, so a trace's attempt spans reconcile
+        exactly with the report's ``attempts`` counter.
         """
         breaker = self.breaker(wrapper_name)
         health = self.health.wrapper(wrapper_name)
@@ -607,14 +527,16 @@ class ResiliencePolicy:
                     span.event("breaker_rejection", wrapper=wrapper_name,
                                breaker_state=breaker.state)
                 health.record_rejection()
-                stats.record_rejection()
+                with report.lock:
+                    report.breaker_rejections += 1
                 raise CircuitOpenError(
                     f"wrapper {wrapper_name!r} is circuit-broken after repeated "
                     f"failures; retrying after cooldown "
                     f"({breaker.cooldown_seconds}s)"
                 )
             attempt += 1
-            stats.record_attempt()
+            with report.lock:
+                report.attempts += 1
             attempt_span = None
             if span is not None:
                 attempt_span = span.child(
@@ -628,7 +550,8 @@ class ResiliencePolicy:
                 latency = self.clock.now() - started
                 tripped = breaker.record_failure()
                 if tripped:
-                    stats.record_trip()
+                    with report.lock:
+                        report.breaker_trips += 1
                 if attempt_span is not None:
                     if tripped:
                         attempt_span.event("breaker_trip", wrapper=wrapper_name)
@@ -637,18 +560,21 @@ class ResiliencePolicy:
                 if source_statistics is not None:
                     source_statistics.add(failures=1)
                 if not policy.is_transient(error) or attempt >= policy.max_attempts:
-                    stats.record_failed_request()
+                    with report.lock:
+                        report.failed_requests += 1
                     raise
                 delay = policy.backoff_delay(request_text, attempt)
                 remaining = deadline.remaining()
                 if remaining is not None and delay >= remaining:
-                    stats.record_failed_request()
+                    with report.lock:
+                        report.failed_requests += 1
                     raise DeadlineExceededError(
                         f"statement deadline of {deadline.timeout_seconds}s "
                         f"leaves no room to retry {request_text} on wrapper "
                         f"{wrapper_name!r} (attempt {attempt} failed: {error})"
                     ) from error
-                stats.record_retry()
+                with report.lock:
+                    report.retries += 1
                 health.record_retry()
                 if source_statistics is not None:
                     source_statistics.add(retries=1)

@@ -69,10 +69,8 @@ from repro.errors import (
 )
 from repro.engine.executor import (
     ExecutionReport,
-    OperatorStats,
     RequestExecution,
     _FetchOutcome,
-    _InFlightGauge,
     _InstrumentedOperator,
     request_failed_error,
 )
@@ -188,15 +186,21 @@ class ResultStream:
                 "cannot execute a plan with no branches: the planner produced "
                 "an empty UNION (no SELECT branch to evaluate)"
             )
+        template = plan.template
         self.engine = engine
         self.plan = plan
-        self.report = ExecutionReport()
+        self.report = ExecutionReport(
+            memory_limit_bytes=memory_budget_bytes or 0,
+            on_source_error=on_source_error,
+            timeout_seconds=deadline.timeout_seconds,
+            feedback_epoch=getattr(plan, "feedback_epoch", 0),
+            join_orders=template.join_orders,  # shared; snapshots copy
+            estimates_from_feedback=template.estimates_from_feedback,
+            estimates_from_defaults=template.estimates_from_defaults,
+        )
         self.budget = MemoryBudget(memory_budget_bytes)
-        self.report.memory_limit_bytes = memory_budget_bytes or 0
         self._deadline = deadline
         self._partial = on_source_error == "partial"
-        self.report.resilience.mode = on_source_error
-        self.report.resilience.timeout_seconds = self._deadline.timeout_seconds
 
         #: The ambient (execute) span at construction time.  Fetch workers
         #: run on pool threads where the tracing contextvar is absent, so the
@@ -222,18 +226,11 @@ class ResultStream:
         self._consumed_keys: set = set()
         #: Keys whose fetch result was consumed (cache put + estimate done).
         self._finalized_keys: set = set()
-        self._gauge = _InFlightGauge()
         self._close_callbacks: List[Callable[[ExecutionReport], None]] = []
-        #: (algebra.Join, OperatorStats) pairs whose observed cardinality feeds
-        #: the adaptive optimizer when the stream drains to exhaustion.
-        self._join_watchers: List[Tuple[object, OperatorStats]] = []
-
-        template = plan.template
-        optimizer = self.report.optimizer
-        optimizer.feedback_epoch = getattr(plan, "feedback_epoch", 0)
-        optimizer.join_orders = template.join_orders  # shared; snapshots copy
-        optimizer.estimates_from_feedback = template.estimates_from_feedback
-        optimizer.estimates_from_defaults = template.estimates_from_defaults
+        #: (algebra.Join, instrumented operator) pairs whose observed
+        #: cardinality feeds the adaptive optimizer when the stream drains to
+        #: exhaustion.
+        self._join_watchers: List[Tuple[object, _InstrumentedOperator]] = []
 
         # -- phase 1: dedup, cache-resolve, dispatch ---------------------------
         # A bound request has no final SQL until its driver's key set is
@@ -405,28 +402,35 @@ class ResultStream:
             "fetch", wrapper=request.wrapper_name, binding=request.binding,
             request=request.request_text,
         )
-        with self._gauge:
-            fetch_started = time.perf_counter()
-            try:
-                fetched, attempts = self.engine.resilience.run_fetch(
-                    wrapper_name=request.wrapper_name,
-                    request_text=request.request_text,
-                    fetch=attempt,
-                    deadline=self._deadline,
-                    stats=self.report.resilience,
-                    source_statistics=getattr(wrapper, "source_statistics", None),
-                    span=fetch_span if fetch_span.recording else None,
-                )
-            except Exception as error:
-                fetch_span.finish(error=error)
-                return _FetchOutcome(
-                    relation=None,
-                    request_text=request.request_text,
-                    fetch_seconds=time.perf_counter() - fetch_started,
-                    wait_seconds=fetch_started - queued_at,
-                    error=error,
-                )
-            fetch_elapsed = time.perf_counter() - fetch_started
+        report = self.report
+        with report.lock:
+            report.in_flight += 1
+            if report.in_flight > report.max_in_flight:
+                report.max_in_flight = report.in_flight
+        fetch_started = time.perf_counter()
+        try:
+            fetched, attempts = self.engine.resilience.run_fetch(
+                wrapper_name=request.wrapper_name,
+                request_text=request.request_text,
+                fetch=attempt,
+                deadline=self._deadline,
+                report=report,
+                source_statistics=getattr(wrapper, "source_statistics", None),
+                span=fetch_span if fetch_span.recording else None,
+            )
+        except Exception as error:
+            fetch_span.finish(error=error)
+            return _FetchOutcome(
+                relation=None,
+                request_text=request.request_text,
+                fetch_seconds=time.perf_counter() - fetch_started,
+                wait_seconds=fetch_started - queued_at,
+                error=error,
+            )
+        finally:
+            with report.lock:
+                report.in_flight -= 1
+        fetch_elapsed = time.perf_counter() - fetch_started
         fetch_span.annotate(rows=len(fetched), attempts=attempts)
         fetch_span.finish()
         return _FetchOutcome(
@@ -570,7 +574,6 @@ class ResultStream:
         source-result cache without any round trip.
         """
         report = self.report
-        optimizer = report.optimizer
         spec = request.bind
         driver = staged.get(spec.driver_index)
         if driver is None:
@@ -579,7 +582,7 @@ class ResultStream:
                 f"{spec.driver_index}, which is not staged"
             )
         with report.lock:
-            optimizer.bind_joins += 1
+            report.bind_joins += 1
 
         column_values: List[List[object]] = []
         for driver_column in spec.driver_columns:
@@ -592,8 +595,8 @@ class ResultStream:
             # No keys: the equi join upstream cannot match anything, so the
             # round trip is skipped entirely.
             with report.lock:
-                optimizer.bind_empty_key_skips += 1
-                optimizer.bind_rows_avoided += spec.estimated_unbound_rows
+                report.bind_empty_key_skips += 1
+                report.bind_rows_avoided += spec.estimated_unbound_rows
             return _FetchOutcome(
                 relation=self._empty_bound_relation(request),
                 request_text=f"{request.request_text} /* bind: empty key set */",
@@ -663,12 +666,12 @@ class ResultStream:
 
         avoided = max(0, spec.estimated_unbound_rows - len(combined_rows))
         with report.lock:
-            optimizer.bind_batches += len(batch_keys)
-            optimizer.bind_keys_shipped += keys_shipped
-            optimizer.bind_rows_fetched += len(combined_rows)
-            optimizer.bind_rows_avoided += avoided
+            report.bind_batches += len(batch_keys)
+            report.bind_keys_shipped += keys_shipped
+            report.bind_rows_fetched += len(combined_rows)
+            report.bind_rows_avoided += avoided
             if combined_rows and avoided:
-                optimizer.bind_bytes_saved += (
+                report.bind_bytes_saved += (
                     estimate_row_bytes(combined_rows[0]) * avoided
                 )
 
@@ -719,19 +722,22 @@ class ResultStream:
             except _SourceFailure as failure:
                 failed_request = self._distinct[failure.key]
                 if self._partial:
-                    report.resilience.record_degraded(
-                        branch_index,
-                        failed_request.wrapper_name,
-                        failed_request.request_text,
-                        failure.outcome.error,
-                    )
+                    error = failure.outcome.error
+                    with report.lock:
+                        report.degraded_branches.append({
+                            "branch": branch_index,
+                            "wrapper": failed_request.wrapper_name,
+                            "request": failed_request.request_text,
+                            "error": f"{type(error).__name__}: {error}",
+                        })
+                        degraded = len(report.degraded_branches)
                     # Degraded answers are always kept by the trace sampler.
                     self._span.flag("partial")
                     self._span.event(
                         "branch_degraded", branch=branch_index,
                         wrapper=failed_request.wrapper_name,
                     )
-                    if len(report.resilience.degraded_branches) == len(self.plan.branches):
+                    if degraded == len(self.plan.branches):
                         raise ExecutionError(
                             f"all {len(self.plan.branches)} branches were degraded by "
                             "source failures; no surviving branch can answer the "
@@ -745,7 +751,7 @@ class ResultStream:
             stage = stages[index] = template.stage(index, outcome.relation.schema, executor)
             staged[index] = self._stage(stage, request, branch_index, outcome, first_use)
 
-        instrumented: List[OperatorStats] = []
+        instrumented: List[_InstrumentedOperator] = []
         pipeline = self._bind(template.operators(stages, executor), staged,
                               branch_index, instrumented)
         with report.lock:
@@ -764,7 +770,7 @@ class ResultStream:
         return pipeline
 
     def _bind(self, operator: PhysicalOperator, staged: Dict[int, Relation],
-              branch_index: int, instrumented: List[OperatorStats],
+              branch_index: int, instrumented: List[_InstrumentedOperator],
               listed: bool = True) -> PhysicalOperator:
         """A copy of template ``operator`` and its inputs over this execution's
         staged relations and budget, instrumented where the report lists it.
@@ -785,9 +791,9 @@ class ResultStream:
             )
         if not listed:
             return bound
-        stats = OperatorStats(branch_index, bound.operator_name, bound)
-        instrumented.append(stats)
-        return _InstrumentedOperator(bound, stats)
+        entry = _InstrumentedOperator(bound, branch_index)
+        instrumented.append(entry)
+        return entry
 
     def _stage(self, stage: Stage, request: SourceRequest, branch_index: int,
                outcome: _FetchOutcome, first_use: bool) -> Relation:
@@ -1002,22 +1008,22 @@ class ResultStream:
         if self._exhausted and self._join_watchers:
             feedback = getattr(self.engine.catalog, "feedback", None)
             if feedback is not None:
-                for join, stats in self._join_watchers:
+                for join, entry in self._join_watchers:
                     planned = (join.estimated_rows
                                if join.estimated_rows > 0 else None)
                     feedback.record_join(
-                        join.feedback_key, stats.rows_out, planned_rows=planned
+                        join.feedback_key, entry.rows_out, planned_rows=planned
                     )
 
-        self.report.resilience.deadline_remaining_seconds = self._deadline.remaining()
         # Snapshot the helpers before taking the report lock so it never
         # nests inside (or around) theirs.
+        remaining = self._deadline.remaining()
         temp_storage = self.engine.temp_store.statistics.snapshot()
         memory = self.budget.snapshot()
         report = self.report
         with report.lock:
+            report.deadline_remaining_seconds = remaining
             report.cancelled_fetches += cancelled
-            report.max_in_flight = self._gauge.peak
             report.result_rows = report.rows_streamed
             report.elapsed_seconds = time.perf_counter() - self._started
             report.temp_storage = temp_storage
@@ -1026,8 +1032,8 @@ class ResultStream:
             report.spilled_rows = memory["spilled_rows"]
             report.spilled_bytes = memory["spilled_bytes"]
             report.join_builds_shared = sum(
-                stats.source.build_shared for stats in report.operator_stats
-                if stats.operator == "HashJoin")
+                entry.child.build_shared for entry in report.operator_stats
+                if entry.operator == "HashJoin")
 
         self._span.annotate(
             rows_streamed=report.rows_streamed,

@@ -71,6 +71,18 @@ MAGIC = b"COIN/1\n"
 #: not make the server buffer gigabytes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Seconds a fresh connection gets to complete its handshake (magic + hello
+#: frame, or the first HTTP request line).
+HANDSHAKE_TIMEOUT_SECONDS = 5.0
+
+#: Worker threads beyond the gateway's admission capacity, serving the
+#: un-gated operations (cursor fetch/close, dictionary lookups) so they
+#: cannot starve behind admitted statements.
+EXECUTOR_SLACK = 4
+
+#: Seconds ``AsyncMediationServer.shutdown()`` drains by default.
+DRAIN_TIMEOUT_SECONDS = 30.0
+
 
 def encode_frame(payload: bytes) -> bytes:
     """Frame ``payload`` as ``b"<decimal length>\\n<payload>"``."""
@@ -118,7 +130,8 @@ class FrameParser:
 
 @dataclass
 class AsyncServerConfig:
-    """Knobs of the event-loop transport."""
+    """The event-loop transport's two knobs (its fixed timings and worker
+    slack are the module constants above)."""
 
     #: Concurrently open connections the loop accepts; the excess is refused
     #: at connect time (the client sees a retriable ClientError).
@@ -127,16 +140,6 @@ class AsyncServerConfig:
     #: requests before the reaper closes it, releasing the session's cursors,
     #: streaming permits and temp-store handles.
     idle_timeout_seconds: float = 30.0
-    #: Seconds a fresh connection gets to complete its handshake (magic +
-    #: hello frame, or the first HTTP request line).
-    handshake_timeout_seconds: float = 5.0
-    #: Worker threads beyond the gateway's admission capacity, serving the
-    #: un-gated operations (cursor fetch/close, dictionary lookups) so they
-    #: cannot starve behind admitted statements.
-    executor_slack: int = 4
-    #: Seconds shutdown waits for in-flight requests before closing
-    #: connections.
-    drain_timeout_seconds: float = 30.0
 
 
 @dataclass(eq=False)
@@ -307,8 +310,7 @@ class AsyncMediationServer:
     def start(self) -> "AsyncMediationServer":
         if self._running:
             return self
-        self._worker_threads = (self.gateway.admission_capacity
-                                + max(1, self.config.executor_slack))
+        self._worker_threads = self.gateway.admission_capacity + EXECUTOR_SLACK
         self._executor = ThreadPoolExecutor(
             max_workers=self._worker_threads, thread_name_prefix="aio-worker"
         )
@@ -338,16 +340,16 @@ class AsyncMediationServer:
         """Graceful drain: quiesce the loop, then drain the gateway.
 
         New connections are refused immediately; in-flight requests get
-        ``drain_timeout_seconds`` to finish; connections are then closed
-        (closing every session, which releases its handles and streaming
-        permits); finally the wrapped server drains its gateway.  Returns
-        True once fully idle.
+        ``timeout_seconds`` (default ``DRAIN_TIMEOUT_SECONDS``) to finish;
+        connections are then closed (closing every session, which releases
+        its handles and streaming permits); finally the wrapped server drains
+        its gateway.  Returns True once fully idle.
         """
         if not self._running:
             return True
         self._draining = True
         budget = (timeout_seconds if timeout_seconds is not None
-                  else self.config.drain_timeout_seconds)
+                  else DRAIN_TIMEOUT_SECONDS)
         future = asyncio.run_coroutine_threadsafe(self._quiesce(budget), self._loop)
         try:
             future.result(timeout=budget + 10.0)
@@ -432,7 +434,7 @@ class AsyncMediationServer:
         try:
             preamble = await asyncio.wait_for(
                 reader.readexactly(len(MAGIC)),
-                timeout=self.config.handshake_timeout_seconds,
+                timeout=HANDSHAKE_TIMEOUT_SECONDS,
             )
             serve = self._serve_native if preamble == MAGIC else self._serve_http
             reaped = await serve(preamble, reader, writer, session)
@@ -478,8 +480,7 @@ class AsyncMediationServer:
                             session: Session) -> bool:
         parser = FrameParser()
         frame = await self._next_message(
-            reader, parser, parser.next_frame,
-            self.config.handshake_timeout_seconds)
+            reader, parser, parser.next_frame, HANDSHAKE_TIMEOUT_SECONDS)
         if frame is None:
             return False
         hello = json.loads(frame)
@@ -530,7 +531,7 @@ class AsyncMediationServer:
                 request = await self._next_message(
                     reader, parser, parser.next_request,
                     self.config.idle_timeout_seconds if greeted
-                    else self.config.handshake_timeout_seconds)
+                    else HANDSHAKE_TIMEOUT_SECONDS)
             except asyncio.TimeoutError:
                 return greeted
             if request is None:

@@ -76,6 +76,9 @@ GATEWAY_COUNTERS = (
      "Streaming permits handed out over the gateway's lifetime."),
 )
 
+#: Tenant attributed to requests that name none.
+DEFAULT_TENANT = "anonymous"
+
 #: Shed reasons, in the order the admission pipeline checks them.
 SHED_REASONS = ("draining", "quota", "deadline", "queue_full", "streams")
 
@@ -135,7 +138,10 @@ class TokenBucket:
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Sizing and policy of one :class:`AdmissionGateway`."""
+    """Sizing and policy of one :class:`AdmissionGateway`.
+
+    Requests that name no tenant are attributed to ``DEFAULT_TENANT``.
+    """
 
     #: Concurrently executing admitted requests.
     max_workers: int = 8
@@ -147,8 +153,6 @@ class GatewayConfig:
     tenant_burst: Optional[float] = None
     #: Concurrently open streaming answers (cursors + chunked responses).
     max_active_streams: int = 64
-    #: Tenant attributed to requests that name none.
-    default_tenant: str = "anonymous"
     #: Smoothing factor of the service-time EWMA behind deadline projection.
     ewma_alpha: float = 0.2
 
@@ -251,7 +255,7 @@ class AdmissionGateway:
     # -- tenants -----------------------------------------------------------------
 
     def _tenant(self, tenant: Optional[str]) -> str:
-        return (tenant or "").strip() or self.config.default_tenant
+        return (tenant or "").strip() or DEFAULT_TENANT
 
     def _counters(self, tenant: str) -> _TenantCounters:
         """Caller holds the lock."""

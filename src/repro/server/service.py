@@ -112,9 +112,10 @@ class ResultHandle:
     # -- consuming --------------------------------------------------------------------
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        if self.closed:
-            return []
-        rows = self.cursor.fetchmany(size or self.cursor.options.batch_size)
+        if self.closed or (size is not None and size <= 0):
+            return []  # a zero-row fetch consumes nothing and keeps the handle open
+        rows = self.cursor.fetchmany(
+            self.cursor.options.batch_size if size is None else size)
         self.rows_streamed += len(rows)
         if not rows or self.cursor.exhausted:
             self.close()

@@ -391,7 +391,7 @@ class TestThreading:
             LEDGER_QUERY, mediate=False, consistency="certain",
             timeout_seconds=30.0,
         )
-        block = answer.execution.report.resilience.snapshot()
+        block = answer.execution.report.snapshot()["resilience"]
         # CQA synthesizes its own statement report; the deadline it ran
         # under and the sub-executions' source attempts must survive into
         # the surfaced resilience block.

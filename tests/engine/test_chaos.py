@@ -113,7 +113,7 @@ class TestRetryToIdenticalAnswers:
         result = flaky_engine.execute(UNION_QUERY)
         assert list(result.relation.rows) == expected
 
-        resilience = result.report.resilience.snapshot()
+        resilience = result.report.snapshot()["resilience"]
         assert resilience["retries"] == 3
         assert resilience["failed_requests"] == 0
         assert resilience["degraded_branches"] == []
@@ -169,7 +169,7 @@ class TestPartialAnswers:
         result = engine.execute(UNION_QUERY, on_source_error="partial")
         assert sorted(result.relation.rows) == sorted(survivors)
 
-        resilience = result.report.resilience.snapshot()
+        resilience = result.report.snapshot()["resilience"]
         assert resilience["mode"] == "partial"
         [degraded] = resilience["degraded_branches"]
         assert degraded["wrapper"] == "src3"
@@ -183,7 +183,7 @@ class TestPartialAnswers:
         stream = engine.execute_stream(UNION_QUERY, on_source_error="partial")
         rows = stream.fetchall()
         assert rows  # branches 1 and 3 answered
-        [degraded] = stream.report.resilience.snapshot()["degraded_branches"]
+        [degraded] = stream.report.snapshot()["resilience"]["degraded_branches"]
         assert degraded["wrapper"] == "src2"
 
     @pytest.mark.parametrize("streamed", (False, True), ids=("eager", "streamed"))
@@ -217,7 +217,7 @@ class TestPartialAnswers:
         assert schema == healthy.relation.schema
         assert rows == list(survivors.relation.rows)
         assert report.branch_rows == survivors.report.branch_rows
-        [degraded] = report.resilience.snapshot()["degraded_branches"]
+        [degraded] = report.snapshot()["resilience"]["degraded_branches"]
         assert (degraded["branch"], degraded["wrapper"]) == (dead - 1, f"src{dead}")
         assert "permanently out" in degraded["error"]
         assert sorted({entry.branch for entry in report.requests}) == [
@@ -302,7 +302,7 @@ class TestDeadlines:
     def test_report_records_remaining_budget(self):
         engine, _ = _engine()
         result = engine.execute(UNION_QUERY, timeout_seconds=30.0)
-        remaining = result.report.resilience.snapshot()["deadline_remaining_seconds"]
+        remaining = result.report.snapshot()["resilience"]["deadline_remaining_seconds"]
         assert remaining is not None and 0 < remaining <= 30.0
 
     def test_expiry_is_never_downgraded_to_partial(self):
@@ -413,11 +413,11 @@ class TestBreakerAcrossStatements:
             failure_threshold=1, cooldown_seconds=600.0,
         )
         first = engine.execute(UNION_QUERY, on_source_error="partial")
-        assert len(first.report.resilience.degraded_branches) == 1
+        assert len(first.report.degraded_branches) == 1
         accesses_after_trip = flaky[3].snapshot()["accesses"]
 
         second = engine.execute(UNION_QUERY, on_source_error="partial")
-        [degraded] = second.report.resilience.snapshot()["degraded_branches"]
+        [degraded] = second.report.snapshot()["resilience"]["degraded_branches"]
         assert "circuit-broken" in degraded["error"]
         # The dead source was not even asked: the breaker rejected fast.
         assert flaky[3].snapshot()["accesses"] == accesses_after_trip

@@ -223,10 +223,10 @@ class TestExecutorFeedbackIngestion:
     def test_report_carries_estimate_provenance(self):
         engine = _bind_engine()
         first = engine.execute(BIND_QUERY)
-        assert first.report.optimizer.estimates_from_defaults > 0
-        assert first.report.optimizer.join_orders == [["d", "o"]]
+        assert first.report.estimates_from_defaults > 0
+        assert first.report.join_orders == [["d", "o"]]
         second = engine.execute(BIND_QUERY)
-        assert second.report.optimizer.estimates_from_feedback > 0
+        assert second.report.estimates_from_feedback > 0
 
 
 class TestFeedbackEpochPlanRetirement:
@@ -339,13 +339,13 @@ class TestBindJoinExecution:
 
         result = engine.execute(warm)
         assert _digest(result.relation) == _digest(baseline.relation)
-        optimizer = result.report.optimizer
-        assert optimizer.bind_joins == 1
-        assert optimizer.bind_batches == 2  # 3 keys, batch size 2
-        assert optimizer.bind_keys_shipped == 3
-        assert optimizer.bind_rows_fetched == 30
-        assert optimizer.bind_rows_avoided == 270
-        assert optimizer.bind_bytes_saved > 0
+        report = result.report
+        assert report.bind_joins == 1
+        assert report.bind_batches == 2  # 3 keys, batch size 2
+        assert report.bind_keys_shipped == 3
+        assert report.bind_rows_fetched == 30
+        assert report.bind_rows_avoided == 270
+        assert report.bind_bytes_saved > 0
         # 3 driver rows + 30 bound rows instead of 303: a 9x reduction.
         assert result.report.rows_transferred == 33
         assert baseline.report.rows_transferred >= 5 * result.report.rows_transferred
@@ -386,7 +386,7 @@ class TestBindJoinExecution:
         queries_before = orders.statistics.queries
         result = engine.execute(plan)
         assert len(result.relation) == 0
-        assert result.report.optimizer.bind_empty_key_skips == 1
+        assert result.report.bind_empty_key_skips == 1
         # NULL keys never equi-join: no IN list is worth shipping.
         assert orders.statistics.queries == queries_before
 

@@ -96,7 +96,7 @@ def test_every_mode_and_path_agrees_with_the_reference(seed):
         engine = _engine_for(rows, join_order=mode)
         eager = engine.execute(query)
         assert sorted(tuple(row) for row in eager.relation.rows) == expected, mode
-        orders[mode] = eager.report.optimizer.join_orders
+        orders[mode] = eager.report.join_orders
         with engine.execute_stream(query) as stream:
             assert sorted(stream.fetchall()) == expected, mode
     # The modes really do plan (each reports exactly one 4-way join order).
@@ -114,7 +114,7 @@ def test_dp_and_worst_disagree_on_at_least_one_workload():
         picked = {}
         for mode in ("dp", "worst"):
             engine = _engine_for(rows, join_order=mode)
-            picked[mode] = engine.execute(query).report.optimizer.join_orders
+            picked[mode] = engine.execute(query).report.join_orders
         differing += picked["dp"] != picked["worst"]
     assert differing > 0
 
@@ -139,7 +139,7 @@ def test_feedback_driven_replans_preserve_answers(seed):
     # the answer must not move.
     second = engine.execute(query)
     assert sorted(tuple(row) for row in second.relation.rows) == expected
-    assert second.report.optimizer.estimates_from_feedback > 0
+    assert second.report.estimates_from_feedback > 0
 
 
 def test_aliased_tables_reorder_safely():

@@ -533,7 +533,7 @@ class TestExecutedTwice:
         assert sorted(first.relation.rows) == sorted(unbound.relation.rows)
         assert list(second.relation.rows) == list(first.relation.rows)
         assert _shape(second.report) == _shape(first.report)
-        assert second.report.optimizer.bind_batches == 2
+        assert second.report.bind_batches == 2
 
     def test_a_partial_answer_over_a_dead_source(self):
         engine = MultiDatabaseEngine(resilience=ResiliencePolicy(
@@ -555,7 +555,7 @@ class TestExecutedTwice:
         assert list(first.relation.rows) and list(second.relation.rows) == list(
             first.relation.rows)
         degraded = [entry["branch"] for entry in
-                    second.report.resilience.snapshot()["degraded_branches"]]
+                    second.report.snapshot()["resilience"]["degraded_branches"]]
         assert degraded == [1]
         assert _shape(second.report)[:3] == _shape(first.report)[:3]
         # The dead branch never staged anything, so it has no template yet;

@@ -12,13 +12,15 @@ Contract under test:
   deterministically on an injected clock, admits exactly one half-open
   probe, and stays consistent under concurrent threads;
 * ``ResiliencePolicy.run_fetch`` composes all of the above around a fetch
-  callable and books every outcome in health and per-statement counters.
+  callable and books every outcome in health and the statement's report.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.engine.executor import ExecutionReport
 from repro.engine.resilience import (
     CircuitBreaker,
     Clock,
@@ -26,8 +28,8 @@ from repro.engine.resilience import (
     HealthRegistry,
     ManualClock,
     ResiliencePolicy,
-    ResilienceReport,
     RetryPolicy,
+    SourceHealth,
     classify_error,
     validate_on_source_error,
 )
@@ -254,6 +256,36 @@ class TestHealthRegistry:
         registry = HealthRegistry()
         assert registry.wrapper("DB") is registry.wrapper("db")
 
+    def test_snapshot_reads_one_point_in_time(self):
+        """A failure booked while a snapshot is being taken is either wholly
+        in it or wholly out of it: the failure rate matches its counts."""
+        health = SourceHealth("db")
+        health.record_success(0.1)
+
+        class BookingLock:
+            """Books one failure right after the lock is first released."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._booked = False
+
+            def __enter__(self):
+                self._lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self._lock.release()
+                if not self._booked:
+                    self._booked = True
+                    health.record_failure(0.2, SourceError("late"))
+
+        health._lock = BookingLock()
+        before = health.snapshot()
+        assert (before["successes"], before["failures"]) == (1, 0)
+        assert before["failure_rate"] == 0.0
+        after = health.snapshot()
+        assert (after["successes"], after["failures"]) == (1, 1)
+        assert after["failure_rate"] == 0.5
+
 
 def _policy(manual, **kwargs):
     kwargs.setdefault("retry_policy", RetryPolicy(max_attempts=3, jitter=0.0,
@@ -265,7 +297,7 @@ class TestRunFetch:
     def test_transient_failures_retried_to_success(self):
         manual = ManualClock()
         policy = _policy(manual)
-        stats = ResilienceReport()
+        report = ExecutionReport()
         calls = []
 
         def fetch():
@@ -275,64 +307,64 @@ class TestRunFetch:
             return "answer"
 
         result, attempts = policy.run_fetch(
-            "db", "SELECT 1", fetch, Deadline.unbounded(manual.clock), stats)
+            "db", "SELECT 1", fetch, Deadline.unbounded(manual.clock), report)
         assert result == "answer"
         assert attempts == 3
-        assert stats.attempts == 3 and stats.retries == 2
-        assert stats.failed_requests == 0
+        assert report.attempts == 3 and report.retries == 2
+        assert report.failed_requests == 0
         # Backoff slept the deterministic schedule.
         assert manual.sleeps == [0.5, 1.0]
 
     def test_permanent_failure_not_retried(self):
         manual = ManualClock()
         policy = _policy(manual)
-        stats = ResilienceReport()
+        report = ExecutionReport()
 
         def fetch():
             raise CapabilityError("cannot aggregate")
 
         with pytest.raises(CapabilityError):
             policy.run_fetch("db", "q", fetch,
-                             Deadline.unbounded(manual.clock), stats)
-        assert stats.attempts == 1 and stats.retries == 0
-        assert stats.failed_requests == 1
+                             Deadline.unbounded(manual.clock), report)
+        assert report.attempts == 1 and report.retries == 0
+        assert report.failed_requests == 1
         assert manual.sleeps == []
 
     def test_retry_budget_exhausted_raises_last_error(self):
         manual = ManualClock()
         policy = _policy(manual)
-        stats = ResilienceReport()
+        report = ExecutionReport()
 
         def fetch():
             raise SourceUnavailableError("still down")
 
         with pytest.raises(SourceUnavailableError, match="still down"):
             policy.run_fetch("db", "q", fetch,
-                             Deadline.unbounded(manual.clock), stats)
-        assert stats.attempts == 3
-        assert stats.retries == 2
-        assert stats.failed_requests == 1
+                             Deadline.unbounded(manual.clock), report)
+        assert report.attempts == 3
+        assert report.retries == 2
+        assert report.failed_requests == 1
 
     def test_backoff_never_overruns_deadline(self):
         manual = ManualClock()
         policy = _policy(manual)
-        stats = ResilienceReport()
+        report = ExecutionReport()
         deadline = Deadline(0.3, manual.clock)  # smaller than the 0.5s backoff
 
         def fetch():
             raise SourceUnavailableError("blip")
 
         with pytest.raises(DeadlineExceededError, match="no room to retry"):
-            policy.run_fetch("db", "q", fetch, deadline, stats)
-        assert stats.attempts == 1
-        assert stats.failed_requests == 1
+            policy.run_fetch("db", "q", fetch, deadline, report)
+        assert report.attempts == 1
+        assert report.failed_requests == 1
         assert manual.sleeps == []  # it refused to sleep past the deadline
 
     def test_breaker_rejects_fast_after_trip(self):
         manual = ManualClock()
         policy = _policy(manual, failure_threshold=2, cooldown_seconds=60.0,
                          retry_policy=RetryPolicy(max_attempts=1))
-        stats = ResilienceReport()
+        report = ExecutionReport()
 
         def fetch():
             raise SourceUnavailableError("down")
@@ -340,15 +372,53 @@ class TestRunFetch:
         for _ in range(2):
             with pytest.raises(SourceUnavailableError):
                 policy.run_fetch("db", "q", fetch,
-                                 Deadline.unbounded(manual.clock), stats)
-        assert stats.breaker_trips == 1
+                                 Deadline.unbounded(manual.clock), report)
+        assert report.breaker_trips == 1
         with pytest.raises(CircuitOpenError, match="circuit-broken"):
             policy.run_fetch("db", "q", fetch,
-                             Deadline.unbounded(manual.clock), stats)
-        assert stats.breaker_rejections == 1
+                             Deadline.unbounded(manual.clock), report)
+        assert report.breaker_rejections == 1
         snapshot = policy.snapshot()
         assert snapshot["breakers"]["db"]["state"] == "open"
         assert snapshot["sources"]["db"]["rejections"] == 1
+
+    def test_concurrent_fetches_lose_no_count(self):
+        """Fetch workers count into one report under its lock: with threads
+        switching as often as possible, no attempt or retry is lost."""
+        manual = ManualClock()
+        policy = _policy(manual, failure_threshold=10_000)
+        report = ExecutionReport()
+        per_thread, threads_count = 50, 8
+
+        def worker(index):
+            for number in range(per_thread):
+                calls = []
+
+                def fetch():
+                    calls.append(1)
+                    if len(calls) < 2:
+                        raise SourceUnavailableError("blip")
+                    return "ok"
+
+                policy.run_fetch("db", f"q{index}.{number}", fetch,
+                                 Deadline.unbounded(manual.clock), report)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        fetches = per_thread * threads_count
+        assert report.attempts == 2 * fetches
+        assert report.retries == fetches
+        assert report.failed_requests == 0
 
     def test_source_statistics_book_failures_and_retries(self):
         from repro.obs.metrics import CounterSet
@@ -356,7 +426,7 @@ class TestRunFetch:
 
         manual = ManualClock()
         policy = _policy(manual)
-        stats = ResilienceReport()
+        report = ExecutionReport()
         source_statistics = CounterSet(SOURCE_COUNTERS)
         calls = []
 
@@ -367,7 +437,7 @@ class TestRunFetch:
             return "ok"
 
         policy.run_fetch("db", "q", fetch, Deadline.unbounded(manual.clock),
-                         stats, source_statistics=source_statistics)
+                         report, source_statistics=source_statistics)
         snapshot = source_statistics.snapshot()
         assert snapshot["failures"] == 1
         assert snapshot["retries"] == 1

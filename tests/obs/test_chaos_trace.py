@@ -68,7 +68,7 @@ class TestAttemptSpansReconcile:
         answer = federation.query(PAPER_QUERY)
         assert [tuple(row) for row in answer.relation.rows] == PAPER_ANSWER
 
-        resilience = answer.execution.report.resilience.snapshot()
+        resilience = answer.execution.report.snapshot()["resilience"]
         assert resilience["retries"] == 2
         assert flaky.snapshot()["injected_failures"] == 2
 
@@ -88,7 +88,7 @@ class TestAttemptSpansReconcile:
     def test_fault_free_run_has_exactly_one_attempt_per_fetch(self):
         federation, _ = _federation(FaultSchedule())
         answer = federation.query(PAPER_QUERY)
-        resilience = answer.execution.report.resilience.snapshot()
+        resilience = answer.execution.report.snapshot()["resilience"]
         assert resilience["retries"] == 0
         document = federation.observability.tracer.buffer.get(
             answer.execution.report.trace_id)
@@ -126,7 +126,7 @@ class TestForcedKeeps:
         federation, _ = _federation(
             FaultSchedule(permanent_outage_after=1), sample_rate=0.0)
         answer = federation.query(PAPER_QUERY, on_source_error="partial")
-        resilience = answer.execution.report.resilience.snapshot()
+        resilience = answer.execution.report.snapshot()["resilience"]
         assert resilience["degraded_branches"]
         traces = federation.observability.tracer.buffer.traces()
         assert len(traces) == 1

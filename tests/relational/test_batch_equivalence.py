@@ -26,7 +26,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import OperatorStats, _InstrumentedOperator
+from repro.engine.executor import _InstrumentedOperator
 from repro.relational import operators
 from repro.relational.budget import MemoryBudget
 from reference_eval import ExpressionEvaluator, reference_aggregate, reference_groups
@@ -415,14 +415,14 @@ def execute(template, relations, budget):
             bound = operator.over(_relation(name, relations[name]))
         else:
             bound = operator.rebind([bind(child) for child in operator.children], budget)
-        stats.append(OperatorStats(0, bound.operator_name, bound))
-        return _InstrumentedOperator(bound, stats[-1])
+        stats.append(_InstrumentedOperator(bound, 0))
+        return stats[-1]
 
     rows = _reprs(bind(template))
     if budget is not None:
         assert budget.used_bytes == 0
     return (rows, [(entry.operator, entry.rows_out) for entry in stats],
-            [_spill_flags(entry.source) for entry in stats],
+            [_spill_flags(entry.child) for entry in stats],
             budget.snapshot() if budget is not None else None)
 
 
@@ -492,8 +492,8 @@ def _bind_staged(operator, relations, budget, origins, stats, listed=True):
              for position, child in enumerate(operator.children)], budget)
     if not listed:
         return bound
-    stats.append(OperatorStats(0, bound.operator_name, bound))
-    return _InstrumentedOperator(bound, stats[-1])
+    stats.append(_InstrumentedOperator(bound, 0))
+    return stats[-1]
 
 
 def execute_staged(template, relations, budget, origins):
@@ -506,10 +506,10 @@ def execute_staged(template, relations, budget, origins):
     assert budget.used_bytes == 0
     # A join beneath a LIMIT 0 or a top-0 sort is never asked for a batch: it
     # builds nothing, so there is nothing to keep (its clock never advanced).
-    joins = [(entry.source, entry.elapsed_seconds > 0)
+    joins = [(entry.child, entry.elapsed_seconds > 0)
              for entry in stats if entry.operator == "HashJoin"]
     return ((rows, [(entry.operator, entry.rows_out) for entry in stats],
-             [_spill_flags(entry.source) for entry in stats], budget.snapshot()),
+             [_spill_flags(entry.child) for entry in stats], budget.snapshot()),
             [join.build_shared for join, _ran in joins],
             [ran and join.right.__class__ is TableScan and not join.spilled
              for join, ran in joins])

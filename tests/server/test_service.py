@@ -73,6 +73,17 @@ class TestSubmit:
         assert handle.closed
         assert service.snapshot()["gateway"]["active_streams"] == 0
 
+    def test_fetchmany_zero_consumes_nothing(self, federation):
+        """Like ``FederationCursor.fetchmany(0)``: no row, the handle open."""
+        service = federation.service()
+        handle = service.submit("SELECT r1.cname FROM r1 ORDER BY r1.cname",
+                                context="c_receiver", batch_size=1)
+        assert handle.fetchmany(0) == []
+        assert not handle.closed
+        assert handle.rows_streamed == 0
+        assert handle.fetchall() == [("IBM",), ("NTT",)]
+        assert handle.closed
+
     def test_iteration_yields_rows(self, federation):
         service = federation.service()
         handle = service.submit("SELECT r1.cname FROM r1 ORDER BY r1.cname",
