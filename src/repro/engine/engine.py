@@ -91,8 +91,9 @@ class MultiDatabaseEngine:
     """Dictionary + query services over a set of wrapped sources.
 
     ``max_concurrent_requests`` caps one statement's in-flight fetches
-    (1 = lazy serial dispatch); it does not size ``fetch_pool``, which every
-    statement shares.  ``deduplicate_requests=False`` disables request
+    (1 = one at a time, each still run on the pool and awaited under the
+    deadline); it does not size ``fetch_pool``, which every statement
+    shares.  ``deduplicate_requests=False`` disables request
     coalescing *and* the cache — every plan request costs its own round
     trip, re-enacting the pre-scheduler behaviour for baselines and
     ablations.

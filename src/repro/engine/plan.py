@@ -24,17 +24,18 @@ Plans are pure descriptions: building one never touches a source.  A
 :class:`~repro.engine.stream.ResultStream` runs one; ``explain()`` renders
 them for humans and for the planner benchmarks.
 
-What executing a plan derives from it and nothing else — request keys, the
-optimizer report's preamble and the operators each branch's tree lowers to —
-is kept in the plan's :class:`PlanTemplate`, so it is derived once per cached
-plan and dies with it.
+What executing a plan derives from it and the catalog — request keys, the
+optimizer report's preamble and the operators each branch's tree lowers to
+over the schemas its requests are catalogued to ship — is kept in the plan's
+:class:`PlanTemplate`, so it is derived once per cached plan and dies with
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.engine.cost import CostEstimate
 from repro.engine.request_cache import RequestKey, request_key
@@ -269,41 +270,33 @@ class QueryPlan:
         return "\n".join(lines)
 
 
+def shipped_schema(catalog, request: SourceRequest) -> Schema:
+    """The schema ``request`` is catalogued to ship: its relation's, projected
+    to ``request.projected_columns``."""
+    schema = catalog.schema_of(request.relation)
+    if request.projected_columns:
+        schema = Schema(schema.attribute(name) for name in request.projected_columns)
+    return schema
+
+
 class BranchTemplate:
     """The lowered form of one branch, filled in by its first execution.
 
-    Lowering needs the schemas the sources actually ship, so it happens where
-    they first arrive: :meth:`stage` when a request's result is staged,
-    :meth:`operators` once every input of the branch is.  Both are guarded —
-    a stage by the shipped schema (identity, else equality), the operator
-    tree by the identity of the stages it was lowered over — and re-lower on
-    a mismatch, so a kernel never reads a position another schema assigned.
-    A lowering that folded a subquery into a kernel is handed out but not
-    kept: such kernels are good for one execution.  Executions share what is
-    kept read-only; racing first executions both lower and one result stays.
+    A branch lowers from the schemas its requests are catalogued to ship
+    (:func:`shipped_schema`), so its stages and operator tree are fixed
+    before any source is asked; a shipment is fitted to them when it is
+    staged.  A lowering that folded a subquery into a kernel is handed out
+    but not kept: such kernels are good for one execution.  Executions share
+    what is kept read-only; racing first executions both lower and one
+    result stays.
     """
 
     def __init__(self, branch: BranchPlan, kernels: KernelMemo):
-        requests = branch.requests
         self._branch = branch
         self._kernels = kernels
-        self._stages: Dict[int, Stage] = {}
-        self._operators: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
+        self._lowered: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
         #: The tree in join order: its transfers and its joins.
         self.transfers, self.joins = algebra.left_deep(branch.tree)
-        self._transfer_of = {transfer.target.index: transfer
-                             for transfer in self.transfers}
-
-        def bind_depth(index: int) -> int:
-            depth, current = 0, requests[index].bind
-            while current is not None and depth <= len(requests):
-                depth += 1
-                current = requests[current.driver_index].bind
-            return depth
-
-        #: Request indexes in staging order: a bound request derives its
-        #: IN-lists from its driver's staged rows, so drivers come first.
-        self.staging_order = sorted(range(len(requests)), key=bind_depth)
         #: (position among the branch's instrumented operators, join node)
         #: of the joins whose drained row count is cardinality feedback.
         unlimited = branch.select.limit is None and branch.fetch_limit is None
@@ -311,28 +304,20 @@ class BranchTemplate:
                         for position, join in enumerate(self.joins, start=1)
                         if join.feedback_key and unlimited]
 
-    def stage(self, index: int, shipped: Schema,
-              subquery_executor: SubqueryExecutor) -> Stage:
-        stage = self._stages.get(index)
-        if stage is None or (shipped is not stage.source and shipped != stage.source):
-            scope = KernelScope(subquery_executor, self._kernels)
-            stage = Stage(self._transfer_of[index], shipped, scope)
-            if not scope.private:
-                self._stages[index] = stage
-        return stage
-
-    def operators(self, stages: Sequence[Stage],
-                  subquery_executor: SubqueryExecutor) -> PhysicalOperator:
-        """The branch's operator template over ``stages`` (one per request)."""
-        stages = tuple(stages)
-        kept = self._operators
-        if kept is not None and kept[0] == stages:
-            return kept[1]
+    def lowered(self, catalog, subquery_executor: SubqueryExecutor
+                ) -> Tuple[Tuple[Stage, ...], PhysicalOperator]:
+        """The branch's stages (one per request) and its operator template."""
+        kept = self._lowered
+        if kept is not None:
+            return kept
         scope = KernelScope(subquery_executor, self._kernels)
-        operators = algebra.lower(self._branch.tree, stages, scope)
+        transfer_of = {transfer.target.index: transfer for transfer in self.transfers}
+        stages = tuple(Stage(transfer_of[index], shipped_schema(catalog, request), scope)
+                       for index, request in enumerate(self._branch.requests))
+        lowered = stages, algebra.lower(self._branch.tree, stages, scope)
         if not scope.private:
-            self._operators = (stages, operators)
-        return operators
+            self._lowered = lowered
+        return lowered
 
 
 class PlanTemplate:

@@ -5,19 +5,22 @@ A plan is one tree (:mod:`repro.relational.algebra`); running it is lowering
 the tree and pulling ``root.batches()``.  A :class:`ResultStream` does that —
 nothing else executes a plan — and owns what the tree does not say: it
 
-* deduplicates the plan's source fetches, answers what it can from the
-  request cache and dispatches the rest **asynchronously**, expected-slowest
-  first, to its own queue, which at most ``max_concurrent_requests`` lanes
-  drain on the engine's shared fetch pool — or fetches lazily, one at a
-  time, when the statement is capped at a single request — under the
-  statement's retries, breakers and deadline, and awaits each result only
-  when a branch actually needs it staged (a bind join's IN-list batches are
-  derived, and queued, when its driver is);
+* admits the plan's distinct source fetches into its fetch stage — and a
+  bind join's IN-list batches once its driver is staged — answering what it
+  can from the request cache; the rest run on the engine's shared fetch
+  pool, from the statement's own queue, which at most
+  ``max_concurrent_requests`` lanes drain under the statement's retries,
+  breakers and deadline.  Several fetches pending at open are dispatched
+  there and then, expected-slowest first; any other fetch when a branch
+  first needs it.  The consumer only ever waits on a fetch's future, under
+  the deadline;
 * stages and binds branches **lazily**, in plan order: a branch is an input
-  of the root operator (:class:`_Branch`) which, on first use, brings its
-  shipped relations across through its template's stages (qualified, locally
-  filtered) and copies its operator template — lowered once per cached plan
-  from the branch's tree — over them, one cheap copy per operator.  Every
+  of the root operator (:class:`_Branch`) which, on first pull, brings its
+  shipped relations across through its template's stages (fitted to the
+  catalogued columns, qualified, locally filtered) and copies its operator
+  template — lowered once per cached plan from the branch's tree and the
+  schemas its requests are catalogued to ship, so the answer's schema is
+  known before any fetch — over them, one cheap copy per operator.  Every
   branch finishes through ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``;
   a grouped one has an ``Aggregate`` (which buffers its input) and HAVING's
   ``Filter`` beneath.  A UNION's root is ``UnionAll`` over the branches and,
@@ -65,6 +68,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tu
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
+    SchemaError,
     SourceUnavailableError,
 )
 from repro.engine.executor import (
@@ -122,34 +126,39 @@ def _cache_hit(relation: Relation, request: SourceRequest) -> _FetchOutcome:
                          cache_hit=True, frozen=True)
 
 
-_UNBUILT = object()
+def _catalogued_positions(stage: Stage, request: SourceRequest,
+                          shipped: Schema) -> Optional[List[int]]:
+    """Where ``shipped`` holds the columns ``stage`` was lowered against:
+    None when it lists exactly their names in order, else their positions
+    (an extra column is dropped).  A shipment lacking one cannot be staged."""
+    catalogued = stage.source.names
+    if shipped.names == catalogued:
+        return None
+    try:
+        return [shipped.index_of(name) for name in catalogued]
+    except SchemaError:
+        raise ExecutionError(
+            f"wrapper {request.wrapper_name!r} shipped columns {shipped.names} "
+            f"for {request.request_text}, not the catalogued {catalogued}"
+        ) from None
 
 
 class _Branch(PhysicalOperator):
     """One branch of the plan as an input of the root operator: staged and
-    bound on first use (a pull, or a question about its schema), so a branch
-    the consumer never reaches costs no round trip.  One degraded under
-    ``on_source_error="partial"`` stands in as an empty relation of the
-    answer's schema."""
+    bound on first pull, so a branch the consumer never reaches costs no
+    round trip.  One degraded under ``on_source_error="partial"`` yields no
+    rows."""
 
     def __init__(self, stream: "ResultStream", index: int):
         self._stream = stream
         self._index = index
-        self._pipeline = _UNBUILT
-
-    def pipeline(self) -> Optional[PhysicalOperator]:
-        """The branch's bound operators, or None when it was degraded."""
-        if self._pipeline is _UNBUILT:
-            self._pipeline = self._stream._build_branch(self._index)
-        return self._pipeline
 
     @property
     def schema(self) -> Schema:
-        pipeline = self.pipeline()
-        return pipeline.schema if pipeline is not None else self._stream.schema
+        return self._stream._lowered(self._index)[1].schema
 
     def batches(self) -> Iterator[Batch]:
-        pipeline = self.pipeline()
+        pipeline = self._stream._build_branch(self._index)
         if pipeline is None:
             return  # degraded: the answer flows on without it
         rows = 0
@@ -220,7 +229,9 @@ class ResultStream:
         #: has handed to the consumer yet, from ``_pending_at`` on.
         self._pending: List[Row] = []
         self._pending_at = 0
-        self._schema: Optional[Schema] = None
+        #: Per branch, the lowering this execution stages and binds.
+        self._lowerings: List[Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]]] = [
+            None] * len(plan.branches)
         self._staged_handles: List[str] = []
         #: Keys already staged at least once (drives dedup_hit bookkeeping).
         self._consumed_keys: set = set()
@@ -232,13 +243,12 @@ class ResultStream:
         #: exhaustion.
         self._join_watchers: List[Tuple[object, _InstrumentedOperator]] = []
 
-        # -- phase 1: dedup, cache-resolve, dispatch ---------------------------
+        # -- phase 1: admit the distinct fetches, dispatch --------------------
         # A bound request has no final SQL until its driver's key set is
-        # known (its key is None); the branch builder derives and schedules
-        # its per-batch requests when the driver is staged.
-        self._distinct: Dict[RequestKey, SourceRequest]
+        # known (its key is None): its IN-list batches are admitted when the
+        # driver is staged.
         if engine.deduplicate:
-            self._keys, self._distinct = template.keys, dict(template.distinct)
+            self._keys, distinct = template.keys, template.distinct
         else:
             # Baseline mode: every plan request is its own round trip.
             self._keys = [
@@ -247,40 +257,25 @@ class ResultStream:
                  for request_index, request in enumerate(branch.requests)]
                 for branch_index, branch in enumerate(plan.branches)
             ]
-            self._distinct = {
+            distinct = {
                 key: request
                 for keys, branch in zip(self._keys, plan.branches)
                 for key, request in zip(keys, branch.requests) if key is not None
             }
-        self.report.distinct_requests = len(self._distinct)
-        self.report.dedup_hits = template.units - len(self._distinct)
-
         self._cache = engine.request_cache if engine.deduplicate else None
+        self._distinct: Dict[RequestKey, SourceRequest] = {}
         self._outcomes: Dict[RequestKey, _FetchOutcome] = {}
-        if self._cache is not None and self._distinct:
-            # Every distinct key in one cache call (a bind join's batches,
-            # derived later, ask one at a time: ``_from_cache``).
-            for key, cached in self._cache.get_many(self._distinct).items():
-                self._outcomes[key] = _cache_hit(cached, self._distinct[key])
-        self.report.cache_hits = len(self._outcomes)
-        pending = [key for key in self._distinct if key not in self._outcomes]
-
         self._futures: Dict[RequestKey, "Future[_FetchOutcome]"] = {}
         #: Dispatched fetches no lane has taken yet, in dispatch order, and
         #: the number of lanes draining them (both guarded by the lock).
         self._queue: Deque[Tuple[RequestKey, "Future[_FetchOutcome]", float]] = deque()
         self._lanes = 0
         self._lanes_lock = threading.Lock()
-        # A bounded statement must never block uninterruptibly inside a
-        # wrapper call on the consumer's thread, so a deadline forces pool
-        # dispatch even for a single pending fetch: the wait happens in
-        # ``future.result(timeout=...)`` where the deadline can fire.
-        dispatch = len(pending) > 1 or (bool(pending) and self._deadline.bounded)
-        self._dispatching = engine.max_concurrent_requests > 1 and dispatch
-        if self._dispatching:
+        pending = self._admit(distinct, template.units - len(distinct))
+        if len(pending) > 1 and engine.max_concurrent_requests > 1:
             self._dispatch(self._dispatch_order(pending))
-        # else: remaining fetches happen lazily, serially, on first staging —
-        # branches a satisfied LIMIT never reaches cost no round trip at all.
+        # Any other fetch is dispatched when a branch first needs it, so a
+        # branch a satisfied LIMIT never reaches costs no round trip at all.
 
         # -- phase 2: the root operator, over branches staged on first use -------
         self._branches: Sequence[_Branch] = [
@@ -302,15 +297,23 @@ class ResultStream:
             text=f"{request.request_text} #branch{branch_index}.{request_index}",
         )
 
-    def _from_cache(self, key: RequestKey, request: SourceRequest) -> bool:
-        """Resolve ``key`` from the source-result cache, if it holds it."""
-        cached = self._cache.get(key) if self._cache is not None else None
-        if cached is None:
-            return False
-        self._outcomes[key] = _cache_hit(cached, request)
-        with self.report.lock:
-            self.report.cache_hits += 1
-        return True
+    def _admit(self, requests: Dict[RequestKey, SourceRequest],
+               dedup_hits: int) -> List[RequestKey]:
+        """Take ``requests`` — distinct, and new to this execution — into the
+        fetch stage, ``dedup_hits`` more having coalesced into them or into
+        earlier ones; answer those the request cache holds and return the
+        keys left to fetch, in order."""
+        self._distinct.update(requests)
+        cached = (self._cache.get_many(requests)
+                  if self._cache is not None and requests else {})
+        for key, relation in cached.items():
+            self._outcomes[key] = _cache_hit(relation, requests[key])
+        report = self.report
+        with report.lock:
+            report.distinct_requests += len(requests)
+            report.dedup_hits += dedup_hits
+            report.cache_hits += len(cached)
+        return [key for key in requests if key not in cached]
 
     def _dispatch_order(self, pending: List[RequestKey]) -> List[RequestKey]:
         """Order pool submissions so the expected-slowest fetch starts first.
@@ -442,7 +445,8 @@ class ResultStream:
         )
 
     def _outcome(self, key: RequestKey) -> _FetchOutcome:
-        """The fetch result for ``key``, awaiting or issuing it if needed.
+        """The fetch result for ``key``: dispatched to the pool if this is
+        the first need of it, and awaited.
 
         Raises :class:`DeadlineExceededError` when the statement deadline
         fires first (in the wait, or inside the fetch's retry loop), and
@@ -452,50 +456,45 @@ class ResultStream:
         outcome = self._outcomes.get(key)
         if outcome is None:
             future = self._futures.get(key)
-            if future is not None:
-                request = self._distinct[key]
-                wait = self._deadline.remaining()
-                # A wrapper with an earned latency profile gets its own wait
-                # bound (p95 × headroom): a habitually-fast source that
-                # suddenly stalls is cut loose long before the statement
-                # deadline instead of consuming all of it.
-                adaptive = None
-                if self._deadline.bounded:
-                    adaptive = self.engine.resilience.adaptive_fetch_timeout(
-                        request.wrapper_name
-                    )
-                    if adaptive is not None:
-                        wait = adaptive if wait is None else min(wait, adaptive)
-                try:
-                    outcome = future.result(timeout=wait)
-                except FutureTimeoutError:
-                    remaining = self._deadline.remaining()
-                    if remaining is not None and remaining <= 0:
-                        raise DeadlineExceededError(
-                            f"statement deadline of "
-                            f"{self._deadline.timeout_seconds}s exceeded awaiting "
-                            f"{request.request_text} from wrapper "
-                            f"{request.wrapper_name!r}"
-                        ) from None
-                    # The adaptive bound fired with deadline budget left: a
-                    # *source* failure (transient — the wrapper may recover),
-                    # so partial mode can degrade the branch instead of
-                    # killing the statement.
-                    error = adaptive_timeout_error(
-                        request.wrapper_name, request.request_text, adaptive
-                    )
-                    outcome = _FetchOutcome(
-                        relation=None,
-                        request_text=request.request_text,
-                        error=error,
-                    )
-            else:
-                request = self._distinct[key]
-                self._deadline.check(
-                    f"fetching {request.request_text} from wrapper "
-                    f"{request.wrapper_name!r}"
+            if future is None:
+                self._dispatch([key])
+                future = self._futures[key]
+            request = self._distinct[key]
+            wait = self._deadline.remaining()
+            # A wrapper with an earned latency profile gets its own wait
+            # bound (p95 × headroom): a habitually-fast source that
+            # suddenly stalls is cut loose long before the statement
+            # deadline instead of consuming all of it.
+            adaptive = None
+            if self._deadline.bounded:
+                adaptive = self.engine.resilience.adaptive_fetch_timeout(
+                    request.wrapper_name
                 )
-                outcome = self._fetch(key, time.perf_counter())
+                if adaptive is not None:
+                    wait = adaptive if wait is None else min(wait, adaptive)
+            try:
+                outcome = future.result(timeout=wait)
+            except FutureTimeoutError:
+                remaining = self._deadline.remaining()
+                if remaining is not None and remaining <= 0:
+                    raise DeadlineExceededError(
+                        f"statement deadline of "
+                        f"{self._deadline.timeout_seconds}s exceeded awaiting "
+                        f"{request.request_text} from wrapper "
+                        f"{request.wrapper_name!r}"
+                    ) from None
+                # The adaptive bound fired with deadline budget left: a
+                # *source* failure (transient — the wrapper may recover),
+                # so partial mode can degrade the branch instead of
+                # killing the statement.
+                error = adaptive_timeout_error(
+                    request.wrapper_name, request.request_text, adaptive
+                )
+                outcome = _FetchOutcome(
+                    relation=None,
+                    request_text=request.request_text,
+                    error=error,
+                )
             self._outcomes[key] = outcome
         self._consume_outcome(key, outcome)
         if outcome.error is not None:
@@ -553,34 +552,22 @@ class ResultStream:
 
     # -- bind joins ----------------------------------------------------------------
 
-    def _empty_bound_relation(self, request: SourceRequest) -> Relation:
-        """The empty result of a bound fetch whose driver produced no keys."""
-        schema = self.engine.catalog.schema_of(request.relation)
-        if request.projected_columns:
-            schema = Schema(schema.attribute(name) for name in request.projected_columns)
-        return Relation(schema, name=f"{request.binding}_bound")
-
     def _fetch_bound(self, branch_index: int, index: int, request: SourceRequest,
-                     staged: Dict[int, Relation]) -> Tuple[_FetchOutcome, bool]:
-        """Fetch one bound request — ship the driver's key set — and return
-        its combined outcome and whether any batch was used for the first time.
+                     driver: Relation, stage: Stage) -> Tuple[_FetchOutcome, bool]:
+        """Fetch one bound request — ship the ``driver``'s key set — and
+        return its combined outcome and whether any batch was used for the
+        first time.
 
         The driver's staged rows yield the distinct non-NULL values of each
         key column; the first column's values are chunked into ``batch_size``
         ``IN`` lists (the other columns ship their full lists in every batch,
-        so batches stay disjoint and their union is the same superset).  Each
-        batch flows through the scheduler's regular dedup/cache/pool path —
-        a repeated statement with an unchanged key set is answered from the
-        source-result cache without any round trip.
+        so batches stay disjoint and their union is the same superset).  The
+        batches are admitted like the plan's own requests — a repeated
+        statement with an unchanged key set is answered from the
+        source-result cache without any round trip — and the rest dispatched.
         """
         report = self.report
         spec = request.bind
-        driver = staged.get(spec.driver_index)
-        if driver is None:
-            raise ExecutionError(
-                f"bind join for {request.binding!r} references driver request "
-                f"{spec.driver_index}, which is not staged"
-            )
         with report.lock:
             report.bind_joins += 1
 
@@ -598,7 +585,7 @@ class ResultStream:
                 report.bind_empty_key_skips += 1
                 report.bind_rows_avoided += spec.estimated_unbound_rows
             return _FetchOutcome(
-                relation=self._empty_bound_relation(request),
+                relation=Relation(stage.source, name=f"{request.binding}_bound"),
                 request_text=f"{request.request_text} /* bind: empty key set */",
                 frozen=True,
             ), True
@@ -611,7 +598,7 @@ class ResultStream:
                   for start in range(0, len(first_values), batch_size)]
 
         batch_keys: List[RequestKey] = []
-        queued: List[RequestKey] = []
+        admitted: Dict[RequestKey, SourceRequest] = {}
         keys_shipped = 0
         for batch_number, chunk in enumerate(chunks):
             conjuncts: List[object] = []
@@ -633,18 +620,12 @@ class ResultStream:
             key = self._plan_key(
                 batch_request, branch_index, f"{index}.{batch_number}"
             )
-            if key in self._distinct:
-                with report.lock:
-                    report.dedup_hits += 1
-            else:
-                self._distinct[key] = batch_request
-                with report.lock:
-                    report.distinct_requests += 1
-                if not self._from_cache(key, batch_request) and self._dispatching:
-                    queued.append(key)
+            if key not in self._distinct:
+                admitted.setdefault(key, batch_request)
             batch_keys.append(key)
-        if queued:
-            self._dispatch(queued)
+        pending = self._admit(admitted, len(batch_keys) - len(admitted))
+        if pending:
+            self._dispatch(pending)
 
         combined_rows: List[Row] = []
         schema: Optional[Schema] = None
@@ -691,7 +672,7 @@ class ResultStream:
     # -- branch pipelines ----------------------------------------------------------
 
     def _build_branch(self, branch_index: int) -> Optional[PhysicalOperator]:
-        """Stage one branch's inputs and bind its operator template to them.
+        """Stage one branch's inputs and bind its lowered template to them.
 
         Returns None when the branch was degraded: one of its sources failed
         for good and the stream runs under ``on_source_error="partial"`` —
@@ -699,75 +680,84 @@ class ResultStream:
         branch to go takes the statement with it.  In ``"fail"`` mode the
         same failure raises the context-rich terminal error.
         """
-        executor = self.engine.subquery_executor
-        branch = self.plan.branches[branch_index]
-        template = self.plan.template.branches[branch_index]
-        keys = self._keys[branch_index]
+        stages, operators = self._lowered(branch_index)
         report = self.report
-
         staged: Dict[int, Relation] = {}
-        stages: List[Optional[Stage]] = [None] * len(branch.requests)
-        for index in template.staging_order:
-            request = branch.requests[index]
-            try:
-                if request.bind is None:
-                    key = keys[index]
-                    outcome = self._outcome(key)
-                    first_use = key not in self._consumed_keys
-                    self._consumed_keys.add(key)
-                else:
-                    outcome, first_use = self._fetch_bound(
-                        branch_index, index, request, staged
-                    )
-            except _SourceFailure as failure:
-                failed_request = self._distinct[failure.key]
-                if self._partial:
-                    error = failure.outcome.error
-                    with report.lock:
-                        report.degraded_branches.append({
-                            "branch": branch_index,
-                            "wrapper": failed_request.wrapper_name,
-                            "request": failed_request.request_text,
-                            "error": f"{type(error).__name__}: {error}",
-                        })
-                        degraded = len(report.degraded_branches)
-                    # Degraded answers are always kept by the trace sampler.
-                    self._span.flag("partial")
-                    self._span.event(
-                        "branch_degraded", branch=branch_index,
-                        wrapper=failed_request.wrapper_name,
-                    )
-                    if degraded == len(self.plan.branches):
-                        raise ExecutionError(
-                            f"all {len(self.plan.branches)} branches were degraded by "
-                            "source failures; no surviving branch can answer the "
-                            "statement (on_source_error='partial' requires at least "
-                            "one live source)"
-                        ) from None
-                    return None
-                raise request_failed_error(
-                    failed_request, failure.outcome.error
-                ) from failure.outcome.error
-            stage = stages[index] = template.stage(index, outcome.relation.schema, executor)
-            staged[index] = self._stage(stage, request, branch_index, outcome, first_use)
+        try:
+            for index in range(len(stages)):
+                self._staged(branch_index, index, stages, staged)
+        except _SourceFailure as failure:
+            failed_request = self._distinct[failure.key]
+            if self._partial:
+                error = failure.outcome.error
+                with report.lock:
+                    report.degraded_branches.append({
+                        "branch": branch_index,
+                        "wrapper": failed_request.wrapper_name,
+                        "request": failed_request.request_text,
+                        "error": f"{type(error).__name__}: {error}",
+                    })
+                    degraded = len(report.degraded_branches)
+                # Degraded answers are always kept by the trace sampler.
+                self._span.flag("partial")
+                self._span.event(
+                    "branch_degraded", branch=branch_index,
+                    wrapper=failed_request.wrapper_name,
+                )
+                if degraded == len(self.plan.branches):
+                    raise ExecutionError(
+                        f"all {len(self.plan.branches)} branches were degraded by "
+                        "source failures; no surviving branch can answer the "
+                        "statement (on_source_error='partial' requires at least "
+                        "one live source)"
+                    ) from None
+                return None
+            raise request_failed_error(
+                failed_request, failure.outcome.error
+            ) from failure.outcome.error
 
         instrumented: List[_InstrumentedOperator] = []
-        pipeline = self._bind(template.operators(stages, executor), staged,
-                              branch_index, instrumented)
+        pipeline = self._bind(operators, staged, branch_index, instrumented)
         with report.lock:
             report.operator_stats.extend(instrumented)
         # An unlimited branch drains its joins completely, so the
         # instrumented row count is the true intermediate cardinality —
         # recorded into the feedback store when the stream exhausts.
-        for position, join in template.watched:
+        for position, join in self.plan.template.branches[branch_index].watched:
             self._join_watchers.append((join, instrumented[position]))
-        if self._schema is None:
-            # The first branch to survive types the answer; the first one
-            # planned names it, dead or not, where its select list says how.
-            names = self.plan.root.names if branch_index else None
-            self._schema = (pipeline.schema if names is None
-                            else pipeline.schema.rename(names))
         return pipeline
+
+    def _lowered(self, branch_index: int) -> Tuple[Tuple[Stage, ...], PhysicalOperator]:
+        """A branch's stages and operator template, taken from its template
+        (or lowered) at most once per execution: the lowering that types the
+        answer is the one the branch binds, and a subquery-bearing branch
+        folds its subquery once."""
+        lowered = self._lowerings[branch_index]
+        if lowered is None:
+            lowered = self._lowerings[branch_index] = self.plan.template.branches[
+                branch_index].lowered(self.engine.catalog, self.engine.subquery_executor)
+        return lowered
+
+    def _staged(self, branch_index: int, index: int, stages: Sequence[Stage],
+                staged: Dict[int, Relation]) -> Relation:
+        """Request ``index`` of a branch, fetched and staged once per
+        execution; a bound request stages its driver first."""
+        relation = staged.get(index)
+        if relation is not None:
+            return relation
+        request = self.plan.branches[branch_index].requests[index]
+        if request.bind is None:
+            key = self._keys[branch_index][index]
+            outcome = self._outcome(key)
+            first_use = key not in self._consumed_keys
+            self._consumed_keys.add(key)
+        else:
+            driver = self._staged(branch_index, request.bind.driver_index, stages, staged)
+            outcome, first_use = self._fetch_bound(
+                branch_index, index, request, driver, stages[index])
+        relation = staged[index] = self._stage(
+            stages[index], request, branch_index, outcome, first_use)
+        return relation
 
     def _bind(self, operator: PhysicalOperator, staged: Dict[int, Relation],
               branch_index: int, instrumented: List[_InstrumentedOperator],
@@ -797,11 +787,21 @@ class ResultStream:
 
     def _stage(self, stage: Stage, request: SourceRequest, branch_index: int,
                outcome: _FetchOutcome, first_use: bool) -> Relation:
-        """Phase 2: qualify, locally filter and stage one shared fetch result
-        in temporary storage (released when the stream closes)."""
+        """Phase 2: fit one shared fetch result to the columns its stage was
+        lowered against, qualify, locally filter and stage it in temporary
+        storage (released when the stream closes)."""
         started = time.perf_counter()
+        shipped = outcome.relation
+        rows, frozen = shipped.rows, outcome.frozen
+        if shipped.schema is not stage.accepted:
+            positions = _catalogued_positions(stage, request, shipped.schema)
+            if positions is None:
+                stage.accepted = shipped.schema
+            else:
+                rows = [tuple(row[position] for position in positions) for row in rows]
+                frozen = True
         handle, staged = self.engine.temp_store.stage(
-            stage.relation(outcome.relation.rows, outcome.frozen), stage.label)
+            stage.relation(rows, frozen), stage.label)
         self._staged_handles.append(handle)
         # A request-cache hit staged by this template is the same rows every
         # time: a hash join above it may keep its build (``HashJoin``).
@@ -832,15 +832,9 @@ class ResultStream:
 
     @property
     def schema(self) -> Schema:
-        """The result schema (stages the first surviving branch's inputs if
-        needed)."""
-        for branch in self._branches:
-            if self._schema is None:
-                branch.pipeline()
-        if self._schema is None:
-            raise ExecutionError("a result stream closed before it staged a branch "
-                                 "has no schema")
-        return self._schema
+        """The answer's schema: the lowered root of branch 0, known before
+        any fetch."""
+        return self._lowered(0)[1].schema
 
     @property
     def exhausted(self) -> bool:

@@ -42,7 +42,7 @@ from repro.relational.operators import (
 from repro.relational.query import lower_select, lower_union
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
-from repro.sql.ast import ColumnRef, Node, Select, Star, conjoin
+from repro.sql.ast import ColumnRef, Node, Select, conjoin
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,6 @@ class Union:
     branches: Tuple[Finish, ...]
     all: bool = False
 
-    @property
-    def names(self) -> Optional[List[str]]:
-        """The answer's column names, when the first branch's select list
-        states them: a ``*`` is named by what its sources ship."""
-        first = self.branches[0].select
-        if any(isinstance(item.expr, Star) for item in first.items):
-            return None
-        return first.output_names
-
 
 RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union]
 
@@ -145,13 +136,17 @@ def left_deep(node: RelationNode) -> Tuple[List[Transfer], List[Join]]:
 class Stage:
     """The lowered form of one :class:`Transfer`.
 
-    ``source`` is the schema the kernels were bound against — the guard a
-    later execution's shipment is checked with — and ``scan`` the template
-    scan standing for the staged relation in its plan's operator tree.
+    ``source`` is the schema the kernels were bound against — the columns
+    the source is catalogued to ship, which every shipment is fitted to
+    before it is staged — and ``scan`` the template scan standing for the
+    staged relation in its plan's operator tree.
     """
 
     def __init__(self, node: Transfer, source: Schema, scope: KernelScope):
         self.source = source
+        #: The last shipped schema found to list ``source``'s names in order:
+        #: a shipment carrying this very object is staged as it is.
+        self.accepted = source
         self.schema = source.with_qualifier(node.binding)
         self.name = f"{node.binding}_staged"
         self.label = f"{node.binding}_stage"
@@ -179,8 +174,8 @@ def lower(node: RelationNode, inputs: Sequence,
           budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
     """The operator tree computing ``node`` over what stands for its inputs:
     for a branch, its :class:`Stage` s (one per request, by leaf index); for
-    a :class:`Union`, one operator per branch — a branch can be lowered only
-    once its sources have shipped, so whoever runs the root supplies them.
+    a :class:`Union`, one operator per branch — whoever runs the root
+    supplies them, staging each branch when it is first pulled.
     A branch's template draws on no memory budget, its execution's copies do
     (``rebind``); a Union, lowered per execution, dedups on ``budget``."""
     if isinstance(node, Union):

@@ -382,7 +382,7 @@ class TestWarmStatementBuildsNothing:
 
         joins = []
         for branch in plan.template.branches:
-            pending = [branch._operators[1]]
+            pending = [branch._lowered[1]]
             while pending:
                 operator = pending.pop()
                 pending.extend(operator.children)

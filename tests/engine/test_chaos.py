@@ -38,6 +38,7 @@ from repro.sources.base import SourceCapabilities
 from repro.sources.faults import FaultInjectingSource, FaultSchedule
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
+from tests.engine.test_feedback import BIND_QUERY, _bind_engine
 
 pytestmark = pytest.mark.chaos
 
@@ -84,18 +85,21 @@ def _engine(schedules=None, cache=False, **policy_kwargs):
 
 class _HangingWrapper(RelationalWrapper):
     """A wrapper whose round trips hang for a fixed (real) duration, or
-    until ``release`` is set."""
+    until ``release`` is set; ``threads`` names the thread of each call."""
 
     def __init__(self, source, hang_seconds):
         super().__init__(source)
         self.hang_seconds = hang_seconds
         self.release = threading.Event()
+        self.threads = []
 
     def fetch(self, relation):
+        self.threads.append(threading.current_thread().name)
         self.release.wait(self.hang_seconds)
         return super().fetch(relation)
 
     def query(self, statement):
+        self.threads.append(threading.current_thread().name)
         self.release.wait(self.hang_seconds)
         return super().query(statement)
 
@@ -310,6 +314,50 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceededError):
             engine.execute("SELECT t.a FROM t", timeout_seconds=self.TIMEOUT,
                            on_source_error="partial")
+
+
+class TestNoWaitInsideAWrapperCall:
+    """A bounded statement waits on its fetches' futures, where the deadline
+    fires: no wrapper call runs on the consumer's thread, whatever the lane
+    cap or the fetch's route into the fetch stage."""
+
+    HANG = 1.5
+    TIMEOUT = 0.3
+    BOUND = 0.5
+
+    def _expires_in_time(self, engine, statement, hanging):
+        started = time.perf_counter()
+        try:
+            with pytest.raises(DeadlineExceededError, match="deadline"):
+                engine.execute(statement, timeout_seconds=self.TIMEOUT)
+            elapsed = time.perf_counter() - started
+        finally:
+            hanging.release.set()
+        assert elapsed < self.BOUND, f"deadline fired after {elapsed:.2f}s"
+        assert hanging.threads and all(
+            name.startswith("source-fetch") for name in hanging.threads), hanging.threads
+
+    def test_a_single_lane_statement(self):
+        engine = MultiDatabaseEngine(max_concurrent_requests=1)
+        source = MemorySQLSource("slow")
+        source.load_sql("CREATE TABLE t (a integer)", "INSERT INTO t VALUES (1), (2)")
+        wrapper = _HangingWrapper(source, self.HANG)
+        engine.register_wrapper(wrapper, estimate_rows=False)
+        self._expires_in_time(engine, "SELECT t.a FROM t", wrapper)
+
+    def test_bind_batches_behind_a_cached_driver(self):
+        engine = _bind_engine(cache=True)
+        engine.execute(BIND_QUERY)  # cold: feedback enables binding
+        plan = engine.plan(BIND_QUERY)
+        assert any(request.bind is not None for request in plan.branches[0].requests)
+        engine.execute(plan)
+        engine.execute(plan)
+        engine.request_cache.invalidate(relation="o")  # the driver stays cached
+        _driver, orders = engine._test_sources
+        hanging = _HangingWrapper(orders, self.HANG)
+        ord_wrapper = engine.catalog.wrappers.get("ord")
+        ord_wrapper.query = hanging.query
+        self._expires_in_time(engine, plan, hanging)
 
 
 class TestHungSourceIsolation:

@@ -1,17 +1,20 @@
-"""Physical plan templates: lifetime, guards and sharing.
+"""Physical plan templates: lifetime, catalogued schemas and sharing.
 
 A plan's template (``QueryPlan.template``) holds what its executions share —
-request keys, the optimizer preamble, per branch the lowered stages and the
-operator tree.  Pinned here:
+request keys, the optimizer preamble, per branch the stages and the operator
+tree, lowered from the schemas the branch's requests are catalogued to ship.
+Pinned here:
 
 * **lifetime** — the template hangs off the cached plan object, so whatever
   retires the plan (catalog generation, knowledge generation, a material
   error on a feedback key it consulted) yields a fresh template, and a warm
   statement reuses the one it has;
-* **the schema guard** — a wrapper that starts shipping another schema gets
-  its stage and the operator tree re-lowered, never a stale position read;
+* **the catalogued schema** — a shipment is fitted to the columns the
+  branch was lowered against: permuted columns are picked by name and extra
+  ones dropped, the template kept; a shipment lacking a catalogued column is
+  refused, never read at a stale position;
 * **the subquery rule** — a branch whose kernels fold a subquery keeps no
-  template: each execution folds for itself;
+  lowering, stages included: each execution folds for itself;
 * **sharing** — concurrent executions of one cached plan, spilling under a
   64 KiB budget, agree with the serial answer and leave nothing behind;
 * **kept builds** — a hash join over a staged request-cache hit keeps its
@@ -34,10 +37,10 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.resilience import ResiliencePolicy, RetryPolicy
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ExecutionError
 from repro.relational.algebra import left_deep
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, Schema
 from repro.sources.base import SourceCapabilities
 from repro.sources.faults import FaultInjectingSource, FaultSchedule
 from repro.sources.memory import MemorySQLSource
@@ -67,7 +70,7 @@ JOIN = "SELECT t.a, u.v FROM t, u WHERE t.a = u.a AND t.v <= u.v ORDER BY 2, 1"
 
 def _kept(plan, branch=0):
     """The operator template the branch keeps (None before its first run)."""
-    kept = plan.template.branches[branch]._operators
+    kept = plan.template.branches[branch]._lowered
     return None if kept is None else kept[1]
 
 
@@ -123,21 +126,26 @@ class TestLifetime:
         assert _kept(fresh) is not None and _kept(fresh) is not _kept(plan)
         # New plan, new trees, new template memo — the same structures.
         assert len(compile_module._MEMO) == before
-        first, second = (plan.template.branches[0]._operators[1],
-                         fresh.template.branches[0]._operators[1])
+        first, second = (plan.template.branches[0]._lowered[1],
+                         fresh.template.branches[0]._lowered[1])
         assert first is not second and first.explain() == second.explain()
 
 
 class _ShiftingWrapper(RelationalWrapper):
-    """Ships relation ``t`` with whatever column order ``self.order`` says."""
+    """Ships relation ``t`` in the columns ``self.order`` names, in that
+    order; a name ``t`` lacks ships as a column of NULLs."""
 
     order = ("a", "v", "b")
 
     def _reshape(self, relation):
-        positions = [relation.schema.index_of(name) for name in self.order
-                     if relation.schema.has(name)]
-        reshaped = Relation(relation.schema.project(positions), name=relation.name)
-        reshaped.rows = [tuple(row[position] for position in positions)
+        schema = relation.schema
+        positions = [schema.index_of(name) if schema.has(name) else None
+                     for name in self.order]
+        reshaped = Relation(Schema(
+            Attribute(name) if position is None else schema[position]
+            for name, position in zip(self.order, positions)), name=relation.name)
+        reshaped.rows = [tuple(None if position is None else row[position]
+                               for position in positions)
                          for row in relation.rows]
         return reshaped
 
@@ -149,6 +157,9 @@ class _ShiftingWrapper(RelationalWrapper):
 
 
 class TestSchemaGuard:
+    QUERY = ("SELECT t.b, t.a, u.v FROM t, u WHERE t.a = u.a AND t.b <> 'x' "
+             "ORDER BY t.a")
+
     def _engine(self):
         engine = MultiDatabaseEngine()
         values = ", ".join(f"({index}, {float(index % 7)}, '{'xyz'[index % 3]}')"
@@ -163,22 +174,31 @@ class TestSchemaGuard:
             estimate_rows=False)
         return engine, wrapper
 
-    def test_a_wrapper_shipping_another_schema_re_lowers(self):
+    @pytest.mark.parametrize("order", [("b", "v", "a"), ("v", "x", "a", "b")],
+                             ids=["permuted", "extra"])
+    def test_a_shipment_in_other_columns_is_fitted_to_the_template(self, order):
         engine, wrapper = self._engine()
-        query = ("SELECT t.b, t.a, u.v FROM t, u WHERE t.a = u.a AND t.b <> 'x' "
-                 "ORDER BY t.a")
-        plan = engine.plan(query)
+        plan = engine.plan(self.QUERY)
         expected = list(engine.execute(plan).relation.rows)
         assert expected and all(row[0] in "yz" for row in expected)
         first = _kept(plan)
 
-        wrapper.order = ("b", "v", "a")  # same columns, other positions
-        assert list(engine.execute(plan).relation.rows) == expected
-        second = _kept(plan)
-        assert second is not first  # re-lowered: no stale position was read
+        wrapper.order = order  # other positions, and an extra column
+        for _ in range(2):
+            assert list(engine.execute(plan).relation.rows) == expected
+            assert _kept(plan) is first  # no re-lowering, no stale position
 
-        assert list(engine.execute(plan).relation.rows) == expected
-        assert _kept(plan) is second  # and the new template is kept
+    def test_a_shipment_lacking_a_catalogued_column_is_refused(self):
+        engine, wrapper = self._engine()
+        wrapper.order = ("a", "b")
+        stream = engine.execute_stream(engine.plan(self.QUERY))
+        with pytest.raises(ExecutionError) as raised:
+            stream.fetchall()
+        message = str(raised.value)
+        assert "'db_t'" in message and "FETCH t" in message
+        assert "['a', 'b']" in message and "['a', 'v', 'b']" in message
+        assert stream.closed and stream.report.rows_streamed == 0
+        assert engine.temp_store.handles == []
 
     def test_equal_schemas_from_fresh_objects_keep_the_template(self):
         engine, _wrapper = self._engine()  # reshapes: a new Schema per fetch
@@ -207,8 +227,8 @@ class TestSubqueryRule:
             assert rows == [(0, 7), (1, 7), (2, 7)]
             assert len(runs) == execution  # folded anew by every execution
             assert _kept(plan) is None  # handed out, never kept
-        # The subquery-free stages beneath it are templates like any other.
-        assert len(plan.template.branches[0]._stages) == 2
+        # Nor are the stages lowered with it: a private lowering keeps nothing.
+        assert plan.template.branches[0]._lowered is None
 
 
 class TestSharing:
@@ -558,8 +578,8 @@ class TestExecutedTwice:
                     second.report.snapshot()["resilience"]["degraded_branches"]]
         assert degraded == [1]
         assert _shape(second.report)[:3] == _shape(first.report)[:3]
-        # The dead branch never staged anything, so it has no template yet;
-        # the live ones execute from theirs.
-        assert _kept(plan, 1) is None and _kept(plan, 0) is not None
+        # A branch lowers before it fetches, so the dead branch keeps its
+        # lowering like the live ones, which execute from theirs.
+        assert _kept(plan, 1) is not None and _kept(plan, 0) is not None
         with pytest.raises(Exception):
             engine.execute(plan)  # "fail" mode still fails on the same plan

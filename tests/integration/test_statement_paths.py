@@ -263,7 +263,7 @@ def odbc_aio_stream(stack, mode):
 
 def _templates(answer):
     """The operator template each branch of the executed plan keeps."""
-    return [branch._operators for branch in answer.execution.plan.template.branches]
+    return [branch._lowered for branch in answer.execution.plan.template.branches]
 
 
 def template_miss(stack, mode):

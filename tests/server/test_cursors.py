@@ -6,12 +6,13 @@ chunked HTTP streaming endpoint, and the ODBC driver's streaming mode.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
-from repro.errors import ClientError
+from repro.errors import ClientError, SourceError
 from repro.server import odbc
 from repro.server.protocol import Request
 from repro.server.server import MediationServer
@@ -165,6 +166,74 @@ class TestCursorProtocol:
         assert snapshot["cursors_opened"] == 1
         assert snapshot["cursor_fetches"] == 1
         assert snapshot["rows_streamed"] >= 1
+
+
+def _gate(federation, error=None):
+    """Hold every wrapper's round trips until the returned event is set —
+    a timer sets it after 1 s — then fail them with ``error``, if given."""
+    release = threading.Event()
+    for wrapper in federation.engine.catalog.wrappers:
+        for method in ("fetch", "query"):
+            def gated(argument, call=getattr(wrapper, method)):
+                release.wait(10.0)
+                if error is not None:
+                    raise error
+                return call(argument)
+            setattr(wrapper, method, gated)
+    timer = threading.Timer(1.0, release.set)
+    timer.start()
+    return release, timer
+
+
+class TestSchemaCostsNoFetch:
+    """A cursor's columns come from the plan's lowered tree, typed by the
+    catalog, so describing an answer waits for no source."""
+
+    def test_description_returns_before_any_source_ships(self, federation):
+        expected = build_paper_federation().federation.query(PAPER_QUERY).relation
+        release, timer = _gate(federation)
+        try:
+            with federation.query(PAPER_QUERY, stream=True) as cursor:
+                description = cursor.description
+                assert not release.is_set()
+                assert [column[0] for column in description] == expected.schema.names
+                release.set()
+                assert cursor.fetchall() == expected.rows
+        finally:
+            release.set()
+            timer.cancel()
+
+    def test_open_cursor_returns_its_header_before_any_source_ships(self, server, federation):
+        names = build_paper_federation().federation.query(PAPER_QUERY).relation.schema.names
+        release, timer = _gate(federation)
+        try:
+            payload = _open(server)
+            assert not release.is_set()
+            assert payload["columns"] == names
+        finally:
+            release.set()
+            timer.cancel()
+        server.handle(Request(operation="close_cursor",
+                              parameters={"cursor_id": payload["cursor_id"]}))
+
+    def test_a_source_failure_surfaces_at_the_first_fetch(self, server, federation):
+        error = SourceError("the source is permanently out")
+        error.transient = False
+        release, timer = _gate(federation, error)
+        try:
+            payload = _open(server)
+            fetched = server.handle(Request(
+                operation="fetch_cursor",
+                parameters={"cursor_id": payload["cursor_id"], "count": 100},
+            ))
+        finally:
+            release.set()
+            timer.cancel()
+        # The kind a failing open reported when describing the answer fetched.
+        assert (fetched.ok, fetched.error_kind) == (False, "RequestFailed[SourceError]")
+        assert "permanently out" in fetched.error
+        assert server.snapshot()["open_cursors"] == 0
+        assert federation.engine.temp_store.handles == []
 
 
 class TestChunkedHttpStreaming:
