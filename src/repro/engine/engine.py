@@ -127,7 +127,7 @@ class MultiDatabaseEngine:
         #: distincts and hash-join build sides spill to temporary files
         #: rather than exceed it.
         self.memory_budget_bytes = memory_budget_bytes
-        #: Retry policy, per-wrapper circuit breakers and source health —
+        #: Retry policy and one record (breaker and health) per wrapper —
         #: shared across statements and scans so breaker state and health
         #: statistics persist between them.
         self.resilience = resilience if resilience is not None else ResiliencePolicy()

@@ -13,19 +13,18 @@ through:
   **deterministically seeded** per (request, attempt): fault-injection tests
   and benchmarks replay byte-identical schedules regardless of thread
   interleaving.
-* :class:`CircuitBreaker` — one per wrapper, closed → open after a run of
-  consecutive failures, open → half-open after a cooldown, half-open →
-  closed on a successful probe.  An open circuit rejects requests *fast*:
-  a dead source costs nothing per statement instead of a full retry budget.
+* :class:`SourceRecord` — one per wrapper, under one lock: its circuit
+  breaker (closed → open after a run of consecutive failures, open →
+  half-open after a cooldown, half-open → closed on a successful probe) and
+  its rolling success/failure/latency health, surfaced through the engine's
+  ``source_health()`` so operators can see which sources are rotten before
+  receivers complain.  An open circuit rejects requests *fast*: a dead
+  source costs nothing per statement instead of a full retry budget.
 * :class:`Deadline` — a per-statement time bound propagated from
   ``Federation.query(..., timeout_seconds=...)`` through fetch waits, retry
   backoff sleeps and streaming finalization.  Expiry raises
   :class:`~repro.errors.DeadlineExceededError` and is never downgraded to a
   partial answer.
-* :class:`SourceHealth` / :class:`HealthRegistry` — rolling
-  success/failure/latency statistics per wrapper, surfaced through the
-  engine's statistics façade so operators can see which sources are rotten
-  before receivers complain.
 
 Everything time-related goes through an injectable :class:`Clock`
 (``now``/``sleep``), so breaker transitions and backoff schedules are testable
@@ -236,12 +235,35 @@ class RetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breakers
+# Per-wrapper records: circuit breaker and health window
 # ---------------------------------------------------------------------------
 
+#: Rolling-latency window per wrapper.
+HEALTH_WINDOW = 32
 
-class CircuitBreaker:
-    """Per-wrapper closed → open → half-open failure gate.
+#: Adaptive fetch timeouts: once a wrapper's window holds
+#: ``ADAPTIVE_MIN_SAMPLES`` successful latencies, its fetch wait is bounded by
+#: their ``ADAPTIVE_QUANTILE`` × ``ADAPTIVE_HEADROOM``, clamped to
+#: ``[ADAPTIVE_MIN_SECONDS, ADAPTIVE_MAX_SECONDS]``.
+ADAPTIVE_QUANTILE = 0.95
+ADAPTIVE_HEADROOM = 4.0
+ADAPTIVE_MIN_SAMPLES = 8
+ADAPTIVE_MIN_SECONDS = 0.05
+ADAPTIVE_MAX_SECONDS = 30.0
+
+
+def latency_quantile(ordered: List[float], quantile: float) -> Optional[float]:
+    """The nearest-rank ``quantile`` (0..1) of sorted latencies, or None."""
+    if not ordered:
+        return None
+    quantile = min(1.0, max(0.0, quantile))
+    return ordered[min(len(ordered) - 1, int(round(quantile * (len(ordered) - 1))))]
+
+
+class SourceRecord:
+    """Everything the engine knows about one wrapper, under one lock.
+
+    The circuit breaker is a closed → open → half-open state machine:
 
     * **closed** — requests flow; ``failure_threshold`` *consecutive*
       failures trip the breaker open.
@@ -250,9 +272,14 @@ class CircuitBreaker:
     * **half-open** — one probe request is let through at a time; success
       closes the breaker, failure re-opens it (and restarts the cooldown).
 
-    All transitions are lock-guarded and driven by the injected clock, so
-    concurrent fetch threads observe a consistent state machine and tests
-    can walk it deterministically.
+    Beside it the record keeps the wrapper's health: success, failure and
+    retry counts, the last error and the latencies of the last
+    ``HEALTH_WINDOW`` successful round trips, which the adaptive fetch
+    timeout is fed from.  ``consecutive_failures`` counts every failed round
+    trip since the last success, and both the breaker and the health view
+    report it.  Transitions are driven by the injected clock, so concurrent
+    fetch threads observe a consistent state machine and tests can walk it
+    deterministically.
     """
 
     def __init__(self, failure_threshold: int = 5, cooldown_seconds: float = 30.0,
@@ -262,13 +289,18 @@ class CircuitBreaker:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
-        self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
-        #: Closed/half-open → open transitions over the breaker's lifetime.
+        #: Closed/half-open → open transitions over the record's lifetime.
         self.trips = 0
-        #: Requests rejected without a round trip while open.
+        #: Statement requests refused without a round trip.
         self.rejections = 0
+        self.successes = 0
+        self.failures = 0
+        self.retries = 0
+        self.consecutive_failures = 0
+        self.last_error: Optional[str] = None
+        self._latencies: Deque[float] = deque(maxlen=HEALTH_WINDOW)
 
     @property
     def state(self) -> str:
@@ -284,131 +316,102 @@ class CircuitBreaker:
             self._probe_in_flight = False
         return self._state
 
+    def _admit(self) -> bool:
+        """Admit one request (callers hold the lock): any while closed, the
+        one probe while half-open."""
+        state = self._effective_state()
+        if state == "closed":
+            return True
+        if state == "half_open" and not self._probe_in_flight:
+            self._probe_in_flight = True
+            return True
+        return False
+
     def allow(self) -> bool:
-        """May a request proceed right now?  (Counts rejections.)"""
+        """May a statement's request proceed right now?  (Counts rejections.)"""
         with self._lock:
-            state = self._effective_state()
-            if state == "closed":
-                return True
-            if state == "half_open" and not self._probe_in_flight:
-                self._probe_in_flight = True
+            if self._admit():
                 return True
             self.rejections += 1
             return False
 
-    def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._probe_in_flight = False
-            if self._state != "closed":
-                self._state = "closed"
+    def claim_probe(self) -> bool:
+        """Take the half-open probe slot for the prober.
 
-    def record_failure(self) -> bool:
-        """Record one failed round trip; True when this call tripped it open."""
+        False when the breaker is closed, still open, or a statement's own
+        probe is in flight; a refused claim is not a rejection.
+        """
         with self._lock:
+            return self._effective_state() == "half_open" and self._admit()
+
+    def succeeded(self, latency_seconds: float) -> None:
+        with self._lock:
+            self.successes += 1
+            self.consecutive_failures = 0
+            self._latencies.append(latency_seconds)
+            self._probe_in_flight = False
+            self._state = "closed"
+
+    def failed(self, error: BaseException) -> bool:
+        """Book one failed round trip; True when this call tripped it open."""
+        with self._lock:
+            self.failures += 1
+            self.consecutive_failures += 1
+            self.last_error = f"{type(error).__name__}: {error}"
             state = self._effective_state()
             self._probe_in_flight = False
-            if state == "half_open":
-                self._state = "open"
-                self._opened_at = self._clock.now()
-                self._consecutive_failures = self.failure_threshold
-                self.trips += 1
-                return True
-            self._consecutive_failures += 1
-            if state == "closed" and self._consecutive_failures >= self.failure_threshold:
+            if state == "half_open" or (
+                state == "closed"
+                and self.consecutive_failures >= self.failure_threshold
+            ):
                 self._state = "open"
                 self._opened_at = self._clock.now()
                 self.trips += 1
                 return True
             return False
 
-    def snapshot(self) -> Dict[str, object]:
+    def retried(self) -> None:
         with self._lock:
-            return {
-                "state": self._effective_state(),
-                "consecutive_failures": self._consecutive_failures,
+            self.retries += 1
+
+    @staticmethod
+    def _fetch_timeout(ordered: List[float]) -> Optional[float]:
+        if len(ordered) < ADAPTIVE_MIN_SAMPLES:
+            return None
+        latency = latency_quantile(ordered, ADAPTIVE_QUANTILE)
+        return min(ADAPTIVE_MAX_SECONDS,
+                   max(ADAPTIVE_MIN_SECONDS, latency * ADAPTIVE_HEADROOM))
+
+    def fetch_timeout(self) -> Optional[float]:
+        """This wrapper's earned wait bound, or None (no bound yet).
+
+        ``None`` until the window holds ``ADAPTIVE_MIN_SAMPLES`` successful
+        latencies — a cold or rarely-used wrapper keeps the
+        statement-deadline-only behaviour.  Afterwards a healthy source that
+        suddenly stalls is cut loose quickly, and a habitually slow one is
+        given the latitude its own history justifies.
+        """
+        with self._lock:
+            ordered = sorted(self._latencies)
+        return self._fetch_timeout(ordered)
+
+    def snapshot(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        """``(breaker entry, source entry)``, read in one critical section:
+        the failure rate is computed from the very counts it reports."""
+        with self._lock:
+            state = self._effective_state()
+            ordered = sorted(self._latencies)
+            attempts = self.successes + self.failures
+            p95 = latency_quantile(ordered, 0.95)
+            breaker = {
+                "state": state,
+                "consecutive_failures": self.consecutive_failures,
                 "failure_threshold": self.failure_threshold,
                 "cooldown_seconds": self.cooldown_seconds,
                 "trips": self.trips,
                 "rejections": self.rejections,
             }
-
-
-# ---------------------------------------------------------------------------
-# Source health
-# ---------------------------------------------------------------------------
-
-#: Rolling-latency window per wrapper.
-HEALTH_WINDOW = 32
-
-
-class SourceHealth:
-    """Rolling success/failure/latency statistics of one wrapper."""
-
-    def __init__(self, wrapper_name: str):
-        self.wrapper_name = wrapper_name
-        self._lock = threading.Lock()
-        self.successes = 0
-        self.failures = 0
-        self.retries = 0
-        self.rejections = 0
-        self.consecutive_failures = 0
-        self.last_error: Optional[str] = None
-        self._recent_latencies: Deque[float] = deque(maxlen=HEALTH_WINDOW)
-        self.total_latency_seconds = 0.0
-
-    def record_success(self, latency_seconds: float) -> None:
-        with self._lock:
-            self.successes += 1
-            self.consecutive_failures = 0
-            self._recent_latencies.append(latency_seconds)
-            self.total_latency_seconds += latency_seconds
-
-    def record_failure(self, latency_seconds: float, error: BaseException) -> None:
-        with self._lock:
-            self.failures += 1
-            self.consecutive_failures += 1
-            self.last_error = f"{type(error).__name__}: {error}"
-            self.total_latency_seconds += latency_seconds
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def record_rejection(self) -> None:
-        with self._lock:
-            self.rejections += 1
-
-    def sample_count(self) -> int:
-        """Number of latency samples currently in the rolling window."""
-        with self._lock:
-            return len(self._recent_latencies)
-
-    def latency_quantile(self, quantile: float) -> Optional[float]:
-        """The ``quantile`` (0..1) of the rolling latency window, or None.
-
-        Nearest-rank over the (at most ``HEALTH_WINDOW``) recent successful
-        round trips — the signal the adaptive fetch timeout is fed from.
-        """
-        with self._lock:
-            recent = sorted(self._recent_latencies)
-        if not recent:
-            return None
-        quantile = min(1.0, max(0.0, quantile))
-        index = min(len(recent) - 1, int(round(quantile * (len(recent) - 1))))
-        return recent[index]
-
-    def snapshot(self) -> Dict[str, object]:
-        # One critical section: the failure rate is computed from the very
-        # counts the snapshot reports.
-        with self._lock:
-            attempts = self.successes + self.failures
-            recent = list(self._recent_latencies)
-            p95 = None
-            if recent:
-                ordered = sorted(recent)
-                p95 = ordered[min(len(ordered) - 1, int(round(0.95 * (len(ordered) - 1))))]
-            return {
+            source = {
                 "successes": self.successes,
                 "failures": self.failures,
                 "retries": self.retries,
@@ -416,33 +419,14 @@ class SourceHealth:
                 "consecutive_failures": self.consecutive_failures,
                 "failure_rate": round(self.failures / attempts, 6) if attempts else 0.0,
                 "mean_latency_seconds": (
-                    round(sum(recent) / len(recent), 6) if recent else 0.0
+                    round(sum(ordered) / len(ordered), 6) if ordered else 0.0
                 ),
                 "p95_latency_seconds": round(p95, 6) if p95 is not None else None,
-                "latency_samples": len(recent),
+                "latency_samples": len(ordered),
                 "last_error": self.last_error,
+                "adaptive_fetch_timeout_seconds": self._fetch_timeout(ordered),
             }
-
-
-class HealthRegistry:
-    """Lock-guarded map wrapper-name → :class:`SourceHealth`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[str, SourceHealth] = {}
-
-    def wrapper(self, name: str) -> SourceHealth:
-        key = name.lower()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = SourceHealth(name)
-            return entry
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            entries = dict(self._entries)
-        return {name: entry.snapshot() for name, entry in sorted(entries.items())}
+        return breaker, source
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +435,7 @@ class HealthRegistry:
 
 
 class ResiliencePolicy:
-    """Retry policy + per-wrapper breakers + health registry, as one unit.
+    """Retry policy + one :class:`SourceRecord` per wrapper, as one unit.
 
     Owned by a :class:`~repro.engine.engine.MultiDatabaseEngine` and shared
     across its statements and scans, so breaker state and health statistics
@@ -461,46 +445,29 @@ class ResiliencePolicy:
 
     def __init__(self, retry_policy: Optional[RetryPolicy] = None,
                  failure_threshold: int = 5, cooldown_seconds: float = 30.0,
-                 clock: Clock = SYSTEM_CLOCK,
-                 adaptive_timeouts: bool = True,
-                 adaptive_quantile: float = 0.95,
-                 adaptive_headroom: float = 4.0,
-                 adaptive_min_samples: int = 8,
-                 adaptive_min_seconds: float = 0.05,
-                 adaptive_max_seconds: float = 30.0):
+                 clock: Clock = SYSTEM_CLOCK):
         self.retry_policy = retry_policy or RetryPolicy()
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
         self.clock = clock
-        #: Per-source adaptive fetch timeouts: a wrapper whose rolling-window
-        #: p95 latency is known gets its own wait bound (p95 × headroom,
-        #: clamped) instead of the statement's one-size-fits-all deadline
-        #: slice.  ``adaptive_min_samples`` keeps cold wrappers unbounded.
-        self.adaptive_timeouts = adaptive_timeouts
-        self.adaptive_quantile = adaptive_quantile
-        self.adaptive_headroom = adaptive_headroom
-        self.adaptive_min_samples = adaptive_min_samples
-        self.adaptive_min_seconds = adaptive_min_seconds
-        self.adaptive_max_seconds = adaptive_max_seconds
-        self.health = HealthRegistry()
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        self._records: Dict[str, SourceRecord] = {}
         self._lock = threading.Lock()
 
     def deadline(self, timeout_seconds: Optional[float]) -> Deadline:
         """A fresh statement deadline on this policy's clock."""
         return Deadline(timeout_seconds, self.clock)
 
-    def breaker(self, wrapper_name: str) -> CircuitBreaker:
+    def source(self, wrapper_name: str) -> SourceRecord:
         key = wrapper_name.lower()
         with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
+            record = self._records.get(key)
+            if record is None:
+                record = self._records[key] = SourceRecord(
                     failure_threshold=self.failure_threshold,
                     cooldown_seconds=self.cooldown_seconds,
                     clock=self.clock,
                 )
-            return breaker
+            return record
 
     def run_fetch(self, wrapper_name: str, request_text: str,
                   fetch: Callable[[], object], deadline: Deadline,
@@ -510,29 +477,28 @@ class ResiliencePolicy:
 
         Returns ``(result, attempts)``.  Raises the final classified error
         (or :class:`DeadlineExceededError` / :class:`CircuitOpenError`);
-        health, breaker and the statement ``report``'s counters (under its
-        lock) are updated either way.  When a (recording) fetch ``span`` is
+        the wrapper's :class:`SourceRecord` and the statement ``report``'s
+        counters (under its lock) are updated either way, each attempt with
+        one booking on the record.  When a (recording) fetch ``span`` is
         passed, every attempt becomes one child span annotated with the
         breaker state it observed, so a trace's attempt spans reconcile
         exactly with the report's ``attempts`` counter.
         """
-        breaker = self.breaker(wrapper_name)
-        health = self.health.wrapper(wrapper_name)
+        record = self.source(wrapper_name)
         policy = self.retry_policy
         attempt = 0
         while True:
             deadline.check(f"fetching {request_text} from wrapper {wrapper_name!r}")
-            if not breaker.allow():
+            if not record.allow():
                 if span is not None:
                     span.event("breaker_rejection", wrapper=wrapper_name,
-                               breaker_state=breaker.state)
-                health.record_rejection()
+                               breaker_state=record.state)
                 with report.lock:
                     report.breaker_rejections += 1
                 raise CircuitOpenError(
                     f"wrapper {wrapper_name!r} is circuit-broken after repeated "
                     f"failures; retrying after cooldown "
-                    f"({breaker.cooldown_seconds}s)"
+                    f"({record.cooldown_seconds}s)"
                 )
             attempt += 1
             with report.lock:
@@ -541,26 +507,26 @@ class ResiliencePolicy:
             if span is not None:
                 attempt_span = span.child(
                     "attempt", attempt=attempt, wrapper=wrapper_name,
-                    breaker_state=breaker.state,
+                    breaker_state=record.state,
                 )
             started = self.clock.now()
             try:
                 result = fetch()
             except Exception as error:
-                latency = self.clock.now() - started
-                tripped = breaker.record_failure()
-                if tripped:
-                    with report.lock:
-                        report.breaker_trips += 1
+                tripped = record.failed(error)
                 if attempt_span is not None:
                     if tripped:
                         attempt_span.event("breaker_trip", wrapper=wrapper_name)
                     attempt_span.finish(error=error)
-                health.record_failure(latency, error)
                 if source_statistics is not None:
                     source_statistics.add(failures=1)
-                if not policy.is_transient(error) or attempt >= policy.max_attempts:
+                # A failure that trips the breaker ends the loop: the next
+                # attempt would only meet the circuit this failure opened.
+                if (tripped or not policy.is_transient(error)
+                        or attempt >= policy.max_attempts):
                     with report.lock:
+                        if tripped:
+                            report.breaker_trips += 1
                         report.failed_requests += 1
                     raise
                 delay = policy.backoff_delay(request_text, attempt)
@@ -575,52 +541,24 @@ class ResiliencePolicy:
                     ) from error
                 with report.lock:
                     report.retries += 1
-                health.record_retry()
+                record.retried()
                 if source_statistics is not None:
                     source_statistics.add(retries=1)
                 self.clock.sleep(delay)
                 continue
             if attempt_span is not None:
                 attempt_span.finish()
-            breaker.record_success()
-            health.record_success(self.clock.now() - started)
+            record.succeeded(self.clock.now() - started)
             return result, attempt
-
-    def adaptive_fetch_timeout(self, wrapper_name: str) -> Optional[float]:
-        """This wrapper's earned wait bound, or None (no bound yet).
-
-        ``None`` until the rolling health window holds at least
-        ``adaptive_min_samples`` successful latencies — a cold or rarely-used
-        wrapper keeps the statement-deadline-only behaviour.  Afterwards the
-        bound is ``quantile × headroom`` clamped to
-        ``[adaptive_min_seconds, adaptive_max_seconds]``: a healthy source
-        that suddenly stalls is cut loose quickly, a habitually slow one is
-        given the latitude its own history justifies.
-        """
-        if not self.adaptive_timeouts:
-            return None
-        health = self.health.wrapper(wrapper_name)
-        if health.sample_count() < self.adaptive_min_samples:
-            return None
-        latency = health.latency_quantile(self.adaptive_quantile)
-        if latency is None:
-            return None
-        return min(self.adaptive_max_seconds,
-                   max(self.adaptive_min_seconds,
-                       latency * self.adaptive_headroom))
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
-            breakers = dict(self._breakers)
-        sources = self.health.snapshot()
-        for name, entry in sources.items():
-            entry["adaptive_fetch_timeout_seconds"] = self.adaptive_fetch_timeout(name)
-        return {
-            "breakers": {
-                name: breaker.snapshot() for name, breaker in sorted(breakers.items())
-            },
-            "sources": sources,
-        }
+            records = sorted(self._records.items())
+        breakers: Dict[str, object] = {}
+        sources: Dict[str, object] = {}
+        for name, record in records:
+            breakers[name], sources[name] = record.snapshot()
+        return {"breakers": breakers, "sources": sources}
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +574,10 @@ class HealthProber:
     query per dead-source comeback.  The prober instead drives the half-open
     probe itself: ``run_once()`` walks the registered probe callables (one
     cheap fetch per wrapper, typically the smallest catalogued relation) and
-    issues a probe against every breaker currently half-open, recording the
-    outcome on the breaker *and* the health window so a recovered source is
-    rediscovered — and its latency stats re-primed — before the next
-    statement arrives.
+    issues a probe against every breaker currently half-open, booking the
+    outcome once on the wrapper's :class:`SourceRecord` — breaker and health
+    window together — so a recovered source is rediscovered, and its latency
+    stats re-primed, before the next statement arrives.
 
     ``run_once()`` is deterministic and directly testable (drive it from a
     test with a :class:`ManualClock` policy); ``start()`` runs it on a daemon
@@ -671,25 +609,20 @@ class HealthProber:
             probes = sorted(self._probes.items())
         results: Dict[str, bool] = {}
         for name, probe in probes:
-            breaker = self.policy.breaker(name)
-            if breaker.state != "half_open":
-                continue
-            if not breaker.allow():
-                continue  # a statement's own probe is already in flight
-            health = self.policy.health.wrapper(name)
+            record = self.policy.source(name)
+            if not record.claim_probe():
+                continue  # closed, still open, or a statement's probe is in flight
             started = self.policy.clock.now()
             try:
                 probe()
             except Exception as error:
-                breaker.record_failure()
-                health.record_failure(self.policy.clock.now() - started, error)
+                record.failed(error)
                 results[name] = False
                 with self._lock:
                     self.probes_attempted += 1
                     self.probes_failed += 1
             else:
-                breaker.record_success()
-                health.record_success(self.policy.clock.now() - started)
+                record.succeeded(self.policy.clock.now() - started)
                 results[name] = True
                 with self._lock:
                     self.probes_attempted += 1

@@ -467,9 +467,9 @@ class ResultStream:
             # deadline instead of consuming all of it.
             adaptive = None
             if self._deadline.bounded:
-                adaptive = self.engine.resilience.adaptive_fetch_timeout(
+                adaptive = self.engine.resilience.source(
                     request.wrapper_name
-                )
+                ).fetch_timeout()
                 if adaptive is not None:
                     wait = adaptive if wait is None else min(wait, adaptive)
             try:

@@ -661,9 +661,9 @@ class Federation:
     def health_prober(self, interval_seconds: float = 1.0):
         """A background prober for this federation's sources.
 
-        Drives half-open circuit-breaker probes from the engine's health
-        registry so a recovered source is rediscovered proactively instead
-        of by sacrificing the next receiver query; see
+        Drives half-open circuit-breaker probes from the engine's
+        per-wrapper records so a recovered source is rediscovered
+        proactively instead of by sacrificing the next receiver query; see
         :meth:`~repro.engine.engine.MultiDatabaseEngine.build_health_prober`.
         """
         return self.engine.build_health_prober(interval_seconds)

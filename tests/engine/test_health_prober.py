@@ -9,14 +9,24 @@ history instead of the statement's one-size-fits-all deadline slice.
 import pytest
 
 from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.executor import ExecutionReport
 from repro.engine.resilience import (
+    ADAPTIVE_MAX_SECONDS,
+    ADAPTIVE_MIN_SAMPLES,
+    ADAPTIVE_MIN_SECONDS,
+    Deadline,
     HealthProber,
     ManualClock,
     ResiliencePolicy,
+    RetryPolicy,
+    latency_quantile,
 )
+from repro.errors import SourceUnavailableError
 from repro.sources.faults import FaultInjectingSource, FaultSchedule
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
+
+DOWN = SourceUnavailableError("down")
 
 
 def _policy(clock, **overrides):
@@ -25,67 +35,73 @@ def _policy(clock, **overrides):
     return ResiliencePolicy(**options)
 
 
+def _samples(policy, name):
+    return policy.snapshot()["sources"][name]["latency_samples"]
+
+
 class TestLatencyQuantile:
     def test_nearest_rank_over_the_rolling_window(self):
         policy = _policy(ManualClock().clock)
-        health = policy.health.wrapper("w")
+        record = policy.source("w")
         for latency in (0.1, 0.2, 0.3, 0.4, 0.5):
-            health.record_success(latency)
-        assert health.sample_count() == 5
-        assert health.latency_quantile(0.0) == pytest.approx(0.1)
-        assert health.latency_quantile(0.5) == pytest.approx(0.3)
-        assert health.latency_quantile(1.0) == pytest.approx(0.5)
+            record.succeeded(latency)
+        assert _samples(policy, "w") == 5
+        ordered = [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert latency_quantile(ordered, 0.0) == pytest.approx(0.1)
+        assert latency_quantile(ordered, 0.5) == pytest.approx(0.3)
+        assert latency_quantile(ordered, 1.0) == pytest.approx(0.5)
+        assert policy.snapshot()["sources"]["w"]["p95_latency_seconds"] == (
+            pytest.approx(0.5))
 
     def test_empty_window_has_no_quantile(self):
         policy = _policy(ManualClock().clock)
-        assert policy.health.wrapper("w").latency_quantile(0.95) is None
+        policy.source("w")
+        assert latency_quantile([], 0.95) is None
+        assert policy.snapshot()["sources"]["w"]["p95_latency_seconds"] is None
 
     def test_failures_do_not_pollute_the_latency_window(self):
         policy = _policy(ManualClock().clock)
-        health = policy.health.wrapper("w")
-        health.record_success(0.1)
-        health.record_failure(99.0, RuntimeError("down"))
-        assert health.sample_count() == 1
-        assert health.latency_quantile(1.0) == pytest.approx(0.1)
+        record = policy.source("w")
+        record.succeeded(0.1)
+        record.failed(RuntimeError("down"))
+        assert _samples(policy, "w") == 1
+        assert policy.snapshot()["sources"]["w"]["p95_latency_seconds"] == (
+            pytest.approx(0.1))
 
 
 class TestAdaptiveFetchTimeout:
     def test_cold_wrapper_stays_unbounded(self):
-        policy = _policy(ManualClock().clock, adaptive_min_samples=8)
-        health = policy.health.wrapper("w")
-        for _ in range(7):
-            health.record_success(0.1)
-        assert policy.adaptive_fetch_timeout("w") is None  # below min samples
-        health.record_success(0.1)
-        assert policy.adaptive_fetch_timeout("w") is not None
+        policy = _policy(ManualClock().clock)
+        record = policy.source("w")
+        for _ in range(ADAPTIVE_MIN_SAMPLES - 1):
+            record.succeeded(0.1)
+        assert record.fetch_timeout() is None  # below min samples
+        record.succeeded(0.1)
+        assert record.fetch_timeout() is not None
 
     def test_timeout_is_quantile_times_headroom(self):
-        policy = _policy(ManualClock().clock, adaptive_min_samples=4,
-                         adaptive_quantile=1.0, adaptive_headroom=4.0)
-        health = policy.health.wrapper("w")
-        for latency in (0.1, 0.1, 0.1, 0.2):
-            health.record_success(latency)
-        assert policy.adaptive_fetch_timeout("w") == pytest.approx(0.8)
+        policy = _policy(ManualClock().clock)
+        record = policy.source("w")
+        for latency in [0.1] * (ADAPTIVE_MIN_SAMPLES - 1) + [0.2]:
+            record.succeeded(latency)
+        # The 0.95 nearest rank of eight samples is the largest, times 4.
+        assert record.fetch_timeout() == pytest.approx(0.8)
 
     def test_clamped_to_configured_bounds(self):
-        policy = _policy(ManualClock().clock, adaptive_min_samples=1,
-                         adaptive_min_seconds=0.05, adaptive_max_seconds=30.0)
-        fast = policy.health.wrapper("fast")
-        fast.record_success(0.0001)
-        assert policy.adaptive_fetch_timeout("fast") == pytest.approx(0.05)
-        slow = policy.health.wrapper("slow")
-        slow.record_success(1000.0)
-        assert policy.adaptive_fetch_timeout("slow") == pytest.approx(30.0)
-
-    def test_disabled_policy_never_bounds(self):
-        policy = _policy(ManualClock().clock, adaptive_timeouts=False,
-                         adaptive_min_samples=1)
-        policy.health.wrapper("w").record_success(0.1)
-        assert policy.adaptive_fetch_timeout("w") is None
+        policy = _policy(ManualClock().clock)
+        fast = policy.source("fast")
+        slow = policy.source("slow")
+        for _ in range(ADAPTIVE_MIN_SAMPLES):
+            fast.succeeded(ADAPTIVE_MIN_SECONDS / 4 / 100)
+            slow.succeeded(ADAPTIVE_MAX_SECONDS / 4 * 100)
+        assert fast.fetch_timeout() == pytest.approx(ADAPTIVE_MIN_SECONDS)
+        assert slow.fetch_timeout() == pytest.approx(ADAPTIVE_MAX_SECONDS)
 
     def test_snapshot_reports_the_adaptive_timeout(self):
-        policy = _policy(ManualClock().clock, adaptive_min_samples=1)
-        policy.health.wrapper("w").record_success(0.1)
+        policy = _policy(ManualClock().clock)
+        record = policy.source("w")
+        for _ in range(ADAPTIVE_MIN_SAMPLES):
+            record.succeeded(0.1)
         entry = policy.snapshot()["sources"]["w"]
         assert entry["adaptive_fetch_timeout_seconds"] == pytest.approx(0.4)
 
@@ -97,9 +113,9 @@ class TestHealthProberUnit:
         calls = []
         prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
 
-        breaker = policy.breaker("w")
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = policy.source("w")
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
         assert breaker.state == "open"
 
         assert prober.run_once() == {}  # open, not half-open: nothing to do
@@ -111,7 +127,7 @@ class TestHealthProberUnit:
         assert calls == ["probe"]
         assert breaker.state == "closed"
         # The probe's latency primes the health window too.
-        assert policy.health.wrapper("w").sample_count() == 1
+        assert _samples(policy, "w") == 1
         assert prober.probes_succeeded == 1
 
     def test_failed_probe_reopens_the_breaker(self):
@@ -122,9 +138,9 @@ class TestHealthProberUnit:
             raise RuntimeError("still down")
 
         prober = HealthProber(policy, probes={"w": dead_probe})
-        breaker = policy.breaker("w")
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = policy.source("w")
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
         manual.advance(5.0)
         assert prober.run_once() == {"w": False}
         assert breaker.state == "open"  # failed probe restarts the cooldown
@@ -147,14 +163,53 @@ class TestHealthProberUnit:
         policy = _policy(manual.clock)
         calls = []
         prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
-        breaker = policy.breaker("w")
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = policy.source("w")
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
         manual.advance(5.0)
         # A statement already claimed the half-open probe slot.
         assert breaker.allow()
         assert prober.run_once() == {}
         assert calls == []
+
+    def test_refused_probe_claim_is_not_a_rejection(self):
+        """The prober skipping a wrapper whose half-open probe a statement
+        holds refuses no request: neither block books a rejection."""
+        manual = ManualClock()
+        policy = _policy(manual.clock, retry_policy=RetryPolicy(max_attempts=1))
+        calls = []
+        prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
+
+        def dead():
+            raise SourceUnavailableError("down")
+
+        for _ in range(2):
+            with pytest.raises(SourceUnavailableError):
+                policy.run_fetch("w", "q", dead,
+                                 Deadline.unbounded(manual.clock),
+                                 ExecutionReport())
+        manual.advance(5.0)
+        seen = []
+
+        def probe_while_in_flight():
+            # The statement's own probe is in flight while the prober runs.
+            seen.append(prober.run_once())
+            return "rows"
+
+        policy.run_fetch("w", "q", probe_while_in_flight,
+                         Deadline.unbounded(manual.clock), ExecutionReport())
+        assert seen == [{}]
+        assert calls == []
+        snapshot = policy.snapshot()
+        assert snapshot["breakers"]["w"]["rejections"] == 0
+        assert snapshot["sources"]["w"]["rejections"] == 0
+
+    def test_unfetched_wrapper_is_listed_in_both_blocks(self):
+        policy = _policy(ManualClock().clock)
+        prober = HealthProber(policy, probes={"cold": lambda: "rows"})
+        assert prober.run_once() == {}
+        snapshot = policy.snapshot()
+        assert list(snapshot["breakers"]) == list(snapshot["sources"]) == ["cold"]
 
     def test_start_and_stop_background_thread(self):
         policy = _policy(ManualClock().clock)
@@ -187,9 +242,9 @@ class TestEngineProberIntegration:
 
         prober = engine.build_health_prober(interval_seconds=0.5)
         policy = engine.resilience
-        breaker = policy.breaker("flaky")
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = policy.source("flaky")
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
         assert breaker.state == "open"
 
         manual.advance(5.0)

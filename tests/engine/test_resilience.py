@@ -8,11 +8,12 @@ Contract under test:
   (capability/spec) failures, with an explicit ``transient`` tag override;
 * retry backoff schedules are pure functions of (seed, request, attempt) —
   identical across runs and thread interleavings;
-* the per-wrapper circuit breaker walks closed → open → half-open → closed
-  deterministically on an injected clock, admits exactly one half-open
-  probe, and stays consistent under concurrent threads;
+* the per-wrapper :class:`SourceRecord`'s breaker walks closed → open →
+  half-open → closed deterministically on an injected clock, admits exactly
+  one half-open probe, and stays consistent under concurrent threads;
 * ``ResiliencePolicy.run_fetch`` composes all of the above around a fetch
-  callable and books every outcome in health and the statement's report.
+  callable and books every outcome in the wrapper's record and the
+  statement's report.
 """
 
 import sys
@@ -22,14 +23,12 @@ import pytest
 
 from repro.engine.executor import ExecutionReport
 from repro.engine.resilience import (
-    CircuitBreaker,
     Clock,
     Deadline,
-    HealthRegistry,
     ManualClock,
     ResiliencePolicy,
     RetryPolicy,
-    SourceHealth,
+    SourceRecord,
     classify_error,
     validate_on_source_error,
 )
@@ -129,15 +128,18 @@ class TestRetryPolicy:
             assert 1.0 <= delay <= 1.25
 
 
-class TestCircuitBreaker:
+DOWN = SourceUnavailableError("down")
+
+
+class TestSourceRecordBreaker:
     def test_trips_after_threshold_and_cools_down(self):
         manual = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=10.0,
-                                 clock=manual.clock)
+        breaker = SourceRecord(failure_threshold=3, cooldown_seconds=10.0,
+                               clock=manual.clock)
         assert breaker.state == "closed"
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third consecutive failure trips it
+        assert not breaker.failed(DOWN)
+        assert not breaker.failed(DOWN)
+        assert breaker.failed(DOWN)  # third consecutive failure trips it
         assert breaker.state == "open"
         assert not breaker.allow()
         assert breaker.rejections == 1
@@ -146,41 +148,41 @@ class TestCircuitBreaker:
 
     def test_half_open_admits_one_probe(self):
         manual = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=manual.clock)
-        breaker.record_failure()
+        breaker = SourceRecord(failure_threshold=1, cooldown_seconds=5.0,
+                               clock=manual.clock)
+        breaker.failed(DOWN)
         manual.advance(5.0)
         assert breaker.allow()       # the probe
         assert not breaker.allow()   # concurrent request rejected
-        breaker.record_success()
+        breaker.succeeded(0.1)
         assert breaker.state == "closed"
         assert breaker.allow()
 
     def test_half_open_failure_reopens(self):
         manual = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=manual.clock)
-        breaker.record_failure()
+        breaker = SourceRecord(failure_threshold=1, cooldown_seconds=5.0,
+                               clock=manual.clock)
+        breaker.failed(DOWN)
         manual.advance(5.0)
         assert breaker.allow()
-        assert breaker.record_failure()  # probe failed: re-trip
+        assert breaker.failed(DOWN)  # probe failed: re-trip
         assert breaker.state == "open"
         assert breaker.trips == 2
         assert not breaker.allow()
 
     def test_success_resets_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=ManualClock().clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = SourceRecord(failure_threshold=3, clock=ManualClock().clock)
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
+        breaker.succeeded(0.1)
+        breaker.failed(DOWN)
+        breaker.failed(DOWN)
         assert breaker.state == "closed"  # never three in a row
 
     def test_concurrent_threads_observe_consistent_state_machine(self):
         manual = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=5, cooldown_seconds=30.0,
-                                 clock=manual.clock)
+        breaker = SourceRecord(failure_threshold=5, cooldown_seconds=30.0,
+                               clock=manual.clock)
         outcomes = []
         lock = threading.Lock()
         barrier = threading.Barrier(8)
@@ -189,7 +191,7 @@ class TestCircuitBreaker:
             barrier.wait()
             for _ in range(50):
                 if breaker.allow():
-                    breaker.record_failure()
+                    breaker.failed(DOWN)
                     with lock:
                         outcomes.append("attempted")
                 else:
@@ -202,7 +204,7 @@ class TestCircuitBreaker:
         for thread in threads:
             thread.join()
 
-        snapshot = breaker.snapshot()
+        snapshot, _ = breaker.snapshot()
         assert snapshot["state"] == "open"
         # Conservation: every call either attempted or was rejected, and the
         # books agree with the observed outcomes exactly.
@@ -214,9 +216,9 @@ class TestCircuitBreaker:
 
     def test_half_open_single_probe_under_concurrency(self):
         manual = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1.0,
-                                 clock=manual.clock)
-        breaker.record_failure()
+        breaker = SourceRecord(failure_threshold=1, cooldown_seconds=1.0,
+                               clock=manual.clock)
+        breaker.failed(DOWN)
         manual.advance(1.0)
         admitted = []
         lock = threading.Lock()
@@ -236,15 +238,15 @@ class TestCircuitBreaker:
         assert len(admitted) == 1
 
 
-class TestHealthRegistry:
+class TestSourceRecordHealth:
     def test_rolling_statistics(self):
-        registry = HealthRegistry()
-        health = registry.wrapper("Db1")
-        health.record_success(0.1)
-        health.record_failure(0.3, SourceError("blip"))
-        health.record_retry()
-        health.record_success(0.1)
-        snapshot = registry.snapshot()["db1"]
+        policy = ResiliencePolicy(clock=ManualClock().clock)
+        health = policy.source("Db1")
+        health.succeeded(0.1)
+        health.failed(SourceError("blip"))
+        health.retried()
+        health.succeeded(0.1)
+        snapshot = policy.snapshot()["sources"]["db1"]
         assert snapshot["successes"] == 2
         assert snapshot["failures"] == 1
         assert snapshot["retries"] == 1
@@ -253,14 +255,15 @@ class TestHealthRegistry:
         assert "blip" in snapshot["last_error"]
 
     def test_case_insensitive_identity(self):
-        registry = HealthRegistry()
-        assert registry.wrapper("DB") is registry.wrapper("db")
+        policy = ResiliencePolicy()
+        assert policy.source("DB") is policy.source("db")
 
     def test_snapshot_reads_one_point_in_time(self):
         """A failure booked while a snapshot is being taken is either wholly
-        in it or wholly out of it: the failure rate matches its counts."""
-        health = SourceHealth("db")
-        health.record_success(0.1)
+        in it or wholly out of it: the failure rate matches its counts, and
+        the breaker and source entries agree."""
+        health = SourceRecord(clock=ManualClock().clock)
+        health.succeeded(0.1)
 
         class BookingLock:
             """Books one failure right after the lock is first released."""
@@ -276,15 +279,17 @@ class TestHealthRegistry:
                 self._lock.release()
                 if not self._booked:
                     self._booked = True
-                    health.record_failure(0.2, SourceError("late"))
+                    health.failed(SourceError("late"))
 
         health._lock = BookingLock()
-        before = health.snapshot()
+        breaker, before = health.snapshot()
         assert (before["successes"], before["failures"]) == (1, 0)
         assert before["failure_rate"] == 0.0
-        after = health.snapshot()
+        assert breaker["consecutive_failures"] == before["consecutive_failures"] == 0
+        breaker, after = health.snapshot()
         assert (after["successes"], after["failures"]) == (1, 1)
         assert after["failure_rate"] == 0.5
+        assert breaker["consecutive_failures"] == after["consecutive_failures"] == 1
 
 
 def _policy(manual, **kwargs):
@@ -382,6 +387,40 @@ class TestRunFetch:
         assert snapshot["breakers"]["db"]["state"] == "open"
         assert snapshot["sources"]["db"]["rejections"] == 1
 
+    def test_failure_that_trips_the_breaker_ends_the_retry_loop(self):
+        """The tripping failure is the fetch's last attempt: no backoff for an
+        attempt the open circuit would refuse, no retry or rejection booked,
+        and the source's own error is raised, not ``CircuitOpenError``."""
+        from repro.obs.metrics import CounterSet
+        from repro.sources.base import SOURCE_COUNTERS
+
+        manual = ManualClock()
+        policy = _policy(manual, failure_threshold=1,
+                         retry_policy=RetryPolicy(max_attempts=3))
+        report = ExecutionReport()
+        source_statistics = CounterSet(SOURCE_COUNTERS)
+
+        def fetch():
+            raise SourceUnavailableError("down")
+
+        with pytest.raises(SourceUnavailableError, match="down") as raised:
+            policy.run_fetch("db", "q", fetch, Deadline.unbounded(manual.clock),
+                             report, source_statistics=source_statistics)
+        assert not isinstance(raised.value, CircuitOpenError)
+        assert manual.sleeps == []
+        assert report.attempts == 1
+        assert report.retries == 0
+        assert report.breaker_trips == 1
+        assert report.breaker_rejections == 0
+        assert report.failed_requests == 1
+        snapshot = policy.snapshot()
+        assert snapshot["breakers"]["db"]["state"] == "open"
+        assert snapshot["breakers"]["db"]["rejections"] == 0
+        assert snapshot["sources"]["db"]["retries"] == 0
+        assert snapshot["sources"]["db"]["rejections"] == 0
+        assert source_statistics.snapshot()["retries"] == 0
+        assert source_statistics.snapshot()["failures"] == 1
+
     def test_concurrent_fetches_lose_no_count(self):
         """Fetch workers count into one report under its lock: with threads
         switching as often as possible, no attempt or retry is lost."""
@@ -441,3 +480,32 @@ class TestRunFetch:
         snapshot = source_statistics.snapshot()
         assert snapshot["failures"] == 1
         assert snapshot["retries"] == 1
+
+
+class TestBreakerAndHealthAgree:
+    """The ``breakers`` and ``sources`` blocks of a snapshot are two views of
+    one record per wrapper: their shared counts cannot disagree."""
+
+    def test_failed_half_open_probe_counts_every_failure(self):
+        manual = ManualClock()
+        policy = _policy(manual, failure_threshold=2, cooldown_seconds=5.0,
+                         retry_policy=RetryPolicy(max_attempts=1))
+
+        def fetch():
+            raise SourceUnavailableError("down")
+
+        def failed_fetch():
+            with pytest.raises(SourceUnavailableError):
+                policy.run_fetch("w", "q", fetch,
+                                 Deadline.unbounded(manual.clock),
+                                 ExecutionReport())
+
+        failed_fetch()
+        failed_fetch()
+        manual.advance(5.0)
+        failed_fetch()  # the half-open probe fails too
+        snapshot = policy.snapshot()
+        assert snapshot["breakers"]["w"]["state"] == "open"
+        # Every failed round trip since the last success, in both blocks.
+        assert snapshot["breakers"]["w"]["consecutive_failures"] == 3
+        assert snapshot["sources"]["w"]["consecutive_failures"] == 3
