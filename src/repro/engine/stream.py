@@ -1059,9 +1059,10 @@ class MaterializedStream:
 
     An eager answer ran to completion inside ``engine.execute``, and a
     repair-quantified one cannot leave before its enumeration completes; this
-    adapter lets cursor consumers (the chunked HTTP endpoint, the ODBC
-    driver) drive them through the exact same fetch surface as a live
-    :class:`ResultStream`.
+    adapter lets a :class:`~repro.federation.FederationCursor` hand them over
+    through the same fetch surface as a live :class:`ResultStream`.  The rows
+    are the finished execution's own, never copied; the cursor owning the
+    stream closes it once, when it is drained or abandoned.
     """
 
     def __init__(self, relation: Relation, report: ExecutionReport,
@@ -1069,62 +1070,27 @@ class MaterializedStream:
         self.schema = relation.schema
         self.report = report
         self.plan = plan
-        self._rows = list(relation.rows)
+        self._rows = relation.rows
         self._position = 0
-        self._closed = False
         self._callbacks: List[Callable[[ExecutionReport], None]] = []
 
     @property
     def exhausted(self) -> bool:
         return self._position >= len(self._rows)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __iter__(self) -> "MaterializedStream":
-        return self
-
-    def __next__(self) -> Row:
-        if self.exhausted:
-            self.close()
-            raise StopIteration
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchone(self) -> Optional[Row]:
-        try:
-            return next(self)
-        except StopIteration:
-            return None
-
-    def fetchmany(self, size: int = 1) -> List[Row]:
-        size = max(0, size)
-        rows = self._rows[self._position:self._position + size]
-        self._position += len(rows)
-        if len(rows) < size:
-            self.close()  # read past the end, like fetchone at exhaustion
+    def fetchmany(self, size: int) -> List[Row]:
+        start = self._position
+        rows = self._rows[start:start + size]
+        self._position = start + len(rows)
         return rows
 
     def fetchall(self) -> List[Row]:
-        rows = self._rows[self._position:]
-        self._position = len(self._rows)
-        self.close()
-        return rows
-
-    def to_relation(self, name: Optional[str] = None) -> Relation:
-        relation = Relation(self.schema, name=name)
-        relation.rows = self.fetchall()
-        return relation
+        start, self._position = self._position, len(self._rows)
+        return self._rows[start:] if start else self._rows
 
     def on_close(self, callback: Callable[[ExecutionReport], None]) -> None:
         self._callbacks.append(callback)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
+        for callback in self._callbacks:
             callback(self.report)

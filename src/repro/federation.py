@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union as TUnion
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union as TUnion
 
 from repro.coin.system import CoinSystem
 from repro.consistency.constraints import Constraint
@@ -36,11 +36,13 @@ from repro.engine.planner import PlannerConfig
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.stream import MaterializedStream
+from repro.errors import ExecutionError
 from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
+from repro.mediation.explain import conflict_summary
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
 from repro.obs import Observability
-from repro.obs.trace import current_span, current_tenant, deactivate_span
+from repro.obs.trace import NULL_SPAN, current_span, current_tenant, deactivate_span
 from repro.options import StatementOptions
 from repro.pipeline import MediatedPlan, QueryPipeline
 from repro.relational.relation import Relation
@@ -69,16 +71,52 @@ class FederationAnswer:
         return self.mediation.explain()
 
 
-class FederationCursor:
-    """A streaming answer: rows pulled on demand instead of materialized.
+@dataclass
+class ExecutionSummary:
+    """What one statement did: answer metadata plus the execution report."""
 
-    Wraps the engine's :class:`~repro.engine.stream.ResultStream` with the
-    mediation metadata a receiver needs (mediated SQL, conflict explanations,
-    column annotations).  ``fetchmany``/``fetchone``/``fetchall`` pull rows;
-    ``close()`` cancels still-outstanding source fetches, releases staged
-    temporaries and the statement's fetch-pool slots mid-query.  Annotations
-    and the description are schema-level, so they are available before (and
-    without) draining the result.
+    #: Materialized answer rows (``execute`` only; None for streamed results,
+    #: whose rows went through the cursor instead).
+    rows: Optional[List[Tuple[Any, ...]]]
+    row_count: int
+    columns: List[str]
+    column_labels: List[str]
+    mediated_sql: str
+    branch_count: int
+    conflicts: List[str]
+    consistency: str
+    tenant: Optional[str]
+    elapsed_seconds: float
+    #: The engine's execution-report snapshot (scheduler, resilience,
+    #: consistency blocks — see ``ExecutionReport.snapshot()``).
+    execution: Dict[str, Any] = field(default_factory=dict)
+    #: Trace id of the statement's span tree (None when untraced) and its
+    #: one-line rendering — ``statement(12.3ms: parse, plan, execute)``.
+    trace_id: Optional[str] = None
+    trace_summary: Optional[str] = None
+
+
+class FederationCursor:
+    """One statement's answer: the one object that hands its rows over.
+
+    Wraps the engine's stream — a live :class:`~repro.engine.stream.
+    ResultStream`, or a :class:`~repro.engine.stream.MaterializedStream` over
+    an eager or repair-enumerated answer — with the mediation metadata a
+    receiver needs (mediated SQL, conflict explanations, column annotations)
+    and what the edge that opened it records (``root`` span, ``started``).
+    Annotations and the description are schema-level, so they are available
+    before (and without) draining the result.
+
+    Every row any consumer gets — ``fetchone``/``fetchmany``/``fetchall``,
+    ``batches()``, iteration, :meth:`answer` — leaves through one fetch
+    method, under one lock: the stream is a generator, and two threads (or a
+    wire client's retry) driving it at once would race.  The cursor counts
+    what it hands over (``rows_streamed``) and closes itself at exhaustion.
+    A cursor closed by exhaustion answers ``[]`` / None; one closed before
+    raises :class:`~repro.errors.ExecutionError`, as DB-API cursors do.
+    ``close()`` cancels still-outstanding source fetches and releases staged
+    temporaries and the statement's fetch-pool slots; what rides the
+    stream's close (accounting, spans, a gateway stream permit) runs once.
 
     Every statement is answered through one of these — :meth:`answer` drains
     it into the materialized :class:`FederationAnswer` eager callers get.
@@ -90,7 +128,18 @@ class FederationCursor:
         self.prepared = prepared
         self.stream = stream
         self.options = options
+        #: The statement's root span and the ``perf_counter`` reading its
+        #: edge started at; the edge that opened the cursor sets both.
+        self.root = NULL_SPAN
+        self.started = 0.0
+        #: Rows handed to the consumer so far.
+        self.rows_streamed = 0
+        self._elapsed: Optional[float] = None
         self._annotations: Optional[List[ColumnAnnotation]] = None
+        self._fetch_lock = threading.Lock()
+        #: Taken by the first ``close()`` and never released: the stream and
+        #: its close callbacks are finished exactly once, whoever closes.
+        self._closing = threading.Lock()
 
     # -- metadata ----------------------------------------------------------------
 
@@ -103,8 +152,20 @@ class FederationCursor:
         return self.prepared.mediation.sql
 
     @property
+    def tenant(self) -> Optional[str]:
+        return self.options.tenant
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self.root.trace_id
+
+    @property
     def schema(self):
         return self.stream.schema
+
+    @property
+    def columns(self) -> List[str]:
+        return self.stream.schema.names
 
     @property
     def description(self) -> List[Tuple]:
@@ -139,35 +200,93 @@ class FederationCursor:
     def exhausted(self) -> bool:
         return self.stream.exhausted
 
+    @property
+    def closed(self) -> bool:
+        return self._closing.locked()
+
     # -- fetching ----------------------------------------------------------------
 
-    def fetchone(self):
-        return self.stream.fetchone()
+    def _fetch(self, size: Optional[int]) -> List[Tuple[Any, ...]]:
+        """The next ``size`` rows (None: all that remain) — the one way out."""
+        with self._fetch_lock:
+            if self._closing.locked():
+                if self.stream.exhausted:
+                    return []
+                raise ExecutionError("cannot fetch from a closed cursor")
+            if size == 0:
+                return []  # consumes nothing and leaves the cursor open
+            try:
+                rows = (self.stream.fetchall() if size is None
+                        else self.stream.fetchmany(size))
+            except BaseException:
+                self.close()  # a failed stream has nothing more to give
+                raise
+            self.rows_streamed += len(rows)
+            if size is None or not rows or self.stream.exhausted:
+                self.close()
+            return rows
 
-    def fetchmany(self, size: int = 1):
-        return self.stream.fetchmany(size)
+    def fetchone(self) -> Optional[Tuple[Any, ...]]:
+        rows = self._fetch(1)
+        return rows[0] if rows else None
 
-    def fetchall(self):
-        return self.stream.fetchall()
+    def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
+        """Up to ``size`` rows (None: the statement's ``batch_size``)."""
+        return self._fetch(self.options.batch_size if size is None
+                           else max(0, size))
 
-    def __iter__(self):
-        return iter(self.stream)
+    def fetchall(self) -> List[Tuple[Any, ...]]:
+        return self._fetch(None)
+
+    def batches(self) -> Iterator[List[Tuple[Any, ...]]]:
+        """``batch_size`` rows at a time until the answer is exhausted."""
+        return iter(self.fetchmany, [])
+
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        return iter(self.fetchone, None)
 
     def answer(self) -> FederationAnswer:
-        """Drain the remaining rows into a materialized answer and close."""
-        with self:
-            relation = self.stream.to_relation()
-            return FederationAnswer(
-                relation=relation,
-                mediation=self.mediation,
-                execution=EngineResult(relation=relation, plan=self.stream.plan,
-                                       report=self.report),
-                annotations=self.annotations,
-            )
+        """Drain the remaining rows into a materialized answer (the drain
+        closes the cursor)."""
+        relation = Relation(self.schema)
+        relation.rows = self._fetch(None)
+        return FederationAnswer(
+            relation=relation,
+            mediation=self.mediation,
+            execution=EngineResult(relation=relation, plan=self.stream.plan,
+                                   report=self.report),
+            annotations=self.annotations,
+        )
+
+    def summary(self) -> ExecutionSummary:
+        """The statement's summary; the execution report reflects work done
+        so far (complete once the cursor is drained or closed)."""
+        root = self.root
+        elapsed = (self._elapsed if self._elapsed is not None
+                   else time.perf_counter() - self.started)
+        return ExecutionSummary(
+            rows=None,
+            row_count=self.rows_streamed,
+            columns=self.columns,
+            column_labels=[annotation.label() for annotation in self.annotations],
+            mediated_sql=self.mediated_sql,
+            branch_count=self.mediation.branch_count,
+            conflicts=conflict_summary(self.mediation),
+            consistency=self.options.consistency,
+            tenant=self.tenant,
+            elapsed_seconds=elapsed,
+            execution=self.report.snapshot(),
+            trace_id=root.trace_id,
+            trace_summary=root.summary() if root.recording else None,
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
+        """Cancel outstanding fetches and finish the statement (idempotent)."""
+        if not self._closing.acquire(blocking=False):
+            return
+        self._elapsed = time.perf_counter() - self.started
         self.stream.close()
 
     def __enter__(self) -> "FederationCursor":
@@ -530,6 +649,7 @@ class Federation:
                                     trace_id=trace_id, error=exc)
             raise
         deactivate_span(token)
+        cursor.root, cursor.started = root, started
         if root.recording:
             cursor.stream.on_close(lambda report: root.finish())
         cursor.stream.on_close(
@@ -610,9 +730,9 @@ class Federation:
         """An in-process serving facade over this federation.
 
         Returns a :class:`~repro.server.service.FederatedQueryService`:
-        statements run under an admission gateway and streaming answers are
-        :class:`~repro.server.service.ResultHandle` objects holding one of
-        the gateway's bounded stream permits.  ``gateway`` may be a shared
+        statements run under an admission gateway and a streaming answer is a
+        :class:`FederationCursor` holding one of the gateway's bounded stream
+        permits until it closes.  ``gateway`` may be a shared
         :class:`~repro.server.gateway.AdmissionGateway`, a
         :class:`~repro.server.gateway.GatewayConfig`, or None for defaults.
         """

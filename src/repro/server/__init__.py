@@ -29,7 +29,7 @@ from repro.server.odbc import (
     threadsafety,
 )
 from repro.server.qbe import QBEForm, QBEInterface
-from repro.server.service import ExecutionSummary, FederatedQueryService, ResultHandle
+from repro.server.service import ExecutionSummary, FederatedQueryService
 
 __all__ = [
     "OPERATIONS",
@@ -51,7 +51,6 @@ __all__ = [
     "Cursor",
     "ExecutionSummary",
     "FederatedQueryService",
-    "ResultHandle",
     "apilevel",
     "connect",
     "paramstyle",

@@ -215,8 +215,8 @@ class QBEInterface:
         streaming permit it holds for its whole life.
         """
         form = self.parse_submission(fields)
-        handle = self.service.open(form.to_sql(), form.options, service="qbe")
-        return form, handle.cursor
+        return form, self.service.open(form.to_sql(), form.options,
+                                       service="qbe")
 
     def render_answer(self, answer: FederationAnswer, show_mediation: bool = True) -> str:
         """Render an answer as an HTML table (plus the mediated SQL, optionally)."""

@@ -13,7 +13,6 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import OverloadError, ProtocolError, ReproError
@@ -29,7 +28,7 @@ from repro.server.protocol import (
     rows_to_payload,
     schema_to_payload,
 )
-from repro.server.service import FederatedQueryService, ResultHandle
+from repro.server.service import FederatedQueryService
 
 
 #: The server's request counters: (field, kind, exported series, help).
@@ -120,33 +119,6 @@ class HandleRegistry:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-@dataclass
-class _OpenCursor:
-    """One server-side streaming cursor plus its validity generations.
-
-    Like prepared statements, cursors are generation-checked: a catalog or
-    knowledge change after the cursor opened makes its remaining rows
-    untrustworthy (they would mix pre- and post-change data), so the next
-    fetch fails and the cursor is discarded.
-
-    ``fetch_lock`` serializes fetches on one handle: the underlying stream
-    is a generator, and two clients (or one client's retry) driving it
-    concurrently would race with 'generator already executing'.
-
-    The handle holds one gateway streaming permit for its whole life — the
-    backpressure bounding concurrently open streams — released when it
-    closes (see ``FederatedQueryService.open``).
-    """
-
-    handle: ResultHandle
-    #: (catalog, knowledge) generations the cursor opened under.
-    generations: Tuple[int, int]
-    fetch_lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def close(self) -> None:
-        self.handle.close()
 
 
 class _Call(NamedTuple):
@@ -438,18 +410,17 @@ class MediationServer:
                 payload["trace"] = trace
         return payload
 
-    def _answer(self, handle: ResultHandle, **payload: Any) -> Dict[str, Any]:
-        """Drain an eager statement's handle — its last batch closes it,
+    def _answer(self, cursor: FederationCursor, **payload: Any) -> Dict[str, Any]:
+        """Drain an eager statement's cursor — its last batch closes it,
         finishing the trace — into the materialized answer."""
-        rows = handle.fetchall()
-        cursor = handle.cursor
+        rows = cursor.fetchall()
         payload.update(
             self._mediation_payload(cursor),
             relation=dict(schema_to_payload(cursor.schema),
                           rows=rows_to_payload(rows)),
             execution=cursor.report.snapshot())
         self.statistics.add(queries=1)
-        return self._traced(payload, handle.trace_id)
+        return self._traced(payload, cursor.trace_id)
 
     def _query(self, call: _Call) -> Dict[str, Any]:
         # ``query`` executes *now* under its own deadline: the admission wait
@@ -471,22 +442,22 @@ class MediationServer:
         # this — the consumer's — thread under a bounded streaming permit,
         # so a slow consumer never pins a worker.  The root span covers the
         # whole exchange: it finishes when the cursor closes.
-        handle = self.service.open(
+        cursor = self.service.open(
             call.parameters["sql"], call.options, operation="stream",
             trace_id=call.trace_id)
-        with handle:
-            chunks = [json.dumps(self._cursor_header(handle.cursor))]
+        with cursor:
+            chunks = [json.dumps(self._cursor_header(cursor))]
             chunks.extend(json.dumps({"rows": rows_to_payload(rows)})
-                          for rows in handle.batches())
+                          for rows in cursor.batches())
             chunks.append(json.dumps({
                 "done": True,
-                "row_count": handle.rows_streamed,
-                "execution": handle.cursor.report.snapshot(),
+                "row_count": cursor.rows_streamed,
+                "execution": cursor.report.snapshot(),
             }))
-        self.statistics.add(queries=1, rows_streamed=handle.rows_streamed)
+        self.statistics.add(queries=1, rows_streamed=cursor.rows_streamed)
         return {"chunks": chunks,
-                "headers": ({self.TRACE_HEADER: handle.trace_id}
-                            if handle.trace_id else {})}
+                "headers": ({self.TRACE_HEADER: cursor.trace_id}
+                            if cursor.trace_id else {})}
 
     def _compile(self, call: _Call, work: Callable[..., Any], *arguments: Any):
         """``prepare`` / ``mediate`` / ``explain``: ``work(sql, *arguments)``
@@ -524,11 +495,11 @@ class MediationServer:
         return prepared
 
     def _execute_prepared(self, call: _Call) -> Dict[str, Any]:
-        handle = self.service.open(
+        cursor = self.service.open(
             self._statement(call), call.options, stream=False,
             trace_id=call.trace_id, operation=call.operation)
         self.statistics.add(prepared_executions=1)
-        return self._answer(handle,
+        return self._answer(cursor,
                             statement_id=call.parameters["statement_id"])
 
     def _mediate(self, call: _Call) -> Dict[str, Any]:
@@ -557,46 +528,41 @@ class MediationServer:
         # Permit first, then admission: an over-streamed server sheds the
         # open instead of building a cursor it cannot host.  The root span
         # outlives this request: it finishes when the cursor closes.
-        handle = self.service.open(
+        cursor = self.service.open(
             statement or self._statement(call), call.options,
             trace_id=call.trace_id, operation=call.operation)
-        cursor = handle.cursor
         try:
             payload = self._cursor_header(cursor)
         except ReproError:
-            handle.close()
+            cursor.close()
             raise
         payload.update(
-            cursor_id=self._cursors.register(
-                _OpenCursor(handle, self._generations()), call.session),
+            cursor_id=self._cursors.register(cursor, call.session),
             receiver_context=cursor.mediation.receiver_context,
         )
         self.statistics.add(cursors_opened=1)
-        if handle.trace_id:
-            payload["trace_id"] = handle.trace_id
+        if cursor.trace_id:
+            payload["trace_id"] = cursor.trace_id
         return payload
-
-    def _generations(self) -> Tuple[int, int]:
-        pipeline = self.federation.pipeline
-        return pipeline.catalog_generation, pipeline.knowledge_generation
 
     def _fetch_cursor(self, call: _Call) -> Dict[str, Any]:
         cursor_id = call.parameters["cursor_id"]
         count = parse_batch_size(call.parameters.get("count"), ProtocolError)
-        entry = self._cursors.get(cursor_id, call.session)
-        if entry is None:
+        cursor = self._cursors.get(cursor_id, call.session)
+        if cursor is None:
             raise _Refused(f"unknown or closed cursor {cursor_id!r}", "cursor")
+        key, pipeline = cursor.prepared.key, self.federation.pipeline
         try:
             # Generation check, mirroring prepared statements: a catalog or
-            # knowledge change mid-stream would splice pre- and post-change
-            # rows into one answer, so the cursor dies instead.
-            if entry.generations != self._generations():
+            # knowledge change since the plan was compiled would splice pre-
+            # and post-change rows into one answer, so the cursor dies instead.
+            if (key.catalog_generation != pipeline.catalog_generation
+                    or key.knowledge_generation != pipeline.knowledge_generation):
                 raise _Refused(
                     f"cursor {cursor_id!r} invalidated by a catalog or "
                     "knowledge change; re-issue the query", "cursor")
-            with entry.fetch_lock:
-                rows = entry.handle.fetchmany(count)
-                done = entry.handle.closed
+            rows = cursor.fetchmany(count)
+            done = cursor.closed
         except ReproError:
             # Invalidation or a mid-stream failure poisons the cursor: release
             # its resources and let the error surface to the client.
@@ -609,10 +575,10 @@ class MediationServer:
             "done": done,
         }
         if done:
-            # The handle closed on its last batch, which finished the trace:
+            # The cursor closed on its last batch, which finished the trace:
             # ship report and (when sampling kept it) tree with that batch.
             self._cursors.discard(cursor_id, call.session)
-            execution = entry.handle.cursor.report.snapshot()
+            execution = cursor.report.snapshot()
             payload["execution"] = execution
             self._traced(payload, execution.get("trace_id"))
         return payload

@@ -6,7 +6,9 @@ for the consumer.  Contract under test:
 * any interleaving of ``fetchone`` / ``fetchmany(k)`` / iteration /
   ``fetchall`` returns every row exactly once, in order, across batch
   boundaries, and ``rows_streamed`` counts rows *handed over* at every step
-  (never rows waiting in the carried remainder);
+  (never rows waiting in the carried remainder) — from a live stream, and
+  from a federation cursor over stored rows (an eager or a repair-enumerated
+  answer), which closes with its last row;
 * closing a budgeted, spilling stream after one ``fetchmany`` leaves no
   budget byte, staged temporary, spill file or open span behind — without
   any help from the garbage collector;
@@ -19,15 +21,20 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.stream import MaterializedStream
+import pytest
+
+from repro.coin.context import Context, ContextRegistry
+from repro.coin.domain import build_financial_domain_model
+from repro.coin.system import CoinSystem
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
-from repro.engine.executor import ExecutionReport
+from repro.engine.stream import MaterializedStream
+from repro.federation import Federation
 from repro.obs.trace import Tracer, deactivate_span
+from repro.options import StatementOptions
 from repro.relational import operators
 from repro.relational.budget import SpillFile, SpillPartitions
-from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.server.server import MediationServer
 from repro.sources.memory import MemorySQLSource
@@ -74,6 +81,40 @@ FETCHES = st.lists(
 )
 
 
+def _stored_rows_federation():
+    """A federation over one 40-row relation ``n(a)``, a = 0..39."""
+    contexts = ContextRegistry()
+    contexts.register(Context("c_plain", "receiver without conventions"))
+    federation = Federation(
+        CoinSystem(build_financial_domain_model(), contexts, name="stored-rows"),
+        default_receiver_context="c_plain")
+    source = MemorySQLSource("db_n")
+    source.load_sql("CREATE TABLE n (a integer)", "INSERT INTO n VALUES "
+                    + ", ".join(f"({index})" for index in range(40)))
+    federation.register_wrapper(RelationalWrapper(source), estimate_rows=False)
+    return federation
+
+
+STORED_ROWS = _stored_rows_federation()
+
+
+def _stored_rows_cursor(count, answer):
+    """A cursor over the first ``count`` rows of ``n``, stored before the
+    first leaves: an eager answer, or a certain answer under a LIMIT, which
+    only repair enumeration gives."""
+    sql = f"SELECT n.a FROM n WHERE n.a < {count} ORDER BY n.a"
+    if answer == "eager":
+        options = StatementOptions(mediate=False)
+    else:
+        sql += " LIMIT 40"
+        options = StatementOptions(mediate=False, consistency="certain")
+    cursor = STORED_ROWS.open(sql, options, stream=False)
+    assert isinstance(cursor.stream, MaterializedStream)
+    if answer == "enumerated":
+        assert cursor.report.consistency["strategy"] == "fallback"
+    return cursor
+
+
 def _drive(stream, fetches, after_each):
     """Apply ``fetches`` (then drain); returns every row handed over."""
     returned = []
@@ -108,26 +149,31 @@ class TestFetchSurface:
         assert stream.fetchmany(5) == [] and stream.fetchone() is None
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 40), FETCHES)
-    def test_materialized_stream_hands_every_row_over_once(self, count, fetches):
-        relation = Relation(Schema.of("a:integer"), rows=[(index,) for index in range(count)])
+    @given(st.integers(0, 40), st.sampled_from(("eager", "enumerated")), FETCHES)
+    def test_cursor_over_stored_rows_hands_every_row_over_once(
+            self, count, answer, fetches):
+        cursor = _stored_rows_cursor(count, answer)
         closed = []
-        # Its report is the finished eager execution's: rows_streamed was
-        # settled when that drained, so only rows and lifecycle are checked.
-        stream = MaterializedStream(relation, ExecutionReport())
-        stream.on_close(closed.append)
-        assert _drive(stream, fetches, lambda returned: None) == relation.rows
-        assert stream.exhausted and stream.closed and len(closed) == 1
+        cursor.stream.on_close(closed.append)
 
-    def test_materialized_fetchmany_is_a_slice_that_closes_past_the_end(self):
-        relation = Relation(Schema.of("a:integer"), rows=[(index,) for index in range(5)])
-        stream = MaterializedStream(relation, ExecutionReport())
-        assert stream.fetchmany(0) == []
-        assert stream.fetchmany(3) == [(0,), (1,), (2,)]
-        assert stream.fetchmany(2) == [(3,), (4,)]
-        assert stream.exhausted and not stream.closed  # nothing read past the end yet
-        assert stream.fetchmany(2) == []
-        assert stream.closed
+        # The cursor counts what it hands over; the report's own counts were
+        # settled by the execution that stored the rows.
+        def counted(returned):
+            assert cursor.rows_streamed == len(returned)
+
+        assert _drive(cursor, fetches, counted) == [(index,) for index in range(count)]
+        assert cursor.exhausted and cursor.closed and len(closed) == 1
+        assert cursor.rows_streamed == count
+
+    @pytest.mark.parametrize("answer", ["eager", "enumerated"])
+    def test_cursor_over_stored_rows_closes_with_its_last_row(self, answer):
+        cursor = _stored_rows_cursor(5, answer)
+        assert cursor.fetchmany(0) == [] and not cursor.closed
+        assert cursor.fetchmany(3) == [(0,), (1,), (2,)]
+        assert cursor.fetchmany(2) == [(3,), (4,)]
+        assert cursor.exhausted and cursor.closed  # closed by its last row
+        assert cursor.fetchmany(2) == [] and cursor.fetchone() is None
+        assert cursor.rows_streamed == 5
 
     def test_first_row_is_stamped_with_the_first_batch_handed_over(self):
         stream = ENGINE.execute_stream(QUERIES[0])

@@ -122,6 +122,24 @@ class TestCursorProtocol:
                                       parameters={"cursor_id": payload["cursor_id"]}))
         assert "unknown or closed cursor" in again.error
 
+    def test_a_change_between_compiling_and_registering_invalidates_too(
+            self, server, federation, monkeypatch):
+        # The check reads the generations the plan was compiled under, not
+        # the ones live when the cursor was registered.
+        execute = federation._execute
+
+        def execute_then_invalidate(*args, **kwargs):
+            cursor = execute(*args, **kwargs)
+            federation.invalidate_source_cache()
+            return cursor
+
+        monkeypatch.setattr(federation, "_execute", execute_then_invalidate)
+        payload = _open(server)
+        fetched = server.handle(Request(operation="fetch_cursor",
+                                        parameters={"cursor_id": payload["cursor_id"]}))
+        assert not fetched.ok
+        assert "invalidated" in fetched.error
+
     def test_concurrent_fetches_on_one_cursor_are_serialized(self, server):
         import threading
 
