@@ -457,7 +457,7 @@ def bench_mediation_pipeline(repeats: int = FULL_PIPELINE_REPEATS) -> Dict[str, 
     uncached = build_paper_federation().federation
     uncached.pipeline = QueryPipeline(
         uncached.mediator, uncached.engine,
-        plan_cache_size=0, mediation_cache_size=0, statement_cache_size=0,
+        plan_cache_size=0, statement_cache_size=0,
     )
 
     cached = build_paper_federation().federation

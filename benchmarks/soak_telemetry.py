@@ -45,6 +45,7 @@ for path in (_HERE, _SRC):
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import ENGINE_COUNTERS
+from repro.obs.trace import TraceBuffer
 from repro.pipeline import PIPELINE_COUNTERS
 from repro.server.aio import AsyncMediationServer
 from repro.server.gateway import (
@@ -69,7 +70,7 @@ def run_soak() -> MediationServer:
     federation = build_paper_federation().federation
     federation.observability.tracer.enabled = True
     federation.observability.tracer.sample_rate = 1.0
-    federation.observability.tracer.buffer.capacity = 1024
+    federation.observability.tracer.buffer = TraceBuffer(1024)
     # Zero threshold: every statement lands in the slow-query log, so the
     # well-formedness check below has the whole soak to chew on.
     federation.observability.log.slow_query_seconds = 0.0

@@ -26,9 +26,7 @@ report is unreachable by key, exactly like cached plans.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,6 +41,8 @@ from repro.consistency.constraints import (
 from repro.datalog.clause import KnowledgeBase, Rule, atom
 from repro.datalog.engine import Resolver, ResolutionConfig
 from repro.engine.stream import ResultStream
+from repro.obs.cache import BoundedCache
+from repro.options import DEFAULT_BATCH_SIZE
 from repro.relational.operators import _group_key as value_key
 from repro.relational.relation import Row
 from repro.sql.ast import ColumnRef, OrderItem, Select, SelectItem, TableRef
@@ -148,10 +148,7 @@ class ViolationScanner:
         self.memory_budget_bytes = memory_budget_bytes
         self.max_witnesses = max(0, int(max_witnesses))
         self.max_denial_solutions = max(1, int(max_denial_solutions))
-        self._cache: "OrderedDict[tuple, ViolationReport]" = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._cache = BoundedCache(REPORT_CACHE_SIZE)
 
     # -- public API --------------------------------------------------------------
 
@@ -172,14 +169,9 @@ class ViolationScanner:
             tuple(sorted(constraint.name.lower() for constraint in constraints)),
         )
         if use_cache:
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self.cache_hits += 1
-                    return cached
-        with self._cache_lock:
-            self.cache_misses += 1
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
 
         started = time.perf_counter()
         report = ViolationReport(generation=catalog.generation)
@@ -189,20 +181,16 @@ class ViolationScanner:
         report.elapsed_seconds = time.perf_counter() - started
 
         if use_cache:
-            with self._cache_lock:
-                self._cache[key] = report
-                self._cache.move_to_end(key)
-                while len(self._cache) > REPORT_CACHE_SIZE:
-                    self._cache.popitem(last=False)
+            self._cache.put(key, report)
         return report
 
     def snapshot(self) -> Dict[str, int]:
-        with self._cache_lock:
-            return {
-                "cache_entries": len(self._cache),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-            }
+        cache = self._cache.snapshot()
+        return {
+            "cache_entries": cache["entries"],
+            "cache_hits": cache["hits"],
+            "cache_misses": cache["misses"],
+        }
 
     # -- plan construction --------------------------------------------------------
 
@@ -238,9 +226,12 @@ class ViolationScanner:
         plan = self.engine.planner.plan_branches([select])
         stream = ResultStream(self.engine, plan, self.memory_budget_bytes, deadline)
         try:
-            for row in stream:
-                report.rows_scanned += 1
-                yield row
+            while True:
+                rows = stream.fetchmany(DEFAULT_BATCH_SIZE)
+                if not rows:
+                    break
+                report.rows_scanned += len(rows)
+                yield from rows
         finally:
             stream.close()
             report.peak_memory_bytes = max(

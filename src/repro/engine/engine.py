@@ -221,7 +221,10 @@ class MultiDatabaseEngine:
         """
         stream = self._open(statement, timeout_seconds, on_source_error, deadline)
         try:
-            return EngineResult(relation=stream.to_relation(), plan=stream.plan,
+            rows = stream.fetchall()
+            relation = Relation(stream.schema)
+            relation.rows = rows
+            return EngineResult(relation=relation, plan=stream.plan,
                                 report=stream.report)
         finally:
             stream.close()

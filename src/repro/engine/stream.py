@@ -174,8 +174,9 @@ class _Branch(PhysicalOperator):
 class ResultStream:
     """A pull-based cursor over one plan execution.
 
-    Iterate it, or drive it DB-API style with :meth:`fetchone` /
-    :meth:`fetchmany` / :meth:`fetchall`.  The stream closes itself on
+    Read it with :meth:`fetchmany` / :meth:`fetchall`; a consumer wanting
+    one row at a time is a :class:`~repro.federation.FederationCursor`.  The
+    stream closes itself on
     exhaustion; close it explicitly (or use it as a context manager) when
     abandoning it early so outstanding fetches are cancelled and staged
     temporaries released.  ``report`` is filled progressively and finalized
@@ -844,9 +845,6 @@ class ResultStream:
     def closed(self) -> bool:
         return self._closed
 
-    def __iter__(self) -> "ResultStream":
-        return self
-
     def _pull(self) -> Optional[Batch]:
         """The next batch of the answer, or None once it is exhausted."""
         try:
@@ -903,36 +901,11 @@ class ResultStream:
                 taken = part
         return taken
 
-    def __next__(self) -> Row:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    def fetchone(self) -> Optional[Row]:
-        at = self._pending_at
-        if at < len(self._pending):
-            # Straight from the carried remainder (``close`` empties it, and
-            # the first row was stamped when its batch was pulled).
-            self._pending_at = at + 1
-            with self.report.lock:
-                self.report.rows_streamed += 1
-            return self._pending[at]
-        rows = self._take(1)
-        return rows[0] if rows else None
-
     def fetchmany(self, size: int = 1) -> List[Row]:
         return self._take(max(0, size))
 
     def fetchall(self) -> List[Row]:
         return self._take(None)
-
-    def to_relation(self, name: Optional[str] = None) -> Relation:
-        """Drain the remaining rows into a materialized relation."""
-        rows = self.fetchall()
-        relation = Relation(self.schema, name=name)
-        relation.rows = rows
-        return relation
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -387,11 +387,8 @@ class Federation:
         )
         self.mediator = ContextMediator(system, default_receiver_context)
         self.transformer = AnswerTransformer(system)
-        self.pipeline = QueryPipeline(
-            self.mediator, self.engine,
-            plan_cache_size=plan_cache_size,
-            mediation_cache_size=plan_cache_size,
-        )
+        self.pipeline = QueryPipeline(self.mediator, self.engine,
+                                      plan_cache_size=plan_cache_size)
         self.cqa = ConsistentQueryExecutor(self.engine, max_repairs=max_repairs)
         #: Built lazily on the first scan; shares the engine's request cache
         #: and runs its scan plans under the federation's memory budget.

@@ -45,8 +45,9 @@ import json
 import random
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Union
+
+from repro.obs.cache import BoundedCache
 
 __all__ = [
     "Span",
@@ -390,62 +391,60 @@ class Span:
 class TraceBuffer:
     """Bounded in-memory store of finished trace trees (most recent kept).
 
-    Keeping a trace stores the finished root :class:`Span` itself; trees are
-    serialized to dicts lazily, on read.  Scrapes and test assertions are
-    rare next to statement completions, so the hot path (``keep``) is one
-    dict insert instead of a recursive export.
+    Keeping a trace stores the finished root :class:`Span` itself in a
+    :class:`~repro.obs.cache.BoundedCache`; trees are serialized to dicts
+    lazily, on read, and reading one does not refresh it.  Scrapes and test
+    assertions are rare next to statement completions, so the hot path
+    (``keep``) is one cache insert instead of a recursive export.
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"trace buffer capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        self._roots = BoundedCache(capacity)
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, Span]" = OrderedDict()
-        self.kept = 0
         self.dropped_unsampled = 0
-        self.evicted = 0
+
+    @property
+    def capacity(self) -> int:
+        return self._roots.capacity
+
+    @property
+    def kept(self) -> int:
+        return self._roots.statistics.puts
+
+    @property
+    def evicted(self) -> int:
+        return self._roots.statistics.evictions
 
     def keep(self, root: Span) -> None:
-        with self._lock:
-            self._traces[root.trace_id] = root
-            self._traces.move_to_end(root.trace_id)
-            self.kept += 1
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-                self.evicted += 1
+        self._roots.put(root.trace_id, root)
 
     def drop(self) -> None:
         with self._lock:
             self.dropped_unsampled += 1
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            root = self._traces.get(trace_id)
+        root = self._roots.peek(trace_id)
         return root.to_dict() if root is not None else None
 
     def traces(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            roots = list(self._traces.values())
-        return [root.to_dict() for root in roots]
+        return [root.to_dict() for root in self._roots.values()]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return len(self._roots)
 
     def export_json(self, indent: Optional[int] = None) -> str:
         return json.dumps({"traces": self.traces()}, indent=indent,
                           sort_keys=True)
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "buffered": len(self._traces),
-                "capacity": self.capacity,
-                "kept": self.kept,
-                "dropped_unsampled": self.dropped_unsampled,
-                "evicted": self.evicted,
-            }
+        roots = self._roots.snapshot()
+        return {
+            "buffered": roots["entries"],
+            "capacity": self.capacity,
+            "kept": roots["puts"],
+            "dropped_unsampled": self.dropped_unsampled,
+            "evicted": roots["evictions"],
+        }
 
 
 class Tracer:

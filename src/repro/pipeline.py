@@ -9,7 +9,7 @@ and planning even for a statement it had answered a moment earlier.
 :class:`QueryPipeline` replaces that with a staged compilation pipeline over
 a shared :class:`MediatedPlan` IR:
 
-1. **parse** — SQL text becomes an AST once; a bounded statement cache maps
+1. **parse** — SQL text becomes an AST once; a statement cache maps
    exact text to (AST, fingerprint) so repeated receiver statements skip the
    lexer entirely.  Fingerprints are canonical AST digests
    (:mod:`repro.sql.normalize`), so textually different but structurally
@@ -22,29 +22,30 @@ a shared :class:`MediatedPlan` IR:
    boundaries, and structurally identical source requests across branches
    are shared at plan time.  The finished :class:`MediatedPlan` is memoized
    per (fingerprint, receiver context, mediate flag, catalog generation,
-   knowledge generation) in an :class:`~repro.engine.plan_cache.PlanCache`.
+   knowledge generation): a :class:`PlanCacheKey`.
 
+Each of the three memos is a :class:`~repro.obs.cache.BoundedCache`.
 Because the generation counters are part of every cache key, a wrapper
 (re)registration, a source invalidation or a knowledge-base change makes all
 previously cached artifacts unreachable — cached plans can never read a
-stale dictionary.  The warm path — the dominant serving pattern of repeated
-receiver queries — therefore performs **zero mediation and zero planning
-work**, observable through the mediator's and engine's counters.
+stale dictionary — and the LRU bound retires them
+(:meth:`QueryPipeline.prune_stale` frees them eagerly).  The warm path — the
+dominant serving pattern of repeated receiver queries — therefore performs
+**zero mediation and zero planning work**, observable through the
+mediator's and engine's counters.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union as TUnion
 
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.plan import QueryPlan
-from repro.engine.plan_cache import PlanCache, PlanCacheKey
 from repro.mediation.answers import ColumnAnnotation
 from repro.mediation.mediator import ContextMediator
 from repro.mediation.rewriter import MediationResult
+from repro.obs.cache import BoundedCache
 from repro.obs.metrics import CounterSet
 from repro.obs.trace import current_span
 from repro.sql.ast import Select, Union
@@ -52,6 +53,25 @@ from repro.sql.normalize import statement_fingerprint
 
 #: Bound on the exact-text statement cache (parse memo).
 DEFAULT_STATEMENT_CACHE_SIZE = 512
+#: Bound on the last-plan-shape-per-statement map (plan-change detection).
+PLAN_SHAPES_SIZE = 256
+
+
+@dataclass(frozen=True)
+class PlanCacheKey:
+    """The canonical identity of one cached mediation/planning product: the
+    statement's AST fingerprint (:mod:`repro.sql.normalize`), the receiver
+    context, whether mediation ran at all, and the generation counters of the
+    two knowledge stores a cached artifact could otherwise read stale — the
+    catalog's (wrapper/relation registration, source invalidation) and the
+    :class:`~repro.coin.system.CoinSystem`'s (domain model, contexts,
+    elevations, conversions)."""
+
+    fingerprint: str
+    receiver_context: str
+    mediate: bool
+    catalog_generation: int
+    knowledge_generation: int
 
 
 @dataclass
@@ -111,6 +131,7 @@ class MediatedPlan:
 PIPELINE_COUNTERS = (
     ("prepares", "sum", "pipeline_prepares_total",
      "Statements taken through the compilation pipeline."),
+    # Counted by the statement cache itself; ``snapshot`` reads it there.
     ("statement_cache_hits", "sum", None, ""),
     ("plan_hits", "sum", "pipeline_plan_hits_total",
      "Plan-cache hits (zero mediation + planning work)."),
@@ -129,26 +150,21 @@ PIPELINE_COUNTERS = (
 class QueryPipeline:
     """Compiles receiver statements into :class:`MediatedPlan` objects.
 
-    ``plan_cache_size`` / ``mediation_cache_size`` of 0 disable the
-    respective memo (every call recompiles) — the ablation baseline the
-    benchmarks measure against.
+    ``plan_cache_size`` bounds the mediation and the plan cache, and
+    ``statement_cache_size`` the statement cache; 0 disables the memo (every
+    call recompiles) — the ablation baseline the benchmarks measure against.
     """
 
     def __init__(self, mediator: ContextMediator, engine: MultiDatabaseEngine,
-                 plan_cache_size: int = 128, mediation_cache_size: int = 128,
+                 plan_cache_size: int = 128,
                  statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE):
         self.mediator = mediator
         self.engine = engine
-        self.plan_cache = PlanCache(plan_cache_size) if plan_cache_size > 0 else None
-        self.mediation_cache = (
-            PlanCache(mediation_cache_size) if mediation_cache_size > 0 else None
-        )
-        self._statement_cache_size = max(0, statement_cache_size)
-        self._statements: "OrderedDict[str, Tuple[Select, str]]" = OrderedDict()
-        self._statement_lock = threading.Lock()
+        self.plan_cache = _cache(plan_cache_size)
+        self.mediation_cache = _cache(plan_cache_size)
+        self._statements = _cache(statement_cache_size)
         # Last plan shape per statement shape, for plan-change detection.
-        self._plan_shapes: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._shape_lock = threading.Lock()
+        self._plan_shapes = BoundedCache(PLAN_SHAPES_SIZE)
         self.statistics = CounterSet(PIPELINE_COUNTERS)
 
     # -- generations -------------------------------------------------------------
@@ -247,12 +263,8 @@ class QueryPipeline:
         """Track plan shape per statement shape; count re-plans that changed it."""
         base = (key.fingerprint, key.receiver_context, key.mediate)
         signature = plan.signature()
-        with self._shape_lock:
-            previous = self._plan_shapes.get(base)
-            self._plan_shapes[base] = signature
-            self._plan_shapes.move_to_end(base)
-            while len(self._plan_shapes) > 256:
-                self._plan_shapes.popitem(last=False)
+        previous = self._plan_shapes.peek(base)
+        self._plan_shapes.put(base, signature)
         if previous is not None and previous != signature:
             self.statistics.add(plan_changes=1)
 
@@ -286,21 +298,15 @@ class QueryPipeline:
         if not isinstance(query, str):
             select = self.mediator._as_select(query)
             return select, statement_fingerprint(select)
-        with self._statement_lock:
-            hit = self._statements.get(query)
+        statements = self._statements
+        if statements is not None:
+            hit = statements.get(query)
             if hit is not None:
-                self._statements.move_to_end(query)
-        if hit is not None:
-            self.statistics.add(statement_cache_hits=1)
-            return hit
+                return hit
         select = self.mediator._as_select(query)
         entry = (select, statement_fingerprint(select))
-        if self._statement_cache_size > 0:
-            with self._statement_lock:
-                self._statements[query] = entry
-                self._statements.move_to_end(query)
-                while len(self._statements) > self._statement_cache_size:
-                    self._statements.popitem(last=False)
+        if statements is not None:
+            statements.put(query, entry)
         return entry
 
     def _mediate_stage(self, select: Select, key: PlanCacheKey) -> MediationResult:
@@ -348,31 +354,33 @@ class QueryPipeline:
 
     def clear(self) -> int:
         """Drop every memoized mediation and plan; returns the drop count."""
-        dropped = 0
-        if self.plan_cache is not None:
-            dropped += self.plan_cache.clear()
-        if self.mediation_cache is not None:
-            dropped += self.mediation_cache.clear()
-        return dropped
+        return sum(len(cache.drop()) for cache in
+                   (self.plan_cache, self.mediation_cache) if cache is not None)
 
     def prune_stale(self) -> int:
         """Eagerly free entries from generations that can no longer be read."""
+        catalog, knowledge = self.catalog_generation, self.knowledge_generation
         dropped = 0
         if self.plan_cache is not None:
-            dropped += self.plan_cache.prune(
-                catalog_generation=self.catalog_generation,
-                knowledge_generation=self.knowledge_generation,
-            )
+            dropped += len(self.plan_cache.drop(
+                lambda key: key.catalog_generation != catalog
+                or key.knowledge_generation != knowledge))
         if self.mediation_cache is not None:
-            dropped += self.mediation_cache.prune(
-                knowledge_generation=self.knowledge_generation,
-            )
+            dropped += len(self.mediation_cache.drop(
+                lambda key: key.knowledge_generation != knowledge))
         return dropped
 
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = self.statistics.snapshot()
+        if self._statements is not None:
+            data["statement_cache_hits"] = self._statements.statistics.hits
         if self.plan_cache is not None:
             data["plan_cache"] = self.plan_cache.snapshot()
         if self.mediation_cache is not None:
             data["mediation_cache"] = self.mediation_cache.snapshot()
         return data
+
+
+def _cache(capacity: int) -> Optional[BoundedCache]:
+    """A memo of ``capacity`` entries, or None where 0 disables it."""
+    return BoundedCache(capacity) if capacity > 0 else None

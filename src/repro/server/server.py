@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import OverloadError, ProtocolError, ReproError
 from repro.federation import Federation, FederationCursor
 from repro.mediation.explain import conflict_summary
+from repro.obs.cache import BoundedCache
 from repro.obs.metrics import CounterSet
 from repro.options import StatementOptions, parse_batch_size
 from repro.server.gateway import AdmissionGateway, GatewayConfig
@@ -62,63 +61,45 @@ class _Refused(ProtocolError):
 class HandleRegistry:
     """A bounded LRU of server-side handles, each filed under its owner.
 
-    Prepared statements and cursors each live in one.  A handle is visible
-    only to the owner that registered it (a transport session; None for the
-    sessionless in-process doors) — another owner's id reads as unknown.
-    Registering past ``limit()`` evicts the least recently used handles and
-    *closes* them, so clients that never close cannot pin the server.
+    Prepared statements and cursors each live in one.  A handle is keyed by
+    ``(owner, handle id)``: it is visible only to the owner that registered it
+    (a transport session; None for the sessionless in-process doors), and
+    another owner's id is a plain miss.  Registering past ``capacity`` evicts
+    the least recently used handles and *closes* them, so clients that never
+    close cannot pin the server.
     """
 
-    def __init__(self, prefix: str, limit: Callable[[], int]):
+    def __init__(self, prefix: str, capacity: int):
         self._prefix = prefix
-        self._limit = limit
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+        self._handles = BoundedCache(capacity)
         self._ids = itertools.count(1)
 
     def register(self, handle: Any, owner: Any = None) -> str:
         handle_id = f"{self._prefix}-{next(self._ids)}"
-        evicted = []
-        with self._lock:
-            self._entries[handle_id] = (owner, handle)
-            while len(self._entries) > self._limit():
-                evicted.append(self._entries.popitem(last=False)[1][1])
-        for doomed in evicted:
-            doomed.close()
+        for evicted in self._handles.put((owner, handle_id), handle):
+            evicted.close()
         return handle_id
 
-    def get(self, handle_id: str, owner: Any = None, pop: bool = False) -> Any:
+    def get(self, handle_id: str, owner: Any = None) -> Any:
         """``owner``'s handle under ``handle_id`` (None: it holds none such),
-        moved to the fresh end of the LRU — or, with ``pop``, out of it."""
-        with self._lock:
-            held_by, handle = self._entries.get(handle_id, (None, None))
-            if handle is None or held_by is not owner:
-                return None
-            if pop:
-                del self._entries[handle_id]
-            else:
-                self._entries.move_to_end(handle_id)
-            return handle
+        moved to the fresh end of the LRU."""
+        return self._handles.get((owner, handle_id))
 
     def discard(self, handle_id: str, owner: Any = None) -> bool:
         """Close and forget one handle; False when ``owner`` holds none such."""
-        handle = self.get(handle_id, owner, pop=True)
+        handle = self._handles.pop((owner, handle_id))
         if handle is not None:
             handle.close()
         return handle is not None
 
     def release(self, *owners: Any) -> None:
         """Close and forget every handle of ``owners`` (none named: of anyone)."""
-        with self._lock:
-            doomed = [handle_id
-                      for handle_id, (held_by, _handle) in self._entries.items()
-                      if not owners or held_by in owners]
-            handles = [self._entries.pop(handle_id)[1] for handle_id in doomed]
-        for handle in handles:
+        for handle in self._handles.drop(
+                lambda key: not owners or key[0] in owners):
             handle.close()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._handles)
 
 
 class _Call(NamedTuple):
@@ -181,10 +162,8 @@ class MediationServer:
         #: The admission gateway every statement-executing request passes.
         self.gateway = self.service.gateway
         self.statistics = CounterSet(SERVER_COUNTERS)
-        # The bounds are read at each registration: tunable on a live server.
-        self._statements = HandleRegistry(
-            "stmt", lambda: self.MAX_PREPARED_STATEMENTS)
-        self._cursors = HandleRegistry("cur", lambda: self.MAX_OPEN_CURSORS)
+        self._statements = HandleRegistry("stmt", self.MAX_PREPARED_STATEMENTS)
+        self._cursors = HandleRegistry("cur", self.MAX_OPEN_CURSORS)
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:

@@ -1,7 +1,7 @@
 """Canonical statement forms and fingerprints for query-lifecycle caching.
 
 The query pipeline memoizes mediation results and execution plans per
-*statement* (see :mod:`repro.pipeline` and :mod:`repro.engine.plan_cache`).
+*statement* (see :mod:`repro.pipeline`).
 Raw SQL text is a poor cache key — ``select r1.revenue from r1`` and
 ``SELECT r1.revenue FROM r1`` are the same query — so cache keys are built
 from the **parsed AST**, which already discards whitespace, keyword case and

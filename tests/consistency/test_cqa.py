@@ -248,8 +248,7 @@ class TestStrategySelection:
 
         statement = sql_parser.parse(union_sql)
         plan = federation.engine.planner.plan(statement)
-        from repro.pipeline import MediatedPlan
-        from repro.engine.plan_cache import PlanCacheKey
+        from repro.pipeline import MediatedPlan, PlanCacheKey
 
         mediation = federation.mediator.rewriter.unmediated(
             statement.selects[0], "c_plain"

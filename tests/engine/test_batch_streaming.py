@@ -3,12 +3,12 @@
 Operators hand row batches up to the :class:`ResultStream`, which slices them
 for the consumer.  Contract under test:
 
-* any interleaving of ``fetchone`` / ``fetchmany(k)`` / iteration /
-  ``fetchall`` returns every row exactly once, in order, across batch
-  boundaries, and ``rows_streamed`` counts rows *handed over* at every step
-  (never rows waiting in the carried remainder) — from a live stream, and
-  from a federation cursor over stored rows (an eager or a repair-enumerated
-  answer), which closes with its last row;
+* any interleaving of ``fetchmany(k)`` / ``fetchall`` (and, from a
+  federation cursor, ``fetchone`` / iteration too) returns every row exactly
+  once, in order, across batch boundaries, and ``rows_streamed`` counts rows
+  *handed over* at every step (never rows waiting in the carried remainder) —
+  from a live stream, and from a federation cursor over stored rows (an eager
+  or a repair-enumerated answer), which closes with its last row;
 * closing a budgeted, spilling stream after one ``fetchmany`` leaves no
   budget byte, staged temporary, spill file or open span behind — without
   any help from the garbage collector;
@@ -70,15 +70,15 @@ QUERIES = (
 ENGINE = _engine()
 EXPECTED = {query: list(ENGINE.execute(query).relation.rows) for query in QUERIES}
 
+MANY_OR_ALL = (st.tuples(st.just("many"), st.integers(0, 400)),
+               st.just(("all",)))
+#: Fetch actions for a cursor; a ``ResultStream`` takes ``many``/``all`` only.
 FETCHES = st.lists(
-    st.one_of(
-        st.just(("one",)),
-        st.tuples(st.just("many"), st.integers(0, 400)),
-        st.tuples(st.just("iterate"), st.integers(1, 5)),
-        st.just(("all",)),
-    ),
+    st.one_of(st.just(("one",)), st.tuples(st.just("iterate"), st.integers(1, 5)),
+              *MANY_OR_ALL),
     max_size=12,
 )
+STREAM_FETCHES = st.lists(st.one_of(*MANY_OR_ALL), max_size=12)
 
 
 def _stored_rows_federation():
@@ -136,7 +136,7 @@ def _drive(stream, fetches, after_each):
 
 class TestFetchSurface:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(QUERIES), FETCHES)
+    @given(st.sampled_from(QUERIES), STREAM_FETCHES)
     def test_result_stream_hands_every_row_over_once_and_counts_it(self, query, fetches):
         stream = ENGINE.execute_stream(query)
 
@@ -146,7 +146,7 @@ class TestFetchSurface:
         assert _drive(stream, fetches, counted) == EXPECTED[query]
         assert stream.exhausted and stream.closed
         assert stream.report.result_rows == len(EXPECTED[query])
-        assert stream.fetchmany(5) == [] and stream.fetchone() is None
+        assert stream.fetchmany(5) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 40), st.sampled_from(("eager", "enumerated")), FETCHES)

@@ -216,7 +216,7 @@ class TestExecutorFeedbackIngestion:
         plan = engine.plan(BIND_QUERY)
         step = left_deep(plan.branches[0].tree)[1][0]
         stream = engine.execute_stream(plan)
-        stream.fetchone()
+        stream.fetchmany(1)
         stream.close()  # abandoned mid-join: partial counts must not leak
         assert engine.catalog.feedback.join_rows(step.feedback_key) is None
 

@@ -191,7 +191,7 @@ class TestCloseCancelsQueuedFetches:
             wrapper.hook = hold
         stream = engine.execute_stream(_union(5))
         try:
-            assert stream.fetchone() is not None  # branch 1 (s1) is staged
+            assert stream.fetchmany(1)  # branch 1 (s1) is staged
             # Both lanes are now held inside s2 and s3; s4 and s5 are queued.
             for _ in range(2):
                 assert entered.acquire(timeout=10.0)

@@ -1,8 +1,10 @@
-"""The versioned plan cache (LRU behaviour, statistics, generation keys)."""
+"""The pipeline's plan cache: a ``BoundedCache`` under generation keys (LRU
+behaviour, statistics, pruning)."""
 
 import pytest
 
-from repro.engine.plan_cache import PlanCache, PlanCacheKey
+from repro.obs.cache import BoundedCache
+from repro.pipeline import PlanCacheKey
 
 
 def key(fingerprint="f", context="c", mediate=True, catalog=0, knowledge=0):
@@ -17,7 +19,7 @@ def key(fingerprint="f", context="c", mediate=True, catalog=0, knowledge=0):
 
 class TestPlanCacheBasics:
     def test_miss_then_hit(self):
-        cache = PlanCache(capacity=4)
+        cache = BoundedCache(capacity=4)
         assert cache.get(key()) is None
         cache.put(key(), "plan")
         assert cache.get(key()) == "plan"
@@ -26,10 +28,10 @@ class TestPlanCacheBasics:
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+            BoundedCache(capacity=0)
 
     def test_lru_eviction_drops_least_recently_used(self):
-        cache = PlanCache(capacity=2)
+        cache = BoundedCache(capacity=2)
         cache.put(key("a"), 1)
         cache.put(key("b"), 2)
         assert cache.get(key("a")) == 1  # refresh "a"
@@ -42,7 +44,7 @@ class TestPlanCacheBasics:
 
 class TestGenerationKeys:
     def test_generations_separate_entries(self):
-        cache = PlanCache(capacity=8)
+        cache = BoundedCache(capacity=8)
         cache.put(key(catalog=1), "old")
         assert cache.get(key(catalog=2)) is None
         cache.put(key(catalog=2), "new")
@@ -50,7 +52,7 @@ class TestGenerationKeys:
         assert cache.get(key(catalog=2)) == "new"
 
     def test_mediate_flag_and_context_separate_entries(self):
-        cache = PlanCache(capacity=8)
+        cache = BoundedCache(capacity=8)
         cache.put(key(mediate=True), "mediated")
         cache.put(key(mediate=False), "naive")
         cache.put(key(context="other"), "other-context")
@@ -59,18 +61,19 @@ class TestGenerationKeys:
         assert cache.get(key(context="other")) == "other-context"
 
     def test_prune_drops_unreachable_generations(self):
-        cache = PlanCache(capacity=8)
+        cache = BoundedCache(capacity=8)
         cache.put(key("a", catalog=1, knowledge=5), "stale")
         cache.put(key("b", catalog=2, knowledge=5), "current")
-        dropped = cache.prune(catalog_generation=2, knowledge_generation=5)
-        assert dropped == 1
+        dropped = cache.drop(lambda stored: stored.catalog_generation != 2
+                             or stored.knowledge_generation != 5)
+        assert dropped == ["stale"]
         assert len(cache) == 1
         assert cache.get(key("b", catalog=2, knowledge=5)) == "current"
 
     def test_clear_empties_the_cache(self):
-        cache = PlanCache(capacity=8)
+        cache = BoundedCache(capacity=8)
         cache.put(key("a"), 1)
         cache.put(key("b"), 2)
-        assert cache.clear() == 2
+        assert cache.drop() == [1, 2]
         assert len(cache) == 0
         assert cache.statistics.invalidations == 2

@@ -268,7 +268,7 @@ class TestEarlyTermination:
         stream = _basic_engine().execute_stream("SELECT t.a FROM t")
         stream.close()
         with pytest.raises(ExecutionError, match="closed result stream"):
-            next(stream)
+            stream.fetchmany(1)
         # close stays idempotent
         stream.close()
 

@@ -14,9 +14,9 @@ import pytest
 
 from repro.engine.engine import ENGINE_COUNTERS
 from repro.engine.feedback import FEEDBACK_COUNTERS
-from repro.engine.plan_cache import CACHE_COUNTERS, PlanCache
 from repro.engine.request_cache import RequestKey, SourceResultCache
 from repro.mediation.mediator import MEDIATOR_COUNTERS
+from repro.obs.cache import CACHE_COUNTERS, BoundedCache
 from repro.obs.metrics import CounterSet, MetricsRegistry
 from repro.pipeline import PIPELINE_COUNTERS
 from repro.relational.relation import Relation
@@ -195,9 +195,9 @@ class _SourceCacheDriver:
         return self.cache.get(self.key(name))
 
 
-class _PlanCacheDriver:
+class _BoundedCacheDriver:
     def __init__(self):
-        self.cache = PlanCache(capacity=4)
+        self.cache = BoundedCache(capacity=4)
 
     def put(self, name):
         self.cache.put(("plan", name), object())
@@ -208,7 +208,7 @@ class _PlanCacheDriver:
 
 class TestCacheSnapshotsMidFlight:
     @pytest.mark.parametrize("driver_type",
-                             [_SourceCacheDriver, _PlanCacheDriver])
+                             [_SourceCacheDriver, _BoundedCacheDriver])
     def test_counters_and_entries_are_one_point_in_time(self, driver_type):
         """While eight threads ``get`` and ``put`` distinct keys, every
         snapshot satisfies the cache's own conservation laws: each lookup is

@@ -95,8 +95,9 @@ class TestCursorProtocol:
         eager = federation.query(PAPER_QUERY)
         assert fetched.payload["rows"] == [list(row) for row in eager.relation.rows]
 
-    def test_registry_is_bounded_and_evicts_oldest(self, server, monkeypatch):
+    def test_registry_is_bounded_and_evicts_oldest(self, federation, monkeypatch):
         monkeypatch.setattr(MediationServer, "MAX_OPEN_CURSORS", 3)
+        server = MediationServer(federation)
         handles = [_open(server)["cursor_id"] for _ in range(4)]
         # The oldest handle was evicted, and its stream closed: the evicted
         # cursor gave its permit back.

@@ -71,8 +71,9 @@ class TestPreparedProtocol:
         )
         assert response.ok and response.payload["closed"] is False
 
-    def test_statement_registry_is_bounded(self, server):
-        server.MAX_PREPARED_STATEMENTS = 2
+    def test_statement_registry_is_bounded(self, federation, monkeypatch):
+        monkeypatch.setattr(MediationServer, "MAX_PREPARED_STATEMENTS", 2)
+        server = MediationServer(federation)
         ids = [
             server.handle(Request("prepare", {"sql": PAPER_QUERY})).payload["statement_id"]
             for _ in range(3)
@@ -83,8 +84,9 @@ class TestPreparedProtocol:
         newest = server.handle(Request("execute_prepared", {"statement_id": ids[2]}))
         assert newest.ok
 
-    def test_executing_refreshes_lru_position(self, server):
-        server.MAX_PREPARED_STATEMENTS = 2
+    def test_executing_refreshes_lru_position(self, federation, monkeypatch):
+        monkeypatch.setattr(MediationServer, "MAX_PREPARED_STATEMENTS", 2)
+        server = MediationServer(federation)
         first = server.handle(Request("prepare", {"sql": PAPER_QUERY})).payload["statement_id"]
         second = server.handle(Request("prepare", {"sql": PAPER_QUERY})).payload["statement_id"]
         # Keep the first statement hot: it must survive the next eviction.
