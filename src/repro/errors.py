@@ -76,10 +76,6 @@ class DatalogError(ReproError):
     """Base class of errors raised by the datalog/deductive substrate."""
 
 
-class UnificationError(DatalogError):
-    """Raised when terms cannot be unified and the caller required success."""
-
-
 class ResolutionError(DatalogError):
     """Raised when SLD resolution is mis-configured (unknown predicate, etc.)."""
 

@@ -75,9 +75,6 @@ class FederationAnswer:
 class ExecutionSummary:
     """What one statement did: answer metadata plus the execution report."""
 
-    #: Materialized answer rows (``execute`` only; None for streamed results,
-    #: whose rows went through the cursor instead).
-    rows: Optional[List[Tuple[Any, ...]]]
     row_count: int
     columns: List[str]
     column_labels: List[str]
@@ -103,7 +100,8 @@ class FederationCursor:
     ResultStream`, or a :class:`~repro.engine.stream.MaterializedStream` over
     an eager or repair-enumerated answer — with the mediation metadata a
     receiver needs (mediated SQL, conflict explanations, column annotations)
-    and what the edge that opened it records (``root`` span, ``started``).
+    and what :meth:`Federation.open`, the door every statement opens at,
+    records (``root`` span, ``started``).
     Annotations and the description are schema-level, so they are available
     before (and without) draining the result.
 
@@ -116,10 +114,12 @@ class FederationCursor:
     raises :class:`~repro.errors.ExecutionError`, as DB-API cursors do.
     ``close()`` cancels still-outstanding source fetches and releases staged
     temporaries and the statement's fetch-pool slots; what rides the
-    stream's close (accounting, spans, a gateway stream permit) runs once.
+    stream's close (accounting, spans, a gated open's stream permit) runs
+    once.
 
     Every statement is answered through one of these — :meth:`answer` drains
-    it into the materialized :class:`FederationAnswer` eager callers get.
+    it into the materialized :class:`FederationAnswer` eager callers get, the
+    wire server registers it as a protocol cursor, QBE renders it.
     """
 
     def __init__(self, federation: "Federation", prepared: MediatedPlan, stream,
@@ -129,7 +129,8 @@ class FederationCursor:
         self.stream = stream
         self.options = options
         #: The statement's root span and the ``perf_counter`` reading its
-        #: edge started at; the edge that opened the cursor sets both.
+        #: door started at (before any stream permit or queue wait);
+        #: ``Federation.open`` sets both.
         self.root = NULL_SPAN
         self.started = 0.0
         #: Rows handed to the consumer so far.
@@ -265,7 +266,6 @@ class FederationCursor:
         elapsed = (self._elapsed if self._elapsed is not None
                    else time.perf_counter() - self.started)
         return ExecutionSummary(
-            rows=None,
             row_count=self.rows_streamed,
             columns=self.columns,
             column_labels=[annotation.label() for annotation in self.annotations],
@@ -595,8 +595,8 @@ class Federation:
 
     # -- the statement path ------------------------------------------------------------------
     #
-    # Every front door (the keyword methods above, the in-process service, the
-    # wire server, QBE) hands a validated StatementOptions to these two.
+    # Every front door (the keyword methods above, the wire server, QBE) hands
+    # a validated StatementOptions to these two.
 
     def compile(self, sql: TUnion[str, Select],
                 options: StatementOptions) -> PreparedQuery:
@@ -606,49 +606,83 @@ class Federation:
         return PreparedQuery(federation=self, plan=plan, options=options)
 
     def open(self, statement: TUnion[str, Select, PreparedQuery],
-             options: StatementOptions, stream: bool = True) -> FederationCursor:
-        """Answer one statement as a cursor — the single execution path.
+             options: StatementOptions, stream: bool = True, *,
+             gateway=None, trace_id: Optional[str] = None,
+             **attributes) -> FederationCursor:
+        """Answer one statement as a cursor — the one statement door.
 
-        ``statement`` is SQL (text or AST), compiled through the pipeline's
-        caches, or a :class:`PreparedQuery`, revalidated against the catalog
-        and knowledge generations.  This is the statement scope: it opens the
-        root span when no edge did (``Observability.statement_root``) and
-        books the statement into metrics and the slow-query log — both when
-        the cursor closes, because the statement is not over until then.
-        ``stream=False`` executes to completion before returning (the cursor
-        is over the materialized rows; :meth:`FederationCursor.answer` is its
-        drain).
+        ``statement`` is SQL (text or AST) or a :class:`PreparedQuery`, which
+        executes under its own options (``options`` then carries only the
+        request's tenant and deadline).  ``stream=False`` executes to
+        completion first; :meth:`FederationCursor.answer` is the drain.
+
+        In order: the root span (``trace_id`` adopts a client-minted id,
+        ``attributes`` name the door); with a ``gateway``, the stream permit
+        of a streaming answer — before admission, so an over-streamed server
+        sheds without spending a tenant token or a worker slot — then
+        ``gateway.run``, the statement opening under the budget left after
+        queueing.  Permit and root ride the cursor's close; a failed or shed
+        open releases both before it raises.
         """
-        prepared = statement if isinstance(statement, PreparedQuery) else None
-        if prepared is not None:
-            sql_text = prepared.sql
+        started = time.perf_counter()
+        prepared = isinstance(statement, PreparedQuery)
+        if prepared:
+            sql_text, consistency = statement.sql, statement.options.consistency
         else:
             sql_text = statement if isinstance(statement, str) else str(statement)
-        tenant = current_tenant()
+            consistency = options.consistency
         root = self.observability.statement_root(
-            sql_text, consistency=options.consistency, stream=stream,
-            prepared=prepared is not None,
-        )
+            sql_text, trace_id, tenant=options.tenant, consistency=consistency,
+            stream=stream, prepared=prepared, **attributes)
         token = root.activate()
+        release = None
+        try:
+            if gateway is None:
+                cursor = self._open(statement, sql_text, options, stream)
+            else:
+                if stream:
+                    release = gateway.acquire_stream(options.tenant)
+                cursor = gateway.run(
+                    lambda remaining: self._open(
+                        statement, sql_text, options.with_timeout(remaining),
+                        stream),
+                    tenant=options.tenant,
+                    timeout_seconds=options.timeout_seconds)
+        except BaseException as exc:
+            if release is not None:
+                release()
+            deactivate_span(token)
+            root.finish(error=exc)
+            raise
+        deactivate_span(token)
+        if release is not None:
+            cursor.stream.on_close(lambda report: release())
+        if root.recording:
+            # Only at close are the stream and fetch spans complete.
+            cursor.stream.on_close(lambda report: root.finish())
+        cursor.root, cursor.started = root, started
+        return cursor
+
+    def _open(self, statement: TUnion[str, Select, PreparedQuery],
+              sql_text: str, options: StatementOptions,
+              stream: bool) -> FederationCursor:
+        """Compile (or refresh) and execute ``statement``, booked into metrics
+        and the slow-query log when its cursor closes, or at once on failure.
+        Inside admission: the gateway's tenant, no queue wait."""
+        tenant = current_tenant()
         started = time.perf_counter()
         try:
-            if prepared is not None:
-                plan = prepared.plan = self.pipeline.refresh(prepared.plan)
+            if isinstance(statement, PreparedQuery):
+                plan = statement.plan = self.pipeline.refresh(statement.plan)
+                options = statement.options
             else:
                 plan = self.pipeline.prepare(statement, options.receiver_context,
                                              mediate=options.mediate)
             cursor = self._execute(plan, options, stream)
         except BaseException as exc:
-            trace_id = current_span().trace_id
-            deactivate_span(token)
-            root.finish(error=exc)
             self._account_statement(sql_text, started, tenant=tenant,
-                                    trace_id=trace_id, error=exc)
+                                    trace_id=current_span().trace_id, error=exc)
             raise
-        deactivate_span(token)
-        cursor.root, cursor.started = root, started
-        if root.recording:
-            cursor.stream.on_close(lambda report: root.finish())
         cursor.stream.on_close(
             lambda report: self._account_statement(
                 sql_text, started, tenant=tenant, report=report.snapshot,
@@ -722,21 +756,6 @@ class Federation:
                      receiver_context: Optional[str] = None) -> str:
         """Mediate, plan, and render the execution plan."""
         return self.pipeline.prepare(sql, receiver_context).plan.explain()
-
-    def service(self, gateway=None):
-        """An in-process serving facade over this federation.
-
-        Returns a :class:`~repro.server.service.FederatedQueryService`:
-        statements run under an admission gateway and a streaming answer is a
-        :class:`FederationCursor` holding one of the gateway's bounded stream
-        permits until it closes.  ``gateway`` may be a shared
-        :class:`~repro.server.gateway.AdmissionGateway`, a
-        :class:`~repro.server.gateway.GatewayConfig`, or None for defaults.
-        """
-        # Imported lazily: repro.server imports this module.
-        from repro.server.service import FederatedQueryService
-
-        return FederatedQueryService(self, gateway)
 
     # -- answer post-processing ------------------------------------------------------------------
 

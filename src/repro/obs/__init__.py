@@ -90,11 +90,14 @@ class Observability:
                        trace_id: Optional[str] = None, **attributes):
         """The root ``statement`` span for a trace edge (not yet activated).
 
-        Root ownership: the outermost edge wins.  When a span is already
-        ambient (the wire server or the service opened one) or tracing is
-        off, this is :data:`NULL_SPAN` — so edges activate, annotate and
-        finish what they get unconditionally.  ``sql`` is recorded as its
-        fingerprint, never as text.
+        Only ``Federation.open`` (every executed statement, whichever door
+        it came through) and ``MediationServer._compile`` (``prepare``,
+        ``mediate``, ``explain``) open roots.  Root ownership: the outermost
+        edge wins.  When a span is already ambient (a caller traced the
+        statement as part of its own work) or tracing is off, this is
+        :data:`NULL_SPAN` — so edges activate, annotate and finish what they
+        get unconditionally.  ``sql`` is recorded as its fingerprint, never
+        as text.
         """
         if not self.tracer.enabled or current_span().recording:
             return NULL_SPAN

@@ -3,8 +3,9 @@
 A receiver statement carries the same seven values whichever front door it
 came through — keyword arguments, a wire request, an HTML form.  The edge
 builds one frozen :class:`StatementOptions` (``from_parameters`` for raw
-wire/form values, the constructor for typed ones) and passes it whole to the
-federation; nothing downstream re-parses or re-validates an option.
+wire/form values, the constructor for typed ones) and passes it whole to
+``Federation.open``; nothing downstream re-parses or re-validates an option,
+so the constructor is the only check an in-process caller's options get.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class StatementOptions:
             raise ExecutionError(
                 f"timeout_seconds must be positive, got {self.timeout_seconds}"
             )
+        if self.batch_size <= 0:
+            raise ExecutionError(
+                f"batch_size must be positive, got {self.batch_size}")
 
     @classmethod
     def from_parameters(cls, parameters: Mapping[str, Any],

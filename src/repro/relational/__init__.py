@@ -13,8 +13,6 @@ from repro.relational.schema import Attribute, Schema, expression_type
 from repro.relational.relation import Relation, Row, relation_from_rows
 from repro.relational.compile import (
     ExpressionCompiler,
-    compile_expression,
-    compile_predicate,
     compile_projection,
     evaluate_literal_expression,
     like_to_regex,
@@ -47,8 +45,6 @@ __all__ = [
     "Row",
     "relation_from_rows",
     "ExpressionCompiler",
-    "compile_expression",
-    "compile_predicate",
     "compile_projection",
     "evaluate_literal_expression",
     "expression_type",

@@ -896,18 +896,6 @@ class KernelScope:
 # -- convenience wrappers
 
 
-def compile_expression(node: Node, schema: Schema,
-                       subquery_executor: SubqueryExecutor = None) -> CompiledExpr:
-    """Compile one expression against a schema."""
-    return ExpressionCompiler(schema, subquery_executor).compile(node)
-
-
-def compile_predicate(node: Node, schema: Schema, subquery_executor: SubqueryExecutor = None,
-                      ) -> Callable[[Row], Optional[bool]]:
-    """Compile a row predicate returning True/False/None (SQL 3VL)."""
-    return ExpressionCompiler(schema, subquery_executor).predicate(node)
-
-
 def compile_projection(expressions: Sequence[Node], schema: Schema,
                        subquery_executor: SubqueryExecutor = None) -> Callable[[Row], tuple]:
     """Compile a select list into a single ``row -> tuple`` function."""

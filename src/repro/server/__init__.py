@@ -2,10 +2,14 @@
 
 This package reproduces the receiver-side plumbing of Figure 1: applications
 reach the mediation services either through the DB-API/ODBC-style driver
-(:mod:`repro.server.odbc`) or through the HTML Query-By-Example front end
-(:mod:`repro.server.qbe`); both speak the JSON protocol of
+(:mod:`repro.server.odbc`), which speaks the JSON protocol of
 :mod:`repro.server.protocol` tunnelled over the simulated HTTP transport of
-:mod:`repro.server.http` to a :class:`~repro.server.server.MediationServer`.
+:mod:`repro.server.http` to a :class:`~repro.server.server.MediationServer`,
+or through the HTML Query-By-Example front end (:mod:`repro.server.qbe`).
+Every statement, whichever front it came through, opens at one door —
+``Federation.open(..., gateway=...)`` — under the front's
+:class:`~repro.server.gateway.AdmissionGateway`; an embedding application
+calls that door itself.
 """
 
 from repro.server.protocol import (
@@ -29,7 +33,6 @@ from repro.server.odbc import (
     threadsafety,
 )
 from repro.server.qbe import QBEForm, QBEInterface
-from repro.server.service import ExecutionSummary, FederatedQueryService
 
 __all__ = [
     "OPERATIONS",
@@ -49,8 +52,6 @@ __all__ = [
     "Connection",
     "ConnectionPool",
     "Cursor",
-    "ExecutionSummary",
-    "FederatedQueryService",
     "apilevel",
     "connect",
     "paramstyle",

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ClientError, ConsistencyError, ExecutionError
 from repro.federation import Federation, FederationAnswer, FederationCursor
 from repro.options import StatementOptions
-from repro.server.service import FederatedQueryService
+from repro.server.gateway import AdmissionGateway
 from repro.sql.parser import parse_expression
 from repro.sql.printer import to_sql
 
@@ -72,16 +72,18 @@ class QBEForm:
 class QBEInterface:
     """Generates QBE forms and turns submissions into mediated answers.
 
-    Submissions open through the serving core's single admitted open, so
-    they pass the same overload discipline as every other entry point:
-    per-tenant quotas, bounded queueing and streaming permits — a flood of
-    form posts sheds cleanly instead of piling up.  Pass the ``gateway`` the
-    mediation server uses to share its budget (default: a private one).
+    Submissions open through ``Federation.open`` under this interface's
+    admission gateway, so they pass the same overload discipline as every
+    other entry point: per-tenant quotas, bounded queueing and streaming
+    permits — a flood of form posts sheds cleanly instead of piling up.
+    Pass the ``gateway`` the mediation server uses to share its budget
+    (default: a private one).
     """
 
     def __init__(self, federation: Federation, gateway=None):
         self.federation = federation
-        self.service = FederatedQueryService(federation, gateway)
+        self.gateway = (gateway if isinstance(gateway, AdmissionGateway)
+                        else AdmissionGateway(gateway))
 
     # -- form generation -------------------------------------------------------------
 
@@ -215,8 +217,8 @@ class QBEInterface:
         streaming permit it holds for its whole life.
         """
         form = self.parse_submission(fields)
-        return form, self.service.open(form.to_sql(), form.options,
-                                       service="qbe")
+        return form, self.federation.open(form.to_sql(), form.options,
+                                          gateway=self.gateway, service="qbe")
 
     def render_answer(self, answer: FederationAnswer, show_mediation: bool = True) -> str:
         """Render an answer as an HTML table (plus the mediated SQL, optionally)."""

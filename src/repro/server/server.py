@@ -27,7 +27,6 @@ from repro.server.protocol import (
     rows_to_payload,
     schema_to_payload,
 )
-from repro.server.service import FederatedQueryService
 
 
 #: The server's request counters: (field, kind, exported series, help).
@@ -156,11 +155,9 @@ class MediationServer:
     def __init__(self, federation: Federation,
                  gateway: Optional[Union[AdmissionGateway, GatewayConfig]] = None):
         self.federation = federation
-        #: The serving core every statement operation runs through; this
-        #: server is its wire codec plus the handle registries.
-        self.service = FederatedQueryService(federation, gateway)
         #: The admission gateway every statement-executing request passes.
-        self.gateway = self.service.gateway
+        self.gateway = (gateway if isinstance(gateway, AdmissionGateway)
+                        else AdmissionGateway(gateway))
         self.statistics = CounterSet(SERVER_COUNTERS)
         self._statements = HandleRegistry("stmt", self.MAX_PREPARED_STATEMENTS)
         self._cursors = HandleRegistry("cur", self.MAX_OPEN_CURSORS)
@@ -288,8 +285,9 @@ class MediationServer:
         """Handle one protocol request object (transport already stripped).
 
         Its :attr:`OPERATIONS` row names what is checked before the handler
-        runs.  Statement operations pass admission inside the serving core,
-        which is also the trace edge: it opens the root ``statement`` span
+        runs.  Statement operations pass admission in ``Federation.open``
+        (compiling ones in :meth:`_compile`), which is also the trace edge:
+        it opens the root ``statement`` span
         (adopting the client-minted ``trace_id`` of the envelope or the
         ``X-Coin-Trace`` header), so admission, pipeline and execution spans
         connect into one tree.  A shed request fails with
@@ -406,9 +404,10 @@ class MediationServer:
         # is bounded by it and the statement runs under the budget left after
         # queueing (time spent queueing must not count against sources that
         # never saw the request).
-        return self._answer(self.service.open(
+        return self._answer(self.federation.open(
             call.parameters["sql"], call.options, stream=False,
-            trace_id=call.trace_id, operation=call.operation))
+            gateway=self.gateway, trace_id=call.trace_id,
+            operation=call.operation))
 
     def _stream(self, call: _Call) -> Dict[str, Any]:
         """The chunked endpoint's ``query``: the first chunk is the result
@@ -421,9 +420,9 @@ class MediationServer:
         # this — the consumer's — thread under a bounded streaming permit,
         # so a slow consumer never pins a worker.  The root span covers the
         # whole exchange: it finishes when the cursor closes.
-        cursor = self.service.open(
-            call.parameters["sql"], call.options, operation="stream",
-            trace_id=call.trace_id)
+        cursor = self.federation.open(
+            call.parameters["sql"], call.options, gateway=self.gateway,
+            trace_id=call.trace_id, operation="stream")
         with cursor:
             chunks = [json.dumps(self._cursor_header(cursor))]
             chunks.extend(json.dumps({"rows": rows_to_payload(rows)})
@@ -441,12 +440,12 @@ class MediationServer:
     def _compile(self, call: _Call, work: Callable[..., Any], *arguments: Any):
         """``prepare`` / ``mediate`` / ``explain``: ``work(sql, *arguments)``
         admitted and traced (nothing executes); returns (result, trace id)."""
-        sql = call.parameters["sql"]
-        result, root, _release = self.service.admit(
-            lambda remaining: work(sql, *arguments), sql,
-            call.options.tenant, call.trace_id, operation=call.operation)
-        root.finish()
-        return result, root.trace_id
+        sql, tenant = call.parameters["sql"], call.options.tenant
+        with self.federation.observability.statement_root(
+                sql, call.trace_id, tenant=tenant,
+                operation=call.operation) as root:
+            return self.gateway.run(lambda remaining: work(sql, *arguments),
+                                    tenant=tenant), root.trace_id
 
     def _prepare(self, call: _Call) -> Dict[str, Any]:
         # A deadline here is a property of the statement's later executions,
@@ -474,9 +473,10 @@ class MediationServer:
         return prepared
 
     def _execute_prepared(self, call: _Call) -> Dict[str, Any]:
-        cursor = self.service.open(
+        cursor = self.federation.open(
             self._statement(call), call.options, stream=False,
-            trace_id=call.trace_id, operation=call.operation)
+            gateway=self.gateway, trace_id=call.trace_id,
+            operation=call.operation)
         self.statistics.add(prepared_executions=1)
         return self._answer(cursor,
                             statement_id=call.parameters["statement_id"])
@@ -507,9 +507,10 @@ class MediationServer:
         # Permit first, then admission: an over-streamed server sheds the
         # open instead of building a cursor it cannot host.  The root span
         # outlives this request: it finishes when the cursor closes.
-        cursor = self.service.open(
+        cursor = self.federation.open(
             statement or self._statement(call), call.options,
-            trace_id=call.trace_id, operation=call.operation)
+            gateway=self.gateway, trace_id=call.trace_id,
+            operation=call.operation)
         try:
             payload = self._cursor_header(cursor)
         except ReproError:

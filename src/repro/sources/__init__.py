@@ -11,7 +11,7 @@ Two families are provided, matching the paper's demonstration setting:
 """
 
 from repro.sources.base import SOURCE_COUNTERS, Source, SourceCapabilities
-from repro.sources.memory import MemorySQLSource, PartitionedCompanySource
+from repro.sources.memory import MemorySQLSource
 from repro.sources.web import (
     SimulatedWebSite,
     WebPage,
@@ -27,14 +27,12 @@ from repro.sources.exchange import (
     lookup_rate,
     rates_to_rows,
 )
-from repro.sources.registry import SourceRegistry
 
 __all__ = [
     "Source",
     "SourceCapabilities",
     "SOURCE_COUNTERS",
     "MemorySQLSource",
-    "PartitionedCompanySource",
     "SimulatedWebSite",
     "WebPage",
     "build_detail_site",
@@ -46,5 +44,4 @@ __all__ = [
     "complete_rates",
     "lookup_rate",
     "rates_to_rows",
-    "SourceRegistry",
 ]

@@ -11,7 +11,7 @@ accepts SQL over its exported schema and returns relational answers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import CapabilityError, SourceError
 from repro.relational.query import Database
@@ -71,26 +71,3 @@ class MemorySQLSource(Source):
         self.statistics.add(queries=1, rows_returned=len(result))
         return result
 
-
-class PartitionedCompanySource(MemorySQLSource):
-    """A synthetic financial-database source used by scalability benchmarks.
-
-    Each instance holds one ``financials`` relation describing companies in a
-    particular reporting convention (currency and scale factor); the demo
-    scenarios create many of these to emulate the paper's claim setting of a
-    growing number of autonomous sources.
-    """
-
-    def __init__(self, name: str, rows: Sequence[Sequence], currency: str,
-                 scale_factor: int, description: str = ""):
-        super().__init__(name, SourceCapabilities.full_sql(), description)
-        self.currency = currency
-        self.scale_factor = scale_factor
-        schema = Schema.of(
-            "cname:string",
-            "revenue:float",
-            "expenses:float",
-            "currency:string",
-        )
-        relation = Relation(schema, rows=rows, name="financials")
-        self.add_relation(relation)

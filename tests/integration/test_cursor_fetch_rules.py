@@ -1,7 +1,7 @@
 """One cursor per statement: how its rows leave, from any door.
 
 Every in-process door — ``Federation.query(..., stream=True)`` /
-``Federation.open`` and the service's ``open`` / ``submit`` — answers with a
+``Federation.open``, ungated or under an admission gateway — answers with a
 :class:`~repro.federation.FederationCursor`, whatever stores the rows beneath
 it (a live stream, an eager answer, a repair-enumerated one).  Pinned here:
 
@@ -23,6 +23,7 @@ from repro.consistency import PrimaryKey
 from repro.errors import ExecutionError
 from repro.federation import Federation
 from repro.options import StatementOptions
+from repro.server.gateway import AdmissionGateway
 from repro.sources.faults import FaultInjectingSource, FaultSchedule
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
@@ -50,14 +51,15 @@ def _stalled_federation():
 
 
 class TestConcurrentFetches:
-    @pytest.mark.parametrize("door", ["federation", "service"])
+    @pytest.mark.parametrize("door", ["federation", "gated"])
     def test_two_threads_fetching_at_once_share_the_rows(self, door):
         federation = _stalled_federation()
         sql = "SELECT t.a FROM t"
         if door == "federation":
             cursor = federation.query(sql, mediate=False, stream=True)
         else:
-            cursor = federation.service().submit(sql, mediate=False)
+            cursor = federation.open(sql, StatementOptions(mediate=False),
+                                     gateway=AdmissionGateway())
         barrier = threading.Barrier(2)
         batches, errors = [], []
 
@@ -102,14 +104,13 @@ def _open(door, kind):
         PrimaryKey("accounts_pk", relation="accounts", columns=("id",)))
     sql, consistency, stream = KINDS[kind]
     options = StatementOptions(mediate=False, consistency=consistency)
-    opener = (federation.open if door == "federation"
-              else federation.service().open)
-    return opener(sql, options, stream)
+    gateway = AdmissionGateway() if door == "gated" else None
+    return federation.open(sql, options, stream, gateway=gateway)
 
 
 @pytest.mark.parametrize("fetch", sorted(FETCHES))
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("door", ["federation", "service"])
+@pytest.mark.parametrize("door", ["federation", "gated"])
 class TestFetchAfterClose:
     def test_closed_before_exhaustion_refuses_to_fetch(self, door, kind, fetch):
         cursor = _open(door, kind)

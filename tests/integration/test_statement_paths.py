@@ -2,9 +2,10 @@
 the same error kinds — and nothing left open afterwards.
 
 The mediator is reachable through thirteen front doors (``Federation.query``
-eager/stream, prepared eager/stream, the in-process service, the wire
-protocol's ``query``/``execute_prepared``/``open_cursor``, the chunked HTTP
-endpoint, the QBE form and the ODBC driver over the event-loop transport),
+eager/stream, prepared eager/stream, ``Federation.open`` gated by an
+admission gateway eager/stream, the wire protocol's
+``query``/``execute_prepared``/``open_cursor``, the chunked HTTP endpoint,
+the QBE form and the ODBC driver over the event-loop transport),
 and a statement is either the first execution of its plan (which lowers the
 plan's physical template) or a later one (which binds it).
 They are codecs and drains of one statement path, so this matrix pins what
@@ -34,12 +35,12 @@ from repro.errors import (
 )
 from repro.federation import Federation
 from repro.obs import Observability
+from repro.options import StatementOptions
 from repro.server import AsyncMediationServer, odbc
 from repro.server.gateway import AdmissionGateway, GatewayConfig
 from repro.server.protocol import Request
 from repro.server.qbe import QBEInterface
 from repro.server.server import MediationServer
-from repro.server.service import FederatedQueryService
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
 
@@ -91,7 +92,6 @@ class Stack:
             PrimaryKey("accounts_pk", relation="accounts", columns=("id",)))
         self.gateway = AdmissionGateway(GatewayConfig(**gateway_overrides))
         self.server = MediationServer(self.federation, gateway=self.gateway)
-        self.service = FederatedQueryService(self.federation, self.gateway)
         self.qbe = QBEInterface(self.federation, gateway=self.gateway)
         self.channel = self.server.channel()
         self._aio = None
@@ -185,14 +185,20 @@ def prepared_stream(stack, sql, mode):
     return rows, cursor.report.snapshot()
 
 
-def service_execute(stack, sql, mode):
-    summary = stack.service.execute(sql, context=CONTEXT, consistency=mode)
-    return summary.rows, summary.execution
+def _gated(stack, sql, mode, stream, **options):
+    return stack.federation.open(sql, StatementOptions(
+        receiver_context=CONTEXT, consistency=mode, **options), stream,
+        gateway=stack.gateway)
 
 
-def service_submit(stack, sql, mode):
-    with stack.service.submit(sql, context=CONTEXT, consistency=mode,
-                              batch_size=3) as cursor:
+def gated_eager(stack, sql, mode):
+    cursor = _gated(stack, sql, mode, stream=False)
+    rows = cursor.fetchall()
+    return rows, cursor.summary().execution
+
+
+def gated_stream(stack, sql, mode):
+    with _gated(stack, sql, mode, stream=True, batch_size=3) as cursor:
         rows = cursor.fetchall()
     return rows, cursor.summary().execution
 
@@ -295,7 +301,7 @@ def template_hit(stack, sql, mode):
 
 ENTRY_POINTS = (
     federation_eager, federation_stream, prepared_eager, prepared_stream,
-    service_execute, service_submit, wire_query, wire_execute_prepared,
+    gated_eager, gated_stream, wire_query, wire_execute_prepared,
     wire_open_cursor, wire_open_prepared_cursor, chunked_http, qbe_submit,
     qbe_submit_stream, odbc_aio_eager, odbc_aio_stream,
     template_miss, template_hit,
@@ -475,15 +481,14 @@ class TestInvalidOptionsPerEdge:
             stack.federation.query(SQL, CONTEXT, stream=True, **options)
         with pytest.raises(error):
             stack.federation.prepare(SQL, CONTEXT, **options)
-        with pytest.raises(error):
-            stack.service.execute(SQL, context=CONTEXT, **options)
-        with pytest.raises(error):
-            stack.service.submit(SQL, context=CONTEXT, **options)
         stack.assert_nothing_left_open()
 
-    def test_service_submit_rejects_batch_size_zero(self, stack):
-        with pytest.raises(ClientError):
-            stack.service.submit(SQL, context=CONTEXT, batch_size=0)
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_options_reject_a_batch_size_that_is_not_positive(
+            self, stack, batch_size):
+        """The gated in-process door's only check: the options constructor."""
+        with pytest.raises(ExecutionError, match="batch_size must be positive"):
+            StatementOptions(receiver_context=CONTEXT, batch_size=batch_size)
 
     @pytest.mark.parametrize("operation", ["query", "prepare", "open_cursor"])
     @pytest.mark.parametrize("case", sorted(WIRE_KINDS))

@@ -1,5 +1,5 @@
 """Observability end to end: span trees, metric folds, the slow-query log
-and the wire exposition across federation, service and server layers."""
+and the wire exposition across federation, gated door and server layers."""
 
 import json
 import threading
@@ -10,6 +10,8 @@ import pytest
 from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.executor import ExecutionReport, RequestExecution
+from repro.options import StatementOptions
+from repro.server.gateway import AdmissionGateway
 from repro.server.http import HttpRequest
 from repro.server.protocol import Request
 from repro.server.server import MediationServer
@@ -121,9 +123,17 @@ class TestSlowQueryLog:
         assert federation.observability.log.records("slow_query") == []
 
 
+def _gated(federation, stream=True, **options):
+    """``PAPER_QUERY`` opened at the gated door."""
+    return federation.open(PAPER_QUERY, StatementOptions(**options), stream,
+                           gateway=AdmissionGateway())
+
+
 class TestServiceTraceSurfacing:
     def test_execute_summary_names_its_trace(self, traced):
-        summary = traced.service().execute(PAPER_QUERY, tenant="acme")
+        cursor = _gated(traced, stream=False, tenant="acme")
+        cursor.fetchall()
+        summary = cursor.summary()
         assert summary.trace_id is not None
         assert summary.trace_summary.startswith("statement(")
         document = traced.observability.tracer.buffer.get(summary.trace_id)
@@ -131,8 +141,7 @@ class TestServiceTraceSurfacing:
         assert "admission" in set(_tree_names(document))
 
     def test_submit_trace_closes_with_the_handle(self, traced):
-        service = traced.service()
-        handle = service.submit(PAPER_QUERY, tenant="acme")
+        handle = _gated(traced, tenant="acme")
         trace_id = handle.summary().trace_id
         assert trace_id is not None
         assert traced.observability.tracer.buffer.get(trace_id) is None
@@ -142,18 +151,12 @@ class TestServiceTraceSurfacing:
         assert document is not None
         assert all("open" not in span for span in _tree_spans(document))
 
-    def test_explain_appends_the_trace_line(self, traced):
-        plan = traced.service().explain(PAPER_QUERY)
-        assert "\n-- trace " in plan
-        trace_id = plan.rsplit("-- trace ", 1)[1].split(":")[0]
-        assert traced.observability.tracer.buffer.get(trace_id) is not None
-
     def test_untraced_service_keeps_plain_surfaces(self, federation):
-        service = federation.service()
-        summary = service.execute(PAPER_QUERY)
+        cursor = _gated(federation, stream=False)
+        cursor.fetchall()
+        summary = cursor.summary()
         assert summary.trace_id is None
         assert summary.trace_summary is None
-        assert "-- trace" not in service.explain(PAPER_QUERY)
 
 
 class TestServerExposition:
@@ -202,6 +205,19 @@ class TestServerExposition:
                                          trace_id="client-0001"))
         assert response.payload["trace_id"] == "client-0001"
         assert traced.observability.tracer.buffer.get("client-0001") is not None
+
+
+    def test_traced_explain_names_its_trace(self, traced):
+        server = MediationServer(traced)
+        response = server.handle(Request(operation="explain",
+                                         parameters={"sql": PAPER_QUERY}))
+        assert response.ok
+        assert "source requests" in response.payload["plan"]
+        document = traced.observability.tracer.buffer.get(
+            response.payload["trace_id"])
+        assert document is not None
+        assert document["attributes"]["operation"] == "explain"
+        assert "admission" in set(_tree_names(document))
 
 
 class TestSnapshotConsistency:

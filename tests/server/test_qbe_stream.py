@@ -72,6 +72,20 @@ class TestStreamingSubmission:
         assert after == before + 1
 
 
+    def test_submit_stream_opens_a_qbe_root_under_its_gateway(self):
+        federation = build_paper_federation().federation
+        federation.observability.tracer.enabled = True
+        qbe = QBEInterface(federation)
+        _form, cursor = qbe.submit_stream(PAPER_FORM)
+        assert qbe.gateway.snapshot()["active_streams"] == 1
+        trace_id = cursor.summary().trace_id
+        cursor.close()
+        assert qbe.gateway.snapshot()["active_streams"] == 0
+        document = federation.observability.tracer.buffer.get(trace_id)
+        assert document["attributes"]["service"] == "qbe"
+        assert document["attributes"]["stream"] is True
+
+
 class TestChunkedRendering:
     def test_render_answer_stream_chunks(self, qbe):
         _form, cursor = qbe.submit_stream(PAPER_FORM)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SourceError, SourceUnavailableError
 from repro.relational.relation import relation_from_rows
 from repro.sources.base import SourceCapabilities
-from repro.sources.memory import MemorySQLSource, PartitionedCompanySource
+from repro.sources.memory import MemorySQLSource
 
 
 @pytest.fixture
@@ -54,13 +54,3 @@ class TestAccess:
         source = MemorySQLSource("s").add_relation(relation)
         assert source.relation_names() == ["extra"]
 
-
-class TestPartitionedCompanySource:
-    def test_builds_financials_relation(self):
-        source = PartitionedCompanySource(
-            "fin1", [("IBM", 10.0, 5.0, "EUR")], currency="EUR", scale_factor=1000
-        )
-        assert source.relation_names() == ["financials"]
-        assert source.currency == "EUR"
-        assert source.scale_factor == 1000
-        assert source.fetch("financials").rows[0][0] == "IBM"
