@@ -25,7 +25,8 @@ Two strategies implement the semantics exactly:
   (**clean**) is its possible rows in either mode.
 * **fallback** — when the rewriting condition fails (self-joins, several
   dirty relations in one branch, a dirty relation shared by several UNION
-  branches, aggregates, LIMIT/OFFSET, subqueries): bounded enumeration over
+  branches, aggregates, LIMIT/OFFSET, subqueries, a dirty relation under the
+  finish over a multi-branch union): bounded enumeration over
   the conflict clusters.  Every repair is evaluated with the local SQL
   processor over the fetched extents; certain = intersection, possible =
   union.  The enumeration refuses to exceed ``max_repairs`` (the definition
@@ -129,14 +130,21 @@ class ConsistentQueryExecutor:
         compiled = prepared.consistent.get(mode)
         if compiled is None:
             analyses = [self._analyse(branch.select) for branch in prepared.plan.branches]
-            strategy = self._statement_strategy(analyses)
+            finish = prepared.plan.finish
+            strategy = self._statement_strategy(analyses, finish)
             compiled = (None, None)
             if strategy != "fallback":
-                plan = self.engine.plan_branches([
-                    analysis.certain if mode == "certain" and analysis.certain is not None
-                    else analysis.select.copy(distinct=True)
-                    for analysis in analyses
-                ])
+                if finish is not None:
+                    # Only a clean statement keeps its finish: its rows, as a set.
+                    plan = self.engine.plan_branches(
+                        [analysis.select for analysis in analyses],
+                        statement=finish.copy(distinct=True))
+                else:
+                    plan = self.engine.plan_branches([
+                        analysis.certain if mode == "certain" and analysis.certain is not None
+                        else analysis.select.copy(distinct=True)
+                        for analysis in analyses
+                    ])
                 compiled = (plan, {
                     "mode": mode, "strategy": strategy,
                     "constrained_relations": sum(
@@ -316,9 +324,18 @@ class ConsistentQueryExecutor:
                                          tuple(group_by.values()))
 
     @staticmethod
-    def _statement_strategy(analyses: Sequence[_BranchAnalysis]) -> str:
-        if any(analysis.select.limit is not None or analysis.select.offset is not None
-               for analysis in analyses):
+    def _statement_strategy(analyses: Sequence[_BranchAnalysis],
+                            finish: Optional[Select] = None) -> str:
+        """The strategy for a statement with the branches ``analyses``
+        describe; ``finish`` is the statement when it finishes their union
+        (its aggregates, ORDER BY and LIMIT sit there, not in a branch)."""
+        selects = [analysis.select for analysis in analyses]
+        if finish is not None:
+            selects.append(finish)
+            if analyse_expression((finish.items, finish.group_by, finish.having,
+                                   finish.order_by)).has_subquery:
+                return "fallback"  # a relation read beside the branches
+        if any(select.limit is not None or select.offset is not None for select in selects):
             # Set semantics and a row bound do not commute: DISTINCT … LIMIT
             # is not the bounded answer deduplicated, which is what
             # enumeration computes — keyed or not.
@@ -327,6 +344,10 @@ class ConsistentQueryExecutor:
             # No involved relation carries a key constraint: repairs cannot
             # change the answer, so certain = possible = raw (as a set).
             return "clean"
+        if finish is not None:
+            # Certainty is decided per branch row; a finish aggregating,
+            # sorting or projecting the union reads rows no branch decides.
+            return "fallback"
         if any(analysis.ineligible is not None for analysis in analyses):
             return "fallback"
         # A dirty relation feeding several UNION branches defeats branch-local

@@ -200,7 +200,10 @@ class MultiDatabaseEngine:
 
         The mediator hands its branch list straight to the planner — no UNION
         re-parse, no re-discovery of branch boundaries — and identical
-        requests across branches are shared at plan time.
+        requests across branches are shared at plan time.  A ``statement``
+        that is a UNION, or a finish over one, decides whether the union keeps
+        duplicates; ``union_all`` serves only a call naming no such statement
+        (:meth:`~repro.engine.planner.QueryPlanner.plan_branches`).
         """
         plan = self.planner.plan_branches(selects, union_all=union_all,
                                           statement=statement)

@@ -2,9 +2,10 @@
 
 A :class:`QueryPlan` is one tree of the plan algebra
 (:mod:`repro.relational.algebra`) — ``QueryPlan.root``: a branch's
-:class:`~repro.relational.algebra.Finish`, or the
-:class:`~repro.relational.algebra.Union` of several — plus, per branch, what
-the tree's leaves stand for:
+:class:`~repro.relational.algebra.Finish`, the
+:class:`~repro.relational.algebra.Union` of several, or the statement's
+``Finish`` over that ``Union`` — plus, per branch, what the tree's leaves
+stand for:
 
 * one :class:`SourceRequest` per table binding — the sub-query pushed down to
   the wrapper serving that binding's relation (or a plain fetch when the
@@ -217,6 +218,10 @@ class QueryPlan:
     statement: Statement
     branches: List[BranchPlan]
     union_all: bool = False
+    #: The statement when it finishes the union of the branches (``SELECT …
+    #: FROM (b1 UNION ALL b2 …) m ORDER BY …``): its grouping, select list,
+    #: ORDER BY, DISTINCT and LIMIT run once, over that union.
+    finish: Optional[Select] = None
     cost: CostEstimate = field(default_factory=CostEstimate)
     #: How many branch requests were recognized at plan time as identical to a
     #: request of an earlier branch (common subplans of the mediated UNION)
@@ -230,9 +235,13 @@ class QueryPlan:
 
     @cached_property
     def root(self) -> algebra.RelationNode:
-        """The statement's tree: its lone branch, or the UNION of several."""
+        """The statement's tree: its lone branch, the UNION of several, or
+        :attr:`finish` over that UNION."""
         trees = tuple(branch.tree for branch in self.branches)
-        return trees[0] if len(trees) == 1 else algebra.Union(trees, self.union_all)
+        if len(trees) == 1 and self.finish is None:
+            return trees[0]
+        union = algebra.Union(trees, self.union_all)
+        return union if self.finish is None else algebra.Finish(union, self.finish)
 
     @cached_property
     def template(self) -> "PlanTemplate":
@@ -267,6 +276,10 @@ class QueryPlan:
         for index, branch in enumerate(self.branches, start=1):
             lines.append(f"[branch {index}]")
             lines.append(branch.explain(indent=1))
+        if self.finish is not None:
+            keyword = "UNION ALL" if self.union_all else "UNION"
+            finish = to_sql(self.finish.copy(tables=()))
+            lines.append(f"[finish over the {keyword} of the branches] {finish}")
         return "\n".join(lines)
 
 
@@ -291,15 +304,17 @@ class BranchTemplate:
     result stays.
     """
 
-    def __init__(self, branch: BranchPlan, kernels: KernelMemo):
+    def __init__(self, branch: BranchPlan, kernels: KernelMemo, bounded_above: bool):
         self._branch = branch
         self._kernels = kernels
         self._lowered: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
         #: The tree in join order: its transfers and its joins.
         self.transfers, self.joins = algebra.left_deep(branch.tree)
         #: (position among the branch's instrumented operators, join node)
-        #: of the joins whose drained row count is cardinality feedback.
-        unlimited = branch.select.limit is None and branch.fetch_limit is None
+        #: of the joins whose drained row count is cardinality feedback: none
+        #: when a LIMIT, the branch's or one above it, may stop pulling early.
+        unlimited = (branch.select.limit is None and branch.fetch_limit is None
+                     and not bounded_above)
         self.watched = [(position, join)
                         for position, join in enumerate(self.joins, start=1)
                         if join.feedback_key and unlimited]
@@ -331,9 +346,11 @@ class PlanTemplate:
 
     def __init__(self, plan: QueryPlan):
         #: Kernels are shared across the plan's branches (common requests
-        #: carry the same condition nodes) and never enter the global memo.
-        kernels = KernelMemo()
-        self.branches = [BranchTemplate(branch, kernels) for branch in plan.branches]
+        #: carry the same condition nodes) and the finish over their union,
+        #: and never enter the global memo.
+        self.kernels = kernels = KernelMemo()
+        bounded = plan.finish is not None and plan.finish.limit is not None
+        self.branches = [BranchTemplate(branch, kernels, bounded) for branch in plan.branches]
         #: The optimizer report's preamble: per branch the binding join
         #: order, and how many estimates came from feedback vs defaults.
         self.join_orders = [[transfer.binding for transfer in branch.transfers]

@@ -53,7 +53,7 @@ from repro.sql.ast import (
     conjoin,
 )
 from repro.sql.facts import ConjunctFacts, SelectFacts, analyse_select
-from repro.sql.parser import DerivedTable
+from repro.sql.parser import DerivedTable, finished_union
 
 #: An oriented-to-be equi-join key: ``(left ref, left request, right ref,
 #: right request)`` of a hash-safe ``a.x = b.y`` conjunct.
@@ -179,10 +179,10 @@ class QueryPlanner:
     # -- public API -------------------------------------------------------------
 
     def plan(self, statement: Statement) -> QueryPlan:
-        """Plan a SELECT or UNION statement."""
-        if isinstance(statement, Union):
-            return self.plan_branches(statement.selects, union_all=statement.all,
-                                      statement=statement)
+        """Plan a SELECT or UNION statement, or a finish over a UNION."""
+        union = statement if isinstance(statement, Union) else finished_union(statement)
+        if union is not None:
+            return self.plan_branches(union.selects, statement=statement)
         if isinstance(statement, Select):
             return self.plan_branches([statement], statement=statement)
         raise PlanningError(
@@ -206,7 +206,19 @@ class QueryPlanner:
         scheduler then recognizes the shared round trip without re-rendering
         and re-comparing request SQL, and ``plan.shared_requests`` records
         how much of the UNION was common subplans.
+
+        A ``statement`` that is a UNION, or a finish over one (the mediated
+        form of a multi-branch statement with DISTINCT, grouping, aggregates,
+        ORDER BY or LIMIT — :func:`~repro.sql.parser.finished_union`), decides
+        whether the union keeps duplicates, whatever ``union_all`` says:
+        ``union_all`` serves only a call naming no such statement.  A finish
+        becomes ``plan.finish``, and the plan's root that finish over the
+        union of ``selects``.
         """
+        union = statement if isinstance(statement, Union) else finished_union(statement)
+        if union is not None:
+            union_all = union.all
+        finish = None if union is None or union is statement else statement
         if not selects:
             raise PlanningError("cannot plan a statement with no SELECT branches")
         request_pool: Dict[tuple, SourceRequest] = {}
@@ -228,7 +240,7 @@ class QueryPlanner:
         for branch in branches:
             total = total.add(branch.cost)
         return QueryPlan(statement=statement, branches=branches, union_all=union_all,
-                         cost=total, shared_requests=shared[0],
+                         finish=finish, cost=total, shared_requests=shared[0],
                          feedback_epoch=epoch, feedback_keys=frozenset(consulted))
 
     # -- branch planning ------------------------------------------------------------

@@ -85,6 +85,7 @@ from repro.obs.trace import current_span
 from repro.relational import algebra
 from repro.relational.algebra import Stage
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
+from repro.relational.compile import KernelScope
 from repro.relational.operators import Batch, PhysicalOperator, TableScan
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
@@ -155,7 +156,9 @@ class _Branch(PhysicalOperator):
 
     @property
     def schema(self) -> Schema:
-        return self._stream._lowered(self._index)[1].schema
+        schema = self._stream._lowered(self._index)[1].schema
+        alias = self._stream._union_alias
+        return schema if alias is None else schema.with_qualifier(alias)
 
     def batches(self) -> Iterator[Batch]:
         pipeline = self._stream._build_branch(self._index)
@@ -279,10 +282,20 @@ class ResultStream:
         # branch a satisfied LIMIT never reaches costs no round trip at all.
 
         # -- phase 2: the root operator, over branches staged on first use -------
+        #: The alias the statement's finish over the union reads it by.
+        self._union_alias = None if plan.finish is None else plan.finish.tables[0].alias
         self._branches: Sequence[_Branch] = [
             _Branch(self, index) for index in range(len(plan.branches))]
-        root = (self._branches[0] if len(self._branches) == 1
-                else algebra.lower(plan.root, self._branches, budget=self.budget))
+        if plan.root is plan.branches[0].tree:
+            root: PhysicalOperator = self._branches[0]
+        else:
+            root = algebra.lower(
+                plan.root, self._branches,
+                KernelScope(engine.subquery_executor, template.kernels), self.budget)
+        #: The finish's columns when the statement finishes the union; its
+        #: lowering read only the branches' lowered schemas.  (The root
+        #: itself is not kept: through its branches it points back here.)
+        self._finish_schema = None if plan.finish is None else root.schema
         self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------
@@ -833,9 +846,10 @@ class ResultStream:
 
     @property
     def schema(self) -> Schema:
-        """The answer's schema: the lowered root of branch 0, known before
-        any fetch."""
-        return self._lowered(0)[1].schema
+        """The answer's schema, known before any fetch: the columns of the
+        statement's finish over the union, else of branch 0's lowered root."""
+        schema = self._finish_schema
+        return self._lowered(0)[1].schema if schema is None else schema
 
     @property
     def exhausted(self) -> bool:

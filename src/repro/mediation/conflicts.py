@@ -93,15 +93,6 @@ class ConflictAnalysis:
     def has_potential_conflict(self) -> bool:
         return any(resolution.needs_conversion for resolution in self.resolutions)
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when there is a single, guard-free, conversion-free resolution."""
-        return (
-            len(self.resolutions) == 1
-            and not self.resolutions[0].guards
-            and not self.resolutions[0].needs_conversion
-        )
-
 
 # ---------------------------------------------------------------------------
 # Step 1: locate semantic values in the query

@@ -21,7 +21,7 @@ from repro.coin.system import CoinSystem
 from repro.mediation.rewriter import MediationResult, QueryRewriter
 from repro.obs.metrics import CounterSet
 from repro.sql.ast import Select, Statement, Union
-from repro.sql.parser import parse
+from repro.sql.parser import finished_union, parse
 
 
 #: A mediator's lifetime counters: (field, kind, exported series, help).
@@ -70,11 +70,6 @@ class ContextMediator:
             raise MediationError("no receiver context given and no default configured")
         return context_name
 
-    def mediate_to_sql(self, query: TUnion[str, Select],
-                       receiver_context: Optional[str] = None) -> str:
-        """Convenience wrapper returning only the mediated SQL text."""
-        return self.mediate(query, receiver_context).sql
-
     # -- helpers -------------------------------------------------------------------
 
     @staticmethod
@@ -83,7 +78,7 @@ class ContextMediator:
             parsed = parse(query)
         else:
             parsed = query
-        if isinstance(parsed, Union):
+        if isinstance(parsed, Union) or finished_union(parsed) is not None:
             raise MediationError(
                 "receiver queries must be single SELECT statements; "
                 "UNION queries are produced, not consumed, by mediation"

@@ -11,9 +11,17 @@ rewriter builds one SELECT:
 * conversions that need ancillary data add their relations to FROM and their
   join conditions to WHERE (``r3``, ``r3.fromCur = rl.currency`` ...).
 
-The branches are then combined with UNION — "the rewritten query is usually a
-union of sub-queries corresponding respectively to the possible conflicts
-between the context assumptions and their resolution".
+The branches are then combined with UNION ALL — "the rewritten query is
+usually a union of sub-queries corresponding respectively to the possible
+conflicts between the context assumptions and their resolution".  The guards
+partition the rows, so no row reaches two branches and the union keeps the
+statement's bag.
+
+The statement's finish — DISTINCT, GROUP BY/HAVING, aggregates, ORDER BY,
+LIMIT/OFFSET — belongs to the whole answer, so a multi-branch statement with
+one is the receiver's finish over the union of *bare* branches:
+``SELECT … FROM (b1 UNION ALL b2 …) m …``, each branch projecting the
+converted columns the finish reads.  A one-branch statement is its branch.
 """
 
 from __future__ import annotations
@@ -42,11 +50,13 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     Statement,
+    Subquery,
     Union,
     conjoin,
     transform,
 )
 from repro.sql.facts import SelectFacts, analyse_select
+from repro.sql.parser import UNION_ALIAS, DerivedTable
 from repro.sql.printer import to_sql
 
 
@@ -152,19 +162,24 @@ class QueryRewriter:
         facts = analyse_select(select)
         analyses = analyze_query(select, self.system, receiver_context, facts.refs, bindings)
         branches = order_branches(enumerate_branches(analyses, self.max_branches))
+        if not branches:
+            raise MediationError("mediation produced no branches")  # pragma: no cover
+
+        finish = columns = None
+        if len(branches) > 1 and _has_finish(select, facts):
+            finish, columns = _finish_over_union(select)
         branch_queries = [
-            BranchQuery(select=self._build_branch(select, branch, facts, bindings),
+            BranchQuery(select=self._build_branch(select, branch, facts, bindings, columns),
                         branch=branch)
             for branch in branches
         ]
 
-        if not branch_queries:
-            raise MediationError("mediation produced no branches")  # pragma: no cover
-
         if len(branch_queries) == 1:
             mediated: Statement = branch_queries[0].select
         else:
-            mediated = Union(tuple(branch.select for branch in branch_queries), all=False)
+            mediated = Union(tuple(branch.select for branch in branch_queries), all=True)
+            if finish is not None:
+                mediated = finish.copy(tables=(DerivedTable(mediated, UNION_ALIAS),))
 
         return MediationResult(
             original=select,
@@ -198,7 +213,11 @@ class QueryRewriter:
     # -- branch construction --------------------------------------------------------
 
     def _build_branch(self, select: Select, branch: MediationBranch,
-                      facts: SelectFacts, bindings: Dict[str, str]) -> Select:
+                      facts: SelectFacts, bindings: Dict[str, str],
+                      columns: Optional[Dict[ColumnRef, str]]) -> Select:
+        """One branch: ``select`` under the branch's guards and conversions
+        or, given the ``columns`` a finish over the union reads, the bare
+        branch projecting them."""
         builder = ConversionBuilder(used_aliases=list(bindings))
         replacements = self._conversion_expressions(branch, builder)
 
@@ -211,16 +230,6 @@ class QueryRewriter:
             # A branch that converts nothing rewrites nothing.
             return transform(node, replace_ref) if replacements else node
 
-        items = []
-        for item in select.items:
-            new_expr = substitute(item.expr)
-            alias = item.alias
-            if alias is None and new_expr is not item.expr and isinstance(item.expr, ColumnRef):
-                # Keep the receiver-visible column name stable when a bare
-                # column reference is replaced by a conversion expression.
-                alias = item.expr.name
-            items.append(SelectItem(new_expr, alias))
-        items = tuple(items)
         # Only a conjunct naming a converted value is rebuilt.
         original_conditions = [
             substitute(conjunct.condition)
@@ -230,24 +239,20 @@ class QueryRewriter:
         ]
         guard_conditions = [self._guard_condition(guard) for guard in branch.guards]
         where = conjoin(guard_conditions + original_conditions + builder.extra_conditions)
-
         tables = tuple(select.tables) + tuple(builder.extra_tables)
-        group_by = tuple(substitute(expr) for expr in select.group_by)
-        having = substitute(select.having) if select.having is not None else None
-        order_by = tuple(
-            item.copy(expr=substitute(item.expr)) for item in select.order_by
-        )
 
-        return Select(
-            items=items,
+        if columns is not None:
+            items = tuple(_named(substitute(ref), name) for ref, name in columns.items())
+            # A finish reading no column (COUNT(*)) still needs a row per row.
+            return Select(items=items or (SelectItem(Literal(1)),), tables=tables, where=where)
+
+        return select.copy(
+            items=_items(select.items, substitute),
             tables=tables,
             where=where,
-            group_by=group_by,
-            having=having,
-            order_by=order_by,
-            limit=select.limit,
-            offset=select.offset,
-            distinct=select.distinct,
+            group_by=tuple(substitute(expr) for expr in select.group_by),
+            having=substitute(select.having) if select.having is not None else None,
+            order_by=tuple(item.copy(expr=substitute(item.expr)) for item in select.order_by),
         )
 
     def _conversion_expressions(self, branch: MediationBranch,
@@ -314,3 +319,67 @@ class QueryRewriter:
                         semantic_type = column.semantic_type
             semantics.append(semantic_type)
         return semantics
+
+
+def _has_finish(select: Select, facts: SelectFacts) -> bool:
+    """Whether ``select`` asks for anything over its whole answer."""
+    return bool(select.distinct or select.group_by or select.having is not None
+                or select.order_by or select.limit is not None
+                or select.offset is not None or facts.items.has_aggregate)
+
+
+def _named(expr: Node, name: str) -> SelectItem:
+    """``expr`` as the column ``name``: aliased unless it is a column
+    reference of that name."""
+    return SelectItem(expr, None if expr.__class__ is ColumnRef and expr.name == name else name)
+
+
+def _items(items: Sequence[SelectItem], rewrite) -> Tuple[SelectItem, ...]:
+    """A select list with ``rewrite`` applied to each expression; a bare
+    column reference keeps its receiver-visible name, whatever it becomes."""
+    return tuple(
+        _named(rewrite(item.expr), item.expr.name)
+        if item.alias is None and isinstance(item.expr, ColumnRef)
+        else SelectItem(rewrite(item.expr), item.alias)
+        for item in items
+    )
+
+
+def _finish_over_union(select: Select) -> Tuple[Select, Dict[ColumnRef, str]]:
+    """``select``'s finish read over the union: every column reference of
+    its select list, GROUP BY, HAVING and ORDER BY (a subquery's are its
+    own) becomes a column of :data:`UNION_ALIAS`, and the columns read,
+    with the name each is projected under (unique case-insensitively),
+    are returned beside it.  An ORDER BY naming an output column keeps it."""
+    columns: Dict[ColumnRef, str] = {}
+    taken = set()
+
+    def over_union(node: Node) -> Node:
+        if node.__class__ is not ColumnRef:
+            return node
+        name = columns.get(node)
+        if name is None:
+            name, suffix = node.name, 1
+            while name.lower() in taken:
+                suffix += 1
+                name = f"{node.name}_{suffix}"
+            taken.add(name.lower())
+            columns[node] = name
+        return ColumnRef(name, UNION_ALIAS)
+
+    def read(node: Node) -> Node:
+        return transform(node, over_union, leave=(Subquery,))
+
+    items = _items(select.items, read)
+    group_by = tuple(read(expr) for expr in select.group_by)
+    having = read(select.having) if select.having is not None else None
+    outputs = {name.lower() for name in select.output_names}
+    order_by = tuple(
+        item if (isinstance(item.expr, ColumnRef) and item.expr.table is None
+                 and item.expr.name.lower() in outputs)
+        else item.copy(expr=read(item.expr))
+        for item in select.order_by
+    )
+    finish = select.copy(items=items, where=None, group_by=group_by, having=having,
+                         order_by=order_by)
+    return finish, columns

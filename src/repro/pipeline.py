@@ -48,7 +48,7 @@ from repro.mediation.rewriter import MediationResult
 from repro.obs.cache import BoundedCache
 from repro.obs.metrics import CounterSet
 from repro.obs.trace import current_span
-from repro.sql.ast import Select, Union
+from repro.sql.ast import Select
 from repro.sql.normalize import statement_fingerprint
 
 #: Bound on the exact-text statement cache (parse memo).
@@ -343,12 +343,7 @@ class QueryPipeline:
             selects = [branch.select for branch in mediation.branches]
         else:
             selects = [mediation.original]
-        union_all = (
-            mediation.mediated.all if isinstance(mediation.mediated, Union) else False
-        )
-        return self.engine.plan_branches(
-            selects, union_all=union_all, statement=mediation.mediated
-        )
+        return self.engine.plan_branches(selects, statement=mediation.mediated)
 
     # -- maintenance ---------------------------------------------------------------
 

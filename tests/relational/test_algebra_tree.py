@@ -4,8 +4,9 @@ For every hand-written statement of ``test_cold_plan_identity.py`` (the
 golden there pins *what* is planned; this pins the shape it is planned in)
 under the five ``join_order`` modes: a branch's tree reads left-deep, brings
 each request across exactly once, is equal and hashes equal to the tree of a
-second planning, and a one-branch statement runs with nothing above its
-``Finish``.
+second planning, a one-branch statement runs with nothing above its
+``Finish``, and a multi-branch statement with a finish runs it once, above
+the ``Union``.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.errors import ReproError
 from repro.relational import algebra
 from repro.relational.operators import UnionAll
-from repro.sql.parser import parse
+from repro.sql.parser import finished_union, parse
 
 from tests.engine.test_cold_plan_identity import (
     MEDIATED_STATEMENTS,
@@ -90,10 +91,19 @@ def test_trees_are_structural_values(federation, mode):
         assert hash(plan.root) == hash(again.root), label
         if len(plan.branches) == 1:
             assert plan.root is plan.branches[0].tree, label
+            continue
+        union = plan.root
+        if finished_union(plan.statement) is not None:
+            # The statement's one finish, over the union of bare branches.
+            assert plan.finish is plan.statement, label
+            assert isinstance(union, algebra.Finish), label
+            assert union.select is plan.statement, label
+            union = union.target
         else:
-            assert isinstance(plan.root, algebra.Union), label
-            assert plan.root.branches == tuple(b.tree for b in plan.branches), label
-            assert plan.root.all == plan.union_all, label
+            assert plan.finish is None, label
+        assert isinstance(union, algebra.Union), label
+        assert union.branches == tuple(b.tree for b in plan.branches), label
+        assert union.all == plan.union_all, label
 
 
 def test_estimates_are_annotations_not_structure(federation):

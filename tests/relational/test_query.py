@@ -247,6 +247,47 @@ class TestSubqueriesAndUnion:
         assert result.schema.names == ["company"]
 
 
+class TestClausesAfterTheLastUnionBranch:
+    """ORDER BY, LIMIT and OFFSET after a union's last branch finish the whole
+    union, as in sqlite3: they parse to the finish over a derived union the
+    mediator also emits."""
+
+    @staticmethod
+    def _paper_rows():
+        from repro.demo.datasets import paper_r1, paper_r2
+
+        return {"r1": paper_r1(), "r2": paper_r2()}
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT r2.cname FROM r2 UNION SELECT r1.cname FROM r1 ORDER BY cname DESC LIMIT 1",
+        "SELECT r2.cname FROM r2 UNION ALL SELECT r1.cname FROM r1 ORDER BY cname LIMIT 2 OFFSET 1",
+        "SELECT r1.cname, r1.revenue FROM r1 UNION ALL SELECT r2.cname, r2.expenses FROM r2 "
+        "ORDER BY 2 DESC, 1",
+        "SELECT m.cname FROM (SELECT r1.cname FROM r1 UNION ALL SELECT r2.cname FROM r2) m "
+        "ORDER BY m.cname DESC",
+    ])
+    def test_the_answer_is_sqlite3s(self, sql):
+        import sqlite3
+
+        tables = self._paper_rows()
+        connection = sqlite3.connect(":memory:")
+        try:
+            for name, relation in tables.items():
+                columns = relation.schema.names
+                connection.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+                connection.executemany(
+                    f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
+                    relation.rows)
+            expected = connection.execute(sql).fetchall()
+        finally:
+            connection.close()
+        assert QueryProcessor.over_tables(tables).execute(sql).rows == expected
+
+    def test_the_paper_rows_answer_one_company(self):
+        sql = "SELECT r2.cname FROM r2 UNION SELECT r1.cname FROM r1 ORDER BY cname DESC LIMIT 1"
+        assert QueryProcessor.over_tables(self._paper_rows()).execute(sql).rows == [("NTT",)]
+
+
 class TestOperatorTree:
     """A statement runs as one operator tree, built as plans lower."""
 
