@@ -30,3 +30,8 @@ def pytest_configure(config):
         "soak: short deterministic variant of the sustained-load chaos soak "
         "(admission control, quotas, shedding, post-soak drain)",
     )
+    config.addinivalue_line(
+        "markers",
+        "theories_long: the long run of the generated COIN theories "
+        "(tests/mediation/test_generated_theories.py); tier-1 skips it",
+    )

@@ -381,13 +381,6 @@ class ConversionRegistry:
                 seen.append(function)
         return seen
 
-    @property
-    def registrations(self) -> List[Tuple[str, str, str]]:
-        return sorted(
-            (semantic_type, modifier, function.name)
-            for (semantic_type, modifier), function in self._functions.items()
-        )
-
     def __len__(self) -> int:
         return len(self._functions)
 

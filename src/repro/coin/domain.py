@@ -110,10 +110,6 @@ class DomainModel:
     def has(self, name: str) -> bool:
         return name in self._types
 
-    @property
-    def type_names(self) -> List[str]:
-        return sorted(self._types)
-
     def __iter__(self) -> Iterator[SemanticType]:
         return iter(self._types.values())
 

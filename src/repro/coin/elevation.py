@@ -52,9 +52,6 @@ class ElevationAxiom:
                 return elevation.semantic_type
         return None
 
-    def elevated_columns(self) -> List[str]:
-        return [elevation.column for elevation in self.columns]
-
     def axiom_count(self) -> int:
         """Number of column elevations — counted by the scalability benchmark."""
         return len(self.columns)
@@ -121,9 +118,6 @@ class ElevationRegistry:
     @property
     def relations(self) -> List[str]:
         return sorted(axiom.relation for axiom in self._by_relation.values())
-
-    def axioms_for_source(self, source: str) -> List[ElevationAxiom]:
-        return [axiom for axiom in self._by_relation.values() if axiom.source == source]
 
     def __iter__(self):
         return iter(self._by_relation.values())

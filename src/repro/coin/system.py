@@ -107,10 +107,6 @@ class CoinSystem:
             source=axiom.source,
         )
 
-    def context_of_relation(self, relation: str) -> Context:
-        axiom = self.elevations.for_relation(relation)
-        return self.contexts.get(axiom.context)
-
     def modifiers_of_type(self, semantic_type: str) -> Dict[str, str]:
         return self.domain_model.modifiers_of(semantic_type)
 

@@ -195,7 +195,7 @@ class QueryPlanner:
 
         This is the structured entry point the query pipeline uses: the
         mediator already knows the branch boundaries of the mediated UNION,
-        so its :class:`~repro.mediation.rewriter.BranchQuery` selects flow in
+        so its :class:`~repro.mediation.mediator.BranchQuery` selects flow in
         directly — no SQL round trip, no re-discovery of branch structure.
 
         Branches are planned against a shared request pool: when a branch's

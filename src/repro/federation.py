@@ -39,8 +39,7 @@ from repro.engine.stream import MaterializedStream
 from repro.errors import ExecutionError
 from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
 from repro.mediation.explain import conflict_summary
-from repro.mediation.mediator import ContextMediator
-from repro.mediation.rewriter import MediationResult
+from repro.mediation.mediator import ContextMediator, MediationResult
 from repro.obs import Observability
 from repro.obs.trace import NULL_SPAN, current_span, current_tenant, deactivate_span
 from repro.options import StatementOptions

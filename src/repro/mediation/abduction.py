@@ -15,7 +15,7 @@ deductive substrate:
 * ``choose/2`` is declared *abducible*;
 * the goal ``resolved(0), resolved(1), ..., resolved(n-1)`` is solved; every
   time the engine assumes a ``choose(i, k)`` literal, the abduction filter
-  replays the accumulated guards in a :class:`ConstraintStore` and vetoes the
+  normalizes the accumulated guards (:func:`normalize_guards`) and vetoes the
   assumption if the branch would become inconsistent (e.g. assuming both
   ``r1.currency = 'JPY'`` and ``r1.currency = 'USD'``);
 * every solution's abduced set identifies one consistent branch.
@@ -35,9 +35,9 @@ from repro.errors import AbductionError
 from repro.coin.context import Guard
 from repro.datalog.clause import Atom, KnowledgeBase, atom, pos, rule
 from repro.datalog.engine import ResolutionConfig, Resolver
-from repro.datalog.terms import term_to_python, var
+from repro.datalog.terms import term_to_python
 from repro.mediation.conflicts import ConflictAnalysis, ModifierResolution
-from repro.mediation.constraints import ConstraintStore
+from repro.mediation.constraints import normalize_guards
 
 
 @dataclass
@@ -89,15 +89,12 @@ def enumerate_branches(analyses: Sequence[ConflictAnalysis],
 
     def abduction_filter(assumed: Atom, abduced: Sequence[Atom], substitution) -> bool:
         """Veto assumptions that make the accumulated guards inconsistent."""
-        store = ConstraintStore()
-        for prior in abduced:
-            key = _choice_key(prior)
-            if key is not None:
-                store.add_all(resolution_table[key].guards)
         key = _choice_key(assumed)
         if key is None:
             return True
-        return store.compatible_with(resolution_table[key].guards)
+        chosen = [key] + [prior for prior in map(_choice_key, abduced) if prior is not None]
+        return normalize_guards(
+            guard for choice in chosen for guard in resolution_table[choice].guards) is not None
 
     config = ResolutionConfig(
         abducibles={("choose", 2)},
@@ -115,15 +112,11 @@ def enumerate_branches(analyses: Sequence[ConflictAnalysis],
             if key is not None:
                 picks[key[0]] = resolution_table[key]
         resolutions = tuple(picks[index] for index in sorted(picks))
-        store = ConstraintStore()
-        for resolution in resolutions:
-            store.add_all(resolution.guards)
-        if not store.is_consistent:  # pragma: no cover - filter prevents this
+        guards = normalize_guards(guard for resolution in resolutions
+                                  for guard in resolution.guards)
+        if guards is None:  # pragma: no cover - filter prevents this
             continue
-        branches.append(MediationBranch(
-            resolutions=resolutions,
-            guards=tuple(store.normalized()),
-        ))
+        branches.append(MediationBranch(resolutions=resolutions, guards=guards))
 
     if len(branches) > max_branches:
         raise AbductionError(
@@ -147,14 +140,12 @@ def enumerate_branches_naive(analyses: Sequence[ConflictAnalysis],
         return [MediationBranch(resolutions=(), guards=())]
     branches: List[MediationBranch] = []
     for combination in product(*(analysis.resolutions for analysis in analyses)):
-        store = ConstraintStore()
-        consistent = store.add_all(guard for resolution in combination for guard in resolution.guards)
-        if prune and not consistent:
+        assumed = tuple(guard for resolution in combination for guard in resolution.guards)
+        guards = normalize_guards(assumed)
+        if prune and guards is None:
             continue
-        guards = tuple(store.normalized()) if consistent else tuple(
-            guard for resolution in combination for guard in resolution.guards
-        )
-        branches.append(MediationBranch(resolutions=tuple(combination), guards=guards))
+        branches.append(MediationBranch(resolutions=tuple(combination),
+                                        guards=assumed if guards is None else guards))
     return _deduplicate(branches) if prune else branches
 
 

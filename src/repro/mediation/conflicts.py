@@ -20,13 +20,14 @@ for consistency by the abductive enumeration in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConflictDetectionError, MediationError
-from repro.coin.context import AttributeValue, ConstantValue, Guard, ModifierCase
+from repro.coin.context import AttributeValue, ConstantValue, Guard
 from repro.coin.conversion import Operand
 from repro.coin.system import CoinSystem
-from repro.sql.ast import ColumnRef, Node, Select, Star, TableRef, walk
+from repro.mediation.constraints import normalize_guards
+from repro.sql.ast import ColumnRef, Select, Star, TableRef, walk
 from repro.sql.facts import analyse_select
 from repro.sql.parser import DerivedTable
 
@@ -116,24 +117,50 @@ def binding_map(select: Select) -> Dict[str, str]:
     return bindings
 
 
+def resolve_ref(ref: ColumnRef, bindings: Dict[str, str],
+                system: CoinSystem) -> Optional[Tuple[str, str]]:
+    """The FROM binding and relation a column reference reads, or None when
+    no binding of ``bindings`` (:func:`binding_map`) can be told.
+
+    A qualified reference reads its binding (as written).  An unqualified
+    one reads the only table of a one-table statement or, among several,
+    the one binding whose elevation axiom names the column (lower-cased);
+    several such bindings make it ambiguous.  This is the one place the
+    mediator works a reference's binding out."""
+    if ref.table is not None:
+        relation = bindings.get(ref.table.lower())
+        return None if relation is None else (ref.table, relation)
+    if len(bindings) == 1:
+        return next(iter(bindings.items()))
+    naming = [(binding, relation) for binding, relation in bindings.items()
+              if system.semantic_column(relation, ref.name) is not None]
+    if len(naming) > 1:
+        raise MediationError(
+            f"column {ref.name!r} is ambiguous: "
+            f"{', '.join(binding for binding, _relation in naming)} all elevate it")
+    return naming[0] if naming else None
+
+
+#: (table, name) as written -> (binding, relation), or None.
+Resolved = Dict[Tuple[Optional[str], str], Optional[Tuple[str, str]]]
+
+
+def resolve_refs(refs: Iterable[ColumnRef], bindings: Dict[str, str],
+                 system: CoinSystem) -> Resolved:
+    """:func:`resolve_ref` of each of ``refs``, keyed ``(table, name)``."""
+    return {(ref.table, ref.name): resolve_ref(ref, bindings, system) for ref in refs}
+
+
 def find_semantic_values(select: Select, system: CoinSystem,
-                         refs: Optional[Sequence[ColumnRef]] = None,
-                         bindings: Optional[Dict[str, str]] = None,
+                         resolved: Optional[Resolved] = None,
                          ) -> Dict[Tuple[str, str], SemanticValueRef]:
     """Locate every semantic value referenced anywhere in the query.
 
     Only columns whose semantic type carries at least one modifier are
     returned: other columns cannot exhibit context conflicts and are left
-    untouched by the rewriting.  ``refs`` (the statement's distinct column
-    references, :attr:`SelectFacts.refs`) and ``bindings``
-    (:func:`binding_map`) are worked out here unless the caller already has.
+    untouched by the rewriting.  ``resolved`` (:func:`resolve_refs`) is
+    worked out here unless the caller already has.
     """
-    if bindings is None:
-        bindings = binding_map(select)
-    if refs is None:
-        refs = analyse_select(select).refs
-    values: Dict[Tuple[str, str], SemanticValueRef] = {}
-
     # '*' in the select list cannot be mediated (the mediator would not know
     # which columns need conversion); '*' inside COUNT(*) is harmless.
     for item in select.items:
@@ -141,36 +168,21 @@ def find_semantic_values(select: Select, system: CoinSystem,
             raise MediationError(
                 "queries submitted for mediation must list columns explicitly (no '*')"
             )
+    if resolved is None:
+        resolved = resolve_refs(analyse_select(select).refs, binding_map(select), system)
 
-    for node in refs:
-        relation = _relation_for(node, bindings)
-        if relation is None:
+    values: Dict[Tuple[str, str], SemanticValueRef] = {}
+    for (_table, name), target in resolved.items():
+        if target is None:
             continue
-        semantic = system.semantic_column(relation, node.name)
-        if semantic is None:
+        binding, relation = target
+        semantic = system.semantic_column(relation, name)
+        if semantic is None or not system.modifiers_of_type(semantic.semantic_type):
             continue
-        modifiers = system.modifiers_of_type(semantic.semantic_type)
-        if not modifiers:
-            continue
-        binding = (node.table or relation).lower()
-        ref = SemanticValueRef(
-            binding=node.table or relation,
-            relation=relation,
-            column=node.name,
-            semantic_type=semantic.semantic_type,
-            source_context=semantic.context,
-        )
-        values.setdefault((binding, node.name.lower()), ref)
+        value = SemanticValueRef(binding, relation, name, semantic.semantic_type,
+                                 semantic.context)
+        values.setdefault(value.key, value)
     return values
-
-
-def _relation_for(ref: ColumnRef, bindings: Dict[str, str]) -> Optional[str]:
-    if ref.table is not None:
-        return bindings.get(ref.table.lower())
-    # Unqualified references are resolved only when the query has exactly one table.
-    if len(bindings) == 1:
-        return next(iter(bindings.values()))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -189,54 +201,47 @@ def analyze_value(value: SemanticValueRef, system: CoinSystem,
 
 def analyze_modifier(value: SemanticValueRef, modifier: str, system: CoinSystem,
                      receiver_context: str) -> ConflictAnalysis:
-    """Compare source and receiver declarations of one modifier and enumerate resolutions."""
+    """Compare source and receiver declarations of one modifier and enumerate
+    resolutions.
+
+    The first case whose guards hold is the one that applies, so each case
+    is resolved under its own guards and, in disjoint pieces, the negation of
+    every earlier case's; an unguarded case leaves nothing to later ones.  A
+    column-valued case splits on whether the column holds the receiver's
+    value (no conversion) or another one (convert from the column)."""
     declaration = system.declaration_for(value.source_context, value.semantic_type, modifier)
     receiver_value = system.receiver_value(receiver_context, value.semantic_type, modifier)
     target = Operand.of_constant(receiver_value)
 
+    def guard(column: str, op: str, literal) -> Guard:
+        return Guard(f"{value.binding}.{column}", op, literal)
+
     resolutions: List[ModifierResolution] = []
+    unmatched: List[Tuple[Guard, ...]] = [()]  # where no earlier case holds
     for case in declaration.cases:
-        base_guards = tuple(_qualify_guard(guard, value.binding) for guard in case.guards)
-
+        own = tuple(guard(g.column, g.op, g.value) for g in case.guards)
         if isinstance(case.value, ConstantValue):
-            source = Operand.of_constant(case.value.value)
-            needs_conversion = not _values_equal(case.value.value, receiver_value)
-            resolutions.append(ModifierResolution(
-                value=value,
-                modifier=modifier,
-                guards=base_guards,
-                source=source,
-                target=target,
-                needs_conversion=needs_conversion,
-            ))
-            continue
-
-        if isinstance(case.value, AttributeValue):
-            column_ref = ColumnRef(name=case.value.column, table=value.binding)
-            qualified_column = f"{value.binding}.{case.value.column}"
-            # Case A: the column happens to hold the receiver's value — no conversion.
-            resolutions.append(ModifierResolution(
-                value=value,
-                modifier=modifier,
-                guards=base_guards + (Guard(qualified_column, "=", receiver_value),),
-                source=Operand.of_constant(receiver_value),
-                target=target,
-                needs_conversion=False,
-            ))
-            # Case B: it holds some other value — convert from the column's value.
-            resolutions.append(ModifierResolution(
-                value=value,
-                modifier=modifier,
-                guards=base_guards + (Guard(qualified_column, "<>", receiver_value),),
-                source=Operand.of_expression(column_ref),
-                target=target,
-                needs_conversion=True,
-            ))
-            continue
-
-        raise ConflictDetectionError(
-            f"unsupported modifier value specification {case.value!r}"
-        )  # pragma: no cover - exhaustive over ValueSpec
+            options = [(own, Operand.of_constant(case.value.value),
+                        not _values_equal(case.value.value, receiver_value))]
+        elif isinstance(case.value, AttributeValue):
+            column = case.value.column
+            options = [(own + (guard(column, "=", receiver_value),), target, False),
+                       (own + (guard(column, "<>", receiver_value),),
+                        Operand.of_expression(ColumnRef(column, value.binding)), True)]
+        else:  # pragma: no cover - exhaustive over ValueSpec
+            raise ConflictDetectionError(
+                f"unsupported modifier value specification {case.value!r}")
+        for excluded in unmatched:
+            for guards, source, needs_conversion in options:
+                if excluded:
+                    guards = normalize_guards(excluded + guards)
+                    if guards is None:
+                        continue
+                resolutions.append(ModifierResolution(
+                    value, modifier, guards, source, target, needs_conversion))
+        # not (g1 and g2 ...) as disjoint pieces: not g1 | g1, not g2 | ...
+        unmatched = [excluded + own[:index] + (own[index].negated(),)
+                     for excluded in unmatched for index in range(len(own))]
 
     return ConflictAnalysis(
         value=value,
@@ -247,12 +252,11 @@ def analyze_modifier(value: SemanticValueRef, modifier: str, system: CoinSystem,
 
 
 def analyze_query(select: Select, system: CoinSystem, receiver_context: str,
-                  refs: Optional[Sequence[ColumnRef]] = None,
-                  bindings: Optional[Dict[str, str]] = None) -> List[ConflictAnalysis]:
-    """Locate semantic values and analyze all their modifiers (``refs`` and
-    ``bindings`` as :func:`find_semantic_values` takes them)."""
+                  resolved: Optional[Resolved] = None) -> List[ConflictAnalysis]:
+    """Locate semantic values and analyze all their modifiers (``resolved``
+    as :func:`find_semantic_values` takes it)."""
     analyses: List[ConflictAnalysis] = []
-    for value in find_semantic_values(select, system, refs, bindings).values():
+    for value in find_semantic_values(select, system, resolved).values():
         analyses.extend(analyze_value(value, system, receiver_context))
     # Deterministic order: by value key then modifier name.
     analyses.sort(key=lambda analysis: (analysis.value.key, analysis.modifier))
@@ -262,13 +266,6 @@ def analyze_query(select: Select, system: CoinSystem, receiver_context: str,
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _qualify_guard(guard: Guard, binding: str) -> Guard:
-    """Prefix a context guard's column with the query binding of its relation."""
-    if "." in guard.column:
-        return guard
-    return Guard(f"{binding}.{guard.column}", guard.op, guard.value)
 
 
 def _values_equal(left, right) -> bool:

@@ -1,8 +1,8 @@
-"""Constraint store for the abductive mediation procedure.
+"""Guard normalization for the abductive mediation procedure.
 
 While the abductive procedure enumerates combinations of context assumptions
-(which modifier case applies to which value), the constraint store keeps the
-assumptions of a candidate branch mutually consistent and minimal.  The
+(which modifier case applies to which value), :func:`normalize_guards` keeps
+the assumptions of a candidate branch mutually consistent and minimal.  The
 constraints it reasons about are the :class:`~repro.coin.context.Guard`
 conditions of the modifier cases: equalities and disequalities between a
 source column and a literal.
@@ -22,8 +22,7 @@ Guards over *different* columns never interact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.coin.context import Guard
 
@@ -37,119 +36,30 @@ def _value_key(value: Any) -> Any:
     return ("s", value)
 
 
-@dataclass
-class _ColumnState:
-    """Constraints accumulated for one column."""
-
-    equal: Optional[Any] = None
-    equal_key: Optional[Any] = None
-    not_equal: Dict[Any, Any] = field(default_factory=dict)  # key -> original value
-
-
-class ConstraintStore:
-    """An incrementally-built, checkable set of column guards."""
-
-    def __init__(self, guards: Iterable[Guard] = ()):
-        self._columns: Dict[str, _ColumnState] = {}
-        self._consistent = True
-        for guard in guards:
-            self.add(guard)
-
-    # -- construction -----------------------------------------------------------
-
-    def copy(self) -> "ConstraintStore":
-        duplicate = ConstraintStore()
-        for column, state in self._columns.items():
-            duplicate._columns[column] = _ColumnState(
-                equal=state.equal,
-                equal_key=state.equal_key,
-                not_equal=dict(state.not_equal),
-            )
-        duplicate._consistent = self._consistent
-        return duplicate
-
-    def add(self, guard: Guard) -> bool:
-        """Add a guard; returns the store's consistency afterwards."""
-        if not self._consistent:
-            return False
-        state = self._columns.setdefault(guard.column.lower(), _ColumnState())
+def normalize_guards(guards: Iterable[Guard]) -> Optional[Tuple[Guard, ...]]:
+    """The minimal guards equivalent to the conjunction of ``guards``, ordered
+    by (lower-cased) column, or None when they are inconsistent."""
+    equal: Dict[str, Tuple[Any, Any]] = {}  # column -> (key, value)
+    not_equal: Dict[str, Dict[Any, Any]] = {}  # column -> key -> value
+    for guard in guards:
+        column = guard.column.lower()
         key = _value_key(guard.value)
-
+        known = equal.get(column)
         if guard.op == "=":
-            if state.equal_key is not None and state.equal_key != key:
-                self._consistent = False
-            elif key in state.not_equal:
-                self._consistent = False
-            else:
-                state.equal = guard.value
-                state.equal_key = key
-        else:  # "<>"
-            if state.equal_key is not None and state.equal_key == key:
-                self._consistent = False
-            elif state.equal_key is None:
-                state.not_equal[key] = guard.value
+            if known is not None and known[0] != key or key in not_equal.get(column, ()):
+                return None
+            equal[column] = (key, guard.value)
+        elif known is not None:
+            if known[0] == key:
+                return None
             # else: entailed by the equality, nothing to record.
-        return self._consistent
-
-    def add_all(self, guards: Iterable[Guard]) -> bool:
-        for guard in guards:
-            if not self.add(guard):
-                return False
-        return True
-
-    # -- queries -------------------------------------------------------------------
-
-    @property
-    def is_consistent(self) -> bool:
-        return self._consistent
-
-    def entails(self, guard: Guard) -> bool:
-        """True when the guard is already implied by the store."""
-        if not self._consistent:
-            return True  # ex falso quodlibet; callers never rely on this case
-        state = self._columns.get(guard.column.lower())
-        if state is None:
-            return False
-        key = _value_key(guard.value)
-        if guard.op == "=":
-            return state.equal_key == key
-        if state.equal_key is not None:
-            return state.equal_key != key
-        return key in state.not_equal
-
-    def compatible_with(self, guards: Iterable[Guard]) -> bool:
-        """True when adding all ``guards`` would keep the store consistent."""
-        trial = self.copy()
-        return trial.add_all(guards)
-
-    def known_value(self, column: str) -> Optional[Any]:
-        """The literal a column is constrained to equal, when there is one."""
-        state = self._columns.get(column.lower())
-        if state is None:
-            return None
-        return state.equal
-
-    # -- normalization ----------------------------------------------------------------
-
-    def normalized(self) -> List[Guard]:
-        """A minimal, deterministic list of guards equivalent to the store."""
-        guards: List[Guard] = []
-        for column in sorted(self._columns):
-            state = self._columns[column]
-            if state.equal_key is not None:
-                guards.append(Guard(column, "=", state.equal))
-            else:
-                for key in sorted(state.not_equal, key=repr):
-                    guards.append(Guard(column, "<>", state.not_equal[key]))
-        return guards
-
-    def __len__(self) -> int:
-        return len(self.normalized())
-
-    def describe(self) -> str:
-        if not self._consistent:
-            return "<inconsistent>"
-        guards = self.normalized()
-        if not guards:
-            return "<no assumptions>"
-        return " and ".join(guard.describe() for guard in guards)
+        else:
+            not_equal.setdefault(column, {})[key] = guard.value
+    normalized = []
+    for column in sorted(equal.keys() | not_equal.keys()):
+        if column in equal:
+            normalized.append(Guard(column, "=", equal[column][1]))
+        else:
+            values = not_equal[column]
+            normalized.extend(Guard(column, "<>", values[key]) for key in sorted(values, key=repr))
+    return tuple(normalized)

@@ -3,7 +3,7 @@
 The COIN papers emphasize that the framework can answer not only the receiver's
 extensional question but also *why* the answer looks the way it does — which
 conflicts were detected and how each branch resolves them.  This module turns a
-:class:`~repro.mediation.rewriter.MediationResult` into such an explanation,
+:class:`~repro.mediation.mediator.MediationResult` into such an explanation,
 used by the QBE front end ("show mediation"), the examples and the
 accessibility benchmark (E5).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.mediation.rewriter import MediationResult
+from repro.mediation.mediator import MediationResult
 
 
 def explain_mediation(result: MediationResult) -> str:

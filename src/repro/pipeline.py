@@ -15,7 +15,7 @@ a shared :class:`MediatedPlan` IR:
    (:mod:`repro.sql.normalize`), so textually different but structurally
    identical statements share all downstream work.
 2. **mediate** — the context mediator produces structured
-   :class:`~repro.mediation.rewriter.BranchQuery` objects; results are
+   :class:`~repro.mediation.mediator.BranchQuery` objects; results are
    memoized per (fingerprint, receiver context, knowledge generation).
 3. **plan** — the branch SELECTs flow *directly* into the planner
    (``plan_branches``): no SQL re-parse, no re-discovery of branch
@@ -43,8 +43,7 @@ from typing import Dict, Optional, Tuple, Union as TUnion
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.plan import QueryPlan
 from repro.mediation.answers import ColumnAnnotation
-from repro.mediation.mediator import ContextMediator
-from repro.mediation.rewriter import MediationResult
+from repro.mediation.mediator import ContextMediator, MediationResult
 from repro.obs.cache import BoundedCache
 from repro.obs.metrics import CounterSet
 from repro.obs.trace import current_span
@@ -296,14 +295,14 @@ class QueryPipeline:
 
     def _parse(self, query: TUnion[str, Select]) -> Tuple[Select, str]:
         if not isinstance(query, str):
-            select = self.mediator._as_select(query)
+            select = self.mediator.as_select(query)
             return select, statement_fingerprint(select)
         statements = self._statements
         if statements is not None:
             hit = statements.get(query)
             if hit is not None:
                 return hit
-        select = self.mediator._as_select(query)
+        select = self.mediator.as_select(query)
         entry = (select, statement_fingerprint(select))
         if statements is not None:
             statements.put(query, entry)
@@ -313,7 +312,7 @@ class QueryPipeline:
         if not key.mediate:
             # The passthrough runs no conflict detection and no abduction;
             # it is cheap enough to skip the memo entirely.
-            mediation = self.mediator.rewriter.unmediated(select, key.receiver_context)
+            mediation = self.mediator.unmediated(select, key.receiver_context)
             mediation.fingerprint = key.fingerprint
             return mediation
         mediation_key = PlanCacheKey(

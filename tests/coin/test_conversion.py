@@ -192,9 +192,9 @@ class TestRegistry:
         with pytest.raises(ConversionError):
             registry.lookup("companyFinancials", "currency")
 
-    def test_registrations_listing(self):
+    def test_registered_conversions_are_found_by_type(self):
         model = build_financial_domain_model()
         registry = build_financial_conversions(model)
-        names = [name for _t, _m, name in registry.registrations]
-        assert "currency" in names and "scale-factor" in names
+        assert registry.lookup("monetaryAmount", "currency").name == "currency"
+        assert registry.lookup("monetaryAmount", "scaleFactor").name == "scale-factor"
         assert len(registry) == 3

@@ -17,7 +17,7 @@ class TestConstruction:
         model = DomainModel()
         model.add_type("price", parent="basicNumber", modifiers={"currency": "basicString"})
         assert model.get("price").parent == "basicNumber"
-        assert "price" in model.type_names
+        assert model.has("price")
 
     def test_duplicate_type_rejected(self):
         model = DomainModel()

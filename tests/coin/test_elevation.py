@@ -27,10 +27,8 @@ class TestAxiom:
         assert axiom.semantic_type_of("REVENUE") == "companyFinancials"
         assert axiom.semantic_type_of("unknown") is None
 
-    def test_elevated_columns_and_count(self):
-        axiom = r1_axiom()
-        assert axiom.elevated_columns() == ["cname", "revenue", "currency"]
-        assert axiom.axiom_count() == 3
+    def test_axiom_count(self):
+        assert r1_axiom().axiom_count() == 3
 
     def test_describe(self):
         text = r1_axiom().describe()
@@ -68,10 +66,9 @@ class TestRegistry:
         with pytest.raises(ElevationError):
             ElevationRegistry().for_relation("ghost")
 
-    def test_axioms_for_source_and_total(self):
+    def test_total_axiom_count(self):
         registry = ElevationRegistry([r1_axiom()])
         registry.elevate("source1", "extra", "c_source1", {"x": "companyName"})
-        assert len(registry.axioms_for_source("source1")) == 2
         assert registry.total_axiom_count() == 4
 
 

@@ -28,8 +28,8 @@ class TestLookups:
         assert system.semantic_column("r1", "nonexistent") is None
         assert system.semantic_column("unknown_relation", "x") is None
 
-    def test_context_of_relation(self, system):
-        assert system.context_of_relation("r2").name == "c_source2"
+    def test_a_columns_context_is_its_relations(self, system):
+        assert system.semantic_column("r2", "expenses").context == "c_source2"
 
     def test_declaration_search_uses_hierarchy(self, system):
         declaration = system.declaration_for("c_receiver", "companyFinancials", "currency")

@@ -250,7 +250,7 @@ class TestStrategySelection:
         plan = federation.engine.planner.plan(statement)
         from repro.pipeline import MediatedPlan, PlanCacheKey
 
-        mediation = federation.mediator.rewriter.unmediated(
+        mediation = federation.mediator.unmediated(
             statement.selects[0], "c_plain"
         )
         prepared_union = MediatedPlan(

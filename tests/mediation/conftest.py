@@ -4,7 +4,7 @@ comparison of the two SQL renderings it used to be."""
 
 import pytest
 
-from repro.mediation.rewriter import QueryRewriter
+from repro.mediation.mediator import ContextMediator
 from repro.sql.printer import to_sql
 
 
@@ -15,11 +15,21 @@ def rewritten_by_text(result) -> bool:
 
 @pytest.fixture(autouse=True)
 def is_rewritten_agrees_with_the_texts(monkeypatch):
-    rewrite = QueryRewriter.rewrite
+    mediate = ContextMediator.mediate
 
-    def checking(self, select, receiver_context):
-        result = rewrite(self, select, receiver_context)
-        assert result.is_rewritten == rewritten_by_text(result), to_sql(select)
+    def checking(self, query, receiver_context=None):
+        result = mediate(self, query, receiver_context)
+        assert result.is_rewritten == rewritten_by_text(result), result.original_sql
         return result
 
-    monkeypatch.setattr(QueryRewriter, "rewrite", checking)
+    monkeypatch.setattr(ContextMediator, "mediate", checking)
+
+
+def pytest_collection_modifyitems(config, items):
+    """The long generation runs only when selected: ``-m theories_long``."""
+    if "theories_long" in (config.getoption("-m") or ""):
+        return
+    skip = pytest.mark.skip(reason="long generation: run with -m theories_long")
+    for item in items:
+        if "theories_long" in item.keywords:
+            item.add_marker(skip)

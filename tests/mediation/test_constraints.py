@@ -1,101 +1,71 @@
-"""Unit tests for the mediation constraint store."""
-
-import pytest
+"""Unit tests for the mediation guard normalizer."""
 
 from repro.coin.context import Guard
-from repro.mediation.constraints import ConstraintStore
+from repro.mediation.constraints import normalize_guards
 
 
 class TestConsistency:
     def test_equal_different_constants_inconsistent(self):
-        store = ConstraintStore()
-        assert store.add(Guard("r1.currency", "=", "USD"))
-        assert not store.add(Guard("r1.currency", "=", "JPY"))
-        assert not store.is_consistent
+        assert normalize_guards([Guard("r1.currency", "=", "USD")])
+        assert normalize_guards([Guard("r1.currency", "=", "USD"),
+                                 Guard("r1.currency", "=", "JPY")]) is None
 
     def test_equal_and_not_equal_same_value_inconsistent(self):
-        store = ConstraintStore([Guard("c", "=", "USD")])
-        assert not store.add(Guard("c", "<>", "USD"))
+        assert normalize_guards([Guard("c", "=", "USD"), Guard("c", "<>", "USD")]) is None
 
     def test_not_equal_then_equal_same_value_inconsistent(self):
-        store = ConstraintStore([Guard("c", "<>", "USD")])
-        assert not store.add(Guard("c", "=", "USD"))
+        assert normalize_guards([Guard("c", "<>", "USD"), Guard("c", "=", "USD")]) is None
 
     def test_different_columns_never_interact(self):
-        store = ConstraintStore()
-        assert store.add_all([Guard("a", "=", 1), Guard("b", "=", 2), Guard("a", "<>", 2)])
-        assert store.is_consistent
+        guards = [Guard("a", "=", 1), Guard("b", "=", 2), Guard("a", "<>", 2)]
+        assert normalize_guards(guards) == (Guard("a", "=", 1), Guard("b", "=", 2))
 
     def test_numeric_coercion_in_values(self):
-        store = ConstraintStore([Guard("x", "=", 1)])
-        assert not store.add(Guard("x", "<>", 1.0))
+        assert normalize_guards([Guard("x", "=", 1), Guard("x", "<>", 1.0)]) is None
 
-    def test_once_inconsistent_stays_inconsistent(self):
-        store = ConstraintStore()
-        store.add(Guard("c", "=", "USD"))
-        store.add(Guard("c", "=", "JPY"))
-        assert not store.add(Guard("other", "=", 1))
+    def test_an_inconsistency_is_not_undone_by_later_guards(self):
+        guards = [Guard("c", "=", "USD"), Guard("c", "=", "JPY"), Guard("other", "=", 1)]
+        assert normalize_guards(guards) is None
+
+    def test_no_guards_normalize_to_none_assumed(self):
+        assert normalize_guards([]) == ()
 
 
-class TestEntailmentAndNormalization:
-    def test_equality_entails_disequality_to_other_values(self):
-        store = ConstraintStore([Guard("c", "=", "USD")])
-        assert store.entails(Guard("c", "<>", "JPY"))
-        assert store.entails(Guard("c", "=", "USD"))
-        assert not store.entails(Guard("c", "=", "JPY"))
-        assert not store.entails(Guard("d", "<>", "JPY"))
+class TestNormalization:
+    def test_equality_absorbs_disequalities_to_other_values(self):
+        """``c = 'USD'`` entails ``c <> 'JPY'``; only the equality remains."""
+        assert normalize_guards([Guard("c", "=", "USD"), Guard("c", "<>", "JPY")]) == \
+            (Guard("c", "=", "USD"),)
+        assert normalize_guards([Guard("c", "<>", "JPY"), Guard("c", "=", "USD"),
+                                 Guard("c", "=", "USD")]) == (Guard("c", "=", "USD"),)
 
     def test_normalized_drops_entailed_disequalities(self):
         """The paper's JPY branch carries only currency = 'JPY'."""
-        store = ConstraintStore([
+        assert normalize_guards([
             Guard("r1.currency", "<>", "USD"),
             Guard("r1.currency", "=", "JPY"),
-        ])
-        assert store.is_consistent
-        assert store.normalized() == [Guard("r1.currency", "=", "JPY")]
+        ]) == (Guard("r1.currency", "=", "JPY"),)
 
     def test_normalized_keeps_multiple_disequalities_sorted(self):
-        store = ConstraintStore([
+        normalized = normalize_guards([
             Guard("r1.currency", "<>", "USD"),
             Guard("r1.currency", "<>", "JPY"),
             Guard("r1.currency", "<>", "USD"),
         ])
-        normalized = store.normalized()
-        assert len(normalized) == 2
-        assert all(guard.op == "<>" for guard in normalized)
+        assert normalized == (Guard("r1.currency", "<>", "JPY"),
+                              Guard("r1.currency", "<>", "USD"))
 
     def test_normalized_orders_by_column(self):
-        store = ConstraintStore([Guard("b", "=", 1), Guard("a", "=", 2)])
-        assert [guard.column for guard in store.normalized()] == ["a", "b"]
+        normalized = normalize_guards([Guard("b", "=", 1), Guard("a", "=", 2)])
+        assert [guard.column for guard in normalized] == ["a", "b"]
 
-    def test_known_value(self):
-        store = ConstraintStore([Guard("c", "=", "JPY")])
-        assert store.known_value("c") == "JPY"
-        assert store.known_value("other") is None
-
-    def test_len_and_describe(self):
-        store = ConstraintStore([Guard("c", "=", "JPY")])
-        assert len(store) == 1
-        assert "c = 'JPY'" in store.describe()
-        assert ConstraintStore().describe() == "<no assumptions>"
-        broken = ConstraintStore([Guard("c", "=", 1), Guard("c", "=", 2)])
-        assert broken.describe() == "<inconsistent>"
-
-
-class TestCompatibilityChecks:
-    def test_compatible_with_does_not_mutate(self):
-        store = ConstraintStore([Guard("c", "=", "USD")])
-        assert not store.compatible_with([Guard("c", "=", "JPY")])
-        assert store.is_consistent
-        assert store.known_value("c") == "USD"
-
-    def test_copy_is_independent(self):
-        store = ConstraintStore([Guard("c", "=", "USD")])
-        duplicate = store.copy()
-        duplicate.add(Guard("c", "=", "JPY"))
-        assert store.is_consistent
-        assert not duplicate.is_consistent
+    def test_normalizing_twice_changes_nothing(self):
+        once = normalize_guards([Guard("R1.Currency", "<>", "USD"), Guard("b", "<>", 2),
+                                 Guard("b", "<>", 1)])
+        assert normalize_guards(once) == once
 
     def test_case_insensitive_columns(self):
-        store = ConstraintStore([Guard("R1.Currency", "=", "USD")])
-        assert not store.compatible_with([Guard("r1.currency", "=", "JPY")])
+        assert normalize_guards([Guard("R1.Currency", "=", "USD"),
+                                 Guard("r1.currency", "=", "JPY")]) is None
+        assert normalize_guards([Guard("R1.Currency", "=", "USD")]) == \
+            (Guard("r1.currency", "=", "USD"),)

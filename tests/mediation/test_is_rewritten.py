@@ -3,7 +3,7 @@
 import pytest
 
 from repro.demo.scenarios import build_paper_federation
-from repro.mediation import rewriter as rewriter_module
+from repro.mediation import mediator as mediator_module
 
 from tests.coinbench_workload import cold_compile_workload
 from tests.mediation.conftest import rewritten_by_text
@@ -11,15 +11,15 @@ from tests.mediation.conftest import rewritten_by_text
 
 @pytest.fixture
 def renderings(monkeypatch):
-    """Counts calls of ``to_sql`` made by the rewriter module."""
+    """Counts calls of ``to_sql`` made by the mediator module."""
     calls = []
 
     def counting(node):
         calls.append(node)
         return to_sql(node)
 
-    to_sql = rewriter_module.to_sql
-    monkeypatch.setattr(rewriter_module, "to_sql", counting)
+    to_sql = mediator_module.to_sql
+    monkeypatch.setattr(mediator_module, "to_sql", counting)
     return calls
 
 
@@ -56,6 +56,6 @@ def test_only_an_untouched_statement_compares_the_texts_and_only_once(renderings
 
 def test_the_passthrough_is_never_rewritten():
     federation = build_paper_federation().federation
-    result = federation.mediator.rewriter.unmediated(
+    result = federation.mediator.unmediated(
         federation.pipeline._parse("SELECT r1.revenue FROM r1")[0], "c_receiver")
     assert not result.is_rewritten and result.sql == result.original_sql

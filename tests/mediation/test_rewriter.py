@@ -1,10 +1,10 @@
-"""Unit tests for the query rewriter (mediated query construction)."""
+"""Unit tests for mediated query construction."""
 
 import pytest
 
 from repro.errors import MediationError
 from repro.demo.scenarios import build_paper_coin_system
-from repro.mediation.rewriter import QueryRewriter
+from repro.mediation.mediator import ContextMediator
 from repro.sql.ast import Select, Union
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -17,11 +17,11 @@ PAPER_QUERY = (
 
 @pytest.fixture
 def rewriter():
-    return QueryRewriter(build_paper_coin_system())
+    return ContextMediator(build_paper_coin_system())
 
 
 def rewrite(rewriter, sql, context="c_receiver"):
-    return rewriter.rewrite(parse(sql), context)
+    return rewriter.mediate(parse(sql), context)
 
 
 class TestPaperExample:
@@ -143,10 +143,10 @@ class TestQueryFeaturesPreserved:
 
     def test_ancillary_alias_avoids_collision_with_query_tables(self):
         system = build_paper_coin_system()
-        rewriter = QueryRewriter(system)
+        rewriter = ContextMediator(system)
         # The receiver's own query already uses the binding "r3" for r1.
         sql = "SELECT r3.revenue FROM r1 r3"
-        result = rewriter.rewrite(parse(sql), "c_receiver")
+        result = rewriter.mediate(parse(sql), "c_receiver")
         jpy_branch = [branch for branch in result.branches if "= 'JPY'" in branch.sql][0]
         assert "r3 r3_1" in jpy_branch.sql or "r3_1" in jpy_branch.sql
 
