@@ -196,14 +196,6 @@ class Context:
             f"context {self.name!r} has no declaration for {semantic_type}.{modifier}"
         )
 
-    def has_declaration(self, semantic_type: str, modifier: str,
-                        ancestors: Optional[Sequence[str]] = None) -> bool:
-        try:
-            self.declaration(semantic_type, modifier, ancestors)
-            return True
-        except ContextError:
-            return False
-
     @property
     def declarations(self) -> List[ModifierDeclaration]:
         return list(self._declarations.values())

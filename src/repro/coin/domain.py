@@ -131,9 +131,6 @@ class DomainModel:
             current = self.get(current.parent)
         return chain
 
-    def is_subtype(self, name: str, ancestor: str) -> bool:
-        return ancestor in self.ancestors(name)
-
     # -- inherited members --------------------------------------------------------------
 
     def modifiers_of(self, name: str) -> Dict[str, str]:
@@ -149,15 +146,6 @@ class DomainModel:
         for ancestor in reversed(self.ancestors(name)):
             merged.update(self.get(ancestor).attributes)
         return merged
-
-    def modifier_value_type(self, type_name: str, modifier: str) -> str:
-        modifiers = self.modifiers_of(type_name)
-        try:
-            return modifiers[modifier]
-        except KeyError as exc:
-            raise DomainModelError(
-                f"semantic type {type_name!r} has no modifier {modifier!r}"
-            ) from exc
 
     # -- validation -----------------------------------------------------------------------
 

@@ -32,6 +32,9 @@ Two strategies implement the semantics exactly:
   union.  The enumeration refuses to exceed ``max_repairs`` (the definition
   is exponential; the bound keeps the fallback an explicit, observable
   cost).  It is the brute-force definition the rewrite is tested against.
+  Its possible rows are sorted on the statement's ORDER BY when every key
+  is an output column; a key outside the select list has no order across
+  repairs under set semantics, and those rows keep first-seen order.
   The processor runs each repair on the engine's join and filter operators,
   so that check rests on the processor's own: generated statements against
   the interpreter (``tests/relational/test_processor_generated.py``).
@@ -554,9 +557,14 @@ class ConsistentQueryExecutor:
                 if tuple(value_key(v) for v in row) in certain_keys
             ]
 
-        rows = certain_rows if mode == "certain" else possible_rows
         relation = Relation(schema)
-        relation.rows = list(rows)
+        if mode == "certain":
+            relation.rows = list(certain_rows)
+        else:
+            # Certain rows keep the first repair's (sorted) order; the possible
+            # rows of later repairs arrive after it, so they are sorted again.
+            relation.rows = possible_rows
+            relation = relation.sorted_on(self._output_order(statement))
         consistency = {
             "strategy": "fallback",
             "constrained_relations": len({r for r, _v in clusters}) if clusters else 0,
@@ -566,6 +574,21 @@ class ConsistentQueryExecutor:
             "tuples_dropped": len(raw_set) - len(certain_keys),
         }
         return relation, consistency
+
+    @staticmethod
+    def _output_order(statement) -> List[Tuple[int, bool]]:
+        """``statement``'s ORDER BY (a finished union's is its finish's) as
+        ``(output position, ascending)`` keys — none unless every key
+        resolves to a position of an explicit select list."""
+        if statement.__class__ is not Select or not statement.order_by or any(
+                isinstance(item.expr, Star) for item in statement.items):
+            return []
+        keys = _order_keys([(item.expr, item.ascending) for item in statement.order_by],
+                           [item.expr for item in statement.items],
+                           output_names(statement.items))
+        if any(position is None for position, _expr, _ascending in keys):
+            return []
+        return [(position, ascending) for position, _expr, ascending in keys]
 
     def _fetch_extent(self, relation: str, report: ExecutionReport,
                       deadline=None) -> Relation:

@@ -6,10 +6,9 @@ and attribute types of the table located in the various sources; ..."
 The :class:`Catalog` records, for every relation exported by a wrapper, which
 wrapper serves it, its schema, the capabilities and cost parameters of the
 underlying source, and a cardinality estimate for the planner.  The same
-information is mirrored into the relational
-:class:`~repro.relational.storage.DictionaryStore` so that schema questions
-can themselves be answered with SQL over the dictionary relations — the
-"dictionary services" of the prototype.
+information is mirrored into the relations of the
+:class:`~repro.relational.storage.DictionaryStore` — the "dictionary
+services" of the prototype.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Dict, Iterable, List, Optional
 from repro.errors import CatalogError
 from repro.consistency.constraints import Constraint, ConstraintSet, PrimaryKey
 from repro.engine.feedback import CardinalityFeedback
-from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.storage import DictionaryStore
 from repro.sources.base import SourceCapabilities
@@ -44,7 +42,7 @@ class CatalogEntry:
 
 
 class Catalog:
-    """Relation-level metadata plus SQL-queryable dictionary storage."""
+    """Relation-level metadata plus dictionary storage."""
 
     #: Default cardinality estimate when a wrapper cannot report one cheaply.
     DEFAULT_ESTIMATED_ROWS = 100
@@ -158,11 +156,6 @@ class Catalog:
         self.bump_generation()
         return registered
 
-    def constraints_for(self, relation: str) -> List[Constraint]:
-        """Constraints reading the given relation (empty when undeclared)."""
-        self.entry(relation)  # unknown relations fail loudly, as elsewhere
-        return self.constraints.for_relation(relation)
-
     def key_of(self, relation: str) -> Optional[PrimaryKey]:
         """The relation's declared primary key, or None."""
         return self.constraints.key_of(relation)
@@ -213,10 +206,6 @@ class Catalog:
         """Attribute descriptions (name, position, type) of one relation."""
         entry = self.entry(relation)
         return self.dictionary.attributes_of(entry.wrapper_name, entry.relation)
-
-    def query_dictionary(self, sql: str) -> Relation:
-        """Run SQL directly over the dictionary relations (dict_sources, ...)."""
-        return self.dictionary.query(sql)
 
 
 def _capability_flags(capabilities: SourceCapabilities) -> Dict[str, bool]:

@@ -7,10 +7,10 @@ perform: *pose a naive SQL query in my context and get back the correct
 answer* (plus, on request, the mediated SQL and an explanation).
 
 Queries flow through the staged :class:`~repro.pipeline.QueryPipeline`:
-mediation and planning are compiled once per (statement, receiver context,
-catalog/knowledge generation) and memoized, so the warm path of repeated
-receiver queries — the dominant serving pattern — performs zero mediation and
-zero planning work.  :meth:`Federation.prepare` exposes the same machinery as
+mediation and planning are compiled once per statement shape (fingerprint,
+receiver context, mediate flag) and recompiled in place when the catalog or
+knowledge changes, so the warm path of repeated receiver queries — the
+dominant serving pattern — performs zero mediation and zero planning work.  :meth:`Federation.prepare` exposes the same machinery as
 an explicit prepared-query handle (mediate+plan once, execute many), which
 the server protocol surfaces as ``prepare`` / ``execute_prepared`` /
 ``close_prepared``.
@@ -357,9 +357,9 @@ class Federation:
         repeated receiver queries skip source round trips entirely (0 disables
         caching — every statement re-fetches).  ``max_concurrent_requests``
         bounds how many source fetches one statement keeps in flight at once
-        (1 forces serial dispatch).  ``plan_cache_size`` bounds the mediation
-        and plan caches of the query pipeline (0 disables them — every
-        statement re-mediates and re-plans).  ``memory_budget_bytes`` bounds
+        (1 forces serial dispatch).  ``plan_cache_size`` bounds the compile
+        cache of the query pipeline (0 disables it — every statement
+        re-mediates and re-plans).  ``memory_budget_bytes`` bounds
         per-statement operator memory: sorts, distincts and hash-join build
         sides spill to temporary files instead of exceeding it (None =
         unbounded).  ``max_repairs`` bounds the repair enumeration the
@@ -437,7 +437,7 @@ class Federation:
             "Configured per-statement operator memory budget (0 = unbounded).",
         ).set(float(self.engine.memory_budget_bytes or 0))
 
-    def _account_statement(self, sql_text: str, started: float,
+    def _account_statement(self, fingerprint: Optional[str], started: float,
                            tenant: Optional[str] = None,
                            report=None, trace_id: Optional[str] = None,
                            error: Optional[BaseException] = None) -> None:
@@ -448,7 +448,7 @@ class Federation:
             self._statement_errors_metric.inc()
         self._statement_seconds_metric.observe(elapsed)
         self.observability.log.statement_finished(
-            elapsed, sql_text, tenant=tenant, trace_id=trace_id,
+            elapsed, fingerprint, tenant=tenant, trace_id=trace_id,
             report=report,
             error=f"{type(error).__name__}: {error}" if error is not None else None,
         )
@@ -626,31 +626,32 @@ class Federation:
         started = time.perf_counter()
         prepared = isinstance(statement, PreparedQuery)
         if prepared:
-            sql_text, consistency = statement.sql, statement.options.consistency
+            # A current plan is not parsed again: name the root here.
+            attributes["fingerprint"] = statement.fingerprint
+            consistency = statement.options.consistency
         else:
-            sql_text = statement if isinstance(statement, str) else str(statement)
             consistency = options.consistency
         root = self.observability.statement_root(
-            sql_text, trace_id, tenant=options.tenant, consistency=consistency,
+            trace_id, tenant=options.tenant, consistency=consistency,
             stream=stream, prepared=prepared, **attributes)
         token = root.activate()
         release = None
         try:
             if gateway is None:
-                cursor = self._open(statement, sql_text, options, stream)
+                cursor = self._open(statement, options, stream)
             else:
                 if stream:
                     release = gateway.acquire_stream(options.tenant)
                 cursor = gateway.run(
                     lambda remaining: self._open(
-                        statement, sql_text, options.with_timeout(remaining),
-                        stream),
+                        statement, options.with_timeout(remaining), stream),
                     tenant=options.tenant,
                     timeout_seconds=options.timeout_seconds)
         except BaseException as exc:
             if release is not None:
                 release()
             deactivate_span(token)
+            self.name_root(root, statement)
             root.finish(error=exc)
             raise
         deactivate_span(token)
@@ -662,9 +663,15 @@ class Federation:
         cursor.root, cursor.started = root, started
         return cursor
 
+    def name_root(self, root, statement: TUnion[str, Select]) -> None:
+        """Give a recording ``root`` the pipeline never annotated — its
+        statement was shed, or failed before parsing — the statement's
+        fingerprint (a prepared statement's root is named when opened)."""
+        if root.recording and "fingerprint" not in root.attributes:
+            root.annotate(fingerprint=self.pipeline.fingerprint(statement))
+
     def _open(self, statement: TUnion[str, Select, PreparedQuery],
-              sql_text: str, options: StatementOptions,
-              stream: bool) -> FederationCursor:
+              options: StatementOptions, stream: bool) -> FederationCursor:
         """Compile (or refresh) and execute ``statement``, booked into metrics
         and the slow-query log when its cursor closes, or at once on failure.
         Inside admission: the gateway's tenant, no queue wait."""
@@ -679,12 +686,14 @@ class Federation:
                                              mediate=options.mediate)
             cursor = self._execute(plan, options, stream)
         except BaseException as exc:
-            self._account_statement(sql_text, started, tenant=tenant,
+            fingerprint = (statement.fingerprint if isinstance(statement, PreparedQuery)
+                           else self.pipeline.fingerprint(statement))
+            self._account_statement(fingerprint, started, tenant=tenant,
                                     trace_id=current_span().trace_id, error=exc)
             raise
         cursor.stream.on_close(
             lambda report: self._account_statement(
-                sql_text, started, tenant=tenant, report=report.snapshot,
+                plan.fingerprint, started, tenant=tenant, report=report.snapshot,
                 trace_id=report.trace_id)
         )
         return cursor

@@ -91,14 +91,6 @@ class BranchQuery:
     def sql(self) -> str:
         return to_sql(self.select)
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """Canonical AST digest of this branch — the per-branch identity of
-        the mediated-plan IR (computed on demand, memoized)."""
-        from repro.sql.normalize import statement_fingerprint
-
-        return statement_fingerprint(self.select)
-
     @property
     def guards(self) -> Tuple[Guard, ...]:
         return self.branch.guards
@@ -122,16 +114,6 @@ class MediationResult:
     #: Semantic type (or None) of each output column of the query, used by
     #: answer post-processing and by clients that display units.
     column_semantics: List[Optional[str]]
-    #: Canonical AST digest of the *original* statement — the identity the
-    #: query pipeline caches this rewriting (and its plan) under.  Filled in
-    #: by the pipeline, which computes it once per statement; ``None`` when
-    #: the mediator was driven directly.
-    fingerprint: Optional[str] = None
-
-    @property
-    def mediated_by_rewriter(self) -> bool:
-        """False for the passthrough: no branch was built."""
-        return bool(self.branches)
 
     @cached_property
     def sql(self) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.log import EventLog, statement_fingerprint
+from repro.obs.log import EventLog
 from repro.obs.metrics import (
     Counter,
     CounterSet,
@@ -54,7 +54,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "EventLog",
-    "statement_fingerprint",
 ]
 
 
@@ -86,8 +85,7 @@ class Observability:
             stream=log_stream, clock=clock,
         )
 
-    def statement_root(self, sql: Optional[str] = None,
-                       trace_id: Optional[str] = None, **attributes):
+    def statement_root(self, trace_id: Optional[str] = None, **attributes):
         """The root ``statement`` span for a trace edge (not yet activated).
 
         Only ``Federation.open`` (every executed statement, whichever door
@@ -96,13 +94,11 @@ class Observability:
         edge wins.  When a span is already ambient (a caller traced the
         statement as part of its own work) or tracing is off, this is
         :data:`NULL_SPAN` — so edges activate, annotate and finish what they
-        get unconditionally.  ``sql`` is recorded as its fingerprint, never
-        as text.
+        get unconditionally.  The statement's text is never recorded: the
+        pipeline annotates the root with its AST fingerprint once parsed.
         """
         if not self.tracer.enabled or current_span().recording:
             return NULL_SPAN
-        if sql is not None:
-            attributes["fingerprint"] = statement_fingerprint(sql)
         return self.tracer.start_trace("statement", trace_id=trace_id,
                                        **attributes)
 

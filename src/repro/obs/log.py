@@ -4,7 +4,7 @@ Every record is one JSON object per line — greppable with standard tools —
 kept in a bounded in-memory ring and optionally mirrored to any writable
 stream.  The slow-query log is an event family (``"event": "slow_query"``)
 emitted for statements whose wall clock crosses ``slow_query_seconds``; each
-record carries the sampled trace id, a stable statement fingerprint (never
+record carries the sampled trace id, the statement's AST fingerprint (never
 the raw SQL — logs outlive data-handling policies), the tenant, and the
 execution report's scheduler/resilience/optimizer blocks so one grep line
 explains *why* the statement was slow.
@@ -12,26 +12,13 @@ explains *why* the statement was slow.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import json
 import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-__all__ = ["EventLog", "statement_fingerprint"]
-
-
-@functools.lru_cache(maxsize=1024)
-def statement_fingerprint(sql: str) -> str:
-    """A stable, whitespace/case-insensitive digest of a statement's shape.
-
-    Memoized: warm workloads repeat a handful of statement texts, so the
-    normalize-and-hash runs once per distinct statement, not per execution.
-    """
-    normalized = " ".join(sql.split()).lower()
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+__all__ = ["EventLog"]
 
 
 class EventLog:
@@ -70,12 +57,16 @@ class EventLog:
             stream.write(line + "\n")
         return record
 
-    def statement_finished(self, elapsed_seconds: float, sql: str,
+    def statement_finished(self, elapsed_seconds: float, fingerprint: Optional[str],
                            tenant: Optional[str] = None,
                            trace_id: Optional[str] = None,
                            report: Optional[Dict[str, Any]] = None,
                            error: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """Book one completed statement; emits ``slow_query`` past threshold.
+
+        ``fingerprint`` is the statement's AST fingerprint
+        (:func:`repro.sql.normalize.statement_fingerprint`), None for text
+        that does not parse as a SELECT or UNION.
 
         ``report`` is the :meth:`~repro.engine.executor.ExecutionReport.
         snapshot` dict — or a zero-argument callable producing it, evaluated
@@ -90,7 +81,7 @@ class EventLog:
         fields: Dict[str, Any] = {
             "elapsed_seconds": round(elapsed_seconds, 6),
             "threshold_seconds": self.slow_query_seconds,
-            "fingerprint": statement_fingerprint(sql),
+            "fingerprint": fingerprint,
             "tenant": tenant,
             "trace_id": trace_id,
         }

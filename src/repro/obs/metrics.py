@@ -150,9 +150,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def set_function(self, function: Callable[[], float]) -> "Gauge":
         with self._lock:
             self._function = function

@@ -479,15 +479,6 @@ class Tracer:
         self.started = 0
         self.finished = 0
 
-    # -- ids ---------------------------------------------------------------------
-
-    def mint_trace_id(self) -> str:
-        with self._lock:
-            self._trace_index += 1
-            index = self._trace_index
-            entropy = self._id_rng.getrandbits(40)
-        return f"t{index:06x}{entropy:010x}"
-
     def _head_sampled(self, trace_id: str) -> bool:
         if self.sample_rate >= 1.0:
             return True

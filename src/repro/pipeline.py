@@ -1,38 +1,29 @@
 """The staged query-lifecycle pipeline: parse → mediate → plan, compiled once.
 
 The paper's mediator "intercepts a query … and rewrites it" before the
-multi-database engine plans it.  The seed implementation made that handoff an
-SQL-text round trip: the rewriter assembled a UNION statement, the engine
-re-parsed its structure, and every call re-paid conflict detection, abduction
-and planning even for a statement it had answered a moment earlier.
+multi-database engine plans it.  :class:`QueryPipeline` compiles that once
+per statement into a :class:`MediatedPlan` IR:
 
-:class:`QueryPipeline` replaces that with a staged compilation pipeline over
-a shared :class:`MediatedPlan` IR:
-
-1. **parse** — SQL text becomes an AST once; a statement cache maps
-   exact text to (AST, fingerprint) so repeated receiver statements skip the
-   lexer entirely.  Fingerprints are canonical AST digests
-   (:mod:`repro.sql.normalize`), so textually different but structurally
-   identical statements share all downstream work.
+1. **parse** — SQL text becomes an AST once (a statement cache maps exact
+   text to (AST, fingerprint)).  The fingerprint is a canonical AST digest
+   (:mod:`repro.sql.normalize`) and the statement's one identity — for the
+   compile cache, the root span and the slow-query log — so textually
+   different but structurally identical statements share all later work.
 2. **mediate** — the context mediator produces structured
-   :class:`~repro.mediation.mediator.BranchQuery` objects; results are
-   memoized per (fingerprint, receiver context, knowledge generation).
+   :class:`~repro.mediation.mediator.BranchQuery` objects.
 3. **plan** — the branch SELECTs flow *directly* into the planner
-   (``plan_branches``): no SQL re-parse, no re-discovery of branch
-   boundaries, and structurally identical source requests across branches
-   are shared at plan time.  The finished :class:`MediatedPlan` is memoized
-   per (fingerprint, receiver context, mediate flag, catalog generation,
-   knowledge generation): a :class:`PlanCacheKey`.
+   (``plan_branches``): no SQL re-parse, and structurally identical source
+   requests across branches are shared at plan time.
 
-Each of the three memos is a :class:`~repro.obs.cache.BoundedCache`.
-Because the generation counters are part of every cache key, a wrapper
-(re)registration, a source invalidation or a knowledge-base change makes all
-previously cached artifacts unreachable — cached plans can never read a
-stale dictionary — and the LRU bound retires them
-(:meth:`QueryPipeline.prune_stale` frees them eagerly).  The warm path — the
-dominant serving pattern of repeated receiver queries — therefore performs
-**zero mediation and zero planning work**, observable through the
-mediator's and engine's counters.
+One compile cache maps a statement's shape (fingerprint, receiver context,
+mediate flag) to its newest plan, whose :class:`PlanCacheKey` records the
+catalog and knowledge generations it was compiled against.  An entry is
+served while current — both generations live, no feedback key it was priced
+from retired — so a cached plan never reads a stale dictionary; any other
+entry is recompiled in place, reusing its mediation while its knowledge
+generation is live (mediation does not read the catalog).  The warm path
+therefore performs **zero mediation and zero planning work**, observable
+through the mediator's and engine's counters.
 """
 
 from __future__ import annotations
@@ -42,6 +33,7 @@ from typing import Dict, Optional, Tuple, Union as TUnion
 
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.plan import QueryPlan
+from repro.errors import SQLError
 from repro.mediation.answers import ColumnAnnotation
 from repro.mediation.mediator import ContextMediator, MediationResult
 from repro.obs.cache import BoundedCache
@@ -49,22 +41,20 @@ from repro.obs.metrics import CounterSet
 from repro.obs.trace import current_span
 from repro.sql.ast import Select
 from repro.sql.normalize import statement_fingerprint
+from repro.sql.parser import parse
 
 #: Bound on the exact-text statement cache (parse memo).
 DEFAULT_STATEMENT_CACHE_SIZE = 512
-#: Bound on the last-plan-shape-per-statement map (plan-change detection).
-PLAN_SHAPES_SIZE = 256
 
 
 @dataclass(frozen=True)
 class PlanCacheKey:
-    """The canonical identity of one cached mediation/planning product: the
-    statement's AST fingerprint (:mod:`repro.sql.normalize`), the receiver
-    context, whether mediation ran at all, and the generation counters of the
-    two knowledge stores a cached artifact could otherwise read stale — the
-    catalog's (wrapper/relation registration, source invalidation) and the
-    :class:`~repro.coin.system.CoinSystem`'s (domain model, contexts,
-    elevations, conversions)."""
+    """What one compiled plan was compiled from: the statement's shape (AST
+    fingerprint, receiver context, whether mediation ran at all) and the
+    generation counters of the two knowledge stores it could otherwise read
+    stale — the catalog's (wrapper/relation registration, source
+    invalidation) and the :class:`~repro.coin.system.CoinSystem`'s (domain
+    model, contexts, elevations, conversions)."""
 
     fingerprint: str
     receiver_context: str
@@ -149,7 +139,7 @@ PIPELINE_COUNTERS = (
 class QueryPipeline:
     """Compiles receiver statements into :class:`MediatedPlan` objects.
 
-    ``plan_cache_size`` bounds the mediation and the plan cache, and
+    ``plan_cache_size`` bounds the compile cache, and
     ``statement_cache_size`` the statement cache; 0 disables the memo (every
     call recompiles) — the ablation baseline the benchmarks measure against.
     """
@@ -159,11 +149,10 @@ class QueryPipeline:
                  statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE):
         self.mediator = mediator
         self.engine = engine
+        #: Statement shape ``(fingerprint, receiver context, mediate)`` ->
+        #: its newest :class:`MediatedPlan`, current or not.
         self.plan_cache = _cache(plan_cache_size)
-        self.mediation_cache = _cache(plan_cache_size)
         self._statements = _cache(statement_cache_size)
-        # Last plan shape per statement shape, for plan-change detection.
-        self._plan_shapes = BoundedCache(PLAN_SHAPES_SIZE)
         self.statistics = CounterSet(PIPELINE_COUNTERS)
 
     # -- generations -------------------------------------------------------------
@@ -176,12 +165,14 @@ class QueryPipeline:
     def knowledge_generation(self) -> int:
         return self.mediator.system.generation
 
+    def is_live(self, key: PlanCacheKey) -> bool:
+        """True while ``key``'s generations match the live counters."""
+        return (key.catalog_generation == self.catalog_generation
+                and key.knowledge_generation == self.knowledge_generation)
+
     def is_current(self, plan: MediatedPlan) -> bool:
-        """True while the plan's generations match the live counters and no
-        feedback key it consulted was retired since it was priced."""
-        return (plan.key.catalog_generation == self.catalog_generation
-                and plan.key.knowledge_generation == self.knowledge_generation
-                and not self._retired_by_feedback(plan))
+        """Live generations, and no feedback key consulted retired since."""
+        return self.is_live(plan.key) and not self._retired_by_feedback(plan)
 
     def _retired_by_feedback(self, plan: MediatedPlan) -> bool:
         """Whether a material estimation error hit a key ``plan`` was priced
@@ -201,7 +192,8 @@ class QueryPipeline:
 
     def prepare(self, query: TUnion[str, Select], receiver_context: Optional[str] = None,
                 mediate: bool = True) -> MediatedPlan:
-        """Run (or recall) the full pipeline for one receiver statement."""
+        """Run (or recall) the full pipeline for one receiver statement: its
+        shape's entry while current, else that entry recompiled in place."""
         statement_span = current_span()
         recording = statement_span.recording
         context = self.mediator.resolve_context(receiver_context)
@@ -213,30 +205,28 @@ class QueryPipeline:
         parse_started = statement_span.tracer._now() if recording else None
         select, fingerprint = self._parse(query)
         parse_ended = statement_span.tracer._now() if recording else None
-        key = PlanCacheKey(
-            fingerprint=fingerprint,
-            receiver_context=context,
-            mediate=mediate,
-            catalog_generation=self.catalog_generation,
-            knowledge_generation=self.knowledge_generation,
-        )
-        cached = self.plan_cache.get(key) if self.plan_cache is not None else None
-        if cached is not None and not self._retired_by_feedback(cached):
+        shape = (fingerprint, context, mediate)
+        entry = self.plan_cache.get(shape) if self.plan_cache is not None else None
+        live = entry is not None and self.is_live(entry.key)
+        if live and not self._retired_by_feedback(entry):
             self.statistics.add(prepares=1, plan_hits=1)
             if recording:
-                statement_span.annotate(pipeline="cached", plan_cache="hit")
-            return cached
-        # A cached plan that is not served was retired by feedback alone.
-        self.statistics.add(prepares=1, plan_misses=1,
-                            feedback_replans=int(cached is not None))
+                statement_span.annotate(fingerprint=fingerprint, pipeline="cached",
+                                        plan_cache="hit")
+            return entry
+        # An entry of live generations that is not served was retired by
+        # feedback alone.
+        self.statistics.add(prepares=1, plan_misses=1, feedback_replans=int(live))
         if recording:
+            statement_span.annotate(fingerprint=fingerprint)
             parse_span = statement_span.child("parse")
             parse_span.started_at = parse_started
             parse_span.ended_at = parse_ended
-
+        key = PlanCacheKey(fingerprint, context, mediate, self.catalog_generation,
+                           self.knowledge_generation)
         mediate_span = statement_span.child("mediate", mediate=mediate)
         try:
-            mediation = self._mediate_stage(select, key)
+            mediation = self._mediate_stage(select, key, entry)
         except BaseException as exc:
             mediate_span.finish(error=exc)
             raise
@@ -248,121 +238,95 @@ class QueryPipeline:
         except BaseException as exc:
             plan_span.finish(error=exc)
             raise
-        plan_span.annotate(branches=len(plan.branches), signature=str(plan.signature()),
+        signature = plan.signature()
+        plan_span.annotate(branches=len(plan.branches), signature=str(signature),
                            feedback_epoch=plan.feedback_epoch)
         plan_span.finish()
+        if entry is not None and entry.plan.signature() != signature:
+            self.statistics.add(plan_changes=1)
         product = MediatedPlan(key=key, mediation=mediation, plan=plan,
                                feedback_epoch=plan.feedback_epoch)
-        self._note_plan_shape(key, plan)
         if self.plan_cache is not None:
-            self.plan_cache.put(key, product)
+            self.plan_cache.put(shape, product)
         return product
 
-    def _note_plan_shape(self, key: PlanCacheKey, plan: QueryPlan) -> None:
-        """Track plan shape per statement shape; count re-plans that changed it."""
-        base = (key.fingerprint, key.receiver_context, key.mediate)
-        signature = plan.signature()
-        previous = self._plan_shapes.peek(base)
-        self._plan_shapes.put(base, signature)
-        if previous is not None and previous != signature:
-            self.statistics.add(plan_changes=1)
-
     def refresh(self, plan: MediatedPlan) -> MediatedPlan:
-        """Revalidate a (possibly stale) plan against the live generations.
-
-        A current plan is returned as-is — the prepared-query warm path.  A
-        stale one is transparently recompiled from its original statement.
-        """
+        """``plan`` while current (the prepared-query warm path), else its
+        statement prepared again, which recompiles the stale entry."""
         if self.is_current(plan):
             return plan
         return self.prepare(plan.select, plan.receiver_context, mediate=plan.mediate)
 
     def mediate(self, query: TUnion[str, Select],
                 receiver_context: Optional[str] = None) -> MediationResult:
-        """The mediation stage alone (the QBE "show SQL" view)."""
+        """The mediation stage alone (the QBE "show SQL" view): the compiled
+        entry's mediation while its knowledge generation is live, else the
+        mediator run uncached.  Nothing is planned, so a statement that
+        mediates but cannot be planned still answers."""
         context = self.mediator.resolve_context(receiver_context)
         select, fingerprint = self._parse(query)
-        key = PlanCacheKey(
-            fingerprint=fingerprint,
-            receiver_context=context,
-            mediate=True,
-            catalog_generation=0,  # mediation does not read the catalog
-            knowledge_generation=self.knowledge_generation,
-        )
-        return self._cached_mediation(select, key)
+        current_span().annotate(fingerprint=fingerprint)
+        entry = (self.plan_cache.peek((fingerprint, context, True))
+                 if self.plan_cache is not None else None)
+        if entry is not None and entry.key.knowledge_generation == self.knowledge_generation:
+            return entry.mediation
+        return self.mediator.mediate(select, context)
+
+    def fingerprint(self, query: TUnion[str, Select]) -> Optional[str]:
+        """``query``'s AST fingerprint, uncounted where the statement cache
+        holds it; a statement mediation rejects (a receiver UNION) has one
+        too.  None only for text that does not parse as a SELECT or UNION."""
+        if isinstance(query, str) and self._statements is not None:
+            entry = self._statements.peek(query)
+            if entry is not None:
+                return entry[1]
+        try:
+            return statement_fingerprint(parse(query) if isinstance(query, str) else query)
+        except SQLError:
+            return None
 
     # -- stages ------------------------------------------------------------------
 
     def _parse(self, query: TUnion[str, Select]) -> Tuple[Select, str]:
-        if not isinstance(query, str):
-            select = self.mediator.as_select(query)
-            return select, statement_fingerprint(select)
-        statements = self._statements
-        if statements is not None:
-            hit = statements.get(query)
-            if hit is not None:
-                return hit
+        statements = self._statements if isinstance(query, str) else None
+        hit = statements.get(query) if statements is not None else None
+        if hit is not None:
+            return hit
         select = self.mediator.as_select(query)
         entry = (select, statement_fingerprint(select))
         if statements is not None:
             statements.put(query, entry)
         return entry
 
-    def _mediate_stage(self, select: Select, key: PlanCacheKey) -> MediationResult:
+    def _mediate_stage(self, select: Select, key: PlanCacheKey,
+                       entry: Optional[MediatedPlan]) -> MediationResult:
         if not key.mediate:
             # The passthrough runs no conflict detection and no abduction;
-            # it is cheap enough to skip the memo entirely.
-            mediation = self.mediator.unmediated(select, key.receiver_context)
-            mediation.fingerprint = key.fingerprint
-            return mediation
-        mediation_key = PlanCacheKey(
-            fingerprint=key.fingerprint,
-            receiver_context=key.receiver_context,
-            mediate=True,
-            catalog_generation=0,  # mediation does not read the catalog
-            knowledge_generation=key.knowledge_generation,
-        )
-        return self._cached_mediation(select, mediation_key)
-
-    def _cached_mediation(self, select: Select, key: PlanCacheKey) -> MediationResult:
-        if self.mediation_cache is not None:
-            cached = self.mediation_cache.get(key)
-            if cached is not None:
-                self.statistics.add(mediation_hits=1)
-                return cached
+            # it is cheap enough to run uncounted every time.
+            return self.mediator.unmediated(select, key.receiver_context)
+        if entry is not None and entry.key.knowledge_generation == key.knowledge_generation:
+            # Mediation does not read the catalog: only knowledge stales it.
+            self.statistics.add(mediation_hits=1)
+            return entry.mediation
         self.statistics.add(mediation_misses=1)
-        mediation = self.mediator.mediate(select, key.receiver_context)
-        mediation.fingerprint = key.fingerprint
-        if self.mediation_cache is not None:
-            self.mediation_cache.put(key, mediation)
-        return mediation
+        return self.mediator.mediate(select, key.receiver_context)
 
     def _plan_stage(self, mediation: MediationResult) -> QueryPlan:
-        if mediation.branches:
-            selects = [branch.select for branch in mediation.branches]
-        else:
-            selects = [mediation.original]
+        selects = ([branch.select for branch in mediation.branches]
+                   or [mediation.original])
         return self.engine.plan_branches(selects, statement=mediation.mediated)
 
     # -- maintenance ---------------------------------------------------------------
 
-    def clear(self) -> int:
-        """Drop every memoized mediation and plan; returns the drop count."""
-        return sum(len(cache.drop()) for cache in
-                   (self.plan_cache, self.mediation_cache) if cache is not None)
-
     def prune_stale(self) -> int:
-        """Eagerly free entries from generations that can no longer be read."""
-        catalog, knowledge = self.catalog_generation, self.knowledge_generation
-        dropped = 0
-        if self.plan_cache is not None:
-            dropped += len(self.plan_cache.drop(
-                lambda key: key.catalog_generation != catalog
-                or key.knowledge_generation != knowledge))
-        if self.mediation_cache is not None:
-            dropped += len(self.mediation_cache.drop(
-                lambda key: key.knowledge_generation != knowledge))
-        return dropped
+        """Free the entries compiled against a past generation (and any
+        recompiled meanwhile, which compiles again); returns the count."""
+        cache = self.plan_cache
+        if cache is None:
+            return 0
+        stale = {(entry.fingerprint, entry.receiver_context, entry.mediate)
+                 for entry in cache.values() if not self.is_live(entry.key)}
+        return len(cache.drop(stale.__contains__))
 
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = self.statistics.snapshot()
@@ -370,8 +334,6 @@ class QueryPipeline:
             data["statement_cache_hits"] = self._statements.statistics.hits
         if self.plan_cache is not None:
             data["plan_cache"] = self.plan_cache.snapshot()
-        if self.mediation_cache is not None:
-            data["mediation_cache"] = self.mediation_cache.snapshot()
         return data
 
 

@@ -10,8 +10,8 @@ A Relation computes nothing itself: selections, joins, unions and limits
 are physical operators (:mod:`repro.relational.operators`), which the engine's
 plans and the local SQL processor both lower to.  What is left here are
 views of the stored rows — records, a column, a projection by name — and
-``order_by``, the plain stable sort examples and tests compare the ORDER BY
-kernels with.
+``order_by`` / ``sorted_on``, the plain stable sort examples and tests compare
+the ORDER BY kernels with, and repair enumeration sorts its union with.
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ class Relation:
         if rows is not None:
             for row in rows:
                 self.append(row, validate=validate)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_dicts(cls, schema: Schema, records: Iterable[Dict[str, Any]],
-                   name: Optional[str] = None) -> "Relation":
-        """Build a relation from dictionaries keyed by attribute name."""
-        relation = cls(schema, name=name)
-        for record in records:
-            row = [record.get(attribute.name) for attribute in schema]
-            relation.append(row)
-        return relation
 
     # -- container behaviour --------------------------------------------------
 
@@ -114,10 +102,15 @@ class Relation:
     def order_by(self, names: Sequence[str], ascending: Optional[Sequence[bool]] = None) -> "Relation":
         positions = [self._resolve(name) for name in names]
         directions = list(ascending) if ascending is not None else [True] * len(positions)
+        return self.sorted_on(list(zip(positions, directions)))
+
+    def sorted_on(self, keys: Sequence[Tuple[int, bool]]) -> "Relation":
+        """A copy stably sorted on ``(position, ascending)`` keys, the most
+        significant first, as :func:`sort_key` orders values."""
         result = Relation(self.schema, name=self.name)
         result.rows = list(self.rows)
         # Stable sort from the least-significant key to the most significant.
-        for position, asc in reversed(list(zip(positions, directions))):
+        for position, asc in reversed(keys):
             result.rows.sort(key=lambda row: sort_key(row[position]), reverse=not asc)
         return result
 

@@ -195,7 +195,3 @@ class DictionaryStore:
             if row[0] == source and row[1].lower() == relation.lower()
         ]
         return sorted(rows, key=lambda entry: entry["position"])
-
-    def query(self, sql: str) -> Relation:
-        """Run an arbitrary SQL query over the dictionary relations."""
-        return self.database.execute(sql)

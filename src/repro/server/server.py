@@ -442,10 +442,13 @@ class MediationServer:
         admitted and traced (nothing executes); returns (result, trace id)."""
         sql, tenant = call.parameters["sql"], call.options.tenant
         with self.federation.observability.statement_root(
-                sql, call.trace_id, tenant=tenant,
-                operation=call.operation) as root:
-            return self.gateway.run(lambda remaining: work(sql, *arguments),
-                                    tenant=tenant), root.trace_id
+                call.trace_id, tenant=tenant, operation=call.operation) as root:
+            try:
+                return self.gateway.run(lambda remaining: work(sql, *arguments),
+                                        tenant=tenant), root.trace_id
+            except BaseException:
+                self.federation.name_root(root, sql)
+                raise
 
     def _prepare(self, call: _Call) -> Dict[str, Any]:
         # A deadline here is a property of the statement's later executions,
@@ -531,13 +534,11 @@ class MediationServer:
         cursor = self._cursors.get(cursor_id, call.session)
         if cursor is None:
             raise _Refused(f"unknown or closed cursor {cursor_id!r}", "cursor")
-        key, pipeline = cursor.prepared.key, self.federation.pipeline
         try:
             # Generation check, mirroring prepared statements: a catalog or
             # knowledge change since the plan was compiled would splice pre-
             # and post-change rows into one answer, so the cursor dies instead.
-            if (key.catalog_generation != pipeline.catalog_generation
-                    or key.knowledge_generation != pipeline.knowledge_generation):
+            if not self.federation.pipeline.is_live(cursor.prepared.key):
                 raise _Refused(
                     f"cursor {cursor_id!r} invalidated by a catalog or "
                     "knowledge change; re-issue the query", "cursor")

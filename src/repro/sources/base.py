@@ -69,22 +69,6 @@ class SourceCapabilities:
             scan_cost_per_row=0.5,
         )
 
-    @classmethod
-    def selection_only(cls, query_overhead: float = 30.0) -> "SourceCapabilities":
-        """A source accepting simple per-relation selections but no joins."""
-        return cls(
-            selection=True,
-            projection=True,
-            join=False,
-            arithmetic=False,
-            aggregation=False,
-            order_by=False,
-            union=False,
-            query_overhead=query_overhead,
-            transfer_cost_per_row=1.5,
-            scan_cost_per_row=0.3,
-        )
-
 
 #: Access counters every source maintains: (field, kind, series, help).
 #: ``failures`` are accesses that raised (availability, extraction,

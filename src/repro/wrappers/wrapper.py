@@ -294,11 +294,3 @@ class WrapperRegistry:
 
     def __len__(self) -> int:
         return len(self._wrappers)
-
-    def find_relation(self, relation: str) -> List[Wrapper]:
-        """Every wrapper exporting a relation with the given name."""
-        matches = []
-        for wrapper in self._wrappers.values():
-            if relation.lower() in (name.lower() for name in wrapper.relation_names()):
-                matches.append(wrapper)
-        return matches

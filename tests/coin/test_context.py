@@ -64,11 +64,6 @@ class TestContext:
         with pytest.raises(ContextError):
             Context("c1").declaration("companyFinancials", "currency")
 
-    def test_has_declaration(self):
-        context = Context("c1").declare_constant("t", "m", 1)
-        assert context.has_declaration("t", "m")
-        assert not context.has_declaration("t", "other")
-
     def test_axiom_count_counts_cases(self):
         context = Context("c1")
         context.declare_constant("t", "m", 1)

@@ -21,7 +21,7 @@ class TestRegistration:
     def test_register_and_lookup(self, federation):
         constraint = federation.register_constraint(_pk())
         catalog = federation.engine.catalog
-        assert catalog.constraints_for("accounts") == [constraint]
+        assert catalog.constraints.for_relation("accounts") == [constraint]
         assert catalog.key_of("accounts") is constraint
         assert catalog.key_of("ratings") is None
 

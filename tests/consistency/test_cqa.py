@@ -95,6 +95,37 @@ class TestModes:
         assert _rows(answer) == {(1,), (2,), (3,), (99,)}
 
 
+class TestEnumeratedOrder:
+    """Repair enumeration unions the repairs' rows in repair order; the
+    statement's ORDER BY must still order the answer."""
+
+    JOIN = ("SELECT a.id, r.score FROM accounts a, ratings r "
+            "WHERE a.id = r.id ORDER BY ")
+
+    def test_possible_answer_of_an_enumerated_join_follows_order_by(self, federation):
+        _register_keys(federation)
+        answer = federation.query(self.JOIN + "r.score", mediate=False,
+                                  consistency="possible")
+        assert answer.execution.report.consistency["strategy"] == "fallback"
+        assert answer.relation.rows == [(1, 2.0), (3, 3.0), (1, 4.0), (2, 5.0)]
+        descending = federation.query(self.JOIN + "2 DESC, 1", mediate=False,
+                                      consistency="possible")
+        assert descending.relation.rows == [(2, 5.0), (1, 4.0), (3, 3.0), (1, 2.0)]
+        certain = federation.query(self.JOIN + "r.score", mediate=False,
+                                   consistency="certain")
+        assert certain.relation.rows == [(3, 3.0), (2, 5.0)]
+
+    def test_a_key_outside_the_select_list_keeps_first_seen_order(self, federation):
+        _register_keys(federation)
+        sql = ("SELECT a.id FROM accounts a, ratings r WHERE a.id = r.id "
+               "ORDER BY r.score")
+        answer = federation.query(sql, mediate=False, consistency="possible")
+        assert answer.execution.report.consistency["strategy"] == "fallback"
+        # Across repairs a row has several scores: under set semantics the
+        # key orders nothing, and the rows stay in the order first seen.
+        assert sorted(answer.relation.rows) == [(1,), (2,), (3,)]
+
+
 class TestStrategySelection:
     def test_self_join_falls_back(self, federation):
         _register_keys(federation)
@@ -557,5 +588,6 @@ class TestTheFinishOverAMediatedUnion:
         paper.register_constraint(PrimaryKey("r1_pk", relation="r1", columns=("cname",)))
         sql = "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC"
         assert self._answer(paper, sql, "certain") == ("fallback", [("IBM", 1_000_000.0)])
+        # The finish's ORDER BY orders the union of the repairs too.
         assert self._answer(paper, sql, "possible") == ("fallback", [
-            ("NTT", 9_600_000.0), ("IBM", 1_000_000.0), ("NTT", 2_000_000.0)])
+            ("NTT", 9_600_000.0), ("NTT", 2_000_000.0), ("IBM", 1_000_000.0)])

@@ -72,7 +72,8 @@ CASES = [
           "WHERE accounts.id = ratings.id", "fallback"),
     _case("SELECT accounts.owner FROM accounts ORDER BY accounts.balance", "fallback"),
     _case("SELECT accounts.owner, ratings.score FROM accounts, ratings "
-          "WHERE accounts.id = ratings.id", "fallback", keyed=("accounts", "ratings")),
+          "WHERE accounts.id = ratings.id ORDER BY ratings.score DESC, 1", "fallback",
+          order=[(1, False), (0, True)], keyed=("accounts", "ratings")),
     # Repairs are sets, the raw relation a bag: a raw count sees duplicates.
     _case("SELECT COUNT(*) AS n FROM accounts WHERE accounts.balance > 0", "fallback",
           raw=False),

@@ -80,11 +80,8 @@ class TestDictionaryServices:
     def test_capabilities_mirrored_into_dictionary(self):
         catalog = Catalog()
         catalog.register_wrapper(make_wrapper())
-        result = catalog.query_dictionary(
-            "SELECT dict_capabilities.capability FROM dict_capabilities "
-            "WHERE dict_capabilities.source = 'source1' AND dict_capabilities.supported = TRUE"
-        )
-        assert "join" in result.column("capability")
+        mirrored = catalog.dictionary.database.table("dict_capabilities").rows
+        assert ("source1", "join", True) in mirrored
 
     def test_schema_of_and_wrapper_for(self):
         catalog = Catalog()

@@ -19,6 +19,8 @@ from repro.engine.engine import MultiDatabaseEngine
 from repro.relational.relation import Relation
 from repro.sources.base import SourceCapabilities
 from repro.sources.memory import MemorySQLSource
+from repro.sql.normalize import statement_fingerprint
+from repro.sql.parser import parse
 from repro.wrappers.wrapper import RelationalWrapper
 
 
@@ -117,19 +119,104 @@ class TestGenerationInvalidation:
         contexts.register(replacement)
         assert federation.system.generation > before
 
-    def test_pipeline_stamps_the_mediation_fingerprint(self, federation):
+    def test_one_fingerprint_names_the_statement(self, federation):
         answer = federation.query(PAPER_QUERY)
-        assert answer.mediation.fingerprint is not None
-        assert answer.mediation.fingerprint == federation.prepare(PAPER_QUERY).fingerprint
-        # Each branch of the IR carries its own (distinct) identity.
-        branch_prints = {branch.fingerprint for branch in answer.mediation.branches}
-        assert len(branch_prints) == answer.mediation.branch_count
+        prepared = federation.prepare(PAPER_QUERY)
+        assert answer.mediation is prepared.plan.mediation
+        assert prepared.fingerprint == statement_fingerprint(parse(PAPER_QUERY))
+        assert federation.pipeline.fingerprint(PAPER_QUERY) == prepared.fingerprint
+        assert federation.pipeline.fingerprint("NOT SQL AT ALL") is None
 
     def test_prune_stale_frees_unreachable_entries(self, federation):
         federation.query(PAPER_QUERY)
+        federation.query(PAPER_QUERY, mediate=False)
         federation.invalidate_source_cache()
-        federation.query(PAPER_QUERY)
-        assert federation.pipeline.prune_stale() >= 1
+        assert federation.pipeline.prune_stale() == 2
+        assert len(federation.pipeline.plan_cache) == 0
+        assert federation.pipeline.prune_stale() == 0
+
+
+def counters(federation):
+    return federation.pipeline.snapshot()
+
+
+class TestRecompileInPlace:
+    """One compile-cache entry per statement shape: a stale entry is
+    recompiled from itself, under the same shape."""
+
+    def test_catalog_bump_recompiles_in_place_reusing_the_mediation(self, federation):
+        first = federation.pipeline.prepare(PAPER_QUERY)
+        entries, before = len(federation.pipeline.plan_cache), counters(federation)
+        federation.invalidate_source_cache(relation="r1")
+        second = federation.pipeline.prepare(PAPER_QUERY)
+        after = counters(federation)
+        assert len(federation.pipeline.plan_cache) == entries
+        assert after["mediation_hits"] == before["mediation_hits"] + 1
+        assert after["mediation_misses"] == before["mediation_misses"]
+        assert after["plan_misses"] == before["plan_misses"] + 1
+        assert after["feedback_replans"] == before["feedback_replans"]
+        assert after["plan_changes"] == before["plan_changes"]  # the same plan
+        assert second.plan.signature() == first.plan.signature()
+        assert second is not first and second.mediation is first.mediation
+        assert second.key.catalog_generation > first.key.catalog_generation
+        assert federation.pipeline.prepare(PAPER_QUERY) is second
+
+    def test_knowledge_bump_remediates_in_place(self, federation):
+        first = federation.pipeline.prepare(PAPER_QUERY)
+        entries, before = len(federation.pipeline.plan_cache), counters(federation)
+        federation.system.contexts.get("c_receiver").declare_constant(
+            "companyFinancials", "scaleFactor", 1)
+        second = federation.pipeline.prepare(PAPER_QUERY)
+        after = counters(federation)
+        assert len(federation.pipeline.plan_cache) == entries
+        assert after["mediation_misses"] == before["mediation_misses"] + 1
+        assert after["mediation_hits"] == before["mediation_hits"]
+        assert second.mediation is not first.mediation
+
+    def test_passthrough_recompiles_uncounted(self, federation):
+        federation.pipeline.prepare(PAPER_QUERY, mediate=False)
+        before = counters(federation)
+        federation.invalidate_source_cache()
+        federation.pipeline.prepare(PAPER_QUERY, mediate=False)
+        after = counters(federation)
+        assert after["plan_misses"] == before["plan_misses"] + 1
+        assert (after["mediation_hits"], after["mediation_misses"]) == (
+            before["mediation_hits"], before["mediation_misses"])
+
+    def test_feedback_retirement_counts_a_plan_change_against_the_entry(self, federation):
+        pipeline = federation.pipeline
+        first = pipeline.prepare(PAPER_QUERY)
+        before = counters(federation)
+        # r2 is far larger than planned: the re-plan binds into it.
+        federation.engine.catalog.feedback.record_request(
+            "r2", "", 100_000, planned_rows=1)
+        second = pipeline.prepare(PAPER_QUERY)
+        after = counters(federation)
+        assert second.plan.signature() != first.plan.signature()
+        assert after["feedback_replans"] == before["feedback_replans"] + 1
+        assert after["plan_changes"] == before["plan_changes"] + 1
+        assert after["mediation_hits"] == before["mediation_hits"] + 1
+        assert len(pipeline.plan_cache) == 1
+        # A catalog bump clears the observations and the plan reverts: a
+        # change against the entry it replaces, not against the first plan.
+        federation.invalidate_source_cache(relation="r3")
+        assert pipeline.prepare(PAPER_QUERY).plan.signature() == first.plan.signature()
+        assert counters(federation)["plan_changes"] == after["plan_changes"] + 1
+
+    def test_mediate_only_after_query_runs_no_mediation(self, federation):
+        answer = federation.query(PAPER_QUERY)
+        med, before = mediations(federation), counters(federation)
+        shown = federation.mediate_only(PAPER_QUERY)
+        assert shown is answer.mediation
+        assert mediations(federation) == med
+        assert counters(federation)["mediation_hits"] == before["mediation_hits"]
+
+    def test_mediate_only_without_an_entry_plans_nothing(self, federation):
+        pln = plans(federation)
+        shown = federation.mediate_only(PAPER_QUERY)
+        assert shown.branch_count > 1
+        assert plans(federation) == pln
+        assert len(federation.pipeline.plan_cache) == 0
 
 
 class TestPreparedQueries:
@@ -173,7 +260,6 @@ class TestNaiveFastPath:
         assert mediations(federation) == med, "passthrough must not mediate"
         assert naive.mediation.analyses == []
         assert naive.mediation.branch_count == 0
-        assert naive.mediation.mediated_by_rewriter is False
 
     def test_unmediated_and_mediated_cache_separately(self, federation):
         federation.query(PAPER_QUERY, mediate=False)

@@ -15,6 +15,8 @@ from repro.server.gateway import AdmissionGateway
 from repro.server.http import HttpRequest
 from repro.server.protocol import Request
 from repro.server.server import MediationServer
+from repro.sql.normalize import statement_fingerprint
+from repro.sql.parser import parse
 
 
 @pytest.fixture()
@@ -56,6 +58,29 @@ class TestFederationTracing:
         assert all("open" not in span for span in _tree_spans(document))
         assert all(span["trace_id"] == trace_id
                    for span in _tree_spans(document))
+
+    def test_root_carries_the_plans_fingerprint(self, traced):
+        prepared = traced.prepare(PAPER_QUERY)
+        buffer = traced.observability.tracer.buffer
+        cold = traced.query("select r1.cname from r1")
+        warm = traced.query(PAPER_QUERY)
+        reused = prepared.execute()
+        roots = [buffer.get(answer.execution.report.trace_id)["attributes"]
+                 for answer in (cold, warm, reused)]
+        assert [root["fingerprint"] for root in roots] == [
+            traced.pipeline.fingerprint("select r1.cname from r1"),
+            prepared.fingerprint, prepared.fingerprint]
+        assert roots[2]["prepared"] is True
+
+    def test_compile_only_roots_carry_the_fingerprint(self, traced):
+        server = MediationServer(traced)
+        expected = traced.prepare(PAPER_QUERY).fingerprint
+        for operation in ("mediate", "explain", "prepare"):
+            response = server.handle(Request(operation=operation,
+                                             parameters={"sql": PAPER_QUERY}))
+            document = traced.observability.tracer.buffer.get(
+                response.payload["trace_id"])
+            assert document["attributes"]["fingerprint"] == expected, operation
 
     def test_tracing_is_off_by_default(self, federation):
         answer = federation.query(PAPER_QUERY)
@@ -114,9 +139,51 @@ class TestSlowQueryLog:
         assert len(records) == 1
         record = records[0]
         assert record["trace_id"] == answer.execution.report.trace_id
-        assert len(record["fingerprint"]) == 16
+        assert record["fingerprint"] == traced.prepare(PAPER_QUERY).fingerprint
         assert "scheduler" in record and "resilience" in record
         assert json.loads(json.dumps(record))  # wire-safe
+
+    @pytest.mark.parametrize("pair", [
+        ("SELECT r1.cname FROM r1 WHERE r1.cname = 'NTT'",
+         "SELECT r1.cname FROM r1 WHERE r1.cname = 'ntt'"),
+        ("SELECT r1.Revenue FROM r1", "SELECT r1.revenue FROM r1"),
+    ], ids=["literal-case", "identifier-case"])
+    def test_statements_compiled_apart_are_logged_apart(self, federation, pair):
+        federation.observability.log.slow_query_seconds = 0.0
+        for sql in pair:
+            federation.query(sql)
+        logged = [record["fingerprint"] for record
+                  in federation.observability.log.records("slow_query")]
+        assert logged == [federation.prepare(sql).fingerprint for sql in pair]
+        assert logged[0] != logged[1]
+
+    def test_layout_and_keyword_case_share_a_fingerprint(self, federation):
+        federation.observability.log.slow_query_seconds = 0.0
+        federation.query("SELECT  r1.cname\nFROM r1")
+        federation.query("select r1.cname from r1")
+        first, second = federation.observability.log.records("slow_query")
+        assert first["fingerprint"] == second["fingerprint"]
+        assert federation.pipeline.snapshot()["plan_hits"] == 1
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT nosuch.c FROM nosuch",
+        "SELECT r1.cname FROM r1 UNION SELECT r2.cname FROM r2",
+    ], ids=["unknown-relation", "receiver-union"])
+    def test_a_failed_statement_is_logged_with_its_fingerprint(self, federation, sql):
+        with pytest.raises(Exception):
+            federation.query(sql)
+        record, = federation.observability.log.records("slow_query")
+        assert "error" in record
+        assert record["fingerprint"] == statement_fingerprint(parse(sql))
+
+    def test_unparseable_text_is_logged_with_a_null_fingerprint(self, federation):
+        with pytest.raises(Exception):
+            federation.query("THIS IS NOT SQL")
+        record, = federation.observability.log.records("slow_query")
+        assert record["error"].startswith("SQL")
+        assert record["fingerprint"] is None
+        assert "fingerprint" in json.loads(
+            federation.observability.log.lines("slow_query")[0])
 
     def test_fast_statements_stay_out_of_the_log(self, federation):
         federation.query(PAPER_QUERY)  # default threshold is 1s

@@ -45,11 +45,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         gauge = Gauge("coin_active")
         gauge.set(4)
         gauge.inc()
-        gauge.dec(2)
+        gauge.inc(-2)
         assert gauge.value() == 3
 
     def test_function_backed_gauge(self):

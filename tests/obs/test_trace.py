@@ -162,7 +162,7 @@ class TestSampling:
 
     def test_minted_trace_ids_are_unique(self):
         tracer = Tracer(clock=ManualClock())
-        ids = {tracer.mint_trace_id() for _ in range(100)}
+        ids = {tracer.start_trace("statement").trace_id for _ in range(100)}
         assert len(ids) == 100
 
     def test_head_sampling_is_deterministic_per_seed(self):

@@ -37,11 +37,6 @@ class TestConstruction:
         with pytest.raises(TypeMismatchError):
             companies().append(("X", "not-a-number", "USD"))
 
-    def test_from_dicts(self):
-        schema = Schema.of("a:integer", "b:string")
-        relation = Relation.from_dicts(schema, [{"a": 1, "b": "x"}, {"a": 2}])
-        assert relation.rows == [(1, "x"), (2, None)]
-
     def test_records_and_column(self):
         relation = companies()
         assert relation.records()[1]["cname"] == "NTT"

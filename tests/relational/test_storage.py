@@ -72,13 +72,10 @@ class TestDictionaryStore:
         dictionary.register_relation("other", "r3", Schema.of("a"))
         assert dictionary.relations_of("s") == ["r1", "r2"]
 
-    def test_capabilities_and_sql_access(self):
+    def test_capabilities_are_recorded(self):
         dictionary = DictionaryStore()
         dictionary.register_source("s", "database")
         dictionary.register_capability("s", "join", True)
         dictionary.register_capability("s", "aggregation", False)
-        result = dictionary.query(
-            "SELECT dict_capabilities.capability FROM dict_capabilities "
-            "WHERE dict_capabilities.supported = FALSE"
-        )
-        assert result.column("capability") == ["aggregation"]
+        assert dictionary.database.table("dict_capabilities").rows == [
+            ("s", "join", True), ("s", "aggregation", False)]

@@ -13,6 +13,10 @@ from repro.demo.scenarios import build_paper_federation
 from repro.errors import OverloadError
 from repro.options import StatementOptions
 from repro.server.gateway import AdmissionGateway, GatewayConfig
+from repro.server.protocol import Request
+from repro.server.server import MediationServer
+from repro.sql.normalize import statement_fingerprint
+from repro.sql.parser import parse
 
 PAPER_QUERY = (
     "SELECT r1.cname, r1.revenue FROM r1, r2 "
@@ -218,7 +222,28 @@ class TestDoorOrder:
                         trace_id="door-bad")
         document = traced.observability.tracer.buffer.get("door-bad")
         assert document is not None and "error" in document["flags"]
+        assert document["attributes"]["fingerprint"] is None
         assert gateway.snapshot()["active_streams"] == 0
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_a_shed_root_carries_the_statements_fingerprint(self, traced, stream):
+        gateway = AdmissionGateway()
+        assert gateway.drain(1.0) is True
+        with pytest.raises(OverloadError):
+            traced.open(NAMES, StatementOptions(), stream, gateway=gateway,
+                        trace_id="door-shed")
+        document = traced.observability.tracer.buffer.get("door-shed")
+        assert "error" in document["flags"]
+        assert document["attributes"]["fingerprint"] == statement_fingerprint(parse(NAMES))
+
+    def test_a_shed_compile_root_carries_the_statements_fingerprint(self, traced):
+        server = MediationServer(traced)
+        assert server.gateway.drain(1.0) is True
+        response = server.handle(Request(operation="prepare", parameters={"sql": NAMES},
+                                         trace_id="compile-shed"))
+        assert response.ok is False
+        document = traced.observability.tracer.buffer.get("compile-shed")
+        assert document["attributes"]["fingerprint"] == statement_fingerprint(parse(NAMES))
 
     def test_root_carries_both_scopes_and_the_door(self, traced):
         cursor = traced.open(NAMES, StatementOptions(tenant="acme"),
