@@ -18,9 +18,9 @@ these counts next to the mediator's (where the per-query user effort is zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.sql.ast import BinaryOp, ColumnRef, Node, Select, Statement, TableRef, Union, walk
+from repro.sql.ast import BinaryOp, Select, TableRef, Union, walk
 from repro.sql.parser import parse
 
 

@@ -24,13 +24,12 @@ formulas:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.sources.exchange import DEFAULT_RATES, complete_rates, lookup_rate
 
 

@@ -21,7 +21,7 @@ conversion registered for ``monetaryAmount`` also serves ``companyFinancials``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConversionError
 from repro.coin.domain import DomainModel

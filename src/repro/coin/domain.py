@@ -23,10 +23,10 @@ reason over the model when producing explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import DomainModelError
-from repro.datalog.clause import KnowledgeBase, fact
+from repro.datalog.clause import KnowledgeBase
 
 
 @dataclass

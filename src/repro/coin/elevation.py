@@ -18,7 +18,7 @@ to stay close to how the cases are enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ElevationError

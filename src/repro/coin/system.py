@@ -20,11 +20,10 @@ declarative view used for explanations and for consistency tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
-from repro.errors import CoinModelError, ContextError, ElevationError
+from repro.errors import CoinModelError, ContextError
 from repro.coin.context import (
-    AttributeValue,
     ConstantValue,
     Context,
     ContextRegistry,
@@ -33,7 +32,7 @@ from repro.coin.context import (
 from repro.coin.conversion import ConversionRegistry
 from repro.coin.domain import DomainModel
 from repro.coin.elevation import ElevationRegistry
-from repro.datalog.clause import KnowledgeBase, fact
+from repro.datalog.clause import KnowledgeBase
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ iterable of (possibly extended) substitutions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import ResolutionError
-from repro.datalog.terms import Compound, Constant, Term, Variable, lift
+from repro.datalog.terms import Compound, Constant, Term, Variable
 from repro.datalog.unify import Substitution, apply, unify
 
 BuiltinHandler = Callable[[Tuple[Term, ...], Substitution], Iterable[Substitution]]

@@ -19,7 +19,7 @@ constant equality (numeric coercion, booleans distinct from numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DatalogError

@@ -17,11 +17,11 @@ mediator turns into query branches and explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ResolutionError
 from repro.datalog.builtins import call_builtin, is_builtin
-from repro.datalog.clause import Atom, KnowledgeBase, Literal, Rule
+from repro.datalog.clause import Atom, KnowledgeBase, Literal
 from repro.datalog.terms import Term, Variable, term_to_python
 from repro.datalog.unify import Substitution, apply, unify_sequences
 

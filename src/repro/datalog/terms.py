@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Tuple, Union
 
 #: Anything that can appear as an argument of an atom.
 Term = Union["Variable", "Constant", "Compound"]

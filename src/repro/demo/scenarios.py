@@ -15,7 +15,7 @@ benchmarks never repeat the wiring boilerplate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coin.context import (
@@ -40,10 +40,9 @@ from repro.demo.datasets import (
     stock_price_records,
 )
 from repro.federation import Federation
-from repro.sources.exchange import DEFAULT_RATES, build_exchange_rate_site
+from repro.sources.exchange import build_exchange_rate_site
 from repro.sources.memory import MemorySQLSource
 from repro.sources.web import build_detail_site
-from repro.wrappers.spec import make_table_spec
 from repro.wrappers.wrapper import RelationalWrapper, WebWrapper
 
 #: Name of the exchange-rate relation as catalogued in every scenario.

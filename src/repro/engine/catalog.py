@@ -1,26 +1,26 @@
-"""The engine's catalog and dictionary services.
+"""The engine's catalog: its dictionary of sources and relations.
 
 "[The engine's] main functions are: serving schema information such as names
 and attribute types of the table located in the various sources; ..."
 
-The :class:`Catalog` records, for every relation exported by a wrapper, which
-wrapper serves it, its schema, the capabilities and cost parameters of the
-underlying source, and a cardinality estimate for the planner.  The same
-information is mirrored into the relations of the
-:class:`~repro.relational.storage.DictionaryStore` — the "dictionary
-services" of the prototype.
+The :class:`Catalog` is the dictionary.  Its wrapper registry names the
+sources, in registration order, and one :class:`CatalogEntry` per exported
+relation records which wrapper serves it, its schema, the capabilities of the
+underlying source and a cardinality estimate for the planner.  Every
+dictionary read — sources, relations, attributes — is served from these two,
+and registering a wrapper (:meth:`Catalog.register_wrapper`) is
+all-or-nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import CatalogError
 from repro.consistency.constraints import Constraint, ConstraintSet, PrimaryKey
 from repro.engine.feedback import CardinalityFeedback
 from repro.relational.schema import Schema
-from repro.relational.storage import DictionaryStore
 from repro.sources.base import SourceCapabilities
 from repro.wrappers.wrapper import Wrapper, WrapperRegistry
 
@@ -34,32 +34,27 @@ class CatalogEntry:
     schema: Schema
     capabilities: SourceCapabilities
     estimated_rows: int = 100
-    description: str = ""
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.wrapper_name}.{self.relation}"
 
 
 class Catalog:
-    """Relation-level metadata plus dictionary storage."""
+    """The engine's dictionary: registered wrappers and the relations they
+    serve."""
 
     #: Default cardinality estimate when a wrapper cannot report one cheaply.
     DEFAULT_ESTIMATED_ROWS = 100
 
-    def __init__(self, wrappers: Optional[WrapperRegistry] = None):
-        self.wrappers = wrappers if wrappers is not None else WrapperRegistry()
+    def __init__(self) -> None:
+        self.wrappers = WrapperRegistry()
         self._entries: Dict[str, CatalogEntry] = {}
-        self.dictionary = DictionaryStore()
         #: Declared integrity constraints over the catalogued relations.
         #: Registration bumps the generation, so everything keyed on it
         #: (cached plans, prepared statements, violation reports) re-derives.
         self.constraints = ConstraintSet()
         #: Monotonic dictionary version.  Bumped whenever the set of relations
-        #: a plan could read changes — wrapper/relation (re)registration and
-        #: explicit source invalidation — so cached plans and prepared queries
-        #: keyed on it can never consult a stale dictionary.  Cardinality
-        #: feedback (:meth:`update_estimate`) deliberately does *not* bump it:
+        #: a plan could read changes — wrapper (re)registration and explicit
+        #: source invalidation — so cached plans and prepared queries keyed
+        #: on it can never consult a stale dictionary.  Cardinality feedback
+        #: (:meth:`update_estimate`) deliberately does *not* bump it:
         #: estimates only steer costs, never correctness.
         self.generation = 0
         #: Runtime cardinality/latency observations feeding the cost model.
@@ -80,58 +75,44 @@ class Catalog:
     def register_wrapper(self, wrapper: Wrapper, estimate_rows: bool = True) -> List[CatalogEntry]:
         """Register a wrapper and catalog every relation it exports.
 
+        Every entry is built and checked before anything changes: a relation
+        another wrapper serves refuses the registration and leaves the
+        catalog, the wrapper registry and the generation as they were.  A
+        name registered again replaces its wrapper, and the relations the old
+        wrapper served leave the catalog with it.
+
         With ``estimate_rows=True`` the catalog asks SQL-capable wrappers for a
         COUNT(*) per relation (cheap for in-memory sources); web wrappers keep
         the default estimate to avoid triggering a crawl at registration time.
         """
-        self.wrappers.register(wrapper)
-        self.dictionary.register_source(wrapper.name, type(wrapper).__name__)
-        for capability, supported in _capability_flags(wrapper.capabilities).items():
-            self.dictionary.register_capability(wrapper.name, capability, supported)
-
-        entries = []
-        for relation in wrapper.relation_names():
-            schema = wrapper.schema_of(relation)
+        owner = wrapper.name.lower()
+        relations = wrapper.relation_names()
+        for relation in relations:
+            held = self._entries.get(relation.lower())
+            if held is not None and held.wrapper_name.lower() != owner:
+                raise CatalogError(
+                    f"relation {relation!r} is already served by wrapper "
+                    f"{held.wrapper_name!r}"
+                )
+        added = {}
+        for relation in relations:
             estimated = self.DEFAULT_ESTIMATED_ROWS
             if estimate_rows and wrapper.capabilities.aggregation:
                 estimated = self._count_rows(wrapper, relation, estimated)
-            entry = CatalogEntry(
+            added[relation.lower()] = CatalogEntry(
                 relation=relation,
                 wrapper_name=wrapper.name,
-                schema=schema,
+                schema=wrapper.schema_of(relation),
                 capabilities=wrapper.capabilities,
                 estimated_rows=estimated,
             )
-            self._register_entry(entry)
-            entries.append(entry)
+        entries = {key: entry for key, entry in self._entries.items()
+                   if entry.wrapper_name.lower() != owner}
+        entries.update(added)
+        self._entries = entries
+        self.wrappers.register(wrapper)
         self.bump_generation()
-        return entries
-
-    def register_relation(self, relation: str, wrapper_name: str, schema: Schema,
-                          capabilities: Optional[SourceCapabilities] = None,
-                          estimated_rows: Optional[int] = None) -> CatalogEntry:
-        """Register a single relation explicitly (used for ancillary views)."""
-        wrapper = self.wrappers.get(wrapper_name)
-        entry = CatalogEntry(
-            relation=relation,
-            wrapper_name=wrapper_name,
-            schema=schema,
-            capabilities=capabilities or wrapper.capabilities,
-            estimated_rows=estimated_rows if estimated_rows is not None else self.DEFAULT_ESTIMATED_ROWS,
-        )
-        self._register_entry(entry)
-        self.bump_generation()
-        return entry
-
-    def _register_entry(self, entry: CatalogEntry) -> None:
-        key = entry.relation.lower()
-        if key in self._entries:
-            raise CatalogError(
-                f"relation {entry.relation!r} is already served by wrapper "
-                f"{self._entries[key].wrapper_name!r}"
-            )
-        self._entries[key] = entry
-        self.dictionary.register_relation(entry.wrapper_name, entry.relation, entry.schema)
+        return list(added.values())
 
     def _count_rows(self, wrapper: Wrapper, relation: str, default: int) -> int:
         try:
@@ -184,37 +165,27 @@ class Catalog:
     def relations(self) -> List[str]:
         return sorted(entry.relation for entry in self._entries.values())
 
-    @property
-    def entries(self) -> List[CatalogEntry]:
-        return [self._entries[key] for key in sorted(self._entries)]
-
     def __len__(self) -> int:
         return len(self._entries)
 
     # -- dictionary services ------------------------------------------------------------
 
     def list_sources(self) -> List[str]:
-        """Names of all registered wrappers (the dictionary's source list)."""
-        return self.dictionary.sources()
+        """Names of the registered wrappers, in registration order."""
+        return [wrapper.name for wrapper in self.wrappers]
 
     def list_relations(self, source: Optional[str] = None) -> List[str]:
+        """Every catalogued relation (sorted), or ``source``'s in export
+        order; ``source`` matches case-insensitively, like every wrapper
+        lookup."""
         if source is None:
             return self.relations
-        return self.dictionary.relations_of(source)
+        owner = source.lower()
+        return [entry.relation for entry in self._entries.values()
+                if entry.wrapper_name.lower() == owner]
 
     def describe_relation(self, relation: str) -> List[Dict[str, object]]:
         """Attribute descriptions (name, position, type) of one relation."""
-        entry = self.entry(relation)
-        return self.dictionary.attributes_of(entry.wrapper_name, entry.relation)
-
-
-def _capability_flags(capabilities: SourceCapabilities) -> Dict[str, bool]:
-    return {
-        "selection": capabilities.selection,
-        "projection": capabilities.projection,
-        "join": capabilities.join,
-        "arithmetic": capabilities.arithmetic,
-        "aggregation": capabilities.aggregation,
-        "order_by": capabilities.order_by,
-        "union": capabilities.union,
-    }
+        return [{"attribute": attribute.name, "position": position,
+                 "type": attribute.type.value}
+                for position, attribute in enumerate(self.entry(relation).schema)]

@@ -24,8 +24,8 @@ nothing has been observed yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Union
 
 from repro.sources.base import SourceCapabilities
 

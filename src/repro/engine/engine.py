@@ -3,13 +3,14 @@
 "The multi-database access engine constitutes a front-end of dictionary and
 query services to the multiple wrapped sources."
 
-:class:`MultiDatabaseEngine` bundles the catalog (dictionary services) and
-the planner (query services: planning and optimization), and controls the
-execution of the plans it builds: it holds what runs them — temporary
-storage, the request cache, the fetch pool, the resilience policy — and opens
-each statement's :class:`~repro.engine.stream.ResultStream` over them.  It is
-the component the mediation server drives: mediated queries go in, relational
-answers and execution reports come out.
+:class:`MultiDatabaseEngine` owns the catalog — the dictionary every schema
+read is served from — and the planner (query services: planning and
+optimization), and controls the execution of the plans it builds: it holds
+what runs them — temporary storage, the request cache, the fetch pool, the
+resilience policy — and opens each statement's
+:class:`~repro.engine.stream.ResultStream` over them.  It is the component the
+mediation server drives: mediated queries go in, relational answers and
+execution reports come out.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Union as TUnion
+from typing import Dict, Optional, Sequence, Union as TUnion
 
 from repro.errors import EngineError, ExecutionError
 from repro.engine.catalog import Catalog
-from repro.engine.cost import CostModel
 from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
@@ -99,19 +99,15 @@ class MultiDatabaseEngine:
     ablations.
     """
 
-    def __init__(self, catalog: Optional[Catalog] = None,
-                 cost_model: Optional[CostModel] = None,
-                 planner_config: Optional[PlannerConfig] = None,
-                 temp_store: Optional[TemporaryStore] = None,
+    def __init__(self, planner_config: Optional[PlannerConfig] = None,
                  request_cache: Optional[SourceResultCache] = None,
                  max_concurrent_requests: int = DEFAULT_MAX_CONCURRENT_REQUESTS,
                  deduplicate_requests: bool = True,
                  memory_budget_bytes: Optional[int] = None,
                  resilience: Optional[ResiliencePolicy] = None):
-        self.catalog = catalog if catalog is not None else Catalog()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.planner = QueryPlanner(self.catalog, self.cost_model, planner_config)
-        self.temp_store = temp_store or TemporaryStore("engine-temp")
+        self.catalog = Catalog()
+        self.planner = QueryPlanner(self.catalog, config=planner_config)
+        self.temp_store = TemporaryStore("engine-temp")
         self.request_cache = request_cache
         self.max_concurrent_requests = max(1, int(max_concurrent_requests))
         #: The worker threads every statement's fetches run on, violation
@@ -173,17 +169,6 @@ class MultiDatabaseEngine:
         if self.request_cache is None:
             return 0
         return self.request_cache.invalidate(wrapper=wrapper, relation=relation)
-
-    # -- dictionary services ----------------------------------------------------------
-
-    def list_sources(self) -> List[str]:
-        return self.catalog.list_sources()
-
-    def list_relations(self, source: Optional[str] = None) -> List[str]:
-        return self.catalog.list_relations(source)
-
-    def describe_relation(self, relation: str) -> List[Dict[str, object]]:
-        return self.catalog.describe_relation(relation)
 
     # -- query services ------------------------------------------------------------------
 

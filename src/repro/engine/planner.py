@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
-from repro.engine.catalog import Catalog, CatalogEntry
+from repro.engine.catalog import Catalog
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.plan import BindJoinSpec, BranchPlan, QueryPlan, SourceRequest
 from repro.relational import algebra

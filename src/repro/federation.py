@@ -527,13 +527,13 @@ class Federation:
     # -- dictionary services -----------------------------------------------------------
 
     def list_sources(self) -> List[str]:
-        return self.engine.list_sources()
+        return self.engine.catalog.list_sources()
 
     def list_relations(self, source: Optional[str] = None) -> List[str]:
-        return self.engine.list_relations(source)
+        return self.engine.catalog.list_relations(source)
 
     def describe_relation(self, relation: str) -> List[Dict[str, object]]:
-        return self.engine.describe_relation(relation)
+        return self.engine.catalog.describe_relation(relation)
 
     @property
     def receiver_contexts(self) -> List[str]:

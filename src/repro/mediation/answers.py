@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ContextError, MediationError
+from repro.errors import MediationError
 from repro.coin.conversion import ConversionEnvironment
 from repro.coin.system import CoinSystem
 from repro.relational.relation import Relation

@@ -238,11 +238,12 @@ class QueryPipeline:
         except BaseException as exc:
             plan_span.finish(error=exc)
             raise
-        signature = plan.signature()
-        plan_span.annotate(branches=len(plan.branches), signature=str(signature),
-                           feedback_epoch=plan.feedback_epoch)
+        if plan_span.recording:
+            plan_span.annotate(branches=len(plan.branches),
+                               signature=str(plan.signature()),
+                               feedback_epoch=plan.feedback_epoch)
         plan_span.finish()
-        if entry is not None and entry.plan.signature() != signature:
+        if entry is not None and entry.plan.signature() != plan.signature():
             self.statistics.add(plan_changes=1)
         product = MediatedPlan(key=key, mediation=mediation, plan=plan,
                                feedback_epoch=plan.feedback_epoch)

@@ -5,7 +5,8 @@ reproduction: wrappers produce :class:`Relation` objects, the multi-database
 engine combines them with the physical operators, the local SQL processor in
 :mod:`repro.relational.query` provides full SELECT semantics for in-memory
 sources and for local (mediator-side) operations, and the storage module
-simulates the engine's two local secondary storages.
+simulates the engine's temporary store (its dictionary is the engine's
+catalog).
 """
 
 from repro.relational.types import DataType, is_null, sort_key, sql_compare, sql_equal
@@ -31,7 +32,7 @@ from repro.relational.operators import (
     UnionAll,
 )
 from repro.relational.query import Database, QueryProcessor
-from repro.relational.storage import STORAGE_COUNTERS, DictionaryStore, TemporaryStore
+from repro.relational.storage import STORAGE_COUNTERS, TemporaryStore
 
 __all__ = [
     "DataType",
@@ -62,7 +63,6 @@ __all__ = [
     "UnionAll",
     "Database",
     "QueryProcessor",
-    "DictionaryStore",
     "STORAGE_COUNTERS",
     "TemporaryStore",
 ]

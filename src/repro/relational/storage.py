@@ -2,26 +2,23 @@
 
 The paper notes that "for the management of dictionary information and in
 order to handle large results or large sets of temporary data, the
-multi-database access engine uses two local secondary storages".  This module
-simulates those two stores:
-
-* a **dictionary store** holding schema/metadata relations served by the
-  engine's dictionary services, and
-* a **temporary store** holding intermediate results (wrapper answers,
-  staged join inputs) with simple accounting of how many rows/bytes were
-  spilled — the accounting is what the cost model and the benchmarks read.
+multi-database access engine uses two local secondary storages".  The
+dictionary is the engine's catalog (:class:`repro.engine.catalog.Catalog`);
+this module simulates the other one, a **temporary store** holding
+intermediate results (wrapper answers, staged join inputs) with simple
+accounting of how many rows/bytes were spilled — the accounting is what the
+cost model and the benchmarks read.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import CounterSet
 from repro.relational.query import Database
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 
 
 #: Use of one storage area: (field, kind, exported series, help).
@@ -125,73 +122,3 @@ class TemporaryStore:
     def clear(self) -> None:
         self.release(list(self._database.tables))
 
-
-class DictionaryStore:
-    """The engine's dictionary storage: schema and capability metadata.
-
-    The multi-database engine answers "serving schema information such as
-    names and attribute types of the tables located in the various sources"
-    from this store.  It holds three system relations:
-
-    * ``dict_sources(source, kind, description)``
-    * ``dict_relations(source, relation, attribute, position, type)``
-    * ``dict_capabilities(source, capability, supported)``
-    """
-
-    SOURCES_SCHEMA = ("source:string", "kind:string", "description:string")
-    RELATIONS_SCHEMA = (
-        "source:string",
-        "relation:string",
-        "attribute:string",
-        "position:integer",
-        "type:string",
-    )
-    CAPABILITIES_SCHEMA = ("source:string", "capability:string", "supported:boolean")
-
-    def __init__(self) -> None:
-        self.database = Database("dictionary")
-        self.database.create_table("dict_sources", Schema.of(*self.SOURCES_SCHEMA))
-        self.database.create_table("dict_relations", Schema.of(*self.RELATIONS_SCHEMA))
-        self.database.create_table("dict_capabilities", Schema.of(*self.CAPABILITIES_SCHEMA))
-        self.statistics = CounterSet(STORAGE_COUNTERS)
-
-    # -- registration ------------------------------------------------------------
-
-    def register_source(self, source: str, kind: str, description: str = "") -> None:
-        self.database.table("dict_sources").append((source, kind, description))
-        self.statistics.add(rows_written=1)
-
-    def register_relation(self, source: str, relation: str, schema: Schema) -> None:
-        table = self.database.table("dict_relations")
-        for position, attribute in enumerate(schema):
-            table.append((source, relation, attribute.name, position, attribute.type.value))
-            self.statistics.add(rows_written=1)
-
-    def register_capability(self, source: str, capability: str, supported: bool) -> None:
-        self.database.table("dict_capabilities").append((source, capability, supported))
-        self.statistics.add(rows_written=1)
-
-    # -- lookups -------------------------------------------------------------------
-
-    def sources(self) -> List[str]:
-        self.statistics.add(rows_read=len(self.database.table("dict_sources")))
-        return [row[0] for row in self.database.table("dict_sources")]
-
-    def relations_of(self, source: str) -> List[str]:
-        table = self.database.table("dict_relations")
-        self.statistics.add(rows_read=len(table))
-        names: List[str] = []
-        for row in table:
-            if row[0] == source and row[1] not in names:
-                names.append(row[1])
-        return names
-
-    def attributes_of(self, source: str, relation: str) -> List[Dict[str, object]]:
-        table = self.database.table("dict_relations")
-        self.statistics.add(rows_read=len(table))
-        rows = [
-            {"attribute": row[2], "position": row[3], "type": row[4]}
-            for row in table
-            if row[0] == source and row[1].lower() == relation.lower()
-        ]
-        return sorted(rows, key=lambda entry: entry["position"])

@@ -22,7 +22,7 @@ Form field conventions (what a browser would POST):
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ClientError, ConsistencyError, ExecutionError
@@ -30,7 +30,6 @@ from repro.federation import Federation, FederationAnswer, FederationCursor
 from repro.options import StatementOptions
 from repro.server.gateway import AdmissionGateway
 from repro.sql.parser import parse_expression
-from repro.sql.printer import to_sql
 
 
 @dataclass

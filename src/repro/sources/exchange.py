@@ -15,7 +15,7 @@ default table reproduces exactly that arrangement.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.sources.web import SimulatedWebSite, WebPage, render_table_page
 

@@ -36,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.errors import SourceError, SourceUnavailableError
+from repro.errors import SourceUnavailableError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.wrappers.wrapper import Wrapper

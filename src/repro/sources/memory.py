@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import CapabilityError, SourceError
+from repro.errors import SourceError
 from repro.relational.query import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema

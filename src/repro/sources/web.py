@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import SourceError, SourceUnavailableError
+from repro.errors import SourceError
 from repro.sources.base import Source, SourceCapabilities
 
 

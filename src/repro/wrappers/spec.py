@@ -34,9 +34,8 @@ Two rule kinds exist:
 from __future__ import annotations
 
 import re
-import shlex
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import WrapperSpecError
 from repro.relational.schema import Attribute, Schema

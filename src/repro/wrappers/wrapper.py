@@ -24,14 +24,14 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import CapabilityError, WrapperError
+from repro.errors import WrapperError
 from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.sources.base import Source, SourceCapabilities
+from repro.sources.base import SourceCapabilities
 from repro.sources.memory import MemorySQLSource
 from repro.sources.web import SimulatedWebSite
-from repro.sql.ast import Select, Statement, TableRef, Union, walk
+from repro.sql.ast import Statement, TableRef, Union, walk
 from repro.sql.parser import parse
 from repro.wrappers.extractor import coerce_record
 from repro.wrappers.network import CrawlReport, TransitionNetworkExecutor

@@ -231,12 +231,10 @@ class TestStrategySelection:
         through *different* clean partners in different repairs, so the
         statement must take the fallback — and get the answer right."""
         federation = build_consistency_federation()
-        source = federation.engine.catalog.wrappers.get("ledger").source
-        source.load_sql("CREATE TABLE weights (id integer, w float)")
-        source.database.table("weights").rows = [(2, 5.0), (2, 10.0)]
-        federation.engine.catalog.register_relation(
-            "weights", "ledger", source.schema_of("weights"),
-        )
+        ledger = federation.engine.catalog.wrappers.get("ledger")
+        ledger.source.load_sql("CREATE TABLE weights (id integer, w float)")
+        ledger.source.database.table("weights").rows = [(2, 5.0), (2, 10.0)]
+        federation.register_wrapper(ledger)
         federation.register_constraint(
             PrimaryKey("accounts_pk", relation="accounts", columns=("id",))
         )

@@ -1,8 +1,7 @@
-"""Unit tests for the temporary and dictionary stores."""
+"""Unit tests for the temporary store."""
 
 from repro.relational.relation import relation_from_rows
-from repro.relational.schema import Schema
-from repro.relational.storage import DictionaryStore, TemporaryStore
+from repro.relational.storage import TemporaryStore
 
 
 def sample_relation(rows=3):
@@ -50,32 +49,3 @@ class TestTemporaryStore:
         store.release([handle])
         assert store.statistics.snapshot()["tables_dropped"] == 1
 
-
-class TestDictionaryStore:
-    def test_register_and_query_sources(self):
-        dictionary = DictionaryStore()
-        dictionary.register_source("source1", "database", "first")
-        dictionary.register_source("exchange", "web")
-        assert dictionary.sources() == ["source1", "exchange"]
-
-    def test_register_relation_and_describe(self):
-        dictionary = DictionaryStore()
-        dictionary.register_relation("source1", "r1", Schema.of("cname:string", "revenue:float"))
-        attributes = dictionary.attributes_of("source1", "r1")
-        assert [entry["attribute"] for entry in attributes] == ["cname", "revenue"]
-        assert attributes[1]["type"] == "float"
-
-    def test_relations_of(self):
-        dictionary = DictionaryStore()
-        dictionary.register_relation("s", "r1", Schema.of("a"))
-        dictionary.register_relation("s", "r2", Schema.of("a"))
-        dictionary.register_relation("other", "r3", Schema.of("a"))
-        assert dictionary.relations_of("s") == ["r1", "r2"]
-
-    def test_capabilities_are_recorded(self):
-        dictionary = DictionaryStore()
-        dictionary.register_source("s", "database")
-        dictionary.register_capability("s", "join", True)
-        dictionary.register_capability("s", "aggregation", False)
-        assert dictionary.database.table("dict_capabilities").rows == [
-            ("s", "join", True), ("s", "aggregation", False)]
