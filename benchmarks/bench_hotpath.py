@@ -723,7 +723,7 @@ def bench_streaming_topk(rows: int = FULL_TOPK_ROWS,
         "identical": eager_rows == streamed_rows == spilled_rows,
         "answers_sha256": _digest(streamed_rows),
         "answer_rows": len(streamed_rows),
-        "pushed_request": _topk_plan(streamed_engine).branches[0].requests[0].request_text,
+        "pushed_request": _topk_plan(streamed_engine).branches[0].requests[0].transfer.target.text,
         "rows_transferred_eager": eager_result.report.rows_transferred,
         "rows_transferred_streamed": streamed_report.rows_transferred,
         "slow_fetches_done_at_first_batch": slow_fetches_done_at_first_batch,

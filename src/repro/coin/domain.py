@@ -16,8 +16,7 @@ A :class:`SemanticType` may declare
   its values.
 
 The :class:`DomainModel` is the container with lookup, inheritance resolution
-and validation, plus a compiler to datalog facts so the deductive layer can
-reason over the model when producing explanations.
+and validation.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import DomainModelError
-from repro.datalog.clause import KnowledgeBase
 
 
 @dataclass
@@ -167,28 +165,6 @@ class DomainModel:
                         f"modifier {semantic_type.name}.{modifier} references unknown "
                         f"semantic type {target!r}"
                     )
-
-    # -- datalog view -----------------------------------------------------------------------
-
-    def to_knowledge_base(self) -> KnowledgeBase:
-        """Compile the model to datalog facts (used for explanations and tests).
-
-        Predicates: ``semantic_type(T)``, ``isa(T, Parent)``,
-        ``has_modifier(T, M, ValueType)``, ``has_attribute(T, A, ValueType)``.
-        """
-        kb = KnowledgeBase(name=f"domain:{self.name}")
-        for semantic_type in self._types.values():
-            kb.add_fact("semantic_type", semantic_type.name, label=f"domain:{self.name}")
-            if semantic_type.parent is not None:
-                kb.add_fact("isa", semantic_type.name, semantic_type.parent,
-                            label=f"domain:{self.name}")
-            for modifier, value_type in semantic_type.modifiers.items():
-                kb.add_fact("has_modifier", semantic_type.name, modifier, value_type,
-                            label=f"domain:{self.name}")
-            for attribute, value_type in semantic_type.attributes.items():
-                kb.add_fact("has_attribute", semantic_type.name, attribute, value_type,
-                            label=f"domain:{self.name}")
-        return kb
 
 
 def build_financial_domain_model() -> DomainModel:

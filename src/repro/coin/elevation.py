@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ElevationError
 from repro.coin.domain import DomainModel
-from repro.datalog.clause import KnowledgeBase
 from repro.relational.schema import Schema
 
 
@@ -151,20 +150,3 @@ class ElevationRegistry:
                         f"elevation of {axiom.relation!r} references unknown column "
                         f"{elevation.column!r}"
                     )
-
-    # -- datalog view -----------------------------------------------------------------
-
-    def to_knowledge_base(self) -> KnowledgeBase:
-        """Compile to datalog facts: ``elevated(Relation, Column, SemanticType, Context)``."""
-        kb = KnowledgeBase(name="elevation")
-        for axiom in self._by_relation.values():
-            kb.add_fact("relation_context", axiom.relation, axiom.context,
-                        label=f"elevation:{axiom.relation}")
-            kb.add_fact("relation_source", axiom.relation, axiom.source,
-                        label=f"elevation:{axiom.relation}")
-            for elevation in axiom.columns:
-                kb.add_fact(
-                    "elevated", axiom.relation, elevation.column, elevation.semantic_type,
-                    axiom.context, label=f"elevation:{axiom.relation}",
-                )
-        return kb

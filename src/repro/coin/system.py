@@ -12,9 +12,9 @@ A :class:`CoinSystem` bundles everything the context mediator consults:
 
 It provides the derived lookups the mediation procedure needs ("what is the
 semantic type of column r1.revenue, which context governs it, what does that
-context say about its currency modifier?") and can compile the whole body of
-knowledge to a datalog :class:`~repro.datalog.clause.KnowledgeBase` — the
-declarative view used for explanations and for consistency tests.
+context say about its currency modifier?").  The mediator reads these
+declarations directly (:mod:`repro.mediation.conflicts`); nothing here is
+compiled to datalog.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any, Dict, Optional
 
 from repro.errors import CoinModelError, ContextError
 from repro.coin.context import (
-    ConstantValue,
     Context,
     ContextRegistry,
     ModifierDeclaration,
@@ -32,7 +31,6 @@ from repro.coin.context import (
 from repro.coin.conversion import ConversionRegistry
 from repro.coin.domain import DomainModel
 from repro.coin.elevation import ElevationRegistry
-from repro.datalog.clause import KnowledgeBase
 
 
 @dataclass(frozen=True)
@@ -178,35 +176,3 @@ class CoinSystem:
             "conversion_functions": len(self.conversions),
             "semantic_types": len(self.domain_model),
         }
-
-    # -- datalog view ------------------------------------------------------------------------
-
-    def to_knowledge_base(self) -> KnowledgeBase:
-        """Compile the domain model, elevations and context theories to datalog.
-
-        Context declarations compile to ``modifier_case(Context, Type, Modifier,
-        CaseIndex, Kind, Value)`` facts plus ``case_guard(Context, Type, Modifier,
-        CaseIndex, Column, Op, Literal)`` facts; the mediation engine's
-        explanations and several tests query this view.
-        """
-        kb = self.domain_model.to_knowledge_base()
-        kb = kb.merge(self.elevations.to_knowledge_base())
-        for context in self.contexts:
-            for declaration in context.declarations:
-                for case_index, case in enumerate(declaration.cases):
-                    if isinstance(case.value, ConstantValue):
-                        kind, value = "constant", case.value.value
-                    else:
-                        kind, value = "attribute", case.value.column
-                    kb.add_fact(
-                        "modifier_case", context.name, declaration.semantic_type,
-                        declaration.modifier, case_index, kind, value,
-                        label=f"context:{context.name}",
-                    )
-                    for guard in case.guards:
-                        kb.add_fact(
-                            "case_guard", context.name, declaration.semantic_type,
-                            declaration.modifier, case_index, guard.column, guard.op,
-                            guard.value, label=f"context:{context.name}",
-                        )
-        return kb

@@ -1,11 +1,15 @@
 """Deductive substrate: terms, unification, Horn clauses and SLD(NF) resolution.
 
 The COIN framework is defined over a deductive object-oriented data model
-(Frame-Logic family).  This package provides the logic-programming machinery
-the reproduction uses to encode that model: the domain model, elevation
-axioms, context theories and conversion functions all compile down to
-:class:`~repro.datalog.clause.Rule` objects, and the mediation procedure runs
-:class:`~repro.datalog.engine.Resolver` over them with abduction enabled.
+(Frame-Logic family).  The reproduction's mediator reads that model — the
+domain model, elevation axioms and context theories — directly
+(:mod:`repro.coin`, :mod:`repro.mediation.conflicts`); none of it is compiled
+to rules.  :class:`~repro.datalog.engine.Resolver` runs over two knowledge
+bases: the abductive enumeration of a mediated query's branches
+(:mod:`repro.mediation.abduction`, with ``choose/2`` abducible), and the
+facts a violation scan streams in to solve a denial constraint's body
+(:mod:`repro.consistency.violations`), whose literals, variables and
+builtins the constraint language spells with this package.
 """
 
 from repro.datalog.terms import (

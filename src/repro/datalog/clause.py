@@ -276,13 +276,6 @@ class KnowledgeBase:
         for entry in rules:
             self.add(entry)
 
-    def merge(self, other: "KnowledgeBase") -> "KnowledgeBase":
-        """Return a new knowledge base containing the rules of both."""
-        merged = KnowledgeBase(name=f"{self.name}+{other.name}")
-        merged.extend(self._all)
-        merged.extend(other._all)
-        return merged
-
     # -- queries ------------------------------------------------------------
 
     def rules_for(self, predicate: str, arity: int) -> List[Rule]:

@@ -76,10 +76,12 @@ class Catalog:
         """Register a wrapper and catalog every relation it exports.
 
         Every entry is built and checked before anything changes: a relation
-        another wrapper serves refuses the registration and leaves the
-        catalog, the wrapper registry and the generation as they were.  A
-        name registered again replaces its wrapper, and the relations the old
-        wrapper served leave the catalog with it.
+        another wrapper serves, or a declared constraint the new dictionary
+        no longer satisfies — one over a relation the new wrapper does not
+        serve, or over a column it lacks — refuses the registration and
+        leaves the catalog, the wrapper registry and the generation as they
+        were.  A name registered again replaces its wrapper, and the
+        relations the old wrapper served leave the catalog with it.
 
         With ``estimate_rows=True`` the catalog asks SQL-capable wrappers for a
         COUNT(*) per relation (cheap for in-memory sources); web wrappers keep
@@ -109,6 +111,14 @@ class Catalog:
         entries = {key: entry for key, entry in self._entries.items()
                    if entry.wrapper_name.lower() != owner}
         entries.update(added)
+        for constraint in self.constraints:
+            for relation in constraint.relations:
+                if relation.lower() not in entries:
+                    raise CatalogError(
+                        f"wrapper {wrapper.name!r} does not serve relation "
+                        f"{relation!r}, which constraint {constraint.name!r} reads"
+                    )
+            constraint.validate(lambda relation: entries[relation.lower()].schema)
         self._entries = entries
         self.wrappers.register(wrapper)
         self.bump_generation()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Sequence, Union as TUnion
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union as TUnion
 
 from repro.errors import EngineError, ExecutionError
 from repro.engine.catalog import Catalog
@@ -130,6 +130,9 @@ class MultiDatabaseEngine:
         #: Runs the (table-less) subqueries of mediator-side expressions.
         self.subquery_executor = QueryProcessor(_reject_unknown_table)._subquery_executor
         self.statistics = CounterSet(ENGINE_COUNTERS)
+        #: Per wrapper name, the registered wrapper and this engine's
+        #: invalidation listener on it.
+        self._subscriptions: Dict[str, Tuple[Wrapper, Callable[[str], bool]]] = {}
 
     # -- registration ------------------------------------------------------------
 
@@ -142,6 +145,15 @@ class MultiDatabaseEngine:
         # reach this engine's cache too.
         self.invalidate_source_cache(wrapper=wrapper.name)
 
+        # One subscription per name, replaced together with the wrapper: a
+        # wrapper registered again is already heard, a replaced one is not
+        # heard any more.
+        name = wrapper.name.lower()
+        held = self._subscriptions.get(name)
+        if held is not None:
+            if held[0] is wrapper:
+                return
+            held[0].remove_invalidation_listener(held[1])
         # Subscribe via weakref: a long-lived wrapper must not pin every
         # engine it was ever registered to (returning False prunes the
         # listener once this engine is gone).
@@ -155,6 +167,7 @@ class MultiDatabaseEngine:
             return True
 
         wrapper.add_invalidation_listener(_cache_invalidator)
+        self._subscriptions[name] = (wrapper, _cache_invalidator)
 
     def invalidate_source_cache(self, wrapper: Optional[str] = None,
                                 relation: Optional[str] = None) -> int:

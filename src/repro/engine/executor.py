@@ -358,7 +358,8 @@ def request_failed_error(request: SourceRequest,
     """
     message = (
         f"source request failed on wrapper {request.wrapper_name!r} "
-        f"(relation {request.relation!r}, request: {request.request_text}): "
+        f"(relation {request.transfer.target.relation!r}, "
+        f"request: {request.transfer.target.text}): "
         f"{error}"
     )
     base = type(error)

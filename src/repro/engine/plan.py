@@ -4,22 +4,25 @@ A :class:`QueryPlan` is one tree of the plan algebra
 (:mod:`repro.relational.algebra`) — ``QueryPlan.root``: a branch's
 :class:`~repro.relational.algebra.Finish`, the
 :class:`~repro.relational.algebra.Union` of several, or the statement's
-``Finish`` over that ``Union`` — plus, per branch, what the tree's leaves
-stand for:
+``Finish`` over that ``Union`` — plus, per branch:
 
-* one :class:`SourceRequest` per table binding — the sub-query pushed down to
-  the wrapper serving that binding's relation (or a plain fetch when the
-  source cannot evaluate SQL), together with any residual per-binding filters
-  the engine must apply locally.  ``Leaf(i)`` of a branch's tree is
-  ``branch.requests[i]``;
-* the branch's tree itself: the transfers joined left-deep in the order the
-  planner chose, each :class:`~repro.relational.algebra.Join` carrying its
-  conditions, hash keys and the planner's estimates (the engine performs all
-  cross-source joins itself, as the paper describes), then the conditions no
-  join could take and the SELECT's finish (projection, aggregation,
-  ordering).  There is no second description of the join order: ``EXPLAIN``,
-  ``signature()``, the optimizer report and cardinality feedback all read the
-  tree (``algebra.left_deep``).
+* the branch's tree: one :class:`~repro.relational.algebra.Transfer` per
+  table binding, whose target :class:`~repro.relational.algebra.Scan` is
+  what the wrapper serving that binding's relation evaluates — its pushed
+  conditions, its columns, any pushed ORDER BY and LIMIT; the SQL it is sent,
+  or a plain fetch when the source is sent no SQL, is read off the scan —
+  and the filters the engine applies locally where the rows cross over;
+  then the transfers joined left-deep in the order the planner chose, each
+  :class:`~repro.relational.algebra.Join` carrying its conditions, hash keys
+  and the planner's estimates (the engine performs all cross-source joins
+  itself, as the paper describes), then the conditions no join could take
+  and the SELECT's finish (projection, aggregation, ordering).  There is no
+  second description of the join order: ``EXPLAIN``, ``signature()``, the
+  optimizer report and cardinality feedback all read the tree
+  (``algebra.left_deep``);
+* one :class:`SourceRequest` per binding, holding that binding's transfer
+  and only what is not a relation: the wrapper, the planner's estimates and
+  cost, and a bind join's spec.
 
 Plans are pure descriptions: building one never touches a source.  A
 :class:`~repro.engine.stream.ResultStream` runs one; ``explain()`` renders
@@ -45,7 +48,7 @@ from repro.relational.algebra import Stage
 from repro.relational.compile import KernelMemo, KernelScope, SubqueryExecutor
 from repro.relational.operators import PhysicalOperator
 from repro.relational.schema import Schema
-from repro.sql.ast import Node, Select, Statement
+from repro.sql.ast import Select, Statement
 from repro.sql.printer import to_sql
 
 
@@ -84,59 +87,35 @@ class BindJoinSpec:
 
 @dataclass
 class SourceRequest:
-    """What the engine asks one wrapper for, on behalf of one table binding."""
+    """What the engine asks one wrapper for, on behalf of one table binding:
+    the branch's ``transfer`` of that binding, whose target is the scan the
+    wrapper evaluates, and what the planner expects of it."""
 
-    binding: str
-    relation: str
+    transfer: algebra.Transfer
     wrapper_name: str
-    #: The pushed-down sub-query; None means "fetch the whole relation".
-    sql: Optional[Select]
-    #: Single-binding conjuncts the source could not evaluate; the executor
-    #: applies them right after staging the result.
-    local_filters: Tuple[Node, ...] = ()
-    #: Conjuncts that were pushed into ``sql`` (kept for explain/ablation).
-    pushed_conjuncts: Tuple[Node, ...] = ()
-    #: Columns requested from the source (None = all columns).
-    projected_columns: Optional[Tuple[str, ...]] = None
     estimated_base_rows: int = 0
     estimated_result_rows: int = 0
     cost: CostEstimate = field(default_factory=CostEstimate)
-    #: Canonical fingerprint of the pushed predicate ("" when unfiltered) —
-    #: the key under which runtime feedback records observed row counts.
-    predicate_fingerprint: str = ""
     #: Where ``estimated_result_rows`` came from: "feedback" or "default".
     estimate_source: str = "default"
     #: Last observed row count for this (relation, predicate) shape, when
     #: runtime feedback had one at plan time.
     observed_rows: Optional[int] = None
     #: When set, the executor fetches this request as a bind join instead of
-    #: dispatching ``sql`` as-is.
+    #: sending its scan as it is.
     bind: Optional[BindJoinSpec] = None
     #: True only on the synthetic per-batch requests the executor derives
     #: from a bound request; they carry IN-list key sets and must not feed
     #: cardinality feedback or catalog estimates.
     bind_batch: bool = False
 
-    @cached_property
-    def request_text(self) -> str:
-        """The request as sent to the wrapper: rendered SQL or a FETCH.
-
-        This string is also the canonical form the scheduler deduplicates and
-        caches on (see :mod:`repro.engine.request_cache`): two branches whose
-        requests render identically share one source round trip.  Cached
-        because the scheduler consults it several times per execution and the
-        planner never mutates a request after building it.
-        """
-        if self.sql is not None:
-            return to_sql(self.sql)
-        return f"FETCH {self.relation}"
-
     def describe(self) -> str:
-        parts = [f"{self.wrapper_name}: {self.request_text}"]
+        transfer = self.transfer
+        parts = [f"{self.wrapper_name}: {transfer.target.text}"]
         if self.bind is not None:
             parts.append(f"via {self.bind.describe()}")
-        if self.local_filters:
-            filters = " AND ".join(to_sql(node) for node in self.local_filters)
+        if transfer.filters:
+            filters = " AND ".join(to_sql(node) for node in transfer.filters)
             parts.append(f"then filter locally: {filters}")
         estimate = f"(~{self.estimated_result_rows} rows, est={self.estimate_source}"
         if self.observed_rows is not None:
@@ -169,7 +148,7 @@ def describe_join(join: algebra.Join) -> str:
 class BranchPlan:
     """The plan of one SELECT branch."""
 
-    #: What the tree's leaves stand for: ``Leaf(i)`` is ``requests[i]``.
+    #: One per binding, in binding order: each holds its transfer of the tree.
     requests: List[SourceRequest]
     #: Transfers joined left-deep in plan order, the conditions no join step
     #: could take (a ``Selection``), the SELECT and its safe row bound — LIMIT
@@ -193,8 +172,8 @@ class BranchPlan:
         transfers, joins = algebra.left_deep(self.tree)
         lines = [f"{pad}branch: {to_sql(self.select)}"]
         lines.append(f"{pad}  source requests:")
-        for index, request in enumerate(self.requests):
-            marker = "*" if index == transfers[0].target.index else "-"
+        for request in self.requests:
+            marker = "*" if request.transfer.binding == transfers[0].binding else "-"
             lines.append(f"{pad}    {marker} {request.describe()}")
         if joins:
             lines.append(f"{pad}  local joins:")
@@ -263,7 +242,7 @@ class QueryPlan:
             order = tuple(transfer.binding.lower()
                           for transfer in algebra.left_deep(branch.tree)[0])
             bound = tuple(sorted(
-                request.binding.lower()
+                request.transfer.binding.lower()
                 for request in branch.requests if request.bind is not None
             ))
             branches.append((order, bound))
@@ -283,12 +262,12 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def shipped_schema(catalog, request: SourceRequest) -> Schema:
-    """The schema ``request`` is catalogued to ship: its relation's, projected
-    to ``request.projected_columns``."""
-    schema = catalog.schema_of(request.relation)
-    if request.projected_columns:
-        schema = Schema(schema.attribute(name) for name in request.projected_columns)
+def shipped_schema(catalog, scan: algebra.Scan) -> Schema:
+    """The schema ``scan`` is catalogued to ship: its relation's, projected
+    to the scan's columns when they are fewer."""
+    schema = catalog.schema_of(scan.relation)
+    if len(scan.columns) < len(schema):
+        schema = Schema(schema.attribute(name) for name in scan.columns)
     return schema
 
 
@@ -326,10 +305,11 @@ class BranchTemplate:
         if kept is not None:
             return kept
         scope = KernelScope(subquery_executor, self._kernels)
-        transfer_of = {transfer.target.index: transfer for transfer in self.transfers}
-        stages = tuple(Stage(transfer_of[index], shipped_schema(catalog, request), scope)
-                       for index, request in enumerate(self._branch.requests))
-        lowered = stages, algebra.lower(self._branch.tree, stages, scope)
+        transfers = [request.transfer for request in self._branch.requests]
+        stages = tuple(Stage(transfer, leaf, shipped_schema(catalog, transfer.target), scope)
+                       for leaf, transfer in enumerate(transfers))
+        by_binding = {transfer.binding: stage for transfer, stage in zip(transfers, stages)}
+        lowered = stages, algebra.lower(self._branch.tree, by_binding, scope)
         if not scope.private:
             self._lowered = lowered
         return lowered

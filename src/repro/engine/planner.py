@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanningError
 from repro.engine.catalog import Catalog
@@ -40,17 +40,14 @@ from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.plan import BindJoinSpec, BranchPlan, QueryPlan, SourceRequest
 from repro.relational import algebra
 from repro.relational.types import may_hash
-from repro.sql.printer import to_sql
 from repro.sql.ast import (
     ColumnRef,
     Join,
     Node,
     Select,
-    SelectItem,
     Statement,
     TableRef,
     Union,
-    conjoin,
 )
 from repro.sql.facts import ConjunctFacts, SelectFacts, analyse_select
 from repro.sql.parser import DerivedTable, finished_union
@@ -111,8 +108,8 @@ class _JoinGraph:
     def __init__(self, requests: Sequence[SourceRequest],
                  conditions: Sequence[_JoinCondition]):
         self.conditions = conditions
-        self._items = [f"{request.relation.lower()}|{request.predicate_fingerprint}"
-                       for request in requests]
+        self._items = [f"{scan.relation.lower()}|{scan.fingerprint}"
+                       for scan in (request.transfer.target for request in requests)]
         self._steps: Dict[Tuple[int, int], _StepParts] = {}
         self._fingerprints: Dict[int, str] = {}
 
@@ -277,6 +274,21 @@ class QueryPlanner:
                 request = self._pool_request(request, request_pool, shared_counter)
             requests.append(request)
 
+        fetch_limit = self._branch_fetch_limit(select, facts)
+        transfer = requests[0].transfer
+        # A lone request that leaves no condition behind can ship the bound.
+        if (fetch_limit is not None and len(requests) == 1 and not join_conditions
+                and not constant_conditions and not transfer.filters
+                and transfer.target.takes_sql):
+            limited = self._push_fetch_limit(select, requests[0], fetch_limit, bindings)
+            if limited is not None:
+                if request_pool is not None:
+                    # Re-pool under the limited request's identity so other
+                    # branches with the same bound still share the round trip
+                    # (no shared_counter: this is the same logical request).
+                    limited = self._pool_request(limited, request_pool, None)
+                requests[0] = limited
+
         syntax_order: List[str] = []
         for table in select.tables:
             table_binding = table.binding.lower()
@@ -291,19 +303,7 @@ class QueryPlanner:
         if joins:
             self._apply_bind_joins(requests, request_index, joins, bindings)
 
-        fetch_limit = self._branch_fetch_limit(select, facts)
-        if (fetch_limit is not None and len(requests) == 1 and not post_join
-                and not requests[0].local_filters and requests[0].sql is not None):
-            limited = self._push_fetch_limit(select, requests[0], fetch_limit, bindings)
-            if limited is not None:
-                if request_pool is not None:
-                    # Re-pool under the limited request's identity so other
-                    # branches with the same bound still share the round trip
-                    # (no shared_counter: this is the same logical request).
-                    limited = self._pool_request(limited, request_pool, None)
-                requests[0] = limited
-
-        estimated_rows = requests[transfers[0].target.index].estimated_result_rows
+        estimated_rows = requests[request_index[transfers[0].binding]].estimated_result_rows
         cost = CostEstimate()
         for request in requests:
             cost = cost.add(request.cost)
@@ -342,7 +342,8 @@ class QueryPlanner:
     def _push_fetch_limit(self, select: Select, request: SourceRequest,
                           fetch_limit: int, bindings: Dict[str, str],
                           ) -> Optional[SourceRequest]:
-        """Rebuild a single-request branch's pushed SQL with its row bound.
+        """A single-request branch's request with its row bound pushed: its
+        scan's ORDER BY and LIMIT replaced.
 
         Without ORDER BY any ``fetch_limit`` rows satisfy the branch, so the
         bound is always pushable.  With ORDER BY the source must be able to
@@ -350,13 +351,14 @@ class QueryPlanner:
         source then ships exactly the prefix the engine's final (identical)
         sort would keep.  Output-alias and expression keys stay local.
         """
-        entry = self.catalog.entry(request.relation)
-        capabilities = entry.capabilities
-        order_by = request.sql.order_by
+        transfer = request.transfer
+        scan = transfer.target
+        capabilities = self.catalog.entry(scan.relation).capabilities
+        order_by = scan.order_by
         if select.order_by:
             if not capabilities.order_by:
                 return None
-            table_binding = request.sql.tables[0].binding
+            qualifier = scan.alias or scan.relation
             rebuilt = []
             for item in select.order_by:
                 expr = item.expr
@@ -367,19 +369,20 @@ class QueryPlanner:
                 except PlanningError:
                     # Unqualified name that is an output alias, not a column.
                     return None
-                if binding != request.binding.lower():
+                if binding != transfer.binding:
                     return None
                 rebuilt.append(replace(
-                    item, expr=ColumnRef(name=expr.name, table=table_binding)
+                    item, expr=ColumnRef(name=expr.name, table=qualifier)
                 ))
             order_by = tuple(rebuilt)
         limited_rows = (
             min(request.estimated_result_rows, fetch_limit)
             if request.estimated_result_rows else fetch_limit
         )
+        limited = replace(scan, order_by=order_by, limit=fetch_limit)
         return replace(
             request,
-            sql=replace(request.sql, order_by=order_by, limit=fetch_limit),
+            transfer=replace(transfer, target=limited),
             estimated_result_rows=limited_rows,
             cost=self.cost_model.source_query_cost(
                 capabilities, request.estimated_base_rows, limited_rows
@@ -387,30 +390,23 @@ class QueryPlanner:
         )
 
     @staticmethod
-    def _pool_request(request: SourceRequest, pool: Dict[tuple, SourceRequest],
+    def _pool_request(request: SourceRequest, pool: Dict[algebra.Transfer, SourceRequest],
                       shared_counter: Optional[List[int]]) -> SourceRequest:
-        """Reuse a structurally identical request built for an earlier branch.
+        """Reuse the request an earlier branch built for an equal transfer.
 
-        The AST nodes are frozen dataclasses, so structural equality (and
-        hashability) come for free; anything unhashable simply stays
-        branch-private.
+        Plan nodes and the AST nodes in them are frozen dataclasses, so
+        structural equality (and hashability) come for free; anything
+        unhashable simply stays branch-private.
         """
-        key = (
-            request.binding.lower(),
-            request.relation.lower(),
-            request.sql,
-            request.local_filters,
-            request.projected_columns,
-        )
         try:
-            pooled = pool.get(key)
+            pooled = pool.get(request.transfer)
         except TypeError:  # pragma: no cover - defensive: unhashable literal
             return request
         if pooled is not None:
             if shared_counter is not None:
                 shared_counter[0] += 1
             return pooled
-        pool[key] = request
+        pool[request.transfer] = request
         return request
 
     # -- FROM analysis ---------------------------------------------------------------
@@ -539,21 +535,18 @@ class QueryPlanner:
             and capabilities.projection
             and len(columns) < len(entry.schema)
         )
-        projected = tuple(columns) if project else None
-
-        sql: Optional[Select] = None
-        if pushable or project or capabilities.selection:
-            # Build a pushed-down sub-query whenever the source accepts SQL at
-            # all; scan-only sources fall through to a plain fetch.
-            if capabilities.selection or capabilities.projection:
-                sql = self._request_sql(binding, relation, pushable, columns if project else entry.schema.names)
-
-        transferred_conjuncts = len(pushable) if sql is not None else 0
-        fingerprint = ""
-        if sql is not None and pushable:
-            fingerprint = " AND ".join(sorted(to_sql(conjunct) for conjunct in pushable))
+        # A source that selects is sent a query whenever it accepts SQL at
+        # all, one that only projects when projecting pays; any other is
+        # asked for the whole relation.
+        scan = algebra.Scan(
+            relation=relation,
+            alias=binding if binding != relation.lower() else None,
+            columns=tuple(columns) if project else tuple(entry.schema.names),
+            conditions=tuple(pushable),
+            takes_sql=capabilities.selection or project,
+        )
         estimated_result, estimate_source = self.cost_model.request_cardinality(
-            relation, entry.estimated_rows, transferred_conjuncts, fingerprint
+            relation, entry.estimated_rows, len(pushable), scan.fingerprint
         )
         cost = self.cost_model.source_query_cost(
             capabilities, entry.estimated_rows, estimated_result,
@@ -561,32 +554,13 @@ class QueryPlanner:
         )
 
         return SourceRequest(
-            binding=binding,
-            relation=relation,
+            transfer=algebra.Transfer(scan, binding, tuple(local)),
             wrapper_name=entry.wrapper_name,
-            sql=sql,
-            local_filters=tuple(local),
-            pushed_conjuncts=tuple(pushable) if sql is not None else (),
-            projected_columns=projected,
             estimated_base_rows=entry.estimated_rows,
             estimated_result_rows=estimated_result,
             cost=cost,
-            predicate_fingerprint=fingerprint,
             estimate_source=estimate_source,
             observed_rows=estimated_result if estimate_source == "feedback" else None,
-        )
-
-    def _request_sql(self, binding: str, relation: str, pushed: Sequence[Node],
-                     columns: Sequence[str]) -> Select:
-        alias = binding if binding.lower() != relation.lower() else None
-        table_binding = alias or relation
-        items = tuple(
-            SelectItem(ColumnRef(name=column, table=table_binding)) for column in columns
-        )
-        return Select(
-            items=items,
-            tables=(TableRef(name=relation, alias=alias),),
-            where=conjoin(list(pushed)),
         )
 
     # -- join ordering ----------------------------------------------------------------------------
@@ -613,7 +587,7 @@ class QueryPlanner:
     def _greedy_order(requests: List[SourceRequest], graph: _JoinGraph) -> List[int]:
         """Smallest-intermediate-first order, preferring connected candidates."""
         def size(index: int):
-            return requests[index].estimated_result_rows, requests[index].binding
+            return requests[index].estimated_result_rows, requests[index].transfer.binding
 
         remaining = set(range(len(requests)))
         order = [min(remaining, key=size)]
@@ -698,18 +672,13 @@ class QueryPlanner:
 
     def _emit_steps(self, order: Sequence[int], requests: List[SourceRequest],
                     graph: _JoinGraph) -> Tuple[algebra.RelationNode, Tuple[Node, ...]]:
-        """The join tree of a fixed left-deep order, and the conditions no
-        step of it made evaluable."""
-        def transfer(index: int) -> algebra.Transfer:
-            request = requests[index]
-            return algebra.Transfer(algebra.Leaf(index), request.binding,
-                                    request.local_filters)
-
+        """The join tree of a fixed left-deep order over the requests'
+        transfers, and the conditions no step of it made evaluable."""
         initial = order[0]
         joined = 1 << initial
         current_rows = requests[initial].estimated_result_rows
 
-        node: algebra.RelationNode = transfer(initial)
+        node: algebra.RelationNode = requests[initial].transfer
         for candidate in order[1:]:
             conditions, equi_keys, residual = graph.step(joined, candidate)
             hash_join = self.config.prefer_hash_joins and bool(equi_keys)
@@ -725,7 +694,7 @@ class QueryPlanner:
                 current_rows, requests[candidate].estimated_result_rows, hash_join
             )
             node = algebra.Join(
-                node, transfer(candidate), conditions, hash_join, equi_keys, residual,
+                node, requests[candidate].transfer, conditions, hash_join, equi_keys, residual,
                 estimated_rows=estimated,
                 cost=cost,
                 feedback_key=feedback_key,
@@ -760,13 +729,14 @@ class QueryPlanner:
             return 0
         applied = 0
         for step in joins:
-            index = step.right.target.index
+            index = request_index[step.right.binding]
             request = requests[index]
-            if (request.bind is not None or request.sql is None
-                    or request.sql.limit is not None
+            scan = step.right.target
+            if (request.bind is not None or not scan.takes_sql
+                    or scan.limit is not None
                     or not step.hash_join or not step.equi_keys):
                 continue
-            entry = self.catalog.entry(request.relation)
+            entry = self.catalog.entry(scan.relation)
             if not entry.capabilities.selection:
                 continue
             driver_bindings: Set[str] = set()
@@ -796,7 +766,7 @@ class QueryPlanner:
                 continue
             spec = BindJoinSpec(
                 driver_index=request_index[driver_binding],
-                driver_binding=driver_request.binding,
+                driver_binding=driver_binding,
                 driver_columns=tuple(ref.name for ref, _ in step.equi_keys),
                 bound_columns=tuple(ref.name for _, ref in step.equi_keys),
                 batch_size=max(1, config.bind_join_batch_size),

@@ -5,12 +5,14 @@ term of a mediated query: every source request is a round trip to an
 autonomous system.  Two mechanisms in this module cut those round trips:
 
 * :func:`request_key` canonicalizes a :class:`~repro.engine.plan.SourceRequest`
-  into a hashable :class:`RequestKey` (wrapper, relation, request text).  Two
+  into a hashable :class:`RequestKey` (wrapper, relation, request text), all
+  read off the request's scan (:class:`~repro.relational.algebra.Scan`).  Two
   mediation branches asking the same wrapper for byte-identical pushed-down
   SQL — or for a plain FETCH of the same relation — map to the same key, which
-  is what the executor's scheduler deduplicates on.  Per-branch
-  ``local_filters`` are deliberately **not** part of the key: they are applied
-  locally after the shared fetch, so they never force a second round trip.
+  is what the executor's scheduler deduplicates on.  A transfer's filters
+  (``Transfer.filters``) are deliberately **not** part of the key: they are
+  applied locally after the shared fetch, so they never force a second round
+  trip.
 
 * :class:`SourceResultCache` memoizes fetched relations across *statements*:
   a :class:`~repro.obs.cache.BoundedCache` keyed by :class:`RequestKey`, with
@@ -50,16 +52,17 @@ class RequestKey(NamedTuple):
 def request_key(request: "SourceRequest") -> RequestKey:
     """Canonicalize a plan's source request for dedup and caching.
 
-    The text component is the rendered pushed-down SQL (the planner builds
-    structurally identical ASTs for identical push-downs, so rendering is a
-    stable canonical form) or ``FETCH <relation>`` for scan-only sources.
+    The text component is the scan's request text: its rendered SQL (equal
+    scans render identically, so rendering is a stable canonical form) or
+    ``FETCH <relation>`` for a scan whose source is sent no SQL.
     Wrapper and relation names are case-insensitive throughout the catalog and
     are lowered here for the same reason.
     """
+    scan = request.transfer.target
     return RequestKey(
         wrapper=request.wrapper_name.lower(),
-        relation=request.relation.lower(),
-        text=request.request_text,
+        relation=scan.relation.lower(),
+        text=scan.text,
     )
 
 

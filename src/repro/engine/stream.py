@@ -90,7 +90,7 @@ from repro.relational.operators import Batch, PhysicalOperator, TableScan
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key as value_sort_key
-from repro.sql.ast import ColumnRef, InList, Literal, conjoin
+from repro.sql.ast import ColumnRef, InList, Literal
 
 
 def adaptive_timeout_error(wrapper_name: str, request_text: str,
@@ -123,7 +123,7 @@ class _SourceFailure(Exception):
 
 def _cache_hit(relation: Relation, request: SourceRequest) -> _FetchOutcome:
     """The outcome of a fetch the request cache answered (a private copy)."""
-    return _FetchOutcome(relation=relation, request_text=request.request_text,
+    return _FetchOutcome(relation=relation, request_text=request.transfer.target.text,
                          cache_hit=True, frozen=True)
 
 
@@ -140,7 +140,7 @@ def _catalogued_positions(stage: Stage, request: SourceRequest,
     except SchemaError:
         raise ExecutionError(
             f"wrapper {request.wrapper_name!r} shipped columns {shipped.names} "
-            f"for {request.request_text}, not the catalogued {catalogued}"
+            f"for {request.transfer.target.text}, not the catalogued {catalogued}"
         ) from None
 
 
@@ -305,10 +305,11 @@ class ResultStream:
         if self.engine.deduplicate:
             return request_key(request)
         # Baseline mode: make every plan request its own round trip.
+        scan = request.transfer.target
         return RequestKey(
             wrapper=request.wrapper_name.lower(),
-            relation=request.relation.lower(),
-            text=f"{request.request_text} #branch{branch_index}.{request_index}",
+            relation=scan.relation.lower(),
+            text=f"{scan.text} #branch{branch_index}.{request_index}",
         )
 
     def _admit(self, requests: Dict[RequestKey, SourceRequest],
@@ -360,7 +361,7 @@ class ResultStream:
             pending = [pending[i] for i in indexed]
             self.report.dispatch_policy = "latency"
         self.report.dispatch_order = [
-            self._distinct[key].binding for key in pending
+            self._distinct[key].transfer.binding for key in pending
         ]
         return pending
 
@@ -405,19 +406,21 @@ class ResultStream:
         resolve and ``close()``-time banking can check the fetch outcome.
         """
         request = self._distinct[key]
+        transfer = request.transfer
+        scan = transfer.target
         wrapper = self.engine.catalog.wrappers.get(request.wrapper_name)
 
         def attempt():
-            if request.sql is not None:
-                return wrapper.query(request.sql)
-            return wrapper.fetch(request.relation)
+            if scan.query is not None:
+                return wrapper.query(scan.query)
+            return wrapper.fetch(scan.relation)
 
         # Explicit parentage: this may run on a pool thread, where the
         # tracing contextvar does not propagate.  The span is finished on
         # every path out, so a fetch that completes never leaks an open span.
         fetch_span = self._parent_span.child(
-            "fetch", wrapper=request.wrapper_name, binding=request.binding,
-            request=request.request_text,
+            "fetch", wrapper=request.wrapper_name, binding=transfer.binding,
+            request=scan.text,
         )
         report = self.report
         with report.lock:
@@ -428,7 +431,7 @@ class ResultStream:
         try:
             fetched, attempts = self.engine.resilience.run_fetch(
                 wrapper_name=request.wrapper_name,
-                request_text=request.request_text,
+                request_text=scan.text,
                 fetch=attempt,
                 deadline=self._deadline,
                 report=report,
@@ -439,7 +442,7 @@ class ResultStream:
             fetch_span.finish(error=error)
             return _FetchOutcome(
                 relation=None,
-                request_text=request.request_text,
+                request_text=scan.text,
                 fetch_seconds=time.perf_counter() - fetch_started,
                 wait_seconds=fetch_started - queued_at,
                 error=error,
@@ -452,7 +455,7 @@ class ResultStream:
         fetch_span.finish()
         return _FetchOutcome(
             relation=fetched,
-            request_text=request.request_text,
+            request_text=scan.text,
             fetch_seconds=fetch_elapsed,
             wait_seconds=fetch_started - queued_at,
             attempts=attempts,
@@ -474,6 +477,7 @@ class ResultStream:
                 self._dispatch([key])
                 future = self._futures[key]
             request = self._distinct[key]
+            text = request.transfer.target.text
             wait = self._deadline.remaining()
             # A wrapper with an earned latency profile gets its own wait
             # bound (p95 × headroom): a habitually-fast source that
@@ -494,7 +498,7 @@ class ResultStream:
                     raise DeadlineExceededError(
                         f"statement deadline of "
                         f"{self._deadline.timeout_seconds}s exceeded awaiting "
-                        f"{request.request_text} from wrapper "
+                        f"{text} from wrapper "
                         f"{request.wrapper_name!r}"
                     ) from None
                 # The adaptive bound fired with deadline budget left: a
@@ -502,11 +506,11 @@ class ResultStream:
                 # so partial mode can degrade the branch instead of
                 # killing the statement.
                 error = adaptive_timeout_error(
-                    request.wrapper_name, request.request_text, adaptive
+                    request.wrapper_name, text, adaptive
                 )
                 outcome = _FetchOutcome(
                     relation=None,
-                    request_text=request.request_text,
+                    request_text=text,
                     error=error,
                 )
             self._outcomes[key] = outcome
@@ -542,9 +546,8 @@ class ResultStream:
             feedback.record_source(
                 request.wrapper_name, outcome.fetch_seconds, len(outcome.relation)
             )
-        if request.bind_batch:
-            return
-        if request.sql is not None and request.sql.limit is not None:
+        scan = request.transfer.target
+        if request.bind_batch or scan.limit is not None:
             return
         observed = len(outcome.relation)
         # Keep estimates honest for subsequent planning rounds — once per
@@ -552,15 +555,13 @@ class ResultStream:
         # Only an *unfiltered* fetch reflects the relation's base
         # cardinality; filtered counts go to the feedback store instead,
         # keyed by their predicate fingerprint.
-        if not request.pushed_conjuncts:
-            self.engine.catalog.update_estimate(
-                request.relation, max(observed, 1)
-            )
+        if not scan.conditions:
+            self.engine.catalog.update_estimate(scan.relation, max(observed, 1))
         if feedback is not None:
             planned = (request.estimated_result_rows
                        if request.estimated_result_rows > 0 else None)
             feedback.record_request(
-                request.relation, request.predicate_fingerprint,
+                scan.relation, scan.fingerprint,
                 observed, planned_rows=planned,
             )
 
@@ -575,13 +576,17 @@ class ResultStream:
         The driver's staged rows yield the distinct non-NULL values of each
         key column; the first column's values are chunked into ``batch_size``
         ``IN`` lists (the other columns ship their full lists in every batch,
-        so batches stay disjoint and their union is the same superset).  The
-        batches are admitted like the plan's own requests — a repeated
-        statement with an unchanged key set is answered from the
-        source-result cache without any round trip — and the rest dispatched.
+        so batches stay disjoint and their union is the same superset).  A
+        batch is the request's scan with its ``IN`` lists appended to the
+        scan's conditions.  The batches are admitted like the plan's own
+        requests — a repeated statement with an unchanged key set is answered
+        from the source-result cache without any round trip — and the rest
+        dispatched.
         """
         report = self.report
         spec = request.bind
+        transfer = request.transfer
+        scan = transfer.target
         with report.lock:
             report.bind_joins += 1
 
@@ -599,13 +604,12 @@ class ResultStream:
                 report.bind_empty_key_skips += 1
                 report.bind_rows_avoided += spec.estimated_unbound_rows
             return _FetchOutcome(
-                relation=Relation(stage.source, name=f"{request.binding}_bound"),
-                request_text=f"{request.request_text} /* bind: empty key set */",
+                relation=Relation(stage.source, name=f"{transfer.binding}_bound"),
+                request_text=f"{scan.text} /* bind: empty key set */",
                 frozen=True,
             ), True
 
-        qualifier_table = request.sql.tables[0]
-        qualifier = qualifier_table.alias or qualifier_table.name
+        qualifier = scan.alias or scan.relation
         batch_size = max(1, spec.batch_size)
         first_values = column_values[0]
         chunks = [first_values[start:start + batch_size]
@@ -615,22 +619,20 @@ class ResultStream:
         admitted: Dict[RequestKey, SourceRequest] = {}
         keys_shipped = 0
         for batch_number, chunk in enumerate(chunks):
-            conjuncts: List[object] = []
-            if request.sql.where is not None:
-                conjuncts.append(request.sql.where)
-            conjuncts.append(InList(
+            in_lists = [InList(
                 expr=ColumnRef(name=spec.bound_columns[0], table=qualifier),
                 items=tuple(Literal(value) for value in chunk),
-            ))
+            )]
             keys_shipped += len(chunk)
             for bound_column, values in zip(spec.bound_columns[1:], column_values[1:]):
-                conjuncts.append(InList(
+                in_lists.append(InList(
                     expr=ColumnRef(name=bound_column, table=qualifier),
                     items=tuple(Literal(value) for value in values),
                 ))
                 keys_shipped += len(values)
-            batch_sql = replace(request.sql, where=conjoin(conjuncts))
-            batch_request = replace(request, sql=batch_sql, bind=None, bind_batch=True)
+            batch_scan = replace(scan, conditions=(*scan.conditions, *in_lists))
+            batch_request = replace(request, transfer=replace(transfer, target=batch_scan),
+                                    bind=None, bind_batch=True)
             key = self._plan_key(
                 batch_request, branch_index, f"{index}.{batch_number}"
             )
@@ -670,12 +672,12 @@ class ResultStream:
                     estimate_row_bytes(combined_rows[0]) * avoided
                 )
 
-        combined = Relation(schema, name=f"{request.binding}_bound")
+        combined = Relation(schema, name=f"{transfer.binding}_bound")
         combined.rows = combined_rows
         total_keys = sum(len(values) for values in column_values)
         return _FetchOutcome(
             relation=combined,
-            request_text=(f"{request.request_text} /* bind {len(batch_keys)} "
+            request_text=(f"{scan.text} /* bind {len(batch_keys)} "
                           f"batch(es), {total_keys} key(s) */"),
             cache_hit=all_cache_hits,
             frozen=True,
@@ -708,7 +710,7 @@ class ResultStream:
                     report.degraded_branches.append({
                         "branch": branch_index,
                         "wrapper": failed_request.wrapper_name,
-                        "request": failed_request.request_text,
+                        "request": failed_request.transfer.target.text,
                         "error": f"{type(error).__name__}: {error}",
                     })
                     degraded = len(report.degraded_branches)
@@ -821,7 +823,7 @@ class ResultStream:
         # time: a hash join above it may keep its build (``HashJoin``).
         staged.origin = outcome.relation.origin
         entry = RequestExecution(
-            binding=request.binding,
+            binding=request.transfer.binding,
             wrapper_name=request.wrapper_name,
             request=outcome.request_text,
             rows_returned=len(outcome.relation),

@@ -4,9 +4,11 @@ operators.
 A mediated statement is *what* to compute — relations shipped by sources,
 brought across to the mediator, joined, filtered, finished by a SELECT and,
 for a mediated UNION, united.  The nodes below say exactly that and nothing
-about *how*: they are frozen, hashable trees of operations over leaf
-relations, with :class:`Transfer` marking the boundary between a source and
-the mediator.  The tree **is** the plan: ``QueryPlanner._emit_steps`` builds
+about *how*: they are frozen, hashable trees of operations over the
+relations sources ship.  Each leaf is a :class:`Scan`, the part of the tree a
+source evaluates — the request it is sent is read off it — under the
+:class:`Transfer` marking the boundary between that source and the mediator.
+The tree **is** the plan: ``QueryPlanner._emit_steps`` builds
 a branch's joins as :class:`Join` nodes, left-deep in the order it chose,
 and whatever reads that order back — ``EXPLAIN``, the plan signature,
 cardinality feedback, bind-join selection — reads it through
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.budget import MemoryBudget
 from repro.relational.compile import ExpressionCompiler, KernelScope
@@ -42,22 +44,65 @@ from repro.relational.operators import (
 from repro.relational.query import lower_select, lower_union
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
-from repro.sql.ast import ColumnRef, Node, Select, conjoin
+from repro.sql.ast import ColumnRef, Node, OrderItem, Select, SelectItem, TableRef, conjoin
+from repro.sql.printer import to_sql
 
 
 @dataclass(frozen=True)
-class Leaf:
-    """Input ``index`` of its branch, as its source ships it."""
+class Scan:
+    """What one source evaluates for the mediator: ``columns`` of
+    ``relation``, the rows satisfying every one of ``conditions``, in
+    ``order_by`` and at most ``limit`` of them.
 
-    index: int
+    A scan whose source is sent SQL (``takes_sql``) is sent :attr:`query`,
+    the SELECT saying exactly that over ``relation`` aliased ``alias``; any
+    other asks for the whole relation (``FETCH``) and has no conditions,
+    order or limit.  Derived once, beside :attr:`query`: :attr:`text`, the
+    request as the wrapper is sent it — what fetches are deduplicated and
+    cached on — and :attr:`fingerprint`, the conditions in canonical form
+    ("" when there are none), the key runtime feedback records the scan's
+    observed rows under.  Scans equal in their fields are equal.
+    """
+
+    relation: str
+    alias: Optional[str]
+    #: The shipped columns: those the branch reads when the source projects
+    #: them, otherwise the relation's whole schema.
+    columns: Tuple[str, ...]
+    conditions: Tuple[Node, ...] = ()
+    order_by: Tuple[OrderItem, ...] = ()
+    limit: Optional[int] = None
+    takes_sql: bool = True
+    query: Optional[Select] = field(init=False, compare=False, repr=False)
+    text: str = field(init=False, compare=False, repr=False)
+    fingerprint: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        query = None
+        if self.takes_sql:
+            qualifier = self.alias or self.relation
+            query = Select(
+                items=tuple(SelectItem(ColumnRef(name=column, table=qualifier))
+                            for column in self.columns),
+                tables=(TableRef(name=self.relation, alias=self.alias),),
+                where=conjoin(self.conditions),
+                order_by=self.order_by,
+                limit=self.limit,
+            )
+        derive = object.__setattr__
+        derive(self, "query", query)
+        derive(self, "text", f"FETCH {self.relation}" if query is None else to_sql(query))
+        derive(self, "fingerprint", " AND ".join(
+            sorted(to_sql(condition) for condition in self.conditions)))
 
 
 @dataclass(frozen=True)
 class Transfer:
-    """Source → mediator: qualify the shipped columns with ``binding`` and
-    apply the single-binding ``filters`` the source could not evaluate."""
+    """Source → mediator: the rows ``target`` ships, with its columns
+    qualified by ``binding`` and the single-binding ``filters`` its source
+    could not evaluate applied.  A branch's bindings are distinct."""
 
-    target: Leaf
+    target: Scan
     binding: str
     filters: Tuple[Node, ...] = ()
 
@@ -111,7 +156,7 @@ class Finish:
 @dataclass(frozen=True)
 class Union:
     """The rows of ``branches`` in branch order; unless ``all``, a row equal
-    to an earlier one is dropped.  Each branch numbers its own leaves."""
+    to an earlier one is dropped.  Each branch binds its own names."""
 
     branches: Tuple[Finish, ...]
     all: bool = False
@@ -140,10 +185,11 @@ class Stage:
     ``source`` is the schema the kernels were bound against — the columns
     the source is catalogued to ship, which every shipment is fitted to
     before it is staged — and ``scan`` the template scan standing for the
-    staged relation in its plan's operator tree.
+    staged relation in its plan's operator tree, at ``leaf``: the position
+    an execution stages the relation at.
     """
 
-    def __init__(self, node: Transfer, source: Schema, scope: KernelScope):
+    def __init__(self, node: Transfer, leaf: int, source: Schema, scope: KernelScope):
         self.source = source
         #: The last shipped schema found to list ``source``'s names in order:
         #: a shipment carrying this very object is staged as it is.
@@ -156,7 +202,7 @@ class Stage:
                 conjoin(list(node.filters)))
             if node.filters else None
         )
-        self.scan = TableScan(Relation(self.schema, name=self.name), leaf=node.target.index)
+        self.scan = TableScan(Relation(self.schema, name=self.name), leaf=leaf)
 
     def relation(self, rows: List[Row], frozen: bool) -> Relation:
         """The staged form of shipped ``rows``, copied at most once: filtered
@@ -170,11 +216,11 @@ class Stage:
         return staged
 
 
-def lower(node: RelationNode, inputs: Sequence,
+def lower(node: RelationNode, inputs: typing.Union[Mapping[str, Stage], Sequence],
           scope: Optional[KernelScope] = None,
           budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
     """The operator tree computing ``node`` over what stands for its inputs:
-    for a branch, its :class:`Stage` s (one per request, by leaf index); for
+    for a branch, its :class:`Stage` s by binding; for
     a :class:`Union`, one operator per branch — whoever runs the root
     supplies them, staging each branch when it is first pulled, and under a
     statement's :class:`Finish` with the columns qualified by the alias that
@@ -185,7 +231,7 @@ def lower(node: RelationNode, inputs: Sequence,
     if isinstance(node, Union):
         return lower_union(inputs, node.all, budget)
     if isinstance(node, Transfer):
-        return inputs[node.target.index].scan
+        return inputs[node.binding].scan
     if isinstance(node, Selection):
         return Filter(lower(node.target, inputs, scope),
                       conjoin(list(node.conditions)), scope)

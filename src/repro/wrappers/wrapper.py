@@ -59,6 +59,11 @@ class Wrapper:
         """
         self._invalidation_listeners.append(listener)
 
+    def remove_invalidation_listener(self, listener) -> None:
+        """Stop telling ``listener`` of changes (a no-op once it is gone)."""
+        if listener in self._invalidation_listeners:
+            self._invalidation_listeners.remove(listener)
+
     def notify_invalidated(self) -> None:
         """Tell every registered listener this wrapper's data changed."""
         self._invalidation_listeners = [

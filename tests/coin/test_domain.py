@@ -83,20 +83,3 @@ class TestValidation:
         model._types["a"] = SemanticType("a", parent="b")
         with pytest.raises(DomainModelError):
             model.ancestors("a")
-
-
-class TestDatalogView:
-    def test_knowledge_base_facts(self):
-        kb = build_financial_domain_model().to_knowledge_base()
-        assert kb.defines("semantic_type", 1)
-        assert kb.defines("isa", 2)
-        assert kb.defines("has_modifier", 3)
-        predicates = {rule.head.predicate for rule in kb.rules}
-        assert "has_attribute" in predicates
-
-    def test_query_modifiers_through_resolution(self):
-        from repro.datalog import Resolver, atom, pos, var
-
-        kb = build_financial_domain_model().to_knowledge_base()
-        solutions = list(Resolver(kb).solve([pos(atom("has_modifier", "monetaryAmount", var("M"), var("T")))]))
-        assert sorted(solution.value(var("M")) for solution in solutions) == ["currency", "scaleFactor"]

@@ -89,11 +89,3 @@ class TestValidation:
         schemas = {"r1": Schema.of("cname:string")}
         with pytest.raises(ElevationError):
             registry.validate_against(build_financial_domain_model(), schemas)
-
-
-class TestDatalogView:
-    def test_facts_emitted(self):
-        kb = ElevationRegistry([r1_axiom()]).to_knowledge_base()
-        assert kb.defines("elevated", 4)
-        assert kb.defines("relation_context", 2)
-        assert kb.defines("relation_source", 2)

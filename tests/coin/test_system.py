@@ -85,22 +85,3 @@ class TestAccounting:
         assert effort["conversion_functions"] == 3
         assert effort["context_axioms"] >= 8
         assert effort["semantic_types"] > 5
-
-
-class TestDatalogView:
-    def test_modifier_cases_and_guards_emitted(self, system):
-        kb = system.to_knowledge_base()
-        assert kb.defines("modifier_case", 6)
-        assert kb.defines("case_guard", 7)
-        assert kb.defines("elevated", 4)
-
-    def test_case_guard_for_jpy_scale_factor(self, system):
-        from repro.datalog import Resolver, atom, pos, var
-
-        kb = system.to_knowledge_base()
-        solutions = list(Resolver(kb).solve([pos(atom(
-            "case_guard", "c_source1", "companyFinancials", "scaleFactor",
-            var("Case"), var("Column"), "=", "JPY",
-        ))]))
-        assert len(solutions) == 1
-        assert solutions[0].value(var("Column")) == "currency"

@@ -65,15 +65,6 @@ class TestKnowledgeBase:
         assert not kb.defines("q", 2)
         assert len(kb) == 3
 
-    def test_merge_keeps_both_sides(self):
-        left = KnowledgeBase(name="a")
-        left.add_fact("p", 1)
-        right = KnowledgeBase(name="b")
-        right.add_fact("p", 2)
-        merged = left.merge(right)
-        assert len(merged.rules_for("p", 1)) == 2
-        assert len(left) == 1 and len(right) == 1
-
     def test_predicates_listing(self):
         kb = KnowledgeBase()
         kb.add_fact("b", 1)

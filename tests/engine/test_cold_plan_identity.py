@@ -113,11 +113,13 @@ def plan_record(planner, selects, union_all=False, statement=None):
     return {
         "signature": repr(plan.signature()),
         "requests": [
-            [[request.binding,
-              None if request.sql is None else to_sql(request.sql),
-              None if request.projected_columns is None else list(request.projected_columns),
-              [to_sql(condition) for condition in request.local_filters]]
-             for request in branch.requests]
+            [[transfer.binding,
+              None if scan.query is None else scan.text,
+              list(scan.columns) if len(scan.columns) < len(
+                  planner.catalog.schema_of(scan.relation)) else None,
+              [to_sql(condition) for condition in transfer.filters]]
+             for transfer, scan in ((request.transfer, request.transfer.target)
+                                    for request in branch.requests)]
             for branch in plan.branches
         ],
         "needed": needed,

@@ -180,7 +180,7 @@ class TestExecutorFeedbackIngestion:
         # The 3-row filtered result must not overwrite the 12-row base
         # estimate; it is recorded under its predicate fingerprint instead.
         assert engine.catalog.entry("d").estimated_rows == 12
-        fingerprint = plan.branches[0].requests[0].predicate_fingerprint
+        fingerprint = plan.branches[0].requests[0].transfer.target.fingerprint
         assert fingerprint
         assert engine.catalog.feedback.request_rows("d", fingerprint) == 3
 
@@ -194,8 +194,8 @@ class TestExecutorFeedbackIngestion:
     def test_limited_fetch_feeds_nothing(self):
         engine = _bind_engine()
         plan = engine.plan("SELECT o.v FROM o LIMIT 5")
-        request = plan.branches[0].requests[0]
-        assert request.sql is not None and request.sql.limit is not None
+        scan = plan.branches[0].requests[0].transfer.target
+        assert scan.query is not None and scan.query.limit is not None
         engine.execute(plan)
         # A pushed LIMIT truncates deliberately: 5 rows say nothing about o.
         assert engine.catalog.entry("o").estimated_rows == 300
@@ -372,6 +372,24 @@ class TestBindJoinExecution:
         assert second.report.source_round_trips == 0
         assert second.report.rows_transferred == 0
         assert _digest(second.relation) == _digest(first.relation)
+
+    def test_a_batch_is_the_bound_scan_with_its_in_lists_appended(self):
+        engine = _bind_engine(cache=True)
+        query = f"{BIND_QUERY} AND o.v > 0"
+        engine.execute(query)  # cold, unbound
+        warm = engine.plan(query)
+        bound = [request for request in warm.branches[0].requests if request.bind]
+        assert [request.transfer.target.text for request in bound] == [
+            "SELECT o.k, o.v FROM o WHERE o.v > 0"]
+        engine.execute(warm)
+        # The request texts (and so the cache keys) the batches were always
+        # sent under: the pushed conjunct first, then one IN list per batch.
+        assert sorted(key.text for key in engine.request_cache._entries) == [
+            "SELECT d.k, d.tag FROM d WHERE d.tag = 'hot'",
+            "SELECT o.k, o.v FROM o WHERE o.v > 0",
+            "SELECT o.k, o.v FROM o WHERE o.v > 0 AND o.k IN (1, 2)",
+            "SELECT o.k, o.v FROM o WHERE o.v > 0 AND o.k IN (3)",
+        ]
 
     def test_empty_key_set_skips_the_bound_fetch(self):
         engine = _bind_engine()

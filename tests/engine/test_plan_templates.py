@@ -74,6 +74,13 @@ def _kept(plan, branch=0):
     return None if kept is None else kept[1]
 
 
+def _probed_key(plan):
+    """The request key of the first branch's first probed (right) transfer."""
+    probed = left_deep(plan.branches[0].tree)[0][1]
+    bindings = [request.transfer.binding for request in plan.branches[0].requests]
+    return plan.template.keys[0][bindings.index(probed.binding)]
+
+
 def _joins(plan, branch=0):
     """The hash joins of the branch's kept operator template, root first."""
     found, pending = [], [_kept(plan, branch)]
@@ -365,7 +372,7 @@ class TestKeptBuilds:
         expected = list(engine.execute(plan).relation.rows)
         origin = join._kept.build[0]
         cache = engine.request_cache
-        key = plan.template.keys[0][left_deep(plan.branches[0].tree)[0][1].target.index]
+        key = _probed_key(plan)
         assert origin() is cache._entries[key]
         gc.disable()  # the slot must empty by reference count alone
         try:
@@ -390,7 +397,7 @@ class TestKeptBuilds:
 
     def test_a_cache_entry_that_changed_is_never_answered_from_old_buckets(self):
         engine, plan, join = self._warm()
-        key = plan.template.keys[0][left_deep(plan.branches[0].tree)[0][1].target.index]
+        key = _probed_key(plan)
         entry = engine.request_cache._entries[key]
         halved = Relation(entry.schema, name=entry.name)
         halved.rows = entry.rows[::2]

@@ -29,27 +29,28 @@ class TestDecomposition:
     def test_one_request_per_binding(self, catalog):
         query_plan = plan(catalog, "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname")
         branch = query_plan.branches[0]
-        assert {request.binding for request in branch.requests} == {"r1", "r2"}
+        assert {request.transfer.binding for request in branch.requests} == {"r1", "r2"}
         assert len(left_deep(branch.tree)[1]) == 1
 
     def test_selection_pushed_to_sql_source(self, catalog):
         query_plan = plan(catalog, "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'")
-        request = query_plan.branches[0].requests[0]
-        assert request.sql is not None
-        assert "WHERE r1.currency = 'JPY'" in to_sql(request.sql)
-        assert request.local_filters == ()
+        transfer = query_plan.branches[0].requests[0].transfer
+        assert transfer.target.query is not None
+        assert "WHERE r1.currency = 'JPY'" in to_sql(transfer.target.query)
+        assert transfer.filters == ()
 
     def test_selection_not_pushed_to_scan_only_source(self, catalog):
         query_plan = plan(catalog, "SELECT r3.rate FROM r3 WHERE r3.toCur = 'USD'")
-        request = query_plan.branches[0].requests[0]
-        assert request.sql is None
-        assert len(request.local_filters) == 1
+        transfer = query_plan.branches[0].requests[0].transfer
+        assert transfer.target.query is None
+        assert transfer.target.text == "FETCH r3"
+        assert len(transfer.filters) == 1
 
     def test_projection_pushed_when_supported(self, catalog):
         query_plan = plan(catalog, "SELECT r1.cname FROM r1")
-        request = query_plan.branches[0].requests[0]
-        assert request.projected_columns == ("cname",)
-        assert "SELECT r1.cname FROM r1" == to_sql(request.sql)
+        scan = query_plan.branches[0].requests[0].transfer.target
+        assert scan.columns == ("cname",)
+        assert "SELECT r1.cname FROM r1" == to_sql(scan.query) == scan.text
 
     def test_cross_source_condition_becomes_join_step(self, catalog):
         query_plan = plan(
@@ -118,13 +119,14 @@ class TestAblationSwitches:
         pushed = plan(catalog, "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'")
         unpushed = plan(catalog, "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'",
                         push_selections=False)
-        assert pushed.branches[0].requests[0].pushed_conjuncts != ()
-        assert unpushed.branches[0].requests[0].pushed_conjuncts == ()
-        assert len(unpushed.branches[0].requests[0].local_filters) == 1
+        assert pushed.branches[0].requests[0].transfer.target.conditions != ()
+        assert unpushed.branches[0].requests[0].transfer.target.conditions == ()
+        assert len(unpushed.branches[0].requests[0].transfer.filters) == 1
 
     def test_disabling_projection_pushdown(self, catalog):
         unpushed = plan(catalog, "SELECT r1.cname FROM r1", push_projections=False)
-        assert unpushed.branches[0].requests[0].projected_columns is None
+        scan = unpushed.branches[0].requests[0].transfer.target
+        assert scan.columns == tuple(catalog.schema_of("r1").names)
 
     def test_pushdown_reduces_estimated_cost(self, catalog):
         sql = "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname AND r1.currency = 'JPY'"

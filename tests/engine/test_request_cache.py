@@ -5,19 +5,21 @@ import pytest
 from repro.engine.plan import SourceRequest
 from repro.engine.request_cache import RequestKey, SourceResultCache, request_key
 from repro.relational import relation_from_rows
-from repro.sql.parser import parse
+from repro.relational.algebra import Scan, Transfer
+from repro.sql.parser import parse_expression
 
 
-def _sql_request(sql: str, wrapper: str = "source1", relation: str = "r1",
+def _sql_request(condition: str, wrapper: str = "source1", relation: str = "r1",
                  binding: str = "r1") -> SourceRequest:
-    return SourceRequest(binding=binding, relation=relation, wrapper_name=wrapper,
-                         sql=parse(sql))
+    """A request for ``r1.cname`` of the rows satisfying ``condition``."""
+    scan = Scan(relation, None, ("cname",), conditions=(parse_expression(condition),))
+    return SourceRequest(transfer=Transfer(scan, binding), wrapper_name=wrapper)
 
 
 def _fetch_request(wrapper: str = "exchange", relation: str = "r3",
-                   binding: str = "r3", **kwargs) -> SourceRequest:
-    return SourceRequest(binding=binding, relation=relation, wrapper_name=wrapper,
-                         sql=None, **kwargs)
+                   binding: str = "r3", filters=()) -> SourceRequest:
+    scan = Scan(relation, None, ("fromCur", "toCur", "rate"), takes_sql=False)
+    return SourceRequest(transfer=Transfer(scan, binding, filters), wrapper_name=wrapper)
 
 
 def _relation(name: str = "cached", rows=((1, "x"), (2, "y"))):
@@ -27,16 +29,19 @@ def _relation(name: str = "cached", rows=((1, "x"), (2, "y"))):
 
 class TestRequestKey:
     def test_identical_pushdowns_share_a_key(self):
-        sql = "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'"
-        assert request_key(_sql_request(sql)) == request_key(_sql_request(sql))
+        condition = "r1.currency = 'JPY'"
+        key = request_key(_sql_request(condition))
+        assert key == request_key(_sql_request(condition))
+        assert key.text == "SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'"
 
     def test_different_pushdowns_get_different_keys(self):
-        first = _sql_request("SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'")
-        second = _sql_request("SELECT r1.cname FROM r1 WHERE r1.currency = 'USD'")
+        first = _sql_request("r1.currency = 'JPY'")
+        second = _sql_request("r1.currency = 'USD'")
         assert request_key(first) != request_key(second)
 
     def test_fetch_requests_key_on_wrapper_and_relation(self):
         assert request_key(_fetch_request()) == request_key(_fetch_request())
+        assert request_key(_fetch_request()).text == "FETCH r3"
         assert request_key(_fetch_request()) != request_key(
             _fetch_request(wrapper="other")
         )
@@ -50,9 +55,8 @@ class TestRequestKey:
     def test_local_filters_do_not_change_the_key(self):
         # Residual per-binding filters are applied locally after the shared
         # fetch; two branches differing only in them must share a round trip.
-        condition = parse("SELECT r3.rate FROM r3 WHERE r3.toCur = 'USD'").where
         plain = _fetch_request()
-        filtered = _fetch_request(local_filters=(condition,))
+        filtered = _fetch_request(filters=(parse_expression("r3.toCur = 'USD'"),))
         assert request_key(plain) == request_key(filtered)
 
 

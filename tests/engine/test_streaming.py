@@ -130,10 +130,11 @@ class TestLimitPushdown:
     def test_single_request_branch_pushes_order_and_limit(self):
         engine = _basic_engine()
         plan = engine.plan("SELECT t.a, t.v FROM t ORDER BY t.v DESC LIMIT 5")
-        request = plan.branches[0].requests[0]
+        scan = plan.branches[0].requests[0].transfer.target
         assert plan.branches[0].fetch_limit == 5
-        assert "LIMIT 5" in request.request_text
-        assert "ORDER BY" in request.request_text
+        assert (scan.limit, len(scan.order_by)) == (5, 1)
+        assert "LIMIT 5" in scan.text
+        assert "ORDER BY" in scan.text
         # The source ships only the needed prefix.
         result = engine.execute(plan)
         assert result.report.requests[0].rows_returned == 5
@@ -141,12 +142,12 @@ class TestLimitPushdown:
     def test_offset_is_folded_into_the_bound(self):
         plan = _basic_engine().plan("SELECT t.a FROM t ORDER BY t.a LIMIT 5 OFFSET 2")
         assert plan.branches[0].fetch_limit == 7
-        assert "LIMIT 7" in plan.branches[0].requests[0].request_text
+        assert "LIMIT 7" in plan.branches[0].requests[0].transfer.target.text
 
     def test_distinct_blocks_the_bound(self):
         plan = _basic_engine().plan("SELECT DISTINCT t.b FROM t LIMIT 2")
         assert plan.branches[0].fetch_limit is None
-        assert "LIMIT" not in plan.branches[0].requests[0].request_text
+        assert "LIMIT" not in plan.branches[0].requests[0].transfer.target.text
 
     def test_aggregates_block_the_bound(self):
         plan = _basic_engine().plan("SELECT COUNT(*) AS n FROM t LIMIT 1")
@@ -160,14 +161,14 @@ class TestLimitPushdown:
         engine.register_wrapper(RelationalWrapper(source), estimate_rows=False)
         plan = engine.plan("SELECT s.a FROM s LIMIT 2")
         assert plan.branches[0].fetch_limit == 2
-        assert plan.branches[0].requests[0].request_text == "FETCH s"
+        assert plan.branches[0].requests[0].transfer.target.text == "FETCH s"
         assert list(engine.execute(plan).relation.rows) == [(1,), (2,)]
 
     def test_ablation_switch_disables_the_push(self):
         engine = _basic_engine(planner_config=PlannerConfig(push_fetch_limits=False))
         plan = engine.plan("SELECT t.a FROM t ORDER BY t.a LIMIT 5")
         assert plan.branches[0].fetch_limit is None
-        assert "LIMIT" not in plan.branches[0].requests[0].request_text
+        assert "LIMIT" not in plan.branches[0].requests[0].transfer.target.text
 
 
 class TestEarlyTermination:

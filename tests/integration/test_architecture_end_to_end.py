@@ -72,16 +72,17 @@ class TestEngineBehaviour:
         plan = scenario.federation.engine.plan(
             "SELECT r3.rate FROM r3 WHERE r3.fromCur = 'JPY' AND r3.toCur = 'USD'"
         )
-        request = plan.branches[0].requests[0]
-        assert request.sql is None
-        assert len(request.local_filters) == 2
+        transfer = plan.branches[0].requests[0].transfer
+        assert transfer.target.query is None
+        assert len(transfer.filters) == 2
 
     def test_relational_sources_receive_pushed_selections(self, scenario):
         mediated = scenario.federation.mediate_only(PAPER_QUERY).mediated
         plan = scenario.federation.engine.plan(mediated)
         jpy_branch = plan.branches[1]
-        r1_request = [request for request in jpy_branch.requests if request.binding == "r1"][0]
-        assert r1_request.pushed_conjuncts != ()
+        r1_scan = [request.transfer.target for request in jpy_branch.requests
+                   if request.transfer.binding == "r1"][0]
+        assert r1_scan.conditions != ()
 
     def test_temporary_storage_used_for_staging(self, scenario):
         result = scenario.federation.engine.execute("SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname")

@@ -62,14 +62,14 @@ def test_every_branch_tree_is_left_deep_and_complete(federation, mode):
                 assert below.conditions, label
                 below = below.target
             transfers, joins = algebra.left_deep(tree)
-            # Each request crosses to the mediator exactly once.
-            assert (sorted(transfer.target.index for transfer in transfers)
-                    == list(range(len(branch.requests)))), label
+            # Each request crosses to the mediator exactly once, as the very
+            # transfer it holds, over the scan its source is sent.
+            assert (sorted(map(id, transfers))
+                    == sorted(id(request.transfer) for request in branch.requests)), label
+            assert len({transfer.binding for transfer in transfers}) == len(transfers), label
             for transfer in transfers:
-                request = branch.requests[transfer.target.index]
                 assert isinstance(transfer, algebra.Transfer), label
-                assert transfer.binding == request.binding, label
-                assert transfer.filters == tuple(request.local_filters), label
+                assert isinstance(transfer.target, algebra.Scan), label
             # Left-deep: every join's right is a transfer, its left the join
             # before it (the first one's, the transfer the pipeline starts from).
             assert len(joins) == len(branch.requests) - 1, label
