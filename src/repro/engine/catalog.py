@@ -50,10 +50,11 @@ class Catalog:
         #: Registration bumps the generation, so everything keyed on it
         #: (cached plans, prepared statements, violation reports) re-derives.
         self.constraints = ConstraintSet()
-        #: Monotonic dictionary version.  Bumped whenever the set of relations
-        #: a plan could read changes — wrapper (re)registration and explicit
-        #: source invalidation — so cached plans and prepared queries keyed
-        #: on it can never consult a stale dictionary.  Cardinality feedback
+        #: Monotonic dictionary version.  Bumped whenever what a plan could
+        #: read changes — a declared constraint here, every source change
+        #: (registration, invalidation) in the engine's
+        #: ``invalidate_source_cache`` — so cached plans and prepared queries
+        #: keyed on it never consult a stale dictionary.  Cardinality feedback
         #: (:meth:`update_estimate`) deliberately does *not* bump it:
         #: estimates only steer costs, never correctness.
         self.generation = 0
@@ -79,9 +80,11 @@ class Catalog:
         another wrapper serves, or a declared constraint the new dictionary
         no longer satisfies — one over a relation the new wrapper does not
         serve, or over a column it lacks — refuses the registration and
-        leaves the catalog, the wrapper registry and the generation as they
-        were.  A name registered again replaces its wrapper, and the
-        relations the old wrapper served leave the catalog with it.
+        leaves the catalog and the wrapper registry as they were.  A name
+        registered again replaces its wrapper, and the relations the old
+        wrapper served leave the catalog with it.  The generation is the
+        engine's to advance: a registration is a source change
+        (``MultiDatabaseEngine.invalidate_source_cache``).
 
         With ``estimate_rows=True`` the catalog asks SQL-capable wrappers for a
         COUNT(*) per relation (cheap for in-memory sources); web wrappers keep
@@ -121,7 +124,6 @@ class Catalog:
             constraint.validate(lambda relation: entries[relation.lower()].schema)
         self._entries = entries
         self.wrappers.register(wrapper)
-        self.bump_generation()
         return list(added.values())
 
     def _count_rows(self, wrapper: Wrapper, relation: str, default: int) -> int:

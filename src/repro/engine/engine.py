@@ -137,23 +137,21 @@ class MultiDatabaseEngine:
     # -- registration ------------------------------------------------------------
 
     def register_wrapper(self, wrapper: Wrapper, estimate_rows: bool = True) -> None:
-        """Register a wrapper and catalog its relations."""
-        self.catalog.register_wrapper(wrapper, estimate_rows=estimate_rows)
-        # A (re)registered wrapper means fresh data behind its name: any
-        # memoized results for it are no longer trustworthy — and wrapper-level
-        # invalidations (e.g. WebWrapper.invalidate after a site change) must
-        # reach this engine's cache too.
-        self.invalidate_source_cache(wrapper=wrapper.name)
+        """Register a wrapper and catalog its relations: a source change.
 
-        # One subscription per name, replaced together with the wrapper: a
-        # wrapper registered again is already heard, a replaced one is not
-        # heard any more.
+        The name keeps one subscription and one resilience record: a wrapper
+        registered again keeps both, a replaced one is no longer heard and
+        its breaker goes with it.
+        """
+        self.catalog.register_wrapper(wrapper, estimate_rows=estimate_rows)
+        self.invalidate_source_cache(wrapper=wrapper.name)
         name = wrapper.name.lower()
         held = self._subscriptions.get(name)
         if held is not None:
             if held[0] is wrapper:
                 return
             held[0].remove_invalidation_listener(held[1])
+            self.resilience.forget(name)
         # Subscribe via weakref: a long-lived wrapper must not pin every
         # engine it was ever registered to (returning False prunes the
         # listener once this engine is gone).
@@ -171,13 +169,20 @@ class MultiDatabaseEngine:
 
     def invalidate_source_cache(self, wrapper: Optional[str] = None,
                                 relation: Optional[str] = None) -> int:
-        """Drop memoized source results (all, per wrapper, or per relation).
+        """Forget what is memoized of the sources' data (all, one wrapper's
+        or one relation's); return the request-cache entries dropped.
 
-        Invalidation also advances the catalog generation: it is the signal
-        that source data changed, and anything keyed on the generation
-        (cached plans, prepared queries) must re-derive rather than trust
-        estimates and artifacts from before the change.
+        Every "source changed" signal ends here: a caller's, a wrapper's
+        ``notify_invalidated()``, a registration.  The affected wrappers drop
+        their own memo (unnotified), the request cache its entries, and the
+        catalog generation advances once, so whatever is keyed on it (plans,
+        prepared queries, violation reports, the rate lookup) re-derives.
         """
+        for served in self.catalog.wrappers:
+            if ((wrapper is None or served.name.lower() == wrapper.lower())
+                    and (relation is None or relation.lower()
+                         in map(str.lower, served.relation_names()))):
+                served.drop_memo()
         self.catalog.bump_generation()
         if self.request_cache is None:
             return 0

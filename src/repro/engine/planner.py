@@ -171,7 +171,7 @@ class QueryPlanner:
         self.cost_model = cost_model or CostModel()
         self.config = config or PlannerConfig()
         if self.cost_model.feedback is None:
-            self.cost_model.feedback = getattr(catalog, "feedback", None)
+            self.cost_model.feedback = catalog.feedback
 
     # -- public API -------------------------------------------------------------
 

@@ -107,9 +107,9 @@ class SourceResultCache(BoundedCache):
                    relation: Optional[str] = None) -> int:
         """Drop entries for one wrapper and/or relation; return the drop count.
 
-        With both arguments ``None`` the whole cache is cleared.  Call this
-        whenever a source's data is known to have changed (the federation does
-        so automatically when a wrapper is re-registered).
+        With both arguments ``None`` the whole cache is cleared.  The engine
+        calls this for every signal that a source's data changed, a wrapper
+        registration included (``MultiDatabaseEngine.invalidate_source_cache``).
         """
         wrapper_lower = wrapper.lower() if wrapper is not None else None
         relation_lower = relation.lower() if relation is not None else None

@@ -469,6 +469,12 @@ class ResiliencePolicy:
                 )
             return record
 
+    def forget(self, wrapper_name: str) -> None:
+        """Drop the wrapper's record: a new wrapper under the name starts
+        with a closed breaker and an empty health window."""
+        with self._lock:
+            self._records.pop(wrapper_name.lower(), None)
+
     def run_fetch(self, wrapper_name: str, request_text: str,
                   fetch: Callable[[], object], deadline: Deadline,
                   report: ExecutionReport,

@@ -206,7 +206,7 @@ class ResultStream:
             memory_limit_bytes=memory_budget_bytes or 0,
             on_source_error=on_source_error,
             timeout_seconds=deadline.timeout_seconds,
-            feedback_epoch=getattr(plan, "feedback_epoch", 0),
+            feedback_epoch=plan.feedback_epoch,
             join_orders=template.join_orders,  # shared; snapshots copy
             estimates_from_feedback=template.estimates_from_feedback,
             estimates_from_defaults=template.estimates_from_defaults,
@@ -342,14 +342,13 @@ class ResultStream:
         the pool.  Wrappers without a mature profile cost 0.0 and keep plan
         order behind the profiled ones.
         """
-        feedback = getattr(self.engine.catalog, "feedback", None)
+        feedback = self.engine.catalog.feedback
         expected: Dict[RequestKey, float] = {}
         profiled = False
         for key in pending:
             request = self._distinct[key]
             cost = 0.0
-            profile = (feedback.source_profile(request.wrapper_name)
-                       if feedback is not None else None)
+            profile = feedback.source_profile(request.wrapper_name)
             if profile is not None:
                 profiled = True
                 rows = max(int(request.estimated_result_rows or 0), 1)
@@ -541,8 +540,8 @@ class ResultStream:
         request = self._distinct[key]
         if self._cache is not None and not outcome.cache_hit:
             self._cache.put(key, outcome.relation)
-        feedback = getattr(self.engine.catalog, "feedback", None)
-        if feedback is not None and not outcome.cache_hit:
+        feedback = self.engine.catalog.feedback
+        if not outcome.cache_hit:
             feedback.record_source(
                 request.wrapper_name, outcome.fetch_seconds, len(outcome.relation)
             )
@@ -557,13 +556,11 @@ class ResultStream:
         # keyed by their predicate fingerprint.
         if not scan.conditions:
             self.engine.catalog.update_estimate(scan.relation, max(observed, 1))
-        if feedback is not None:
-            planned = (request.estimated_result_rows
-                       if request.estimated_result_rows > 0 else None)
-            feedback.record_request(
-                scan.relation, scan.fingerprint,
-                observed, planned_rows=planned,
-            )
+        planned = (request.estimated_result_rows
+                   if request.estimated_result_rows > 0 else None)
+        feedback.record_request(
+            scan.relation, scan.fingerprint, observed, planned_rows=planned,
+        )
 
     # -- bind joins ----------------------------------------------------------------
 
@@ -989,14 +986,13 @@ class ResultStream:
         # instrumented row counts are true intermediate cardinalities; an
         # abandoned stream's partial counts must never reach the optimizer.
         if self._exhausted and self._join_watchers:
-            feedback = getattr(self.engine.catalog, "feedback", None)
-            if feedback is not None:
-                for join, entry in self._join_watchers:
-                    planned = (join.estimated_rows
-                               if join.estimated_rows > 0 else None)
-                    feedback.record_join(
-                        join.feedback_key, entry.rows_out, planned_rows=planned
-                    )
+            feedback = self.engine.catalog.feedback
+            for join, entry in self._join_watchers:
+                planned = (join.estimated_rows
+                           if join.estimated_rows > 0 else None)
+                feedback.record_join(
+                    join.feedback_key, entry.rows_out, planned_rows=planned
+                )
 
         # Snapshot the helpers before taking the report lock so it never
         # nests inside (or around) theirs.

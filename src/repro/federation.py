@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union as TUnion
 
+from repro.coin.conversion import ConversionEnvironment
 from repro.coin.system import CoinSystem
 from repro.consistency.constraints import Constraint
 from repro.consistency.cqa import DEFAULT_MAX_REPAIRS, ConsistentQueryExecutor
@@ -37,7 +38,8 @@ from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.stream import MaterializedStream
 from repro.errors import ExecutionError
-from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
+from repro.mediation.answers import (AnswerTransformer, ColumnAnnotation,
+                                     environment_from_relation)
 from repro.mediation.explain import conflict_summary
 from repro.mediation.mediator import ContextMediator, MediationResult
 from repro.obs import Observability
@@ -396,9 +398,9 @@ class Federation:
         self._scanner: Optional[ViolationScanner] = None
         self._scanner_budget = memory_budget_bytes
         self._scanner_lock = threading.Lock()
-        #: (wrapper, relation) the answer transformer's rate lookup was built
-        #: from; consulted on invalidation so conversions never use stale rates.
-        self._rate_environment_source: Optional[Tuple[str, str]] = None
+        #: The catalog generation the answer transformer's rate lookup was
+        #: read at (None: not read yet).
+        self._rates_generation: Optional[int] = None
         #: Telemetry bundle shared with the serving stack built on this
         #: federation (gateway, server, transports): one scrape sees all.
         self.observability = (
@@ -495,34 +497,9 @@ class Federation:
 
     def invalidate_source_cache(self, wrapper: Optional[str] = None,
                                 relation: Optional[str] = None) -> int:
-        """Drop memoized source results after a source's data changed.
-
-        Sources are autonomous: the federation cannot observe their updates,
-        so whoever knows a source changed calls this (all entries, one
-        wrapper's, or one relation's).  Returns the number of dropped entries.
-
-        Invalidation also bumps the catalog generation (stale plans become
-        unreachable) and, when it covers the ancillary exchange-rate relation,
-        resets the answer transformer's rate lookup so subsequent answer
-        conversions re-resolve fresh rates.
-        """
-        dropped = self.engine.invalidate_source_cache(wrapper=wrapper, relation=relation)
-        self._maybe_reset_rate_environment(wrapper, relation)
-        return dropped
-
-    def _maybe_reset_rate_environment(self, wrapper: Optional[str],
-                                      relation: Optional[str]) -> None:
-        if self._rate_environment_source is None:
-            return
-        rate_wrapper, rate_relation = self._rate_environment_source
-        if wrapper is not None and wrapper.lower() != rate_wrapper.lower():
-            return
-        if relation is not None and relation.lower() != rate_relation.lower():
-            return
-        from repro.coin.conversion import ConversionEnvironment
-
-        self.transformer.environment = ConversionEnvironment()
-        self._rate_environment_source = None
+        """Sources are autonomous: whoever knows one changed calls this; see
+        :meth:`~repro.engine.engine.MultiDatabaseEngine.invalidate_source_cache`."""
+        return self.engine.invalidate_source_cache(wrapper=wrapper, relation=relation)
 
     # -- dictionary services -----------------------------------------------------------
 
@@ -768,8 +745,15 @@ class Federation:
     # -- answer post-processing ------------------------------------------------------------------
 
     def convert_answer(self, answer: FederationAnswer, to_context: str) -> Relation:
-        """Re-express an already-computed answer in another receiver context."""
-        self._ensure_rate_environment()
+        """Re-express an already-computed answer in another receiver context.
+
+        Currency conversions read the rate relation the mediated queries join
+        through the engine, again after every source change (generation).
+        """
+        generation = self.engine.catalog.generation
+        if self._rates_generation != generation:
+            self.transformer.environment = self._rate_environment()
+            self._rates_generation = generation
         return self.transformer.transform(
             answer.relation,
             answer.mediation.column_semantics,
@@ -777,28 +761,14 @@ class Federation:
             to_context,
         )
 
-    def _ensure_rate_environment(self) -> None:
-        """Wire the answer transformer's rate lookup to the ancillary source.
-
-        Value-mode currency conversions consult the same exchange-rate relation
-        the mediated queries join against; the lookup is built lazily the first
-        time an answer conversion needs it and rebuilt after the rate relation
-        is invalidated (see :meth:`invalidate_source_cache`).
-        """
-        if self.transformer.environment.rate_lookup is not None:
-            return
-        from repro.mediation.answers import environment_from_relation
-
+    def _rate_environment(self) -> ConversionEnvironment:
+        """A lookup over the first catalogued rate relation, if any."""
         for function in self.system.conversions.currency_functions():
-            if not self.engine.catalog.has_relation(function.ancillary_relation):
-                continue
-            wrapper = self.engine.catalog.wrapper_for(function.ancillary_relation)
-            rates = wrapper.fetch(function.ancillary_relation)
-            self.transformer.environment = environment_from_relation(
-                rates, function.from_column, function.to_column, function.rate_column
-            )
-            self._rate_environment_source = (wrapper.name, function.ancillary_relation)
-            return
+            if self.engine.catalog.has_relation(function.ancillary_relation):
+                rates = self.engine.query(f"SELECT * FROM {function.ancillary_relation}")
+                return environment_from_relation(
+                    rates, function.from_column, function.to_column, function.rate_column)
+        return ConversionEnvironment()
 
     # -- health probing -------------------------------------------------------------------------
 

@@ -59,9 +59,12 @@ class Scan:
     other asks for the whole relation (``FETCH``) and has no conditions,
     order or limit.  Derived once, beside :attr:`query`: :attr:`text`, the
     request as the wrapper is sent it — what fetches are deduplicated and
-    cached on — and :attr:`fingerprint`, the conditions in canonical form
-    ("" when there are none), the key runtime feedback records the scan's
-    observed rows under.  Scans equal in their fields are equal.
+    cached on — and, unless given, :attr:`fingerprint`, the conditions in
+    canonical form ("" when there are none), the key runtime feedback
+    records the scan's observed rows under.  ``dataclasses.replace`` hands
+    the fingerprint on, so only the scans the planner builds derive one: a
+    bind join's batch keeps its planned scan's (batches feed no feedback).
+    Scans equal in their fields are equal.
     """
 
     relation: str
@@ -75,7 +78,7 @@ class Scan:
     takes_sql: bool = True
     query: Optional[Select] = field(init=False, compare=False, repr=False)
     text: str = field(init=False, compare=False, repr=False)
-    fingerprint: str = field(init=False, compare=False, repr=False)
+    fingerprint: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         query = None
@@ -92,8 +95,9 @@ class Scan:
         derive = object.__setattr__
         derive(self, "query", query)
         derive(self, "text", f"FETCH {self.relation}" if query is None else to_sql(query))
-        derive(self, "fingerprint", " AND ".join(
-            sorted(to_sql(condition) for condition in self.conditions)))
+        if self.fingerprint is None:
+            derive(self, "fingerprint", " AND ".join(
+                sorted(to_sql(condition) for condition in self.conditions)))
 
 
 @dataclass(frozen=True)

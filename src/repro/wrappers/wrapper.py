@@ -52,10 +52,10 @@ class Wrapper:
         """Register ``listener(wrapper_name)`` to fire when this wrapper's
         data is known to have changed.
 
-        Engines subscribe their source-result caches here, so a wrapper-level
-        invalidation (e.g. :meth:`WebWrapper.invalidate`) also drops any
-        engine-level memoized results for this wrapper.  A listener that
-        returns ``False`` declares itself dead and is removed.
+        Engines subscribe here, so a wrapper-level invalidation (e.g.
+        :meth:`WebWrapper.invalidate`) reaches everything they derived from
+        this wrapper's data.  A listener that returns ``False`` declares
+        itself dead and is removed.
         """
         self._invalidation_listeners.append(listener)
 
@@ -70,6 +70,10 @@ class Wrapper:
             listener for listener in list(self._invalidation_listeners)
             if listener(self.name) is not False
         ]
+
+    def drop_memo(self) -> None:
+        """Forget whatever this wrapper memoizes of its source's data
+        (nothing, unless a subclass keeps a memo); listeners are not told."""
 
     # -- metadata ---------------------------------------------------------------
 
@@ -245,13 +249,14 @@ class WebWrapper(Wrapper):
                 self._cache = relation
             return relation
 
-    def invalidate(self) -> None:
-        """Drop the cached crawl (e.g. when the site is known to have changed).
-
-        Also notifies subscribed engines so their source-result caches drop
-        this wrapper's memoized answers — the next query re-crawls.
-        """
+    def drop_memo(self) -> None:
         self._cache = None
+
+    def invalidate(self) -> None:
+        """Drop the cached crawl (e.g. when the site is known to have changed)
+        and notify subscribed engines, which forget what they derived from
+        it — the next query re-crawls."""
+        self.drop_memo()
         self.notify_invalidated()
 
     # -- data access ---------------------------------------------------------------

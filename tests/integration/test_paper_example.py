@@ -216,6 +216,36 @@ class TestTheMediatedUnionKeepsTheBag:
             assert len(reached) == 1, row
 
 
+class TestEveryRowReachesTheMediatedAnswer:
+    """A statement that filters nothing keeps every row, whatever its
+    currency.  Today a row whose currency is NULL satisfies no branch guard,
+    and one whose currency has no rate finds no ``r3`` row to join: both
+    are lost without an error (the mediation of unknown modifiers is still
+    to be decided)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a NULL currency satisfies no branch guard")
+    def test_a_row_with_a_null_currency_stays(self):
+        mediated, unmediated = self.cnames_with(("ACME", 7.0, None))
+        assert mediated == unmediated
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a currency without a rate finds no r3 row")
+    def test_a_row_whose_currency_has_no_rate_stays(self):
+        mediated, unmediated = self.cnames_with(("XCO", 5.0, "XYZ"))
+        assert mediated == unmediated
+
+    @staticmethod
+    def cnames_with(row):
+        """The mediated and the unmediated answer's cnames, ``row`` added to r1."""
+        scenario = build_paper_federation()
+        scenario.source1.database.table("r1").rows.append(row)
+        sql = "SELECT r1.cname, r1.revenue FROM r1"
+        return tuple(
+            sorted(name for name, _ in scenario.federation.query(sql, mediate=mediate).relation.rows)
+            for mediate in (True, False))
+
+
 def mediated_rows(scenario, sql):
     """The federation's answer to ``sql``, once its mediated text is shown to
     parse back to the mediated statement and to give that answer in sqlite3."""

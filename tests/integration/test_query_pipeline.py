@@ -14,10 +14,11 @@ import threading
 import pytest
 
 from repro.demo.datasets import PAPER_QUERY
-from repro.demo.scenarios import build_paper_federation
+from repro.demo.scenarios import build_exchange_wrapper, build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
-from repro.relational.relation import Relation
+from repro.errors import CircuitOpenError, RequestFailedError, SourceError
 from repro.sources.base import SourceCapabilities
+from repro.sources.exchange import DEFAULT_RATES, build_exchange_rate_site
 from repro.sources.memory import MemorySQLSource
 from repro.sql.normalize import statement_fingerprint
 from repro.sql.parser import parse
@@ -339,52 +340,135 @@ class TestConcurrentDistinctStatements:
         assert mismatches == []
 
 
+#: Every r1 row in the receiver's own currency: IBM's 1 000 000 USD is
+#: 104 000 thousand JPY at the default quotes.
+R1_REVENUES = "SELECT r1.cname, r1.revenue FROM r1"
+
+
+def ibm_revenue(relation) -> float:
+    return next(row[1] for row in relation.rows if row[0] == "IBM")
+
+
+def doubled_rates():
+    return {pair: 2 * rate for pair, rate in DEFAULT_RATES.items()}
+
+
+def publish_doubled_quotes(site) -> None:
+    """The exchange site publishes new quotes: every rate doubled."""
+    doubled = build_exchange_rate_site(doubled_rates())
+    index = doubled.fetch_page("index.html")
+    for url in ("index.html", *index.find_links()):
+        site.add_page(doubled.fetch_page(url))
+
+
+def exchange_of(federation):
+    return federation.engine.catalog.wrapper_for("r3")
+
+
+def jpy_revenues(federation):
+    """IBM's revenue as mediated for, and as converted to, the JPY receiver."""
+    mediated = federation.query(R1_REVENUES, receiver_context="c_receiver_jpy")
+    converted = federation.convert_answer(federation.query(R1_REVENUES), "c_receiver_jpy")
+    return ibm_revenue(mediated.relation), ibm_revenue(converted)
+
+
 class TestRateEnvironmentStaleness:
+    """``convert_answer`` reads the rate relation through the engine and
+    re-reads it after any source change; an invalidation that does not
+    cover the rate relation leaves the rates as they were read."""
+
     def test_invalidation_of_rate_relation_resets_the_lookup(self, federation):
         answer = federation.query(PAPER_QUERY)
-        federation.convert_answer(answer, "c_receiver_jpy")
-        assert federation._rate_environment_source is not None
-        assert federation.transformer.environment.rate_lookup is not None
+        baseline = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
+        site = exchange_of(federation).site
+        publish_doubled_quotes(site)
+        pages = site.statistics.snapshot()["pages_fetched"]
 
         federation.invalidate_source_cache(relation="r1")  # unrelated relation
-        assert federation.transformer.environment.rate_lookup is not None
+        assert federation.convert_answer(answer, "c_receiver_jpy").rows[0][1] == baseline
+        assert site.statistics.snapshot()["pages_fetched"] == pages
 
         federation.invalidate_source_cache(relation="r3")  # the rate relation
-        assert federation.transformer.environment.rate_lookup is None
-        assert federation._rate_environment_source is None
+        refreshed = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
+        assert refreshed == pytest.approx(baseline * 2)
+        assert site.statistics.snapshot()["pages_fetched"] > pages
 
     def test_conversion_after_invalidation_consults_fresh_rates(self, federation):
         answer = federation.query(PAPER_QUERY)
         baseline = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
 
-        # The source publishes new rates: double every quote.
-        wrapper = federation.engine.catalog.wrapper_for("r3")
-        original_fetch = wrapper.fetch
-
-        def doubled_fetch(relation):
-            rates = original_fetch(relation)
-            doubled = Relation(rates.schema, name=rates.name)
-            doubled.rows = [
-                tuple(value * 2 if isinstance(value, (int, float)) else value
-                      for value in row)
-                for row in rates.rows
-            ]
-            return doubled
-
-        wrapper.fetch = doubled_fetch
-        try:
-            # Without invalidation the stale lookup would still be used.
-            federation.invalidate_source_cache(relation="r3")
-            refreshed = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
-        finally:
-            wrapper.fetch = original_fetch
+        publish_doubled_quotes(exchange_of(federation).site)
+        # Without invalidation the rates read before the change still hold.
+        assert federation.convert_answer(answer, "c_receiver_jpy").rows[0][1] == baseline
+        federation.invalidate_source_cache(relation="r3")
+        refreshed = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
         assert refreshed == pytest.approx(baseline * 2)
 
     def test_full_invalidation_also_resets_the_lookup(self, federation):
         answer = federation.query(PAPER_QUERY)
-        federation.convert_answer(answer, "c_receiver_jpy")
+        baseline = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
+        publish_doubled_quotes(exchange_of(federation).site)
         federation.invalidate_source_cache()
-        assert federation.transformer.environment.rate_lookup is None
+        refreshed = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
+        assert refreshed == pytest.approx(baseline * 2)
+
+    def test_the_rates_are_read_through_the_engine(self, federation):
+        record = federation.engine.resilience.source("exchange")
+        for _ in range(record.failure_threshold):
+            record.failed(SourceError("down"))
+        answer = federation.query(R1_REVENUES, mediate=False)
+        with pytest.raises(RequestFailedError) as raised:
+            federation.convert_answer(answer, "c_receiver_jpy")
+        assert isinstance(raised.value.__cause__, CircuitOpenError)
+
+
+class TestOneFreshnessPath:
+    """Every signal that a source changed — the wrapper's own, the
+    federation's by relation or by wrapper, a registration — reaches every
+    memo of the source's data: the wrapper's crawl, the request cache and
+    the rate lookup of ``convert_answer``."""
+
+    @pytest.mark.parametrize("signal", [
+        lambda federation: exchange_of(federation).invalidate(),
+        lambda federation: federation.invalidate_source_cache(relation="r3"),
+        lambda federation: federation.invalidate_source_cache(wrapper="exchange"),
+    ], ids=["wrapper-invalidate", "by-relation", "by-wrapper"])
+    def test_a_change_signal_reaches_both_answers(self, federation, signal):
+        assert jpy_revenues(federation) == (104_000, 104_000)
+        publish_doubled_quotes(exchange_of(federation).site)
+        signal(federation)
+        assert jpy_revenues(federation) == (208_000, 208_000)
+
+    def test_a_new_exchange_wrappers_rates_reach_convert_answer(self, federation):
+        assert jpy_revenues(federation) == (104_000, 104_000)
+        federation.register_wrapper(build_exchange_wrapper(doubled_rates()),
+                                    estimate_rows=False)
+        assert jpy_revenues(federation) == (208_000, 208_000)
+
+    def test_a_new_wrapper_is_not_refused_by_the_replaced_ones_breaker(self, federation):
+        record = federation.engine.resilience.source("exchange")
+        for _ in range(record.failure_threshold):
+            record.failed(SourceError("down"))
+        assert record.state == "open"
+        federation.register_wrapper(build_exchange_wrapper(), estimate_rows=False)
+        assert jpy_revenues(federation) == (104_000, 104_000)
+        assert federation.engine.resilience.source("exchange").state == "closed"
+
+    def test_the_same_wrapper_registered_again_keeps_its_record(self, federation):
+        record = federation.engine.resilience.source("exchange")
+        federation.register_wrapper(exchange_of(federation), estimate_rows=False)
+        assert federation.engine.resilience.source("exchange") is record
+
+    def test_a_registration_is_one_source_change(self, federation, monkeypatch):
+        catalog = federation.engine.catalog
+        clear = catalog.feedback.clear
+        clears = []
+        monkeypatch.setattr(catalog.feedback, "clear",
+                            lambda: (clears.append(1), clear()))
+        before = catalog.generation
+        federation.register_wrapper(build_exchange_wrapper(), estimate_rows=False)
+        assert catalog.generation == before + 1
+        assert clears == [1]
 
 
 class TestCrossBranchCommonSubplans:
