@@ -58,9 +58,10 @@ class Catalog:
         #: (:meth:`update_estimate`) deliberately does *not* bump it:
         #: estimates only steer costs, never correctness.
         self.generation = 0
-        #: Runtime cardinality/latency observations feeding the cost model.
+        #: Runtime cardinality observations feeding the cost model.
         #: Generation-aware: any dictionary change clears the observations
-        #: (its monotonic *epoch* survives and keys cached plans).
+        #: (its monotonic *epoch* survives and keys cached plans).  Latency
+        #: is not kept here but on each wrapper's resilience record.
         self.feedback = CardinalityFeedback()
 
     def bump_generation(self) -> int:

@@ -17,9 +17,10 @@ Costs are abstract units.  Three components are modelled:
 Cardinalities start from textbook default selectivities, but when the catalog
 carries runtime feedback (:mod:`repro.engine.feedback`) the model consults the
 observed row counts first — per ``(relation, predicate fingerprint)`` for
-source requests, per join-set fingerprint for intermediates, and per wrapper
-for latency-derived transfer costs — falling back to the defaults only when
-nothing has been observed yet.
+source requests and per join-set fingerprint for intermediates — falling back
+to the defaults only when nothing has been observed yet.  Latency-derived
+source costs come from each wrapper's latency profile, kept on its record in
+the engine's resilience policy (:mod:`repro.engine.resilience`).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class CostModel:
                  join_selectivity: float = EQUI_JOIN_SELECTIVITY,
                  local_tuple_cost: float = LOCAL_TUPLE_COST,
                  temp_tuple_cost: float = TEMP_TUPLE_COST,
-                 feedback=None):
+                 feedback=None, resilience=None):
         self.selection_selectivity = selection_selectivity
         self.join_selectivity = join_selectivity
         self.local_tuple_cost = local_tuple_cost
@@ -85,6 +86,10 @@ class CostModel:
         #: Optional :class:`~repro.engine.feedback.CardinalityFeedback`;
         #: wired to the catalog's registry by the engine/planner.
         self.feedback = feedback
+        #: Optional :class:`~repro.engine.resilience.ResiliencePolicy` whose
+        #: per-wrapper latency profiles price source requests; wired by the
+        #: engine.
+        self.resilience = resilience
 
     # -- cardinalities -----------------------------------------------------------
 
@@ -141,18 +146,19 @@ class CostModel:
                           result_rows: int, wrapper_name: Optional[str] = None) -> CostEstimate:
         """Cost of one pushed-down sub-query against one source.
 
-        When a latency profile has been observed for ``wrapper_name`` (at
-        least three round trips), the measured per-request and per-row
-        seconds override the static cost knobs wherever they are *worse* —
-        a source that proved slow is priced as slow.
+        When ``wrapper_name``'s record has published a latency profile (at
+        least three successful round trips), the measured per-request and
+        per-row seconds override the static cost knobs wherever they are
+        *worse* — a source that proved slow is priced as slow.
         """
         overhead = capabilities.query_overhead
         transfer = capabilities.transfer_cost_per_row
-        if self.feedback is not None and wrapper_name:
-            profile = self.feedback.source_profile(wrapper_name)
+        if self.resilience is not None and wrapper_name:
+            profile = self.resilience.profile(wrapper_name)
             if profile is not None:
-                overhead = max(overhead, profile.request_seconds * COST_UNITS_PER_SECOND)
-                transfer = max(transfer, profile.seconds_per_row * COST_UNITS_PER_SECOND)
+                request_seconds, seconds_per_row = profile
+                overhead = max(overhead, request_seconds * COST_UNITS_PER_SECOND)
+                transfer = max(transfer, seconds_per_row * COST_UNITS_PER_SECOND)
         execution = overhead + capabilities.scan_cost_per_row * max(base_rows, 0)
         communication = transfer * max(result_rows, 0)
         return CostEstimate(source_execution=execution, communication=communication)

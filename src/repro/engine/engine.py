@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union as TUnion
 
 from repro.errors import EngineError, ExecutionError
 from repro.engine.catalog import Catalog
+from repro.engine.cost import CostModel
 from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
@@ -106,7 +107,12 @@ class MultiDatabaseEngine:
                  memory_budget_bytes: Optional[int] = None,
                  resilience: Optional[ResiliencePolicy] = None):
         self.catalog = Catalog()
-        self.planner = QueryPlanner(self.catalog, config=planner_config)
+        #: Retry policy and one record (breaker, health and latency profile)
+        #: per wrapper — shared across statements, scans and the planner's
+        #: cost model, so what one round trip taught persists for the next.
+        self.resilience = resilience if resilience is not None else ResiliencePolicy()
+        self.planner = QueryPlanner(self.catalog, CostModel(resilience=self.resilience),
+                                    config=planner_config)
         self.temp_store = TemporaryStore("engine-temp")
         self.request_cache = request_cache
         self.max_concurrent_requests = max(1, int(max_concurrent_requests))
@@ -123,10 +129,6 @@ class MultiDatabaseEngine:
         #: distincts and hash-join build sides spill to temporary files
         #: rather than exceed it.
         self.memory_budget_bytes = memory_budget_bytes
-        #: Retry policy and one record (breaker and health) per wrapper —
-        #: shared across statements and scans so breaker state and health
-        #: statistics persist between them.
-        self.resilience = resilience if resilience is not None else ResiliencePolicy()
         #: Runs the (table-less) subqueries of mediator-side expressions.
         self.subquery_executor = QueryProcessor(_reject_unknown_table)._subquery_executor
         self.statistics = CounterSet(ENGINE_COUNTERS)
@@ -310,24 +312,15 @@ class MultiDatabaseEngine:
     def build_health_prober(self, interval_seconds: float = 1.0) -> HealthProber:
         """A prober rediscovering recovered sources without sacrificing queries.
 
-        Each registered wrapper gets a cheap probe (fetching its first
-        exported relation) that the prober runs only while the wrapper's
+        Each run probes the wrappers the catalog serves at that moment (a
+        fetch of each one's first exported relation), and only those whose
         circuit breaker sits half-open — a probe success closes the breaker
         proactively instead of waiting for the next statement to risk a
         request against it.  Call :meth:`HealthProber.run_once` from a
         control loop or :meth:`HealthProber.start` for a daemon thread.
         """
-        prober = HealthProber(self.resilience,
-                              interval_seconds=interval_seconds)
-        for wrapper in self.catalog.wrappers:
-            relations = wrapper.relation_names()
-            if not relations:
-                continue
-            prober.register(
-                wrapper.name,
-                lambda w=wrapper, r=relations[0]: w.fetch(r),
-            )
-        return prober
+        return HealthProber(self.resilience, self.catalog.wrappers,
+                            interval_seconds=interval_seconds)
 
     def query(self, statement: TUnion[str, Statement]) -> Relation:
         """Execute and return only the answer relation."""

@@ -1,4 +1,4 @@
-"""Runtime cardinality and latency feedback for the adaptive optimizer.
+"""Runtime cardinality feedback for the adaptive optimizer.
 
 The planner prices plans with textbook default selectivities
 (:mod:`repro.engine.cost`).  Those defaults are fine for cold catalogs but
@@ -8,14 +8,14 @@ bound key set would cut the transfer by orders of magnitude.
 
 :class:`CardinalityFeedback` closes the loop.  Every executed statement
 reports back, per distinct source request, the *observed* row count keyed
-by ``(relation, predicate fingerprint)``; per join prefix, the observed
+by ``(relation, predicate fingerprint)``, and per join prefix, the observed
 intermediate cardinality keyed by an order-insensitive fingerprint of the
-joined ``relation|predicate`` set; and per wrapper, an EWMA latency
-profile (seconds per round trip and per transferred row).  The cost model
-consults these observations before falling back to defaults, so the next
-plan for the same shape is priced from reality.
+joined ``relation|predicate`` set.  The cost model consults these
+observations before falling back to defaults, so the next plan for the same
+shape is priced from reality.  (A wrapper's latency is not kept here: it is
+booked on the wrapper's record, :class:`~repro.engine.resilience.SourceRecord`.)
 
-Two invariants keep feedback safe for the warm-path contracts:
+Three invariants keep feedback safe for the warm-path contracts:
 
 * **Correctness is generation-scoped.**  ``Catalog.bump_generation`` (source
   registration, constraint changes, cache invalidation) clears all recorded
@@ -47,32 +47,7 @@ from typing import Collection, Dict, Hashable, Iterator, Optional, Set
 
 from repro.obs.metrics import CounterSet
 
-__all__ = ["CardinalityFeedback", "SourceProfile"]
-
-#: Smoothing factor for the per-source latency EWMAs.
-EWMA_ALPHA = 0.3
-
-#: Minimum samples before a latency profile is considered trustworthy.
-MIN_LATENCY_SAMPLES = 3
-
-
-@dataclass
-class SourceProfile:
-    """EWMA latency profile for one wrapper."""
-
-    samples: int = 0
-    request_seconds: float = 0.0
-    seconds_per_row: float = 0.0
-
-    def observe(self, fetch_seconds: float, rows: int) -> None:
-        per_row = fetch_seconds / rows if rows > 0 else 0.0
-        if self.samples == 0:
-            self.request_seconds = fetch_seconds
-            self.seconds_per_row = per_row
-        else:
-            self.request_seconds += EWMA_ALPHA * (fetch_seconds - self.request_seconds)
-            self.seconds_per_row += EWMA_ALPHA * (per_row - self.seconds_per_row)
-        self.samples += 1
+__all__ = ["CardinalityFeedback"]
 
 
 @dataclass
@@ -103,7 +78,6 @@ class CardinalityFeedback:
         self._lock = threading.Lock()
         self._requests: "OrderedDict[tuple, _Observation]" = OrderedDict()
         self._joins: "OrderedDict[str, _Observation]" = OrderedDict()
-        self._sources: Dict[str, SourceProfile] = {}
         self.epoch = 0
         #: key -> the epoch its material error advanced to, oldest first and
         #: bounded by ``capacity``; plans priced before ``_retired_floor``
@@ -151,17 +125,6 @@ class CardinalityFeedback:
                 self._joins.popitem(last=False)
             self.counters.add(observations=1)
             self._maybe_bump(fingerprint, observed_rows, planned_rows)
-
-    def record_source(self, wrapper_name: str, fetch_seconds: float, rows: int) -> None:
-        """Fold one round trip into the wrapper's latency profile."""
-        if fetch_seconds < 0:
-            return
-        name = wrapper_name.lower()
-        with self._lock:
-            profile = self._sources.get(name)
-            if profile is None:
-                profile = self._sources[name] = SourceProfile()
-            profile.observe(fetch_seconds, rows)
 
     def _maybe_bump(self, key: Hashable, observed: int, planned: Optional[int]) -> None:
         """Advance the epoch, retiring ``key``, only on a material estimation error.
@@ -222,13 +185,6 @@ class CardinalityFeedback:
             return epoch < self._retired_floor or any(
                 retired.get(key, 0) > epoch for key in keys)
 
-    def source_profile(self, wrapper_name: str) -> Optional[SourceProfile]:
-        with self._lock:
-            profile = self._sources.get(wrapper_name.lower())
-            if profile is None or profile.samples < MIN_LATENCY_SAMPLES:
-                return None
-            return profile
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -242,7 +198,6 @@ class CardinalityFeedback:
         with self._lock:
             self._requests.clear()
             self._joins.clear()
-            self._sources.clear()
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -252,7 +207,6 @@ class CardinalityFeedback:
                 "observations": self.counters.observations,
                 "request_entries": len(self._requests),
                 "join_entries": len(self._joins),
-                "source_profiles": len(self._sources),
             }
 
     def bind_metrics(self, registry) -> None:

@@ -15,10 +15,11 @@ through:
   interleaving.
 * :class:`SourceRecord` — one per wrapper, under one lock: its circuit
   breaker (closed → open after a run of consecutive failures, open →
-  half-open after a cooldown, half-open → closed on a successful probe) and
+  half-open after a cooldown, half-open → closed on a successful probe),
   its rolling success/failure/latency health, surfaced through the engine's
   ``source_health()`` so operators can see which sources are rotten before
-  receivers complain.  An open circuit rejects requests *fast*: a dead
+  receivers complain, and the EWMA latency profile the planner prices the
+  wrapper with.  An open circuit rejects requests *fast*: a dead
   source costs nothing per statement instead of a full retry budget.
 * :class:`Deadline` — a per-statement time bound propagated from
   ``Federation.query(..., timeout_seconds=...)`` through fetch waits, retry
@@ -38,7 +39,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.errors import (
     CapabilityError,
@@ -251,6 +253,12 @@ ADAPTIVE_MIN_SAMPLES = 8
 ADAPTIVE_MIN_SECONDS = 0.05
 ADAPTIVE_MAX_SECONDS = 30.0
 
+#: Smoothing factor of a wrapper's EWMA latency profile.
+EWMA_ALPHA = 0.3
+
+#: Successful round trips before a latency profile is published.
+MIN_LATENCY_SAMPLES = 3
+
 
 def latency_quantile(ordered: List[float], quantile: float) -> Optional[float]:
     """The nearest-rank ``quantile`` (0..1) of sorted latencies, or None."""
@@ -273,13 +281,14 @@ class SourceRecord:
       closes the breaker, failure re-opens it (and restarts the cooldown).
 
     Beside it the record keeps the wrapper's health: success, failure and
-    retry counts, the last error and the latencies of the last
+    retry counts, the last error, the latencies of the last
     ``HEALTH_WINDOW`` successful round trips, which the adaptive fetch
-    timeout is fed from.  ``consecutive_failures`` counts every failed round
-    trip since the last success, and both the breaker and the health view
-    report it.  Transitions are driven by the injected clock, so concurrent
-    fetch threads observe a consistent state machine and tests can walk it
-    deterministically.
+    timeout is fed from, and the EWMA latency profile the cost model and the
+    dispatch order read (:attr:`profile`).  ``consecutive_failures`` counts
+    every failed round trip since the last success, and both the breaker and
+    the health view report it.  Transitions are driven by the injected
+    clock, so concurrent fetch threads observe a consistent state machine
+    and tests can walk it deterministically.
     """
 
     def __init__(self, failure_threshold: int = 5, cooldown_seconds: float = 30.0,
@@ -301,6 +310,11 @@ class SourceRecord:
         self.consecutive_failures = 0
         self.last_error: Optional[str] = None
         self._latencies: Deque[float] = deque(maxlen=HEALTH_WINDOW)
+        self._ewma = (0.0, 0.0)
+        #: ``(request_seconds, seconds_per_row)``: the EWMA of the successful
+        #: round trips, None until ``MIN_LATENCY_SAMPLES`` of them.  Replaced
+        #: whole under the lock, so a reader needs none.
+        self.profile: Optional[Tuple[float, float]] = None
 
     @property
     def state(self) -> str:
@@ -344,13 +358,24 @@ class SourceRecord:
         with self._lock:
             return self._effective_state() == "half_open" and self._admit()
 
-    def succeeded(self, latency_seconds: float) -> None:
+    def succeeded(self, latency_seconds: float, rows: int = 0) -> None:
+        """Book one successful round trip that shipped ``rows`` rows: it
+        closes the breaker and feeds both the health window and the profile."""
+        per_row = latency_seconds / rows if rows > 0 else 0.0
         with self._lock:
             self.successes += 1
             self.consecutive_failures = 0
             self._latencies.append(latency_seconds)
             self._probe_in_flight = False
             self._state = "closed"
+            if self.successes == 1:
+                self._ewma = (latency_seconds, per_row)
+            else:
+                request, row = self._ewma
+                self._ewma = (request + EWMA_ALPHA * (latency_seconds - request),
+                              row + EWMA_ALPHA * (per_row - row))
+            if self.successes >= MIN_LATENCY_SAMPLES:
+                self.profile = self._ewma
 
     def failed(self, error: BaseException) -> bool:
         """Book one failed round trip; True when this call tripped it open."""
@@ -469,23 +494,29 @@ class ResiliencePolicy:
                 )
             return record
 
+    def profile(self, wrapper_name: str) -> Optional[Tuple[float, float]]:
+        """The wrapper's published latency profile (:attr:`SourceRecord.profile`),
+        or None; never creates a record."""
+        record = self._records.get(wrapper_name.lower())
+        return record.profile if record is not None else None
+
     def forget(self, wrapper_name: str) -> None:
         """Drop the wrapper's record: a new wrapper under the name starts
-        with a closed breaker and an empty health window."""
+        with a closed breaker, an empty health window and no profile."""
         with self._lock:
             self._records.pop(wrapper_name.lower(), None)
 
     def run_fetch(self, wrapper_name: str, request_text: str,
                   fetch: Callable[[], object], deadline: Deadline,
-                  report: ExecutionReport,
-                  source_statistics=None, span=None) -> Tuple[object, int]:
+                  report: ExecutionReport, span=None) -> Tuple[object, int]:
         """One guarded source round trip: breaker + retries + deadline.
 
         Returns ``(result, attempts)``.  Raises the final classified error
         (or :class:`DeadlineExceededError` / :class:`CircuitOpenError`);
         the wrapper's :class:`SourceRecord` and the statement ``report``'s
         counters (under its lock) are updated either way, each attempt with
-        one booking on the record.  When a (recording) fetch ``span`` is
+        one booking on the record: a success books its latency and the rows
+        ``fetch`` returned (``len(result)``).  When a (recording) fetch ``span`` is
         passed, every attempt becomes one child span annotated with the
         breaker state it observed, so a trace's attempt spans reconcile
         exactly with the report's ``attempts`` counter.
@@ -524,8 +555,6 @@ class ResiliencePolicy:
                     if tripped:
                         attempt_span.event("breaker_trip", wrapper=wrapper_name)
                     attempt_span.finish(error=error)
-                if source_statistics is not None:
-                    source_statistics.add(failures=1)
                 # A failure that trips the breaker ends the loop: the next
                 # attempt would only meet the circuit this failure opened.
                 if (tripped or not policy.is_transient(error)
@@ -548,13 +577,11 @@ class ResiliencePolicy:
                 with report.lock:
                     report.retries += 1
                 record.retried()
-                if source_statistics is not None:
-                    source_statistics.add(retries=1)
                 self.clock.sleep(delay)
                 continue
             if attempt_span is not None:
                 attempt_span.finish()
-            record.succeeded(self.clock.now() - started)
+            record.succeeded(self.clock.now() - started, len(result))
             return result, attempt
 
     def snapshot(self) -> Dict[str, object]:
@@ -578,11 +605,12 @@ class HealthProber:
     A breaker past its cooldown sits half-open until *some* statement risks a
     request against the wrapper — reactive recovery sacrifices one receiver
     query per dead-source comeback.  The prober instead drives the half-open
-    probe itself: ``run_once()`` walks the registered probe callables (one
-    cheap fetch per wrapper, typically the smallest catalogued relation) and
-    issues a probe against every breaker currently half-open, booking the
-    outcome once on the wrapper's :class:`SourceRecord` — breaker and health
-    window together — so a recovered source is rediscovered, and its latency
+    probe itself: ``run_once()`` walks the wrappers served at that moment
+    (``wrappers`` is read again on every run, so a replaced wrapper is probed
+    as its replacement) and, for every breaker currently half-open, fetches
+    the wrapper's first exported relation, booking the outcome once on the
+    wrapper's :class:`SourceRecord` — breaker, health window and latency
+    profile together — so a recovered source is rediscovered, and its latency
     stats re-primed, before the next statement arrives.
 
     ``run_once()`` is deterministic and directly testable (drive it from a
@@ -590,37 +618,32 @@ class HealthProber:
     thread every ``interval_seconds`` for real deployments.
     """
 
-    def __init__(self, policy: ResiliencePolicy,
-                 probes: Optional[Dict[str, Callable[[], object]]] = None,
+    def __init__(self, policy: ResiliencePolicy, wrappers: Iterable,
                  interval_seconds: float = 1.0):
         self.policy = policy
+        self.wrappers = wrappers
         self.interval_seconds = float(interval_seconds)
         self._lock = threading.Lock()
-        self._probes: Dict[str, Callable[[], object]] = {}
-        for name, probe in (probes or {}).items():
-            self._probes[name.lower()] = probe
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.probes_attempted = 0
         self.probes_succeeded = 0
         self.probes_failed = 0
 
-    def register(self, wrapper_name: str, probe: Callable[[], object]) -> None:
-        with self._lock:
-            self._probes[wrapper_name.lower()] = probe
-
     def run_once(self) -> Dict[str, bool]:
         """Probe every half-open breaker once; ``{wrapper: recovered}``."""
-        with self._lock:
-            probes = sorted(self._probes.items())
         results: Dict[str, bool] = {}
-        for name, probe in probes:
+        for wrapper in sorted(self.wrappers, key=lambda w: w.name.lower()):
+            name = wrapper.name.lower()
+            relations = wrapper.relation_names()
+            if not relations:
+                continue
             record = self.policy.source(name)
             if not record.claim_probe():
                 continue  # closed, still open, or a statement's probe is in flight
             started = self.policy.clock.now()
             try:
-                probe()
+                rows = len(wrapper.fetch(relations[0]))
             except Exception as error:
                 record.failed(error)
                 results[name] = False
@@ -628,7 +651,7 @@ class HealthProber:
                     self.probes_attempted += 1
                     self.probes_failed += 1
             else:
-                record.succeeded(self.policy.clock.now() - started)
+                record.succeeded(self.policy.clock.now() - started, rows)
                 results[name] = True
                 with self._lock:
                     self.probes_attempted += 1
@@ -671,7 +694,6 @@ class HealthProber:
             return {
                 "running": self.running,
                 "interval_seconds": self.interval_seconds,
-                "registered_probes": len(self._probes),
                 "probes_attempted": self.probes_attempted,
                 "probes_succeeded": self.probes_succeeded,
                 "probes_failed": self.probes_failed,

@@ -335,24 +335,25 @@ class ResultStream:
 
         With more pending fetches than pool workers, plan order can leave the
         statement's long pole queued behind quick lookups; its latency then
-        adds to the tail instead of overlapping it.  The catalog's per-wrapper
-        EWMA latency profiles (request overhead + per-row transfer, mature
-        after three observations) give an expected wall-clock cost per fetch;
-        submitting in descending cost keeps the critical path at the front of
-        the pool.  Wrappers without a mature profile cost 0.0 and keep plan
-        order behind the profiled ones.
+        adds to the tail instead of overlapping it.  Each wrapper record's
+        EWMA latency profile (request overhead + per-row transfer, published
+        after three successful round trips) gives an expected wall-clock cost
+        per fetch; submitting in descending cost keeps the critical path at
+        the front of the pool.  Wrappers without a profile cost 0.0 and keep
+        plan order behind the profiled ones.
         """
-        feedback = self.engine.catalog.feedback
+        resilience = self.engine.resilience
         expected: Dict[RequestKey, float] = {}
         profiled = False
         for key in pending:
             request = self._distinct[key]
             cost = 0.0
-            profile = feedback.source_profile(request.wrapper_name)
+            profile = resilience.profile(request.wrapper_name)
             if profile is not None:
                 profiled = True
+                request_seconds, seconds_per_row = profile
                 rows = max(int(request.estimated_result_rows or 0), 1)
-                cost = profile.request_seconds + profile.seconds_per_row * rows
+                cost = request_seconds + seconds_per_row * rows
             expected[key] = cost
         if profiled:
             indexed = sorted(range(len(pending)),
@@ -434,7 +435,6 @@ class ResultStream:
                 fetch=attempt,
                 deadline=self._deadline,
                 report=report,
-                source_statistics=getattr(wrapper, "source_statistics", None),
                 span=fetch_span if fetch_span.recording else None,
             )
         except Exception as error:
@@ -530,7 +530,8 @@ class ResultStream:
         poisoned (failed or partially fetched) result, whether the failure is
         consumed by a branch or discovered while closing.  Limited requests
         (pushed LIMIT) and bind-join batches ship deliberately truncated row
-        sets, so they feed the source latency profile but never cardinality.
+        sets, so they never feed cardinality.  (The round trip's latency was
+        booked on the wrapper's record when it succeeded.)
         """
         if key in self._finalized_keys:
             return
@@ -540,11 +541,6 @@ class ResultStream:
         request = self._distinct[key]
         if self._cache is not None and not outcome.cache_hit:
             self._cache.put(key, outcome.relation)
-        feedback = self.engine.catalog.feedback
-        if not outcome.cache_hit:
-            feedback.record_source(
-                request.wrapper_name, outcome.fetch_seconds, len(outcome.relation)
-            )
         scan = request.transfer.target
         if request.bind_batch or scan.limit is not None:
             return
@@ -558,7 +554,7 @@ class ResultStream:
             self.engine.catalog.update_estimate(scan.relation, max(observed, 1))
         planned = (request.estimated_result_rows
                    if request.estimated_result_rows > 0 else None)
-        feedback.record_request(
+        self.engine.catalog.feedback.record_request(
             scan.relation, scan.fingerprint, observed, planned_rows=planned,
         )
 

@@ -317,18 +317,6 @@ class QueryPipeline:
                    or [mediation.original])
         return self.engine.plan_branches(selects, statement=mediation.mediated)
 
-    # -- maintenance ---------------------------------------------------------------
-
-    def prune_stale(self) -> int:
-        """Free the entries compiled against a past generation (and any
-        recompiled meanwhile, which compiles again); returns the count."""
-        cache = self.plan_cache
-        if cache is None:
-            return 0
-        stale = {(entry.fingerprint, entry.receiver_context, entry.mediate)
-                 for entry in cache.values() if not self.is_live(entry.key)}
-        return len(cache.drop(stale.__contains__))
-
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = self.statistics.snapshot()
         if self._statements is not None:

@@ -71,15 +71,12 @@ class SourceCapabilities:
 
 
 #: Access counters every source maintains: (field, kind, series, help).
-#: ``failures`` are accesses that raised (availability, extraction,
-#: capability...), ``retries`` how many of those the engine's resilience
-#: layer retried.
+#: Failed and retried round trips are booked on the wrapper's record in the
+#: engine's resilience policy, not here.
 SOURCE_COUNTERS = (
     ("queries", "sum", None, ""),
     ("rows_returned", "sum", None, ""),
     ("pages_fetched", "sum", None, ""),
-    ("failures", "sum", None, ""),
-    ("retries", "sum", None, ""),
 )
 
 

@@ -131,10 +131,6 @@ class FaultInjectingSource(Wrapper):
     def schema_of(self, relation: str) -> Schema:
         return self.inner.schema_of(relation)
 
-    @property
-    def source_statistics(self):
-        return self.inner.source_statistics
-
     # -- fault machinery --------------------------------------------------------
 
     def _next_access(self) -> int:

@@ -83,16 +83,6 @@ class Wrapper:
     def schema_of(self, relation: str) -> Schema:
         raise NotImplementedError
 
-    @property
-    def source_statistics(self):
-        """The backing source's counters (``SOURCE_COUNTERS``).
-
-        ``None`` when the wrapper has no single backing source; the engine's
-        resilience layer uses this to book failures and retries against the
-        source that caused them.
-        """
-        return None
-
     # -- data access ---------------------------------------------------------------
 
     def fetch(self, relation: str) -> Relation:
@@ -146,10 +136,6 @@ class RelationalWrapper(Wrapper):
 
     def schema_of(self, relation: str) -> Schema:
         return self.source.schema_of(relation)
-
-    @property
-    def source_statistics(self):
-        return self.source.statistics
 
     # -- data access ---------------------------------------------------------------
 
@@ -211,10 +197,6 @@ class WebWrapper(Wrapper):
             raise WrapperError(f"wrapper {self.name!r} does not export relation {relation!r}")
         return self.spec.relation.schema
 
-    @property
-    def source_statistics(self):
-        return self.site.statistics
-
     # -- materialization ----------------------------------------------------------
 
     def materialize(self, force: bool = False) -> Relation:
@@ -225,8 +207,8 @@ class WebWrapper(Wrapper):
         the retrying scheduler (or a concurrent query) can crawl again
         immediately — and with :attr:`last_report` still describing the last
         *successful* crawl; a half-crawled report is never published.
-        Failure/retry accounting lands in :attr:`source_statistics` via the
-        engine's resilience layer.
+        The engine books failures and retries on this wrapper's record in
+        its resilience policy, not on the site.
         """
         if self._cache is not None and self.cache_results and not force:
             return self._cache

@@ -15,9 +15,10 @@ from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.cost import CostModel
 from repro.engine.engine import MultiDatabaseEngine
-from repro.engine.feedback import MIN_LATENCY_SAMPLES, CardinalityFeedback
+from repro.engine.feedback import CardinalityFeedback
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
+from repro.engine.resilience import MIN_LATENCY_SAMPLES, ResiliencePolicy
 from repro.relational.algebra import left_deep
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
@@ -111,21 +112,84 @@ class TestCardinalityFeedback:
         assert feedback.request_rows("t0", "") is None
         assert feedback.request_rows("t2", "") == 3
 
-    def test_source_profile_requires_minimum_samples(self):
-        feedback = CardinalityFeedback()
-        for _ in range(MIN_LATENCY_SAMPLES - 1):
-            feedback.record_source("w", 0.5, 100)
-        assert feedback.source_profile("w") is None
-        feedback.record_source("w", 0.5, 100)
-        profile = feedback.source_profile("w")
-        assert profile is not None
-        assert profile.request_seconds == pytest.approx(0.5)
-
     def test_catalog_generation_bump_clears_feedback(self):
         engine = MultiDatabaseEngine()
         engine.catalog.feedback.record_request("t", "", 42)
         engine.catalog.bump_generation()
         assert engine.catalog.feedback.request_rows("t", "") is None
+
+
+class TestLatencyProfile:
+    """A wrapper's latency profile lives on its record: fed once per
+    successful round trip, kept across generation bumps, dropped with a
+    replaced wrapper."""
+
+    def test_profile_is_published_after_minimum_samples(self):
+        policy = ResiliencePolicy()
+        for _ in range(MIN_LATENCY_SAMPLES - 1):
+            policy.source("w").succeeded(0.5, 100)
+        assert policy.profile("w") is None
+        policy.source("w").succeeded(0.5, 100)
+        profile = policy.profile("W")
+        assert profile is not None
+        assert profile == (pytest.approx(0.5), pytest.approx(0.005))
+
+    def test_profile_lookup_creates_no_record(self):
+        policy = ResiliencePolicy()
+        assert policy.profile("never-fetched") is None
+        assert policy.snapshot() == {"breakers": {}, "sources": {}}
+
+    def test_every_round_trip_is_booked_once(self, monkeypatch):
+        from repro.engine.resilience import SourceRecord
+
+        booked = []
+        book = SourceRecord.succeeded
+
+        def spy(record, latency_seconds, rows=0):
+            booked.append(rows)
+            book(record, latency_seconds, rows)
+
+        monkeypatch.setattr(SourceRecord, "succeeded", spy)
+        engine = _bind_engine()
+        for _ in range(2):  # the second run binds: two IN-list batches
+            booked.clear()
+            report = engine.execute(BIND_QUERY).report
+            assert len(booked) == report.source_round_trips
+            assert sum(booked) == report.rows_transferred
+        assert report.bind_batches == 2
+
+    @staticmethod
+    def _matured_paper_federation():
+        """The paper federation after enough round trips to publish every
+        wrapper's profile (each invalidation forces the next round trips)."""
+        federation = build_paper_federation().federation
+        for _ in range(MIN_LATENCY_SAMPLES):
+            federation.query(PAPER_QUERY)
+            federation.invalidate_source_cache()
+        return federation
+
+    def test_matured_profile_survives_generation_bumps(self):
+        from repro.consistency import PrimaryKey
+
+        federation = self._matured_paper_federation()
+        policy = federation.engine.resilience
+        profile = policy.profile("source1")
+        assert profile is not None
+        federation.register_constraint(
+            PrimaryKey("r1_pk", relation="r1", columns=("cname",)))
+        federation.invalidate_source_cache()
+        assert policy.profile("source1") == profile
+
+    def test_replaced_wrapper_starts_without_a_profile(self):
+        from repro.demo.scenarios import build_exchange_wrapper
+
+        federation = self._matured_paper_federation()
+        policy = federation.engine.resilience
+        kept = policy.profile("source1")
+        assert kept is not None and policy.profile("exchange") is not None
+        federation.register_wrapper(build_exchange_wrapper(), estimate_rows=False)
+        assert policy.profile("exchange") is None
+        assert policy.profile("source1") == kept
 
 
 class TestCostModelFeedback:
@@ -157,11 +221,11 @@ class TestCostModelFeedback:
         from repro.engine.cost import COST_UNITS_PER_SECOND
         from repro.sources.base import SourceCapabilities
 
-        feedback = CardinalityFeedback()
+        policy = ResiliencePolicy()
         for _ in range(MIN_LATENCY_SAMPLES):
-            feedback.record_source("slow", 1.0, 10)   # 100 cost units overhead
-            feedback.record_source("fast", 0.001, 10)  # well under the static 10
-        model = CostModel(feedback=feedback)
+            policy.source("slow").succeeded(1.0, 10)   # 100 cost units overhead
+            policy.source("fast").succeeded(0.001, 10)  # well under the static 10
+        model = CostModel(resilience=policy)
         capabilities = SourceCapabilities()
         slow = model.source_query_cost(capabilities, 10, 10, wrapper_name="slow")
         fast = model.source_query_cost(capabilities, 10, 10, wrapper_name="fast")

@@ -39,6 +39,36 @@ def _samples(policy, name):
     return policy.snapshot()["sources"][name]["latency_samples"]
 
 
+class _Served:
+    """A served wrapper as the prober sees it: one relation, and a fetch
+    that is recorded and fails while ``error`` is set."""
+
+    def __init__(self, name="w", error=None):
+        self.name = name
+        self.error = error
+        self.fetches = []
+
+    def relation_names(self):
+        return ["t"]
+
+    def fetch(self, relation):
+        self.fetches.append(relation)
+        if self.error is not None:
+            raise self.error
+        return ["row"]
+
+
+def _record_fetches(wrapper, label, calls):
+    """Record ``(label, relation)`` in ``calls`` on each of ``wrapper``'s fetches."""
+    fetch = wrapper.fetch
+
+    def recorded(relation):
+        calls.append((label, relation))
+        return fetch(relation)
+
+    wrapper.fetch = recorded
+
+
 class TestLatencyQuantile:
     def test_nearest_rank_over_the_rolling_window(self):
         policy = _policy(ManualClock().clock)
@@ -110,8 +140,8 @@ class TestHealthProberUnit:
     def test_probe_closes_a_half_open_breaker(self):
         manual = ManualClock()
         policy = _policy(manual.clock)
-        calls = []
-        prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
+        served = _Served()
+        prober = HealthProber(policy, [served])
 
         breaker = policy.source("w")
         breaker.failed(DOWN)
@@ -119,12 +149,12 @@ class TestHealthProberUnit:
         assert breaker.state == "open"
 
         assert prober.run_once() == {}  # open, not half-open: nothing to do
-        assert calls == []
+        assert served.fetches == []
 
         manual.advance(5.0)  # cooldown elapses: half-open
         assert breaker.state == "half_open"
         assert prober.run_once() == {"w": True}
-        assert calls == ["probe"]
+        assert served.fetches == ["t"]
         assert breaker.state == "closed"
         # The probe's latency primes the health window too.
         assert _samples(policy, "w") == 1
@@ -133,11 +163,8 @@ class TestHealthProberUnit:
     def test_failed_probe_reopens_the_breaker(self):
         manual = ManualClock()
         policy = _policy(manual.clock)
-
-        def dead_probe():
-            raise RuntimeError("still down")
-
-        prober = HealthProber(policy, probes={"w": dead_probe})
+        served = _Served(error=RuntimeError("still down"))
+        prober = HealthProber(policy, [served])
         breaker = policy.source("w")
         breaker.failed(DOWN)
         breaker.failed(DOWN)
@@ -146,23 +173,23 @@ class TestHealthProberUnit:
         assert breaker.state == "open"  # failed probe restarts the cooldown
         assert prober.probes_failed == 1
         # Next cooldown, the source recovered: the prober rediscovers it.
-        prober.register("w", lambda: "rows")
+        served.error = None
         manual.advance(5.0)
         assert prober.run_once() == {"w": True}
         assert breaker.state == "closed"
 
     def test_closed_breakers_are_never_probed(self):
         policy = _policy(ManualClock().clock)
-        calls = []
-        prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
+        served = _Served()
+        prober = HealthProber(policy, [served])
         assert prober.run_once() == {}
-        assert calls == []
+        assert served.fetches == []
 
     def test_in_flight_statement_probe_is_not_doubled(self):
         manual = ManualClock()
         policy = _policy(manual.clock)
-        calls = []
-        prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
+        served = _Served()
+        prober = HealthProber(policy, [served])
         breaker = policy.source("w")
         breaker.failed(DOWN)
         breaker.failed(DOWN)
@@ -170,15 +197,15 @@ class TestHealthProberUnit:
         # A statement already claimed the half-open probe slot.
         assert breaker.allow()
         assert prober.run_once() == {}
-        assert calls == []
+        assert served.fetches == []
 
     def test_refused_probe_claim_is_not_a_rejection(self):
         """The prober skipping a wrapper whose half-open probe a statement
         holds refuses no request: neither block books a rejection."""
         manual = ManualClock()
         policy = _policy(manual.clock, retry_policy=RetryPolicy(max_attempts=1))
-        calls = []
-        prober = HealthProber(policy, probes={"w": lambda: calls.append("probe")})
+        served = _Served()
+        prober = HealthProber(policy, [served])
 
         def dead():
             raise SourceUnavailableError("down")
@@ -199,21 +226,21 @@ class TestHealthProberUnit:
         policy.run_fetch("w", "q", probe_while_in_flight,
                          Deadline.unbounded(manual.clock), ExecutionReport())
         assert seen == [{}]
-        assert calls == []
+        assert served.fetches == []
         snapshot = policy.snapshot()
         assert snapshot["breakers"]["w"]["rejections"] == 0
         assert snapshot["sources"]["w"]["rejections"] == 0
 
     def test_unfetched_wrapper_is_listed_in_both_blocks(self):
         policy = _policy(ManualClock().clock)
-        prober = HealthProber(policy, probes={"cold": lambda: "rows"})
+        prober = HealthProber(policy, [_Served("cold")])
         assert prober.run_once() == {}
         snapshot = policy.snapshot()
         assert list(snapshot["breakers"]) == list(snapshot["sources"]) == ["cold"]
 
     def test_start_and_stop_background_thread(self):
         policy = _policy(ManualClock().clock)
-        prober = HealthProber(policy, interval_seconds=0.01)
+        prober = HealthProber(policy, [], interval_seconds=0.01)
         prober.start()
         assert prober.running
         prober.start()  # idempotent
@@ -265,3 +292,49 @@ class TestEngineProberIntegration:
         assert prober.run_once() == {}  # everything healthy: nothing half-open
         snapshot = prober.snapshot()
         assert snapshot["probes_attempted"] == 0
+
+
+class TestProberFollowsTheCatalog:
+    """The prober probes the wrappers the catalog serves when it runs, and
+    every round trip is booked once, on the serving wrapper's record."""
+
+    def test_prober_built_before_a_replacement_probes_the_replacement(self):
+        from repro.demo.scenarios import build_exchange_wrapper, build_paper_federation
+
+        federation = build_paper_federation().federation
+        engine = federation.engine
+        prober = federation.health_prober()
+        calls = []
+        _record_fetches(engine.catalog.wrappers.get("exchange"), "replaced", calls)
+        replacement = build_exchange_wrapper()
+        _record_fetches(replacement, "replacement", calls)
+        federation.register_wrapper(replacement, estimate_rows=False)
+
+        # A zero cooldown makes the new record half-open once it trips.
+        engine.resilience.cooldown_seconds = 0.0
+        record = engine.resilience.source("exchange")
+        for _ in range(record.failure_threshold):
+            record.failed(DOWN)
+        assert record.state == "half_open"
+
+        assert prober.run_once() == {"exchange": True}
+        assert calls == [("replacement", "r3")]
+        assert record.state == "closed"
+        assert engine.resilience.source("exchange") is record
+        health = engine.source_health()["sources"]["exchange"]
+        assert (health["successes"], health["latency_samples"]) == (1, 1)
+
+    def test_one_transient_failure_and_retry_are_booked_once(self):
+        source = MemorySQLSource("flaky")
+        source.load_sql("CREATE TABLE t (k integer)", "INSERT INTO t VALUES (1), (2)")
+        engine = MultiDatabaseEngine(resilience=ResiliencePolicy(
+            retry_policy=RetryPolicy(base_delay_seconds=0.0)))
+        engine.register_wrapper(FaultInjectingSource(
+            RelationalWrapper(source), FaultSchedule(fail_first=1)), estimate_rows=False)
+
+        assert len(engine.execute("SELECT t.k FROM t").relation.rows) == 2
+        health = engine.source_health()["sources"]["flaky"]
+        assert (health["failures"], health["retries"], health["successes"]) == (1, 1, 1)
+        # The source keeps no second count of the same round trips.
+        assert set(source.statistics.snapshot()) == {
+            "queries", "rows_returned", "pages_fetched"}

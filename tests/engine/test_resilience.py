@@ -391,21 +391,17 @@ class TestRunFetch:
         """The tripping failure is the fetch's last attempt: no backoff for an
         attempt the open circuit would refuse, no retry or rejection booked,
         and the source's own error is raised, not ``CircuitOpenError``."""
-        from repro.obs.metrics import CounterSet
-        from repro.sources.base import SOURCE_COUNTERS
-
         manual = ManualClock()
         policy = _policy(manual, failure_threshold=1,
                          retry_policy=RetryPolicy(max_attempts=3))
         report = ExecutionReport()
-        source_statistics = CounterSet(SOURCE_COUNTERS)
 
         def fetch():
             raise SourceUnavailableError("down")
 
         with pytest.raises(SourceUnavailableError, match="down") as raised:
             policy.run_fetch("db", "q", fetch, Deadline.unbounded(manual.clock),
-                             report, source_statistics=source_statistics)
+                             report)
         assert not isinstance(raised.value, CircuitOpenError)
         assert manual.sleeps == []
         assert report.attempts == 1
@@ -418,8 +414,7 @@ class TestRunFetch:
         assert snapshot["breakers"]["db"]["rejections"] == 0
         assert snapshot["sources"]["db"]["retries"] == 0
         assert snapshot["sources"]["db"]["rejections"] == 0
-        assert source_statistics.snapshot()["retries"] == 0
-        assert source_statistics.snapshot()["failures"] == 1
+        assert snapshot["sources"]["db"]["failures"] == 1
 
     def test_concurrent_fetches_lose_no_count(self):
         """Fetch workers count into one report under its lock: with threads
@@ -459,27 +454,27 @@ class TestRunFetch:
         assert report.retries == fetches
         assert report.failed_requests == 0
 
-    def test_source_statistics_book_failures_and_retries(self):
-        from repro.obs.metrics import CounterSet
-        from repro.sources.base import SOURCE_COUNTERS
-
+    def test_record_books_failures_retries_and_the_success(self):
+        """A fetch that fails once and succeeds on its retry is booked on the
+        record only: one failure, one retry, and one success carrying the
+        successful attempt's latency."""
         manual = ManualClock()
         policy = _policy(manual)
         report = ExecutionReport()
-        source_statistics = CounterSet(SOURCE_COUNTERS)
         calls = []
 
         def fetch():
             calls.append(1)
             if len(calls) < 2:
                 raise SourceUnavailableError("blip")
-            return "ok"
+            manual.advance(0.2)
+            return ["row"] * 4
 
-        policy.run_fetch("db", "q", fetch, Deadline.unbounded(manual.clock),
-                         report, source_statistics=source_statistics)
-        snapshot = source_statistics.snapshot()
-        assert snapshot["failures"] == 1
-        assert snapshot["retries"] == 1
+        policy.run_fetch("db", "q", fetch, Deadline.unbounded(manual.clock), report)
+        snapshot = policy.snapshot()["sources"]["db"]
+        assert (snapshot["failures"], snapshot["retries"], snapshot["successes"],
+                snapshot["latency_samples"]) == (1, 1, 1, 1)
+        assert snapshot["mean_latency_seconds"] == pytest.approx(0.2)
 
 
 class TestBreakerAndHealthAgree:

@@ -192,12 +192,12 @@ class TestConcurrentDispatch:
 
 
 class TestLatencyAwareDispatch:
-    """Mature per-wrapper latency profiles reorder pool submissions so the
+    """Published per-wrapper latency profiles reorder pool submissions so the
     expected-slowest fetch (the statement's long pole) is submitted first."""
 
     def _seed_profile(self, engine, wrapper_name, fetch_seconds, rows=5):
-        for _ in range(3):  # MIN_LATENCY_SAMPLES observations mature it
-            engine.catalog.feedback.record_source(wrapper_name, fetch_seconds, rows)
+        for _ in range(3):  # MIN_LATENCY_SAMPLES successes publish it
+            engine.resilience.source(wrapper_name).succeeded(fetch_seconds, rows)
 
     def test_cold_catalog_keeps_plan_order(self):
         engine = _latency_engine((0.0, 0.0, 0.0))

@@ -128,14 +128,6 @@ class TestGenerationInvalidation:
         assert federation.pipeline.fingerprint(PAPER_QUERY) == prepared.fingerprint
         assert federation.pipeline.fingerprint("NOT SQL AT ALL") is None
 
-    def test_prune_stale_frees_unreachable_entries(self, federation):
-        federation.query(PAPER_QUERY)
-        federation.query(PAPER_QUERY, mediate=False)
-        federation.invalidate_source_cache()
-        assert federation.pipeline.prune_stale() == 2
-        assert len(federation.pipeline.plan_cache) == 0
-        assert federation.pipeline.prune_stale() == 0
-
 
 def counters(federation):
     return federation.pipeline.snapshot()

@@ -110,12 +110,11 @@ class TestFaultInjectingSource:
         flaky.fetch("t")
         assert sleeps == [7.5]
 
-    def test_metadata_and_statistics_forwarded(self):
+    def test_metadata_forwarded(self):
         inner = _inner()
         flaky = FaultInjectingSource(inner, FaultSchedule())
         assert flaky.relation_names() == inner.relation_names()
         assert flaky.schema_of("t").names == inner.schema_of("t").names
-        assert flaky.source_statistics is inner.source.statistics
         assert flaky.name == inner.name
         assert flaky.capabilities is inner.capabilities
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.resilience import ResiliencePolicy, RetryPolicy
 from repro.errors import SourceUnavailableError, WrapperError
 from repro.sources.base import SourceCapabilities
 from repro.sources.exchange import build_exchange_rate_site
@@ -117,13 +119,20 @@ class TestWebWrapper:
         assert len(wrapper.materialize()) >= 2
         assert wrapper.last_report is not None
 
-    def test_source_statistics_points_at_the_site(self):
+    def test_failed_crawl_is_booked_on_the_wrapper_record(self):
+        """An engine books a crawl's failures and retries on the wrapper's
+        record; the site keeps no count of its own."""
         wrapper, site = web_wrapper()
-        assert wrapper.source_statistics is site.statistics
-        site.statistics.add(failures=1, retries=1)
-        snapshot = site.statistics.snapshot()
-        assert snapshot["failures"] == 1
-        assert snapshot["retries"] == 1
+        engine = MultiDatabaseEngine(resilience=ResiliencePolicy(
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_seconds=0.0)))
+        engine.register_wrapper(wrapper, estimate_rows=False)
+        site.available = False
+        with pytest.raises(SourceUnavailableError):
+            engine.execute("SELECT rates.rate FROM rates")
+        health = engine.source_health()["sources"]["exchange"]
+        assert (health["failures"], health["retries"]) == (2, 1)
+        assert set(site.statistics.snapshot()) == {
+            "queries", "rows_returned", "pages_fetched"}
 
 
 class TestWrapperRegistry:
