@@ -27,9 +27,14 @@ Two strategies implement the semantics exactly:
   dirty relations in one branch, a dirty relation shared by several UNION
   branches, aggregates, LIMIT/OFFSET, subqueries, a dirty relation under the
   finish over a multi-branch union): bounded enumeration over
-  the conflict clusters.  Every repair is evaluated with the local SQL
-  processor over the fetched extents; certain = intersection, possible =
-  union.  The enumeration refuses to exceed ``max_repairs`` (the definition
+  the conflict clusters, and still one plan of the ordinary statement path.
+  Each relation the statement reads is a branch scanning it in full; the
+  plan's root, :class:`~repro.relational.algebra.Repairs`, lowers to a
+  blocking operator that drains those extents and evaluates every repair
+  with the local SQL processor; certain = intersection, possible = union.
+  The engine fetches, reports and streams it as one statement, so a
+  streamed answer's rows (or its refusal) arrive at the first fetch.  The
+  enumeration refuses to exceed ``max_repairs`` (the definition
   is exponential; the bound keeps the fallback an explicit, observable
   cost).  It is the brute-force definition the rewrite is tested against.
   Its possible rows are sorted on the statement's ORDER BY when every key
@@ -47,19 +52,15 @@ Certain/possible answers use set semantics, as in the CQA literature.
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConsistencyError, PlanningError, RepairEnumerationError
+from repro.errors import ConsistencyError, PlanningError
 from repro.consistency.constraints import PrimaryKey
-from repro.engine.executor import EngineResult, ExecutionReport
+from repro.engine.executor import EngineResult
 from repro.engine.plan import QueryPlan
-from repro.relational.operators import _group_key as value_key
-from repro.relational.query import QueryProcessor, _order_keys, output_names
-from repro.relational.relation import Relation, Row
-from repro.relational.schema import Attribute, Schema
+from repro.relational import algebra
+from repro.relational.query import _order_keys, output_names
 from repro.sql.ast import (
     BinaryOp,
     Case,
@@ -111,8 +112,9 @@ class _BranchAnalysis:
 
 class ConsistentQueryExecutor:
     """Answers a compiled :class:`~repro.pipeline.MediatedPlan` under a
-    consistency mode: a plan for the ordinary statement path where the
-    statement can be rewritten, repair enumeration where it cannot."""
+    consistency mode with a plan for the ordinary statement path: of the
+    rewritten statement where it can be rewritten, of repair enumeration
+    where it cannot."""
 
     def __init__(self, engine, max_repairs: int = DEFAULT_MAX_REPAIRS):
         self.engine = engine
@@ -120,23 +122,22 @@ class ConsistentQueryExecutor:
 
     # -- public API --------------------------------------------------------------
 
-    def plan(self, prepared, mode: str,
-             ) -> Tuple[Optional[QueryPlan], Optional[Dict[str, object]]]:
-        """The plan whose rows are ``prepared``'s certain/possible answer and
-        the ``consistency`` block of its report — ``(None, None)`` when only
-        :meth:`enumerate_repairs` can answer.
+    def plan(self, prepared, mode: str) -> QueryPlan:
+        """The plan whose rows are ``prepared``'s certain/possible answer; its
+        ``consistency`` block names the strategy.
 
         Compiled once per :class:`~repro.pipeline.MediatedPlan` and mode and
         kept on it, so it retires with it; the plan keeps its physical
         template like any other.
         """
-        compiled = prepared.consistent.get(mode)
-        if compiled is None:
+        plan = prepared.consistent.get(mode)
+        if plan is None:
             analyses = [self._analyse(branch.select) for branch in prepared.plan.branches]
             finish = prepared.plan.finish
             strategy = self._statement_strategy(analyses, finish)
-            compiled = (None, None)
-            if strategy != "fallback":
+            if strategy == "fallback":
+                plan = self._enumeration(prepared.plan.statement, mode)
+            else:
                 if finish is not None:
                     # Only a clean statement keeps its finish: its rows, as a set.
                     plan = self.engine.plan_branches(
@@ -148,14 +149,14 @@ class ConsistentQueryExecutor:
                         else analysis.select.copy(distinct=True)
                         for analysis in analyses
                     ])
-                compiled = (plan, {
+                plan.consistency = {
                     "mode": mode, "strategy": strategy,
                     "constrained_relations": sum(
                         analysis.keyed_binding is not None for analysis in analyses),
                     "repairs_enumerated": 0,
-                })
-            compiled = prepared.consistent.setdefault(mode, compiled)
-        return compiled
+                }
+            plan = prepared.consistent.setdefault(mode, plan)
+        return plan
 
     def execute(self, prepared, mode: str,
                 force_strategy: Optional[str] = None,
@@ -167,33 +168,9 @@ class ConsistentQueryExecutor:
         used by tests and benchmarks to verify the rewrite's exactness.
         """
         validate_mode(mode)
-        plan, block = (None, None) if force_strategy == "fallback" else self.plan(prepared, mode)
-        if plan is None:
-            return self.enumerate_repairs(prepared, mode, timeout_seconds)
-        result = self.engine.execute(plan, timeout_seconds=timeout_seconds)
-        result.report.consistency = dict(block)
-        return result
-
-    def enumerate_repairs(self, prepared, mode: str,
-                          timeout_seconds: Optional[float] = None) -> EngineResult:
-        """Answer ``prepared`` by repair enumeration.  ``timeout_seconds``
-        bounds the *whole* answer: every extent fetch runs under one shared
-        deadline."""
-        deadline = self.engine.resilience.deadline(timeout_seconds)
-        started = time.perf_counter()
-        # CQA refuses partial answers (certainty cannot be quantified over a
-        # degraded branch set), so the report keeps its default "fail" mode;
-        # counters from every extent fetch fold in via _merge_subreport.
-        report = ExecutionReport(timeout_seconds=deadline.timeout_seconds)
-        relation, consistency = self._execute_fallback(
-            prepared.plan.statement, report, mode, deadline
-        )
-        consistency["mode"] = mode
-        report.consistency = consistency
-        report.result_rows = len(relation)
-        report.elapsed_seconds = time.perf_counter() - started
-        report.deadline_remaining_seconds = deadline.remaining()
-        return EngineResult(relation=relation, plan=prepared.plan, report=report)
+        plan = (self._enumeration(prepared.plan.statement, mode)
+                if force_strategy == "fallback" else self.plan(prepared, mode))
+        return self.engine.execute(plan, timeout_seconds=timeout_seconds)
 
     # -- analysis ----------------------------------------------------------------
 
@@ -396,227 +373,25 @@ class ConsistentQueryExecutor:
 
     # -- repair enumeration --------------------------------------------------------
 
-    @staticmethod
-    def _dedup(relation: Relation) -> Relation:
-        seen: Set[Tuple] = set()
-        result = Relation(relation.schema, name=relation.name)
-        for row in relation.rows:
-            key = tuple(value_key(value) for value in row)
-            if key not in seen:
-                seen.add(key)
-                result.rows.append(row)
-        return result
-
-    @staticmethod
-    def _merge_subreport(report: ExecutionReport, sub: ExecutionReport) -> None:
-        """Fold an extent fetch's trace into the statement report."""
-        report.requests.extend(sub.requests)
-        report.distinct_requests += sub.distinct_requests
-        report.dedup_hits += sub.dedup_hits
-        report.cache_hits += sub.cache_hits
-        report.max_in_flight = max(report.max_in_flight, sub.max_in_flight)
-        report.operator_stats.extend(sub.operator_stats)
-        report.peak_memory_bytes = max(report.peak_memory_bytes, sub.peak_memory_bytes)
-        report.spill_count += sub.spill_count
-        report.spilled_rows += sub.spilled_rows
-        report.spilled_bytes += sub.spilled_bytes
-        report.staged_bytes += sub.staged_bytes
-        report.attempts += sub.attempts
-        report.retries += sub.retries
-        report.failed_requests += sub.failed_requests
-        report.breaker_trips += sub.breaker_trips
-        report.breaker_rejections += sub.breaker_rejections
-        report.degraded_branches.extend(sub.degraded_branches)
-
-    def _execute_fallback(self, statement, report: ExecutionReport, mode: str,
-                          deadline=None) -> Tuple[Relation, Dict[str, object]]:
+    def _enumeration(self, statement, mode: str) -> QueryPlan:
+        """The plan enumerating the repairs ``statement`` is answered on: one
+        branch reading each catalogued relation it names in full — subqueries
+        included, since the repaired instance must cover every relation the
+        statement can read — under an :class:`~repro.relational.algebra.Repairs`
+        root."""
         catalog = self.engine.catalog
         relations: List[str] = []
         for node in walk(statement):
-            # Subqueries included: the repaired instance must cover every
-            # relation the statement can read, not just the FROM bindings.
             if isinstance(node, TableRef) and catalog.has_relation(node.name):
                 if node.name.lower() not in (name.lower() for name in relations):
                     relations.append(node.name)
-
-        tables: Dict[str, Relation] = {}
-        for relation in relations:
-            tables[relation] = self._fetch_extent(relation, report, deadline)
-
-        # A repair is a *set* of tuples, so every key-constrained relation
-        # first collapses exact-duplicate rows (two identical tuples are the
-        # same tuple twice) — uniformly, whether or not the relation also has
-        # conflicting clusters.  Then the conflict clusters (distinct tuple
-        # variants sharing a key) define the repair space.
-        clusters: List[Tuple[str, List[Row]]] = []  # (relation, variants)
-        cluster_count = 0
-        repair_space = 1
-        for relation in relations:
-            key = catalog.key_of(relation)
-            if key is None:
-                continue
-            extent = self._dedup(tables[relation])
-            tables[relation] = extent
-            positions = [extent.schema.index_of(column) for column in key.columns]
-            by_key: Dict[Tuple, List[Row]] = {}
-            order: List[Tuple] = []
-            for row in extent.rows:
-                cluster_key = tuple(value_key(row[position]) for position in positions)
-                if cluster_key not in by_key:
-                    by_key[cluster_key] = []
-                    order.append(cluster_key)
-                by_key[cluster_key].append(row)
-            for cluster_key in order:
-                variants = by_key[cluster_key]
-                if len(variants) > 1:
-                    cluster_count += 1
-                    repair_space *= len(variants)
-                    clusters.append((relation, variants))
-                    if repair_space > self.max_repairs:
-                        raise RepairEnumerationError(
-                            f"the conflict clusters admit more than "
-                            f"{self.max_repairs} repairs; narrow the query, "
-                            "clean the sources, or raise max_repairs"
-                        )
-
-        processor_tables = dict(tables)
-        raw_rows = QueryProcessor.over_tables(processor_tables).execute(statement)
-        raw_set = {tuple(value_key(v) for v in row) for row in raw_rows.rows}
-        schema = raw_rows.schema
-
-        if not clusters:
-            # No conflicts: the (duplicate-collapsed) instance is its own
-            # unique repair, already evaluated as raw_rows.
-            repairs = 1
-            deduped = self._dedup(raw_rows)
-            certain_rows: List[Row] = list(deduped.rows)
-            certain_keys: Set[Tuple] = set(raw_set)
-            possible_rows: List[Row] = list(deduped.rows)
-        else:
-            # Invariants of the enumeration, hoisted out of the repair loop:
-            # which relations have conflicts, their full conflicted-row sets,
-            # and which cluster indices belong to which relation.
-            conflicted_relations: List[str] = []
-            for relation, _variants in clusters:
-                if relation not in conflicted_relations:
-                    conflicted_relations.append(relation)
-            conflicted_rows_of: Dict[str, Set[Tuple]] = {
-                relation: {
-                    tuple(value_key(v) for v in variant)
-                    for cluster_relation, variants in clusters
-                    if cluster_relation.lower() == relation.lower()
-                    for variant in variants
-                }
-                for relation in conflicted_relations
-            }
-            cluster_indices_of: Dict[str, List[int]] = {
-                relation: [
-                    index for index, (cluster_relation, _variants) in enumerate(clusters)
-                    if cluster_relation.lower() == relation.lower()
-                ]
-                for relation in conflicted_relations
-            }
-
-            certain_rows = []
-            certain_keys = set()
-            possible_rows = []
-            possible_keys: Set[Tuple] = set()
-            repairs = 0
-            for choice in itertools.product(*(range(len(variants))
-                                              for _relation, variants in clusters)):
-                repairs += 1
-                repaired = dict(processor_tables)
-                for relation in conflicted_relations:
-                    repaired[relation] = self._repair_relation(
-                        tables[relation],
-                        {
-                            tuple(value_key(v) for v in clusters[index][1][choice[index]])
-                            for index in cluster_indices_of[relation]
-                        },
-                        conflicted_rows_of[relation],
-                    )
-                result = QueryProcessor.over_tables(repaired).execute(statement)
-                keys = [tuple(value_key(v) for v in row) for row in result.rows]
-                key_set = set(keys)
-                if repairs == 1:
-                    certain_keys = key_set
-                    seen: Set[Tuple] = set()
-                    for row, key in zip(result.rows, keys):
-                        if key not in seen:
-                            seen.add(key)
-                            certain_rows.append(row)
-                    schema = result.schema
-                else:
-                    certain_keys &= key_set
-                for row, key in zip(result.rows, keys):
-                    if key not in possible_keys:
-                        possible_keys.add(key)
-                        possible_rows.append(row)
-            certain_rows = [
-                row for row in certain_rows
-                if tuple(value_key(v) for v in row) in certain_keys
-            ]
-
-        relation = Relation(schema)
-        if mode == "certain":
-            relation.rows = list(certain_rows)
-        else:
-            # Certain rows keep the first repair's (sorted) order; the possible
-            # rows of later repairs arrive after it, so they are sorted again.
-            relation.rows = possible_rows
-            relation = relation.sorted_on(self._output_order(statement))
-        consistency = {
-            "strategy": "fallback",
-            "constrained_relations": len({r for r, _v in clusters}) if clusters else 0,
-            "clusters": cluster_count,
-            "repairs_enumerated": repairs,
-            "rows_raw": len(raw_set),
-            "tuples_dropped": len(raw_set) - len(certain_keys),
-        }
-        return relation, consistency
-
-    @staticmethod
-    def _output_order(statement) -> List[Tuple[int, bool]]:
-        """``statement``'s ORDER BY (a finished union's is its finish's) as
-        ``(output position, ascending)`` keys — none unless every key
-        resolves to a position of an explicit select list."""
-        if statement.__class__ is not Select or not statement.order_by or any(
-                isinstance(item.expr, Star) for item in statement.items):
-            return []
-        keys = _order_keys([(item.expr, item.ascending) for item in statement.order_by],
-                           [item.expr for item in statement.items],
-                           output_names(statement.items))
-        if any(position is None for position, _expr, _ascending in keys):
-            return []
-        return [(position, ascending) for position, _expr, ascending in keys]
-
-    def _fetch_extent(self, relation: str, report: ExecutionReport,
-                      deadline=None) -> Relation:
-        """Fetch one relation's full extent through the ordinary pipeline."""
-        select = Select(items=(SelectItem(Star()),), tables=(TableRef(name=relation),))
-        result = self.engine.execute(self.engine.planner.plan_branches([select]),
-                                     deadline=deadline)
-        self._merge_subreport(report, result.report)
-        base_schema = self.engine.catalog.schema_of(relation)
-        extent = Relation(
-            Schema(
-                Attribute(name=attribute.name, type=attribute.type, qualifier=None)
-                for attribute in base_schema
-            ),
-            name=relation,
-        )
-        extent.rows = list(result.relation.rows)
-        return extent
-
-    @staticmethod
-    def _repair_relation(extent: Relation, chosen_variants: Set[Tuple],
-                         conflicted_rows: Set[Tuple]) -> Relation:
-        """The (duplicate-collapsed) extent with each conflicted cluster
-        reduced to its chosen tuple."""
-        repaired = Relation(extent.schema, name=extent.name)
-        for row in extent.rows:
-            normalized = tuple(value_key(v) for v in row)
-            if normalized in conflicted_rows and normalized not in chosen_variants:
-                continue
-            repaired.rows.append(row)
-        return repaired
+        plan = self.engine.plan_branches([
+            Select(items=(SelectItem(Star()),), tables=(TableRef(name=relation),))
+            for relation in relations])
+        keys = [catalog.key_of(relation) for relation in relations]
+        plan.root = algebra.Repairs(
+            tuple(branch.tree for branch in plan.branches), statement,
+            tuple(() if key is None else tuple(key.columns) for key in keys),
+            mode == "certain", self.max_repairs)
+        plan.consistency = {"mode": mode, "strategy": "fallback"}
+        return plan

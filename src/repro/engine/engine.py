@@ -24,7 +24,7 @@ from repro.errors import EngineError, ExecutionError
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
 from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
-from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
+from repro.engine.resilience import HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.planner import PlannerConfig, QueryPlanner
@@ -217,17 +217,15 @@ class MultiDatabaseEngine:
 
     def execute(self, statement: TUnion[str, Statement, QueryPlan],
                 timeout_seconds: Optional[float] = None,
-                on_source_error: str = "fail",
-                deadline: Optional[Deadline] = None) -> EngineResult:
+                on_source_error: str = "fail") -> EngineResult:
         """Plan (if needed) and execute a statement, returning the full result.
 
         ``timeout_seconds`` bounds the statement's wall clock (fetch waits,
-        retry backoff and finalization all count against it); pass an
-        existing ``deadline`` instead to share one bound across several
-        executions (the CQA executor does).  ``on_source_error="partial"``
-        answers from the surviving branches when a source stays dead.
+        retry backoff and finalization all count against it).
+        ``on_source_error="partial"`` answers from the surviving branches
+        when a source stays dead.
         """
-        stream = self._open(statement, timeout_seconds, on_source_error, deadline)
+        stream = self._open(statement, timeout_seconds, on_source_error)
         try:
             rows = stream.fetchall()
             relation = Relation(stream.schema)
@@ -239,8 +237,7 @@ class MultiDatabaseEngine:
 
     def execute_stream(self, statement: TUnion[str, Statement, QueryPlan],
                        timeout_seconds: Optional[float] = None,
-                       on_source_error: str = "fail",
-                       deadline: Optional[Deadline] = None):
+                       on_source_error: str = "fail"):
         """Plan (if needed) and open a pull-based cursor over the result.
 
         Returns a :class:`~repro.engine.stream.ResultStream`; the engine's
@@ -250,23 +247,20 @@ class MultiDatabaseEngine:
         :meth:`execute`; the deadline also covers streaming finalization,
         so a stalled consumer-side pull fails rather than hangs.
         """
-        stream = self._open(statement, timeout_seconds, on_source_error, deadline)
+        stream = self._open(statement, timeout_seconds, on_source_error)
         self.statistics.add(streams_opened=1)
         return stream
 
     def _open(self, statement: TUnion[str, Statement, QueryPlan],
-              timeout_seconds: Optional[float], on_source_error: str,
-              deadline: Optional[Deadline]):
+              timeout_seconds: Optional[float], on_source_error: str):
         """Plan (if needed) and open the result stream both entry points use.
 
         The statistics fold rides the stream's close, so a failed statement
         still books its retries, failed requests and breaker rejections.
         """
         plan = statement if isinstance(statement, QueryPlan) else self.plan(statement)
-        if deadline is None:
-            deadline = self.resilience.deadline(timeout_seconds)
-        stream = ResultStream(self, plan, self.memory_budget_bytes, deadline,
-                              on_source_error)
+        stream = ResultStream(self, plan, self.memory_budget_bytes,
+                              self.resilience.deadline(timeout_seconds), on_source_error)
         stream.on_close(self._fold)
         return stream
 

@@ -3,8 +3,10 @@
 A :class:`QueryPlan` is one tree of the plan algebra
 (:mod:`repro.relational.algebra`) — ``QueryPlan.root``: a branch's
 :class:`~repro.relational.algebra.Finish`, the
-:class:`~repro.relational.algebra.Union` of several, or the statement's
-``Finish`` over that ``Union`` — plus, per branch:
+:class:`~repro.relational.algebra.Union` of several, the statement's
+``Finish`` over that ``Union``, or, for a consistent answer only repair
+enumeration gives, the :class:`~repro.relational.algebra.Repairs` of the
+relations its branches read in full — plus, per branch:
 
 * the branch's tree: one :class:`~repro.relational.algebra.Transfer` per
   table binding, whose target :class:`~repro.relational.algebra.Scan` is
@@ -211,11 +213,16 @@ class QueryPlan:
     #: after that epoch retires the cached plan (``QueryPipeline.is_current``).
     feedback_epoch: int = 0
     feedback_keys: FrozenSet[Hashable] = frozenset()
+    #: Of a certain or possible answer: the report's ``consistency`` block
+    #: (mode and strategy first; an enumeration adds what it found).
+    consistency: Optional[Dict[str, object]] = None
 
     @cached_property
     def root(self) -> algebra.RelationNode:
-        """The statement's tree: its lone branch, the UNION of several, or
-        :attr:`finish` over that UNION."""
+        """The statement's tree: its lone branch, the UNION of several or
+        :attr:`finish` over that UNION.  The plan of an answer only repair
+        enumeration gives sets it to an :class:`~repro.relational.algebra.Repairs`
+        over its branches instead."""
         trees = tuple(branch.tree for branch in self.branches)
         if len(trees) == 1 and self.finish is None:
             return trees[0]
@@ -259,6 +266,10 @@ class QueryPlan:
             keyword = "UNION ALL" if self.union_all else "UNION"
             finish = to_sql(self.finish.copy(tables=()))
             lines.append(f"[finish over the {keyword} of the branches] {finish}")
+        if isinstance(self.root, algebra.Repairs):
+            mode = "certain" if self.root.certain else "possible"
+            lines.append(f"[{mode} rows over at most {self.root.max_repairs} repairs "
+                         f"of the branches] {to_sql(self.root.statement)}")
         return "\n".join(lines)
 
 

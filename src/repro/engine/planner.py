@@ -61,6 +61,11 @@ _JoinCondition = Tuple[int, Node, Optional[_EquiKey]]
 _StepParts = Tuple[Tuple[Node, ...], Tuple[Tuple[ColumnRef, ColumnRef], ...],
                    Tuple[Node, ...]]
 
+#: Most table bindings one branch may join.
+MAX_BRANCH_TABLES = 12
+#: Most requests a branch's joins are ordered by dynamic programming under
+#: ``join_order="auto"``; a larger branch is ordered greedily.
+DP_JOIN_THRESHOLD = 8
 #: Never bind when the driver's estimated key set exceeds this.
 BIND_JOIN_MAX_KEYS = 1000
 #: Never bind a relation estimated below this — tiny fetches aren't worth the
@@ -76,16 +81,13 @@ class PlannerConfig:
 
     push_selections: bool = True
     push_projections: bool = True
-    prefer_hash_joins: bool = True
-    max_branch_tables: int = 12
     #: Push safe LIMIT/OFFSET bounds into branch plans (top-k sorts) and, when
     #: a branch is a single fully-pushed request, into the request SQL itself.
     push_fetch_limits: bool = True
-    #: Join-order strategy: "auto" (DP up to ``dp_join_threshold`` relations,
+    #: Join-order strategy: "auto" (DP up to ``DP_JOIN_THRESHOLD`` relations,
     #: greedy beyond), "dp", "greedy", "syntax" (FROM-clause order, the
     #: baseline) or "worst" (cost-maximizing, for equivalence tests).
     join_order: str = "auto"
-    dp_join_threshold: int = 8
     #: Allow converting requests into bind joins (batched IN-list key sets).
     bind_joins: bool = True
     #: Keys per shipped IN list (the first key column is chunked).
@@ -248,10 +250,10 @@ class QueryPlanner:
         bindings = self._bindings(select)
         if not bindings:
             raise PlanningError("queries without a FROM clause are not executable by the engine")
-        if len(bindings) > self.config.max_branch_tables:
+        if len(bindings) > MAX_BRANCH_TABLES:
             raise PlanningError(
                 f"branch references {len(bindings)} tables; the planner limit is "
-                f"{self.config.max_branch_tables}"
+                f"{MAX_BRANCH_TABLES}"
             )
 
         # One walk of the branch answers every question asked of its tree below.
@@ -569,7 +571,7 @@ class QueryPlanner:
                      graph: _JoinGraph, syntax_order: Sequence[str] = ()):
         mode = self.config.join_order
         if mode == "auto":
-            mode = "dp" if len(requests) <= self.config.dp_join_threshold else "greedy"
+            mode = "dp" if len(requests) <= DP_JOIN_THRESHOLD else "greedy"
         if len(requests) == 1 or mode == "greedy":
             order = self._greedy_order(requests, graph)
         elif mode == "syntax":
@@ -606,7 +608,7 @@ class QueryPlanner:
         """Left-deep dynamic program over the branch's join graph.
 
         Enumerates subsets (the branch size is bounded by
-        ``dp_join_threshold``), extending each by connected candidates only —
+        ``DP_JOIN_THRESHOLD``), extending each by connected candidates only —
         cartesian products are considered only when no candidate connects,
         mirroring the greedy heuristic.  Cardinalities and join costs come
         from the (feedback-aware) cost model.  With ``worst=False`` the DP
@@ -623,7 +625,7 @@ class QueryPlanner:
         def transition(mask: int, rows: int, candidate: int):
             conditions, equi_keys, _residual = graph.step(mask, candidate)
             new_mask = mask | (1 << candidate)
-            hash_join = self.config.prefer_hash_joins and bool(equi_keys)
+            hash_join = bool(equi_keys)
             step_cost = self.cost_model.local_join_cost(
                 rows, requests[candidate].estimated_result_rows, hash_join
             ).total
@@ -681,7 +683,7 @@ class QueryPlanner:
         node: algebra.RelationNode = requests[initial].transfer
         for candidate in order[1:]:
             conditions, equi_keys, residual = graph.step(joined, candidate)
-            hash_join = self.config.prefer_hash_joins and bool(equi_keys)
+            hash_join = bool(equi_keys)
             if not hash_join:
                 equi_keys, residual = (), conditions
             joined |= 1 << candidate

@@ -210,6 +210,7 @@ class ResultStream:
             join_orders=template.join_orders,  # shared; snapshots copy
             estimates_from_feedback=template.estimates_from_feedback,
             estimates_from_defaults=template.estimates_from_defaults,
+            consistency=None if plan.consistency is None else dict(plan.consistency),
         )
         self.budget = MemoryBudget(memory_budget_bytes)
         self._deadline = deadline
@@ -286,16 +287,20 @@ class ResultStream:
         self._union_alias = None if plan.finish is None else plan.finish.tables[0].alias
         self._branches: Sequence[_Branch] = [
             _Branch(self, index) for index in range(len(plan.branches))]
+        #: The root's columns when it finishes the union or enumerates
+        #: repairs; either lowering read only the branches' lowered schemas.
+        #: (The root itself is not kept: through its branches it points back
+        #: here.)
+        self._root_schema: Optional[Schema] = None
         if plan.root is plan.branches[0].tree:
             root: PhysicalOperator = self._branches[0]
         else:
             root = algebra.lower(
                 plan.root, self._branches,
-                KernelScope(engine.subquery_executor, template.kernels), self.budget)
-        #: The finish's columns when the statement finishes the union; its
-        #: lowering read only the branches' lowered schemas.  (The root
-        #: itself is not kept: through its branches it points back here.)
-        self._finish_schema = None if plan.finish is None else root.schema
+                KernelScope(engine.subquery_executor, template.kernels), self.budget,
+                self.report.consistency)
+            if plan.root.__class__ is not algebra.Union:
+                self._root_schema = root.schema
         self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------
@@ -842,8 +847,9 @@ class ResultStream:
     @property
     def schema(self) -> Schema:
         """The answer's schema, known before any fetch: the columns of the
-        statement's finish over the union, else of branch 0's lowered root."""
-        schema = self._finish_schema
+        statement's finish over the union or of its repair enumeration, else
+        of branch 0's lowered root."""
+        schema = self._root_schema
         return self._lowered(0)[1].schema if schema is None else schema
 
     @property
@@ -1038,10 +1044,9 @@ class ResultStream:
 class MaterializedStream:
     """A stream-shaped view over already-computed rows.
 
-    An eager answer ran to completion inside ``engine.execute``, and a
-    repair-quantified one cannot leave before its enumeration completes; this
-    adapter lets a :class:`~repro.federation.FederationCursor` hand them over
-    through the same fetch surface as a live :class:`ResultStream`.  The rows
+    An eager answer ran to completion inside ``engine.execute``; this adapter
+    lets a :class:`~repro.federation.FederationCursor` hand it over through
+    the same fetch surface as a live :class:`ResultStream`.  The rows
     are the finished execution's own, never copied; the cursor owning the
     stream closes it once, when it is drained or abandoned.
     """

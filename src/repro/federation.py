@@ -36,7 +36,7 @@ from repro.engine.executor import DEFAULT_MAX_CONCURRENT_REQUESTS, EngineResult
 from repro.engine.planner import PlannerConfig
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
-from repro.engine.stream import MaterializedStream
+from repro.engine.stream import MaterializedStream, ResultStream
 from repro.errors import ExecutionError
 from repro.mediation.answers import (AnswerTransformer, ColumnAnnotation,
                                      environment_from_relation)
@@ -48,6 +48,7 @@ from repro.options import StatementOptions
 from repro.pipeline import MediatedPlan, QueryPipeline
 from repro.relational.relation import Relation
 from repro.sql.ast import Select
+from repro.sql.parser import parse
 from repro.wrappers.wrapper import Wrapper
 
 
@@ -99,7 +100,7 @@ class FederationCursor:
 
     Wraps the engine's stream — a live :class:`~repro.engine.stream.
     ResultStream`, or a :class:`~repro.engine.stream.MaterializedStream` over
-    an eager or repair-enumerated answer — with the mediation metadata a
+    an eager answer — with the mediation metadata a
     receiver needs (mediated SQL, conflict explanations, column annotations)
     and what :meth:`Federation.open`, the door every statement opens at,
     records (``root`` span, ``started``).
@@ -680,12 +681,10 @@ class Federation:
         """Run a compiled plan under ``options``; always yields a cursor.
 
         The plan is the statement's own or, under a consistency mode, the one
-        ``cqa.plan`` compiled for it — either runs as a live stream when
-        ``stream``, and otherwise to completion inside this call as one
-        ``engine.execute`` (fetch + drain), the cursor reading the
-        materialized rows.  A statement whose certain/possible answer only
-        repair enumeration gives has no plan: it materializes before its
-        first row can leave, whatever ``stream`` says.
+        ``cqa.plan`` compiled for it — a rewrite, or an enumeration of
+        repairs.  Either runs as a live stream when ``stream``, and otherwise
+        to completion inside this call as one ``engine.execute`` (fetch +
+        drain), the cursor reading the materialized rows.
         """
         consistent = options.consistency != "raw"
         attributes = {"branches": len(prepared.plan.branches)}
@@ -699,13 +698,9 @@ class Federation:
         token = span.activate()
         result = None
         try:
-            plan, block = prepared.plan, None
-            if consistent:
-                plan, block = self.cqa.plan(prepared, options.consistency)
-            if plan is None:
-                result = self.cqa.enumerate_repairs(
-                    prepared, options.consistency, options.timeout_seconds)
-            elif stream:
+            plan = (self.cqa.plan(prepared, options.consistency) if consistent
+                    else prepared.plan)
+            if stream:
                 rows = self.engine.execute_stream(
                     plan, timeout_seconds=options.timeout_seconds,
                     on_source_error=options.on_source_error)
@@ -713,15 +708,12 @@ class Federation:
                 result = self.engine.execute(
                     plan, timeout_seconds=options.timeout_seconds,
                     on_source_error=options.on_source_error)
+                rows = MaterializedStream(result.relation, result.report, result.plan)
         except BaseException as exc:
             span.finish(error=exc)
             raise
         finally:
             deactivate_span(token)
-        if result is not None:
-            rows = MaterializedStream(result.relation, result.report, result.plan)
-        if block is not None:
-            rows.report.consistency = dict(block)
         if span.recording:
             rows.report.trace_id = span.trace_id
             if result is None:
@@ -762,10 +754,19 @@ class Federation:
         )
 
     def _rate_environment(self) -> ConversionEnvironment:
-        """A lookup over the first catalogued rate relation, if any."""
+        """A lookup over the first catalogued rate relation, if any.
+
+        Read as a violation scan reads a relation: a stream on the engine,
+        under its request cache, breakers and retries, which books no
+        statement."""
+        engine = self.engine
         for function in self.system.conversions.currency_functions():
-            if self.engine.catalog.has_relation(function.ancillary_relation):
-                rates = self.engine.query(f"SELECT * FROM {function.ancillary_relation}")
+            if engine.catalog.has_relation(function.ancillary_relation):
+                plan = engine.planner.plan(parse(f"SELECT * FROM {function.ancillary_relation}"))
+                with ResultStream(engine, plan, engine.memory_budget_bytes,
+                                  engine.resilience.deadline(None)) as stream:
+                    rates = Relation(stream.schema)
+                    rates.rows = stream.fetchall()
                 return environment_from_relation(
                     rates, function.from_column, function.to_column, function.rate_column)
         return ConversionEnvironment()

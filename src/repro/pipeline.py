@@ -79,10 +79,10 @@ class MediatedPlan:
     #: The newest feedback epoch the plan is known to have survived: priced
     #: under it, or found untouched by every retirement up to it.
     feedback_epoch: int = 0
-    #: Per consistency mode, what ``ConsistentQueryExecutor.plan`` compiled for
-    #: this statement — kept here so it retires when this plan does.
-    consistent: Dict[str, Tuple[Optional[QueryPlan], Optional[Dict[str, object]]]] = field(
-        default_factory=dict)
+    #: Per consistency mode, the plan ``ConsistentQueryExecutor.plan``
+    #: compiled for this statement, carrying its report's ``consistency``
+    #: block — kept here so it retires when this plan does.
+    consistent: Dict[str, QueryPlan] = field(default_factory=dict)
     #: Receiver-context column annotations, per result column names (a
     #: consistency mode's plan may name them differently), made once and
     #: retired with this plan.  ``FederationCursor.annotations`` fills it.

@@ -3,7 +3,9 @@ operators.
 
 A mediated statement is *what* to compute — relations shipped by sources,
 brought across to the mediator, joined, filtered, finished by a SELECT and,
-for a mediated UNION, united.  The nodes below say exactly that and nothing
+for a mediated UNION, united; or, for a consistent answer the first-order
+rewrite cannot give, the statement over every repair of the relations it
+reads.  The nodes below say exactly that and nothing
 about *how*: they are frozen, hashable trees of operations over the
 relations sources ship.  Each leaf is a :class:`Scan`, the part of the tree a
 source evaluates — the request it is sent is read off it — under the
@@ -41,7 +43,7 @@ from repro.relational.operators import (
     PhysicalOperator,
     TableScan,
 )
-from repro.relational.query import lower_select, lower_union
+from repro.relational.query import RepairEnumeration, lower_select, lower_union
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.sql.ast import ColumnRef, Node, OrderItem, Select, SelectItem, TableRef, conjoin
@@ -166,7 +168,23 @@ class Union:
     all: bool = False
 
 
-RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union]
+@dataclass(frozen=True)
+class Repairs:
+    """The rows ``statement`` gives in every repair (``certain``), or in at
+    least one, of the relations ``branches`` read in full, one each.
+
+    A repair keeps one tuple of each conflict cluster: the distinct tuples of
+    a relation that agree on its ``keys`` entry (``()``: no key, no cluster).
+    More than ``max_repairs`` repairs are refused, not enumerated."""
+
+    branches: Tuple[Finish, ...]
+    statement: Node
+    keys: Tuple[Tuple[str, ...], ...]
+    certain: bool
+    max_repairs: int
+
+
+RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union, Repairs]
 
 
 def left_deep(node: RelationNode) -> Tuple[List[Transfer], List[Join]]:
@@ -222,18 +240,24 @@ class Stage:
 
 def lower(node: RelationNode, inputs: typing.Union[Mapping[str, Stage], Sequence],
           scope: Optional[KernelScope] = None,
-          budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
+          budget: Optional[MemoryBudget] = None,
+          counts: Optional[dict] = None) -> PhysicalOperator:
     """The operator tree computing ``node`` over what stands for its inputs:
     for a branch, its :class:`Stage` s by binding; for
-    a :class:`Union`, one operator per branch — whoever runs the root
-    supplies them, staging each branch when it is first pulled, and under a
-    statement's :class:`Finish` with the columns qualified by the alias that
-    finish reads the union by.
+    a :class:`Union` or :class:`Repairs`, one operator per branch — whoever
+    runs the root supplies them, staging each branch when it is first
+    pulled, and under a statement's :class:`Finish` with the columns
+    qualified by the alias that finish reads the union by.
     A branch's template draws on no memory budget, its execution's copies do
     (``rebind``); a Union and the finish over it, lowered per execution,
-    draw on ``budget``."""
-    if isinstance(node, Union):
-        return lower_union(inputs, node.all, budget)
+    draw on ``budget``.  A repair enumeration records what it found in
+    ``counts``."""
+    if isinstance(node, (Union, Repairs)):
+        if node.__class__ is Union:
+            return lower_union(inputs, node.all, budget)
+        return RepairEnumeration(
+            [branch.select.tables[0].name for branch in node.branches], node.keys,
+            inputs, node.statement, node.certain, node.max_repairs, counts)
     if isinstance(node, Transfer):
         return inputs[node.binding].scan
     if isinstance(node, Selection):

@@ -23,14 +23,21 @@ the CREATE TABLE / INSERT statements used to load demo data.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from contextlib import closing
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
-from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
+from repro.errors import (
+    EvaluationError, ExecutionError, RepairEnumerationError, SchemaError, SQLUnsupportedError,
+)
 from repro.relational.budget import MemoryBudget
 from repro.relational.compile import KernelScope, evaluate_literal_expression
 from repro.relational.operators import (
     Aggregate,
+    Batch,
     Distinct,
     Filter,
     HashJoin,
@@ -41,9 +48,11 @@ from repro.relational.operators import (
     Sort,
     TableScan,
     UnionAll,
+    _group_key as value_key,
     _group_keys,
+    _ramp_batches,
 )
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType, may_hash
 from repro.sql.ast import (
@@ -406,6 +415,159 @@ def output_names(items: Sequence[SelectItem]) -> List[str]:
         else:
             names.append(f"col_{index + 1}")
     return names
+
+
+# ---------------------------------------------------------------------------
+# Repair enumeration: a statement run on every repair of its relations
+# ---------------------------------------------------------------------------
+
+
+class RepairEnumeration(PhysicalOperator):
+    """The rows ``statement`` gives in every repair (``certain``), or in at
+    least one, of the relations its ``inputs`` read in full: one input per
+    relation of ``names``, whose ``keys`` entry lists its key columns (``()``:
+    no key constraint).
+
+    Blocking: the first pull drains every input into an extent.  A repair is
+    a set of tuples, so a keyed extent first collapses exact duplicates; its
+    conflict clusters — distinct tuples sharing a key — span the repairs,
+    more than ``max_repairs`` of which are refused.  Each repair is lowered
+    and run by a :class:`QueryProcessor` of its own (its derived tables and
+    subqueries run while it is lowered, so no lowering serves two repairs).
+    Certain rows are the intersection, in the first repair's order; possible
+    rows the union in repair order, sorted again on the statement's ORDER BY
+    when every key is an output column.  What it found goes into ``counts``.
+    """
+
+    operator_name = "RepairEnumeration"
+
+    def __init__(self, names: Sequence[str], keys: Sequence[Tuple[str, ...]],
+                 inputs: Sequence[PhysicalOperator], statement, certain: bool,
+                 max_repairs: int, counts: Optional[Dict[str, object]] = None):
+        self.names, self.keys, self.inputs = list(names), list(keys), list(inputs)
+        self.statement, self.certain, self.max_repairs = statement, certain, max_repairs
+        self.counts = {} if counts is None else counts
+        self._schema: Optional[Schema] = None
+
+    @property
+    def schema(self) -> Schema:
+        """The statement's columns over empty extents: known before any pull."""
+        if self._schema is None:
+            self._schema = QueryProcessor.over_tables(
+                {name: Relation(child.schema.with_qualifier(None))
+                 for name, child in zip(self.names, self.inputs)}
+            ).lower(self.statement).schema
+        return self._schema
+
+    @property
+    def children(self) -> Sequence[PhysicalOperator]:
+        return tuple(self.inputs)
+
+    def batches(self) -> Iterator[Batch]:
+        tables: Dict[str, Relation] = {}
+        for name, child in zip(self.names, self.inputs):
+            extent = tables[name] = Relation(child.schema.with_qualifier(None), name=name)
+            with closing(child.batches()) as batches:
+                for batch in batches:
+                    extent.rows.extend(batch)
+        yield from _ramp_batches(self._enumerate(tables))
+
+    def _enumerate(self, tables: Dict[str, Relation]) -> List[Row]:
+        clusters: List[Tuple[str, List[Row]]] = []  # (relation, its variants)
+        repair_space = 1
+        for name, key in zip(self.names, self.keys):
+            if not key:
+                continue
+            extent = tables[name] = _dedup(tables[name])
+            positions = [extent.schema.index_of(column) for column in key]
+            by_key: Dict[Tuple, List[Row]] = {}
+            for row in extent.rows:
+                by_key.setdefault(tuple(value_key(row[at]) for at in positions), []).append(row)
+            for variants in by_key.values():
+                if len(variants) > 1:
+                    clusters.append((name, variants))
+                    repair_space *= len(variants)
+                    if repair_space > self.max_repairs:
+                        raise RepairEnumerationError(
+                            f"the conflict clusters admit more than "
+                            f"{self.max_repairs} repairs; narrow the query, "
+                            "clean the sources, or raise max_repairs"
+                        )
+        # Per conflicted relation, every variant of its clusters: a repair
+        # keeps the chosen one of each and the relation's other rows.
+        conflicted: Dict[str, Set[Tuple]] = {}
+        for name, variants in clusters:
+            conflicted.setdefault(name, set()).update(map(_row_key, variants))
+
+        raw = QueryProcessor.over_tables(tables).execute(self.statement)
+        certain: Optional[Set[Tuple]] = None
+        possible_rows: List[Row] = []
+        possible: Set[Tuple] = set()
+        repairs = 0
+        for choice in itertools.product(*(variants for _name, variants in clusters)):
+            repairs += 1
+            repaired = dict(tables)
+            for name, members in conflicted.items():
+                chosen = {_row_key(row) for (of, _v), row in zip(clusters, choice) if of == name}
+                repaired[name] = _repair_relation(tables[name], chosen, members)
+            # Without a conflict the instance is its own unique repair.
+            result = (QueryProcessor.over_tables(repaired).execute(self.statement)
+                      if clusters else raw)
+            keys = [_row_key(row) for row in result.rows]
+            certain = set(keys) if certain is None else certain.intersection(keys)
+            for row, key in zip(result.rows, keys):
+                if key not in possible:
+                    possible.add(key)
+                    possible_rows.append(row)
+        rows_raw = len({_row_key(row) for row in raw.rows})
+        self.counts.update(constrained_relations=len(conflicted), clusters=len(clusters),
+                           repairs_enumerated=repairs, rows_raw=rows_raw,
+                           tuples_dropped=rows_raw - len(certain))
+        if self.certain:
+            # The first repair's rows lead the union, in its order.
+            return [row for row in possible_rows if _row_key(row) in certain]
+        relation = Relation(self.schema)
+        relation.rows = possible_rows
+        return relation.sorted_on(_output_order(self.statement)).rows
+
+
+def _row_key(row: Row) -> Tuple:
+    return tuple(map(value_key, row))
+
+
+def _dedup(relation: Relation) -> Relation:
+    """``relation`` with each row equal to an earlier one dropped."""
+    first: Dict[Tuple, Row] = {}
+    for row in relation.rows:
+        first.setdefault(_row_key(row), row)
+    result = Relation(relation.schema, name=relation.name)
+    result.rows = list(first.values())
+    return result
+
+
+def _repair_relation(extent: Relation, chosen: Set[Tuple],
+                     variants: Set[Tuple]) -> Relation:
+    """``extent`` with each of its conflict clusters (``variants``) reduced
+    to its ``chosen`` tuple."""
+    repaired = Relation(extent.schema, name=extent.name)
+    repaired.rows = [row for row, key in zip(extent.rows, map(_row_key, extent.rows))
+                     if key in chosen or key not in variants]
+    return repaired
+
+
+def _output_order(statement) -> List[Tuple[int, bool]]:
+    """``statement``'s ORDER BY (a finished union's is its finish's) as
+    ``(output position, ascending)`` keys — none unless every key
+    resolves to a position of an explicit select list."""
+    if statement.__class__ is not Select or not statement.order_by or any(
+            isinstance(item.expr, Star) for item in statement.items):
+        return []
+    keys = _order_keys([(item.expr, item.ascending) for item in statement.order_by],
+                       [item.expr for item in statement.items],
+                       output_names(statement.items))
+    if any(position is None for position, _expr, _ascending in keys):
+        return []
+    return [(position, ascending) for position, _expr, ascending in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import random
 import pytest
 
 from repro.consistency import PrimaryKey
+from repro.engine.stream import ResultStream
 from repro.errors import ConsistencyError, RepairEnumerationError
 from repro.federation import FederationCursor
+from repro.relational import algebra
 from repro.server import odbc
 from repro.server.protocol import Request
 from repro.server.server import MediationServer
@@ -124,6 +126,84 @@ class TestEnumeratedOrder:
         # Across repairs a row has several scores: under set semantics the
         # key orders nothing, and the rows stay in the order first seen.
         assert sorted(answer.relation.rows) == [(1,), (2,), (3,)]
+
+
+class TestOneStatement:
+    """An answer only repair enumeration gives is one plan: one full-scan
+    branch per relation under a repair-enumeration root, which the engine
+    books, reports and streams as one statement."""
+
+    SQL = "SELECT a.owner, r.score FROM accounts a, ratings r WHERE a.id = r.id"
+
+    def test_the_engine_books_one_statement(self, federation):
+        _register_keys(federation)
+        before = federation.statistics()["engine"]
+        answer = federation.query(self.SQL, mediate=False, consistency="certain")
+        after = federation.statistics()["engine"]
+        assert answer.execution.report.consistency["strategy"] == "fallback"
+        assert _rows(answer) == {("bob", 5.0), ("eve", 3.0)}
+        assert {name: after[name] - before[name]
+                for name in ("statements_executed", "rows_returned")} == {
+            "statements_executed": 1, "rows_returned": len(answer.relation)}
+
+    def test_each_relation_is_a_branch_of_the_report(self, federation):
+        _register_keys(federation)
+        report = federation.query(self.SQL, mediate=False,
+                                  consistency="certain").execution.report
+        snapshot = report.snapshot()
+        assert snapshot["branch_rows"] == [8, 5]
+        assert [(entry.binding, entry.branch) for entry in report.requests] == [
+            ("accounts", 0), ("ratings", 1)]
+        assert [(entry["branch"], entry["operator"], entry["detail"])
+                for entry in snapshot["operators"]][2:] == [
+            (1, "Scan", "(ratings_stage, 5 rows)"), (1, "Project", "(id, score)")]
+        assert snapshot["streaming"]["rows_streamed"] == snapshot["result_rows"] == 2
+
+    def test_the_enumeration_is_the_plans_root(self, federation):
+        _register_keys(federation)
+        plan = federation.query(self.SQL, mediate=False,
+                                consistency="certain").execution.plan
+        assert isinstance(plan.root, algebra.Repairs)
+        assert plan.root.branches == tuple(branch.tree for branch in plan.branches)
+        assert plan.explain().endswith(
+            "[certain rows over at most 512 repairs of the branches] " + self.SQL)
+
+    def test_a_streamed_enumeration_is_a_live_stream(self, federation):
+        _register_keys(federation)
+        eager = federation.query(self.SQL, mediate=False, consistency="possible")
+        cursor = federation.query(self.SQL, mediate=False, consistency="possible",
+                                  stream=True)
+        assert isinstance(cursor.stream, ResultStream)
+        assert [attribute.name for attribute in cursor.schema] == ["owner", "score"]
+        assert cursor.fetchall() == eager.relation.rows
+        assert cursor.report.consistency == eager.execution.report.consistency
+
+    def test_a_refused_enumeration_raises_at_the_first_fetch(self):
+        federation = _register_keys(build_consistency_federation(max_repairs=2))
+        cursor = federation.query(self.SQL, mediate=False, consistency="certain",
+                                  stream=True)
+        assert isinstance(cursor.stream, ResultStream)
+        with pytest.raises(RepairEnumerationError, match="more than 2 repairs"):
+            cursor.fetchmany(1)
+        assert cursor.closed
+
+    def test_a_refused_eager_enumeration_raises_inside_query(self):
+        federation = _register_keys(build_consistency_federation(max_repairs=2))
+        with pytest.raises(RepairEnumerationError, match="more than 2 repairs"):
+            federation.query(self.SQL, mediate=False, consistency="certain")
+
+    def test_on_the_wire_the_refusal_is_a_fetch_failure(self):
+        federation = _register_keys(build_consistency_federation(max_repairs=2))
+        server = MediationServer(federation)
+        opened = server.handle(Request("open_cursor", {
+            "sql": self.SQL, "mediate": False, "consistency": "certain",
+        }))
+        assert opened.ok
+        fetched = server.handle(Request("fetch_cursor", {
+            "cursor_id": opened.payload["cursor_id"], "count": 10,
+        }))
+        assert not fetched.ok
+        assert fetched.error_kind == "RepairEnumerationError"
 
 
 class TestStrategySelection:
@@ -420,9 +500,8 @@ class TestThreading:
             timeout_seconds=30.0,
         )
         block = answer.execution.report.snapshot()["resilience"]
-        # CQA synthesizes its own statement report; the deadline it ran
-        # under and the sub-executions' source attempts must survive into
-        # the surfaced resilience block.
+        # The deadline the consistent statement ran under and its source
+        # attempts are in the surfaced resilience block.
         assert block["mode"] == "fail"
         assert block["timeout_seconds"] == 30.0
         assert 0 < block["deadline_remaining_seconds"] <= 30.0

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.engine import planner as planner_module
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.sources.memory import MemorySQLSource
@@ -120,10 +121,11 @@ def test_dp_and_worst_disagree_on_at_least_one_workload():
 
 
 @pytest.mark.parametrize("seed", (1, 4))
-def test_greedy_fallback_beyond_dp_threshold(seed):
+def test_greedy_fallback_beyond_dp_threshold(seed, monkeypatch):
+    monkeypatch.setattr(planner_module, "DP_JOIN_THRESHOLD", 2)
     rows, query = _chain_workload(seed)
     expected = _reference_answer(rows, query)
-    engine = _engine_for(rows, join_order="auto", dp_join_threshold=2)
+    engine = _engine_for(rows, join_order="auto")
     result = engine.execute(query)
     assert sorted(tuple(row) for row in result.relation.rows) == expected
 

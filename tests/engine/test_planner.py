@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PlanningError
 from repro.demo.scenarios import build_paper_federation
+from repro.engine import planner as planner_module
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.relational.algebra import left_deep
 from repro.sql.parser import parse
@@ -84,19 +85,6 @@ class TestDecomposition:
         assert len(step.equi_keys) == 2
         assert step.residual == ()
 
-    def test_hash_joins_disabled_leaves_keys_empty(self, catalog):
-        from repro.engine.planner import PlannerConfig, QueryPlanner
-        from repro.sql.parser import parse
-
-        planner = QueryPlanner(catalog, config=PlannerConfig(prefer_hash_joins=False))
-        query_plan = planner.plan(parse(
-            "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname"
-        ))
-        step = left_deep(query_plan.branches[0].tree)[1][0]
-        assert step.hash_join is False
-        assert step.equi_keys == ()
-        assert step.residual == step.conditions
-
     def test_union_planned_branch_by_branch(self, catalog, federation):
         mediated = federation.mediate_only(
             "SELECT r1.cname, r1.revenue FROM r1, r2 "
@@ -156,7 +144,8 @@ class TestErrors:
         with pytest.raises(PlanningError):
             plan(catalog, "SELECT cname FROM r1, r2")
 
-    def test_too_many_tables(self, catalog):
-        planner = QueryPlanner(catalog, config=PlannerConfig(max_branch_tables=1))
+    def test_too_many_tables(self, catalog, monkeypatch):
+        monkeypatch.setattr(planner_module, "MAX_BRANCH_TABLES", 1)
+        planner = QueryPlanner(catalog)
         with pytest.raises(PlanningError):
             planner.plan(parse("SELECT r1.cname FROM r1, r2"))

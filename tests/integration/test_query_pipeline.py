@@ -404,6 +404,16 @@ class TestRateEnvironmentStaleness:
         refreshed = federation.convert_answer(answer, "c_receiver_jpy").rows[0][1]
         assert refreshed == pytest.approx(baseline * 2)
 
+    def test_the_rate_lookup_books_no_statement(self, federation):
+        answer = federation.query(PAPER_QUERY)
+        before = federation.statistics()["engine"]
+        converted = federation.convert_answer(answer, "c_receiver_jpy")
+        after = federation.statistics()["engine"]
+        assert len(converted) == len(answer.relation) == 1
+        assert {name: after[name] - before[name] for name in (
+            "statements_executed", "plans_built", "rows_returned")} == {
+            "statements_executed": 0, "plans_built": 0, "rows_returned": 0}
+
     def test_the_rates_are_read_through_the_engine(self, federation):
         record = federation.engine.resilience.source("exchange")
         for _ in range(record.failure_threshold):
