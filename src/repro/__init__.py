@@ -10,8 +10,8 @@ mediator.
 Layered architecture (bottom up):
 
 * :mod:`repro.sql`, :mod:`repro.relational`, :mod:`repro.datalog` — substrates:
-  SQL parsing/printing, an in-memory relational engine, and a deductive
-  (datalog) engine with abduction;
+  SQL parsing/printing, an in-memory relational engine, and the SLD resolver
+  with abduction that enumerates a mediated query's branches;
 * :mod:`repro.sources`, :mod:`repro.wrappers` — simulated databases and web
   sites plus the declarative wrapping technology giving them a SQL interface;
 * :mod:`repro.coin` — the knowledge model: domain model, contexts, elevation
@@ -20,7 +20,8 @@ Layered architecture (bottom up):
   branch enumeration, query rewriting, answer transformation);
 * :mod:`repro.engine` — the multi-database access engine (catalog, cost-based
   planning, cross-source execution);
-* :mod:`repro.consistency` — integrity constraints, violation scanning, and
+* :mod:`repro.consistency` — integrity constraints, violation scanning (an
+  inclusion or denial is the query whose answers are its violations), and
   certain/possible answers over key-violating sources as a query rewrite;
 * :mod:`repro.pipeline` — parse → mediate → plan, compiled once per statement;
 * :mod:`repro.obs` — the telemetry spine (span tree, metrics registry, logs);

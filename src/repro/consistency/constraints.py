@@ -8,10 +8,28 @@ supposed to satisfy but, being autonomous, routinely do not:
 * :class:`FunctionalDependency` — determinant columns fix dependent columns;
 * :class:`InclusionDependency` — referential integrity across (possibly
   cross-source) relations;
-* :class:`DenialConstraint` — an arbitrary forbidden pattern expressed as the
-  body of a datalog rule over relation predicates (negation-as-failure and
-  the procedural builtins of :mod:`repro.datalog.builtins` are available),
-  after Decker's rule-based integrity checking.
+* :class:`DenialConstraint` — an arbitrary forbidden pattern written as the
+  body of a datalog rule over relation predicates, negated relation literals
+  and the builtins of :data:`SQL_FORMS`, after Decker's rule-based
+  integrity checking.
+
+An inclusion dependency and a denial constraint are range-restricted
+denials, that is, queries whose answers are their violations:
+:meth:`~InclusionDependency.check_query` spells each one as a
+:class:`CheckQuery`, which the scanner runs as an ordinary plan.  A denial's
+positive relation literals are joined; a variable they share, or a constant
+among their arguments, is an equality condition; each builtin is the SQL
+expression :data:`SQL_FORMS` makes of it; each negated relation literal, and
+an inclusion's referenced side, is a NOT EXISTS.
+
+NULL follows SQL's three-valued logic.  A builtin comparing a NULL is
+unknown, so it is no violation; a NULL in a shared variable, or compared
+with a constant, joins with nothing, so a positive literal finds no partner
+for it and a negated literal is satisfied; division by zero is NULL.  An
+inclusion's reference with a NULL column is satisfied (SQL's MATCH SIMPLE).
+Equality is SQL's — numbers compare by value, strings exactly — except
+that a NOT EXISTS matches on hash buckets, where a boolean equals only a
+boolean.
 
 Constraints are *declared*, not enforced: sources stay autonomous.  They are
 registered per relation in the engine's :class:`~repro.engine.catalog.Catalog`
@@ -25,13 +43,72 @@ consistent-query-answering rewriter (:mod:`repro.consistency.cqa`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError
-from repro.datalog.builtins import is_builtin
-from repro.datalog.clause import Literal
-from repro.datalog.terms import Variable
+from repro.datalog.clause import Atom, Literal
+from repro.datalog.terms import Constant, Term, Variable
 from repro.relational.schema import Schema
+from repro.sql.ast import (
+    BinaryOp,
+    ColumnRef,
+    FunctionCall,
+    IsNull,
+    Node,
+    Select,
+    SelectItem,
+    TableRef,
+    UnaryOp,
+    conjoin,
+)
+from repro.sql.ast import Literal as Value
+
+#: The SQL a denial body's builtins and the arithmetic in their arguments
+#: become: (name, arity) -> the node built from the translated arguments.
+#: ``eval(Expression, Result)`` defines an unbound ``Result``, as ``eq``
+#: defines either unbound side; bound, both are equalities.
+SQL_FORMS: Dict[Tuple[str, int], Callable[..., Node]] = {
+    ("lt", 2): partial(BinaryOp, "<"),
+    ("le", 2): partial(BinaryOp, "<="),
+    ("gt", 2): partial(BinaryOp, ">"),
+    ("ge", 2): partial(BinaryOp, ">="),
+    ("eq", 2): partial(BinaryOp, "="),
+    ("ne", 2): partial(BinaryOp, "<>"),
+    ("eval", 2): lambda expression, result: BinaryOp("=", result, expression),
+    ("+", 2): partial(BinaryOp, "+"),
+    ("-", 2): partial(BinaryOp, "-"),
+    ("*", 2): partial(BinaryOp, "*"),
+    ("/", 2): partial(BinaryOp, "/"),
+    ("neg", 1): partial(UnaryOp, "-"),
+    ("abs", 1): lambda value: FunctionCall("ABS", (value,)),
+    ("round", 2): lambda value, digits: FunctionCall("ROUND", (value, digits)),
+}
+
+#: The builtin predicates; a body literal naming anything else reads a relation.
+BUILTINS = frozenset((name, 2) for name in ("lt", "le", "gt", "ge", "eq", "ne", "eval"))
+
+
+def is_builtin(atom: Atom) -> bool:
+    return atom.indicator in BUILTINS
+
+
+@dataclass(frozen=True)
+class CheckQuery:
+    """A constraint as the query whose answers are its violations: the rows
+    of ``selects[0]`` that no row of a later select matches, ``keys[i - 1]``
+    pairing the columns select ``i`` must match
+    (:class:`~repro.relational.algebra.Unmatched`).  A violation's first
+    ``len(witness)`` columns are its witness, named by ``witness``."""
+
+    selects: Tuple[Select, ...]
+    keys: Tuple[Tuple[Tuple[Node, Node], ...], ...]
+    witness: Tuple[str, ...]
+
+
+def _key(position: int) -> ColumnRef:
+    """The output column of key ``position``, on either side of a match."""
+    return ColumnRef(name=f"k{position}")
 
 
 @dataclass(frozen=True)
@@ -164,16 +241,37 @@ class InclusionDependency(Constraint):
         return (f"{self.relation}({', '.join(self.columns)}) IN "
                 f"{self.referenced_relation}({', '.join(self.referenced_columns)})")
 
+    def check_query(self, schema_of) -> CheckQuery:
+        """The referencing rows without a NULL column that match no
+        referenced row; the witness is the referencing columns."""
+        def keys(relation: str, columns: Sequence[str]) -> Tuple[SelectItem, ...]:
+            return tuple(SelectItem(ColumnRef(name=column, table=relation), alias=_key(at).name)
+                         for at, column in enumerate(columns))
+
+        referencing = Select(
+            items=keys(self.relation, self.columns),
+            tables=(TableRef(name=self.relation),),
+            where=conjoin([IsNull(ColumnRef(name=column, table=self.relation), negated=True)
+                           for column in self.columns]),
+        )
+        referenced = Select(items=keys(self.referenced_relation, self.referenced_columns),
+                            tables=(TableRef(name=self.referenced_relation),))
+        pairs = tuple((_key(at), _key(at)) for at in range(len(self.columns)))
+        return CheckQuery((referencing, referenced), (pairs,), tuple(self.columns))
+
 
 @dataclass(frozen=True)
 class DenialConstraint(Constraint):
     """A forbidden conjunctive pattern, written as a datalog rule body.
 
-    Each positive/negative literal over a predicate named like a catalogued
-    relation ranges over that relation's tuples (arguments bind the columns
-    in schema order); builtins (``lt``, ``ne``, ``eval``...) are evaluated
-    procedurally.  A solution of the body *is* a violation; the terms listed
-    in ``witness`` are reported per solution.
+    Each literal over a predicate named like a catalogued relation ranges
+    over that relation's tuples (arguments bind the columns in schema
+    order), negated ones as NOT EXISTS; the builtins of :data:`BUILTINS` are
+    SQL conditions.  The body must be range-restricted: every variable of a
+    builtin or of the witness occurs in a positive relation literal, or is
+    defined by an ``eq``/``eval`` over such variables.  An answer of the body
+    *is* a violation; the variables listed in ``witness`` are reported per
+    answer.
     """
 
     body: Tuple[Literal, ...] = ()
@@ -186,9 +284,7 @@ class DenialConstraint(Constraint):
         names: List[str] = []
         for literal in self.body:
             atom = literal.atom
-            if is_builtin(atom.predicate, atom.arity):
-                continue
-            if atom.predicate not in names:
+            if not is_builtin(atom) and atom.predicate not in names:
                 names.append(atom.predicate)
         return tuple(names)
 
@@ -196,14 +292,9 @@ class DenialConstraint(Constraint):
         if not self.body:
             raise ConstraintError(f"constraint {self.name!r} has an empty body")
         positive_relational = False
-        bound = set()
         for literal in self.body:
             atom = literal.atom
-            if literal.positive:
-                # Positive literals (relational or builtin) are the only
-                # binding occurrences; negation-as-failure binds nothing.
-                bound.update(atom.variables())
-            if is_builtin(atom.predicate, atom.arity):
+            if is_builtin(atom):
                 continue
             schema = schema_of(atom.predicate)
             if atom.arity != len(schema):
@@ -211,13 +302,47 @@ class DenialConstraint(Constraint):
                     f"constraint {self.name!r}: literal {atom.predicate}/{atom.arity} "
                     f"does not match relation arity {len(schema)}"
                 )
-            if literal.positive:
-                positive_relational = True
+            positive_relational = positive_relational or literal.positive
         if not positive_relational:
             raise ConstraintError(
                 f"constraint {self.name!r} needs at least one positive relation "
-                "literal (negation-as-failure alone has no range)"
+                "literal (negation alone has no range)"
             )
+        self.check_query(schema_of)
+
+    def describe(self) -> str:
+        return "DENY " + ", ".join(str(literal) for literal in self.body)
+
+    def check_query(self, schema_of) -> CheckQuery:
+        """The positive relation literals joined under the builtins, each
+        negated relation literal a NOT EXISTS; the witness is the witness
+        variables' values."""
+        bound: Dict[Variable, Node] = {}
+        tables: List[TableRef] = []
+        conditions: List[Node] = []
+        positives = [literal.atom for literal in self.body
+                     if literal.positive and not is_builtin(literal.atom)]
+        for index, atom in enumerate(positives, start=1):
+            tables.append(TableRef(name=atom.predicate, alias=f"p{index}"))
+            for column, term in zip(schema_of(atom.predicate).names, atom.args):
+                self._equate(term, ColumnRef(name=column, table=f"p{index}"), bound, conditions)
+        for literal in self.body:
+            atom = literal.atom
+            if not is_builtin(atom):
+                continue
+            left, right = atom.args
+            # An unbound result of eval, or side of eq, is defined by the other.
+            defines = literal.positive and atom.predicate in ("eq", "eval")
+            if defines and isinstance(right, Variable) and right not in bound:
+                bound[right] = self._sql(left, bound)
+            elif (defines and atom.predicate == "eq"
+                  and isinstance(left, Variable) and left not in bound):
+                bound[left] = self._sql(right, bound)
+            else:
+                condition = SQL_FORMS[atom.indicator](self._sql(left, bound),
+                                                      self._sql(right, bound))
+                conditions.append(condition if literal.positive else UnaryOp("NOT", condition))
+
         unbound = [variable for variable in self.witness if variable not in bound]
         if unbound:
             raise ConstraintError(
@@ -225,9 +350,72 @@ class DenialConstraint(Constraint):
                 f"{', '.join(str(v) for v in unbound)} never occur in a "
                 "positive body literal, so no solution can ground them"
             )
+        items = [SelectItem(bound[variable], alias=f"w{at}")
+                 for at, variable in enumerate(self.witness)]
+        selects: List[Select] = []
+        keys: List[Tuple[Tuple[Node, Node], ...]] = []
+        negated = [literal.atom for literal in self.body
+                   if not literal.positive and not is_builtin(literal.atom)]
+        for index, atom in enumerate(negated, start=1):
+            alias = f"n{index}"
+            columns = [ColumnRef(name=column, table=alias)
+                       for column in schema_of(atom.predicate).names]
+            matched: List[SelectItem] = []
+            pairs: List[Tuple[Node, Node]] = []
+            local: Dict[Variable, Node] = {}
+            where: List[Node] = []
+            for column, term in zip(columns, atom.args):
+                if isinstance(term, Variable) and term in bound:
+                    key = _key(len(items) - len(self.witness))
+                    items.append(SelectItem(bound[term], alias=key.name))
+                    matched.append(SelectItem(column, alias=key.name))
+                    pairs.append((key, key))
+                else:
+                    self._equate(term, column, local, where)
+            if not pairs:
+                # Nothing shared: any row of the relation matches every row.
+                matched.append(SelectItem(columns[0]))
+                pairs.append((Value(1), Value(1)))
+            selects.append(Select(items=tuple(matched),
+                                  tables=(TableRef(name=atom.predicate, alias=alias),),
+                                  where=conjoin(where)))
+            keys.append(tuple(pairs))
+        first = Select(items=tuple(items) or (SelectItem(Value(1)),), tables=tuple(tables),
+                       where=conjoin(conditions))
+        return CheckQuery((first, *selects), tuple(keys),
+                          tuple(str(variable) for variable in self.witness))
 
-    def describe(self) -> str:
-        return "DENY " + ", ".join(str(literal) for literal in self.body)
+    def _equate(self, term: Term, column: ColumnRef, bound: Dict[Variable, Node],
+                conditions: List[Node]) -> None:
+        """Bind a relation literal's argument ``term`` to ``column``: a new
+        variable is defined by it, a bound one or a constant equals it."""
+        if isinstance(term, Variable) and term not in bound:
+            bound[term] = column
+        elif isinstance(term, (Variable, Constant)):
+            conditions.append(BinaryOp("=", column, self._sql(term, bound)))
+        else:
+            raise ConstraintError(
+                f"constraint {self.name!r}: relation argument {term} is "
+                "neither a variable nor a constant"
+            )
+
+    def _sql(self, term: Term, bound: Dict[Variable, Node]) -> Node:
+        """``term`` as SQL over the bound variables."""
+        if isinstance(term, Constant):
+            return Value(term.value)
+        if isinstance(term, Variable):
+            if term not in bound:
+                raise ConstraintError(
+                    f"constraint {self.name!r} is not range-restricted: variable "
+                    f"{term} occurs in no positive relation literal"
+                )
+            return bound[term]
+        form = SQL_FORMS.get((term.functor, term.arity))
+        if form is None or (term.functor, term.arity) in BUILTINS:
+            raise ConstraintError(
+                f"constraint {self.name!r}: unknown arithmetic {term.functor}/{term.arity}"
+            )
+        return form(*(self._sql(argument, bound) for argument in term.args))
 
 
 @dataclass

@@ -1,21 +1,24 @@
 """Scanning federated sources for integrity-constraint violations.
 
-The :class:`ViolationScanner` compiles every declared constraint into
-ordinary relational plans (built by the engine's planner, so capability-aware
+The :class:`ViolationScanner` turns every declared constraint into an
+ordinary relational plan (built by the engine's planner, so capability-aware
 push-down applies) and runs each as a :class:`~repro.engine.stream.ResultStream`
 on the engine under the scanner's own
 :class:`~repro.relational.budget.MemoryBudget` — a scan over a large dirty
-source sorts/spills instead of materializing the extent:
+source sorts, joins and spills instead of materializing the extent:
 
 * **primary keys / functional dependencies** — one ordered scan per
   constraint (``ORDER BY`` the determinant columns, executed by the budgeted
   streaming Sort); violations are detected in constant local memory on
   determinant-group boundaries;
-* **inclusion dependencies** — a ``SELECT DISTINCT`` plan over the referenced
-  side plus a streamed scan of the referencing side;
-* **denial constraints** — the referenced extents are streamed into a
-  transient datalog :class:`~repro.datalog.clause.KnowledgeBase` and the rule
-  body is solved by SLD(NF) resolution; every solution is a violation.
+* **inclusion dependencies and denial constraints** — the query whose
+  answers are the violations
+  (:meth:`~repro.consistency.constraints.DenialConstraint.check_query`): its
+  first branch the referencing side, or the denial's positive literals
+  joined under its builtins, one more branch per referenced side or negated
+  literal, under an :class:`~repro.relational.algebra.Unmatched` root that
+  lowers to anti-joins.  Every row of the stream is a violation; a denial's
+  scan stops pulling at :data:`MAX_DENIAL_SOLUTIONS`.
 
 The result is a structured :class:`ViolationReport` — per-constraint counts,
 bounded sample witnesses, per-source attribution — memoized in a bounded LRU
@@ -27,6 +30,7 @@ report is unreachable by key, exactly like cached plans.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,19 +42,19 @@ from repro.consistency.constraints import (
     InclusionDependency,
     PrimaryKey,
 )
-from repro.datalog.clause import KnowledgeBase, Rule, atom
-from repro.datalog.engine import Resolver, ResolutionConfig
+from repro.engine.plan import QueryPlan
 from repro.engine.stream import ResultStream
 from repro.obs.cache import BoundedCache
 from repro.options import DEFAULT_BATCH_SIZE
+from repro.relational import algebra
 from repro.relational.operators import _group_key as value_key
 from repro.relational.relation import Row
 from repro.sql.ast import ColumnRef, OrderItem, Select, SelectItem, TableRef
 
-#: Default cap on sample witnesses kept per constraint.
-DEFAULT_MAX_WITNESSES = 5
-#: Default cap on violations counted per denial constraint (resolution bound).
-DEFAULT_MAX_DENIAL_SOLUTIONS = 10_000
+#: Sample witnesses kept per constraint.
+MAX_WITNESSES = 5
+#: Violations counted per denial constraint: its scan stops pulling there.
+MAX_DENIAL_SOLUTIONS = 10_000
 #: Bound on memoized reports.
 REPORT_CACHE_SIZE = 16
 
@@ -132,22 +136,18 @@ class ViolationScanner:
     """Compiles declared constraints into plans and scans for violations.
 
     ``memory_budget_bytes`` bounds the operator memory of every scan plan
-    (the ordered scans spill instead of exceeding it); ``max_witnesses``
-    caps the sample witnesses kept per constraint.  Reports are memoized in
-    an LRU of ``REPORT_CACHE_SIZE`` entries keyed by (catalog generation,
-    scanned relations).
+    (sorts and joins spill instead of exceeding it); at most
+    :data:`MAX_WITNESSES` sample witnesses are kept per constraint.  Reports
+    are memoized in an LRU of ``REPORT_CACHE_SIZE`` entries keyed by
+    (catalog generation, scanned relations).
     """
 
-    def __init__(self, engine, memory_budget_bytes: Optional[int] = None,
-                 max_witnesses: int = DEFAULT_MAX_WITNESSES,
-                 max_denial_solutions: int = DEFAULT_MAX_DENIAL_SOLUTIONS):
+    def __init__(self, engine, memory_budget_bytes: Optional[int] = None):
         self.engine = engine
         #: Scans run on the engine — its request cache, fetch pool, temporary
         #: storage and resilience policy — but under this budget, so scanning
         #: never competes with statements for RAM.
         self.memory_budget_bytes = memory_budget_bytes
-        self.max_witnesses = max(0, int(max_witnesses))
-        self.max_denial_solutions = max(1, int(max_denial_solutions))
         self._cache = BoundedCache(REPORT_CACHE_SIZE)
 
     # -- public API --------------------------------------------------------------
@@ -204,36 +204,22 @@ class ViolationScanner:
             if wanted & {relation.lower() for relation in constraint.relations}
         ]
 
-    def _scan_select(self, relation: str, columns: Sequence[str],
-                     order_by: Sequence[str] = (), distinct: bool = False) -> Select:
-        """An ordered projection scan of one relation, as a plain Select."""
-        items = tuple(
-            SelectItem(ColumnRef(name=column, table=relation)) for column in columns
-        )
-        return Select(
-            items=items,
-            tables=(TableRef(name=relation),),
-            order_by=tuple(
-                OrderItem(ColumnRef(name=column, table=relation)) for column in order_by
-            ),
-            distinct=distinct,
-        )
-
-    def _stream(self, select: Select, report: ViolationReport,
+    def _stream(self, plan: QueryPlan, report: ViolationReport,
                 deadline) -> Iterator[Row]:
-        """Plan and stream one scan select under the scanner's budget; a scan
-        is no statement, so the engine's counters never see it."""
-        plan = self.engine.planner.plan_branches([select])
+        """Stream one scan plan under the scanner's budget; a scan is no
+        statement, so the engine's counters never see it."""
         stream = ResultStream(self.engine, plan, self.memory_budget_bytes, deadline)
         try:
             while True:
                 rows = stream.fetchmany(DEFAULT_BATCH_SIZE)
                 if not rows:
                     break
-                report.rows_scanned += len(rows)
                 yield from rows
         finally:
             stream.close()
+            report.rows_scanned += sum(request.rows_returned
+                                       for request in stream.report.requests
+                                       if not request.dedup_hit)
             report.peak_memory_bytes = max(
                 report.peak_memory_bytes, stream.report.peak_memory_bytes
             )
@@ -258,10 +244,8 @@ class ViolationScanner:
                 dependents=constraint.dependents,
                 deadline=deadline,
             )
-        if isinstance(constraint, InclusionDependency):
-            return self._scan_inclusion(constraint, report, deadline)
-        if isinstance(constraint, DenialConstraint):
-            return self._scan_denial(constraint, report, deadline)
+        if isinstance(constraint, (InclusionDependency, DenialConstraint)):
+            return self._scan_check(constraint, report, deadline)
         raise ConsistencyError(
             f"no scan strategy for constraint kind {constraint.kind!r}"
         )
@@ -286,7 +270,13 @@ class ViolationScanner:
         relation = constraint.relation
         schema = self.engine.catalog.schema_of(relation)
         columns = list(schema.names)
-        select = self._scan_select(relation, columns, order_by=determinants)
+        select = Select(
+            items=tuple(SelectItem(ColumnRef(name=column, table=relation))
+                        for column in columns),
+            tables=(TableRef(name=relation),),
+            order_by=tuple(OrderItem(ColumnRef(name=column, table=relation))
+                           for column in determinants),
+        )
         finding = self._finding(constraint, relation)
 
         positions = [
@@ -303,7 +293,8 @@ class ViolationScanner:
         current_key: Optional[Tuple] = None
         group_first: Optional[Row] = None
         seen_dependents: set = set()
-        for row in self._stream(select, report, deadline):
+        plan = self.engine.planner.plan_branches([select])
+        for row in self._stream(plan, report, deadline):
             key = tuple(value_key(row[position]) for position in positions)
             if key != current_key:
                 current_key = key
@@ -323,45 +314,20 @@ class ViolationScanner:
                     self._record(finding, columns, row, first=group_first)
         return finding
 
-    def _scan_inclusion(self, constraint: InclusionDependency,
-                        report: ViolationReport,
-                        deadline) -> ConstraintFinding:
-        finding = self._finding(constraint, constraint.relation)
-        referenced = self._scan_select(
-            constraint.referenced_relation, constraint.referenced_columns,
-            distinct=True,
-        )
-        known = {
-            tuple(value_key(value) for value in row)
-            for row in self._stream(referenced, report, deadline)
-        }
-        referencing = self._scan_select(constraint.relation, constraint.columns)
-        for row in self._stream(referencing, report, deadline):
-            if any(value is None for value in row):
-                continue  # SQL FK semantics: NULL references match vacuously
-            if tuple(value_key(value) for value in row) not in known:
-                self._record(finding, list(constraint.columns), row)
-        return finding
-
-    def _scan_denial(self, constraint: DenialConstraint,
-                     report: ViolationReport,
-                     deadline) -> ConstraintFinding:
-        primary = constraint.relations[0]
-        finding = self._finding(constraint, primary)
-        kb = KnowledgeBase(name=f"denial:{constraint.name}")
-        for relation in constraint.relations:
-            schema = self.engine.catalog.schema_of(relation)
-            select = self._scan_select(relation, list(schema.names))
-            for row in self._stream(select, report, deadline):
-                kb.add(Rule(atom(relation, *row), ()))
-        resolver = Resolver(kb, ResolutionConfig(max_solutions=self.max_denial_solutions))
-        for solution in resolver.solve(list(constraint.body)):
-            finding.violations += 1
-            if len(finding.witnesses) < self.max_witnesses:
-                finding.witnesses.append({
-                    str(variable): solution.value(variable)
-                    for variable in constraint.witness
-                })
+    def _scan_check(self, constraint, report: ViolationReport,
+                    deadline) -> ConstraintFinding:
+        """An inclusion or denial: every row of its check query is a violation."""
+        check = constraint.check_query(self.engine.catalog.schema_of)
+        plan = self.engine.planner.plan_branches(list(check.selects))
+        plan.root = algebra.Unmatched(tuple(branch.tree for branch in plan.branches),
+                                      check.keys)
+        finding = self._finding(constraint, constraint.relations[0])
+        limit = MAX_DENIAL_SOLUTIONS if isinstance(constraint, DenialConstraint) else None
+        with closing(self._stream(plan, report, deadline)) as rows:
+            for row in rows:
+                self._record(finding, check.witness, row)
+                if finding.violations == limit:
+                    break
         return finding
 
     # -- bookkeeping -----------------------------------------------------------------
@@ -369,7 +335,7 @@ class ViolationScanner:
     def _record(self, finding: ConstraintFinding, columns: Sequence[str], row: Row,
                 first: Optional[Row] = None) -> None:
         finding.violations += 1
-        if len(finding.witnesses) >= self.max_witnesses:
+        if len(finding.witnesses) >= MAX_WITNESSES:
             return
         witness: Dict[str, object] = dict(zip(columns, row))
         if first is not None and first is not row:

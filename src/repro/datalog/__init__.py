@@ -1,15 +1,16 @@
-"""Deductive substrate: terms, unification, Horn clauses and SLD(NF) resolution.
+"""Deductive substrate: terms, unification, Horn clauses and SLD resolution
+with abduction.
 
 The COIN framework is defined over a deductive object-oriented data model
 (Frame-Logic family).  The reproduction's mediator reads that model — the
 domain model, elevation axioms and context theories — directly
 (:mod:`repro.coin`, :mod:`repro.mediation.conflicts`); none of it is compiled
-to rules.  :class:`~repro.datalog.engine.Resolver` runs over two knowledge
-bases: the abductive enumeration of a mediated query's branches
-(:mod:`repro.mediation.abduction`, with ``choose/2`` abducible), and the
-facts a violation scan streams in to solve a denial constraint's body
-(:mod:`repro.consistency.violations`), whose literals, variables and
-builtins the constraint language spells with this package.
+to rules.  :class:`~repro.datalog.engine.Resolver` serves one job: the
+abductive enumeration of a mediated query's branches
+(:mod:`repro.mediation.abduction`, with ``choose/2`` abducible).  The
+constraint language (:mod:`repro.consistency.constraints`) spells a denial's
+literals and variables with this package's syntax, but a denial runs as a
+query, not on the resolver.
 """
 
 from repro.datalog.terms import (
@@ -18,28 +19,14 @@ from repro.datalog.terms import (
     Term,
     Variable,
     compound,
-    const,
     fresh_var,
-    is_ground,
     lift,
     term_to_python,
-    var,
     variables_of,
 )
-from repro.datalog.unify import Substitution, apply, compose, unify, unify_sequences, walk
-from repro.datalog.clause import (
-    Atom,
-    KnowledgeBase,
-    Literal,
-    Rule,
-    atom,
-    fact,
-    neg,
-    pos,
-    rule,
-)
-from repro.datalog.builtins import BUILTINS, call_builtin, evaluate_arithmetic, is_builtin
-from repro.datalog.engine import ResolutionConfig, Resolver, Solution, solve
+from repro.datalog.unify import Substitution, apply, unify, unify_sequences, walk
+from repro.datalog.clause import Atom, KnowledgeBase, Literal, Rule, atom, neg, pos, rule
+from repro.datalog.engine import ResolutionConfig, Resolver, Solution
 
 __all__ = [
     "Compound",
@@ -47,16 +34,12 @@ __all__ = [
     "Term",
     "Variable",
     "compound",
-    "const",
     "fresh_var",
-    "is_ground",
     "lift",
     "term_to_python",
-    "var",
     "variables_of",
     "Substitution",
     "apply",
-    "compose",
     "unify",
     "unify_sequences",
     "walk",
@@ -65,16 +48,10 @@ __all__ = [
     "Literal",
     "Rule",
     "atom",
-    "fact",
     "neg",
     "pos",
     "rule",
-    "BUILTINS",
-    "call_builtin",
-    "evaluate_arithmetic",
-    "is_builtin",
     "ResolutionConfig",
     "Resolver",
     "Solution",
-    "solve",
 ]

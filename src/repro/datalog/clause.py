@@ -1,26 +1,19 @@
 """Atoms, rules and knowledge bases for the deductive substrate.
 
-The :class:`KnowledgeBase` maintains two access structures beyond the plain
-predicate-indicator index, both standard levers of deductive-database engines:
-
-* a **first-argument index** per indicator — clauses whose head's first
-  argument is a ground constant are bucketed by (a normalized form of) that
-  constant, so a goal with a bound first argument only visits clauses that
-  can possibly unify;
-* a **ground-fact dictionary** per indicator — while *every* clause of an
-  indicator is a ground fact (the overwhelmingly common case for elevated
-  source data), facts are additionally keyed by their full argument tuple,
-  letting fully-ground goals resolve by dictionary lookup instead of a scan.
-
-Both structures preserve program order (solutions come out in the same order
-a linear scan would produce) and key normalization mirrors the unifier's
-constant equality (numeric coercion, booleans distinct from numbers).
+A :class:`KnowledgeBase` indexes its rules by predicate indicator and, per
+indicator, by the first argument of the head: clauses whose first argument
+is a ground constant are bucketed by (a normalized form of) that constant,
+so a goal with a bound first argument only visits clauses that can possibly
+unify.  Candidates come out in program order (the order a linear scan would
+produce), and key normalization mirrors the unifier's constant equality
+(numeric coercion, booleans distinct from numbers).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DatalogError
 from repro.datalog.terms import Compound, Constant, Term, Variable, lift, rename_term, variables_of
@@ -65,7 +58,8 @@ def atom(predicate: str, *args) -> Atom:
 
 @dataclass(frozen=True)
 class Literal:
-    """An atom with a sign.  Negative literals use negation-as-failure."""
+    """An atom with a sign.  The resolver takes positive literals only; a
+    negative one is constraint syntax (a denial's NOT EXISTS)."""
 
     atom: Atom
     positive: bool = True
@@ -91,29 +85,16 @@ class Rule:
 
     head: Atom
     body: Tuple[Literal, ...] = ()
-    #: Optional label recording where the rule came from (context name,
-    #: elevation axiom, conversion function...); used by explanations.
-    label: Optional[str] = None
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
 
     def rename_apart(self) -> "Rule":
         """Return a copy with all variables renamed to fresh ones."""
         mapping: Dict[Variable, Variable] = {}
         head = self.head.rename(mapping)
         body = tuple(literal.rename(mapping) for literal in self.body)
-        return Rule(head, body, self.label)
-
-    def __str__(self) -> str:
-        if self.is_fact:
-            return f"{self.head}."
-        body_text = ", ".join(str(literal) for literal in self.body)
-        return f"{self.head} :- {body_text}."
+        return Rule(head, body)
 
 
-def rule(head: Atom, body: Sequence = (), label: Optional[str] = None) -> Rule:
+def rule(head: Atom, body: Sequence = ()) -> Rule:
     """Build a rule; body entries may be atoms (taken as positive) or literals."""
     literals: List[Literal] = []
     for entry in body:
@@ -123,12 +104,7 @@ def rule(head: Atom, body: Sequence = (), label: Optional[str] = None) -> Rule:
             literals.append(Literal(entry, True))
         else:
             raise DatalogError(f"invalid body element {entry!r}")
-    return Rule(head, tuple(literals), label)
-
-
-def fact(predicate: str, *args, label: Optional[str] = None) -> Rule:
-    """Build a ground fact."""
-    return Rule(atom(predicate, *args), (), label)
+    return Rule(head, tuple(literals))
 
 
 class _Unindexable(Exception):
@@ -137,12 +113,9 @@ class _Unindexable(Exception):
 
 def _constant_key(value) -> Tuple:
     """A hashable key matching the unifier's constant equality: numbers
-    coerce (1 == 1.0), booleans stay distinct from numbers.
-
-    Only bool/int/float/str/None constants are indexable.  Anything exotic
-    (``Decimal``, user objects...) falls back to ``_constants_equal``'s
-    ``==``, whose cross-type behaviour no bucket key can mirror — those
-    clauses and goals stay on the linear-scan path."""
+    coerce (1 == 1.0), booleans stay distinct from numbers.  Other constants
+    (``Decimal``, user objects...) compare by ``==``, which no bucket key can
+    mirror: their clauses and goals stay on the linear-scan path."""
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
@@ -177,9 +150,9 @@ _Entry = Tuple[int, Rule, bool]
 
 
 class _PredicateIndex:
-    """Per-indicator clause store with first-argument and ground-fact access."""
+    """Per-indicator clause store with first-argument access."""
 
-    __slots__ = ("entries", "by_first_arg", "catch_all", "fact_buckets")
+    __slots__ = ("entries", "by_first_arg", "catch_all")
 
     def __init__(self) -> None:
         self.entries: List[_Entry] = []
@@ -188,36 +161,18 @@ class _PredicateIndex:
         #: entries whose first argument is not an indexable ground term
         #: (variables, non-ground compounds, 0-arity heads).
         self.catch_all: List[_Entry] = []
-        #: full-argument-tuple -> entries; kept only while *every* clause of
-        #: the indicator is a ground fact, None once that stops holding.
-        self.fact_buckets: Optional[Dict[Tuple, List[_Entry]]] = {}
 
     def add(self, seq: int, rule: Rule) -> None:
         entry = (seq, rule, _rule_is_ground(rule))
         self.entries.append(entry)
-
-        if rule.head.args:
-            try:
-                first_key = _term_key(rule.head.args[0])
-            except _Unindexable:
-                first_key = None
-        else:
+        try:
+            first_key = _term_key(rule.head.args[0]) if rule.head.args else None
+        except _Unindexable:
             first_key = None
         if first_key is None:
             self.catch_all.append(entry)
         else:
             self.by_first_arg.setdefault(first_key, []).append(entry)
-
-        if self.fact_buckets is not None:
-            if rule.is_fact:
-                try:
-                    fact_key = tuple(_term_key(arg) for arg in rule.head.args)
-                except _Unindexable:
-                    self.fact_buckets = None
-                else:
-                    self.fact_buckets.setdefault(fact_key, []).append(entry)
-            else:
-                self.fact_buckets = None
 
     def candidates(self, first_key: Optional[Tuple]) -> List[_Entry]:
         """Entries that may match a goal whose first argument has the given
@@ -229,112 +184,38 @@ class _PredicateIndex:
             return self.catch_all
         if not self.catch_all:
             return indexed
-        # Merge the two seq-sorted runs to preserve program order.
-        merged: List[_Entry] = []
-        i = j = 0
-        while i < len(indexed) and j < len(self.catch_all):
-            if indexed[i][0] < self.catch_all[j][0]:
-                merged.append(indexed[i])
-                i += 1
-            else:
-                merged.append(self.catch_all[j])
-                j += 1
-        merged.extend(indexed[i:])
-        merged.extend(self.catch_all[j:])
-        return merged
+        # Two seq-sorted runs; sequence numbers are unique, so no rule is compared.
+        return list(heapq.merge(indexed, self.catch_all))
 
 
 class KnowledgeBase:
     """A collection of rules indexed by predicate indicator.
 
-    Knowledge bases are composable: the mediator assembles one per mediation
-    session by combining the domain model, the elevation axioms of the sources
-    in the query, the context theories of the sources and the receiver, and
-    the conversion-function rules.
+    The abductive enumeration of a mediated query's branches
+    (:mod:`repro.mediation.abduction`) builds one per enumeration.
     """
 
-    def __init__(self, rules: Iterable[Rule] = (), name: str = "kb"):
-        self.name = name
-        self._rules: Dict[Tuple[str, int], List[Rule]] = {}
+    def __init__(self):
         self._index: Dict[Tuple[str, int], _PredicateIndex] = {}
-        self._all: List[Rule] = []
-        for entry in rules:
-            self.add(entry)
-
-    # -- mutation -----------------------------------------------------------
+        self._count = 0
 
     def add(self, new_rule: Rule) -> None:
-        indicator = new_rule.head.indicator
-        self._rules.setdefault(indicator, []).append(new_rule)
-        self._index.setdefault(indicator, _PredicateIndex()).add(len(self._all), new_rule)
-        self._all.append(new_rule)
-
-    def add_fact(self, predicate: str, *args, label: Optional[str] = None) -> None:
-        self.add(fact(predicate, *args, label=label))
-
-    def extend(self, rules: Iterable[Rule]) -> None:
-        for entry in rules:
-            self.add(entry)
-
-    # -- queries ------------------------------------------------------------
-
-    def rules_for(self, predicate: str, arity: int) -> List[Rule]:
-        return self._rules.get((predicate, arity), [])
+        self._index.setdefault(new_rule.head.indicator, _PredicateIndex()).add(
+            self._count, new_rule)
+        self._count += 1
 
     def goal_entries(self, goal: Atom,
                      substitution: Optional[Substitution] = None) -> Sequence[_Entry]:
         """Raw ``(seq, rule, is_ground)`` entries that may resolve ``goal``,
-        in program order.  Returns stored lists without copying — callers
-        must treat the result as read-only.  This is the resolver's hot path.
+        in program order: when the goal's first argument is bound to a
+        ground term, only the clauses whose head can possibly unify with it.
+        Returns stored lists without copying — callers must treat the result
+        as read-only.  This is the resolver's hot path.
         """
         index = self._index.get(goal.indicator)
         if index is None:
             return ()
         return index.candidates(self._goal_first_key(goal, substitution))
-
-    def match_goal(self, goal: Atom,
-                   substitution: Optional[Substitution] = None) -> List[Tuple[Rule, bool]]:
-        """Clauses that may resolve ``goal`` under ``substitution``, in program
-        order, each paired with a flag telling whether the clause is ground
-        (ground clauses need no standardizing apart).
-
-        When the goal's first argument is bound to a ground term, only the
-        clauses whose head can possibly unify with it are returned.
-        """
-        return [
-            (entry_rule, entry_ground)
-            for _seq, entry_rule, entry_ground in self.goal_entries(goal, substitution)
-        ]
-
-    def facts_matching(self, goal: Atom,
-                       substitution: Optional[Substitution] = None) -> Optional[List[Rule]]:
-        """Dictionary lookup for a fully-ground goal against an all-facts
-        predicate.
-
-        Returns the matching fact rules (possibly an empty list — definite
-        failure), or None when the fast path does not apply: the predicate
-        also has proper rules or non-indexable facts, or the goal is not
-        ground under ``substitution``.
-        """
-        index = self._index.get(goal.indicator)
-        if index is None or index.fact_buckets is None:
-            return None
-        keys = []
-        for arg in goal.args:
-            if substitution:
-                arg = _walk_binding(arg, substitution)
-                if isinstance(arg, Compound):
-                    arg = _apply_binding(arg, substitution)
-            if isinstance(arg, Variable):
-                return None
-            try:
-                keys.append(_term_key(arg))
-            except _Unindexable:
-                return None
-        return [
-            entry_rule
-            for _seq, entry_rule, _ground in index.fact_buckets.get(tuple(keys), ())
-        ]
 
     @staticmethod
     def _goal_first_key(goal: Atom, substitution: Optional[Substitution]) -> Optional[Tuple]:
@@ -351,23 +232,3 @@ class KnowledgeBase:
             return _term_key(arg)
         except _Unindexable:
             return None
-
-    def defines(self, predicate: str, arity: int) -> bool:
-        return (predicate, arity) in self._rules
-
-    @property
-    def rules(self) -> List[Rule]:
-        return list(self._all)
-
-    @property
-    def predicates(self) -> List[Tuple[str, int]]:
-        return sorted(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self._all)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return "\n".join(str(entry) for entry in self._all)

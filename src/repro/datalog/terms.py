@@ -1,11 +1,7 @@
 """Terms of the deductive substrate: variables, constants and compound terms.
 
-The COIN framework is "built on a deductive and object-oriented data model of
-the family of Frame-Logic".  This reproduction encodes that model over a
-conventional logic-programming term language: semantic objects become compound
-(skolem) terms, attribute/modifier relationships become predicates, and the
-context and elevation axioms become Horn clauses evaluated by
-:mod:`repro.datalog.engine`.
+Atoms of the abductive enumeration and of denial constraints take these as
+arguments; a compound term is the arithmetic of a denial's ``eval``.
 """
 
 from __future__ import annotations
@@ -27,9 +23,6 @@ class Variable:
     def __str__(self) -> str:
         return self.name
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Variable({self.name!r})"
-
 
 @dataclass(frozen=True)
 class Constant:
@@ -41,9 +34,6 @@ class Constant:
         if isinstance(self.value, str):
             return repr(self.value)
         return str(self.value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Constant({self.value!r})"
 
 
 @dataclass(frozen=True)
@@ -58,9 +48,6 @@ class Compound:
             return self.functor
         return f"{self.functor}({', '.join(str(arg) for arg in self.args)})"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Compound({self.functor!r}, {self.args!r})"
-
     @property
     def arity(self) -> int:
         return len(self.args)
@@ -73,19 +60,9 @@ class Compound:
 _variable_counter = itertools.count(1)
 
 
-def var(name: str) -> Variable:
-    """Build a variable."""
-    return Variable(name)
-
-
 def fresh_var(prefix: str = "_G") -> Variable:
     """Build a globally fresh variable (used to standardize clauses apart)."""
     return Variable(f"{prefix}{next(_variable_counter)}")
-
-
-def const(value: Any) -> Constant:
-    """Build a constant."""
-    return Constant(value)
 
 
 def compound(functor: str, *args: Any) -> Compound:
@@ -103,15 +80,6 @@ def lift(value: Any) -> Term:
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
-
-
-def is_ground(term: Term) -> bool:
-    """True when the term contains no variables."""
-    if isinstance(term, Variable):
-        return False
-    if isinstance(term, Compound):
-        return all(is_ground(arg) for arg in term.args)
-    return True
 
 
 def variables_of(term: Term) -> Iterator[Variable]:

@@ -98,13 +98,3 @@ def _constants_equal(left, right) -> bool:
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         return float(left) == float(right)
     return left == right
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """Compose substitutions: applying the result equals applying inner then outer."""
-    composed: Substitution = {
-        variable: apply(term, outer) for variable, term in inner.items()
-    }
-    for variable, term in outer.items():
-        composed.setdefault(variable, term)
-    return composed

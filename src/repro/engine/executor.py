@@ -141,6 +141,7 @@ class ExecutionReport:
     branch_rows: List[int] = field(default_factory=list)
     result_rows: int = 0
     elapsed_seconds: float = 0.0
+    #: What this statement's own staged tables booked, once released.
     temp_storage: Dict[str, int] = field(default_factory=dict)
     #: The instrumented operators, one entry per listed local operator.
     operator_stats: List[_InstrumentedOperator] = field(default_factory=list)

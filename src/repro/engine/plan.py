@@ -4,9 +4,11 @@ A :class:`QueryPlan` is one tree of the plan algebra
 (:mod:`repro.relational.algebra`) — ``QueryPlan.root``: a branch's
 :class:`~repro.relational.algebra.Finish`, the
 :class:`~repro.relational.algebra.Union` of several, the statement's
-``Finish`` over that ``Union``, or, for a consistent answer only repair
+``Finish`` over that ``Union``, for a consistent answer only repair
 enumeration gives, the :class:`~repro.relational.algebra.Repairs` of the
-relations its branches read in full — plus, per branch:
+relations its branches read in full, or, for a constraint check, the
+:class:`~repro.relational.algebra.Unmatched` rows of its first branch —
+plus, per branch:
 
 * the branch's tree: one :class:`~repro.relational.algebra.Transfer` per
   table binding, whose target :class:`~repro.relational.algebra.Scan` is
@@ -222,7 +224,8 @@ class QueryPlan:
         """The statement's tree: its lone branch, the UNION of several or
         :attr:`finish` over that UNION.  The plan of an answer only repair
         enumeration gives sets it to an :class:`~repro.relational.algebra.Repairs`
-        over its branches instead."""
+        over its branches instead, and a constraint check's to an
+        :class:`~repro.relational.algebra.Unmatched`."""
         trees = tuple(branch.tree for branch in self.branches)
         if len(trees) == 1 and self.finish is None:
             return trees[0]
@@ -270,6 +273,11 @@ class QueryPlan:
             mode = "certain" if self.root.certain else "possible"
             lines.append(f"[{mode} rows over at most {self.root.max_repairs} repairs "
                          f"of the branches] {to_sql(self.root.statement)}")
+        if isinstance(self.root, algebra.Unmatched):
+            for index, pairs in enumerate(self.root.keys, start=2):
+                keys = " AND ".join(f"{to_sql(left)} = {to_sql(right)}"
+                                    for left, right in pairs)
+                lines.append(f"[rows of branch 1 matching no row of branch {index}] {keys}")
         return "\n".join(lines)
 
 

@@ -183,7 +183,7 @@ class ResultStream:
     exhaustion; close it explicitly (or use it as a context manager) when
     abandoning it early so outstanding fetches are cancelled and staged
     temporaries released.  ``report`` is filled progressively and finalized
-    (elapsed, peaks, temp-storage snapshot) when the stream finishes.
+    (elapsed, peaks, its own temp-storage usage) when the stream finishes.
 
     It runs on ``engine``'s catalog, request cache, fetch pool, temporary
     storage and resilience policy; ``memory_budget_bytes`` bounds its
@@ -996,10 +996,11 @@ class ResultStream:
                     join.feedback_key, entry.rows_out, planned_rows=planned
                 )
 
-        # Snapshot the helpers before taking the report lock so it never
-        # nests inside (or around) theirs.
+        # Release the staged temporaries and snapshot the helpers before
+        # taking the report lock so it never nests inside (or around) theirs.
+        handles, self._staged_handles = self._staged_handles, []
+        temp_storage = self.engine.temp_store.release(handles)
         remaining = self._deadline.remaining()
-        temp_storage = self.engine.temp_store.statistics.snapshot()
         memory = self.budget.snapshot()
         report = self.report
         with report.lock:
@@ -1023,10 +1024,6 @@ class ResultStream:
             exhausted=self._exhausted,
         )
         self._span.finish()
-
-        handles, self._staged_handles = self._staged_handles, []
-        if handles:
-            self.engine.temp_store.release(handles)
 
     def __enter__(self) -> "ResultStream":
         return self

@@ -72,7 +72,7 @@ def enumerate_branches(analyses: Sequence[ConflictAnalysis],
         return [MediationBranch(resolutions=(), guards=())]
 
     resolution_table: Dict[Tuple[int, int], ModifierResolution] = {}
-    kb = KnowledgeBase(name="mediation-choices")
+    kb = KnowledgeBase()
     for analysis_index, analysis in enumerate(analyses):
         if not analysis.resolutions:
             raise AbductionError(
@@ -84,7 +84,6 @@ def enumerate_branches(analyses: Sequence[ConflictAnalysis],
             kb.add(rule(
                 atom("resolved", analysis_index),
                 [atom("choose", analysis_index, resolution_index)],
-                label=f"choice:{analysis.value.qualified}.{analysis.modifier}",
             ))
 
     def abduction_filter(assumed: Atom, abduced: Sequence[Atom], substitution) -> bool:

@@ -3,9 +3,10 @@ operators.
 
 A mediated statement is *what* to compute — relations shipped by sources,
 brought across to the mediator, joined, filtered, finished by a SELECT and,
-for a mediated UNION, united; or, for a consistent answer the first-order
+for a mediated UNION, united; for a consistent answer the first-order
 rewrite cannot give, the statement over every repair of the relations it
-reads.  The nodes below say exactly that and nothing
+reads; or, for a constraint check, the rows of one branch no other branch
+matches.  The nodes below say exactly that and nothing
 about *how*: they are frozen, hashable trees of operations over the
 relations sources ship.  Each leaf is a :class:`Scan`, the part of the tree a
 source evaluates — the request it is sent is read off it — under the
@@ -184,7 +185,19 @@ class Repairs:
     max_repairs: int
 
 
-RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union, Repairs]
+@dataclass(frozen=True)
+class Unmatched:
+    """The rows of ``branches[0]`` that no row of a later branch matches: a
+    row of branch ``i`` matches when both expressions of every pair in
+    ``keys[i - 1]`` — one over the first branch's columns, one over branch
+    ``i``'s — are equal, and a NULL equals nothing.  This is how a
+    constraint check asks for the rows that violate it (NOT EXISTS)."""
+
+    branches: Tuple[Finish, ...]
+    keys: Tuple[Tuple[Tuple[Node, Node], ...], ...]
+
+
+RelationNode = typing.Union[Transfer, Selection, Join, Finish, Union, Repairs, Unmatched]
 
 
 def left_deep(node: RelationNode) -> Tuple[List[Transfer], List[Join]]:
@@ -243,18 +256,25 @@ def lower(node: RelationNode, inputs: typing.Union[Mapping[str, Stage], Sequence
           budget: Optional[MemoryBudget] = None,
           counts: Optional[dict] = None) -> PhysicalOperator:
     """The operator tree computing ``node`` over what stands for its inputs:
-    for a branch, its :class:`Stage` s by binding; for
-    a :class:`Union` or :class:`Repairs`, one operator per branch — whoever
+    for a branch, its :class:`Stage` s by binding; for a :class:`Union`,
+    :class:`Repairs` or :class:`Unmatched`, one operator per branch — whoever
     runs the root supplies them, staging each branch when it is first
     pulled, and under a statement's :class:`Finish` with the columns
     qualified by the alias that finish reads the union by.
     A branch's template draws on no memory budget, its execution's copies do
     (``rebind``); a Union and the finish over it, lowered per execution,
-    draw on ``budget``.  A repair enumeration records what it found in
-    ``counts``."""
-    if isinstance(node, (Union, Repairs)):
+    draw on ``budget``, as do the anti-joins an :class:`Unmatched` lowers
+    to.  A repair enumeration records what it found in ``counts``."""
+    if isinstance(node, (Union, Repairs, Unmatched)):
         if node.__class__ is Union:
             return lower_union(inputs, node.all, budget)
+        if node.__class__ is Unmatched:
+            operator = inputs[0]
+            for right, pairs in zip(inputs[1:], node.keys):
+                operator = HashJoin(operator, right, [pair[0] for pair in pairs],
+                                    [pair[1] for pair in pairs], scope=scope,
+                                    budget=budget, anti=True)
+            return operator
         return RepairEnumeration(
             [branch.select.tables[0].name for branch in node.branches], node.keys,
             inputs, node.statement, node.certain, node.max_repairs, counts)

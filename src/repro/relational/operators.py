@@ -517,7 +517,12 @@ class HashJoin(PhysicalOperator):
     the template notes the origin; the second such build over the same
     origin is kept, and every execution over it after that reserves its
     bytes in one piece and probes it.  Anything else — another or no origin,
-    a refused reservation, a spilled build — builds as ever."""
+    a refused reservation, a spilled build — builds as ever.
+
+    With ``anti`` the join is an anti-join: the probe emits, with the left
+    schema, each left row that no right row matches — a NULL key matches
+    nothing, so such a row is emitted — under the same budget, kept build and
+    Grace spill."""
 
     operator_name = "HashJoin"
     _inputs = ("left", "right")
@@ -528,10 +533,11 @@ class HashJoin(PhysicalOperator):
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_key, right_key, residual: Optional[Node] = None,
                  scope: Optional[KernelScope] = None,
-                 budget: Optional[MemoryBudget] = None):
+                 budget: Optional[MemoryBudget] = None, anti: bool = False):
         self.left = left
         self.right = right
         self.budget = budget
+        self.anti = anti
         #: Whether the last iteration fell back to partitioned spilling.
         self.spilled = False
         #: Whether the last iteration probed the kept build.
@@ -541,8 +547,10 @@ class HashJoin(PhysicalOperator):
         self.right_keys: List[Node] = list(right_key) if not isinstance(right_key, Node) else [right_key]
         if len(self.left_keys) != len(self.right_keys) or not self.left_keys:
             raise ExecutionError("hash join requires aligned, non-empty key lists")
+        if anti and residual is not None:
+            raise ExecutionError("an anti-join takes no residual")
         self.residual = residual
-        self._schema = left.schema.concat(right.schema)
+        self._schema = left.schema if anti else left.schema.concat(right.schema)
         # Each side's bucket key: the normalized key tuple of a row, None when
         # a part is NULL (such a row can match nothing).
         self._left_key = ExpressionCompiler(left.schema, scope=scope).bucket_key(self.left_keys)
@@ -610,6 +618,7 @@ class HashJoin(PhysicalOperator):
 
             residual = self._residual_predicate
             left_key = self._left_key
+            anti = self.anti
             if build_spill is None:
                 if origin is not None and budget is not None and not self.build_shared:
                     self._kept.offer(origin, buckets, build_rows, build_bytes)
@@ -617,7 +626,10 @@ class HashJoin(PhysicalOperator):
                 matches = buckets.get
                 with closing(self.left.batches()) as left_batches:
                     for batch in left_batches:
-                        if residual is None:
+                        if anti:
+                            joined = [left_row for left_row in batch
+                                      if matches(left_key(left_row)) is None]
+                        elif residual is None:
                             joined = [left_row + right_row
                                       for left_row in batch
                                       for right_row in matches(left_key(left_row), ())]
@@ -639,6 +651,9 @@ class HashJoin(PhysicalOperator):
                 for batch in left_batches:
                     keyed = [(key, left_row) for left_row in batch
                              if (key := left_key(left_row)) is not None]
+                    if anti and len(keyed) < len(batch):
+                        # A NULL key matches nothing: unmatched right away.
+                        yield [left_row for left_row in batch if left_key(left_row) is None]
                     probe_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
 
             def partition_joins() -> Iterator[Batch]:
@@ -648,8 +663,10 @@ class HashJoin(PhysicalOperator):
                         for key, right_row in frame:
                             partition_buckets.setdefault(key, []).append(right_row)
                     matches = partition_buckets.get
-                    for frame in probe_spill.read(index) if partition_buckets else ():
-                        if residual is None:
+                    for frame in probe_spill.read(index) if partition_buckets or anti else ():
+                        if anti:
+                            yield [left_row for key, left_row in frame if matches(key) is None]
+                        elif residual is None:
                             yield [left_row + right_row
                                    for key, left_row in frame
                                    for right_row in matches(key, ())]
@@ -669,6 +686,8 @@ class HashJoin(PhysicalOperator):
 
     @property
     def estimated_rows(self) -> int:
+        if self.anti:
+            return self.left.estimated_rows
         return max(self.left.estimated_rows, self.right.estimated_rows)
 
     def _explain_details(self) -> str:
@@ -678,7 +697,7 @@ class HashJoin(PhysicalOperator):
             f"{to_sql(lk)} = {to_sql(rk)}"
             for lk, rk in zip(self.left_keys, self.right_keys)
         )
-        detail = f"({keys}"
+        detail = f"({'anti ' if self.anti else ''}{keys}"
         if self.residual is not None:
             detail += f", residual {to_sql(self.residual)}"
         return detail + ")"

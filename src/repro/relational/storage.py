@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import CounterSet
 from repro.relational.query import Database
@@ -59,7 +59,7 @@ class TemporaryStore:
     relation it owns under a handle name and releases its handles when done.
     The execution stream uses it to stage wrapper results before local
     joins: one :meth:`stage` per staged input, one :meth:`release` per
-    statement.
+    statement, which returns that statement's own usage.
     """
 
     def __init__(self, name: str = "temp"):
@@ -67,6 +67,8 @@ class TemporaryStore:
         self._database = Database(name)
         self._counter = itertools.count(1)
         self.statistics = CounterSet(STORAGE_COUNTERS)
+        #: lower-cased handle -> (rows, bytes) booked when it was staged.
+        self._booked: Dict[str, Tuple[int, int]] = {}
         # Concurrent statements (server sessions) stage into one shared
         # store.  Handle assignment must be atomic: an unguarded
         # has_table/register pair lets two threads claim the same label and
@@ -91,6 +93,7 @@ class TemporaryStore:
                 handle = f"{handle}_{next(self._counter)}"
             relation.name = handle
             self._database.register(relation, handle)
+            self._booked[handle.lower()] = (rows, nbytes)
             self.statistics.add(
                 tables_created=1,
                 rows_written=rows,
@@ -100,17 +103,23 @@ class TemporaryStore:
             )
         return handle, relation
 
-    def release(self, handles: Sequence[str]) -> None:
+    def release(self, handles: Sequence[str]) -> Dict[str, int]:
         """Drop the relations staged under ``handles`` (unknown ones are
-        skipped)."""
-        database = self._database
+        skipped) and return what staging and dropping exactly those booked,
+        keyed like :attr:`statistics` (``peak_tables``: how many they were)."""
+        tables, booked = self._database.tables, self._booked
+        dropped = rows = nbytes = 0
         with self._lock:
-            dropped = 0
             for handle in handles:
-                if database.has_table(handle):
-                    database.drop_table(handle)
+                key = handle.lower()  # as the database keys it
+                if tables.pop(key, None) is not None:
                     dropped += 1
+                    staged_rows, staged_bytes = booked.pop(key)
+                    rows += staged_rows
+                    nbytes += staged_bytes
             self.statistics.add(tables_dropped=dropped)
+        return {"tables_created": dropped, "tables_dropped": dropped, "rows_written": rows,
+                "rows_read": rows, "bytes_written": nbytes, "peak_tables": dropped}
 
     def has(self, handle: str) -> bool:
         return self._database.has_table(handle)

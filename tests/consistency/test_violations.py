@@ -11,9 +11,11 @@ from repro.consistency import (
     PrimaryKey,
     ViolationScanner,
 )
-from repro.datalog.clause import atom, pos
+from repro.consistency import violations
+from repro.datalog.clause import atom, neg, pos
 from repro.datalog.terms import Variable
 from repro.engine.resilience import ResiliencePolicy
+from repro.errors import ConstraintError, PlanningError
 from repro.relational.storage import TemporaryStore
 
 from fedbuild import build_consistency_federation
@@ -123,6 +125,73 @@ class TestDetection:
         assert names == {"ratings_pk", "rating_refs_account"}
 
 
+class TestNullSemantics:
+    """SQL's three-valued logic: a comparison with a NULL is no violation,
+    and a NULL joins with nothing."""
+
+    def test_a_null_compared_is_no_violation(self, federation):
+        source = federation.engine.catalog.wrappers.get("ledger").source
+        source.database.table("accounts").rows.append((7, "zed", None, "eu"))
+        federation.invalidate_source_cache(wrapper="ledger")
+        _declare_all(federation)
+        report = federation.scan_violations()
+        finding = report.for_constraint("no_negative_balance")
+        assert finding.violations == 1
+        assert finding.witnesses == [{"X": 4, "B": -5.0}]
+
+    def test_a_null_join_variable_joins_with_nothing(self, federation):
+        catalog = federation.engine.catalog
+        catalog.wrappers.get("ledger").source.database.table("accounts").rows.append(
+            (None, "nul", 1.0, "eu"))
+        catalog.wrappers.get("reviews").source.database.table("ratings").rows.append(
+            (None, 9.0))
+        federation.invalidate_source_cache()
+        x, o, b, r, s = (Variable(n) for n in "XOBRS")
+        federation.register_constraint(DenialConstraint(
+            "rated_above_balance",
+            body=(pos(atom("accounts", x, o, b, r)), pos(atom("ratings", x, s)),
+                  pos(atom("gt", s, b))),
+            witness=(o,),
+        ))
+        federation.register_constraint(DenialConstraint(
+            "unrated",
+            body=(pos(atom("accounts", x, o, b, r)), neg(atom("ratings", x, s))),
+            witness=(o,),
+        ))
+        report = federation.scan_violations()
+        # The NULL ids do not meet: no rating is above its balance ...
+        assert report.for_constraint("rated_above_balance").violations == 0
+        # ... and the NULL-id account has no rating (NOT EXISTS).
+        unrated = report.for_constraint("unrated")
+        assert sorted(witness["O"] for witness in unrated.witnesses) == [
+            "joe", "kim", "kim", "lou", "nul"]
+
+
+class TestCheckQueries:
+    def test_an_inclusion_is_one_plan_over_both_sides(self, federation):
+        constraint = InclusionDependency(
+            "rating_refs_account", relation="ratings", columns=("id",),
+            referenced_relation="accounts", referenced_columns=("id",),
+        )
+        check = constraint.check_query(federation.engine.catalog.schema_of)
+        assert [select.tables[0].name for select in check.selects] == ["ratings", "accounts"]
+        assert check.witness == ("id",)
+
+    def test_a_receiver_subquery_over_a_catalogued_relation_is_still_refused(self, federation):
+        with pytest.raises(PlanningError, match="unknown table binding"):
+            federation.query(
+                "SELECT accounts.id FROM accounts WHERE NOT EXISTS (SELECT ratings.id "
+                "FROM ratings WHERE ratings.id = accounts.id)", mediate=False)
+
+    def test_a_body_that_is_not_range_restricted_is_refused(self, federation):
+        x, o, b, r, y = (Variable(n) for n in "XOBRY")
+        with pytest.raises(ConstraintError, match="range-restricted"):
+            federation.register_constraint(DenialConstraint(
+                "unbound_comparison",
+                body=(pos(atom("accounts", x, o, b, r)), pos(atom("lt", y, 0))),
+            ))
+
+
 class TestCaching:
     def test_repeat_scan_hits_cache(self, federation):
         federation.register_constraint(
@@ -226,8 +295,76 @@ class TestBudgets:
         assert answer.execution.report.snapshot()["memory"]["limit_bytes"] == 1_000_000
         assert engine.statistics.statements_executed == 1
 
-    def test_witness_cap(self, federation):
-        scanner = ViolationScanner(federation.engine, max_witnesses=1)
+    def test_a_large_denial_joins_and_spills_under_the_budget(self):
+        federation = build_consistency_federation()
+        catalog = federation.engine.catalog
+        accounts = catalog.wrappers.get("ledger").source.database.table("accounts")
+        ratings = catalog.wrappers.get("reviews").source.database.table("ratings")
+        accounts.rows = [(index, f"o{index}", float(index % 100), "eu") for index in range(5000)]
+        ratings.rows = [(index, float(index % 100) - (100 if index % 997 else -1))
+                        for index in range(5000)]
+        federation.invalidate_source_cache()
+        x, o, b, r, s = (Variable(n) for n in "XOBRS")
+        federation.register_constraint(DenialConstraint(
+            "rated_above_balance",
+            body=(pos(atom("accounts", x, o, b, r)), pos(atom("ratings", x, s)),
+                  pos(atom("gt", s, b))),
+            witness=(x,),
+        ))
+        planted = [index for index in range(5000) if index % 997 == 0]
+        report = ViolationScanner(federation.engine, memory_budget_bytes=64 * 1024).scan()
+        assert report.spill_count > 0
+        finding = report.for_constraint("rated_above_balance")
+        assert finding.violations == len(planted) == 6
+        # A spilled join emits partition by partition: any five of the six.
+        witnessed = [witness["X"] for witness in finding.witnesses]
+        assert len(set(witnessed)) == 5 and set(witnessed) < set(planted)
+
+    def test_an_anti_join_spills_and_keeps_null_references(self):
+        federation = build_consistency_federation()
+        catalog = federation.engine.catalog
+        accounts = catalog.wrappers.get("ledger").source.database.table("accounts")
+        ratings = catalog.wrappers.get("reviews").source.database.table("ratings")
+        accounts.rows = [(None if index % 1000 == 1 else index, f"o{index}", 1.0, "eu")
+                         for index in range(5000)]
+        ratings.rows = [(index, 1.0) for index in range(5000) if index % 1000 != 2]
+        federation.invalidate_source_cache()
+        x, o, b, r, s = (Variable(n) for n in "XOBRS")
+        federation.register_constraint(DenialConstraint(
+            "unrated", body=(pos(atom("accounts", x, o, b, r)), neg(atom("ratings", x, s))),
+            witness=(o,),
+        ))
+        federation.register_constraint(InclusionDependency(
+            "account_rated", relation="accounts", columns=("id",),
+            referenced_relation="ratings", referenced_columns=("id",),
+        ))
+        report = ViolationScanner(federation.engine, memory_budget_bytes=16 * 1024).scan()
+        assert report.spill_count > 0
+        # Five NULL ids and five unrated ones; an inclusion skips the NULLs.
+        assert report.for_constraint("unrated").violations == 10
+        assert report.for_constraint("account_rated").violations == 5
+
+    def test_a_spilled_anti_join_reads_partitions_nothing_matches(self):
+        # Four referenced ids fill at most four of the spilled partitions; the
+        # references hashed to the others match nothing.
+        federation = build_consistency_federation()
+        catalog = federation.engine.catalog
+        catalog.wrappers.get("ledger").source.database.table("accounts").rows = [
+            (index, f"o{index}", 1.0, "eu") for index in range(5000)]
+        catalog.wrappers.get("reviews").source.database.table("ratings").rows = [
+            (index % 4, 1.0) for index in range(5000)]
+        federation.invalidate_source_cache()
+        federation.register_constraint(InclusionDependency(
+            "account_rated", relation="accounts", columns=("id",),
+            referenced_relation="ratings", referenced_columns=("id",),
+        ))
+        report = ViolationScanner(federation.engine, memory_budget_bytes=16 * 1024).scan()
+        assert report.spill_count > 0
+        assert report.for_constraint("account_rated").violations == 4996
+
+    def test_witness_cap(self, federation, monkeypatch):
+        monkeypatch.setattr(violations, "MAX_WITNESSES", 1)
+        scanner = ViolationScanner(federation.engine)
         federation.register_constraint(
             PrimaryKey("accounts_pk", relation="accounts", columns=("id",))
         )

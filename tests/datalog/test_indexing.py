@@ -1,129 +1,76 @@
-"""Clause indexing: first-argument buckets and ground-fact dictionaries.
+"""Clause indexing: first-argument buckets.
 
-The knowledge base's access structures must be invisible to resolution
-semantics — same solutions, same order, same traces — while letting the
-engine skip clauses that cannot unify.  These tests pin both properties.
+The knowledge base's index must be invisible to resolution semantics — same
+solutions, same order — while letting the engine skip clauses that cannot
+unify.  These tests pin both properties.
 """
 
-from repro.datalog.clause import KnowledgeBase, atom, fact, rule
-from repro.datalog.engine import Resolver, solve
-from repro.datalog.terms import Variable, compound, var
+from decimal import Decimal
+
+from repro.datalog.clause import KnowledgeBase, atom, pos, rule
+from repro.datalog.engine import Resolver
+from repro.datalog.terms import Variable, term_to_python
+from repro.datalog.unify import apply
+
+N, X, Y = Variable("N"), Variable("X"), Variable("Y")
 
 
-def _values(solutions, variable):
-    return [solution.value(variable) for solution in solutions]
+def _kb(*heads_and_rules):
+    kb = KnowledgeBase()
+    for entry in heads_and_rules:
+        kb.add(entry if hasattr(entry, "head") else rule(entry))
+    return kb
 
 
-class TestMatchGoal:
+def _solve(kb, goal):
+    return list(Resolver(kb).solve([pos(goal)]))
+
+
+def _heads(kb, goal):
+    return [str(entry.head) for _seq, entry, _ground in kb.goal_entries(goal)]
+
+
+class TestGoalEntries:
     def build(self):
-        kb = KnowledgeBase(name="idx")
-        kb.add(fact("p", 1, "a"))
-        kb.add(fact("p", 2, "b"))
-        kb.add(rule(atom("p", var("N"), var("Y")), [atom("q", var("N"), var("Y"))]))
-        kb.add(fact("p", 1, "c"))
-        return kb
+        return _kb(atom("p", 1, "a"), atom("p", 2, "b"),
+                   rule(atom("p", N, Y), [atom("q", N, Y)]), atom("p", 1, "c"))
 
     def test_bound_first_argument_prunes_candidates(self):
-        kb = self.build()
-        matched = [entry_rule for entry_rule, _ground in kb.match_goal(atom("p", 1, var("Y")))]
         # Facts with first arg 1, plus the variable-headed rule; p(2, b) pruned.
-        heads = [str(entry.head) for entry in matched]
-        assert heads == ["p(1, 'a')", "p(N, Y)", "p(1, 'c')"]
+        assert _heads(self.build(), atom("p", 1, Y)) == ["p(1, 'a')", "p(N, Y)", "p(1, 'c')"]
 
     def test_unbound_first_argument_returns_all_in_order(self):
-        kb = self.build()
-        matched = [entry_rule for entry_rule, _ground in kb.match_goal(atom("p", var("X"), var("Y")))]
-        assert matched == kb.rules_for("p", 2)
+        assert _heads(self.build(), atom("p", X, Y)) == [
+            "p(1, 'a')", "p(2, 'b')", "p(N, Y)", "p(1, 'c')"]
 
     def test_numeric_keys_coerce_like_the_unifier(self):
-        kb = KnowledgeBase([fact("r", 1), fact("r", 2)])
-        matched = [entry_rule for entry_rule, _g in kb.match_goal(atom("r", 1.0))]
-        assert [str(entry.head) for entry in matched] == ["r(1)"]
+        assert _heads(_kb(atom("r", 1), atom("r", 2)), atom("r", 1.0)) == ["r(1)"]
 
     def test_boolean_keys_stay_distinct_from_numbers(self):
-        kb = KnowledgeBase([fact("flag", True), fact("flag", 1)])
-        matched = [entry_rule for entry_rule, _g in kb.match_goal(atom("flag", True))]
-        assert [str(entry.head) for entry in matched] == ["flag(True)"]
+        assert _heads(_kb(atom("flag", True), atom("flag", 1)), atom("flag", True)) == [
+            "flag(True)"]
 
     def test_ground_flag_marks_variable_free_clauses(self):
-        kb = self.build()
-        flags = [ground for _rule, ground in kb.match_goal(atom("p", var("X"), var("Y")))]
+        flags = [ground for _seq, _rule, ground in self.build().goal_entries(atom("p", X, Y))]
         assert flags == [True, True, False, True]
-
-
-class TestFactsMatching:
-    def test_ground_goal_hits_dictionary(self):
-        kb = KnowledgeBase([fact("f", 1, "x"), fact("f", 2, "y")])
-        assert [str(r.head) for r in kb.facts_matching(atom("f", 1, "x"))] == ["f(1, 'x')"]
-        assert kb.facts_matching(atom("f", 1, "z")) == []
-
-    def test_numeric_coercion_in_fact_keys(self):
-        kb = KnowledgeBase([fact("f", 1)])
-        assert len(kb.facts_matching(atom("f", 1.0))) == 1
-
-    def test_unbound_goal_is_not_applicable(self):
-        kb = KnowledgeBase([fact("f", 1)])
-        assert kb.facts_matching(atom("f", var("X"))) is None
-
-    def test_predicate_with_rules_is_not_applicable(self):
-        kb = KnowledgeBase([fact("f", 1)])
-        kb.add(rule(atom("f", var("X")), [atom("g", var("X"))]))
-        assert kb.facts_matching(atom("f", 1)) is None
 
     def test_decimal_constants_stay_on_the_scan_path(self):
         # _constants_equal falls back to == for exotic numerics, which no
-        # bucket key can mirror: Decimal facts/goals must bypass the indexes.
-        from decimal import Decimal
-
-        from repro.datalog.clause import pos
-
-        kb = KnowledgeBase([fact("p", 1), fact("p", Decimal("2"))])
-        resolver = Resolver(kb)
-        assert resolver.ask([pos(atom("p", Decimal("1")))])  # Decimal("1") == 1
-        assert resolver.ask([pos(atom("p", 2))])             # 2 == Decimal("2")
-        assert not resolver.ask([pos(atom("p", 3))])
-
-    def test_compound_fact_arguments(self):
-        kb = KnowledgeBase([fact("attr", compound("sk", "NTT"), "currency")])
-        assert len(kb.facts_matching(atom("attr", compound("sk", "NTT"), "currency"))) == 1
-        assert kb.facts_matching(atom("attr", compound("sk", "IBM"), "currency")) == []
+        # bucket key can mirror: Decimal clauses and goals bypass the index.
+        kb = _kb(atom("p", 1), atom("p", Decimal("2")))
+        assert _solve(kb, atom("p", Decimal("1")))  # Decimal("1") == 1
+        assert _solve(kb, atom("p", 2))             # 2 == Decimal("2")
+        assert not _solve(kb, atom("p", 3))
 
 
 class TestResolutionSemanticsUnchanged:
-    def test_ground_goal_solutions_and_traces(self):
-        from repro.datalog.clause import pos
-
-        kb = KnowledgeBase([
-            fact("src", "r1", label="elevation-r1"),
-            fact("src", "r2", label="elevation-r2"),
-        ])
-        solutions = solve(kb, [pos(atom("src", "r2"))])
-        assert len(solutions) == 1
-        assert solutions[0].trace == ("elevation-r2",)
-
     def test_duplicate_facts_yield_duplicate_solutions(self):
-        kb = KnowledgeBase([fact("d", 1), fact("d", 1)])
-        from repro.datalog.clause import pos
-
-        assert len(solve(kb, [pos(atom("d", 1))])) == 2
+        assert len(_solve(_kb(atom("d", 1), atom("d", 1)), atom("d", 1))) == 2
 
     def test_indexed_and_scan_order_agree(self):
-        from repro.datalog.clause import pos
-
-        kb = KnowledgeBase()
-        kb.add(fact("edge", "a", "b"))
-        kb.add(rule(atom("edge", var("X"), "z"), [atom("mid", var("X"))]))
-        kb.add(fact("edge", "a", "c"))
-        kb.add(fact("mid", "a"))
-        where = var("W")
-        solutions = solve(kb, [pos(atom("edge", "a", where))])
-        assert _values(solutions, where) == ["b", "z", "c"]
-
-    def test_negation_as_failure_over_indexed_facts(self):
-        from repro.datalog.clause import neg, pos
-
-        kb = KnowledgeBase([fact("known", 1), fact("known", 2)])
-        resolver = Resolver(kb)
-        assert resolver.ask([neg(atom("known", 3))])
-        assert not resolver.ask([neg(atom("known", 2))])
-        assert not resolver.ask([neg(atom("known", 2.0))])
+        kb = _kb(atom("edge", "a", "b"), rule(atom("edge", X, "z"), [atom("mid", X)]),
+                 atom("edge", "a", "c"), atom("mid", "a"))
+        where = Variable("W")
+        solutions = _solve(kb, atom("edge", "a", where))
+        assert [term_to_python(apply(where, solution.substitution))
+                for solution in solutions] == ["b", "z", "c"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.demo.datasets import PAPER_QUERY
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
@@ -90,6 +91,16 @@ class TestReports:
         # The web source cannot evaluate SQL: it is fetched and filtered locally.
         assert by_binding["r3"].request.startswith("FETCH")
         assert by_binding["r1"].request.startswith("SELECT")
+
+    def test_temp_storage_is_the_statements_own_usage(self):
+        # Each run stages and drops its own eight tables: the block is that,
+        # not the store's running totals taken before the drop.
+        federation = build_paper_federation().federation
+        blocks = [federation.query(PAPER_QUERY).execution.report.snapshot()["temp_storage"]
+                  for _ in range(3)]
+        assert blocks[0] == blocks[1] == blocks[2]
+        assert blocks[0]["tables_created"] == blocks[0]["tables_dropped"] == 8
+        assert federation.engine.temp_store.handles == []
 
     def test_operator_stats_trace_the_local_pipeline(self, engine):
         result = engine.execute(PAPER_MEDIATED_JPY_BRANCH)

@@ -13,6 +13,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import ExecutionError
 from repro.relational.budget import (
     ROW_OVERHEAD_BYTES,
     MemoryBudget,
@@ -229,6 +230,28 @@ class TestHashJoinSpill:
         ))
         assert sorted(spilled) == sorted(in_memory)
         assert all(l_val < r_score for _l, l_val, _r, r_score in spilled)
+
+    def test_anti_join_emits_unmatched_left_rows_in_memory_and_spilled(self):
+        left, right = self._sides(2500)
+        left.rows += [(None, 1.0), (None, 2.0)]  # a NULL key matches nothing
+        right.rows = [row for row in right.rows if row[0] % 7]
+        matched = {other[0] for other in right.rows}
+        expected = [row for row in left.rows if row[0] is None or row[0] not in matched]
+
+        def anti(budget):
+            return HashJoin(TableScan(left), TableScan(right), ColumnRef("id", "l"),
+                            ColumnRef("id", "r"), budget=budget, anti=True)
+
+        in_memory = anti(None)
+        assert in_memory.schema == left.schema
+        assert list(in_memory) == expected
+        spilled = anti(MemoryBudget(8_000))
+        assert sorted(spilled, key=repr) == sorted(expected, key=repr)
+        assert spilled.spilled
+        with pytest.raises(ExecutionError, match="no residual"):
+            HashJoin(TableScan(left), TableScan(right), ColumnRef("id", "l"),
+                     ColumnRef("id", "r"), residual=parse_expression("l.val < r.score"),
+                     anti=True)
 
     def test_budget_released_after_in_memory_join(self):
         left, right = self._sides(2500)
