@@ -6,8 +6,9 @@ reported as 9 600 000 as opposed to 1 000 000."
 
 Reproduced rows: the NTT figure as stored, as reported to the USD receiver and
 as reported to the JPY receiver; plus the cost of re-expressing an existing
-answer in a different receiver context (value-mode conversions) versus
-re-running the mediated query, over result sets of growing size.
+answer in a different receiver context (the mediator's conversion expressions
+run as a query over the answer) versus re-running the mediated query, over
+result sets of growing size.
 """
 
 import pytest

@@ -24,7 +24,6 @@ from repro.coin.context import (
 from repro.coin.elevation import ColumnElevation, ElevationAxiom, ElevationRegistry
 from repro.coin.conversion import (
     ConversionBuilder,
-    ConversionEnvironment,
     ConversionFunction,
     ConversionRegistry,
     CurrencyConversion,
@@ -53,7 +52,6 @@ __all__ = [
     "ElevationAxiom",
     "ElevationRegistry",
     "ConversionBuilder",
-    "ConversionEnvironment",
     "ConversionFunction",
     "ConversionRegistry",
     "CurrencyConversion",

@@ -2,16 +2,13 @@
 
 Once the mediator has determined that a value's modifier takes different
 values in the source and receiver contexts, a *conversion function* supplies
-the resolution.  Conversions are used in two modes:
-
-* **expression mode** — during query rewriting the conversion contributes a
-  SQL expression (and possibly extra FROM tables / WHERE conditions, when an
-  ancillary source such as the exchange-rate web service is needed).  This is
-  how the paper's mediated query acquires ``rl.revenue * 1000 * r3.rate`` and
-  the join conditions on ``r3``;
-* **value mode** — when transforming already-retrieved answers into another
-  receiver context (the paper: "the answers returned may be further
-  transformed so that they conform to the context of the receiver").
+the resolution: a SQL expression over the value (and possibly extra FROM
+tables / WHERE conditions, when an ancillary source such as the exchange-rate
+web service is needed).  This is how the paper's mediated query acquires
+``rl.revenue * 1000 * r3.rate`` and the join conditions on ``r3``.  The same
+expressions "further transform" an answer already returned into another
+receiver's context: :meth:`repro.mediation.answers.AnswerTransformer.transform`
+runs them as a query over the answer, so each function is written once.
 
 A :class:`ConversionRegistry` associates a conversion function with each
 (semantic type, modifier) pair; lookups walk the semantic-type hierarchy so a
@@ -20,8 +17,8 @@ conversion registered for ``monetaryAmount`` also serves ``companyFinancials``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConversionError
 from repro.coin.domain import DomainModel
@@ -120,27 +117,8 @@ class ConversionFunction:
         """Rewrite ``value`` (a SQL expression) from the source to the target spec."""
         raise NotImplementedError
 
-    def convert_value(self, value: Any, source: Any, target: Any,
-                      environment: "ConversionEnvironment") -> Any:
-        """Convert a Python value from the source to the target modifier value."""
-        raise NotImplementedError
-
     def describe(self, source: Operand, target: Operand) -> str:
         return f"{self.name}: {source.describe()} -> {target.describe()}"
-
-
-@dataclass
-class ConversionEnvironment:
-    """Runtime helpers available to value-mode conversions.
-
-    ``rate_lookup`` returns the multiplicative exchange rate between two
-    currency codes; answer transformation wires it to the (wrapped) ancillary
-    source so value-mode conversions consult the same data the mediated query
-    would have joined against.
-    """
-
-    rate_lookup: Optional[Callable[[str, str], float]] = None
-    factor_tables: Dict[str, Mapping[Tuple[Any, Any], float]] = field(default_factory=dict)
 
 
 class ScaleFactorConversion(ConversionFunction):
@@ -151,7 +129,13 @@ class ScaleFactorConversion(ConversionFunction):
     def build_expression(self, value: Node, source: Operand, target: Operand,
                          builder: ConversionBuilder) -> Node:
         if source.is_constant and target.is_constant:
-            ratio = self._ratio(source.constant, target.constant)
+            try:
+                ratio = float(source.constant) / float(target.constant)
+            except (TypeError, ValueError) as exc:
+                raise ConversionError(f"non-numeric scale factors {source.constant!r}/"
+                                      f"{target.constant!r}") from exc
+            except ZeroDivisionError as exc:
+                raise ConversionError("target scale factor must be non-zero") from exc
             if ratio == 1:
                 return value
             if isinstance(ratio, float) and ratio.is_integer():
@@ -163,33 +147,16 @@ class ScaleFactorConversion(ConversionFunction):
             return scaled
         return BinaryOp("/", scaled, target.as_node())
 
-    def convert_value(self, value: Any, source: Any, target: Any,
-                      environment: ConversionEnvironment) -> Any:
-        if value is None:
-            return None
-        return value * self._ratio(source, target)
-
-    @staticmethod
-    def _ratio(source: Any, target: Any) -> float:
-        try:
-            source_factor = float(source)
-            target_factor = float(target)
-        except (TypeError, ValueError) as exc:
-            raise ConversionError(f"non-numeric scale factors {source!r}/{target!r}") from exc
-        if target_factor == 0:
-            raise ConversionError("target scale factor must be non-zero")
-        return source_factor / target_factor
-
 
 class CurrencyConversion(ConversionFunction):
     """Convert between currencies by joining an ancillary exchange-rate relation.
 
     ``ancillary_relation`` is the catalog name of the rate relation (``r3`` in
     the paper's example); ``from_column``/``to_column``/``rate_column`` are its
-    attribute names.  In expression mode the conversion adds the relation to
-    the branch's FROM list with conditions equating its from/to columns with
-    the source/target currency, and multiplies the value by the rate column —
-    reproducing exactly the shape of the paper's branches 2 and 3.
+    attribute names.  The conversion adds the relation to the branch's FROM
+    list with conditions equating its from/to columns with the source/target
+    currency, and multiplies the value by the rate column — reproducing
+    exactly the shape of the paper's branches 2 and 3.
     """
 
     name = "currency"
@@ -216,25 +183,13 @@ class CurrencyConversion(ConversionFunction):
         )
         return BinaryOp("*", value, ColumnRef(name=self.rate_column, table=alias))
 
-    def convert_value(self, value: Any, source: Any, target: Any,
-                      environment: ConversionEnvironment) -> Any:
-        if value is None:
-            return None
-        if source == target:
-            return value
-        if environment.rate_lookup is None:
-            raise ConversionError(
-                "currency conversion of answer values requires a rate_lookup in the environment"
-            )
-        return value * environment.rate_lookup(str(source), str(target))
-
 
 class FactorTableConversion(ConversionFunction):
     """Convert via a static table of multiplicative factors (units, shares...).
 
     The factor table maps ``(source value, target value)`` pairs to factors;
-    identity pairs default to 1.  Expression mode requires both operands to be
-    constants (the table lives at the mediator, not in any source).
+    identity pairs default to 1.  Both operands must be constants (the table
+    lives at the mediator, not in any source).
     """
 
     name = "factor-table"
@@ -266,19 +221,13 @@ class FactorTableConversion(ConversionFunction):
             return BinaryOp("*", value, Literal(int(factor)))
         return BinaryOp("*", value, Literal(factor))
 
-    def convert_value(self, value: Any, source: Any, target: Any,
-                      environment: ConversionEnvironment) -> Any:
-        if value is None:
-            return None
-        return value * self._factor(source, target)
-
 
 class DateFormatConversion(ConversionFunction):
     """Convert date strings between ``iso`` (YYYY-MM-DD) and ``us`` (MM/DD/YYYY).
 
-    Expression mode builds SUBSTR/concatenation arithmetic so the conversion
-    can still run inside the mediated query; value mode re-orders the string
-    directly.  Only the two formats the demo scenarios use are supported.
+    The conversion is SUBSTR/concatenation arithmetic, so it runs inside the
+    mediated query.  Only the two formats the demo scenarios use are
+    supported.
     """
 
     name = "date-format"
@@ -305,21 +254,6 @@ class DateFormatConversion(ConversionFunction):
             return BinaryOp("||", BinaryOp("||", BinaryOp("||", BinaryOp("||", month, Literal("/")), day), Literal("/")), year)
         year, month, day = substr(7, 4), substr(1, 2), substr(4, 2)
         return BinaryOp("||", BinaryOp("||", BinaryOp("||", BinaryOp("||", year, Literal("-")), month), Literal("-")), day)
-
-    def convert_value(self, value: Any, source: Any, target: Any,
-                      environment: ConversionEnvironment) -> Any:
-        if value is None:
-            return None
-        self._check(source)
-        self._check(target)
-        text = str(value)
-        if source == target:
-            return text
-        if source == "iso" and target == "us":
-            year, month, day = text[0:4], text[5:7], text[8:10]
-            return f"{month}/{day}/{year}"
-        month, day, year = text[0:2], text[3:5], text[6:10]
-        return f"{year}-{month}-{day}"
 
     def _check(self, format_name: Any) -> None:
         if format_name not in self._KNOWN:
@@ -372,14 +306,6 @@ class ConversionRegistry:
             return True
         except ConversionError:
             return False
-
-    def currency_functions(self) -> List["CurrencyConversion"]:
-        """Every registered currency conversion (used to wire rate lookups)."""
-        seen = []
-        for function in self._functions.values():
-            if isinstance(function, CurrencyConversion) and function not in seen:
-                seen.append(function)
-        return seen
 
     def __len__(self) -> int:
         return len(self._functions)

@@ -20,7 +20,7 @@ compiled to datalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import CoinModelError, ContextError
 from repro.coin.context import (
@@ -28,9 +28,10 @@ from repro.coin.context import (
     ContextRegistry,
     ModifierDeclaration,
 )
-from repro.coin.conversion import ConversionRegistry
+from repro.coin.conversion import ConversionBuilder, ConversionRegistry, Operand
 from repro.coin.domain import DomainModel
 from repro.coin.elevation import ElevationRegistry
+from repro.sql.ast import Node
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,21 @@ class CoinSystem:
 
     def modifiers_of_type(self, semantic_type: str) -> Dict[str, str]:
         return self.domain_model.modifiers_of(semantic_type)
+
+    def convert(self, semantic_type: str, value: Node,
+                steps: Mapping[str, Tuple[Operand, Operand]],
+                builder: ConversionBuilder) -> Node:
+        """``value`` converted by each modifier of ``steps`` (modifier ->
+        (source, target)) in the order the domain model declares the type's
+        modifiers: for ``monetaryAmount``, ``scaleFactor`` before ``currency``,
+        the paper's ``revenue * 1000 * r3.rate``.  The mediator's branches and
+        answer conversion both compose their conversions here."""
+        for modifier in self.modifiers_of_type(semantic_type):
+            step = steps.get(modifier)
+            if step is not None:
+                function = self.conversions.lookup(semantic_type, modifier)
+                value = function.build_expression(value, step[0], step[1], builder)
+        return value
 
     def declaration_for(self, context_name: str, semantic_type: str,
                         modifier: str) -> ModifierDeclaration:

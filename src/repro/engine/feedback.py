@@ -42,18 +42,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Collection, Dict, Hashable, Iterator, Optional, Set
 
 from repro.obs.metrics import CounterSet
 
 __all__ = ["CardinalityFeedback"]
-
-
-@dataclass
-class _Observation:
-    rows: int
-    samples: int = 1
 
 
 #: Running totals of one registry: (field, kind, exported series, help).
@@ -76,8 +69,9 @@ class CardinalityFeedback:
         self.replan_ratio = max(1.0, float(replan_ratio))
         self.replan_min_rows = max(0, int(replan_min_rows))
         self._lock = threading.Lock()
-        self._requests: "OrderedDict[tuple, _Observation]" = OrderedDict()
-        self._joins: "OrderedDict[str, _Observation]" = OrderedDict()
+        #: key -> its latest observed row count, least recently recorded first.
+        self._requests: "OrderedDict[tuple, int]" = OrderedDict()
+        self._joins: "OrderedDict[str, int]" = OrderedDict()
         self.epoch = 0
         #: key -> the epoch its material error advanced to, oldest first and
         #: bounded by ``capacity``; plans priced before ``_retired_floor``
@@ -94,59 +88,43 @@ class CardinalityFeedback:
     def record_request(self, relation: str, fingerprint: str, observed_rows: int,
                        planned_rows: Optional[int] = None) -> None:
         """Record the observed row count of one distinct source request."""
-        key = (relation.lower(), fingerprint)
-        with self._lock:
-            entry = self._requests.get(key)
-            if entry is None:
-                self._requests[key] = _Observation(rows=int(observed_rows))
-            else:
-                entry.rows = int(observed_rows)
-                entry.samples += 1
-                self._requests.move_to_end(key)
-            while len(self._requests) > self.capacity:
-                self._requests.popitem(last=False)
-            self.counters.add(observations=1)
-            self._maybe_bump(key, observed_rows, planned_rows)
+        self._record(self._requests, (relation.lower(), fingerprint), observed_rows,
+                     planned_rows)
 
     def record_join(self, fingerprint: str, observed_rows: int,
                     planned_rows: Optional[int] = None) -> None:
         """Record the observed cardinality of one join prefix."""
-        if not fingerprint:
-            return
-        with self._lock:
-            entry = self._joins.get(fingerprint)
-            if entry is None:
-                self._joins[fingerprint] = _Observation(rows=int(observed_rows))
-            else:
-                entry.rows = int(observed_rows)
-                entry.samples += 1
-                self._joins.move_to_end(fingerprint)
-            while len(self._joins) > self.capacity:
-                self._joins.popitem(last=False)
-            self.counters.add(observations=1)
-            self._maybe_bump(fingerprint, observed_rows, planned_rows)
+        if fingerprint:
+            self._record(self._joins, fingerprint, observed_rows, planned_rows)
 
-    def _maybe_bump(self, key: Hashable, observed: int, planned: Optional[int]) -> None:
-        """Advance the epoch, retiring ``key``, only on a material estimation error.
+    def _record(self, store: "OrderedDict[Hashable, int]", key: Hashable,
+                observed_rows: int, planned_rows: Optional[int]) -> None:
+        """``key``'s row count, now the most recently recorded in ``store``
+        (the least recently recorded beyond ``capacity`` are forgotten).
 
-        Caller must hold the lock.  Both an absolute floor and a ratio must
-        be exceeded: the floor keeps tiny (demo/bench) workloads from ever
-        re-planning, the ratio keeps large-but-accurate estimates stable.
+        Only a material estimation error advances the epoch, retiring
+        ``key``.  Both an absolute floor and a ratio must be exceeded: the
+        floor keeps tiny (demo/bench) workloads from ever re-planning, the
+        ratio keeps large-but-accurate estimates stable.
         """
-        if planned is None:
-            return
-        error = abs(int(observed) - int(planned))
-        if error < self.replan_min_rows:
-            return
-        low, high = sorted((max(int(observed), 1), max(int(planned), 1)))
-        if high / low < self.replan_ratio:
-            return
-        self.epoch += 1
-        self._retired.pop(key, None)
-        self._retired[key] = self.epoch
-        if len(self._retired) > self.capacity:
-            self._retired_floor = self._retired.pop(next(iter(self._retired)))
-        self.counters.add(epoch_bumps=1)
+        observed = int(observed_rows)
+        with self._lock:
+            store[key] = observed
+            store.move_to_end(key)
+            while len(store) > self.capacity:
+                store.popitem(last=False)
+            self.counters.add(observations=1)
+            if planned_rows is None or abs(observed - int(planned_rows)) < self.replan_min_rows:
+                return
+            low, high = sorted((max(observed, 1), max(int(planned_rows), 1)))
+            if high / low < self.replan_ratio:
+                return
+            self.epoch += 1
+            self._retired.pop(key, None)
+            self._retired[key] = self.epoch
+            if len(self._retired) > self.capacity:
+                self._retired_floor = self._retired.pop(next(iter(self._retired)))
+            self.counters.add(epoch_bumps=1)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -157,16 +135,14 @@ class CardinalityFeedback:
         if consulted is not None:
             consulted.add(key)
         with self._lock:
-            entry = self._requests.get(key)
-            return entry.rows if entry is not None else None
+            return self._requests.get(key)
 
     def join_rows(self, fingerprint: str) -> Optional[int]:
         consulted = getattr(self._consulting, "keys", None)
         if consulted is not None:
             consulted.add(fingerprint)
         with self._lock:
-            entry = self._joins.get(fingerprint)
-            return entry.rows if entry is not None else None
+            return self._joins.get(fingerprint)
 
     @contextmanager
     def consulting(self) -> Iterator[Set[Hashable]]:

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union as TUnion
 
-from repro.coin.conversion import ConversionEnvironment
 from repro.coin.system import CoinSystem
 from repro.consistency.constraints import Constraint
 from repro.consistency.cqa import DEFAULT_MAX_REPAIRS, ConsistentQueryExecutor
@@ -38,8 +37,7 @@ from repro.engine.resilience import ResiliencePolicy
 from repro.engine.request_cache import SourceResultCache
 from repro.engine.stream import MaterializedStream, ResultStream
 from repro.errors import ExecutionError
-from repro.mediation.answers import (AnswerTransformer, ColumnAnnotation,
-                                     environment_from_relation)
+from repro.mediation.answers import AnswerTransformer, ColumnAnnotation
 from repro.mediation.explain import conflict_summary
 from repro.mediation.mediator import ContextMediator, MediationResult
 from repro.obs import Observability
@@ -47,8 +45,7 @@ from repro.obs.trace import NULL_SPAN, current_span, current_tenant, deactivate_
 from repro.options import StatementOptions
 from repro.pipeline import MediatedPlan, QueryPipeline
 from repro.relational.relation import Relation
-from repro.sql.ast import Select
-from repro.sql.parser import parse
+from repro.sql.ast import Select, SelectItem, Star, TableRef
 from repro.wrappers.wrapper import Wrapper
 
 
@@ -388,7 +385,7 @@ class Federation:
             resilience=resilience,
         )
         self.mediator = ContextMediator(system, default_receiver_context)
-        self.transformer = AnswerTransformer(system)
+        self.transformer = AnswerTransformer(system, self._read_relation)
         self.pipeline = QueryPipeline(self.mediator, self.engine,
                                       plan_cache_size=plan_cache_size)
         self.cqa = ConsistentQueryExecutor(self.engine, max_repairs=max_repairs)
@@ -399,9 +396,6 @@ class Federation:
         self._scanner: Optional[ViolationScanner] = None
         self._scanner_budget = memory_budget_bytes
         self._scanner_lock = threading.Lock()
-        #: The catalog generation the answer transformer's rate lookup was
-        #: read at (None: not read yet).
-        self._rates_generation: Optional[int] = None
         #: Telemetry bundle shared with the serving stack built on this
         #: federation (gateway, server, transports): one scrape sees all.
         self.observability = (
@@ -737,15 +731,9 @@ class Federation:
     # -- answer post-processing ------------------------------------------------------------------
 
     def convert_answer(self, answer: FederationAnswer, to_context: str) -> Relation:
-        """Re-express an already-computed answer in another receiver context.
-
-        Currency conversions read the rate relation the mediated queries join
-        through the engine, again after every source change (generation).
-        """
-        generation = self.engine.catalog.generation
-        if self._rates_generation != generation:
-            self.transformer.environment = self._rate_environment()
-            self._rates_generation = generation
+        """Re-express an already-computed answer in another receiver context:
+        the mediator's conversion expressions, run as a query over the answer
+        (:meth:`AnswerTransformer.transform`)."""
         return self.transformer.transform(
             answer.relation,
             answer.mediation.column_semantics,
@@ -753,23 +741,17 @@ class Federation:
             to_context,
         )
 
-    def _rate_environment(self) -> ConversionEnvironment:
-        """A lookup over the first catalogued rate relation, if any.
-
-        Read as a violation scan reads a relation: a stream on the engine,
-        under its request cache, breakers and retries, which books no
-        statement."""
+    def _read_relation(self, name: str) -> Relation:
+        """A catalogued relation, read as a violation scan reads one: a stream
+        on the engine, under its request cache, breakers and retries, which
+        books no statement."""
         engine = self.engine
-        for function in self.system.conversions.currency_functions():
-            if engine.catalog.has_relation(function.ancillary_relation):
-                plan = engine.planner.plan(parse(f"SELECT * FROM {function.ancillary_relation}"))
-                with ResultStream(engine, plan, engine.memory_budget_bytes,
-                                  engine.resilience.deadline(None)) as stream:
-                    rates = Relation(stream.schema)
-                    rates.rows = stream.fetchall()
-                return environment_from_relation(
-                    rates, function.from_column, function.to_column, function.rate_column)
-        return ConversionEnvironment()
+        plan = engine.planner.plan(Select(items=(SelectItem(Star()),), tables=(TableRef(name),)))
+        with ResultStream(engine, plan, engine.memory_budget_bytes,
+                          engine.resilience.deadline(None)) as stream:
+            relation = Relation(stream.schema, name=name)
+            relation.rows = stream.fetchall()
+        return relation
 
     # -- health probing -------------------------------------------------------------------------
 

@@ -10,22 +10,33 @@ this module:
 * the demo front ends annotate result columns with the modifier values of the
   receiver's context ("revenue [USD, scale 1]").
 
-Value-mode conversion functions (:meth:`ConversionFunction.convert_value`) do
-the work; exchange rates come from a :class:`ConversionEnvironment`, which the
-server layer wires to the same ancillary wrapper the mediated queries join
-against.
+A conversion of an answer is a query over it: the conversion expressions the
+mediator folds into its branches (:meth:`CoinSystem.convert`), over the
+answer's columns, each ancillary relation they name left-joined as the rows
+their conditions select.  The local query processor runs it, reading the
+ancillary relations through the reader the transformer is given — the
+federation's reads them on its engine, as the mediated queries do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import MediationError
-from repro.coin.conversion import ConversionEnvironment
+from repro.coin.conversion import ConversionBuilder, Operand
 from repro.coin.system import CoinSystem
+from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.sql.ast import ColumnRef, Join, Node, Select, SelectItem, Star, TableRef, conjoin, walk
+from repro.sql.parser import DerivedTable
+
+#: The answer's table in a conversion query; its columns are named by
+#: position (``c0``, ``c1`` …), so duplicate result names cannot clash.
+ANSWER = "answer"
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,14 @@ class ColumnAnnotation:
 
 
 class AnswerTransformer:
-    """Converts result relations between receiver contexts."""
+    """Converts result relations between receiver contexts.
 
-    def __init__(self, system: CoinSystem, environment: Optional[ConversionEnvironment] = None):
+    ``read`` returns a relation a conversion names (the exchange rates) by
+    its catalog name."""
+
+    def __init__(self, system: CoinSystem, read: Callable[[str], Relation]):
         self.system = system
-        self.environment = environment or ConversionEnvironment()
+        self.read = read
 
     # -- annotations -------------------------------------------------------------
 
@@ -86,7 +100,9 @@ class AnswerTransformer:
 
     def transform(self, relation: Relation, column_semantics: Sequence[Optional[str]],
                   from_context: str, to_context: str) -> Relation:
-        """Convert every semantic column of ``relation`` between two receiver contexts.
+        """Convert every semantic column of ``relation`` between two receiver
+        contexts by running :meth:`query` over it; the result keeps its rows'
+        order and its schema.
 
         Both contexts must assign *static* modifier values to the semantic
         types involved (receiver contexts always do); non-semantic columns are
@@ -98,67 +114,54 @@ class AnswerTransformer:
             )
         if from_context == to_context:
             return relation
+        answer = Relation(relation.schema.rename(
+            [f"c{position}" for position in range(len(relation.schema))]))
+        answer.rows = relation.rows
+        read = lru_cache(maxsize=None)(self.read)
 
-        converters: List[Optional[Callable[[Any], Any]]] = []
-        for semantic_type in column_semantics:
-            converters.append(self._column_converter(semantic_type, from_context, to_context))
+        def resolve(name: str, source: Optional[str]) -> Relation:
+            return answer if name == ANSWER else read(name)
 
-        result = Relation(relation.schema, name=relation.name)
-        for row in relation.rows:
-            converted = [
-                value if converter is None else converter(value)
-                for value, converter in zip(row, converters)
-            ]
-            result.append(converted, validate=False)
-        return result
+        query = self.query(relation.schema, column_semantics, from_context, to_context)
+        converted = Relation(relation.schema, name=relation.name)
+        converted.rows = QueryProcessor(resolve).execute(query).rows
+        return converted
 
-    def _column_converter(self, semantic_type: Optional[str], from_context: str,
-                          to_context: str) -> Optional[Callable[[Any], Any]]:
-        if semantic_type is None:
-            return None
-        modifiers = self.system.modifiers_of_type(semantic_type)
-        if not modifiers:
-            return None
+    def query(self, schema: Schema, column_semantics: Sequence[Optional[str]],
+              from_context: str, to_context: str) -> Select:
+        """The statement converting an answer of ``schema`` between two
+        receiver contexts: the table :data:`ANSWER`, then each ancillary
+        relation a conversion adds as ``LEFT JOIN (SELECT * FROM r3 WHERE
+        <its conditions>) r3 ON TRUE`` — a missing rate is NULL, and the row
+        stays."""
+        builder = ConversionBuilder(used_aliases=[ANSWER])
+        items = []
+        for position, (attribute, semantic_type) in enumerate(zip(schema, column_semantics)):
+            value: Node = ColumnRef(f"c{position}", ANSWER)
+            if semantic_type is not None:
+                value = self.system.convert(
+                    semantic_type, value,
+                    self._steps(semantic_type, from_context, to_context), builder)
+            items.append(SelectItem(value, attribute.name))
+        table: Node = TableRef(ANSWER)
+        for ancillary in builder.extra_tables:
+            binding = ancillary.binding
+            where = conjoin([condition for condition in builder.extra_conditions
+                             if any(node.__class__ is ColumnRef and node.table == binding
+                                    for node in walk(condition))])
+            rows = Select(items=(SelectItem(Star()),), tables=(ancillary,), where=where)
+            table = Join(table, DerivedTable(rows, binding), "LEFT")
+        return Select(items=tuple(items), tables=(table,))
 
-        steps = []
-        for modifier in modifiers:
-            from_value = self.system.receiver_value(from_context, semantic_type, modifier)
-            to_value = self.system.receiver_value(to_context, semantic_type, modifier)
-            if from_value == to_value:
-                continue
-            function = self.system.conversions.lookup(semantic_type, modifier)
-            steps.append((function, from_value, to_value))
-        if not steps:
-            return None
+    def _steps(self, semantic_type: str, from_context: str,
+               to_context: str) -> Dict[str, Tuple[Operand, Operand]]:
+        """Each modifier of ``semantic_type`` whose values in the two
+        contexts differ: (from value, to value) as constant operands."""
+        steps = {}
+        for modifier in self.system.modifiers_of_type(semantic_type):
+            source = self.system.receiver_value(from_context, semantic_type, modifier)
+            target = self.system.receiver_value(to_context, semantic_type, modifier)
+            if source != target:
+                steps[modifier] = (Operand.of_constant(source), Operand.of_constant(target))
+        return steps
 
-        def convert(value: Any) -> Any:
-            for function, from_value, to_value in steps:
-                value = function.convert_value(value, from_value, to_value, self.environment)
-            return value
-
-        return convert
-
-
-def environment_from_rates(rates: Dict) -> ConversionEnvironment:
-    """Build a conversion environment from a ``(from, to) -> rate`` mapping."""
-    from repro.sources.exchange import complete_rates, lookup_rate
-
-    table = complete_rates(rates)
-
-    def rate_lookup(from_currency: str, to_currency: str) -> float:
-        return lookup_rate(table, from_currency, to_currency)
-
-    return ConversionEnvironment(rate_lookup=rate_lookup)
-
-
-def environment_from_relation(rates_relation: Relation, from_column: str = "fromCur",
-                              to_column: str = "toCur",
-                              rate_column: str = "rate") -> ConversionEnvironment:
-    """Build a conversion environment backed by a rates relation (ancillary wrapper output)."""
-    table: Dict = {}
-    from_position = rates_relation.schema.index_of(from_column)
-    to_position = rates_relation.schema.index_of(to_column)
-    rate_position = rates_relation.schema.index_of(rate_column)
-    for row in rates_relation.rows:
-        table[(row[from_position], row[to_position])] = row[rate_position]
-    return environment_from_rates(table)

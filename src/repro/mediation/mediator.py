@@ -48,6 +48,7 @@ from repro.mediation.conflicts import (
     ConflictAnalysis,
     ModifierResolution,
     Resolved,
+    SemanticValueRef,
     analyze_query,
     binding_map,
     resolve_refs,
@@ -330,21 +331,17 @@ class ContextMediator:
     def _converted_values(self, branch: MediationBranch,
                           builder: ConversionBuilder) -> Dict[Tuple[str, str], Node]:
         """For every semantic value the branch converts, by key, its converted
-        expression: the conversions compose in the order the domain model
-        declares the modifiers.  For ``monetaryAmount`` that is ``scaleFactor``
-        before ``currency``, the paper's ``revenue * 1000 * r3.rate``."""
-        converted: Dict[Tuple[str, str], Node] = {}
-        for resolution in sorted(branch.conversions, key=self._conversion_order):
+        expression (:meth:`CoinSystem.convert`); values convert in key order,
+        so the ancillary aliases they take are the same on every run."""
+        steps: Dict[Tuple[str, str], Tuple[SemanticValueRef, Dict]] = {}
+        for resolution in branch.conversions:
             value = resolution.value
-            function = self.system.conversions.lookup(value.semantic_type, resolution.modifier)
-            converted[value.key] = function.build_expression(
-                converted.get(value.key) or ColumnRef(value.column, value.binding),
-                resolution.source, resolution.target, builder)
-        return converted
-
-    def _conversion_order(self, resolution: ModifierResolution) -> Tuple:
-        modifiers = list(self.system.modifiers_of_type(resolution.value.semantic_type))
-        return resolution.value.key, modifiers.index(resolution.modifier)
+            steps.setdefault(value.key, (value, {}))[1][resolution.modifier] = (
+                resolution.source, resolution.target)
+        return {key: self.system.convert(value.semantic_type,
+                                         ColumnRef(value.column, value.binding),
+                                         modifiers, builder)
+                for key, (value, modifiers) in sorted(steps.items())}
 
     # -- metadata ------------------------------------------------------------------------
 

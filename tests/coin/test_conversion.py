@@ -1,11 +1,13 @@
-"""Unit tests for conversion functions and the conversion registry."""
+"""Unit tests for conversion functions and the conversion registry.
+
+A conversion is an expression; :func:`convert` runs one over a one-row table,
+as a mediated branch runs it over a source's rows."""
 
 import pytest
 
 from repro.errors import ConversionError
 from repro.coin.conversion import (
     ConversionBuilder,
-    ConversionEnvironment,
     ConversionRegistry,
     CurrencyConversion,
     DateFormatConversion,
@@ -15,13 +17,33 @@ from repro.coin.conversion import (
     build_financial_conversions,
 )
 from repro.coin.domain import build_financial_domain_model
-from repro.sql.ast import ColumnRef
+from repro.relational.query import QueryProcessor
+from repro.relational.relation import relation_from_rows
+from repro.sql.ast import ColumnRef, Select, SelectItem, TableRef, conjoin
 from repro.sql.printer import to_sql
 
 
 def expr(name="r1.revenue"):
     table, _, column = name.partition(".")
     return ColumnRef(name=column, table=table)
+
+
+def convert(conversion, value, source, target, rates=()):
+    """``value`` converted from ``source`` to ``target``: the conversion's
+    expression over a one-row table ``t``, joined to the rates ``r3`` the
+    way a mediated branch joins them.  None when no rate matches."""
+    builder = ConversionBuilder(used_aliases=["t"])
+    converted = conversion.build_expression(
+        expr("t.v"), Operand.of_constant(source), Operand.of_constant(target), builder)
+    query = Select(items=(SelectItem(converted),),
+                   tables=(TableRef("t"), *builder.extra_tables),
+                   where=conjoin(builder.extra_conditions))
+    tables = {
+        "t": relation_from_rows("t", ["v:any"], [(value,)]),
+        "r3": relation_from_rows("r3", ["fromCur:string", "toCur:string", "rate:float"], rates),
+    }
+    rows = QueryProcessor.over_tables(tables).execute(query).rows
+    return rows[0][0] if rows else None
 
 
 class TestOperand:
@@ -75,17 +97,18 @@ class TestScaleFactorConversion:
         )
         assert to_sql(result) == "r1.revenue * r1.scale"
 
-    def test_value_mode(self):
+    def test_converts_a_value_and_passes_null_through(self):
         conversion = ScaleFactorConversion()
-        assert conversion.convert_value(5, 1000, 1, ConversionEnvironment()) == 5000
-        assert conversion.convert_value(None, 1000, 1, ConversionEnvironment()) is None
+        assert convert(conversion, 5, 1000, 1) == 5000
+        assert convert(conversion, 5, 1, 1000) == pytest.approx(0.005)
+        assert convert(conversion, None, 1000, 1) is None
 
     def test_invalid_factors(self):
         conversion = ScaleFactorConversion()
         with pytest.raises(ConversionError):
-            conversion.convert_value(5, "big", 1, ConversionEnvironment())
+            convert(conversion, 5, "big", 1)
         with pytest.raises(ConversionError):
-            conversion.convert_value(5, 1, 0, ConversionEnvironment())
+            convert(conversion, 5, 1, 0)
 
 
 class TestCurrencyConversion:
@@ -118,31 +141,34 @@ class TestCurrencyConversion:
         aliases = [table.alias for table in builder.extra_tables]
         assert aliases == ["r3_1", "r3_2"]
 
-    def test_value_mode_uses_rate_lookup(self):
+    def test_converts_by_the_rate_relation(self):
         conversion = CurrencyConversion("r3")
-        environment = ConversionEnvironment(rate_lookup=lambda f, t: 0.0096)
-        assert conversion.convert_value(1_000_000, "JPY", "USD", environment) == pytest.approx(9600)
-        assert conversion.convert_value(5, "USD", "USD", environment) == 5
+        rates = [("JPY", "USD", 0.0096), ("USD", "JPY", 104.0)]
+        assert convert(conversion, 1_000_000, "JPY", "USD", rates) == pytest.approx(9600)
+        assert convert(conversion, 5, "USD", "USD") == 5
+        assert convert(conversion, None, "JPY", "USD", rates) is None
 
-    def test_value_mode_requires_lookup(self):
-        with pytest.raises(ConversionError):
-            CurrencyConversion("r3").convert_value(1, "JPY", "USD", ConversionEnvironment())
+    def test_only_the_relations_rates_apply(self):
+        # No inverse, no triangulation: a pair r3 does not quote matches no row.
+        conversion = CurrencyConversion("r3")
+        assert convert(conversion, 1, "USD", "JPY", [("JPY", "USD", 0.0096)]) is None
 
 
 class TestFactorTableConversion:
-    def test_expression_and_value_modes(self):
+    def test_expression_converts_a_value(self):
         conversion = FactorTableConversion("units", {("thousand", "unit"): 1000.0})
         result = conversion.build_expression(
             expr(), Operand.of_constant("thousand"), Operand.of_constant("unit"), ConversionBuilder()
         )
         assert to_sql(result) == "r1.revenue * 1000"
-        assert conversion.convert_value(2, "thousand", "unit", ConversionEnvironment()) == 2000
-        assert conversion.convert_value(2, "unit", "unit", ConversionEnvironment()) == 2
+        assert convert(conversion, 2, "thousand", "unit") == 2000
+        assert convert(conversion, 2, "unit", "unit") == 2
+        assert convert(conversion, None, "thousand", "unit") is None
 
     def test_missing_entry_raises(self):
         conversion = FactorTableConversion("units", {})
         with pytest.raises(ConversionError):
-            conversion.convert_value(2, "a", "b", ConversionEnvironment())
+            convert(conversion, 2, "a", "b")
 
     def test_expression_mode_requires_constants(self):
         conversion = FactorTableConversion("units", {})
@@ -154,12 +180,12 @@ class TestFactorTableConversion:
 
 
 class TestDateFormatConversion:
-    def test_value_mode_both_directions(self):
+    def test_both_directions(self):
         conversion = DateFormatConversion()
-        environment = ConversionEnvironment()
-        assert conversion.convert_value("1997-02-28", "iso", "us", environment) == "02/28/1997"
-        assert conversion.convert_value("02/28/1997", "us", "iso", environment) == "1997-02-28"
-        assert conversion.convert_value("1997-02-28", "iso", "iso", environment) == "1997-02-28"
+        assert convert(conversion, "1997-02-28", "iso", "us") == "02/28/1997"
+        assert convert(conversion, "02/28/1997", "us", "iso") == "1997-02-28"
+        assert convert(conversion, "1997-02-28", "iso", "iso") == "1997-02-28"
+        assert convert(conversion, None, "iso", "us") is None
 
     def test_expression_mode_builds_substr_concat(self):
         conversion = DateFormatConversion()
@@ -171,7 +197,7 @@ class TestDateFormatConversion:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConversionError):
-            DateFormatConversion().convert_value("x", "julian", "iso", ConversionEnvironment())
+            convert(DateFormatConversion(), "x", "julian", "iso")
 
 
 class TestRegistry:

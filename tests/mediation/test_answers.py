@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.errors import MediationError
-from repro.coin.conversion import ConversionEnvironment
+from repro.errors import ExecutionError, MediationError
 from repro.demo.scenarios import build_paper_coin_system
-from repro.mediation.answers import (
-    AnswerTransformer,
-    environment_from_rates,
-    environment_from_relation,
-)
+from repro.mediation.answers import AnswerTransformer
+from repro.relational.query import QueryProcessor
 from repro.relational.relation import relation_from_rows
+from repro.sql.printer import to_sql
 
 
 def result_relation():
@@ -22,11 +19,30 @@ def result_relation():
     )
 
 
+def rates():
+    return relation_from_rows(
+        "r3", ["fromCur:string", "toCur:string", "rate:float"],
+        [("USD", "JPY", 104.0), ("JPY", "USD", 1 / 104.0)], qualifier=None,
+    )
+
+
 @pytest.fixture
-def transformer():
-    system = build_paper_coin_system()
-    environment = environment_from_rates({("USD", "JPY"): 104.0, ("JPY", "USD"): 1 / 104.0})
-    return AnswerTransformer(system, environment)
+def reads():
+    """The relation names the transformer read, in order."""
+    return []
+
+
+@pytest.fixture
+def transformer(reads):
+    tables = {"r3": rates()}
+
+    def read(name):
+        reads.append(name)
+        if name not in tables:
+            raise ExecutionError(f"unknown table {name!r}")
+        return tables[name]
+
+    return AnswerTransformer(build_paper_coin_system(), read)
 
 
 class TestAnnotations:
@@ -85,18 +101,52 @@ class TestTransformation:
         with pytest.raises(MediationError):
             transformer.transform(result_relation(), [None], "c_receiver", "c_receiver_jpy")
 
+    def test_the_rates_are_read_once_per_transform(self, transformer, reads):
+        transformer.transform(result_relation(), [None, "companyFinancials"],
+                              "c_receiver", "c_receiver_jpy")
+        assert reads == ["r3"]
 
-class TestEnvironments:
-    def test_environment_from_rates_derives_missing_pairs(self):
-        environment = environment_from_rates({("GBP", "USD"): 2.0, ("USD", "CHF"): 3.0})
-        assert environment.rate_lookup("GBP", "CHF") == pytest.approx(6.0)
+    def test_only_ancillary_relations_are_read(self, transformer, reads):
+        system = transformer.system
+        system.contexts.get("c_receiver_jpy").declare_constant(
+            "companyFinancials", "currency", "USD")
+        converted = transformer.transform(result_relation(), [None, "companyFinancials"],
+                                          "c_receiver", "c_receiver_jpy")
+        assert reads == []
+        assert converted.rows[1][1] == 1_000  # scale only: 1 000 000 / 1 000
 
-    def test_environment_from_relation(self):
-        rates = relation_from_rows(
-            "r3", ["fromCur:string", "toCur:string", "rate:float"],
-            [("JPY", "USD", 0.0096)], qualifier=None,
-        )
-        environment = environment_from_relation(rates)
-        assert environment.rate_lookup("JPY", "USD") == 0.0096
-        # Inverse derived automatically.
-        assert environment.rate_lookup("USD", "JPY") == pytest.approx(1 / 0.0096)
+
+class TestConversionQuery:
+    """The transform is one statement over the answer (table ``answer``,
+    columns by position) and each relation a conversion names."""
+
+    def test_the_paper_conversion_as_sql(self, transformer):
+        query = transformer.query(result_relation().schema, [None, "companyFinancials"],
+                                  "c_receiver", "c_receiver_jpy")
+        assert to_sql(query) == (
+            "SELECT answer.c0 AS cname, answer.c1 * 0.001 * r3.rate AS revenue "
+            "FROM answer LEFT JOIN (SELECT * FROM r3 WHERE r3.fromCur = 'USD' "
+            "AND r3.toCur = 'JPY') r3 ON TRUE")
+
+    def test_an_integral_scale_ratio_multiplies_by_an_int(self, transformer):
+        query = transformer.query(result_relation().schema, [None, "companyFinancials"],
+                                  "c_receiver_jpy", "c_receiver")
+        assert "answer.c1 * 1000 * r3.rate" in to_sql(query)
+
+    def test_duplicate_names_cannot_clash(self, transformer):
+        answer = relation_from_rows(
+            "answer", ["revenue:float", "revenue:float"], [(1.0, 2.0)], qualifier=None)
+        converted = transformer.transform(answer, ["companyFinancials", None],
+                                          "c_receiver", "c_receiver_jpy")
+        assert converted.schema.names == ["revenue", "revenue"]
+        assert converted.rows == [(pytest.approx(0.104), 2.0)]
+
+    def test_the_query_runs_on_the_local_processor(self, transformer):
+        answer = result_relation()
+        query = transformer.query(answer.schema, [None, "companyFinancials"],
+                                  "c_receiver", "c_receiver_jpy")
+        staged = relation_from_rows("answer", ["c0:string", "c1:float"], answer.rows,
+                                    qualifier=None)
+        rows = QueryProcessor.over_tables({"answer": staged, "r3": rates()}).execute(query).rows
+        assert rows == transformer.transform(answer, [None, "companyFinancials"],
+                                             "c_receiver", "c_receiver_jpy").rows

@@ -10,8 +10,9 @@ module builds that definition without the mediator or the engine:
   a federation (the system under test);
 * :func:`converted_tables` is the first half of both oracles: each source row's
   modifier values are worked out in Python from its context's declarations
-  (the first case whose guards hold), and each semantic value converted with
-  the conversion function's value mode (``convert_value``);
+  (the first case whose guards hold), and each semantic value converted in
+  Python by :func:`convert` — the arithmetic the conversion functions'
+  expressions stand for, written here apart from them;
 * the receiver's *unmediated* statement is then run over the converted
   relations twice, by :func:`reference_rows` (the interpreter of
   ``tests/relational/reference_eval.py``) and by :func:`sqlite_rows` (stdlib
@@ -46,7 +47,6 @@ from repro.coin.context import (
     ModifierCase,
 )
 from repro.coin.conversion import (
-    ConversionEnvironment,
     ConversionRegistry,
     CurrencyConversion,
     DateFormatConversion,
@@ -219,14 +219,27 @@ def modifier_value(cases: Sequence[Case], row: Dict[str, Any]) -> Any:
     raise AssertionError(f"no case of {cases!r} holds for {row!r}")
 
 
-def _environment(theory: Theory) -> ConversionEnvironment:
-    rates = {(source, target): rate for source, target, rate in theory.rates}
-    return ConversionEnvironment(rate_lookup=lambda source, target: rates[(source, target)])
+def convert(modifier: str, value: Any, source: Any, target: Any,
+            rates: Dict[Tuple[str, str], float]) -> Any:
+    """``value`` with one modifier converted from ``source`` to ``target``."""
+    if value is None or source == target:
+        return value
+    if modifier == "scaleFactor":
+        return value * (source / target)
+    if modifier == "currency":
+        return value * rates[(source, target)]
+    if modifier == "unit":
+        return value * UNIT_FACTORS[(source, target)]
+    if source == "iso":
+        year, month, day = value[0:4], value[5:7], value[8:10]
+        return f"{month}/{day}/{year}"
+    month, day, year = value[0:2], value[3:5], value[6:10]
+    return f"{year}-{month}-{day}"
 
 
 def converted_rows(theory: Theory, source: Source) -> List[tuple]:
     """The source's rows with every semantic value in the receiver's context."""
-    environment = _environment(theory)
+    rates = {(origin, goal): rate for origin, goal, rate in theory.rates}
     names = source.column_names()
     declared = {(kind, modifier): cases for kind, modifier, cases in source.declarations}
     receiver = {(kind, modifier): value for kind, modifier, value in theory.receiver}
@@ -237,9 +250,9 @@ def converted_rows(theory: Theory, source: Source) -> List[tuple]:
         for column, kind in source.semantic:
             value = values[column]
             for modifier in KINDS[kind][0]:
-                value = CONVERSIONS[modifier].convert_value(
-                    value, modifier_value(declared[(kind, modifier)], values),
-                    receiver[(kind, modifier)], environment)
+                value = convert(
+                    modifier, value, modifier_value(declared[(kind, modifier)], values),
+                    receiver[(kind, modifier)], rates)
             out[names.index(column)] = value
         converted.append(tuple(out))
     return converted
