@@ -91,9 +91,10 @@ class ConversionBuilder:
         self._used.add(candidate.lower())
         return candidate
 
-    def add_ancillary(self, relation: str, preferred_alias: Optional[str] = None) -> str:
-        """Add an ancillary relation to the branch's FROM list; returns its alias."""
-        alias = self.allocate_alias(preferred_alias or relation)
+    def add_ancillary(self, relation: str) -> str:
+        """Add an ancillary relation to the branch's FROM list, aliased from
+        its own name; returns its alias."""
+        alias = self.allocate_alias(relation)
         self.extra_tables.append(TableRef(name=relation, alias=alias if alias != relation else None))
         return alias
 
@@ -162,19 +163,17 @@ class CurrencyConversion(ConversionFunction):
     name = "currency"
 
     def __init__(self, ancillary_relation: str = "r3", from_column: str = "fromCur",
-                 to_column: str = "toCur", rate_column: str = "rate",
-                 preferred_alias: Optional[str] = None):
+                 to_column: str = "toCur", rate_column: str = "rate"):
         self.ancillary_relation = ancillary_relation
         self.from_column = from_column
         self.to_column = to_column
         self.rate_column = rate_column
-        self.preferred_alias = preferred_alias or ancillary_relation
 
     def build_expression(self, value: Node, source: Operand, target: Operand,
                          builder: ConversionBuilder) -> Node:
         if source.is_constant and target.is_constant and source.constant == target.constant:
             return value
-        alias = builder.add_ancillary(self.ancillary_relation, self.preferred_alias)
+        alias = builder.add_ancillary(self.ancillary_relation)
         builder.add_condition(
             BinaryOp("=", ColumnRef(name=self.from_column, table=alias), source.as_node())
         )

@@ -33,24 +33,25 @@ Plans are pure descriptions: building one never touches a source.  A
 them for humans and for the planner benchmarks.
 
 What executing a plan derives from it and the catalog — request keys, the
-optimizer report's preamble and the operators each branch's tree lowers to
-over the schemas its requests are catalogued to ship — is kept in the plan's
-:class:`PlanTemplate`, so it is derived once per cached plan and dies with
-it.
+optimizer report's preamble, the operators each branch's tree lowers to
+over the schemas its requests are catalogued to ship and those its root
+lowers to over the branches — is kept in the plan's :class:`PlanTemplate`,
+so it is derived once per cached plan and dies with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.engine.cost import CostEstimate
 from repro.engine.request_cache import RequestKey, request_key
 from repro.relational import algebra
 from repro.relational.algebra import Stage
-from repro.relational.compile import KernelMemo, KernelScope, SubqueryExecutor
-from repro.relational.operators import PhysicalOperator
+from repro.relational.compile import KernelScope, SubqueryExecutor
+from repro.relational.operators import PhysicalOperator, TableScan
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sql.ast import Select, Statement
 from repro.sql.printer import to_sql
@@ -302,9 +303,8 @@ class BranchTemplate:
     result stays.
     """
 
-    def __init__(self, branch: BranchPlan, kernels: KernelMemo, bounded_above: bool):
+    def __init__(self, branch: BranchPlan, bounded_above: bool):
         self._branch = branch
-        self._kernels = kernels
         self._lowered: Optional[Tuple[Tuple[Stage, ...], PhysicalOperator]] = None
         #: The tree in join order: its transfers and its joins.
         self.transfers, self.joins = algebra.left_deep(branch.tree)
@@ -323,7 +323,7 @@ class BranchTemplate:
         kept = self._lowered
         if kept is not None:
             return kept
-        scope = KernelScope(subquery_executor, self._kernels)
+        scope = KernelScope(subquery_executor)
         transfers = [request.transfer for request in self._branch.requests]
         stages = tuple(Stage(transfer, leaf, shipped_schema(catalog, transfer.target), scope)
                        for leaf, transfer in enumerate(transfers))
@@ -335,7 +335,8 @@ class BranchTemplate:
 
 
 class PlanTemplate:
-    """What executions of one :class:`QueryPlan` share.
+    """What executions of one :class:`QueryPlan` share: its branches'
+    templates and the operator template of its root above them.
 
     Hanging off the plan object, it retires exactly when the plan does: a
     bump of the catalog or knowledge generation, or a material error on a
@@ -344,12 +345,12 @@ class PlanTemplate:
     """
 
     def __init__(self, plan: QueryPlan):
-        #: Kernels are shared across the plan's branches (common requests
-        #: carry the same condition nodes) and the finish over their union,
-        #: and never enter the global memo.
-        self.kernels = kernels = KernelMemo()
         bounded = plan.finish is not None and plan.finish.limit is not None
-        self.branches = [BranchTemplate(branch, kernels, bounded) for branch in plan.branches]
+        self.branches = [BranchTemplate(branch, bounded) for branch in plan.branches]
+        self._root = plan.root
+        #: The alias the statement's finish reads the union of the branches by.
+        self._alias = None if plan.finish is None else plan.finish.tables[0].alias
+        self._lowered_root: Optional[PhysicalOperator] = None
         #: The optimizer report's preamble: per branch the binding join
         #: order, and how many estimates came from feedback vs defaults.
         self.join_orders = [[transfer.binding for transfer in branch.transfers]
@@ -371,3 +372,23 @@ class PlanTemplate:
                 if key is not None:
                     self.units += 1
                     self.distinct.setdefault(key, request)
+
+    def lowered_root(self, subquery_executor: SubqueryExecutor,
+                     branch_schema: Callable[[int], Schema]) -> PhysicalOperator:
+        """The operator template of a root above the branches — their union,
+        the statement's finish over it, their repair enumeration or anti-join
+        — lowered once over placeholder scans: the scan at ``leaf`` ``i``
+        stands for branch ``i``, in the columns ``branch_schema(i)`` gives
+        (known before any fetch), qualified by the union's alias under a
+        finish.  A lowering that folded a subquery is handed out, not kept,
+        as a branch's is."""
+        kept = self._lowered_root
+        if kept is not None:
+            return kept
+        scope = KernelScope(subquery_executor)
+        placeholders = [TableScan(Relation(branch_schema(index)), self._alias, leaf=index)
+                        for index in range(len(self.branches))]
+        lowered = algebra.lower(self._root, placeholders, scope)
+        if not scope.private:
+            self._lowered_root = lowered
+        return lowered

@@ -1,9 +1,10 @@
 """The streaming execution core: a plan's fetch stage, and a pull-based
 cursor over its root operator.
 
-A plan is one tree (:mod:`repro.relational.algebra`); running it is lowering
-the tree and pulling ``root.batches()``.  A :class:`ResultStream` does that —
-nothing else executes a plan — and owns what the tree does not say: it
+A plan is one tree (:mod:`repro.relational.algebra`), lowered once per cached
+plan by its template; running it is binding a copy of that lowering and
+pulling ``root.batches()``.  A :class:`ResultStream` does that — nothing else
+executes a plan — and owns what the tree does not say: it
 
 * admits the plan's distinct source fetches into its fetch stage — and a
   bind join's IN-list batches once its driver is staged — answering what it
@@ -13,7 +14,8 @@ nothing else executes a plan — and owns what the tree does not say: it
   breakers and deadline.  Several fetches pending at open are dispatched
   there and then, expected-slowest first; any other fetch when a branch
   first needs it.  The consumer only ever waits on a fetch's future, under
-  the deadline;
+  the deadline, and a profiled wrapper's fetch also under its adaptive
+  bound, counted from when a lane starts it;
 * stages and binds branches **lazily**, in plan order: a branch is an input
   of the root operator (:class:`_Branch`) which, on first pull, brings its
   shipped relations across through its template's stages (fitted to the
@@ -23,14 +25,17 @@ nothing else executes a plan — and owns what the tree does not say: it
   known before any fetch — over them, one cheap copy per operator.  Every
   branch finishes through ``Project`` → ``Sort`` → ``Distinct`` → ``Limit``;
   a grouped one has an ``Aggregate`` (which buffers its input) and HAVING's
-  ``Filter`` beneath.  A UNION's root is ``UnionAll`` over the branches and,
-  unless it is UNION ALL, a ``Distinct`` on exact row equality; a lone
-  branch is its own root;
+  ``Filter`` beneath.  A lone branch is its own root.  Any other root — a
+  UNION's ``UnionAll`` and, unless it is UNION ALL, a ``Distinct`` on exact
+  row equality, the statement's finish above it, a repair enumeration or a
+  constraint check's anti-joins — is lowered once too
+  (``PlanTemplate.lowered_root``), over placeholder scans the execution's
+  copy replaces by its branches;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
-  every memory-hungry operator of a branch and the UNION's ``Distinct``, so
-  the statement's operator memory is bounded and spills are observable in
-  the execution report (the UNION's own two operators are not listed among
-  its operators, but their reservations and spills are in its memory block);
+  every memory-hungry operator of a branch and of the root, so the
+  statement's operator memory is bounded and spills are observable in the
+  execution report (the root's own operators are not listed among its
+  operators, but their reservations and spills are in its memory block);
 * **terminates early**: a consumer that stops pulling (a satisfied LIMIT, an
   explicit :meth:`close`) cancels queued source fetches, so they never reach
   their wrapper, and drops the staged temporaries mid-query; the lanes
@@ -82,11 +87,10 @@ from repro.engine.plan import QueryPlan, SourceRequest
 from repro.engine.request_cache import RequestKey, request_key
 from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
-from repro.relational import algebra
 from repro.relational.algebra import Stage
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
-from repro.relational.compile import KernelScope
 from repro.relational.operators import Batch, PhysicalOperator, TableScan
+from repro.relational.query import RepairEnumeration
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key as value_sort_key
@@ -94,14 +98,11 @@ from repro.sql.ast import ColumnRef, InList, Literal
 
 
 def adaptive_timeout_error(wrapper_name: str, request_text: str,
-                           adaptive_seconds: Optional[float]) -> SourceUnavailableError:
+                           adaptive_seconds: float) -> SourceUnavailableError:
     """The transient source failure an adaptive-timeout expiry turns into."""
-    bound = (
-        f"{adaptive_seconds:.3f}s" if adaptive_seconds is not None else "its bound"
-    )
     error = SourceUnavailableError(
         f"wrapper {wrapper_name!r} exceeded its adaptive fetch timeout of "
-        f"{bound} (rolling p95 × headroom) awaiting {request_text}"
+        f"{adaptive_seconds:.3f}s (rolling p95 × headroom) awaiting {request_text}"
     )
     error.transient = True
     return error
@@ -145,20 +146,20 @@ def _catalogued_positions(stage: Stage, request: SourceRequest,
 
 
 class _Branch(PhysicalOperator):
-    """One branch of the plan as an input of the root operator: staged and
-    bound on first pull, so a branch the consumer never reaches costs no
+    """One branch of the plan as an input of the root operator, in the
+    columns of the placeholder it replaces (None: it is the root): staged
+    and bound on first pull, so a branch the consumer never reaches costs no
     round trip.  One degraded under ``on_source_error="partial"`` yields no
     rows."""
 
-    def __init__(self, stream: "ResultStream", index: int):
+    def __init__(self, stream: "ResultStream", index: int, schema: Optional[Schema]):
         self._stream = stream
         self._index = index
+        self._schema = schema
 
     @property
     def schema(self) -> Schema:
-        schema = self._stream._lowered(self._index)[1].schema
-        alias = self._stream._union_alias
-        return schema if alias is None else schema.with_qualifier(alias)
+        return self._schema
 
     def batches(self) -> Iterator[Batch]:
         pipeline = self._stream._build_branch(self._index)
@@ -271,6 +272,8 @@ class ResultStream:
         self._distinct: Dict[RequestKey, SourceRequest] = {}
         self._outcomes: Dict[RequestKey, _FetchOutcome] = {}
         self._futures: Dict[RequestKey, "Future[_FetchOutcome]"] = {}
+        #: When a lane started each fetch it took (``time.perf_counter``).
+        self._fetch_started: Dict[RequestKey, float] = {}
         #: Dispatched fetches no lane has taken yet, in dispatch order, and
         #: the number of lanes draining them (both guarded by the lock).
         self._queue: Deque[Tuple[RequestKey, "Future[_FetchOutcome]", float]] = deque()
@@ -283,24 +286,14 @@ class ResultStream:
         # branch a satisfied LIMIT never reaches costs no round trip at all.
 
         # -- phase 2: the root operator, over branches staged on first use -------
-        #: The alias the statement's finish over the union reads it by.
-        self._union_alias = None if plan.finish is None else plan.finish.tables[0].alias
-        self._branches: Sequence[_Branch] = [
-            _Branch(self, index) for index in range(len(plan.branches))]
-        #: The root's columns when it finishes the union or enumerates
-        #: repairs; either lowering read only the branches' lowered schemas.
-        #: (The root itself is not kept: through its branches it points back
-        #: here.)
-        self._root_schema: Optional[Schema] = None
+        #: The template of the root above the branches (None: a lone branch
+        #: is the root), which this execution binds a copy of.
+        self._root: Optional[PhysicalOperator] = None
         if plan.root is plan.branches[0].tree:
-            root: PhysicalOperator = self._branches[0]
+            root: PhysicalOperator = _Branch(self, 0, None)
         else:
-            root = algebra.lower(
-                plan.root, self._branches,
-                KernelScope(engine.subquery_executor, template.kernels), self.budget,
-                self.report.consistency)
-            if plan.root.__class__ is not algebra.Union:
-                self._root_schema = root.schema
+            self._root = template.lowered_root(engine.subquery_executor, self._branch_schema)
+            root = self._bind_root(self._root)
         self._batches = root.batches()
 
     # -- fetching ------------------------------------------------------------------
@@ -396,6 +389,7 @@ class ResultStream:
                 key, future, queued_at = self._queue.popleft()
             if not future.set_running_or_notify_cancel():
                 continue
+            self._fetch_started[key] = time.perf_counter()
             try:
                 outcome = self._fetch(key, queued_at)
             except Exception as error:  # defensive: _fetch returns error outcomes
@@ -482,41 +476,49 @@ class ResultStream:
                 future = self._futures[key]
             request = self._distinct[key]
             text = request.transfer.target.text
-            wait = self._deadline.remaining()
-            # A wrapper with an earned latency profile gets its own wait
-            # bound (p95 × headroom): a habitually-fast source that
-            # suddenly stalls is cut loose long before the statement
-            # deadline instead of consuming all of it.
+            # A wrapper with an earned latency profile gets its own bound on
+            # a round trip (p95 × headroom), counted from when a lane starts
+            # the fetch: a habitually-fast source that suddenly stalls is cut
+            # loose long before the statement deadline, while a fetch queued
+            # behind the statement's own lanes waits under the deadline alone.
             adaptive = None
             if self._deadline.bounded:
                 adaptive = self.engine.resilience.source(
                     request.wrapper_name
                 ).fetch_timeout()
+            while True:
+                wait = self._deadline.remaining()
+                started = None
                 if adaptive is not None:
-                    wait = adaptive if wait is None else min(wait, adaptive)
-            try:
-                outcome = future.result(timeout=wait)
-            except FutureTimeoutError:
-                remaining = self._deadline.remaining()
-                if remaining is not None and remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"statement deadline of "
-                        f"{self._deadline.timeout_seconds}s exceeded awaiting "
-                        f"{text} from wrapper "
-                        f"{request.wrapper_name!r}"
-                    ) from None
-                # The adaptive bound fired with deadline budget left: a
-                # *source* failure (transient — the wrapper may recover),
-                # so partial mode can degrade the branch instead of
-                # killing the statement.
-                error = adaptive_timeout_error(
-                    request.wrapper_name, text, adaptive
-                )
-                outcome = _FetchOutcome(
-                    relation=None,
-                    request_text=text,
-                    error=error,
-                )
+                    started = self._fetch_started.get(key)
+                    bound = (adaptive if started is None
+                             else started + adaptive - time.perf_counter())
+                    wait = bound if wait is None else min(wait, bound)
+                try:
+                    outcome = future.result(timeout=None if wait is None else max(wait, 0.0))
+                    break
+                except FutureTimeoutError:
+                    remaining = self._deadline.remaining()
+                    if remaining is not None and remaining <= 0:
+                        raise DeadlineExceededError(
+                            f"statement deadline of "
+                            f"{self._deadline.timeout_seconds}s exceeded awaiting "
+                            f"{text} from wrapper "
+                            f"{request.wrapper_name!r}"
+                        ) from None
+                    if started is not None:
+                        # The adaptive bound fired with deadline budget left:
+                        # a *source* failure (transient — the wrapper may
+                        # recover), so partial mode can degrade the branch
+                        # instead of killing the statement.
+                        outcome = _FetchOutcome(
+                            relation=None,
+                            request_text=text,
+                            error=adaptive_timeout_error(
+                                request.wrapper_name, text, adaptive),
+                        )
+                        break
+                    # Still queued (or woken early): wait on from where it is.
             self._outcomes[key] = outcome
         self._consume_outcome(key, outcome)
         if outcome.error is not None:
@@ -752,6 +754,22 @@ class ResultStream:
                 branch_index].lowered(self.engine.catalog, self.engine.subquery_executor)
         return lowered
 
+    def _branch_schema(self, branch_index: int) -> Schema:
+        return self._lowered(branch_index)[1].schema
+
+    def _bind_root(self, operator: PhysicalOperator) -> PhysicalOperator:
+        """A copy of the root template ``operator`` over this execution's
+        branches and budget, its placeholders replaced by the branches they
+        stand for; a repair enumeration records what it finds in the
+        report's consistency block.  The report lists none of it."""
+        if operator.__class__ is TableScan:
+            return _Branch(self, operator.leaf, operator.schema)
+        bound = operator.rebind([self._bind_root(child) for child in operator.children],
+                                self.budget)
+        if bound.__class__ is RepairEnumeration:
+            bound.counts = self.report.consistency
+        return bound
+
     def _staged(self, branch_index: int, index: int, stages: Sequence[Stage],
                 staged: Dict[int, Relation]) -> Relation:
         """Request ``index`` of a branch, fetched and staged once per
@@ -847,10 +865,9 @@ class ResultStream:
     @property
     def schema(self) -> Schema:
         """The answer's schema, known before any fetch: the columns of the
-        statement's finish over the union or of its repair enumeration, else
-        of branch 0's lowered root."""
-        schema = self._root_schema
-        return self._lowered(0)[1].schema if schema is None else schema
+        root's template, or of a lone branch's."""
+        root = self._root
+        return self._lowered(0)[1].schema if root is None else root.schema
 
     @property
     def exhausted(self) -> bool:
@@ -973,9 +990,9 @@ class ResultStream:
         # generators release their memory-budget reservations in ``finally``
         # blocks, and leaving that to garbage collection makes the budget
         # accounting below — and the "drained after close" invariant the
-        # server's registries rely on — nondeterministic.  The branches point
-        # back here: dropping them leaves no cycle for the collector.
-        self._branches = ()
+        # server's registries rely on — nondeterministic.  The bound root's
+        # branches point back here: closing the generator drops them, which
+        # leaves no cycle for the collector.
         if hasattr(self, "_batches"):
             try:
                 self._batches.close()

@@ -1,9 +1,9 @@
 """One bounded map: the LRU every memo of the mediator is an instance of.
 
 The pipeline's statement, mediation and plan caches, the engine's
-source-result cache, the violation scanner's reports, the tracer's buffer
-and the wire server's prepared-statement and cursor registries all keep at
-most ``capacity`` entries and retire the least recently used one first.
+source-result cache, the violation scanner's reports, the tracer's buffer,
+the wire server's prepared-statement and cursor registries and the
+expression compiler's kernel and factory tables all keep at most ``capacity`` entries and retire the least recently used one first.
 :class:`BoundedCache` is that policy, its lock and its traffic counters,
 written once.  Values must not be None: a None lookup is a miss.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import CounterSet
 
@@ -87,6 +87,23 @@ class BoundedCache:
                        for _ in range(len(entries) - self.capacity)]
             self.statistics.add(puts=1, evictions=len(evicted))
         return evicted
+
+    def setdefault(self, key: Hashable, value: Any) -> Tuple[Any, List[Any]]:
+        """First wins: the value already under ``key`` (refreshed, nothing
+        counted) or else ``value``, stored as :meth:`put` stores it — and the
+        values the bound evicted.  Racing callers of one key all leave with
+        the same object."""
+        with self._lock:
+            entries = self._entries
+            kept = entries.get(key)
+            if kept is not None:
+                entries.move_to_end(key)
+                return kept, []
+            entries[key] = value
+            evicted = [entries.popitem(last=False)[1]
+                       for _ in range(len(entries) - self.capacity)]
+            self.statistics.add(puts=1, evictions=len(evicted))
+        return value, evicted
 
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove and return the value under ``key`` (None: there is none)."""

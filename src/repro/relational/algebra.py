@@ -19,10 +19,11 @@ cardinality feedback, bind-join selection — reads it through
 
 :func:`lower` turns a tree into physical operators — resolved schemas, bound
 kernels, the hash-or-loop decision, where a sort goes — over what stands for
-its leaves.  A branch's result is a *template*: nothing in it is
-per-execution state, so one lowering serves every execution of a cached plan,
-each binding its own copies (``PhysicalOperator.rebind``, ``TableScan.over``)
-to the relations it staged.  The AST-taking operator constructors are the
+its leaves.  The result is a *template*: nothing in it is per-execution
+state, so one lowering — of each branch, and of the root above them — serves
+every execution of a cached plan, each binding its own copies
+(``PhysicalOperator.rebind``, ``TableScan.over``) to the relations it staged
+and the branches it runs.  The AST-taking operator constructors are the
 lowering of their node.  The local processor (``QueryProcessor.lower``)
 builds its trees from the same constructors by the same rules, and shares
 :func:`~repro.relational.query.lower_select` and
@@ -35,7 +36,6 @@ import typing
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.relational.budget import MemoryBudget
 from repro.relational.compile import ExpressionCompiler, KernelScope
 from repro.relational.operators import (
     Filter,
@@ -252,41 +252,35 @@ class Stage:
 
 
 def lower(node: RelationNode, inputs: typing.Union[Mapping[str, Stage], Sequence],
-          scope: Optional[KernelScope] = None,
-          budget: Optional[MemoryBudget] = None,
-          counts: Optional[dict] = None) -> PhysicalOperator:
-    """The operator tree computing ``node`` over what stands for its inputs:
-    for a branch, its :class:`Stage` s by binding; for a :class:`Union`,
-    :class:`Repairs` or :class:`Unmatched`, one operator per branch — whoever
-    runs the root supplies them, staging each branch when it is first
-    pulled, and under a statement's :class:`Finish` with the columns
-    qualified by the alias that finish reads the union by.
-    A branch's template draws on no memory budget, its execution's copies do
-    (``rebind``); a Union and the finish over it, lowered per execution,
-    draw on ``budget``, as do the anti-joins an :class:`Unmatched` lowers
-    to.  A repair enumeration records what it found in ``counts``."""
+          scope: Optional[KernelScope] = None) -> PhysicalOperator:
+    """The operator template computing ``node`` over what stands for its
+    inputs: for a branch, its :class:`Stage` s by binding; for a
+    :class:`Union`, :class:`Repairs` or :class:`Unmatched`, one operator per
+    branch — a plan's template lowers a root over placeholder scans, under a
+    statement's :class:`Finish` with the columns qualified by the alias that
+    finish reads the union by.  The template draws on no memory budget and a
+    repair enumeration records into no report: an execution binds copies of
+    it (``rebind``) to its own inputs, budget and report."""
     if isinstance(node, (Union, Repairs, Unmatched)):
         if node.__class__ is Union:
-            return lower_union(inputs, node.all, budget)
+            return lower_union(inputs, node.all)
         if node.__class__ is Unmatched:
             operator = inputs[0]
             for right, pairs in zip(inputs[1:], node.keys):
                 operator = HashJoin(operator, right, [pair[0] for pair in pairs],
-                                    [pair[1] for pair in pairs], scope=scope,
-                                    budget=budget, anti=True)
+                                    [pair[1] for pair in pairs], scope=scope, anti=True)
             return operator
         return RepairEnumeration(
             [branch.select.tables[0].name for branch in node.branches], node.keys,
-            inputs, node.statement, node.certain, node.max_repairs, counts)
+            inputs, node.statement, node.certain, node.max_repairs)
     if isinstance(node, Transfer):
         return inputs[node.binding].scan
     if isinstance(node, Selection):
         return Filter(lower(node.target, inputs, scope),
                       conjoin(list(node.conditions)), scope)
     if isinstance(node, Finish):
-        child = lower(node.target, inputs, scope, budget)
-        finished = lower_select(node.select, child, scope, node.fetch_limit)
-        return finished if budget is None else _drawing_on(finished, child, budget)
+        return lower_select(node.select, lower(node.target, inputs, scope), scope,
+                            node.fetch_limit)
     left = lower(node.left, inputs, scope)
     right = lower(node.right, inputs, scope)
     if node.hash_join and node.equi_keys:
@@ -299,12 +293,3 @@ def lower(node: RelationNode, inputs: typing.Union[Mapping[str, Stage], Sequence
             residual=conjoin(list(node.residual)), scope=scope,
         )
     return NestedLoopJoin(left, right, conjoin(list(node.conditions)), scope)
-
-
-def _drawing_on(operator: PhysicalOperator, child: PhysicalOperator,
-                budget: MemoryBudget) -> PhysicalOperator:
-    """A copy of the finish ``operator`` over ``child`` whose operators draw
-    on ``budget``."""
-    if operator is child:
-        return child
-    return operator.rebind([_drawing_on(operator.children[0], child, budget)], budget)

@@ -42,9 +42,9 @@ deep the expression, a row costs one Python call.
   its entry point, the canonical form of its expressions
   (:func:`repro.sql.normalize.expression_form`) and the schema, so a
   statement never seen before recalls every kernel an earlier one already
-  built and generates only those naming its own constants.  A plan's
-  template puts an identity-keyed :class:`KernelMemo` in front
-  (:class:`KernelScope`), so re-lowering the same plan serializes nothing.
+  built and generates only those naming its own constants.  Both tables are
+  :class:`~repro.obs.cache.BoundedCache` s, filled first-wins.  A plan lowers
+  once (``engine.plan.PlanTemplate``), so a warm statement looks nothing up.
   With a subquery a kernel folds its result for its own lifetime and is
   kept nowhere.
 * **Folding and splitting.**  A row-independent subtree is its own kernel
@@ -61,13 +61,12 @@ import linecache
 import math
 import operator
 import re
-import threading
-from collections import OrderedDict
 from decimal import Decimal
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EvaluationError
+from repro.obs.cache import BoundedCache
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key, sql_compare, sql_equal
 from repro.sql.ast import (
@@ -97,76 +96,14 @@ _ORDERING: Dict[str, Callable[[Any, Any], bool]] = {
 _EQUALITY = {"=": "==", "<>": "!="}
 
 
-class KernelMemo:
-    """Bounded, thread-safe LRU of finished kernels shared across operators.
-
-    An entry may carry the expression nodes its key was made from.  A key
-    made of node **identities** does — cached plans are immutable, so
-    re-executing one presents the same AST objects every time, and identity
-    lookups skip serializing the trees per operator: while an entry lives,
-    its ids cannot be recycled, and a lookup additionally verifies the stored
-    nodes *are* the probe nodes, so an id reused after eviction can only
-    miss.  A key made of text (a canonical form, a kernel's source) carries
-    no nodes and pins no tree.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Tuple[tuple, Any]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _live(self, key: Hashable, nodes: tuple) -> Optional[Tuple[tuple, Any]]:
-        """The entry under ``key`` if it was stored for ``nodes`` (lock held)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        stored_nodes = entry[0]
-        if len(stored_nodes) != len(nodes) or any(
-                map(operator.is_not, stored_nodes, nodes)):
-            # id recycled after eviction of the original nodes.
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return entry
-
-    def get(self, key: Hashable, nodes: tuple = ()) -> Any:
-        """The value stored under ``key`` for ``nodes``, or None."""
-        with self._lock:
-            entry = self._live(key, nodes)
-            return None if entry is None else entry[1]
-
-    def put(self, key: Hashable, nodes: tuple, value: Any) -> Tuple[Any, List[Any]]:
-        """Store ``value`` unless a racing caller already stored one: returns
-        the entry's value — every caller of one key leaves with the same
-        object — and the values evicted to make room."""
-        with self._lock:
-            entry = self._live(key, nodes)
-            if entry is not None:
-                return entry[1], []
-            self._entries[key] = (nodes, value)
-            return value, [self._entries.popitem(last=False)[1][1]
-                           for _ in range(len(self._entries) - self.capacity)]
-
-    def clear(self) -> List[Any]:
-        """Drop every entry; returns the values dropped."""
-        with self._lock:
-            dropped = [value for _nodes, value in self._entries.values()]
-            self._entries.clear()
-            return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 #: The process-wide kernel table, by **structure**: ``(entry point, detail,
 #: canonical form of each expression, schema token)`` — no nodes, so it pins
 #: no plan's AST, and a statement never seen before recalls from it every
 #: kernel whose expressions an earlier one already spelled.
-_MEMO = KernelMemo(capacity=1024)
+_MEMO = BoundedCache(1024)
 #: Kernel factories by generated source text: the builtin ``compile()`` is
 #: paid once per expression shape.
-_CODE = KernelMemo(capacity=1024)
+_CODE = BoundedCache(1024)
 
 
 def _factory(source: str) -> Callable[..., CompiledExpr]:
@@ -179,7 +116,7 @@ def _factory(source: str) -> Callable[..., CompiledExpr]:
         make = scope["make"]
         # mtime None: linecache.checkcache() leaves the entry alone.
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        make, evicted = _CODE.put(source, (), make)
+        make, evicted = _CODE.setdefault(source, make)
         _forget_sources(evicted)
     return make
 
@@ -191,8 +128,8 @@ def _forget_sources(factories: Sequence[Callable[..., CompiledExpr]]) -> None:
 
 def clear_compiled_memo() -> None:
     """Drop every memoized kernel and cached factory (test isolation hook)."""
-    _MEMO.clear()
-    _forget_sources(_CODE.clear())
+    _MEMO.drop()
+    _forget_sources(_CODE.drop())
 
 
 # -- shared helpers: what a kernel calls when its inline fast path does not apply
@@ -795,32 +732,21 @@ class ExpressionCompiler:
 
     def _kernel(self, kind: str, nodes: Tuple[Node, ...], *detail: Hashable) -> Any:
         """Recall-or-build the kernel of ``nodes`` (and whatever else of
-        ``detail`` its entry point lowers) against this schema.
-
-        Two lookups: the scope's own memo by node identity (a plan lowering
-        its own trees again), then the process-wide table by structure —
-        whoever compiled the same expressions over the same schema, in
-        whatever statement, left the kernel there.  A subquery's result is
-        folded into its kernel, binding it to this scope's executor and
-        lifetime: such a kernel is kept nowhere, rebuilt each time, and the
-        scope is told it holds ``private`` kernels."""
-        token = self.schema.memo_token
-        front = self._scope.memo
-        if front is not None:
-            identity = (kind, detail, tuple(map(id, nodes)), token)
-            fn = front.get(identity, nodes)
-            if fn is not None:
-                return fn
-        structure = (kind, detail, tuple(map(expression_form, nodes)), token)
+        ``detail`` its entry point lowers) against this schema, from the
+        process-wide table by structure: whoever compiled the same
+        expressions over the same schema, in whatever statement, left the
+        kernel there.  A subquery's result is folded into its kernel, binding
+        it to this scope's executor and lifetime: such a kernel is kept
+        nowhere, rebuilt each time, and the scope is told it holds
+        ``private`` kernels."""
+        structure = (kind, detail, tuple(map(expression_form, nodes)), self.schema.memo_token)
         fn = _MEMO.get(structure)
         if fn is None:
             fn, private = self._generate(kind, nodes, detail)
             if private:
                 self._scope.private = True
                 return fn
-            fn = _MEMO.put(structure, (), fn)[0]
-        if front is not None:
-            front.put(identity, nodes, fn)
+            fn = _MEMO.setdefault(structure, fn)[0]
         return fn
 
     def _generate(self, kind: str, nodes: Tuple[Node, ...],
@@ -875,21 +801,15 @@ class ExpressionCompiler:
 
 
 class KernelScope:
-    """Where a group of operators gets its kernels from.
-
-    Every scope recalls from and contributes to the process-wide structural
-    table :data:`_MEMO`.  A plan's template brings a :class:`KernelMemo` of
-    its own in front of it, keyed by node identity: kernels found once are
-    found again without serializing a tree, for exactly as long as the
-    template lives.  The default scope — a source's local processor — has no
-    front.  ``private`` turns true once a kernel folded a subquery: operators
-    holding one must not outlive their execution.
+    """Where a group of operators gets its kernels from: the process-wide
+    structural table :data:`_MEMO`, and ``subquery_executor`` for the
+    subqueries their expressions fold.  ``private`` turns true once a kernel
+    folded a subquery: operators holding one must not outlive their
+    execution.
     """
 
-    def __init__(self, subquery_executor: SubqueryExecutor = None,
-                 memo: Optional[KernelMemo] = None):
+    def __init__(self, subquery_executor: SubqueryExecutor = None):
         self.subquery_executor = subquery_executor
-        self.memo = memo
         self.private = False
 
 

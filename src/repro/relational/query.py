@@ -33,7 +33,6 @@ from typing import (
 from repro.errors import (
     EvaluationError, ExecutionError, RepairEnumerationError, SchemaError, SQLUnsupportedError,
 )
-from repro.relational.budget import MemoryBudget
 from repro.relational.compile import KernelScope, evaluate_literal_expression
 from repro.relational.operators import (
     Aggregate,
@@ -71,6 +70,7 @@ from repro.sql.ast import (
     Union,
     conjoin,
     is_aggregate_call,
+    output_names,
     transform,
     walk,
 )
@@ -254,15 +254,7 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
     expression over that row.  ``fetch_limit`` (a row bound that commutes
     with the finish) turns the sort into a top-k.
     """
-    memo, finish = scope.memo, None
-    if memo is not None:
-        key = ("finish", id(select), child.schema.memo_token)
-        finish = memo.get(key, (select,))
-    if finish is None:
-        finish = _Finish.of(select, child.schema)
-        if memo is not None:
-            finish = memo.put(key, (select,), finish)[0]
-
+    finish = _Finish.of(select, child.schema)
     operator = child
     if finish.calls or select.group_by or finish.having is not None:
         operator = Aggregate(operator, select.group_by, finish.calls, scope)
@@ -281,21 +273,17 @@ def lower_select(select: Select, child: PhysicalOperator, scope: KernelScope,
     return operator
 
 
-def lower_union(inputs: Sequence[PhysicalOperator], all: bool,
-                budget: Optional[MemoryBudget] = None) -> PhysicalOperator:
+def lower_union(inputs: Sequence[PhysicalOperator], all: bool) -> PhysicalOperator:
     """UNION [ALL] of ``inputs``, one per branch: their rows in branch order
     and, unless ``all``, without a row equal to an earlier one — exact row
-    equality, its seen-set drawing on ``budget`` like any ``Distinct``.  The
-    first input names the columns."""
+    equality, its seen-set drawing on the budget of an execution's copy like
+    any ``Distinct``.  The first input names the columns."""
     union = UnionAll(inputs)
-    return union if all else Distinct(union, budget=budget, key=tuple)
+    return union if all else Distinct(union, key=tuple)
 
 
 class _Finish(NamedTuple):
-    """What :func:`lower_select` derives from the statement alone.  A scope
-    with a memo of its own (a plan's) keeps it there, so every lowering of
-    one ``select`` hands the operators the same nodes and finds their kernels
-    by identity."""
+    """What :func:`lower_select` derives from the statement alone."""
 
     #: The select list, stars expanded, and its output names.
     expressions: Tuple[Node, ...]
@@ -404,19 +392,6 @@ def _in_from_order(schema: Schema, tables: Sequence[Node]) -> Sequence[Attribute
         return schema.attributes
 
 
-def output_names(items: Sequence[SelectItem]) -> List[str]:
-    """The output column names of a (star-expanded) select list."""
-    names: List[str] = []
-    for index, item in enumerate(items):
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, ColumnRef):
-            names.append(item.expr.name)
-        else:
-            names.append(f"col_{index + 1}")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Repair enumeration: a statement run on every repair of its relations
 # ---------------------------------------------------------------------------
@@ -436,32 +411,37 @@ class RepairEnumeration(PhysicalOperator):
     subqueries run while it is lowered, so no lowering serves two repairs).
     Certain rows are the intersection, in the first repair's order; possible
     rows the union in repair order, sorted again on the statement's ORDER BY
-    when every key is an output column.  What it found goes into ``counts``.
+    when every key is an output column.  What it found goes into ``counts``,
+    which whoever binds a copy may point elsewhere.
     """
 
     operator_name = "RepairEnumeration"
 
     def __init__(self, names: Sequence[str], keys: Sequence[Tuple[str, ...]],
                  inputs: Sequence[PhysicalOperator], statement, certain: bool,
-                 max_repairs: int, counts: Optional[Dict[str, object]] = None):
+                 max_repairs: int):
         self.names, self.keys, self.inputs = list(names), list(keys), list(inputs)
         self.statement, self.certain, self.max_repairs = statement, certain, max_repairs
-        self.counts = {} if counts is None else counts
-        self._schema: Optional[Schema] = None
+        self.counts: Dict[str, object] = {}
+        #: The statement's columns over empty extents: known before any pull,
+        #: and shared by every bound copy.
+        self._schema = QueryProcessor.over_tables(
+            {name: Relation(child.schema.with_qualifier(None))
+             for name, child in zip(self.names, self.inputs)}
+        ).lower(self.statement).schema
 
     @property
     def schema(self) -> Schema:
-        """The statement's columns over empty extents: known before any pull."""
-        if self._schema is None:
-            self._schema = QueryProcessor.over_tables(
-                {name: Relation(child.schema.with_qualifier(None))
-                 for name, child in zip(self.names, self.inputs)}
-            ).lower(self.statement).schema
         return self._schema
 
     @property
     def children(self) -> Sequence[PhysicalOperator]:
         return tuple(self.inputs)
+
+    def rebind(self, children, budget=None) -> "RepairEnumeration":
+        clone = super().rebind((), budget)
+        clone.inputs = list(children)
+        return clone
 
     def batches(self) -> Iterator[Batch]:
         tables: Dict[str, Relation] = {}

@@ -313,15 +313,7 @@ class Select(Node):
     @property
     def output_names(self) -> List[str]:
         """The column names of the result, using aliases when present."""
-        names: List[str] = []
-        for index, item in enumerate(self.items):
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                names.append(item.expr.name)
-            else:
-                names.append(f"col_{index + 1}")
-        return names
+        return output_names(self.items)
 
 
 @node_class
@@ -366,6 +358,20 @@ Statement = TUnion[Select, Union, CreateTable, Insert]
 
 #: Names of aggregate functions recognized by the dialect.
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
+
+def output_names(items: Sequence[SelectItem]) -> List[str]:
+    """The output column names of a select list: an item's alias, else a
+    plain column's name, else ``col_<position>``."""
+    names: List[str] = []
+    for index, item in enumerate(items):
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expr, ColumnRef):
+            names.append(item.expr.name)
+        else:
+            names.append(f"col_{index + 1}")
+    return names
 
 
 def is_aggregate_call(node: Node) -> bool:

@@ -343,6 +343,7 @@ class _CountingCalls:
 
         from repro.engine.request_cache import request_key
         from repro.mediation.answers import AnswerTransformer
+        from repro.relational import algebra
         from repro.relational.compile import ExpressionCompiler
         from repro.relational.schema import expression_type
         from repro.sql.ast import conjoin, walk
@@ -356,9 +357,9 @@ class _CountingCalls:
             for module in modules:
                 if getattr(module, function.__name__, None) is function:
                     monkeypatch.setattr(module, function.__name__, counting)
-        for owner, name in ((AnswerTransformer, "annotate"),
+        for owner, name in ((AnswerTransformer, "annotate"), (algebra, "lower"),
                             (ExpressionCompiler, "_kernel"), (Schema, "__init__")):
-            label = f"{owner.__name__}.{name}"
+            label = f"{owner.__name__.rpartition('.')[2]}.{name}"
             monkeypatch.setattr(owner, name, self._counting(label, getattr(owner, name)))
         for name in ("query", "fetch"):
             monkeypatch.setattr(RelationalWrapper, name,
@@ -391,19 +392,27 @@ class _CountingCalls:
 
 
 class TestWarmStatementBuildsNothing:
-    """The second execution of a cached plan binds and iterates: it compiles,
-    types, walks, conjoins, keys and annotates nothing, and derives no
-    schema."""
+    """A warm execution of a cached plan binds and iterates: it lowers,
+    compiles, types, walks, conjoins, keys and annotates nothing, and derives
+    no schema — its branches' templates and its root's alike."""
 
-    NOTHING = {"AnswerTransformer.annotate": 0, "ExpressionCompiler._kernel": 0,
-               "Schema.__init__": 0, "conjoin": 0, "expression_type": 0,
-               "request_key": 0, "walk": 0}
+    NOTHING = {"AnswerTransformer.annotate": 0, "algebra.lower": 0,
+               "ExpressionCompiler._kernel": 0, "Schema.__init__": 0, "conjoin": 0,
+               "expression_type": 0, "request_key": 0, "walk": 0}
 
-    def test_paper_query_through_the_federation(self, monkeypatch):
+    @pytest.mark.parametrize("statement", [
+        PAPER_QUERY,
+        # Three branches under the statement's finish over their UNION ALL.
+        "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC",
+    ], ids=["paper_query", "finish_over_union"])
+    def test_a_warm_statement_through_the_federation(self, monkeypatch, statement):
         federation = build_paper_federation().federation
-        expected = federation.query(PAPER_QUERY).relation.rows  # miss: lowers
+        expected = federation.query(statement).relation.rows  # miss: lowers
+        plan = federation.query(statement).execution.plan
+        assert len(plan.branches) > 1
         counted = _CountingCalls(monkeypatch)
-        answer = federation.query(PAPER_QUERY)
+        answer = federation.query(statement)
+        assert answer.execution.plan is plan
         assert counted.take() == self.NOTHING
         assert answer.relation.rows == expected
 

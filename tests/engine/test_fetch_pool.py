@@ -11,6 +11,9 @@ pin what that must keep and what it must buy:
   dispatch order, and do not wait for each other's cap;
 * closing a stream cancels the fetches still queued, which never reach
   their wrapper;
+* a profiled wrapper's adaptive timeout bounds a fetch's round trip from
+  when a lane starts it: a fetch queued behind the statement's own lanes
+  waits under the deadline alone, one that stalls once started is cut loose;
 * the workers exit once their engine is collected.
 """
 
@@ -19,7 +22,10 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.engine.engine import MultiDatabaseEngine
+from repro.errors import SourceUnavailableError
 from repro.sources.base import SourceCapabilities
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
@@ -201,6 +207,51 @@ class TestCloseCancelsQueuedFetches:
         assert stream.report.cancelled_fetches == 2
         _wait_until(lambda: stream._lanes == 0)
         assert [wrapper.calls for wrapper in wrappers] == [1, 1, 1, 0, 0]
+
+
+class TestAdaptiveFetchTimeout:
+    """Ten bounded runs earn each wrapper a latency profile, and with it an
+    adaptive bound of ``ADAPTIVE_MIN_SECONDS`` (its fetches take well under
+    a millisecond here)."""
+
+    def _profiled(self):
+        engine, wrappers = _engine(3, max_concurrent_requests=2)
+        for _ in range(10):
+            engine.execute(_union(3), timeout_seconds=10.0)
+        bound = engine.resilience.source("src1").fetch_timeout()
+        assert bound is not None and bound < 0.3
+        return engine, wrappers
+
+    def test_a_fetch_queued_behind_the_statements_lanes_is_not_cut_loose(self):
+        engine, wrappers = self._profiled()
+        for wrapper in wrappers[1:]:
+            wrapper.hook = lambda: time.sleep(0.3)
+        for _ in range(4):  # unbounded: s2 and s3 earn the slower profiles
+            engine.execute(_union(3))
+        # Both lanes take s2 and s3 first; s1 waits in the queue for ~0.3 s,
+        # longer than its bound, and then answers at once.
+        result = engine.execute(_union(3), timeout_seconds=10.0)
+        assert result.report.dispatch_order == ["s2", "s3", "s1"]
+        assert len(result.relation.rows) == 120
+        assert result.report.degraded_branches == []
+
+    def test_a_fetch_that_stalls_once_started_fails_long_before_the_deadline(self):
+        engine, wrappers = self._profiled()
+        release = threading.Event()
+        wrappers[0].hook = lambda: release.wait(10.0)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(SourceUnavailableError, match="adaptive fetch timeout"):
+                engine.execute(_union(3), timeout_seconds=10.0)
+            partial = engine.execute(_union(3), timeout_seconds=10.0,
+                                     on_source_error="partial")
+            assert time.perf_counter() - started < 5.0
+        finally:
+            release.set()
+        assert [entry["branch"] for entry in partial.report.degraded_branches] == [0]
+        assert "adaptive fetch timeout" in partial.report.degraded_branches[0]["error"]
+        assert sorted(partial.relation.rows) == sorted(
+            [(key,) for key in range(40)] * 2)
 
 
 class TestWorkerLifetime:

@@ -23,7 +23,11 @@ Pinned here:
   makes the cache drop or replace the entry frees it, and bound requests,
   uncached fetches and subquery-bearing branches keep nothing;
 * bind-join plans and partial answers over a dead source execute from a
-  template exactly as they did the first time.
+  template exactly as they did the first time;
+* **the root** — a union, the statement's finish over it, a constraint
+  check's anti-join or a repair enumeration lowers once with the template,
+  over placeholders for the branches, and every later execution binds a
+  copy that answers exactly as the first.
 """
 
 import sys
@@ -36,8 +40,10 @@ from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
 from repro.engine.planner import PlannerConfig
 from repro.engine.request_cache import SourceResultCache
+from repro.consistency import InclusionDependency, PrimaryKey
 from repro.engine.resilience import ResiliencePolicy, RetryPolicy
 from repro.errors import EvaluationError, ExecutionError
+from repro.relational import algebra
 from repro.relational.algebra import left_deep
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -45,6 +51,9 @@ from repro.sources.base import SourceCapabilities
 from repro.sources.faults import FaultInjectingSource, FaultSchedule
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
+
+from tests.consistency.fedbuild import build_consistency_federation
+from tests.engine.test_report_snapshot import _masked
 
 
 def _source(name, table, columns, values):
@@ -590,3 +599,101 @@ class TestExecutedTwice:
         assert _kept(plan, 1) is not None and _kept(plan, 0) is not None
         with pytest.raises(Exception):
             engine.execute(plan)  # "fail" mode still fails on the same plan
+
+
+def _referencing_engine(budget):
+    """``t.a`` runs over 0..1499, ``u.a`` over the even numbers below 3000:
+    the odd ``t.a`` reference no ``u`` row."""
+    engine = MultiDatabaseEngine(memory_budget_bytes=budget)
+    for name, keys in (("t", range(1500)), ("u", range(0, 3000, 2))):
+        values = ", ".join(f"({key}, {float((key * 37) % 100)}, '{'xyz'[key % 3]}')"
+                           for key in keys)
+        engine.register_wrapper(RelationalWrapper(
+            _source(f"db_{name}", name, "a integer, v float, b varchar", values)),
+            estimate_rows=False)
+    return engine
+
+
+def _union_root(budget):
+    engine = _referencing_engine(budget)
+    plan = engine.plan("SELECT t.a, t.b FROM t UNION SELECT u.a, u.b FROM u")
+    return plan, lambda: engine.execute(plan)
+
+
+def _finish_root(budget):
+    engine = _referencing_engine(budget)
+    plan = engine.plan("SELECT m.a, m.v FROM (SELECT t.a, t.v FROM t UNION ALL "
+                       "SELECT u.a, u.v FROM u) m ORDER BY m.v DESC, m.a")
+    return plan, lambda: engine.execute(plan)
+
+
+def _unmatched_root(budget):
+    # The plan the violation scanner runs for an inclusion dependency.
+    engine = _referencing_engine(budget)
+    check = InclusionDependency(
+        "t_refs_u", relation="t", columns=("a",), referenced_relation="u",
+        referenced_columns=("a",)).check_query(engine.catalog.schema_of)
+    plan = engine.planner.plan_branches(list(check.selects))
+    plan.root = algebra.Unmatched(tuple(branch.tree for branch in plan.branches),
+                                  check.keys)
+    return plan, lambda: engine.execute(plan)
+
+
+def _repairs_root(budget):
+    federation = build_consistency_federation(memory_budget_bytes=budget)
+    federation.engine.request_cache = None  # both executions fetch alike
+    for relation in ("accounts", "ratings"):
+        federation.register_constraint(
+            PrimaryKey(f"{relation}_pk", relation=relation, columns=("id",)))
+    statement = ("SELECT accounts.owner, ratings.score FROM accounts, ratings "
+                 "WHERE accounts.id = ratings.id ORDER BY accounts.owner")
+
+    def execute():
+        answer = federation.query(statement, mediate=False, consistency="certain")
+        return answer.execution
+
+    return execute().plan, execute
+
+
+class TestRootTemplate:
+    """The root above the branches is lowered once, with the template; each
+    execution binds a copy over its own branches, budget and report."""
+
+    ROOTS = {"union": (_union_root, algebra.Union),
+             "finish": (_finish_root, algebra.Finish),
+             "unmatched": (_unmatched_root, algebra.Unmatched),
+             "repairs": (_repairs_root, algebra.Repairs)}
+
+    @pytest.mark.parametrize("budget", [None, 64 * 1024], ids=["unbounded", "64KiB"])
+    @pytest.mark.parametrize("kind", list(ROOTS))
+    def test_a_bound_root_answers_as_the_lowered_one(self, kind, budget):
+        build, root_class = self.ROOTS[kind]
+        plan, execute = build(budget)
+        assert plan.root.__class__ is root_class
+        first = execute()  # lowers the root
+        lowered = plan.template._lowered_root
+        assert lowered is not None
+        second = execute()  # binds a copy of it
+        assert second.plan is plan and plan.template._lowered_root is lowered
+        assert list(first.relation.rows)
+        assert list(second.relation.rows) == list(first.relation.rows)
+        snapshot = _masked(second.report.snapshot())
+        assert snapshot == _masked(first.report.snapshot())
+        # Only the branches' operators are listed, as before the root was kept.
+        assert "RepairEnumeration" not in {entry["operator"] for entry in snapshot["operators"]}
+        if kind == "repairs":
+            assert snapshot["consistency"]["repairs_enumerated"] > 1
+        elif budget is not None:
+            assert second.report.spill_count > 0  # the root's own operator spilled
+        else:
+            assert second.report.spill_count == 0
+
+    def test_a_subquery_bearing_root_is_handed_out_and_not_kept(self):
+        engine = _two_source_engine()
+        plan = engine.plan("SELECT m.a, (SELECT 7) AS seven FROM (SELECT t.a FROM t "
+                           "WHERE t.a < 2 UNION ALL SELECT u.a FROM u WHERE u.a < 2) m "
+                           "ORDER BY m.a")
+        for _ in range(2):
+            assert engine.execute(plan).relation.rows == [(0, 7), (0, 7), (1, 7), (1, 7)]
+            assert plan.template._lowered_root is None
+        assert all(branch._lowered is not None for branch in plan.template.branches)

@@ -4,8 +4,9 @@ sequences.
 The model is a plain recency-ordered list of keys plus a dict of values, with
 its own counters.  After every step the cache and the model agree on
 contents (in recency order), on what ``put`` evicted and on every counter;
-``peek`` never changes what the next ``put`` evicts, and every lookup is
-exactly one hit or one miss.
+``setdefault`` keeps (and refreshes) a present entry, counting nothing, and
+otherwise stores as ``put`` does; ``peek`` never changes what the next
+``put`` evicts, and every lookup is exactly one hit or one miss.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ OPERATIONS = st.lists(
         st.tuples(st.just("get_many"), st.lists(KEYS, max_size=4)),
         st.tuples(st.just("peek"), KEYS),
         st.tuples(st.just("put"), KEYS),
+        st.tuples(st.just("setdefault"), KEYS),
         st.tuples(st.just("pop"), KEYS),
         st.tuples(st.just("drop"), st.frozensets(KEYS, max_size=3)),
         st.tuples(st.just("drop_all")),
@@ -75,6 +77,12 @@ class Model:
         self.counters["evictions"] += len(evicted)
         return evicted
 
+    def setdefault(self, key, value):
+        if key in self.values:
+            self._touch(key)
+            return self.values[key], []
+        return value, self.put(key, value)
+
     def pop(self, key):
         if key not in self.values:
             return None
@@ -96,9 +104,10 @@ def test_bounded_cache_matches_the_model(capacity, operations):
     cache, model = BoundedCache(capacity), Model(capacity)
     for step, operation in enumerate(operations):
         name, *arguments = operation
-        if name == "put":
+        if name in ("put", "setdefault"):
             value = (arguments[0], step)
-            assert cache.put(arguments[0], value) == model.put(arguments[0], value)
+            assert (getattr(cache, name)(arguments[0], value)
+                    == getattr(model, name)(arguments[0], value))
         elif name == "drop":
             doomed = arguments[0]
             assert (cache.drop(lambda key: key in doomed)

@@ -1,5 +1,5 @@
-"""The kernel memos: sharing by structure across statements, identity within
-a plan, and what is never shared."""
+"""The kernel table: sharing by structure across statements, and what is
+never shared."""
 
 import math
 import sys
@@ -12,7 +12,6 @@ from repro.errors import EvaluationError
 from repro.relational import compile as compile_module
 from repro.relational.compile import (
     ExpressionCompiler,
-    KernelMemo,
     KernelScope,
     clear_compiled_memo,
 )
@@ -190,40 +189,11 @@ class TestStructuralIdentity:
         assert here is not there and here((1, 10)) == 2 and there((1, 10)) == 11
 
 
-class TestTwoLevels:
-    """A plan's identity front over the process-wide structural table."""
+class TestOneTable:
+    """The process-wide structural table is the only place a kernel is kept."""
 
     def setup_method(self):
         clear_compiled_memo()
-
-    def test_a_plan_scope_contributes_to_and_recalls_from_the_shared_table(self):
-        front = KernelMemo()
-        planned = compiled(parse_expression("t.a * 2"), KernelScope(memo=front))
-        assert len(front) == 1 and len(compile_module._MEMO) == 1
-        # Another plan, another parse of the same text, another front: recalled.
-        assert compiled(parse_expression("t.a * 2"), KernelScope(memo=KernelMemo())) is planned
-        # A source's default scope has no front and finds it too.
-        assert compiled(parse_expression("t.a * 2")) is planned
-
-    def test_the_front_answers_by_identity_without_serializing(self, monkeypatch):
-        node = parse_expression("t.a * 2")
-        scope = KernelScope(memo=KernelMemo())
-        kernel = compiled(node, scope)
-        monkeypatch.setattr(compile_module, "expression_form", None)  # would raise
-        assert compiled(node, scope) is kernel
-
-    def test_dropping_a_plans_memo_leaves_the_shared_entry_and_vice_versa(self):
-        front = KernelMemo()
-        node = parse_expression("t.a * 2")
-        kernel = compiled(node, KernelScope(memo=front))
-        front.clear()
-        assert compiled(parse_expression("t.a * 2")) is kernel
-        compiled(node, KernelScope(memo=front))  # back in the front
-        clear_compiled_memo()
-        assert len(compile_module._MEMO) == 0
-        assert compiled(node, KernelScope(memo=front)) is kernel
-        # ... and a front hit does not re-enter the table it skipped.
-        assert len(compile_module._MEMO) == 0
 
     def test_a_subquery_kernel_is_kept_nowhere(self):
         from repro.relational.relation import Relation
@@ -236,14 +206,13 @@ class TestTwoLevels:
             return executor
 
         text = "t.a IN (SELECT s.a FROM s)"
-        front = KernelMemo()
-        first_scope = KernelScope(executor_returning(5), front)
+        first_scope = KernelScope(executor_returning(5))
         first = ExpressionCompiler(SCHEMA, scope=first_scope).predicate(parse_expression(text))
         second = ExpressionCompiler(SCHEMA, executor_returning(7)).predicate(
             parse_expression(text))
         assert first is not second and first_scope.private
         assert first((5, 0)) is True and second((5, 0)) is False and second((7, 0)) is True
-        assert len(front) == 0 and len(compile_module._MEMO) == 0
+        assert len(compile_module._MEMO) == 0
 
     def test_a_new_constant_generates_only_the_kernels_that_name_it(self, kernel_builds):
         from repro.demo.scenarios import build_paper_federation
@@ -272,9 +241,7 @@ class TestTwoLevels:
         def work():
             try:
                 barrier.wait(timeout=10)
-                results.append([
-                    compiled(parse_expression(text), KernelScope(memo=KernelMemo()))
-                    for text in texts])
+                results.append([compiled(parse_expression(text)) for text in texts])
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
