@@ -26,7 +26,7 @@ the engine's resilience policy (:mod:`repro.engine.resilience`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.sources.base import SourceCapabilities
 
@@ -100,19 +100,15 @@ class CostModel:
             estimate *= self.selection_selectivity
         return max(int(round(estimate)), 1) if base_rows > 0 else 0
 
-    def join_cardinality(self, left_rows: int, right_rows: int,
-                         has_equi_join: Union[bool, int] = False,
-                         equi_keys: Optional[int] = None) -> int:
+    def join_cardinality(self, left_rows: int, right_rows: int, equi_keys: int = 0) -> int:
         """Estimated size of a (possibly cartesian) join of two intermediates.
 
         ``equi_keys`` is the number of equi-join key pairs; the join
         selectivity is applied once *per key*, so a composite two-column key
         no longer over-estimates by treating the pair as a single predicate.
-        ``has_equi_join`` is the legacy boolean form (one key when true).
         """
-        keys = equi_keys if equi_keys is not None else int(bool(has_equi_join))
         product = float(max(left_rows, 0) * max(right_rows, 0))
-        for _ in range(max(keys, 0)):
+        for _ in range(max(equi_keys, 0)):
             product *= self.join_selectivity
         return max(int(round(product)), 1) if left_rows and right_rows else 0
 

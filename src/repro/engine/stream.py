@@ -832,8 +832,8 @@ class ResultStream:
             else:
                 rows = [tuple(row[position] for position in positions) for row in rows]
                 frozen = True
-        handle, staged = self.engine.temp_store.stage(
-            stage.relation(rows, frozen), stage.label)
+        staged = stage.relation(rows, frozen)
+        handle, staged_bytes = self.engine.temp_store.stage(staged, stage.label)
         self._staged_handles.append(handle)
         # A request-cache hit staged by this template is the same rows every
         # time: a hash join above it may keep its build (``HashJoin``).
@@ -856,8 +856,7 @@ class ResultStream:
         )
         with self.report.lock:
             self.report.requests.append(entry)
-            if staged.rows:  # a sample-based estimate: accounting only
-                self.report.staged_bytes += estimate_row_bytes(staged.rows[0]) * len(staged.rows)
+            self.report.staged_bytes += staged_bytes
         return staged
 
     # -- consumer API ------------------------------------------------------------------

@@ -55,7 +55,7 @@ from repro.sql.ast import (
     transform,
     walk,
 )
-from repro.sql.lexer import Lexer, Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import DerivedTable, Parser, parse, parse_expression
 from repro.sql.printer import format_literal, to_sql
 
@@ -92,7 +92,6 @@ __all__ = [
     "is_aggregate_call",
     "transform",
     "walk",
-    "Lexer",
     "Token",
     "TokenType",
     "tokenize",

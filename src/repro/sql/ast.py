@@ -174,6 +174,24 @@ class UnaryOp(Node):
     operand: Node
 
 
+#: How tightly each operator of the dialect binds, loosest first: the one
+#: table the parser climbs and the printer parenthesizes by.  ``NOT`` is a
+#: prefix.  The comparisons and the predicates (``IN``, ``BETWEEN``,
+#: ``LIKE``, ``IS``) share :data:`PREDICATE`: their operands bind tighter and
+#: they do not chain.  Every other binary level is left-associative.
+BINDING = {
+    "OR": 1,
+    "AND": 2,
+    "NOT": 3,
+    **dict.fromkeys(("=", "<>", "!=", "<", "<=", ">", ">=", "IN", "BETWEEN", "LIKE", "IS"), 4),
+    **dict.fromkeys(("+", "-", "||"), 5),
+    **dict.fromkeys(("*", "/", "%"), 6),
+}
+PREDICATE = BINDING["IS"]
+#: Unary minus, tighter than every binary operator.
+NEGATE = max(BINDING.values()) + 1
+
+
 @node_class
 class FunctionCall(Node):
     """A scalar or aggregate function call, e.g. ``SUM(r1.revenue)``."""

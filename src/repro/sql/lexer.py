@@ -1,18 +1,21 @@
 """Tokenizer for the prototype's SQL dialect.
 
-The lexer is a hand-written scanner producing a flat list of :class:`Token`
-objects.  It recognizes keywords case-insensitively, quoted string literals
-with doubled-quote escaping (``'it''s'``), integer and decimal numeric
-literals, identifiers (optionally double-quoted), the usual punctuation and
-multi-character comparison operators, and both ``--`` line comments and
-``/* ... */`` block comments.
+One compiled regular expression, :data:`_TOKEN`, is the dialect's lexical
+grammar: each named group is a token class, and :func:`tokenize` matches it
+at each offset of the input.  It recognizes keywords case-insensitively,
+quoted string literals with doubled-quote escaping (``'it''s'``), integer and
+decimal numeric literals, identifiers (optionally double-quoted), the usual
+punctuation and multi-character comparison operators, and both ``--`` line
+comments and ``/* ... */`` block comments.  Whitespace is space, tab, CR and
+LF; letters, digits and ``_`` are Unicode's (``str.isalpha``, decimal
+digits).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple, Optional
 
 from repro.errors import SQLSyntaxError
 
@@ -79,23 +82,46 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so the scanner is greedy.
-_MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
+#: The lexical grammar, tried in order at each offset.  A group named in
+#: :data:`_ERRORS` is a malformed token; ``other`` is any character no token
+#: starts with.  A ``word`` whose first character is a number that is not a
+#: decimal digit (``²``, ``½``) is not an identifier either (:func:`tokenize`).
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<comment>--[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<open_string>')
+    | (?P<quoted>"[^"]*")
+    | (?P<open_quoted>")
+    | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?)
+    | (?P<bad_number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<operator><>|<=|>=|!=|\|\||[-+*/%=<>])
+    | (?P<punctuation>[(),.;])
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-#: Single-character operators.
-_SINGLE_CHAR_OPERATORS = "+-*/%=<>"
+#: The message of each malformed-token group.
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_quoted": "unterminated quoted identifier",
+    "bad_number": "malformed number {!r}",
+    "other": "unexpected character {!r}",
+}
 
-#: Punctuation characters that become their own tokens.
-_PUNCTUATION = "(),.;"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` holds the normalized text: keywords are upper-cased, string
     literals are unquoted and unescaped, numbers keep their literal spelling
-    (conversion to int/float happens in the parser).
+    (conversion to int/float happens in the parser).  ``line`` and ``column``
+    (1-based) are those of ``position``.
     """
 
     type: TokenType
@@ -114,173 +140,46 @@ class Token:
         """Return True when the token is one of the given keywords."""
         return self.type is TokenType.KEYWORD and self.value in names
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r}@{self.line}:{self.column})"
 
-
-class Lexer:
-    """Scanner turning a SQL string into tokens.
-
-    The lexer is restartable: :meth:`tokens` may be called repeatedly and
-    always scans from the beginning of the input.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-
-    # -- public API ---------------------------------------------------------
-
-    def tokens(self) -> List[Token]:
-        """Scan the whole input and return the token list (with a final EOF)."""
-        return list(self._scan())
-
-    # -- scanning -----------------------------------------------------------
-
-    def _scan(self) -> Iterator[Token]:
-        text = self.text
-        length = len(text)
-        pos = 0
-        line = 1
-        line_start = 0
-
-        def make(token_type: TokenType, value: str, at: int) -> Token:
-            return Token(token_type, value, at, line, at - line_start + 1)
-
-        while pos < length:
-            char = text[pos]
-
-            # Whitespace (track line numbers for error reporting).
-            if char in " \t\r\n":
-                if char == "\n":
-                    line += 1
-                    line_start = pos + 1
-                pos += 1
-                continue
-
-            # Line comments.
-            if text.startswith("--", pos):
-                end = text.find("\n", pos)
-                pos = length if end == -1 else end
-                continue
-
-            # Block comments.
-            if text.startswith("/*", pos):
-                end = text.find("*/", pos + 2)
-                if end == -1:
-                    raise SQLSyntaxError(
-                        "unterminated block comment", pos, line, pos - line_start + 1
-                    )
-                for i in range(pos, end):
-                    if text[i] == "\n":
-                        line += 1
-                        line_start = i + 1
-                pos = end + 2
-                continue
-
-            # String literals with '' escaping.
-            if char == "'":
-                start = pos
-                pos += 1
-                pieces: List[str] = []
-                while True:
-                    if pos >= length:
-                        raise SQLSyntaxError(
-                            "unterminated string literal",
-                            start,
-                            line,
-                            start - line_start + 1,
-                        )
-                    if text[pos] == "'":
-                        if pos + 1 < length and text[pos + 1] == "'":
-                            pieces.append("'")
-                            pos += 2
-                            continue
-                        pos += 1
-                        break
-                    pieces.append(text[pos])
-                    pos += 1
-                yield make(TokenType.STRING, "".join(pieces), start)
-                continue
-
-            # Double-quoted identifiers.
-            if char == '"':
-                start = pos
-                end = text.find('"', pos + 1)
-                if end == -1:
-                    raise SQLSyntaxError(
-                        "unterminated quoted identifier",
-                        start,
-                        line,
-                        start - line_start + 1,
-                    )
-                yield make(TokenType.IDENTIFIER, text[pos + 1 : end], start)
-                pos = end + 1
-                continue
-
-            # Numbers: integers and decimals, with optional exponent.
-            if char.isdigit() or (char == "." and pos + 1 < length and text[pos + 1].isdigit()):
-                start = pos
-                pos += 1
-                while pos < length and (text[pos].isdigit() or text[pos] == "."):
-                    pos += 1
-                if pos < length and text[pos] in "eE":
-                    exp_end = pos + 1
-                    if exp_end < length and text[exp_end] in "+-":
-                        exp_end += 1
-                    if exp_end < length and text[exp_end].isdigit():
-                        pos = exp_end
-                        while pos < length and text[pos].isdigit():
-                            pos += 1
-                literal = text[start:pos]
-                if literal.count(".") > 1:
-                    raise SQLSyntaxError(
-                        f"malformed number {literal!r}", start, line, start - line_start + 1
-                    )
-                yield make(TokenType.NUMBER, literal, start)
-                continue
-
-            # Identifiers and keywords.
-            if char.isalpha() or char == "_":
-                start = pos
-                pos += 1
-                while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                word = text[start:pos]
-                upper = word.upper()
-                if upper in KEYWORDS:
-                    yield make(TokenType.KEYWORD, upper, start)
-                else:
-                    yield make(TokenType.IDENTIFIER, word, start)
-                continue
-
-            # Multi-character operators.
-            matched = False
-            for op in _MULTI_CHAR_OPERATORS:
-                if text.startswith(op, pos):
-                    yield make(TokenType.OPERATOR, op, pos)
-                    pos += len(op)
-                    matched = True
-                    break
-            if matched:
-                continue
-
-            # Single-character operators and punctuation.
-            if char in _SINGLE_CHAR_OPERATORS:
-                yield make(TokenType.OPERATOR, char, pos)
-                pos += 1
-                continue
-            if char in _PUNCTUATION:
-                yield make(TokenType.PUNCTUATION, char, pos)
-                pos += 1
-                continue
-
-            raise SQLSyntaxError(
-                f"unexpected character {char!r}", pos, line, pos - line_start + 1
-            )
-
-        yield Token(TokenType.EOF, "", length, line, length - line_start + 1)
+#: The token type of each group whose text is the token's value.
+_VERBATIM = {
+    "operator": TokenType.OPERATOR,
+    "punctuation": TokenType.PUNCTUATION,
+    "number": TokenType.NUMBER,
+}
 
 
 def tokenize(text: str) -> List[Token]:
-    """Convenience wrapper: tokenize ``text`` and return the token list."""
-    return Lexer(text).tokens()
+    """Scan ``text`` and return its tokens, ending with an EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, start, value = match.lastgroup, match.start(), match.group()
+        column = start - line_start + 1
+        if kind in _VERBATIM:
+            append(Token(_VERBATIM[kind], value, start, line, column))
+            continue
+        if kind == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenType.KEYWORD, upper, start, line, column))
+                continue
+            if value[0].isalpha() or value[0] == "_":
+                append(Token(TokenType.IDENTIFIER, value, start, line, column))
+                continue
+            kind, value = "other", value[0]
+        if kind in _ERRORS:
+            raise SQLSyntaxError(_ERRORS[kind].format(value), start, line, column)
+        if kind == "string":
+            append(Token(TokenType.STRING, value[1:-1].replace("''", "'"), start, line, column))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENTIFIER, value[1:-1], start, line, column))
+        # Whitespace, a comment or a literal: the one span that may end a line.
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, match.end()) + 1
+    end = len(text)
+    append(Token(TokenType.EOF, "", end, line, end - line_start + 1))
+    return tokens

@@ -5,7 +5,9 @@ mediation engine produces: SELECT statements with explicit joins or
 comma-separated FROM lists, WHERE conditions over arithmetic expressions,
 UNION / UNION ALL — an ORDER BY, LIMIT or OFFSET after the last branch
 finishes the whole union (:func:`finished_union`) — and the simple DDL/DML
-(``CREATE TABLE``, ``INSERT``) used to populate demo sources.
+(``CREATE TABLE``, ``INSERT``) used to populate demo sources.  Expressions
+parse by precedence climbing over the dialect's one operator table,
+:data:`repro.sql.ast.BINDING`, which the printer parenthesizes by.
 
 Entry points:
 
@@ -21,6 +23,9 @@ from typing import List, Optional, Tuple
 
 from repro.errors import SQLSyntaxError, SQLUnsupportedError
 from repro.sql.ast import (
+    BINDING,
+    NEGATE,
+    PREDICATE,
     Between,
     BinaryOp,
     Case,
@@ -48,6 +53,9 @@ from repro.sql.ast import (
     node_class,
 )
 from repro.sql.lexer import Token, TokenType, tokenize
+
+#: The level of prefix ``NOT``.
+NOT = BINDING["NOT"]
 
 
 class Parser:
@@ -327,44 +335,53 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def _expression(self) -> Node:
-        return self._or_expression()
+    def _expression(self, floor: int = 1) -> Node:
+        """An expression of operators that bind at least as tightly as
+        ``floor``: precedence climbing over :data:`BINDING`.  ``ceiling``
+        bounds what may follow the expression built so far: only a looser
+        operator, or one of its own level on a left-associative level."""
+        if floor <= NOT and self._accept_keyword("NOT"):
+            left, ceiling = UnaryOp("NOT", self._expression(NOT)), NOT
+        elif floor <= PREDICATE and self.current.is_keyword("EXISTS"):
+            left, ceiling = self._exists(), PREDICATE
+        else:
+            left, ceiling = self._unary(), NEGATE
+        while True:
+            level = self._binding()
+            if level is None or not floor <= level < ceiling:
+                return left
+            if level == PREDICATE:
+                left, ceiling = self._predicate(left), PREDICATE
+            else:
+                op = self._advance().value
+                left, ceiling = BinaryOp(op, left, self._expression(level + 1)), level + 1
 
-    def _or_expression(self) -> Node:
-        left = self._and_expression()
-        while self._accept_keyword("OR"):
-            right = self._and_expression()
-            left = BinaryOp("OR", left, right)
-        return left
+    def _binding(self) -> Optional[int]:
+        """The level of the binary operator or predicate at the current
+        token, if it is one."""
+        token = self.current
+        if token.type is TokenType.OPERATOR:
+            return BINDING.get(token.value)
+        if token.type is not TokenType.KEYWORD:
+            return None
+        if token.value == "NOT":
+            return PREDICATE if self._peek().is_keyword("IN", "BETWEEN", "LIKE") else None
+        return BINDING.get(token.value)
 
-    def _and_expression(self) -> Node:
-        left = self._not_expression()
-        while self._accept_keyword("AND"):
-            right = self._not_expression()
-            left = BinaryOp("AND", left, right)
-        return left
+    def _exists(self) -> Node:
+        self._expect_keyword("EXISTS")
+        self._expect_punct("(")
+        query = self._select_or_union()
+        self._expect_punct(")")
+        if isinstance(query, Union):
+            raise SQLUnsupportedError("UNION in EXISTS is not supported")
+        return Exists(Subquery(query))
 
-    def _not_expression(self) -> Node:
-        if self._accept_keyword("NOT"):
-            return UnaryOp("NOT", self._not_expression())
-        return self._predicate()
-
-    def _predicate(self) -> Node:
-        if self.current.is_keyword("EXISTS"):
-            self._advance()
-            self._expect_punct("(")
-            query = self._select_or_union()
-            self._expect_punct(")")
-            if isinstance(query, Union):
-                raise SQLUnsupportedError("UNION in EXISTS is not supported")
-            return Exists(Subquery(query))
-
-        left = self._additive()
-
-        negated = False
-        if self.current.is_keyword("NOT") and self._peek().is_keyword("IN", "BETWEEN", "LIKE"):
-            self._advance()
-            negated = True
+    def _predicate(self, left: Node) -> Node:
+        """The comparison or predicate over ``left`` at the current token;
+        its other operands bind tighter than :data:`PREDICATE`."""
+        operand = PREDICATE + 1
+        negated = self._accept_keyword("NOT")
 
         if self._accept_keyword("IN"):
             self._expect_punct("(")
@@ -374,54 +391,32 @@ class Parser:
                 if isinstance(query, Union):
                     raise SQLUnsupportedError("UNION in IN subquery is not supported")
                 return InList(left, (Subquery(query),), negated)
-            items = [self._additive()]
+            items = [self._expression(operand)]
             while self._accept_punct(","):
-                items.append(self._additive())
+                items.append(self._expression(operand))
             self._expect_punct(")")
             return InList(left, tuple(items), negated)
 
         if self._accept_keyword("BETWEEN"):
-            low = self._additive()
+            low = self._expression(operand)
             self._expect_keyword("AND")
-            high = self._additive()
+            high = self._expression(operand)
             return Between(left, low, high, negated)
 
         if self._accept_keyword("LIKE"):
-            pattern = self._additive()
-            return Like(left, pattern, negated)
+            return Like(left, self._expression(operand), negated)
 
         if self._accept_keyword("IS"):
-            is_negated = bool(self._accept_keyword("NOT"))
+            is_negated = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
             return IsNull(left, is_negated)
 
-        op = self._accept_operator("=", "<>", "!=", "<", "<=", ">", ">=")
-        if op is not None:
-            normalized = "<>" if op == "!=" else op
-            right = self._additive()
-            return BinaryOp(normalized, left, right)
-
-        return left
-
-    def _additive(self) -> Node:
-        left = self._multiplicative()
-        while True:
-            op = self._accept_operator("+", "-", "||")
-            if op is None:
-                return left
-            right = self._multiplicative()
-            left = BinaryOp(op, left, right)
-
-    def _multiplicative(self) -> Node:
-        left = self._unary()
-        while True:
-            op = self._accept_operator("*", "/", "%")
-            if op is None:
-                return left
-            right = self._unary()
-            left = BinaryOp(op, left, right)
+        op = self._advance().value
+        return BinaryOp("<>" if op == "!=" else op, left, self._expression(operand))
 
     def _unary(self) -> Node:
+        """Prefix ``-`` and ``+``, which bind tighter than every binary
+        operator (:data:`NEGATE`)."""
         if self._accept_operator("-"):
             return UnaryOp("-", self._unary())
         if self._accept_operator("+"):

@@ -9,16 +9,24 @@ The printer is used in three places in the prototype:
   shipping them to wrappers;
 * clients of the ODBC-like driver may log or display the statements they send.
 
-The output is deterministic, single-line and re-parseable by
-:func:`repro.sql.parser.parse`, which the property-based tests rely on.
+The output is deterministic and single-line.  Operands are parenthesized by
+the dialect's one operator table, :data:`repro.sql.ast.BINDING`, which the
+parser climbs, so a tree prints to text that :func:`repro.sql.parser.parse`
+reads back as the same tree.  Names print as they are, unquoted.  Three
+spellings come back otherwise: a negative numeric literal parses as unary
+minus over its magnitude, ``!=`` as ``<>``, and a negated ``Exists`` as
+``NOT`` over ``EXISTS``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Tuple
 
 from repro.errors import SQLError
 from repro.sql.ast import (
+    BINDING,
+    NEGATE,
+    PREDICATE,
     Between,
     BinaryOp,
     Case,
@@ -44,26 +52,6 @@ from repro.sql.ast import (
     Union,
 )
 from repro.sql.parser import DerivedTable
-
-#: Binding strength of binary operators, used to decide where parentheses are
-#: required when re-rendering an expression tree.
-_PRECEDENCE = {
-    "OR": 1,
-    "AND": 2,
-    "=": 4,
-    "<>": 4,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "||": 5,
-    "+": 6,
-    "-": 6,
-    "*": 7,
-    "/": 7,
-    "%": 7,
-}
-
 
 def format_literal(value: Any) -> str:
     """Render a Python value as a SQL literal."""
@@ -172,70 +160,63 @@ class _Printer:
 
     # -- expressions --------------------------------------------------------
 
-    def expression(self, node: Node, parent_precedence: int = 0) -> str:
+    def expression(self, node: Node, floor: int = 0) -> str:
+        """``node`` as text, parenthesized when it binds looser than
+        ``floor`` (a level of :data:`BINDING`)."""
         if isinstance(node, Literal):
             return format_literal(node.value)
         if isinstance(node, ColumnRef):
             return node.qualified
         if isinstance(node, Star):
             return f"{node.table}.*" if node.table else "*"
-        if isinstance(node, BinaryOp):
-            return self._binary(node, parent_precedence)
-        if isinstance(node, UnaryOp):
-            return self._unary(node, parent_precedence)
         if isinstance(node, FunctionCall):
             return self._function(node)
-        if isinstance(node, InList):
-            return self._in_list(node)
-        if isinstance(node, Between):
-            keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
-            return (
-                f"{self.expression(node.expr, 8)} {keyword} "
-                f"{self.expression(node.low, 8)} AND {self.expression(node.high, 8)}"
-            )
-        if isinstance(node, Like):
-            keyword = "NOT LIKE" if node.negated else "LIKE"
-            return f"{self.expression(node.expr, 8)} {keyword} {self.expression(node.pattern, 8)}"
-        if isinstance(node, IsNull):
-            keyword = "IS NOT NULL" if node.negated else "IS NULL"
-            return f"{self.expression(node.expr, 8)} {keyword}"
-        if isinstance(node, Exists):
-            keyword = "NOT EXISTS" if node.negated else "EXISTS"
-            return f"{keyword} ({self._select(node.subquery.query)})"
         if isinstance(node, Subquery):
             return f"({self._select(node.query)})"
         if isinstance(node, Case):
             return self._case(node)
+        text, level = self._operation(node)
+        return f"({text})" if level < floor else text
+
+    def _operation(self, node: Node) -> Tuple[str, int]:
+        """An operator node's text and the level it binds at.  A predicate's
+        operands bind tighter than it; a binary operator's left operand binds
+        at least as tightly, its right operand tighter."""
+        operand = PREDICATE + 1
+        if isinstance(node, BinaryOp):
+            op = node.op.upper()
+            level = BINDING.get(op)
+            if level is None:
+                raise SQLError(f"cannot render operator {op!r}")
+            left = self.expression(node.left, operand if level == PREDICATE else level)
+            return f"{left} {op} {self.expression(node.right, level + 1)}", level
+        if isinstance(node, UnaryOp):
+            if node.op.upper() == "NOT":
+                return f"NOT {self.expression(node.operand, BINDING['NOT'])}", BINDING["NOT"]
+            text = self.expression(node.operand, NEGATE)
+            # ``--`` would start a comment.
+            return f"-({text})" if text.startswith("-") else f"-{text}", NEGATE
+        if isinstance(node, InList):
+            keyword = "NOT IN" if node.negated else "IN"
+            items = ", ".join(self.expression(item, operand) for item in node.items)
+            return f"{self.expression(node.expr, operand)} {keyword} ({items})", PREDICATE
+        if isinstance(node, Between):
+            keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
+            return (f"{self.expression(node.expr, operand)} {keyword} "
+                    f"{self.expression(node.low, operand)} AND "
+                    f"{self.expression(node.high, operand)}"), PREDICATE
+        if isinstance(node, Like):
+            keyword = "NOT LIKE" if node.negated else "LIKE"
+            return (f"{self.expression(node.expr, operand)} {keyword} "
+                    f"{self.expression(node.pattern, operand)}"), PREDICATE
+        if isinstance(node, IsNull):
+            keyword = "IS NOT NULL" if node.negated else "IS NULL"
+            return f"{self.expression(node.expr, operand)} {keyword}", PREDICATE
+        if isinstance(node, Exists):
+            if node.negated:
+                return f"NOT EXISTS ({self._select(node.subquery.query)})", BINDING["NOT"]
+            return f"EXISTS ({self._select(node.subquery.query)})", PREDICATE
         raise SQLError(f"cannot render expression {node!r}")
-
-    def _binary(self, node: BinaryOp, parent_precedence: int) -> str:
-        op = node.op.upper()
-        precedence = _PRECEDENCE.get(op, 4)
-        if precedence == 4:
-            # Comparisons are non-associative in the grammar: a nested
-            # comparison on either side must be parenthesized.
-            left = self.expression(node.left, precedence + 1)
-            right = self.expression(node.right, precedence + 1)
-        else:
-            left = self.expression(node.left, precedence)
-            # Right operand gets precedence + 1 so that same-precedence chains
-            # stay left-associative when re-parsed (a - b - c is unambiguous).
-            right = self.expression(node.right, precedence + 1)
-        text = f"{left} {op} {right}"
-        if precedence < parent_precedence:
-            return f"({text})"
-        return text
-
-    def _unary(self, node: UnaryOp, parent_precedence: int = 0) -> str:
-        if node.op.upper() == "NOT":
-            # NOT binds looser than comparisons: parenthesize when embedded in
-            # arithmetic or a comparison, and render its operand at the
-            # predicate level (so ``NOT a = 1`` stays unparenthesized).
-            text = f"NOT {self.expression(node.operand, 4)}"
-            if parent_precedence > 3:
-                return f"({text})"
-            return text
-        return f"{node.op}{self.expression(node.operand, 8)}"
 
     def _function(self, node: FunctionCall) -> str:
         if not node.args:
@@ -244,11 +225,6 @@ class _Printer:
         if node.distinct:
             return f"{node.name}(DISTINCT {args})"
         return f"{node.name}({args})"
-
-    def _in_list(self, node: InList) -> str:
-        keyword = "NOT IN" if node.negated else "IN"
-        items = ", ".join(self.expression(item) for item in node.items)
-        return f"{self.expression(node.expr, 8)} {keyword} ({items})"
 
     def _case(self, node: Case) -> str:
         parts = ["CASE"]

@@ -31,9 +31,9 @@ class TestCardinalities:
 
     def test_join_cardinality(self):
         model = CostModel(join_selectivity=0.1)
-        assert model.join_cardinality(10, 10, has_equi_join=False) == 100
-        assert model.join_cardinality(10, 10, has_equi_join=True) == 10
-        assert model.join_cardinality(0, 10, has_equi_join=True) == 0
+        assert model.join_cardinality(10, 10, equi_keys=0) == 100
+        assert model.join_cardinality(10, 10, equi_keys=1) == 10
+        assert model.join_cardinality(0, 10, equi_keys=1) == 0
 
 
 class TestCosts:

@@ -200,12 +200,10 @@ class TestCostModelFeedback:
         assert single == 100_000
         assert composite == 10_000  # was 100_000 before the per-key fix
 
-    def test_legacy_boolean_keyword_still_means_one_key(self):
+    def test_no_equi_key_is_the_cartesian_product(self):
         model = CostModel()
-        assert (model.join_cardinality(100, 100, has_equi_join=True)
-                == model.join_cardinality(100, 100, equi_keys=1))
         assert (model.join_cardinality(100, 100)
-                == model.join_cardinality(100, 100, equi_keys=0))
+                == model.join_cardinality(100, 100, equi_keys=0) == 10_000)
 
     def test_request_cardinality_prefers_feedback(self):
         feedback = CardinalityFeedback()

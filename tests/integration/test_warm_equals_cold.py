@@ -34,9 +34,9 @@ WARM = (2, 3, 10)
 
 STAGING = ("tables_created", "tables_dropped", "rows_written", "rows_read",
            "bytes_written")
-_PAPER = (8, 8, 20, 20, 262)
-_THREE = (3, 3, 401, 401, 6814)
-_FOUR = (4, 4, 402, 402, 6828)
+_PAPER = (8, 8, 20, 20, 1382)
+_THREE = (3, 3, 401, 401, 29270)
+_FOUR = (4, 4, 402, 402, 29340)
 #: Per statement, one execution's deltas of ``STAGING``.
 MOVED = (_PAPER, _THREE, _FOUR, _FOUR, _FOUR, _FOUR, _THREE, _THREE, _THREE,
          _THREE, _FOUR, _FOUR, _FOUR, _THREE, _FOUR, _THREE)

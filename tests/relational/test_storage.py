@@ -1,5 +1,6 @@
 """Unit tests for the temporary store."""
 
+from repro.relational.budget import estimate_row_bytes
 from repro.relational.relation import relation_from_rows
 from repro.relational.storage import TemporaryStore
 
@@ -12,11 +13,13 @@ def sample_relation(rows=3):
 
 
 class TestTemporaryStore:
-    def test_stage_registers_the_relation_itself(self):
+    def test_stage_books_the_relation_under_its_handle(self):
         store = TemporaryStore()
         relation = sample_relation()
-        handle, staged = store.stage(relation)
-        assert staged is relation and relation.name == handle
+        handle, nbytes = store.stage(relation)
+        assert relation.name == handle
+        assert nbytes == estimate_row_bytes(relation.rows[0]) * 3
+        assert store.statistics.snapshot()["bytes_written"] == nbytes
         assert store.has(handle) and store.handles == [handle]
 
     def test_labels_are_deduplicated(self):

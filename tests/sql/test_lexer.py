@@ -109,3 +109,26 @@ class TestTokenHelpers:
         token = tokenize("UNION")[0]
         assert token.is_keyword("UNION", "SELECT")
         assert not token.is_keyword("SELECT")
+
+
+class TestPositions:
+    def test_a_token_after_a_multi_line_literal_is_on_the_literals_last_line(self):
+        tokens = tokenize("SELECT 'a\nb' ,\n x")
+        comma = next(token for token in tokens if token.value == ",")
+        assert (comma.line, comma.column) == (2, 4)
+        assert (tokens[-2].line, tokens[-2].column) == (3, 2)
+
+    def test_every_token_is_where_its_offset_is(self):
+        text = "SELECT \"a\nb\", 'c\n\nd' /* e\n */ FROM -- f\n t"
+        for token in tokenize(text):
+            before = text[:token.position]
+            assert token.line == before.count("\n") + 1
+            assert token.column == len(before) - (before.rfind("\n") + 1) + 1
+
+    def test_a_digit_that_is_not_decimal_is_an_unexpected_character(self):
+        with pytest.raises(SQLSyntaxError, match="unexpected character '²'") as excinfo:
+            tokenize("SELECT 1² FROM t")
+        assert excinfo.value.position == 8
+
+    def test_unicode_letters_and_decimal_digits_scan(self):
+        assert kinds("été_٣ ١٢") == [(TokenType.IDENTIFIER, "été_٣"), (TokenType.NUMBER, "١٢")]

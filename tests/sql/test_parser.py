@@ -1,8 +1,9 @@
 """Unit tests for the SQL parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import SQLSyntaxError, SQLUnsupportedError
+from repro.errors import SQLError, SQLSyntaxError, SQLUnsupportedError
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -275,3 +276,24 @@ class TestDDLAndDML:
     def test_unknown_statement_rejected(self):
         with pytest.raises(SQLSyntaxError):
             parse("DELETE FROM t")
+
+
+class TestErrors:
+    def test_an_error_after_a_multi_line_identifier_is_placed_on_its_line(self):
+        with pytest.raises(SQLSyntaxError) as excinfo:
+            parse('SELECT "a\nb" FROM r1 WHERE')
+        assert (excinfo.value.line, excinfo.value.column) == (2, 17)
+
+    def test_a_superscript_digit_is_a_syntax_error(self):
+        with pytest.raises(SQLSyntaxError, match="unexpected character"):
+            parse("SELECT ² FROM t")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(list("SELECT FROM WHERE 1.e'\"()-*/²½٣")),
+                                      st.characters()), max_size=40))
+    def test_arbitrary_text_raises_only_sql_errors(self, text):
+        for parser in (parse, parse_expression):
+            try:
+                parser(text)
+            except SQLError:
+                pass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select, SelectItem, TableRef
+from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select, SelectItem, TableRef, UnaryOp
 from repro.sql.parser import parse, parse_expression
 from repro.sql.printer import format_literal, to_sql
 
@@ -115,3 +115,33 @@ class TestStability:
             where=BinaryOp(">", ColumnRef("revenue", "r1"), Literal(10)),
         )
         assert to_sql(statement) == "SELECT r1.cname FROM r1 WHERE r1.revenue > 10"
+
+
+class TestMediatedText:
+    """The mediated statement's text is the statement: it parses back to the
+    mediator's tree."""
+
+    @pytest.fixture(scope="class")
+    def federation(self):
+        from repro.demo.scenarios import build_paper_federation
+
+        return build_paper_federation().federation
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT r1.cname FROM r1 WHERE (r1.cname IS NULL) = FALSE",
+        "SELECT -(-r1.revenue) FROM r1",
+        "SELECT r1.cname || (r1.revenue - 1) FROM r1",
+    ])
+    def test_printed_mediation_parses_to_the_mediated_tree(self, federation, sql):
+        result = federation.mediate_only(sql)
+        assert parse(result.sql) == result.mediated
+
+    def test_a_unary_minus_never_meets_a_minus(self):
+        assert to_sql(parse_expression("-(-a)")) == "-(-a)"
+        assert to_sql(parse_expression("-(-1)")) == "-(-1)"
+        assert to_sql(UnaryOp("-", Literal(-1))) == "-(-1)"
+
+    def test_a_predicate_is_parenthesized_as_an_operand(self):
+        assert to_sql(parse_expression("(a IS NULL) = FALSE")) == "(a IS NULL) = FALSE"
+        assert to_sql(parse_expression("a IN ((b = c))")) == "a IN ((b = c))"
+        assert to_sql(parse_expression("a || (b - 1)")) == "a || (b - 1)"

@@ -1,37 +1,45 @@
-"""Property-based tests: printing and re-parsing SQL is a fixpoint."""
+"""Property-based tests: every tree prints to text that parses back to it.
+
+The generator covers every operator of the dialect's one table
+(:data:`repro.sql.ast.BINDING`) and the predicate forms.  Two spellings do
+not come back as built: ``!=`` parses as ``<>`` (so it is not generated), and
+a negative numeric literal prints as a minus sign over its magnitude, which
+parses as unary minus over a positive literal (:func:`as_parsed`).
+"""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sql.ast import (
+    BINDING,
+    Between,
     BinaryOp,
     ColumnRef,
+    InList,
+    IsNull,
+    Like,
     Literal,
     Select,
     SelectItem,
     TableRef,
     UnaryOp,
     Union,
+    transform,
 )
+from repro.sql.lexer import KEYWORDS
 from repro.sql.parser import parse, parse_expression
 from repro.sql.printer import to_sql
 
 # -- expression generators ----------------------------------------------------
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
-    lambda name: name.upper() not in {
-        "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "IN", "IS", "NULL", "LIKE",
-        "BETWEEN", "EXISTS", "AS", "JOIN", "INNER", "LEFT", "RIGHT", "OUTER", "CROSS",
-        "ON", "CASE", "WHEN", "THEN", "ELSE", "END", "CREATE", "TABLE", "INSERT",
-        "INTO", "VALUES", "TRUE", "FALSE", "UNION", "ALL", "DISTINCT", "GROUP", "BY",
-        "HAVING", "ORDER", "ASC", "DESC", "LIMIT", "OFFSET",
-    }
+    lambda name: name.upper() not in KEYWORDS
 )
 
 literals = st.one_of(
     st.integers(min_value=-10_000, max_value=10_000).map(Literal),
     st.floats(min_value=-1000, max_value=1000, allow_nan=False, allow_infinity=False)
     .map(lambda value: Literal(round(value, 3))),
-    st.text(alphabet="abcXYZ 0123", min_size=0, max_size=8).map(Literal),
+    st.text(alphabet="abcXYZ 0123'", min_size=0, max_size=8).map(Literal),
     st.booleans().map(Literal),
     st.just(Literal(None)),
 )
@@ -41,23 +49,37 @@ column_references = st.one_of(
     st.tuples(identifiers, identifiers).map(lambda pair: ColumnRef(pair[1], pair[0])),
 )
 
+#: Every binary operator of the table; the predicates are generated as their
+#: own nodes, and ``!=`` parses as ``<>``.
+BINARY_OPERATORS = sorted(set(BINDING) - {"NOT", "IN", "BETWEEN", "LIKE", "IS", "!="})
+
 
 def expressions(max_depth: int = 3):
     def extend(children):
-        arithmetic = st.tuples(st.sampled_from(["+", "-", "*", "/"]), children, children).map(
-            lambda triple: BinaryOp(triple[0], triple[1], triple[2])
-        )
-        comparison = st.tuples(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
-                               children, children).map(
-            lambda triple: BinaryOp(triple[0], triple[1], triple[2])
-        )
-        boolean = st.tuples(st.sampled_from(["AND", "OR"]), children, children).map(
-            lambda triple: BinaryOp(triple[0], triple[1], triple[2])
-        )
-        negation = children.map(lambda child: UnaryOp("NOT", child))
-        return st.one_of(arithmetic, comparison, boolean, negation)
+        binary = st.tuples(st.sampled_from(BINARY_OPERATORS), children, children).map(
+            lambda triple: BinaryOp(*triple))
+        unary = st.tuples(st.sampled_from(["NOT", "-"]), children).map(
+            lambda pair: UnaryOp(*pair))
+        in_list = st.builds(lambda expr, items, negated: InList(expr, tuple(items), negated),
+                            children, st.lists(children, min_size=1, max_size=3), st.booleans())
+        between = st.builds(Between, children, children, children, st.booleans())
+        like = st.builds(Like, children, children, st.booleans())
+        is_null = st.builds(IsNull, children, st.booleans())
+        return st.one_of(binary, unary, in_list, between, like, is_null)
 
     return st.recursive(st.one_of(literals, column_references), extend, max_leaves=max_depth * 4)
+
+
+def as_parsed(node):
+    """``node`` as the parser reads its printed text back: a negative
+    numeric literal becomes unary minus over its magnitude."""
+    def positive(child):
+        value = getattr(child, "value", None)
+        if (isinstance(child, Literal) and isinstance(value, (int, float))
+                and not isinstance(value, bool) and value < 0):
+            return UnaryOp("-", Literal(-value))
+        return child
+    return transform(node, positive)
 
 
 select_statements = st.builds(
@@ -75,10 +97,8 @@ select_statements = st.builds(
 class TestExpressionRoundtrip:
     @settings(max_examples=200, deadline=None)
     @given(expressions())
-    def test_print_parse_print_is_fixpoint(self, expression):
-        printed = to_sql(expression)
-        reparsed = parse_expression(printed)
-        assert to_sql(reparsed) == printed
+    def test_printed_text_parses_to_the_same_tree(self, expression):
+        assert parse_expression(to_sql(expression)) == as_parsed(expression)
 
     @settings(max_examples=100, deadline=None)
     @given(expressions())
@@ -93,12 +113,10 @@ class TestStatementRoundtrip:
     @settings(max_examples=100, deadline=None)
     @given(select_statements)
     def test_select_roundtrip(self, statement):
-        printed = to_sql(statement)
-        assert to_sql(parse(printed)) == printed
+        assert parse(to_sql(statement)) == as_parsed(statement)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(select_statements, min_size=2, max_size=3), st.booleans())
     def test_union_roundtrip(self, selects, use_all):
         statement = Union(tuple(selects), all=use_all)
-        printed = to_sql(statement)
-        assert to_sql(parse(printed)) == printed
+        assert parse(to_sql(statement)) == as_parsed(statement)
