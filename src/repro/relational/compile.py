@@ -255,12 +255,14 @@ def _call(name: str, fn: Callable[..., Any], *args: Any) -> Any:
 
 
 def _hash_key(value: Any) -> Any:
-    """Normalize join keys so 1, 1.0 and Decimal("1") hash to the same bucket."""
+    """A join key part: a number as its float, so 1, 1.0 and Decimal("1")
+    share a bucket (and 0 and -0.0); a boolean tagged ``("b", value)``, so it
+    equals only a boolean; a string, or any other value, as itself."""
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float, Decimal)):
-        return ("n", float(value))
-    return ("s", value)
+        return float(value)
+    return value
 
 
 class _Descending:
@@ -394,7 +396,7 @@ class _Build:
         emitter = _Emitter(self, folding)
         getattr(emitter, "kernel_" + kind)(nodes, *detail)
         params = ", ".join(f"k{index}" for index in range(len(emitter.consts)))
-        source = (f"def make({params}):\n    def kernel(row):\n"
+        source = (f"def make({params}):\n    def kernel({emitter.params}):\n"
                   f"{''.join(emitter.lines)}    return kernel\n")
         return _factory(source)(*emitter.consts)
 
@@ -416,6 +418,11 @@ class _Emitter:
         self.literals: Dict[str, Any] = {}  # atom -> value of a Literal node
         self.pad = " " * 8
         self.names = 0
+        self.params = "row"  # the kernel's parameters
+        # Where a column is read: ``row[i]``, or over a join's two sides
+        # (``width`` left columns) ``left[i]`` and ``right[i - width]``.
+        self.row = "row"
+        self.width: Optional[int] = None
 
     def line(self, text: str) -> None:
         self.lines.append(f"{self.pad}{text}\n")
@@ -477,7 +484,7 @@ class _Emitter:
         build = self.build
         split = build.split.get(id(node))
         if split is not None:
-            return self.assign(f"{self.const(split)}(row)")
+            return self.assign(f"{self.const(split)}({self.row})")
         if id(node) in build.constant and not self.folding:
             return self.fold(build.kernel("expr", (node,), folding=True))
         emit = getattr(self, "emit_" + node.__class__.__name__, None)
@@ -494,9 +501,13 @@ class _Emitter:
 
     def emit_ColumnRef(self, node: ColumnRef) -> str:
         try:
-            return f"row[{self.build.schema.index_of(node.name, node.table):d}]"
+            position = self.build.schema.index_of(node.name, node.table)
         except Exception as exc:
             return self.fail(exc)
+        width = self.width
+        if width is None:
+            return f"{self.row}[{position:d}]"
+        return f"left[{position:d}]" if position < width else f"right[{position - width:d}]"
 
     def emit_BinaryOp(self, node: BinaryOp) -> str:
         op = node.op.upper()
@@ -702,18 +713,81 @@ class _Emitter:
             parts += (rank, number, text)
         self.line(f"return ({''.join(part + ', ' for part in parts)})")
 
-    def kernel_key(self, nodes: Sequence[Node]) -> None:
-        """``(_hash_key(v), ...)`` over the key parts, None at the first NULL."""
+    def key(self, nodes: Sequence[Node], on_null: str) -> str:
+        """The bucket key of ``nodes``: each part as :func:`_hash_key` makes
+        it, exact strings and numbers inline; one part is the key itself,
+        several a tuple.  ``on_null`` runs at the first NULL part."""
         parts = []
         for node in nodes:
             x = self.name(self.value(node))
             cls, part = self.classof(x), self.temp("h")
-            self.line(f"if {cls} is float or {cls} is int: {part} = ('n', float({x}))")
-            self.line(f"elif {cls} is str: {part} = ('s', {x})")
-            self.line(f"elif {x} is None: return None")
+            self.line(f"if {cls} is str or {cls} is float: {part} = {x}")
+            self.line(f"elif {cls} is int: {part} = float({x})")
+            self.line(f"elif {x} is None: {on_null}")
             self.line(f"else: {part} = _hash_key({x})")
             parts.append(part)
-        self.line(f"return ({''.join(part + ', ' for part in parts)})")
+        return parts[0] if len(parts) == 1 else f"({''.join(part + ', ' for part in parts)})"
+
+    def kernel_key(self, nodes: Sequence[Node]) -> None:
+        self.line(f"return {self.key(nodes, 'return None')}")
+
+    def kernel_probe(self, nodes: Sequence[Node], keys: int, width: int, anti: bool) -> None:
+        """``kernel(batch, matches)``: a hash join's probe of a batch of left
+        rows, ``matches`` its bucket table's ``get`` — the joined rows, or
+        with ``anti`` the left rows nothing matches.  The key of
+        ``nodes[:keys]`` (over the first ``width`` columns, the left row's)
+        is computed inline, and the residual conjuncts ``nodes[keys:]`` are
+        evaluated over ``left`` and ``right`` before a joined row is built —
+        built first only for a residual subtree split into its own kernel.
+        With ``matches`` None it returns ``(keys, rows)`` instead: the key of
+        every row that can match (with ``anti`` every row, a NULL key None),
+        what a Grace partitioning scatters."""
+        build = self.build
+        key_build = _Build(Schema(build.schema.attributes[:width]), build.executor)
+        key_build.analyse(nodes[:keys])
+        self.params = "batch, matches"
+        self.line("out = []")
+        self.line("append = out.append")
+        self.build, self.row = key_build, "left"
+        self.line("if matches is None:")
+        self.indent(1)
+        self.line("keys = []")
+        self.line("for left in batch:")
+        self.indent(1)
+        key = self.key(nodes[:keys], "keys.append(None); append(left); continue"
+                       if anti else "continue")
+        self.line(f"keys.append({key})")
+        self.line("append(left)")
+        self.indent(-1)
+        self.line("return keys, out")
+        self.indent(-1)
+        self.line("for left in batch:")
+        self.indent(1)
+        key = self.key(nodes[:keys], "append(left); continue" if anti else "continue")
+        if anti:
+            self.line(f"if matches({key}) is None: append(left)")
+        else:
+            self.line(f"bucket = matches({key})")
+            self.line("if bucket is None: continue")
+            self.line("for right in bucket:")
+            self.indent(1)
+            self.build, self.row = build, "row"
+            residual = nodes[keys:]
+            joined = "left + right"
+            if build.split:
+                self.line(f"row = {joined}")
+                joined = "row"
+            else:
+                self.width = width
+            if residual:
+                x = self.chain("AND", residual) if len(residual) > 1 else self.value(residual[0])
+                self.line(f"if {x}: append({joined})")
+            else:
+                self.line(f"append({joined})")
+        self.indent(-1 if anti else -2)
+        self.line("return out")
+        self.build = build
+        build.private = build.private or key_build.private
 
 
 class ExpressionCompiler:
@@ -763,7 +837,8 @@ class ExpressionCompiler:
             except Exception:
                 pass
         build = _Build(self.schema, self._scope.subquery_executor)
-        build.analyse(nodes)
+        # A probe's key is analysed over the left row (``kernel_probe``).
+        build.analyse(nodes[detail[0]:] if kind == "probe" else nodes)
         return build.kernel(kind, nodes, *detail), build.private
 
     def compile(self, node: Node) -> CompiledExpr:
@@ -793,11 +868,24 @@ class ExpressionCompiler:
             tuple((source if source.__class__ is int else None, bool(ascending))
                   for source, ascending in keys))
 
-    def bucket_key(self, expressions: Sequence[Node]) -> Callable[[Row], Optional[tuple]]:
+    def bucket_key(self, expressions: Sequence[Node]) -> Callable[[Row], Any]:
         """Compile (composite) join key expressions to one ``row -> key``: the
-        tuple of the parts normalized as :func:`_hash_key` normalizes them, or
-        None when a part is NULL (SQL equality with NULL is never true)."""
+        part normalized as :func:`_hash_key` normalizes it, the tuple of the
+        parts for several, or None when a part is NULL (SQL equality with
+        NULL is never true)."""
         return self._kernel("key", tuple(expressions))
+
+    def probe(self, keys: Sequence[Node], width: int, residual: Optional[Node] = None,
+              anti: bool = False) -> Callable[[Sequence[Row], Any], Any]:
+        """Compile a hash join's probe to one ``(batch, matches) -> rows``
+        (see ``_Emitter.kernel_probe``).  This compiler's schema is the
+        joined row's: the left input's ``width`` columns, then the right's;
+        ``keys`` are the left key expressions, ``bucket_key`` over the right
+        schema the build's.  Keyed, like ``predicate``, by the residual's
+        conjuncts."""
+        conjuncts = () if residual is None else tuple(_chain_operands(
+            (residual,), lambda child: _chain_of(child) == "AND"))
+        return self._kernel("probe", tuple(keys) + conjuncts, len(keys), width, anti)
 
 
 class KernelScope:

@@ -230,9 +230,9 @@ class Filter(PhysicalOperator):
         return max(self.child.estimated_rows // 3, 1)
 
     def _explain_details(self) -> str:
-        from repro.sql.printer import to_sql
+        from repro.sql.printer import to_text
 
-        return f"({to_sql(self.condition)})"
+        return f"({to_text(self.condition)})"
 
 
 class Project(PhysicalOperator):
@@ -393,11 +393,11 @@ class Aggregate(PhysicalOperator):
         )
 
     def _explain_details(self) -> str:
-        from repro.sql.printer import to_sql
+        from repro.sql.printer import to_text
 
-        calls = ", ".join(f"{self.ref(position).name} = {to_sql(call)}"
+        calls = ", ".join(f"{self.ref(position).name} = {to_text(call)}"
                           for position, call in enumerate(self.calls))
-        keys = ", ".join(to_sql(expr) for expr in self.group_by)
+        keys = ", ".join(to_text(expr) for expr in self.group_by)
         return f"({'; '.join(part for part in (keys, calls) if part)})"
 
 
@@ -466,10 +466,10 @@ class NestedLoopJoin(PhysicalOperator):
     def _explain_details(self) -> str:
         if self.condition is None:
             return ""
-        from repro.sql.printer import to_sql
+        from repro.sql.printer import to_text
 
         kind = f"{self.outer} " if self.outer is not None else ""
-        return f"({kind}{to_sql(self.condition)})"
+        return f"({kind}{to_text(self.condition)})"
 
 
 class _KeptBuild:
@@ -550,16 +550,15 @@ class HashJoin(PhysicalOperator):
         if anti and residual is not None:
             raise ExecutionError("an anti-join takes no residual")
         self.residual = residual
-        self._schema = left.schema if anti else left.schema.concat(right.schema)
-        # Each side's bucket key: the normalized key tuple of a row, None when
-        # a part is NULL (such a row can match nothing).
-        self._left_key = ExpressionCompiler(left.schema, scope=scope).bucket_key(self.left_keys)
+        joined = left.schema.concat(right.schema)
+        self._schema = left.schema if anti else joined
+        # The build's bucket key of a right row, None when a part is NULL
+        # (such a row can match nothing); the probe kernel keys a left batch
+        # the same way, looks it up and applies the residual in one loop.
         self._right_key = ExpressionCompiler(right.schema, scope=scope).bucket_key(
             self.right_keys)
-        self._residual_predicate = (
-            ExpressionCompiler(self._schema, scope=scope).predicate(residual)
-            if residual is not None else None
-        )
+        self._probe = ExpressionCompiler(joined, scope=scope).probe(
+            self.left_keys, len(left.schema), residual, anti)
 
     @property
     def schema(self) -> Schema:
@@ -616,28 +615,15 @@ class HashJoin(PhysicalOperator):
                         keyed = keyed[fitted:]
                     build_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
 
-            residual = self._residual_predicate
-            left_key = self._left_key
+            probe = self._probe
             anti = self.anti
             if build_spill is None:
                 if origin is not None and budget is not None and not self.build_shared:
                     self._kept.offer(origin, buckets, build_rows, build_bytes)
-                # A NULL probe key is ``None``, which is never a bucket key.
                 matches = buckets.get
                 with closing(self.left.batches()) as left_batches:
                     for batch in left_batches:
-                        if anti:
-                            joined = [left_row for left_row in batch
-                                      if matches(left_key(left_row)) is None]
-                        elif residual is None:
-                            joined = [left_row + right_row
-                                      for left_row in batch
-                                      for right_row in matches(left_key(left_row), ())]
-                        else:
-                            joined = [combined
-                                      for left_row in batch
-                                      for right_row in matches(left_key(left_row), ())
-                                      if residual(combined := left_row + right_row) is True]
+                        joined = probe(batch, matches)
                         if joined:
                             yield joined
                 return
@@ -645,16 +631,14 @@ class HashJoin(PhysicalOperator):
             # Grace fallback: partition the (streamed-once) probe side by the
             # same hash, then join partition by partition.  Output order is
             # deterministic — partitions in index order, probe order within
-            # each — but differs from the in-memory build's probe order.
+            # each — but differs from the in-memory build's probe order.  An
+            # anti-join's NULL-key row lands in ``hash(None)``'s partition,
+            # where it matches nothing.
             probe_spill = SpillPartitions(fanout, "hashjoin-probe-")
             with closing(self.left.batches()) as left_batches:
                 for batch in left_batches:
-                    keyed = [(key, left_row) for left_row in batch
-                             if (key := left_key(left_row)) is not None]
-                    if anti and len(keyed) < len(batch):
-                        # A NULL key matches nothing: unmatched right away.
-                        yield [left_row for left_row in batch if left_key(left_row) is None]
-                    probe_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
+                    keys, rows = probe(batch, None)
+                    probe_spill.scatter(_partitions(keys, fanout), rows)
 
             def partition_joins() -> Iterator[Batch]:
                 for index in range(fanout):
@@ -664,17 +648,7 @@ class HashJoin(PhysicalOperator):
                             partition_buckets.setdefault(key, []).append(right_row)
                     matches = partition_buckets.get
                     for frame in probe_spill.read(index) if partition_buckets or anti else ():
-                        if anti:
-                            yield [left_row for key, left_row in frame if matches(key) is None]
-                        elif residual is None:
-                            yield [left_row + right_row
-                                   for key, left_row in frame
-                                   for right_row in matches(key, ())]
-                        else:
-                            yield [combined
-                                   for key, left_row in frame
-                                   for right_row in matches(key, ())
-                                   if residual(combined := left_row + right_row) is True]
+                        yield probe(frame, matches)
 
             yield from _ramp_batches(chain.from_iterable(partition_joins()))
         finally:
@@ -691,15 +665,15 @@ class HashJoin(PhysicalOperator):
         return max(self.left.estimated_rows, self.right.estimated_rows)
 
     def _explain_details(self) -> str:
-        from repro.sql.printer import to_sql
+        from repro.sql.printer import to_text
 
         keys = " AND ".join(
-            f"{to_sql(lk)} = {to_sql(rk)}"
+            f"{to_text(lk)} = {to_text(rk)}"
             for lk, rk in zip(self.left_keys, self.right_keys)
         )
         detail = f"({'anti ' if self.anti else ''}{keys}"
         if self.residual is not None:
-            detail += f", residual {to_sql(self.residual)}"
+            detail += f", residual {to_text(self.residual)}"
         return detail + ")"
 
 
@@ -971,10 +945,10 @@ class Sort(PhysicalOperator):
         return self.child.estimated_rows
 
     def _explain_details(self) -> str:
-        from repro.sql.printer import to_sql
+        from repro.sql.printer import to_text
 
         parts = [(self.child.schema[source].name if source.__class__ is int
-                  else to_sql(source)) + ("" if ascending else " DESC")
+                  else to_text(source)) + ("" if ascending else " DESC")
                  for source, ascending in self.keys]
         if self.limit is not None:
             parts.append(f"top {self.limit}")

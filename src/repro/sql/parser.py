@@ -19,6 +19,7 @@ Entry points:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.errors import SQLSyntaxError, SQLUnsupportedError
@@ -430,6 +431,10 @@ class Parser:
             self._advance()
             text = token.value
             value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+            if value.__class__ is float and not math.isfinite(value):
+                # ``1e999``: no literal spells infinity, so it could not print.
+                raise SQLSyntaxError(f"numeric literal out of range (found {text!r})",
+                                     token.position, token.line, token.column)
             return Literal(value)
 
         if token.type is TokenType.STRING:

@@ -12,17 +12,21 @@ The printer is used in three places in the prototype:
 The output is deterministic and single-line.  Operands are parenthesized by
 the dialect's one operator table, :data:`repro.sql.ast.BINDING`, which the
 parser climbs, so a tree prints to text that :func:`repro.sql.parser.parse`
-reads back as the same tree.  Names print as they are, unquoted.  Three
-spellings come back otherwise: a negative numeric literal parses as unary
+reads back as the same tree.  A column, qualifier, table or alias name
+prints bare when the lexer scans it as that identifier, else double-quoted;
+a name holding ``"`` has no spelling and is refused (EXPLAIN's
+:func:`to_text` prints every name as it is).  Three spellings come
+back otherwise: a negative numeric literal parses as unary
 minus over its magnitude, ``!=`` as ``<>``, and a negated ``Exists`` as
 ``NOT`` over ``EXISTS``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import re
+from typing import Any, List, Optional, Tuple
 
-from repro.errors import SQLError
+from repro.errors import SQLError, SQLUnsupportedError
 from repro.sql.ast import (
     BINDING,
     NEGATE,
@@ -51,7 +55,29 @@ from repro.sql.ast import (
     UnaryOp,
     Union,
 )
+from repro.sql.lexer import KEYWORDS
 from repro.sql.parser import DerivedTable
+
+#: The lexer's ``word``: an identifier when its first character is a letter
+#: or ``_`` and it is no keyword.
+_WORD = re.compile(r"[^\W\d]\w*\Z").match
+#: The common case in one match: an ASCII identifier that is no keyword.
+_BARE = re.compile(rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\Z)[A-Za-z_]\w*\Z",
+                   re.IGNORECASE | re.ASCII).match
+
+
+def _quote_name(name: str) -> str:
+    """``name`` as text the lexer reads back as that one identifier: bare
+    when it scans so, else double-quoted (a reserved word, a space, a
+    leading digit).  The lexer has no escape for ``"`` inside a quoted
+    name, so such a name is refused."""
+    if (_WORD(name) and name.upper() not in KEYWORDS
+            and (name[0].isalpha() or name[0] == "_")):
+        return name
+    if '"' in name:
+        raise SQLUnsupportedError(f"cannot print the name {name!r}: it contains '\"'")
+    return f'"{name}"'
+
 
 def format_literal(value: Any) -> str:
     """Render a Python value as a SQL literal."""
@@ -72,8 +98,26 @@ def to_sql(node: Node) -> str:
     return _Printer().render(node)
 
 
+def to_text(node: Node) -> str:
+    """``node`` as EXPLAIN shows it: as :func:`to_sql` prints it, but every
+    name as it is, unquoted.  An operator may read a column no statement
+    can spell (``Aggregate.ref``), and EXPLAIN is read, not parsed back."""
+    return _AsWritten().render(node)
+
+
 class _Printer:
     """Stateless rendering visitor (a class only to group the methods)."""
+
+    #: A column, qualifier, table or alias name as printed.
+    name = staticmethod(_quote_name)
+
+    def qualified(self, qualifier: Optional[str], name: str) -> str:
+        # A bare name prints as itself in either printer.
+        if not _BARE(name):
+            name = self.name(name)
+        if not qualifier:
+            return name
+        return f"{qualifier if _BARE(qualifier) else self.name(qualifier)}.{name}"
 
     # -- statements ---------------------------------------------------------
 
@@ -121,7 +165,7 @@ class _Printer:
     def _select_item(self, item: SelectItem) -> str:
         text = self.expression(item.expr)
         if item.alias:
-            return f"{text} AS {item.alias}"
+            return f"{text} AS {self.name(item.alias)}"
         return text
 
     def _order_item(self, item: OrderItem) -> str:
@@ -130,8 +174,8 @@ class _Printer:
 
     def _table(self, node: Node) -> str:
         if isinstance(node, TableRef):
-            name = f"{node.source}.{node.name}" if node.source else node.name
-            return f"{name} {node.alias}" if node.alias else name
+            name = self.qualified(node.source, node.name)
+            return f"{name} {self.name(node.alias)}" if node.alias else name
         if isinstance(node, Join):
             left = self._table(node.left)
             right = self._table(node.right)
@@ -141,22 +185,22 @@ class _Printer:
             condition = self.expression(node.condition) if node.condition is not None else "TRUE"
             return f"{left} {join} {right} ON {condition}"
         if isinstance(node, DerivedTable):
-            return f"({self.render(node.query)}) {node.alias}"
+            return f"({self.render(node.query)}) {self.name(node.alias)}"
         raise SQLError(f"cannot render table expression {node!r}")
 
     def _create_table(self, node: CreateTable) -> str:
         columns = ", ".join(self._column_def(column) for column in node.columns)
-        return f"CREATE TABLE {node.name} ({columns})"
+        return f"CREATE TABLE {self.name(node.name)} ({columns})"
 
     def _column_def(self, column: ColumnDef) -> str:
-        return f"{column.name} {column.type_name}"
+        return f"{self.name(column.name)} {column.type_name}"
 
     def _insert(self, node: Insert) -> str:
-        columns = f" ({', '.join(node.columns)})" if node.columns else ""
+        columns = f" ({', '.join(map(self.name, node.columns))})" if node.columns else ""
         rows = ", ".join(
             "(" + ", ".join(self.expression(value) for value in row) + ")" for row in node.rows
         )
-        return f"INSERT INTO {node.table}{columns} VALUES {rows}"
+        return f"INSERT INTO {self.name(node.table)}{columns} VALUES {rows}"
 
     # -- expressions --------------------------------------------------------
 
@@ -166,9 +210,9 @@ class _Printer:
         if isinstance(node, Literal):
             return format_literal(node.value)
         if isinstance(node, ColumnRef):
-            return node.qualified
+            return self.qualified(node.table, node.name)
         if isinstance(node, Star):
-            return f"{node.table}.*" if node.table else "*"
+            return f"{self.name(node.table)}.*" if node.table else "*"
         if isinstance(node, FunctionCall):
             return self._function(node)
         if isinstance(node, Subquery):
@@ -234,3 +278,9 @@ class _Printer:
             parts.append(f"ELSE {self.expression(node.default)}")
         parts.append("END")
         return " ".join(parts)
+
+
+class _AsWritten(_Printer):
+    """The printer of :func:`to_text`."""
+
+    name = staticmethod(str)

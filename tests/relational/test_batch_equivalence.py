@@ -70,10 +70,10 @@ def _relation(name, rows):
 # -- generated inputs --------------------------------------------------------------
 
 # Keys mix int/float/Decimal/str and NULL; 1, 1.0 and Decimal("1") must meet
-# in one hash bucket.  Decimals are binary-exact so bucket equality (float)
-# and SQL equality (Decimal == float) agree.
+# in one hash bucket, and so must 0 and -0.0.  Decimals are binary-exact so
+# bucket equality (float) and SQL equality (Decimal == float) agree.
 KEYS = st.sampled_from(
-    [None, 1, 2, 3, 1.0, 2.5, Decimal("1"), Decimal("2.5"), "a", "b", "1"]
+    [None, 0, 1, 2, 3, -0.0, 1.0, 2.5, Decimal("1"), Decimal("2.5"), "a", "b", "1"]
 )
 ROWS = st.lists(
     st.tuples(KEYS, st.one_of(st.none(), st.integers(0, 5)), st.sampled_from("abc")),

@@ -298,7 +298,7 @@ def _reference_bucket_key(evaluator, nodes, row):
         if value is None:
             return None
         parts.append(_hash_key(value))
-    return tuple(parts)
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 def _with_hash(key):

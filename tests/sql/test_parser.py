@@ -288,6 +288,15 @@ class TestErrors:
         with pytest.raises(SQLSyntaxError, match="unexpected character"):
             parse("SELECT ² FROM t")
 
+    def test_a_numeric_literal_past_the_float_range_is_a_syntax_error(self):
+        # It would be Literal(inf), which prints as ``inf``: a column name.
+        with pytest.raises(SQLSyntaxError, match="numeric literal out of range") as excinfo:
+            parse("SELECT a,\n  1e999 FROM t")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+        with pytest.raises(SQLSyntaxError, match="out of range"):
+            parse_expression("-1.5e400")
+        assert parse_expression("1e308") == Literal(1e308)
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from(list("SELECT FROM WHERE 1.e'\"()-*/²½٣")),
                                       st.characters()), max_size=40))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SQLUnsupportedError
 from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select, SelectItem, TableRef, UnaryOp
 from repro.sql.parser import parse, parse_expression
 from repro.sql.printer import format_literal, to_sql
@@ -145,3 +146,33 @@ class TestMediatedText:
         assert to_sql(parse_expression("(a IS NULL) = FALSE")) == "(a IS NULL) = FALSE"
         assert to_sql(parse_expression("a IN ((b = c))")) == "a IN ((b = c))"
         assert to_sql(parse_expression("a || (b - 1)")) == "a || (b - 1)"
+
+
+class TestNameQuoting:
+    """A name prints bare only when the lexer scans it back as that one
+    identifier."""
+
+    @pytest.mark.parametrize("sql, printed", [
+        # Bare, ``weird name`` parsed back as column ``weird`` aliased ``name``.
+        ('SELECT "weird name" FROM t', 'SELECT "weird name" FROM t'),
+        ('SELECT t."a b" FROM t', 'SELECT t."a b" FROM t'),
+        # Bare, a reserved word does not parse as a column at all.
+        ('SELECT "select" FROM t', 'SELECT "select" FROM t'),
+        ('SELECT "Order".x AS "from" FROM "Order"', 'SELECT "Order".x AS "from" FROM "Order"'),
+        ('SELECT "1a", "", _x, café FROM "my src"."my t" "t 2"',
+         'SELECT "1a", "", _x, café FROM "my src"."my t" "t 2"'),
+        # ``ſ`` upper-cases to ``S``: bare, it would scan as SELECT.
+        ('SELECT "ſelect" FROM t', 'SELECT "ſelect" FROM t'),
+    ])
+    def test_a_name_that_would_not_scan_back_is_quoted(self, sql, printed):
+        assert to_sql(parse(sql)) == printed
+        assert parse(printed) == parse(sql)
+
+    def test_a_plain_name_stays_bare(self):
+        assert roundtrip('SELECT "a", r1.cname FROM "r1"') == "SELECT a, r1.cname FROM r1"
+
+    def test_a_name_holding_a_double_quote_is_refused(self):
+        with pytest.raises(SQLUnsupportedError, match="cannot print the name"):
+            to_sql(ColumnRef('a"b'))
+        with pytest.raises(SQLUnsupportedError):
+            to_sql(Select(items=(SelectItem(ColumnRef("a")),), tables=(TableRef('t"'),)))

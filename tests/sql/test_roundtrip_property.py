@@ -4,7 +4,8 @@ The generator covers every operator of the dialect's one table
 (:data:`repro.sql.ast.BINDING`) and the predicate forms.  Two spellings do
 not come back as built: ``!=`` parses as ``<>`` (so it is not generated), and
 a negative numeric literal prints as a minus sign over its magnitude, which
-parses as unary minus over a positive literal (:func:`as_parsed`).
+parses as unary minus over a positive literal (:func:`as_parsed`).  Names
+are drawn bare and such that they print only double-quoted.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -31,8 +32,17 @@ from repro.sql.printer import to_sql
 
 # -- expression generators ----------------------------------------------------
 
-identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
-    lambda name: name.upper() not in KEYWORDS
+#: Column, qualifier, table and alias names: plain ones, and ones the printer
+#: must quote — a reserved word in any case, a space or other punctuation, a
+#: leading digit, letters past ASCII, the empty name.  Only ``"`` has no
+#: spelling (the printer refuses it).
+identifiers = st.one_of(
+    st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+        lambda name: name.upper() not in KEYWORDS),
+    st.sampled_from(sorted(KEYWORDS)).flatmap(
+        lambda word: st.sampled_from([word, word.lower(), word.title()])),
+    st.text(st.characters(blacklist_characters='"', blacklist_categories=("Cs",)),
+            min_size=1, max_size=8),
 )
 
 literals = st.one_of(
@@ -83,13 +93,15 @@ def as_parsed(node):
 
 
 select_statements = st.builds(
-    lambda items, table, condition: Select(
-        items=tuple(SelectItem(expr) for expr in items),
-        tables=(TableRef(table),),
+    lambda items, table, alias, condition: Select(
+        items=tuple(SelectItem(expr, name) for expr, name in items),
+        tables=(TableRef(table, alias),),
         where=condition,
     ),
-    st.lists(expressions(2), min_size=1, max_size=4),
+    st.lists(st.tuples(expressions(2), st.one_of(st.none(), identifiers)),
+             min_size=1, max_size=4),
     identifiers,
+    st.one_of(st.none(), identifiers),
     st.one_of(st.none(), expressions(2)),
 )
 
