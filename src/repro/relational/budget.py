@@ -13,7 +13,12 @@ never fails on the budget, it degrades to secondary storage deterministically.
 Budgets are deliberately approximate: :func:`estimate_row_bytes` charges a
 flat per-value estimate (the same scale the temporary store's accounting
 uses), not ``sys.getsizeof`` truth.  The point is a *bounded, comparable*
-peak-memory figure per statement, not an allocator audit.
+peak-memory figure per statement, not an allocator audit.  The function is
+the specification of a row's size; the operators compute the same figure
+inline, in generated loops (:mod:`repro.relational.compile`: the hash-join
+build kernel, and :func:`~repro.relational.compile.row_sizes` for ``Sort``
+and ``Distinct``), one call per batch.  The temporary store and the stream's
+avoided-bytes figure call it directly, once per relation.
 
 All accounting is thread-safe: one statement's operators may run on the
 executor's fetch pool threads as well as the consumer's thread.

@@ -5,9 +5,12 @@ does, as the executable specification of these kernels.
 :class:`ExpressionCompiler` lowers an expression **once** to the source of
 one straight-line Python function: ``compile`` gives ``row -> value``,
 ``predicate`` ``row -> True/False/None``, ``projection`` one ``row -> tuple``
-for a whole select list, ``order_key`` one flat total-order key for a whole
-ORDER BY and ``bucket_key`` the normalized (composite) hash-join key.  However
-deep the expression, a row costs one Python call.
+for a whole select list and ``order_key`` one flat total-order key for a
+whole ORDER BY.  However deep the expression, a row costs one Python call.
+A hash join's two sides are one loop over a batch each: ``build`` keys and
+sizes a batch of build rows into its buckets, ``probe`` keys a batch of
+probe rows, looks them up and applies the residual.  :func:`row_sizes` is
+the size loop ``Sort`` and ``Distinct`` reserve a batch by.
 
 * **Emitter.**  Every node becomes a few statements over SSA temporaries
   (``t1 = row[3]``, ``c2 = t1.__class__``).  ``AND``/``OR`` chains and
@@ -67,6 +70,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from repro.errors import EvaluationError
 from repro.obs.cache import BoundedCache
+from repro.relational.budget import ROW_OVERHEAD_BYTES, _estimate_value_bytes
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key, sql_compare, sql_equal
 from repro.sql.ast import (
@@ -257,11 +261,15 @@ def _call(name: str, fn: Callable[..., Any], *args: Any) -> Any:
 def _hash_key(value: Any) -> Any:
     """A join key part: a number as its float, so 1, 1.0 and Decimal("1")
     share a bucket (and 0 and -0.0); a boolean tagged ``("b", value)``, so it
-    equals only a boolean; a string, or any other value, as itself."""
+    equals only a boolean; a string, or any other value, as itself.  NULL
+    and NaN are no key part (None): SQL's ``=`` is true for neither, and a
+    bucket table, which matches by identity first, would match one NaN
+    object to itself."""
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float, Decimal)):
-        return float(value)
+        value = float(value)
+        return value if value == value else None
     return value
 
 
@@ -300,8 +308,9 @@ def _subquery(executor: SubqueryExecutor, query: Node, how: str, row: Row) -> An
 
 #: The globals of every generated kernel: the helpers and builtins it names.
 _KERNEL_GLOBALS: Dict[str, Any] = {fn.__name__: fn for fn in (
-    float, str, bool, sql_equal, sort_key, _arith_slow, _negate_slow, _order_slow,
+    float, str, bool, len, sql_equal, sort_key, _arith_slow, _negate_slow, _order_slow,
     _not_equal, _in_list, _between, _like, _call, _hash_key, _Descending,
+    _estimate_value_bytes,
 )}
 
 
@@ -721,15 +730,87 @@ class _Emitter:
         for node in nodes:
             x = self.name(self.value(node))
             cls, part = self.classof(x), self.temp("h")
-            self.line(f"if {cls} is str or {cls} is float: {part} = {x}")
+            self.line(f"if {cls} is str: {part} = {x}")
+            self.line(f"elif {cls} is float and {x} == {x}: {part} = {x}")
             self.line(f"elif {cls} is int: {part} = float({x})")
             self.line(f"elif {x} is None: {on_null}")
-            self.line(f"else: {part} = _hash_key({x})")
+            self.line("else:")
+            self.line(f"    {part} = _hash_key({x})")
+            self.line(f"    if {part} is None: {on_null}")
             parts.append(part)
         return parts[0] if len(parts) == 1 else f"({''.join(part + ', ' for part in parts)})"
 
-    def kernel_key(self, nodes: Sequence[Node]) -> None:
-        self.line(f"return {self.key(nodes, 'return None')}")
+    def size(self, width: int) -> str:
+        """The bytes :func:`~repro.relational.budget.estimate_row_bytes`
+        charges for ``row``, ``width`` columns wide, summed inline: the row
+        overhead, then per value the length of an exact string, 8 for an
+        exact int or float, 1 for NULL or a boolean, and the per-value rule
+        (``_estimate_value_bytes``) for anything else."""
+        out = self.temp("n")
+        self.line(f"{out} = {ROW_OVERHEAD_BYTES:d}")
+        for position in range(width):
+            x, cls = self.temp(), self.temp("c")
+            self.line(f"{x} = row[{position:d}]; {cls} = {x}.__class__")
+            self.line(f"if {cls} is str: {out} += len({x})")
+            self.line(f"elif {cls} is int or {cls} is float: {out} += 8")
+            self.line(f"elif {x} is None or {cls} is bool: {out} += 1")
+            self.line(f"else: {out} += _estimate_value_bytes({x})")
+        return out
+
+    def kernel_sizes(self, nodes: Sequence[Node], width: int) -> None:
+        """``kernel(batch)``: the size of each row of ``batch`` (see ``size``)."""
+        self.params = "batch"
+        self.line("out = []")
+        self.line("append = out.append")
+        self.line("for row in batch:")
+        self.indent(1)
+        self.line(f"append({self.size(width)})")
+        self.indent(-1)
+        self.line("return out")
+
+    def kernel_build(self, nodes: Sequence[Node]) -> None:
+        """``kernel(batch, buckets, sizes)``: a hash join's build of a batch of
+        right rows.  Each row's key of ``nodes`` is computed inline and a row
+        whose key has a NULL or NaN part is skipped (it can match nothing).
+        With ``buckets`` a dict, every other row is appended to its key's
+        bucket and, when ``sizes`` is a list, its size (see ``size``) to
+        ``sizes``.  With ``buckets`` None it returns ``(keys, rows)``
+        instead, the keyed rows and their keys: what a Grace partitioning
+        scatters (a partition's rows are keyed again into its buckets)."""
+        self.params = "batch, buckets, sizes"
+        self.line("if buckets is None:")
+        self.indent(1)
+        self.line("keys = []")
+        self.line("out = []")
+        self.line("append = out.append")
+        self.line("for row in batch:")
+        self.indent(1)
+        self.line(f"keys.append({self.key(nodes, 'continue')})")
+        self.line("append(row)")
+        self.indent(-1)
+        self.line("return keys, out")
+        self.indent(-1)
+        self.line("get = buckets.get")
+        self.line("if sizes is None:")
+        self.indent(1)
+        self.bucket_loop(nodes, sized=False)
+        self.indent(-1)
+        self.line("append = sizes.append")
+        self.bucket_loop(nodes, sized=True)
+
+    def bucket_loop(self, nodes: Sequence[Node], sized: bool) -> None:
+        """The loop of ``kernel_build`` that files each keyed row in its
+        bucket and, when ``sized``, appends its size."""
+        self.line("for row in batch:")
+        self.indent(1)
+        key = self.name(self.key(nodes, "continue"))
+        self.line(f"bucket = get({key})")
+        self.line(f"if bucket is None: buckets[{key}] = [row]")
+        self.line("else: bucket.append(row)")
+        if sized:
+            self.line(f"append({self.size(len(self.build.schema))})")
+        self.indent(-1)
+        self.line("return")
 
     def kernel_probe(self, nodes: Sequence[Node], keys: int, width: int, anti: bool) -> None:
         """``kernel(batch, matches)``: a hash join's probe of a batch of left
@@ -868,20 +949,22 @@ class ExpressionCompiler:
             tuple((source if source.__class__ is int else None, bool(ascending))
                   for source, ascending in keys))
 
-    def bucket_key(self, expressions: Sequence[Node]) -> Callable[[Row], Any]:
-        """Compile (composite) join key expressions to one ``row -> key``: the
-        part normalized as :func:`_hash_key` normalizes it, the tuple of the
-        parts for several, or None when a part is NULL (SQL equality with
-        NULL is never true)."""
-        return self._kernel("key", tuple(expressions))
+    def build(self, keys: Sequence[Node]) -> Callable[[Sequence[Row], Any, Any], Any]:
+        """Compile a hash join's build to one ``(batch, buckets, sizes)``
+        kernel (see ``_Emitter.kernel_build``) over this compiler's schema,
+        the right input's: the key of ``keys`` is each part normalized as
+        :func:`_hash_key` normalizes it, the tuple of the parts for several;
+        a row with a NULL or NaN part has no key (SQL's ``=`` is never true
+        for it)."""
+        return self._kernel("build", tuple(keys))
 
     def probe(self, keys: Sequence[Node], width: int, residual: Optional[Node] = None,
               anti: bool = False) -> Callable[[Sequence[Row], Any], Any]:
         """Compile a hash join's probe to one ``(batch, matches) -> rows``
         (see ``_Emitter.kernel_probe``).  This compiler's schema is the
         joined row's: the left input's ``width`` columns, then the right's;
-        ``keys`` are the left key expressions, ``bucket_key`` over the right
-        schema the build's.  Keyed, like ``predicate``, by the residual's
+        ``keys`` are the left key expressions, ``build`` over the right
+        schema keys the build.  Keyed, like ``predicate``, by the residual's
         conjuncts."""
         conjuncts = () if residual is None else tuple(_chain_operands(
             (residual,), lambda child: _chain_of(child) == "AND"))
@@ -913,6 +996,19 @@ def compile_projection(expressions: Sequence[Node], schema: Schema,
 #: An INSERT's values are evaluated over no columns, once: their kernels are
 #: built past every memo, not worth keeping.
 _NO_COLUMNS = Schema(())
+
+
+def row_sizes(width: int) -> Callable[[Sequence[Row]], List[int]]:
+    """The size loop of rows ``width`` columns wide: one ``batch -> sizes``
+    kernel giving each row's :func:`~repro.relational.budget.estimate_row_bytes`
+    (see ``_Emitter.size``), what ``Sort`` and ``Distinct`` reserve.  It
+    reads no expression, so :data:`_MEMO` keeps it by width alone."""
+    structure = ("sizes", width)
+    fn = _MEMO.get(structure)
+    if fn is None:
+        fn = _Build(_NO_COLUMNS, None).kernel("sizes", (), width)
+        fn = _MEMO.setdefault(structure, fn)[0]
+    return fn
 
 
 def evaluate_literal_expression(node: Node) -> Any:

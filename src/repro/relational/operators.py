@@ -47,10 +47,10 @@ from typing import (
 )
 
 from repro.errors import EvaluationError, ExecutionError, SchemaError
-from repro.relational.budget import (
-    MemoryBudget, SpillFile, SpillPartitions, estimate_row_bytes,
+from repro.relational.budget import MemoryBudget, SpillFile, SpillPartitions
+from repro.relational.compile import (
+    CompiledExpr, ExpressionCompiler, KernelScope, _hash_key, row_sizes,
 )
-from repro.relational.compile import CompiledExpr, ExpressionCompiler, KernelScope, _hash_key
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema, expression_type
 from repro.sql.ast import ColumnRef, FunctionCall, Node, Star
@@ -88,10 +88,6 @@ def _pair_chunks(batch: Batch, inner_rows: int) -> Iterator[Batch]:
         return
     for start in range(0, len(batch), step):
         yield batch[start:start + step]
-
-
-#: The key of a spilled ``(key, row)`` pair.
-_first = itemgetter(0)
 
 
 def _partitions(keys: Iterable[Any], fanout: int) -> Iterator[int]:
@@ -552,11 +548,11 @@ class HashJoin(PhysicalOperator):
         self.residual = residual
         joined = left.schema.concat(right.schema)
         self._schema = left.schema if anti else joined
-        # The build's bucket key of a right row, None when a part is NULL
-        # (such a row can match nothing); the probe kernel keys a left batch
-        # the same way, looks it up and applies the residual in one loop.
-        self._right_key = ExpressionCompiler(right.schema, scope=scope).bucket_key(
-            self.right_keys)
+        # The build kernel keys (and sizes) a right batch into the buckets,
+        # skipping a row whose key has a NULL or NaN part (it can match
+        # nothing); the probe kernel keys a left batch the same way, looks it
+        # up and applies the residual in one loop.
+        self._build = ExpressionCompiler(right.schema, scope=scope).build(self.right_keys)
         self._probe = ExpressionCompiler(joined, scope=scope).probe(
             self.left_keys, len(left.schema), residual, anti)
 
@@ -567,7 +563,7 @@ class HashJoin(PhysicalOperator):
     def batches(self) -> Iterator[Batch]:
         budget = self.budget
         fanout = self.SPILL_PARTITIONS
-        right_key = self._right_key
+        build = self._build
         self.spilled = self.build_shared = False
         buckets: Dict[Any, List[Row]] = {}
         build_bytes = 0
@@ -585,35 +581,42 @@ class HashJoin(PhysicalOperator):
             with closing(right.batches()) as right_batches:
                 # A shared build reads nothing: the scan is closed unstarted.
                 for batch in () if self.build_shared else right_batches:
-                    keyed = [(key, row) for row in batch
-                             if (key := right_key(row)) is not None]
                     if build_spill is None:
-                        fitted = len(keyed)
-                        if budget is not None:
-                            fitted, reserved = budget.reserve_prefix(
-                                [estimate_row_bytes(row) for _key, row in keyed])
-                            build_bytes += reserved
-                        for key, row in keyed if fitted == len(keyed) else keyed[:fitted]:
-                            buckets.setdefault(key, []).append(row)
-                        build_rows += fitted
-                        if fitted == len(keyed):
+                        if budget is None:
+                            build(batch, buckets, None)
                             continue
-                        # The build side outgrew the budget at row ``fitted``:
-                        # switch to Grace partitioning — flush the buckets
-                        # built so far to the build partitions and keep
-                        # partitioning.
+                        sizes = []
+                        build(batch, buckets, sizes)
+                        fitted, reserved = budget.reserve_prefix(sizes)
+                        build_bytes += reserved
+                        build_rows += fitted
+                        if fitted == len(sizes):
+                            continue
+                        # The build side outgrew the budget at keyed row
+                        # ``fitted``: take it and the rows after it back out
+                        # of the buckets, switch to Grace partitioning — flush
+                        # the buckets built so far to the build partitions —
+                        # and keep partitioning.
+                        keys, rows = build(batch, None, None)
+                        keys, rows = keys[fitted:], rows[fitted:]
+                        for key in reversed(keys):
+                            bucket = buckets[key]
+                            bucket.pop()
+                            if not bucket:
+                                del buckets[key]
                         build_spill = SpillPartitions(fanout, "hashjoin-build-")
-                        built = [(built_key, built_row)
-                                 for built_key, built_rows in buckets.items()
-                                 for built_row in built_rows]
-                        build_spill.scatter(_partitions(map(_first, built), fanout), built)
+                        build_spill.scatter(
+                            _partitions([key for key, bucket in buckets.items() for _ in bucket],
+                                        fanout),
+                            chain.from_iterable(buckets.values()))
                         budget.record_spill(build_rows, build_bytes)
                         budget.release(build_bytes)
                         build_bytes = 0
                         buckets = {}
                         self.spilled = True
-                        keyed = keyed[fitted:]
-                    build_spill.scatter(_partitions(map(_first, keyed), fanout), keyed)
+                    else:
+                        keys, rows = build(batch, None, None)
+                    build_spill.scatter(_partitions(keys, fanout), rows)
 
             probe = self._probe
             anti = self.anti
@@ -644,8 +647,7 @@ class HashJoin(PhysicalOperator):
                 for index in range(fanout):
                     partition_buckets: Dict[Any, List[Row]] = {}
                     for frame in build_spill.read(index):
-                        for key, right_row in frame:
-                            partition_buckets.setdefault(key, []).append(right_row)
+                        build(frame, partition_buckets, None)
                     matches = partition_buckets.get
                     for frame in probe_spill.read(index) if partition_buckets or anti else ():
                         yield probe(frame, matches)
@@ -706,6 +708,7 @@ class Distinct(PhysicalOperator):
         self.child = child
         self.budget = budget
         self._key = key or _default_distinct_key
+        self._sizes = row_sizes(len(child.schema))
         #: Whether the last iteration fell back to partitioned spilling.
         self.spilled = False
 
@@ -735,7 +738,7 @@ class Distinct(PhysicalOperator):
                 if budget is None:
                     yield fresh
                     continue
-                fitted, reserved = budget.reserve_prefix(list(map(estimate_row_bytes, fresh)))
+                fitted, reserved = budget.reserve_prefix(self._sizes(fresh))
                 seen_bytes += reserved
                 if fitted == len(fresh):
                     yield fresh
@@ -862,6 +865,7 @@ class Sort(PhysicalOperator):
         self.budget = budget
         self.limit = limit
         self._key = ExpressionCompiler(child.schema, scope=scope).order_key(self.keys)
+        self._sizes = row_sizes(len(child.schema))
         #: How many sorted runs the last iteration spilled (0 = in memory).
         self.spill_runs = 0
 
@@ -881,7 +885,7 @@ class Sort(PhysicalOperator):
                     self.limit, chain.from_iterable(child_batches), key=key
                 )
                 if budget is not None:
-                    buffer_bytes = sum(map(estimate_row_bytes, buffer))
+                    buffer_bytes = sum(self._sizes(buffer))
                     budget.reserve(buffer_bytes)
                 yield from _ramp_batches(buffer)
                 return
@@ -893,7 +897,7 @@ class Sort(PhysicalOperator):
                 if budget is None:
                     buffer.extend(batch)
                     continue
-                sizes = list(map(estimate_row_bytes, batch))
+                sizes = self._sizes(batch)
                 start = 0
                 while start < len(batch):
                     # As many rows as fit; a refused row cuts a run where a

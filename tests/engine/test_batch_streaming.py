@@ -416,22 +416,26 @@ class TestWarmStatementBuildsNothing:
         assert counted.take() == self.NOTHING
         assert answer.relation.rows == expected
 
-    def test_the_third_warm_execution_builds_no_hash_table(self, monkeypatch):
+    def test_the_third_warm_execution_builds_no_hash_table(self):
         # Cache-resident build inputs: the first warm execution keys and
         # sizes each build and names its input, the second builds again and
         # keeps it; from then on a join reserves the kept bytes and probes —
-        # no build-side key kernel call, no build row sized.  The mediated
-        # UNION ALL keeps no seen-set, so nothing else sizes a row.
-        from repro.relational import operators
-
+        # no build kernel call, no build row keyed or sized.
         federation = build_paper_federation().federation
         plan = federation.query(PAPER_QUERY).execution.plan  # miss: plain fetches
-        calls = {"right_key": 0, "estimate_row_bytes": 0}
+        calls = {"builds": 0, "keyed": 0, "sized": 0}
 
-        def counting(label, function):
-            def counted(row):
-                calls[label] += 1
-                return function(row)
+        def counting(build):
+            def counted(batch, buckets, sizes):
+                calls["builds"] += 1
+                held = sum(map(len, buckets.values())) if buckets is not None else 0
+                sized = len(sizes) if sizes is not None else 0
+                result = build(batch, buckets, sizes)
+                if buckets is not None:
+                    calls["keyed"] += sum(map(len, buckets.values())) - held
+                if sizes is not None:
+                    calls["sized"] += len(sizes) - sized
+                return result
             return counted
 
         joins = []
@@ -442,15 +446,13 @@ class TestWarmStatementBuildsNothing:
                 pending.extend(operator.children)
                 if operator.operator_name == "HashJoin":
                     joins.append(operator)
-                    operator._right_key = counting("right_key", operator._right_key)
-        monkeypatch.setattr(operators, "estimate_row_bytes",
-                            counting("estimate_row_bytes", operators.estimate_row_bytes))
+                    operator._build = counting(operator._build)
         assert len(joins) == 5
 
         first = federation.query(PAPER_QUERY)
         assert len(first.relation.rows) == 1
         once = dict(calls)
-        assert once["right_key"] == once["estimate_row_bytes"] > 0
+        assert once["keyed"] == once["sized"] > 0
         second = federation.query(PAPER_QUERY)
         built = dict(calls)
         assert built == {label: 2 * count for label, count in once.items()}

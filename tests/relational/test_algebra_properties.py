@@ -47,9 +47,10 @@ def as_bag(relation):
 
 #: Join key values of every class a hash bucket holds: NULL, ints, floats
 #: (-0.0 beside 0), binary-exact Decimals and strings.  1, 1.0 and
-#: Decimal("1") are one key, 0 and -0.0 another, "1" a third.
+#: Decimal("1") are one key, 0 and -0.0 another, "1" a third.  The one NaN
+#: object lands on both sides: equal to nothing, itself included.
 keys = st.sampled_from([None, 0, 1, 2, -0.0, 1.0, 2.5, Decimal("1"), Decimal("2.5"),
-                        Decimal("-0"), "a", "b", "1", ""])
+                        Decimal("-0"), "a", "b", "1", "", float("nan")])
 #: A boolean key equals only a boolean in a bucket, while ``TRUE = 1`` in
 #: SQL: booleans are drawn only against booleans (``types.may_hash`` keeps
 #: boolean keys out of hash joins).
@@ -83,9 +84,11 @@ def hash_join(lrows, rrows, parts, residual=None, spill=False, anti=False):
                     [parse_expression(f"r.k{part}") for part in range(1, parts + 1)],
                     residual=residual, budget=budget, anti=anti)
     rows = list(join)
-    # The tiny budget forces the Grace path whenever a build row has a key.
+    # The tiny budget forces the Grace path whenever a build row has a key:
+    # no part NULL or NaN.
     assert join.spilled == (spill and any(
-        all(row[part] is not None for part in range(parts)) for row in rrows))
+        all(row[part] is not None and row[part] == row[part] for part in range(parts))
+        for row in rrows))
     if budget is not None:
         assert budget.used_bytes == 0
     return rows

@@ -11,12 +11,14 @@ two implementations outcome by outcome.
 """
 
 import itertools
+import math
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.relational.compile import ExpressionCompiler, _hash_key, compile_projection
+from repro.relational.budget import estimate_row_bytes
+from repro.relational.compile import ExpressionCompiler, compile_projection
 from reference_eval import ExpressionEvaluator
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -292,19 +294,42 @@ GENERATED_ROWS = st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_
 
 
 def _reference_bucket_key(evaluator, nodes, row):
+    """A hash join's key of ``row``: a number as its float, a boolean tagged,
+    anything else itself; None (no key) at the first NULL or NaN part."""
     parts = []
     for node in nodes:
         value = evaluator.evaluate(node, row)
+        if isinstance(value, bool):
+            value = ("b", value)
+        elif isinstance(value, (int, float, Decimal)):
+            value = float(value)
+            if math.isnan(value):
+                return None
         if value is None:
             return None
-        parts.append(_hash_key(value))
+        parts.append(value)
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _with_hash(key):
-    """A bucket key and the ``hash()`` Grace partitioning takes of it (a NaN
-    hashes by identity, so a *computed* NaN has no reproducible hash)."""
-    return key, None if key is None or "nan" in repr(key) else hash(key)
+def _reference_build(evaluator, nodes, row):
+    """What a build of ``row`` alone makes: the key, its hash and the row a
+    Grace partitioning scatters, the buckets and the sizes of an in-memory
+    build."""
+    key = _reference_bucket_key(evaluator, nodes, row)
+    if key is None:
+        return [], {}, []
+    return [(key, hash(key), row)], {key: [row]}, [estimate_row_bytes(row)]
+
+
+def _build(kernel, row):
+    """The build kernel's three modes over the batch ``[row]``."""
+    keys, rows = kernel([row], None, None)
+    buckets, sizes = {}, []
+    kernel([row], buckets, sizes)
+    unsized = {}
+    kernel([row], unsized, None)
+    assert unsized == buckets
+    return [(key, hash(key), keyed) for key, keyed in zip(keys, rows)], buckets, sizes
 
 
 class TestGeneratedExpressions:
@@ -320,7 +345,7 @@ class TestGeneratedExpressions:
         predicate = compiler.predicate(node)
         projection = compiler.projection(nodes)
         order_key = compiler.order_key([(node, True)])
-        bucket_key = compiler.bucket_key(nodes)
+        build = compiler.build(nodes)
         for row in rows:
             # A fresh interpreter per row: it caches nothing across rows that
             # the kernels' folded subqueries could disagree with.
@@ -334,5 +359,5 @@ class TestGeneratedExpressions:
                 lambda: tuple(evaluator.evaluate(each, row) for each in nodes))), context
             assert (_outcome(lambda: order_key(row))
                     == _outcome(lambda: sort_key(evaluator.evaluate(node, row)))), context
-            assert (_outcome(lambda: _with_hash(bucket_key(row))) == _outcome(
-                lambda: _with_hash(_reference_bucket_key(evaluator, nodes, row)))), context
+            assert (_outcome(lambda: _build(build, row)) == _outcome(
+                lambda: _reference_build(evaluator, nodes, row))), context

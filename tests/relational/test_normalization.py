@@ -3,13 +3,20 @@
 ``Decimal`` values come out of financial feeds and must join and deduplicate
 against plain ints and floats; booleans must *not* silently merge with 0/1
 (they are a distinct domain in the hash-key normalization, matching the
-deductive layer's constant equality); NULL join keys never match anything.
+deductive layer's constant equality); NULL and NaN join keys never match
+anything, not even the same NaN object.
 Also covers the OFFSET-aware ``Limit.estimated_rows`` fix.
 """
 
+import sqlite3
 from decimal import Decimal
 
-from repro.relational.operators import Distinct, HashJoin, Limit, Sort, TableScan, _hash_key
+import pytest
+
+from repro.relational.budget import MemoryBudget
+from repro.relational.operators import (
+    Distinct, HashJoin, Limit, NestedLoopJoin, Sort, TableScan, _hash_key,
+)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sql.ast import ColumnRef
@@ -33,6 +40,11 @@ class TestHashKeyNormalization:
 
     def test_strings_do_not_collide_with_numbers(self):
         assert _hash_key("1") != _hash_key(1)
+
+    def test_nan_is_no_key_part(self):
+        assert _hash_key(float("nan")) is None
+        assert _hash_key(Decimal("NaN")) is None
+        assert _hash_key(None) is None
 
 
 class TestHashJoinNormalization:
@@ -61,6 +73,39 @@ class TestHashJoinNormalization:
             [ColumnRef("k1", "r"), ColumnRef("k2", "r")],
         )
         assert sorted(row[4] for row in join) == ["a", "b"]
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["in-memory", "grace"])
+    def test_a_nan_key_matches_nothing_not_even_itself(self, budget):
+        # One NaN object on both sides: a bucket table matches by identity
+        # first, so this joined the NaN row to itself.
+        nan = float("nan")
+        rows = [(nan,), (1.0,)]
+        left, right = (_relation(name, ["x"], rows, qualifier=name) for name in ("l", "r"))
+
+        def join(anti=False):
+            return list(HashJoin(TableScan(left), TableScan(right), ColumnRef("x", "l"),
+                                 ColumnRef("x", "r"), budget=budget and MemoryBudget(budget),
+                                 anti=anti))
+
+        nested = list(NestedLoopJoin(TableScan(left), TableScan(right),
+                                     parse_expression("l.x = r.x")))
+        with sqlite3.connect(":memory:") as connection:
+            for name in ("l", "r"):
+                connection.execute(f"CREATE TABLE {name} (x REAL)")
+                connection.executemany(f"INSERT INTO {name} VALUES (?)", rows)
+            oracle = connection.execute("SELECT l.x, r.x FROM l JOIN r ON l.x = r.x").fetchall()
+        connection.close()
+        assert join() == nested == oracle == [(1.0, 1.0)]
+        # An anti-join emits the NaN row: nothing is equal to it.
+        assert [repr(row) for row in join(anti=True)] == ["(nan,)"]
+
+    def test_a_nan_of_any_numeric_class_matches_nothing(self):
+        left = _relation("l", ["x"], [(float("nan"),), (Decimal("NaN"),), (2,)], qualifier="l")
+        right = _relation("r", ["x"], [(Decimal("NaN"),), (float("nan"),), (2.0,)],
+                          qualifier="r")
+        join = HashJoin(TableScan(left), TableScan(right), ColumnRef("x", "l"),
+                        ColumnRef("x", "r"))
+        assert list(join) == [(2, 2.0)]
 
 
 class TestDistinctNormalization:

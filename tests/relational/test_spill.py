@@ -21,6 +21,7 @@ from repro.relational.budget import (
     _estimate_value_bytes,
     estimate_row_bytes,
 )
+from repro.relational.compile import ExpressionCompiler, row_sizes
 from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -91,6 +92,48 @@ class TestMemoryBudget:
             _estimate_value_bytes(value) for value in row)
         assert estimate_row_bytes((None, True, 7, 7.5, Decimal("7.5"), "seven", _Cents(7),
                                    _Label("abc"), b"xy")) == 56 + 1 + 1 + 8 + 8 + 16 + 5 + 8 + 3 + 5
+
+
+#: Values of every class a size is computed for: each exact class the
+#: generated size loops test inline, and past them subclasses, big ints,
+#: Decimals (NaN included) and values sized by their text.
+_SIZED_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 80), st.floats(),
+    st.decimals(), st.text(max_size=12), st.binary(max_size=4),
+    st.sampled_from([float("nan"), float("inf"), -0.0, "", "ß€😀", 10 ** 400, _Cents(7),
+                     _Cents(-2 ** 70), _Label(""), _Label("é"), _Ratio(0.5)]),
+)
+
+
+def _sized_rows(width, values=_SIZED_VALUES):
+    return st.lists(st.tuples(*[values] * width), max_size=6)
+
+
+class TestGeneratedSizes:
+    """The size loops the operators run are :func:`estimate_row_bytes`,
+    value for value: the budget's accounting does not depend on where a
+    size is computed."""
+
+    @given(st.integers(0, 5).flatmap(lambda width: st.tuples(st.just(width),
+                                                              _sized_rows(width))))
+    def test_the_size_loop_is_the_row_estimate(self, drawn):
+        width, rows = drawn
+        assert row_sizes(width)(rows) == list(map(estimate_row_bytes, rows))
+
+    @given(st.integers(0, 4).flatmap(lambda width: _sized_rows(width)),
+           st.lists(st.one_of(st.none(), st.integers(-2, 2), st.floats(-2, 2), st.text(max_size=2),
+                              st.just(float("nan"))), max_size=6))
+    def test_the_build_kernel_sizes_each_keyed_row_as_the_row_estimate(self, payloads, keys):
+        rows = [(key,) + payload for key, payload in zip(keys, payloads)]
+        width = len(rows[0]) if rows else 1
+        schema = Schema.of(*[f"c{index}" for index in range(width)], qualifier="t")
+        build = ExpressionCompiler(schema).build([parse_expression("t.c0")])
+        buckets, sizes = {}, []
+        build(rows, buckets, sizes)
+        keyed = [row for row in rows if row[0] is not None and row[0] == row[0]]
+        assert sizes == list(map(estimate_row_bytes, keyed))
+        assert sorted(map(repr, (row for bucket in buckets.values() for row in bucket))) == sorted(
+            map(repr, keyed))
 
 
 class TestSpillFile:
